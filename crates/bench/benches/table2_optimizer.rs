@@ -100,7 +100,7 @@ fn main() {
                 // Scaled-down analogue of the paper's 0.5% sample: the
                 // L2-occupancy floor assumes ≥480k users and would swallow
                 // 13-30% of our miniature user sets, so the bench shrinks
-                // the floor along with everything else (see EXPERIMENTS.md).
+                // the floor along with everything else (see benchmark/README.md).
                 let optimus = Optimus::new(OptimusConfig {
                     sample_fraction: 0.01,
                     cache: mips_linalg::CacheConfig {

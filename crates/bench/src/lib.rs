@@ -13,7 +13,8 @@
 //! (e.g. `MIPS_SCALE=2 cargo bench -p mips-bench`). Absolute seconds shift
 //! with scale and host, but the comparisons the paper draws — who wins,
 //! by roughly what factor, where the crossovers sit — are scale-stable;
-//! `EXPERIMENTS.md` records a paper-vs-measured digest for each experiment.
+//! the committed `BENCH_2.json` / `BENCH_3.json` digests record measured
+//! rows, and `benchmark/README.md` describes the repo's end-to-end benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

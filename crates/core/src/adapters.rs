@@ -1,13 +1,13 @@
 //! [`MipsSolver`] adapters for the LEMP, FEXIPRO, and sparse inverted-index
 //! crates.
 
-use crate::solver::{MipsSolver, ScreenTally, ScreenTallyCells};
+use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::Arc;
 use mips_data::MfModel;
 use mips_fexipro::{FexiproConfig, FexiproIndex};
 use mips_lemp::{LempConfig, LempIndex, QueryStats};
 use mips_sparse::{InvertedIndex, SparseConfig, SparseScratch};
-use mips_topk::TopKList;
+use mips_topk::{ScreenTier, TopKList};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -16,6 +16,8 @@ pub struct LempSolver {
     model: Arc<MfModel>,
     index: LempIndex,
     build_seconds: f64,
+    /// `"LEMP"` plus the armed tier's suffix.
+    name: String,
     /// Cumulative screen candidate/survivor counts, drained by the serving
     /// layer ([`MipsSolver::take_screen_stats`]).
     screen_tally: ScreenTallyCells,
@@ -31,45 +33,23 @@ impl LempSolver {
             model,
             index,
             build_seconds,
+            name: screened_name("LEMP", None),
             screen_tally: ScreenTallyCells::default(),
         }
     }
 
-    /// [`LempSolver::build`] with the mixed-precision screen enabled:
-    /// scans pre-score candidates in f32 and skip exact dots the error
-    /// envelope proves hopeless, with bit-identical results (see
-    /// [`mips_lemp::scan`]). The mirror rounding pass is part of the
-    /// reported build time.
-    pub fn build_screen(model: Arc<MfModel>, config: &LempConfig) -> LempSolver {
+    /// Arms the mixed-precision screen in `tier` (see
+    /// [`LempIndex::enable_screen`]): scans pre-score candidates in the
+    /// tier's arithmetic and skip exact dots the error envelope proves
+    /// hopeless, with bit-identical results. Re-arming replaces the
+    /// previous tier; a tier the model cannot be mirrored in leaves the
+    /// solver as it was. The mirroring pass is added to the reported build
+    /// time.
+    pub fn enable_screen(&mut self, tier: ScreenTier) {
         let start = Instant::now();
-        let mut index = LempIndex::build(&model, config);
-        index.enable_screen();
-        let build_seconds = start.elapsed().as_secs_f64();
-        LempSolver {
-            model,
-            index,
-            build_seconds,
-            screen_tally: ScreenTallyCells::default(),
-        }
-    }
-
-    /// [`LempSolver::build`] with the int8 screen enabled: scans pre-score
-    /// candidates with exact integer dots over symmetric int8 codes and
-    /// skip exact dots the quantization envelope proves hopeless, with
-    /// bit-identical results (see [`mips_lemp::scan`]). Falls back to the
-    /// plain f64 identity when the model quantizes degenerately. The
-    /// quantization pass is part of the reported build time.
-    pub fn build_screen_i8(model: Arc<MfModel>, config: &LempConfig) -> LempSolver {
-        let start = Instant::now();
-        let mut index = LempIndex::build(&model, config);
-        index.enable_screen_i8();
-        let build_seconds = start.elapsed().as_secs_f64();
-        LempSolver {
-            model,
-            index,
-            build_seconds,
-            screen_tally: ScreenTallyCells::default(),
-        }
+        self.index.enable_screen(tier);
+        self.name = screened_name("LEMP", self.index.screen());
+        self.build_seconds += start.elapsed().as_secs_f64();
     }
 
     /// The wrapped index (for stats-aware benches).
@@ -88,13 +68,7 @@ impl LempSolver {
 
 impl MipsSolver for LempSolver {
     fn name(&self) -> &str {
-        if self.index.is_screening_i8() {
-            "LEMP+i8"
-        } else if self.index.is_screening() {
-            "LEMP+f32"
-        } else {
-            "LEMP"
-        }
+        &self.name
     }
 
     fn build_seconds(&self) -> f64 {
@@ -106,13 +80,7 @@ impl MipsSolver for LempSolver {
     }
 
     fn precision(&self) -> crate::precision::Precision {
-        if self.index.is_screening_i8() {
-            crate::precision::Precision::I8Rescore
-        } else if self.index.is_screening() {
-            crate::precision::Precision::F32Rescore
-        } else {
-            crate::precision::Precision::F64
-        }
+        crate::precision::Precision::of_tier(self.index.screen())
     }
 
     fn num_users(&self) -> usize {
@@ -148,8 +116,7 @@ impl MipsSolver for LempSolver {
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
-        (self.index.is_screening() || self.index.is_screening_i8())
-            .then(|| self.screen_tally.drain())
+        self.index.screen().map(|_| self.screen_tally.drain())
     }
 }
 

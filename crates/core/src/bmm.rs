@@ -1,39 +1,35 @@
 //! Blocked matrix multiply brute force: the hardware-efficient baseline of
 //! §II-B.
 //!
-//! Users are processed in batches. On the default **fused** path each batch
-//! streams `U_batch · Iᵀ` score panels straight into per-user top-k heaps
-//! ([`mips_topk::gemm_nt_topk`]): only one NC-wide panel of scores is ever
-//! resident, so selection happens on cache-warm data and the `batch × n`
-//! score buffer of the two-stage pipeline never exists. The **unfused** path
-//! (the paper's literal BMM recipe — MKL `dgemm` + `std::priority_queue`,
-//! here our packed GEMM + bounded heap) is kept behind
-//! [`BmmSolver::build_unfused`] as the A/B baseline for the fusion benches;
-//! its score buffer is hoisted into the query loop and reused across batches
-//! rather than re-allocated per block.
+//! Users are processed in batches. Each batch streams `U_batch · Iᵀ` score
+//! panels straight into per-user top-k heaps ([`mips_topk::gemm_nt_topk`]):
+//! only one NC-wide panel of scores is ever resident, so selection happens
+//! on cache-warm data and the `batch × n` score buffer of the paper's
+//! literal two-stage recipe (MKL `dgemm` + `std::priority_queue`) never
+//! exists. Armed with a screen tier ([`BmmSolver::with_screen`]) the scan
+//! runs in that tier's arithmetic and only the survivors are rescored in
+//! f64 ([`mips_topk::screen`]).
 //!
-//! Both paths run on the runtime-dispatched SIMD micro-kernels
+//! Every path runs on the runtime-dispatched SIMD micro-kernels
 //! ([`mips_linalg::simd`]); results are identical either way.
 
 use crate::precision::Precision;
-use crate::solver::{MipsSolver, ScreenTally, ScreenTallyCells};
+use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::Arc;
-use mips_data::{MfModel, Mirror32, MirrorI8};
-use mips_linalg::{gemm_nt_into_scratch, CacheConfig, GemmScratch, Matrix, RowBlock};
+use mips_data::MfModel;
+use mips_linalg::{CacheConfig, GemmScratch, Matrix, RowBlock};
 use mips_topk::{
-    gemm_nt_topk, rows_topk, screen_i8_topk_into_heaps, screen_topk_into_heaps, ColumnIds,
-    QuantItems, QuantUsers, ScreenI8Scratch, ScreenScratch, TopKHeap, TopKList,
+    gemm_nt_topk, screen_topk_into_heaps, ColumnIds, ScreenItems, ScreenScratch, ScreenTier,
+    ScreenUsers, TopKHeap, TopKList,
 };
 use std::ops::Range;
 use std::time::Instant;
 
 pub use mips_linalg::matrix::RowBlock as UserBlock;
 
-/// Memory budget for one batch's score buffer on the unfused path. Sized to
-/// the last-level cache: a larger buffer only adds write traffic for score
-/// rows that the top-k scan immediately consumes and evicts. The fused path
-/// keeps the same batch geometry (its resident panel is strictly smaller),
-/// so fused-vs-unfused benches compare fusion alone.
+/// Memory budget the batch geometry is sized against: the `batch × n` score
+/// block a batch *would* produce is kept within the last-level cache, so the
+/// panels the fused path actually holds (strictly smaller) stay cache-warm.
 const SCORE_BUFFER_BYTES: usize = 8 << 20;
 
 /// The brute-force blocked-matrix-multiply solver.
@@ -49,54 +45,94 @@ pub struct BmmSolver {
     users: Range<usize>,
     batch_rows: usize,
     build_seconds: f64,
-    fused: bool,
     /// `Some` on a mixed-precision path: scans run over the tier's mirror
-    /// with a conservative error envelope and survivors are rescored in
-    /// f64, so results stay bit-identical to the pure-f64 path (see
-    /// [`mips_topk::screen`] / [`mips_topk::screen_i8`]). `None` when the
-    /// model doesn't mirror usably ([`Mirror32::is_usable`] /
-    /// [`MirrorI8::is_usable`]) — then serving silently stays f64.
+    /// with a conservative error envelope and survivors are rescored
+    /// in f64, so results stay bit-identical to the pure-f64 path (see
+    /// [`mips_topk::screen`]).
     screen: Option<ScreenTier>,
+    /// `"Blocked MM"` plus the armed tier's suffix.
+    name: String,
     /// Cumulative screen candidate/survivor counts, drained by the serving
     /// layer ([`MipsSolver::take_screen_stats`]). Clones share the cells —
     /// the counters describe the screen's selectivity, not one handle's.
     screen_tally: Arc<ScreenTallyCells>,
 }
 
-/// Which mixed-precision screen a [`BmmSolver`] scans with.
-#[derive(Debug, Clone)]
-enum ScreenTier {
-    /// f32 mirror with a rounding envelope ([`mips_topk::screen`]).
-    F32(Arc<Mirror32>),
-    /// int8 mirror with a quantization envelope ([`mips_topk::screen_i8`]).
-    I8(Arc<MirrorI8>),
+/// Both sides of `model` in `tier`, borrowed from the model-level mirror
+/// (built on first use and shared by every view and shard of the model).
+/// `None` when the model does not mirror usably in that tier.
+fn screen_sides(model: &MfModel, tier: ScreenTier) -> Option<(ScreenUsers<'_>, ScreenItems<'_>)> {
+    match tier {
+        ScreenTier::F32 => {
+            let mirror = model.mirror32();
+            let users = ScreenUsers::F32 {
+                rows: mirror.users().into(),
+                norms: mirror.user_norms(),
+            };
+            let items = ScreenItems::F32 {
+                rows: mirror.items().into(),
+                norms: mirror.item_norms(),
+            };
+            mirror.is_usable().then_some((users, items))
+        }
+        ScreenTier::I8 => {
+            let mirror = model.mirror_i8();
+            let users = ScreenUsers::I8 {
+                codes: mirror.users_q(),
+                scales: mirror.user_scales(),
+                l1: mirror.user_l1(),
+            };
+            let items = ScreenItems::I8 {
+                codes: mirror.items_q(),
+                inv_scales: mirror.item_inv_scales(),
+                l1: mirror.item_l1(),
+            };
+            mirror.is_usable().then_some((users, items))
+        }
+    }
 }
 
-/// One gathered block's worth of screen-side user data, matching the tier.
-enum BlockScreen<'a> {
-    F32(RowBlock<'a, f32>, &'a [f64]),
-    I8(QuantUsers<'a>),
-}
-
-/// Requested screen tier at build time (before usability gating).
-#[derive(Debug, Clone, Copy)]
-enum TierKind {
-    F32,
-    I8,
-}
-
-/// Owned screen-side user data gathered for a `query_subset` call.
-enum GatheredScreen {
+/// An owned copy of some rows of a [`ScreenUsers`] — the screen-side twin of
+/// the f64 rows a `query_subset` call gathers.
+enum GatheredUsers {
     F32(Matrix<f32>, Vec<f64>),
     I8(Vec<i8>, Vec<f64>, Vec<f64>),
 }
 
+impl GatheredUsers {
+    fn gather(users: ScreenUsers<'_>, picks: &[usize]) -> GatheredUsers {
+        let pick = |values: &[f64]| picks.iter().map(|&r| values[r]).collect();
+        match users {
+            ScreenUsers::F32 { rows, norms } => {
+                let data = picks.iter().flat_map(|&r| rows.row(r)).copied().collect();
+                let gathered = Matrix::from_vec(picks.len(), rows.cols(), data);
+                GatheredUsers::F32(gathered.expect("rows × cols values"), pick(norms))
+            }
+            ScreenUsers::I8 { codes, scales, l1 } => {
+                let f = codes.len().checked_div(scales.len()).unwrap_or(0);
+                let row = |&r: &usize| &codes[r * f..(r + 1) * f];
+                let gathered = picks.iter().flat_map(row).copied().collect();
+                GatheredUsers::I8(gathered, pick(scales), pick(l1))
+            }
+        }
+    }
+
+    fn borrow(&self) -> ScreenUsers<'_> {
+        match self {
+            GatheredUsers::F32(rows, norms) => ScreenUsers::F32 {
+                rows: rows.into(),
+                norms,
+            },
+            GatheredUsers::I8(codes, scales, l1) => ScreenUsers::I8 { codes, scales, l1 },
+        }
+    }
+}
+
 impl BmmSolver {
     /// Prepares the solver (no index; build cost is effectively zero).
-    /// Serving takes the fused GEMM→top-k path.
     pub fn build(model: Arc<MfModel>) -> BmmSolver {
         let users = 0..model.num_users();
-        Self::build_inner(model, users, true, false)
+        Self::over_range(model, users)
     }
 
     /// Prepares a solver over a contiguous user range of the model —
@@ -104,86 +140,39 @@ impl BmmSolver {
     /// out of the shared matrix, offset by the range start. Queries use
     /// local user ids `0..view.num_users()`.
     pub fn build_view(view: &mips_data::ModelView) -> BmmSolver {
-        Self::build_inner(Arc::clone(view.model()), view.user_range(), true, false)
+        Self::over_range(Arc::clone(view.model()), view.user_range())
     }
 
-    /// Prepares the mixed-precision solver: the f32 screen of the fused
-    /// scan plus an exact f64 rescore. The model's [`Mirror32`] is built
-    /// here (or fetched from the epoch-shared cache), so the rounding cost
-    /// is paid at build time, where OPTIMUS accounts it.
-    pub fn build_screen(model: Arc<MfModel>) -> BmmSolver {
-        let users = 0..model.num_users();
-        Self::build_inner(model, users, true, true)
-    }
-
-    /// [`BmmSolver::build_screen`] over a contiguous user range — the f32
-    /// mirror is shared with the parent model, so per-shard views get it
-    /// for free.
-    pub fn build_screen_view(view: &mips_data::ModelView) -> BmmSolver {
-        Self::build_inner(Arc::clone(view.model()), view.user_range(), true, true)
-    }
-
-    /// Prepares the int8-screen solver: the exact-integer i8 screen of the
-    /// scan plus an exact f64 rescore. The model's [`MirrorI8`] is built
-    /// here (or fetched from the epoch-shared cache), so quantization cost
-    /// is paid at build time, where OPTIMUS accounts it.
-    pub fn build_screen_i8(model: Arc<MfModel>) -> BmmSolver {
-        let users = 0..model.num_users();
-        Self::build_tier(model, users, Some(TierKind::I8))
-    }
-
-    /// [`BmmSolver::build_screen_i8`] over a contiguous user range — the
-    /// int8 mirror is shared with the parent model, so per-shard views get
-    /// it for free.
-    pub fn build_screen_i8_view(view: &mips_data::ModelView) -> BmmSolver {
-        Self::build_tier(
-            Arc::clone(view.model()),
-            view.user_range(),
-            Some(TierKind::I8),
-        )
-    }
-
-    /// Prepares a solver that serves through the two-stage path (full score
-    /// buffer, then a separate top-k pass). Kept for the fusion A/B benches
-    /// and as a bisection aid; results are identical to the fused path.
-    pub fn build_unfused(model: Arc<MfModel>) -> BmmSolver {
-        let users = 0..model.num_users();
-        Self::build_inner(model, users, false, false)
-    }
-
-    fn build_inner(
-        model: Arc<MfModel>,
-        users: Range<usize>,
-        fused: bool,
-        screen: bool,
-    ) -> BmmSolver {
-        let mut solver = Self::build_tier(model, users, screen.then_some(TierKind::F32));
-        solver.fused = fused;
-        solver
-    }
-
-    fn build_tier(model: Arc<MfModel>, users: Range<usize>, tier: Option<TierKind>) -> BmmSolver {
+    fn over_range(model: Arc<MfModel>, users: Range<usize>) -> BmmSolver {
         let start = Instant::now();
         let batch_rows = Self::pick_batch_rows(model.num_items(), model.num_factors());
-        let screen = match tier {
-            Some(TierKind::F32) => Some(Arc::clone(model.mirror32()))
-                .filter(|m| m.is_usable())
-                .map(ScreenTier::F32),
-            Some(TierKind::I8) => Some(Arc::clone(model.mirror_i8()))
-                .filter(|m| m.is_usable())
-                .map(ScreenTier::I8),
-            None => None,
-        };
-        let build_seconds = start.elapsed().as_secs_f64();
         BmmSolver {
             model,
             users,
             batch_rows,
-            build_seconds,
-            fused: true,
-            screen,
+            build_seconds: start.elapsed().as_secs_f64(),
+            screen: None,
+            name: screened_name("Blocked MM", None),
             screen_tally: Arc::new(ScreenTallyCells::default()),
         }
+    }
+
+    /// Arms the mixed-precision path: the scan screens in `tier` and the
+    /// survivors are rescored exactly. The model's mirror for the tier is
+    /// built here (or fetched from the model-shared cache — views and
+    /// shards reuse one rounding / quantization pass), so its cost is paid
+    /// at build time, where OPTIMUS accounts it. A model that does not
+    /// mirror usably in `tier` (f32 overflow, degenerate quantization)
+    /// leaves the solver as it was — serving silently stays on its current
+    /// path.
+    pub fn with_screen(mut self, tier: ScreenTier) -> BmmSolver {
+        let start = Instant::now();
+        if screen_sides(&self.model, tier).is_some() {
+            self.screen = Some(tier);
+            self.name = screened_name("Blocked MM", self.screen);
+        }
+        self.build_seconds += start.elapsed().as_secs_f64();
+        self
     }
 
     /// Users per GEMM batch: bounded by the score-buffer budget, floored at
@@ -199,106 +188,64 @@ impl BmmSolver {
         self.batch_rows
     }
 
-    /// `true` when serving takes the fused GEMM→top-k path.
-    pub fn is_fused(&self) -> bool {
-        self.fused
+    /// Both sides of the armed tier over the whole model, if one is armed.
+    fn armed_sides(&self) -> Option<(ScreenUsers<'_>, ScreenItems<'_>)> {
+        let sides = screen_sides(&self.model, self.screen?);
+        Some(sides.expect("armed tiers mirror usably"))
     }
 
-    /// `true` when serving screens in a lower precision (a
-    /// [`BmmSolver::build_screen`] / [`BmmSolver::build_screen_i8`] solver
-    /// whose model mirrors usably).
-    pub fn is_screening(&self) -> bool {
-        self.screen.is_some()
-    }
-
-    /// Serves one gathered user block into `out`, reusing the caller's
-    /// scratch (fused) or score buffer (unfused) across blocks. `screen`
-    /// carries the block's rows of the f32 mirror plus their exact f64
-    /// norms when the mixed-precision path is active.
-    fn serve_block_into(
+    /// Serves `users` — with their rows of the armed tier's user side, when
+    /// one is armed — in batches of [`BmmSolver::batch_rows`], reusing one
+    /// scratch across the batches.
+    fn serve_rows(
         &self,
         users: RowBlock<'_, f64>,
-        screen: Option<BlockScreen<'_>>,
+        screen: Option<(ScreenUsers<'_>, ScreenItems<'_>)>,
         k: usize,
-        scratch: &mut BmmScratch,
-        out: &mut Vec<TopKList>,
-    ) {
-        let n = self.model.num_items();
-        if let Some(block_screen) = screen {
-            let mut heaps: Vec<TopKHeap> = (0..users.rows()).map(|_| TopKHeap::new(k)).collect();
-            let stats = match (block_screen, self.screen.as_ref()) {
-                (BlockScreen::F32(users32, user_norms), Some(ScreenTier::F32(mirror))) => {
-                    screen_topk_into_heaps(
-                        users,
-                        self.model.items().into(),
-                        users32,
-                        mirror.items().into(),
-                        user_norms,
-                        mirror.item_norms(),
-                        &mut heaps,
-                        ColumnIds::Offset(0),
-                        &mut scratch.screen,
-                    )
-                }
-                (BlockScreen::I8(users_q), Some(ScreenTier::I8(mirror))) => {
-                    screen_i8_topk_into_heaps(
-                        users,
-                        self.model.items().into(),
-                        users_q,
-                        QuantItems {
-                            codes: mirror.items_q(),
-                            inv_scales: mirror.item_inv_scales(),
-                            l1: mirror.item_l1(),
-                        },
-                        &mut heaps,
-                        ColumnIds::Offset(0),
-                        &mut scratch.screen_i8,
-                    )
-                }
-                _ => unreachable!("block screen data mismatches the solver tier"),
+    ) -> Vec<TopKList> {
+        let f = users.cols();
+        let items = self.model.items().into();
+        let mut scratch = BmmScratch::default();
+        let mut out = Vec::with_capacity(users.rows());
+        for start in (0..users.rows()).step_by(self.batch_rows) {
+            let end = (start + self.batch_rows).min(users.rows());
+            let block = RowBlock::new(&users.as_slice()[start * f..end * f], end - start, f);
+            let Some((screen_users, screen_items)) = screen else {
+                out.extend(gemm_nt_topk(block, items, k, &mut scratch.gemm));
+                continue;
             };
+            let mut heaps: Vec<TopKHeap> = (0..block.rows()).map(|_| TopKHeap::new(k)).collect();
+            let stats = screen_topk_into_heaps(
+                block,
+                items,
+                screen_users.rows(start..end),
+                screen_items,
+                &mut heaps,
+                ColumnIds::Offset(0),
+                &mut scratch.screen,
+            );
             self.screen_tally.record(stats.screened, stats.rescored);
             out.extend(heaps.into_iter().map(TopKHeap::into_sorted));
-        } else if self.fused {
-            out.extend(gemm_nt_topk(
-                users,
-                self.model.items().into(),
-                k,
-                &mut scratch.gemm,
-            ));
-        } else {
-            scratch.scores.resize(users.rows() * n, 0.0);
-            let scores = &mut scratch.scores[..users.rows() * n];
-            gemm_nt_into_scratch(users, self.model.items().into(), scores, &mut scratch.gemm);
-            out.extend(rows_topk(scores, users.rows(), n, k));
         }
+        out
     }
 }
 
 /// Per-query-loop reusable buffers: one of these lives on the stack of each
 /// `query_*` invocation (and therefore per worker thread under
 /// `par_query_*`). The bulk buffers — GEMM pack panels, the streaming score
-/// panel, the unfused path's `batch × n` score buffer — are allocated once
+/// panel, the screen's bound heaps and candidate lists — are allocated once
 /// per query loop and reused across blocks; what remains per block is only
 /// the per-user output itself (heaps/lists of size `k`).
 #[derive(Default)]
 struct BmmScratch {
     gemm: GemmScratch<f64>,
-    scores: Vec<f64>,
     screen: ScreenScratch,
-    screen_i8: ScreenI8Scratch,
 }
 
 impl MipsSolver for BmmSolver {
     fn name(&self) -> &str {
-        // The suffix matches the planner's candidate labelling, so the
-        // `backend` response field and OPTIMUS estimates distinguish the
-        // two numeric paths.
-        match self.screen {
-            Some(ScreenTier::F32(_)) => "Blocked MM+f32",
-            Some(ScreenTier::I8(_)) => "Blocked MM+i8",
-            None => "Blocked MM",
-        }
+        &self.name
     }
 
     fn build_seconds(&self) -> f64 {
@@ -316,28 +263,10 @@ impl MipsSolver for BmmSolver {
     fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
         assert!(users.end <= self.num_users(), "user range out of bounds");
         let base = self.users.start;
-        let mut scratch = BmmScratch::default();
-        let mut out = Vec::with_capacity(users.len());
-        let mut start = users.start;
-        while start < users.end {
-            let end = (start + self.batch_rows).min(users.end);
-            let block = self.model.users().row_block(base + start, base + end);
-            let f = self.model.num_factors();
-            let screen = self.screen.as_ref().map(|tier| match tier {
-                ScreenTier::F32(m) => BlockScreen::F32(
-                    m.users().row_block(base + start, base + end),
-                    &m.user_norms()[base + start..base + end],
-                ),
-                ScreenTier::I8(m) => BlockScreen::I8(QuantUsers {
-                    codes: &m.users_q()[(base + start) * f..(base + end) * f],
-                    scales: &m.user_scales()[base + start..base + end],
-                    l1: &m.user_l1()[base + start..base + end],
-                }),
-            });
-            self.serve_block_into(block, screen, k, &mut scratch, &mut out);
-            start = end;
-        }
-        out
+        let served = base + users.start..base + users.end;
+        let rows = self.model.users().row_block(served.start, served.end);
+        let screen = self.armed_sides();
+        self.serve_rows(rows, screen.map(|(u, i)| (u.rows(served), i)), k)
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
@@ -351,63 +280,19 @@ impl MipsSolver for BmmSolver {
                 })
                 .collect();
             let gathered: Matrix<f64> = self.model.users().gather_rows(&rows);
-            let gathered_screen = self.screen.as_ref().map(|tier| match tier {
-                ScreenTier::F32(m) => {
-                    let norms: Vec<f64> = rows.iter().map(|&r| m.user_norms()[r]).collect();
-                    GatheredScreen::F32(m.users().gather_rows(&rows), norms)
-                }
-                ScreenTier::I8(m) => {
-                    let f = m.factors();
-                    let mut codes = Vec::with_capacity(rows.len() * f);
-                    for &r in &rows {
-                        codes.extend_from_slice(&m.users_q()[r * f..(r + 1) * f]);
-                    }
-                    GatheredScreen::I8(
-                        codes,
-                        rows.iter().map(|&r| m.user_scales()[r]).collect(),
-                        rows.iter().map(|&r| m.user_l1()[r]).collect(),
-                    )
-                }
-            });
-            let f = self.model.num_factors();
-            let mut scratch = BmmScratch::default();
-            let mut out = Vec::with_capacity(distinct.len());
-            let mut start = 0;
-            while start < gathered.rows() {
-                let end = (start + self.batch_rows).min(gathered.rows());
-                let screen = gathered_screen.as_ref().map(|g| match g {
-                    GatheredScreen::F32(m32, norms) => {
-                        BlockScreen::F32(m32.row_block(start, end), &norms[start..end])
-                    }
-                    GatheredScreen::I8(codes, scales, l1) => BlockScreen::I8(QuantUsers {
-                        codes: &codes[start * f..end * f],
-                        scales: &scales[start..end],
-                        l1: &l1[start..end],
-                    }),
-                });
-                self.serve_block_into(
-                    gathered.row_block(start, end),
-                    screen,
-                    k,
-                    &mut scratch,
-                    &mut out,
-                );
-                start = end;
-            }
-            out
+            let screen = self.armed_sides();
+            let screen = screen.map(|(u, i)| (GatheredUsers::gather(u, &rows), i));
+            let screen = screen.as_ref().map(|(u, i)| (u.borrow(), *i));
+            self.serve_rows((&gathered).into(), screen, k)
         })
     }
 
     fn precision(&self) -> Precision {
-        match self.screen {
-            Some(ScreenTier::F32(_)) => Precision::F32Rescore,
-            Some(ScreenTier::I8(_)) => Precision::I8Rescore,
-            None => Precision::F64,
-        }
+        Precision::of_tier(self.screen)
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
-        self.screen.as_ref().map(|_| self.screen_tally.drain())
+        self.screen.map(|_| self.screen_tally.drain())
     }
 }
 
@@ -447,20 +332,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
             }
         }
-    }
-
-    #[test]
-    fn fused_and_unfused_paths_agree_exactly() {
-        let m = model(45, 120, 10);
-        let fused = BmmSolver::build(Arc::clone(&m));
-        let unfused = BmmSolver::build_unfused(Arc::clone(&m));
-        assert!(fused.is_fused());
-        assert!(!unfused.is_fused());
-        for k in [0usize, 1, 7, 120, 500] {
-            assert_eq!(fused.query_all(k), unfused.query_all(k), "k={k}");
-        }
-        let ids: Vec<usize> = vec![3, 40, 3, 11];
-        assert_eq!(fused.query_subset(5, &ids), unfused.query_subset(5, &ids));
     }
 
     #[test]

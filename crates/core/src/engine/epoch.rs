@@ -15,6 +15,7 @@ use super::plan::PreparedPlan;
 use crate::solver::MipsSolver;
 use crate::sync::{Arc, Mutex, PoisonError, RwLock};
 use mips_data::MfModel;
+use mips_topk::ScreenTier;
 use std::collections::HashMap;
 
 /// One lazily-filled cache slot. The outer map lock is held only long
@@ -53,6 +54,13 @@ pub fn get_or_build<T: Clone, E>(
 /// across callers.
 pub(crate) type ShardKey = (usize, usize);
 
+/// A solver's identity inside one epoch: where it was built (a shard's
+/// bounds, or `None` for the whole model), for which registry key, in
+/// which screen tier (`None`: the plain f64 build). Typed, so a backend
+/// registered under a key that *looks* like another backend's screen
+/// variant (`"bmm+f32"`) can never share its cell.
+pub(crate) type SolverKey = (Option<ShardKey>, String, Option<ScreenTier>);
+
 /// A keyed map of lazily-filled cache cells (one tier of an epoch's
 /// derived state).
 pub(crate) type CacheTier<K, T> = Mutex<HashMap<K, CacheCell<T>>>;
@@ -66,32 +74,32 @@ pub(crate) type CacheTier<K, T> = Mutex<HashMap<K, CacheCell<T>>>;
 /// Derived state comes in two tiers, both epoch-scoped and reclaimed
 /// together by refcount when the last in-flight request drops the epoch:
 ///
-/// * the **global tier** (`solvers`, `plans`) — whole-model indexes and
-///   per-`k` plans, shared by every shard under
+/// * the **global tier** (`solvers` entries without bounds, `plans`) —
+///   whole-model indexes and per-`k` plans, shared by every shard under
 ///   [`IndexScope::Global`](super::IndexScope::Global);
-/// * the **per-shard tier** (`shard_solvers`, `shard_plans`) — solvers
-///   built over a user-range [`ModelView`](mips_data::ModelView) keyed by
-///   `(shard_bounds, backend)`, and per-shard planning decisions keyed by
-///   `(shard_bounds, k)` (with the scope's auto flag), used by
-///   `PerShard`/`Auto` scopes. Keying by bounds rather than by shard index
-///   means a swap that re-chunks the topology can never alias stale state,
-///   and same-bounds topologies (including rebuilt ones) share it.
+/// * the **per-shard tier** (`solvers` entries with bounds, `shard_plans`)
+///   — solvers built over a user-range [`ModelView`](mips_data::ModelView),
+///   and per-shard planning decisions keyed by `(shard_bounds, k)` (with
+///   the scope's auto flag), used by `PerShard`/`Auto` scopes. Keying by
+///   bounds rather than by shard index means a swap that re-chunks the
+///   topology can never alias stale state, and same-bounds topologies
+///   (including rebuilt ones) share it.
 pub(crate) struct ModelEpoch {
     /// The strictly increasing generation number (the builder starts at 0).
     pub(crate) id: u64,
     /// The model this epoch serves.
     pub(crate) model: Arc<MfModel>,
-    /// Built solvers, keyed by registry key — derived from `model`, so the
-    /// cache lives and dies with the epoch.
-    pub(crate) solvers: CacheTier<String, Arc<dyn MipsSolver>>,
+    /// Built solvers — derived from `model`, so the cache lives and dies
+    /// with the epoch — keyed by `(shard bounds, registry key, screen
+    /// tier)`: `None` bounds is the whole-model build, `None` tier the plain
+    /// f64 build. A shard-local entry speaks global user ids (a
+    /// [`ShardScopedSolver`](super::scope::ShardScopedSolver) over the
+    /// view-built index). A cached `None` value records that the backend
+    /// has no variant in that tier.
+    pub(crate) solvers: CacheTier<SolverKey, Option<Arc<dyn MipsSolver>>>,
     /// Cached planning decisions per `k` — likewise epoch-scoped, because a
     /// plan pins the model and solver it was sampled on.
     pub(crate) plans: CacheTier<usize, Arc<PreparedPlan>>,
-    /// Shard-local solvers, keyed by `(shard bounds, backend key)`. The
-    /// stored solver speaks global user ids (a
-    /// [`ShardScopedSolver`](super::scope::ShardScopedSolver) over the
-    /// view-built index).
-    pub(crate) shard_solvers: CacheTier<(ShardKey, String), Arc<dyn MipsSolver>>,
     /// Shard-local plans, keyed by `(shard bounds, k, auto)` — the `auto`
     /// flag separates `PerShard` decisions from `Auto` ones so two servers
     /// with different scopes fronting one engine never alias plans.
@@ -106,7 +114,6 @@ impl ModelEpoch {
             model,
             solvers: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
-            shard_solvers: Mutex::new(HashMap::new()),
             shard_plans: Mutex::new(HashMap::new()),
         }
     }

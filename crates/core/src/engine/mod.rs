@@ -65,17 +65,17 @@ pub use request::{
 };
 pub use scope::IndexScope;
 
-use crate::optimus::{Optimus, OptimusConfig};
+use crate::optimus::{Optimus, OptimusConfig, PlannedChoice};
 use crate::parallel::{par_query_range, par_query_subset};
 use crate::precision::Precision;
-use crate::solver::MipsSolver;
+use crate::solver::{screened_name, MipsSolver};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use epoch::{get_or_build, ArcCell, ModelEpoch};
 use mips_data::{MfModel, ModelView};
 use mips_linalg::kernels::dot_gemm_ordered;
 use mips_sparse::SparseConfig;
-use mips_topk::{TopKHeap, TopKList};
+use mips_topk::{ScreenTier, TopKHeap, TopKList};
 use scope::{ShardBuildStats, ShardScopedSolver};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -95,8 +95,8 @@ pub struct EngineOptions {
     /// Planner configuration (sampling fraction, t-test, seed).
     pub optimus: OptimusConfig,
     /// Numeric execution mode for the scan backends: pure f64 (default),
-    /// forced f32-screen + f64-rescore, or planner's choice per plan.
-    /// Results are bit-identical across all three — see
+    /// a forced screen tier + f64 rescore, or planner's choice per plan.
+    /// Results are bit-identical across all of them — see
     /// [`crate::precision::Precision`].
     pub precision: Precision,
     /// Sparse inverted-index knobs (postings pruning threshold, hybrid
@@ -138,10 +138,6 @@ impl EngineOptions {
         Ok(())
     }
 }
-
-/// Former name of [`EngineOptions`].
-#[deprecated(note = "renamed to EngineOptions")]
-pub type EngineConfig = EngineOptions;
 
 /// Step-by-step assembly of an [`Engine`].
 #[derive(Default)]
@@ -217,7 +213,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the numeric execution mode (f64-direct, f32-screen +
+    /// Sets the numeric execution mode (f64-direct, a forced screen tier +
     /// f64-rescore, or per-plan [`Precision::Auto`]). Results are
     /// bit-identical under every setting.
     pub fn precision(mut self, precision: Precision) -> EngineBuilder {
@@ -236,12 +232,6 @@ impl EngineBuilder {
     pub fn options(mut self, options: EngineOptions) -> EngineBuilder {
         self.config = options;
         self
-    }
-
-    /// Former name of [`EngineBuilder::options`].
-    #[deprecated(note = "renamed to EngineBuilder::options")]
-    pub fn config(self, config: EngineOptions) -> EngineBuilder {
-        self.options(config)
     }
 
     /// Validates the assembly and produces the engine.
@@ -276,41 +266,32 @@ impl EngineBuilder {
     }
 }
 
-/// Cache-key suffix for mixed-precision solver variants: the epoch's
-/// solver tier stores the screen build of backend `"bmm"` under
-/// `"bmm+f32"`, and Auto plans label screen candidates with the same
-/// suffixed key in their estimates.
-pub(crate) const SCREEN_SUFFIX: &str = "+f32";
-
-/// Cache-key suffix for the int8 screen tier — the variant below `+f32`:
-/// `"bmm+i8"` stores the epoch's i8 screen build of backend `"bmm"`, and
-/// Auto plans label i8 candidates with the same suffixed key.
-pub(crate) const SCREEN_I8_SUFFIX: &str = "+i8";
-
-/// Which screen tier a mixed-precision lookup targets. Both tiers share the
-/// cache plumbing ([`Engine::screen_solver_on`] and the shard variant);
-/// the kind only selects the cache-key suffix and the factory entry point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScreenKind {
-    F32,
-    I8,
+/// One planner candidate: a built solver plus how it is labelled and which
+/// other candidate, if any, it is a screen variant of.
+struct Candidate {
+    /// Registry key of the backend (for the `Auto`-scope incumbent: the
+    /// global plan's backend key, verbatim).
+    key: String,
+    /// `Some((tier, base))` for an `Auto` screen variant: the tier it
+    /// screens in and the index of the f64 build of the same backend — same
+    /// scope — it competes against. Forced-tier candidates run under their
+    /// plain key (the mode is forced, not competed) and carry `None`.
+    screen_of: Option<(ScreenTier, usize)>,
+    /// Built over the shard's user view rather than the whole model.
+    local: bool,
+    solver: Arc<dyn MipsSolver>,
 }
 
-impl ScreenKind {
-    fn suffix(self) -> &'static str {
-        match self {
-            ScreenKind::F32 => SCREEN_SUFFIX,
-            ScreenKind::I8 => SCREEN_I8_SUFFIX,
-        }
+impl Candidate {
+    /// The key a plan won by this candidate reports: the registry key,
+    /// suffixed with the tier for a competed screen variant (`"bmm+i8"`).
+    fn backend_key(&self) -> String {
+        screened_name(&self.key, self.screen_of.map(|(tier, _)| tier))
     }
 }
 
-/// A planner candidate list: backend keys (suffixed for Auto's screen
-/// variants) parallel to the solvers they dispatch to.
-type PlanCandidates = (Vec<String>, Vec<Arc<dyn MipsSolver>>);
-
-/// Under `Auto`, a `+f32` or `+i8` screen variant displaces its own f64 build only
-/// when its sampled estimate is at most this fraction of the base's — i.e.
+/// Under `Auto`, a screen variant displaces its own f64 build only when its
+/// sampled estimate is at most this fraction of the base's — i.e.
 /// clearly faster, not within sampling noise of a tie. See
 /// [`demote_marginal_screen_winner`] for the asymmetry argument that
 /// justifies favouring the exact-direct incumbent.
@@ -336,29 +317,23 @@ pub(crate) const SCREEN_ADOPTION_FLOOR_SECONDS: f64 = 500e-6;
 /// kept incumbent forgoes at most the margin; a wrongly adopted screen
 /// can serve arbitrarily slower than the committed f64 baseline.
 ///
-/// `chosen` must index a `+f32` or `+i8` estimate; returns the index of
-/// its f64 base when the winner should be demoted to it, `None` when the
-/// screen keeps the plan (clearly faster, or no base twin competed — the
-/// forced `F32Rescore`/`I8Rescore` modes, where screens run under plain
-/// keys). Both screen tiers face the same incumbent and the same noise
-/// asymmetry, so they share one margin.
+/// `screen_of[i]` is the index of the f64 base candidate `i` is a screen
+/// variant of (`None`: not a screen variant, or — the forced modes, third
+/// -party solvers that merely *name* themselves like one — no base twin
+/// competed). Returns the base's index when the winner should be demoted
+/// to it, `None` when `chosen` keeps the plan. Every screen tier faces the
+/// same incumbent and the same noise asymmetry, so they share one margin.
 fn demote_marginal_screen_winner(
     estimates: &[crate::optimus::StrategyEstimate],
     chosen: usize,
+    screen_of: &[Option<usize>],
 ) -> Option<usize> {
-    let screen = &estimates[chosen];
-    let base_name = screen
-        .name
-        .strip_suffix(SCREEN_SUFFIX)
-        .or_else(|| screen.name.strip_suffix(SCREEN_I8_SUFFIX))?;
-    estimates
-        .iter()
-        .position(|e| e.name == base_name)
-        .filter(|&i| {
-            let base = estimates[i].estimated_total_seconds;
-            screen.estimated_total_seconds > SCREEN_ADOPTION_MARGIN * base
-                || base - screen.estimated_total_seconds < SCREEN_ADOPTION_FLOOR_SECONDS
-        })
+    let base = screen_of[chosen]?;
+    let screen_seconds = estimates[chosen].estimated_total_seconds;
+    let base_seconds = estimates[base].estimated_total_seconds;
+    (screen_seconds > SCREEN_ADOPTION_MARGIN * base_seconds
+        || base_seconds - screen_seconds < SCREEN_ADOPTION_FLOOR_SECONDS)
+        .then_some(base)
 }
 
 /// Locks a cache mutex, recovering from poisoning: if a (custom) factory
@@ -485,12 +460,6 @@ impl Engine {
         &self.config
     }
 
-    /// Former name of [`Engine::options`].
-    #[deprecated(note = "renamed to Engine::options")]
-    pub fn config(&self) -> &EngineOptions {
-        &self.config
-    }
-
     /// The engine's configured numeric mode (see
     /// [`EngineBuilder::precision`]). Per-plan effective decisions are on
     /// [`PreparedPlan::precision`].
@@ -509,120 +478,35 @@ impl Engine {
         self.planner_runs.load(Ordering::SeqCst)
     }
 
-    /// The built solver for `key` on the current epoch, constructing and
-    /// caching it on first use. Construction happens under a per-key lock:
-    /// concurrent requests for other backends proceed, concurrent requests
-    /// for this one share the single build.
+    /// The built (plain f64) solver for `key` on the current epoch,
+    /// constructing and caching it on first use. Concurrent requests for
+    /// other backends proceed; concurrent first requests for this one may
+    /// race the build but share the single installed instance.
     pub fn solver(&self, key: &str) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        self.solver_on(&self.snapshot(), key)
+        self.global_solver(&self.snapshot(), key, None)
     }
 
-    /// [`Engine::solver`] pinned to one epoch snapshot. The build runs
-    /// outside the cache lock and installs compare-and-swap style (see
-    /// [`epoch::get_or_build`]), so a slow build never convoys concurrent
-    /// first-touch builders of other state.
-    fn solver_on(&self, state: &ModelEpoch, key: &str) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        let factory = Arc::clone(
-            self.registry
-                .get(key)
-                .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
-        );
-        let cell = {
-            let mut map = lock_recovering(&state.solvers);
-            Arc::clone(map.entry(key.to_string()).or_default())
-        };
-        get_or_build(&cell, || {
-            Ok(Arc::from(factory.build(&state.model)?) as Arc<dyn MipsSolver>)
-        })
-    }
-
-    /// The mixed-precision screen variant of `key`'s solver on one epoch,
-    /// cached in the same solver tier under `"<key>+f32"` or `"<key>+i8"`
-    /// per `kind`. `Ok(None)` when the backend has no path for that tier —
-    /// determining that is free (such factories return before building
-    /// anything), so the probe is repeated per call rather than cached.
-    fn screen_solver_on(
-        &self,
-        state: &ModelEpoch,
-        key: &str,
-        kind: ScreenKind,
-    ) -> Result<Option<Arc<dyn MipsSolver>>, MipsError> {
-        let factory = Arc::clone(
-            self.registry
-                .get(key)
-                .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
-        );
-        let cache_key = format!("{key}{}", kind.suffix());
-        let cell = {
-            let mut map = lock_recovering(&state.solvers);
-            Arc::clone(map.entry(cache_key.clone()).or_default())
-        };
-        // "No screen path" travels through `get_or_build` as a sentinel
-        // error so the cell stays unfilled and no half-state is cached.
-        match get_or_build(&cell, || {
-            let built = match kind {
-                ScreenKind::F32 => factory.build_screen(&state.model),
-                ScreenKind::I8 => factory.build_screen_i8(&state.model),
-            };
-            match built {
-                Some(built) => Ok(Arc::from(built?) as Arc<dyn MipsSolver>),
-                None => Err(MipsError::UnknownBackend {
-                    key: cache_key.clone(),
-                }),
-            }
-        }) {
-            Ok(solver) => Ok(Some(solver)),
-            Err(MipsError::UnknownBackend { key: k }) if k == cache_key => Ok(None),
-            Err(err) => Err(err),
-        }
-    }
-
-    /// The shard-local solver for `key` over the contiguous user range
-    /// `users`, built lazily over a [`ModelView`] of the epoch's model and
-    /// cached in the epoch's per-shard tier under `(bounds, key)`. The
-    /// returned solver speaks **global** user ids restricted to the range.
+    /// The one solver lookup: backend `key` on one epoch snapshot, over the
+    /// whole model (`users: None`) or shard-local over the contiguous range
+    /// `users` (built over a [`ModelView`] of it; the returned solver
+    /// speaks **global** user ids restricted to the range), in screen tier
+    /// `tier` (`None`: the plain f64 build).
+    ///
+    /// Built lazily and cached in the epoch under the typed tuple
+    /// `(bounds, key, tier)`. The build runs outside the cache lock and
+    /// installs compare-and-swap style (see [`epoch::get_or_build`]), so a
+    /// slow build never convoys concurrent first-touch builders of other
+    /// state. `Ok(None)` — cached like a build — means the backend has no
+    /// variant in `tier`; the plain build always exists.
     ///
     /// Real construction work (a cache miss) is recorded into `stats` so
     /// the serving runtime can surface per-shard build counts and cost.
-    fn shard_solver_on(
+    fn solver_on(
         &self,
         state: &ModelEpoch,
-        users: &Range<usize>,
+        users: Option<&Range<usize>>,
         key: &str,
-        stats: &mut ShardBuildStats,
-    ) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        let factory = Arc::clone(
-            self.registry
-                .get(key)
-                .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
-        );
-        let cell = {
-            let mut map = lock_recovering(&state.shard_solvers);
-            Arc::clone(
-                map.entry(((users.start, users.end), key.to_string()))
-                    .or_default(),
-            )
-        };
-        get_or_build(&cell, || {
-            let started = Instant::now();
-            let view = ModelView::of_range(&state.model, users.clone());
-            let inner = factory.build_view(&view)?;
-            let solver: Arc<dyn MipsSolver> = Arc::new(ShardScopedSolver::new(inner, users.start));
-            stats.builds += 1;
-            stats.build_ns += started.elapsed().as_nanos() as u64;
-            Ok(solver)
-        })
-    }
-
-    /// The shard-local mixed-precision variant — [`Engine::screen_solver_on`]
-    /// over a user-range view, cached under `(bounds, "<key>+f32")` or
-    /// `(bounds, "<key>+i8")` per `kind`.
-    fn screen_shard_solver_on(
-        &self,
-        state: &ModelEpoch,
-        users: &Range<usize>,
-        key: &str,
-        kind: ScreenKind,
+        tier: Option<ScreenTier>,
         stats: &mut ShardBuildStats,
     ) -> Result<Option<Arc<dyn MipsSolver>>, MipsError> {
         let factory = Arc::clone(
@@ -630,38 +514,65 @@ impl Engine {
                 .get(key)
                 .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
         );
-        let cache_key = format!("{key}{}", kind.suffix());
         let cell = {
-            let mut map = lock_recovering(&state.shard_solvers);
-            Arc::clone(
-                map.entry(((users.start, users.end), cache_key.clone()))
-                    .or_default(),
-            )
+            let bounds = users.map(|u| (u.start, u.end));
+            let mut map = lock_recovering(&state.solvers);
+            Arc::clone(map.entry((bounds, key.to_string(), tier)).or_default())
         };
-        match get_or_build(&cell, || {
+        get_or_build(&cell, || {
             let started = Instant::now();
-            let view = ModelView::of_range(&state.model, users.clone());
-            let built = match kind {
-                ScreenKind::F32 => factory.build_screen_view(&view),
-                ScreenKind::I8 => factory.build_screen_i8_view(&view),
+            let view = match users {
+                Some(users) => ModelView::of_range(&state.model, users.clone()),
+                None => ModelView::full(&state.model),
             };
-            match built {
-                Some(built) => {
-                    let solver: Arc<dyn MipsSolver> =
-                        Arc::new(ShardScopedSolver::new(built?, users.start));
-                    stats.builds += 1;
-                    stats.build_ns += started.elapsed().as_nanos() as u64;
-                    Ok(solver)
-                }
-                None => Err(MipsError::UnknownBackend {
-                    key: cache_key.clone(),
-                }),
+            let built = match (tier, users) {
+                (Some(tier), _) => match factory.build_screen(&view, tier) {
+                    Some(built) => built?,
+                    None => return Ok(None),
+                },
+                (None, Some(_)) => factory.build_view(&view)?,
+                (None, None) => factory.build(&state.model)?,
+            };
+            let solver: Arc<dyn MipsSolver> = match users {
+                Some(users) => Arc::new(ShardScopedSolver::new(built, users.start)),
+                None => Arc::from(built),
+            };
+            stats.builds += 1;
+            stats.build_ns += started.elapsed().as_nanos() as u64;
+            Ok(Some(solver))
+        })
+    }
+
+    /// [`Engine::solver_on`] for a caller that needs *a* solver: the
+    /// `tier` variant when one is asked for and the backend has it, the
+    /// plain f64 build otherwise.
+    fn solver_or_plain(
+        &self,
+        state: &ModelEpoch,
+        users: Option<&Range<usize>>,
+        key: &str,
+        tier: Option<ScreenTier>,
+        stats: &mut ShardBuildStats,
+    ) -> Result<Arc<dyn MipsSolver>, MipsError> {
+        if tier.is_some() {
+            if let Some(screen) = self.solver_on(state, users, key, tier, stats)? {
+                return Ok(screen);
             }
-        }) {
-            Ok(solver) => Ok(Some(solver)),
-            Err(MipsError::UnknownBackend { key: k }) if k == cache_key => Ok(None),
-            Err(err) => Err(err),
         }
+        Ok(self
+            .solver_on(state, users, key, None, stats)?
+            .expect("every backend has a plain build"))
+    }
+
+    /// [`Engine::solver_or_plain`] over the whole model (build cost is only
+    /// surfaced per shard, so it goes unrecorded here).
+    fn global_solver(
+        &self,
+        state: &ModelEpoch,
+        key: &str,
+        tier: Option<ScreenTier>,
+    ) -> Result<Arc<dyn MipsSolver>, MipsError> {
+        self.solver_or_plain(state, None, key, tier, &mut ShardBuildStats::default())
     }
 
     /// Serves a request with an explicitly named backend — no planning.
@@ -672,21 +583,11 @@ impl Engine {
     ) -> Result<QueryResponse, MipsError> {
         let state = self.snapshot();
         request.validate(&state.model)?;
-        // Named dispatch honors a forced F32Rescore/I8Rescore (falling
-        // back to the f64 build when the backend has no path for that
-        // tier); under Auto the precision decision belongs to the planner,
-        // so unplanned named requests serve f64-direct.
-        let solver = match self.config.precision {
-            Precision::F32Rescore => match self.screen_solver_on(&state, key, ScreenKind::F32)? {
-                Some(screen) => screen,
-                None => self.solver_on(&state, key)?,
-            },
-            Precision::I8Rescore => match self.screen_solver_on(&state, key, ScreenKind::I8)? {
-                Some(screen) => screen,
-                None => self.solver_on(&state, key)?,
-            },
-            _ => self.solver_on(&state, key)?,
-        };
+        // Named dispatch honors a forced screen tier (falling back to the
+        // f64 build when the backend has no path for that tier); under
+        // Auto the precision decision belongs to the planner, so unplanned
+        // named requests serve f64-direct.
+        let solver = self.global_solver(&state, key, self.config.precision.forced_tier())?;
         serve(
             &state.model,
             solver.as_ref(),
@@ -716,7 +617,7 @@ impl Engine {
         let query = request.vector.densify();
         let started = Instant::now();
         let served = if self.registry.get("sparse").is_some() {
-            let solver = self.solver_on(&state, "sparse")?;
+            let solver = self.global_solver(&state, "sparse", None)?;
             solver
                 .query_vector(&query, request.k)
                 .map(|list| (list, solver.name().to_string()))
@@ -769,7 +670,16 @@ impl Engine {
             let mut map = lock_recovering(&state.plans);
             Arc::clone(map.entry(k).or_default())
         };
-        get_or_build(&cell, || Ok(Arc::new(self.plan_for_k(state, k)?)))
+        get_or_build(&cell, || {
+            let mut unrecorded = ShardBuildStats::default();
+            Ok(Arc::new(self.plan_over(
+                state,
+                None,
+                k,
+                false,
+                &mut unrecorded,
+            )?))
+        })
     }
 
     /// The plan for requests at `k` restricted to the contiguous user
@@ -800,9 +710,13 @@ impl Engine {
             Arc::clone(map.entry(((users.start, users.end), k, auto)).or_default())
         };
         get_or_build(&cell, || {
-            Ok(Arc::new(
-                self.shard_plan_for_k(state, users, k, auto, stats)?,
-            ))
+            Ok(Arc::new(self.plan_over(
+                state,
+                Some(users),
+                k,
+                auto,
+                stats,
+            )?))
         })
     }
 
@@ -815,216 +729,116 @@ impl Engine {
         plan.execute_prevalidated(request)
     }
 
-    /// Assembles the planner's candidate list for one epoch under the
-    /// engine's precision mode: registry backends in order, where
-    /// [`Precision::F32Rescore`] and [`Precision::I8Rescore`] substitute
-    /// each backend's screen variant for the forced tier when it has one
-    /// (labelled with the plain key — the mode is forced, not competed),
-    /// and [`Precision::Auto`] adds each available screen variant as an
-    /// **extra** candidate labelled `"<key>+f32"` / `"<key>+i8"` so
-    /// OPTIMUS prices the three modes against each other.
-    fn precision_candidates(&self, state: &ModelEpoch) -> Result<PlanCandidates, MipsError> {
-        let mut keys = Vec::new();
-        let mut solvers: Vec<Arc<dyn MipsSolver>> = Vec::new();
+    /// Assembles the planner's candidate list for one epoch — over the
+    /// whole model, or shard-local over `users` — under the engine's
+    /// precision mode: registry backends in order, where a forced tier
+    /// ([`Precision::forced_tier`]) substitutes each backend's screen
+    /// variant when it has one (labelled with the plain key — the mode is
+    /// forced, not competed), and [`Precision::Auto`] adds every available
+    /// screen variant as an **extra** candidate paired with its f64 build
+    /// so OPTIMUS prices the modes against each other.
+    fn candidates(
+        &self,
+        state: &ModelEpoch,
+        users: Option<&Range<usize>>,
+        stats: &mut ShardBuildStats,
+        out: &mut Vec<Candidate>,
+    ) -> Result<(), MipsError> {
+        let precision = self.config.precision;
+        let local = users.is_some();
         for key in self.registry.keys() {
-            match self.config.precision {
-                Precision::F64 => {
-                    keys.push(key.to_string());
-                    solvers.push(self.solver_on(state, key)?);
-                }
-                Precision::F32Rescore => {
-                    let solver = match self.screen_solver_on(state, key, ScreenKind::F32)? {
-                        Some(screen) => screen,
-                        None => self.solver_on(state, key)?,
-                    };
-                    keys.push(key.to_string());
-                    solvers.push(solver);
-                }
-                Precision::I8Rescore => {
-                    let solver = match self.screen_solver_on(state, key, ScreenKind::I8)? {
-                        Some(screen) => screen,
-                        None => self.solver_on(state, key)?,
-                    };
-                    keys.push(key.to_string());
-                    solvers.push(solver);
-                }
-                Precision::Auto => {
-                    keys.push(key.to_string());
-                    solvers.push(self.solver_on(state, key)?);
-                    for kind in [ScreenKind::F32, ScreenKind::I8] {
-                        if let Some(screen) = self.screen_solver_on(state, key, kind)? {
-                            keys.push(format!("{key}{}", kind.suffix()));
-                            solvers.push(screen);
-                        }
+            let base = out.len();
+            out.push(Candidate {
+                key: key.to_string(),
+                screen_of: None,
+                local,
+                solver: self.solver_or_plain(state, users, key, precision.forced_tier(), stats)?,
+            });
+            if precision == Precision::Auto {
+                for tier in ScreenTier::ALL {
+                    if let Some(solver) = self.solver_on(state, users, key, Some(tier), stats)? {
+                        out.push(Candidate {
+                            key: key.to_string(),
+                            screen_of: Some((tier, base)),
+                            local,
+                            solver,
+                        });
                     }
                 }
             }
         }
-        Ok((keys, solvers))
+        Ok(())
     }
 
-    /// The planning phase behind [`Engine::prepare`].
-    fn plan_for_k(&self, state: &ModelEpoch, k: usize) -> Result<PreparedPlan, MipsError> {
-        let (keys, solvers) = self.precision_candidates(state)?;
-        self.planner_runs.fetch_add(1, Ordering::SeqCst);
-
-        if solvers.len() == 1 {
-            // One candidate: nothing to sample.
-            return Ok(PreparedPlan {
-                model: Arc::clone(&state.model),
-                precision: solvers[0].precision(),
-                winner: Arc::clone(&solvers[0]),
-                backend_key: keys[0].clone(),
-                planned_k: k,
-                threads: self.config.threads,
-                epoch: state.id,
-                estimates: Vec::new(),
-                sample_size: 0,
-                decision_seconds: 0.0,
-                shard_users: None,
-                local_index: false,
-                analytical_bmm_seconds: 0.0,
-                analytical_screen_seconds: 0.0,
-                analytical_sparse_seconds: 0.0,
-            });
-        }
-
-        let view = ModelView::full(&state.model);
-        let (winner_idx, choice) = self.run_planner(&view, k, &solvers);
-        Ok(PreparedPlan {
-            model: Arc::clone(&state.model),
-            precision: solvers[winner_idx].precision(),
-            winner: Arc::clone(&solvers[winner_idx]),
-            backend_key: keys[winner_idx].clone(),
-            planned_k: k,
-            threads: self.config.threads,
-            epoch: state.id,
-            estimates: choice.estimates,
-            sample_size: choice.sample_size,
-            decision_seconds: choice.decision_seconds,
-            shard_users: None,
-            local_index: false,
-            analytical_bmm_seconds: self.analytical_bmm_seconds(&view),
-            analytical_screen_seconds: self.analytical_screen_seconds(&view, &solvers),
-            analytical_sparse_seconds: self.analytical_sparse_seconds(&view, &solvers),
-        })
-    }
-
-    /// The planning phase behind [`Engine::prepare_shard_on`]: candidates
-    /// are the shard-local solvers for every registered backend (built —
-    /// or fetched from the epoch's per-shard tier — over a view of
-    /// `users`), plus the global plan's winner when `auto` is set. OPTIMUS
-    /// samples the shard's own users, so the decision reflects the slice's
-    /// shape, not the whole model's.
-    fn shard_plan_for_k(
+    /// The planning phase behind [`Engine::prepare`] (`users: None`) and
+    /// [`Engine::prepare_shard_on`]: a shard plan's candidates are the
+    /// shard-local solvers for every registered backend (built — or
+    /// fetched from the epoch's cache — over a view of `users`), plus the
+    /// global plan's winner when `auto` is set. OPTIMUS samples the plan's
+    /// own users, so a shard's decision reflects the slice's shape, not the
+    /// whole model's.
+    fn plan_over(
         &self,
         state: &ModelEpoch,
-        users: &Range<usize>,
+        users: Option<&Range<usize>>,
         k: usize,
         auto: bool,
         stats: &mut ShardBuildStats,
     ) -> Result<PreparedPlan, MipsError> {
-        // (key, is-shard-local, solver), sampled in this order below.
-        let mut candidates: Vec<(String, bool, Arc<dyn MipsSolver>)> = Vec::new();
+        // Sampled in this order below.
+        let mut candidates = Vec::new();
         if auto {
+            // The incumbent is unpaired: its own screen-vs-f64 race was
+            // settled by the global plan.
             let global = self.prepare_on(state, k)?;
-            candidates.push((
-                global.backend_key().to_string(),
-                false,
-                Arc::clone(&global.winner),
-            ));
+            candidates.push(Candidate {
+                key: global.backend_key().to_string(),
+                screen_of: None,
+                local: false,
+                solver: Arc::clone(&global.winner),
+            });
         }
-        for key in self.registry.keys() {
-            match self.config.precision {
-                Precision::F64 => {
-                    let solver = self.shard_solver_on(state, users, key, stats)?;
-                    candidates.push((key.to_string(), true, solver));
-                }
-                Precision::F32Rescore => {
-                    let solver = match self.screen_shard_solver_on(
-                        state,
-                        users,
-                        key,
-                        ScreenKind::F32,
-                        stats,
-                    )? {
-                        Some(screen) => screen,
-                        None => self.shard_solver_on(state, users, key, stats)?,
-                    };
-                    candidates.push((key.to_string(), true, solver));
-                }
-                Precision::I8Rescore => {
-                    let solver = match self.screen_shard_solver_on(
-                        state,
-                        users,
-                        key,
-                        ScreenKind::I8,
-                        stats,
-                    )? {
-                        Some(screen) => screen,
-                        None => self.shard_solver_on(state, users, key, stats)?,
-                    };
-                    candidates.push((key.to_string(), true, solver));
-                }
-                Precision::Auto => {
-                    let solver = self.shard_solver_on(state, users, key, stats)?;
-                    candidates.push((key.to_string(), true, solver));
-                    for kind in [ScreenKind::F32, ScreenKind::I8] {
-                        if let Some(screen) =
-                            self.screen_shard_solver_on(state, users, key, kind, stats)?
-                        {
-                            candidates.push((format!("{key}{}", kind.suffix()), true, screen));
-                        }
-                    }
-                }
-            }
-        }
+        self.candidates(state, users, stats, &mut candidates)?;
         self.planner_runs.fetch_add(1, Ordering::SeqCst);
 
-        if candidates.len() == 1 {
-            // One candidate (PerShard scope, single backend): nothing to
-            // sample — mirror the global single-candidate shortcut.
-            let (backend_key, local_index, winner) = candidates.pop().expect("one candidate");
-            return Ok(PreparedPlan {
-                model: Arc::clone(&state.model),
-                precision: winner.precision(),
-                winner,
-                backend_key,
-                planned_k: k,
-                threads: self.config.threads,
-                epoch: state.id,
+        let view = match users {
+            Some(users) => ModelView::of_range(&state.model, users.clone()),
+            None => ModelView::full(&state.model),
+        };
+        let (
+            choice,
+            [analytical_bmm_seconds, analytical_screen_seconds, analytical_sparse_seconds],
+        ) = if candidates.len() == 1 {
+            // One candidate: nothing to sample.
+            let unsampled = PlannedChoice {
+                chosen: 0,
                 estimates: Vec::new(),
                 sample_size: 0,
                 decision_seconds: 0.0,
-                shard_users: Some(users.clone()),
-                local_index,
-                analytical_bmm_seconds: 0.0,
-                analytical_screen_seconds: 0.0,
-                analytical_sparse_seconds: 0.0,
-            });
-        }
-
-        let view = ModelView::of_range(&state.model, users.clone());
-        let solvers: Vec<Arc<dyn MipsSolver>> =
-            candidates.iter().map(|(_, _, s)| Arc::clone(s)).collect();
-        let (winner_idx, choice) = self.run_planner(&view, k, &solvers);
-        let analytical_bmm_seconds = self.analytical_bmm_seconds(&view);
-        let analytical_screen_seconds = self.analytical_screen_seconds(&view, &solvers);
-        let analytical_sparse_seconds = self.analytical_sparse_seconds(&view, &solvers);
-        let (backend_key, local_index, winner) = candidates.swap_remove(winner_idx);
+            };
+            (unsampled, [0.0; 3])
+        } else {
+            let priors = [
+                self.analytical_bmm_seconds(&view),
+                self.analytical_screen_seconds(&view, &candidates),
+                self.analytical_sparse_seconds(&view, &candidates),
+            ];
+            (self.run_planner(&view, k, &candidates), priors)
+        };
+        let winner = candidates.swap_remove(choice.chosen);
         Ok(PreparedPlan {
             model: Arc::clone(&state.model),
-            precision: winner.precision(),
-            winner,
-            backend_key,
+            precision: winner.solver.precision(),
+            backend_key: winner.backend_key(),
+            winner: winner.solver,
             planned_k: k,
             threads: self.config.threads,
             epoch: state.id,
             estimates: choice.estimates,
             sample_size: choice.sample_size,
             decision_seconds: choice.decision_seconds,
-            shard_users: Some(users.clone()),
-            local_index,
+            shard_users: users.cloned(),
+            local_index: winner.local,
             analytical_bmm_seconds,
             analytical_screen_seconds,
             analytical_sparse_seconds,
@@ -1033,32 +847,36 @@ impl Engine {
 
     /// Runs OPTIMUS over the candidate set, reordered so its t-test timing
     /// reference is the first batch-capable candidate (BMM-like) when one
-    /// is present — regardless of input order. Returns the winner's index
-    /// **in the input order** plus the planner's evidence.
-    fn run_planner(
-        &self,
-        view: &ModelView,
-        k: usize,
-        solvers: &[Arc<dyn MipsSolver>],
-    ) -> (usize, crate::optimus::PlannedChoice) {
-        let mut order: Vec<usize> = (0..solvers.len()).collect();
-        if let Some(batch) = solvers.iter().position(|s| s.batches_users()) {
+    /// is present — regardless of input order. The returned choice's
+    /// `chosen` indexes `candidates` **in the input order**.
+    fn run_planner(&self, view: &ModelView, k: usize, candidates: &[Candidate]) -> PlannedChoice {
+        let mut order: Vec<usize> = (0..candidates.len()).collect();
+        if let Some(batch) = candidates.iter().position(|c| c.solver.batches_users()) {
             order.remove(batch);
             order.insert(0, batch);
         }
+        let position_of = |input: usize| order.iter().position(|&i| i == input);
+        let refs: Vec<&dyn MipsSolver> = order
+            .iter()
+            .map(|&i| candidates[i].solver.as_ref())
+            .collect();
+        let screen_of: Vec<Option<usize>> = order
+            .iter()
+            .map(|&i| {
+                candidates[i]
+                    .screen_of
+                    .and_then(|(_, base)| position_of(base))
+            })
+            .collect();
         let optimus = Optimus::new(self.config.optimus);
-        let refs: Vec<&dyn MipsSolver> = order.iter().map(|&i| solvers[i].as_ref()).collect();
-        let mut choice = optimus.choose(view, k, &refs);
-
-        if matches!(
-            refs[choice.chosen].precision(),
-            Precision::F32Rescore | Precision::I8Rescore
-        ) {
-            if let Some(base) = demote_marginal_screen_winner(&choice.estimates, choice.chosen) {
-                choice.chosen = base;
-            }
+        let mut choice = optimus.choose(view, k, &refs, &screen_of);
+        if let Some(base) =
+            demote_marginal_screen_winner(&choice.estimates, choice.chosen, &screen_of)
+        {
+            choice.chosen = base;
         }
-        (order[choice.chosen], choice)
+        choice.chosen = order[choice.chosen];
+        choice
     }
 
     /// The §IV-A analytical prior recorded on sampled plans: predicted
@@ -1078,10 +896,10 @@ impl Engine {
     /// actually competed in this plan (so pure-f64 engines never pay the
     /// f32 calibration). The rescore phase is data-dependent and covered
     /// by online sampling, like the top-k stage of the f64 prior.
-    fn analytical_screen_seconds(&self, view: &ModelView, solvers: &[Arc<dyn MipsSolver>]) -> f64 {
-        if solvers
+    fn analytical_screen_seconds(&self, view: &ModelView, candidates: &[Candidate]) -> f64 {
+        if candidates
             .iter()
-            .all(|s| s.precision() != Precision::F32Rescore)
+            .all(|c| c.solver.precision() != Precision::F32Rescore)
         {
             return 0.0;
         }
@@ -1101,8 +919,8 @@ impl Engine {
     /// list holds `density × num_items` postings on average. Candidate
     /// selection and the exact rescore are data-dependent and covered by
     /// online sampling, like the top-k stage of the dense prior.
-    fn analytical_sparse_seconds(&self, view: &ModelView, solvers: &[Arc<dyn MipsSolver>]) -> f64 {
-        if solvers.iter().all(|s| s.name() != "Sparse-II") {
+    fn analytical_sparse_seconds(&self, view: &ModelView, candidates: &[Candidate]) -> f64 {
+        if candidates.iter().all(|c| c.solver.name() != "Sparse-II") {
             return 0.0;
         }
         const SAMPLE_ROWS: usize = 256;
@@ -2081,42 +1899,99 @@ mod tests {
             sample_seconds: secs / 10.0,
             estimated_total_seconds: secs,
         };
+        // Candidate 1 is a screen variant of candidate 0.
+        let paired = [None, Some(0)];
         // Screen barely ahead of its base (within the noise margin): the
         // exact-direct incumbent keeps the plan.
         let noisy = [estimate("LEMP", 1.00), estimate("LEMP+f32", 0.95)];
-        assert_eq!(demote_marginal_screen_winner(&noisy, 1), Some(0));
+        assert_eq!(demote_marginal_screen_winner(&noisy, 1, &paired), Some(0));
         // Screen clearly faster than the margin: adoption stands.
         let clear = [estimate("LEMP", 1.00), estimate("LEMP+f32", 0.60)];
-        assert_eq!(demote_marginal_screen_winner(&clear, 1), None);
+        assert_eq!(demote_marginal_screen_winner(&clear, 1, &paired), None);
         // Exactly at the margin boundary counts as clearly faster (the
         // demotion predicate is strict).
         let edge = [
             estimate("LEMP", 1.00),
             estimate("LEMP+f32", SCREEN_ADOPTION_MARGIN),
         ];
-        assert_eq!(demote_marginal_screen_winner(&edge, 1), None);
+        assert_eq!(demote_marginal_screen_winner(&edge, 1, &paired), None);
         // Sub-millisecond requests: even a clear relative win saves less
         // absolute time than the noise floor — the incumbent keeps it.
         let tiny = [estimate("LEMP", 900e-6), estimate("LEMP+f32", 500e-6)];
-        assert_eq!(demote_marginal_screen_winner(&tiny, 1), Some(0));
-        // Forced-f32 mode: screens run under plain keys, so a suffixed
-        // winner has no base twin — nothing to demote to.
+        assert_eq!(demote_marginal_screen_winner(&tiny, 1, &paired), Some(0));
+        // Forced modes: screens run under plain keys and no base twin
+        // competes — nothing to demote to.
         let forced = [estimate("Blocked MM", 1.0), estimate("Maximus+f32", 0.99)];
-        assert_eq!(demote_marginal_screen_winner(&forced, 1), None);
-        // The int8 tier rides the same adoption discipline: marginal `+i8`
-        // winners demote to their f64 base, clear wins stand, and an i8
-        // winner never demotes to the `+f32` sibling (the base is the
-        // plain key, not the other screen tier).
-        let noisy_i8 = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.95)];
-        assert_eq!(demote_marginal_screen_winner(&noisy_i8, 1), Some(0));
-        let clear_i8 = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.60)];
-        assert_eq!(demote_marginal_screen_winner(&clear_i8, 1), None);
+        assert_eq!(
+            demote_marginal_screen_winner(&forced, 1, &[None, None]),
+            None
+        );
+        // Pairing is structural, never read off display names: a
+        // third-party solver that merely *names* itself like a screen of
+        // another candidate is not one, and is never demoted to it.
+        let lookalike = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.95)];
+        assert_eq!(
+            demote_marginal_screen_winner(&lookalike, 1, &[None, None]),
+            None
+        );
+        // Every tier rides the same adoption discipline: marginal winners
+        // demote to their f64 base, clear wins stand, and a screen winner
+        // never demotes to a sibling tier (the base is the f64 build, not
+        // the other screen).
         let three_way = [
             estimate("LEMP", 1.00),
             estimate("LEMP+f32", 0.70),
             estimate("LEMP+i8", 0.95),
         ];
-        assert_eq!(demote_marginal_screen_winner(&three_way, 2), Some(0));
+        let both = [None, Some(0), Some(0)];
+        assert_eq!(demote_marginal_screen_winner(&three_way, 2, &both), Some(0));
+        assert_eq!(demote_marginal_screen_winner(&three_way, 1, &both), None);
+    }
+
+    #[test]
+    fn a_backend_keyed_like_a_screen_variant_never_shares_its_cache_cell() {
+        // A third-party backend may register under any key — including one
+        // that looks like BMM's f32 screen. Solver cache cells are keyed by
+        // the typed `(bounds, key, tier)` tuple, so the two never alias,
+        // whichever is built first.
+        struct Stub(BmmSolver);
+        impl MipsSolver for Stub {
+            fn name(&self) -> &str {
+                "Stub"
+            }
+            fn build_seconds(&self) -> f64 {
+                0.0
+            }
+            fn batches_users(&self) -> bool {
+                true
+            }
+            fn num_users(&self) -> usize {
+                self.0.num_users()
+            }
+            fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
+                self.0.query_range(k, users)
+            }
+            fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+                self.0.query_subset(k, users)
+            }
+        }
+        let engine = EngineBuilder::new()
+            .model(model(12, 30))
+            .register(FnFactory::new("bmm+f32", |m: &Arc<MfModel>| {
+                Ok(Box::new(Stub(BmmSolver::build(Arc::clone(m)))) as Box<dyn MipsSolver>)
+            }))
+            .register(BmmFactory)
+            .precision(Precision::F32Rescore)
+            .build()
+            .unwrap();
+        let request = QueryRequest::top_k(3);
+        for _ in 0..2 {
+            let stub = engine.execute_with("bmm+f32", &request).unwrap();
+            assert_eq!(stub.backend, "Stub");
+            let bmm = engine.execute_with("bmm", &request).unwrap();
+            assert_eq!(bmm.backend, "Blocked MM+f32");
+            assert_eq!(bmm.precision, Precision::F32Rescore);
+        }
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! ship as factories ([`BmmFactory`], [`MaximusFactory`], [`LempFactory`],
 //! [`FexiproFactory`]), and downstream crates can register their own with
 //! [`FnFactory`] or a custom type — the planner treats all of them alike.
+//!
+//! A factory has three hooks: [`SolverFactory::build`] over a whole model,
+//! [`SolverFactory::build_view`] over a contiguous user range (defaulted),
+//! and [`SolverFactory::build_screen`] for the mixed-precision variant in a
+//! given [`ScreenTier`] (defaulted to "no such variant").
 
 use super::error::MipsError;
 use crate::adapters::{FexiproSolver, LempSolver, SparseSolver};
@@ -20,6 +25,7 @@ use mips_data::{MfModel, ModelView};
 use mips_fexipro::FexiproConfig;
 use mips_lemp::LempConfig;
 use mips_sparse::SparseConfig;
+use mips_topk::ScreenTier;
 use std::collections::HashMap;
 
 /// Builds solvers for one backend family.
@@ -47,50 +53,22 @@ pub trait SolverFactory: Send + Sync {
         self.build(&view.to_model())
     }
 
-    /// Constructs the mixed-precision variant of this backend — scans
-    /// screen in f32 with a conservative error envelope, survivors are
-    /// rescored in f64, results stay bit-identical (see
-    /// [`mips_topk::screen`]). `None` (the default) means the backend has
-    /// no screen path: the engine then serves it f64-direct under every
-    /// [`Precision`](crate::precision::Precision) setting.
+    /// Constructs the mixed-precision variant of this backend over `view`
+    /// — scans screen in `tier` with a conservative error envelope,
+    /// survivors are rescored in f64, results stay bit-identical (see
+    /// [`mips_topk::screen`]). The produced solver addresses users by
+    /// local row like [`SolverFactory::build_view`]'s; the engine passes
+    /// [`ModelView::full`] for a whole-model build. `None` (the default)
+    /// means the backend has no screen path: the engine then serves it
+    /// f64-direct under every [`Precision`](crate::precision::Precision)
+    /// setting. A backend whose *model* cannot be mirrored in `tier`
+    /// returns its plain f64 solver instead.
     fn build_screen(
         &self,
-        _model: &Arc<MfModel>,
+        _view: &ModelView,
+        _tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         None
-    }
-
-    /// Shard-local [`SolverFactory::build_screen`] over a user-range view.
-    /// The default materializes the view into a sub-model like
-    /// [`SolverFactory::build_view`]; zero-copy factories override it.
-    fn build_screen_view(
-        &self,
-        view: &ModelView,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        self.build_screen(&view.to_model())
-    }
-
-    /// Constructs the int8 screen variant of this backend — scans run
-    /// exact integer dots over symmetric int8 codes with a quantization
-    /// envelope, survivors are rescored in f64, results stay bit-identical
-    /// (see [`mips_topk::screen_i8`]). `None` (the default) means the
-    /// backend has no i8 path: the engine then serves it f64-direct under
-    /// every [`Precision`](crate::precision::Precision) setting.
-    fn build_screen_i8(
-        &self,
-        _model: &Arc<MfModel>,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        None
-    }
-
-    /// Shard-local [`SolverFactory::build_screen_i8`] over a user-range
-    /// view; defaults to materializing the view like
-    /// [`SolverFactory::build_view`], zero-copy factories override it.
-    fn build_screen_i8_view(
-        &self,
-        view: &ModelView,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        self.build_screen_i8(&view.to_model())
     }
 }
 
@@ -113,33 +91,14 @@ impl SolverFactory for BmmFactory {
         Ok(Box::new(BmmSolver::build_view(view)))
     }
 
-    fn build_screen(&self, model: &Arc<MfModel>) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(Ok(Box::new(BmmSolver::build_screen(Arc::clone(model)))))
-    }
-
-    fn build_screen_view(
+    fn build_screen(
         &self,
         view: &ModelView,
+        tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        // Zero-copy like build_view; the f32 mirror is shared with the
+        // Zero-copy like build_view; the tier's mirror is shared with the
         // parent model, so sibling shards reuse one rounding pass.
-        Some(Ok(Box::new(BmmSolver::build_screen_view(view))))
-    }
-
-    fn build_screen_i8(
-        &self,
-        model: &Arc<MfModel>,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(Ok(Box::new(BmmSolver::build_screen_i8(Arc::clone(model)))))
-    }
-
-    fn build_screen_i8_view(
-        &self,
-        view: &ModelView,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        // Zero-copy like build_view; the int8 mirror is shared with the
-        // parent model, so sibling shards reuse one quantization pass.
-        Some(Ok(Box::new(BmmSolver::build_screen_i8_view(view))))
+        Some(Ok(Box::new(BmmSolver::build_view(view).with_screen(tier))))
     }
 }
 
@@ -190,22 +149,15 @@ impl SolverFactory for MaximusFactory {
         )))
     }
 
-    fn build_screen(&self, model: &Arc<MfModel>) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(self.validate_config().map(|()| {
-            Box::new(MaximusIndex::build_screen(Arc::clone(model), &self.config))
-                as Box<dyn MipsSolver>
-        }))
-    }
-
-    fn build_screen_i8(
+    fn build_screen(
         &self,
-        model: &Arc<MfModel>,
+        view: &ModelView,
+        tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         Some(self.validate_config().map(|()| {
-            Box::new(MaximusIndex::build_screen_i8(
-                Arc::clone(model),
-                &self.config,
-            )) as Box<dyn MipsSolver>
+            let mut index = MaximusIndex::build(view.to_model(), &self.config);
+            index.enable_screen(tier);
+            Box::new(index) as Box<dyn MipsSolver>
         }))
     }
 
@@ -267,20 +219,15 @@ impl SolverFactory for LempFactory {
         Ok(Box::new(LempSolver::build(Arc::clone(model), &self.config)))
     }
 
-    fn build_screen(&self, model: &Arc<MfModel>) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(self.validate_config().map(|()| {
-            Box::new(LempSolver::build_screen(Arc::clone(model), &self.config))
-                as Box<dyn MipsSolver>
-        }))
-    }
-
-    fn build_screen_i8(
+    fn build_screen(
         &self,
-        model: &Arc<MfModel>,
+        view: &ModelView,
+        tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         Some(self.validate_config().map(|()| {
-            Box::new(LempSolver::build_screen_i8(Arc::clone(model), &self.config))
-                as Box<dyn MipsSolver>
+            let mut solver = LempSolver::build(view.to_model(), &self.config);
+            solver.enable_screen(tier);
+            Box::new(solver) as Box<dyn MipsSolver>
         }))
     }
 }
@@ -624,57 +571,33 @@ mod tests {
     fn screen_builds_cover_the_scan_backends_and_stay_bit_identical() {
         let registry = BackendRegistry::with_defaults();
         let m = model();
-        for factory in registry.factories() {
-            let has_screen = matches!(factory.key(), "bmm" | "maximus" | "lemp");
-            match factory.build_screen(&m) {
-                None => assert!(!has_screen, "{} lost its screen path", factory.key()),
-                Some(built) => {
-                    assert!(has_screen, "{} unexpectedly screens", factory.key());
-                    let screened = built.expect("screen build");
-                    assert_eq!(
-                        screened.precision(),
-                        crate::precision::Precision::F32Rescore,
-                        "{}",
-                        factory.key()
-                    );
-                    let plain = factory.build(&m).expect("plain build");
-                    let want = plain.query_all(3);
-                    let got = screened.query_all(3);
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.items, w.items, "{}", factory.key());
-                        for (a, b) in g.scores.iter().zip(&w.scores) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{}", factory.key());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn screen_i8_builds_cover_the_scan_backends_and_stay_bit_identical() {
-        let registry = BackendRegistry::with_defaults();
-        let m = model();
-        for factory in registry.factories() {
-            let has_i8 = matches!(factory.key(), "bmm" | "maximus" | "lemp");
-            match factory.build_screen_i8(&m) {
-                None => assert!(!has_i8, "{} lost its i8 path", factory.key()),
-                Some(built) => {
-                    assert!(has_i8, "{} unexpectedly screens in i8", factory.key());
-                    let screened = built.expect("i8 screen build");
-                    assert_eq!(
-                        screened.precision(),
-                        crate::precision::Precision::I8Rescore,
-                        "{}",
-                        factory.key()
-                    );
-                    let plain = factory.build(&m).expect("plain build");
-                    let want = plain.query_all(3);
-                    let got = screened.query_all(3);
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.items, w.items, "{}", factory.key());
-                        for (a, b) in g.scores.iter().zip(&w.scores) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{}", factory.key());
+        let view = ModelView::full(&m);
+        for tier in ScreenTier::ALL {
+            for factory in registry.factories() {
+                let key = factory.key();
+                let has_screen = matches!(key, "bmm" | "maximus" | "lemp");
+                match factory.build_screen(&view, tier) {
+                    None => assert!(!has_screen, "{key} lost its {tier:?} path"),
+                    Some(built) => {
+                        assert!(has_screen, "{key} unexpectedly screens in {tier:?}");
+                        let screened = built.expect("screen build");
+                        assert_eq!(
+                            screened.precision(),
+                            crate::precision::Precision::of_tier(Some(tier)),
+                            "{key}"
+                        );
+                        let plain = factory.build(&m).expect("plain build");
+                        assert_eq!(
+                            screened.name(),
+                            format!("{}{}", plain.name(), tier.suffix())
+                        );
+                        let want = plain.query_all(3);
+                        let got = screened.query_all(3);
+                        for (g, w) in got.iter().zip(&want) {
+                            assert_eq!(g.items, w.items, "{key} {tier:?}");
+                            for (a, b) in g.scores.iter().zip(&w.scores) {
+                                assert_eq!(a.to_bits(), b.to_bits(), "{key} {tier:?}");
+                            }
                         }
                     }
                 }

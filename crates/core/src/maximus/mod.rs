@@ -16,14 +16,16 @@
 pub mod bound;
 
 use crate::maximus::bound::stored_bound;
-use crate::solver::{MipsSolver, ScreenTally, ScreenTallyCells};
+use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Arc;
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::MfModel;
-use mips_linalg::kernels::{angle, dot, dot_gemm_ordered_x4, f32_screen_envelope_parts, norm2};
-use mips_linalg::{dot_i8, i8_screen_envelope_parts, quantize_row_i8, GemmScratch, Matrix};
-use mips_topk::{stream_topk_into_heaps, ColumnIds, TopKHeap, TopKList};
+use mips_linalg::kernels::{angle, dot, dot_gemm_ordered_x4, norm2};
+use mips_linalg::{GemmScratch, Matrix};
+use mips_topk::{
+    stream_topk_into_heaps, ColumnIds, ItemMirror, ScreenTier, TopKHeap, TopKList, UserScreen,
+};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -129,45 +131,11 @@ struct ClusterIndex {
     /// Item vectors gathered in list order (the `O(|C||I|f)` storage of
     /// §III-D; sequential walks instead of random model access).
     items: Matrix<f64>,
-    /// Rounded single-precision mirror of `items`, present only when the
-    /// mixed-precision screen is enabled ([`MaximusIndex::enable_screen`]).
-    items32: Option<Matrix<f32>>,
-    /// Symmetric int8 mirror of `items` in list order, present only when
-    /// the int8 screen is enabled ([`MaximusIndex::enable_screen_i8`]).
-    items_i8: Option<ClusterI8>,
+    /// `items` in the armed screen tier's storage, present only after
+    /// [`MaximusIndex::enable_screen`].
+    mirror: Option<ItemMirror>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
-}
-
-/// One cluster's int8 walk-screen data, gathered in list order from the
-/// model's shared [`mips_data::MirrorI8`] so sibling structures reuse one
-/// quantization pass and the walk streams codes sequentially like the f64
-/// item matrix.
-struct ClusterI8 {
-    /// Item codes per list position, row-major (`n × f`).
-    codes: Vec<i8>,
-    /// `1 / s_i` per list position (reconstruction multipliers).
-    inv_scales: Vec<f64>,
-    /// Exact L1 norm per list position (envelope input).
-    l1: Vec<f64>,
-}
-
-/// Per-user screen state for the list walk, set up once per user from the
-/// cluster's enabled tier.
-enum UserScreen<'a> {
-    F32 {
-        m32: &'a Matrix<f32>,
-        user32: Vec<f32>,
-        env_rel_u: f64,
-        env_abs: f64,
-    },
-    I8 {
-        ci: &'a ClusterI8,
-        codes: Vec<i8>,
-        inv_su: f64,
-        env_a: f64,
-        env_b: f64,
-    },
 }
 
 /// The built MAXIMUS index.
@@ -184,8 +152,10 @@ pub struct MaximusIndex {
     /// layer ([`MipsSolver::take_screen_stats`]); separate from
     /// [`MaximusQueryStats`], whose counters benches read cumulatively.
     screen_tally: ScreenTallyCells,
-    screening: bool,
-    screening_i8: bool,
+    /// The armed screen tier; every cluster then carries its mirror.
+    screen: Option<ScreenTier>,
+    /// `"Maximus"` plus the armed tier's suffix.
+    name: String,
 }
 
 impl MaximusIndex {
@@ -256,97 +226,45 @@ impl MaximusIndex {
             query_stats: MaximusQueryStats::default(),
             screen_tally: ScreenTallyCells::default(),
             model,
-            screening: false,
-            screening_i8: false,
+            screen: None,
+            name: screened_name("Maximus", None),
         }
     }
 
-    /// [`MaximusIndex::build`] with the mixed-precision screen enabled.
-    pub fn build_screen(model: Arc<MfModel>, config: &MaximusConfig) -> MaximusIndex {
-        let mut index = MaximusIndex::build(model, config);
-        index.enable_screen();
-        index
-    }
-
-    /// [`MaximusIndex::build`] with the int8 screen enabled (when the
-    /// model quantizes usably — degenerate models build the plain index).
-    pub fn build_screen_i8(model: Arc<MfModel>, config: &MaximusConfig) -> MaximusIndex {
-        let mut index = MaximusIndex::build(model, config);
-        index.enable_screen_i8();
-        index
-    }
-
-    /// Enables the mixed-precision screen on the **list walk**: each
-    /// cluster's gathered item matrix gets a rounded f32 mirror, and walked
-    /// items are pre-scored through the single-precision kernels — the
-    /// exact dot and its push are skipped only when the
-    /// [`mips_linalg::f32_screen_envelope`]-widened screen score proves the
-    /// push would be rejected, so results stay bit-identical. The §III-D
-    /// blocked prefix stays f64 (it is GEMM-bound; the `bmm` screen variant
-    /// covers that regime), as does the §III-E new-vector path. The
-    /// rounding pass is timed into `build_seconds`. Idempotent.
-    pub fn enable_screen(&mut self) {
+    /// Arms the mixed-precision screen on the **list walk**: each cluster's
+    /// gathered item matrix gets a mirror in `tier`'s storage, and walked
+    /// items are pre-scored against it — the exact dot and its push are
+    /// skipped only when the envelope-widened screen score
+    /// ([`UserScreen::upper_bound`]) proves the push would be rejected, so
+    /// results stay bit-identical. The §III-D blocked prefix stays f64 (it
+    /// is GEMM-bound; the `bmm` screen variant covers that regime), as does
+    /// the §III-E new-vector path. The mirroring pass is timed into
+    /// `build_seconds`.
+    ///
+    /// Re-arming replaces the previous tier's mirrors. When any cluster has
+    /// no usable mirror in `tier` (int8: subnormal rows, factor counts past
+    /// the i32-overflow cap) the call changes nothing — the index keeps
+    /// whatever identity, plain or screened, it had before.
+    pub fn enable_screen(&mut self, tier: ScreenTier) {
         let t = Instant::now();
-        for c in &mut self.clusters {
-            if c.items32.is_none() {
-                let (n, f) = (c.items.rows(), c.items.cols());
-                let mirror = Matrix::from_fn(n, f, |r, j| c.items.get(r, j) as f32);
-                c.items32 = Some(mirror);
+        let mirrors: Option<Vec<ItemMirror>> = self
+            .clusters
+            .iter()
+            .map(|c| ItemMirror::build(&c.items, tier))
+            .collect();
+        if let Some(mirrors) = mirrors {
+            for (cluster, mirror) in self.clusters.iter_mut().zip(mirrors) {
+                cluster.mirror = Some(mirror);
             }
+            self.screen = Some(tier);
+            self.name = screened_name("Maximus", self.screen);
         }
-        self.screening = true;
         self.build_seconds += t.elapsed().as_secs_f64();
     }
 
-    /// Enables the int8 screen on the **list walk** — the tier below
-    /// [`MaximusIndex::enable_screen`]: each cluster gathers symmetric int8
-    /// codes (plus reconstruction scales and L1 norms) from the model's
-    /// shared [`mips_data::MirrorI8`] in list order, and walked items are
-    /// pre-scored with exact integer dots — the exact f64 dot and its push
-    /// are skipped only when the quantization-envelope-widened estimate
-    /// proves the push would be rejected, so results stay bit-identical.
-    /// No-op (the index keeps its plain f64 identity) when the model's
-    /// quantization is degenerate — subnormal rows or factor counts past
-    /// the i32-overflow cap. Takes precedence over an armed f32 screen.
-    /// The gather pass is timed into `build_seconds`. Idempotent.
-    pub fn enable_screen_i8(&mut self) {
-        let t = Instant::now();
-        let mirror = self.model.mirror_i8();
-        if !mirror.is_usable() {
-            return;
-        }
-        let f = self.model.num_factors();
-        for c in &mut self.clusters {
-            if c.items_i8.is_none() {
-                let n = c.list_ids.len();
-                let mut codes = vec![0i8; n * f];
-                let mut inv_scales = Vec::with_capacity(n);
-                let mut l1 = Vec::with_capacity(n);
-                for (pos, &id) in c.list_ids.iter().enumerate() {
-                    codes[pos * f..(pos + 1) * f].copy_from_slice(mirror.item_row(id as usize));
-                    inv_scales.push(mirror.item_inv_scales()[id as usize]);
-                    l1.push(mirror.item_l1()[id as usize]);
-                }
-                c.items_i8 = Some(ClusterI8 {
-                    codes,
-                    inv_scales,
-                    l1,
-                });
-            }
-        }
-        self.screening_i8 = true;
-        self.build_seconds += t.elapsed().as_secs_f64();
-    }
-
-    /// `true` once [`MaximusIndex::enable_screen`] has armed the screen.
-    pub fn is_screening(&self) -> bool {
-        self.screening
-    }
-
-    /// `true` once [`MaximusIndex::enable_screen_i8`] has armed the int8
-    /// screen (never on models whose quantization is degenerate).
-    pub fn is_screening_i8(&self) -> bool {
-        self.screening_i8
+    /// The armed screen tier, if any.
+    pub fn screen(&self) -> Option<ScreenTier> {
+        self.screen
     }
 
     /// Build-stage breakdown (Fig. 8).
@@ -411,42 +329,14 @@ impl MaximusIndex {
         for (mut heap, &(pos, u)) in heaps.into_iter().zip(group) {
             let user = self.model.users().row(u);
             let unorm = norm2(user);
-            // Walk-phase screen state: the quantized/rounded user row plus
-            // the envelope coefficients (per-item envelope is
-            // `env_rel_u·‖i‖ + env_abs` for f32, `env_a·(1/s_i) + env_b·‖i‖₁`
-            // for int8). Absent unless a screen tier is armed; a user row
-            // whose quantization degenerates (non-finite scale or L1) walks
+            // Walk-phase screen state: the user row in the armed tier's
+            // storage plus its envelope coefficients. Absent unless a tier
+            // is armed; a user row the tier cannot represent walks
             // unscreened — still exact, just unaccelerated.
-            let screen: Option<UserScreen<'_>> = if self.screening_i8 {
-                cluster.items_i8.as_ref().and_then(|ci| {
-                    let mut codes = vec![0i8; user.len()];
-                    let (su, ul1) = quantize_row_i8(user, &mut codes);
-                    if !(su.is_finite() && ul1.is_finite()) {
-                        return None;
-                    }
-                    let (env_a, env_b) = i8_screen_envelope_parts(user.len(), su, ul1);
-                    Some(UserScreen::I8 {
-                        ci,
-                        codes,
-                        inv_su: 1.0 / su,
-                        env_a,
-                        env_b,
-                    })
-                })
-            } else if self.screening {
-                cluster.items32.as_ref().map(|m32| {
-                    let (rel, abs) = f32_screen_envelope_parts(user.len());
-                    let user32: Vec<f32> = user.iter().map(|&v| v as f32).collect();
-                    UserScreen::F32 {
-                        m32,
-                        user32,
-                        env_rel_u: rel * unorm,
-                        env_abs: abs,
-                    }
-                })
-            } else {
-                None
-            };
+            let screen = cluster
+                .mirror
+                .as_ref()
+                .and_then(|mirror| Some((UserScreen::arm(user, unorm, mirror.tier())?, mirror)));
             let mut walked = 0u64;
             let mut screen_evaluated = 0u64;
             let mut screened_out = 0u64;
@@ -461,46 +351,17 @@ impl MaximusIndex {
                 // Mixed-precision screen: when even the envelope-widened
                 // screen score sits strictly below the threshold, the exact
                 // score does too and its push would be rejected — skipping
-                // dot and push leaves the heap trajectory bit-identical. A
-                // non-finite f32 screen score (overflow) never prunes; the
-                // int8 estimate is always finite by construction.
+                // dot and push leaves the heap trajectory bit-identical.
                 if heap.is_full() {
-                    match &screen {
-                        Some(UserScreen::F32 {
-                            m32,
-                            user32,
-                            env_rel_u,
-                            env_abs,
-                        }) => {
-                            let s32 = dot(user32.as_slice(), m32.row(list_pos)) as f64;
-                            let env = env_rel_u.mul_add(cluster.norms[list_pos], *env_abs);
-                            screen_evaluated += 1;
-                            if s32.is_finite() && s32 + env < heap.threshold() {
-                                screened_out += 1;
-                                list_pos += 1;
-                                continue;
-                            }
+                    if let Some((user_screen, mirror)) = &screen {
+                        screen_evaluated += 1;
+                        let bound =
+                            user_screen.upper_bound(mirror, list_pos, cluster.norms[list_pos]);
+                        if bound < heap.threshold() {
+                            screened_out += 1;
+                            list_pos += 1;
+                            continue;
                         }
-                        Some(UserScreen::I8 {
-                            ci,
-                            codes,
-                            inv_su,
-                            env_a,
-                            env_b,
-                        }) => {
-                            let f = codes.len();
-                            let d = dot_i8(codes, &ci.codes[list_pos * f..(list_pos + 1) * f]);
-                            let inv_si = ci.inv_scales[list_pos];
-                            let est = d as f64 * (inv_su * inv_si);
-                            let env = env_a * inv_si + env_b * ci.l1[list_pos];
-                            screen_evaluated += 1;
-                            if est + env < heap.threshold() {
-                                screened_out += 1;
-                                list_pos += 1;
-                                continue;
-                            }
-                        }
-                        None => {}
                     }
                 }
                 let score = dot(user, cluster.items.row(list_pos));
@@ -699,21 +560,14 @@ fn build_cluster_list(
         theta_ic,
         norms,
         items: gathered,
-        items32: None,
-        items_i8: None,
+        mirror: None,
         members,
     }
 }
 
 impl MipsSolver for MaximusIndex {
     fn name(&self) -> &str {
-        if self.screening_i8 {
-            "Maximus+i8"
-        } else if self.screening {
-            "Maximus+f32"
-        } else {
-            "Maximus"
-        }
+        &self.name
     }
 
     fn build_seconds(&self) -> f64 {
@@ -725,13 +579,7 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn precision(&self) -> crate::precision::Precision {
-        if self.screening_i8 {
-            crate::precision::Precision::I8Rescore
-        } else if self.screening {
-            crate::precision::Precision::F32Rescore
-        } else {
-            crate::precision::Precision::F64
-        }
+        crate::precision::Precision::of_tier(self.screen)
     }
 
     fn num_users(&self) -> usize {
@@ -739,7 +587,7 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
-        (self.screening || self.screening_i8).then(|| self.screen_tally.drain())
+        self.screen.map(|_| self.screen_tally.drain())
     }
 
     fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
@@ -901,6 +749,7 @@ mod tests {
 
     #[test]
     fn screened_walk_is_bit_identical_and_prunes() {
+        use crate::precision::Precision;
         // Small block size pushes most of the work into the walk phase,
         // where the screen operates.
         let m = model(60, 500, 16, 0.4);
@@ -909,67 +758,76 @@ mod tests {
             ..small_config()
         };
         let plain = MaximusIndex::build(Arc::clone(&m), &config);
-        let screened = MaximusIndex::build_screen(Arc::clone(&m), &config);
-        assert!(!plain.is_screening());
-        assert!(screened.is_screening());
-        assert_eq!(
-            screened.precision(),
-            crate::precision::Precision::F32Rescore
-        );
-        for k in [1usize, 5, 20] {
-            let want = plain.query_all(k);
-            let got = screened.query_all(k);
-            for u in 0..m.num_users() {
-                assert_eq!(got[u].items, want[u].items, "k={k} user {u}");
-                for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} user {u}");
+        assert_eq!(plain.screen(), None);
+        for tier in ScreenTier::ALL {
+            let mut screened = MaximusIndex::build(Arc::clone(&m), &config);
+            screened.enable_screen(tier);
+            assert_eq!(screened.screen(), Some(tier));
+            assert_eq!(screened.name(), format!("Maximus{}", tier.suffix()));
+            assert_eq!(screened.precision(), Precision::of_tier(Some(tier)));
+            for k in [1usize, 5, 20] {
+                let want = plain.query_all(k);
+                let got = screened.query_all(k);
+                for u in 0..m.num_users() {
+                    assert_eq!(got[u].items, want[u].items, "{tier:?} k={k} user {u}");
+                    for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{tier:?} k={k} user {u}");
+                    }
                 }
             }
+            let stats = screened.query_stats();
+            assert!(
+                stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
+                "{tier:?} screen never engaged on a walk-dominated configuration"
+            );
+            // Screened items reduce walked dots relative to the plain index.
+            assert!(
+                stats.items_walked.load(Ordering::Relaxed)
+                    < plain.query_stats().items_walked.load(Ordering::Relaxed)
+            );
         }
-        let stats = screened.query_stats();
-        assert!(
-            stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
-            "screen never engaged on a walk-dominated configuration"
-        );
-        // Screened items reduce walked dots relative to the plain index.
-        assert!(
-            stats.items_walked.load(Ordering::Relaxed)
-                < plain.query_stats().items_walked.load(Ordering::Relaxed)
-        );
     }
 
     #[test]
-    fn screened_i8_walk_is_bit_identical_and_prunes() {
-        let m = model(60, 500, 16, 0.4);
-        let config = MaximusConfig {
-            block_size: 8,
-            ..small_config()
+    fn rearming_replaces_the_mirrors_and_a_degenerate_request_changes_nothing() {
+        use crate::precision::Precision;
+        let tiers = |index: &MaximusIndex| -> Vec<Option<ScreenTier>> {
+            let per_cluster = index.clusters.iter();
+            per_cluster
+                .map(|c| c.mirror.as_ref().map(ItemMirror::tier))
+                .collect()
         };
-        let plain = MaximusIndex::build(Arc::clone(&m), &config);
-        let screened = MaximusIndex::build_screen_i8(Arc::clone(&m), &config);
-        assert!(!plain.is_screening_i8());
-        assert!(screened.is_screening_i8());
-        assert_eq!(screened.name(), "Maximus+i8");
-        assert_eq!(screened.precision(), crate::precision::Precision::I8Rescore);
-        for k in [1usize, 5, 20] {
-            let want = plain.query_all(k);
-            let got = screened.query_all(k);
-            for u in 0..m.num_users() {
-                assert_eq!(got[u].items, want[u].items, "k={k} user {u}");
-                for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} user {u}");
-                }
-            }
-        }
-        let stats = screened.query_stats();
-        assert!(
-            stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
-            "i8 screen never engaged on a walk-dominated configuration"
+        let mut index = MaximusIndex::build(model(30, 80, 6, 0.4), &small_config());
+        index.enable_screen(ScreenTier::F32);
+        index.enable_screen(ScreenTier::I8);
+        assert_eq!(index.name(), "Maximus+i8");
+        // One mirror per cluster, in the newly armed tier: the f32 rows are
+        // dropped, not resident next to the int8 codes.
+        assert!(tiers(&index).iter().all(|&t| t == Some(ScreenTier::I8)));
+
+        // Subnormal item rows cannot be quantized: the int8 request is
+        // refused and the index keeps the identity it had.
+        let degenerate = Arc::new(
+            MfModel::new(
+                "subnormal",
+                Matrix::from_fn(6, 4, |r, c| ((r + c) as f64 + 1.0) * 1.0e-320),
+                Matrix::from_fn(12, 4, |r, c| ((r * c) as f64 + 1.0) * 1.0e-320),
+            )
+            .unwrap(),
         );
-        assert!(
-            stats.items_walked.load(Ordering::Relaxed)
-                < plain.query_stats().items_walked.load(Ordering::Relaxed)
+        let mut index = MaximusIndex::build(degenerate, &small_config());
+        index.enable_screen(ScreenTier::I8);
+        assert_eq!(
+            (index.name(), index.precision()),
+            ("Maximus", Precision::F64)
         );
+        index.enable_screen(ScreenTier::F32);
+        index.enable_screen(ScreenTier::I8);
+        assert_eq!(
+            (index.name(), index.precision()),
+            ("Maximus+f32", Precision::F32Rescore)
+        );
+        assert!(tiers(&index).iter().all(|&t| t == Some(ScreenTier::F32)));
     }
 
     #[test]

@@ -177,10 +177,26 @@ impl Optimus {
     ///
     /// `solvers[0]` is the timing reference for the early-stopping t-test
     /// applied to point-query candidates, so it should be the batch
-    /// baseline (BMM) when one is present. Panics if `solvers` is empty;
-    /// the engine guards that case with a typed error before calling.
-    pub fn choose(&self, view: &ModelView, k: usize, solvers: &[&dyn MipsSolver]) -> PlannedChoice {
+    /// baseline (BMM) when one is present. `screen_of[i]` names the
+    /// candidate (by index into `solvers`) that candidate `i` is a
+    /// mixed-precision screen variant of — `None` for everything else; the
+    /// pairing is the caller's structural knowledge, never inferred from
+    /// display names. Panics if `solvers` is empty or the two slices differ
+    /// in length; the engine guards the empty case with a typed error
+    /// before calling.
+    pub fn choose(
+        &self,
+        view: &ModelView,
+        k: usize,
+        solvers: &[&dyn MipsSolver],
+        screen_of: &[Option<usize>],
+    ) -> PlannedChoice {
         assert!(!solvers.is_empty(), "Optimus::choose: no candidate solvers");
+        assert_eq!(
+            solvers.len(),
+            screen_of.len(),
+            "Optimus::choose: one pairing entry per candidate"
+        );
         let overall = Instant::now();
         let n = view.num_users();
         let (mut sample, _) = self.sample_users(n, view.num_factors());
@@ -203,8 +219,8 @@ impl Optimus {
         let warm = &sample[..sample.len().min(4)];
 
         // Screen pairing: an engine in `Auto` precision competes each
-        // backend's `+f32` screen against its own f64 build, and the
-        // adoption rule downstream compares exactly those two estimates.
+        // backend's screen variants against its own f64 build, and the
+        // adoption rule downstream compares exactly those estimates.
         // The t-test early stop can halt the two sides at *different*
         // user counts, and on backends with heterogeneous per-user cost
         // (LEMP's scan length tracks the user's norm) that makes the
@@ -212,21 +228,11 @@ impl Optimus {
         // to mis-rank a pair whose true costs are within ~20%. Force
         // both sides of every screen pair onto the identical full
         // sample so their comparison is apples-to-apples; unpaired
-        // candidates keep the cheap early-stopped sampling.
-        let names: Vec<&str> = solvers.iter().map(|s| s.name()).collect();
-        // Both screen tiers pair with the same f64 base; a base with two
-        // screen variants is paired once and shared by both.
-        fn strip_tier(name: &str) -> Option<&str> {
-            name.strip_suffix(crate::engine::SCREEN_SUFFIX)
-                .or_else(|| name.strip_suffix(crate::engine::SCREEN_I8_SUFFIX))
-        }
-        let screen_paired: Vec<bool> = names
-            .iter()
-            .map(|name| {
-                names.iter().any(|other| {
-                    strip_tier(other) == Some(name) || strip_tier(name) == Some(*other)
-                })
-            })
+        // candidates keep the cheap early-stopped sampling. Every screen
+        // tier pairs with the same f64 base; a base with several screen
+        // variants is paired once and shared by all of them.
+        let screen_paired: Vec<bool> = (0..solvers.len())
+            .map(|i| screen_of[i].is_some() || screen_of.contains(&Some(i)))
             .collect();
 
         // Time the reference candidate on the whole sample.
@@ -644,25 +650,70 @@ mod tests {
 
     #[test]
     fn screen_paired_candidates_are_timed_on_the_full_sample() {
-        // A `+f32` screen and its f64 base are compared head-to-head by
+        // A screen variant and its f64 base are compared head-to-head by
         // the adoption rule, so `choose` must not let the t-test stop
         // the two at different user counts (different user mixes bias
         // the pair's comparison on norm-heterogeneous backends). Both
         // sides of the pair must report the full sample; the unpaired
-        // point-query candidate keeps early-stopped sampling (only
-        // bounded here — whether it stops early is model-dependent).
+        // point-query candidates keep early-stopped sampling.
+        //
+        // Pairing is the caller's structural knowledge: a third-party
+        // solver whose display name merely *ends* in a tier suffix (and
+        // even matches another candidate's name before it) is unpaired.
+        // The stub records the largest subset it was ever asked for: the
+        // paired path queries the whole sample at once, the early-stopped
+        // path one user at a time after the warm-up.
+        struct Lookalike {
+            inner: crate::adapters::FexiproSolver,
+            largest_subset: crate::sync::atomic::AtomicUsize,
+        }
+        impl MipsSolver for Lookalike {
+            fn name(&self) -> &str {
+                "FEXIPRO-SI+i8"
+            }
+            fn build_seconds(&self) -> f64 {
+                self.inner.build_seconds()
+            }
+            fn batches_users(&self) -> bool {
+                false
+            }
+            fn num_users(&self) -> usize {
+                self.inner.num_users()
+            }
+            fn query_range(&self, k: usize, users: std::ops::Range<usize>) -> Vec<TopKList> {
+                self.inner.query_range(k, users)
+            }
+            fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+                self.largest_subset
+                    .fetch_max(users.len(), crate::sync::atomic::Ordering::Relaxed);
+                self.inner.query_subset(k, users)
+            }
+        }
         let m = model();
         let optimus = Optimus::new(tiny_config());
         let bmm = BmmSolver::build(Arc::clone(&m));
         let lemp = crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default());
-        let lemp_screen =
-            crate::adapters::LempSolver::build_screen(Arc::clone(&m), &LempConfig::default());
-        let fex = crate::adapters::FexiproSolver::build(
-            Arc::clone(&m),
-            &mips_fexipro::FexiproConfig::si(),
-        );
+        let mut lemp_screen =
+            crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default());
+        lemp_screen.enable_screen(mips_topk::ScreenTier::F32);
+        let fexipro = || {
+            crate::adapters::FexiproSolver::build(
+                Arc::clone(&m),
+                &mips_fexipro::FexiproConfig::si(),
+            )
+        };
+        let fex = fexipro();
+        let lookalike = Lookalike {
+            inner: fexipro(),
+            largest_subset: Default::default(),
+        };
         let view = ModelView::full(&m);
-        let choice = optimus.choose(&view, 3, &[&bmm, &lemp, &lemp_screen, &fex]);
+        let choice = optimus.choose(
+            &view,
+            3,
+            &[&bmm, &lemp, &lemp_screen, &fex, &lookalike],
+            &[None, None, Some(1), None, None],
+        );
         for e in &choice.estimates {
             if e.name == "LEMP" || e.name == "LEMP+f32" {
                 assert_eq!(
@@ -674,6 +725,14 @@ mod tests {
                 assert!(e.sampled_users <= choice.sample_size);
             }
         }
+        let largest = lookalike
+            .largest_subset
+            .load(crate::sync::atomic::Ordering::Relaxed);
+        assert!(choice.sample_size > 4, "sample must exceed the warm-up");
+        assert!(
+            largest <= 4,
+            "a name ending in a tier suffix was paired: queried {largest} users at once"
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn chunk_bounds(n: usize, parts: usize) -> Vec<Range<usize>> {
 /// Serves a contiguous user range with `threads` worker threads,
 /// partitioning the range evenly. `threads = 1` degenerates to a plain
 /// sequential call. This is the multi-core path the engine routes through
-/// when [`crate::engine::EngineConfig::threads`] exceeds one.
+/// when [`crate::engine::EngineOptions::threads`] exceeds one.
 ///
 /// # Panics
 /// Panics if `threads == 0` (the engine validates this at build time and
@@ -108,7 +108,7 @@ pub fn par_query_subset(
 /// Serves all users with `threads` worker threads.
 ///
 /// Compatibility wrapper over [`par_query_range`]; new code should set
-/// [`crate::engine::EngineConfig::threads`] and go through the engine,
+/// [`crate::engine::EngineOptions::threads`] and go through the engine,
 /// which returns typed errors instead of panicking. With one thread this
 /// takes the solver's specialized `query_all` path (MAXIMUS serves whole
 /// clusters in membership order there).

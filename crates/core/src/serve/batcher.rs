@@ -169,32 +169,17 @@ pub(crate) fn execute_batch(batch: Vec<SubRequest>, progress: &AtomicUsize) {
     // caller's wakeup.
     let total_users: usize = batch.iter().map(|s| s.users.len()).sum();
     shard.counters.add(&shard.counters.batches, 1);
-    match plan.precision() {
-        crate::precision::Precision::F32Rescore => {
-            shard.counters.add(&shard.counters.f32_batches, 1);
+    // Fold the batch and the solver's screen work into the lane of the
+    // tier the plan screens in. Under concurrency another worker's
+    // in-flight scan may drain here — attribution is per-shard, and a
+    // shard's plan has one screen mode, so the per-tier totals stay exact.
+    if let Some(tier) = plan.precision().forced_tier() {
+        let lane = &shard.counters.lanes[tier.index()];
+        shard.counters.add(&lane.batches, 1);
+        if let Some(tally) = solver.take_screen_stats() {
+            shard.counters.add(&lane.candidates, tally.screened);
+            shard.counters.add(&lane.survivors, tally.rescored);
         }
-        crate::precision::Precision::I8Rescore => {
-            shard.counters.add(&shard.counters.i8_batches, 1);
-        }
-        _ => {}
-    }
-    // Fold the solver's screen work into the shard's per-mode counters.
-    // Under concurrency another worker's in-flight scan may drain here —
-    // attribution is per-shard, and a shard's plan has one screen mode, so
-    // the per-mode totals stay exact.
-    if let Some(tally) = solver.take_screen_stats() {
-        let (candidates, survivors) = match plan.precision() {
-            crate::precision::Precision::I8Rescore => (
-                &shard.counters.screen_candidates_i8,
-                &shard.counters.screen_survivors_i8,
-            ),
-            _ => (
-                &shard.counters.screen_candidates_f32,
-                &shard.counters.screen_survivors_f32,
-            ),
-        };
-        shard.counters.add(candidates, tally.screened);
-        shard.counters.add(survivors, tally.rescored);
     }
     shard.counters.add(&shard.counters.busy_ns, busy_ns);
     shard

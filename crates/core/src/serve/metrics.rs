@@ -8,6 +8,7 @@
 
 use crate::engine::IndexScope;
 use crate::sync::atomic::{AtomicU64, Ordering};
+use mips_topk::ScreenTier;
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -297,6 +298,47 @@ impl LatencySnapshot {
     }
 }
 
+/// One screen tier's lane of a shard's counters.
+#[derive(Default)]
+pub struct TierLane {
+    /// Solver invocations served through a plan screening in this tier —
+    /// `batches` minus every lane's share ran f64-direct.
+    pub(crate) batches: AtomicU64,
+    /// Scores the tier's screen evaluated across this shard's batches.
+    pub(crate) candidates: AtomicU64,
+    /// Of those, candidates surviving to the exact f64 rescore.
+    pub(crate) survivors: AtomicU64,
+}
+
+/// Point-in-time view of one screen tier's lane of a shard's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TierLaneMetrics {
+    /// Batches served through a plan screening in this tier.
+    pub batches: u64,
+    /// Scores the tier's screen evaluated.
+    pub candidates: u64,
+    /// Candidates that survived to the exact f64 rescore.
+    pub survivors: u64,
+}
+
+/// One [`TierLaneMetrics`] per tier, in [`ScreenTier::ALL`] order.
+pub type TierLanes = [TierLaneMetrics; ScreenTier::ALL.len()];
+
+/// Writes the per-tier lanes as `<tier>_batches` fields followed by
+/// `screen_candidates_<tier>` / `screen_survivors_<tier>` pairs.
+fn write_lanes_json(lanes: &TierLanes, w: &mut JsonWriter) {
+    for (tier, lane) in ScreenTier::ALL.iter().zip(lanes) {
+        w.field_u64(&format!("{}_batches", tier.name()), lane.batches);
+    }
+    for (tier, lane) in ScreenTier::ALL.iter().zip(lanes) {
+        w.field_u64(
+            &format!("screen_candidates_{}", tier.name()),
+            lane.candidates,
+        );
+        w.field_u64(&format!("screen_survivors_{}", tier.name()), lane.survivors);
+    }
+}
+
 /// One shard's serving counters, updated lock-free by the worker pool.
 #[derive(Default)]
 pub struct ShardCounters {
@@ -306,19 +348,9 @@ pub struct ShardCounters {
     pub(crate) completed: AtomicU64,
     /// Solver invocations (a micro-batch counts once).
     pub(crate) batches: AtomicU64,
-    /// Solver invocations served through a mixed-precision f32-screen
-    /// plan — `batches - f32_batches - i8_batches` ran f64-direct.
-    pub(crate) f32_batches: AtomicU64,
-    /// Solver invocations served through an int8-screen plan.
-    pub(crate) i8_batches: AtomicU64,
-    /// Scores the f32 screen evaluated across this shard's batches.
-    pub(crate) screen_candidates_f32: AtomicU64,
-    /// Of those, candidates surviving to the exact f64 rescore.
-    pub(crate) screen_survivors_f32: AtomicU64,
-    /// Scores the int8 screen evaluated across this shard's batches.
-    pub(crate) screen_candidates_i8: AtomicU64,
-    /// Of those, candidates surviving to the exact f64 rescore.
-    pub(crate) screen_survivors_i8: AtomicU64,
+    /// The mixed-precision share of `batches`, one lane per screen tier
+    /// (indexed by [`ScreenTier::index`]).
+    pub(crate) lanes: [TierLane; ScreenTier::ALL.len()],
     /// Sub-requests that shared their solver invocation with at least one
     /// other sub-request (i.e. were actually coalesced).
     pub(crate) coalesced: AtomicU64,
@@ -348,6 +380,9 @@ impl ShardCounters {
         users: Range<usize>,
         index_scope: IndexScope,
     ) -> ShardMetrics {
+        // The snapshot keeps one named field per lane (its public shape);
+        // the pattern's arity pins it to `ScreenTier::ALL`, in that order.
+        let [f32, i8] = &self.lanes;
         ShardMetrics {
             shard,
             users,
@@ -355,12 +390,12 @@ impl ShardCounters {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            f32_batches: self.f32_batches.load(Ordering::Relaxed),
-            i8_batches: self.i8_batches.load(Ordering::Relaxed),
-            screen_candidates_f32: self.screen_candidates_f32.load(Ordering::Relaxed),
-            screen_survivors_f32: self.screen_survivors_f32.load(Ordering::Relaxed),
-            screen_candidates_i8: self.screen_candidates_i8.load(Ordering::Relaxed),
-            screen_survivors_i8: self.screen_survivors_i8.load(Ordering::Relaxed),
+            f32_batches: f32.batches.load(Ordering::Relaxed),
+            i8_batches: i8.batches.load(Ordering::Relaxed),
+            screen_candidates_f32: f32.candidates.load(Ordering::Relaxed),
+            screen_survivors_f32: f32.survivors.load(Ordering::Relaxed),
+            screen_candidates_i8: i8.candidates.load(Ordering::Relaxed),
+            screen_survivors_i8: i8.survivors.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             users_served: self.users_served.load(Ordering::Relaxed),
             busy_seconds: self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
@@ -425,6 +460,23 @@ pub struct ShardMetrics {
 }
 
 impl ShardMetrics {
+    /// The per-tier lanes as data, in [`ScreenTier::ALL`] order — what the
+    /// JSON rendering and the server rollup loop over.
+    pub fn lanes(&self) -> TierLanes {
+        [
+            TierLaneMetrics {
+                batches: self.f32_batches,
+                candidates: self.screen_candidates_f32,
+                survivors: self.screen_survivors_f32,
+            },
+            TierLaneMetrics {
+                batches: self.i8_batches,
+                candidates: self.screen_candidates_i8,
+                survivors: self.screen_survivors_i8,
+            },
+        ]
+    }
+
     /// Writes this shard's counters as one JSON object element into `w`
     /// (call between `begin_arr_field`/`end_arr`).
     pub fn write_json(&self, w: &mut JsonWriter) {
@@ -438,12 +490,7 @@ impl ShardMetrics {
         w.field_u64("submitted", self.submitted);
         w.field_u64("completed", self.completed);
         w.field_u64("batches", self.batches);
-        w.field_u64("f32_batches", self.f32_batches);
-        w.field_u64("i8_batches", self.i8_batches);
-        w.field_u64("screen_candidates_f32", self.screen_candidates_f32);
-        w.field_u64("screen_survivors_f32", self.screen_survivors_f32);
-        w.field_u64("screen_candidates_i8", self.screen_candidates_i8);
-        w.field_u64("screen_survivors_i8", self.screen_survivors_i8);
+        write_lanes_json(&self.lanes(), w);
         w.field_u64("coalesced", self.coalesced);
         w.field_u64("users_served", self.users_served);
         w.field_f64("busy_seconds", self.busy_seconds, 6);
@@ -503,6 +550,19 @@ impl ServerMetrics {
     /// Total micro-batches executed across shards.
     pub fn batches(&self) -> u64 {
         self.shards.iter().map(|s| s.batches).sum()
+    }
+
+    /// Per-tier totals across shards, in [`ScreenTier::ALL`] order.
+    pub fn lanes(&self) -> TierLanes {
+        let mut total = TierLanes::default();
+        for shard in &self.shards {
+            for (sum, lane) in total.iter_mut().zip(shard.lanes()) {
+                sum.batches += lane.batches;
+                sum.candidates += lane.candidates;
+                sum.survivors += lane.survivors;
+            }
+        }
+        total
     }
 
     /// Total micro-batches served through f32-screen plans.
@@ -568,14 +628,7 @@ impl ServerMetrics {
         w.field_str("precision", self.precision.as_str());
         w.field_u64("swaps", self.swaps);
         w.field_u64("batches", self.batches());
-        w.field_u64("f32_batches", self.f32_batches());
-        w.field_u64("i8_batches", self.i8_batches());
-        let (cand_f32, surv_f32) = self.screen_f32();
-        w.field_u64("screen_candidates_f32", cand_f32);
-        w.field_u64("screen_survivors_f32", surv_f32);
-        let (cand_i8, surv_i8) = self.screen_i8();
-        w.field_u64("screen_candidates_i8", cand_i8);
-        w.field_u64("screen_survivors_i8", surv_i8);
+        write_lanes_json(&self.lanes(), w);
         w.field_u64("coalesced", self.coalesced());
         w.field_f64("mean_batch", self.mean_batch_size(), 2);
         w.field_u64("local_index_builds", self.local_index_builds());
@@ -726,9 +779,10 @@ mod tests {
         let shard_counters = ShardCounters::default();
         shard_counters.add(&shard_counters.submitted, 3);
         shard_counters.add(&shard_counters.completed, 3);
-        shard_counters.add(&shard_counters.i8_batches, 2);
-        shard_counters.add(&shard_counters.screen_candidates_i8, 120);
-        shard_counters.add(&shard_counters.screen_survivors_i8, 7);
+        let i8_lane = &shard_counters.lanes[ScreenTier::I8.index()];
+        shard_counters.add(&i8_lane.batches, 2);
+        shard_counters.add(&i8_lane.candidates, 120);
+        shard_counters.add(&i8_lane.survivors, 7);
         shard_counters.latency.record_ns(1_000);
         let shard = shard_counters.snapshot(0, 0..25, IndexScope::PerShard);
         let metrics = ServerMetrics {

@@ -1,9 +1,9 @@
 //! The common solver interface and the legacy strategy enum.
 //!
 //! [`Strategy`] predates the [`crate::engine`] facade and is kept as a thin
-//! **deprecated** compatibility shim: each variant maps to a registry key,
-//! and its construction methods are deprecated in favor of registering
-//! backends with [`crate::engine::BackendRegistry`] (or passing
+//! naming shim: each variant maps to a registry key and the
+//! [`SolverFactory`] the registry would hold for it. Solvers are built by
+//! registering backends with [`crate::engine::BackendRegistry`] (or passing
 //! [`SolverFactory`] values directly to OPTIMUS and the oracle).
 
 use crate::engine::registry::{
@@ -12,9 +12,8 @@ use crate::engine::registry::{
 use crate::maximus::MaximusConfig;
 use crate::precision::Precision;
 use crate::sync::Arc;
-use mips_data::MfModel;
 use mips_lemp::LempConfig;
-use mips_topk::TopKList;
+use mips_topk::{ScreenTier, TopKList};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -51,10 +50,11 @@ pub trait MipsSolver: Send + Sync {
         self.query_range(k, 0..self.num_users())
     }
 
-    /// The numeric path this solver serves through: [`Precision::F32Rescore`]
-    /// when scans screen in f32 before the exact f64 rescore, otherwise
-    /// [`Precision::F64`]. Results are bit-identical either way; the engine
-    /// records the effective value on prepared plans and responses.
+    /// The numeric path this solver serves through:
+    /// [`Precision::of_tier`] of the screen tier its scans run in before
+    /// the exact f64 rescore, [`Precision::F64`] without one. Results are
+    /// bit-identical either way; the engine records the effective value on
+    /// prepared plans and responses.
     fn precision(&self) -> Precision {
         Precision::F64
     }
@@ -84,6 +84,15 @@ pub trait MipsSolver: Send + Sync {
     fn take_screen_stats(&self) -> Option<ScreenTally> {
         None
     }
+}
+
+/// The display name of backend `base` armed with screen `tier` — the base
+/// name plus the tier's suffix (`"Blocked MM"` → `"Blocked MM+f32"`). Every
+/// screening solver derives its [`MipsSolver::name`] through this, so the
+/// `backend` response field and OPTIMUS estimates tell the numeric paths
+/// apart the same way for every backend and tier.
+pub(crate) fn screened_name(base: &str, tier: Option<ScreenTier>) -> String {
+    format!("{base}{}", tier.map_or("", ScreenTier::suffix))
 }
 
 /// One drain's worth of mixed-precision screen work (f32 or int8 tier —
@@ -164,13 +173,12 @@ pub fn dedup_query_subset(
         .collect()
 }
 
-/// A buildable serving strategy: the legacy unit OPTIMUS chose between.
+/// A named serving strategy: the legacy unit OPTIMUS chose between.
 ///
-/// Deprecated as a construction path: the optimizer, oracle, and benchmark
-/// harness now take [`SolverFactory`] values (the engine's
-/// [`crate::engine::BackendRegistry`] namespace). `Strategy` remains as a
-/// thin alias — [`Strategy::key`] and [`Strategy::factory`] bridge old
-/// call sites onto the registry.
+/// The optimizer, oracle, and benchmark harness take [`SolverFactory`]
+/// values (the engine's [`crate::engine::BackendRegistry`] namespace);
+/// `Strategy` remains as a thin alias — [`Strategy::key`] and
+/// [`Strategy::factory`] bridge old call sites onto the registry.
 #[derive(Debug, Clone)]
 pub enum Strategy {
     /// Brute-force blocked matrix multiply.
@@ -220,35 +228,6 @@ impl Strategy {
             Strategy::FexiproSi => Arc::new(FexiproFactory::si()),
             Strategy::FexiproSir => Arc::new(FexiproFactory::sir()),
         }
-    }
-
-    /// Builds the solver through the registry factory (index construction
-    /// happens here and is timed by the implementations).
-    ///
-    /// Compatibility path: panics if construction fails. Register the
-    /// backend with a [`crate::engine::BackendRegistry`] (or call
-    /// [`SolverFactory::build`] via [`Strategy::factory`]) for typed errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build through the engine's BackendRegistry / SolverFactory instead"
-    )]
-    pub fn build(&self, model: &Arc<MfModel>) -> Box<dyn MipsSolver> {
-        self.factory()
-            .build(model)
-            .unwrap_or_else(|err| panic!("Strategy::build({}): {err}", self.name()))
-    }
-
-    /// `build` over a contiguous user-range view of a model (shard-local
-    /// index construction). The produced solver addresses users by local
-    /// row (`0..view.num_users()`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build through the engine's BackendRegistry / SolverFactory instead"
-    )]
-    pub fn build_over(&self, view: &mips_data::ModelView) -> Box<dyn MipsSolver> {
-        self.factory()
-            .build_view(view)
-            .unwrap_or_else(|err| panic!("Strategy::build_over({}): {err}", self.name()))
     }
 }
 
@@ -323,7 +302,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the compat path stays covered until it is removed
     fn every_strategy_builds_and_answers() {
         let model = Arc::new(synth_model(&SynthConfig {
             num_users: 25,
@@ -338,7 +316,7 @@ mod tests {
             Strategy::FexiproSi,
             Strategy::FexiproSir,
         ] {
-            let solver = strategy.build(&model);
+            let solver = strategy.factory().build(&model).unwrap();
             assert_eq!(solver.name(), strategy.name());
             assert_eq!(solver.num_users(), 25);
             let all = solver.query_all(3);

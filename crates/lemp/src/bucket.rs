@@ -7,7 +7,8 @@
 //! checkpoint.
 
 use mips_linalg::kernels::{norm2, suffix_norms};
-use mips_linalg::{quantize_row_i8, Matrix, I8_DOT_MAX_LEN};
+use mips_linalg::Matrix;
+use mips_topk::ItemMirror;
 
 /// One bucket of norm-adjacent items.
 #[derive(Debug, Clone)]
@@ -26,28 +27,10 @@ pub struct Bucket {
     pub dir_suffix_at_cp: Vec<f64>,
     /// Largest norm in the bucket (`b₁` in the paper's notation).
     pub max_norm: f64,
-    /// Rounded single-precision mirror of [`Bucket::vectors`], present only
-    /// after [`Bucket::build_screen_mirror`]: the f32 screen scores items
-    /// from these rows before the exact verification dot (see
-    /// [`crate::scan`]).
-    pub vectors32: Option<Matrix<f32>>,
-    /// Symmetric int8 mirror of [`Bucket::vectors`], present only after a
-    /// successful [`Bucket::build_screen_mirror_i8`]: the int8 screen
-    /// scores items with exact integer dots before the exact verification
-    /// dot (see [`crate::scan`]).
-    pub vectors_i8: Option<BucketI8>,
-}
-
-/// One bucket's int8 screen data (row-aligned with [`Bucket::ids`]).
-#[derive(Debug, Clone)]
-pub struct BucketI8 {
-    /// Item codes, row-major (`n × f`), quantized per row with the shared
-    /// [`mips_linalg::quant`] policy.
-    pub codes: Vec<i8>,
-    /// `1 / s_i` per row (reconstruction multipliers).
-    pub inv_scales: Vec<f64>,
-    /// Exact L1 norm per row (envelope input).
-    pub l1: Vec<f64>,
+    /// [`Bucket::vectors`] in the armed screen tier's storage, present only
+    /// after [`crate::LempIndex::enable_screen`]: the scans pre-score items
+    /// against it before the exact verification dot (see [`crate::scan`]).
+    pub mirror: Option<ItemMirror>,
 }
 
 impl Bucket {
@@ -59,51 +42,6 @@ impl Bucket {
     /// `true` when the bucket holds no items.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
-    }
-
-    /// Fills [`Bucket::vectors32`] with the rounded single-precision copy
-    /// of the item vectors, enabling the mixed-precision screen in the
-    /// scans. Idempotent; a no-op when the mirror already exists.
-    pub fn build_screen_mirror(&mut self) {
-        if self.vectors32.is_none() {
-            let (n, f) = (self.vectors.rows(), self.vectors.cols());
-            self.vectors32 = Some(Matrix::from_fn(n, f, |r, c| self.vectors.get(r, c) as f32));
-        }
-    }
-
-    /// Fills [`Bucket::vectors_i8`] with the symmetric int8 codes of the
-    /// item vectors, enabling the int8 screen in the scans. Returns `false`
-    /// — leaving the bucket unmirrored — when quantization degenerates:
-    /// the factor count exceeds the i32-overflow cap
-    /// ([`mips_linalg::I8_DOT_MAX_LEN`]) or a row's scale or L1 norm is
-    /// non-finite (subnormal magnitudes). Idempotent; `true` when the
-    /// mirror already exists.
-    pub fn build_screen_mirror_i8(&mut self) -> bool {
-        if self.vectors_i8.is_some() {
-            return true;
-        }
-        let (n, f) = (self.vectors.rows(), self.vectors.cols());
-        if f > I8_DOT_MAX_LEN {
-            return false;
-        }
-        let mut codes = vec![0i8; n * f];
-        let mut inv_scales = Vec::with_capacity(n);
-        let mut l1 = Vec::with_capacity(n);
-        for r in 0..n {
-            let (scale, row_l1) =
-                quantize_row_i8(self.vectors.row(r), &mut codes[r * f..(r + 1) * f]);
-            if !(scale.is_finite() && row_l1.is_finite()) {
-                return false;
-            }
-            inv_scales.push(1.0 / scale);
-            l1.push(row_l1);
-        }
-        self.vectors_i8 = Some(BucketI8 {
-            codes,
-            inv_scales,
-            l1,
-        });
-        true
     }
 }
 
@@ -166,8 +104,7 @@ pub fn build_buckets(items: &Matrix<f64>, bucket_size: usize, checkpoint: usize)
                 norms,
                 dir_suffix_at_cp,
                 max_norm,
-                vectors32: None,
-                vectors_i8: None,
+                mirror: None,
             }
         })
         .collect()
@@ -240,59 +177,6 @@ mod tests {
             let direct = norm2(&b.dirs.row(r)[cp..]);
             assert!((b.dir_suffix_at_cp[r] - direct).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn screen_mirror_rounds_every_vector_entry() {
-        let mut buckets = build_buckets(&items(), 2, 1);
-        assert!(buckets.iter().all(|b| b.vectors32.is_none()));
-        for b in &mut buckets {
-            b.build_screen_mirror();
-            let v32 = b.vectors32.as_ref().unwrap();
-            assert_eq!(
-                (v32.rows(), v32.cols()),
-                (b.vectors.rows(), b.vectors.cols())
-            );
-            for r in 0..b.len() {
-                for c in 0..v32.cols() {
-                    assert_eq!(v32.get(r, c), b.vectors.get(r, c) as f32);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn i8_mirror_quantizes_every_row_with_the_shared_policy() {
-        let mut buckets = build_buckets(&items(), 3, 1);
-        for b in &mut buckets {
-            assert!(b.build_screen_mirror_i8());
-            assert!(b.build_screen_mirror_i8(), "not idempotent");
-            let q = b.vectors_i8.as_ref().unwrap();
-            assert_eq!(q.codes.len(), b.len() * b.vectors.cols());
-            for r in 0..b.len() {
-                let row = b.vectors.row(r);
-                let max_abs = row.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-                let scale = mips_linalg::scale_for(max_abs, mips_linalg::I8_QUANT_LEVEL);
-                assert!(
-                    (q.inv_scales[r] - 1.0 / scale).abs() <= f64::EPSILON * q.inv_scales[r].abs()
-                );
-                let f = b.vectors.cols();
-                for (c, &v) in row.iter().enumerate() {
-                    let want = (v * scale).round().clamp(-127.0, 127.0) as i8;
-                    assert_eq!(q.codes[r * f + c], want, "row {r} col {c}");
-                }
-                let l1: f64 = row.iter().map(|v| v.abs()).sum();
-                assert_eq!(q.l1[r], l1);
-            }
-        }
-    }
-
-    #[test]
-    fn i8_mirror_refuses_subnormal_rows() {
-        let m = Matrix::from_rows(&[vec![1.0e-320, 0.0], vec![1.0, 2.0]]).unwrap();
-        let mut buckets = build_buckets(&m, 10, 1);
-        assert!(!buckets[0].build_screen_mirror_i8());
-        assert!(buckets[0].vectors_i8.is_none());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::config::LempConfig;
 use crate::scan::{inflate, scan_bucket, RetrievalAlgo, ScanStats, UserCtx};
 use crate::tuner::tune_buckets;
 use mips_data::MfModel;
-use mips_topk::{TopKHeap, TopKList};
+use mips_topk::{ItemMirror, ScreenTier, TopKHeap, TopKList};
 
 /// Cumulative work counters for a sequence of queries.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,8 +29,8 @@ pub struct LempIndex {
     algos: Vec<RetrievalAlgo>,
     checkpoint: usize,
     num_factors: usize,
-    screening: bool,
-    screening_i8: bool,
+    /// The armed screen tier; every bucket then carries its mirror.
+    screen: Option<ScreenTier>,
 }
 
 impl LempIndex {
@@ -54,50 +54,38 @@ impl LempIndex {
             algos,
             checkpoint,
             num_factors: f,
-            screening: false,
-            screening_i8: false,
+            screen: None,
         }
     }
 
-    /// Enables the mixed-precision screen: every bucket gets a rounded
-    /// single-precision mirror of its item vectors, and subsequent queries
-    /// pre-score candidates in f32 — pruning only those the
-    /// [`mips_linalg::f32_screen_envelope`]-widened score proves cannot
-    /// enter the heap — before the exact f64 verification dot. Results
-    /// stay bit-identical to the pure double-precision scan (see
-    /// [`crate::scan`]). Idempotent.
-    pub fn enable_screen(&mut self) {
-        for b in &mut self.buckets {
-            b.build_screen_mirror();
-        }
-        self.screening = true;
-    }
-
-    /// Enables the int8 screen — the tier below
-    /// [`LempIndex::enable_screen`]: every bucket gets a symmetric int8
-    /// mirror of its item vectors, and subsequent queries pre-score
-    /// candidates with exact integer dots, pruning only those the
-    /// [`mips_linalg::i8_screen_envelope_parts`]-widened estimate proves
-    /// cannot enter the heap. Results stay bit-identical (see
-    /// [`crate::scan`]). No-op — the index keeps its plain identity — when
-    /// any bucket's quantization degenerates (subnormal rows, factor
-    /// counts past [`mips_linalg::I8_DOT_MAX_LEN`]). Takes precedence over
-    /// an armed f32 screen. Idempotent.
-    pub fn enable_screen_i8(&mut self) {
-        if self.buckets.iter_mut().all(|b| b.build_screen_mirror_i8()) {
-            self.screening_i8 = true;
+    /// Arms the mixed-precision screen in `tier`: every bucket gets a
+    /// mirror of its item vectors in the tier's storage, and subsequent
+    /// queries pre-score candidates against it — pruning only those the
+    /// envelope-widened screen score proves cannot enter the heap — before
+    /// the exact f64 verification dot. Results stay bit-identical to the
+    /// pure double-precision scan (see [`crate::scan`]).
+    ///
+    /// Re-arming replaces the previous tier's mirrors. When any bucket has
+    /// no usable mirror in `tier` (int8: subnormal rows, factor counts past
+    /// [`mips_linalg::I8_DOT_MAX_LEN`]) the call changes nothing — the index
+    /// keeps whatever tier, if any, was armed before.
+    pub fn enable_screen(&mut self, tier: ScreenTier) {
+        let mirrors: Option<Vec<ItemMirror>> = self
+            .buckets
+            .iter()
+            .map(|b| ItemMirror::build(&b.vectors, tier))
+            .collect();
+        if let Some(mirrors) = mirrors {
+            for (bucket, mirror) in self.buckets.iter_mut().zip(mirrors) {
+                bucket.mirror = Some(mirror);
+            }
+            self.screen = Some(tier);
         }
     }
 
-    /// `true` once [`LempIndex::enable_screen`] has armed the f32 screen.
-    pub fn is_screening(&self) -> bool {
-        self.screening
-    }
-
-    /// `true` once [`LempIndex::enable_screen_i8`] has armed the int8
-    /// screen (never on models whose quantization is degenerate).
-    pub fn is_screening_i8(&self) -> bool {
-        self.screening_i8
+    /// The armed screen tier, if any.
+    pub fn screen(&self) -> Option<ScreenTier> {
+        self.screen
     }
 
     /// Number of buckets.
@@ -126,14 +114,10 @@ impl LempIndex {
             self.num_factors,
             "LempIndex::query: user dimensionality mismatch"
         );
-        let ctx = UserCtx::new(user, self.checkpoint);
-        let ctx = if self.screening_i8 {
-            ctx.with_screen_i8()
-        } else if self.screening {
-            ctx.with_screen()
-        } else {
-            ctx
-        };
+        let mut ctx = UserCtx::new(user, self.checkpoint);
+        if let Some(tier) = self.screen {
+            ctx = ctx.with_screen(tier);
+        }
         let mut heap = TopKHeap::new(k);
         for (b, bucket) in self.buckets.iter().enumerate() {
             // Buckets descend in max norm: once even the best possible score
@@ -243,44 +227,61 @@ mod tests {
     fn screened_index_is_bit_identical_and_prunes() {
         let m = model(0.8);
         let plain = LempIndex::build(&m, &LempConfig::default());
-        let mut screened = plain.clone();
-        assert!(!screened.is_screening());
-        screened.enable_screen();
-        assert!(screened.is_screening());
-        let mut stats = QueryStats::default();
-        for k in [1usize, 5, 17] {
-            for u in 0..m.num_users() {
-                let want = plain.query(m.users().row(u), k);
-                let got = screened.query_with_stats(m.users().row(u), k, &mut stats);
-                assert_eq!(got.items, want.items, "k={k} u={u}");
-                for (a, b) in got.scores.iter().zip(&want.scores) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} u={u}");
+        assert_eq!(plain.screen(), None);
+        for tier in ScreenTier::ALL {
+            let mut screened = plain.clone();
+            screened.enable_screen(tier);
+            assert_eq!(screened.screen(), Some(tier));
+            let mut stats = QueryStats::default();
+            for k in [1usize, 5, 17] {
+                for u in 0..m.num_users() {
+                    let want = plain.query(m.users().row(u), k);
+                    let got = screened.query_with_stats(m.users().row(u), k, &mut stats);
+                    assert_eq!(got.items, want.items, "{tier:?} k={k} u={u}");
+                    for (a, b) in got.scores.iter().zip(&want.scores) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{tier:?} k={k} u={u}");
+                    }
                 }
             }
+            assert!(
+                stats.scan.screen_pruned > 0,
+                "{tier:?} screen never engaged"
+            );
         }
-        assert!(stats.scan.screen_pruned > 0, "screen never engaged");
     }
 
     #[test]
-    fn screened_i8_index_is_bit_identical_and_prunes() {
+    fn rearming_replaces_the_mirrors_and_a_degenerate_request_changes_nothing() {
+        let tiers = |index: &LempIndex| -> Vec<Option<ScreenTier>> {
+            let per_bucket = index.buckets.iter();
+            per_bucket
+                .map(|b| b.mirror.as_ref().map(ItemMirror::tier))
+                .collect()
+        };
         let m = model(0.8);
-        let plain = LempIndex::build(&m, &LempConfig::default());
-        let mut screened = plain.clone();
-        assert!(!screened.is_screening_i8());
-        screened.enable_screen_i8();
-        assert!(screened.is_screening_i8());
-        let mut stats = QueryStats::default();
-        for k in [1usize, 5, 17] {
-            for u in 0..m.num_users() {
-                let want = plain.query(m.users().row(u), k);
-                let got = screened.query_with_stats(m.users().row(u), k, &mut stats);
-                assert_eq!(got.items, want.items, "k={k} u={u}");
-                for (a, b) in got.scores.iter().zip(&want.scores) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} u={u}");
-                }
-            }
-        }
-        assert!(stats.scan.screen_pruned > 0, "i8 screen never engaged");
+        let mut index = LempIndex::build(&m, &LempConfig::default());
+        index.enable_screen(ScreenTier::F32);
+        index.enable_screen(ScreenTier::I8);
+        assert_eq!(index.screen(), Some(ScreenTier::I8));
+        // One mirror per bucket, in the newly armed tier: the f32 rows are
+        // dropped, not resident next to the int8 codes.
+        assert!(tiers(&index).iter().all(|&t| t == Some(ScreenTier::I8)));
+
+        // Subnormal item rows cannot be quantized: the int8 request is
+        // refused and the previously armed f32 tier keeps serving.
+        let degenerate = MfModel::new(
+            "subnormal",
+            mips_linalg::Matrix::from_fn(4, 4, |r, c| ((r + c) as f64 + 1.0) * 1.0e-320),
+            mips_linalg::Matrix::from_fn(9, 4, |r, c| ((r * c) as f64 + 1.0) * 1.0e-320),
+        )
+        .unwrap();
+        let mut index = LempIndex::build(&degenerate, &LempConfig::default());
+        index.enable_screen(ScreenTier::I8);
+        assert_eq!(index.screen(), None);
+        index.enable_screen(ScreenTier::F32);
+        index.enable_screen(ScreenTier::I8);
+        assert_eq!(index.screen(), Some(ScreenTier::F32));
+        assert!(tiers(&index).iter().all(|&t| t == Some(ScreenTier::F32)));
     }
 
     #[test]

@@ -14,24 +14,19 @@
 //! which dominates the proved re-association bound
 //! ([`mips_linalg::sumsq_reassoc_bound`]) by orders of magnitude.
 //!
-//! When the index carries f32 mirrors, a **mixed-precision screen** runs
-//! just before each verification dot: the item is scored through the
-//! single-precision kernels, the score widened by the
-//! [`mips_linalg::f32_screen_envelope`] error bound, and the exact dot is
-//! skipped when even the widened score cannot reach the heap threshold —
-//! the skipped push was guaranteed to be rejected, so results stay
+//! When the index carries a screen-tier mirror
+//! ([`crate::LempIndex::enable_screen`]), a **mixed-precision screen** runs
+//! just before each verification dot: the item is scored in the tier's
+//! arithmetic (single-precision kernels, or exact integer dots over
+//! symmetric int8 codes), the score widened by the tier's error envelope
+//! ([`mips_topk::UserScreen::upper_bound`]), and the exact dot is skipped
+//! when even the widened score cannot reach the heap threshold — the
+//! skipped push was guaranteed to be rejected, so results stay
 //! bit-identical to the pure double-precision scan.
-//!
-//! The **int8 screen** is the tier below: items carry symmetric int8 codes
-//! ([`crate::bucket::BucketI8`]), the pre-score is an exact integer dot
-//! reconstructed through the per-row scales, and the widening envelope is
-//! [`mips_linalg::i8_screen_envelope_parts`] — the same skip-only-when-
-//! hopeless discipline, an eighth of the scan bandwidth.
 
 use crate::bucket::Bucket;
-use mips_linalg::kernels::{dot, f32_screen_envelope_parts, norm2, suffix_norms};
-use mips_linalg::{dot_i8, i8_screen_envelope_parts, quantize_row_i8};
-use mips_topk::TopKHeap;
+use mips_linalg::kernels::{dot, norm2, suffix_norms};
+use mips_topk::{ScreenTier, TopKHeap, UserScreen};
 
 /// Relative inflation applied to every pruning bound.
 ///
@@ -69,35 +64,6 @@ pub enum RetrievalAlgo {
     Incr,
 }
 
-/// Per-user state of the mixed-precision screen (consumed by the scan
-/// kernels' verify-and-push step).
-#[derive(Debug, Clone)]
-pub struct ScreenCtx {
-    /// Rounded single-precision copy of the user vector.
-    pub user32: Vec<f32>,
-    /// `rel · ‖u‖` where `(rel, abs) = f32_screen_envelope_parts(f)`: the
-    /// per-item screen envelope is `env_rel_u · ‖i‖ + env_abs`.
-    pub env_rel_u: f64,
-    /// The envelope's absolute term.
-    pub env_abs: f64,
-}
-
-/// Per-user state of the int8 screen (consumed by the scan kernels'
-/// verify-and-push step, preferred over [`ScreenCtx`] when both are armed).
-#[derive(Debug, Clone)]
-pub struct ScreenCtxI8 {
-    /// Symmetric int8 codes of the user vector.
-    pub codes: Vec<i8>,
-    /// `1 / s_u` (reconstruction multiplier).
-    pub inv_su: f64,
-    /// The envelope's scale-proportional term `a` of
-    /// [`i8_screen_envelope_parts`]: the per-item envelope is
-    /// `env_a · (1/s_i) + env_b · ‖i‖₁`.
-    pub env_a: f64,
-    /// The envelope's L1-proportional term `b`.
-    pub env_b: f64,
-}
-
 /// Per-user query state shared across buckets.
 #[derive(Debug, Clone)]
 pub struct UserCtx {
@@ -111,11 +77,9 @@ pub struct UserCtx {
     pub unit_suffix_at_cp: f64,
     /// The INCR checkpoint used to compute `unit_suffix_at_cp`.
     pub checkpoint: usize,
-    /// f32 screen state, present only via [`UserCtx::with_screen`].
-    pub screen: Option<ScreenCtx>,
-    /// int8 screen state, present only via [`UserCtx::with_screen_i8`]
-    /// (and only when the user row quantizes finitely).
-    pub screen_i8: Option<ScreenCtxI8>,
+    /// Screen state, present only via [`UserCtx::with_screen`] (and only
+    /// when the user row has a usable representation in that tier).
+    pub screen: Option<UserScreen>,
 }
 
 impl UserCtx {
@@ -142,42 +106,15 @@ impl UserCtx {
             unit_suffix_at_cp,
             checkpoint,
             screen: None,
-            screen_i8: None,
         }
     }
 
-    /// Arms the mixed-precision screen: rounds the user vector to f32 and
-    /// precomputes the [`mips_linalg::f32_screen_envelope`] coefficients.
-    /// Only buckets that carry an f32 mirror
-    /// ([`Bucket::build_screen_mirror`]) actually screen.
-    pub fn with_screen(mut self) -> UserCtx {
-        let (rel, abs) = f32_screen_envelope_parts(self.user.len());
-        self.screen = Some(ScreenCtx {
-            user32: self.user.iter().map(|&v| v as f32).collect(),
-            env_rel_u: rel * self.norm,
-            env_abs: abs,
-        });
-        self
-    }
-
-    /// Arms the int8 screen: quantizes the user vector to symmetric int8
-    /// codes and precomputes the [`i8_screen_envelope_parts`] coefficients.
-    /// A user row whose quantization degenerates (non-finite scale or L1)
-    /// scans unscreened — still exact, just unaccelerated. Only buckets
-    /// that carry an int8 mirror ([`Bucket::build_screen_mirror_i8`])
-    /// actually screen.
-    pub fn with_screen_i8(mut self) -> UserCtx {
-        let mut codes = vec![0i8; self.user.len()];
-        let (su, ul1) = quantize_row_i8(&self.user, &mut codes);
-        if su.is_finite() && ul1.is_finite() {
-            let (env_a, env_b) = i8_screen_envelope_parts(self.user.len(), su, ul1);
-            self.screen_i8 = Some(ScreenCtxI8 {
-                codes,
-                inv_su: 1.0 / su,
-                env_a,
-                env_b,
-            });
-        }
+    /// Arms the mixed-precision screen in `tier`. A user row the tier
+    /// cannot represent (degenerate int8 quantization) scans unscreened —
+    /// still exact, just unaccelerated. Only buckets that carry a mirror of
+    /// the same tier actually screen.
+    pub fn with_screen(mut self, tier: ScreenTier) -> UserCtx {
+        self.screen = UserScreen::arm(&self.user, self.norm, tier);
         self
     }
 }
@@ -228,17 +165,14 @@ pub fn scan_bucket(
 }
 
 /// The exact verification dot and push, gated by the mixed-precision
-/// screen when both sides carry f32 mirrors ([`UserCtx::with_screen`],
-/// [`Bucket::build_screen_mirror`]).
+/// screen when both sides carry the armed tier ([`UserCtx::with_screen`],
+/// [`Bucket::mirror`]).
 ///
-/// The screen scores the item through the dispatched single-precision
-/// kernel and widens the result by the
-/// [`mips_linalg::f32_screen_envelope`] error bound. When even the widened
-/// score sits strictly below the heap threshold, the exact score does too,
-/// so its push would have been rejected — skipping the f64 dot *and* the
-/// push leaves the heap trajectory, and therefore the results, bit-
-/// identical to the pure double-precision scan. A non-finite screen score
-/// (an operand overflowed the f32 range while rounding) never prunes.
+/// When even the envelope-widened screen score sits strictly below the
+/// heap threshold, the exact score does too, so its push would have been
+/// rejected — skipping the f64 dot *and* the push leaves the heap
+/// trajectory, and therefore the results, bit-identical to the pure
+/// double-precision scan.
 #[inline]
 fn verify_and_push(
     bucket: &Bucket,
@@ -249,25 +183,9 @@ fn verify_and_push(
     stats: &mut ScanStats,
 ) {
     if heap.is_full() {
-        // The int8 tier takes precedence when both screens are armed: same
-        // skip-only-when-hopeless discipline, an eighth of the bandwidth.
-        // The integer estimate is always finite by construction.
-        if let (Some(sc), Some(qi)) = (&ctx.screen_i8, bucket.vectors_i8.as_ref()) {
-            let f = sc.codes.len();
-            let d = dot_i8(&sc.codes, &qi.codes[r * f..(r + 1) * f]);
-            let inv_si = qi.inv_scales[r];
-            let est = d as f64 * (sc.inv_su * inv_si);
-            let env = sc.env_a * inv_si + sc.env_b * qi.l1[r];
+        if let (Some(screen), Some(mirror)) = (&ctx.screen, &bucket.mirror) {
             stats.screen_evaluated += 1;
-            if est + env < heap.threshold() {
-                stats.screen_pruned += 1;
-                return;
-            }
-        } else if let (Some(sc), Some(v32)) = (&ctx.screen, bucket.vectors32.as_ref()) {
-            let s32 = dot(&sc.user32, v32.row(r)) as f64;
-            let env = sc.env_rel_u.mul_add(bucket.norms[r], sc.env_abs);
-            stats.screen_evaluated += 1;
-            if s32.is_finite() && s32 + env < heap.threshold() {
+            if screen.upper_bound(mirror, r, bucket.norms[r]) < heap.threshold() {
                 stats.screen_pruned += 1;
                 return;
             }
@@ -345,12 +263,7 @@ mod tests {
         heap.into_sorted().items
     }
 
-    #[derive(Clone, Copy, PartialEq)]
-    enum Tier {
-        F64,
-        F32,
-        I8,
-    }
+    use mips_topk::ItemMirror;
 
     fn run_algo(
         algo: RetrievalAlgo,
@@ -358,7 +271,7 @@ mod tests {
         user: &[f64],
         k: usize,
     ) -> (Vec<u32>, ScanStats) {
-        let (list, stats) = run_algo_screened(algo, items, user, k, Tier::F64);
+        let (list, stats) = run_algo_screened(algo, items, user, k, None);
         (list.items, stats)
     }
 
@@ -367,25 +280,16 @@ mod tests {
         items: &Matrix<f64>,
         user: &[f64],
         k: usize,
-        tier: Tier,
+        tier: Option<ScreenTier>,
     ) -> (mips_topk::TopKList, ScanStats) {
         let cp = (items.cols() / 4).max(1);
         let mut buckets = build_buckets(items, 16, cp);
         let mut ctx = UserCtx::new(user, cp);
-        match tier {
-            Tier::F64 => {}
-            Tier::F32 => {
-                for b in &mut buckets {
-                    b.build_screen_mirror();
-                }
-                ctx = ctx.with_screen();
+        if let Some(tier) = tier {
+            for b in &mut buckets {
+                b.mirror = Some(ItemMirror::build(&b.vectors, tier).expect("usable mirror"));
             }
-            Tier::I8 => {
-                for b in &mut buckets {
-                    assert!(b.build_screen_mirror_i8());
-                }
-                ctx = ctx.with_screen_i8();
-            }
+            ctx = ctx.with_screen(tier);
         }
         let mut heap = TopKHeap::new(k);
         let mut stats = ScanStats::default();
@@ -483,8 +387,7 @@ mod tests {
     fn screened_scans_are_bit_identical_and_prune() {
         let items = random_items(300, 24, 11);
         let users = random_items(6, 24, 42);
-        let mut pruned_f32 = 0;
-        let mut pruned_i8 = 0;
+        let mut pruned = [0u64; ScreenTier::ALL.len()];
         for u in 0..users.rows() {
             let user = users.row(u);
             for k in [1usize, 4, 9] {
@@ -493,25 +396,26 @@ mod tests {
                     RetrievalAlgo::Length,
                     RetrievalAlgo::Incr,
                 ] {
-                    let (want, _) = run_algo_screened(algo, &items, user, k, Tier::F64);
-                    for tier in [Tier::F32, Tier::I8] {
-                        let (got, stats) = run_algo_screened(algo, &items, user, k, tier);
+                    let (want, _) = run_algo_screened(algo, &items, user, k, None);
+                    for tier in ScreenTier::ALL {
+                        let (got, stats) = run_algo_screened(algo, &items, user, k, Some(tier));
                         assert_eq!(got.items, want.items, "algo {algo:?} k={k} user {u}");
                         for (a, b) in got.scores.iter().zip(&want.scores) {
                             assert_eq!(a.to_bits(), b.to_bits(), "algo {algo:?} k={k} user {u}");
                         }
-                        match tier {
-                            Tier::F32 => pruned_f32 += stats.screen_pruned,
-                            _ => pruned_i8 += stats.screen_pruned,
-                        }
+                        pruned[tier.index()] += stats.screen_pruned;
                     }
                 }
             }
         }
         // Random dense scores leave most items far from the top-k
         // threshold: the screens must actually be saving exact dots.
-        assert!(pruned_f32 > 0, "f32 screen never pruned anything");
-        assert!(pruned_i8 > 0, "i8 screen never pruned anything");
+        for tier in ScreenTier::ALL {
+            assert!(
+                pruned[tier.index()] > 0,
+                "{tier:?} screen never pruned anything"
+            );
+        }
     }
 
     #[test]
@@ -520,42 +424,34 @@ mod tests {
         // behavior (the screen needs both sides).
         let items = random_items(80, 8, 3);
         let buckets = build_buckets(&items, 16, 2);
-        let ctx = UserCtx::new(items.row(0), 2).with_screen();
-        let mut heap = TopKHeap::new(5);
-        let mut stats = ScanStats::default();
-        for b in &buckets {
-            scan_bucket(RetrievalAlgo::Naive, b, &ctx, &mut heap, &mut stats);
+        for tier in ScreenTier::ALL {
+            let ctx = UserCtx::new(items.row(0), 2).with_screen(tier);
+            assert!(ctx.screen.is_some());
+            let mut heap = TopKHeap::new(5);
+            let mut stats = ScanStats::default();
+            for b in &buckets {
+                scan_bucket(RetrievalAlgo::Naive, b, &ctx, &mut heap, &mut stats);
+            }
+            assert_eq!(stats.screen_pruned, 0);
+            assert_eq!(stats.dots_computed, 80);
         }
-        assert_eq!(stats.screen_pruned, 0);
-        assert_eq!(stats.dots_computed, 80);
-    }
-
-    #[test]
-    fn i8_screen_without_bucket_mirror_degrades_to_plain_scan() {
-        let items = random_items(80, 8, 3);
-        let buckets = build_buckets(&items, 16, 2);
-        let ctx = UserCtx::new(items.row(0), 2).with_screen_i8();
-        assert!(ctx.screen_i8.is_some());
-        let mut heap = TopKHeap::new(5);
-        let mut stats = ScanStats::default();
-        for b in &buckets {
-            scan_bucket(RetrievalAlgo::Naive, b, &ctx, &mut heap, &mut stats);
-        }
-        assert_eq!(stats.screen_pruned, 0);
-        assert_eq!(stats.dots_computed, 80);
     }
 
     #[test]
     fn degenerate_user_rows_scan_unscreened_but_exact() {
-        // A subnormal user row quantizes to a non-finite scale: with_screen_i8
-        // must leave the screen unarmed rather than prune wrongly.
+        // A subnormal user row quantizes to a non-finite scale: with_screen
+        // must leave the int8 screen unarmed rather than prune wrongly.
         let items = random_items(60, 6, 9);
         let user = vec![1.0e-320; 6];
-        let ctx = UserCtx::new(&user, 2).with_screen_i8();
-        assert!(ctx.screen_i8.is_none());
-        let (got, stats) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, Tier::I8);
-        let (want, _) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, Tier::F64);
-        assert_eq!(got.items, want.items);
+        let ctx = UserCtx::new(&user, 2).with_screen(ScreenTier::I8);
+        assert!(ctx.screen.is_none());
+        let (want, _) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, None);
+        for tier in ScreenTier::ALL {
+            let (got, _) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, Some(tier));
+            assert_eq!(got.items, want.items, "{tier:?}");
+        }
+        let (_, stats) =
+            run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, Some(ScreenTier::I8));
         assert_eq!(stats.screen_pruned, 0);
     }
 

@@ -51,7 +51,7 @@ pub const I8_QUANT_LEVEL: f64 = 127.0;
 /// `127² = 16129`, so `f ≤ 65536` bounds any accumulation order by
 /// `2³⁰.3 < i32::MAX` with a 2× margin. Factor counts beyond this are far
 /// outside any MF model this repository targets; consumers gate their i8
-/// mirrors on it ([`mips_data::MirrorI8`] marks itself unusable).
+/// mirrors on it (`mips_data::MirrorI8` marks itself unusable).
 pub const I8_DOT_MAX_LEN: usize = 65536;
 
 /// Quantizes one row symmetrically into `out`, returning `(scale, l1)`:

@@ -14,14 +14,12 @@
 //! stream out of the blocked multiply straight into the heaps, so the dense
 //! `batch × n` score buffer of the two-stage pipeline never exists.
 //!
-//! [`screen`] is the mixed-precision variant of that path: the panels stream
-//! in f32 with a conservative rounding envelope, and only the surviving
-//! candidates are rescored in f64 — bit-identical output, roughly half the
-//! scan bandwidth.
-//!
-//! [`screen_i8`] is the tier below: the scan runs on symmetric int8 codes
-//! with exact integer dots and a quantization envelope, cutting the scan
-//! bytes 8× against f64 — still bit-identical output after the f64 rescore.
+//! [`screen`] is the mixed-precision variant of that path: the scan runs in
+//! a lower-precision [`ScreenTier`] (f32 panels with a rounding envelope, or
+//! exact integer dots over symmetric int8 codes with a quantization
+//! envelope), and only the surviving candidates are rescored in f64 —
+//! bit-identical output at a half (f32) or an eighth (int8) of the scan
+//! bandwidth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,15 +28,13 @@ pub mod fused;
 pub mod heap;
 pub mod list;
 pub mod screen;
-pub mod screen_i8;
 pub mod select;
 
 pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnIds};
 pub use heap::TopKHeap;
 pub use list::TopKList;
-pub use screen::{screen_topk_into_heaps, screen_topk_into_heaps_with, ScreenScratch, ScreenStats};
-pub use screen_i8::{
-    screen_i8_topk_into_heaps, screen_i8_topk_into_heaps_with, QuantItems, QuantUsers,
-    ScreenI8Scratch,
+pub use screen::{
+    screen_topk_into_heaps, screen_topk_into_heaps_with, ItemMirror, ScreenItems, ScreenScratch,
+    ScreenStats, ScreenTier, ScreenUsers, UserScreen,
 };
 pub use select::{row_topk, rows_topk, topk_all_rows};

@@ -61,7 +61,8 @@
 //! The `examples/` directory walks through a trained movie recommender, a
 //! word-embedding similarity search, and an optimizer tour across
 //! contrasting workloads; `crates/bench` regenerates every table and figure
-//! of the paper's evaluation (see `EXPERIMENTS.md`).
+//! of the paper's evaluation, and `benchmark/` is the repo's one end-to-end
+//! benchmark (see `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

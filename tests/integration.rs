@@ -163,12 +163,11 @@ fn engine_threads_match_sequential_everywhere() {
 }
 
 #[test]
-#[allow(deprecated)] // the compat path stays covered until it is removed
 fn legacy_strategy_and_par_query_all_still_work() {
-    // The Strategy enum remains as a compatibility shim over registry keys.
+    // The Strategy enum remains as a naming shim over registry factories.
     let model = small_catalog().remove(2);
     for strategy in strategies() {
-        let solver = strategy.build(&model);
+        let solver = strategy.factory().build(&model).expect("builds");
         let seq = solver.query_all(4);
         let par = par_query_all(solver.as_ref(), 4, 4);
         assert_eq!(seq, par, "{} parallel mismatch", strategy.name());
