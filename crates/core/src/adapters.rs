@@ -38,18 +38,23 @@ impl LempSolver {
         }
     }
 
-    /// Arms the mixed-precision screen in `tier` (see
-    /// [`LempIndex::enable_screen`]): scans pre-score candidates in the
-    /// tier's arithmetic and skip exact dots the error envelope proves
-    /// hopeless, with bit-identical results. Re-arming replaces the
-    /// previous tier; a tier the model cannot be mirrored in leaves the
-    /// solver as it was. The mirroring pass is added to the reported build
-    /// time.
-    pub fn enable_screen(&mut self, tier: ScreenTier) {
+    /// This solver with the mixed-precision screen armed in `tier`,
+    /// **sharing the built index** (see [`LempIndex::with_screen`]): scans
+    /// pre-score candidates in the tier's arithmetic and skip exact dots the
+    /// error envelope proves hopeless, with bit-identical results. The
+    /// variant's reported build time is its mirroring pass alone. A tier the
+    /// model cannot be mirrored in yields a solver with the identity `self`
+    /// had.
+    pub fn with_screen(&self, tier: ScreenTier) -> LempSolver {
         let start = Instant::now();
-        self.index.enable_screen(tier);
-        self.name = screened_name("LEMP", self.index.screen());
-        self.build_seconds += start.elapsed().as_secs_f64();
+        let index = self.index.with_screen(tier);
+        LempSolver {
+            model: Arc::clone(&self.model),
+            name: screened_name("LEMP", index.screen()),
+            index,
+            build_seconds: start.elapsed().as_secs_f64(),
+            screen_tally: ScreenTallyCells::default(),
+        }
     }
 
     /// The wrapped index (for stats-aware benches).
@@ -81,6 +86,10 @@ impl MipsSolver for LempSolver {
 
     fn precision(&self) -> crate::precision::Precision {
         crate::precision::Precision::of_tier(self.index.screen())
+    }
+
+    fn screen_tiers(&self) -> &[ScreenTier] {
+        &ScreenTier::ALL
     }
 
     fn num_users(&self) -> usize {

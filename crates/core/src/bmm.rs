@@ -61,7 +61,10 @@ pub struct BmmSolver {
 /// Both sides of `model` in `tier`, borrowed from the model-level mirror
 /// (built on first use and shared by every view and shard of the model).
 /// `None` when the model does not mirror usably in that tier.
-fn screen_sides(model: &MfModel, tier: ScreenTier) -> Option<(ScreenUsers<'_>, ScreenItems<'_>)> {
+pub(crate) fn screen_sides(
+    model: &MfModel,
+    tier: ScreenTier,
+) -> Option<(ScreenUsers<'_>, ScreenItems<'_>)> {
     match tier {
         ScreenTier::F32 => {
             let mirror = model.mirror32();
@@ -254,6 +257,10 @@ impl MipsSolver for BmmSolver {
 
     fn batches_users(&self) -> bool {
         true
+    }
+
+    fn screen_tiers(&self) -> &[ScreenTier] {
+        &ScreenTier::ALL
     }
 
     fn num_users(&self) -> usize {

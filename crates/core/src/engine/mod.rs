@@ -14,9 +14,11 @@
 //! * Every entry point returns `Result<_, MipsError>`: malformed requests
 //!   (`k == 0`, `k > num_items`, out-of-range users, empty selections) are
 //!   typed errors, never panics.
-//! * [`Engine::prepare`] runs the OPTIMUS planner once and caches the
-//!   winning backend in a [`PreparedPlan`]; [`Engine::execute`] does this
-//!   transparently, so repeated requests at the same `k` never re-sample.
+//! * [`Engine::prepare`] runs the OPTIMUS planner (`planner.rs`: a
+//!   staged race that builds an index only while it can still win) once and
+//!   caches the winning backend — with the decision record — in a
+//!   [`PreparedPlan`]; [`Engine::execute`] does this transparently, so
+//!   repeated requests at the same `k` never re-sample.
 //! * [`Engine::swap_model`] installs a retrained model atomically while the
 //!   engine keeps serving: each request snapshots one model *epoch* on
 //!   entry and runs against it end to end, so in-flight requests finish
@@ -50,6 +52,7 @@
 pub(crate) mod epoch;
 pub mod error;
 pub mod plan;
+mod planner;
 pub mod registry;
 pub mod request;
 pub(crate) mod scope;
@@ -65,10 +68,10 @@ pub use request::{
 };
 pub use scope::IndexScope;
 
-use crate::optimus::{Optimus, OptimusConfig, PlannedChoice};
+use crate::optimus::OptimusConfig;
 use crate::parallel::{par_query_range, par_query_subset};
 use crate::precision::Precision;
-use crate::solver::{screened_name, MipsSolver};
+use crate::solver::MipsSolver;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use epoch::{get_or_build, ArcCell, ModelEpoch};
@@ -266,76 +269,6 @@ impl EngineBuilder {
     }
 }
 
-/// One planner candidate: a built solver plus how it is labelled and which
-/// other candidate, if any, it is a screen variant of.
-struct Candidate {
-    /// Registry key of the backend (for the `Auto`-scope incumbent: the
-    /// global plan's backend key, verbatim).
-    key: String,
-    /// `Some((tier, base))` for an `Auto` screen variant: the tier it
-    /// screens in and the index of the f64 build of the same backend — same
-    /// scope — it competes against. Forced-tier candidates run under their
-    /// plain key (the mode is forced, not competed) and carry `None`.
-    screen_of: Option<(ScreenTier, usize)>,
-    /// Built over the shard's user view rather than the whole model.
-    local: bool,
-    solver: Arc<dyn MipsSolver>,
-}
-
-impl Candidate {
-    /// The key a plan won by this candidate reports: the registry key,
-    /// suffixed with the tier for a competed screen variant (`"bmm+i8"`).
-    fn backend_key(&self) -> String {
-        screened_name(&self.key, self.screen_of.map(|(tier, _)| tier))
-    }
-}
-
-/// Under `Auto`, a screen variant displaces its own f64 build only when its
-/// sampled estimate is at most this fraction of the base's — i.e.
-/// clearly faster, not within sampling noise of a tie. See
-/// [`demote_marginal_screen_winner`] for the asymmetry argument that
-/// justifies favouring the exact-direct incumbent.
-pub(crate) const SCREEN_ADOPTION_MARGIN: f64 = 0.85;
-
-/// The screen must also be estimated to save at least this much absolute
-/// wall-clock before it displaces its f64 base. Sub-millisecond requests
-/// finish inside the sampling noise floor: a relative margin alone still
-/// adopts on a "30 µs vs 40 µs" sample, where the decision is pure noise
-/// and the upside — even when real — is microseconds. Seconds-scale
-/// requests (where the screen genuinely pays) clear this floor by orders
-/// of magnitude.
-pub(crate) const SCREEN_ADOPTION_FLOOR_SECONDS: f64 = 500e-6;
-
-/// Screen-adoption margin: under `Auto` a screen variant competes against
-/// its own f64 build, and the two run the identical access pattern — their
-/// sampled estimates differ by the screen's true advantage plus sampling
-/// noise. Adopting the screen on a hair's-breadth estimate trades bounded
-/// upside for an unbounded noise regression, so the exact-direct incumbent
-/// keeps the plan unless the screen is estimated clearly faster — below
-/// [`SCREEN_ADOPTION_MARGIN`] of the base's time *and* saving at least
-/// [`SCREEN_ADOPTION_FLOOR_SECONDS`] of absolute wall-clock. A wrongly
-/// kept incumbent forgoes at most the margin; a wrongly adopted screen
-/// can serve arbitrarily slower than the committed f64 baseline.
-///
-/// `screen_of[i]` is the index of the f64 base candidate `i` is a screen
-/// variant of (`None`: not a screen variant, or — the forced modes, third
-/// -party solvers that merely *name* themselves like one — no base twin
-/// competed). Returns the base's index when the winner should be demoted
-/// to it, `None` when `chosen` keeps the plan. Every screen tier faces the
-/// same incumbent and the same noise asymmetry, so they share one margin.
-fn demote_marginal_screen_winner(
-    estimates: &[crate::optimus::StrategyEstimate],
-    chosen: usize,
-    screen_of: &[Option<usize>],
-) -> Option<usize> {
-    let base = screen_of[chosen]?;
-    let screen_seconds = estimates[chosen].estimated_total_seconds;
-    let base_seconds = estimates[base].estimated_total_seconds;
-    (screen_seconds > SCREEN_ADOPTION_MARGIN * base_seconds
-        || base_seconds - screen_seconds < SCREEN_ADOPTION_FLOOR_SECONDS)
-        .then_some(base)
-}
-
 /// Locks a cache mutex, recovering from poisoning: if a (custom) factory
 /// panicked mid-build, the slot it was filling is still `None`, so the
 /// sensible recovery is to let the next caller retry rather than poison the
@@ -499,6 +432,13 @@ impl Engine {
     /// state. `Ok(None)` — cached like a build — means the backend has no
     /// variant in `tier`; the plain build always exists.
     ///
+    /// A tier variant is **derived from the plain build of the same
+    /// scope**: the `(bounds, key, None)` cell's solver (built here if this
+    /// is its first use) is handed to the factory's `build_screen`, which
+    /// adds the tier's mirrors over the shared construction — so a
+    /// backend's clustering, sorting and gathered copies exist once per
+    /// `(bounds, key)` and epoch, however many tiers are armed.
+    ///
     /// Real construction work (a cache miss) is recorded into `stats` so
     /// the serving runtime can surface per-shard build counts and cost.
     fn solver_on(
@@ -520,16 +460,29 @@ impl Engine {
             Arc::clone(map.entry((bounds, key.to_string(), tier)).or_default())
         };
         get_or_build(&cell, || {
-            let started = Instant::now();
             let view = match users {
                 Some(users) => ModelView::of_range(&state.model, users.clone()),
                 None => ModelView::full(&state.model),
             };
+            let plain = match tier {
+                Some(_) => self.solver_on(state, users, key, None, stats)?,
+                None => None,
+            };
+            let started = Instant::now();
             let built = match (tier, users) {
-                (Some(tier), _) => match factory.build_screen(&view, tier) {
-                    Some(built) => built?,
-                    None => return Ok(None),
-                },
+                (Some(tier), _) => {
+                    let plain = plain.as_deref().expect("every backend has a plain build");
+                    // A shard-local plain build is cached behind its id
+                    // translation; the factory gets the solver it built.
+                    let base = match plain.downcast_ref::<ShardScopedSolver>() {
+                        Some(scoped) => scoped.inner(),
+                        None => plain,
+                    };
+                    match factory.build_screen(base, &view, tier) {
+                        Some(built) => built?,
+                        None => return Ok(None),
+                    }
+                }
                 (None, Some(_)) => factory.build_view(&view)?,
                 (None, None) => factory.build(&state.model)?,
             };
@@ -728,209 +681,6 @@ impl Engine {
         let plan = self.prepare_on(&state, request.k)?;
         plan.execute_prevalidated(request)
     }
-
-    /// Assembles the planner's candidate list for one epoch — over the
-    /// whole model, or shard-local over `users` — under the engine's
-    /// precision mode: registry backends in order, where a forced tier
-    /// ([`Precision::forced_tier`]) substitutes each backend's screen
-    /// variant when it has one (labelled with the plain key — the mode is
-    /// forced, not competed), and [`Precision::Auto`] adds every available
-    /// screen variant as an **extra** candidate paired with its f64 build
-    /// so OPTIMUS prices the modes against each other.
-    fn candidates(
-        &self,
-        state: &ModelEpoch,
-        users: Option<&Range<usize>>,
-        stats: &mut ShardBuildStats,
-        out: &mut Vec<Candidate>,
-    ) -> Result<(), MipsError> {
-        let precision = self.config.precision;
-        let local = users.is_some();
-        for key in self.registry.keys() {
-            let base = out.len();
-            out.push(Candidate {
-                key: key.to_string(),
-                screen_of: None,
-                local,
-                solver: self.solver_or_plain(state, users, key, precision.forced_tier(), stats)?,
-            });
-            if precision == Precision::Auto {
-                for tier in ScreenTier::ALL {
-                    if let Some(solver) = self.solver_on(state, users, key, Some(tier), stats)? {
-                        out.push(Candidate {
-                            key: key.to_string(),
-                            screen_of: Some((tier, base)),
-                            local,
-                            solver,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The planning phase behind [`Engine::prepare`] (`users: None`) and
-    /// [`Engine::prepare_shard_on`]: a shard plan's candidates are the
-    /// shard-local solvers for every registered backend (built — or
-    /// fetched from the epoch's cache — over a view of `users`), plus the
-    /// global plan's winner when `auto` is set. OPTIMUS samples the plan's
-    /// own users, so a shard's decision reflects the slice's shape, not the
-    /// whole model's.
-    fn plan_over(
-        &self,
-        state: &ModelEpoch,
-        users: Option<&Range<usize>>,
-        k: usize,
-        auto: bool,
-        stats: &mut ShardBuildStats,
-    ) -> Result<PreparedPlan, MipsError> {
-        // Sampled in this order below.
-        let mut candidates = Vec::new();
-        if auto {
-            // The incumbent is unpaired: its own screen-vs-f64 race was
-            // settled by the global plan.
-            let global = self.prepare_on(state, k)?;
-            candidates.push(Candidate {
-                key: global.backend_key().to_string(),
-                screen_of: None,
-                local: false,
-                solver: Arc::clone(&global.winner),
-            });
-        }
-        self.candidates(state, users, stats, &mut candidates)?;
-        self.planner_runs.fetch_add(1, Ordering::SeqCst);
-
-        let view = match users {
-            Some(users) => ModelView::of_range(&state.model, users.clone()),
-            None => ModelView::full(&state.model),
-        };
-        let (
-            choice,
-            [analytical_bmm_seconds, analytical_screen_seconds, analytical_sparse_seconds],
-        ) = if candidates.len() == 1 {
-            // One candidate: nothing to sample.
-            let unsampled = PlannedChoice {
-                chosen: 0,
-                estimates: Vec::new(),
-                sample_size: 0,
-                decision_seconds: 0.0,
-            };
-            (unsampled, [0.0; 3])
-        } else {
-            let priors = [
-                self.analytical_bmm_seconds(&view),
-                self.analytical_screen_seconds(&view, &candidates),
-                self.analytical_sparse_seconds(&view, &candidates),
-            ];
-            (self.run_planner(&view, k, &candidates), priors)
-        };
-        let winner = candidates.swap_remove(choice.chosen);
-        Ok(PreparedPlan {
-            model: Arc::clone(&state.model),
-            precision: winner.solver.precision(),
-            backend_key: winner.backend_key(),
-            winner: winner.solver,
-            planned_k: k,
-            threads: self.config.threads,
-            epoch: state.id,
-            estimates: choice.estimates,
-            sample_size: choice.sample_size,
-            decision_seconds: choice.decision_seconds,
-            shard_users: users.cloned(),
-            local_index: winner.local,
-            analytical_bmm_seconds,
-            analytical_screen_seconds,
-            analytical_sparse_seconds,
-        })
-    }
-
-    /// Runs OPTIMUS over the candidate set, reordered so its t-test timing
-    /// reference is the first batch-capable candidate (BMM-like) when one
-    /// is present — regardless of input order. The returned choice's
-    /// `chosen` indexes `candidates` **in the input order**.
-    fn run_planner(&self, view: &ModelView, k: usize, candidates: &[Candidate]) -> PlannedChoice {
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        if let Some(batch) = candidates.iter().position(|c| c.solver.batches_users()) {
-            order.remove(batch);
-            order.insert(0, batch);
-        }
-        let position_of = |input: usize| order.iter().position(|&i| i == input);
-        let refs: Vec<&dyn MipsSolver> = order
-            .iter()
-            .map(|&i| candidates[i].solver.as_ref())
-            .collect();
-        let screen_of: Vec<Option<usize>> = order
-            .iter()
-            .map(|&i| {
-                candidates[i]
-                    .screen_of
-                    .and_then(|(_, base)| position_of(base))
-            })
-            .collect();
-        let optimus = Optimus::new(self.config.optimus);
-        let mut choice = optimus.choose(view, k, &refs, &screen_of);
-        if let Some(base) =
-            demote_marginal_screen_winner(&choice.estimates, choice.chosen, &screen_of)
-        {
-            choice.chosen = base;
-        }
-        choice.chosen = order[choice.chosen];
-        choice
-    }
-
-    /// The §IV-A analytical prior recorded on sampled plans: predicted
-    /// multiply-stage seconds for the view's users over the full catalog,
-    /// using the registry's calibrated FLOP rate (measured once per SIMD
-    /// kernel, cached across epochs and shards).
-    fn analytical_bmm_seconds(&self, view: &ModelView) -> f64 {
-        self.registry.analytical_bmm().predict_seconds(
-            view.num_users(),
-            view.num_items(),
-            view.num_factors(),
-        )
-    }
-
-    /// The analytical prior for the f32 **screen phase** of the
-    /// mixed-precision path, recorded only when a screen candidate
-    /// actually competed in this plan (so pure-f64 engines never pay the
-    /// f32 calibration). The rescore phase is data-dependent and covered
-    /// by online sampling, like the top-k stage of the f64 prior.
-    fn analytical_screen_seconds(&self, view: &ModelView, candidates: &[Candidate]) -> f64 {
-        if candidates
-            .iter()
-            .all(|c| c.solver.precision() != Precision::F32Rescore)
-        {
-            return 0.0;
-        }
-        self.registry.analytical_bmm_f32().predict_seconds(
-            view.num_users(),
-            view.num_items(),
-            view.num_factors(),
-        )
-    }
-
-    /// The analytical prior for the sparse inverted-index **accumulation
-    /// stage**, recorded only when the sparse backend competed in this plan
-    /// (so dense-only engines never pay the postings-walk calibration).
-    /// Expected work is derived from sampled nnz/density statistics the
-    /// same way the BMM prior derives FLOPs from the view's shape: each
-    /// query touches one postings list per nonzero query factor, and each
-    /// list holds `density × num_items` postings on average. Candidate
-    /// selection and the exact rescore are data-dependent and covered by
-    /// online sampling, like the top-k stage of the dense prior.
-    fn analytical_sparse_seconds(&self, view: &ModelView, candidates: &[Candidate]) -> f64 {
-        if candidates.iter().all(|c| c.solver.name() != "Sparse-II") {
-            return 0.0;
-        }
-        const SAMPLE_ROWS: usize = 256;
-        let user_stats = mips_data::SparsityStats::sample(view.model().users(), SAMPLE_ROWS);
-        let item_stats = mips_data::SparsityStats::sample(view.items(), SAMPLE_ROWS);
-        let updates_per_query =
-            user_stats.avg_nnz_per_row * item_stats.density * view.num_items() as f64;
-        let updates = view.num_users() as f64 * updates_per_query;
-        self.registry.analytical_sparse().predict_seconds(updates)
-    }
 }
 
 impl std::fmt::Debug for Engine {
@@ -1095,6 +845,7 @@ fn filter_excluded(
 mod tests {
     use super::*;
     use crate::bmm::BmmSolver;
+    use crate::optimus::CandidateOutcome;
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_linalg::CacheConfig;
 
@@ -1126,6 +877,17 @@ mod tests {
             .optimus(tiny_optimus())
             .build()
             .unwrap()
+    }
+
+    /// Rows of the plan's decision record whose candidate was built.
+    fn built_rows(plan: &PreparedPlan) -> u64 {
+        let unbuilt = |e: &&crate::optimus::StrategyEstimate| {
+            matches!(
+                e.outcome,
+                CandidateOutcome::PrunedAnalytical { .. } | CandidateOutcome::NotBuilt { .. }
+            )
+        };
+        (plan.estimates().len() - plan.estimates().iter().filter(unbuilt).count()) as u64
     }
 
     #[test]
@@ -1505,15 +1267,17 @@ mod tests {
         assert_eq!(engine.planner_runs(), 2, "new k plans once");
         let plan = engine.prepare(5).unwrap();
         assert_eq!(plan.planned_k(), 5);
-        assert!(plan.estimates().len() == engine.backend_keys().len());
+        // The decision record lists every registered backend, raced or not.
+        assert_eq!(plan.estimates().len(), engine.backend_keys().len());
         assert!(plan.sample_size() >= 2);
     }
 
     #[test]
     fn planner_reference_is_the_batch_backend_regardless_of_registration_order() {
         // A point-query backend registered first must not become the
-        // t-test timing reference: the planner samples the first
-        // batch-capable backend first.
+        // timing reference: the planner times the first batch-capable
+        // backend first, on the whole sample. The record stays in
+        // registration order.
         let engine = EngineBuilder::new()
             .model(model(120, 60))
             .register(FexiproFactory::si())
@@ -1522,8 +1286,11 @@ mod tests {
             .build()
             .unwrap();
         let plan = engine.prepare(3).unwrap();
-        assert_eq!(plan.estimates()[0].name, "Blocked MM");
-        assert_eq!(plan.estimates().len(), 2);
+        let names: Vec<&str> = plan.estimates().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["FEXIPRO-SI", "Blocked MM"]);
+        let bmm = &plan.estimates()[1];
+        assert_eq!(bmm.outcome, CandidateOutcome::Sampled);
+        assert_eq!(bmm.sampled_users, plan.sample_size());
         assert!(["bmm", "fexipro-si"].contains(&plan.backend_key()));
     }
 
@@ -1762,9 +1529,12 @@ mod tests {
         assert_eq!(plan.shard_users(), Some(0..30));
         assert!(plan.uses_local_index());
         assert_eq!(plan.epoch(), 0);
-        assert_eq!(stats.builds, 6, "six default backends built for the shard");
-        assert!(stats.build_ns > 0);
+        // Every default backend is on the record; each one the race did
+        // not exclude analytically was built for the shard, once.
         assert_eq!(plan.estimates().len(), 6);
+        assert_eq!(stats.builds, built_rows(&plan));
+        assert!(stats.builds >= 5, "only the sparse backend has a gate");
+        assert!(stats.build_ns > 0);
         assert!(plan.analytical_bmm_seconds() > 0.0);
 
         // Same bounds + k: cache hit, no construction, same plan instance.
@@ -1788,7 +1558,7 @@ mod tests {
         let other = engine
             .prepare_shard_on(&state, &(30..60), 4, IndexScope::PerShard, &mut other_stats)
             .unwrap();
-        assert_eq!(other_stats.builds, 6);
+        assert_eq!(other_stats.builds, built_rows(&other));
         assert_eq!(other.shard_users(), Some(30..60));
 
         // Bad k surfaces as the same typed error as global planning.
@@ -1810,7 +1580,8 @@ mod tests {
         // Candidates: the global plan's winner plus one local solver per
         // registered backend.
         assert_eq!(auto.estimates().len(), engine.backend_keys().len() + 1);
-        assert_eq!(stats.builds, 6);
+        // The incumbent arrives built; the local candidates build here.
+        assert_eq!(stats.builds, built_rows(&auto) - 1);
         // Auto planning forced the global plan into existence too.
         assert!(engine.prepare(3).unwrap().shard_users().is_none());
         // The recorded decision tells whether this shard went local.
@@ -1891,64 +1662,6 @@ mod tests {
     }
 
     #[test]
-    fn screen_winner_within_margin_is_demoted_to_its_f64_base() {
-        let estimate = |name: &str, secs: f64| crate::optimus::StrategyEstimate {
-            name: name.to_string(),
-            build_seconds: 0.0,
-            sampled_users: 8,
-            sample_seconds: secs / 10.0,
-            estimated_total_seconds: secs,
-        };
-        // Candidate 1 is a screen variant of candidate 0.
-        let paired = [None, Some(0)];
-        // Screen barely ahead of its base (within the noise margin): the
-        // exact-direct incumbent keeps the plan.
-        let noisy = [estimate("LEMP", 1.00), estimate("LEMP+f32", 0.95)];
-        assert_eq!(demote_marginal_screen_winner(&noisy, 1, &paired), Some(0));
-        // Screen clearly faster than the margin: adoption stands.
-        let clear = [estimate("LEMP", 1.00), estimate("LEMP+f32", 0.60)];
-        assert_eq!(demote_marginal_screen_winner(&clear, 1, &paired), None);
-        // Exactly at the margin boundary counts as clearly faster (the
-        // demotion predicate is strict).
-        let edge = [
-            estimate("LEMP", 1.00),
-            estimate("LEMP+f32", SCREEN_ADOPTION_MARGIN),
-        ];
-        assert_eq!(demote_marginal_screen_winner(&edge, 1, &paired), None);
-        // Sub-millisecond requests: even a clear relative win saves less
-        // absolute time than the noise floor — the incumbent keeps it.
-        let tiny = [estimate("LEMP", 900e-6), estimate("LEMP+f32", 500e-6)];
-        assert_eq!(demote_marginal_screen_winner(&tiny, 1, &paired), Some(0));
-        // Forced modes: screens run under plain keys and no base twin
-        // competes — nothing to demote to.
-        let forced = [estimate("Blocked MM", 1.0), estimate("Maximus+f32", 0.99)];
-        assert_eq!(
-            demote_marginal_screen_winner(&forced, 1, &[None, None]),
-            None
-        );
-        // Pairing is structural, never read off display names: a
-        // third-party solver that merely *names* itself like a screen of
-        // another candidate is not one, and is never demoted to it.
-        let lookalike = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.95)];
-        assert_eq!(
-            demote_marginal_screen_winner(&lookalike, 1, &[None, None]),
-            None
-        );
-        // Every tier rides the same adoption discipline: marginal winners
-        // demote to their f64 base, clear wins stand, and a screen winner
-        // never demotes to a sibling tier (the base is the f64 build, not
-        // the other screen).
-        let three_way = [
-            estimate("LEMP", 1.00),
-            estimate("LEMP+f32", 0.70),
-            estimate("LEMP+i8", 0.95),
-        ];
-        let both = [None, Some(0), Some(0)];
-        assert_eq!(demote_marginal_screen_winner(&three_way, 2, &both), Some(0));
-        assert_eq!(demote_marginal_screen_winner(&three_way, 1, &both), None);
-    }
-
-    #[test]
     fn a_backend_keyed_like_a_screen_variant_never_shares_its_cache_cell() {
         // A third-party backend may register under any key — including one
         // that looks like BMM's f32 screen. Solver cache cells are keyed by
@@ -2004,10 +1717,10 @@ mod tests {
             .build()
             .unwrap();
         let plan = engine.prepare(4).unwrap();
-        // 5 registry backends + 2 screen tiers × 3 screening backends
-        // (bmm, maximus, lemp).
+        // 6 registry backends + 2 screen tiers × 3 screening backends
+        // (bmm, maximus, lemp): every one is on the record, whether the
+        // race built it or its tier-rate bound excluded it first.
         assert_eq!(plan.estimates().len(), engine.registry().keys().len() + 6);
-        let names: Vec<&str> = plan.estimates().iter().map(|e| e.name.as_str()).collect();
         for screened in [
             "Blocked MM+f32",
             "Maximus+f32",
@@ -2016,7 +1729,18 @@ mod tests {
             "Maximus+i8",
             "LEMP+i8",
         ] {
-            assert!(names.contains(&screened), "{screened} missing in {names:?}");
+            let row = plan.estimates().iter().find(|e| e.name == screened);
+            let row = row.unwrap_or_else(|| panic!("{screened} missing: {:?}", plan.estimates()));
+            match row.outcome {
+                CandidateOutcome::NotBuilt { bound_seconds } => {
+                    assert_eq!(row.sampled_users, 0, "{screened}");
+                    assert!(bound_seconds > 0.0, "{screened}");
+                }
+                CandidateOutcome::Sampled | CandidateOutcome::DemotedWithinMargin => {
+                    assert_eq!(row.sampled_users, plan.sample_size(), "{screened}");
+                }
+                other => panic!("{screened}: a screen variant cannot be {other:?}"),
+            }
         }
         // Whatever Auto picked, results match the pure-f64 engine's winner
         // item-for-item (scores are backend-reduction-specific, so compare
@@ -2032,8 +1756,8 @@ mod tests {
         for (g, w) in auto.results.iter().zip(&want.results) {
             assert_eq!(g.items, w.items);
         }
-        // A screen candidate competed, so the f32 analytical prior is
-        // recorded alongside the f64 one.
+        // Screen candidates competed (raced or bounded), so the f32
+        // analytical prior is recorded alongside the f64 one.
         assert!(plan.analytical_screen_seconds() > 0.0);
         assert!(plan.analytical_bmm_seconds() > 0.0);
     }

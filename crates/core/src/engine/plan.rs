@@ -1,8 +1,9 @@
 //! Prepared query plans: OPTIMUS as the engine's query planner.
 //!
-//! Planning (building candidate backends and timing them on a user sample)
-//! is expensive relative to one request, so the engine runs it once per
-//! `k` and caches the decision in a [`PreparedPlan`]. Subsequent requests
+//! Planning (racing lazily built candidate backends on a user sample — see
+//! the `planner` module) is expensive relative to one request, so the
+//! engine runs it once per `k` and caches the decision, with its record, in
+//! a [`PreparedPlan`]. Subsequent requests
 //! through the plan — or through [`super::Engine::execute`], which caches
 //! plans internally — reuse the winning backend without re-sampling.
 
@@ -34,8 +35,9 @@ pub struct PreparedPlan {
     /// an [`Engine::swap_model`](super::Engine::swap_model) — new plans are
     /// prepared lazily on the new epoch.
     pub(super) epoch: u64,
-    /// Per-candidate estimates, in registry order; empty when only one
-    /// backend was registered and no sampling was needed.
+    /// The decision record: every registered backend × competed tier in
+    /// registry order (each backend followed by its screen variants), raced
+    /// or excluded; empty when a lone candidate needed no sampling.
     pub(super) estimates: Vec<StrategyEstimate>,
     pub(super) sample_size: usize,
     pub(super) decision_seconds: f64,
@@ -63,9 +65,10 @@ pub struct PreparedPlan {
     /// `F32Rescore` was requested).
     pub(super) precision: Precision,
     /// The analytical prior for the sparse inverted-index accumulation
-    /// stage: predicted seconds for serving every user the plan covers,
-    /// from the calibrated postings-walk rate scaled by sampled nnz/density
-    /// statistics. `0.0` when no sparse candidate competed.
+    /// stage — the bound the planner gates the sparse backend on:
+    /// predicted seconds for serving every user the plan covers, from the
+    /// calibrated postings-walk rate scaled by sampled nnz/density
+    /// statistics. `0.0` when no sparse backend was a candidate.
     pub(super) analytical_sparse_seconds: f64,
 }
 
@@ -87,8 +90,14 @@ impl PreparedPlan {
         self.planned_k
     }
 
-    /// The planner's per-candidate timing estimates (empty when the
-    /// registry held a single backend and sampling was skipped).
+    /// The planner's **decision record**: one row per registered backend
+    /// (and, under `Precision::Auto`, per screen variant of it — each
+    /// backend followed by its variants), in registry order, whether the
+    /// race sampled it or a bound excluded it before it was built. Every
+    /// row carries its estimate and a
+    /// [`CandidateOutcome`](crate::optimus::CandidateOutcome) saying which.
+    /// Empty when the registry held a single backend and sampling was
+    /// skipped.
     pub fn estimates(&self) -> &[StrategyEstimate] {
         &self.estimates
     }
@@ -103,7 +112,9 @@ impl PreparedPlan {
         self.epoch
     }
 
-    /// Wall-clock seconds the planning phase took.
+    /// Wall-clock seconds the planning phase spent sampling and deciding;
+    /// the index builds it triggered are on the record, per candidate
+    /// (`estimates()[i].build_seconds`).
     pub fn decision_seconds(&self) -> f64 {
         self.decision_seconds
     }
@@ -135,9 +146,11 @@ impl PreparedPlan {
     }
 
     /// The analytical prior for the sparse inverted-index accumulation
-    /// stage, when a sparse candidate competed in this plan (`0.0`
+    /// stage, when a sparse backend was a candidate of this plan (`0.0`
     /// otherwise): calibrated postings-walk rate × expected touched
-    /// postings from sampled nnz/density statistics.
+    /// postings from sampled nnz/density statistics. The planner builds
+    /// the index only when this does not already exceed the leader's
+    /// sampled estimate.
     pub fn analytical_sparse_seconds(&self) -> f64 {
         self.analytical_sparse_seconds
     }

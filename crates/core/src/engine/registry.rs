@@ -11,7 +11,8 @@
 //! A factory has three hooks: [`SolverFactory::build`] over a whole model,
 //! [`SolverFactory::build_view`] over a contiguous user range (defaulted),
 //! and [`SolverFactory::build_screen`] for the mixed-precision variant in a
-//! given [`ScreenTier`] (defaulted to "no such variant").
+//! given [`ScreenTier`] (defaulted to "no such variant"), which is derived
+//! from — and shares the construction of — the plain build it is handed.
 
 use super::error::MipsError;
 use crate::adapters::{FexiproSolver, LempSolver, SparseSolver};
@@ -53,23 +54,51 @@ pub trait SolverFactory: Send + Sync {
         self.build(&view.to_model())
     }
 
-    /// Constructs the mixed-precision variant of this backend over `view`
-    /// — scans screen in `tier` with a conservative error envelope,
-    /// survivors are rescored in f64, results stay bit-identical (see
-    /// [`mips_topk::screen`]). The produced solver addresses users by
-    /// local row like [`SolverFactory::build_view`]'s; the engine passes
+    /// Constructs the mixed-precision variant of this backend in `tier`
+    /// **from its plain build** — scans screen in `tier` with a
+    /// conservative error envelope, survivors are rescored in f64, results
+    /// stay bit-identical (see [`mips_topk::screen`]).
+    ///
+    /// `base` is the solver this factory's own [`SolverFactory::build`] /
+    /// [`SolverFactory::build_view`] produced over the same `view` (the
+    /// engine hands it over from its epoch cache; `base.downcast_ref::<T>()`
+    /// recovers the concrete type).
+    /// The contract is **sharing**: the variant holds whatever `base`
+    /// constructed — clusterings, sorted lists, gathered item copies —
+    /// behind an `Arc` and adds only the tier's mirrors, so the
+    /// construction exists once per epoch however many tiers are armed, and
+    /// the variant's `build_seconds` is the mirroring alone. A factory whose
+    /// plain build is free may ignore `base` and build over `view`.
+    ///
+    /// The produced solver addresses users by local row like
+    /// [`SolverFactory::build_view`]'s; the engine passes
     /// [`ModelView::full`] for a whole-model build. `None` (the default)
     /// means the backend has no screen path: the engine then serves it
     /// f64-direct under every [`Precision`](crate::precision::Precision)
-    /// setting. A backend whose *model* cannot be mirrored in `tier`
-    /// returns its plain f64 solver instead.
+    /// setting. `Some` for exactly the tiers `base` lists in
+    /// [`MipsSolver::screen_tiers`]. A backend whose *model* cannot be
+    /// mirrored in `tier` returns a solver serving the plain f64 path
+    /// instead.
     fn build_screen(
         &self,
+        _base: &dyn MipsSolver,
         _view: &ModelView,
         _tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         None
     }
+}
+
+/// Recovers a factory's own concrete solver from the `base` its
+/// `build_screen` was handed; a foreign solver is a wiring error.
+fn own_base<'a, T: MipsSolver>(key: &str, base: &'a dyn MipsSolver) -> Result<&'a T, MipsError> {
+    base.downcast_ref().ok_or_else(|| MipsError::BackendBuild {
+        key: key.to_string(),
+        message: format!(
+            "build_screen was handed `{}`, which this factory did not build",
+            base.name()
+        ),
+    })
 }
 
 /// Factory for the brute-force blocked matrix multiply.
@@ -93,11 +122,13 @@ impl SolverFactory for BmmFactory {
 
     fn build_screen(
         &self,
+        _base: &dyn MipsSolver,
         view: &ModelView,
         tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        // Zero-copy like build_view; the tier's mirror is shared with the
-        // parent model, so sibling shards reuse one rounding pass.
+        // Nothing to share: the plain build is free and zero-copy, and the
+        // tier's mirror lives on the parent model, so sibling shards and
+        // tiers reuse one rounding pass anyway.
         Some(Ok(Box::new(BmmSolver::build_view(view).with_screen(tier))))
     }
 }
@@ -118,7 +149,7 @@ impl MaximusFactory {
 
 impl MaximusFactory {
     /// The config checks `MaximusIndex::build` would otherwise assert on,
-    /// surfaced as typed errors (shared by the plain and screen builds).
+    /// surfaced as typed errors.
     fn validate_config(&self) -> Result<(), MipsError> {
         for (value, name) in [
             (self.config.num_clusters, "num_clusters"),
@@ -151,14 +182,14 @@ impl SolverFactory for MaximusFactory {
 
     fn build_screen(
         &self,
-        view: &ModelView,
+        base: &dyn MipsSolver,
+        _view: &ModelView,
         tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(self.validate_config().map(|()| {
-            let mut index = MaximusIndex::build(view.to_model(), &self.config);
-            index.enable_screen(tier);
-            Box::new(index) as Box<dyn MipsSolver>
-        }))
+        Some(
+            own_base::<MaximusIndex>(self.key(), base)
+                .map(|index| Box::new(index.with_screen(tier)) as Box<dyn MipsSolver>),
+        )
     }
 
     // Shard-local builds (the default `build_view`) keep `num_clusters`
@@ -188,7 +219,7 @@ impl LempFactory {
 
 impl LempFactory {
     /// The config checks `LempIndex::build` would otherwise assert on,
-    /// surfaced as typed errors (shared by the plain and screen builds).
+    /// surfaced as typed errors.
     fn validate_config(&self) -> Result<(), MipsError> {
         if self.config.bucket_size == 0 {
             return Err(MipsError::BackendBuild {
@@ -221,14 +252,14 @@ impl SolverFactory for LempFactory {
 
     fn build_screen(
         &self,
-        view: &ModelView,
+        base: &dyn MipsSolver,
+        _view: &ModelView,
         tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(self.validate_config().map(|()| {
-            let mut solver = LempSolver::build(view.to_model(), &self.config);
-            solver.enable_screen(tier);
-            Box::new(solver) as Box<dyn MipsSolver>
-        }))
+        Some(
+            own_base::<LempSolver>(self.key(), base)
+                .map(|solver| Box::new(solver.with_screen(tier)) as Box<dyn MipsSolver>),
+        )
     }
 }
 
@@ -346,30 +377,38 @@ where
 
 /// An ordered, key-unique set of backends.
 ///
-/// Order matters: the planner samples candidates in registration order and
-/// uses the first batch-capable backend as the timing reference for its
-/// t-test, so conventionally BMM registers first.
+/// Order matters: the planner times the first batch-capable backend on the
+/// whole sample before anything else, then races the rest in registration
+/// order against the running leader — so conventionally BMM registers
+/// first.
 ///
 /// The registry also owns the planner's **calibration cache**: the
-/// analytical BMM cost model's sustained FLOP rate, measured once per SIMD
-/// kernel and shared (through clones of the registry, and therefore across
-/// model epochs and shards) by every plan that wants the §IV-A analytical
-/// prior — see [`BackendRegistry::analytical_bmm`].
+/// sustained kernel rate of every numeric tier and of the sparse postings
+/// walk, each measured once per SIMD kernel and shared (through clones of
+/// the registry, and therefore across model epochs and shards) by every plan
+/// — see [`BackendRegistry::analytical_tier`].
 #[derive(Clone, Default)]
 pub struct BackendRegistry {
     factories: Vec<Arc<dyn SolverFactory>>,
-    /// Calibrated rate per `(kernel name, f32?)`. Behind an `Arc` so engine
+    /// Calibrated rates per `(kernel name, what)`. Behind an `Arc` so engine
     /// builders that clone the registry keep sharing one cache.
-    calibration: Arc<Mutex<HashMap<(&'static str, bool), AnalyticalBmmModel>>>,
-    /// How many real calibration measurements have run (tests assert the
-    /// cache actually dedupes across epochs and shards).
+    calibration: Arc<Mutex<HashMap<(&'static str, Calibrated), f64>>>,
+    /// How many real dense-kernel calibration measurements have run (tests
+    /// assert the cache actually dedupes across epochs and shards).
     calibration_runs: Arc<AtomicU64>,
-    /// Calibrated postings-walk rate per kernel name, cached like the BMM
-    /// rate (its own cache and counter: sparse calibration only runs when a
-    /// sparse backend is actually planned, and tests pin the BMM counter).
-    sparse_calibration: Arc<Mutex<HashMap<&'static str, AnalyticalSparseModel>>>,
-    /// Cache misses of [`BackendRegistry::analytical_sparse`].
+    /// Sparse calibration misses, counted apart: sparse calibration only
+    /// runs when a sparse backend is actually planned, and tests pin the
+    /// dense counter.
     sparse_calibration_runs: Arc<AtomicU64>,
+}
+
+/// What a calibration-cache entry measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Calibrated {
+    /// The dense multiply kernel of a numeric tier (`None`: f64), FLOP/s.
+    Tier(Option<ScreenTier>),
+    /// The sparse postings walk, updates/s.
+    Sparse,
 }
 
 impl BackendRegistry {
@@ -378,64 +417,66 @@ impl BackendRegistry {
         BackendRegistry::default()
     }
 
-    /// The calibrated analytical BMM cost model for the **active** SIMD
-    /// kernel, measuring on first use and caching the rate per kernel
-    /// name.
+    /// The calibrated analytical BMM cost model (the f64 multiply stage) —
+    /// [`BackendRegistry::analytical_tier`] of the plain tier.
+    pub fn analytical_bmm(&self) -> AnalyticalBmmModel {
+        self.analytical_tier(None)
+    }
+
+    /// The calibrated cost model of `tier`'s dense scan kernel (`None`: the
+    /// f64 GEMM; `Some`: the screen kernel of that tier) for the **active**
+    /// SIMD kernel set, measuring on first use and caching the rate per
+    /// `(kernel name, tier)`.
     ///
     /// A rate calibrated under one kernel must never be reused under
-    /// another (the module docs of [`crate::optimus::cost`]), so the cache
-    /// key is the kernel name; within one kernel the rate is a host
+    /// another (the module docs of [`crate::optimus::cost`]), so the kernel
+    /// name is part of the key; within one kernel the rate is a host
     /// property, not a model property, so epochs and shards all reuse the
-    /// single measurement instead of re-timing a `256³` GEMM on their
-    /// first plan.
-    pub fn analytical_bmm(&self) -> AnalyticalBmmModel {
-        self.calibrated(false)
-    }
-
-    /// The calibrated FLOP rate of the **single-precision** screen
-    /// kernels, cached like [`BackendRegistry::analytical_bmm`] — the
-    /// planner's prior for the scan phase of the mixed-precision path.
-    pub fn analytical_bmm_f32(&self) -> AnalyticalBmmModel {
-        self.calibrated(true)
-    }
-
-    fn calibrated(&self, f32_rate: bool) -> AnalyticalBmmModel {
-        let kernel = mips_linalg::simd::active().name();
-        let mut cache = super::lock_recovering(&self.calibration);
-        if let Some(model) = cache.get(&(kernel, f32_rate)) {
-            return *model;
+    /// single measurement instead of re-timing a `256³` multiply on their
+    /// first plan. The ratio of two tiers' rates is the planner's bound on
+    /// what a screen variant can gain over its f64 base.
+    pub fn analytical_tier(&self, tier: Option<ScreenTier>) -> AnalyticalBmmModel {
+        let flops_per_second =
+            self.calibrated(Calibrated::Tier(tier), &self.calibration_runs, || {
+                AnalyticalBmmModel::calibrate_tier(tier).flops_per_second
+            });
+        AnalyticalBmmModel {
+            flops_per_second,
+            kernel: mips_linalg::simd::active().name(),
         }
+    }
+
+    /// The cached rate of `what` under the active kernel, measured with
+    /// `measure` (and counted in `runs`) on a miss.
+    fn calibrated(&self, what: Calibrated, runs: &AtomicU64, measure: impl FnOnce() -> f64) -> f64 {
+        let kernel = mips_linalg::simd::active().name();
         // Calibration is a few milliseconds; holding the lock dedupes
         // concurrent first callers onto one measurement.
-        let model = if f32_rate {
-            AnalyticalBmmModel::calibrate_f32()
-        } else {
-            AnalyticalBmmModel::calibrate()
-        };
-        self.calibration_runs.fetch_add(1, Ordering::Relaxed);
-        cache.insert((kernel, f32_rate), model);
-        model
+        let mut cache = super::lock_recovering(&self.calibration);
+        *cache.entry((kernel, what)).or_insert_with(|| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            measure()
+        })
     }
 
-    /// How many calibration measurements [`BackendRegistry::analytical_bmm`]
-    /// has actually run (cache misses).
+    /// How many dense-kernel calibration measurements
+    /// [`BackendRegistry::analytical_tier`] has actually run (cache misses).
     pub fn calibration_runs(&self) -> u64 {
         self.calibration_runs.load(Ordering::Relaxed)
     }
 
     /// The calibrated analytical cost model of the sparse inverted-index
     /// accumulation loop, cached per kernel name like
-    /// [`BackendRegistry::analytical_bmm`].
+    /// [`BackendRegistry::analytical_tier`].
     pub fn analytical_sparse(&self) -> AnalyticalSparseModel {
-        let kernel = mips_linalg::simd::active().name();
-        let mut cache = super::lock_recovering(&self.sparse_calibration);
-        if let Some(model) = cache.get(kernel) {
-            return *model;
+        let updates_per_second =
+            self.calibrated(Calibrated::Sparse, &self.sparse_calibration_runs, || {
+                AnalyticalSparseModel::calibrate().updates_per_second
+            });
+        AnalyticalSparseModel {
+            updates_per_second,
+            kernel: mips_linalg::simd::active().name(),
         }
-        let model = AnalyticalSparseModel::calibrate();
-        self.sparse_calibration_runs.fetch_add(1, Ordering::Relaxed);
-        cache.insert(kernel, model);
-        model
     }
 
     /// Cache misses of [`BackendRegistry::analytical_sparse`].
@@ -576,7 +617,13 @@ mod tests {
             for factory in registry.factories() {
                 let key = factory.key();
                 let has_screen = matches!(key, "bmm" | "maximus" | "lemp");
-                match factory.build_screen(&view, tier) {
+                let base = factory.build(&m).expect("plain build");
+                assert_eq!(
+                    base.screen_tiers().contains(&tier),
+                    has_screen,
+                    "{key} advertises what build_screen delivers"
+                );
+                match factory.build_screen(base.as_ref(), &view, tier) {
                     None => assert!(!has_screen, "{key} lost its {tier:?} path"),
                     Some(built) => {
                         assert!(has_screen, "{key} unexpectedly screens in {tier:?}");
@@ -586,12 +633,8 @@ mod tests {
                             crate::precision::Precision::of_tier(Some(tier)),
                             "{key}"
                         );
-                        let plain = factory.build(&m).expect("plain build");
-                        assert_eq!(
-                            screened.name(),
-                            format!("{}{}", plain.name(), tier.suffix())
-                        );
-                        let want = plain.query_all(3);
+                        assert_eq!(screened.name(), format!("{}{}", base.name(), tier.suffix()));
+                        let want = base.query_all(3);
                         let got = screened.query_all(3);
                         for (g, w) in got.iter().zip(&want) {
                             assert_eq!(g.items, w.items, "{key} {tier:?}");

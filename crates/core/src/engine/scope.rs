@@ -95,6 +95,12 @@ impl ShardScopedSolver {
         ShardScopedSolver { inner, base }
     }
 
+    /// The view-built solver behind the id translation — what a factory's
+    /// `build_screen` is handed as the base of a shard-local variant.
+    pub(crate) fn inner(&self) -> &dyn MipsSolver {
+        self.inner.as_ref()
+    }
+
     fn to_local(&self, user: usize) -> usize {
         assert!(
             user >= self.base && user < self.base + self.inner.num_users(),
@@ -141,6 +147,10 @@ impl MipsSolver for ShardScopedSolver {
 
     fn precision(&self) -> crate::precision::Precision {
         self.inner.precision()
+    }
+
+    fn screen_tiers(&self) -> &[mips_topk::ScreenTier] {
+        self.inner.screen_tiers()
     }
 
     fn take_screen_stats(&self) -> Option<crate::solver::ScreenTally> {

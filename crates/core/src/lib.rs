@@ -25,7 +25,8 @@
 //!   small user sample sized to occupy the L2 cache, optionally stops
 //!   early with an incremental t-test, and picks the estimated winner.
 //!   The engine invokes it through [`Optimus::choose`](optimus::Optimus::choose)
-//!   as its query planner.
+//!   as its query planner — a staged race that builds an index only while
+//!   it can still win.
 //! * [`solver`] — the [`solver::MipsSolver`] trait every backend
 //!   implements, plus the legacy [`solver::Strategy`] enum, kept as a thin
 //!   naming shim over the engine's registry keys.

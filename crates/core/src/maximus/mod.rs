@@ -131,28 +131,40 @@ struct ClusterIndex {
     /// Item vectors gathered in list order (the `O(|C||I|f)` storage of
     /// §III-D; sequential walks instead of random model access).
     items: Matrix<f64>,
-    /// `items` in the armed screen tier's storage, present only after
-    /// [`MaximusIndex::enable_screen`].
-    mirror: Option<ItemMirror>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
 }
 
-/// The built MAXIMUS index.
-pub struct MaximusIndex {
+/// Everything construction derives from the model — the clustering, every
+/// cluster's bound-sorted list and its gathered item copy. Immutable once
+/// built and shared, behind an [`Arc`], by an index and every screen variant
+/// of it ([`MaximusIndex::with_screen`]).
+struct MaximusCore {
     model: Arc<MfModel>,
     config: MaximusConfig,
     assignments: Vec<u32>,
     clusters: Vec<ClusterIndex>,
     centroids: Matrix<f64>,
     build_stats: MaximusBuildStats,
+}
+
+/// The built MAXIMUS index.
+pub struct MaximusIndex {
+    core: Arc<MaximusCore>,
+    /// One mirror per cluster — its gathered items in the armed tier's
+    /// storage — row-aligned with the cluster's list; empty when no tier is
+    /// armed.
+    mirrors: Vec<ItemMirror>,
+    /// Seconds spent building what this handle added: the whole
+    /// construction for [`MaximusIndex::build`], the mirrors alone for a
+    /// [`MaximusIndex::with_screen`] variant.
     build_seconds: f64,
     query_stats: MaximusQueryStats,
     /// Cumulative screen candidate/survivor counts, drained by the serving
     /// layer ([`MipsSolver::take_screen_stats`]); separate from
     /// [`MaximusQueryStats`], whose counters benches read cumulatively.
     screen_tally: ScreenTallyCells,
-    /// The armed screen tier; every cluster then carries its mirror.
+    /// The armed screen tier.
     screen: Option<ScreenTier>,
     /// `"Maximus"` plus the armed tier's suffix.
     name: String,
@@ -213,7 +225,7 @@ impl MaximusIndex {
             .collect();
         let construction_seconds = t1.elapsed().as_secs_f64();
 
-        MaximusIndex {
+        let core = MaximusCore {
             assignments: clustering.assignments,
             centroids: clustering.centroids,
             clusters,
@@ -222,44 +234,67 @@ impl MaximusIndex {
                 clustering_seconds,
                 construction_seconds,
             },
-            build_seconds: clustering_seconds + construction_seconds,
+            model,
+        };
+        MaximusIndex::over(
+            Arc::new(core),
+            Vec::new(),
+            None,
+            clustering_seconds + construction_seconds,
+        )
+    }
+
+    /// A handle on `core` serving through `mirrors` in `screen`.
+    fn over(
+        core: Arc<MaximusCore>,
+        mirrors: Vec<ItemMirror>,
+        screen: Option<ScreenTier>,
+        build_seconds: f64,
+    ) -> MaximusIndex {
+        MaximusIndex {
+            core,
+            mirrors,
+            build_seconds,
             query_stats: MaximusQueryStats::default(),
             screen_tally: ScreenTallyCells::default(),
-            model,
-            screen: None,
-            name: screened_name("Maximus", None),
+            screen,
+            name: screened_name("Maximus", screen),
         }
     }
 
-    /// Arms the mixed-precision screen on the **list walk**: each cluster's
-    /// gathered item matrix gets a mirror in `tier`'s storage, and walked
-    /// items are pre-scored against it — the exact dot and its push are
-    /// skipped only when the envelope-widened screen score
+    /// This index with the mixed-precision screen armed on the **list
+    /// walk**, **sharing everything [`MaximusIndex::build`] constructed**:
+    /// the variant adds one mirror per cluster in `tier`'s storage, and
+    /// walked items are pre-scored against it — the exact dot and its push
+    /// are skipped only when the envelope-widened screen score
     /// ([`UserScreen::upper_bound`]) proves the push would be rejected, so
     /// results stay bit-identical. The §III-D blocked prefix stays f64 (it
     /// is GEMM-bound; the `bmm` screen variant covers that regime), as does
-    /// the §III-E new-vector path. The mirroring pass is timed into
-    /// `build_seconds`.
+    /// the §III-E new-vector path.
     ///
-    /// Re-arming replaces the previous tier's mirrors. When any cluster has
-    /// no usable mirror in `tier` (int8: subnormal rows, factor counts past
-    /// the i32-overflow cap) the call changes nothing — the index keeps
-    /// whatever identity, plain or screened, it had before.
-    pub fn enable_screen(&mut self, tier: ScreenTier) {
+    /// Each cluster's mirror is **gathered** in list order from the model's
+    /// own mirror of the tier ([`MfModel::mirror32`] / [`MfModel::mirror_i8`]
+    /// — built once per model and shared with brute force's screen), so no
+    /// row is rounded or quantized once per cluster. The variant's
+    /// `build_seconds` is that gathering alone; its work counters start at
+    /// zero.
+    ///
+    /// The variant carries the mirrors of `tier` only, whatever `self` had
+    /// armed. When the model does not mirror usably in `tier` (int8:
+    /// subnormal rows, factor counts past the i32-overflow cap; f32:
+    /// overflow) the result keeps the identity `self` had, plain or
+    /// screened.
+    pub fn with_screen(&self, tier: ScreenTier) -> MaximusIndex {
         let t = Instant::now();
-        let mirrors: Option<Vec<ItemMirror>> = self
-            .clusters
-            .iter()
-            .map(|c| ItemMirror::build(&c.items, tier))
-            .collect();
-        if let Some(mirrors) = mirrors {
-            for (cluster, mirror) in self.clusters.iter_mut().zip(mirrors) {
-                cluster.mirror = Some(mirror);
+        let core = Arc::clone(&self.core);
+        let (mirrors, screen) = match crate::bmm::screen_sides(&core.model, tier) {
+            Some((_, items)) => {
+                let gather = |c: &ClusterIndex| ItemMirror::gather(items, &c.list_ids);
+                (core.clusters.iter().map(gather).collect(), Some(tier))
             }
-            self.screen = Some(tier);
-            self.name = screened_name("Maximus", self.screen);
-        }
-        self.build_seconds += t.elapsed().as_secs_f64();
+            None => (self.mirrors.clone(), self.screen),
+        };
+        MaximusIndex::over(core, mirrors, screen, t.elapsed().as_secs_f64())
     }
 
     /// The armed screen tier, if any.
@@ -267,9 +302,9 @@ impl MaximusIndex {
         self.screen
     }
 
-    /// Build-stage breakdown (Fig. 8).
+    /// Build-stage breakdown (Fig. 8) of the shared construction.
     pub fn build_stats(&self) -> MaximusBuildStats {
-        self.build_stats
+        self.core.build_stats
     }
 
     /// Cumulative query work counters.
@@ -279,12 +314,12 @@ impl MaximusIndex {
 
     /// The cluster each user is assigned to.
     pub fn assignments(&self) -> &[u32] {
-        &self.assignments
+        &self.core.assignments
     }
 
     /// θ_b per cluster (diagnostics / ablations).
     pub fn cluster_thetas(&self) -> Vec<f64> {
-        self.clusters.iter().map(|c| c.theta_b).collect()
+        self.core.clusters.iter().map(|c| c.theta_b).collect()
     }
 
     /// Serves one cluster's user group: shared **fused** GEMM→heap streaming
@@ -297,15 +332,17 @@ impl MaximusIndex {
     /// positions to item ids by [`ColumnIds::Mapped`].
     fn serve_cluster(
         &self,
-        cluster: &ClusterIndex,
+        c: usize,
         group: &[(usize, usize)],
         k: usize,
         scratch: &mut GemmScratch<f64>,
         out: &mut [TopKList],
     ) {
+        let MaximusCore { model, config, .. } = &*self.core;
+        let cluster = &self.core.clusters[c];
         let n_items = cluster.list_ids.len();
-        let block = if self.config.item_blocking {
-            self.config.block_size.min(n_items)
+        let block = if config.item_blocking {
+            config.block_size.min(n_items)
         } else {
             0
         };
@@ -313,7 +350,7 @@ impl MaximusIndex {
         let mut heaps: Vec<TopKHeap> = group.iter().map(|_| TopKHeap::new(k)).collect();
         if block > 0 {
             let users: Vec<usize> = group.iter().map(|&(_, u)| u).collect();
-            let gathered = self.model.users().gather_rows(&users);
+            let gathered = model.users().gather_rows(&users);
             stream_topk_into_heaps(
                 (&gathered).into(),
                 cluster.items.row_block(0, block),
@@ -327,15 +364,15 @@ impl MaximusIndex {
         }
 
         for (mut heap, &(pos, u)) in heaps.into_iter().zip(group) {
-            let user = self.model.users().row(u);
+            let user = model.users().row(u);
             let unorm = norm2(user);
             // Walk-phase screen state: the user row in the armed tier's
             // storage plus its envelope coefficients. Absent unless a tier
             // is armed; a user row the tier cannot represent walks
             // unscreened — still exact, just unaccelerated.
-            let screen = cluster
-                .mirror
-                .as_ref()
+            let screen = self
+                .mirrors
+                .get(c)
                 .and_then(|mirror| Some((UserScreen::arm(user, unorm, mirror.tier())?, mirror)));
             let mut walked = 0u64;
             let mut screen_evaluated = 0u64;
@@ -387,7 +424,7 @@ impl MaximusIndex {
             // (GEMM-kernel) scores; only a heap a walk-scored (`dot`) item
             // made it into needs the canonicalizing pass.
             out[pos] = if walk_admitted {
-                canonical_list(user, self.model.items(), heap)
+                canonical_list(user, model.items(), heap)
             } else {
                 heap.into_sorted()
             };
@@ -403,19 +440,20 @@ impl MaximusIndex {
     /// items without early exit — still exact, usually still far fewer dots
     /// than brute force.
     pub fn query_new_vector(&self, user: &[f64], k: usize) -> TopKList {
+        let core = &*self.core;
         assert_eq!(
             user.len(),
-            self.model.num_factors(),
+            core.model.num_factors(),
             "MaximusIndex: user dimensionality mismatch"
         );
         // Assignment step of k-means only.
         let assigned = mips_clustering::assign_to_nearest(
             &Matrix::from_vec(1, user.len(), user.to_vec()).expect("1 x f"),
-            &self.centroids,
+            &core.centroids,
         )[0] as usize;
-        let cluster = &self.clusters[assigned];
+        let cluster = &core.clusters[assigned];
         let unorm = norm2(user);
-        let centroid = self.centroids.row(assigned);
+        let centroid = core.centroids.row(assigned);
         let theta_uc = if unorm == 0.0 || norm2(centroid) == 0.0 {
             std::f64::consts::PI
         } else {
@@ -442,7 +480,7 @@ impl MaximusIndex {
                 heap.push(dot(user, cluster.items.row(pos)), id);
             }
         }
-        canonical_list(user, self.model.items(), heap)
+        canonical_list(user, core.model.items(), heap)
     }
 }
 
@@ -560,7 +598,6 @@ fn build_cluster_list(
         theta_ic,
         norms,
         items: gathered,
-        mirror: None,
         members,
     }
 }
@@ -582,8 +619,12 @@ impl MipsSolver for MaximusIndex {
         crate::precision::Precision::of_tier(self.screen)
     }
 
+    fn screen_tiers(&self) -> &[ScreenTier] {
+        &ScreenTier::ALL
+    }
+
     fn num_users(&self) -> usize {
-        self.model.num_users()
+        self.core.model.num_users()
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
@@ -598,16 +639,16 @@ impl MipsSolver for MaximusIndex {
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         crate::solver::dedup_query_subset(users, |distinct| {
-            let mut groups: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.clusters.len()];
+            let mut groups: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.core.clusters.len()];
             for (pos, &u) in distinct.iter().enumerate() {
                 assert!(u < self.num_users(), "user id {u} out of bounds");
-                groups[self.assignments[u] as usize].push((pos, u));
+                groups[self.core.assignments[u] as usize].push((pos, u));
             }
             let mut out = vec![TopKList::empty(); distinct.len()];
             let mut scratch = GemmScratch::new();
             for (c, group) in groups.iter().enumerate() {
                 if !group.is_empty() {
-                    self.serve_cluster(&self.clusters[c], group, k, &mut scratch, &mut out);
+                    self.serve_cluster(c, group, k, &mut scratch, &mut out);
                 }
             }
             out
@@ -619,14 +660,14 @@ impl MipsSolver for MaximusIndex {
         // One scratch outlives every per-cluster fused multiply.
         let mut out = vec![TopKList::empty(); self.num_users()];
         let mut scratch = GemmScratch::new();
-        for cluster in &self.clusters {
+        for (c, cluster) in self.core.clusters.iter().enumerate() {
             let group: Vec<(usize, usize)> = cluster
                 .members
                 .iter()
                 .map(|&u| (u as usize, u as usize))
                 .collect();
             if !group.is_empty() {
-                self.serve_cluster(cluster, &group, k, &mut scratch, &mut out);
+                self.serve_cluster(c, &group, k, &mut scratch, &mut out);
             }
         }
         out
@@ -760,8 +801,11 @@ mod tests {
         let plain = MaximusIndex::build(Arc::clone(&m), &config);
         assert_eq!(plain.screen(), None);
         for tier in ScreenTier::ALL {
-            let mut screened = MaximusIndex::build(Arc::clone(&m), &config);
-            screened.enable_screen(tier);
+            let screened = plain.with_screen(tier);
+            assert!(
+                Arc::ptr_eq(&screened.core, &plain.core),
+                "construction is shared"
+            );
             assert_eq!(screened.screen(), Some(tier));
             assert_eq!(screened.name(), format!("Maximus{}", tier.suffix()));
             assert_eq!(screened.precision(), Precision::of_tier(Some(tier)));
@@ -789,21 +833,23 @@ mod tests {
     }
 
     #[test]
-    fn rearming_replaces_the_mirrors_and_a_degenerate_request_changes_nothing() {
+    fn a_variant_carries_one_tier_and_a_degenerate_request_changes_nothing() {
         use crate::precision::Precision;
-        let tiers = |index: &MaximusIndex| -> Vec<Option<ScreenTier>> {
-            let per_cluster = index.clusters.iter();
-            per_cluster
-                .map(|c| c.mirror.as_ref().map(ItemMirror::tier))
-                .collect()
+        let tiers = |index: &MaximusIndex| -> Vec<ScreenTier> {
+            index.mirrors.iter().map(ItemMirror::tier).collect()
         };
-        let mut index = MaximusIndex::build(model(30, 80, 6, 0.4), &small_config());
-        index.enable_screen(ScreenTier::F32);
-        index.enable_screen(ScreenTier::I8);
+        let plain = MaximusIndex::build(model(30, 80, 6, 0.4), &small_config());
+        let index = plain
+            .with_screen(ScreenTier::F32)
+            .with_screen(ScreenTier::I8);
         assert_eq!(index.name(), "Maximus+i8");
         // One mirror per cluster, in the newly armed tier: the f32 rows are
-        // dropped, not resident next to the int8 codes.
-        assert!(tiers(&index).iter().all(|&t| t == Some(ScreenTier::I8)));
+        // not resident next to the int8 codes.
+        assert_eq!(tiers(&index), vec![ScreenTier::I8; 4]);
+        assert!(
+            tiers(&plain).is_empty(),
+            "deriving a variant leaves the base plain"
+        );
 
         // Subnormal item rows cannot be quantized: the int8 request is
         // refused and the index keeps the identity it had.
@@ -815,19 +861,44 @@ mod tests {
             )
             .unwrap(),
         );
-        let mut index = MaximusIndex::build(degenerate, &small_config());
-        index.enable_screen(ScreenTier::I8);
+        let plain = MaximusIndex::build(degenerate, &small_config());
+        let index = plain.with_screen(ScreenTier::I8);
         assert_eq!(
             (index.name(), index.precision()),
             ("Maximus", Precision::F64)
         );
-        index.enable_screen(ScreenTier::F32);
-        index.enable_screen(ScreenTier::I8);
+        let index = plain
+            .with_screen(ScreenTier::F32)
+            .with_screen(ScreenTier::I8);
         assert_eq!(
             (index.name(), index.precision()),
             ("Maximus+f32", Precision::F32Rescore)
         );
-        assert!(tiers(&index).iter().all(|&t| t == Some(ScreenTier::F32)));
+        assert_eq!(tiers(&index), vec![ScreenTier::F32; 4]);
+    }
+
+    #[test]
+    fn cluster_mirrors_are_gathered_from_the_model_mirror_row_for_row() {
+        // Per-row scales travel with the row: a cluster's gathered mirror
+        // must bound exactly like one quantized from the cluster's own f64
+        // copy (the pre-sharing construction).
+        let m = model(40, 90, 8, 0.4);
+        let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
+        for tier in ScreenTier::ALL {
+            let screened = plain.with_screen(tier);
+            let user = m.users().row(3);
+            let screen = UserScreen::arm(user, norm2(user), tier).unwrap();
+            for (cluster, mirror) in plain.core.clusters.iter().zip(&screened.mirrors) {
+                let rebuilt = ItemMirror::build(&cluster.items, tier).unwrap();
+                for (r, &norm) in cluster.norms.iter().enumerate() {
+                    assert_eq!(
+                        screen.upper_bound(mirror, r, norm).to_bits(),
+                        screen.upper_bound(&rebuilt, r, norm).to_bits(),
+                        "{tier:?} list position {r}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,67 @@
 //! calibrated under one kernel must never be reused under another — compare
 //! [`AnalyticalBmmModel::kernel`] before trusting a cached rate.
 
-use mips_linalg::{gemm_flops, gemm_nt, simd, Matrix};
+use mips_linalg::{gemm_flops, gemm_nt, simd, Matrix, Scalar};
+use mips_topk::ScreenTier;
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Every dense calibration multiplies `DIM × DIM × DIM`: large enough to
+/// exercise the blocked kernel, small enough to finish in milliseconds.
+const DIM: usize = 256;
+
+/// Seconds of the fastest of three runs of `work`, after one warm-up: a
+/// calibration is reused for the registry's lifetime, so one preempted run
+/// must not become the rate.
+fn fastest_of_three(mut work: impl FnMut()) -> f64 {
+    work();
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        work();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best.max(1e-9)
+}
+
+/// Seconds for the packed GEMM to multiply `DIM³` in element type `T`.
+fn time_gemm<T: Scalar>() -> f64 {
+    let a = Matrix::<T>::from_fn(DIM, DIM, |r, c| {
+        T::from_f64(((r * 31 + c * 7) % 13) as f64 * 0.1)
+    });
+    let b = Matrix::<T>::from_fn(DIM, DIM, |r, c| {
+        T::from_f64(((r * 17 + c * 3) % 11) as f64 * 0.1)
+    });
+    fastest_of_three(|| {
+        black_box(gemm_nt(&a, &b));
+    })
+}
+
+/// Seconds for the int8 screen's integer-dot kernel to score `DIM` users
+/// against `DIM` items of `DIM` codes — the same `DIM³` multiply-adds, four
+/// items per call like the block screen's scan.
+fn time_dot_i8() -> f64 {
+    let codes = |mul: usize, modulus: usize| -> Vec<i8> {
+        let code = |p: usize| ((p * mul) % modulus) as i32 - (modulus / 2) as i32;
+        (0..DIM * DIM)
+            .map(|p| i8::try_from(code(p)).expect("moduli below 256 centre within i8"))
+            .collect()
+    };
+    let (users, items) = (codes(31, 251), codes(17, 241));
+    let kern = simd::active();
+    fastest_of_three(|| {
+        let mut sum = 0i64;
+        for user in users.chunks_exact(DIM) {
+            for quad in items.chunks_exact(4 * DIM) {
+                let (a, b) = quad.split_at(2 * DIM);
+                let ((i0, i1), (i2, i3)) = (a.split_at(DIM), b.split_at(DIM));
+                let dots = kern.dot_i8_quad(user, [i0, i1, i2, i3]);
+                sum += dots.iter().map(|&d| i64::from(d)).sum::<i64>();
+            }
+        }
+        black_box(sum);
+    })
+}
 
 /// A calibrated analytical cost model for the BMM multiply stage.
 #[derive(Debug, Clone, Copy)]
@@ -32,43 +91,27 @@ pub struct AnalyticalBmmModel {
 }
 
 impl AnalyticalBmmModel {
-    /// Calibrates by timing a `256 × 256 × 256` double-precision multiply
-    /// (large enough to exercise the blocked kernel, small enough to finish
-    /// in milliseconds).
+    /// Calibrates by timing a `256 × 256 × 256` double-precision multiply.
     pub fn calibrate() -> AnalyticalBmmModel {
-        const DIM: usize = 256;
-        let a = Matrix::<f64>::from_fn(DIM, DIM, |r, c| ((r * 31 + c * 7) % 13) as f64 * 0.1);
-        let b = Matrix::<f64>::from_fn(DIM, DIM, |r, c| ((r * 17 + c * 3) % 11) as f64 * 0.1);
-        // One warmup, then the timed run.
-        let _ = gemm_nt(&a, &b);
-        let start = Instant::now();
-        let c = gemm_nt(&a, &b);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        // Keep the result alive so the multiply cannot be optimized out.
-        let _guard = c.get(0, 0);
-        AnalyticalBmmModel {
-            flops_per_second: gemm_flops(DIM, DIM, DIM) / elapsed,
-            kernel: simd::active().name(),
-        }
+        AnalyticalBmmModel::calibrate_tier(None)
     }
 
-    /// [`AnalyticalBmmModel::calibrate`] through the **single-precision**
-    /// micro-kernels: the same multiply, f32 operands. The ratio between
-    /// this rate and the f64 rate is the analytical prior for how much of
-    /// the mixed-precision path's scan phase the screen can save (the
-    /// rescore cost is data-dependent and left to online sampling, exactly
-    /// like the top-k stage above).
-    pub fn calibrate_f32() -> AnalyticalBmmModel {
-        const DIM: usize = 256;
-        let a = Matrix::<f32>::from_fn(DIM, DIM, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.1);
-        let b = Matrix::<f32>::from_fn(DIM, DIM, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.1);
-        let _ = gemm_nt(&a, &b);
-        let start = Instant::now();
-        let c = gemm_nt(&a, &b);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let _guard = c.get(0, 0);
+    /// Calibrates the dense scan kernel of one numeric tier on the same
+    /// `256³` multiply: the f64 GEMM (`None`), the single-precision GEMM,
+    /// or the int8 integer-dot kernel. The ratio between a screen tier's
+    /// rate and the f64 rate is the analytical bound on how much of a
+    /// backend's scan the tier can save (the rescore cost is data-dependent
+    /// and left to online sampling, exactly like the top-k stage) — every
+    /// tier has an entry here, which is what lets the planner bound a
+    /// variant before building it.
+    pub fn calibrate_tier(tier: Option<ScreenTier>) -> AnalyticalBmmModel {
+        let seconds = match tier {
+            None => time_gemm::<f64>(),
+            Some(ScreenTier::F32) => time_gemm::<f32>(),
+            Some(ScreenTier::I8) => time_dot_i8(),
+        };
         AnalyticalBmmModel {
-            flops_per_second: gemm_flops(DIM, DIM, DIM) / elapsed,
+            flops_per_second: gemm_flops(DIM, DIM, DIM) / seconds,
             kernel: simd::active().name(),
         }
     }
@@ -135,12 +178,9 @@ impl AnalyticalSparseModel {
                 *slot = q.mul_add(v, *slot);
             }
         };
-        walk(&mut acc); // warmup
-        let start = Instant::now();
-        walk(&mut acc);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+        let elapsed = fastest_of_three(|| walk(&mut acc));
         // Keep the accumulator alive so the walk cannot be optimized out.
-        let _guard = acc[0];
+        black_box(acc[0]);
         AnalyticalSparseModel {
             updates_per_second: POSTINGS as f64 / elapsed,
             kernel: simd::active().name(),
@@ -174,10 +214,13 @@ mod tests {
 
     #[test]
     fn calibration_yields_plausible_rate() {
-        let model = AnalyticalBmmModel::calibrate();
-        // Anything from an emulator to a vector monster.
-        assert!(model.flops_per_second > 1e6);
-        assert!(model.flops_per_second < 1e13);
+        // Anything from an emulator to a vector monster, in every tier.
+        for tier in std::iter::once(None).chain(ScreenTier::ALL.map(Some)) {
+            let model = AnalyticalBmmModel::calibrate_tier(tier);
+            assert!(model.flops_per_second > 1e6, "{tier:?}");
+            assert!(model.flops_per_second < 1e13, "{tier:?}");
+            assert_eq!(model.kernel, simd::active().name());
+        }
     }
 
     #[test]

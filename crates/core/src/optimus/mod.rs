@@ -3,15 +3,22 @@
 //! Given a model and a set of candidate strategies (BMM plus one or more
 //! indexes), OPTIMUS:
 //!
-//! 1. **builds every candidate index** — construction is orders of magnitude
-//!    cheaper than serving (Fig. 4), so this is affordable;
+//! 1. **builds a candidate only once it can still win** — construction is
+//!    cheap next to serving (Fig. 4) but not next to *deciding*, so the
+//!    engine's planner ([`Optimus::choose`]) builds lazily: a candidate whose
+//!    calibrated analytical lower bound already exceeds the leader's sampled
+//!    estimate is never built, and a screen variant is built (over its f64
+//!    base's shared construction) only when its tier-rate bound says it can
+//!    still beat the leader. The paper's stand-alone two-way optimizer
+//!    ([`Optimus::run`]) builds the few indexes it is handed;
 //! 2. **samples users** — a fraction of `U` (default 0.5 %) floored so the
 //!    sampled user block at least occupies the L2 cache, without which BMM's
 //!    timing degenerates toward matrix–vector multiply (§IV-A);
-//! 3. **times BMM and every index on the sample** and linearly extrapolates
-//!    total serving time. For point-query indexes (LEMP, FEXIPRO) an
-//!    incremental one-sample t-test against BMM's mean per-user time stops
-//!    sampling as soon as the comparison is statistically settled;
+//! 3. **times the candidates on the sample** and linearly extrapolates total
+//!    serving time. For point-query indexes (LEMP, FEXIPRO) an incremental
+//!    one-sample t-test against the reference's mean per-user time (BMM's
+//!    in [`Optimus::run`], the current leader's in [`Optimus::choose`])
+//!    stops sampling as soon as the comparison is statistically settled;
 //! 4. **serves the remaining users with the estimated winner**, reusing the
 //!    winner's sampled results.
 //!
@@ -23,12 +30,12 @@ pub mod cost;
 pub mod oracle;
 
 use crate::engine::registry::{BmmFactory, SolverFactory};
-use crate::solver::MipsSolver;
+use crate::solver::{screened_name, MipsSolver};
 use crate::sync::Arc;
 use mips_data::{MfModel, ModelView};
 use mips_linalg::CacheConfig;
 use mips_stats::{OneSampleTTest, TTestDecision};
-use mips_topk::TopKList;
+use mips_topk::{ScreenTier, TopKList};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -63,20 +70,96 @@ impl Default for OptimusConfig {
     }
 }
 
+/// What the planner did with one candidate — the "why" next to each
+/// estimate of a plan's decision record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CandidateOutcome {
+    /// Timed on the whole sample.
+    Sampled,
+    /// The t-test found it significantly slower than the reference after
+    /// `after` sampled users and stopped there.
+    StoppedEarly {
+        /// Users timed before the test decided.
+        after: usize,
+    },
+    /// Neither built nor sampled: its calibrated analytical lower bound
+    /// already exceeded the leader's sampled estimate.
+    PrunedAnalytical {
+        /// The bound, in seconds for all the plan's users.
+        bound_seconds: f64,
+    },
+    /// A screen variant that was never built: even at the tier-rate bound —
+    /// its f64 base's estimate scaled by the calibrated kernel-rate ratio of
+    /// the two tiers — it could not reach the leader.
+    NotBuilt {
+        /// The bound, in seconds for all the plan's users.
+        bound_seconds: f64,
+    },
+    /// A screen variant that had the lowest estimate but not by the
+    /// adoption margin: the plan went to its f64 base instead.
+    DemotedWithinMargin,
+}
+
 /// One candidate's measured estimate.
 #[derive(Debug, Clone)]
 pub struct StrategyEstimate {
-    /// Strategy display name.
+    /// Strategy display name — the built solver's; for a candidate that was
+    /// never built, its registry key (plus the tier suffix for a variant).
     pub name: String,
-    /// Index construction seconds (0 for BMM).
+    /// Index construction seconds (0 for BMM and for anything never built;
+    /// the mirroring alone for a screen variant, which shares its base's
+    /// construction).
     pub build_seconds: f64,
     /// Users actually timed (may be below the sample size when the t-test
-    /// stopped early).
+    /// stopped early; 0 for a candidate that was never built).
     pub sampled_users: usize,
     /// Measured sampling seconds.
     pub sample_seconds: f64,
-    /// Extrapolated total serving time for all users, in seconds.
+    /// Extrapolated total serving time for all users, in seconds. For a
+    /// candidate that was never sampled: the bound that excluded it, which
+    /// is a lower bound on this.
     pub estimated_total_seconds: f64,
+    /// What the planner did with the candidate.
+    pub outcome: CandidateOutcome,
+}
+
+impl StrategyEstimate {
+    /// The estimate of `solver` from `sampled_users` users timed in
+    /// `sample_seconds`, extrapolated to `n` users.
+    fn timed(
+        solver: &dyn MipsSolver,
+        sampled_users: usize,
+        sample_seconds: f64,
+        n: usize,
+        outcome: CandidateOutcome,
+    ) -> StrategyEstimate {
+        StrategyEstimate {
+            name: solver.name().to_string(),
+            build_seconds: solver.build_seconds(),
+            sampled_users,
+            sample_seconds,
+            estimated_total_seconds: sample_seconds / sampled_users as f64 * n as f64,
+            outcome,
+        }
+    }
+
+    /// The record of a candidate `name` excluded by `outcome`'s bound
+    /// before it was built.
+    fn unbuilt(name: String, bound_seconds: f64, outcome: CandidateOutcome) -> StrategyEstimate {
+        StrategyEstimate {
+            name,
+            build_seconds: 0.0,
+            sampled_users: 0,
+            sample_seconds: 0.0,
+            estimated_total_seconds: bound_seconds,
+            outcome,
+        }
+    }
+
+    /// `true` when the candidate was timed on the whole sample.
+    fn is_sampled(&self) -> bool {
+        self.outcome == CandidateOutcome::Sampled
+    }
 }
 
 /// The outcome of one OPTIMUS invocation.
@@ -108,19 +191,101 @@ struct EstimationPhase {
     index_results: Vec<Option<Vec<TopKList>>>,
 }
 
-/// A planning decision over already-built candidate solvers: the engine's
-/// query-planner entry point (the candidates come from its backend
-/// registry, not from factory values).
-#[derive(Debug, Clone)]
+/// Where [`Optimus::choose`] gets its candidates: the f64 **base**
+/// candidates in race order, each built on demand, plus — for the bases
+/// that compete them — their screen variants, built on demand from the
+/// base. The engine implements this over its backend registry and epoch
+/// cache; nothing is constructed until the race asks.
+pub trait CandidateSource {
+    /// Why a build can fail.
+    type Error;
+
+    /// One label per base candidate, in race order. A candidate that is
+    /// never built is recorded under its label (a registry key).
+    fn labels(&self) -> Vec<String>;
+
+    /// A calibrated lower bound on base `base`'s serving seconds for all of
+    /// the view's users, when the source has an analytical model of it.
+    /// `None`: no model — the candidate is built and sampled.
+    fn analytical_bound(&mut self, base: usize) -> Option<f64>;
+
+    /// Builds (or fetches) base candidate `base`.
+    fn build(&mut self, base: usize) -> Result<Arc<dyn MipsSolver>, Self::Error>;
+
+    /// The calibrated time of `tier`'s scan kernel relative to the f64
+    /// kernel's: a variant of `base` in `tier` cannot serve faster than
+    /// `base`'s estimate times this. `None` when `base` does not compete a
+    /// variant in `tier` (the numeric mode is forced, or the candidate's own
+    /// screen race was settled elsewhere).
+    fn tier_time_ratio(&mut self, base: usize, tier: ScreenTier) -> Option<f64>;
+
+    /// Builds (or fetches) the `tier` variant of base candidate `base`,
+    /// which is already built. `Ok(None)`: the backend has no such variant
+    /// after all.
+    fn build_variant(
+        &mut self,
+        base: usize,
+        tier: ScreenTier,
+    ) -> Result<Option<Arc<dyn MipsSolver>>, Self::Error>;
+}
+
+/// One row of a planning decision: a base candidate or a competed screen
+/// variant of one, what was built of it, and what the race found.
+#[derive(Clone)]
+pub struct RaceEntry {
+    /// Index of the base candidate in [`CandidateSource::labels`] order.
+    pub base: usize,
+    /// `Some` for a competed screen variant of `base`.
+    pub tier: Option<ScreenTier>,
+    /// The built solver; `None` when a bound excluded the candidate before
+    /// construction.
+    pub solver: Option<Arc<dyn MipsSolver>>,
+    /// The estimate and its outcome.
+    pub estimate: StrategyEstimate,
+}
+
+/// A planning decision: the engine's query-planner result.
+#[derive(Clone)]
 pub struct PlannedChoice {
-    /// Index of the winning solver in the input slice.
+    /// Index of the winner in `entries`.
     pub chosen: usize,
-    /// Per-candidate estimates, in input order.
-    pub estimates: Vec<StrategyEstimate>,
+    /// Every candidate — each base in race order, followed by its competed
+    /// variants — raced or excluded.
+    pub entries: Vec<RaceEntry>,
     /// Users sampled for estimation.
     pub sample_size: usize,
-    /// Wall-clock seconds spent sampling and deciding.
+    /// Wall-clock seconds spent sampling and deciding — the index builds the
+    /// race triggered are each candidate's `build_seconds`, not part of
+    /// this.
     pub decision_seconds: f64,
+}
+
+impl PlannedChoice {
+    /// The index in `entries` of the f64 base that entry `idx` is a screen
+    /// variant of (`None` when `idx` is itself a base).
+    pub fn base_entry_of(&self, idx: usize) -> Option<usize> {
+        let entry = &self.entries[idx];
+        entry.tier?;
+        self.entries
+            .iter()
+            .position(|e| e.base == entry.base && e.tier.is_none())
+    }
+}
+
+/// When the per-user t-test may cut a point-query candidate's sampling
+/// short.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EarlyStop {
+    /// Never: time the whole sample in one call.
+    Never,
+    /// As soon as the test decides either way (the paper's two-way rule:
+    /// the comparison against BMM is settled).
+    WhenDecided,
+    /// Only when the candidate is significantly *slower* than the
+    /// reference: a candidate at or ahead of the leader keeps the whole
+    /// sample, because its estimate is what later candidates are tested
+    /// and bounded against.
+    WhenSlower,
 }
 
 /// The OPTIMUS optimizer.
@@ -164,134 +329,227 @@ impl Optimus {
         (sample, taken)
     }
 
-    /// Chooses among already-built solvers by timing each on a user sample
-    /// — the planning primitive behind [`crate::engine::PreparedPlan`].
+    /// Chooses among lazily built candidates with a **staged race** — the
+    /// planning primitive behind [`crate::engine::PreparedPlan`].
+    ///
+    /// * **Reference.** The first batch-capable base (BMM when registered)
+    ///   is built and timed on the whole sample; it is the first *leader*.
+    /// * **Analytical gate.** A base whose
+    ///   [`CandidateSource::analytical_bound`] exceeds the leader's estimate
+    ///   is neither built nor sampled
+    ///   ([`CandidateOutcome::PrunedAnalytical`]).
+    /// * **Stage 1** builds and times the remaining f64 bases in order.
+    ///   Point-query bases run under the incremental t-test against the
+    ///   **current leader's** mean per-user time: one significantly slower
+    ///   stops there ([`CandidateOutcome::StoppedEarly`]), one at or ahead
+    ///   of the leader keeps the whole sample and may take the lead.
+    /// * **Stage 2** visits the bases best-first and, for each screen tier
+    ///   the base lists ([`MipsSolver::screen_tiers`]) and the source
+    ///   competes, bounds the variant from below by the base's estimate
+    ///   times [`CandidateSource::tier_time_ratio`]. Over the leader's
+    ///   estimate it is never built ([`CandidateOutcome::NotBuilt`]); at or
+    ///   under it, the variant is built and timed on the whole sample — as
+    ///   is its base, if the t-test had cut it short — so a pair is always
+    ///   compared over the identical user mix (on backends whose per-user
+    ///   cost tracks the user's norm, different mixes mis-rank a pair whose
+    ///   true costs are within ~20 %).
+    /// * **Second pass.** The caller's adoption rule compares a winning
+    ///   variant head-to-head with its own base, so the provisional
+    ///   winner's base/variant group — and only it — gets a second timing
+    ///   pass with the per-candidate minimum kept: one scheduler burst
+    ///   inside a candidate's only pass can mis-rank a pair within the
+    ///   adoption margin, but to survive a min-of-two it would have to hit
+    ///   the same side twice and the other side never.
+    ///
+    /// Every bound errs toward racing (the strict comparisons build a
+    /// candidate sitting exactly at its bound), and every path that can win
+    /// is exact, so the race changes what planning costs, not what it may
+    /// answer.
     ///
     /// Sampling and cost extrapolation are **sized to the view**: the
     /// sample is drawn from the view's user range (in the parent model's
     /// global id space, which is what the candidate solvers must speak),
     /// and each candidate's total is extrapolated to the view's user
-    /// count. A full view reproduces the whole-model planning of earlier
-    /// revisions bit-for-bit (same seed, same draws); a shard view is how
-    /// the serving runtime lets every shard plan for its own slice.
+    /// count. A shard view is how the serving runtime lets every shard plan
+    /// for its own slice.
     ///
-    /// `solvers[0]` is the timing reference for the early-stopping t-test
-    /// applied to point-query candidates, so it should be the batch
-    /// baseline (BMM) when one is present. `screen_of[i]` names the
-    /// candidate (by index into `solvers`) that candidate `i` is a
-    /// mixed-precision screen variant of — `None` for everything else; the
-    /// pairing is the caller's structural knowledge, never inferred from
-    /// display names. Panics if `solvers` is empty or the two slices differ
-    /// in length; the engine guards the empty case with a typed error
-    /// before calling.
-    pub fn choose(
+    /// Panics if the source has no candidates; the engine guards that case
+    /// with a typed error before calling.
+    pub fn choose<S: CandidateSource>(
         &self,
         view: &ModelView,
         k: usize,
-        solvers: &[&dyn MipsSolver],
-        screen_of: &[Option<usize>],
-    ) -> PlannedChoice {
-        assert!(!solvers.is_empty(), "Optimus::choose: no candidate solvers");
-        assert_eq!(
-            solvers.len(),
-            screen_of.len(),
-            "Optimus::choose: one pairing entry per candidate"
-        );
+        source: &mut S,
+    ) -> Result<PlannedChoice, S::Error> {
         let overall = Instant::now();
+        let labels = source.labels();
+        assert!(!labels.is_empty(), "Optimus::choose: no candidates");
         let n = view.num_users();
         let (mut sample, _) = self.sample_users(n, view.num_factors());
-        let base = view.user_range().start;
-        if base != 0 {
+        let first_user = view.user_range().start;
+        if first_user != 0 {
             for user in &mut sample {
-                *user += base;
+                *user += first_user;
             }
         }
+        let mut race = Race {
+            optimus: self,
+            k,
+            n,
+            // Untimed warm-up prefix per candidate before its timed pass:
+            // a candidate's first queries pay one-off costs (page faults,
+            // cold caches over its index, lazily initialised scratch) that
+            // land asymmetrically — whoever samples first pays the most —
+            // and on small views inflate the extrapolated totals by orders
+            // of magnitude. Planning is a *comparison* of steady-state
+            // costs, so estimates must not carry cold-start noise.
+            warm: sample.len().min(4),
+            sample: &sample,
+            leader_seconds: f64::INFINITY,
+        };
 
-        // Untimed warm-up prefix per candidate before its timed pass:
-        // a candidate's first queries pay one-off costs (page faults,
-        // cold caches over its index, lazily initialised scratch) that
-        // land asymmetrically — whoever samples first pays the most —
-        // and on small views inflate the extrapolated totals by orders
-        // of magnitude. Planning is a *comparison* of steady-state
-        // costs, and the screen-adoption floor guards mixed-precision
-        // plans in absolute seconds, so estimates must not carry
-        // cold-start noise.
-        let warm = &sample[..sample.len().min(4)];
-
-        // Screen pairing: an engine in `Auto` precision competes each
-        // backend's screen variants against its own f64 build, and the
-        // adoption rule downstream compares exactly those estimates.
-        // The t-test early stop can halt the two sides at *different*
-        // user counts, and on backends with heterogeneous per-user cost
-        // (LEMP's scan length tracks the user's norm) that makes the
-        // pair's estimates averages over different user mixes — enough
-        // to mis-rank a pair whose true costs are within ~20%. Force
-        // both sides of every screen pair onto the identical full
-        // sample so their comparison is apples-to-apples; unpaired
-        // candidates keep the cheap early-stopped sampling. Every screen
-        // tier pairs with the same f64 base; a base with several screen
-        // variants is paired once and shared by all of them.
-        let screen_paired: Vec<bool> = (0..solvers.len())
-            .map(|i| screen_of[i].is_some() || screen_of.contains(&Some(i)))
+        let bounds: Vec<Option<f64>> = (0..labels.len())
+            .map(|base| source.analytical_bound(base))
             .collect();
+        let mut solvers: Vec<Option<Arc<dyn MipsSolver>>> = vec![None; labels.len()];
+        let mut bases: Vec<Option<StrategyEstimate>> = vec![None; labels.len()];
+        // Seconds inside the source's builds: construction the race
+        // triggered, reported per candidate and kept out of the decision's
+        // own clock.
+        let mut building = 0.0;
 
-        // Time the reference candidate on the whole sample.
-        let _ = solvers[0].query_subset(k, warm);
-        let t0 = Instant::now();
-        let _ = solvers[0].query_subset(k, &sample);
-        let ref_sample_seconds = t0.elapsed().as_secs_f64();
-        let ref_per_user = ref_sample_seconds / sample.len() as f64;
-        let mut estimates = vec![StrategyEstimate {
-            name: solvers[0].name().to_string(),
-            build_seconds: solvers[0].build_seconds(),
-            sampled_users: sample.len(),
-            sample_seconds: ref_sample_seconds,
-            estimated_total_seconds: ref_per_user * n as f64,
-        }];
-
-        for (idx, solver) in solvers[1..].iter().enumerate() {
-            let _ = solver.query_subset(k, warm);
-            let (estimate, _) =
-                self.estimate_index(*solver, k, &sample, ref_per_user, n, screen_paired[idx + 1]);
-            estimates.push(estimate);
+        // The reference: the first batch-capable base, else the first base
+        // without an analytical bound, else the first base. Bases with a
+        // bound wait for a leader to be measured against.
+        let mut reference = None;
+        for base in (0..labels.len()).filter(|&b| bounds[b].is_none()) {
+            reference.get_or_insert(base);
+            if built(source, &mut solvers[base], base, &mut building)?.batches_users() {
+                reference = Some(base);
+                break;
+            }
         }
+        let reference = reference.unwrap_or(0);
+        let solver = built(source, &mut solvers[reference], reference, &mut building)?;
+        bases[reference] = Some(race.time(solver.as_ref(), EarlyStop::Never));
 
-        // Paired candidates get a second, interleaved timing pass with
-        // the per-side minimum kept: one scheduler burst landing inside
-        // a side's only pass can mis-rank a pair whose true costs sit
-        // within the adoption margin, but to survive a min-of-two the
-        // burst would have to hit the same side twice and the other
-        // side never. Unpaired candidates don't face a head-to-head
-        // margin decision, so their single pass stands.
-        for (idx, solver) in solvers.iter().enumerate() {
-            if !screen_paired[idx] {
+        // Stage 1: the remaining f64 bases, in order.
+        for base in (0..labels.len()).filter(|&b| b != reference) {
+            if let Some(bound_seconds) = bounds[base].filter(|&b| b > race.leader_seconds) {
+                bases[base] = Some(StrategyEstimate::unbuilt(
+                    labels[base].clone(),
+                    bound_seconds,
+                    CandidateOutcome::PrunedAnalytical { bound_seconds },
+                ));
                 continue;
             }
-            let t0 = Instant::now();
-            let _ = solver.query_subset(k, &sample);
-            let second = t0.elapsed().as_secs_f64();
-            let e = &mut estimates[idx];
-            if second < e.sample_seconds {
-                e.sample_seconds = second;
-                e.estimated_total_seconds = second / sample.len() as f64 * n as f64;
+            let solver = built(source, &mut solvers[base], base, &mut building)?;
+            bases[base] = Some(race.time(solver.as_ref(), EarlyStop::WhenSlower));
+        }
+        let mut bases: Vec<StrategyEstimate> = bases
+            .into_iter()
+            .map(|e| e.expect("every base was raced or excluded"))
+            .collect();
+
+        // Stage 2: screen variants, best base first so the leader drops
+        // early and the bound excludes the most.
+        let mut variants: Vec<Vec<RaceEntry>> = vec![Vec::new(); labels.len()];
+        let mut order: Vec<usize> = (0..labels.len())
+            .filter(|&b| solvers[b].is_some())
+            .collect();
+        order.sort_by(|&a, &b| {
+            bases[a]
+                .estimated_total_seconds
+                .total_cmp(&bases[b].estimated_total_seconds)
+        });
+        for base in order {
+            let solver = Arc::clone(solvers[base].as_ref().expect("ordered bases are built"));
+            for &tier in solver.screen_tiers() {
+                let Some(ratio) = source.tier_time_ratio(base, tier) else {
+                    continue;
+                };
+                let bound_seconds = bases[base].estimated_total_seconds * ratio;
+                if bound_seconds > race.leader_seconds {
+                    variants[base].push(RaceEntry {
+                        base,
+                        tier: Some(tier),
+                        solver: None,
+                        estimate: StrategyEstimate::unbuilt(
+                            screened_name(solver.name(), Some(tier)),
+                            bound_seconds,
+                            CandidateOutcome::NotBuilt { bound_seconds },
+                        ),
+                    });
+                    continue;
+                }
+                let started = Instant::now();
+                let variant = source.build_variant(base, tier)?;
+                building += started.elapsed().as_secs_f64();
+                let Some(variant) = variant else {
+                    continue;
+                };
+                if !bases[base].is_sampled() {
+                    bases[base] = race.time(solver.as_ref(), EarlyStop::Never);
+                }
+                variants[base].push(RaceEntry {
+                    base,
+                    tier: Some(tier),
+                    estimate: race.time(variant.as_ref(), EarlyStop::Never),
+                    solver: Some(variant),
+                });
             }
         }
 
-        let chosen = estimates
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.estimated_total_seconds
-                    .total_cmp(&b.1.estimated_total_seconds)
-            })
-            .expect("at least one candidate")
-            .0;
-        PlannedChoice {
-            chosen,
-            estimates,
-            sample_size: sample.len(),
-            decision_seconds: overall.elapsed().as_secs_f64(),
+        let mut entries = Vec::new();
+        for (base, (estimate, solver)) in bases.into_iter().zip(solvers).enumerate() {
+            entries.push(RaceEntry {
+                base,
+                tier: None,
+                solver,
+                estimate,
+            });
+            entries.append(&mut variants[base]);
         }
+        // The lowest whole-sample estimate (a candidate the t-test stopped
+        // was slower than the leader of its time, so it is never that).
+        let fastest = |entries: &[RaceEntry]| -> usize {
+            let sampled = entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.estimate.is_sampled());
+            sampled
+                .min_by(|a, b| {
+                    let seconds = |e: &RaceEntry| e.estimate.estimated_total_seconds;
+                    seconds(a.1).total_cmp(&seconds(b.1))
+                })
+                .expect("the reference was sampled")
+                .0
+        };
+
+        // Second pass over the provisional winner's group.
+        let winner_base = entries[fastest(&entries)].base;
+        let group: Vec<usize> = (0..entries.len())
+            .filter(|&i| entries[i].base == winner_base && entries[i].estimate.is_sampled())
+            .collect();
+        if group.len() > 1 {
+            for idx in group {
+                let solver = entries[idx]
+                    .solver
+                    .as_deref()
+                    .expect("sampled entries are built");
+                let (second, _) = self.estimate_index(solver, k, &sample, 0.0, n, EarlyStop::Never);
+                if second.sample_seconds < entries[idx].estimate.sample_seconds {
+                    entries[idx].estimate = second;
+                }
+            }
+        }
+
+        Ok(PlannedChoice {
+            chosen: fastest(&entries),
+            entries,
+            sample_size: sample.len(),
+            decision_seconds: overall.elapsed().as_secs_f64() - building,
+        })
     }
 
     /// Runs only the estimation phase (construction + sampling + per-user
@@ -356,19 +614,20 @@ impl Optimus {
         let bmm_results = bmm.query_subset(k, &sample);
         let bmm_sample_seconds = t0.elapsed().as_secs_f64();
         let bmm_per_user = bmm_sample_seconds / sample.len() as f64;
-        let mut estimates = vec![StrategyEstimate {
-            name: bmm.name().to_string(),
-            build_seconds: bmm.build_seconds(),
-            sampled_users: sample.len(),
-            sample_seconds: bmm_sample_seconds,
-            estimated_total_seconds: bmm_per_user * n as f64,
-        }];
+        let mut estimates = vec![StrategyEstimate::timed(
+            bmm.as_ref(),
+            sample.len(),
+            bmm_sample_seconds,
+            n,
+            CandidateOutcome::Sampled,
+        )];
 
         // Time each index on the sample.
+        let early_stop = EarlyStop::WhenDecided;
         let mut index_results: Vec<Option<Vec<TopKList>>> = Vec::new();
         for solver in &built {
             let (estimate, results) =
-                self.estimate_index(solver.as_ref(), k, &sample, bmm_per_user, n, false);
+                self.estimate_index(solver.as_ref(), k, &sample, bmm_per_user, n, early_stop);
             estimates.push(estimate);
             index_results.push(results);
         }
@@ -462,69 +721,120 @@ impl Optimus {
     /// Times one index on the sample. Batch indexes are timed on the whole
     /// sample at once (their per-user cost is only meaningful with work
     /// sharing); point-query indexes are timed user-by-user under the
-    /// incremental t-test, unless `full_sample` pins them to the whole
-    /// sample (used by [`Optimus::choose`] for screen-paired candidates,
-    /// whose estimates are compared head-to-head and must average over
-    /// the same user mix).
+    /// incremental t-test against `reference_per_user`, as far as
+    /// `early_stop` (and [`OptimusConfig::early_stopping`]) lets the test
+    /// cut them short.
     ///
     /// Returns the estimate and, when the full sample was processed, the
     /// sampled results for reuse.
-    #[allow(clippy::too_many_arguments)]
     fn estimate_index(
         &self,
         solver: &dyn MipsSolver,
         k: usize,
         sample: &[usize],
-        bmm_per_user: f64,
+        reference_per_user: f64,
         n: usize,
-        full_sample: bool,
+        early_stop: EarlyStop,
     ) -> (StrategyEstimate, Option<Vec<TopKList>>) {
-        if solver.batches_users() || full_sample || !self.config.early_stopping {
+        if solver.batches_users() || early_stop == EarlyStop::Never || !self.config.early_stopping {
             let t0 = Instant::now();
             let results = solver.query_subset(k, sample);
             let sample_seconds = t0.elapsed().as_secs_f64();
-            let per_user = sample_seconds / sample.len() as f64;
-            return (
-                StrategyEstimate {
-                    name: solver.name().to_string(),
-                    build_seconds: solver.build_seconds(),
-                    sampled_users: sample.len(),
-                    sample_seconds,
-                    estimated_total_seconds: per_user * n as f64,
-                },
-                Some(results),
+            let estimate = StrategyEstimate::timed(
+                solver,
+                sample.len(),
+                sample_seconds,
+                n,
+                CandidateOutcome::Sampled,
             );
+            return (estimate, Some(results));
         }
 
-        // Point queries: incremental one-sample t-test against BMM's mean.
-        let mut ttest =
-            OneSampleTTest::new(bmm_per_user, self.config.alpha, self.config.min_t_samples);
+        // Point queries: incremental one-sample t-test against the
+        // reference's mean.
+        let mut ttest = OneSampleTTest::new(
+            reference_per_user,
+            self.config.alpha,
+            self.config.min_t_samples,
+        );
         let mut results = Vec::with_capacity(sample.len());
         let mut sample_seconds = 0.0;
-        let mut used = 0;
         for &u in sample {
             let t0 = Instant::now();
             let mut r = solver.query_subset(k, &[u]);
             let dt = t0.elapsed().as_secs_f64();
             sample_seconds += dt;
             results.push(r.pop().expect("one result per user"));
-            used += 1;
-            if ttest.push(dt) != TTestDecision::Continue {
+            let stop = match ttest.push(dt) {
+                TTestDecision::Continue => false,
+                TTestDecision::SignificantlyAbove => true,
+                TTestDecision::SignificantlyBelow => early_stop == EarlyStop::WhenDecided,
+            };
+            if stop {
                 break;
             }
         }
-        let per_user = sample_seconds / used as f64;
-        let complete = used == sample.len();
+        let used = results.len();
+        let outcome = if used == sample.len() {
+            CandidateOutcome::Sampled
+        } else {
+            CandidateOutcome::StoppedEarly { after: used }
+        };
         (
-            StrategyEstimate {
-                name: solver.name().to_string(),
-                build_seconds: solver.build_seconds(),
-                sampled_users: used,
-                sample_seconds,
-                estimated_total_seconds: per_user * n as f64,
-            },
-            complete.then_some(results),
+            StrategyEstimate::timed(solver, used, sample_seconds, n, outcome),
+            (used == sample.len()).then_some(results),
         )
+    }
+}
+
+/// The solver in `slot`, building base candidate `base` into it first if
+/// the race has not needed it yet (the seconds that takes go to `building`).
+fn built<S: CandidateSource>(
+    source: &mut S,
+    slot: &mut Option<Arc<dyn MipsSolver>>,
+    base: usize,
+    building: &mut f64,
+) -> Result<Arc<dyn MipsSolver>, S::Error> {
+    if slot.is_none() {
+        let started = Instant::now();
+        *slot = Some(source.build(base)?);
+        *building += started.elapsed().as_secs_f64();
+    }
+    Ok(Arc::clone(slot.as_ref().expect("filled above")))
+}
+
+/// The moving parts of one [`Optimus::choose`] invocation: the sample, and
+/// the leader every later candidate is tested and bounded against.
+struct Race<'a> {
+    optimus: &'a Optimus,
+    k: usize,
+    /// Users the estimates extrapolate to.
+    n: usize,
+    sample: &'a [usize],
+    /// Length of the untimed warm-up prefix of `sample`.
+    warm: usize,
+    /// The lowest whole-sample estimate so far.
+    leader_seconds: f64,
+}
+
+impl Race<'_> {
+    /// Warms `solver` up, times it on the sample — against the leader's
+    /// mean per-user time, as far as `early_stop` allows — and lets a
+    /// whole-sample estimate take the lead.
+    fn time(&mut self, solver: &dyn MipsSolver, early_stop: EarlyStop) -> StrategyEstimate {
+        let _ = solver.query_subset(self.k, &self.sample[..self.warm]);
+        let (estimate, _) = self.optimus.estimate_index(
+            solver,
+            self.k,
+            self.sample,
+            self.leader_seconds / self.n as f64,
+            self.n,
+            early_stop,
+        );
+        if estimate.is_sampled() {
+            self.leader_seconds = self.leader_seconds.min(estimate.estimated_total_seconds);
+        }
+        estimate
     }
 }
 
@@ -648,21 +958,56 @@ mod tests {
         assert!(fex.sampled_users <= outcome.sample_size);
     }
 
+    /// Already-built bases, the first `paired` of which also carry an f32
+    /// variant that always races (time ratio 0).
+    struct Prebuilt {
+        bases: Vec<Arc<dyn MipsSolver>>,
+        f32_variants: Vec<Arc<dyn MipsSolver>>,
+    }
+
+    impl CandidateSource for Prebuilt {
+        type Error = std::convert::Infallible;
+
+        fn labels(&self) -> Vec<String> {
+            self.bases.iter().map(|s| s.name().to_string()).collect()
+        }
+
+        fn analytical_bound(&mut self, _base: usize) -> Option<f64> {
+            None
+        }
+
+        fn build(&mut self, base: usize) -> Result<Arc<dyn MipsSolver>, Self::Error> {
+            Ok(Arc::clone(&self.bases[base]))
+        }
+
+        fn tier_time_ratio(&mut self, base: usize, tier: ScreenTier) -> Option<f64> {
+            (tier == ScreenTier::F32 && base < self.f32_variants.len()).then_some(0.0)
+        }
+
+        fn build_variant(
+            &mut self,
+            base: usize,
+            _tier: ScreenTier,
+        ) -> Result<Option<Arc<dyn MipsSolver>>, Self::Error> {
+            Ok(Some(Arc::clone(&self.f32_variants[base])))
+        }
+    }
+
     #[test]
     fn screen_paired_candidates_are_timed_on_the_full_sample() {
         // A screen variant and its f64 base are compared head-to-head by
         // the adoption rule, so `choose` must not let the t-test stop
         // the two at different user counts (different user mixes bias
         // the pair's comparison on norm-heterogeneous backends). Both
-        // sides of the pair must report the full sample; the unpaired
+        // sides of a raced pair must report the full sample; the unpaired
         // point-query candidates keep early-stopped sampling.
         //
-        // Pairing is the caller's structural knowledge: a third-party
+        // Pairing is the source's structural knowledge: a third-party
         // solver whose display name merely *ends* in a tier suffix (and
         // even matches another candidate's name before it) is unpaired.
-        // The stub records the largest subset it was ever asked for: the
-        // paired path queries the whole sample at once, the early-stopped
-        // path one user at a time after the warm-up.
+        // The stub records the largest subset it was ever asked for: a
+        // paired candidate is timed on the whole sample at once, an
+        // unpaired point-query one user by user after the warm-up.
         struct Lookalike {
             inner: crate::adapters::FexiproSolver,
             largest_subset: crate::sync::atomic::AtomicUsize,
@@ -691,31 +1036,53 @@ mod tests {
         }
         let m = model();
         let optimus = Optimus::new(tiny_config());
-        let bmm = BmmSolver::build(Arc::clone(&m));
         let lemp = crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default());
-        let mut lemp_screen =
-            crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default());
-        lemp_screen.enable_screen(mips_topk::ScreenTier::F32);
+        let lemp_screen = lemp.with_screen(ScreenTier::F32);
         let fexipro = || {
             crate::adapters::FexiproSolver::build(
                 Arc::clone(&m),
                 &mips_fexipro::FexiproConfig::si(),
             )
         };
-        let fex = fexipro();
-        let lookalike = Lookalike {
+        let lookalike = Arc::new(Lookalike {
             inner: fexipro(),
             largest_subset: Default::default(),
+        });
+        // LEMP leads the list so that it is the base with the variant; BMM
+        // is still the reference (the first batch-capable candidate).
+        let mut source = Prebuilt {
+            bases: vec![
+                Arc::new(lemp),
+                Arc::new(BmmSolver::build(Arc::clone(&m))),
+                Arc::new(fexipro()),
+                Arc::clone(&lookalike) as Arc<dyn MipsSolver>,
+            ],
+            f32_variants: vec![Arc::new(lemp_screen)],
         };
         let view = ModelView::full(&m);
-        let choice = optimus.choose(
-            &view,
-            3,
-            &[&bmm, &lemp, &lemp_screen, &fex, &lookalike],
-            &[None, None, Some(1), None, None],
+        let Ok(choice) = optimus.choose(&view, 3, &mut source);
+        let names: Vec<&str> = choice
+            .entries
+            .iter()
+            .map(|e| e.estimate.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "LEMP",
+                "LEMP+f32",
+                "Blocked MM",
+                "FEXIPRO-SI",
+                "FEXIPRO-SI+i8"
+            ],
+            "each base in order, followed by its competed variants"
         );
-        for e in &choice.estimates {
-            if e.name == "LEMP" || e.name == "LEMP+f32" {
+        assert_eq!(choice.base_entry_of(1), Some(0));
+        assert_eq!(choice.base_entry_of(4), None, "a name is not a pairing");
+        for entry in &choice.entries {
+            let e = &entry.estimate;
+            if e.name == "LEMP" || e.name == "LEMP+f32" || e.name == "Blocked MM" {
+                assert_eq!(e.outcome, CandidateOutcome::Sampled, "{}", e.name);
                 assert_eq!(
                     e.sampled_users, choice.sample_size,
                     "{} must be timed on the whole sample",

@@ -147,10 +147,15 @@ mod tests {
             // Every scan backend builds a variant in the tier.
             for key in ["bmm", "maximus", "lemp"] {
                 let factory = registry.get(key).expect("default backend");
-                let built = factory.build_screen(&view, tier);
+                let base = factory.build(&model).expect("plain build");
+                assert!(base.screen_tiers().contains(&tier), "{key}");
+                let built = factory.build_screen(base.as_ref(), &view, tier);
                 let solver = built.expect("scan backends screen").expect("builds");
                 assert_eq!(solver.precision(), precision, "{key}");
             }
+            // The planner can bound the tier's variants: it has a calibrated
+            // kernel rate.
+            assert!(registry.analytical_tier(Some(tier)).flops_per_second > 0.0);
             // `/metrics` carries the tier's three lanes.
             for lane in [
                 format!("\"{}_batches\":0", tier.name()),

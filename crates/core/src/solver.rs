@@ -14,15 +14,30 @@ use crate::precision::Precision;
 use crate::sync::Arc;
 use mips_lemp::LempConfig;
 use mips_topk::{ScreenTier, TopKList};
+use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
+
+/// Recovers the concrete type behind a `dyn` [`MipsSolver`]. Implemented
+/// for every `'static` type, so solver implementations get it for free;
+/// callers go through `<dyn MipsSolver>::downcast_ref`.
+pub trait AsAny: Any {
+    /// `self` as [`Any`].
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Any> AsAny for T {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
 
 /// A built, queryable exact MIPS solver.
 ///
 /// Implementations hold their model in an [`Arc`] and are immutable after
 /// construction, so they can be queried concurrently (the multi-core
 /// experiments of Fig. 6 partition users across threads).
-pub trait MipsSolver: Send + Sync {
+pub trait MipsSolver: Send + Sync + AsAny {
     /// Human-readable name used in benchmark tables
     /// (`"Blocked MM"`, `"Maximus"`, `"LEMP"`, `"FEXIPRO-SI"`, …).
     fn name(&self) -> &str;
@@ -59,6 +74,16 @@ pub trait MipsSolver: Send + Sync {
         Precision::F64
     }
 
+    /// The screen tiers this solver's backend has a variant in: for each
+    /// one, the factory's
+    /// [`build_screen`](crate::engine::SolverFactory::build_screen) over
+    /// this solver returns `Some`. Empty (the default) for a backend without
+    /// a screen path. The planner reads it to list — and bound — a plain
+    /// build's variants before deciding which of them are worth building.
+    fn screen_tiers(&self) -> &[ScreenTier] {
+        &[]
+    }
+
     /// Exact top-k for an *ad-hoc* query vector — one that is not a stored
     /// user row (a fresh embedding, a composed query, a densified sparse
     /// payload). `None` (the default) means the backend has no point-lookup
@@ -83,6 +108,15 @@ pub trait MipsSolver: Send + Sync {
     /// exact.
     fn take_screen_stats(&self) -> Option<ScreenTally> {
         None
+    }
+}
+
+impl dyn MipsSolver {
+    /// The concrete solver behind the trait object, when it is a `T` — how
+    /// a factory's [`build_screen`](crate::engine::SolverFactory::build_screen)
+    /// gets at the shared state of the plain build it is handed.
+    pub fn downcast_ref<T: MipsSolver>(&self) -> Option<&T> {
+        self.as_any().downcast_ref()
     }
 }
 

@@ -1,0 +1,398 @@
+//! The staged planning race and the shared-base build contract, pinned with
+//! counting stubs.
+//!
+//! Two properties make "decide before building" safe to rely on:
+//!
+//! * **Build once.** A backend's plain construction runs once per
+//!   `(bounds, key)` and epoch; every screen variant is derived from that
+//!   build through [`SolverFactory::build_screen`] and reports only its own
+//!   mirroring as `build_seconds`.
+//! * **Race lazily, never wrongly.** [`Optimus::choose`] builds a candidate
+//!   only while it can still win: a candidate over its analytical bound is
+//!   never built, a far-off one stops at `min_t_samples`, a variant over its
+//!   tier-rate bound is never built — and one sitting exactly *at* the
+//!   bound still is.
+//!
+//! The stubs answer through brute force (so every plan stays exact) and
+//! spend a fixed sleep per served user, which makes "10× slower" a property
+//! of the stub rather than of the host.
+
+use mips_core::bmm::BmmSolver;
+use mips_core::engine::{EngineBuilder, IndexScope, MipsError, QueryRequest, SolverFactory};
+use mips_core::optimus::{
+    CandidateOutcome, CandidateSource, Optimus, OptimusConfig, StrategyEstimate,
+};
+use mips_core::serve::ServerBuilder;
+use mips_core::solver::MipsSolver;
+use mips_core::Precision;
+use mips_data::synth::{synth_model, SynthConfig};
+use mips_data::{MfModel, ModelView};
+use mips_linalg::CacheConfig;
+use mips_topk::{ScreenTier, TopKList};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+fn model(users: usize, seed: u64) -> Arc<MfModel> {
+    Arc::new(synth_model(&SynthConfig {
+        num_users: users,
+        num_items: 60,
+        num_factors: 8,
+        seed,
+        ..SynthConfig::default()
+    }))
+}
+
+/// A 32-user sample on these models (the L2 floor of a 2 KB "L2").
+fn tiny_optimus() -> OptimusConfig {
+    OptimusConfig {
+        sample_fraction: 0.05,
+        cache: CacheConfig {
+            l1_bytes: 1024,
+            l2_bytes: 2048,
+            l3_bytes: 4096,
+        },
+        ..OptimusConfig::default()
+    }
+}
+
+/// What a stub's construction produced — the thing variants must share.
+struct Core {
+    answers: BmmSolver,
+}
+
+/// Brute force at a fixed price per served user.
+struct Stub {
+    core: Arc<Core>,
+    name: String,
+    per_user: Duration,
+    batches: bool,
+    tiers: &'static [ScreenTier],
+    build_seconds: f64,
+    /// Users served, warm-up included.
+    served: AtomicUsize,
+}
+
+impl Stub {
+    fn new(model: &Arc<MfModel>, name: &str, per_user: Duration) -> Stub {
+        Stub {
+            core: Arc::new(Core {
+                answers: BmmSolver::build(Arc::clone(model)),
+            }),
+            name: name.to_string(),
+            per_user,
+            batches: false,
+            tiers: &[],
+            build_seconds: 0.0,
+            served: AtomicUsize::new(0),
+        }
+    }
+
+    fn pay(&self, users: usize) {
+        self.served.fetch_add(users, Ordering::Relaxed);
+        std::thread::sleep(self.per_user * users as u32);
+    }
+}
+
+impl MipsSolver for Stub {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn build_seconds(&self) -> f64 {
+        self.build_seconds
+    }
+    fn batches_users(&self) -> bool {
+        self.batches
+    }
+    fn screen_tiers(&self) -> &[ScreenTier] {
+        self.tiers
+    }
+    fn num_users(&self) -> usize {
+        self.core.answers.num_users()
+    }
+    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
+        self.pay(users.len());
+        self.core.answers.query_range(k, users)
+    }
+    fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+        self.pay(users.len());
+        self.core.answers.query_subset(k, users)
+    }
+}
+
+/// A hand-assembled candidate source: prebuilt stubs handed out on demand,
+/// counting every hand-out.
+struct Stubs {
+    bases: Vec<(Arc<Stub>, Option<f64>)>,
+    /// `(base, tier, time ratio, variant)`.
+    variants: Vec<(usize, ScreenTier, f64, Arc<Stub>)>,
+    base_builds: Vec<usize>,
+    variant_builds: usize,
+}
+
+impl Stubs {
+    fn new(bases: Vec<(Arc<Stub>, Option<f64>)>) -> Stubs {
+        Stubs {
+            base_builds: vec![0; bases.len()],
+            bases,
+            variants: Vec::new(),
+            variant_builds: 0,
+        }
+    }
+}
+
+impl CandidateSource for Stubs {
+    type Error = std::convert::Infallible;
+
+    fn labels(&self) -> Vec<String> {
+        self.bases.iter().map(|(s, _)| s.name.clone()).collect()
+    }
+
+    fn analytical_bound(&mut self, base: usize) -> Option<f64> {
+        self.bases[base].1
+    }
+
+    fn build(&mut self, base: usize) -> Result<Arc<dyn MipsSolver>, Self::Error> {
+        self.base_builds[base] += 1;
+        Ok(Arc::clone(&self.bases[base].0) as Arc<dyn MipsSolver>)
+    }
+
+    fn tier_time_ratio(&mut self, base: usize, tier: ScreenTier) -> Option<f64> {
+        let of = |v: &&(usize, ScreenTier, f64, Arc<Stub>)| v.0 == base && v.1 == tier;
+        self.variants.iter().find(of).map(|v| v.2)
+    }
+
+    fn build_variant(
+        &mut self,
+        base: usize,
+        tier: ScreenTier,
+    ) -> Result<Option<Arc<dyn MipsSolver>>, Self::Error> {
+        self.variant_builds += 1;
+        let of = |v: &&(usize, ScreenTier, f64, Arc<Stub>)| v.0 == base && v.1 == tier;
+        let variant = self
+            .variants
+            .iter()
+            .find(of)
+            .expect("bounded variants exist");
+        Ok(Some(Arc::clone(&variant.3) as Arc<dyn MipsSolver>))
+    }
+}
+
+fn row<'a>(estimates: &'a [StrategyEstimate], name: &str) -> &'a StrategyEstimate {
+    let found = estimates.iter().find(|e| e.name == name);
+    found.unwrap_or_else(|| panic!("{name} missing from {estimates:?}"))
+}
+
+#[test]
+fn a_far_off_candidate_stops_at_min_t_samples_and_a_gated_one_is_never_built() {
+    let m = model(200, 3);
+    let config = tiny_optimus();
+    let mut leader = Stub::new(&m, "leader", Duration::from_micros(300));
+    leader.batches = true;
+    let leader = Arc::new(leader);
+    let slow = Arc::new(Stub::new(&m, "slow", Duration::from_micros(3000)));
+    let gated = Arc::new(Stub::new(&m, "gated", Duration::ZERO));
+    let mut source = Stubs::new(vec![
+        // Registered first, but a point-query backend is not the reference.
+        (Arc::clone(&slow), None),
+        (Arc::clone(&leader), None),
+        // An hour of analytical cost against a leader of milliseconds.
+        (Arc::clone(&gated), Some(3600.0)),
+    ]);
+    let Ok(choice) = Optimus::new(config).choose(&ModelView::full(&m), 3, &mut source);
+    let estimates: Vec<StrategyEstimate> =
+        choice.entries.iter().map(|e| e.estimate.clone()).collect();
+
+    let min_t = config.min_t_samples as usize;
+    assert_eq!(
+        row(&estimates, "slow").outcome,
+        CandidateOutcome::StoppedEarly { after: min_t }
+    );
+    // The warm-up prefix plus exactly the users the t-test needed.
+    assert_eq!(slow.served.load(Ordering::Relaxed), 4 + min_t);
+    assert_eq!(row(&estimates, "leader").outcome, CandidateOutcome::Sampled);
+    assert_eq!(row(&estimates, "leader").sampled_users, choice.sample_size);
+
+    let pruned = row(&estimates, "gated");
+    assert_eq!(
+        pruned.outcome,
+        CandidateOutcome::PrunedAnalytical {
+            bound_seconds: 3600.0
+        }
+    );
+    assert_eq!((pruned.sampled_users, pruned.build_seconds), (0, 0.0));
+    assert_eq!(
+        source.base_builds,
+        [1, 1, 0],
+        "the gated stub was never built"
+    );
+    assert_eq!(gated.served.load(Ordering::Relaxed), 0);
+    assert!(choice.entries[2].solver.is_none());
+    assert_eq!(choice.entries[choice.chosen].estimate.name, "leader");
+}
+
+#[test]
+fn a_variant_exactly_at_the_tier_rate_bound_is_still_built_and_can_win() {
+    let m = model(200, 5);
+    let variant_of = |base: &Stub, name: &str| {
+        let mut variant = Stub::new(&m, name, Duration::from_micros(30));
+        variant.core = Arc::clone(&base.core);
+        Arc::new(variant)
+    };
+    let mut base = Stub::new(&m, "base", Duration::from_micros(600));
+    base.batches = true;
+    base.tiers = &ScreenTier::ALL;
+    let base = Arc::new(base);
+    let mut source = Stubs::new(vec![(Arc::clone(&base), None)]);
+    // The base is the leader, so a time ratio of exactly 1 puts the f32
+    // variant's bound exactly at the leader's estimate: not over it, so it
+    // races. A hair over 1 puts the i8 variant over the bound.
+    source.variants = vec![
+        (0, ScreenTier::F32, 1.0, variant_of(&base, "base+f32")),
+        (0, ScreenTier::I8, 1.0 + 1e-9, variant_of(&base, "base+i8")),
+    ];
+    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&ModelView::full(&m), 3, &mut source);
+    let estimates: Vec<StrategyEstimate> =
+        choice.entries.iter().map(|e| e.estimate.clone()).collect();
+
+    assert_eq!(source.variant_builds, 1, "only the variant at the bound");
+    let raced = row(&estimates, "base+f32");
+    assert_eq!(raced.outcome, CandidateOutcome::Sampled);
+    assert_eq!(raced.sampled_users, choice.sample_size);
+    assert_eq!(choice.entries[choice.chosen].estimate.name, "base+f32");
+    assert_eq!(choice.base_entry_of(choice.chosen), Some(0));
+    assert!(matches!(
+        row(&estimates, "base+i8").outcome,
+        CandidateOutcome::NotBuilt { bound_seconds } if bound_seconds > 0.0
+    ));
+    // The winner's group was timed twice (the margin decision's second
+    // pass): warm-up + two whole samples each.
+    let twice = 4 + 2 * choice.sample_size;
+    assert_eq!(base.served.load(Ordering::Relaxed), twice);
+}
+
+/// A backend whose plain build is slow and counted, and whose screen
+/// variants share it.
+struct CountingFactory {
+    builds: Arc<AtomicUsize>,
+    screens: Arc<AtomicUsize>,
+}
+
+const BUILD_COST: Duration = Duration::from_millis(30);
+
+impl SolverFactory for CountingFactory {
+    fn key(&self) -> &str {
+        "stub"
+    }
+
+    fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
+        self.builds.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(BUILD_COST);
+        let mut stub = Stub::new(model, "Stub", Duration::ZERO);
+        stub.batches = true;
+        stub.tiers = &ScreenTier::ALL;
+        stub.build_seconds = BUILD_COST.as_secs_f64();
+        Ok(Box::new(stub))
+    }
+
+    fn build_screen(
+        &self,
+        base: &dyn MipsSolver,
+        _view: &ModelView,
+        tier: ScreenTier,
+    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
+        self.screens.fetch_add(1, Ordering::SeqCst);
+        let base = base
+            .downcast_ref::<Stub>()
+            .expect("the engine hands a factory its own plain build");
+        Some(Ok(Box::new(Stub {
+            core: Arc::clone(&base.core),
+            name: format!("Stub{}", tier.suffix()),
+            per_user: Duration::ZERO,
+            batches: true,
+            tiers: &ScreenTier::ALL,
+            // Only what the variant added.
+            build_seconds: 1e-6,
+            served: AtomicUsize::new(0),
+        })))
+    }
+}
+
+fn counting_engine(
+    precision: Precision,
+) -> (mips_core::Engine, Arc<AtomicUsize>, Arc<AtomicUsize>) {
+    let (builds, screens) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let engine = EngineBuilder::new()
+        .model(model(120, 7))
+        .register(CountingFactory {
+            builds: Arc::clone(&builds),
+            screens: Arc::clone(&screens),
+        })
+        .precision(precision)
+        .optimus(tiny_optimus())
+        .build()
+        .expect("engine assembles");
+    (engine, builds, screens)
+}
+
+#[test]
+fn variants_never_rerun_their_base_construction() {
+    // Auto: however many variants the race builds, the plain construction
+    // runs once per epoch, and a built variant reports its own cost only.
+    let (engine, builds, screens) = counting_engine(Precision::Auto);
+    let planned = |k: usize, epochs_so_far: usize| {
+        let plan = engine.prepare(k).expect("plan");
+        assert_eq!(builds.load(Ordering::SeqCst), epochs_so_far, "k {k}");
+        assert_eq!(plan.estimates().len(), 1 + ScreenTier::ALL.len());
+        for variant in &plan.estimates()[1..] {
+            match variant.outcome {
+                CandidateOutcome::NotBuilt { .. } => assert_eq!(variant.build_seconds, 0.0),
+                _ => assert!(variant.build_seconds < BUILD_COST.as_secs_f64() / 10.0),
+            }
+        }
+    };
+    planned(3, 1);
+    planned(5, 1);
+    engine.swap_model(model(120, 8)).expect("valid model");
+    planned(3, 2);
+    // One build_screen per variant the races built, never one per plan.
+    assert!(screens.load(Ordering::SeqCst) <= 2 * ScreenTier::ALL.len());
+
+    // Forced tiers, whole-model and shard-local: one plain build per
+    // `(bounds, key)`, one derived variant each.
+    for tier in ScreenTier::ALL {
+        let (engine, builds, screens) = counting_engine(Precision::of_tier(Some(tier)));
+        let response = engine
+            .execute_with("stub", &QueryRequest::top_k(3))
+            .expect("named dispatch");
+        assert_eq!(response.backend, format!("Stub{}", tier.suffix()));
+        assert_eq!(
+            (
+                builds.load(Ordering::SeqCst),
+                screens.load(Ordering::SeqCst)
+            ),
+            (1, 1)
+        );
+
+        let server = ServerBuilder::new()
+            .engine(Arc::new(engine))
+            .shards(2)
+            .workers(1)
+            .index_scope(IndexScope::PerShard)
+            .build()
+            .expect("server assembles");
+        for _ in 0..2 {
+            let response = server.execute(&QueryRequest::top_k(3)).expect("served");
+            assert_eq!(response.results.len(), 120);
+        }
+        assert_eq!(
+            (
+                builds.load(Ordering::SeqCst),
+                screens.load(Ordering::SeqCst)
+            ),
+            (3, 3),
+            "two shards, each one plain build and one derived variant"
+        );
+    }
+}

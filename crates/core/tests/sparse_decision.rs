@@ -9,7 +9,7 @@
 //! production requests take.
 
 use mips_core::engine::{Engine, EngineBuilder, QueryRequest};
-use mips_core::optimus::OptimusConfig;
+use mips_core::optimus::{CandidateOutcome, OptimusConfig};
 use mips_core::Precision;
 use mips_data::catalog::find;
 use mips_data::sparse::{synth_sparse_model, SparseSynthConfig};
@@ -61,9 +61,14 @@ fn optimus_routes_sparse_catalogs_to_the_inverted_index() {
     assert_eq!(response.backend, "Sparse-II");
 }
 
-/// Dense reference workloads keep dense winners: the sparse backend is a
-/// candidate but must lose the sampled race on fully dense factors, where
-/// postings cover every coordinate and the index is pure overhead.
+/// Dense reference workloads keep dense winners: on fully dense factors the
+/// postings cover every coordinate and the index is pure overhead, which
+/// the planner's analytical gate sees *before building it*. Asserted on the
+/// decision record, not on the clock: whichever way this build's kernels
+/// calibrate, the sparse backend is either excluded by a bound that really
+/// exceeds the leader's sampled estimate — never built, never sampled,
+/// never the winner — or it was raced like everything else and the plan
+/// went to the lowest sampled estimate.
 #[test]
 fn optimus_keeps_dense_winners_on_dense_catalogs() {
     for spec in [
@@ -74,12 +79,40 @@ fn optimus_keeps_dense_winners_on_dense_catalogs() {
         let name = model.name().to_string();
         let engine = engine_over(model);
         let plan = engine.prepare(10).expect("plan");
-        assert_ne!(
-            plan.backend_key(),
-            "sparse",
-            "{name}: a fully dense catalog must not plan to the inverted \
-             index; estimates: {:?}",
-            plan.estimates()
+        let record = plan.estimates();
+        assert_eq!(
+            record.len(),
+            engine.backend_keys().len(),
+            "{name}: {record:?}"
         );
+        // The sparse backend is registered last and brute force first.
+        let (reference, sparse) = (&record[0], &record[record.len() - 1]);
+        assert_eq!(reference.name, "Blocked MM");
+        assert_eq!(reference.outcome, CandidateOutcome::Sampled);
+        // A fully dense catalog offers the postings walk nothing to skip:
+        // its analytical cost is the whole dense product.
+        assert!(plan.analytical_sparse_seconds() > 0.0);
+        let leader = record
+            .iter()
+            .filter(|e| e.outcome == CandidateOutcome::Sampled)
+            .min_by(|a, b| {
+                a.estimated_total_seconds
+                    .total_cmp(&b.estimated_total_seconds)
+            })
+            .expect("the reference was sampled");
+        assert_eq!(plan.backend_name(), leader.name, "{name}: {record:?}");
+        match sparse.outcome {
+            CandidateOutcome::PrunedAnalytical { bound_seconds } => {
+                assert_eq!(sparse.name, "sparse", "never built: recorded by key");
+                assert_eq!(bound_seconds, plan.analytical_sparse_seconds());
+                assert!(
+                    bound_seconds > leader.estimated_total_seconds,
+                    "{name}: gated at {bound_seconds} s under a leader at {} s",
+                    leader.estimated_total_seconds
+                );
+                assert_eq!((sparse.sampled_users, sparse.build_seconds), (0, 0.0));
+            }
+            _ => assert_eq!(sparse.name, "Sparse-II", "raced, so built"),
+        }
     }
 }

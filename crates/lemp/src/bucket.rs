@@ -8,7 +8,6 @@
 
 use mips_linalg::kernels::{norm2, suffix_norms};
 use mips_linalg::Matrix;
-use mips_topk::ItemMirror;
 
 /// One bucket of norm-adjacent items.
 #[derive(Debug, Clone)]
@@ -27,10 +26,6 @@ pub struct Bucket {
     pub dir_suffix_at_cp: Vec<f64>,
     /// Largest norm in the bucket (`b₁` in the paper's notation).
     pub max_norm: f64,
-    /// [`Bucket::vectors`] in the armed screen tier's storage, present only
-    /// after [`crate::LempIndex::enable_screen`]: the scans pre-score items
-    /// against it before the exact verification dot (see [`crate::scan`]).
-    pub mirror: Option<ItemMirror>,
 }
 
 impl Bucket {
@@ -104,7 +99,6 @@ pub fn build_buckets(items: &Matrix<f64>, bucket_size: usize, checkpoint: usize)
                 norms,
                 dir_suffix_at_cp,
                 max_norm,
-                mirror: None,
             }
         })
         .collect()

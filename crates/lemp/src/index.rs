@@ -6,6 +6,7 @@ use crate::scan::{inflate, scan_bucket, RetrievalAlgo, ScanStats, UserCtx};
 use crate::tuner::tune_buckets;
 use mips_data::MfModel;
 use mips_topk::{ItemMirror, ScreenTier, TopKHeap, TopKList};
+use std::sync::Arc;
 
 /// Cumulative work counters for a sequence of queries.
 #[derive(Debug, Clone, Copy, Default)]
@@ -18,18 +19,32 @@ pub struct QueryStats {
     pub scan: ScanStats,
 }
 
+/// Everything construction derives from the model: the norm-sorted
+/// buckets and their tuned retrieval algorithms. Immutable once built and
+/// shared, behind an [`Arc`], by an index and every screen variant of it.
+#[derive(Debug)]
+struct LempCore {
+    buckets: Vec<Bucket>,
+    algos: Vec<RetrievalAlgo>,
+    checkpoint: usize,
+    num_factors: usize,
+}
+
 /// A built LEMP index over one model's item matrix.
 ///
 /// Point-query oriented, like the original system: [`LempIndex::query`]
 /// serves one user at a time (the property that lets OPTIMUS apply its
 /// incremental t-test to LEMP, §IV-A).
+///
+/// Cloning — and [`LempIndex::with_screen`] — shares the built buckets; a
+/// screen variant adds only its per-bucket mirrors.
 #[derive(Debug, Clone)]
 pub struct LempIndex {
-    buckets: Vec<Bucket>,
-    algos: Vec<RetrievalAlgo>,
-    checkpoint: usize,
-    num_factors: usize,
-    /// The armed screen tier; every bucket then carries its mirror.
+    core: Arc<LempCore>,
+    /// One mirror per bucket in the armed tier's storage, row-aligned with
+    /// [`Bucket::vectors`]; empty when no tier is armed.
+    mirrors: Vec<ItemMirror>,
+    /// The armed screen tier.
     screen: Option<ScreenTier>,
 }
 
@@ -50,36 +65,43 @@ impl LempIndex {
             config.seed,
         );
         LempIndex {
-            buckets,
-            algos,
-            checkpoint,
-            num_factors: f,
+            core: Arc::new(LempCore {
+                buckets,
+                algos,
+                checkpoint,
+                num_factors: f,
+            }),
+            mirrors: Vec::new(),
             screen: None,
         }
     }
 
-    /// Arms the mixed-precision screen in `tier`: every bucket gets a
-    /// mirror of its item vectors in the tier's storage, and subsequent
-    /// queries pre-score candidates against it — pruning only those the
-    /// envelope-widened screen score proves cannot enter the heap — before
-    /// the exact f64 verification dot. Results stay bit-identical to the
-    /// pure double-precision scan (see [`crate::scan`]).
+    /// This index with the mixed-precision screen armed in `tier`, **sharing
+    /// the built buckets**: the variant adds one mirror of every bucket's
+    /// item vectors in the tier's storage, and its queries pre-score
+    /// candidates against it — pruning only those the envelope-widened
+    /// screen score proves cannot enter the heap — before the exact f64
+    /// verification dot. Results stay bit-identical to the pure
+    /// double-precision scan (see [`crate::scan`]).
     ///
-    /// Re-arming replaces the previous tier's mirrors. When any bucket has
-    /// no usable mirror in `tier` (int8: subnormal rows, factor counts past
-    /// [`mips_linalg::I8_DOT_MAX_LEN`]) the call changes nothing — the index
-    /// keeps whatever tier, if any, was armed before.
-    pub fn enable_screen(&mut self, tier: ScreenTier) {
+    /// The variant carries the mirrors of `tier` only, whatever `self` had
+    /// armed. When any bucket has no usable mirror in `tier` (int8:
+    /// subnormal rows, factor counts past [`mips_linalg::I8_DOT_MAX_LEN`])
+    /// the result is a plain clone of `self`, tier and all.
+    pub fn with_screen(&self, tier: ScreenTier) -> LempIndex {
         let mirrors: Option<Vec<ItemMirror>> = self
+            .core
             .buckets
             .iter()
             .map(|b| ItemMirror::build(&b.vectors, tier))
             .collect();
-        if let Some(mirrors) = mirrors {
-            for (bucket, mirror) in self.buckets.iter_mut().zip(mirrors) {
-                bucket.mirror = Some(mirror);
-            }
-            self.screen = Some(tier);
+        match mirrors {
+            Some(mirrors) => LempIndex {
+                core: Arc::clone(&self.core),
+                mirrors,
+                screen: Some(tier),
+            },
+            None => self.clone(),
         }
     }
 
@@ -90,12 +112,12 @@ impl LempIndex {
 
     /// Number of buckets.
     pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
+        self.core.buckets.len()
     }
 
     /// The tuned per-bucket algorithms (exposed for the ablation bench).
     pub fn algorithms(&self) -> &[RetrievalAlgo] {
-        &self.algos
+        &self.core.algos
     }
 
     /// Top-k for one user vector.
@@ -109,26 +131,34 @@ impl LempIndex {
 
     /// Top-k for one user, accumulating work counters into `stats`.
     pub fn query_with_stats(&self, user: &[f64], k: usize, stats: &mut QueryStats) -> TopKList {
+        let core = &*self.core;
         assert_eq!(
             user.len(),
-            self.num_factors,
+            core.num_factors,
             "LempIndex::query: user dimensionality mismatch"
         );
-        let mut ctx = UserCtx::new(user, self.checkpoint);
+        let mut ctx = UserCtx::new(user, core.checkpoint);
         if let Some(tier) = self.screen {
             ctx = ctx.with_screen(tier);
         }
         let mut heap = TopKHeap::new(k);
-        for (b, bucket) in self.buckets.iter().enumerate() {
+        for (b, bucket) in core.buckets.iter().enumerate() {
             // Buckets descend in max norm: once even the best possible score
             // in this bucket cannot enter the heap, later buckets can't
             // either.
             if heap.is_full() && inflate(ctx.norm * bucket.max_norm) < heap.threshold() {
-                stats.buckets_skipped += (self.buckets.len() - b) as u64;
+                stats.buckets_skipped += (core.buckets.len() - b) as u64;
                 break;
             }
             stats.buckets_visited += 1;
-            scan_bucket(self.algos[b], bucket, &ctx, &mut heap, &mut stats.scan);
+            scan_bucket(
+                core.algos[b],
+                bucket,
+                self.mirrors.get(b),
+                &ctx,
+                &mut heap,
+                &mut stats.scan,
+            );
         }
         heap.into_sorted()
     }
@@ -229,9 +259,12 @@ mod tests {
         let plain = LempIndex::build(&m, &LempConfig::default());
         assert_eq!(plain.screen(), None);
         for tier in ScreenTier::ALL {
-            let mut screened = plain.clone();
-            screened.enable_screen(tier);
+            let screened = plain.with_screen(tier);
             assert_eq!(screened.screen(), Some(tier));
+            assert!(
+                Arc::ptr_eq(&screened.core, &plain.core),
+                "buckets are shared"
+            );
             let mut stats = QueryStats::default();
             for k in [1usize, 5, 17] {
                 for u in 0..m.num_users() {
@@ -251,21 +284,23 @@ mod tests {
     }
 
     #[test]
-    fn rearming_replaces_the_mirrors_and_a_degenerate_request_changes_nothing() {
-        let tiers = |index: &LempIndex| -> Vec<Option<ScreenTier>> {
-            let per_bucket = index.buckets.iter();
-            per_bucket
-                .map(|b| b.mirror.as_ref().map(ItemMirror::tier))
-                .collect()
+    fn a_variant_carries_one_tier_and_a_degenerate_request_changes_nothing() {
+        let tiers = |index: &LempIndex| -> Vec<ScreenTier> {
+            index.mirrors.iter().map(ItemMirror::tier).collect()
         };
         let m = model(0.8);
-        let mut index = LempIndex::build(&m, &LempConfig::default());
-        index.enable_screen(ScreenTier::F32);
-        index.enable_screen(ScreenTier::I8);
+        let plain = LempIndex::build(&m, &LempConfig::default());
+        let index = plain
+            .with_screen(ScreenTier::F32)
+            .with_screen(ScreenTier::I8);
         assert_eq!(index.screen(), Some(ScreenTier::I8));
         // One mirror per bucket, in the newly armed tier: the f32 rows are
-        // dropped, not resident next to the int8 codes.
-        assert!(tiers(&index).iter().all(|&t| t == Some(ScreenTier::I8)));
+        // not resident next to the int8 codes.
+        assert_eq!(tiers(&index), vec![ScreenTier::I8; plain.num_buckets()]);
+        assert!(
+            tiers(&plain).is_empty(),
+            "deriving a variant leaves the base plain"
+        );
 
         // Subnormal item rows cannot be quantized: the int8 request is
         // refused and the previously armed f32 tier keeps serving.
@@ -275,13 +310,13 @@ mod tests {
             mips_linalg::Matrix::from_fn(9, 4, |r, c| ((r * c) as f64 + 1.0) * 1.0e-320),
         )
         .unwrap();
-        let mut index = LempIndex::build(&degenerate, &LempConfig::default());
-        index.enable_screen(ScreenTier::I8);
-        assert_eq!(index.screen(), None);
-        index.enable_screen(ScreenTier::F32);
-        index.enable_screen(ScreenTier::I8);
+        let plain = LempIndex::build(&degenerate, &LempConfig::default());
+        assert_eq!(plain.with_screen(ScreenTier::I8).screen(), None);
+        let index = plain
+            .with_screen(ScreenTier::F32)
+            .with_screen(ScreenTier::I8);
         assert_eq!(index.screen(), Some(ScreenTier::F32));
-        assert!(tiers(&index).iter().all(|&t| t == Some(ScreenTier::F32)));
+        assert_eq!(tiers(&index), vec![ScreenTier::F32; plain.num_buckets()]);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ([`mips_linalg::sumsq_reassoc_bound`]) by orders of magnitude.
 //!
 //! When the index carries a screen-tier mirror
-//! ([`crate::LempIndex::enable_screen`]), a **mixed-precision screen** runs
+//! ([`crate::LempIndex::with_screen`]), a **mixed-precision screen** runs
 //! just before each verification dot: the item is scored in the tier's
 //! arithmetic (single-precision kernels, or exact integer dots over
 //! symmetric int8 codes), the score widened by the tier's error envelope
@@ -26,7 +26,7 @@
 
 use crate::bucket::Bucket;
 use mips_linalg::kernels::{dot, norm2, suffix_norms};
-use mips_topk::{ScreenTier, TopKHeap, UserScreen};
+use mips_topk::{ItemMirror, ScreenTier, TopKHeap, UserScreen};
 
 /// Relative inflation applied to every pruning bound.
 ///
@@ -111,8 +111,8 @@ impl UserCtx {
 
     /// Arms the mixed-precision screen in `tier`. A user row the tier
     /// cannot represent (degenerate int8 quantization) scans unscreened —
-    /// still exact, just unaccelerated. Only buckets that carry a mirror of
-    /// the same tier actually screen.
+    /// still exact, just unaccelerated. Only scans handed a mirror of the
+    /// same tier actually screen.
     pub fn with_screen(mut self, tier: ScreenTier) -> UserCtx {
         self.screen = UserScreen::arm(&self.user, self.norm, tier);
         self
@@ -150,23 +150,36 @@ impl ScanStats {
 }
 
 /// Scans one bucket with the given algorithm, updating the heap in place.
+/// `mirror` is the bucket's item vectors in a screen tier's storage
+/// (row-aligned with [`Bucket::vectors`]), when the index serving the query
+/// has one armed.
 pub fn scan_bucket(
     algo: RetrievalAlgo,
     bucket: &Bucket,
+    mirror: Option<&ItemMirror>,
     ctx: &UserCtx,
     heap: &mut TopKHeap,
     stats: &mut ScanStats,
 ) {
+    let side = BucketSide { bucket, mirror };
     match algo {
-        RetrievalAlgo::Naive => scan_naive(bucket, ctx, heap, stats),
-        RetrievalAlgo::Length => scan_length(bucket, ctx, heap, stats),
-        RetrievalAlgo::Incr => scan_incr(bucket, ctx, heap, stats),
+        RetrievalAlgo::Naive => scan_naive(side, ctx, heap, stats),
+        RetrievalAlgo::Length => scan_length(side, ctx, heap, stats),
+        RetrievalAlgo::Incr => scan_incr(side, ctx, heap, stats),
     }
+}
+
+/// The item side of one scan: the shared bucket plus the serving index's
+/// mirror of it, if any.
+#[derive(Clone, Copy)]
+struct BucketSide<'a> {
+    bucket: &'a Bucket,
+    mirror: Option<&'a ItemMirror>,
 }
 
 /// The exact verification dot and push, gated by the mixed-precision
 /// screen when both sides carry the armed tier ([`UserCtx::with_screen`],
-/// [`Bucket::mirror`]).
+/// the mirror handed to [`scan_bucket`]).
 ///
 /// When even the envelope-widened screen score sits strictly below the
 /// heap threshold, the exact score does too, so its push would have been
@@ -175,15 +188,16 @@ pub fn scan_bucket(
 /// double-precision scan.
 #[inline]
 fn verify_and_push(
-    bucket: &Bucket,
+    side: BucketSide<'_>,
     ctx: &UserCtx,
     r: usize,
     id: u32,
     heap: &mut TopKHeap,
     stats: &mut ScanStats,
 ) {
+    let bucket = side.bucket;
     if heap.is_full() {
-        if let (Some(screen), Some(mirror)) = (&ctx.screen, &bucket.mirror) {
+        if let (Some(screen), Some(mirror)) = (&ctx.screen, side.mirror) {
             stats.screen_evaluated += 1;
             if screen.upper_bound(mirror, r, bucket.norms[r]) < heap.threshold() {
                 stats.screen_pruned += 1;
@@ -195,13 +209,14 @@ fn verify_and_push(
     stats.dots_computed += 1;
 }
 
-fn scan_naive(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
-    for (r, &id) in bucket.ids.iter().enumerate() {
-        verify_and_push(bucket, ctx, r, id, heap, stats);
+fn scan_naive(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
+    for (r, &id) in side.bucket.ids.iter().enumerate() {
+        verify_and_push(side, ctx, r, id, heap, stats);
     }
 }
 
-fn scan_length(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
+fn scan_length(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
+    let bucket = side.bucket;
     for (r, &id) in bucket.ids.iter().enumerate() {
         // Items are norm-sorted: once the Cauchy–Schwarz ceiling drops below
         // the threshold, no later item in this bucket can qualify either.
@@ -209,11 +224,12 @@ fn scan_length(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut 
             stats.length_pruned += (bucket.len() - r) as u64;
             return;
         }
-        verify_and_push(bucket, ctx, r, id, heap, stats);
+        verify_and_push(side, ctx, r, id, heap, stats);
     }
 }
 
-fn scan_incr(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
+fn scan_incr(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
+    let bucket = side.bucket;
     let cp = ctx.checkpoint;
     for (r, &id) in bucket.ids.iter().enumerate() {
         let scale = ctx.norm * bucket.norms[r];
@@ -235,7 +251,7 @@ fn scan_incr(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut Sc
                 continue;
             }
         }
-        verify_and_push(bucket, ctx, r, id, heap, stats);
+        verify_and_push(side, ctx, r, id, heap, stats);
     }
 }
 
@@ -263,8 +279,6 @@ mod tests {
         heap.into_sorted().items
     }
 
-    use mips_topk::ItemMirror;
-
     fn run_algo(
         algo: RetrievalAlgo,
         items: &Matrix<f64>,
@@ -283,21 +297,21 @@ mod tests {
         tier: Option<ScreenTier>,
     ) -> (mips_topk::TopKList, ScanStats) {
         let cp = (items.cols() / 4).max(1);
-        let mut buckets = build_buckets(items, 16, cp);
+        let buckets = build_buckets(items, 16, cp);
         let mut ctx = UserCtx::new(user, cp);
+        let mut mirrors = Vec::new();
         if let Some(tier) = tier {
-            for b in &mut buckets {
-                b.mirror = Some(ItemMirror::build(&b.vectors, tier).expect("usable mirror"));
-            }
+            let mirror = |b: &Bucket| ItemMirror::build(&b.vectors, tier).expect("usable mirror");
+            mirrors = buckets.iter().map(mirror).collect();
             ctx = ctx.with_screen(tier);
         }
         let mut heap = TopKHeap::new(k);
         let mut stats = ScanStats::default();
-        for b in &buckets {
+        for (i, b) in buckets.iter().enumerate() {
             if heap.is_full() && inflate(ctx.norm * b.max_norm) < heap.threshold() {
                 break;
             }
-            scan_bucket(algo, b, &ctx, &mut heap, &mut stats);
+            scan_bucket(algo, b, mirrors.get(i), &ctx, &mut heap, &mut stats);
         }
         (heap.into_sorted(), stats)
     }
@@ -420,7 +434,7 @@ mod tests {
 
     #[test]
     fn screen_without_bucket_mirror_degrades_to_plain_scan() {
-        // A screened UserCtx against mirror-less buckets must not change
+        // A screened UserCtx scanning without a mirror must not change
         // behavior (the screen needs both sides).
         let items = random_items(80, 8, 3);
         let buckets = build_buckets(&items, 16, 2);
@@ -430,7 +444,7 @@ mod tests {
             let mut heap = TopKHeap::new(5);
             let mut stats = ScanStats::default();
             for b in &buckets {
-                scan_bucket(RetrievalAlgo::Naive, b, &ctx, &mut heap, &mut stats);
+                scan_bucket(RetrievalAlgo::Naive, b, None, &ctx, &mut heap, &mut stats);
             }
             assert_eq!(stats.screen_pruned, 0);
             assert_eq!(stats.dots_computed, 80);

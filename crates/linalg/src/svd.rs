@@ -13,7 +13,7 @@
 
 use crate::eig::jacobi_eigen;
 use crate::error::LinalgError;
-use crate::gemm::matmul_nn;
+use crate::gemm::{gemm_nt_into, matmul_nn};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 
@@ -97,24 +97,31 @@ impl<T: Scalar> SvdBasis<T> {
     }
 }
 
-/// The Gram matrix `MᵀM` (`f × f`) of a tall row-major matrix, accumulated
-/// row-by-row so only `O(f²)` extra memory is used.
+/// Rows of `M` multiplied per GEMM call in [`gram`]: long enough that the
+/// packed kernel runs at its blocked rate, short enough that the transposed
+/// copy stays a few megabytes at any feasible `f`.
+const GRAM_ROW_CHUNK: usize = 4096;
+
+/// The Gram matrix `MᵀM` (`f × f`) of a tall row-major matrix, through the
+/// packed GEMM: each chunk of rows is transposed into an `f × chunk` block
+/// `B` and contributes `B·Bᵀ`, so the extra memory is `O(f · chunk + f²)`
+/// whatever the row count.
 pub fn gram<T: Scalar>(m: &Matrix<T>) -> Matrix<T> {
     let f = m.cols();
     let mut g = Matrix::zeros(f, f);
-    for row in m.iter_rows() {
-        for i in 0..f {
-            let ri = row[i];
-            if ri == T::ZERO {
-                continue;
-            }
-            let grow = g.row_mut(i);
-            for (j, slot) in grow.iter_mut().enumerate().skip(i) {
-                *slot = ri.mul_add(row[j], *slot);
-            }
+    let mut partial = vec![T::ZERO; f * f];
+    for start in (0..m.rows()).step_by(GRAM_ROW_CHUNK) {
+        let end = (start + GRAM_ROW_CHUNK).min(m.rows());
+        let chunk = Matrix::from_vec(end - start, f, m.row_block(start, end).as_slice().to_vec())
+            .expect("a row block of a matrix is a matrix")
+            .transpose();
+        gemm_nt_into((&chunk).into(), (&chunk).into(), &mut partial);
+        for (slot, &p) in g.as_mut_slice().iter_mut().zip(&partial) {
+            *slot += p;
         }
     }
-    // Mirror the upper triangle.
+    // Both triangles accumulate the same products in the same order, but the
+    // eigensolver's contract is exact symmetry: make it hold by construction.
     for i in 0..f {
         for j in (i + 1)..f {
             let v = g.get(i, j);
@@ -141,12 +148,17 @@ mod tests {
 
     #[test]
     fn gram_matches_naive() {
-        let m = random_matrix(13, 5, 3);
-        let g = gram(&m);
-        let naive = matmul_nn(&m.transpose(), &m);
-        for i in 0..5 {
-            for j in 0..5 {
-                assert!((g.get(i, j) - naive.get(i, j)).abs() < 1e-10);
+        // The second shape spans several row chunks with a ragged last one.
+        for (rows, cols) in [(13usize, 5usize), (2 * GRAM_ROW_CHUNK + 37, 7)] {
+            let m = random_matrix(rows, cols, 3);
+            let g = gram(&m);
+            let naive = matmul_nn(&m.transpose(), &m);
+            for i in 0..cols {
+                for j in 0..cols {
+                    let (got, want) = (g.get(i, j), naive.get(i, j));
+                    assert!((got - want).abs() < 1e-10 * (1.0 + want.abs()), "({i},{j})");
+                    assert_eq!(got.to_bits(), g.get(j, i).to_bits(), "symmetry ({i},{j})");
+                }
             }
         }
     }

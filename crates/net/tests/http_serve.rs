@@ -216,15 +216,34 @@ fn forced_f32_rescore_is_bit_identical_and_announced_on_the_wire() {
     // A mixed-precision stack must change how answers are computed — f32
     // screen, exact f64 rescore — without changing a single reported bit,
     // and both the response and /metrics must announce the mode.
+    //
+    // The engine registers the three backends that have an f32 variant, so
+    // whichever of them this host's planner times fastest, the forced tier
+    // is served by its variant — the decision record says so, and nothing
+    // below depends on who won.
     let model = model(80, 100, 11);
     let f64_engine = engine(&model);
-    let f32_engine = Arc::new(
-        EngineBuilder::new()
-            .model(Arc::clone(&model))
-            .with_default_backends()
-            .precision(mips_core::precision::Precision::F32Rescore)
-            .build()
-            .unwrap(),
+    let mut builder = EngineBuilder::new()
+        .model(Arc::clone(&model))
+        .precision(mips_core::precision::Precision::F32Rescore);
+    for factory in mips_core::engine::BackendRegistry::with_defaults().factories() {
+        if ["bmm", "maximus", "lemp"].contains(&factory.key()) {
+            builder = builder.register_arc(Arc::clone(factory));
+        }
+    }
+    let f32_engine = Arc::new(builder.build().unwrap());
+    let plan = f32_engine.prepare(5).unwrap();
+    assert_eq!(plan.estimates().len(), 3);
+    for candidate in plan.estimates() {
+        assert!(
+            candidate.name.ends_with("+f32"),
+            "forced f32 must race every backend's f32 variant, found {}",
+            candidate.name
+        );
+    }
+    assert_eq!(
+        plan.precision(),
+        mips_core::precision::Precision::F32Rescore
     );
     let server = Arc::new(
         ServerBuilder::new()

@@ -576,6 +576,45 @@ impl ItemMirror {
         Some(ItemMirror { rows })
     }
 
+    /// Mirrors rows `ids` of a catalog that is already mirrored: gathers
+    /// them, in the order given, out of `items` (the item side of a
+    /// model-shared mirror). Each row's scale, norm and codes travel with
+    /// it, so nothing is rounded or quantized a second time and the result
+    /// equals [`ItemMirror::build`] over the same rows of the f64 catalog.
+    ///
+    /// # Panics
+    /// Panics if an id is out of range for `items`.
+    pub fn gather(items: ScreenItems<'_>, ids: &[u32]) -> ItemMirror {
+        let pick = |values: &[f64]| ids.iter().map(|&i| values[i as usize]).collect();
+        let rows = match items {
+            ScreenItems::F32 { rows, .. } => {
+                let mut data = Vec::with_capacity(ids.len() * rows.cols());
+                for &i in ids {
+                    data.extend_from_slice(rows.row(i as usize));
+                }
+                let gathered = Matrix::from_vec(ids.len(), rows.cols(), data);
+                MirrorRows::F32(gathered.expect("rows × cols values"))
+            }
+            ScreenItems::I8 {
+                codes,
+                inv_scales,
+                l1,
+            } => {
+                let f = codes.len().checked_div(inv_scales.len()).unwrap_or(0);
+                let mut gathered = Vec::with_capacity(ids.len() * f);
+                for &i in ids {
+                    gathered.extend_from_slice(&codes[i as usize * f..(i as usize + 1) * f]);
+                }
+                MirrorRows::I8 {
+                    codes: gathered,
+                    inv_scales: pick(inv_scales),
+                    l1: pick(l1),
+                }
+            }
+        };
+        ItemMirror { rows }
+    }
+
     /// The tier this mirror stores.
     pub fn tier(&self) -> ScreenTier {
         match self.rows {
@@ -1125,6 +1164,28 @@ mod tests {
                 assert_eq!(codes[r * 2 + c], want, "row {r} col {c}");
             }
             assert_eq!(l1[r], row.iter().map(|v| v.abs()).sum::<f64>());
+        }
+    }
+
+    #[test]
+    fn gathered_mirrors_equal_mirrors_built_over_the_gathered_rows() {
+        let catalog = random_matrix(30, 11, 21);
+        let ids = [7u32, 0, 29, 7, 13];
+        let picked = catalog.gather_rows(&ids.map(|i| i as usize));
+        let norms = row_norms(&picked);
+        let user = random_matrix(1, 11, 22);
+        for tier in ScreenTier::ALL {
+            let gathered = ItemMirror::gather(mirrored(&catalog, tier).items(), &ids);
+            let built = ItemMirror::build(&picked, tier).unwrap();
+            assert_eq!(gathered.tier(), tier);
+            let screen = UserScreen::arm(user.row(0), norm2(user.row(0)), tier).unwrap();
+            for (r, &norm) in norms.iter().enumerate() {
+                assert_eq!(
+                    screen.upper_bound(&gathered, r, norm).to_bits(),
+                    screen.upper_bound(&built, r, norm).to_bits(),
+                    "{tier:?} row {r}"
+                );
+            }
         }
     }
 
