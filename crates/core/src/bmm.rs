@@ -2,13 +2,17 @@
 //! §II-B.
 //!
 //! Users are processed in batches. Each batch streams `U_batch · Iᵀ` score
-//! panels straight into per-user top-k heaps ([`mips_topk::gemm_nt_topk`]):
-//! only one NC-wide panel of scores is ever resident, so selection happens
-//! on cache-warm data and the `batch × n` score buffer of the paper's
-//! literal two-stage recipe (MKL `dgemm` + `std::priority_queue`) never
-//! exists. Armed with a screen tier ([`BmmSolver::with_screen`]) the scan
-//! runs in that tier's arithmetic and only the survivors are rescored in
-//! f64 ([`mips_topk::screen`]).
+//! blocks straight into per-user top-k heaps
+//! ([`mips_topk::stream_topk_into_heaps`]): only one `MC × NC` block of
+//! scores is ever resident, so selection happens on cache-warm data and the
+//! `batch × n` score buffer of the paper's literal two-stage recipe (MKL
+//! `dgemm` + `std::priority_queue`) never exists. Armed with a screen tier
+//! ([`BmmSolver::with_screen`]) the scan runs in that tier's arithmetic and
+//! only the survivors are rescored in f64 ([`mips_topk::screen`]).
+//!
+//! The item side of every scan is the model's cached packed panels
+//! ([`MfModel::item_panels`] and the mirrors' twins): packed once per
+//! model, so neither a batch nor a single-user lookup repacks the catalog.
 //!
 //! Every path runs on the runtime-dispatched SIMD micro-kernels
 //! ([`mips_linalg::simd`]); results are identical either way.
@@ -19,8 +23,8 @@ use crate::sync::Arc;
 use mips_data::MfModel;
 use mips_linalg::{CacheConfig, GemmScratch, Matrix, RowBlock};
 use mips_topk::{
-    gemm_nt_topk, screen_topk_into_heaps, ColumnIds, ScreenItems, ScreenScratch, ScreenTier,
-    ScreenUsers, TopKHeap, TopKList,
+    screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenItems, ScreenScratch,
+    ScreenTier, ScreenUsers, TopKHeap, TopKList,
 };
 use std::ops::Range;
 use std::time::Instant;
@@ -60,7 +64,9 @@ pub struct BmmSolver {
 
 /// Both sides of `model` in `tier`, borrowed from the model-level mirror
 /// (built on first use and shared by every view and shard of the model).
-/// `None` when the model does not mirror usably in that tier.
+/// The item side comes as rows only — what a gather needs; a block scan
+/// adds the mirror's packed panels ([`BmmSolver::armed_sides`]). `None`
+/// when the model does not mirror usably in that tier.
 pub(crate) fn screen_sides(
     model: &MfModel,
     tier: ScreenTier,
@@ -74,6 +80,7 @@ pub(crate) fn screen_sides(
             };
             let items = ScreenItems::F32 {
                 rows: mirror.items().into(),
+                panels: None,
                 norms: mirror.item_norms(),
             };
             mirror.is_usable().then_some((users, items))
@@ -87,6 +94,7 @@ pub(crate) fn screen_sides(
             };
             let items = ScreenItems::I8 {
                 codes: mirror.items_q(),
+                panels: None,
                 inv_scales: mirror.item_inv_scales(),
                 l1: mirror.item_l1(),
             };
@@ -191,10 +199,17 @@ impl BmmSolver {
         self.batch_rows
     }
 
-    /// Both sides of the armed tier over the whole model, if one is armed.
+    /// Both sides of the armed tier over the whole model, if one is armed,
+    /// the item side with its mirror's packed panels (built on the first
+    /// scan, then shared).
     fn armed_sides(&self) -> Option<(ScreenUsers<'_>, ScreenItems<'_>)> {
         let sides = screen_sides(&self.model, self.screen?);
-        Some(sides.expect("armed tiers mirror usably"))
+        let (users, mut items) = sides.expect("armed tiers mirror usably");
+        match &mut items {
+            ScreenItems::F32 { panels, .. } => *panels = Some(self.model.mirror32().item_panels()),
+            ScreenItems::I8 { panels, .. } => *panels = Some(self.model.mirror_i8().item_panels()),
+        }
+        Some((users, items))
     }
 
     /// Serves `users` — with their rows of the armed tier's user side, when
@@ -207,27 +222,28 @@ impl BmmSolver {
         k: usize,
     ) -> Vec<TopKList> {
         let f = users.cols();
-        let items = self.model.items().into();
+        let ids = ColumnIds::Offset(0);
         let mut scratch = BmmScratch::default();
         let mut out = Vec::with_capacity(users.rows());
         for start in (0..users.rows()).step_by(self.batch_rows) {
             let end = (start + self.batch_rows).min(users.rows());
             let block = RowBlock::new(&users.as_slice()[start * f..end * f], end - start, f);
-            let Some((screen_users, screen_items)) = screen else {
-                out.extend(gemm_nt_topk(block, items, k, &mut scratch.gemm));
-                continue;
-            };
             let mut heaps: Vec<TopKHeap> = (0..block.rows()).map(|_| TopKHeap::new(k)).collect();
-            let stats = screen_topk_into_heaps(
-                block,
-                items,
-                screen_users.rows(start..end),
-                screen_items,
-                &mut heaps,
-                ColumnIds::Offset(0),
-                &mut scratch.screen,
-            );
-            self.screen_tally.record(stats.screened, stats.rescored);
+            if let Some((screen_users, screen_items)) = screen {
+                let stats = screen_topk_into_heaps(
+                    block,
+                    self.model.items().into(),
+                    screen_users.rows(start..end),
+                    screen_items,
+                    &mut heaps,
+                    ids,
+                    &mut scratch.screen,
+                );
+                self.screen_tally.record(stats.screened, stats.rescored);
+            } else {
+                let items = self.model.item_panels().into();
+                stream_topk_into_heaps(block, items, &mut heaps, ids, &mut scratch.gemm);
+            }
             out.extend(heaps.into_iter().map(TopKHeap::into_sorted));
         }
         out
@@ -237,7 +253,7 @@ impl BmmSolver {
 /// Per-query-loop reusable buffers: one of these lives on the stack of each
 /// `query_*` invocation (and therefore per worker thread under
 /// `par_query_*`). The bulk buffers — GEMM pack panels, the streaming score
-/// panel, the screen's bound heaps and candidate lists — are allocated once
+/// block, the screen's bound heaps and candidate lists — are allocated once
 /// per query loop and reused across blocks; what remains per block is only
 /// the per-user output itself (heaps/lists of size `k`).
 #[derive(Default)]

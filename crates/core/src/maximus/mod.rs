@@ -18,11 +18,11 @@ pub mod bound;
 use crate::maximus::bound::stored_bound;
 use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::Arc;
+use crate::sync::{Arc, OnceLock};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::MfModel;
 use mips_linalg::kernels::{angle, dot, dot_gemm_ordered_x4, norm2};
-use mips_linalg::{GemmScratch, Matrix};
+use mips_linalg::{GemmScratch, Matrix, PackedPanels};
 use mips_topk::{
     stream_topk_into_heaps, ColumnIds, ItemMirror, ScreenTier, TopKHeap, TopKList, UserScreen,
 };
@@ -131,14 +131,24 @@ struct ClusterIndex {
     /// Item vectors gathered in list order (the `O(|C||I|f)` storage of
     /// §III-D; sequential walks instead of random model access).
     items: Matrix<f64>,
+    /// The list prefix the §III-D blocked multiply scores (`items` rows
+    /// `0..B`), packed for the GEMM driver by the first request that
+    /// reaches the cluster and shared from then on by every request, thread
+    /// and screen variant. A per-call pack is a fixed `B × f` copy per
+    /// cluster that a small batch does not amortize: a point lookup would
+    /// pay it whole, and the planner — which times a user sample and scales
+    /// by `|U| / sample` — would charge MAXIMUS that copy many times over
+    /// and tie it with candidates it beats.
+    block_panels: OnceLock<PackedPanels<f64>>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
 }
 
 /// Everything construction derives from the model — the clustering, every
 /// cluster's bound-sorted list and its gathered item copy. Immutable once
-/// built and shared, behind an [`Arc`], by an index and every screen variant
-/// of it ([`MaximusIndex::with_screen`]).
+/// built (the packed list prefixes fill in on first use) and shared, behind
+/// an [`Arc`], by an index and every screen variant of it
+/// ([`MaximusIndex::with_screen`]).
 struct MaximusCore {
     model: Arc<MfModel>,
     config: MaximusConfig,
@@ -351,9 +361,12 @@ impl MaximusIndex {
         if block > 0 {
             let users: Vec<usize> = group.iter().map(|&(_, u)| u).collect();
             let gathered = model.users().gather_rows(&users);
+            let panels = cluster
+                .block_panels
+                .get_or_init(|| PackedPanels::pack(cluster.items.row_block(0, block)));
             stream_topk_into_heaps(
                 (&gathered).into(),
-                cluster.items.row_block(0, block),
+                panels.into(),
                 &mut heaps,
                 ColumnIds::Mapped(&cluster.list_ids[..block]),
                 scratch,
@@ -598,6 +611,7 @@ fn build_cluster_list(
         theta_ic,
         norms,
         items: gathered,
+        block_panels: OnceLock::new(),
         members,
     }
 }
@@ -899,6 +913,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_blocked_prefix_is_packed_once_per_cluster_and_shared_by_variants() {
+        let m = model(40, 90, 8, 0.4);
+        let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
+        let packed = |index: &MaximusIndex| -> Vec<Option<*const PackedPanels<f64>>> {
+            let clusters = index.core.clusters.iter();
+            clusters
+                .map(|c| c.block_panels.get().map(|p| p as *const _))
+                .collect()
+        };
+        // Lazy: nothing is packed until a request reaches the cluster, and
+        // a point lookup packs its own cluster's prefix only.
+        assert!(packed(&plain).iter().all(Option::is_none));
+        let first = plain.query_range(5, 3..4);
+        let home = plain.assignments()[3] as usize;
+        for (c, panels) in packed(&plain).iter().enumerate() {
+            assert_eq!(panels.is_some(), c == home, "cluster {c}");
+        }
+        let all = plain.query_all(5);
+        assert_eq!(all[3], first[0]);
+        let after_all = packed(&plain);
+        for (cluster, panels) in plain.core.clusters.iter().zip(&after_all) {
+            assert_eq!(panels.is_some(), !cluster.members.is_empty());
+        }
+        // A variant derived afterwards multiplies against the very same
+        // panels, and a second pass repacks nothing.
+        let screened = plain.with_screen(ScreenTier::I8);
+        assert_eq!(screened.query_all(5), all);
+        assert_eq!(plain.query_all(5), all);
+        assert_eq!(packed(&screened), after_all);
+        assert_eq!(packed(&plain), after_all);
+        // The panels hold the list prefix the rows hold: the lesion index
+        // (no blocking, so no panels) answers the same.
+        let unblocked = MaximusConfig {
+            item_blocking: false,
+            ..small_config()
+        };
+        let walked = MaximusIndex::build(Arc::clone(&m), &unblocked);
+        assert_eq!(walked.query_all(5), all);
+        assert!(packed(&walked).iter().all(Option::is_none));
     }
 
     #[test]

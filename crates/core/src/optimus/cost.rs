@@ -10,15 +10,19 @@
 //! sampling instead (the paper reports the min-heap stage at ≥ 9.5 % of
 //! runtime for its largest models).
 //!
-//! Calibration runs through [`gemm_nt`], i.e. through whatever SIMD kernel
-//! set [`mips_linalg::simd::active`] selected, and records that kernel's
-//! name. This matters: switching between the scalar and AVX2 micro-kernels
-//! moves the sustained rate by an order of magnitude, which in turn moves
-//! every BMM-vs-index crossover the optimizer reasons about. A rate
-//! calibrated under one kernel must never be reused under another — compare
+//! Calibration runs every tier — f64, f32 and int8 alike — the way the scan
+//! is served: the packed GEMM driver streaming score blocks off a B side
+//! packed once ([`gemm_nt_stream_blocks`]), under whatever SIMD kernel set
+//! [`mips_linalg::simd::active`] selected, and records that kernel's name.
+//! This matters: switching between the scalar and AVX2 micro-kernels moves
+//! the sustained rate by an order of magnitude, which in turn moves every
+//! BMM-vs-index crossover the optimizer reasons about. A rate calibrated
+//! under one kernel must never be reused under another — compare
 //! [`AnalyticalBmmModel::kernel`] before trusting a cached rate.
 
-use mips_linalg::{gemm_flops, gemm_nt, simd, Matrix, Scalar};
+use mips_linalg::{
+    gemm_flops, gemm_nt_stream_blocks, simd, GemmElem, GemmScratch, PackedPanels, RowBlock, Scalar,
+};
 use mips_topk::ScreenTier;
 use std::hint::black_box;
 use std::time::Instant;
@@ -41,42 +45,24 @@ fn fastest_of_three(mut work: impl FnMut()) -> f64 {
     best.max(1e-9)
 }
 
-/// Seconds for the packed GEMM to multiply `DIM³` in element type `T`.
-fn time_gemm<T: Scalar>() -> f64 {
-    let a = Matrix::<T>::from_fn(DIM, DIM, |r, c| {
-        T::from_f64(((r * 31 + c * 7) % 13) as f64 * 0.1)
-    });
-    let b = Matrix::<T>::from_fn(DIM, DIM, |r, c| {
-        T::from_f64(((r * 17 + c * 3) % 11) as f64 * 0.1)
-    });
-    fastest_of_three(|| {
-        black_box(gemm_nt(&a, &b));
-    })
-}
-
-/// Seconds for the int8 screen's integer-dot kernel to score `DIM` users
-/// against `DIM` items of `DIM` codes — the same `DIM³` multiply-adds, four
-/// items per call like the block screen's scan.
-fn time_dot_i8() -> f64 {
-    let codes = |mul: usize, modulus: usize| -> Vec<i8> {
-        let code = |p: usize| ((p * mul) % modulus) as i32 - (modulus / 2) as i32;
+/// Seconds for the packed GEMM to multiply `DIM³` in element type `T`
+/// against prepacked B panels, as the BMM scan does. `elem` makes the
+/// operands from small integers (`[-6, 6]`: exact in every tier).
+fn time_gemm<T: GemmElem>(elem: impl Fn(i8) -> T) -> f64 {
+    let operand = |mul: usize, modulus: usize| -> Vec<T> {
+        let centred = |p: usize| (p * mul % modulus) as i32 - (modulus / 2) as i32;
         (0..DIM * DIM)
-            .map(|p| i8::try_from(code(p)).expect("moduli below 256 centre within i8"))
+            .map(|p| elem(i8::try_from(centred(p)).expect("small moduli centre within i8")))
             .collect()
     };
-    let (users, items) = (codes(31, 251), codes(17, 241));
-    let kern = simd::active();
+    let (a, b) = (operand(31, 13), operand(17, 11));
+    let a = RowBlock::new(&a, DIM, DIM);
+    let b = PackedPanels::pack(RowBlock::new(&b, DIM, DIM));
+    let mut scratch = GemmScratch::new();
     fastest_of_three(|| {
-        let mut sum = 0i64;
-        for user in users.chunks_exact(DIM) {
-            for quad in items.chunks_exact(4 * DIM) {
-                let (a, b) = quad.split_at(2 * DIM);
-                let ((i0, i1), (i2, i3)) = (a.split_at(DIM), b.split_at(DIM));
-                let dots = kern.dot_i8_quad(user, [i0, i1, i2, i3]);
-                sum += dots.iter().map(|&d| i64::from(d)).sum::<i64>();
-            }
-        }
-        black_box(sum);
+        gemm_nt_stream_blocks(a, (&b).into(), &mut scratch, |block, _, _| {
+            black_box(block);
+        })
     })
 }
 
@@ -97,8 +83,8 @@ impl AnalyticalBmmModel {
     }
 
     /// Calibrates the dense scan kernel of one numeric tier on the same
-    /// `256³` multiply: the f64 GEMM (`None`), the single-precision GEMM,
-    /// or the int8 integer-dot kernel. The ratio between a screen tier's
+    /// `256³` multiply through the packed driver: the f64 tile (`None`),
+    /// the f32 tile, or the int8 tile. The ratio between a screen tier's
     /// rate and the f64 rate is the analytical bound on how much of a
     /// backend's scan the tier can save (the rescore cost is data-dependent
     /// and left to online sampling, exactly like the top-k stage) — every
@@ -106,9 +92,9 @@ impl AnalyticalBmmModel {
     /// variant before building it.
     pub fn calibrate_tier(tier: Option<ScreenTier>) -> AnalyticalBmmModel {
         let seconds = match tier {
-            None => time_gemm::<f64>(),
-            Some(ScreenTier::F32) => time_gemm::<f32>(),
-            Some(ScreenTier::I8) => time_dot_i8(),
+            None => time_gemm(|v| f64::from(v) * 0.1),
+            Some(ScreenTier::F32) => time_gemm(|v| f32::from_f64(f64::from(v) * 0.1)),
+            Some(ScreenTier::I8) => time_gemm(|v: i8| v),
         };
         AnalyticalBmmModel {
             flops_per_second: gemm_flops(DIM, DIM, DIM) / seconds,
@@ -210,7 +196,7 @@ impl AnalyticalSparseModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mips_linalg::gemm_nt_into;
+    use mips_linalg::{gemm_nt_into, Matrix};
 
     #[test]
     fn calibration_yields_plausible_rate() {

@@ -220,6 +220,39 @@ fn f32_rescore_survives_model_swaps_bit_identically() {
     }
 }
 
+/// Models wider than the f64 depth block (`KC` = 256): the packed GEMM
+/// splits the depth there, and every score must still be the one
+/// sequential FMA chain the screens' rescore (and MAXIMUS's
+/// canonicalization) reproduce — a chain restarted per depth block differs
+/// in the last bit on almost every element. Every screen tier of every
+/// backend must match f64-direct, and BMM's scores must be that chain.
+#[test]
+fn models_wider_than_the_depth_block_stay_bit_identical() {
+    let model = random_model(9, 70, 300, 77);
+    let f64_engine = engine_at(&model, Precision::F64);
+    let request = QueryRequest::top_k(5);
+    for precision in [Precision::F32Rescore, Precision::I8Rescore] {
+        let screened = engine_at(&model, precision);
+        // The screen-capable backends (FEXIPRO's 300 × 300 SVD would
+        // dominate a debug run and has no screen to check).
+        for key in ["bmm", "maximus", "lemp"] {
+            let want = f64_engine.execute_with(key, &request).unwrap();
+            let got = screened.execute_with(key, &request).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{key} under {precision:?}");
+        }
+    }
+    let direct = f64_engine.execute_with("bmm", &request).unwrap();
+    for (u, list) in direct.results.iter().enumerate() {
+        for (&item, &score) in list.items.iter().zip(&list.scores) {
+            let chain = mips_linalg::kernels::dot_gemm_ordered(
+                model.users().row(u),
+                model.items().row(item as usize),
+            );
+            assert_eq!(score.to_bits(), chain.to_bits(), "user {u} item {item}");
+        }
+    }
+}
+
 /// Builds a corpus designed to break an unsound screen, with `n` items per
 /// regime. The user rows mirror the regimes so every (user, item) pairing
 /// crosses magnitudes.

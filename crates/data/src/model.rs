@@ -1,10 +1,42 @@
 //! The matrix-factorization model type consumed by every MIPS solver, and
 //! the zero-copy [`ModelView`] over a contiguous user range of it.
 
-use mips_linalg::{dot, norm2, quantize_row_i8, LinalgError, Matrix, RowBlock, I8_DOT_MAX_LEN};
+use mips_linalg::{
+    dot, norm2, quantize_row_i8, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock,
+    I8_DOT_MAX_LEN,
+};
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// A catalog side packed for the GEMM driver on first use and kept for its
+/// owner's lifetime — the same caching discipline as the mirrors: lazy, at
+/// most one build, shared by every view, shard and thread that reaches the
+/// owner. A clone shares the cell, built or not (clones hold the same
+/// rows). `builds` is the owning model's counter
+/// ([`MfModel::panel_builds`]).
+#[derive(Debug, Clone, Default)]
+struct LazyPanels<T: GemmElem> {
+    panels: Arc<OnceLock<PackedPanels<T>>>,
+    builds: Arc<AtomicU64>,
+}
+
+impl<T: GemmElem> LazyPanels<T> {
+    fn counted_by(builds: &Arc<AtomicU64>) -> LazyPanels<T> {
+        LazyPanels {
+            panels: Arc::default(),
+            builds: Arc::clone(builds),
+        }
+    }
+
+    fn get(&self, rows: RowBlock<'_, T>) -> &PackedPanels<T> {
+        self.panels.get_or_init(|| {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            PackedPanels::pack(rows)
+        })
+    }
+}
 
 /// Errors raised when constructing a model from untrusted input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +107,10 @@ pub struct MfModel {
     /// The lazily built int8 mirror (see [`MirrorI8`]); same caching and
     /// sharing discipline as `mirror32`.
     mirror_i8: OnceLock<Arc<MirrorI8>>,
+    /// The item matrix packed for the GEMM driver (see
+    /// [`MfModel::item_panels`]); the mirrors hold their own tiers' panels
+    /// and report their builds to the same counter.
+    item_panels: LazyPanels<f64>,
 }
 
 /// The single-precision mirror of a model's factor matrices, plus the exact
@@ -98,10 +134,11 @@ pub struct Mirror32 {
     user_norms: Vec<f64>,
     item_norms: Vec<f64>,
     usable: bool,
+    item_panels: LazyPanels<f32>,
 }
 
 impl Mirror32 {
-    fn build(users: &Matrix<f64>, items: &Matrix<f64>) -> Mirror32 {
+    fn build(users: &Matrix<f64>, items: &Matrix<f64>, builds: &Arc<AtomicU64>) -> Mirror32 {
         let users32: Matrix<f32> = users.cast();
         let items32: Matrix<f32> = items.cast();
         let usable = users32.as_slice().iter().all(|v| v.is_finite())
@@ -113,7 +150,14 @@ impl Mirror32 {
             users: users32,
             items: items32,
             usable,
+            item_panels: LazyPanels::counted_by(builds),
         }
+    }
+
+    /// [`Mirror32::items`] packed for the GEMM driver: built on first use,
+    /// then shared by every screen over this mirror.
+    pub fn item_panels(&self) -> &PackedPanels<f32> {
+        self.item_panels.get((&self.items).into())
     }
 
     /// The rounded user factor matrix (`|U| × f`).
@@ -172,10 +216,11 @@ pub struct MirrorI8 {
     user_l1: Vec<f64>,
     item_l1: Vec<f64>,
     usable: bool,
+    item_panels: LazyPanels<i8>,
 }
 
 impl MirrorI8 {
-    fn build(users: &Matrix<f64>, items: &Matrix<f64>) -> MirrorI8 {
+    fn build(users: &Matrix<f64>, items: &Matrix<f64>, builds: &Arc<AtomicU64>) -> MirrorI8 {
         let f = users.cols();
         let quantize = |m: &Matrix<f64>| {
             let mut q = vec![0i8; m.rows() * f];
@@ -205,7 +250,17 @@ impl MirrorI8 {
             user_l1,
             item_l1,
             usable,
+            item_panels: LazyPanels::counted_by(builds),
         }
+    }
+
+    /// [`MirrorI8::items_q`] packed for the GEMM driver (`i16` pairs):
+    /// built on first use, then shared by every screen over this mirror.
+    /// Only meaningful on a usable mirror.
+    pub fn item_panels(&self) -> &PackedPanels<i8> {
+        let rows = self.items_q.len().checked_div(self.f).unwrap_or(0);
+        self.item_panels
+            .get(RowBlock::new(&self.items_q, rows, self.f))
     }
 
     /// Latent factors per row.
@@ -284,6 +339,7 @@ impl MfModel {
             validated: true,
             mirror32: OnceLock::new(),
             mirror_i8: OnceLock::new(),
+            item_panels: LazyPanels::default(),
         })
     }
 
@@ -307,6 +363,7 @@ impl MfModel {
             validated: false,
             mirror32: OnceLock::new(),
             mirror_i8: OnceLock::new(),
+            item_panels: LazyPanels::default(),
         }
     }
 
@@ -372,6 +429,8 @@ impl MfModel {
             validated: self.validated,
             mirror32: OnceLock::new(),
             mirror_i8: OnceLock::new(),
+            // Same items, same panels.
+            item_panels: self.item_panels.clone(),
         }
     }
 
@@ -379,15 +438,33 @@ impl MfModel {
     /// model's lifetime (see [`Mirror32`]). Thread-safe: concurrent first
     /// callers race to build and all observe one winner.
     pub fn mirror32(&self) -> &Arc<Mirror32> {
+        let builds = &self.item_panels.builds;
         self.mirror32
-            .get_or_init(|| Arc::new(Mirror32::build(&self.users, &self.items)))
+            .get_or_init(|| Arc::new(Mirror32::build(&self.users, &self.items, builds)))
     }
 
     /// The int8 mirror, built on first use and cached for the model's
     /// lifetime (see [`MirrorI8`]). Thread-safe like [`MfModel::mirror32`].
     pub fn mirror_i8(&self) -> &Arc<MirrorI8> {
+        let builds = &self.item_panels.builds;
         self.mirror_i8
-            .get_or_init(|| Arc::new(MirrorI8::build(&self.users, &self.items)))
+            .get_or_init(|| Arc::new(MirrorI8::build(&self.users, &self.items, builds)))
+    }
+
+    /// The item matrix packed once for the GEMM driver
+    /// ([`mips_linalg::PackedPanels`]): built on first use and cached for
+    /// the model's lifetime like the mirrors, so brute-force scans — whole
+    /// batches and single-user lookups alike — never repack the catalog.
+    /// The mirrors cache their own tiers' panels
+    /// ([`Mirror32::item_panels`], [`MirrorI8::item_panels`]).
+    pub fn item_panels(&self) -> &PackedPanels<f64> {
+        self.item_panels.get((&self.items).into())
+    }
+
+    /// How many packed-panel sets this model has built, all tiers together
+    /// — at most three, however many views, shards and threads scan it.
+    pub fn panel_builds(&self) -> u64 {
+        self.item_panels.builds.load(Ordering::Relaxed)
     }
 }
 
@@ -503,6 +580,8 @@ impl ModelView {
             validated: self.model.validated,
             mirror32: OnceLock::new(),
             mirror_i8: OnceLock::new(),
+            // Same items, same panels.
+            item_panels: self.model.item_panels.clone(),
         })
     }
 
@@ -656,6 +735,35 @@ mod tests {
         assert!(Arc::ptr_eq(m.mirror_i8(), mirror));
         let view = ModelView::of_range(&m, 0..1);
         assert!(Arc::ptr_eq(view.mirror_i8(), mirror));
+    }
+
+    #[test]
+    fn packed_item_panels_are_built_once_per_model_and_shared_by_views() {
+        let m = MfModel::new_shared("m", users2x2(), items3x2()).unwrap();
+        // Lazy like the mirrors: nothing is packed until a scan asks.
+        assert_eq!(m.panel_builds(), 0);
+        let panels = m.item_panels();
+        assert_eq!((panels.rows(), panels.cols()), (3, 2));
+        assert_eq!(m.panel_builds(), 1);
+        // Views, repeated calls and threads reach the same panels.
+        let (a, b) = (ModelView::of_range(&m, 0..1), ModelView::of_range(&m, 1..2));
+        assert!(std::ptr::eq(a.model().item_panels(), panels));
+        let from_thread = std::thread::scope(|s| {
+            let lookup = s.spawn(|| b.model().item_panels());
+            lookup.join().expect("the lookup does not panic")
+        });
+        assert!(std::ptr::eq(from_thread, panels));
+        assert_eq!(m.panel_builds(), 1);
+        // A shard's materialized sub-model holds the same items, so it
+        // shares the f64 panels instead of packing them again.
+        assert!(std::ptr::eq(a.to_model().item_panels(), panels));
+        assert_eq!(m.panel_builds(), 1);
+        // Each mirror packs its own tier's panels, once, on first use.
+        let (p32, p8) = (m.mirror32().item_panels(), m.mirror_i8().item_panels());
+        assert_eq!((p32.rows(), p8.rows()), (3, 3));
+        assert!(std::ptr::eq(a.mirror32().item_panels(), p32));
+        assert!(std::ptr::eq(b.mirror_i8().item_panels(), p8));
+        assert_eq!(m.panel_builds(), 3);
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! requires the sampled user block to *at least occupy the L2 cache* so that
 //! the timed sample exhibits the same blocking behaviour as the full run.
 
-use crate::scalar::Scalar;
+use crate::gemm::GemmElem;
 
 /// Cache sizes used to derive blocking parameters.
 ///
-/// Defaults mirror the paper's evaluation machine (Intel Xeon E7-4850 v3:
-/// 32 KB L1D, 256 KB L2 per core, large shared L3).
+/// Defaults ([`CacheConfig::PAPER`]) mirror the paper's evaluation machine
+/// (Intel Xeon E7-4850 v3: 32 KB L1D, 256 KB L2 per core, large shared L3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Per-core L1 data cache size in bytes.
@@ -30,15 +30,19 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            l1_bytes: 32 * 1024,
-            l2_bytes: 256 * 1024,
-            l3_bytes: 8 * 1024 * 1024,
-        }
+        CacheConfig::PAPER
     }
 }
 
 impl CacheConfig {
+    /// The paper's evaluation machine; the geometry every default entry
+    /// point blocks for ([`GemmElem::BLOCKS`]).
+    pub const PAPER: CacheConfig = CacheConfig {
+        l1_bytes: 32 * 1024,
+        l2_bytes: 256 * 1024,
+        l3_bytes: 8 * 1024 * 1024,
+    };
+
     /// How many `f`-dimensional vectors of element size `bytes` are needed to
     /// occupy the L2 cache.
     ///
@@ -62,26 +66,38 @@ pub struct BlockSizes {
     pub nc: usize,
 }
 
-/// Micro-kernel tile height (rows of A per register tile).
-pub const MR: usize = 4;
-/// Micro-kernel tile width (rows of B / columns of C per register tile).
-pub const NR: usize = 8;
+const fn clamp(v: usize, lo: usize, hi: usize) -> usize {
+    if v < lo {
+        lo
+    } else if v > hi {
+        hi
+    } else {
+        v
+    }
+}
 
 impl BlockSizes {
-    /// Derives tile sizes for element type `T` from the cache geometry.
+    /// Derives tile sizes for element type `T` (its packed width and its
+    /// `MR × NR` register tile) from the cache geometry.
+    pub fn for_scalar<T: GemmElem>(cache: &CacheConfig) -> BlockSizes {
+        BlockSizes::for_tile(cache, std::mem::size_of::<T::Panel>(), T::MR, T::NR)
+    }
+
+    /// Tile sizes for packed elements of `sz` bytes under an `mr × nr`
+    /// register tile.
     ///
     /// The heuristics follow the BLIS analytical model, halving each level to
     /// leave room for the streaming source operands:
-    /// `KC·NR·sizeof(T) ≤ L1/2`, `MC·KC·sizeof(T) ≤ L2/2`,
-    /// `KC·NC·sizeof(T) ≤ L3/2`.
-    pub fn for_scalar<T: Scalar>(cache: &CacheConfig) -> BlockSizes {
-        let sz = T::BYTES;
-        let kc = (cache.l1_bytes / 2 / (NR * sz)).clamp(64, 512);
-        let mc = (cache.l2_bytes / 2 / (kc * sz)).clamp(MR, 512);
+    /// `KC·NR·sz ≤ L1/2`, `MC·KC·sz ≤ L2/2`, `KC·NC·sz ≤ L3/2`. The clamp
+    /// bounds keep `KC` even, so a depth block never splits one of the int8
+    /// tier's packed pairs.
+    pub const fn for_tile(cache: &CacheConfig, sz: usize, mr: usize, nr: usize) -> BlockSizes {
+        let kc = clamp(cache.l1_bytes / 2 / (nr * sz), 64, 512) & !1;
+        let mc = clamp(cache.l2_bytes / 2 / (kc * sz), mr, 512);
         // Round MC down to a multiple of MR so packed panels are uniform.
-        let mc = (mc / MR).max(1) * MR;
-        let nc = (cache.l3_bytes / 2 / (kc * sz)).clamp(NR, 8192);
-        let nc = (nc / NR).max(1) * NR;
+        let mc = mc / mr * mr;
+        let nc = clamp(cache.l3_bytes / 2 / (kc * sz), nr, 8192);
+        let nc = nc / nr * nr;
         BlockSizes { mc, kc, nc }
     }
 }
@@ -100,11 +116,34 @@ mod tests {
     fn block_sizes_respect_cache_budgets() {
         let cache = CacheConfig::default();
         let b = BlockSizes::for_scalar::<f64>(&cache);
-        assert!(b.kc * NR * 8 <= cache.l1_bytes, "B micro-panel spills L1");
+        assert!(
+            b.kc * f64::NR * 8 <= cache.l1_bytes,
+            "B micro-panel spills L1"
+        );
         assert!(b.mc * b.kc * 8 <= cache.l2_bytes, "A block spills L2");
         assert!(b.nc * b.kc * 8 <= cache.l3_bytes, "B panel spills L3");
-        assert_eq!(b.mc % MR, 0);
-        assert_eq!(b.nc % NR, 0);
+        assert_eq!(b.mc % f64::MR, 0);
+        assert_eq!(b.nc % f64::NR, 0);
+    }
+
+    #[test]
+    fn default_blocks_are_the_paper_geometry_per_element_type() {
+        fn check<T: GemmElem>() {
+            assert_eq!(
+                T::BLOCKS,
+                BlockSizes::for_scalar::<T>(&CacheConfig::default())
+            );
+            assert_eq!(
+                T::BLOCKS.kc % T::KGROUP,
+                0,
+                "a depth block splits a packed group"
+            );
+            assert_eq!(T::BLOCKS.mc % T::MR, 0);
+            assert_eq!(T::BLOCKS.nc % T::NR, 0);
+        }
+        check::<f64>();
+        check::<f32>();
+        check::<i8>();
     }
 
     #[test]
@@ -123,8 +162,8 @@ mod tests {
             l3_bytes: 4096,
         };
         let b = BlockSizes::for_scalar::<f64>(&cache);
-        assert!(b.mc >= MR);
-        assert!(b.nc >= NR);
+        assert!(b.mc >= f64::MR);
+        assert!(b.nc >= f64::NR);
         assert!(b.kc >= 64); // clamp floor keeps the kernel efficient
     }
 

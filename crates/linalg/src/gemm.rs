@@ -1,29 +1,41 @@
-//! Blocked matrix multiply: the "BMM" in the paper.
+//! Blocked matrix multiply: the "BMM" in the paper — and the one scan
+//! engine of every numeric tier.
 //!
 //! Computes `C = A·Bᵀ` for row-major `A (m×k)` and `B (n×k)` — exactly the
 //! MIPS rating computation `R = U·Iᵀ` — using the Goto/BLIS decomposition:
 //!
-//! 1. the **NC loop** slices B into panels that stay resident in L3,
-//! 2. the **KC loop** slices the shared dimension so packed panels fit caches,
-//! 3. the **MC loop** packs a block of A into L2,
+//! 1. the **NC loop** slices B into column panels, packed over the whole
+//!    depth — per call, or **once per model** ([`PackedPanels`]),
+//! 2. the **MC loop** takes a block of A's rows against the panel,
+//! 3. the **KC loop** slices the shared dimension so the packed A block and
+//!    one B micro-panel fit their caches,
 //! 4. the **macro-kernel** walks `MR × NR` register tiles,
-//! 5. the **micro-kernel** runs `KC` fused multiply-adds per tile element
-//!    with all `MR × NR` accumulators held in registers.
+//! 5. the **micro-kernel** ([`Tile`]) runs the depth with all `MR × NR`
+//!    accumulators held in registers and stores them straight into C.
 //!
 //! Packing rewrites both operands into tile-interleaved layout so the
 //! micro-kernel reads purely sequential memory. This is the "advanced data
 //! layout and blocking to maximize cache utilization" (§II-B) that gives
 //! brute force its constant-factor edge over index traversal.
 //!
+//! The driver is generic over [`GemmElem`]: `f64` (the exact path), `f32`
+//! and `i8` (the screen tiers of `mips-topk`) differ only in pack format
+//! and tile. A depth pass after the first loads the C tile as its initial
+//! accumulators, so for `f64` every output element is **one** sequential
+//! FMA chain over the depth whatever the blocking — what
+//! [`crate::kernels::dot_gemm_ordered`] reproduces — and for `i8` the
+//! `i32` sums are exact.
+//!
 //! [`naive_gemm_nt`] is the same computation as a double loop of `dot` calls
 //! — the paper's "naïve inner products" strawman — kept for correctness
 //! testing and for the §II-B speedup measurement in `bench/micro_gemm`.
 
-use crate::blocking::{BlockSizes, CacheConfig, MR, NR};
+use crate::blocking::{BlockSizes, CacheConfig};
 use crate::kernels::dot;
 use crate::matrix::{Matrix, RowBlock};
 use crate::scalar::Scalar;
 use crate::simd::{self, Kernel};
+use std::fmt::Debug;
 use std::ops::Range;
 
 /// Number of floating-point operations in one `m × n × k` multiply.
@@ -32,6 +44,259 @@ use std::ops::Range;
 #[inline]
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> f64 {
     2.0 * m as f64 * n as f64 * k as f64
+}
+
+/// A micro-kernel slot: `C ← [C +] Aᵖ·Bᵖᵀ` for one `MR × NR` register tile
+/// over the packed depth. `c[i·ldc + j]` is tile element `(i, j)`; the
+/// accumulators start in registers — zeroed, or loaded from `c` when
+/// `accumulate` — and are stored straight back to `c`.
+///
+/// Every slot checks its own slice lengths (`(MR − 1)·ldc + NR ≤ c.len()`,
+/// panels of equal depth), so the pointer is safe to call with anything.
+pub type Tile<P, C> = fn(a_panel: &[P], b_panel: &[P], c: &mut [C], ldc: usize, accumulate: bool);
+
+/// An element type of the packed driver: the three things a numeric tier
+/// brings to the multiply — its **pack format** ([`GemmElem::Panel`],
+/// [`GemmElem::KGROUP`]), its **register tile** ([`GemmElem::MR`] ×
+/// [`GemmElem::NR`], [`GemmElem::tile`]) and the accumulator it produces.
+///
+/// * `f64` — 4×8 tile; each `C` element is one sequential FMA chain over
+///   the depth, whatever the blocking (the bit-identity contract of
+///   [`crate::simd`]).
+/// * `f32` — 4×16 tile (tolerance contract).
+/// * `i8` — codes widen to `i16` and pack in depth **pairs**, so one
+///   `vpmaddwd` multiplies a broadcast pair of A by sixteen packed B values
+///   into eight exact `i32` sums; 4×16 tile, exact `i32` output under every
+///   kernel and blocking (depth ≤ [`crate::quant::I8_DOT_MAX_LEN`]).
+pub trait GemmElem: Copy + Debug + Send + Sync + 'static {
+    /// The element packed panels hold.
+    type Panel: Copy + Default + Debug + Send + Sync + 'static;
+    /// The element of `C`.
+    type Acc: Copy + Default + Debug + Send + Sync + 'static;
+    /// Tile height (rows of A per register tile).
+    const MR: usize;
+    /// Tile width (rows of B / columns of C per register tile).
+    const NR: usize;
+    /// Consecutive depth steps stored together per row in a packed panel
+    /// (odd depths are zero-padded to a whole group).
+    const KGROUP: usize;
+    /// Blocking for the default cache geometry — what every entry point
+    /// without an explicit [`BlockSizes`] uses, evaluated at compile time.
+    const BLOCKS: BlockSizes = BlockSizes::for_tile(
+        &CacheConfig::PAPER,
+        std::mem::size_of::<Self::Panel>(),
+        Self::MR,
+        Self::NR,
+    );
+    /// One element in its packed form.
+    fn to_panel(self) -> Self::Panel;
+    /// This type's slot in `kern` — resolved once per multiply, not per tile.
+    fn tile(kern: &Kernel) -> Tile<Self::Panel, Self::Acc>;
+}
+
+impl GemmElem for f64 {
+    type Panel = f64;
+    type Acc = f64;
+    const MR: usize = 4;
+    const NR: usize = 8;
+    const KGROUP: usize = 1;
+    #[inline(always)]
+    fn to_panel(self) -> f64 {
+        self
+    }
+    fn tile(kern: &Kernel) -> Tile<f64, f64> {
+        kern.tile_f64()
+    }
+}
+
+impl GemmElem for f32 {
+    type Panel = f32;
+    type Acc = f32;
+    const MR: usize = 4;
+    const NR: usize = 16;
+    const KGROUP: usize = 1;
+    #[inline(always)]
+    fn to_panel(self) -> f32 {
+        self
+    }
+    fn tile(kern: &Kernel) -> Tile<f32, f32> {
+        kern.tile_f32()
+    }
+}
+
+impl GemmElem for i8 {
+    type Panel = i16;
+    type Acc = i32;
+    const MR: usize = 4;
+    const NR: usize = 16;
+    const KGROUP: usize = 2;
+    #[inline(always)]
+    fn to_panel(self) -> i16 {
+        i16::from(self)
+    }
+    fn tile(kern: &Kernel) -> Tile<i16, i32> {
+        kern.tile_i8()
+    }
+}
+
+/// The largest `MR × NR` of any [`GemmElem`]: the stack buffer an edge tile
+/// is computed into before its valid corner is copied out.
+const MAX_TILE: usize = 64;
+
+/// `depth` rounded up to whole packed groups of `T`.
+fn padded_depth<T: GemmElem>(depth: usize) -> usize {
+    depth.div_ceil(T::KGROUP) * T::KGROUP
+}
+
+/// Packs rows `row0..row0 + nrows` of `src`, depth window `pc..pc + kcb`,
+/// into `width`-interleaved panels at the start of `out`: panel `q` holds
+/// rows `q·width..`, and within it depth group `d` of row `r` sits at
+/// `(d·width + r)·KGROUP`. Missing rows of the last panel and the missing
+/// half of an odd last pair are zero. Returns the packed length.
+fn pack_block<T: GemmElem>(
+    src: RowBlock<'_, T>,
+    row0: usize,
+    nrows: usize,
+    pc: usize,
+    kcb: usize,
+    width: usize,
+    out: &mut [T::Panel],
+) -> usize {
+    let g = T::KGROUP;
+    let panel_len = padded_depth::<T>(kcb) * width;
+    let len = nrows.div_ceil(width) * panel_len;
+    let out = &mut out[..len];
+    out.fill(T::Panel::default());
+    for (q, panel) in out.chunks_exact_mut(panel_len).enumerate() {
+        for r in 0..width.min(nrows - q * width) {
+            let row = &src.row(row0 + q * width + r)[pc..pc + kcb];
+            for (d, group) in row.chunks(g).enumerate() {
+                let at = (d * width + r) * g;
+                for (slot, &v) in panel[at..at + g].iter_mut().zip(group) {
+                    *slot = v.to_panel();
+                }
+            }
+        }
+    }
+    len
+}
+
+/// Length of the full-depth packing of `rows × depth` under depth blocks of
+/// `kc` (every block but the last is `kc` deep and `kc` is a whole number
+/// of groups, so only the last block pads).
+fn packed_len<T: GemmElem>(rows: usize, depth: usize, kc: usize) -> usize {
+    let full = depth / kc * kc;
+    rows.div_ceil(T::NR) * T::NR * (full + padded_depth::<T>(depth - full))
+}
+
+/// Packs rows `row0..row0 + nrows` of `b` over the **whole** depth, one
+/// [`pack_block`] per `kc` depth block, into `out` (resized to fit).
+fn pack_full_depth<T: GemmElem>(
+    b: RowBlock<'_, T>,
+    row0: usize,
+    nrows: usize,
+    kc: usize,
+    out: &mut Vec<T::Panel>,
+) {
+    let depth = b.cols();
+    out.resize(packed_len::<T>(nrows, depth, kc), T::Panel::default());
+    let mut at = 0;
+    for pc in (0..depth).step_by(kc) {
+        at += pack_block(
+            b,
+            row0,
+            nrows,
+            pc,
+            kc.min(depth - pc),
+            T::NR,
+            &mut out[at..],
+        );
+    }
+}
+
+/// A catalog side packed **once**: every row of a B operand in the
+/// driver's `NR`-interleaved panel format over the whole depth, so a
+/// multiply against it packs nothing on the B side. Build one per model
+/// (`mips_data` caches them beside the mirrors) and pass it wherever a
+/// [`GemmB`] is taken; results are bit-identical to passing the rows.
+#[derive(Debug, Clone)]
+pub struct PackedPanels<T: GemmElem> {
+    data: Vec<T::Panel>,
+    rows: usize,
+    depth: usize,
+    kc: usize,
+}
+
+impl<T: GemmElem> PackedPanels<T> {
+    /// Packs every row of `b` under the default blocking's depth block.
+    pub fn pack(b: RowBlock<'_, T>) -> PackedPanels<T> {
+        let kc = T::BLOCKS.kc;
+        let mut data = Vec::new();
+        pack_full_depth(b, 0, b.rows(), kc, &mut data);
+        PackedPanels {
+            data,
+            rows: b.rows(),
+            depth: b.cols(),
+            kc,
+        }
+    }
+
+    /// Rows of the packed operand.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Width (shared dimension) of the packed operand.
+    pub fn cols(&self) -> usize {
+        self.depth
+    }
+}
+
+/// The B side of a multiply: borrowed rows, packed per call, or panels
+/// packed once ([`PackedPanels`]).
+#[derive(Debug, Clone, Copy)]
+pub enum GemmB<'a, T: GemmElem> {
+    /// Row-major rows (the explicit-blocking test entries, one-off
+    /// multiplies).
+    Rows(RowBlock<'a, T>),
+    /// Prepacked panels. Their depth block overrides the caller's `kc`.
+    Packed(&'a PackedPanels<T>),
+}
+
+impl<T: GemmElem> GemmB<'_, T> {
+    /// Rows of B (columns of C).
+    pub fn rows(&self) -> usize {
+        match self {
+            GemmB::Rows(b) => b.rows(),
+            GemmB::Packed(p) => p.rows,
+        }
+    }
+
+    /// Width of B (the shared dimension).
+    pub fn cols(&self) -> usize {
+        match self {
+            GemmB::Rows(b) => b.cols(),
+            GemmB::Packed(p) => p.depth,
+        }
+    }
+}
+
+impl<'a, T: GemmElem> From<RowBlock<'a, T>> for GemmB<'a, T> {
+    fn from(rows: RowBlock<'a, T>) -> Self {
+        GemmB::Rows(rows)
+    }
+}
+
+impl<'a, T: Scalar> From<&'a Matrix<T>> for GemmB<'a, T> {
+    fn from(m: &'a Matrix<T>) -> Self {
+        GemmB::Rows(m.into())
+    }
+}
+
+impl<'a, T: GemmElem> From<&'a PackedPanels<T>> for GemmB<'a, T> {
+    fn from(panels: &'a PackedPanels<T>) -> Self {
+        GemmB::Packed(panels)
+    }
 }
 
 /// `C = A·Bᵀ` into a freshly allocated matrix.
@@ -52,28 +317,16 @@ pub fn gemm_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 ///
 /// # Panics
 /// Panics if the operand widths differ or `c` has the wrong length.
-pub fn gemm_nt_into<T: Scalar>(a: RowBlock<'_, T>, b: RowBlock<'_, T>, c: &mut [T]) {
-    let (m, n, k) = (a.rows(), b.rows(), a.cols());
-    assert_eq!(k, b.cols(), "gemm_nt: inner dimension mismatch");
-    assert_eq!(c.len(), m * n, "gemm_nt: output buffer length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.fill(T::ZERO);
-        return;
-    }
-    let blocks = BlockSizes::for_scalar::<T>(&CacheConfig::default());
-    gemm_nt_blocked(a, b, c, &blocks);
+pub fn gemm_nt_into<T: GemmElem>(a: RowBlock<'_, T>, b: RowBlock<'_, T>, c: &mut [T::Acc]) {
+    gemm_nt_blocked(a, b, c, &T::BLOCKS)
 }
 
 /// `C = A·Bᵀ` with explicit blocking parameters (exposed for the blocking
-/// ablation bench; [`gemm_nt_into`] picks parameters from the default cache
-/// geometry).
-pub fn gemm_nt_blocked<T: Scalar>(
+/// ablation bench; [`gemm_nt_into`] uses [`GemmElem::BLOCKS`]).
+pub fn gemm_nt_blocked<T: GemmElem>(
     a: RowBlock<'_, T>,
     b: RowBlock<'_, T>,
-    c: &mut [T],
+    c: &mut [T::Acc],
     blocks: &BlockSizes,
 ) {
     gemm_nt_blocked_with(simd::active(), a, b, c, blocks)
@@ -81,341 +334,312 @@ pub fn gemm_nt_blocked<T: Scalar>(
 
 /// [`gemm_nt_blocked`] with an explicit micro-kernel set (exposed so tests
 /// and benches can force the scalar fallback regardless of `MIPS_KERNEL`).
-pub fn gemm_nt_blocked_with<T: Scalar>(
+pub fn gemm_nt_blocked_with<T: GemmElem>(
     kern: &Kernel,
     a: RowBlock<'_, T>,
     b: RowBlock<'_, T>,
-    c: &mut [T],
+    c: &mut [T::Acc],
     blocks: &BlockSizes,
 ) {
-    // Per-call packing buffers; hot loops should prefer
-    // [`gemm_nt_into_scratch`] to reuse them across calls.
-    let mut pack_a: Vec<T> = Vec::new();
-    let mut pack_b: Vec<T> = Vec::new();
-    gemm_nt_packed(kern, a, b, c, blocks, &mut pack_a, &mut pack_b)
-}
-
-/// `C = A·Bᵀ` into a caller-provided buffer, reusing the pack panels in
-/// `scratch` across calls (default blocking and the active kernel set).
-///
-/// This is the unfused serve path's entry: repeated batches pay zero
-/// allocation once the scratch reaches its high-water mark.
-///
-/// # Panics
-/// Panics if the operand widths differ or `c` has the wrong length.
-pub fn gemm_nt_into_scratch<T: Scalar>(
-    a: RowBlock<'_, T>,
-    b: RowBlock<'_, T>,
-    c: &mut [T],
-    scratch: &mut GemmScratch<T>,
-) {
-    let blocks = BlockSizes::for_scalar::<T>(&CacheConfig::default());
-    gemm_nt_packed(
-        simd::active(),
+    let n = b.rows();
+    assert_eq!(
+        c.len(),
+        a.rows() * n,
+        "gemm_nt: output buffer length mismatch"
+    );
+    // One-off multiply: per-call packing buffers; tiles store into `c`.
+    let mut scratch = GemmScratch::<T>::new();
+    let GemmScratch { pack_a, pack_b, .. } = &mut scratch;
+    for_each_block(
+        kern,
+        blocks,
         a,
-        b,
-        c,
-        &blocks,
-        &mut scratch.pack_a,
-        &mut scratch.pack_b,
-    )
+        b.into(),
+        pack_a,
+        pack_b,
+        |rows, cols, fill| fill(&mut c[rows.start * n + cols.start..], n),
+    );
 }
 
-/// The blocked driver over caller-owned packing buffers.
-fn gemm_nt_packed<T: Scalar>(
-    kern: &Kernel,
-    a: RowBlock<'_, T>,
-    b: RowBlock<'_, T>,
-    c: &mut [T],
-    blocks: &BlockSizes,
-    pack_a: &mut Vec<T>,
-    pack_b: &mut Vec<T>,
-) {
-    let (m, n, k) = (a.rows(), b.rows(), a.cols());
-    assert_eq!(k, b.cols(), "gemm_nt: inner dimension mismatch");
-    assert_eq!(c.len(), m * n, "gemm_nt: output buffer length mismatch");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.fill(T::ZERO);
-        return;
-    }
-    let (mc, kc, nc) = (blocks.mc.max(MR), blocks.kc.max(1), blocks.nc.max(NR));
-
-    for jc in (0..n).step_by(nc) {
-        let ncb = nc.min(n - jc);
-        compute_panel(kern, a, b, jc, ncb, mc, kc, c, n, jc, pack_a, pack_b);
-    }
-}
-
-/// Reusable buffers for the blocked/streaming GEMM drivers: the two packed
-/// operand panels plus the resident score panel of the streaming path.
+/// Reusable buffers for the packed driver: the two packed operand panels
+/// plus the one resident score block of the streaming path.
 ///
 /// Owning one of these per query loop (or per worker thread) removes every
 /// per-block allocation from the serve path; the buffers grow to the
 /// high-water mark of the shapes they see and are reused thereafter.
-#[derive(Debug, Default, Clone)]
-pub struct GemmScratch<T> {
-    pack_a: Vec<T>,
-    pack_b: Vec<T>,
-    panel: Vec<T>,
+#[derive(Debug, Clone)]
+pub struct GemmScratch<T: GemmElem> {
+    pack_a: Vec<T::Panel>,
+    pack_b: Vec<T::Panel>,
+    block: Vec<T::Acc>,
 }
 
-impl<T: Scalar> GemmScratch<T> {
+impl<T: GemmElem> Default for GemmScratch<T> {
+    fn default() -> Self {
+        GemmScratch::new()
+    }
+}
+
+impl<T: GemmElem> GemmScratch<T> {
     /// Empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         GemmScratch {
             pack_a: Vec::new(),
             pack_b: Vec::new(),
-            panel: Vec::new(),
+            block: Vec::new(),
         }
     }
 }
 
-/// Panel-streaming `C = A·Bᵀ`: instead of materializing the full `m × n`
-/// score buffer, walks B in NC-sized column panels and hands each finished
-/// `m × ncb` panel of scores to `consumer` before computing the next one.
+/// Block-streaming `C = A·Bᵀ`: instead of materializing the full `m × n`
+/// score buffer, hands each finished `MC × NC` block of scores to
+/// `consumer` before computing the next one.
 ///
-/// `consumer` receives the panel (row-major, row stride = the panel width)
-/// and the global column range it covers. Only one panel of scores is ever
-/// resident, so the fused GEMM→top-k path (`mips-topk::gemm_nt_topk`) does
-/// its selection on cache-warm scores and the `batch × n` round-trip through
-/// memory disappears — the §II-B memory-traffic argument applied to our own
-/// serving loop.
+/// `consumer` receives the block (row-major, row stride = its width) and
+/// the row and column ranges of `C` it covers. Only one block of scores is
+/// ever resident (≤ `MC·NC` elements — about a megabyte), so the fused
+/// GEMM→top-k path (`mips-topk::gemm_nt_topk`) and the screen passes do
+/// their selection on cache-warm scores and the `batch × n` round-trip
+/// through memory disappears — the §II-B memory-traffic argument applied to
+/// our own serving loop.
 ///
 /// # Panics
 /// Panics if the operand widths differ.
-pub fn gemm_nt_stream_panels<T: Scalar>(
+pub fn gemm_nt_stream_blocks<T: GemmElem>(
     a: RowBlock<'_, T>,
-    b: RowBlock<'_, T>,
+    b: GemmB<'_, T>,
     scratch: &mut GemmScratch<T>,
-    consumer: impl FnMut(&[T], Range<usize>),
+    consumer: impl FnMut(&[T::Acc], Range<usize>, Range<usize>),
 ) {
-    let blocks = BlockSizes::for_scalar::<T>(&CacheConfig::default());
-    gemm_nt_stream_panels_with(simd::active(), a, b, &blocks, scratch, consumer)
+    gemm_nt_stream_blocks_with(simd::active(), a, b, &T::BLOCKS, scratch, consumer)
 }
 
-/// [`gemm_nt_stream_panels`] with explicit kernel set and blocking
+/// [`gemm_nt_stream_blocks`] with explicit kernel set and blocking
 /// parameters (the forced-scalar test entry).
-pub fn gemm_nt_stream_panels_with<T: Scalar>(
+pub fn gemm_nt_stream_blocks_with<T: GemmElem>(
     kern: &Kernel,
     a: RowBlock<'_, T>,
-    b: RowBlock<'_, T>,
+    b: GemmB<'_, T>,
     blocks: &BlockSizes,
     scratch: &mut GemmScratch<T>,
-    mut consumer: impl FnMut(&[T], Range<usize>),
+    mut consumer: impl FnMut(&[T::Acc], Range<usize>, Range<usize>),
+) {
+    let GemmScratch {
+        pack_a,
+        pack_b,
+        block,
+    } = scratch;
+    for_each_block(kern, blocks, a, b, pack_a, pack_b, |rows, cols, fill| {
+        // Stale values from the previous block are fully overwritten by
+        // the first (non-accumulating) depth pass.
+        block.resize(rows.len() * cols.len(), T::Acc::default());
+        fill(block, cols.len());
+        consumer(block, rows, cols);
+    });
+}
+
+/// The blocked driver. Walks C in `NC`-wide column panels and `MC`-tall
+/// blocks within them; for each block calls `visit(rows, cols, fill)`, and
+/// `fill(out, ldc)` computes the block — **all** depth passes — into `out`
+/// (`out[0]` is its top-left element, rows `ldc` apart). Shared by the
+/// in-place and streaming entries, which differ only in where `out` lives.
+///
+/// B is packed once per column panel over the whole depth (or not at all,
+/// when prepacked); A once per block and depth pass.
+fn for_each_block<T: GemmElem>(
+    kern: &Kernel,
+    blocks: &BlockSizes,
+    a: RowBlock<'_, T>,
+    b: GemmB<'_, T>,
+    pack_a: &mut Vec<T::Panel>,
+    pack_b: &mut Vec<T::Panel>,
+    mut visit: impl FnMut(Range<usize>, Range<usize>, &mut dyn FnMut(&mut [T::Acc], usize)),
 ) {
     let (m, n, k) = (a.rows(), b.rows(), a.cols());
     assert_eq!(k, b.cols(), "gemm_nt: inner dimension mismatch");
     if m == 0 || n == 0 {
         return;
     }
-    let (mc, kc, nc) = (blocks.mc.max(MR), blocks.kc.max(1), blocks.nc.max(NR));
+    let tile = T::tile(kern);
+    let mc = blocks.mc.max(T::MR);
+    // Column panels start on a tile boundary so a prepacked B is
+    // addressable by panel; depth blocks hold whole packed groups.
+    let nc = (blocks.nc / T::NR).max(1) * T::NR;
+    let kc = match b {
+        GemmB::Rows(_) => padded_depth::<T>(blocks.kc.max(1)),
+        GemmB::Packed(p) => p.kc,
+    };
+    // Sized to this multiply, not to the blocking: a one-user lookup packs
+    // one tile row of A, not `MC` of them.
+    let a_rows = mc.min(m).div_ceil(T::MR) * T::MR;
+    pack_a.resize(a_rows * padded_depth::<T>(kc.min(k)), T::Panel::default());
 
     for jc in (0..n).step_by(nc) {
         let ncb = nc.min(n - jc);
-        scratch.panel.resize(m * ncb, T::ZERO);
-        if k == 0 {
-            scratch.panel.fill(T::ZERO);
-        } else {
-            // Stale values from the previous panel are fully overwritten by
-            // the first (non-accumulating) depth pass.
-            compute_panel(
-                kern,
-                a,
-                b,
-                jc,
-                ncb,
-                mc,
-                kc,
-                &mut scratch.panel,
-                ncb,
-                0,
-                &mut scratch.pack_a,
-                &mut scratch.pack_b,
-            );
-        }
-        consumer(&scratch.panel[..m * ncb], jc..jc + ncb);
-    }
-}
-
-/// Computes one NC panel of `C = A·Bᵀ` (all depth and row blocks for columns
-/// `jc..jc+ncb` of C), writing into `out` with row stride `out_stride` at
-/// column offset `out_col0`. Shared by the in-place and streaming drivers.
-#[allow(clippy::too_many_arguments)]
-fn compute_panel<T: Scalar>(
-    kern: &Kernel,
-    a: RowBlock<'_, T>,
-    b: RowBlock<'_, T>,
-    jc: usize,
-    ncb: usize,
-    mc: usize,
-    kc: usize,
-    out: &mut [T],
-    out_stride: usize,
-    out_col0: usize,
-    pack_a: &mut Vec<T>,
-    pack_b: &mut Vec<T>,
-) {
-    let (m, k) = (a.rows(), a.cols());
-    for pc in (0..k).step_by(kc) {
-        let kcb = kc.min(k - pc);
-        pack_panel_b(b, jc, ncb, pc, kcb, pack_b);
-        let accumulate = pc > 0;
+        // `panels` holds B's `NR`-panels from column `first_col` on, packed
+        // over the whole depth for `b_rows` rows.
+        let (panels, first_col, b_rows): (&[T::Panel], usize, usize) = match b {
+            GemmB::Rows(rows) => {
+                pack_full_depth(rows, jc, ncb, kc, pack_b);
+                (pack_b, jc, ncb)
+            }
+            GemmB::Packed(p) => (&p.data, 0, n),
+        };
+        let row_panels = b_rows.div_ceil(T::NR);
         for ic in (0..m).step_by(mc) {
             let mcb = mc.min(m - ic);
-            pack_panel_a(a, ic, mcb, pc, kcb, pack_a);
-            macro_kernel(
-                kern, pack_a, pack_b, out, out_stride, ic, out_col0, mcb, ncb, kcb, accumulate,
-            );
-        }
-    }
-}
-
-/// Packs `ncb` rows of B starting at `row0` (depth window `pc..pc+kcb`) into
-/// NR-interleaved panels, zero-padding the final partial panel.
-fn pack_panel_b<T: Scalar>(
-    b: RowBlock<'_, T>,
-    row0: usize,
-    ncb: usize,
-    pc: usize,
-    kcb: usize,
-    out: &mut Vec<T>,
-) {
-    let panels = ncb.div_ceil(NR);
-    out.clear();
-    out.resize(panels * kcb * NR, T::ZERO);
-    for q in 0..panels {
-        let base = q * kcb * NR;
-        let width = NR.min(ncb - q * NR);
-        for jj in 0..width {
-            let src = &b.row(row0 + q * NR + jj)[pc..pc + kcb];
-            for (p, &v) in src.iter().enumerate() {
-                out[base + p * NR + jj] = v;
-            }
-        }
-    }
-}
-
-/// Packs `mcb` rows of A starting at `row0` (depth window `pc..pc+kcb`) into
-/// MR-interleaved panels, zero-padding the final partial panel.
-fn pack_panel_a<T: Scalar>(
-    a: RowBlock<'_, T>,
-    row0: usize,
-    mcb: usize,
-    pc: usize,
-    kcb: usize,
-    out: &mut Vec<T>,
-) {
-    let panels = mcb.div_ceil(MR);
-    out.clear();
-    out.resize(panels * kcb * MR, T::ZERO);
-    for q in 0..panels {
-        let base = q * kcb * MR;
-        let height = MR.min(mcb - q * MR);
-        for ii in 0..height {
-            let src = &a.row(row0 + q * MR + ii)[pc..pc + kcb];
-            for (p, &v) in src.iter().enumerate() {
-                out[base + p * MR + ii] = v;
-            }
-        }
-    }
-}
-
-/// Walks the `MR × NR` register tiles of one `mcb × ncb` block of C,
-/// dispatching each tile to the selected micro-kernel (`f64`) or the
-/// portable generic one (other scalar types).
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel<T: Scalar>(
-    kern: &Kernel,
-    pack_a: &[T],
-    pack_b: &[T],
-    c: &mut [T],
-    n: usize,
-    ic: usize,
-    jc: usize,
-    mcb: usize,
-    ncb: usize,
-    kcb: usize,
-    accumulate: bool,
-) {
-    let a_panels = mcb.div_ceil(MR);
-    let b_panels = ncb.div_ceil(NR);
-    for qa in 0..a_panels {
-        let a_panel = &pack_a[qa * kcb * MR..(qa + 1) * kcb * MR];
-        let tile_rows = MR.min(mcb - qa * MR);
-        for qb in 0..b_panels {
-            let b_panel = &pack_b[qb * kcb * NR..(qb + 1) * kcb * NR];
-            let tile_cols = NR.min(ncb - qb * NR);
-            let mut acc = [[T::ZERO; NR]; MR];
-            match (
-                simd::as_f64(a_panel),
-                simd::as_f64(b_panel),
-                simd::acc_as_f64_mut(&mut acc),
-            ) {
-                (Some(ap), Some(bp), Some(af)) => kern.micro_4x8(ap, bp, af),
-                _ => match (
-                    simd::as_f32(a_panel),
-                    simd::as_f32(b_panel),
-                    simd::acc_as_f32_mut(&mut acc),
-                ) {
-                    (Some(ap), Some(bp), Some(af)) => kern.micro_4x8_f32(ap, bp, af),
-                    _ => micro_kernel(a_panel, b_panel, &mut acc),
-                },
-            }
-            let c_row0 = ic + qa * MR;
-            let c_col0 = jc + qb * NR;
-            if accumulate {
-                for i in 0..tile_rows {
-                    let row = &mut c[(c_row0 + i) * n + c_col0..][..tile_cols];
-                    for (j, slot) in row.iter_mut().enumerate() {
-                        *slot += acc[i][j];
+            visit(ic..ic + mcb, jc..jc + ncb, &mut |out, ldc| {
+                if k == 0 {
+                    for row in out.chunks_mut(ldc).take(mcb) {
+                        row[..ncb].fill(T::Acc::default());
                     }
                 }
-            } else {
-                for i in 0..tile_rows {
-                    let row = &mut c[(c_row0 + i) * n + c_col0..][..tile_cols];
-                    row.copy_from_slice(&acc[i][..tile_cols]);
+                for pc in (0..k).step_by(kc) {
+                    let depth = padded_depth::<T>(kc.min(k - pc));
+                    pack_block(a, ic, mcb, pc, kc.min(k - pc), T::MR, pack_a);
+                    // Depth block `pc / kc` starts after `pc` full steps of
+                    // every row panel; within it, panel `q` is `depth·NR` long.
+                    let at = (pc * row_panels + (jc - first_col) / T::NR * depth) * T::NR;
+                    macro_kernel::<T>(
+                        tile,
+                        pack_a,
+                        &panels[at..],
+                        out,
+                        ldc,
+                        mcb,
+                        ncb,
+                        depth,
+                        pc > 0,
+                    );
                 }
+            });
+        }
+    }
+}
+
+/// Walks the `MR × NR` register tiles of one `mcb × ncb` block of C. Full
+/// tiles are stored by the micro-kernel straight into `c`; an edge tile is
+/// computed into a stack buffer and its valid corner copied out. The B
+/// micro-panel is the outer loop, so it stays in L1 while the (small) packed
+/// A block sweeps past it.
+#[allow(clippy::too_many_arguments)]
+fn macro_kernel<T: GemmElem>(
+    tile: Tile<T::Panel, T::Acc>,
+    pack_a: &[T::Panel],
+    pack_b: &[T::Panel],
+    c: &mut [T::Acc],
+    ldc: usize,
+    mcb: usize,
+    ncb: usize,
+    depth: usize,
+    accumulate: bool,
+) {
+    let (mr, nr) = (T::MR, T::NR);
+    for (qb, b_panel) in pack_b
+        .chunks_exact(depth * nr)
+        .take(ncb.div_ceil(nr))
+        .enumerate()
+    {
+        let cols = nr.min(ncb - qb * nr);
+        for (qa, a_panel) in pack_a
+            .chunks_exact(depth * mr)
+            .take(mcb.div_ceil(mr))
+            .enumerate()
+        {
+            let rows = mr.min(mcb - qa * mr);
+            let at = qa * mr * ldc + qb * nr;
+            if rows == mr && cols == nr {
+                tile(a_panel, b_panel, &mut c[at..], ldc, accumulate);
+                continue;
+            }
+            let mut edge = [T::Acc::default(); MAX_TILE];
+            for i in 0..rows {
+                if accumulate {
+                    edge[i * nr..i * nr + cols].copy_from_slice(&c[at + i * ldc..][..cols]);
+                }
+            }
+            tile(a_panel, b_panel, &mut edge[..mr * nr], nr, accumulate);
+            for i in 0..rows {
+                c[at + i * ldc..][..cols].copy_from_slice(&edge[i * nr..i * nr + cols]);
             }
         }
     }
 }
 
-/// The register micro-kernel: `acc += Aᵖ ⊗ Bᵖ` summed over the packed depth.
-///
-/// `a_panel` and `b_panel` are tile-interleaved (`MR` / `NR` values per depth
-/// step), so every iteration reads two short contiguous runs and issues
-/// `MR × NR` independent fused multiply-adds — the compiler keeps the whole
-/// accumulator tile in vector registers.
+/// The portable register micro-kernel behind the scalar [`Kernel`]'s float
+/// slots (and the bit-identity reference for the f64 SIMD tiles): each
+/// `(i, j)` accumulator is one sequential fused-multiply-add chain over the
+/// packed depth.
 #[inline(always)]
-fn micro_kernel<T: Scalar>(a_panel: &[T], b_panel: &[T], acc: &mut [[T; NR]; MR]) {
-    let steps_a = a_panel.chunks_exact(MR);
-    let steps_b = b_panel.chunks_exact(NR);
-    for (ap, bp) in steps_a.zip(steps_b) {
+fn tile_portable<T: Scalar, const MR: usize, const NR: usize>(
+    a_panel: &[T],
+    b_panel: &[T],
+    c: &mut [T],
+    ldc: usize,
+    accumulate: bool,
+) {
+    simd::check_tile(a_panel, b_panel, c, ldc, MR, NR, 1);
+    let mut acc = [[T::ZERO; NR]; MR];
+    if accumulate {
+        for (i, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&c[i * ldc..i * ldc + NR]);
+        }
+    }
+    for (ap, bp) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
         // Fixed-size views let the compiler drop all bounds checks.
         let ap: &[T; MR] = ap.try_into().expect("packed A panel is MR-aligned");
         let bp: &[T; NR] = bp.try_into().expect("packed B panel is NR-aligned");
         for i in 0..MR {
-            let ai = ap[i];
             for j in 0..NR {
-                acc[i][j] = ai.mul_add(bp[j], acc[i][j]);
+                acc[i][j] = ap[i].mul_add(bp[j], acc[i][j]);
             }
         }
     }
+    for (i, row) in acc.iter().enumerate() {
+        c[i * ldc..i * ldc + NR].copy_from_slice(row);
+    }
 }
 
-/// Monomorphic scalar micro-kernel entry for the [`crate::simd::Kernel`]
-/// vtable (the guaranteed fallback and bit-identity reference).
-pub(crate) fn micro_4x8_scalar_f64(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    micro_kernel(a_panel, b_panel, acc)
+/// Scalar `f64` slot of the [`Kernel`] vtable (the guaranteed fallback and
+/// bit-identity reference).
+pub(crate) fn tile_scalar_f64(a: &[f64], b: &[f64], c: &mut [f64], ldc: usize, accumulate: bool) {
+    tile_portable::<f64, { <f64 as GemmElem>::MR }, { <f64 as GemmElem>::NR }>(
+        a, b, c, ldc, accumulate,
+    )
 }
 
-/// Monomorphic `f32` scalar micro-kernel entry (the screen-path fallback;
-/// tolerance contract, see [`crate::simd`]).
-pub(crate) fn micro_4x8_scalar_f32(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    micro_kernel(a_panel, b_panel, acc)
+/// Scalar `f32` slot (the screen-path fallback; tolerance contract, see
+/// [`crate::simd`]).
+pub(crate) fn tile_scalar_f32(a: &[f32], b: &[f32], c: &mut [f32], ldc: usize, accumulate: bool) {
+    tile_portable::<f32, { <f32 as GemmElem>::MR }, { <f32 as GemmElem>::NR }>(
+        a, b, c, ldc, accumulate,
+    )
+}
+
+/// Scalar int8 slot, and the NEON set's too: per packed pair,
+/// `c[i][j] += a[i][0]·b[j][0] + a[i][1]·b[j][1]` in `i32` — the exact sum
+/// `vpmaddwd` + `vpaddd` produce, in any order.
+pub(crate) fn tile_scalar_i8(a: &[i16], b: &[i16], c: &mut [i32], ldc: usize, accumulate: bool) {
+    const MR: usize = <i8 as GemmElem>::MR;
+    const NR: usize = <i8 as GemmElem>::NR;
+    simd::check_tile(a, b, c, ldc, MR, NR, 2);
+    let mut acc = [[0i32; NR]; MR];
+    if accumulate {
+        for (i, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&c[i * ldc..i * ldc + NR]);
+        }
+    }
+    for (ap, bp) in a.chunks_exact(2 * MR).zip(b.chunks_exact(2 * NR)) {
+        for i in 0..MR {
+            let (a0, a1) = (i32::from(ap[2 * i]), i32::from(ap[2 * i + 1]));
+            for j in 0..NR {
+                acc[i][j] += a0 * i32::from(bp[2 * j]) + a1 * i32::from(bp[2 * j + 1]);
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        c[i * ldc..i * ldc + NR].copy_from_slice(row);
+    }
 }
 
 /// Reference `C = A·Bᵀ` as a double loop over [`dot`] — the paper's
@@ -613,6 +837,145 @@ mod tests {
         for r in 0..fast.rows() {
             for c in 0..fast.cols() {
                 assert!((fast.get(r, c) - slow.get(r, c)).abs() < 1e-3);
+            }
+        }
+    }
+
+    /// `rows × cols` int8 codes cycling through the extremes.
+    fn codes(rows: usize, cols: usize, salt: usize) -> Vec<i8> {
+        (0..rows * cols)
+            .map(|p| [127i8, -127, 0, 1, -1, 64, -33, -128][(p * 5 + salt + p / 7) % 8])
+            .collect()
+    }
+
+    /// The three entry styles of one multiply — in place, streamed over
+    /// rows, streamed over prepacked panels — must agree element for
+    /// element (bit for bit: `Acc` equality on finite values), under any
+    /// blocking.
+    fn all_entries_agree<T: GemmElem>(a: RowBlock<'_, T>, b: RowBlock<'_, T>, blocks: &BlockSizes)
+    where
+        T::Acc: PartialEq,
+    {
+        let (m, n) = (a.rows(), b.rows());
+        let mut want = vec![T::Acc::default(); m * n];
+        gemm_nt_into(a, b, &mut want);
+        for kern in [Kernel::scalar(), *simd::active()] {
+            let mut blocked = vec![T::Acc::default(); m * n];
+            gemm_nt_blocked_with(&kern, a, b, &mut blocked, blocks);
+            assert!(blocked == want, "{} in place, {blocks:?}", kern.name());
+            let panels = PackedPanels::pack(b);
+            for side in [GemmB::Rows(b), GemmB::Packed(&panels)] {
+                let mut streamed = vec![T::Acc::default(); m * n];
+                let mut seen = 0usize;
+                let mut scratch = GemmScratch::new();
+                gemm_nt_stream_blocks_with(
+                    &kern,
+                    a,
+                    side,
+                    blocks,
+                    &mut scratch,
+                    |block, rows, cols| {
+                        assert_eq!(block.len(), rows.len() * cols.len());
+                        assert!(rows.len() <= blocks.mc.max(T::MR), "block taller than MC");
+                        for (r, scores) in rows.zip(block.chunks_exact(cols.len())) {
+                            streamed[r * n + cols.start..r * n + cols.end].copy_from_slice(scores);
+                        }
+                        seen += block.len();
+                    },
+                );
+                assert_eq!(seen, m * n, "every element streamed exactly once");
+                assert!(streamed == want, "{} streamed {side:?}", kern.name());
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_streamed_and_in_place_agree_bit_for_bit_on_ragged_shapes() {
+        let tiny = BlockSizes {
+            mc: 6,
+            kc: 4,
+            nc: 16,
+        };
+        // Miri interprets every multiply-add: one ragged shape and the two
+        // interesting depths exercise the same pack and addressing code.
+        let shapes: &[(usize, usize)] = if cfg!(miri) {
+            &[(5, 33)]
+        } else {
+            &[(1, 1), (3, 17), (5, 33), (9, 70)]
+        };
+        let depths: &[usize] = if cfg!(miri) {
+            &[0, 51]
+        } else {
+            &[0, 1, 49, 50, 51]
+        };
+        for &(m, n) in shapes {
+            for &f in depths {
+                let a64 = random_matrix(m, f, 5 + m as u64);
+                let b64 = random_matrix(n, f, 9 + n as u64);
+                let (a32, b32): (Matrix<f32>, Matrix<f32>) = (a64.cast(), b64.cast());
+                let (a8, b8) = (codes(m, f, 1), codes(n, f, 4));
+                for blocks in [&f64::BLOCKS, &tiny] {
+                    all_entries_agree::<f64>((&a64).into(), (&b64).into(), blocks);
+                    all_entries_agree::<f32>((&a32).into(), (&b32).into(), blocks);
+                    all_entries_agree::<i8>(
+                        RowBlock::new(&a8, m, f),
+                        RowBlock::new(&b8, n, f),
+                        blocks,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn int8_gemm_equals_dot_i8_on_every_pair() {
+        // Ragged shapes and odd depths (the last pair zero-padded), the
+        // largest sums the tier produces, and one pair at the length cap.
+        let cap = crate::quant::I8_DOT_MAX_LEN;
+        for &(m, n, f) in &[
+            (5usize, 19usize, 0usize),
+            (5, 19, 1),
+            (6, 35, 49),
+            (7, 33, 51),
+        ] {
+            let (a, b) = (codes(m, f, 2), codes(n, f, 6));
+            let mut c = vec![0i32; m * n];
+            gemm_nt_into(RowBlock::new(&a, m, f), RowBlock::new(&b, n, f), &mut c);
+            for i in 0..m {
+                for j in 0..n {
+                    let want = crate::quant::dot_i8(&a[i * f..(i + 1) * f], &b[j * f..(j + 1) * f]);
+                    assert_eq!(c[i * n + j], want, "({m},{n},{f}) element ({i},{j})");
+                }
+            }
+        }
+        for (f, a_code, b_code) in [
+            (4096usize, 127i8, -127i8),
+            (4096, -127, -127),
+            (cap, 127, 127),
+        ] {
+            let (a, b) = (vec![a_code; f], vec![b_code; f]);
+            let mut c = [0i32];
+            gemm_nt_into(RowBlock::new(&a, 1, f), RowBlock::new(&b, 1, f), &mut c);
+            assert_eq!(c[0], crate::quant::dot_i8(&a, &b), "f {f}");
+            assert_eq!(c[0], f as i32 * i32::from(a_code) * i32::from(b_code));
+        }
+    }
+
+    #[test]
+    fn f32_gemm_on_ragged_shapes_stays_inside_the_screen_envelope() {
+        for &(m, n, f) in &[(5usize, 19usize, 49usize), (6, 35, 50), (7, 33, 51)] {
+            let a64 = random_matrix(m, f, 21);
+            let b64 = random_matrix(n, f, 22);
+            let c = gemm_nt(&a64.cast::<f32>(), &b64.cast::<f32>());
+            for i in 0..m {
+                for j in 0..n {
+                    let (u, v) = (a64.row(i), b64.row(j));
+                    let env = crate::f32_screen_envelope(f, crate::norm2(u), crate::norm2(v));
+                    assert!(
+                        (c.get(i, j) as f64 - dot(u, v)).abs() <= env,
+                        "({i},{j}) f {f}"
+                    );
+                }
             }
         }
     }

@@ -167,22 +167,6 @@ pub(crate) fn dot_scalar_i8(x: &[i8], y: &[i8]) -> i32 {
     acc0 + acc1 + acc2 + acc3 + tail
 }
 
-/// Scalar body of [`crate::simd::Kernel::dot_i8_quad`]: four independent
-/// integer chains sharing the `x` loads, so the scan loop that consumes
-/// groups of four item rows stays throughput-bound.
-pub(crate) fn dot_i8_quad_scalar(x: &[i8], ys: [&[i8]; 4]) -> [i32; 4] {
-    let [y0, y1, y2, y3] = ys;
-    let mut acc = [0i32; 4];
-    for (j, &u) in x.iter().enumerate() {
-        let u = u as i32;
-        acc[0] += u * y0[j] as i32;
-        acc[1] += u * y1[j] as i32;
-        acc[2] += u * y2[j] as i32;
-        acc[3] += u * y3[j] as i32;
-    }
-    acc
-}
-
 /// Machine epsilon of the f32 *rounding* step: `2⁻²⁴` (half the ulp of 1.0).
 const EPS_ROUND_F32: f64 = 5.960_464_477_539_063e-8;
 
@@ -437,8 +421,6 @@ mod tests {
     /// it cannot execute the vector intrinsics behind them.
     #[test]
     fn typeid_guarded_reinterprets_round_trip_under_miri() {
-        use crate::blocking::{MR, NR};
-
         let xs64 = [1.0f64, -2.0, 3.5];
         let got = simd::as_f64(&xs64).expect("T == f64 must reinterpret");
         assert_eq!(got, &xs64[..]);
@@ -457,15 +439,6 @@ mod tests {
         assert_eq!(ys32[1], 7.0);
         assert!(simd::as_f64_mut(&mut ys32).is_none());
         assert!(simd::as_f32_mut(&mut ys64).is_none());
-
-        let mut acc64 = [[0.0f64; NR]; MR];
-        simd::acc_as_f64_mut(&mut acc64).expect("f64 tile cast")[MR - 1][NR - 1] = 1.5;
-        assert_eq!(acc64[MR - 1][NR - 1], 1.5);
-        assert!(simd::acc_as_f32_mut(&mut acc64).is_none());
-        let mut acc32 = [[0.0f32; NR]; MR];
-        simd::acc_as_f32_mut(&mut acc32).expect("f32 tile cast")[0][0] = 2.5;
-        assert_eq!(acc32[0][0], 2.5);
-        assert!(simd::acc_as_f64_mut(&mut acc32).is_none());
     }
 
     #[test]
@@ -638,20 +611,42 @@ mod tests {
     #[test]
     fn dot_gemm_ordered_reproduces_gemm_elements_bit_for_bit() {
         use crate::{gemm_nt, Matrix};
-        for (m, n, f) in [(23, 37, 11), (5, 300, 50), (3, 7, 1), (4, 9, 257)] {
-            let a =
-                Matrix::<f64>::from_fn(m, f, |r, c| ((r * 31 + c * 7) % 13) as f64 * 0.137 - 0.5);
-            let b =
-                Matrix::<f64>::from_fn(n, f, |r, c| ((r * 17 + c * 3) % 11) as f64 * 0.211 - 0.7);
+        // Random operands, so every rounding of the chain matters — at
+        // widths past the f64 depth block (KC = 256) too, where a depth
+        // split must continue each element's chain, not restart it.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        for (m, n, f) in [
+            (23, 37, 11),
+            (5, 300, 50),
+            (3, 7, 1),
+            (4, 9, 257),
+            (8, 16, 258),
+            (8, 16, 300),
+            (8, 16, 513),
+            (8, 16, 700),
+        ] {
+            let a = Matrix::<f64>::from_fn(m, f, |_, _| next());
+            let b = Matrix::<f64>::from_fn(n, f, |_, _| next());
             let big = gemm_nt(&a, &b);
             for u in 0..m {
                 for i in 0..n {
                     assert_eq!(
-                        dot_gemm_ordered(a.row(u), b.row(i)),
-                        big.get(u, i),
+                        dot_gemm_ordered(a.row(u), b.row(i)).to_bits(),
+                        big.get(u, i).to_bits(),
                         "({m},{n},{f}) element ({u},{i})"
                     );
                 }
+            }
+            // The pipelined x4 form is the same chain.
+            let quad = dot_gemm_ordered_x4(a.row(0), [b.row(0), b.row(1), b.row(2), b.row(3)]);
+            for (i, q) in quad.iter().enumerate() {
+                assert_eq!(q.to_bits(), big.get(0, i).to_bits(), "f {f} lane {i}");
             }
         }
     }

@@ -48,9 +48,9 @@ pub mod svd;
 pub use blocking::{BlockSizes, CacheConfig};
 pub use error::LinalgError;
 pub use gemm::{
-    gemm_flops, gemm_nt, gemm_nt_blocked, gemm_nt_blocked_with, gemm_nt_into, gemm_nt_into_scratch,
-    gemm_nt_stream_panels, gemm_nt_stream_panels_with, matmul_nn, matvec, naive_gemm_nt,
-    GemmScratch,
+    gemm_flops, gemm_nt, gemm_nt_blocked, gemm_nt_blocked_with, gemm_nt_into,
+    gemm_nt_stream_blocks, gemm_nt_stream_blocks_with, matmul_nn, matvec, naive_gemm_nt, GemmB,
+    GemmElem, GemmScratch, PackedPanels,
 };
 pub use kernels::{
     axpy, dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize, scale,
@@ -58,8 +58,7 @@ pub use kernels::{
 };
 pub use matrix::{Matrix, RowBlock};
 pub use quant::{
-    dot_i8, dot_i8_quad, i8_screen_envelope_parts, quantize_row_i8, scale_for, I8_DOT_MAX_LEN,
-    I8_QUANT_LEVEL,
+    dot_i8, i8_screen_envelope_parts, quantize_row_i8, scale_for, I8_DOT_MAX_LEN, I8_QUANT_LEVEL,
 };
 pub use scalar::Scalar;
 pub use simd::Kernel;

@@ -240,7 +240,7 @@ pub struct RowBlock<'a, T> {
     cols: usize,
 }
 
-impl<'a, T: Scalar> RowBlock<'a, T> {
+impl<'a, T> RowBlock<'a, T> {
     /// Wraps a raw row-major slice as a view (length must equal `rows*cols`).
     pub fn new(data: &'a [T], rows: usize, cols: usize) -> Self {
         assert_eq!(data.len(), rows * cols, "RowBlock length mismatch");

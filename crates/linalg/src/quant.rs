@@ -148,16 +148,6 @@ pub fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
     simd::active().dot_i8(x, y)
 }
 
-/// Four int8 dot products `xᵀy_q` at once — the pipelined form for scan
-/// loops (four independent integer chains hide the multiply latency).
-///
-/// # Panics
-/// Panics if any length differs from `x`'s or exceeds [`I8_DOT_MAX_LEN`].
-#[inline]
-pub fn dot_i8_quad(x: &[i8], ys: [&[i8]; 4]) -> [i32; 4] {
-    simd::active().dot_i8_quad(x, ys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,9 +278,9 @@ mod tests {
                 .iter()
                 .map(|y| x.iter().zip(y).map(|(&a, &b)| a as i32 * b as i32).sum())
                 .collect();
-            assert_eq!(dot_i8(&x, &ys[0]), want[0], "len {len}");
-            let quad = dot_i8_quad(&x, [&ys[0], &ys[1], &ys[2], &ys[3]]);
-            assert_eq!(quad.to_vec(), want, "len {len}");
+            for (y, &w) in ys.iter().zip(&want) {
+                assert_eq!(dot_i8(&x, y), w, "len {len}");
+            }
         }
     }
 

@@ -6,6 +6,7 @@
 //! implementations use double precision throughout, so the higher-level solver
 //! crates fix `f64`, but the kernels are tested at both widths.
 
+use crate::gemm::GemmElem;
 use core::fmt::{Debug, Display};
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -36,6 +37,7 @@ pub trait Scalar:
     + Send
     + Sync
     + 'static
+    + GemmElem<Panel = Self, Acc = Self>
 {
     /// Additive identity.
     const ZERO: Self;

@@ -11,7 +11,8 @@
 //! The accumulation orders deliberately mirror the scalar kernels so results
 //! are bit-identical — see the bit-identity contract in [`super`].
 
-use crate::blocking::{MR, NR};
+use super::filter::{hit_f32, hit_i8};
+use super::{check_tile, F32Offer, I8Offer, PeakOp};
 use core::arch::x86_64::*;
 
 /// Safe wrapper; see module docs for the soundness argument.
@@ -277,48 +278,6 @@ unsafe fn suffix_sumsq_f32_inner(x: &[f32], out: &mut [f32]) {
 }
 
 /// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn micro_4x8_f32(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert_eq!(a_panel.len() / MR, b_panel.len() / NR);
-    // SAFETY: as for `dot`.
-    unsafe { micro_4x8_f32_inner(a_panel, b_panel, acc) }
-}
-
-/// The f32 `4×8` register tile: one 8-lane vector per row (NR = 8 exactly
-/// fills a YMM of f32), one B load and four A broadcasts per depth step.
-/// Each `(i, j)` lane is a single sequential FMA chain over the packed
-/// depth, like the f64 tile.
-// SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn micro_4x8_f32_inner(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let depth = a_panel.len() / MR;
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-
-    let mut c0 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut c1 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut c2 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut c3 = _mm256_loadu_ps(acc[3].as_ptr());
-
-    for p in 0..depth {
-        let b = _mm256_loadu_ps(bp.add(p * NR));
-        let arow = ap.add(p * MR);
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(*arow), b, c0);
-        c1 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(1)), b, c1);
-        c2 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(2)), b, c2);
-        c3 = _mm256_fmadd_ps(_mm256_set1_ps(*arow.add(3)), b, c3);
-    }
-
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), c0);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), c1);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), c2);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), c3);
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
 pub(super) fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.
@@ -392,136 +351,398 @@ unsafe fn hsum_epi32(v: __m256i) -> i32 {
 }
 
 /// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn dot_i8_quad(x: &[i8], ys: [&[i8]; 4]) -> [i32; 4] {
-    // SAFETY: as for `dot`.
-    unsafe { dot_i8_quad_inner(x, ys) }
-}
-
-/// Four int8 widening dots sharing the `x` loads: four independent
-/// accumulator registers keep the madd chains pipelined the way
-/// `dot_seq4` does for f64. Remainder handling and overflow bound as for
-/// `dot_i8` (16- then 8-element sub-chunks, ≤ 7 scalar elements); the
-/// four horizontal sums are produced together by two levels of
-/// `vphaddd` plus one cross-half fold. Exactness as for `dot_i8` —
-/// integer adds, bit-identical to the scalar kernel.
-// SAFETY contract: the caller must guarantee AVX2 is available (upheld by
-// constructing the `Kernel` only after feature detection) and pass slices
-// satisfying the safe wrapper's length invariants — every pointer read
-// below is in bounds exactly when they hold (each sub-chunk load is
-// guarded by `i + width <= n`).
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_quad_inner(x: &[i8], ys: [&[i8]; 4]) -> [i32; 4] {
-    let n = x.len();
-    let xp = x.as_ptr();
-    let yp = [
-        ys[0].as_ptr(),
-        ys[1].as_ptr(),
-        ys[2].as_ptr(),
-        ys[3].as_ptr(),
-    ];
-    let mut acc = [_mm256_setzero_si256(); 4];
-    let mut i = 0usize;
-    while i + 32 <= n {
-        let xv = _mm256_loadu_si256(xp.add(i) as *const __m256i);
-        let xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-        let xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-        for q in 0..4 {
-            let yv = _mm256_loadu_si256(yp[q].add(i) as *const __m256i);
-            let ylo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(yv));
-            let yhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(yv, 1));
-            acc[q] = _mm256_add_epi32(acc[q], _mm256_madd_epi16(xlo, ylo));
-            acc[q] = _mm256_add_epi32(acc[q], _mm256_madd_epi16(xhi, yhi));
-        }
-        i += 32;
-    }
-    if i + 16 <= n {
-        let xv = _mm256_cvtepi8_epi16(_mm_loadu_si128(xp.add(i) as *const __m128i));
-        for (q, &p) in yp.iter().enumerate() {
-            let yv = _mm256_cvtepi8_epi16(_mm_loadu_si128(p.add(i) as *const __m128i));
-            acc[q] = _mm256_add_epi32(acc[q], _mm256_madd_epi16(xv, yv));
-        }
-        i += 16;
-    }
-    if i + 8 <= n {
-        let xv = _mm256_cvtepi8_epi16(_mm_loadl_epi64(xp.add(i) as *const __m128i));
-        for (q, &p) in yp.iter().enumerate() {
-            let yv = _mm256_cvtepi8_epi16(_mm_loadl_epi64(p.add(i) as *const __m128i));
-            acc[q] = _mm256_add_epi32(acc[q], _mm256_madd_epi16(xv, yv));
-        }
-        i += 8;
-    }
-    // hadd(a, b) interleaves pairwise sums of a and b within each 128-bit
-    // half; two levels leave [A B C D | A' B' C' D'] where X + X' is the
-    // lane sum of acc[X] — one cross-half add finishes all four at once.
-    let h01 = _mm256_hadd_epi32(acc[0], acc[1]);
-    let h23 = _mm256_hadd_epi32(acc[2], acc[3]);
-    let h = _mm256_hadd_epi32(h01, h23);
-    let s = _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1));
-    let mut out = [0i32; 4];
-    _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, s);
-    for (q, &p) in yp.iter().enumerate() {
-        for j in i..n {
-            out[q] += *xp.add(j) as i32 * *p.add(j) as i32;
-        }
-    }
-    out
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn micro_4x8(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    debug_assert_eq!(a_panel.len() / MR, b_panel.len() / NR);
-    // SAFETY: as for `dot`.
-    unsafe { micro_4x8_inner(a_panel, b_panel, acc) }
+pub(super) fn tile_f64(a_panel: &[f64], b_panel: &[f64], c: &mut [f64], ldc: usize, acc: bool) {
+    check_tile(a_panel, b_panel, c, ldc, 4, 8, 1);
+    // SAFETY: reachable only via a Kernel constructed after feature
+    // detection; `check_tile` established the bounds the body reads and
+    // writes within.
+    unsafe { tile_f64_inner(a_panel, b_panel, c.as_mut_ptr(), ldc, acc) }
 }
 
 /// The `4×8` register tile: 8 vector accumulators (4 rows × 2 vectors of 4
 /// columns), two B loads and four A broadcasts per depth step, 8 independent
 /// FMAs in flight. Each `(i, j)` lane is a single sequential FMA chain over
-/// the packed depth — bit-identical to the scalar micro-kernel.
+/// the packed depth — started at zero, or at the C element when
+/// accumulating, so a depth split continues the chain — bit-identical to the
+/// scalar tile. The accumulators never leave registers between the first
+/// load and the final store to C.
 // SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
+// (upheld by constructing the `Kernel` only after feature detection),
+// that `a.len() / 4 == b.len() / 8`, and that `c` is valid for reads and
+// writes of 8 elements at each of the offsets `0, ldc, 2·ldc, 3·ldc`.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn micro_4x8_inner(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    let depth = a_panel.len() / MR;
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
+unsafe fn tile_f64_inner(a: &[f64], b: &[f64], c: *mut f64, ldc: usize, accumulate: bool) {
+    let depth = a.len() / 4;
+    let ap = a.as_ptr();
+    let bp = b.as_ptr();
+    let (c0, c1, c2, c3) = (c, c.add(ldc), c.add(2 * ldc), c.add(3 * ldc));
 
-    let mut c00 = _mm256_loadu_pd(acc[0].as_ptr());
-    let mut c01 = _mm256_loadu_pd(acc[0].as_ptr().add(4));
-    let mut c10 = _mm256_loadu_pd(acc[1].as_ptr());
-    let mut c11 = _mm256_loadu_pd(acc[1].as_ptr().add(4));
-    let mut c20 = _mm256_loadu_pd(acc[2].as_ptr());
-    let mut c21 = _mm256_loadu_pd(acc[2].as_ptr().add(4));
-    let mut c30 = _mm256_loadu_pd(acc[3].as_ptr());
-    let mut c31 = _mm256_loadu_pd(acc[3].as_ptr().add(4));
+    let zero = _mm256_setzero_pd();
+    let (mut c00, mut c01, mut c10, mut c11) = (zero, zero, zero, zero);
+    let (mut c20, mut c21, mut c30, mut c31) = (zero, zero, zero, zero);
+    if accumulate {
+        c00 = _mm256_loadu_pd(c0);
+        c01 = _mm256_loadu_pd(c0.add(4));
+        c10 = _mm256_loadu_pd(c1);
+        c11 = _mm256_loadu_pd(c1.add(4));
+        c20 = _mm256_loadu_pd(c2);
+        c21 = _mm256_loadu_pd(c2.add(4));
+        c30 = _mm256_loadu_pd(c3);
+        c31 = _mm256_loadu_pd(c3.add(4));
+    }
 
     for p in 0..depth {
-        let b0 = _mm256_loadu_pd(bp.add(p * NR));
-        let b1 = _mm256_loadu_pd(bp.add(p * NR + 4));
-        let arow = ap.add(p * MR);
-        let a0 = _mm256_set1_pd(*arow);
+        let b0 = _mm256_loadu_pd(bp.add(p * 8));
+        let b1 = _mm256_loadu_pd(bp.add(p * 8 + 4));
+        let arow = ap.add(p * 4);
+        let a0 = _mm256_broadcast_sd(&*arow);
         c00 = _mm256_fmadd_pd(a0, b0, c00);
         c01 = _mm256_fmadd_pd(a0, b1, c01);
-        let a1 = _mm256_set1_pd(*arow.add(1));
+        let a1 = _mm256_broadcast_sd(&*arow.add(1));
         c10 = _mm256_fmadd_pd(a1, b0, c10);
         c11 = _mm256_fmadd_pd(a1, b1, c11);
-        let a2 = _mm256_set1_pd(*arow.add(2));
+        let a2 = _mm256_broadcast_sd(&*arow.add(2));
         c20 = _mm256_fmadd_pd(a2, b0, c20);
         c21 = _mm256_fmadd_pd(a2, b1, c21);
-        let a3 = _mm256_set1_pd(*arow.add(3));
+        let a3 = _mm256_broadcast_sd(&*arow.add(3));
         c30 = _mm256_fmadd_pd(a3, b0, c30);
         c31 = _mm256_fmadd_pd(a3, b1, c31);
     }
 
-    _mm256_storeu_pd(acc[0].as_mut_ptr(), c00);
-    _mm256_storeu_pd(acc[0].as_mut_ptr().add(4), c01);
-    _mm256_storeu_pd(acc[1].as_mut_ptr(), c10);
-    _mm256_storeu_pd(acc[1].as_mut_ptr().add(4), c11);
-    _mm256_storeu_pd(acc[2].as_mut_ptr(), c20);
-    _mm256_storeu_pd(acc[2].as_mut_ptr().add(4), c21);
-    _mm256_storeu_pd(acc[3].as_mut_ptr(), c30);
-    _mm256_storeu_pd(acc[3].as_mut_ptr().add(4), c31);
+    _mm256_storeu_pd(c0, c00);
+    _mm256_storeu_pd(c0.add(4), c01);
+    _mm256_storeu_pd(c1, c10);
+    _mm256_storeu_pd(c1.add(4), c11);
+    _mm256_storeu_pd(c2, c20);
+    _mm256_storeu_pd(c2.add(4), c21);
+    _mm256_storeu_pd(c3, c30);
+    _mm256_storeu_pd(c3.add(4), c31);
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn tile_f32(a_panel: &[f32], b_panel: &[f32], c: &mut [f32], ldc: usize, acc: bool) {
+    check_tile(a_panel, b_panel, c, ldc, 4, 16, 1);
+    // SAFETY: as for `tile_f64`.
+    unsafe { tile_f32_inner(a_panel, b_panel, c.as_mut_ptr(), ldc, acc) }
+}
+
+/// The f32 `4×16` register tile: 8 vector accumulators (4 rows × 2 vectors
+/// of 8 columns) — eight independent chains cover the FMA latency on both
+/// ports, where a 4×8 tile's four ran at half rate. Two B loads and four A
+/// broadcasts per depth step.
+// SAFETY contract: the caller must guarantee AVX2+FMA are available
+// (upheld by constructing the `Kernel` only after feature detection),
+// that `a.len() / 4 == b.len() / 16`, and that `c` is valid for reads and
+// writes of 16 elements at each of the offsets `0, ldc, 2·ldc, 3·ldc`.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tile_f32_inner(a: &[f32], b: &[f32], c: *mut f32, ldc: usize, accumulate: bool) {
+    let depth = a.len() / 4;
+    let ap = a.as_ptr();
+    let bp = b.as_ptr();
+    let (c0, c1, c2, c3) = (c, c.add(ldc), c.add(2 * ldc), c.add(3 * ldc));
+
+    let zero = _mm256_setzero_ps();
+    let (mut c00, mut c01, mut c10, mut c11) = (zero, zero, zero, zero);
+    let (mut c20, mut c21, mut c30, mut c31) = (zero, zero, zero, zero);
+    if accumulate {
+        c00 = _mm256_loadu_ps(c0);
+        c01 = _mm256_loadu_ps(c0.add(8));
+        c10 = _mm256_loadu_ps(c1);
+        c11 = _mm256_loadu_ps(c1.add(8));
+        c20 = _mm256_loadu_ps(c2);
+        c21 = _mm256_loadu_ps(c2.add(8));
+        c30 = _mm256_loadu_ps(c3);
+        c31 = _mm256_loadu_ps(c3.add(8));
+    }
+
+    for p in 0..depth {
+        let b0 = _mm256_loadu_ps(bp.add(p * 16));
+        let b1 = _mm256_loadu_ps(bp.add(p * 16 + 8));
+        let arow = ap.add(p * 4);
+        let a0 = _mm256_broadcast_ss(&*arow);
+        c00 = _mm256_fmadd_ps(a0, b0, c00);
+        c01 = _mm256_fmadd_ps(a0, b1, c01);
+        let a1 = _mm256_broadcast_ss(&*arow.add(1));
+        c10 = _mm256_fmadd_ps(a1, b0, c10);
+        c11 = _mm256_fmadd_ps(a1, b1, c11);
+        let a2 = _mm256_broadcast_ss(&*arow.add(2));
+        c20 = _mm256_fmadd_ps(a2, b0, c20);
+        c21 = _mm256_fmadd_ps(a2, b1, c21);
+        let a3 = _mm256_broadcast_ss(&*arow.add(3));
+        c30 = _mm256_fmadd_ps(a3, b0, c30);
+        c31 = _mm256_fmadd_ps(a3, b1, c31);
+    }
+
+    _mm256_storeu_ps(c0, c00);
+    _mm256_storeu_ps(c0.add(8), c01);
+    _mm256_storeu_ps(c1, c10);
+    _mm256_storeu_ps(c1.add(8), c11);
+    _mm256_storeu_ps(c2, c20);
+    _mm256_storeu_ps(c2.add(8), c21);
+    _mm256_storeu_ps(c3, c30);
+    _mm256_storeu_ps(c3.add(8), c31);
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn tile_i8(a_panel: &[i16], b_panel: &[i16], c: &mut [i32], ldc: usize, acc: bool) {
+    check_tile(a_panel, b_panel, c, ldc, 4, 16, 2);
+    // SAFETY: as for `tile_f64`.
+    unsafe { tile_i8_inner(a_panel, b_panel, c.as_mut_ptr(), ldc, acc) }
+}
+
+/// The int8 `4×16` register tile over `i16`-pair panels. Per depth pair the
+/// B panel holds `(b_j[2p], b_j[2p+1])` for 16 columns — two 256-bit loads —
+/// and the A panel one such pair per row, broadcast as a 32-bit lane;
+/// `vpmaddwd` forms `a[2p]·b_j[2p] + a[2p+1]·b_j[2p+1]` exactly in `i32`
+/// (codes are sign-extended `i8`, so a pair sum is at most `2·128²`) and
+/// `vpaddd` accumulates it: 8 accumulators, 16 multiply-adds per
+/// instruction. Integer adds associate, so the tile equals the scalar one —
+/// and `dot_i8` on every pair — under any depth blocking; `i32` cannot
+/// overflow for depths up to `quant::I8_DOT_MAX_LEN`.
+// SAFETY contract: the caller must guarantee AVX2 is available (upheld by
+// constructing the `Kernel` only after feature detection), that
+// `a.len() / 4 == b.len() / 16` with `a.len()` a multiple of 8, and that
+// `c` is valid for reads and writes of 16 elements at each of the offsets
+// `0, ldc, 2·ldc, 3·ldc`. The 32-bit reads of A pairs are unaligned reads
+// inside `a`.
+#[target_feature(enable = "avx2")]
+unsafe fn tile_i8_inner(a: &[i16], b: &[i16], c: *mut i32, ldc: usize, accumulate: bool) {
+    let pairs = a.len() / 8;
+    let ap = a.as_ptr() as *const i32;
+    let bp = b.as_ptr() as *const __m256i;
+    let rows = [c, c.add(ldc), c.add(2 * ldc), c.add(3 * ldc)];
+
+    let mut acc = [[_mm256_setzero_si256(); 2]; 4];
+    if accumulate {
+        for (row, &cp) in acc.iter_mut().zip(&rows) {
+            row[0] = _mm256_loadu_si256(cp as *const __m256i);
+            row[1] = _mm256_loadu_si256(cp.add(8) as *const __m256i);
+        }
+    }
+
+    for p in 0..pairs {
+        let b0 = _mm256_loadu_si256(bp.add(2 * p));
+        let b1 = _mm256_loadu_si256(bp.add(2 * p + 1));
+        for (i, row) in acc.iter_mut().enumerate() {
+            let ai = _mm256_set1_epi32(ap.add(4 * p + i).read_unaligned());
+            row[0] = _mm256_add_epi32(row[0], _mm256_madd_epi16(ai, b0));
+            row[1] = _mm256_add_epi32(row[1], _mm256_madd_epi16(ai, b1));
+        }
+    }
+
+    for (row, &cp) in acc.iter().zip(&rows) {
+        _mm256_storeu_si256(cp as *mut __m256i, row[0]);
+        _mm256_storeu_si256(cp.add(8) as *mut __m256i, row[1]);
+    }
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn next_hit_f64(scores: &[f64], from: usize, threshold: f64) -> usize {
+    assert!(from <= scores.len());
+    // SAFETY: as for `dot`; `from` is in range.
+    unsafe { next_hit_f64_inner(scores, from, threshold) }
+}
+
+/// Four lanes per compare: `!(s < t)` (`NLT_UQ`, true for NaN like the
+/// scalar twin's negated `<`), movemask, first set bit.
+// SAFETY contract: the caller must guarantee AVX2 is available (upheld by
+// constructing the `Kernel` only after feature detection) and
+// `from <= scores.len()` — every load below is guarded by `j + 4 <= n`.
+#[target_feature(enable = "avx2")]
+unsafe fn next_hit_f64_inner(scores: &[f64], from: usize, threshold: f64) -> usize {
+    let n = scores.len();
+    let sp = scores.as_ptr();
+    let t = _mm256_set1_pd(threshold);
+    let mut j = from;
+    while j + 4 <= n {
+        let hit = _mm256_cmp_pd::<_CMP_NLT_UQ>(_mm256_loadu_pd(sp.add(j)), t);
+        let mask = _mm256_movemask_pd(hit);
+        if mask != 0 {
+            return j + mask.trailing_zeros() as usize;
+        }
+        j += 4;
+    }
+    super::filter::next_hit_f64(scores, j, threshold)
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn next_hit_f32(
+    scores: &[f32],
+    item_norms: &[f64],
+    user: F32Offer,
+    from: usize,
+    threshold: f64,
+) -> usize {
+    assert!(from <= scores.len() && item_norms.len() == scores.len());
+    // SAFETY: as for `dot`; the slices are equally long and `from` in range.
+    unsafe { next_hit_f32_inner(scores, item_norms, user, from, threshold) }
+}
+
+/// The f32 offer expression on four lanes, operation for operation the
+/// scalar twin's (`filter::hit_f32`): widen, one FMA for the envelope, one
+/// add for `hi`, then `hi + s·0` so a non-finite score compares as NaN.
+// SAFETY contract: the caller must guarantee AVX2+FMA are available
+// (upheld by constructing the `Kernel` only after feature detection),
+// `item_norms.len() == scores.len()` and `from <= scores.len()` — every
+// load below is guarded by `j + 4 <= n`.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn next_hit_f32_inner(
+    scores: &[f32],
+    item_norms: &[f64],
+    user: F32Offer,
+    from: usize,
+    threshold: f64,
+) -> usize {
+    let n = scores.len();
+    let (sp, np) = (scores.as_ptr(), item_norms.as_ptr());
+    let t = _mm256_set1_pd(threshold);
+    let rel = _mm256_set1_pd(user.rel_u);
+    let abs = _mm256_set1_pd(user.env_abs);
+    let zero = _mm256_setzero_pd();
+    let mut j = from;
+    while j + 4 <= n {
+        let s = _mm256_cvtps_pd(_mm_loadu_ps(sp.add(j)));
+        let env = _mm256_fmadd_pd(rel, _mm256_loadu_pd(np.add(j)), abs);
+        let hi = _mm256_add_pd(s, env);
+        let checked = _mm256_add_pd(hi, _mm256_mul_pd(s, zero));
+        let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NLT_UQ>(checked, t));
+        if mask != 0 {
+            return j + mask.trailing_zeros() as usize;
+        }
+        j += 4;
+    }
+    while j < n && !hit_f32(*sp.add(j), *np.add(j), user, threshold) {
+        j += 1;
+    }
+    j
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn next_hit_i8(
+    dots: &[i32],
+    item_inv_scales: &[f64],
+    item_l1: &[f64],
+    user: I8Offer,
+    from: usize,
+    threshold: f64,
+) -> usize {
+    assert!(
+        from <= dots.len() && item_inv_scales.len() == dots.len() && item_l1.len() == dots.len()
+    );
+    // SAFETY: as for `dot`; the slices are equally long and `from` in range.
+    unsafe { next_hit_i8_inner(dots, item_inv_scales, item_l1, user, from, threshold) }
+}
+
+/// The int8 offer expression on four lanes, operation for operation the
+/// scalar twin's (`filter::hit_i8`): the explicit multiply and add
+/// intrinsics are never contracted into FMAs.
+// SAFETY contract: the caller must guarantee AVX2 is available (upheld by
+// constructing the `Kernel` only after feature detection), the three
+// slices equally long and `from <= dots.len()` — every load below is
+// guarded by `j + 4 <= n`.
+#[target_feature(enable = "avx2")]
+unsafe fn next_hit_i8_inner(
+    dots: &[i32],
+    item_inv_scales: &[f64],
+    item_l1: &[f64],
+    user: I8Offer,
+    from: usize,
+    threshold: f64,
+) -> usize {
+    let n = dots.len();
+    let (dp, ip, lp) = (dots.as_ptr(), item_inv_scales.as_ptr(), item_l1.as_ptr());
+    let t = _mm256_set1_pd(threshold);
+    let inv_su = _mm256_set1_pd(user.inv_su);
+    let env_a = _mm256_set1_pd(user.env.0);
+    let env_b = _mm256_set1_pd(user.env.1);
+    let mut j = from;
+    while j + 4 <= n {
+        let d = _mm256_cvtepi32_pd(_mm_loadu_si128(dp.add(j) as *const __m128i));
+        let inv_si = _mm256_loadu_pd(ip.add(j));
+        let score = _mm256_mul_pd(d, _mm256_mul_pd(inv_su, inv_si));
+        let env = _mm256_add_pd(
+            _mm256_mul_pd(env_a, inv_si),
+            _mm256_mul_pd(env_b, _mm256_loadu_pd(lp.add(j))),
+        );
+        let hit = _mm256_cmp_pd::<_CMP_NLT_UQ>(_mm256_add_pd(score, env), t);
+        let mask = _mm256_movemask_pd(hit);
+        if mask != 0 {
+            return j + mask.trailing_zeros() as usize;
+        }
+        j += 4;
+    }
+    while j < n && !hit_i8(*dp.add(j), *ip.add(j), *lp.add(j), user, threshold) {
+        j += 1;
+    }
+    j
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn peak(op: PeakOp, rounds: u64) -> f64 {
+    // SAFETY: reachable only via a Kernel constructed after feature
+    // detection; the probes touch no memory.
+    unsafe {
+        match op {
+            PeakOp::FmaF64 => peak_f64(rounds),
+            PeakOp::FmaF32 => peak_f32(rounds),
+            PeakOp::MaddI16 => peak_i16(rounds),
+        }
+    }
+}
+
+// SAFETY contract: AVX2+FMA available, per the kernel constructor contract.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn peak_f64(rounds: u64) -> f64 {
+    let a = _mm256_set1_pd(std::hint::black_box(0.999_999));
+    let b = _mm256_set1_pd(std::hint::black_box(1e-6));
+    let mut acc = [_mm256_set1_pd(1.0); super::PEAK_CHAINS as usize];
+    for _ in 0..rounds {
+        for v in &mut acc {
+            *v = _mm256_fmadd_pd(*v, a, b);
+        }
+    }
+    let mut sum = _mm256_setzero_pd();
+    for v in acc {
+        sum = _mm256_add_pd(sum, v);
+    }
+    _mm256_cvtsd_f64(sum)
+}
+
+// SAFETY contract: AVX2+FMA available, per the kernel constructor contract.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn peak_f32(rounds: u64) -> f64 {
+    let a = _mm256_set1_ps(std::hint::black_box(0.999));
+    let b = _mm256_set1_ps(std::hint::black_box(1e-3));
+    let mut acc = [_mm256_set1_ps(1.0); super::PEAK_CHAINS as usize];
+    for _ in 0..rounds {
+        for v in &mut acc {
+            *v = _mm256_fmadd_ps(*v, a, b);
+        }
+    }
+    let mut sum = _mm256_setzero_ps();
+    for v in acc {
+        sum = _mm256_add_ps(sum, v);
+    }
+    _mm256_cvtss_f32(sum) as f64
+}
+
+// SAFETY contract: AVX2 available, per the kernel constructor contract.
+#[target_feature(enable = "avx2")]
+unsafe fn peak_i16(rounds: u64) -> f64 {
+    let a = _mm256_set1_epi16(std::hint::black_box(3));
+    let mut acc = [_mm256_set1_epi16(1); super::PEAK_CHAINS as usize];
+    for _ in 0..rounds {
+        // Each multiply-add feeds on its own chain, so none is hoisted; the
+        // values wrap and mean nothing. The tile's `vpaddd` accumulate is
+        // left out: it issues on a port `vpmaddwd` cannot use, so the
+        // multiply-add is the resource the tile is bound by.
+        for v in &mut acc {
+            *v = _mm256_madd_epi16(*v, a);
+        }
+    }
+    let mut sum = _mm256_setzero_si256();
+    for v in acc {
+        sum = _mm256_add_epi32(sum, v);
+    }
+    hsum_epi32(sum) as f64
 }

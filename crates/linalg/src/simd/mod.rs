@@ -35,14 +35,31 @@
 //!   reduction is `((l0+l1)+(l2+l3)) + tail` in both.
 //! * [`Kernel::dist2_sq`] — same mapping over `(x-y)²`.
 //! * [`Kernel::axpy`] — element-wise, so lane mapping is trivial.
-//! * [`Kernel::micro_4x8`] — each `(i, j)` accumulator of the `MR×NR` GEMM
+//! * [`Kernel::tile_f64`] — each `(i, j)` accumulator of the `4×8` GEMM
 //!   register tile is one vector lane fed by a single sequential FMA chain
-//!   over the packed depth, identical to the scalar micro-kernel's loop.
+//!   over the packed depth, identical to the scalar tile's loop. The tile
+//!   stores to C directly; on a later depth pass it *loads* the C tile as
+//!   its initial accumulators, so the chain continues across depth blocks
+//!   instead of restarting (a restarted chain plus a final add rounds
+//!   differently).
 //! * [`Kernel::dot_seq4`] — four scalar sequential FMA chains (the GEMM
 //!   per-element order, one chain per item); the arch kernels only ensure
 //!   the `mul_add`s compile to inline hardware FMA, and every path's `fma`
 //!   is correctly rounded, so all kernel sets agree bit for bit — with each
-//!   other *and* with the matching `micro_4x8` output element.
+//!   other *and* with the matching `tile_f64` output element.
+//! * [`Kernel::next_hit_f64`], [`Kernel::next_hit_f32`],
+//!   [`Kernel::next_hit_i8`] — the threshold filters of the fused select
+//!   and the two screen passes. Each lane's upper bound is evaluated in the
+//!   same f64 operations, in the same order, as the scalar twin
+//!   (`simd/filter.rs`): explicit multiplies and adds that are never
+//!   contracted, one FMA where the scalar rule has one. So every kernel set
+//!   flags the **same lanes** — a lane is flagged when its bound is not
+//!   below the threshold (`!(hi < t)`: a NaN is flagged too), and in the
+//!   f32 filter also when the score itself is not finite. The filters only
+//!   pre-filter: callers re-apply their exact scalar rule to each flagged
+//!   lane, which is why a stale (lower) threshold is harmless and why
+//!   candidate sets, survivor counts and results are identical under every
+//!   kernel.
 //!
 //! The one exception is [`Kernel::suffix_sumsq`]: a suffix scan is a serial
 //! carry chain, and the vector version re-associates the within-block sums
@@ -56,7 +73,8 @@
 //! ## Single-precision screen kernels
 //!
 //! The `*_f32` entries ([`Kernel::dot_f32`], [`Kernel::suffix_sumsq_f32`],
-//! [`Kernel::micro_4x8_f32`]) exist for the mixed-precision *screen* path:
+//! [`Kernel::tile_f32`] — a `4×16` tile, eight accumulators) exist for the
+//! mixed-precision *screen* path:
 //! scan in f32, keep every candidate whose widened bound could still reach
 //! the top-k, then rescore survivors in f64. They are deliberately **outside
 //! the bit-identity contract** — different kernel sets may associate the f32
@@ -73,16 +91,20 @@
 //!
 //! ## Int8 screen kernels
 //!
-//! The `*_i8` entries ([`Kernel::dot_i8`], [`Kernel::dot_i8_quad`]) serve
-//! the quantized screen tier beneath the f32 one: item rows are stored as
-//! symmetric int8 codes with per-row scales (`mips_data::MirrorI8`), the
-//! widening i8×i8→i32 accumulation is **exact** under every association
-//! order (`f ≤ `[`crate::quant::I8_DOT_MAX_LEN`] keeps the worst case
-//! inside `i32`), and the AVX2 path uses `pmaddwd`-style paired
-//! multiply-adds while NEON uses `smull`+`sadalp` widening. Because integer
-//! addition is associative, these kernels sit *inside* the bit-identity
-//! contract — every set returns the identical `i32` — so the i8 screen's
-//! envelope ([`crate::quant::i8_screen_envelope_parts`]) only has to cover
+//! The int8 entries serve the quantized screen tier beneath the f32 one:
+//! item rows are stored as symmetric int8 codes with per-row scales
+//! (`mips_data::MirrorI8`). [`Kernel::tile_i8`] is the block scan's tile —
+//! codes widened to `i16` and packed in depth pairs, so one `vpmaddwd`
+//! multiplies a broadcast pair of A against sixteen packed B values (the
+//! scalar and NEON sets run the portable twin) — and [`Kernel::dot_i8`]
+//! the single-pair dot of the point screens (`pmaddwd` on AVX2,
+//! `smull`+`sadalp` on NEON). The widening i8×i8→i32 accumulation is
+//! **exact** under every association order (`f ≤
+//! `[`crate::quant::I8_DOT_MAX_LEN`] keeps the worst case inside `i32`).
+//! Because integer addition is associative, these kernels sit *inside* the
+//! bit-identity contract — every set returns the identical `i32`, tile and
+//! dot alike — so the i8 screen's envelope
+//! ([`crate::quant::i8_screen_envelope_parts`]) only has to cover
 //! quantization error, not accumulation order.
 //!
 //! ## Safety contract
@@ -99,8 +121,13 @@
 //! * The safe wrappers stored in a [`Kernel`] may only be constructed by
 //!   [`Kernel::avx2`] / [`Kernel::neon`], which return `None` unless the
 //!   features were detected (or the target guarantees them). The wrappers
-//!   are never exported individually, so a `Kernel` value is a proof that
-//!   its function pointers are safe to call on this machine.
+//!   are only ever reachable through a `Kernel` value, which is therefore a
+//!   proof that its function pointers are safe to call on this machine.
+//!   The GEMM tile slots are handed out *as* pointers ([`Kernel::tile_f64`]
+//!   and its siblings, so the driver dispatches once per multiply); those
+//!   wrappers check every slice bound their bodies rely on with `assert!`
+//!   themselves — a C tile that does not fit its slice is a panic, never
+//!   an out-of-bounds store.
 //! * Slice casts between `&[T]` and `&[f64]` (used by the generic entry
 //!   points in [`crate::kernels`] and [`crate::gemm`]) are guarded by a
 //!   `TypeId` equality check, making the transmute a no-op reinterpretation
@@ -118,14 +145,20 @@
 
 #![allow(unsafe_code)]
 
-use crate::blocking::{MR, NR};
+use crate::gemm::Tile;
 use std::any::TypeId;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+mod filter;
 #[cfg(target_arch = "aarch64")]
 mod neon;
+
+/// Independent accumulator chains a [`Kernel::peak`] round keeps in flight
+/// — enough to cover a 4–6 cycle multiply-add latency on two issue ports,
+/// few enough to stay in sixteen vector registers.
+pub const PEAK_CHAINS: u64 = 12;
 
 /// A dispatch table of double-precision micro-kernels.
 ///
@@ -141,12 +174,103 @@ pub struct Kernel {
     axpy: fn(f64, &[f64], &mut [f64]),
     dist2_sq: fn(&[f64], &[f64]) -> f64,
     suffix_sumsq: fn(&[f64], &mut [f64]),
-    micro_4x8: fn(&[f64], &[f64], &mut [[f64; NR]; MR]),
+    tile_f64: Tile<f64, f64>,
     dot_f32: fn(&[f32], &[f32]) -> f32,
     suffix_sumsq_f32: fn(&[f32], &mut [f32]),
-    micro_4x8_f32: fn(&[f32], &[f32], &mut [[f32; NR]; MR]),
+    tile_f32: Tile<f32, f32>,
     dot_i8: fn(&[i8], &[i8]) -> i32,
-    dot_i8_quad: fn(&[i8], [&[i8]; 4]) -> [i32; 4],
+    tile_i8: Tile<i16, i32>,
+    next_hit_f64: fn(&[f64], usize, f64) -> usize,
+    next_hit_f32: NextHitF32,
+    next_hit_i8: NextHitI8,
+    peak: fn(PeakOp, u64) -> f64,
+}
+
+/// Filter slots: `(scores, per-item terms.., user terms, from, threshold)`
+/// to the first flagged index at or after `from`, or the length.
+type NextHitF32 = fn(&[f32], &[f64], F32Offer, usize, f64) -> usize;
+type NextHitI8 = fn(&[i32], &[f64], &[f64], I8Offer, usize, f64) -> usize;
+
+/// One user's side of the f32 screen's **offer expression**: column `j`
+/// with screen score `ŝ` and exact item norm `‖i‖` has upper bound
+/// `hi = ŝ + envelope(‖i‖)`, the envelope one fused multiply-add. The block
+/// screen, the point screens and [`Kernel::next_hit_f32`] all evaluate it
+/// through these methods, so they cannot drift apart.
+#[derive(Debug, Clone, Copy)]
+pub struct F32Offer {
+    /// `rel · ‖u‖` of [`crate::f32_screen_envelope_parts`].
+    rel_u: f64,
+    /// The envelope's absolute term.
+    env_abs: f64,
+}
+
+impl F32Offer {
+    /// The offer terms of a user with exact norm `user_norm` over `f`
+    /// factors.
+    pub fn for_user(f: usize, user_norm: f64) -> F32Offer {
+        let (rel, env_abs) = crate::f32_screen_envelope_parts(f);
+        F32Offer {
+            rel_u: rel * user_norm,
+            env_abs,
+        }
+    }
+
+    /// `|ŝ − s| ≤ envelope(‖i‖)` for this user against an item of exact
+    /// norm `item_norm`.
+    #[inline(always)]
+    pub fn envelope(&self, item_norm: f64) -> f64 {
+        self.rel_u.mul_add(item_norm, self.env_abs)
+    }
+}
+
+/// One user's side of the int8 screen's **offer expression**: column `j`
+/// with integer dot `D`, inverse item scale `1/s_i` and item L1 norm
+/// `‖i‖₁` has upper bound `hi = score(D, 1/s_i) + envelope(1/s_i, ‖i‖₁)`.
+/// Shared like [`F32Offer`].
+#[derive(Debug, Clone, Copy)]
+pub struct I8Offer {
+    /// `1 / s_u`.
+    inv_su: f64,
+    /// `(a_u, b_u)` of [`crate::quant::i8_screen_envelope_parts`].
+    env: (f64, f64),
+}
+
+impl I8Offer {
+    /// The offer terms of a user quantized with scale `user_scale` whose
+    /// exact L1 norm is `user_l1`, over `f` factors.
+    pub fn for_user(f: usize, user_scale: f64, user_l1: f64) -> I8Offer {
+        I8Offer {
+            inv_su: 1.0 / user_scale,
+            env: crate::i8_screen_envelope_parts(f, user_scale, user_l1),
+        }
+    }
+
+    /// The screen score `ŝ = D·((1/s_u)·(1/s_i))` — the reconstruction
+    /// order the envelope's slack was derived (and is tested) against in
+    /// [`crate::quant`]; always finite.
+    #[inline(always)]
+    pub fn score(&self, dot: i32, item_inv_scale: f64) -> f64 {
+        dot as f64 * (self.inv_su * item_inv_scale)
+    }
+
+    /// `|ŝ − s| ≤ envelope(1/s_i, ‖i‖₁)` for this user against that item.
+    #[inline(always)]
+    pub fn envelope(&self, item_inv_scale: f64, item_l1: f64) -> f64 {
+        self.env.0 * item_inv_scale + self.env.1 * item_l1
+    }
+}
+
+/// What a [`Kernel::peak`] probe issues: the instruction a register tile
+/// of that element type is built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PeakOp {
+    /// Double-precision fused multiply-add.
+    FmaF64,
+    /// Single-precision fused multiply-add.
+    FmaF32,
+    /// The int8 tile's `i16`-pair multiply-add (`vpmaddwd`: two products
+    /// and their sum per `i32` lane).
+    MaddI16,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -219,20 +343,11 @@ impl Kernel {
         (self.suffix_sumsq)(x, out)
     }
 
-    /// The GEMM register micro-kernel: `acc += Aᵖ ⊗ Bᵖ` over the packed
-    /// depth, for tile-interleaved panels (`MR` values of A and `NR` values
-    /// of B per depth step).
-    ///
-    /// # Panics
-    /// Panics unless the panel lengths describe the same depth.
+    /// The `f64` GEMM register tile (4×8): the [`Tile`] slot the packed
+    /// driver resolves once per multiply. Bit-identical across kernel sets.
     #[inline]
-    pub fn micro_4x8(&self, a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-        assert_eq!(
-            a_panel.len() / MR,
-            b_panel.len() / NR,
-            "micro_4x8: panel depth mismatch"
-        );
-        (self.micro_4x8)(a_panel, b_panel, acc)
+    pub fn tile_f64(&self) -> Tile<f64, f64> {
+        self.tile_f64
     }
 
     /// Single-precision dot product `xᵀy` for the screen path. **Not**
@@ -258,19 +373,11 @@ impl Kernel {
         (self.suffix_sumsq_f32)(x, out)
     }
 
-    /// Single-precision GEMM register micro-kernel (screen path; tolerance,
-    /// not bit-identity — see the module docs).
-    ///
-    /// # Panics
-    /// Panics unless the panel lengths describe the same depth.
+    /// The `f32` GEMM register tile (4×16; screen path — tolerance, not
+    /// bit-identity, see the module docs).
     #[inline]
-    pub fn micro_4x8_f32(&self, a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-        assert_eq!(
-            a_panel.len() / MR,
-            b_panel.len() / NR,
-            "micro_4x8_f32: panel depth mismatch"
-        );
-        (self.micro_4x8_f32)(a_panel, b_panel, acc)
+    pub fn tile_f32(&self) -> Tile<f32, f32> {
+        self.tile_f32
     }
 
     /// Int8 dot product `xᵀy` for the quantized screen path, accumulated
@@ -292,24 +399,115 @@ impl Kernel {
         (self.dot_i8)(x, y)
     }
 
-    /// Four int8 dot products `xᵀy_q` at once: four independent integer
-    /// accumulation chains sharing the `x` loads, so scan loops consuming
-    /// item rows in groups of four stay throughput-bound. Same exactness
-    /// and overflow contract as [`Kernel::dot_i8`].
+    /// The int8 GEMM register tile (4×16 over `i16`-pair panels, exact
+    /// `i32` output — identical under every kernel set).
+    #[inline]
+    pub fn tile_i8(&self) -> Tile<i16, i32> {
+        self.tile_i8
+    }
+
+    /// The threshold filter of the fused f64 select: the first index
+    /// `j ≥ from` whose score is **not below** `threshold` (`!(s < t)`, so
+    /// a NaN is flagged too and reaches the caller's own rule), or `None`.
+    ///
+    /// This and the two screen filters below only *pre*-filter: the caller
+    /// re-applies its exact scalar rule to every flagged lane with its
+    /// current threshold. A filter may therefore run on a stale (lower)
+    /// threshold — it flags a superset — and every kernel set flags the
+    /// same lanes, because each lane's `hi` is evaluated in the same f64
+    /// operations, in the same order, as the scalar twin.
     ///
     /// # Panics
-    /// Panics if any length differs from `x`'s or exceeds
-    /// [`crate::quant::I8_DOT_MAX_LEN`].
+    /// Panics if `from > scores.len()`.
     #[inline]
-    pub fn dot_i8_quad(&self, x: &[i8], ys: [&[i8]; 4]) -> [i32; 4] {
-        for y in &ys {
-            assert_eq!(x.len(), y.len(), "dot_i8_quad: length mismatch");
-        }
-        assert!(
-            x.len() <= crate::quant::I8_DOT_MAX_LEN,
-            "dot_i8_quad: length exceeds the i32-overflow cap"
+    pub fn next_hit_f64(&self, scores: &[f64], from: usize, threshold: f64) -> Option<usize> {
+        assert!(from <= scores.len(), "next_hit_f64: start out of range");
+        let j = (self.next_hit_f64)(scores, from, threshold);
+        (j < scores.len()).then_some(j)
+    }
+
+    /// The f32 screen's filter: the first `j ≥ from` whose upper bound
+    /// ([`F32Offer`]) is not below `threshold` **or whose score is not
+    /// finite** (an overflowed product carries no bound and must be kept).
+    ///
+    /// # Panics
+    /// Panics if `item_norms` is not as long as `scores` or `from` is out
+    /// of range.
+    #[inline]
+    pub fn next_hit_f32(
+        &self,
+        scores: &[f32],
+        item_norms: &[f64],
+        user: F32Offer,
+        from: usize,
+        threshold: f64,
+    ) -> Option<usize> {
+        assert_eq!(
+            scores.len(),
+            item_norms.len(),
+            "next_hit_f32: one norm per score"
         );
-        (self.dot_i8_quad)(x, ys)
+        assert!(from <= scores.len(), "next_hit_f32: start out of range");
+        let j = (self.next_hit_f32)(scores, item_norms, user, from, threshold);
+        (j < scores.len()).then_some(j)
+    }
+
+    /// The int8 screen's filter: the first `j ≥ from` whose upper bound
+    /// ([`I8Offer`]) is not below `threshold`.
+    ///
+    /// # Panics
+    /// Panics if the per-item slices are not as long as `dots` or `from` is
+    /// out of range.
+    #[inline]
+    pub fn next_hit_i8(
+        &self,
+        dots: &[i32],
+        item_inv_scales: &[f64],
+        item_l1: &[f64],
+        user: I8Offer,
+        from: usize,
+        threshold: f64,
+    ) -> Option<usize> {
+        assert_eq!(
+            dots.len(),
+            item_inv_scales.len(),
+            "next_hit_i8: one scale per dot"
+        );
+        assert_eq!(
+            dots.len(),
+            item_l1.len(),
+            "next_hit_i8: one L1 norm per dot"
+        );
+        assert!(from <= dots.len(), "next_hit_i8: start out of range");
+        let j = (self.next_hit_i8)(dots, item_inv_scales, item_l1, user, from, threshold);
+        (j < dots.len()).then_some(j)
+    }
+
+    /// A register-only throughput probe: issues `rounds` rounds of
+    /// [`PEAK_CHAINS`] independent `op` instructions (no loads, no stores)
+    /// and returns a checksum that keeps them alive. One instruction is a
+    /// full vector under a SIMD set and one element under `scalar` —
+    /// [`Kernel::peak_ops_per_round`] converts rounds to arithmetic
+    /// operations. `examples/kernel_rates.rs` times this beside the tiles:
+    /// the measured peak a GFLOP/s or GOP/s figure is judged against.
+    pub fn peak(&self, op: PeakOp, rounds: u64) -> f64 {
+        (self.peak)(op, rounds)
+    }
+
+    /// Arithmetic operations (a multiply-add counts two) one round of
+    /// [`Kernel::peak`] performs under this kernel set.
+    pub fn peak_ops_per_round(&self, op: PeakOp) -> u64 {
+        let lanes = match (self.name, op) {
+            ("scalar", _) => 1,
+            ("neon", PeakOp::FmaF64) => 2,
+            ("neon", PeakOp::FmaF32) => 4,
+            // The portable probe stands in for NEON's integer one.
+            ("neon", PeakOp::MaddI16) => 1,
+            (_, PeakOp::FmaF64) => 4,
+            (_, PeakOp::FmaF32) => 8,
+            (_, PeakOp::MaddI16) => 16,
+        };
+        2 * lanes * PEAK_CHAINS
     }
 
     /// The portable scalar kernel set (the guaranteed fallback and the
@@ -322,12 +520,16 @@ impl Kernel {
             axpy: crate::kernels::axpy_scalar_f64,
             dist2_sq: crate::kernels::dist2_sq_scalar_f64,
             suffix_sumsq: crate::kernels::suffix_sumsq_scalar_f64,
-            micro_4x8: crate::gemm::micro_4x8_scalar_f64,
+            tile_f64: crate::gemm::tile_scalar_f64,
             dot_f32: crate::kernels::dot_scalar_f32,
             suffix_sumsq_f32: crate::kernels::suffix_sumsq_scalar_f32,
-            micro_4x8_f32: crate::gemm::micro_4x8_scalar_f32,
+            tile_f32: crate::gemm::tile_scalar_f32,
             dot_i8: crate::kernels::dot_scalar_i8,
-            dot_i8_quad: crate::kernels::dot_i8_quad_scalar,
+            tile_i8: crate::gemm::tile_scalar_i8,
+            next_hit_f64: filter::next_hit_f64,
+            next_hit_f32: filter::next_hit_f32,
+            next_hit_i8: filter::next_hit_i8,
+            peak: filter::peak,
         }
     }
 
@@ -344,12 +546,16 @@ impl Kernel {
                     axpy: avx2::axpy,
                     dist2_sq: avx2::dist2_sq,
                     suffix_sumsq: avx2::suffix_sumsq,
-                    micro_4x8: avx2::micro_4x8,
+                    tile_f64: avx2::tile_f64,
                     dot_f32: avx2::dot_f32,
                     suffix_sumsq_f32: avx2::suffix_sumsq_f32,
-                    micro_4x8_f32: avx2::micro_4x8_f32,
+                    tile_f32: avx2::tile_f32,
                     dot_i8: avx2::dot_i8,
-                    dot_i8_quad: avx2::dot_i8_quad,
+                    tile_i8: avx2::tile_i8,
+                    next_hit_f64: avx2::next_hit_f64,
+                    next_hit_f32: avx2::next_hit_f32,
+                    next_hit_i8: avx2::next_hit_i8,
+                    peak: avx2::peak,
                 });
             }
             None
@@ -374,12 +580,19 @@ impl Kernel {
                 axpy: neon::axpy,
                 dist2_sq: neon::dist2_sq,
                 suffix_sumsq: neon::suffix_sumsq,
-                micro_4x8: neon::micro_4x8,
+                tile_f64: neon::tile_f64,
                 dot_f32: neon::dot_f32,
                 suffix_sumsq_f32: neon::suffix_sumsq_f32,
-                micro_4x8_f32: neon::micro_4x8_f32,
+                tile_f32: neon::tile_f32,
                 dot_i8: neon::dot_i8,
-                dot_i8_quad: neon::dot_i8_quad,
+                // No NEON bodies for the int8 tile and the filters: the
+                // portable ones are exact, and aarch64's baseline FMA makes
+                // their `mul_add`s hardware instructions.
+                tile_i8: crate::gemm::tile_scalar_i8,
+                next_hit_f64: filter::next_hit_f64,
+                next_hit_f32: filter::next_hit_f32,
+                next_hit_i8: filter::next_hit_i8,
+                peak: neon::peak,
             })
         }
         #[cfg(not(target_arch = "aarch64"))]
@@ -406,6 +619,27 @@ impl Kernel {
             .or_else(Kernel::neon)
             .unwrap_or_else(Kernel::scalar)
     }
+}
+
+/// Checks a tile call's slices: both panels describe the same depth (in
+/// whole `group`-element steps) and an `mr × nr` tile with row stride
+/// `ldc` fits in `c`. These are the bounds every pointer access of the
+/// SIMD tile bodies relies on, so they are `assert!`s, not debug ones.
+#[inline(always)]
+pub(crate) fn check_tile<P, C>(
+    a: &[P],
+    b: &[P],
+    c: &[C],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    group: usize,
+) {
+    assert!(
+        a.len() % (mr * group) == 0 && b.len() % (nr * group) == 0 && a.len() / mr == b.len() / nr,
+        "tile: panel depth mismatch"
+    );
+    assert!((mr - 1) * ldc + nr <= c.len(), "tile: C tile out of bounds");
 }
 
 /// The process-wide active kernel, selected on first use and cached.
@@ -448,18 +682,6 @@ pub(crate) fn as_f64_mut<T: 'static>(x: &mut [T]) -> Option<&mut [f64]> {
     }
 }
 
-/// Reinterprets a generic `MR×NR` accumulator tile as `f64` when `T` is.
-#[inline(always)]
-pub(crate) fn acc_as_f64_mut<T: 'static>(acc: &mut [[T; NR]; MR]) -> Option<&mut [[f64; NR]; MR]> {
-    if TypeId::of::<T>() == TypeId::of::<f64>() {
-        // SAFETY: the TypeId check proves T == f64; the array layout is
-        // unchanged, so this is a no-op reinterpretation.
-        Some(unsafe { &mut *(acc as *mut [[T; NR]; MR] as *mut [[f64; NR]; MR]) })
-    } else {
-        None
-    }
-}
-
 /// Reinterprets `&[T]` as `&[f32]` when `T` *is* `f32`.
 #[inline(always)]
 pub(crate) fn as_f32<T: 'static>(x: &[T]) -> Option<&[f32]> {
@@ -478,18 +700,6 @@ pub(crate) fn as_f32_mut<T: 'static>(x: &mut [T]) -> Option<&mut [f32]> {
     if TypeId::of::<T>() == TypeId::of::<f32>() {
         // SAFETY: as in `as_f32`; uniqueness is inherited from the input.
         Some(unsafe { &mut *(x as *mut [T] as *mut [f32]) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets a generic `MR×NR` accumulator tile as `f32` when `T` is.
-#[inline(always)]
-pub(crate) fn acc_as_f32_mut<T: 'static>(acc: &mut [[T; NR]; MR]) -> Option<&mut [[f32; NR]; MR]> {
-    if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves T == f32; the array layout is
-        // unchanged, so this is a no-op reinterpretation.
-        Some(unsafe { &mut *(acc as *mut [[T; NR]; MR] as *mut [[f32; NR]; MR]) })
     } else {
         None
     }
@@ -614,28 +824,114 @@ mod tests {
         }
     }
 
+    /// Runs `T`'s tile slot of `kern` on `depth` packed steps into a C
+    /// window of row stride `ldc`, preloaded with `fill`.
+    fn run_tile<T: crate::GemmElem>(
+        kern: &Kernel,
+        a: &[T::Panel],
+        b: &[T::Panel],
+        ldc: usize,
+        fill: T::Acc,
+        accumulate: bool,
+    ) -> Vec<T::Acc> {
+        let mut c = vec![fill; (T::MR - 1) * ldc + T::NR + 3];
+        T::tile(kern)(a, b, &mut c, ldc, accumulate);
+        c
+    }
+
     #[test]
-    fn micro_4x8_bit_identical_across_kernels() {
-        for depth in [0usize, 1, 2, 7, 64, 256] {
-            let a = pseudo(depth * MR, 41);
-            let b = pseudo(depth * NR, 43);
-            let mut want = [[0.25f64; NR]; MR];
-            Kernel::scalar().micro_4x8(&a, &b, &mut want);
-            for k in all_kernels() {
-                let mut got = [[0.25f64; NR]; MR];
-                k.micro_4x8(&a, &b, &mut got);
-                for i in 0..MR {
-                    for j in 0..NR {
-                        assert_eq!(
-                            got[i][j].to_bits(),
-                            want[i][j].to_bits(),
-                            "{} depth {depth} ({i},{j})",
-                            k.name()
-                        );
+    fn tile_f64_bit_identical_across_kernels_and_store_direct() {
+        let (mr, nr) = (<f64 as crate::GemmElem>::MR, <f64 as crate::GemmElem>::NR);
+        for depth in [0usize, 1, 2, 7, 49, 50, 51, 256] {
+            let a = pseudo(depth * mr, 41);
+            let b = pseudo(depth * nr, 43);
+            for (ldc, accumulate) in [(nr, false), (nr, true), (nr + 5, false), (nr + 5, true)] {
+                let want = run_tile::<f64>(&Kernel::scalar(), &a, &b, ldc, 0.25, accumulate);
+                for (i, row) in want.chunks(ldc).enumerate().take(mr) {
+                    for (j, &got) in row.iter().enumerate() {
+                        if j >= nr {
+                            // The gap between tile rows is never written.
+                            assert_eq!(got, 0.25, "depth {depth} ldc {ldc} ({i},{j})");
+                            continue;
+                        }
+                        // One sequential chain per element, started at the
+                        // preloaded C value only when accumulating.
+                        let mut chain = if accumulate { 0.25 } else { 0.0 };
+                        for p in 0..depth {
+                            chain = a[p * mr + i].mul_add(b[p * nr + j], chain);
+                        }
+                        assert_eq!(got.to_bits(), chain.to_bits(), "depth {depth} ({i},{j})");
                     }
+                }
+                for k in all_kernels() {
+                    let got = run_tile::<f64>(&k, &a, &b, ldc, 0.25, accumulate);
+                    let same = got
+                        .iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits());
+                    assert!(
+                        same,
+                        "{} depth {depth} ldc {ldc} acc {accumulate}",
+                        k.name()
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn tile_i8_identical_across_kernels_including_extreme_codes() {
+        let (mr, nr) = (<i8 as crate::GemmElem>::MR, <i8 as crate::GemmElem>::NR);
+        for pairs in [0usize, 1, 2, 25, 26, 2048] {
+            // Sign-extended codes, the extremes ±127 (and −128) included.
+            let code =
+                |p: usize, salt: usize| [127i16, -127, -128, 0, 1, -1, 64, -33][(p * 5 + salt) % 8];
+            let a: Vec<i16> = (0..pairs * 2 * mr).map(|p| code(p, 3)).collect();
+            let mut b: Vec<i16> = (0..pairs * 2 * nr).map(|p| code(p, 6)).collect();
+            if pairs == 2048 {
+                // All-±127 at f = 4096: the largest sums the tier produces.
+                b.iter_mut().for_each(|v| *v = 127);
+            }
+            for (ldc, accumulate) in [(nr, false), (nr + 3, true)] {
+                let want = run_tile::<i8>(&Kernel::scalar(), &a, &b, ldc, -7, accumulate);
+                for (i, row) in want.chunks(ldc).enumerate().take(mr) {
+                    for (j, &got) in row.iter().take(nr).enumerate() {
+                        let dot: i32 = (0..2 * pairs)
+                            .map(|p| {
+                                let (pair, half) = (p / 2, p % 2);
+                                i32::from(a[(pair * mr + i) * 2 + half])
+                                    * i32::from(b[(pair * nr + j) * 2 + half])
+                            })
+                            .sum();
+                        assert_eq!(
+                            got,
+                            dot - if accumulate { 7 } else { 0 },
+                            "pairs {pairs} ({i},{j})"
+                        );
+                    }
+                }
+                for k in all_kernels() {
+                    let got = run_tile::<i8>(&k, &a, &b, ldc, -7, accumulate);
+                    assert_eq!(got, want, "{} pairs {pairs} ldc {ldc}", k.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "C tile out of bounds")]
+    fn tiles_reject_a_c_window_that_is_too_small() {
+        let (a, b) = (pseudo(8, 1), pseudo(16, 2));
+        let mut c = vec![0.0f64; 3 * 8 + 7];
+        active().tile_f64()(&a, &b, &mut c, 8, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "panel depth mismatch")]
+    fn tiles_reject_panels_of_different_depth() {
+        let (a, b) = (pseudo(8, 1), pseudo(24, 2));
+        let mut c = vec![0.0f64; 32];
+        active().tile_f64()(&a, &b, &mut c, 8, false);
     }
 
     #[test]
@@ -669,18 +965,12 @@ mod tests {
         assert!(as_f64(&ys).is_none());
         let mut zs = [3.0f64];
         assert!(as_f64_mut(&mut zs).is_some());
-        let mut acc = [[0.0f64; NR]; MR];
-        assert!(acc_as_f64_mut(&mut acc).is_some());
-        let mut acc32 = [[0.0f32; NR]; MR];
-        assert!(acc_as_f64_mut(&mut acc32).is_none());
 
         // The f32 guards mirror the f64 ones exactly.
         assert!(as_f32(&ys).is_some());
         assert!(as_f32(&xs).is_none());
         let mut ws = [3.0f32];
         assert!(as_f32_mut(&mut ws).is_some());
-        assert!(acc_as_f32_mut(&mut acc32).is_some());
-        assert!(acc_as_f32_mut(&mut acc).is_none());
     }
 
     fn pseudo32(len: usize, seed: u64) -> Vec<f32> {
@@ -722,27 +1012,15 @@ mod tests {
             let x: Vec<i8> = (0..len)
                 .map(|j| [127i8, -127, 0, 1, -1, 64, -33][(j * 5 + 3) % 7])
                 .collect();
-            let ys: Vec<Vec<i8>> = (0..4)
-                .map(|q| {
-                    (0..len)
-                        .map(|j| [-127i8, 127, 5, -5, 0, -90, 17][(j * 11 + q * 13 + 1) % 7])
-                        .collect()
-                })
+            let y: Vec<i8> = (0..len)
+                .map(|j| [-127i8, 127, 5, -5, 0, -90, 17][(j * 11 + 1) % 7])
                 .collect();
-            let refs = [&ys[0][..], &ys[1][..], &ys[2][..], &ys[3][..]];
-            let want = Kernel::scalar().dot_i8(&x, &ys[0]);
-            let want_quad = Kernel::scalar().dot_i8_quad(&x, refs);
+            let want = Kernel::scalar().dot_i8(&x, &y);
             // The scalar reference agrees with a plain widening loop.
-            let naive: i32 = x
-                .iter()
-                .zip(&ys[0])
-                .map(|(&a, &b)| a as i32 * b as i32)
-                .sum();
+            let naive: i32 = x.iter().zip(&y).map(|(&a, &b)| a as i32 * b as i32).sum();
             assert_eq!(want, naive, "len {len}");
-            assert_eq!(want_quad[0], naive, "len {len}");
             for k in all_kernels() {
-                assert_eq!(k.dot_i8(&x, &ys[0]), want, "{} len {len}", k.name());
-                assert_eq!(k.dot_i8_quad(&x, refs), want_quad, "{} len {len}", k.name());
+                assert_eq!(k.dot_i8(&x, &y), want, "{} len {len}", k.name());
             }
         }
     }
@@ -776,25 +1054,110 @@ mod tests {
     }
 
     #[test]
-    fn micro_4x8_f32_matches_scalar_within_tolerance() {
-        for depth in [0usize, 1, 2, 7, 64, 256] {
-            let a = pseudo32(depth * MR, 81);
-            let b = pseudo32(depth * NR, 83);
-            let mut want = [[0.25f32; NR]; MR];
-            Kernel::scalar().micro_4x8_f32(&a, &b, &mut want);
-            for k in all_kernels() {
-                let mut got = [[0.25f32; NR]; MR];
-                k.micro_4x8_f32(&a, &b, &mut got);
-                for i in 0..MR {
-                    for j in 0..NR {
-                        let (g, w) = (got[i][j], want[i][j]);
+    fn tile_f32_matches_scalar_within_tolerance() {
+        let (mr, nr) = (<f32 as crate::GemmElem>::MR, <f32 as crate::GemmElem>::NR);
+        for depth in [0usize, 1, 2, 7, 49, 50, 51, 256] {
+            let a = pseudo32(depth * mr, 81);
+            let b = pseudo32(depth * nr, 83);
+            for (ldc, accumulate) in [(nr, false), (nr + 1, true)] {
+                let want = run_tile::<f32>(&Kernel::scalar(), &a, &b, ldc, 0.25, accumulate);
+                for k in all_kernels() {
+                    let got = run_tile::<f32>(&k, &a, &b, ldc, 0.25, accumulate);
+                    for (at, (g, w)) in got.iter().zip(&want).enumerate() {
                         assert!(
                             (g - w).abs() <= 1e-3 * (1.0 + w.abs()),
-                            "{} depth {depth} ({i},{j}): {g} vs {w}",
+                            "{} depth {depth} ldc {ldc} at {at}: {g} vs {w}",
                             k.name()
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Walks a filter to exhaustion at a fixed threshold.
+    fn all_hits(mut next: impl FnMut(usize) -> Option<usize>) -> Vec<usize> {
+        let mut hits = Vec::new();
+        let mut from = 0;
+        while let Some(j) = next(from) {
+            hits.push(j);
+            from = j + 1;
+        }
+        hits
+    }
+
+    #[test]
+    fn filters_flag_exactly_the_scalar_rule_lanes_under_every_kernel() {
+        // Lengths around the 4-lane groups; thresholds that sit exactly on
+        // a lane's `hi` (the `>=` tie), at both infinities (k = 0 heaps
+        // and unfilled ones), and in between.
+        for len in [0usize, 1, 3, 4, 5, 8, 13, 64, 67] {
+            let scores = pseudo(len, 91);
+            let norms: Vec<f64> = pseudo(len, 93).iter().map(|v| v.abs() + 0.5).collect();
+            let l1: Vec<f64> = pseudo(len, 95)
+                .iter()
+                .map(|v| 3.0 * v.abs() + 1.0)
+                .collect();
+            let inv: Vec<f64> = pseudo(len, 97)
+                .iter()
+                .map(|v| 0.01 * (v.abs() + 0.1))
+                .collect();
+            let dots: Vec<i32> = scores.iter().map(|v| (v * 40_000.0) as i32).collect();
+            let mut s32 = pseudo32(len, 99);
+            for (j, v) in s32.iter_mut().enumerate() {
+                match j % 11 {
+                    3 => *v = f32::NAN,
+                    5 => *v = f32::INFINITY,
+                    7 => *v = f32::NEG_INFINITY,
+                    _ => {}
+                }
+            }
+            let mut s64 = scores.clone();
+            if len > 2 {
+                s64[2] = f64::NAN;
+            }
+            let f32u = F32Offer {
+                rel_u: 3.0e-7,
+                env_abs: 1.0e-30,
+            };
+            let i8u = I8Offer {
+                inv_su: 0.02,
+                env: (1.5, 0.004),
+            };
+            let hi32 = |j: usize| s32[j] as f64 + f32u.rel_u.mul_add(norms[j], f32u.env_abs);
+            let hi8 = |j: usize| {
+                dots[j] as f64 * (i8u.inv_su * inv[j]) + (i8u.env.0 * inv[j] + i8u.env.1 * l1[j])
+            };
+            let mut thresholds = vec![f64::NEG_INFINITY, f64::INFINITY, 0.0, 0.5, -1.0];
+            if len > 1 {
+                thresholds.extend([scores[1], hi32(1), hi8(1)]);
+            }
+            for &t in &thresholds {
+                let want64: Vec<usize> = (0..len)
+                    .filter(|&j| s64[j] >= t || s64[j].is_nan())
+                    .collect();
+                let want32: Vec<usize> = (0..len)
+                    .filter(|&j| !s32[j].is_finite() || hi32(j) >= t)
+                    .collect();
+                let want8: Vec<usize> = (0..len).filter(|&j| hi8(j) >= t).collect();
+                for k in all_kernels() {
+                    let got = all_hits(|from| k.next_hit_f64(&s64, from, t));
+                    assert_eq!(got, want64, "{} f64 len {len} t {t}", k.name());
+                    let got = all_hits(|from| k.next_hit_f32(&s32, &norms, f32u, from, t));
+                    assert_eq!(got, want32, "{} f32 len {len} t {t}", k.name());
+                    let got = all_hits(|from| k.next_hit_i8(&dots, &inv, &l1, i8u, from, t));
+                    assert_eq!(got, want8, "{} i8 len {len} t {t}", k.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn peak_probes_run_and_report_their_work() {
+        for k in all_kernels() {
+            for op in [PeakOp::FmaF64, PeakOp::FmaF32, PeakOp::MaddI16] {
+                assert!(k.peak(op, 100).is_finite(), "{} {op:?}", k.name());
+                assert!(k.peak_ops_per_round(op) >= 2 * PEAK_CHAINS);
             }
         }
     }

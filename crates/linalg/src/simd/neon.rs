@@ -10,7 +10,7 @@
 //! accumulators `0..4`, and the combine tree matches the scalar kernels, so
 //! the bit-identity contract of [`super`] holds here too.
 
-use crate::blocking::{MR, NR};
+use super::{check_tile, PeakOp};
 use core::arch::aarch64::*;
 
 /// Safe wrapper; soundness per the module-level contract.
@@ -223,47 +223,6 @@ unsafe fn suffix_sumsq_f32_inner(x: &[f32], out: &mut [f32]) {
 }
 
 /// Safe wrapper; soundness per the module-level contract.
-pub(super) fn micro_4x8_f32(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    debug_assert_eq!(a_panel.len() / MR, b_panel.len() / NR);
-    // SAFETY: as for `dot`.
-    unsafe { micro_4x8_f32_inner(a_panel, b_panel, acc) }
-}
-
-/// The f32 `4×8` tile as eight 4-lane accumulators (4 rows × 2 quads); each
-/// `(i, j)` lane is one sequential FMA chain over the packed depth.
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn micro_4x8_f32_inner(a_panel: &[f32], b_panel: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let depth = a_panel.len() / MR;
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-
-    let mut c: [[float32x4_t; 2]; MR] = [[vdupq_n_f32(0.0); 2]; MR];
-    for (i, row) in c.iter_mut().enumerate() {
-        row[0] = vld1q_f32(acc[i].as_ptr());
-        row[1] = vld1q_f32(acc[i].as_ptr().add(4));
-    }
-
-    for p in 0..depth {
-        let b0 = vld1q_f32(bp.add(p * NR));
-        let b1 = vld1q_f32(bp.add(p * NR + 4));
-        let arow = ap.add(p * MR);
-        for (i, row) in c.iter_mut().enumerate() {
-            let ai = vdupq_n_f32(*arow.add(i));
-            row[0] = vfmaq_f32(row[0], ai, b0);
-            row[1] = vfmaq_f32(row[1], ai, b1);
-        }
-    }
-
-    for (i, row) in c.iter().enumerate() {
-        vst1q_f32(acc[i].as_mut_ptr(), row[0]);
-        vst1q_f32(acc[i].as_mut_ptr().add(4), row[1]);
-    }
-}
-
-/// Safe wrapper; soundness per the module-level contract.
 pub(super) fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.
@@ -309,90 +268,42 @@ unsafe fn dot_i8_inner(x: &[i8], y: &[i8]) -> i32 {
 }
 
 /// Safe wrapper; soundness per the module-level contract.
-pub(super) fn dot_i8_quad(x: &[i8], ys: [&[i8]; 4]) -> [i32; 4] {
-    // SAFETY: as for `dot`.
-    unsafe { dot_i8_quad_inner(x, ys) }
-}
-
-/// Four int8 widening dots sharing the `x` loads — four independent
-/// accumulators keep the multiply chains pipelined. Exactness as for
-/// `dot_i8`.
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn dot_i8_quad_inner(x: &[i8], ys: [&[i8]; 4]) -> [i32; 4] {
-    let n = x.len();
-    let xp = x.as_ptr();
-    let yp = [
-        ys[0].as_ptr(),
-        ys[1].as_ptr(),
-        ys[2].as_ptr(),
-        ys[3].as_ptr(),
-    ];
-    let mut acc = [vdupq_n_s32(0); 4];
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let xv = vld1q_s8(xp.add(i));
-        let xlo = vget_low_s8(xv);
-        let xhi = vget_high_s8(xv);
-        for q in 0..4 {
-            let yv = vld1q_s8(yp[q].add(i));
-            acc[q] = vpadalq_s16(acc[q], vmull_s8(xlo, vget_low_s8(yv)));
-            acc[q] = vpadalq_s16(acc[q], vmull_s8(xhi, vget_high_s8(yv)));
-        }
-        i += 16;
-    }
-    // 8-element sub-chunk (64-bit loads) keeps the scalar tail under 8.
-    if i + 8 <= n {
-        let xv = vld1_s8(xp.add(i));
-        for (q, &p) in yp.iter().enumerate() {
-            acc[q] = vpadalq_s16(acc[q], vmull_s8(xv, vld1_s8(p.add(i))));
-        }
-        i += 8;
-    }
-    let mut out = [0i32; 4];
-    for (q, &p) in yp.iter().enumerate() {
-        out[q] = vaddvq_s32(acc[q]);
-        for j in i..n {
-            out[q] += *xp.add(j) as i32 * *p.add(j) as i32;
-        }
-    }
-    out
-}
-
-/// Safe wrapper; soundness per the module-level contract.
-pub(super) fn micro_4x8(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    debug_assert_eq!(a_panel.len() / MR, b_panel.len() / NR);
-    // SAFETY: as for `dot`.
-    unsafe { micro_4x8_inner(a_panel, b_panel, acc) }
+pub(super) fn tile_f64(a_panel: &[f64], b_panel: &[f64], c: &mut [f64], ldc: usize, acc: bool) {
+    check_tile(a_panel, b_panel, c, ldc, 4, 8, 1);
+    // SAFETY: NEON is baseline on aarch64; `check_tile` established the
+    // bounds the body reads and writes within.
+    unsafe { tile_f64_inner(a_panel, b_panel, c.as_mut_ptr(), ldc, acc) }
 }
 
 /// The `4×8` tile as 16 two-lane accumulators; each `(i, j)` lane is one
-/// sequential FMA chain over the packed depth, matching the scalar kernel.
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
+/// sequential FMA chain over the packed depth — started at zero, or at the
+/// C element when accumulating — matching the scalar tile. Stored straight
+/// to C.
+// SAFETY contract: NEON is baseline on aarch64; the caller must guarantee
+// `a.len() / 4 == b.len() / 8` and that `c` is valid for reads and writes
+// of 8 elements at each of the offsets `0, ldc, 2·ldc, 3·ldc`.
 #[target_feature(enable = "neon")]
-unsafe fn micro_4x8_inner(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    let depth = a_panel.len() / MR;
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
+unsafe fn tile_f64_inner(a: &[f64], b: &[f64], c: *mut f64, ldc: usize, accumulate: bool) {
+    let depth = a.len() / 4;
+    let ap = a.as_ptr();
+    let bp = b.as_ptr();
 
-    let mut c: [[float64x2_t; 4]; MR] = [[vdupq_n_f64(0.0); 4]; MR];
-    for (i, row) in c.iter_mut().enumerate() {
-        for (q, v) in row.iter_mut().enumerate() {
-            *v = vld1q_f64(acc[i].as_ptr().add(2 * q));
+    let mut acc: [[float64x2_t; 4]; 4] = [[vdupq_n_f64(0.0); 4]; 4];
+    if accumulate {
+        for (i, row) in acc.iter_mut().enumerate() {
+            for (q, v) in row.iter_mut().enumerate() {
+                *v = vld1q_f64(c.add(i * ldc + 2 * q));
+            }
         }
     }
 
     for p in 0..depth {
-        let b0 = vld1q_f64(bp.add(p * NR));
-        let b1 = vld1q_f64(bp.add(p * NR + 2));
-        let b2 = vld1q_f64(bp.add(p * NR + 4));
-        let b3 = vld1q_f64(bp.add(p * NR + 6));
-        let arow = ap.add(p * MR);
-        for (i, row) in c.iter_mut().enumerate() {
+        let b0 = vld1q_f64(bp.add(p * 8));
+        let b1 = vld1q_f64(bp.add(p * 8 + 2));
+        let b2 = vld1q_f64(bp.add(p * 8 + 4));
+        let b3 = vld1q_f64(bp.add(p * 8 + 6));
+        let arow = ap.add(p * 4);
+        for (i, row) in acc.iter_mut().enumerate() {
             let ai = vdupq_n_f64(*arow.add(i));
             row[0] = vfmaq_f64(row[0], ai, b0);
             row[1] = vfmaq_f64(row[1], ai, b1);
@@ -401,9 +312,105 @@ unsafe fn micro_4x8_inner(a_panel: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]
         }
     }
 
-    for (i, row) in c.iter().enumerate() {
+    for (i, row) in acc.iter().enumerate() {
         for (q, v) in row.iter().enumerate() {
-            vst1q_f64(acc[i].as_mut_ptr().add(2 * q), *v);
+            vst1q_f64(c.add(i * ldc + 2 * q), *v);
         }
     }
+}
+
+/// Safe wrapper; soundness per the module-level contract.
+pub(super) fn tile_f32(a_panel: &[f32], b_panel: &[f32], c: &mut [f32], ldc: usize, acc: bool) {
+    check_tile(a_panel, b_panel, c, ldc, 4, 16, 1);
+    // SAFETY: as for `tile_f64`.
+    unsafe { tile_f32_inner(a_panel, b_panel, c.as_mut_ptr(), ldc, acc) }
+}
+
+/// The f32 `4×16` tile as sixteen 4-lane accumulators (4 rows × 4 quads).
+// SAFETY contract: NEON is baseline on aarch64; the caller must guarantee
+// `a.len() / 4 == b.len() / 16` and that `c` is valid for reads and
+// writes of 16 elements at each of the offsets `0, ldc, 2·ldc, 3·ldc`.
+#[target_feature(enable = "neon")]
+unsafe fn tile_f32_inner(a: &[f32], b: &[f32], c: *mut f32, ldc: usize, accumulate: bool) {
+    let depth = a.len() / 4;
+    let ap = a.as_ptr();
+    let bp = b.as_ptr();
+
+    let mut acc: [[float32x4_t; 4]; 4] = [[vdupq_n_f32(0.0); 4]; 4];
+    if accumulate {
+        for (i, row) in acc.iter_mut().enumerate() {
+            for (q, v) in row.iter_mut().enumerate() {
+                *v = vld1q_f32(c.add(i * ldc + 4 * q));
+            }
+        }
+    }
+
+    for p in 0..depth {
+        let b0 = vld1q_f32(bp.add(p * 16));
+        let b1 = vld1q_f32(bp.add(p * 16 + 4));
+        let b2 = vld1q_f32(bp.add(p * 16 + 8));
+        let b3 = vld1q_f32(bp.add(p * 16 + 12));
+        let arow = ap.add(p * 4);
+        for (i, row) in acc.iter_mut().enumerate() {
+            let ai = vdupq_n_f32(*arow.add(i));
+            row[0] = vfmaq_f32(row[0], ai, b0);
+            row[1] = vfmaq_f32(row[1], ai, b1);
+            row[2] = vfmaq_f32(row[2], ai, b2);
+            row[3] = vfmaq_f32(row[3], ai, b3);
+        }
+    }
+
+    for (i, row) in acc.iter().enumerate() {
+        for (q, v) in row.iter().enumerate() {
+            vst1q_f32(c.add(i * ldc + 4 * q), *v);
+        }
+    }
+}
+
+/// Safe wrapper; soundness per the module-level contract. The integer probe
+/// is the portable one, like the int8 tile it stands beside.
+pub(super) fn peak(op: PeakOp, rounds: u64) -> f64 {
+    match op {
+        // SAFETY: NEON is baseline on aarch64; the probes touch no memory.
+        PeakOp::FmaF64 => unsafe { peak_f64(rounds) },
+        // SAFETY: as above.
+        PeakOp::FmaF32 => unsafe { peak_f32(rounds) },
+        PeakOp::MaddI16 => super::filter::peak(op, rounds),
+    }
+}
+
+// SAFETY contract: NEON is baseline on aarch64; no memory is touched.
+#[target_feature(enable = "neon")]
+unsafe fn peak_f64(rounds: u64) -> f64 {
+    let a = vdupq_n_f64(std::hint::black_box(0.999_999));
+    let b = vdupq_n_f64(std::hint::black_box(1e-6));
+    let mut acc = [vdupq_n_f64(1.0); super::PEAK_CHAINS as usize];
+    for _ in 0..rounds {
+        for v in &mut acc {
+            *v = vfmaq_f64(b, *v, a);
+        }
+    }
+    let mut sum = vdupq_n_f64(0.0);
+    for v in acc {
+        sum = vaddq_f64(sum, v);
+    }
+    vaddvq_f64(sum)
+}
+
+// SAFETY contract: NEON is baseline on aarch64; no memory is touched.
+#[target_feature(enable = "neon")]
+unsafe fn peak_f32(rounds: u64) -> f64 {
+    let a = vdupq_n_f32(std::hint::black_box(0.999));
+    let b = vdupq_n_f32(std::hint::black_box(1e-3));
+    let mut acc = [vdupq_n_f32(1.0); super::PEAK_CHAINS as usize];
+    for _ in 0..rounds {
+        for v in &mut acc {
+            *v = vfmaq_f32(b, *v, a);
+        }
+    }
+    let mut sum = vdupq_n_f32(0.0);
+    for v in acc {
+        sum = vaddq_f32(sum, v);
+    }
+    vaddvq_f32(sum) as f64
 }

@@ -5,10 +5,14 @@
 //! for data that is consumed once and discarded. The paper's §II-B argument
 //! (hardware efficiency comes from keeping the working set cache-resident)
 //! applies to our own serving loop as much as to the multiply itself, so
-//! this module fuses the two stages: the panel-streaming GEMM driver
-//! ([`mips_linalg::gemm_nt_stream_panels`]) hands each finished `m × NC`
-//! panel of scores straight to the per-row [`TopKHeap`]s while the panel is
-//! still resident in cache, and only one panel of scores ever exists.
+//! this module fuses the two stages: the block-streaming GEMM driver
+//! ([`mips_linalg::gemm_nt_stream_blocks`]) hands each finished `MC × NC`
+//! block of scores straight to the per-row [`TopKHeap`]s while the block is
+//! still resident in cache, and only one block of scores ever exists.
+//!
+//! Selection is a vector compare: the kernel set's threshold filter
+//! ([`Kernel::next_hit_f64`]) skips four scores per instruction and the
+//! scalar admission rule runs only on the lanes it flags.
 //!
 //! Exactness is unaffected: the heap's `(score, id)` ordering is total, so
 //! the retained top-k set is independent of the order in which columns are
@@ -19,7 +23,7 @@
 use crate::heap::TopKHeap;
 use crate::list::TopKList;
 use mips_linalg::simd::{self, Kernel};
-use mips_linalg::{BlockSizes, CacheConfig, GemmScratch, RowBlock};
+use mips_linalg::{BlockSizes, GemmB, GemmElem, GemmScratch, RowBlock};
 
 /// How panel columns map to item ids.
 ///
@@ -48,7 +52,7 @@ pub fn gemm_nt_topk(
     k: usize,
     scratch: &mut GemmScratch<f64>,
 ) -> Vec<TopKList> {
-    gemm_nt_topk_with(simd::active(), &default_blocks(), a, b, k, scratch)
+    gemm_nt_topk_with(simd::active(), &f64::BLOCKS, a, b, k, scratch)
 }
 
 /// [`gemm_nt_topk`] with explicit kernel set and blocking parameters (the
@@ -62,6 +66,7 @@ pub fn gemm_nt_topk_with(
     scratch: &mut GemmScratch<f64>,
 ) -> Vec<TopKList> {
     let mut heaps: Vec<TopKHeap> = (0..a.rows()).map(|_| TopKHeap::new(k)).collect();
+    let b = b.into();
     stream_topk_into_heaps_with(
         kern,
         blocks,
@@ -74,8 +79,9 @@ pub fn gemm_nt_topk_with(
     heaps.into_iter().map(TopKHeap::into_sorted).collect()
 }
 
-/// Streams `A·Bᵀ` score panels into caller-owned heaps (one per row of `a`),
-/// mapping panel columns to item ids via `ids`.
+/// Streams `A·Bᵀ` score blocks into caller-owned heaps (one per row of `a`),
+/// mapping columns to item ids via `ids`. `b` is rows or panels packed once
+/// ([`mips_linalg::PackedPanels`]) — same scores either way.
 ///
 /// The heaps may already hold entries; this is how MAXIMUS fuses its shared
 /// list-prefix multiply with per-user selection and then keeps walking the
@@ -86,12 +92,12 @@ pub fn gemm_nt_topk_with(
 /// `b.rows()`, or if the operand widths differ.
 pub fn stream_topk_into_heaps(
     a: RowBlock<'_, f64>,
-    b: RowBlock<'_, f64>,
+    b: GemmB<'_, f64>,
     heaps: &mut [TopKHeap],
     ids: ColumnIds<'_>,
     scratch: &mut GemmScratch<f64>,
 ) {
-    stream_topk_into_heaps_with(simd::active(), &default_blocks(), a, b, heaps, ids, scratch)
+    stream_topk_into_heaps_with(simd::active(), &f64::BLOCKS, a, b, heaps, ids, scratch)
 }
 
 /// [`stream_topk_into_heaps`] with explicit kernel set and blocking
@@ -100,48 +106,41 @@ pub fn stream_topk_into_heaps_with(
     kern: &Kernel,
     blocks: &BlockSizes,
     a: RowBlock<'_, f64>,
-    b: RowBlock<'_, f64>,
+    b: GemmB<'_, f64>,
     heaps: &mut [TopKHeap],
     ids: ColumnIds<'_>,
     scratch: &mut GemmScratch<f64>,
 ) {
-    let m = a.rows();
-    assert_eq!(heaps.len(), m, "stream_topk: one heap per query row");
+    assert_eq!(heaps.len(), a.rows(), "stream_topk: one heap per query row");
     if let ColumnIds::Mapped(map) = ids {
         assert!(
             map.len() >= b.rows(),
             "stream_topk: id map shorter than item count"
         );
     }
-    // Cached admission thresholds: most scores lose a single comparison
-    // without touching the heap, same as `row_topk`'s scan. Scores *equal*
-    // to the threshold must still be offered: with `Mapped` ids the column
-    // order is not id order, so a tying candidate may beat the root on the
-    // smaller-id rule.
-    let mut thresholds: Vec<f64> = heaps.iter().map(TopKHeap::threshold).collect();
-    mips_linalg::gemm_nt_stream_panels_with(kern, a, b, blocks, scratch, |panel, cols| {
-        let ncb = cols.len();
-        for (i, heap) in heaps.iter_mut().enumerate() {
-            let row = &panel[i * ncb..(i + 1) * ncb];
-            let mut threshold = thresholds[i];
-            for (j, &s) in row.iter().enumerate() {
-                if s >= threshold || !heap.is_full() {
+    mips_linalg::gemm_nt_stream_blocks_with(kern, a, b, blocks, scratch, |block, rows, cols| {
+        for (scores, heap) in block.chunks_exact(cols.len()).zip(&mut heaps[rows]) {
+            // The cached admission threshold: the filter drops most scores
+            // four per compare without touching the heap. Scores *equal*
+            // to the threshold must still be offered: with `Mapped` ids the
+            // column order is not id order, so a tying candidate may beat
+            // the root on the smaller-id rule.
+            let mut threshold = heap.threshold();
+            let mut from = 0;
+            while let Some(j) = kern.next_hit_f64(scores, from, threshold) {
+                if scores[j] >= threshold || !heap.is_full() {
                     let col = cols.start + j;
                     let id = match ids {
                         ColumnIds::Offset(off) => off + col as u32,
                         ColumnIds::Mapped(map) => map[col],
                     };
-                    heap.push(s, id);
+                    heap.push(scores[j], id);
                     threshold = heap.threshold();
                 }
+                from = j + 1;
             }
-            thresholds[i] = threshold;
         }
     });
-}
-
-fn default_blocks() -> BlockSizes {
-    BlockSizes::for_scalar::<f64>(&CacheConfig::default())
 }
 
 #[cfg(test)]

@@ -47,6 +47,14 @@ impl TopKHeap {
         }
     }
 
+    /// Empties the heap and sets its capacity to `k`, keeping the
+    /// allocation — how per-batch scratch heaps are recycled.
+    pub fn reset(&mut self, k: usize) {
+        self.k = k;
+        self.entries.clear();
+        self.entries.reserve(k);
+    }
+
     /// Capacity `k`.
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -182,6 +190,20 @@ mod tests {
         let list = h.into_sorted();
         assert_eq!(list.items, vec![3, 1, 4]);
         assert_eq!(list.scores, vec![9.0, 5.0, 3.0]);
+    }
+
+    #[test]
+    fn reset_recycles_the_heap_at_a_new_capacity() {
+        let mut h = TopKHeap::new(2);
+        h.push(1.0, 0);
+        h.push(2.0, 1);
+        h.reset(3);
+        assert!(h.is_empty());
+        assert_eq!(h.capacity(), 3);
+        assert_eq!(h.threshold(), f64::NEG_INFINITY);
+        h.reset(0);
+        assert_eq!(h.threshold(), f64::INFINITY);
+        assert!(!h.push(1.0, 0));
     }
 
     #[test]

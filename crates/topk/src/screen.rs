@@ -17,21 +17,27 @@
 //!    the GEMM per-element reduction ([`mips_linalg::simd::Kernel::dot_seq4`])
 //!    and offer it to the caller's heap.
 //!
-//! The two tiers differ only in the screen pass:
+//! Both tiers run the same frame — the packed GEMM driver
+//! ([`mips_linalg::gemm_nt_stream_blocks`]) streams one `MC × NC` block of
+//! screen scores at a time, off catalog panels packed once per model when
+//! the caller has them, and each row of the block goes through the tier's
+//! threshold filter and, for the lanes it flags, the offer rule. A tier is
+//! a pack format, a register tile and an **offer expression**:
 //!
-//! * **f32** streams `A₃₂·B₃₂ᵀ` panels through the packed GEMM;
-//!   `env = f32_screen_envelope(f, ‖u‖, ‖i‖)` bounds the rounding error of
-//!   the single-precision path ([`mips_linalg::f32_screen_envelope`]).
-//! * **int8** computes the integer dot `D = q(u)·q(i)` of symmetric int8
-//!   codes ([`mips_linalg::quant::quantize_row_i8`]) with the pipelined
-//!   [`mips_linalg::simd::Kernel::dot_i8_quad`] kernel and reconstructs
-//!   `ŝ = D·(1/s_u)·(1/s_i)`; `env = a_u·(1/s_i) + b_u·‖i‖₁` is the per-pair
-//!   quantization envelope of [`mips_linalg::i8_screen_envelope_parts`].
-//!   The integer dot is exact in `i32` under every accumulation order
-//!   (guarded by [`mips_linalg::I8_DOT_MAX_LEN`]), so every kernel set
-//!   screens with bit-identical scores and collects the identical candidate
-//!   set — the envelope covers quantization only, not kernel-dependent
-//!   rounding.
+//! * **f32** multiplies `A₃₂·B₃₂ᵀ`; `env = f32_screen_envelope(f, ‖u‖, ‖i‖)`
+//!   bounds the rounding error of the single-precision path
+//!   ([`mips_linalg::f32_screen_envelope`]). A score that overflowed to a
+//!   non-finite value carries no bound; the filter flags it and the column
+//!   is kept unconditionally.
+//! * **int8** multiplies the symmetric int8 codes
+//!   ([`mips_linalg::quant::quantize_row_i8`]) into exact `i32` dots `D`
+//!   and reconstructs `ŝ = D·(1/s_u)·(1/s_i)`; `env = a_u·(1/s_i) + b_u·‖i‖₁`
+//!   is the per-pair quantization envelope of
+//!   [`mips_linalg::i8_screen_envelope_parts`]. The integer dot is exact
+//!   under every accumulation order (guarded by
+//!   [`mips_linalg::I8_DOT_MAX_LEN`]), so every kernel set screens with
+//!   bit-identical scores and collects the identical candidate set — the
+//!   envelope covers quantization only, not kernel-dependent rounding.
 //!
 //! Everything around the pass — shape checks, bound-heap seeding, the offer
 //! rule, the survivor filter, the rescore — exists once and is shared.
@@ -72,10 +78,10 @@
 use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use mips_linalg::kernels::dot;
-use mips_linalg::simd::{self, Kernel};
+use mips_linalg::simd::{self, F32Offer, I8Offer, Kernel};
 use mips_linalg::{
-    dot_i8, f32_screen_envelope_parts, gemm_nt_stream_panels_with, i8_screen_envelope_parts,
-    quantize_row_i8, BlockSizes, CacheConfig, GemmScratch, Matrix, RowBlock, I8_DOT_MAX_LEN,
+    dot_i8, gemm_nt_stream_blocks_with, quantize_row_i8, BlockSizes, GemmB, GemmElem, GemmScratch,
+    Matrix, PackedPanels, RowBlock, I8_DOT_MAX_LEN,
 };
 use std::ops::Range;
 
@@ -175,13 +181,17 @@ impl<'a> ScreenUsers<'a> {
 
 /// The borrowed item side of a block screen, row-aligned with the f64 item
 /// block; the variant selects the tier. Borrowed straight from
-/// `mips_data::Mirror32` / `mips_data::MirrorI8`.
+/// `mips_data::Mirror32` / `mips_data::MirrorI8`. `panels`, when present,
+/// are the same rows packed once for the GEMM driver (the mirrors cache
+/// them per model); the block screen then packs nothing on the item side.
 #[derive(Debug, Clone, Copy)]
 pub enum ScreenItems<'a> {
     /// The f32 tier.
     F32 {
         /// The rounded item rows.
         rows: RowBlock<'a, f32>,
+        /// `rows`, prepacked.
+        panels: Option<&'a PackedPanels<f32>>,
         /// **Exact** (f64) Euclidean norm of each original row — the
         /// envelope is only valid against the true vectors.
         norms: &'a [f64],
@@ -191,6 +201,8 @@ pub enum ScreenItems<'a> {
     I8 {
         /// Row-major int8 codes, `rows × f`.
         codes: &'a [i8],
+        /// `codes`, prepacked.
+        panels: Option<&'a PackedPanels<i8>>,
         /// Per-row inverse quantization scale `1/s_i` — every screened
         /// score and envelope multiplies by it; the forward scale is never
         /// needed at scan time.
@@ -201,11 +213,12 @@ pub enum ScreenItems<'a> {
 }
 
 /// Reusable buffers for [`screen_topk_into_heaps_with`]: the per-user bound
-/// heaps and candidate lists, plus the f32 pass's GEMM scratch. Own one per
+/// heaps and candidate lists, plus each pass's GEMM scratch. Own one per
 /// query loop / worker thread, like [`GemmScratch`].
 #[derive(Debug, Default)]
 pub struct ScreenScratch {
     gemm32: GemmScratch<f32>,
+    gemm_i8: GemmScratch<i8>,
     bound_heaps: Vec<TopKHeap>,
     candidates: Vec<Vec<(u32, f64)>>,
 }
@@ -234,9 +247,10 @@ fn column_id(ids: ColumnIds<'_>, col: usize) -> u32 {
 }
 
 /// One user's side of the shared frame while a pass streams scores at it:
-/// the bound heap, the candidate list, and the heap threshold cached in a
-/// register between pushes. A pass calls [`RowOffers::offer`] per finite
-/// score and [`RowOffers::keep`] per column it has no score for.
+/// the bound heap, the candidate list, and the heap threshold cached
+/// between pushes. For every lane its tier's filter flags at that
+/// threshold, a pass calls [`RowOffers::offer`] (finite score) or
+/// [`RowOffers::keep`] (no score).
 struct RowOffers<'a> {
     ids: ColumnIds<'a>,
     bounds: &'a mut TopKHeap,
@@ -262,28 +276,19 @@ impl<'a> RowOffers<'a> {
     /// The offer rule for a **finite** screen score: collect `col` when its
     /// upper bound `score + env` reaches the threshold, and raise the
     /// threshold with its lower bound.
-    #[inline(always)]
     fn offer(&mut self, col: usize, score: f64, env: f64) {
         let hi = score + env;
         if hi >= self.threshold {
-            self.admit(col, hi, score - env);
+            self.candidates.push((col as u32, hi));
+            self.bounds.push(score - env, column_id(self.ids, col));
+            self.threshold = self.bounds.threshold();
         }
-    }
-
-    /// The rare half of [`RowOffers::offer`], out of line so the per-score
-    /// path stays an add, a compare and a branch.
-    #[inline(never)]
-    fn admit(&mut self, col: usize, hi: f64, lo: f64) {
-        self.candidates.push((col as u32, hi));
-        self.bounds.push(lo, column_id(self.ids, col));
-        self.threshold = self.bounds.threshold();
     }
 
     /// The offer rule for a column whose screen score is not finite (an
     /// f32 product overflowed): no score, no bound — keep the column
     /// unconditionally (k = 0 heaps have threshold +∞ and correctly collect
     /// nothing).
-    #[cold]
     fn keep(&mut self, col: usize) {
         if self.threshold < f64::INFINITY {
             self.candidates.push((col as u32, f64::INFINITY));
@@ -313,7 +318,7 @@ pub fn screen_topk_into_heaps(
 ) -> ScreenStats {
     screen_topk_into_heaps_with(
         simd::active(),
-        &BlockSizes::for_scalar::<f32>(&CacheConfig::default()),
+        None,
         a64,
         b64,
         users,
@@ -324,12 +329,12 @@ pub fn screen_topk_into_heaps(
     )
 }
 
-/// [`screen_topk_into_heaps`] with explicit kernel set and (f32) blocking
-/// parameters — the forced-scalar test entry.
+/// [`screen_topk_into_heaps`] with explicit kernel set and blocking
+/// parameters (`None`: the tier's default) — the forced-scalar test entry.
 #[allow(clippy::too_many_arguments)]
 pub fn screen_topk_into_heaps_with(
     kern: &Kernel,
-    blocks32: &BlockSizes,
+    blocks: Option<&BlockSizes>,
     a64: RowBlock<'_, f64>,
     b64: RowBlock<'_, f64>,
     users: ScreenUsers<'_>,
@@ -353,7 +358,7 @@ pub fn screen_topk_into_heaps_with(
         }
     }
     match items {
-        ScreenItems::F32 { rows, norms } => {
+        ScreenItems::F32 { rows, norms, .. } => {
             assert_eq!(rows.rows(), n, "screen_topk: mirror item count mismatch");
             assert_eq!(rows.cols(), f, "screen_topk: mirror width mismatch");
             assert_eq!(norms.len(), n, "screen_topk: one norm per item row");
@@ -362,6 +367,7 @@ pub fn screen_topk_into_heaps_with(
             codes,
             inv_scales,
             l1,
+            ..
         } => {
             assert_eq!(codes.len(), n * f, "screen_topk: item code shape");
             assert_eq!(
@@ -383,21 +389,22 @@ pub fn screen_topk_into_heaps_with(
     // (exact) entries — see the module docs.
     let ScreenScratch {
         gemm32,
+        gemm_i8,
         bound_heaps,
         candidates,
     } = scratch;
     bound_heaps.resize_with(m, || TopKHeap::new(0));
     candidates.resize_with(m, Vec::new);
-    for (i, heap) in heaps.iter().enumerate() {
-        let bh = &mut bound_heaps[i];
-        *bh = TopKHeap::new(heap.capacity());
+    for ((heap, bounds), list) in heaps.iter().zip(&mut *bound_heaps).zip(&mut *candidates) {
+        bounds.reset(heap.capacity());
         for e in heap.entries() {
-            bh.push(e.score, e.id);
+            bounds.push(e.score, e.id);
         }
-        candidates[i].clear();
+        list.clear();
     }
 
-    // Screen pass: the tier's scan, feeding the shared offer rule.
+    // Screen pass: the tier's multiply, block by block; each row of a block
+    // goes through the tier's filter, flagged lanes through the offer rule.
     match (users, items) {
         (
             ScreenUsers::F32 {
@@ -406,26 +413,27 @@ pub fn screen_topk_into_heaps_with(
             },
             ScreenItems::F32 {
                 rows: b32,
+                panels,
                 norms: b_norms,
             },
         ) => {
-            let (env_rel, env_abs) = f32_screen_envelope_parts(f);
-            gemm_nt_stream_panels_with(kern, a32, b32, blocks32, gemm32, |panel, cols| {
-                let ncb = cols.len();
-                for (i, &a_norm) in a_norms.iter().enumerate() {
-                    let rel_u = env_rel * a_norm;
+            let b = panels.map_or(GemmB::Rows(b32), GemmB::Packed);
+            let blocks = blocks.unwrap_or(&f32::BLOCKS);
+            gemm_nt_stream_blocks_with(kern, a32, b, blocks, gemm32, |block, rows, cols| {
+                let norms = &b_norms[cols.clone()];
+                for (scores, i) in block.chunks_exact(cols.len()).zip(rows) {
                     let mut row = RowOffers::new(ids, &mut bound_heaps[i], &mut candidates[i]);
-                    let scores = &panel[i * ncb..(i + 1) * ncb];
-                    // One branch-free sweep per row keeps the overflow test
-                    // out of the per-score path.
-                    let overflowed = scores.iter().fold(false, |any, s| any | !s.is_finite());
-                    for (j, &s32) in scores.iter().enumerate() {
-                        let col = cols.start + j;
-                        if overflowed && !s32.is_finite() {
-                            row.keep(col);
+                    let user = F32Offer::for_user(f, a_norms[i]);
+                    let mut from = 0;
+                    while let Some(j) = kern.next_hit_f32(scores, norms, user, from, row.threshold)
+                    {
+                        let (col, s32) = (cols.start + j, scores[j]);
+                        if s32.is_finite() {
+                            row.offer(col, s32 as f64, user.envelope(norms[j]));
                         } else {
-                            row.offer(col, s32 as f64, rel_u.mul_add(b_norms[col], env_abs));
+                            row.keep(col);
                         }
+                        from = j + 1;
                     }
                 }
             });
@@ -438,44 +446,29 @@ pub fn screen_topk_into_heaps_with(
             },
             ScreenItems::I8 {
                 codes: b_codes,
+                panels,
                 inv_scales,
                 l1: b_l1,
             },
         ) => {
-            let item = |r: usize| &b_codes[r * f..(r + 1) * f];
-            for i in 0..m {
-                let urow = &a_codes[i * f..(i + 1) * f];
-                let inv_su = 1.0 / scales[i];
-                let (env_a, env_b) = i8_screen_envelope_parts(f, scales[i], a_l1[i]);
-                let mut row = RowOffers::new(ids, &mut bound_heaps[i], &mut candidates[i]);
-                // The reconstruction order `D·(1/s_u)·(1/s_i)` matches the
-                // one the envelope's slack was derived (and is tested)
-                // against in `mips_linalg::quant`; the integer estimate is
-                // always finite by construction.
-                let mut offer = |col: usize, d: i32| {
-                    let inv_si = inv_scales[col];
-                    row.offer(
-                        col,
-                        d as f64 * (inv_su * inv_si),
-                        env_a * inv_si + env_b * b_l1[col],
-                    );
-                };
-                let mut col = 0usize;
-                while col + 4 <= n {
-                    let quad = kern.dot_i8_quad(
-                        urow,
-                        [item(col), item(col + 1), item(col + 2), item(col + 3)],
-                    );
-                    for (q, &d) in quad.iter().enumerate() {
-                        offer(col + q, d);
+            let a = RowBlock::new(a_codes, m, f);
+            let b = panels.map_or(GemmB::Rows(RowBlock::new(b_codes, n, f)), GemmB::Packed);
+            let blocks = blocks.unwrap_or(&i8::BLOCKS);
+            gemm_nt_stream_blocks_with(kern, a, b, blocks, gemm_i8, |block, rows, cols| {
+                let (inv_si, l1) = (&inv_scales[cols.clone()], &b_l1[cols.clone()]);
+                for (dots, i) in block.chunks_exact(cols.len()).zip(rows) {
+                    let mut row = RowOffers::new(ids, &mut bound_heaps[i], &mut candidates[i]);
+                    let user = I8Offer::for_user(f, scales[i], a_l1[i]);
+                    let mut from = 0;
+                    while let Some(j) =
+                        kern.next_hit_i8(dots, inv_si, l1, user, from, row.threshold)
+                    {
+                        let score = user.score(dots[j], inv_si[j]);
+                        row.offer(cols.start + j, score, user.envelope(inv_si[j], l1[j]));
+                        from = j + 1;
                     }
-                    col += 4;
                 }
-                while col < n {
-                    offer(col, kern.dot_i8(urow, item(col)));
-                    col += 1;
-                }
-            }
+            });
         }
         _ => panic!("screen_topk: user and item sides are of different tiers"),
     }
@@ -599,6 +592,7 @@ impl ItemMirror {
                 codes,
                 inv_scales,
                 l1,
+                ..
             } => {
                 let f = codes.len().checked_div(inv_scales.len()).unwrap_or(0);
                 let mut gathered = Vec::with_capacity(ids.len() * f);
@@ -633,20 +627,8 @@ pub struct UserScreen {
 
 #[derive(Debug, Clone)]
 enum UserSide {
-    F32 {
-        row: Vec<f32>,
-        /// `rel · ‖u‖`: the per-item envelope is `env_rel_u · ‖i‖ + env_abs`.
-        env_rel_u: f64,
-        env_abs: f64,
-    },
-    I8 {
-        codes: Vec<i8>,
-        /// `1 / s_u`.
-        inv_su: f64,
-        /// The per-item envelope is `env_a · (1/s_i) + env_b · ‖i‖₁`.
-        env_a: f64,
-        env_b: f64,
-    },
+    F32 { row: Vec<f32>, offer: F32Offer },
+    I8 { codes: Vec<i8>, offer: I8Offer },
 }
 
 impl UserScreen {
@@ -656,27 +638,18 @@ impl UserScreen {
     /// walks unscreened: still exact, just unaccelerated.
     pub fn arm(user: &[f64], norm: f64, tier: ScreenTier) -> Option<UserScreen> {
         let side = match tier {
-            ScreenTier::F32 => {
-                let (rel, abs) = f32_screen_envelope_parts(user.len());
-                UserSide::F32 {
-                    row: user.iter().map(|&v| v as f32).collect(),
-                    env_rel_u: rel * norm,
-                    env_abs: abs,
-                }
-            }
+            ScreenTier::F32 => UserSide::F32 {
+                row: user.iter().map(|&v| v as f32).collect(),
+                offer: F32Offer::for_user(user.len(), norm),
+            },
             ScreenTier::I8 => {
                 let mut codes = vec![0i8; user.len()];
                 let (su, ul1) = quantize_row_i8(user, &mut codes);
                 if !(su.is_finite() && ul1.is_finite()) {
                     return None;
                 }
-                let (env_a, env_b) = i8_screen_envelope_parts(user.len(), su, ul1);
-                UserSide::I8 {
-                    codes,
-                    inv_su: 1.0 / su,
-                    env_a,
-                    env_b,
-                }
+                let offer = I8Offer::for_user(user.len(), su, ul1);
+                UserSide::I8 { codes, offer }
             }
         };
         Some(UserScreen { side })
@@ -694,17 +667,10 @@ impl UserScreen {
     #[inline]
     pub fn upper_bound(&self, items: &ItemMirror, row: usize, item_norm: f64) -> f64 {
         match (&self.side, &items.rows) {
-            (
-                UserSide::F32 {
-                    row: user32,
-                    env_rel_u,
-                    env_abs,
-                },
-                MirrorRows::F32(items32),
-            ) => {
+            (UserSide::F32 { row: user32, offer }, MirrorRows::F32(items32)) => {
                 let s32 = dot(user32.as_slice(), items32.row(row)) as f64;
                 if s32.is_finite() {
-                    s32 + env_rel_u.mul_add(item_norm, *env_abs)
+                    s32 + offer.envelope(item_norm)
                 } else {
                     f64::INFINITY
                 }
@@ -712,9 +678,7 @@ impl UserScreen {
             (
                 UserSide::I8 {
                     codes: ucodes,
-                    inv_su,
-                    env_a,
-                    env_b,
+                    offer,
                 },
                 MirrorRows::I8 {
                     codes,
@@ -722,11 +686,9 @@ impl UserScreen {
                     l1,
                 },
             ) => {
-                // The integer estimate is always finite by construction.
                 let f = ucodes.len();
                 let d = dot_i8(ucodes, &codes[row * f..(row + 1) * f]);
-                let inv_si = inv_scales[row];
-                d as f64 * (inv_su * inv_si) + (env_a * inv_si + env_b * l1[row])
+                offer.score(d, inv_scales[row]) + offer.envelope(inv_scales[row], l1[row])
             }
             _ => f64::INFINITY,
         }
@@ -737,6 +699,7 @@ impl UserScreen {
 mod tests {
     use super::*;
     use crate::fused::{gemm_nt_topk, stream_topk_into_heaps};
+    use crate::list::TopKList;
     use mips_linalg::kernels::norm2;
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
@@ -796,6 +759,7 @@ mod tests {
             match &self.mirror.rows {
                 MirrorRows::F32(rows) => ScreenItems::F32 {
                     rows: rows.into(),
+                    panels: None,
                     norms: &self.norms,
                 },
                 MirrorRows::I8 {
@@ -804,6 +768,7 @@ mod tests {
                     l1,
                 } => ScreenItems::I8 {
                     codes,
+                    panels: None,
                     inv_scales,
                     l1,
                 },
@@ -875,8 +840,9 @@ mod tests {
                 (3, 17, 7, 4),
                 (9, 50, 12, 5),
                 (33, 70, 31, 10),
-                (5, 301, 6, 3),       // exercises the i8 quad loop's tail
-                (5, 2048 + 13, 6, 3), // crosses an f32 NC panel boundary
+                (5, 301, 6, 3),       // ragged against every tile shape
+                (5, 4096 + 13, 6, 3), // crosses an NC panel boundary in both tiers
+                (70, 40, 51, 3),      // more than one MC block; odd depth pads an int8 pair
             ] {
                 let a = random_matrix(m, f, 100 + m as u64);
                 let b = random_matrix(n, f, 200 + n as u64);
@@ -1014,7 +980,7 @@ mod tests {
             let mut heaps: Vec<TopKHeap> = (0..4).map(|_| TopKHeap::new(6)).collect();
             let stats = screen_topk_into_heaps_with(
                 kern,
-                &BlockSizes::for_scalar::<f32>(&CacheConfig::default()),
+                None,
                 (&a).into(),
                 (&b).into(),
                 users.users(),
@@ -1026,6 +992,157 @@ mod tests {
             counts.push(stats.rescored);
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    }
+
+    #[test]
+    fn prepacked_item_panels_screen_like_the_rows_under_tiny_blocks_too() {
+        // Same candidates, same survivors, same heaps — whether the item
+        // side arrives as rows or as panels packed once, and however the
+        // multiply is blocked (tiny blocks force partial tiles, several
+        // depth passes and several row blocks per panel).
+        let a = random_matrix(11, 23, 51);
+        let b = random_matrix(75, 23, 52);
+        let tiny = BlockSizes {
+            mc: 8,
+            kc: 6,
+            nc: 32,
+        };
+        for tier in ScreenTier::ALL {
+            let (users, items) = (mirrored(&a, tier), mirrored(&b, tier));
+            let (panels32, panels8);
+            let packed = match items.items() {
+                ScreenItems::F32 { rows, norms, .. } => {
+                    panels32 = PackedPanels::pack(rows);
+                    ScreenItems::F32 {
+                        rows,
+                        panels: Some(&panels32),
+                        norms,
+                    }
+                }
+                ScreenItems::I8 {
+                    codes,
+                    inv_scales,
+                    l1,
+                    ..
+                } => {
+                    panels8 = PackedPanels::pack(RowBlock::new(codes, 75, 23));
+                    ScreenItems::I8 {
+                        codes,
+                        panels: Some(&panels8),
+                        inv_scales,
+                        l1,
+                    }
+                }
+            };
+            let run = |items: ScreenItems<'_>, blocks: Option<&BlockSizes>| {
+                let mut heaps: Vec<TopKHeap> = (0..11).map(|_| TopKHeap::new(5)).collect();
+                let stats = screen_topk_into_heaps_with(
+                    simd::active(),
+                    blocks,
+                    (&a).into(),
+                    (&b).into(),
+                    users.users(),
+                    items,
+                    &mut heaps,
+                    ColumnIds::Offset(0),
+                    &mut ScreenScratch::new(),
+                );
+                let lists: Vec<TopKList> = heaps.into_iter().map(TopKHeap::into_sorted).collect();
+                (stats, lists)
+            };
+            let want = run(items.items(), None);
+            assert_eq!(run(packed, None), want, "{tier:?} prepacked");
+            assert_eq!(
+                run(items.items(), Some(&tiny)).1,
+                want.1,
+                "{tier:?} tiny blocks"
+            );
+            let direct = gemm_nt_topk((&a).into(), (&b).into(), 5, &mut GemmScratch::new());
+            assert_eq!(want.1, direct, "{tier:?} vs f64-direct");
+        }
+    }
+
+    #[test]
+    fn non_finite_f32_scores_are_kept_and_rescored_under_every_kernel() {
+        // Magnitudes whose f32 products overflow: the screen sees +∞, −∞
+        // and NaN (∞ − ∞) scores, which carry no bound — the filter must
+        // flag those lanes and the frame keep them, under the SIMD and the
+        // scalar filter alike, with tying scores and mapped ids in play.
+        let f = 6usize;
+        let a = Matrix::from_fn(4, f, |r, c| [1.0e20, -1.0e20, 3.0, -2.0][(r + c) % 4]);
+        let b = Matrix::from_fn(37, f, |r, c| match r % 5 {
+            0 => [1.0e20, 1.0e20, -1.0e20][c % 3],
+            1 => 1.0e19,
+            _ => ((r * 7 + c * 3) % 5) as f64 - 2.0,
+        });
+        let map: Vec<u32> = (0..37u32).rev().collect();
+        let (users, items) = (mirrored(&a, ScreenTier::F32), mirrored(&b, ScreenTier::F32));
+        let mut kernels = vec![Kernel::scalar()];
+        kernels.extend(Kernel::avx2());
+        kernels.extend(Kernel::neon());
+        for k in [0usize, 1, 6, 37] {
+            let mut want: Vec<TopKHeap> = (0..4).map(|_| TopKHeap::new(k)).collect();
+            stream_topk_into_heaps(
+                (&a).into(),
+                (&b).into(),
+                &mut want,
+                ColumnIds::Mapped(&map),
+                &mut GemmScratch::new(),
+            );
+            let want: Vec<TopKList> = want.into_iter().map(TopKHeap::into_sorted).collect();
+            for kern in &kernels {
+                let mut heaps: Vec<TopKHeap> = (0..4).map(|_| TopKHeap::new(k)).collect();
+                let stats = screen_topk_into_heaps_with(
+                    kern,
+                    None,
+                    (&a).into(),
+                    (&b).into(),
+                    users.users(),
+                    items.items(),
+                    &mut heaps,
+                    ColumnIds::Mapped(&map),
+                    &mut ScreenScratch::new(),
+                );
+                let got: Vec<TopKList> = heaps.into_iter().map(TopKHeap::into_sorted).collect();
+                assert_eq!(got, want, "{} k={k}", kern.name());
+                // Overflowed columns cannot be pruned once there is a heap
+                // to fill.
+                assert!(k == 0 || stats.rescored >= 4 * 8, "{} k={k}", kern.name());
+                assert!(k > 0 || stats.rescored == 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_recycled_scratch_screens_like_a_fresh_one() {
+        // The bound heaps and candidate lists are reset, not reallocated,
+        // between batches — at a different k and row count each time.
+        let a = random_matrix(6, 9, 61);
+        let b = random_matrix(50, 9, 62);
+        for tier in ScreenTier::ALL {
+            let (users, items) = (mirrored(&a, tier), mirrored(&b, tier));
+            let mut scratch = ScreenScratch::new();
+            for (rows, k) in [(6usize, 4usize), (2, 9), (5, 0), (6, 1)] {
+                let mut heaps: Vec<TopKHeap> = (0..rows).map(|_| TopKHeap::new(k)).collect();
+                screen_topk_into_heaps(
+                    a.row_block(0, rows),
+                    (&b).into(),
+                    users.users().rows(0..rows),
+                    items.items(),
+                    &mut heaps,
+                    ColumnIds::Offset(0),
+                    &mut scratch,
+                );
+                let want = gemm_nt_topk(
+                    a.row_block(0, rows),
+                    (&b).into(),
+                    k,
+                    &mut GemmScratch::new(),
+                );
+                let got: Vec<TopKList> = heaps.into_iter().map(TopKHeap::into_sorted).collect();
+                assert_eq!(got, want, "{tier:?} rows {rows} k {k}");
+            }
+        }
     }
 
     #[test]
@@ -1054,6 +1171,7 @@ mod tests {
             mirrored(&a, ScreenTier::F32).users(),
             ScreenItems::F32 {
                 rows: (&b32).into(),
+                panels: None,
                 norms: &[1.0],
             },
             &mut [TopKHeap::new(1)],
@@ -1073,6 +1191,7 @@ mod tests {
             mirrored(&a, ScreenTier::I8).users(),
             ScreenItems::I8 {
                 codes: &[0; 12],
+                panels: None,
                 inv_scales: &[1.0; 2],
                 l1: &[1.0; 3],
             },

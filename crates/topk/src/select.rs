@@ -4,11 +4,12 @@
 //! min-heap)" phase of the BMM brute force (§II-B). The scan skips heap
 //! pushes for scores below the current threshold, which matters because the
 //! threshold stabilizes quickly: for realistic rating distributions most of
-//! the row is a single comparison.
+//! the row is dropped four scores per compare by the kernel set's threshold
+//! filter ([`mips_linalg::simd::Kernel::next_hit_f64`]).
 
 use crate::heap::TopKHeap;
 use crate::list::TopKList;
-use mips_linalg::{Matrix, Scalar};
+use mips_linalg::{simd, Matrix, Scalar};
 
 /// Top-k of one score row; item ids are the column indices.
 pub fn row_topk(scores: &[f64], k: usize) -> TopKList {
@@ -21,13 +22,18 @@ pub fn row_topk(scores: &[f64], k: usize) -> TopKList {
 /// MAXIMUS scores items in cluster-list order, and LEMP scores bucket slices;
 /// the offset keeps ids global without copying.
 pub fn row_topk_offset(scores: &[f64], k: usize, id_offset: u32) -> TopKList {
+    let kern = simd::active();
     let mut heap = TopKHeap::new(k);
     let mut threshold = heap.threshold();
-    for (j, &s) in scores.iter().enumerate() {
-        if s > threshold || !heap.is_full() {
-            heap.push(s, id_offset + j as u32);
+    let mut from = 0;
+    // The filter flags `>=`; columns arrive in id order, so a tie with the
+    // root loses and only a strictly larger score is offered.
+    while let Some(j) = kern.next_hit_f64(scores, from, threshold) {
+        if scores[j] > threshold || !heap.is_full() {
+            heap.push(scores[j], id_offset + j as u32);
             threshold = heap.threshold();
         }
+        from = j + 1;
     }
     heap.into_sorted()
 }
