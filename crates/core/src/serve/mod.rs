@@ -71,12 +71,14 @@
 //! ```
 
 pub(crate) mod batcher;
+mod gate;
 pub(crate) mod metrics;
 pub(crate) mod queue;
 pub(crate) mod shard;
 mod worker;
 
 pub use crate::engine::IndexScope;
+pub use gate::WakeGate;
 pub use metrics::{
     escape_json, JsonWriter, LatencyHistogram, LatencySnapshot, ServerMetrics, ShardMetrics,
     TierLaneMetrics, TierLanes,
@@ -90,7 +92,7 @@ use crate::sync::{Arc, Mutex};
 use batcher::BatchPolicy;
 use metrics::{ServerCounters, ShardCounters};
 use queue::SubmitQueue;
-use shard::{Pending, ShardEngine, ShardRouter};
+use shard::{Notifier, Pending, ShardEngine, ShardRouter};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -482,13 +484,35 @@ impl MipsServer {
     /// Validates and enqueues a request, blocking while the submission
     /// queue is over capacity (backpressure). Returns a handle to wait on.
     pub fn submit(&self, request: &QueryRequest) -> Result<ResponseHandle, MipsError> {
-        self.submit_inner(request, true)
+        let pending = self.submit_inner(request, true, None)?;
+        Ok(ResponseHandle { pending })
     }
 
     /// [`MipsServer::submit`], but a full queue returns
     /// [`MipsError::ServerOverloaded`] instead of blocking.
     pub fn try_submit(&self, request: &QueryRequest) -> Result<ResponseHandle, MipsError> {
-        self.submit_inner(request, false)
+        let pending = self.submit_inner(request, false, None)?;
+        Ok(ResponseHandle { pending })
+    }
+
+    /// [`MipsServer::try_submit`] for callers that must not block on a
+    /// handle: instead of returning one, the runtime hands the outcome to
+    /// `on_done` — exactly once, on the worker thread that finished the
+    /// request (success, error, and a panicking backend alike), after the
+    /// request is counted in [`MipsServer::metrics`]. A request that is
+    /// not admitted returns the error here and drops `on_done` uncalled.
+    ///
+    /// `on_done` runs on the serving pool, so it is the place for work
+    /// that parallelizes with the pool (rendering the response) and for a
+    /// wake-up of whoever consumes it (see [`WakeGate`]) — not for
+    /// anything that blocks.
+    pub fn try_submit_notify(
+        &self,
+        request: &QueryRequest,
+        on_done: impl FnOnce(Result<QueryResponse, MipsError>) + Send + 'static,
+    ) -> Result<(), MipsError> {
+        self.submit_inner(request, false, Some(Box::new(on_done)))
+            .map(drop)
     }
 
     /// Submits and waits: the drop-in concurrent replacement for
@@ -501,7 +525,8 @@ impl MipsServer {
         &self,
         request: &QueryRequest,
         block: bool,
-    ) -> Result<ResponseHandle, MipsError> {
+        notifier: Option<Notifier>,
+    ) -> Result<Arc<Pending>, MipsError> {
         // One epoch snapshot per request: validation, splitting, planning,
         // and serving all resolve against it, so a concurrent swap_model
         // can never tear a request across two models. If a newer epoch was
@@ -516,11 +541,12 @@ impl MipsServer {
         };
         let now = Instant::now();
         let result_len = request.result_len(&snapshot.model);
-        let pending = Arc::new(Pending::with_counters(
+        let pending = Arc::new(Pending::with_notifier(
             result_len,
             now,
             Some(Arc::clone(&self.shared.counters)),
             snapshot.id,
+            notifier,
         ));
         let subs = topology
             .router
@@ -529,22 +555,16 @@ impl MipsServer {
         // Safe to set after splitting: no worker sees the subs until
         // push_all succeeds below.
         pending.set_parts(subs.len());
-        // Count shard submissions only after admission succeeds, so bounced
-        // requests never show up as phantom in-flight work in ShardMetrics.
-        let shard_counters: Vec<Arc<ShardCounters>> = subs
-            .iter()
-            .map(|s| Arc::clone(&s.engine.counters))
-            .collect();
+        // Shard submissions are counted by the queue at admission
+        // (`QueueItem::admitted`), so bounced requests never show up as
+        // phantom in-flight work in ShardMetrics.
         match self.shared.queue.push_all(subs, block) {
             Ok(()) => {
-                for counters in &shard_counters {
-                    counters.add(&counters.submitted, 1);
-                }
                 self.shared
                     .counters
                     .submitted
                     .fetch_add(1, Ordering::Relaxed);
-                Ok(ResponseHandle { pending })
+                Ok(pending)
             }
             Err(error) => {
                 if matches!(error, MipsError::ServerOverloaded { .. }) {

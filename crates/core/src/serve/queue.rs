@@ -70,6 +70,10 @@ pub trait QueueItem {
     /// When the item was submitted; anchors the batcher's queue-latency
     /// cap.
     fn submitted_at(&self) -> Instant;
+    /// Called once per item at the moment its set is admitted — under the
+    /// queue lock, before any consumer can see it — and never for a set
+    /// that is bounced. Where per-item admission counters belong.
+    fn admitted(&self) {}
 }
 
 impl QueueItem for SubRequest {
@@ -87,11 +91,26 @@ impl QueueItem for SubRequest {
     fn submitted_at(&self) -> Instant {
         self.submitted_at
     }
+    fn admitted(&self) {
+        // Counted here rather than by the submitter so a bounced request
+        // never shows as phantom in-flight work in `ShardMetrics`, and a
+        // shard's `completed` can never run ahead of its `submitted`.
+        self.engine.counters.add(&self.engine.counters.submitted, 1);
+    }
 }
 
 struct QueueState<I> {
     items: VecDeque<I>,
     closed: bool,
+    /// Pushers parked on `not_full`. Consumers signal it only while this
+    /// is non-zero: a notify is a syscall whether or not anyone waits, and
+    /// steady traffic never has a blocked pusher.
+    blocked_pushers: usize,
+    /// Batchers parked on `not_empty` inside a hold-open window. They
+    /// share the condvar with idle workers, so while one is parked a
+    /// single-item push wakes everyone — a lone `notify_one` could be spent
+    /// on a batcher the item does not match.
+    holding_open: usize,
 }
 
 /// Bounded MPMC queue of keyed work items with atomic multi-item
@@ -115,6 +134,8 @@ impl<I: QueueItem> BoundedQueue<I> {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
+                blocked_pushers: 0,
+                holding_open: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -145,9 +166,17 @@ impl<I: QueueItem> BoundedQueue<I> {
             let fits = state.items.len() + subs.len() <= self.capacity
                 || (state.items.is_empty() && subs.len() > self.capacity);
             if fits {
+                // One item occupies one worker: wake one. A set (or a
+                // parked batcher, see `holding_open`) wakes the pool.
+                let wake_all = subs.len() > 1 || state.holding_open > 0;
+                subs.iter().for_each(I::admitted);
                 state.items.extend(subs);
                 drop(state);
-                self.not_empty.notify_all();
+                if wake_all {
+                    self.not_empty.notify_all();
+                } else {
+                    self.not_empty.notify_one();
+                }
                 return Ok(());
             }
             if !block {
@@ -155,10 +184,22 @@ impl<I: QueueItem> BoundedQueue<I> {
                     capacity: self.capacity,
                 });
             }
+            state.blocked_pushers += 1;
             state = self
                 .not_full
                 .wait(state)
                 .unwrap_or_else(crate::sync::PoisonError::into_inner);
+            state.blocked_pushers -= 1;
+        }
+    }
+
+    /// Releases the lock after items left the queue, waking blocked
+    /// pushers if there are any.
+    fn release_after_take(&self, state: crate::sync::MutexGuard<'_, QueueState<I>>) {
+        let pushers_wait = state.blocked_pushers > 0;
+        drop(state);
+        if pushers_wait {
+            self.not_full.notify_all();
         }
     }
 
@@ -168,8 +209,7 @@ impl<I: QueueItem> BoundedQueue<I> {
         let mut state = self.lock();
         loop {
             if let Some(sub) = state.items.pop_front() {
-                drop(state);
-                self.not_full.notify_all();
+                self.release_after_take(state);
                 return Some(sub);
             }
             if state.closed {
@@ -218,8 +258,7 @@ impl<I: QueueItem> BoundedQueue<I> {
             }
         }
         state.items = kept;
-        drop(state);
-        self.not_full.notify_all();
+        self.release_after_take(state);
     }
 
     /// Waits until `deadline` for more `key`-matching arrivals, extracting
@@ -246,19 +285,20 @@ impl<I: QueueItem> BoundedQueue<I> {
             if now >= deadline {
                 return;
             }
-            let state = self.lock();
+            let mut state = self.lock();
             if state.closed {
                 return;
             }
             // Wait for any arrival (or the window to close), then rescan.
-            let (_state, timeout) = self
+            state.holding_open += 1;
+            let (mut state, _timed_out) = self
                 .not_empty
                 .wait_timeout(
                     state,
                     deadline.duration_since(now).min(Duration::from_millis(5)),
                 )
                 .unwrap_or_else(crate::sync::PoisonError::into_inner);
-            let _ = timeout;
+            state.holding_open -= 1;
         }
     }
 
@@ -379,6 +419,37 @@ mod tests {
         ));
         assert!(q.pop().is_some(), "backlog drains after close");
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_single_push_reaches_the_idle_worker_past_a_parked_batcher() {
+        // A batcher parked in its hold-open window shares `not_empty` with
+        // idle workers. A one-item push wakes one waiter — which must not
+        // mean "the batcher the item does not match".
+        let e = engines();
+        let q = SubmitQueue::new(8);
+        let leader = sub(&e, 0, 2, 0);
+        let key = BatchKey::of(&leader);
+        crate::sync::thread::scope(|scope| {
+            let batcher = scope.spawn(|| {
+                let mut out = vec![leader];
+                let deadline = Instant::now() + Duration::from_millis(400);
+                q.extract_until(key, 4, 32, deadline, &mut out);
+                out.len()
+            });
+            crate::sync::thread::sleep(Duration::from_millis(30));
+            let worker = scope.spawn(|| q.pop().map(|sub| sub.shard));
+            crate::sync::thread::sleep(Duration::from_millis(30));
+            let pushed = Instant::now();
+            q.push_all(vec![sub(&e, 1, 2, 5)], false).unwrap();
+            assert_eq!(worker.join().unwrap(), Some(1));
+            assert!(
+                pushed.elapsed() < Duration::from_millis(200),
+                "the idle worker slept through the push: {:?}",
+                pushed.elapsed()
+            );
+            assert_eq!(batcher.join().unwrap(), 1, "another shard's item joined");
+        });
     }
 
     #[test]

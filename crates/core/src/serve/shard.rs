@@ -207,32 +207,53 @@ impl ShardRouter {
                 }
                 subs
             }
-            UserSelection::Ids(ids) => {
-                // Group positions by shard, preserving request order within
-                // each shard.
-                let mut per_shard: HashMap<usize, (Vec<usize>, Vec<usize>)> = HashMap::new();
-                for (pos, &user) in ids.iter().enumerate() {
-                    let entry = per_shard.entry(self.shard_of(user)).or_default();
-                    entry.0.push(user);
-                    entry.1.push(pos);
-                }
-                let mut shards: Vec<usize> = per_shard.keys().copied().collect();
-                shards.sort_unstable();
-                shards
-                    .into_iter()
-                    .map(|shard| {
-                        let (users, positions) = per_shard.remove(&shard).unwrap();
-                        sub(SubUsers::Ids { users, positions }, shard)
-                    })
-                    .collect()
+            UserSelection::Ids(ids) => self
+                .group_ids(ids)
+                .into_iter()
+                .map(|(shard, users)| sub(users, shard))
+                .collect(),
+        }
+    }
+
+    /// The ids of one request grouped by owning shard, ascending by shard,
+    /// request order (and response positions) preserved within each.
+    fn group_ids(&self, ids: &[usize]) -> Vec<(usize, SubUsers)> {
+        // The straight path: every id on one shard — always so for the
+        // one-id request that is most point traffic — needs no grouping.
+        if let Some(&first) = ids.first() {
+            let shard = self.shard_of(first);
+            if ids.iter().all(|user| self.bounds[shard].contains(user)) {
+                let users = SubUsers::Ids {
+                    users: ids.to_vec(),
+                    positions: (0..ids.len()).collect(),
+                };
+                return vec![(shard, users)];
             }
         }
+        self.group_ids_across_shards(ids)
+    }
+
+    /// [`ShardRouter::group_ids`] for ids that straddle shards (correct for
+    /// any id list; the unit tests hold the straight path against it).
+    fn group_ids_across_shards(&self, ids: &[usize]) -> Vec<(usize, SubUsers)> {
+        let mut per_shard: HashMap<usize, (Vec<usize>, Vec<usize>)> = HashMap::new();
+        for (pos, &user) in ids.iter().enumerate() {
+            let entry = per_shard.entry(self.shard_of(user)).or_default();
+            entry.0.push(user);
+            entry.1.push(pos);
+        }
+        let mut groups: Vec<(usize, SubUsers)> = per_shard
+            .into_iter()
+            .map(|(shard, (users, positions))| (shard, SubUsers::Ids { users, positions }))
+            .collect();
+        groups.sort_unstable_by_key(|(shard, _)| *shard);
+        groups
     }
 }
 
 /// The users of one sub-request, with the positions their results occupy in
 /// the final response.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubUsers {
     /// A contiguous slice of the shard's range; results land contiguously
     /// starting at `out_start`.
@@ -300,9 +321,21 @@ impl SubRequest {
     }
 }
 
+/// What a completion notifier receives: the reassembled response, or the
+/// first error any shard hit — what [`ResponseHandle::wait`] would have
+/// returned.
+///
+/// [`ResponseHandle::wait`]: super::ResponseHandle::wait
+pub type Outcome = Result<QueryResponse, MipsError>;
+
+/// A completion notifier: called exactly once, with the request's outcome,
+/// on the thread that finished the request.
+pub type Notifier = Box<dyn FnOnce(Outcome) + Send>;
+
 /// Reassembly state for one in-flight request: a slot per selected user,
 /// filled by sub-request completions in any order, plus the condvar the
-/// caller's [`ResponseHandle`](super::ResponseHandle) waits on.
+/// caller's [`ResponseHandle`](super::ResponseHandle) waits on — or the
+/// notifier that takes the outcome instead of a waiter.
 pub struct Pending {
     state: Mutex<PendingState>,
     done: Condvar,
@@ -324,6 +357,9 @@ struct PendingState {
     finished: bool,
     submitted_at: Instant,
     latency: f64,
+    /// Taken (with the outcome) by the completion that finishes the
+    /// request; `None` for requests someone waits on.
+    notifier: Option<Notifier>,
 }
 
 impl Pending {
@@ -337,11 +373,28 @@ impl Pending {
 
     /// [`Pending::new`] wired to the server's request-level counters and
     /// stamped with the model epoch the request was admitted under.
+    #[cfg(any(test, mips_model_check))]
     pub fn with_counters(
         result_len: usize,
         now: Instant,
         counters: Option<Arc<ServerCounters>>,
         epoch: u64,
+    ) -> Pending {
+        Pending::with_notifier(result_len, now, counters, epoch, None)
+    }
+
+    /// [`Pending::with_counters`], plus the notifier that receives the
+    /// outcome when the last sub-request completes — on success, on
+    /// [`Pending::fail`], and on the worker's panic path (which fails the
+    /// request) alike. It runs on the completing thread after the counters
+    /// rolled up and with the pending's lock released, so it may read
+    /// metrics and take its time without blocking other completions.
+    pub fn with_notifier(
+        result_len: usize,
+        now: Instant,
+        counters: Option<Arc<ServerCounters>>,
+        epoch: u64,
+        notifier: Option<Notifier>,
     ) -> Pending {
         Pending {
             state: Mutex::new(PendingState {
@@ -353,6 +406,7 @@ impl Pending {
                 finished: false,
                 submitted_at: now,
                 latency: 0.0,
+                notifier,
             }),
             done: Condvar::new(),
             counters,
@@ -430,39 +484,35 @@ impl Pending {
 
     fn finish_one(&self, mut state: crate::sync::MutexGuard<'_, PendingState>) -> bool {
         state.remaining -= 1;
-        if state.remaining == 0 {
-            state.finished = true;
-            state.latency = state.submitted_at.elapsed().as_secs_f64();
-            if let Some(counters) = &self.counters {
-                use crate::sync::atomic::Ordering;
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                if state.error.is_some() {
-                    counters.failed.fetch_add(1, Ordering::Relaxed);
-                }
-                counters.latency.record_ns((state.latency * 1e9) as u64);
+        if state.remaining != 0 {
+            return false;
+        }
+        state.finished = true;
+        state.latency = state.submitted_at.elapsed().as_secs_f64();
+        if let Some(counters) = &self.counters {
+            use crate::sync::atomic::Ordering;
+            counters.completed.fetch_add(1, Ordering::Relaxed);
+            if state.error.is_some() {
+                counters.failed.fetch_add(1, Ordering::Relaxed);
             }
-            self.done.notify_all();
-            true
-        } else {
-            false
+            counters.latency.record_ns((state.latency * 1e9) as u64);
         }
+        match state.notifier.take() {
+            // Nobody waits on a notified request: the notifier owns the
+            // outcome. It runs with the lock released.
+            Some(notifier) => {
+                let outcome = self.take_outcome(&mut state);
+                drop(state);
+                notifier(outcome);
+            }
+            None => self.done.notify_all(),
+        }
+        true
     }
 
-    /// Whether the request has fully completed (with result or error).
-    pub fn is_finished(&self) -> bool {
-        self.lock().finished
-    }
-
-    /// Blocks until every sub-request has completed, then takes the
-    /// response (or the first error).
-    pub fn wait(&self) -> Result<QueryResponse, MipsError> {
-        let mut state = self.lock();
-        while !state.finished {
-            state = self
-                .done
-                .wait(state)
-                .unwrap_or_else(crate::sync::PoisonError::into_inner);
-        }
+    /// Moves the finished request's response (or first error) out.
+    fn take_outcome(&self, state: &mut PendingState) -> Outcome {
+        debug_assert!(state.finished);
         if let Some(error) = state.error.take() {
             return Err(error);
         }
@@ -474,6 +524,24 @@ impl Pending {
             epoch: self.epoch,
             serve_seconds: state.latency,
         })
+    }
+
+    /// Whether the request has fully completed (with result or error).
+    pub fn is_finished(&self) -> bool {
+        self.lock().finished
+    }
+
+    /// Blocks until every sub-request has completed, then takes the
+    /// response (or the first error).
+    pub fn wait(&self) -> Outcome {
+        let mut state = self.lock();
+        while !state.finished {
+            state = self
+                .done
+                .wait(state)
+                .unwrap_or_else(crate::sync::PoisonError::into_inner);
+        }
+        self.take_outcome(&mut state)
     }
 }
 
@@ -584,6 +652,36 @@ mod tests {
         assert!(
             matches!(&subs[2].users, SubUsers::Ids { users, positions } if users == &[9] && positions == &[0])
         );
+    }
+
+    #[test]
+    fn the_single_shard_straight_path_equals_the_general_grouping() {
+        for (num_users, shards) in [(10, 3), (7, 7), (64, 4), (5, 1)] {
+            let r = ShardRouter::new(num_users, shards);
+            // A one-id request at (and next to) every shard boundary.
+            for user in 0..num_users {
+                assert_eq!(
+                    r.group_ids(&[user]),
+                    r.group_ids_across_shards(&[user]),
+                    "user {user} of {num_users} over {shards} shards"
+                );
+            }
+            // Several ids on one shard, repeats included, and the lists
+            // that must *not* take the straight path.
+            for bounds in r.bounds() {
+                let (first, last) = (bounds.start, bounds.end - 1);
+                let same_shard = [last, first, last];
+                assert_eq!(
+                    r.group_ids(&same_shard),
+                    r.group_ids_across_shards(&same_shard)
+                );
+                let straddling = [last, (last + 1) % num_users, first];
+                assert_eq!(
+                    r.group_ids(&straddling),
+                    r.group_ids_across_shards(&straddling)
+                );
+            }
+        }
     }
 
     #[test]

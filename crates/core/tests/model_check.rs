@@ -10,7 +10,7 @@
 //! test prints a dot-separated trace seed; re-running with
 //! `MIPS_MODEL_REPLAY=<seed>` replays exactly that interleaving.
 //!
-//! Four protocol invariants from the serving runtime are proved here, plus
+//! Five protocol invariants from the serving runtime are proved here, plus
 //! two regression pins for behaviors earlier PRs fixed, a seeded-bug suite
 //! demonstrating the checker actually catches planted races, and
 //! determinism/replay assertions over the checker itself.
@@ -19,7 +19,8 @@
 
 use loom::{explore, model, replay, Config};
 use mips_core::model_support as ms;
-use mips_core::sync::atomic::{AtomicU64, Ordering};
+use mips_core::serve::WakeGate;
+use mips_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use mips_core::sync::{thread, Arc, Condvar, Mutex};
 use mips_core::{MipsError, Precision};
 use std::time::{Duration, Instant};
@@ -215,6 +216,34 @@ fn blocking_push_is_always_woken_by_pop() {
         assert!(queue.pop().is_some());
         assert!(queue.pop().is_some());
         producer.join().unwrap();
+    });
+}
+
+/// One wake-up per admitted item is enough: two workers parked on an empty
+/// queue and two single-item pushes (each a `notify_one`) always end with
+/// both items popped, whichever worker each wake-up lands on and however
+/// the pops interleave with the pushes.
+#[test]
+fn one_wake_per_item_drains_every_item() {
+    model(|| {
+        let queue = Arc::new(ms::BoundedQueue::<Toy>::new(4));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let queue = Arc::clone(&queue);
+                thread::spawn(move || {
+                    let mut popped = 0usize;
+                    while queue.pop().is_some() {
+                        popped += 1;
+                    }
+                    popped
+                })
+            })
+            .collect();
+        queue.push_all(vec![Toy::new(1)], false).unwrap();
+        queue.push_all(vec![Toy::new(1)], false).unwrap();
+        queue.close();
+        let popped: usize = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert_eq!(popped, 2, "an item was stranded behind a spent wake-up");
     });
 }
 
@@ -421,6 +450,163 @@ fn failed_requests_roll_up_before_the_waiter_wakes() {
     });
 }
 
+/// The notifier variant of the same ordering, on both finishing paths: a
+/// request completed by two racing parts (`fail_one` = a completion racing
+/// a failure) hands its outcome to the notifier exactly once, with the
+/// counters already rolled up and the pending's lock released — the
+/// notifier re-locks the pending, which would deadlock the model if the
+/// completing thread still held it.
+fn notifier_runs_once_after_the_rollup(fail_one: bool) {
+    model(move || {
+        let counters = Arc::new(ms::ServerCounters::default());
+        let calls = Arc::new(AtomicU64::new(0));
+        let itself: Arc<Mutex<Option<Arc<ms::Pending>>>> = Arc::new(Mutex::new(None));
+        let notifier = {
+            let (counters, calls, itself) = (
+                Arc::clone(&counters),
+                Arc::clone(&calls),
+                Arc::clone(&itself),
+            );
+            Box::new(move |outcome: Result<_, MipsError>| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                assert_eq!(outcome.is_err(), fail_one);
+                assert_eq!(
+                    ms::server_completed(&counters),
+                    1,
+                    "completed lagged the notifier"
+                );
+                assert_eq!(
+                    ms::server_failed(&counters),
+                    u64::from(fail_one),
+                    "failed lagged the notifier"
+                );
+                assert_eq!(ms::server_latency_count(&counters), 1);
+                let pending = itself
+                    .lock()
+                    .unwrap()
+                    .take()
+                    .expect("set before the parts run");
+                assert!(pending.is_finished());
+            })
+        };
+        let pending = Arc::new(ms::Pending::with_notifier(
+            2,
+            Instant::now(),
+            Some(Arc::clone(&counters)),
+            5,
+            Some(notifier),
+        ));
+        pending.set_parts(2);
+        *itself.lock().unwrap() = Some(Arc::clone(&pending));
+
+        let parts: Vec<_> = (0..2)
+            .map(|part| {
+                let pending = Arc::clone(&pending);
+                thread::spawn(move || {
+                    if fail_one && part == 1 {
+                        pending.fail(MipsError::ServerShutdown);
+                    } else {
+                        pending.complete(
+                            &ms::SubUsers::Range {
+                                users: part..part + 1,
+                                out_start: part,
+                            },
+                            vec![ms::TopKList::empty()],
+                            "toy",
+                            Precision::F64,
+                        );
+                    }
+                })
+            })
+            .collect();
+        for part in parts {
+            part.join().unwrap();
+        }
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "notified once, not per part"
+        );
+    });
+}
+
+#[test]
+fn the_notifier_runs_once_after_the_rollup_on_success() {
+    notifier_runs_once_after_the_rollup(false);
+}
+
+#[test]
+fn the_notifier_runs_once_after_the_rollup_on_failure() {
+    notifier_runs_once_after_the_rollup(true);
+}
+
+// ---------------------------------------------------------------------------
+// Invariant 5: a completion between announce and sleep is never lost.
+// ---------------------------------------------------------------------------
+
+/// A wake socket in miniature: bytes pending, and a condvar standing in
+/// for the readiness wait. `sleep` blocks until a byte is there and takes
+/// everything, like the front door's loop draining its socket.
+#[derive(Default)]
+struct WakeSocket {
+    pending: Mutex<u32>,
+    readable: Condvar,
+}
+
+impl WakeSocket {
+    fn write(&self) {
+        *self.pending.lock().unwrap() += 1;
+        self.readable.notify_all();
+    }
+
+    fn sleep(&self) {
+        let mut pending = self.pending.lock().unwrap();
+        while *pending == 0 {
+            pending = self.readable.wait(pending).unwrap();
+        }
+        *pending = 0;
+    }
+}
+
+/// The front door's loop against one completing worker, with `recheck`
+/// deciding whether the loop looks at its front slot again after
+/// announcing the sleep (the real loop always does).
+fn sleeper_and_completer(recheck: bool) {
+    let gate = Arc::new(WakeGate::new());
+    let front_ready = Arc::new(AtomicBool::new(false));
+    let socket = Arc::new(WakeSocket::default());
+    let worker = {
+        let (gate, front_ready, socket) = (
+            Arc::clone(&gate),
+            Arc::clone(&front_ready),
+            Arc::clone(&socket),
+        );
+        thread::spawn(move || {
+            // Publish the completion, then pass the gate.
+            front_ready.store(true, Ordering::SeqCst);
+            gate.wake(|| socket.write());
+        })
+    };
+    // Advance (nothing rendered yet?) → announce → re-check → sleep.
+    while !front_ready.load(Ordering::SeqCst) {
+        gate.sleep_unless(
+            || recheck && front_ready.load(Ordering::SeqCst),
+            || socket.sleep(),
+        );
+    }
+    worker.join().unwrap();
+}
+
+/// Wherever the worker's completion lands relative to the loop's last
+/// look, its announcement and its sleep, the loop ends up seeing it: before
+/// the announcement the re-check finds it, after it the worker finds the
+/// gate set and writes the socket. A lost completion would park the loop
+/// forever, which the model reports as a deadlock.
+#[test]
+fn a_completion_between_announce_and_sleep_is_never_lost() {
+    model(|| sleeper_and_completer(true));
+}
+
 // ---------------------------------------------------------------------------
 // Seeded-bug suite: the checker must CATCH these planted defects. Each is
 // a miniature of a real bug class the invariants above guard against.
@@ -491,6 +677,22 @@ fn seeded_dropped_notify_is_caught_as_deadlock() {
         producer.join().unwrap();
     });
     let failure = report.failure.expect("the dropped notify must be caught");
+    assert!(
+        failure.message.contains("deadlock"),
+        "expected a deadlock report, got: {}",
+        failure.message
+    );
+}
+
+/// The wake-gate handshake without its re-check: a completion that lands
+/// between the loop's last look at its front slot and its announcement
+/// finds the gate clear (no wake-up), and the loop then sleeps on a socket
+/// nobody will write. The checker must find that schedule.
+#[test]
+fn seeded_skipped_recheck_is_caught_as_deadlock() {
+    // BUG (seeded): `recheck = false` — announce, then sleep blind.
+    let report = explore(small(), || sleeper_and_completer(false));
+    let failure = report.failure.expect("the skipped re-check must be caught");
     assert!(
         failure.message.contains("deadlock"),
         "expected a deadlock report, got: {}",

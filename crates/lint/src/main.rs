@@ -6,11 +6,15 @@
 //!
 //! * **`unsafe-outside-simd`** — `unsafe` code is confined to
 //!   `crates/linalg/src/simd/`; every other crate root carries
-//!   `#![forbid(unsafe_code)]` (checked by `missing-forbid-unsafe`).
-//! * **`missing-safety-comment`** — every `unsafe` occurrence inside the
-//!   simd directory is annotated: a `// SAFETY:` (or `// SAFETY
-//!   contract:`) comment in the contiguous comment/attribute block above
-//!   it.
+//!   `#![forbid(unsafe_code)]` (checked by `missing-forbid-unsafe`). The
+//!   one blessed exception is the `poll(2)` call in
+//!   `crates/net/src/poll.rs`: the allow list names that file (and
+//!   `mips-net`'s root, which `deny`s instead of `forbid`ding so the one
+//!   module can opt back in); any other file of that crate is still
+//!   caught, which the self-test checks *through* the allow list.
+//! * **`missing-safety-comment`** — every `unsafe` occurrence, blessed or
+//!   not, is annotated: a `// SAFETY:` (or `// SAFETY contract:`) comment
+//!   in the contiguous comment/attribute block above it.
 //! * **`nan-comparator`** — no `partial_cmp(..).unwrap()` /
 //!   `partial_cmp(..).expect(..)` comparators; `f64::total_cmp` is total
 //!   and NaN-safe, a panicking comparator inside `sort_by` aborts mid-sort
@@ -203,8 +207,9 @@ fn lint_lines(path: &str, raw: &[&str], code: &[String], findings: &mut Vec<Find
     for (idx, code_line) in code.iter().enumerate() {
         let line_no = idx + 1;
 
-        // Rule: unsafe confined to the simd directory; inside it, every
-        // occurrence is annotated with a SAFETY comment.
+        // Rule: unsafe confined to the simd directory (the allow list
+        // blesses the one site outside it); every occurrence, wherever it
+        // is, is annotated with a SAFETY comment.
         if has_token(code_line, "unsafe") {
             if !in_simd {
                 findings.push(Finding {
@@ -215,7 +220,8 @@ fn lint_lines(path: &str, raw: &[&str], code: &[String], findings: &mut Vec<Find
                               unsafe code to the SIMD kernels"
                         .to_string(),
                 });
-            } else if !safety_annotated(raw, idx) {
+            }
+            if !safety_annotated(raw, idx) {
                 findings.push(Finding {
                     rule: "missing-safety-comment",
                     path: path.to_string(),
@@ -425,8 +431,12 @@ fn lint_workspace(root: &Path) -> Vec<Finding> {
 /// source and stay silent on a clean one. Exits nonzero if the checker
 /// misses any seed — a lint that cannot fail its own seeds proves
 /// nothing.
-fn self_test() -> ExitCode {
-    // (rule that must fire, path it is seeded at, source)
+fn self_test(root: &Path) -> ExitCode {
+    // (rule that must fire, path it is seeded at, source). A seed counts
+    // as caught only if its finding also survives the repo's allow list —
+    // so an allow entry that is too broad (say `crates/net/src/` instead
+    // of the one blessed file) fails the self-test.
+    let allow = load_allow_list(root);
     let seeds: &[(&str, &str, &str)] = &[
         (
             "unsafe-outside-simd",
@@ -434,8 +444,18 @@ fn self_test() -> ExitCode {
             "pub fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n",
         ),
         (
+            "unsafe-outside-simd",
+            "crates/net/src/conn.rs",
+            "pub fn f(p: *const u8) -> u8 {\n    // SAFETY: seeded.\n    unsafe { *p }\n}\n",
+        ),
+        (
             "missing-safety-comment",
             "crates/linalg/src/simd/seeded.rs",
+            "pub fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n",
+        ),
+        (
+            "missing-safety-comment",
+            "crates/net/src/poll.rs",
             "pub fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n",
         ),
         (
@@ -474,6 +494,11 @@ fn self_test() -> ExitCode {
     // prose/doc-example mentions that only a token-level check survives.
     let clean: &[(&str, &str)] = &[
         (
+            // The blessed site outside simd: allow-listed, and annotated.
+            "crates/net/src/poll.rs",
+            "pub fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid.\n    unsafe { *p }\n}\n",
+        ),
+        (
             "crates/linalg/src/simd/seeded_good.rs",
             "pub fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid.\n    unsafe { *p }\n}\n",
         ),
@@ -495,7 +520,10 @@ fn self_test() -> ExitCode {
     for (rule, path, src) in seeds {
         let mut findings = Vec::new();
         lint_content(path, src, &mut findings);
-        if findings.iter().any(|f| f.rule == *rule) {
+        if findings
+            .iter()
+            .any(|f| f.rule == *rule && !is_allowed(f, &allow))
+        {
             println!("self-test: [{rule}] caught at {path}");
         } else {
             println!("self-test: FAIL — seeded [{rule}] at {path} was not caught");
@@ -505,7 +533,7 @@ fn self_test() -> ExitCode {
     for (path, src) in clean {
         let mut findings = Vec::new();
         lint_content(path, src, &mut findings);
-        for f in &findings {
+        for f in findings.iter().filter(|f| !is_allowed(f, &allow)) {
             println!("self-test: FAIL — false positive on clean source: {f}");
             failed = true;
         }
@@ -526,9 +554,6 @@ fn self_test() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--self-test") {
-        return self_test();
-    }
     let root = match args.iter().position(|a| a == "--root") {
         Some(i) => PathBuf::from(args.get(i + 1).expect("--root needs a path")),
         // The workspace root, from the lint crate's own manifest dir —
@@ -539,6 +564,9 @@ fn main() -> ExitCode {
             .expect("crates/lint has a workspace root")
             .to_path_buf(),
     };
+    if args.iter().any(|a| a == "--self-test") {
+        return self_test(&root);
+    }
 
     let findings = lint_workspace(&root);
     if findings.is_empty() {

@@ -2,11 +2,16 @@
 //! in-order response writing, and the deadline bookkeeping.
 //!
 //! A connection owns a read buffer (bytes not yet parsed), a FIFO of
-//! in-flight requests (each either waiting on a [`ResponseHandle`] or
-//! already rendered), and an output buffer of response bytes awaiting the
-//! socket. Responses always leave in request order — HTTP/1.1 pipelining
-//! semantics — while the underlying queries run concurrently on the
-//! serving runtime.
+//! in-flight requests (each either already rendered or waiting on the
+//! [`Mailbox`] a serving worker fills), and an output buffer of response
+//! bytes awaiting the socket. Responses always leave in request order —
+//! HTTP/1.1 pipelining semantics — while the underlying queries run
+//! concurrently on the serving runtime.
+//!
+//! The connection never waits and never polls: the event loop calls
+//! [`Conn::on_readable`] when the socket has bytes, [`Conn::advance`] after
+//! anything may have changed, and sleeps until [`Conn::interest`] is
+//! satisfied, a mailbox is filled, or [`Conn::next_deadline`] comes due.
 //!
 //! Deadlines:
 //!
@@ -15,7 +20,7 @@
 //! * **write**: a response the peer will not drain times out after
 //!   `write_timeout` without progress, closing the connection;
 //! * **idle**: a keep-alive connection with nothing buffered or in flight
-//!   closes silently after `idle_timeout`.
+//!   closes silently after `idle_timeout` without traffic.
 //!
 //! The epoch pinning that makes hot swaps graceful lives below this
 //! layer: every admitted query is served end to end on the model epoch
@@ -26,12 +31,13 @@
 use crate::http::{self, Limits, Parse};
 use crate::json;
 use crate::metrics::NetCounters;
-use mips_core::engine::MipsError;
-use mips_core::serve::ResponseHandle;
+use crate::poll::{READABLE, WRITABLE};
+use core::ffi::c_short;
+use mips_core::engine::{MipsError, QueryResponse};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Most requests a single connection may have in flight; beyond this the
@@ -47,6 +53,23 @@ pub(crate) struct Deadlines {
     pub(crate) idle: Duration,
 }
 
+/// A response as it goes on the wire: the status (for the counters) and
+/// the complete bytes, head and body.
+pub(crate) type Rendered = (u16, Vec<u8>);
+
+/// Renders one response — head and JSON body — as it goes on the wire.
+fn rendered(status: u16, body: &str, keep_alive: bool, extra: &[(&str, String)]) -> Rendered {
+    (
+        status,
+        http::write_response(status, body.as_bytes(), keep_alive, extra),
+    )
+}
+
+/// Where the worker that finishes an admitted query leaves its rendered
+/// response for the connection to send. Filled exactly once, from the
+/// serving pool; read by the event loop.
+pub(crate) type Mailbox = OnceLock<Rendered>;
+
 /// What the router decided for one parsed request.
 pub(crate) enum Dispatched {
     /// The response is already known (metrics, errors, admin calls).
@@ -56,8 +79,8 @@ pub(crate) enum Dispatched {
         extra: Vec<(&'static str, String)>,
     },
     /// The request was admitted onto the serving runtime; the response
-    /// materializes when the handle finishes.
-    Query(ResponseHandle),
+    /// appears in the mailbox when a worker finishes it.
+    Query(Arc<Mailbox>),
 }
 
 /// The routing hook the event loop injects into each connection.
@@ -65,15 +88,19 @@ pub(crate) trait Dispatch {
     fn dispatch(&self, request: &http::Request) -> Dispatched;
 }
 
-/// A rendered-but-unsent response: status, body, extra headers.
-type Rendered = (u16, String, Vec<(&'static str, String)>);
+/// One in-flight request slot, in wire order.
+enum Slot {
+    Ready(Rendered),
+    Waiting(Arc<Mailbox>),
+}
 
-/// One in-flight request slot. Exactly one of `handle`/`ready` is `Some`
-/// until the slot is popped.
-struct Slot {
-    handle: Option<ResponseHandle>,
-    ready: Option<Rendered>,
-    keep_alive: bool,
+impl Slot {
+    fn rendered(&self) -> Option<&Rendered> {
+        match self {
+            Slot::Ready(rendered) => Some(rendered),
+            Slot::Waiting(mailbox) => mailbox.get(),
+        }
+    }
 }
 
 /// One accepted connection.
@@ -86,9 +113,10 @@ pub(crate) struct Conn {
     out: Vec<u8>,
     out_pos: usize,
     inflight: VecDeque<Slot>,
-    /// Instant of the last byte read (arms the read/idle deadlines).
+    /// Instant of the last byte read (arms the read and idle deadlines).
     last_read: Instant,
-    /// Instant of the last write progress (arms the write deadline).
+    /// Instant of the last write progress, or of `out` last going from
+    /// empty to pending (arms the write and idle deadlines).
     last_write: Instant,
     /// Whether the last parse attempt left a partial request in `buf`.
     reading_partial: bool,
@@ -133,161 +161,148 @@ impl Conn {
     ) -> std::io::Result<Conn> {
         let mut conn = Conn::new(stream, counters, now)?;
         let body = json::encode_error(503, "connection limit reached; retry shortly");
-        conn.enqueue_response(503, &body, &[("Retry-After", "1".to_string())], false);
+        let extra = [("Retry-After", "1".to_string())];
+        conn.inflight
+            .push_back(Slot::Ready(rendered(503, &body, false, &extra)));
         conn.closing = true;
         Ok(conn)
+    }
+
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.stream
     }
 
     pub(crate) fn is_closed(&self) -> bool {
         self.closed
     }
 
-    /// Whether any admitted query is still unanswered.
-    pub(crate) fn has_inflight(&self) -> bool {
-        !self.inflight.is_empty()
+    fn unflushed(&self) -> bool {
+        self.out_pos < self.out.len()
     }
 
     /// Quiescent for drain purposes: nothing in flight, nothing buffered
     /// to write.
     pub(crate) fn drained(&self) -> bool {
-        self.inflight.is_empty() && self.out_pos >= self.out.len()
+        self.inflight.is_empty() && !self.unflushed()
     }
 
-    /// Advances the connection one step. Returns `true` when any progress
-    /// was made (bytes moved or a state change), which the event loop uses
-    /// to pace its idle sleeping. With `draining` set, no new requests are
-    /// read or parsed — in-flight work settles and flushes, nothing else.
-    pub(crate) fn tick(
-        &mut self,
-        router: &dyn Dispatch,
-        limits: &Limits,
-        deadlines: &Deadlines,
-        now: Instant,
-        draining: bool,
-    ) -> bool {
+    /// Whether the connection would read and parse more requests right
+    /// now. With `draining` set no new requests are taken — in-flight work
+    /// settles and flushes, nothing else.
+    pub(crate) fn wants_read(&self, draining: bool) -> bool {
+        !draining && !self.closing && !self.closed && self.inflight.len() < MAX_PIPELINE
+    }
+
+    /// The readiness the event loop should wait for on this socket.
+    pub(crate) fn interest(&self, draining: bool) -> c_short {
+        let mut events = 0;
+        if self.wants_read(draining) {
+            events |= READABLE;
+        }
+        if self.unflushed() {
+            events |= WRITABLE;
+        }
+        events
+    }
+
+    /// Whether the response that must leave next is rendered — work
+    /// [`Conn::advance`] can do without the socket becoming ready.
+    pub(crate) fn front_ready(&self) -> bool {
+        self.inflight
+            .front()
+            .is_some_and(|slot| slot.rendered().is_some())
+    }
+
+    /// The earliest instant a deadline of this connection comes due (and
+    /// [`Conn::advance`] must run), if any is armed.
+    pub(crate) fn next_deadline(&self, deadlines: &Deadlines) -> Option<Instant> {
         if self.closed {
-            return false;
+            return None;
         }
-        let mut progress = false;
-        progress |= self.settle_inflight();
-        progress |= self.flush(deadlines, now);
+        let write = self.unflushed().then(|| self.last_write + deadlines.write);
+        let read = (!self.closing && self.reading_partial).then(|| self.last_read + deadlines.read);
+        let idle = (!self.closing && !self.reading_partial && self.drained())
+            .then(|| self.last_read.max(self.last_write) + deadlines.idle);
+        [write, read, idle].into_iter().flatten().min()
+    }
+
+    /// Does everything that needs no new bytes from the peer: applies the
+    /// deadlines, moves rendered responses (front of the FIFO only — wire
+    /// order) into the output buffer, writes what the socket takes, and
+    /// closes a finished connection.
+    pub(crate) fn advance(&mut self, deadlines: &Deadlines, now: Instant) {
         if self.closed {
-            return progress;
+            return;
         }
-        if self.closing {
-            if self.inflight.is_empty() && self.out_pos >= self.out.len() {
+        if !self.closing && self.reading_partial && now >= self.last_read + deadlines.read {
+            self.counters.add(&self.counters.timeouts, 1);
+            self.refuse(408, "request not completed within the read deadline");
+        }
+        self.settle_inflight(now);
+        self.flush(now);
+        if self.closed {
+            return;
+        }
+        if self.unflushed() {
+            if now >= self.last_write + deadlines.write {
+                self.counters.add(&self.counters.timeouts, 1);
                 self.closed = true;
-                progress = true;
             }
-            return progress;
+        } else if self.inflight.is_empty() {
+            let idle_since = self.last_read.max(self.last_write);
+            self.closed =
+                self.closing || (!self.reading_partial && now >= idle_since + deadlines.idle);
         }
-        if !draining && self.inflight.len() < MAX_PIPELINE {
-            progress |= self.fill(router, limits, deadlines, now);
-        }
-        progress
     }
 
-    /// Moves finished in-flight responses (front of the FIFO only — wire
-    /// order) into the output buffer.
-    fn settle_inflight(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            let front_ready = match self.inflight.front_mut() {
-                None => break,
-                Some(slot) => {
-                    if slot.ready.is_none() {
-                        if let Some(handle) = slot.handle.take() {
-                            if handle.is_finished() {
-                                // is_finished => wait() returns without
-                                // blocking.
-                                slot.ready = Some(render_query_outcome(handle.wait()));
-                            } else {
-                                slot.handle = Some(handle);
-                            }
-                        }
-                    }
-                    slot.ready.is_some()
-                }
-            };
-            if !front_ready {
-                break;
-            }
-            if let Some(slot) = self.inflight.pop_front() {
-                if let Some((status, body, extra)) = slot.ready {
-                    self.enqueue_response(status, &body, &extra, slot.keep_alive);
-                    if !slot.keep_alive {
-                        self.closing = true;
-                    }
-                }
-                progress = true;
-            }
-        }
-        progress
+    /// The peer is gone (reset, or both directions shut) while nothing was
+    /// being read from it: whatever is in flight has nobody to go to.
+    pub(crate) fn abort(&mut self) {
+        self.closed = true;
     }
 
-    /// Renders a response into the output buffer and counts it.
-    fn enqueue_response(
-        &mut self,
-        status: u16,
-        body: &str,
-        extra: &[(&str, String)],
-        keep_alive: bool,
-    ) {
-        let bytes = http::write_response(status, body.as_bytes(), keep_alive, extra);
-        self.out.extend_from_slice(&bytes);
-        self.counters.count_response(status);
-    }
-
-    /// Writes pending output; applies the write deadline.
-    fn flush(&mut self, deadlines: &Deadlines, now: Instant) -> bool {
-        if self.out_pos >= self.out.len() {
-            if !self.out.is_empty() {
-                self.out.clear();
-                self.out_pos = 0;
-            }
-            self.last_write = now;
-            return false;
-        }
-        match self.stream.write(&self.out[self.out_pos..]) {
-            Ok(0) => {
-                self.closed = true;
-                true
-            }
-            Ok(n) => {
-                self.out_pos += n;
+    fn settle_inflight(&mut self, now: Instant) {
+        while let Some((status, bytes)) = self.inflight.front().and_then(Slot::rendered) {
+            if self.out_pos >= self.out.len() {
+                // Pending output (re)appears: the write deadline counts
+                // from here.
                 self.last_write = now;
-                self.counters.add(&self.counters.bytes_written, n as u64);
-                if self.out_pos >= self.out.len() {
-                    self.out.clear();
-                    self.out_pos = 0;
-                }
-                true
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if now.saturating_duration_since(self.last_write) > deadlines.write {
-                    self.counters.add(&self.counters.timeouts, 1);
-                    self.closed = true;
-                    return true;
-                }
-                false
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => false,
-            Err(_) => {
-                self.closed = true;
-                true
-            }
+            self.out.extend_from_slice(bytes);
+            self.counters.count_response(*status);
+            self.inflight.pop_front();
         }
     }
 
-    /// Reads available bytes and parses as many pipelined requests as the
-    /// buffer holds; applies the read and idle deadlines.
-    fn fill(
-        &mut self,
-        router: &dyn Dispatch,
-        limits: &Limits,
-        deadlines: &Deadlines,
-        now: Instant,
-    ) -> bool {
+    /// Writes pending output until the socket stops taking it.
+    fn flush(&mut self, now: Instant) {
+        while self.unflushed() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => {
+                    self.closed = true;
+                    return;
+                }
+                Ok(n) => {
+                    self.out_pos += n;
+                    self.last_write = now;
+                    self.counters.add(&self.counters.bytes_written, n as u64);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.closed = true;
+                    return;
+                }
+            }
+        }
+        self.out.clear();
+        self.out_pos = 0;
+    }
+
+    /// The socket reported bytes (or EOF, or an error) while the
+    /// connection [wants to read](Conn::wants_read): reads what is there
+    /// and parses as many pipelined requests as the buffer holds.
+    pub(crate) fn on_readable(&mut self, router: &dyn Dispatch, limits: &Limits, now: Instant) {
         let mut chunk = [0u8; 4096];
         match self.stream.read(&mut chunk) {
             Ok(0) => {
@@ -298,43 +313,21 @@ impl Conn {
                     self.refuse(400, "connection closed mid-request");
                 }
                 self.closing = true;
-                true
             }
             Ok(n) => {
                 self.buf.extend_from_slice(&chunk[..n]);
                 self.last_read = now;
                 self.counters.add(&self.counters.bytes_read, n as u64);
-                self.parse_available(router, limits);
-                true
+                self.parse_available(router, limits, now);
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                let since_read = now.saturating_duration_since(self.last_read);
-                if self.reading_partial && since_read > deadlines.read {
-                    self.counters.add(&self.counters.timeouts, 1);
-                    self.refuse(408, "request not completed within the read deadline");
-                    true
-                } else if !self.reading_partial
-                    && self.inflight.is_empty()
-                    && self.out_pos >= self.out.len()
-                    && since_read > deadlines.idle
-                {
-                    self.closed = true;
-                    true
-                } else {
-                    false
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => false,
-            Err(_) => {
-                self.closed = true;
-                true
-            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            Err(_) => self.closed = true,
         }
     }
 
     /// Parses every complete request currently buffered (up to the
     /// pipeline cap), dispatching each.
-    fn parse_available(&mut self, router: &dyn Dispatch, limits: &Limits) {
+    fn parse_available(&mut self, router: &dyn Dispatch, limits: &Limits, now: Instant) {
         while !self.closing && self.inflight.len() < MAX_PIPELINE {
             if self.buf.is_empty() {
                 self.reading_partial = false;
@@ -344,6 +337,9 @@ impl Conn {
                 Parse::Incomplete { expects_continue } => {
                     self.reading_partial = true;
                     if expects_continue && !self.sent_continue {
+                        if !self.unflushed() {
+                            self.last_write = now;
+                        }
                         self.out.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
                         self.sent_continue = true;
                     }
@@ -359,25 +355,15 @@ impl Conn {
                     self.sent_continue = false;
                     self.buf.drain(..request.consumed);
                     self.counters.add(&self.counters.http_requests, 1);
-                    let slot = match router.dispatch(&request) {
+                    self.inflight.push_back(match router.dispatch(&request) {
                         Dispatched::Immediate {
                             status,
                             body,
                             extra,
-                        } => Slot {
-                            handle: None,
-                            ready: Some((status, body, extra)),
-                            keep_alive: request.keep_alive,
-                        },
-                        Dispatched::Query(handle) => Slot {
-                            handle: Some(handle),
-                            ready: None,
-                            keep_alive: request.keep_alive,
-                        },
-                    };
-                    let keep_alive = slot.keep_alive;
-                    self.inflight.push_back(slot);
-                    if !keep_alive {
+                        } => Slot::Ready(rendered(status, &body, request.keep_alive, &extra)),
+                        Dispatched::Query(mailbox) => Slot::Waiting(mailbox),
+                    });
+                    if !request.keep_alive {
                         // An explicit close: read nothing further; the
                         // connection drains its in-flight work and closes
                         // once this response flushes.
@@ -392,27 +378,26 @@ impl Conn {
     /// Queues a terminal error response (in wire order, after everything
     /// already in flight) and stops reading.
     fn refuse(&mut self, status: u16, message: &str) {
-        self.inflight.push_back(Slot {
-            handle: None,
-            ready: Some((status, json::encode_error(status, message), Vec::new())),
-            keep_alive: false,
-        });
+        let body = json::encode_error(status, message);
+        self.inflight
+            .push_back(Slot::Ready(rendered(status, &body, false, &[])));
         self.closing = true;
     }
 }
 
-/// Renders a settled query outcome: 200 with the response body, or the
-/// error's canonical HTTP status with a JSON error body.
-fn render_query_outcome(outcome: Result<mips_core::engine::QueryResponse, MipsError>) -> Rendered {
-    match outcome {
-        Ok(response) => (200, json::encode_response(&response), Vec::new()),
+/// Renders a settled query outcome for the wire: 200 with the response
+/// body, or the error's canonical HTTP status with a JSON error body. Runs
+/// on the serving worker that finished the query.
+pub(crate) fn render_query_outcome(
+    outcome: Result<QueryResponse, MipsError>,
+    keep_alive: bool,
+) -> Rendered {
+    let (status, body) = match outcome {
+        Ok(response) => (200, json::encode_response(&response)),
         Err(error) => {
             let status = error.http_status();
-            (
-                status,
-                json::encode_error(status, &error.to_string()),
-                Vec::new(),
-            )
+            (status, json::encode_error(status, &error.to_string()))
         }
-    }
+    };
+    rendered(status, &body, keep_alive, &[])
 }

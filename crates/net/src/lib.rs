@@ -12,7 +12,7 @@
 //!
 //! | Route | Behavior |
 //! |---|---|
-//! | `POST /query` | A [`QueryRequest`](mips_core::engine::QueryRequest) as JSON; admitted via [`MipsServer::try_submit`], so overload answers `429` + `Retry-After` instead of queueing unboundedly. |
+//! | `POST /query` | A [`QueryRequest`](mips_core::engine::QueryRequest) as JSON; admitted via [`MipsServer::try_submit_notify`], so overload answers `429` + `Retry-After` instead of queueing unboundedly. |
 //! | `POST /vector-query` | A [`VectorQueryRequest`](mips_core::engine::VectorQueryRequest) as JSON — the exact top-k for one ad-hoc factor vector, dense (`"vector": [..]`) or sparse (`"vector": {"dim", "indices", "values"}`). Served synchronously via [`Engine::execute_vector`](mips_core::engine::Engine::execute_vector). |
 //! | `GET /metrics` | `{"server": ..., "net": ...}` — the full [`ServerMetrics`](mips_core::serve::ServerMetrics) rollup (per-shard counters, `index_scope`, `local_index_builds`, latency quantiles) plus this crate's [`NetMetrics`] connection counters. |
 //! | `GET /healthz` | Liveness + the current model epoch. |
@@ -26,13 +26,26 @@
 //!
 //! One event-loop thread owns the nonblocking listener and every
 //! connection (state machines in `conn.rs`); the compute stays on the
-//! [`MipsServer`] worker pool. The loop polls
-//! [`ResponseHandle::is_finished`](mips_core::serve::ResponseHandle::is_finished)
-//! rather than blocking, so one slow query never stalls other
-//! connections, and pipelined requests on one connection run concurrently
-//! while their responses leave in order. Pacing is adaptive: the loop
-//! spins only while work is in flight, sleeps exponentially (capped at
-//! 2ms) when idle.
+//! [`MipsServer`] worker pool. The loop never polls: it blocks in one
+//! readiness wait (`poll(2)`, in `poll.rs`) over the listener, every
+//! connection — readable while it may take requests, writable while a
+//! response is unflushed — and a wake socket, with the timeout set to the
+//! nearest read / write / idle / drain deadline. An idle server, and one
+//! whose requests are all with the workers, makes no syscalls at all.
+//!
+//! The served path is completion-driven end to end. `POST /query` is
+//! submitted with a completion notifier
+//! ([`MipsServer::try_submit_notify`]); the worker that finishes the
+//! request renders the wire bytes (JSON body and HTTP head) into the
+//! request's slot and passes the loop's [`WakeGate`], which writes one
+//! byte to the wake socket only if the loop is asleep. Before it sleeps
+//! the loop announces itself on the gate and re-checks every connection's
+//! front slot, so a completion is never missed and a busy loop costs the
+//! workers no syscall. The single loop thread only orders, copies and writes:
+//! pipelined requests on one connection run concurrently while their
+//! responses leave in order, and one slow query never stalls other
+//! connections. (`POST /vector-query` is the exception: it is still served
+//! on the loop thread — ROADMAP 3(d).)
 //!
 //! ```
 //! use mips_core::engine::EngineBuilder;
@@ -59,7 +72,10 @@
 //! http.shutdown().unwrap();
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one exemption is the `poll(2)` call in
+// `poll.rs` (mips-lint's allow list names the file; every other file of
+// this crate stays unsafe-free).
+#![deny(unsafe_code)]
 
 pub mod client;
 pub mod http;
@@ -67,16 +83,19 @@ pub mod json;
 
 mod conn;
 mod metrics;
+#[allow(unsafe_code)]
+mod poll;
 
 pub use metrics::NetMetrics;
 
-use conn::{Conn, Deadlines, Dispatch, Dispatched};
+use conn::{Conn, Deadlines, Dispatch, Dispatched, Mailbox};
 use http::Limits;
 use metrics::NetCounters;
 use mips_core::engine::MipsError;
-use mips_core::serve::{JsonWriter, MipsServer};
+use mips_core::serve::{JsonWriter, MipsServer, WakeGate};
 use mips_data::MfModel;
-use std::io::ErrorKind;
+use poll::{PollFd, WakeStream, READABLE};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -239,7 +258,14 @@ impl HttpServerBuilder {
             .map_err(|e| MipsError::InvalidConfig(format!("resolving local address: {e}")))?;
 
         let counters = Arc::new(NetCounters::default());
-        let stop = Arc::new(AtomicBool::new(false));
+        let (wake_tx, wake_rx) = poll::wake_pair()
+            .map_err(|e| MipsError::InvalidConfig(format!("opening the wake socket: {e}")))?;
+        let waker = Arc::new(Waker {
+            gate: WakeGate::new(),
+            stop: AtomicBool::new(false),
+            tx: wake_tx,
+            counters: Arc::clone(&counters),
+        });
         // The Retry-After hint for 429s: the batch window is how long the
         // runtime may hold work back, so "a beat past it" is the natural
         // earliest retry — floored at 1s, the header's resolution.
@@ -248,18 +274,17 @@ impl HttpServerBuilder {
             server: Arc::clone(&server),
             swap_source: self.swap_source,
             counters: Arc::clone(&counters),
+            waker: Arc::clone(&waker),
             retry_after,
         };
-        let loop_stop = Arc::clone(&stop);
-        let loop_counters = Arc::clone(&counters);
         let loop_config = config.clone();
         let thread = std::thread::Builder::new()
             .name("mips-net".to_string())
-            .spawn(move || run_loop(listener, router, loop_config, loop_stop, loop_counters))
+            .spawn(move || run_loop(listener, wake_rx, router, loop_config))
             .map_err(|e| MipsError::InvalidConfig(format!("spawning net thread: {e}")))?;
         Ok(HttpServer {
             addr,
-            stop,
+            waker,
             thread: Some(thread),
             counters,
             server,
@@ -272,7 +297,7 @@ impl HttpServerBuilder {
 /// the configured budget, and joins the event-loop thread.
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
     thread: Option<JoinHandle<()>>,
     counters: Arc<NetCounters>,
     server: Arc<MipsServer>,
@@ -303,7 +328,7 @@ impl HttpServer {
     /// `drain_timeout`), joins the event loop, and returns the final
     /// counters.
     pub fn shutdown(mut self) -> Result<NetMetrics, MipsError> {
-        self.stop.store(true, Ordering::Release);
+        self.waker.request_stop();
         if let Some(thread) = self.thread.take() {
             thread.join().map_err(|_| MipsError::WorkerPanicked {
                 message: "net event-loop thread exited abnormally".into(),
@@ -315,7 +340,7 @@ impl HttpServer {
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.waker.request_stop();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -331,11 +356,47 @@ impl std::fmt::Debug for HttpServer {
     }
 }
 
+/// How threads outside the event loop reach it: serving workers that
+/// finished a request, and whoever asks the front door to stop.
+struct Waker {
+    gate: WakeGate,
+    stop: AtomicBool,
+    /// The write end of the loop's wake socket; nonblocking, so no caller
+    /// ever waits on it.
+    tx: WakeStream,
+    counters: Arc<NetCounters>,
+}
+
+impl Waker {
+    /// Ends the loop's sleep if it is asleep (or about to be); costs one
+    /// atomic swap otherwise. Call after publishing whatever the loop is
+    /// to find.
+    fn wake(&self) {
+        self.gate.wake(|| {
+            // A full socket buffer means unread wake-ups are already
+            // pending, which is all a wake-up is.
+            if matches!((&self.tx).write(&[1]), Ok(1)) {
+                self.counters.add(&self.counters.completion_wakes, 1);
+            }
+        });
+    }
+
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake();
+    }
+
+    fn stop_requested(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+}
+
 /// Routes parsed requests onto the serving runtime and the admin surface.
 struct Router {
     server: Arc<MipsServer>,
     swap_source: Option<SwapSource>,
     counters: Arc<NetCounters>,
+    waker: Arc<Waker>,
     retry_after: String,
 }
 
@@ -348,13 +409,24 @@ fn immediate(status: u16, body: String) -> Dispatched {
 }
 
 impl Router {
+    /// `POST /query`: admitted with a completion notifier, so the worker
+    /// that finishes the request renders it into the slot's mailbox and
+    /// wakes the loop; the loop itself never waits on the runtime.
     fn query(&self, request: &http::Request) -> Dispatched {
         let query = match json::decode_query_request(&request.body) {
             Ok(query) => query,
             Err(message) => return immediate(400, json::encode_error(400, &message)),
         };
-        match self.server.try_submit(&query) {
-            Ok(handle) => Dispatched::Query(handle),
+        let mailbox = Arc::new(Mailbox::new());
+        let (slot, waker) = (Arc::clone(&mailbox), Arc::clone(&self.waker));
+        let keep_alive = request.keep_alive;
+        let admitted = self.server.try_submit_notify(&query, move |outcome| {
+            // Filled exactly once: the runtime calls a notifier once.
+            let _ = slot.set(conn::render_query_outcome(outcome, keep_alive));
+            waker.wake();
+        });
+        match admitted {
+            Ok(()) => Dispatched::Query(mailbox),
             Err(error) => {
                 let status = error.http_status();
                 let mut extra = Vec::new();
@@ -374,10 +446,13 @@ impl Router {
     /// `POST /vector-query`: the exact top-k for one ad-hoc factor vector,
     /// dense or sparse (see [`json::decode_vector_query_request`] for the
     /// wire shapes). One point lookup is a different cost class from the
-    /// batch `/query` path, so it serves synchronously on the event loop
-    /// instead of going through the worker pool's admission queue; the
-    /// first sparse-routed query per model epoch also pays the inverted
-    /// index's lazy build.
+    /// batch `/query` path, so it does not go through the worker pool's
+    /// admission queue — but it is still computed synchronously *on the
+    /// event-loop thread*, the one request that can hold every connection
+    /// up while it runs (the first sparse-routed query per model epoch
+    /// also pays the inverted index's lazy build there). Moving it onto
+    /// the completion-driven path `/query` takes is ROADMAP 3(d), still
+    /// open.
     fn vector_query(&self, request: &http::Request) -> Dispatched {
         let query = match json::decode_vector_query_request(&request.body) {
             Ok(query) => query,
@@ -474,25 +549,13 @@ impl Dispatch for Router {
     }
 }
 
-/// Idle-sleep pacing bounds for the event loop: reset small on progress,
-/// doubled while idle so a quiet server costs ~no CPU, capped low enough
-/// that accept latency stays imperceptible.
-const MIN_IDLE_SLEEP: Duration = Duration::from_micros(50);
-const MAX_IDLE_SLEEP: Duration = Duration::from_millis(2);
-/// How long after the last progress the loop keeps yielding instead of
-/// sleeping. A steady request stream re-arms this every burst, so arrivals
-/// land on a running loop (no sleep-wake latency — `sleep(50µs)` really
-/// costs ~100µs+ with timer slack); a genuinely idle server starts
-/// sleeping after one grace period.
-const IDLE_GRACE: Duration = Duration::from_millis(1);
-
-fn run_loop(
-    listener: TcpListener,
-    router: Router,
-    config: NetConfig,
-    stop: Arc<AtomicBool>,
-    counters: Arc<NetCounters>,
-) {
+/// The event loop: blocks until a socket is ready, a worker finished a
+/// request, or a deadline is due; then does exactly that work. After
+/// [`Waker::request_stop`] the same loop runs the graceful drain: it stops
+/// accepting (the listener drops), lets in-flight requests settle and
+/// flush, closes idle connections, and force-closes whatever remains at
+/// the drain deadline.
+fn run_loop(listener: TcpListener, mut wake_rx: WakeStream, router: Router, config: NetConfig) {
     let limits = Limits {
         max_head_bytes: config.max_head_bytes,
         max_body_bytes: config.max_body_bytes,
@@ -502,76 +565,106 @@ fn run_loop(
         write: config.write_timeout,
         idle: config.idle_timeout,
     };
+    let waker = Arc::clone(&router.waker);
+    let counters = Arc::clone(&router.counters);
+    let mut listener = Some(listener);
+    let mut drain_deadline: Option<Instant> = None;
     let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_sleep = MIN_IDLE_SLEEP;
-    let mut last_progress = Instant::now();
-    while !stop.load(Ordering::Acquire) {
+    // Rebuilt every turn: [wake socket, connections.., listener].
+    let mut fds: Vec<PollFd> = Vec::new();
+    loop {
         let now = Instant::now();
-        let mut progress = false;
+        if drain_deadline.is_none() && waker.stop_requested() {
+            listener = None;
+            drain_deadline = Some(now + config.drain_timeout);
+        }
+        let draining = drain_deadline.is_some();
+
+        // Everything that needs no new readiness: send what workers
+        // rendered, apply deadlines, drop what is finished.
+        for conn in conns.iter_mut() {
+            conn.advance(&deadlines, now);
+        }
+        let before = conns.len();
+        conns.retain(|conn| !(conn.is_closed() || draining && conn.drained()));
+        counters.add(&counters.closed, (before - conns.len()) as u64);
+        if drain_deadline.is_some_and(|deadline| conns.is_empty() || now >= deadline) {
+            break;
+        }
+
+        // Sleep until there is something to do. Announce → re-check →
+        // sleep: a worker that fills a front slot from here on finds the
+        // gate set and writes the wake socket.
+        fds.clear();
+        fds.push(PollFd::new(&wake_rx, READABLE));
+        fds.extend(
+            conns
+                .iter()
+                .map(|conn| PollFd::new(conn.stream(), conn.interest(draining))),
+        );
+        fds.extend(listener.iter().map(|l| PollFd::new(l, READABLE)));
+        let timeout = conns
+            .iter()
+            .filter_map(|conn| conn.next_deadline(&deadlines))
+            .chain(drain_deadline)
+            .min()
+            .map(|due| due.saturating_duration_since(now));
+        let work_waiting =
+            || (!draining && waker.stop_requested()) || conns.iter().any(Conn::front_ready);
+        if waker
+            .gate
+            .sleep_unless(work_waiting, || poll::wait(&mut fds, timeout))
+            .is_none()
+        {
+            continue;
+        }
+        counters.add(&counters.loop_wakeups, 1);
+
+        let now = Instant::now();
+        if fds[0].readable() {
+            // Level-triggered: leave nothing behind or the next wait
+            // returns at once. One read takes every pending wake-up short
+            // of a burst larger than the buffer.
+            let _ = wake_rx.read(&mut [0u8; 64]);
+        }
+        for (conn, fd) in conns.iter_mut().zip(&fds[1..]) {
+            if !(fd.readable() || fd.failed()) {
+                continue;
+            }
+            if conn.wants_read(draining) {
+                // EOF and socket errors surface through the read.
+                conn.on_readable(&router, &limits, now);
+            } else if fd.failed() {
+                conn.abort();
+            }
+        }
         // Accept everything pending; beyond max_connections, connections
         // are shed with a 503 instead of left dangling in the backlog.
+        // (The listener's entry, while there is one, is the last.)
+        let Some(listener) = listener
+            .as_ref()
+            .filter(|_| fds.last().is_some_and(PollFd::readable))
+        else {
+            continue;
+        };
         loop {
-            match listener.accept() {
+            let conn = match listener.accept() {
                 Ok((stream, _)) => {
-                    progress = true;
                     counters.add(&counters.accepted, 1);
                     if conns.len() >= config.max_connections {
                         counters.add(&counters.shed, 1);
-                        if let Ok(conn) = Conn::shed(stream, Arc::clone(&counters), now) {
-                            conns.push(conn);
-                        }
-                    } else if let Ok(conn) = Conn::new(stream, Arc::clone(&counters), now) {
-                        conns.push(conn);
+                        Conn::shed(stream, Arc::clone(&counters), now)
+                    } else {
+                        Conn::new(stream, Arc::clone(&counters), now)
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => break,
+            };
+            if let Ok(conn) = conn {
+                conns.push(conn);
             }
-        }
-        let mut any_inflight = false;
-        for conn in conns.iter_mut() {
-            progress |= conn.tick(&router, &limits, &deadlines, now, false);
-            any_inflight |= conn.has_inflight();
-        }
-        reap_closed(&mut conns, &counters);
-        if progress {
-            idle_sleep = MIN_IDLE_SLEEP;
-            last_progress = now;
-        } else if any_inflight || now.saturating_duration_since(last_progress) < IDLE_GRACE {
-            // Responses can finish (and new requests arrive) any
-            // microsecond; yield the timeslice to the worker pool instead
-            // of sleeping past the event.
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(idle_sleep);
-            idle_sleep = (idle_sleep * 2).min(MAX_IDLE_SLEEP);
-        }
-    }
-
-    // Graceful drain: stop accepting (listener drops), let in-flight
-    // requests settle and flush, close idle connections, force-close
-    // whatever remains at the deadline.
-    drop(listener);
-    let deadline = Instant::now() + config.drain_timeout;
-    while !conns.is_empty() && Instant::now() < deadline {
-        let now = Instant::now();
-        let mut progress = false;
-        for conn in conns.iter_mut() {
-            progress |= conn.tick(&router, &limits, &deadlines, now, true);
-        }
-        let before = conns.len();
-        conns.retain(|conn| !conn.is_closed() && !conn.drained());
-        counters.add(&counters.closed, (before - conns.len()) as u64);
-        if !progress {
-            std::thread::yield_now();
         }
     }
     counters.add(&counters.closed, conns.len() as u64);
-}
-
-/// Drops closed connections and counts them.
-fn reap_closed(conns: &mut Vec<Conn>, counters: &NetCounters) {
-    let before = conns.len();
-    conns.retain(|conn| !conn.is_closed());
-    counters.add(&counters.closed, (before - conns.len()) as u64);
 }

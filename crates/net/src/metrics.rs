@@ -19,6 +19,8 @@ pub(crate) struct NetCounters {
     pub(crate) bytes_read: AtomicU64,
     pub(crate) bytes_written: AtomicU64,
     pub(crate) admin_swaps: AtomicU64,
+    pub(crate) loop_wakeups: AtomicU64,
+    pub(crate) completion_wakes: AtomicU64,
 }
 
 impl NetCounters {
@@ -51,6 +53,8 @@ impl NetCounters {
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             admin_swaps: self.admin_swaps.load(Ordering::Relaxed),
+            loop_wakeups: self.loop_wakeups.load(Ordering::Relaxed),
+            completion_wakes: self.completion_wakes.load(Ordering::Relaxed),
         }
     }
 }
@@ -88,6 +92,15 @@ pub struct NetMetrics {
     pub bytes_written: u64,
     /// Successful `POST /admin/swap` calls.
     pub admin_swaps: u64,
+    /// Times the event loop returned from its readiness wait (a socket
+    /// became ready, a deadline came due, or another thread woke it). An
+    /// idle or waiting server adds none; a loop that polls would add
+    /// thousands a second.
+    pub loop_wakeups: u64,
+    /// Bytes written to the loop's wake socket: completions (and the
+    /// shutdown request) that found the loop asleep. Completions landing
+    /// while it is awake cost no wake-up and are not counted.
+    pub completion_wakes: u64,
 }
 
 impl NetMetrics {
@@ -114,6 +127,8 @@ impl NetMetrics {
         w.field_u64("bytes_read", self.bytes_read);
         w.field_u64("bytes_written", self.bytes_written);
         w.field_u64("admin_swaps", self.admin_swaps);
+        w.field_u64("loop_wakeups", self.loop_wakeups);
+        w.field_u64("completion_wakes", self.completion_wakes);
         w.end_obj();
     }
 }

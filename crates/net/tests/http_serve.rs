@@ -713,3 +713,305 @@ fn shutdown_drains_in_flight_requests() {
     // The listener is gone: new connections are refused.
     assert!(Client::connect(addr).is_err());
 }
+
+// ---------------------------------------------------------------------------
+// The sleeping loop: deadlines, ordering and shutdown with an event loop
+// that blocks in a readiness wait instead of polling.
+// ---------------------------------------------------------------------------
+
+/// A stack whose only backend serves through BMM but holds any batch that
+/// contains user 0 for `hold` first: 2 workers, one shard, batching off, so
+/// a held request and a fast one run side by side.
+fn slow_stub_stack(hold: Duration, net: HttpServerBuilder) -> (Arc<MipsServer>, HttpServer) {
+    use mips_core::engine::FnFactory;
+    use mips_core::solver::MipsSolver;
+    use mips_topk::TopKList;
+    use std::ops::Range;
+
+    struct Slow {
+        inner: mips_core::BmmSolver,
+        hold: Duration,
+    }
+    impl MipsSolver for Slow {
+        fn name(&self) -> &str {
+            "slow-stub"
+        }
+        fn build_seconds(&self) -> f64 {
+            0.0
+        }
+        fn batches_users(&self) -> bool {
+            true
+        }
+        fn num_users(&self) -> usize {
+            self.inner.num_users()
+        }
+        fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
+            if users.contains(&0) {
+                std::thread::sleep(self.hold);
+            }
+            self.inner.query_range(k, users)
+        }
+        fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+            if users.contains(&0) {
+                std::thread::sleep(self.hold);
+            }
+            self.inner.query_subset(k, users)
+        }
+    }
+    let engine = Arc::new(
+        EngineBuilder::new()
+            .model(model(30, 40, 21))
+            .register(FnFactory::new("slow-stub", move |model: &Arc<MfModel>| {
+                Ok(Box::new(Slow {
+                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
+                    hold,
+                }) as Box<dyn MipsSolver>)
+            }))
+            .build()
+            .unwrap(),
+    );
+    let server = Arc::new(
+        ServerBuilder::new()
+            .engine(engine)
+            .shards(1)
+            .workers(2)
+            .batching(false)
+            .build()
+            .unwrap(),
+    );
+    let http = net.server(Arc::clone(&server)).build().unwrap();
+    (server, http)
+}
+
+/// Whether the loop's readiness wait is the real thing. Off unix it is a
+/// bounded sleep that retries every socket (`poll.rs`): every behaviour
+/// below still holds there, the wake-up counts do not.
+const LOOP_BLOCKS: bool = cfg!(unix);
+
+/// `elapsed` is `expected` give or take the 100 ms a loaded host may add.
+fn assert_close(elapsed: Duration, expected: Duration, what: &str) {
+    let slack = Duration::from_millis(100);
+    assert!(
+        elapsed + slack >= expected && elapsed <= expected + slack,
+        "{what}: {elapsed:?}, expected {expected:?} ± {slack:?}"
+    );
+}
+
+#[test]
+fn a_sleeping_loop_fires_the_read_deadline_on_time() {
+    let read_timeout = Duration::from_millis(250);
+    let (_server, http) = slow_stub_stack(
+        Duration::ZERO,
+        HttpServerBuilder::new().read_timeout(read_timeout),
+    );
+    let mut client = Client::connect(http.local_addr()).unwrap();
+    assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+    let before = http.metrics();
+    let started = Instant::now();
+    client
+        .send_raw(b"POST /query HTTP/1.1\r\nContent-Length: 30\r\n\r\n{\"k\": 2, ")
+        .unwrap();
+    let response = client.recv().unwrap();
+    assert_eq!(response.status, 408);
+    assert_close(
+        started.elapsed(),
+        read_timeout,
+        "408 after the half-sent request",
+    );
+    assert!(client.recv().is_err(), "connection closes after the 408");
+    let after = http.metrics();
+    assert_eq!(after.timeouts - before.timeouts, 1);
+    // The deadline came from the wait's timeout, not from looking often:
+    // one wake-up for the bytes, one for the deadline, one for the close.
+    assert!(
+        !LOOP_BLOCKS || after.loop_wakeups - before.loop_wakeups <= 4,
+        "{} wake-ups to serve one deadline",
+        after.loop_wakeups - before.loop_wakeups
+    );
+    http.shutdown().unwrap();
+}
+
+#[test]
+fn a_sleeping_loop_closes_idle_connections_at_the_idle_timeout() {
+    let idle_timeout = Duration::from_millis(250);
+    let (_server, http) = slow_stub_stack(
+        Duration::ZERO,
+        HttpServerBuilder::new().idle_timeout(idle_timeout),
+    );
+    let mut client = Client::connect(http.local_addr()).unwrap();
+    assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+    let started = Instant::now();
+    // Nothing pending, nothing sent: the next thing the client sees is EOF.
+    assert!(client.recv().is_err());
+    assert_close(started.elapsed(), idle_timeout, "idle close");
+    let net = http.shutdown().unwrap();
+    assert_eq!((net.accepted, net.closed, net.timeouts), (1, 1, 0));
+}
+
+#[test]
+fn a_sleeping_loop_condemns_a_peer_that_never_reads() {
+    // A response far larger than the socket buffers, and a client that
+    // sends the request and then never reads: the write stalls, nothing
+    // ever becomes ready, and the write deadline has to come from the
+    // wait's timeout.
+    let engine = engine(&model(900, 800, 9));
+    let server = Arc::new(
+        ServerBuilder::new()
+            .engine(engine)
+            .shards(1)
+            .workers(1)
+            .build()
+            .unwrap(),
+    );
+    let http = HttpServerBuilder::new()
+        .server(server)
+        .write_timeout(Duration::from_millis(200))
+        .build()
+        .unwrap();
+    let mut client = Client::connect(http.local_addr()).unwrap();
+    client.send("POST", "/query", Some("{\"k\": 400}")).unwrap();
+    let started = Instant::now();
+    while http.metrics().timeouts == 0 {
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "the stalled write was never condemned: {:?}",
+            http.metrics()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let net = http.metrics();
+    assert_eq!((net.timeouts, net.closed), (1, 1), "{net:?}");
+    assert!(net.bytes_written > 0, "the write had started: {net:?}");
+    assert!(
+        !LOOP_BLOCKS || net.loop_wakeups < 100,
+        "a stalled write must not make the loop spin: {net:?}"
+    );
+    drop(client);
+    http.shutdown().unwrap();
+}
+
+#[test]
+fn a_fast_second_request_waits_rendered_behind_a_slow_first() {
+    let hold = Duration::from_millis(300);
+    let (server, http) = slow_stub_stack(hold, HttpServerBuilder::new());
+    let mut client = Client::connect(http.local_addr()).unwrap();
+    // Plan k = 2 up front so neither timed request pays for planning.
+    let warm = client
+        .request("POST", "/query", Some("{\"k\": 2, \"users\": [5]}"))
+        .unwrap();
+    assert_eq!(warm.status, 200);
+
+    let started = Instant::now();
+    client
+        .send("POST", "/query", Some("{\"k\": 2, \"users\": [0]}"))
+        .unwrap();
+    client
+        .send("POST", "/query", Some("{\"k\": 2, \"users\": [9]}"))
+        .unwrap();
+    // Mid-hold: the second request is finished and rendered (a worker's
+    // notifier did that), yet nothing has left — the first is still held.
+    std::thread::sleep(hold / 2);
+    assert_eq!(server.metrics().completed, 2, "warm-up + the fast request");
+    assert_eq!(http.metrics().responses_2xx, 1, "only the warm-up has left");
+
+    let first = client.recv().unwrap();
+    let first_at = started.elapsed();
+    let second = client.recv().unwrap();
+    let second_at = started.elapsed();
+    assert_eq!((first.status, second.status), (200, 200));
+    // In request order: each response is the in-process answer for its own
+    // user.
+    for (response, user) in [(&first, 0), (&second, 9)] {
+        let expect = server
+            .engine()
+            .execute(&QueryRequest::top_k(2).users(vec![user]))
+            .unwrap();
+        let expect_items: Vec<Vec<u32>> = expect.results.iter().map(|l| l.items.clone()).collect();
+        let got_items: Vec<Vec<u32>> = wire_results(&response.body)
+            .into_iter()
+            .map(|(items, _)| items)
+            .collect();
+        assert_eq!(got_items, expect_items, "user {user}");
+    }
+    assert!(
+        first_at >= hold,
+        "the first response was held: {first_at:?}"
+    );
+    assert!(
+        second_at - first_at < Duration::from_millis(100),
+        "the second left with the first, not {:?} later",
+        second_at - first_at
+    );
+    http.shutdown().unwrap();
+}
+
+#[test]
+fn the_loop_sleeps_while_idle_and_while_a_request_is_with_the_workers() {
+    let hold = Duration::from_millis(200);
+    let (_server, http) = slow_stub_stack(hold, HttpServerBuilder::new());
+    let mut client = Client::connect(http.local_addr()).unwrap();
+    let warm = client
+        .request("POST", "/query", Some("{\"k\": 2, \"users\": [5]}"))
+        .unwrap();
+    assert_eq!(warm.status, 200);
+
+    // Counters are bumped just after the event they count (a worker may be
+    // preempted between writing the wake socket and counting the byte), so
+    // let them settle before each reading.
+    let settled = || {
+        std::thread::sleep(Duration::from_millis(50));
+        http.metrics()
+    };
+
+    // An open keep-alive connection with nothing to say costs nothing.
+    let before = settled();
+    std::thread::sleep(Duration::from_millis(200));
+    let idle = http.metrics();
+    if !LOOP_BLOCKS {
+        return;
+    }
+    assert_eq!(idle.loop_wakeups - before.loop_wakeups, 0, "the loop polls");
+    assert_eq!(idle.completion_wakes - before.completion_wakes, 0);
+
+    // One request held 200 ms by the backend: a wake-up for its bytes, one
+    // for its completion — not one per millisecond of waiting.
+    let response = client
+        .request("POST", "/query", Some("{\"k\": 2, \"users\": [0]}"))
+        .unwrap();
+    assert_eq!(response.status, 200);
+    let after = settled();
+    let wakeups = after.loop_wakeups - idle.loop_wakeups;
+    assert!(
+        (1..=4).contains(&wakeups),
+        "{wakeups} wake-ups for one held request"
+    );
+    assert_eq!(
+        after.completion_wakes - idle.completion_wakes,
+        1,
+        "the finishing worker found the loop asleep and woke it once"
+    );
+    // Both counters are on the wire, too.
+    let doc = json::parse(&client.request("GET", "/metrics", None).unwrap().body).unwrap();
+    let net = doc.get("net").unwrap();
+    assert!(net.get("loop_wakeups").and_then(Json::as_u64).unwrap() >= after.loop_wakeups);
+    assert!(net.get("completion_wakes").and_then(Json::as_u64).unwrap() >= after.completion_wakes);
+    http.shutdown().unwrap();
+}
+
+#[test]
+fn shutdown_wakes_a_sleeping_loop_at_once() {
+    let (_engine, _server, http) = stack();
+    let mut client = Client::connect(http.local_addr()).unwrap();
+    assert_eq!(client.request("GET", "/healthz", None).unwrap().status, 200);
+    // The loop now sleeps with the 30 s idle deadline as its timeout.
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    let net = http.shutdown().unwrap();
+    assert!(
+        started.elapsed() < Duration::from_millis(100),
+        "shutdown waited out the loop's sleep: {:?}",
+        started.elapsed()
+    );
+    assert_eq!((net.accepted, net.closed), (1, 1), "{net:?}");
+    assert!(client.recv().is_err(), "the idle connection was closed");
+}
