@@ -135,6 +135,19 @@ impl EngineOptions {
                 "optimus.sample_fraction must be in (0, 1], got {f}"
             )));
         }
+        // The planner's t-test asserts both on the request path.
+        let alpha = self.optimus.alpha;
+        if !(alpha > 0.0 && alpha < 1.0) {
+            return Err(MipsError::InvalidConfig(format!(
+                "optimus.alpha must be in (0, 1), got {alpha}"
+            )));
+        }
+        if self.optimus.min_t_samples < 2 {
+            return Err(MipsError::InvalidConfig(format!(
+                "optimus.min_t_samples must be at least 2, got {}",
+                self.optimus.min_t_samples
+            )));
+        }
         self.sparse
             .validate()
             .map_err(|msg| MipsError::InvalidConfig(format!("sparse: {msg}")))?;
@@ -917,6 +930,30 @@ mod tests {
                 .unwrap_err(),
             MipsError::DuplicateBackend { key: "bmm".into() }
         );
+        let defaults = OptimusConfig::default();
+        for optimus in [
+            OptimusConfig {
+                alpha: 0.0,
+                ..defaults
+            },
+            OptimusConfig {
+                alpha: 1.0,
+                ..defaults
+            },
+            OptimusConfig {
+                min_t_samples: 1,
+                ..defaults
+            },
+        ] {
+            assert!(matches!(
+                EngineBuilder::new()
+                    .model(model(4, 6))
+                    .register(BmmFactory)
+                    .optimus(optimus)
+                    .build(),
+                Err(MipsError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

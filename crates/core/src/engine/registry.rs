@@ -1,8 +1,8 @@
 //! The open backend registry.
 //!
-//! The seed design hard-coded every solver in a `match` inside
-//! `Strategy::build`; adding a backend meant editing `mips-core`. The
-//! registry inverts that: a backend is anything implementing
+//! The seed design hard-coded every solver in one `match` over a closed
+//! enum; adding a backend meant editing `mips-core`. The registry inverts
+//! that: a backend is anything implementing
 //! [`SolverFactory`], registered under a string key. The built-in solvers
 //! ship as factories ([`BmmFactory`], [`MaximusFactory`], [`LempFactory`],
 //! [`FexiproFactory`]), and downstream crates can register their own with

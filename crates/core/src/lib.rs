@@ -28,8 +28,7 @@
 //!   as its query planner — a staged race that builds an index only while
 //!   it can still win.
 //! * [`solver`] — the [`solver::MipsSolver`] trait every backend
-//!   implements, plus the legacy [`solver::Strategy`] enum, kept as a thin
-//!   naming shim over the engine's registry keys.
+//!   implements.
 //! * [`parallel`] — user-partitioned multi-core serving (Fig. 6). New code
 //!   reaches it by setting [`engine::EngineOptions::threads`]; the free
 //!   functions remain for direct solver access.
@@ -83,10 +82,10 @@ pub use engine::{
     QueryRequest, QueryResponse, SolverFactory, UserSelection,
 };
 pub use maximus::{MaximusConfig, MaximusIndex};
-pub use optimus::{Optimus, OptimusConfig, OptimusOutcome};
+pub use optimus::{Optimus, OptimusConfig};
 pub use precision::Precision;
 pub use serve::{
     LatencySnapshot, MipsServer, ResponseHandle, ServeOptions, ServerBuilder, ServerMetrics,
     ShardMetrics,
 };
-pub use solver::{MipsSolver, Strategy};
+pub use solver::MipsSolver;

@@ -4,38 +4,39 @@
 //! indexes), OPTIMUS:
 //!
 //! 1. **builds a candidate only once it can still win** — construction is
-//!    cheap next to serving (Fig. 4) but not next to *deciding*, so the
-//!    engine's planner ([`Optimus::choose`]) builds lazily: a candidate whose
-//!    calibrated analytical lower bound already exceeds the leader's sampled
-//!    estimate is never built, and a screen variant is built (over its f64
-//!    base's shared construction) only when its tier-rate bound says it can
-//!    still beat the leader. The paper's stand-alone two-way optimizer
-//!    ([`Optimus::run`]) builds the few indexes it is handed;
+//!    cheap next to serving (Fig. 4) but not next to *deciding*, so
+//!    [`Optimus::choose`] builds lazily: a candidate whose calibrated
+//!    analytical lower bound already exceeds the leader's sampled estimate
+//!    is never built, and a screen variant is built (over its f64 base's
+//!    shared construction) only when its tier-rate bound says it can still
+//!    beat the leader;
 //! 2. **samples users** — a fraction of `U` (default 0.5 %) floored so the
 //!    sampled user block at least occupies the L2 cache, without which BMM's
 //!    timing degenerates toward matrix–vector multiply (§IV-A);
 //! 3. **times the candidates on the sample** and linearly extrapolates total
 //!    serving time. For point-query indexes (LEMP, FEXIPRO) an incremental
-//!    one-sample t-test against the reference's mean per-user time (BMM's
-//!    in [`Optimus::run`], the current leader's in [`Optimus::choose`])
-//!    stops sampling as soon as the comparison is statistically settled;
-//! 4. **serves the remaining users with the estimated winner**, reusing the
-//!    winner's sampled results.
+//!    one-sample t-test against the current leader's mean per-user time
+//!    stops sampling as soon as the candidate is significantly slower;
+//! 4. **hands the estimated winner to the engine**, which caches it in a
+//!    [`crate::engine::PreparedPlan`] — with every candidate's estimate and
+//!    [`CandidateOutcome`] — and serves all requests at that `k` with it.
+//!
+//! [`Optimus::choose`] is the only optimizer in the tree: the engine's
+//! planner calls it, and `examples/paper.rs` reproduces the paper's Table II
+//! and Figs. 7–8 by reading the plans it produces.
 //!
 //! [`cost`] additionally implements the paper's offline analytical FLOP
 //! model for the BMM multiply stage, with calibration replacing the paper's
 //! hardware datasheet lookup.
 
 pub mod cost;
-pub mod oracle;
 
-use crate::engine::registry::{BmmFactory, SolverFactory};
 use crate::solver::{screened_name, MipsSolver};
 use crate::sync::Arc;
-use mips_data::{MfModel, ModelView};
+use mips_data::ModelView;
 use mips_linalg::CacheConfig;
 use mips_stats::{OneSampleTTest, TTestDecision};
-use mips_topk::{ScreenTier, TopKList};
+use mips_topk::ScreenTier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -162,35 +163,6 @@ impl StrategyEstimate {
     }
 }
 
-/// The outcome of one OPTIMUS invocation.
-pub struct OptimusOutcome {
-    /// Name of the chosen strategy.
-    pub chosen: String,
-    /// Per-candidate estimates (BMM first, then indexes in input order).
-    pub estimates: Vec<StrategyEstimate>,
-    /// Users sampled for estimation.
-    pub sample_size: usize,
-    /// Wall-clock seconds spent on construction + sampling (the optimizer's
-    /// overhead before the main run starts).
-    pub decision_seconds: f64,
-    /// Wall-clock seconds of the full invocation, decision included.
-    pub total_seconds: f64,
-    /// Top-k results for every user, in user order.
-    pub results: Vec<TopKList>,
-}
-
-/// Everything the estimation phase produces: estimates plus the built
-/// solvers and sampled results, so the serving phase can reuse them.
-struct EstimationPhase {
-    sample: Vec<usize>,
-    taken: Vec<bool>,
-    bmm: Box<dyn MipsSolver>,
-    built: Vec<Box<dyn MipsSolver>>,
-    estimates: Vec<StrategyEstimate>,
-    bmm_results: Vec<TopKList>,
-    index_results: Vec<Option<Vec<TopKList>>>,
-}
-
 /// Where [`Optimus::choose`] gets its candidates: the f64 **base**
 /// candidates in race order, each built on demand, plus — for the bases
 /// that compete them — their screen variants, built on demand from the
@@ -278,9 +250,6 @@ impl PlannedChoice {
 enum EarlyStop {
     /// Never: time the whole sample in one call.
     Never,
-    /// As soon as the test decides either way (the paper's two-way rule:
-    /// the comparison against BMM is settled).
-    WhenDecided,
     /// Only when the candidate is significantly *slower* than the
     /// reference: a candidate at or ahead of the leader keeps the whole
     /// sample, because its estimate is what later candidates are tested
@@ -312,9 +281,8 @@ impl Optimus {
         by_fraction.max(l2_floor).max(2).min(num_users)
     }
 
-    /// Draws `sample_size` distinct users, deterministic per seed. Returns
-    /// the sample plus a membership mask over all `n` users.
-    fn sample_users(&self, n: usize, f: usize) -> (Vec<usize>, Vec<bool>) {
+    /// Draws `sample_size` distinct users, deterministic per seed.
+    fn sample_users(&self, n: usize, f: usize) -> Vec<usize> {
         let sample_size = self.sample_size(n, f);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut sample: Vec<usize> = Vec::with_capacity(sample_size);
@@ -326,7 +294,7 @@ impl Optimus {
                 sample.push(u);
             }
         }
-        (sample, taken)
+        sample
     }
 
     /// Chooses among lazily built candidates with a **staged race** — the
@@ -385,7 +353,7 @@ impl Optimus {
         let labels = source.labels();
         assert!(!labels.is_empty(), "Optimus::choose: no candidates");
         let n = view.num_users();
-        let (mut sample, _) = self.sample_users(n, view.num_factors());
+        let mut sample = self.sample_users(n, view.num_factors());
         let first_user = view.user_range().start;
         if first_user != 0 {
             for user in &mut sample {
@@ -537,7 +505,7 @@ impl Optimus {
                     .solver
                     .as_deref()
                     .expect("sampled entries are built");
-                let (second, _) = self.estimate_index(solver, k, &sample, 0.0, n, EarlyStop::Never);
+                let second = self.estimate_index(solver, k, &sample, 0.0, n, EarlyStop::Never);
                 if second.sample_seconds < entries[idx].estimate.sample_seconds {
                     entries[idx].estimate = second;
                 }
@@ -552,181 +520,12 @@ impl Optimus {
         })
     }
 
-    /// Runs only the estimation phase (construction + sampling + per-user
-    /// timing) and returns the per-strategy estimates without serving the
-    /// remaining users. This is the measurement behind Fig. 7, which plots
-    /// estimate quality against the sample ratio.
-    ///
-    /// `indexes` are backend factories (the same [`SolverFactory`] values a
-    /// [`crate::engine::BackendRegistry`] holds); BMM is always included as
-    /// the batch baseline, so the list must not contain the `"bmm"` key.
-    pub fn estimate_only(
-        &self,
-        model: &Arc<MfModel>,
-        k: usize,
-        indexes: &[Arc<dyn SolverFactory>],
-    ) -> Vec<StrategyEstimate> {
-        self.estimation_phase(&ModelView::full(model), k, indexes)
-            .estimates
-    }
-
-    /// [`Optimus::estimate_only`] over a user-range view: candidates are
-    /// **built over the view** (shard-local index construction) and the
-    /// sample is drawn from — and the totals extrapolated to — the view's
-    /// users. The per-shard planning the serving runtime's
-    /// `IndexScope::PerShard` mode performs is exactly this.
-    pub fn estimate_only_view(
-        &self,
-        view: &ModelView,
-        k: usize,
-        indexes: &[Arc<dyn SolverFactory>],
-    ) -> Vec<StrategyEstimate> {
-        self.estimation_phase(view, k, indexes).estimates
-    }
-
-    /// Construction plus sampling: everything OPTIMUS does before
-    /// committing to a strategy. Candidates are built over `view` and
-    /// queried with local user ids (`0..view.num_users()`).
-    fn estimation_phase(
-        &self,
-        view: &ModelView,
-        k: usize,
-        indexes: &[Arc<dyn SolverFactory>],
-    ) -> EstimationPhase {
-        assert!(
-            !indexes.iter().any(|f| f.key() == "bmm"),
-            "Optimus: BMM is always included; pass only index factories"
-        );
-        let n = view.num_users();
-        let (sample, taken) = self.sample_users(n, view.num_factors());
-
-        // Build all candidates (cheap relative to serving, Fig. 4).
-        let build = |factory: &dyn SolverFactory| -> Box<dyn MipsSolver> {
-            factory
-                .build_view(view)
-                .unwrap_or_else(|err| panic!("Optimus: building {}: {err}", factory.key()))
-        };
-        let bmm = build(&BmmFactory);
-        let built: Vec<Box<dyn MipsSolver>> = indexes.iter().map(|f| build(f.as_ref())).collect();
-
-        // Time BMM on the sample.
-        let t0 = Instant::now();
-        let bmm_results = bmm.query_subset(k, &sample);
-        let bmm_sample_seconds = t0.elapsed().as_secs_f64();
-        let bmm_per_user = bmm_sample_seconds / sample.len() as f64;
-        let mut estimates = vec![StrategyEstimate::timed(
-            bmm.as_ref(),
-            sample.len(),
-            bmm_sample_seconds,
-            n,
-            CandidateOutcome::Sampled,
-        )];
-
-        // Time each index on the sample.
-        let early_stop = EarlyStop::WhenDecided;
-        let mut index_results: Vec<Option<Vec<TopKList>>> = Vec::new();
-        for solver in &built {
-            let (estimate, results) =
-                self.estimate_index(solver.as_ref(), k, &sample, bmm_per_user, n, early_stop);
-            estimates.push(estimate);
-            index_results.push(results);
-        }
-
-        EstimationPhase {
-            sample,
-            taken,
-            bmm,
-            built,
-            estimates,
-            bmm_results,
-            index_results,
-        }
-    }
-
-    /// Chooses between BMM and the given index factories for serving top-k
-    /// for all users, then serves them. `indexes` must not contain the
-    /// `"bmm"` factory (BMM is always a candidate).
-    ///
-    /// Two-way optimization passes one index (the paper's Table II rows 1–4);
-    /// passing two or more gives the multi-way optimizer (row 5).
-    pub fn run(
-        &self,
-        model: &Arc<MfModel>,
-        k: usize,
-        indexes: &[Arc<dyn SolverFactory>],
-    ) -> OptimusOutcome {
-        let overall = Instant::now();
-        let n = model.num_users();
-        let EstimationPhase {
-            sample,
-            taken,
-            bmm,
-            built,
-            estimates,
-            bmm_results,
-            mut index_results,
-        } = self.estimation_phase(&ModelView::full(model), k, indexes);
-
-        // Decide.
-        let chosen_idx = estimates
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.estimated_total_seconds
-                    .total_cmp(&b.1.estimated_total_seconds)
-            })
-            .expect("at least BMM is a candidate")
-            .0;
-        let chosen_name = estimates[chosen_idx].name.clone();
-        let decision_seconds = overall.elapsed().as_secs_f64();
-
-        // Serve remaining users with the winner; reuse its sampled results
-        // when it produced complete ones.
-        let winner: &dyn MipsSolver = if chosen_idx == 0 {
-            bmm.as_ref()
-        } else {
-            built[chosen_idx - 1].as_ref()
-        };
-        let sampled_results: Option<Vec<TopKList>> = if chosen_idx == 0 {
-            Some(bmm_results)
-        } else {
-            index_results[chosen_idx - 1].take()
-        };
-
-        let mut results = vec![TopKList::empty(); n];
-        let remaining: Vec<usize> = match &sampled_results {
-            Some(lists) => {
-                for (pos, &u) in sample.iter().enumerate() {
-                    results[u] = lists[pos].clone();
-                }
-                (0..n).filter(|u| !taken[*u]).collect()
-            }
-            None => (0..n).collect(),
-        };
-        let remaining_results = winner.query_subset(k, &remaining);
-        for (pos, &u) in remaining.iter().enumerate() {
-            results[u] = remaining_results[pos].clone();
-        }
-
-        OptimusOutcome {
-            chosen: chosen_name,
-            estimates,
-            sample_size: sample.len(),
-            decision_seconds,
-            total_seconds: overall.elapsed().as_secs_f64(),
-            results,
-        }
-    }
-
     /// Times one index on the sample. Batch indexes are timed on the whole
     /// sample at once (their per-user cost is only meaningful with work
     /// sharing); point-query indexes are timed user-by-user under the
     /// incremental t-test against `reference_per_user`, as far as
     /// `early_stop` (and [`OptimusConfig::early_stopping`]) lets the test
     /// cut them short.
-    ///
-    /// Returns the estimate and, when the full sample was processed, the
-    /// sampled results for reuse.
     fn estimate_index(
         &self,
         solver: &dyn MipsSolver,
@@ -735,19 +534,19 @@ impl Optimus {
         reference_per_user: f64,
         n: usize,
         early_stop: EarlyStop,
-    ) -> (StrategyEstimate, Option<Vec<TopKList>>) {
+    ) -> StrategyEstimate {
         if solver.batches_users() || early_stop == EarlyStop::Never || !self.config.early_stopping {
             let t0 = Instant::now();
             let results = solver.query_subset(k, sample);
             let sample_seconds = t0.elapsed().as_secs_f64();
-            let estimate = StrategyEstimate::timed(
+            debug_assert_eq!(results.len(), sample.len());
+            return StrategyEstimate::timed(
                 solver,
                 sample.len(),
                 sample_seconds,
                 n,
                 CandidateOutcome::Sampled,
             );
-            return (estimate, Some(results));
         }
 
         // Point queries: incremental one-sample t-test against the
@@ -757,33 +556,25 @@ impl Optimus {
             self.config.alpha,
             self.config.min_t_samples,
         );
-        let mut results = Vec::with_capacity(sample.len());
         let mut sample_seconds = 0.0;
+        let mut used = 0;
         for &u in sample {
             let t0 = Instant::now();
-            let mut r = solver.query_subset(k, &[u]);
+            let result = solver.query_subset(k, &[u]);
             let dt = t0.elapsed().as_secs_f64();
+            debug_assert_eq!(result.len(), 1);
             sample_seconds += dt;
-            results.push(r.pop().expect("one result per user"));
-            let stop = match ttest.push(dt) {
-                TTestDecision::Continue => false,
-                TTestDecision::SignificantlyAbove => true,
-                TTestDecision::SignificantlyBelow => early_stop == EarlyStop::WhenDecided,
-            };
-            if stop {
+            used += 1;
+            if ttest.push(dt) == TTestDecision::SignificantlyAbove {
                 break;
             }
         }
-        let used = results.len();
         let outcome = if used == sample.len() {
             CandidateOutcome::Sampled
         } else {
             CandidateOutcome::StoppedEarly { after: used }
         };
-        (
-            StrategyEstimate::timed(solver, used, sample_seconds, n, outcome),
-            (used == sample.len()).then_some(results),
-        )
+        StrategyEstimate::timed(solver, used, sample_seconds, n, outcome)
     }
 }
 
@@ -823,7 +614,7 @@ impl Race<'_> {
     /// whole-sample estimate take the lead.
     fn time(&mut self, solver: &dyn MipsSolver, early_stop: EarlyStop) -> StrategyEstimate {
         let _ = solver.query_subset(self.k, &self.sample[..self.warm]);
-        let (estimate, _) = self.optimus.estimate_index(
+        let estimate = self.optimus.estimate_index(
             solver,
             self.k,
             self.sample,
@@ -842,14 +633,11 @@ impl Race<'_> {
 mod tests {
     use super::*;
     use crate::bmm::BmmSolver;
-    use crate::engine::registry::{FexiproFactory, LempFactory, MaximusFactory};
-    use crate::maximus::MaximusConfig;
+    use crate::maximus::{MaximusConfig, MaximusIndex};
     use mips_data::synth::{synth_model, SynthConfig};
+    use mips_data::MfModel;
     use mips_lemp::LempConfig;
-
-    fn fac(factory: impl SolverFactory + 'static) -> Arc<dyn SolverFactory> {
-        Arc::new(factory)
-    }
+    use mips_topk::TopKList;
 
     fn model() -> Arc<MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -875,48 +663,38 @@ mod tests {
     }
 
     #[test]
-    fn results_are_exact_regardless_of_choice() {
+    fn whatever_is_chosen_serves_exact_results() {
         let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let outcome = optimus.run(
-            &m,
-            5,
-            &[fac(MaximusFactory::new(MaximusConfig {
+        let maximus = MaximusIndex::build(
+            Arc::clone(&m),
+            &MaximusConfig {
                 num_clusters: 4,
                 block_size: 32,
                 ..MaximusConfig::default()
-            }))],
+            },
         );
-        let want = BmmSolver::build(Arc::clone(&m)).query_all(5);
-        assert_eq!(outcome.results.len(), want.len());
-        for (u, (got, expect)) in outcome.results.iter().zip(&want).enumerate() {
-            assert_eq!(got.items, expect.items, "user {u}");
-        }
-        assert!(["Blocked MM", "Maximus"].contains(&outcome.chosen.as_str()));
-        assert_eq!(outcome.estimates.len(), 2);
-        assert!(outcome.decision_seconds <= outcome.total_seconds);
-    }
-
-    #[test]
-    fn three_way_optimization_works() {
-        let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let outcome = optimus.run(
-            &m,
-            3,
-            &[
-                fac(MaximusFactory::new(MaximusConfig {
-                    num_clusters: 4,
-                    block_size: 32,
-                    ..MaximusConfig::default()
-                })),
-                fac(LempFactory::new(LempConfig::default())),
+        let lemp = crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default());
+        let mut source = Prebuilt {
+            bases: vec![
+                Arc::new(BmmSolver::build(Arc::clone(&m))),
+                Arc::new(maximus),
+                Arc::new(lemp),
             ],
-        );
-        assert_eq!(outcome.estimates.len(), 3);
+            f32_variants: Vec::new(),
+        };
+        let Ok(choice) = Optimus::new(tiny_config()).choose(&ModelView::full(&m), 3, &mut source);
+        assert_eq!(choice.entries.len(), 3);
+        for entry in &choice.entries {
+            let e = &entry.estimate;
+            assert!(e.estimated_total_seconds > 0.0 && e.estimated_total_seconds.is_finite());
+            assert!(e.sampled_users >= 2 && e.sampled_users <= choice.sample_size);
+        }
+        let winner = choice.entries[choice.chosen].solver.as_deref();
+        let got = winner.expect("the winner was built").query_all(3);
         let want = BmmSolver::build(Arc::clone(&m)).query_all(3);
-        for u in (0..m.num_users()).step_by(37) {
-            assert_eq!(outcome.results[u].items, want[u].items);
+        assert_eq!(got.len(), want.len());
+        for (u, (got, expect)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got.items, expect.items, "user {u}");
         }
     }
 
@@ -934,28 +712,36 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_positive_and_finite() {
+    fn a_point_query_candidate_records_where_its_sampling_stopped() {
+        // FEXIPRO point queries against BMM: whether the t-test settles
+        // before the full sample is the clock's business, but the record
+        // must say which happened — `Sampled` over the whole sample, or
+        // `StoppedEarly` at the user count it reports, never before
+        // `min_t_samples` and never past the sample.
         let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let outcome = optimus.run(&m, 1, &[fac(FexiproFactory::si())]);
-        for e in &outcome.estimates {
-            assert!(e.estimated_total_seconds > 0.0);
-            assert!(e.estimated_total_seconds.is_finite());
-            assert!(e.sampled_users >= 2);
+        let config = tiny_config();
+        let fexipro = crate::adapters::FexiproSolver::build(
+            Arc::clone(&m),
+            &mips_fexipro::FexiproConfig::sir(),
+        );
+        let mut source = Prebuilt {
+            bases: vec![
+                Arc::new(BmmSolver::build(Arc::clone(&m))),
+                Arc::new(fexipro),
+            ],
+            f32_variants: Vec::new(),
+        };
+        let Ok(choice) = Optimus::new(config).choose(&ModelView::full(&m), 1, &mut source);
+        let fex = &choice.entries[1].estimate;
+        match fex.outcome {
+            CandidateOutcome::Sampled => assert_eq!(fex.sampled_users, choice.sample_size),
+            CandidateOutcome::StoppedEarly { after } => {
+                assert_eq!(after, fex.sampled_users);
+                assert!(after as u64 >= config.min_t_samples && after < choice.sample_size);
+                assert_ne!(choice.chosen, 1, "a stopped candidate lost to the leader");
+            }
+            other => panic!("a built, unpaired candidate cannot be {other:?}"),
         }
-    }
-
-    #[test]
-    fn early_stopping_can_cut_the_sample_short() {
-        // FEXIPRO point queries against BMM: on this model the per-user gap
-        // is wide, so with early stopping enabled the t-test should settle
-        // before the full sample — sampled_users < sample_size at least
-        // sometimes. We only assert it never exceeds the sample.
-        let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let outcome = optimus.run(&m, 1, &[fac(FexiproFactory::sir())]);
-        let fex = &outcome.estimates[1];
-        assert!(fex.sampled_users <= outcome.sample_size);
     }
 
     /// Already-built bases, the first `paired` of which also carry an f32
@@ -1100,13 +886,5 @@ mod tests {
             largest <= 4,
             "a name ending in a tier suffix was paired: queried {largest} users at once"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "pass only index factories")]
-    fn rejects_bmm_in_index_list() {
-        let m = model();
-        let optimus = Optimus::new(tiny_config());
-        let _ = optimus.run(&m, 1, &[fac(BmmFactory)]);
     }
 }

@@ -380,9 +380,6 @@ impl ShardCounters {
         users: Range<usize>,
         index_scope: IndexScope,
     ) -> ShardMetrics {
-        // The snapshot keeps one named field per lane (its public shape);
-        // the pattern's arity pins it to `ScreenTier::ALL`, in that order.
-        let [f32, i8] = &self.lanes;
         ShardMetrics {
             shard,
             users,
@@ -390,12 +387,14 @@ impl ShardCounters {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            f32_batches: f32.batches.load(Ordering::Relaxed),
-            i8_batches: i8.batches.load(Ordering::Relaxed),
-            screen_candidates_f32: f32.candidates.load(Ordering::Relaxed),
-            screen_survivors_f32: f32.survivors.load(Ordering::Relaxed),
-            screen_candidates_i8: i8.candidates.load(Ordering::Relaxed),
-            screen_survivors_i8: i8.survivors.load(Ordering::Relaxed),
+            lanes: std::array::from_fn(|tier| {
+                let lane = &self.lanes[tier];
+                TierLaneMetrics {
+                    batches: lane.batches.load(Ordering::Relaxed),
+                    candidates: lane.candidates.load(Ordering::Relaxed),
+                    survivors: lane.survivors.load(Ordering::Relaxed),
+                }
+            }),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             users_served: self.users_served.load(Ordering::Relaxed),
             busy_seconds: self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
@@ -422,26 +421,18 @@ pub struct ShardMetrics {
     pub completed: u64,
     /// Solver invocations (one per micro-batch).
     pub batches: u64,
-    /// Of those, how many ran through a mixed-precision plan with an f32
-    /// screen + exact f64 rescore. Results are bit-identical either way;
-    /// under [`crate::precision::Precision::Auto`] this and `i8_batches`
-    /// show the per-shard planner decisions in effect.
-    pub f32_batches: u64,
-    /// How many batches ran through an int8 screen + exact f64 rescore
-    /// plan (`batches - f32_batches - i8_batches` ran f64-direct).
-    pub i8_batches: u64,
-    /// Scores the f32 screen evaluated (candidates it could have pruned)
-    /// across this shard's batches.
-    pub screen_candidates_f32: u64,
-    /// f32-screen candidates that survived the envelope test and were
-    /// rescored with an exact f64 dot; `candidates - survivors` exact dots
-    /// were proven unnecessary. The survivor rate is the screen's
-    /// selectivity in production traffic.
-    pub screen_survivors_f32: u64,
-    /// Scores the int8 screen evaluated across this shard's batches.
-    pub screen_candidates_i8: u64,
-    /// int8-screen candidates that survived to the exact f64 rescore.
-    pub screen_survivors_i8: u64,
+    /// The mixed-precision share of `batches`, one lane per screen tier in
+    /// [`ScreenTier::ALL`] order (index with [`ScreenTier::index`]): how
+    /// many batches ran through a plan screening in that tier before the
+    /// exact f64 rescore (`batches` minus every lane's share ran
+    /// f64-direct), the scores the screen evaluated, and the candidates
+    /// that survived the envelope test to be rescored — `candidates -
+    /// survivors` exact dots were proven unnecessary, so the survivor rate
+    /// is the screen's selectivity in production traffic. Results are
+    /// bit-identical either way; under
+    /// [`crate::precision::Precision::Auto`] the lanes show the per-shard
+    /// planner decisions in effect.
+    pub lanes: TierLanes,
     /// Sub-requests that were coalesced into a shared batch.
     pub coalesced: u64,
     /// User top-k lists produced.
@@ -460,23 +451,6 @@ pub struct ShardMetrics {
 }
 
 impl ShardMetrics {
-    /// The per-tier lanes as data, in [`ScreenTier::ALL`] order — what the
-    /// JSON rendering and the server rollup loop over.
-    pub fn lanes(&self) -> TierLanes {
-        [
-            TierLaneMetrics {
-                batches: self.f32_batches,
-                candidates: self.screen_candidates_f32,
-                survivors: self.screen_survivors_f32,
-            },
-            TierLaneMetrics {
-                batches: self.i8_batches,
-                candidates: self.screen_candidates_i8,
-                survivors: self.screen_survivors_i8,
-            },
-        ]
-    }
-
     /// Writes this shard's counters as one JSON object element into `w`
     /// (call between `begin_arr_field`/`end_arr`).
     pub fn write_json(&self, w: &mut JsonWriter) {
@@ -490,7 +464,7 @@ impl ShardMetrics {
         w.field_u64("submitted", self.submitted);
         w.field_u64("completed", self.completed);
         w.field_u64("batches", self.batches);
-        write_lanes_json(&self.lanes(), w);
+        write_lanes_json(&self.lanes, w);
         w.field_u64("coalesced", self.coalesced);
         w.field_u64("users_served", self.users_served);
         w.field_f64("busy_seconds", self.busy_seconds, 6);
@@ -533,7 +507,7 @@ pub struct ServerMetrics {
     pub index_scope: IndexScope,
     /// The engine's configured numeric mode
     /// ([`crate::precision::Precision`]). Per-plan decisions under `Auto`
-    /// surface as each shard's `f32_batches` / `i8_batches` shares.
+    /// surface as each shard's per-tier [`ShardMetrics::lanes`] shares.
     pub precision: crate::precision::Precision,
     /// Model swaps the runtime has picked up (topology rebuilds — the
     /// count of `swap_model` calls whose new epoch reached the server).
@@ -556,37 +530,13 @@ impl ServerMetrics {
     pub fn lanes(&self) -> TierLanes {
         let mut total = TierLanes::default();
         for shard in &self.shards {
-            for (sum, lane) in total.iter_mut().zip(shard.lanes()) {
+            for (sum, lane) in total.iter_mut().zip(&shard.lanes) {
                 sum.batches += lane.batches;
                 sum.candidates += lane.candidates;
                 sum.survivors += lane.survivors;
             }
         }
         total
-    }
-
-    /// Total micro-batches served through f32-screen plans.
-    pub fn f32_batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.f32_batches).sum()
-    }
-
-    /// Total micro-batches served through int8-screen plans.
-    pub fn i8_batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.i8_batches).sum()
-    }
-
-    /// Total f32-screen (candidates, survivors) across shards.
-    pub fn screen_f32(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(c, s), m| {
-            (c + m.screen_candidates_f32, s + m.screen_survivors_f32)
-        })
-    }
-
-    /// Total int8-screen (candidates, survivors) across shards.
-    pub fn screen_i8(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(c, s), m| {
-            (c + m.screen_candidates_i8, s + m.screen_survivors_i8)
-        })
     }
 
     /// Total sub-requests that shared a batch, across shards.

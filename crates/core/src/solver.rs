@@ -1,18 +1,9 @@
-//! The common solver interface and the legacy strategy enum.
-//!
-//! [`Strategy`] predates the [`crate::engine`] facade and is kept as a thin
-//! naming shim: each variant maps to a registry key and the
-//! [`SolverFactory`] the registry would hold for it. Solvers are built by
-//! registering backends with [`crate::engine::BackendRegistry`] (or passing
-//! [`SolverFactory`] values directly to OPTIMUS and the oracle).
+//! The common solver interface: the [`MipsSolver`] trait every backend
+//! implements, and the helpers its implementations share. Solvers are built
+//! by registering a [`crate::engine::SolverFactory`] with
+//! [`crate::engine::BackendRegistry`].
 
-use crate::engine::registry::{
-    BmmFactory, FexiproFactory, LempFactory, MaximusFactory, SolverFactory,
-};
-use crate::maximus::MaximusConfig;
 use crate::precision::Precision;
-use crate::sync::Arc;
-use mips_lemp::LempConfig;
 use mips_topk::{ScreenTier, TopKList};
 use std::any::Any;
 use std::collections::HashMap;
@@ -34,9 +25,9 @@ impl<T: Any> AsAny for T {
 
 /// A built, queryable exact MIPS solver.
 ///
-/// Implementations hold their model in an [`Arc`] and are immutable after
-/// construction, so they can be queried concurrently (the multi-core
-/// experiments of Fig. 6 partition users across threads).
+/// Implementations hold their model in an [`Arc`](crate::sync::Arc) and are
+/// immutable after construction, so they can be queried concurrently (the
+/// multi-core experiments of Fig. 6 partition users across threads).
 pub trait MipsSolver: Send + Sync + AsAny {
     /// Human-readable name used in benchmark tables
     /// (`"Blocked MM"`, `"Maximus"`, `"LEMP"`, `"FEXIPRO-SI"`, …).
@@ -207,67 +198,11 @@ pub fn dedup_query_subset(
         .collect()
 }
 
-/// A named serving strategy: the legacy unit OPTIMUS chose between.
-///
-/// The optimizer, oracle, and benchmark harness take [`SolverFactory`]
-/// values (the engine's [`crate::engine::BackendRegistry`] namespace);
-/// `Strategy` remains as a thin alias — [`Strategy::key`] and
-/// [`Strategy::factory`] bridge old call sites onto the registry.
-#[derive(Debug, Clone)]
-pub enum Strategy {
-    /// Brute-force blocked matrix multiply.
-    Bmm,
-    /// The MAXIMUS index with the given parameters.
-    Maximus(MaximusConfig),
-    /// The LEMP baseline with the given parameters.
-    Lemp(LempConfig),
-    /// FEXIPRO with SVD + integer pruning.
-    FexiproSi,
-    /// FEXIPRO with all pruning stages.
-    FexiproSir,
-}
-
-impl Strategy {
-    /// The display name the built solver will report.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Strategy::Bmm => "Blocked MM",
-            Strategy::Maximus(_) => "Maximus",
-            Strategy::Lemp(_) => "LEMP",
-            Strategy::FexiproSi => "FEXIPRO-SI",
-            Strategy::FexiproSir => "FEXIPRO-SIR",
-        }
-    }
-
-    /// The registry key this strategy maps to (the engine's backend
-    /// namespace: `"bmm"`, `"maximus"`, `"lemp"`, `"fexipro-si"`,
-    /// `"fexipro-sir"`).
-    pub fn key(&self) -> &'static str {
-        match self {
-            Strategy::Bmm => "bmm",
-            Strategy::Maximus(_) => "maximus",
-            Strategy::Lemp(_) => "lemp",
-            Strategy::FexiproSi => "fexipro-si",
-            Strategy::FexiproSir => "fexipro-sir",
-        }
-    }
-
-    /// The engine factory equivalent to this strategy, carrying its
-    /// configuration.
-    pub fn factory(&self) -> Arc<dyn SolverFactory> {
-        match self {
-            Strategy::Bmm => Arc::new(BmmFactory),
-            Strategy::Maximus(cfg) => Arc::new(MaximusFactory::new(*cfg)),
-            Strategy::Lemp(cfg) => Arc::new(LempFactory::new(*cfg)),
-            Strategy::FexiproSi => Arc::new(FexiproFactory::si()),
-            Strategy::FexiproSir => Arc::new(FexiproFactory::sir()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::BackendRegistry;
+    use crate::sync::Arc;
     use mips_data::synth::{synth_model, SynthConfig};
 
     #[test]
@@ -304,54 +239,15 @@ mod tests {
     }
 
     #[test]
-    fn strategy_keys_match_registry_defaults() {
-        use crate::engine::BackendRegistry;
-        let registry = BackendRegistry::with_defaults();
-        for strategy in [
-            Strategy::Bmm,
-            Strategy::Maximus(MaximusConfig::default()),
-            Strategy::Lemp(LempConfig::default()),
-            Strategy::FexiproSi,
-            Strategy::FexiproSir,
-        ] {
-            assert!(
-                registry.get(strategy.key()).is_some(),
-                "{} should resolve in the default registry",
-                strategy.key()
-            );
-            assert_eq!(strategy.factory().key(), strategy.key());
-        }
-    }
-
-    #[test]
-    fn strategy_names_are_stable() {
-        assert_eq!(Strategy::Bmm.name(), "Blocked MM");
-        assert_eq!(
-            Strategy::Maximus(MaximusConfig::default()).name(),
-            "Maximus"
-        );
-        assert_eq!(Strategy::Lemp(LempConfig::default()).name(), "LEMP");
-        assert_eq!(Strategy::FexiproSi.name(), "FEXIPRO-SI");
-        assert_eq!(Strategy::FexiproSir.name(), "FEXIPRO-SIR");
-    }
-
-    #[test]
-    fn every_strategy_builds_and_answers() {
+    fn every_default_backend_builds_and_answers() {
         let model = Arc::new(synth_model(&SynthConfig {
             num_users: 25,
             num_items: 40,
             num_factors: 8,
             ..SynthConfig::default()
         }));
-        for strategy in [
-            Strategy::Bmm,
-            Strategy::Maximus(MaximusConfig::default()),
-            Strategy::Lemp(LempConfig::default()),
-            Strategy::FexiproSi,
-            Strategy::FexiproSir,
-        ] {
-            let solver = strategy.factory().build(&model).unwrap();
-            assert_eq!(solver.name(), strategy.name());
+        for factory in BackendRegistry::with_defaults().factories() {
+            let solver = factory.build(&model).unwrap();
             assert_eq!(solver.num_users(), 25);
             let all = solver.query_all(3);
             assert_eq!(all.len(), 25);

@@ -204,9 +204,9 @@ proptest! {
         }
     }
 
-    /// Fuzzed *invalid* requests always return `Err` (the acceptance
-    /// criterion stated directly): k is out of domain, a user is out of
-    /// range, or the selection is empty.
+    /// Fuzzed *invalid* requests always return `Err` (the acceptance rule
+    /// stated directly): k is out of domain, a user is out of range, or the
+    /// selection is empty.
     #[test]
     fn random_invalid_requests_always_err(
         selector in 0u8..4,

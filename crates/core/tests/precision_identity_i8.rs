@@ -18,9 +18,10 @@ use mips_core::engine::{
     BackendRegistry, Engine, EngineBuilder, IndexScope, QueryRequest, QueryResponse,
 };
 use mips_core::precision::Precision;
-use mips_core::serve::ServerBuilder;
+use mips_core::serve::{ServerBuilder, TierLaneMetrics};
 use mips_data::MfModel;
 use mips_linalg::Matrix;
+use mips_topk::ScreenTier;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -280,9 +281,9 @@ fn adversarial_corpora_cannot_shake_bit_identity() {
 }
 
 /// Serving under forced i8 surfaces the screen's work in the shard
-/// counters: batches tally as `i8_batches`, candidate/survivor counts
-/// accumulate in the int8 lanes, and the f32 lanes stay untouched (and
-/// vice versa under forced f32). This is the per-precision-mode screen
+/// counters: batches, candidates and survivors accumulate in the int8
+/// lane and the f32 lane stays untouched (and vice versa under forced
+/// f32). This is the per-precision-mode screen
 /// observability `/metrics` exposes.
 #[test]
 fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
@@ -293,7 +294,10 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
         .iter()
         .find(|f| f.key() == "bmm")
         .expect("bmm is a default backend");
-    for (precision, expect_i8) in [(Precision::I8Rescore, true), (Precision::F32Rescore, false)] {
+    for (precision, active_tier, idle_tier) in [
+        (Precision::I8Rescore, ScreenTier::I8, ScreenTier::F32),
+        (Precision::F32Rescore, ScreenTier::F32, ScreenTier::I8),
+    ] {
         let engine = Arc::new(
             EngineBuilder::new()
                 .model(Arc::clone(&model))
@@ -315,39 +319,30 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
         let metrics = server.metrics();
         server.shutdown().unwrap();
         assert!(metrics.completed > 0);
-        let ((active_batches, idle_batches), (active, idle)) = if expect_i8 {
-            (
-                (metrics.i8_batches(), metrics.f32_batches()),
-                (metrics.screen_i8(), metrics.screen_f32()),
-            )
-        } else {
-            (
-                (metrics.f32_batches(), metrics.i8_batches()),
-                (metrics.screen_f32(), metrics.screen_i8()),
-            )
-        };
-        assert!(active_batches > 0, "{precision:?}: no screened batches");
-        assert_eq!(idle_batches, 0, "{precision:?}: wrong-mode batches");
-        let (candidates, survivors) = active;
+        let active = metrics.lanes()[active_tier.index()];
+        let idle = metrics.lanes()[idle_tier.index()];
+        assert!(active.batches > 0, "{precision:?}: no screened batches");
         // BMM screens every (user, item) score of every batch.
-        assert!(candidates > 0, "{precision:?}: screen evaluated nothing");
         assert!(
-            survivors <= candidates,
+            active.candidates > 0,
+            "{precision:?}: screen evaluated nothing"
+        );
+        assert!(
+            active.survivors <= active.candidates,
             "{precision:?}: survivors exceed candidates"
         );
-        assert_eq!(idle, (0, 0), "{precision:?}: wrong-mode screen counts");
-        // Per-shard counters carry the same lanes as the rollup.
         assert_eq!(
-            metrics
-                .shards
-                .iter()
-                .map(|s| if expect_i8 {
-                    s.screen_candidates_i8
-                } else {
-                    s.screen_candidates_f32
-                })
+            idle,
+            TierLaneMetrics::default(),
+            "{precision:?}: wrong-mode batches or screen counts"
+        );
+        // Per-shard counters carry the same lanes as the rollup.
+        let per_shard = metrics.shards.iter();
+        assert_eq!(
+            per_shard
+                .map(|s| s.lanes[active_tier.index()].candidates)
                 .sum::<u64>(),
-            candidates
+            active.candidates
         );
     }
 }

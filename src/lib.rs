@@ -60,9 +60,10 @@
 //!
 //! The `examples/` directory walks through a trained movie recommender, a
 //! word-embedding similarity search, and an optimizer tour across
-//! contrasting workloads; `crates/bench` regenerates every table and figure
-//! of the paper's evaluation, and `benchmark/` is the repo's one end-to-end
-//! benchmark (see `benchmark/README.md`).
+//! contrasting workloads; `examples/paper.rs` regenerates every table and
+//! figure of the paper's evaluation through the same engine and planner
+//! that serve, and `benchmark/` is the repo's one end-to-end benchmark (see
+//! `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -88,13 +89,13 @@ pub mod prelude {
         VectorQueryRequest,
     };
     pub use mips_core::maximus::{MaximusConfig, MaximusIndex};
-    pub use mips_core::optimus::{Optimus, OptimusConfig, OptimusOutcome};
+    pub use mips_core::optimus::{Optimus, OptimusConfig};
     pub use mips_core::parallel::par_query_all;
     pub use mips_core::serve::{
         LatencySnapshot, MipsServer, ResponseHandle, ServeOptions, ServerBuilder, ServerMetrics,
         ShardMetrics,
     };
-    pub use mips_core::solver::{MipsSolver, Strategy};
+    pub use mips_core::solver::MipsSolver;
     pub use mips_core::verify::{check_all_topk, check_user_topk};
     pub use mips_core::{BmmSolver, FexiproSolver, LempSolver, SparseSolver};
     pub use mips_data::catalog::{reference_models, ModelSpec};

@@ -1,7 +1,6 @@
 //! Cross-crate integration tests: the full pipeline from data generation
 //! and training through the serving engine, every backend, and the planner.
 
-use optimus_maximus::core::optimus::oracle::oracle_choice;
 use optimus_maximus::core::parallel::par_query_all;
 use optimus_maximus::data::sgd::{train_sgd, SgdConfig};
 use optimus_maximus::prelude::*;
@@ -36,20 +35,6 @@ fn engine_for(model: &Arc<MfModel>) -> Engine {
         .register(FexiproFactory::sir())
         .build()
         .expect("engine assembles")
-}
-
-fn strategies() -> Vec<Strategy> {
-    vec![
-        Strategy::Bmm,
-        Strategy::Maximus(MaximusConfig {
-            num_clusters: 4,
-            block_size: 32,
-            ..MaximusConfig::default()
-        }),
-        Strategy::Lemp(LempConfig::default()),
-        Strategy::FexiproSi,
-        Strategy::FexiproSir,
-    ]
 }
 
 #[test]
@@ -163,14 +148,15 @@ fn engine_threads_match_sequential_everywhere() {
 }
 
 #[test]
-fn legacy_strategy_and_par_query_all_still_work() {
-    // The Strategy enum remains as a naming shim over registry factories.
+fn par_query_all_matches_query_all_on_every_default_backend() {
+    // Direct solver access, outside the engine: every factory of the default
+    // registry builds, and partitioning users across threads changes nothing.
     let model = small_catalog().remove(2);
-    for strategy in strategies() {
-        let solver = strategy.factory().build(&model).expect("builds");
+    for factory in BackendRegistry::with_defaults().factories() {
+        let solver = factory.build(&model).expect("builds");
         let seq = solver.query_all(4);
         let par = par_query_all(solver.as_ref(), 4, 4);
-        assert_eq!(seq, par, "{} parallel mismatch", strategy.name());
+        assert_eq!(seq, par, "{} parallel mismatch", factory.key());
     }
 }
 
@@ -231,9 +217,6 @@ fn oracle_and_planner_usually_agree() {
         .find(|s| s.dataset == "Netflix" && s.training == "BPR" && s.f == 25)
         .unwrap();
     let model = Arc::new(spec.build(0.15));
-    let backends: [Arc<dyn SolverFactory>; 2] =
-        [Arc::new(BmmFactory), Arc::new(FexiproFactory::sir())];
-    let (best, runtimes) = oracle_choice(&model, 1, &backends);
     let engine = EngineBuilder::new()
         .model(Arc::clone(&model))
         .register(BmmFactory)
@@ -244,11 +227,22 @@ fn oracle_and_planner_usually_agree() {
         })
         .build()
         .expect("engine assembles");
+    // The oracle: every backend run to completion, construction included.
+    let measured = engine.backend_keys().into_iter().map(|key| {
+        let response = engine
+            .execute_with(key, &QueryRequest::top_k(1))
+            .expect("valid request");
+        let build_seconds = engine.solver(key).expect("built").build_seconds();
+        (key, build_seconds + response.serve_seconds)
+    });
+    let (best, _) = measured
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("two backends");
     let plan = engine.prepare(1).expect("planner runs");
     // BPR models are BMM-friendly by construction; a diffuse-user model with
     // flat norms gives indexes nothing to prune.
-    assert_eq!(runtimes[best].name, "Blocked MM");
-    assert_eq!(plan.backend_name(), "Blocked MM");
+    assert_eq!(best, "bmm");
+    assert_eq!(plan.backend_key(), "bmm");
 }
 
 #[test]
