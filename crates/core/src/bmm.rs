@@ -37,16 +37,9 @@ pub use mips_linalg::matrix::RowBlock as UserBlock;
 const SCORE_BUFFER_BYTES: usize = 8 << 20;
 
 /// The brute-force blocked-matrix-multiply solver.
-///
-/// A solver may cover only a contiguous user range of its model
-/// ([`BmmSolver::build_view`]): queries then address users by **local** row
-/// (`0..range.len()`), and every factor access offsets into the parent
-/// matrix — the view is zero-copy over the factor block.
 #[derive(Debug, Clone)]
 pub struct BmmSolver {
     model: Arc<MfModel>,
-    /// The contiguous user range served, in the model's (global) row space.
-    users: Range<usize>,
     batch_rows: usize,
     build_seconds: f64,
     /// `Some` on a mixed-precision path: scans run over the tier's mirror
@@ -63,7 +56,7 @@ pub struct BmmSolver {
 }
 
 /// Both sides of `model` in `tier`, borrowed from the model-level mirror
-/// (built on first use and shared by every view and shard of the model).
+/// (built on first use and shared by every solver over the model).
 /// The item side comes as rows only — what a gather needs; a block scan
 /// adds the mirror's packed panels ([`BmmSolver::armed_sides`]). `None`
 /// when the model does not mirror usably in that tier.
@@ -142,24 +135,10 @@ impl GatheredUsers {
 impl BmmSolver {
     /// Prepares the solver (no index; build cost is effectively zero).
     pub fn build(model: Arc<MfModel>) -> BmmSolver {
-        let users = 0..model.num_users();
-        Self::over_range(model, users)
-    }
-
-    /// Prepares a solver over a contiguous user range of the model —
-    /// zero-copy: only the range is stored; factor rows are read straight
-    /// out of the shared matrix, offset by the range start. Queries use
-    /// local user ids `0..view.num_users()`.
-    pub fn build_view(view: &mips_data::ModelView) -> BmmSolver {
-        Self::over_range(Arc::clone(view.model()), view.user_range())
-    }
-
-    fn over_range(model: Arc<MfModel>, users: Range<usize>) -> BmmSolver {
         let start = Instant::now();
         let batch_rows = Self::pick_batch_rows(model.num_items(), model.num_factors());
         BmmSolver {
             model,
-            users,
             batch_rows,
             build_seconds: start.elapsed().as_secs_f64(),
             screen: None,
@@ -170,9 +149,9 @@ impl BmmSolver {
 
     /// Arms the mixed-precision path: the scan screens in `tier` and the
     /// survivors are rescored exactly. The model's mirror for the tier is
-    /// built here (or fetched from the model-shared cache — views and
-    /// shards reuse one rounding / quantization pass), so its cost is paid
-    /// at build time, where OPTIMUS accounts it. A model that does not
+    /// built here (or fetched from the model-shared cache — every solver
+    /// over the model reuses one rounding / quantization pass), so its cost
+    /// is paid at build time, where OPTIMUS accounts it. A model that does not
     /// mirror usably in `tier` (f32 overflow, degenerate quantization)
     /// leaves the solver as it was — serving silently stays on its current
     /// path.
@@ -280,31 +259,23 @@ impl MipsSolver for BmmSolver {
     }
 
     fn num_users(&self) -> usize {
-        self.users.len()
+        self.model.num_users()
     }
 
     fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
         assert!(users.end <= self.num_users(), "user range out of bounds");
-        let base = self.users.start;
-        let served = base + users.start..base + users.end;
-        let rows = self.model.users().row_block(served.start, served.end);
+        let rows = self.model.users().row_block(users.start, users.end);
         let screen = self.armed_sides();
-        self.serve_rows(rows, screen.map(|(u, i)| (u.rows(served), i)), k)
+        self.serve_rows(rows, screen.map(|(u, i)| (u.rows(users), i)), k)
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         crate::solver::dedup_query_subset(users, |distinct| {
-            let base = self.users.start;
-            let rows: Vec<usize> = distinct
-                .iter()
-                .map(|&u| {
-                    assert!(u < self.num_users(), "user id out of bounds");
-                    base + u
-                })
-                .collect();
-            let gathered: Matrix<f64> = self.model.users().gather_rows(&rows);
+            let in_range = distinct.iter().all(|&u| u < self.num_users());
+            assert!(in_range, "user id out of bounds");
+            let gathered: Matrix<f64> = self.model.users().gather_rows(distinct);
             let screen = self.armed_sides();
-            let screen = screen.map(|(u, i)| (GatheredUsers::gather(u, &rows), i));
+            let screen = screen.map(|(u, i)| (GatheredUsers::gather(u, distinct), i));
             let screen = screen.as_ref().map(|(u, i)| (u.borrow(), *i));
             self.serve_rows((&gathered).into(), screen, k)
         })
@@ -385,34 +356,6 @@ mod tests {
         assert!(big.iter().all(|l| l.len() == 8));
         let empty_range = solver.query_range(3, 2..2);
         assert!(empty_range.is_empty());
-    }
-
-    #[test]
-    fn view_solver_matches_the_global_solver_bit_for_bit() {
-        use mips_data::ModelView;
-        let m = model(37, 60, 9);
-        let global = BmmSolver::build(Arc::clone(&m));
-        let view = ModelView::of_range(&m, 11..29);
-        let local = BmmSolver::build_view(&view);
-        assert_eq!(local.num_users(), 18);
-        // Local range 0..18 is global 11..29, down to every score bit.
-        assert_eq!(local.query_range(5, 0..18), global.query_range(5, 11..29));
-        assert_eq!(
-            local.query_subset(4, &[0, 17, 3, 3]),
-            global.query_subset(4, &[11, 28, 14, 14])
-        );
-        // The full view degenerates to the global solver.
-        let full = BmmSolver::build_view(&ModelView::full(&m));
-        assert_eq!(full.query_all(6), global.query_all(6));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn view_solver_rejects_local_ids_past_the_view() {
-        use mips_data::ModelView;
-        let m = model(10, 8, 4);
-        let local = BmmSolver::build_view(&ModelView::of_range(&m, 2..6));
-        let _ = local.query_subset(1, &[4]);
     }
 
     #[test]

@@ -28,8 +28,8 @@ pub type CacheCell<T> = Arc<Mutex<Option<T>>>;
 /// Returns the cached value of `cell`, or builds one and installs it.
 ///
 /// The build runs outside the cell lock: a slow first-touch build (a
-/// shard-local MAXIMUS over millions of users, a long OPTIMUS sampling
-/// run) never convoys other first-touch builders behind a held mutex —
+/// MAXIMUS index over millions of users, a long OPTIMUS sampling run)
+/// never convoys other first-touch builders behind a held mutex —
 /// each racer builds concurrently, the first to finish installs, and a
 /// loser discards its redundant value and adopts the installed one, so
 /// every caller still observes a single canonical instance. The loser's
@@ -48,18 +48,11 @@ pub fn get_or_build<T: Clone, E>(
     Ok(slot.get_or_insert(built).clone())
 }
 
-/// A shard's identity inside one epoch: its contiguous user bounds. Two
-/// servers (or two topologies of one server) with identical bounds share
-/// the epoch's shard-local state, exactly like the global tier is shared
-/// across callers.
-pub(crate) type ShardKey = (usize, usize);
-
-/// A solver's identity inside one epoch: where it was built (a shard's
-/// bounds, or `None` for the whole model), for which registry key, in
-/// which screen tier (`None`: the plain f64 build). Typed, so a backend
-/// registered under a key that *looks* like another backend's screen
-/// variant (`"bmm+f32"`) can never share its cell.
-pub(crate) type SolverKey = (Option<ShardKey>, String, Option<ScreenTier>);
+/// A solver's identity inside one epoch: its registry key and screen tier
+/// (`None`: the plain f64 build). Typed, so a backend registered under a
+/// key that *looks* like another backend's screen variant (`"bmm+f32"`) can
+/// never share its cell.
+pub(crate) type SolverKey = (String, Option<ScreenTier>);
 
 /// A keyed map of lazily-filled cache cells (one tier of an epoch's
 /// derived state).
@@ -71,39 +64,22 @@ pub(crate) type CacheTier<K, T> = Mutex<HashMap<K, CacheCell<T>>>;
 /// `id` therefore identifies a model generation across the whole serving
 /// stack (responses, metrics, the micro-batcher's coalescing key).
 ///
-/// Derived state comes in two tiers, both epoch-scoped and reclaimed
-/// together by refcount when the last in-flight request drops the epoch:
-///
-/// * the **global tier** (`solvers` entries without bounds, `plans`) —
-///   whole-model indexes and per-`k` plans, shared by every shard under
-///   [`IndexScope::Global`](super::IndexScope::Global);
-/// * the **per-shard tier** (`solvers` entries with bounds, `shard_plans`)
-///   — solvers built over a user-range [`ModelView`](mips_data::ModelView),
-///   and per-shard planning decisions keyed by `(shard_bounds, k)` (with
-///   the scope's auto flag), used by `PerShard`/`Auto` scopes. Keying by
-///   bounds rather than by shard index means a swap that re-chunks the
-///   topology can never alias stale state, and same-bounds topologies
-///   (including rebuilt ones) share it.
+/// Derived state comes in two cache tiers — built `solvers` and per-`k`
+/// `plans`, shared by every shard — both epoch-scoped and reclaimed together
+/// by refcount when the last in-flight request drops the epoch.
 pub(crate) struct ModelEpoch {
     /// The strictly increasing generation number (the builder starts at 0).
     pub(crate) id: u64,
     /// The model this epoch serves.
     pub(crate) model: Arc<MfModel>,
     /// Built solvers — derived from `model`, so the cache lives and dies
-    /// with the epoch — keyed by `(shard bounds, registry key, screen
-    /// tier)`: `None` bounds is the whole-model build, `None` tier the plain
-    /// f64 build. A shard-local entry speaks global user ids (a
-    /// [`ShardScopedSolver`](super::scope::ShardScopedSolver) over the
-    /// view-built index). A cached `None` value records that the backend
-    /// has no variant in that tier.
+    /// with the epoch — keyed by `(registry key, screen tier)`: `None` tier
+    /// is the plain f64 build. A cached `None` value records that the
+    /// backend has no variant in that tier.
     pub(crate) solvers: CacheTier<SolverKey, Option<Arc<dyn MipsSolver>>>,
     /// Cached planning decisions per `k` — likewise epoch-scoped, because a
     /// plan pins the model and solver it was sampled on.
     pub(crate) plans: CacheTier<usize, Arc<PreparedPlan>>,
-    /// Shard-local plans, keyed by `(shard bounds, k, auto)` — the `auto`
-    /// flag separates `PerShard` decisions from `Auto` ones so two servers
-    /// with different scopes fronting one engine never alias plans.
-    pub(crate) shard_plans: CacheTier<(ShardKey, usize, bool), Arc<PreparedPlan>>,
 }
 
 impl ModelEpoch {
@@ -114,7 +90,6 @@ impl ModelEpoch {
             model,
             solvers: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
-            shard_plans: Mutex::new(HashMap::new()),
         }
     }
 }

@@ -55,7 +55,6 @@ pub mod plan;
 mod planner;
 pub mod registry;
 pub mod request;
-pub(crate) mod scope;
 
 pub use error::MipsError;
 pub use plan::PreparedPlan;
@@ -66,7 +65,6 @@ pub use registry::{
 pub use request::{
     ExclusionSet, QueryRequest, QueryResponse, QueryVector, UserSelection, VectorQueryRequest,
 };
-pub use scope::IndexScope;
 
 use crate::optimus::OptimusConfig;
 use crate::parallel::{par_query_range, par_query_subset};
@@ -75,13 +73,11 @@ use crate::solver::MipsSolver;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use epoch::{get_or_build, ArcCell, ModelEpoch};
-use mips_data::{MfModel, ModelView};
+use mips_data::MfModel;
 use mips_linalg::kernels::dot_gemm_ordered;
 use mips_sparse::SparseConfig;
 use mips_topk::{ScreenTier, TopKHeap, TopKList};
-use scope::{ShardBuildStats, ShardScopedSolver};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::time::Instant;
 
 /// Engine-wide serving options: every [`EngineBuilder`] knob as one typed,
@@ -429,38 +425,30 @@ impl Engine {
     /// other backends proceed; concurrent first requests for this one may
     /// race the build but share the single installed instance.
     pub fn solver(&self, key: &str) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        self.global_solver(&self.snapshot(), key, None)
+        self.solver_or_plain(&self.snapshot(), key, None)
     }
 
-    /// The one solver lookup: backend `key` on one epoch snapshot, over the
-    /// whole model (`users: None`) or shard-local over the contiguous range
-    /// `users` (built over a [`ModelView`] of it; the returned solver
-    /// speaks **global** user ids restricted to the range), in screen tier
-    /// `tier` (`None`: the plain f64 build).
+    /// The one solver lookup: backend `key` on one epoch snapshot, in
+    /// screen tier `tier` (`None`: the plain f64 build).
     ///
-    /// Built lazily and cached in the epoch under the typed tuple
-    /// `(bounds, key, tier)`. The build runs outside the cache lock and
-    /// installs compare-and-swap style (see [`epoch::get_or_build`]), so a
-    /// slow build never convoys concurrent first-touch builders of other
-    /// state. `Ok(None)` — cached like a build — means the backend has no
-    /// variant in `tier`; the plain build always exists.
+    /// Built lazily and cached in the epoch under the typed pair
+    /// `(key, tier)`. The build runs outside the cache lock and installs
+    /// compare-and-swap style (see [`epoch::get_or_build`]), so a slow build
+    /// never convoys concurrent first-touch builders of other state.
+    /// `Ok(None)` — cached like a build — means the backend has no variant
+    /// in `tier`; the plain build always exists.
     ///
-    /// A tier variant is **derived from the plain build of the same
-    /// scope**: the `(bounds, key, None)` cell's solver (built here if this
-    /// is its first use) is handed to the factory's `build_screen`, which
-    /// adds the tier's mirrors over the shared construction — so a
-    /// backend's clustering, sorting and gathered copies exist once per
-    /// `(bounds, key)` and epoch, however many tiers are armed.
-    ///
-    /// Real construction work (a cache miss) is recorded into `stats` so
-    /// the serving runtime can surface per-shard build counts and cost.
+    /// A tier variant is **derived from the plain build**: the
+    /// `(key, None)` cell's solver (built here if this is its first use) is
+    /// handed to the factory's `build_screen`, which adds the tier's mirrors
+    /// over the shared construction — so a backend's clustering, sorting
+    /// and gathered copies exist once per `key` and epoch, however many
+    /// tiers are armed.
     fn solver_on(
         &self,
         state: &ModelEpoch,
-        users: Option<&Range<usize>>,
         key: &str,
         tier: Option<ScreenTier>,
-        stats: &mut ShardBuildStats,
     ) -> Result<Option<Arc<dyn MipsSolver>>, MipsError> {
         let factory = Arc::clone(
             self.registry
@@ -468,44 +456,22 @@ impl Engine {
                 .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
         );
         let cell = {
-            let bounds = users.map(|u| (u.start, u.end));
             let mut map = lock_recovering(&state.solvers);
-            Arc::clone(map.entry((bounds, key.to_string(), tier)).or_default())
+            Arc::clone(map.entry((key.to_string(), tier)).or_default())
         };
         get_or_build(&cell, || {
-            let view = match users {
-                Some(users) => ModelView::of_range(&state.model, users.clone()),
-                None => ModelView::full(&state.model),
-            };
-            let plain = match tier {
-                Some(_) => self.solver_on(state, users, key, None, stats)?,
-                None => None,
-            };
-            let started = Instant::now();
-            let built = match (tier, users) {
-                (Some(tier), _) => {
+            let built = match tier {
+                Some(tier) => {
+                    let plain = self.solver_on(state, key, None)?;
                     let plain = plain.as_deref().expect("every backend has a plain build");
-                    // A shard-local plain build is cached behind its id
-                    // translation; the factory gets the solver it built.
-                    let base = match plain.downcast_ref::<ShardScopedSolver>() {
-                        Some(scoped) => scoped.inner(),
-                        None => plain,
-                    };
-                    match factory.build_screen(base, &view, tier) {
+                    match factory.build_screen(plain, &state.model, tier) {
                         Some(built) => built?,
                         None => return Ok(None),
                     }
                 }
-                (None, Some(_)) => factory.build_view(&view)?,
-                (None, None) => factory.build(&state.model)?,
+                None => factory.build(&state.model)?,
             };
-            let solver: Arc<dyn MipsSolver> = match users {
-                Some(users) => Arc::new(ShardScopedSolver::new(built, users.start)),
-                None => Arc::from(built),
-            };
-            stats.builds += 1;
-            stats.build_ns += started.elapsed().as_nanos() as u64;
-            Ok(Some(solver))
+            Ok(Some(Arc::from(built)))
         })
     }
 
@@ -515,30 +481,17 @@ impl Engine {
     fn solver_or_plain(
         &self,
         state: &ModelEpoch,
-        users: Option<&Range<usize>>,
         key: &str,
         tier: Option<ScreenTier>,
-        stats: &mut ShardBuildStats,
     ) -> Result<Arc<dyn MipsSolver>, MipsError> {
         if tier.is_some() {
-            if let Some(screen) = self.solver_on(state, users, key, tier, stats)? {
+            if let Some(screen) = self.solver_on(state, key, tier)? {
                 return Ok(screen);
             }
         }
         Ok(self
-            .solver_on(state, users, key, None, stats)?
+            .solver_on(state, key, None)?
             .expect("every backend has a plain build"))
-    }
-
-    /// [`Engine::solver_or_plain`] over the whole model (build cost is only
-    /// surfaced per shard, so it goes unrecorded here).
-    fn global_solver(
-        &self,
-        state: &ModelEpoch,
-        key: &str,
-        tier: Option<ScreenTier>,
-    ) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        self.solver_or_plain(state, None, key, tier, &mut ShardBuildStats::default())
     }
 
     /// Serves a request with an explicitly named backend — no planning.
@@ -553,7 +506,7 @@ impl Engine {
         // f64 build when the backend has no path for that tier); under
         // Auto the precision decision belongs to the planner, so unplanned
         // named requests serve f64-direct.
-        let solver = self.global_solver(&state, key, self.config.precision.forced_tier())?;
+        let solver = self.solver_or_plain(&state, key, self.config.precision.forced_tier())?;
         serve(
             &state.model,
             solver.as_ref(),
@@ -583,7 +536,7 @@ impl Engine {
         let query = request.vector.densify();
         let started = Instant::now();
         let served = if self.registry.get("sparse").is_some() {
-            let solver = self.global_solver(&state, "sparse", None)?;
+            let solver = self.solver_or_plain(&state, "sparse", None)?;
             solver
                 .query_vector(&query, request.k)
                 .map(|list| (list, solver.name().to_string()))
@@ -636,54 +589,7 @@ impl Engine {
             let mut map = lock_recovering(&state.plans);
             Arc::clone(map.entry(k).or_default())
         };
-        get_or_build(&cell, || {
-            let mut unrecorded = ShardBuildStats::default();
-            Ok(Arc::new(self.plan_over(
-                state,
-                None,
-                k,
-                false,
-                &mut unrecorded,
-            )?))
-        })
-    }
-
-    /// The plan for requests at `k` restricted to the contiguous user
-    /// range `users`, planned **per shard**: candidates are shard-local
-    /// solvers built over a view of the range (plus, under
-    /// [`IndexScope::Auto`], the global plan's winner), and OPTIMUS
-    /// samples the shard's own users. Cached in the epoch's per-shard tier
-    /// under `(bounds, k)`; reclaimed with the epoch exactly like the
-    /// global tier.
-    pub(crate) fn prepare_shard_on(
-        &self,
-        state: &ModelEpoch,
-        users: &Range<usize>,
-        k: usize,
-        scope: IndexScope,
-        stats: &mut ShardBuildStats,
-    ) -> Result<Arc<PreparedPlan>, MipsError> {
-        debug_assert!(scope.builds_local(), "global scope plans via prepare_on");
-        if k == 0 || k > state.model.num_items() {
-            return Err(MipsError::InvalidK {
-                k,
-                num_items: state.model.num_items(),
-            });
-        }
-        let auto = scope == IndexScope::Auto;
-        let cell = {
-            let mut map = lock_recovering(&state.shard_plans);
-            Arc::clone(map.entry(((users.start, users.end), k, auto)).or_default())
-        };
-        get_or_build(&cell, || {
-            Ok(Arc::new(self.plan_over(
-                state,
-                Some(users),
-                k,
-                auto,
-                stats,
-            )?))
-        })
+        get_or_build(&cell, || Ok(Arc::new(self.plan_over(state, k)?)))
     }
 
     /// Serves a request through the plan cache: plans once per `k` per
@@ -861,6 +767,7 @@ mod tests {
     use crate::optimus::CandidateOutcome;
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_linalg::CacheConfig;
+    use std::ops::Range;
 
     fn model(users: usize, items: usize) -> Arc<MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -890,17 +797,6 @@ mod tests {
             .optimus(tiny_optimus())
             .build()
             .unwrap()
-    }
-
-    /// Rows of the plan's decision record whose candidate was built.
-    fn built_rows(plan: &PreparedPlan) -> u64 {
-        let unbuilt = |e: &&crate::optimus::StrategyEstimate| {
-            matches!(
-                e.outcome,
-                CandidateOutcome::PrunedAnalytical { .. } | CandidateOutcome::NotBuilt { .. }
-            )
-        };
-        (plan.estimates().len() - plan.estimates().iter().filter(unbuilt).count()) as u64
     }
 
     #[test]
@@ -1556,95 +1452,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_plans_cache_by_bounds_and_count_local_builds() {
-        let engine = engine(60, 40);
-        let state = engine.snapshot();
-        let mut stats = ShardBuildStats::default();
-        let plan = engine
-            .prepare_shard_on(&state, &(0..30), 4, IndexScope::PerShard, &mut stats)
-            .unwrap();
-        assert_eq!(plan.shard_users(), Some(0..30));
-        assert!(plan.uses_local_index());
-        assert_eq!(plan.epoch(), 0);
-        // Every default backend is on the record; each one the race did
-        // not exclude analytically was built for the shard, once.
-        assert_eq!(plan.estimates().len(), 6);
-        assert_eq!(stats.builds, built_rows(&plan));
-        assert!(stats.builds >= 5, "only the sparse backend has a gate");
-        assert!(stats.build_ns > 0);
-        assert!(plan.analytical_bmm_seconds() > 0.0);
-
-        // Same bounds + k: cache hit, no construction, same plan instance.
-        let mut again_stats = ShardBuildStats::default();
-        let again = engine
-            .prepare_shard_on(&state, &(0..30), 4, IndexScope::PerShard, &mut again_stats)
-            .unwrap();
-        assert!(Arc::ptr_eq(&plan, &again));
-        assert_eq!(again_stats.builds, 0);
-
-        // Same bounds, new k: solvers reused, only planning happens.
-        let mut new_k_stats = ShardBuildStats::default();
-        let other_k = engine
-            .prepare_shard_on(&state, &(0..30), 2, IndexScope::PerShard, &mut new_k_stats)
-            .unwrap();
-        assert_eq!(new_k_stats.builds, 0, "shard solvers are shared across k");
-        assert_eq!(other_k.planned_k(), 2);
-
-        // Different bounds: a separate tier entry with its own builds.
-        let mut other_stats = ShardBuildStats::default();
-        let other = engine
-            .prepare_shard_on(&state, &(30..60), 4, IndexScope::PerShard, &mut other_stats)
-            .unwrap();
-        assert_eq!(other_stats.builds, built_rows(&other));
-        assert_eq!(other.shard_users(), Some(30..60));
-
-        // Bad k surfaces as the same typed error as global planning.
-        let mut err_stats = ShardBuildStats::default();
-        assert!(matches!(
-            engine.prepare_shard_on(&state, &(0..30), 0, IndexScope::PerShard, &mut err_stats),
-            Err(MipsError::InvalidK { k: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn auto_shard_plans_pit_the_global_winner_against_local_candidates() {
-        let engine = engine(80, 40);
-        let state = engine.snapshot();
-        let mut stats = ShardBuildStats::default();
-        let auto = engine
-            .prepare_shard_on(&state, &(0..40), 3, IndexScope::Auto, &mut stats)
-            .unwrap();
-        // Candidates: the global plan's winner plus one local solver per
-        // registered backend.
-        assert_eq!(auto.estimates().len(), engine.backend_keys().len() + 1);
-        // The incumbent arrives built; the local candidates build here.
-        assert_eq!(stats.builds, built_rows(&auto) - 1);
-        // Auto planning forced the global plan into existence too.
-        assert!(engine.prepare(3).unwrap().shard_users().is_none());
-        // The recorded decision tells whether this shard went local.
-        let _went_local = auto.uses_local_index();
-    }
-
-    #[test]
-    fn analytical_prior_calibrates_once_across_epochs_and_shards() {
+    fn analytical_prior_calibrates_once_across_epochs() {
         let engine = engine(60, 40);
         assert_eq!(engine.registry().calibration_runs(), 0);
         let plan = engine.prepare(3).unwrap();
         assert!(plan.analytical_bmm_seconds() > 0.0);
         assert_eq!(engine.registry().calibration_runs(), 1);
-        // Shard plans on the same engine reuse the rate...
-        let state = engine.snapshot();
-        let mut stats = ShardBuildStats::default();
-        let shard_plan = engine
-            .prepare_shard_on(&state, &(0..30), 3, IndexScope::PerShard, &mut stats)
-            .unwrap();
-        assert!(shard_plan.analytical_bmm_seconds() > 0.0);
-        assert!(
-            shard_plan.analytical_bmm_seconds() < plan.analytical_bmm_seconds(),
-            "the prior is sized to the view (half the users)"
-        );
-        assert_eq!(engine.registry().calibration_runs(), 1);
-        // ...and so does a fresh epoch: no per-epoch recalibration.
+        // A fresh epoch reuses the rate: no per-epoch recalibration.
         engine.swap_model(model(60, 40)).unwrap();
         engine.prepare(3).unwrap();
         assert_eq!(engine.registry().calibration_runs(), 1);
@@ -1702,7 +1516,7 @@ mod tests {
     fn a_backend_keyed_like_a_screen_variant_never_shares_its_cache_cell() {
         // A third-party backend may register under any key — including one
         // that looks like BMM's f32 screen. Solver cache cells are keyed by
-        // the typed `(bounds, key, tier)` tuple, so the two never alias,
+        // the typed `(key, tier)` pair, so the two never alias,
         // whichever is built first.
         struct Stub(BmmSolver);
         impl MipsSolver for Stub {

@@ -14,16 +14,10 @@ use crate::precision::Precision;
 use crate::solver::MipsSolver;
 use crate::sync::Arc;
 use mips_data::MfModel;
-use std::ops::Range;
 
 /// A cached planning decision: the winning backend plus the evidence the
-/// planner used to pick it.
-///
-/// A plan is either **global** (sampled over the whole model, the winner
-/// serves any user) or **shard-scoped** ([`PreparedPlan::shard_users`] is
-/// set): sampled over one contiguous user range, its winner serves exactly
-/// that range — in global user ids — and may be a shard-local index built
-/// over a [`ModelView`](mips_data::ModelView) of the range.
+/// planner used to pick it. A plan is sampled over the whole model and its
+/// winner serves any user.
 pub struct PreparedPlan {
     pub(super) model: Arc<MfModel>,
     pub(super) winner: Arc<dyn MipsSolver>,
@@ -41,14 +35,6 @@ pub struct PreparedPlan {
     pub(super) estimates: Vec<StrategyEstimate>,
     pub(super) sample_size: usize,
     pub(super) decision_seconds: f64,
-    /// The contiguous user range the plan was sampled for, when the plan
-    /// is shard-scoped; `None` for whole-model plans.
-    pub(super) shard_users: Option<Range<usize>>,
-    /// Whether the winning solver is a shard-local index (built over the
-    /// shard's view) rather than a shared global one. Always `false` for
-    /// global plans; under `IndexScope::Auto` this records the per-shard
-    /// decision.
-    pub(super) local_index: bool,
     /// The §IV-A analytical prior: predicted seconds for the BMM multiply
     /// stage over the plan's users, from the registry's calibrated FLOP
     /// rate. `0.0` when planning skipped sampling (single candidate).
@@ -117,18 +103,6 @@ impl PreparedPlan {
     /// (`estimates()[i].build_seconds`).
     pub fn decision_seconds(&self) -> f64 {
         self.decision_seconds
-    }
-
-    /// The contiguous user range a shard-scoped plan covers (`None` for
-    /// whole-model plans).
-    pub fn shard_users(&self) -> Option<Range<usize>> {
-        self.shard_users.clone()
-    }
-
-    /// `true` when the winning solver is a shard-local index built over
-    /// the shard's user view (as opposed to the shared global solver).
-    pub fn uses_local_index(&self) -> bool {
-        self.local_index
     }
 
     /// The analytical BMM prior recorded at planning time: predicted
@@ -204,8 +178,6 @@ impl std::fmt::Debug for PreparedPlan {
             .field("epoch", &self.epoch)
             .field("sample_size", &self.sample_size)
             .field("decision_seconds", &self.decision_seconds)
-            .field("shard_users", &self.shard_users)
-            .field("local_index", &self.local_index)
             .field("precision", &self.precision)
             .finish()
     }

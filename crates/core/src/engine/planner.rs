@@ -1,11 +1,10 @@
 //! The engine's query planner: which backend — in which numeric tier —
 //! serves requests at one `k`.
 //!
-//! [`Engine::plan_over`] is the planning phase behind
-//! [`Engine::prepare`] and the per-shard plans of the serving runtime. It
-//! hands OPTIMUS ([`Optimus::choose`]) a **lazy** candidate source over the
-//! backend registry and the epoch's solver cache, so an index is built only
-//! when the staged race still gives it a chance, and keeps the race's
+//! [`Engine::plan_over`] is the planning phase behind [`Engine::prepare`].
+//! It hands OPTIMUS ([`Optimus::choose`]) a **lazy** candidate source over
+//! the backend registry and the epoch's solver cache, so an index is built
+//! only when the staged race still gives it a chance, and keeps the race's
 //! **decision record** — every registered backend × tier with its estimate
 //! and [`CandidateOutcome`] — on the [`PreparedPlan`].
 //!
@@ -23,82 +22,53 @@
 //! [`BackendRegistry::analytical_tier`]: super::BackendRegistry::analytical_tier
 
 use super::epoch::ModelEpoch;
-use super::scope::ShardBuildStats;
 use super::{Engine, MipsError, PreparedPlan};
 use crate::optimus::{CandidateOutcome, CandidateSource, Optimus, PlannedChoice, StrategyEstimate};
 use crate::precision::Precision;
 use crate::solver::{screened_name, MipsSolver};
 use crate::sync::atomic::Ordering;
 use crate::sync::Arc;
-use mips_data::ModelView;
+use mips_data::MfModel;
 use mips_topk::ScreenTier;
-use std::ops::Range;
 
 /// Registry key of the one backend with an analytical cost model of its
 /// own ([`Engine::analytical_sparse_seconds`]).
 const SPARSE_KEY: &str = "sparse";
 
-/// One f64 base candidate of a plan: a registry backend, or — under
-/// [`IndexScope::Auto`](super::IndexScope::Auto) — the global plan's winner.
-struct Candidate {
-    /// Registry key of the backend (for the `Auto`-scope incumbent: the
-    /// global plan's backend key, verbatim).
-    key: String,
-    /// Built over the shard's user view rather than the whole model.
-    local: bool,
-    /// The incumbent arrives built; a registry backend is built through the
-    /// epoch's solver cache when the race asks for it.
-    prebuilt: Option<Arc<dyn MipsSolver>>,
-}
-
-/// The lazy candidate source of one plan: registry backends in order
-/// (after the incumbent, if any), each built on demand over the plan's
-/// scope. A forced tier ([`Precision::forced_tier`]) substitutes each
-/// backend's screen variant when it has one (under the plain key — the mode
-/// is forced, not competed); [`Precision::Auto`] competes every available
-/// screen variant as an **extra** candidate against its f64 build, bounded
-/// by the calibrated tier-rate ratio. The incumbent competes no variants:
-/// its own screen-vs-f64 race was settled by the global plan.
+/// The lazy candidate source of one plan: registry backends in order, each
+/// built on demand through the epoch's solver cache. A forced tier
+/// ([`Precision::forced_tier`]) substitutes each backend's screen variant
+/// when it has one (under the plain key — the mode is forced, not
+/// competed); [`Precision::Auto`] competes every available screen variant
+/// as an **extra** candidate against its f64 build, bounded by the
+/// calibrated tier-rate ratio.
 struct Candidates<'a> {
     engine: &'a Engine,
     state: &'a ModelEpoch,
-    users: Option<&'a Range<usize>>,
-    view: &'a ModelView,
-    stats: &'a mut ShardBuildStats,
-    list: Vec<Candidate>,
+    /// Registry keys, in registration order.
+    keys: Vec<&'a str>,
 }
 
 impl CandidateSource for Candidates<'_> {
     type Error = MipsError;
 
     fn labels(&self) -> Vec<String> {
-        self.list.iter().map(|c| c.key.clone()).collect()
+        self.keys.iter().map(|key| key.to_string()).collect()
     }
 
     fn analytical_bound(&mut self, base: usize) -> Option<f64> {
-        let candidate = &self.list[base];
-        (candidate.prebuilt.is_none() && candidate.key == SPARSE_KEY)
-            .then(|| self.engine.analytical_sparse_seconds(self.view))
+        (self.keys[base] == SPARSE_KEY)
+            .then(|| self.engine.analytical_sparse_seconds(&self.state.model))
     }
 
     fn build(&mut self, base: usize) -> Result<Arc<dyn MipsSolver>, MipsError> {
-        let candidate = &self.list[base];
-        match &candidate.prebuilt {
-            Some(solver) => Ok(Arc::clone(solver)),
-            None => self.engine.solver_or_plain(
-                self.state,
-                self.users,
-                &candidate.key,
-                self.engine.config.precision.forced_tier(),
-                self.stats,
-            ),
-        }
+        let tier = self.engine.config.precision.forced_tier();
+        self.engine
+            .solver_or_plain(self.state, self.keys[base], tier)
     }
 
-    fn tier_time_ratio(&mut self, base: usize, tier: ScreenTier) -> Option<f64> {
-        let competes =
-            self.engine.config.precision == Precision::Auto && self.list[base].prebuilt.is_none();
-        competes.then(|| {
+    fn tier_time_ratio(&mut self, _base: usize, tier: ScreenTier) -> Option<f64> {
+        (self.engine.config.precision == Precision::Auto).then(|| {
             let registry = &self.engine.registry;
             registry.analytical_tier(None).flops_per_second
                 / registry.analytical_tier(Some(tier)).flops_per_second
@@ -110,9 +80,8 @@ impl CandidateSource for Candidates<'_> {
         base: usize,
         tier: ScreenTier,
     ) -> Result<Option<Arc<dyn MipsSolver>>, MipsError> {
-        let key = &self.list[base].key;
         self.engine
-            .solver_on(self.state, self.users, key, Some(tier), self.stats)
+            .solver_on(self.state, self.keys[base], Some(tier))
     }
 }
 
@@ -163,63 +132,25 @@ fn demote_marginal_screen_winner(
 }
 
 impl Engine {
-    /// Assembles the planner's lazy candidate source for one epoch — over
-    /// the whole model, or shard-local over `users` — with `incumbent` (the
-    /// global plan, under `IndexScope::Auto`) racing first. Nothing is
-    /// built here.
-    fn candidates<'a>(
-        &'a self,
-        state: &'a ModelEpoch,
-        users: Option<&'a Range<usize>>,
-        view: &'a ModelView,
-        incumbent: Option<&PreparedPlan>,
-        stats: &'a mut ShardBuildStats,
-    ) -> Candidates<'a> {
-        let incumbent = incumbent.map(|global| Candidate {
-            key: global.backend_key().to_string(),
-            local: false,
-            prebuilt: Some(Arc::clone(&global.winner)),
-        });
-        let registered = self.registry.keys().into_iter().map(|key| Candidate {
-            key: key.to_string(),
-            local: users.is_some(),
-            prebuilt: None,
-        });
-        Candidates {
-            engine: self,
-            state,
-            users,
-            view,
-            stats,
-            list: incumbent.into_iter().chain(registered).collect(),
-        }
-    }
-
-    /// The planning phase behind [`Engine::prepare`] (`users: None`) and
-    /// [`Engine::prepare_shard_on`]: a shard plan's candidates are the
-    /// shard-local solvers for every registered backend (built — or
-    /// fetched from the epoch's cache — over a view of `users`, and only
-    /// when the race asks), plus the global plan's winner when `auto` is
-    /// set. OPTIMUS samples the plan's own users, so a shard's decision
-    /// reflects the slice's shape, not the whole model's.
+    /// The planning phase behind [`Engine::prepare`]: the candidates are
+    /// the registered backends, each built — or fetched from the epoch's
+    /// cache — only when the race asks, and OPTIMUS samples the model's
+    /// users.
     pub(super) fn plan_over(
         &self,
         state: &ModelEpoch,
-        users: Option<&Range<usize>>,
         k: usize,
-        auto: bool,
-        stats: &mut ShardBuildStats,
     ) -> Result<PreparedPlan, MipsError> {
-        let view = match users {
-            Some(users) => ModelView::of_range(&state.model, users.clone()),
-            None => ModelView::full(&state.model),
+        let model = &state.model;
+        let mut source = Candidates {
+            engine: self,
+            state,
+            keys: self.registry.keys(),
         };
-        let global = auto.then(|| self.prepare_on(state, k)).transpose()?;
-        let mut source = self.candidates(state, users, &view, global.as_deref(), stats);
         self.planner_runs.fetch_add(1, Ordering::SeqCst);
 
         // One candidate with nothing to compete against: nothing to sample.
-        let lone = match source.list.len() {
+        let lone = match source.keys.len() {
             1 => Some(source.build(0)?).filter(|only| {
                 self.config.precision != Precision::Auto || only.screen_tiers().is_empty()
             }),
@@ -227,7 +158,7 @@ impl Engine {
         };
         let choice = match lone {
             Some(_) => None,
-            None => Some(self.run_planner(&view, k, &mut source)?),
+            None => Some(self.run_planner(model, k, &mut source)?),
         };
         let (base, tier, solver) = match (&choice, lone) {
             (Some(choice), _) => {
@@ -237,17 +168,14 @@ impl Engine {
             }
             (None, only) => (0, None, only.expect("no race means a lone candidate")),
         };
-        let candidate = &source.list[base];
         let mut plan = PreparedPlan {
-            model: Arc::clone(&state.model),
+            model: Arc::clone(model),
             precision: solver.precision(),
-            backend_key: screened_name(&candidate.key, tier),
+            backend_key: screened_name(source.keys[base], tier),
             winner: solver,
             planned_k: k,
             threads: self.config.threads,
             epoch: state.id,
-            local_index: candidate.local,
-            shard_users: users.cloned(),
             estimates: Vec::new(),
             sample_size: 0,
             decision_seconds: 0.0,
@@ -260,15 +188,15 @@ impl Engine {
                 let served = e.solver.as_ref().map(|s| s.precision());
                 e.tier == Some(ScreenTier::F32) || served == Some(Precision::F32Rescore)
             });
-            plan.analytical_bmm_seconds = self.analytical_bmm_seconds(&view);
+            plan.analytical_bmm_seconds = self.analytical_bmm_seconds(model);
             // Recorded only when an f32 candidate competed, so pure-f64
             // engines never pay the f32 calibration; the sparse prior
             // likewise only when the sparse backend is a candidate.
             if f32_competed {
-                plan.analytical_screen_seconds = self.analytical_screen_seconds(&view);
+                plan.analytical_screen_seconds = self.analytical_screen_seconds(model);
             }
-            if source.list.iter().any(|c| c.key == SPARSE_KEY) {
-                plan.analytical_sparse_seconds = self.analytical_sparse_seconds(&view);
+            if source.keys.contains(&SPARSE_KEY) {
+                plan.analytical_sparse_seconds = self.analytical_sparse_seconds(model);
             }
             plan.sample_size = choice.sample_size;
             plan.decision_seconds = choice.decision_seconds;
@@ -283,11 +211,11 @@ impl Engine {
     /// ([`CandidateOutcome::DemotedWithinMargin`]).
     fn run_planner(
         &self,
-        view: &ModelView,
+        model: &MfModel,
         k: usize,
         source: &mut Candidates<'_>,
     ) -> Result<PlannedChoice, MipsError> {
-        let mut choice = Optimus::new(self.config.optimus).choose(view, k, source)?;
+        let mut choice = Optimus::new(self.config.optimus).choose(model, k, source)?;
         let estimates: Vec<&StrategyEstimate> =
             choice.entries.iter().map(|e| &e.estimate).collect();
         let screen_of: Vec<Option<usize>> = (0..choice.entries.len())
@@ -301,41 +229,41 @@ impl Engine {
     }
 
     /// The §IV-A analytical prior recorded on sampled plans: predicted
-    /// multiply-stage seconds for the view's users over the full catalog,
+    /// multiply-stage seconds for the model's users over the full catalog,
     /// using the registry's calibrated FLOP rate (measured once per SIMD
-    /// kernel, cached across epochs and shards).
-    fn analytical_bmm_seconds(&self, view: &ModelView) -> f64 {
+    /// kernel, cached across epochs).
+    fn analytical_bmm_seconds(&self, model: &MfModel) -> f64 {
         self.registry.analytical_bmm().predict_seconds(
-            view.num_users(),
-            view.num_items(),
-            view.num_factors(),
+            model.num_users(),
+            model.num_items(),
+            model.num_factors(),
         )
     }
 
     /// The analytical prior for the f32 **screen phase** of the
     /// mixed-precision path. The rescore phase is data-dependent and
     /// covered by online sampling, like the top-k stage of the f64 prior.
-    fn analytical_screen_seconds(&self, view: &ModelView) -> f64 {
+    fn analytical_screen_seconds(&self, model: &MfModel) -> f64 {
         let f32_rate = self.registry.analytical_tier(Some(ScreenTier::F32));
-        f32_rate.predict_seconds(view.num_users(), view.num_items(), view.num_factors())
+        f32_rate.predict_seconds(model.num_users(), model.num_items(), model.num_factors())
     }
 
     /// The analytical cost of the sparse inverted-index **accumulation
     /// stage** — the planner's lower bound on the sparse backend, checked
     /// before the index is built. Expected work is derived from sampled
     /// nnz/density statistics the same way the BMM prior derives FLOPs from
-    /// the view's shape: each query touches one postings list per nonzero
+    /// the model's shape: each query touches one postings list per nonzero
     /// query factor, and each list holds `density × num_items` postings on
     /// average. Candidate selection and the exact rescore come on top (they
     /// are data-dependent, which is why a sparse candidate under the bound
     /// is still sampled).
-    fn analytical_sparse_seconds(&self, view: &ModelView) -> f64 {
+    fn analytical_sparse_seconds(&self, model: &MfModel) -> f64 {
         const SAMPLE_ROWS: usize = 256;
-        let user_stats = mips_data::SparsityStats::sample(view.model().users(), SAMPLE_ROWS);
-        let item_stats = mips_data::SparsityStats::sample(view.items(), SAMPLE_ROWS);
+        let user_stats = mips_data::SparsityStats::sample(model.users(), SAMPLE_ROWS);
+        let item_stats = mips_data::SparsityStats::sample(model.items(), SAMPLE_ROWS);
         let updates_per_query =
-            user_stats.avg_nnz_per_row * item_stats.density * view.num_items() as f64;
-        let updates = view.num_users() as f64 * updates_per_query;
+            user_stats.avg_nnz_per_row * item_stats.density * model.num_items() as f64;
+        let updates = model.num_users() as f64 * updates_per_query;
         self.registry.analytical_sparse().predict_seconds(updates)
     }
 }

@@ -8,9 +8,8 @@
 //! [`FexiproFactory`]), and downstream crates can register their own with
 //! [`FnFactory`] or a custom type — the planner treats all of them alike.
 //!
-//! A factory has three hooks: [`SolverFactory::build`] over a whole model,
-//! [`SolverFactory::build_view`] over a contiguous user range (defaulted),
-//! and [`SolverFactory::build_screen`] for the mixed-precision variant in a
+//! A factory has two hooks: [`SolverFactory::build`] over the model, and
+//! [`SolverFactory::build_screen`] for the mixed-precision variant in a
 //! given [`ScreenTier`] (defaulted to "no such variant"), which is derived
 //! from — and shares the construction of — the plain build it is handed.
 
@@ -22,7 +21,7 @@ use crate::optimus::cost::{AnalyticalBmmModel, AnalyticalSparseModel};
 use crate::solver::MipsSolver;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
-use mips_data::{MfModel, ModelView};
+use mips_data::MfModel;
 use mips_fexipro::FexiproConfig;
 use mips_lemp::LempConfig;
 use mips_sparse::SparseConfig;
@@ -41,48 +40,31 @@ pub trait SolverFactory: Send + Sync {
     /// Constructs a solver over `model`.
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError>;
 
-    /// Constructs a solver over a contiguous user-range view of a model
-    /// (shard-local index construction). The produced solver addresses
-    /// users by **local** row (`0..view.num_users()`).
-    ///
-    /// The default materializes the view into a sub-model (one `memcpy` of
-    /// the contiguous factor block) and delegates to
-    /// [`SolverFactory::build`], so every existing factory is view-capable
-    /// unchanged; factories whose solver can serve straight off the parent
-    /// matrix override this to skip even that copy ([`BmmFactory`] does).
-    fn build_view(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
-        self.build(&view.to_model())
-    }
-
     /// Constructs the mixed-precision variant of this backend in `tier`
     /// **from its plain build** — scans screen in `tier` with a
     /// conservative error envelope, survivors are rescored in f64, results
     /// stay bit-identical (see [`mips_topk::screen`]).
     ///
-    /// `base` is the solver this factory's own [`SolverFactory::build`] /
-    /// [`SolverFactory::build_view`] produced over the same `view` (the
-    /// engine hands it over from its epoch cache; `base.downcast_ref::<T>()`
-    /// recovers the concrete type).
+    /// `base` is the solver this factory's own [`SolverFactory::build`]
+    /// produced over the same `model` (the engine hands it over from its
+    /// epoch cache; `base.downcast_ref::<T>()` recovers the concrete type).
     /// The contract is **sharing**: the variant holds whatever `base`
     /// constructed — clusterings, sorted lists, gathered item copies —
     /// behind an `Arc` and adds only the tier's mirrors, so the
     /// construction exists once per epoch however many tiers are armed, and
     /// the variant's `build_seconds` is the mirroring alone. A factory whose
-    /// plain build is free may ignore `base` and build over `view`.
+    /// plain build is free may ignore `base` and build over `model`.
     ///
-    /// The produced solver addresses users by local row like
-    /// [`SolverFactory::build_view`]'s; the engine passes
-    /// [`ModelView::full`] for a whole-model build. `None` (the default)
-    /// means the backend has no screen path: the engine then serves it
-    /// f64-direct under every [`Precision`](crate::precision::Precision)
-    /// setting. `Some` for exactly the tiers `base` lists in
-    /// [`MipsSolver::screen_tiers`]. A backend whose *model* cannot be
-    /// mirrored in `tier` returns a solver serving the plain f64 path
-    /// instead.
+    /// `None` (the default) means the backend has no screen path: the
+    /// engine then serves it f64-direct under every
+    /// [`Precision`](crate::precision::Precision) setting. `Some` for
+    /// exactly the tiers `base` lists in [`MipsSolver::screen_tiers`]. A
+    /// backend whose *model* cannot be mirrored in `tier` returns a solver
+    /// serving the plain f64 path instead.
     fn build_screen(
         &self,
         _base: &dyn MipsSolver,
-        _view: &ModelView,
+        _model: &Arc<MfModel>,
         _tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         None
@@ -114,22 +96,16 @@ impl SolverFactory for BmmFactory {
         Ok(Box::new(BmmSolver::build(Arc::clone(model))))
     }
 
-    fn build_view(&self, view: &ModelView) -> Result<Box<dyn MipsSolver>, MipsError> {
-        // Zero-copy: the solver reads the parent factor matrix through the
-        // view's offset, no sub-model is materialized.
-        Ok(Box::new(BmmSolver::build_view(view)))
-    }
-
     fn build_screen(
         &self,
         _base: &dyn MipsSolver,
-        view: &ModelView,
+        model: &Arc<MfModel>,
         tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        // Nothing to share: the plain build is free and zero-copy, and the
-        // tier's mirror lives on the parent model, so sibling shards and
-        // tiers reuse one rounding pass anyway.
-        Some(Ok(Box::new(BmmSolver::build_view(view).with_screen(tier))))
+        // Nothing to share: the plain build is free, and the tier's mirror
+        // lives on the model, so every tier reuses one rounding pass anyway.
+        let plain = BmmSolver::build(Arc::clone(model));
+        Some(Ok(Box::new(plain.with_screen(tier))))
     }
 }
 
@@ -183,7 +159,7 @@ impl SolverFactory for MaximusFactory {
     fn build_screen(
         &self,
         base: &dyn MipsSolver,
-        _view: &ModelView,
+        _model: &Arc<MfModel>,
         tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         Some(
@@ -191,16 +167,6 @@ impl SolverFactory for MaximusFactory {
                 .map(|index| Box::new(index.with_screen(tier)) as Box<dyn MipsSolver>),
         )
     }
-
-    // Shard-local builds (the default `build_view`) keep `num_clusters`
-    // as configured, so a view covering a fraction of the users gets
-    // proportionally *finer* clustering — tighter θ_b, harder pruning on
-    // norm-skewed catalogs, at the cost of some §III-D work-sharing on
-    // flat ones. That diversity is deliberate: it gives `IndexScope::Auto`
-    // a local candidate that is genuinely different from the global index,
-    // and the per-shard OPTIMUS run decides from measurements which one a
-    // shard keeps. (Scaling clusters down to the view's user fraction was
-    // measured to flatten both the cost *and* the win to parity.)
 }
 
 /// Factory for the LEMP baseline with a fixed configuration.
@@ -253,7 +219,7 @@ impl SolverFactory for LempFactory {
     fn build_screen(
         &self,
         base: &dyn MipsSolver,
-        _view: &ModelView,
+        _model: &Arc<MfModel>,
         tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         Some(
@@ -591,28 +557,9 @@ mod tests {
     }
 
     #[test]
-    fn every_builtin_builds_over_a_view_identically_to_the_sliced_model() {
-        let registry = BackendRegistry::with_defaults();
-        let m = model();
-        let view = ModelView::of_range(&m, 3..9);
-        for factory in registry.factories() {
-            let over_view = factory.build_view(&view).expect("view build");
-            let over_model = factory.build(&view.to_model()).expect("model build");
-            assert_eq!(over_view.num_users(), 6, "{}", factory.key());
-            assert_eq!(
-                over_view.query_all(3),
-                over_model.query_all(3),
-                "{} view build must match the materialized sub-model",
-                factory.key()
-            );
-        }
-    }
-
-    #[test]
     fn screen_builds_cover_the_scan_backends_and_stay_bit_identical() {
         let registry = BackendRegistry::with_defaults();
         let m = model();
-        let view = ModelView::full(&m);
         for tier in ScreenTier::ALL {
             for factory in registry.factories() {
                 let key = factory.key();
@@ -623,7 +570,7 @@ mod tests {
                     has_screen,
                     "{key} advertises what build_screen delivers"
                 );
-                match factory.build_screen(base.as_ref(), &view, tier) {
+                match factory.build_screen(base.as_ref(), &m, tier) {
                     None => assert!(!has_screen, "{key} lost its {tier:?} path"),
                     Some(built) => {
                         assert!(has_screen, "{key} unexpectedly screens in {tier:?}");

@@ -509,11 +509,10 @@ impl MaximusIndex {
 /// boundary falls depends on the cluster structure. Canonicalizing the
 /// *reported* values makes the returned scores and ordering a pure
 /// function of (user row, item matrix, k), so two indexes over the same
-/// users — e.g. the global index and a shard-local one built over a
-/// user-range view — return bit-identical lists, the exactness contract
-/// the serving runtime's `IndexScope` relies on. The GEMM per-element
-/// reduction is shape-independent, so the canonical scores also coincide
-/// bit-for-bit with the blocked-MM brute force. Cost is `k`
+/// users — whatever their clustering — return bit-identical lists. The
+/// GEMM per-element reduction is shape-independent, so the canonical
+/// scores also coincide bit-for-bit with the blocked-MM brute force: the
+/// cross-backend exactness contract. Cost is `k`
 /// sequential-FMA dots per user — a few hundred flops, noise against the
 /// thousands of streamed scores behind them.
 ///

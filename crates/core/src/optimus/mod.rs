@@ -33,7 +33,7 @@ pub mod cost;
 
 use crate::solver::{screened_name, MipsSolver};
 use crate::sync::Arc;
-use mips_data::ModelView;
+use mips_data::MfModel;
 use mips_linalg::CacheConfig;
 use mips_stats::{OneSampleTTest, TTestDecision};
 use mips_topk::ScreenTier;
@@ -177,7 +177,7 @@ pub trait CandidateSource {
     fn labels(&self) -> Vec<String>;
 
     /// A calibrated lower bound on base `base`'s serving seconds for all of
-    /// the view's users, when the source has an analytical model of it.
+    /// the model's users, when the source has an analytical model of it.
     /// `None`: no model — the candidate is built and sampled.
     fn analytical_bound(&mut self, base: usize) -> Option<f64>;
 
@@ -187,8 +187,7 @@ pub trait CandidateSource {
     /// The calibrated time of `tier`'s scan kernel relative to the f64
     /// kernel's: a variant of `base` in `tier` cannot serve faster than
     /// `base`'s estimate times this. `None` when `base` does not compete a
-    /// variant in `tier` (the numeric mode is forced, or the candidate's own
-    /// screen race was settled elsewhere).
+    /// variant in `tier` (the numeric mode is forced).
     fn tier_time_ratio(&mut self, base: usize, tier: ScreenTier) -> Option<f64>;
 
     /// Builds (or fetches) the `tier` variant of base candidate `base`,
@@ -334,32 +333,22 @@ impl Optimus {
     /// is exact, so the race changes what planning costs, not what it may
     /// answer.
     ///
-    /// Sampling and cost extrapolation are **sized to the view**: the
-    /// sample is drawn from the view's user range (in the parent model's
-    /// global id space, which is what the candidate solvers must speak),
-    /// and each candidate's total is extrapolated to the view's user
-    /// count. A shard view is how the serving runtime lets every shard plan
-    /// for its own slice.
+    /// The sample is drawn from all of `model`'s users, and each
+    /// candidate's total is extrapolated to its user count.
     ///
     /// Panics if the source has no candidates; the engine guards that case
     /// with a typed error before calling.
     pub fn choose<S: CandidateSource>(
         &self,
-        view: &ModelView,
+        model: &MfModel,
         k: usize,
         source: &mut S,
     ) -> Result<PlannedChoice, S::Error> {
         let overall = Instant::now();
         let labels = source.labels();
         assert!(!labels.is_empty(), "Optimus::choose: no candidates");
-        let n = view.num_users();
-        let mut sample = self.sample_users(n, view.num_factors());
-        let first_user = view.user_range().start;
-        if first_user != 0 {
-            for user in &mut sample {
-                *user += first_user;
-            }
-        }
+        let n = model.num_users();
+        let sample = self.sample_users(n, model.num_factors());
         let mut race = Race {
             optimus: self,
             k,
@@ -368,7 +357,7 @@ impl Optimus {
             // a candidate's first queries pay one-off costs (page faults,
             // cold caches over its index, lazily initialised scratch) that
             // land asymmetrically — whoever samples first pays the most —
-            // and on small views inflate the extrapolated totals by orders
+            // and on small models inflate the extrapolated totals by orders
             // of magnitude. Planning is a *comparison* of steady-state
             // costs, so estimates must not carry cold-start noise.
             warm: sample.len().min(4),
@@ -682,7 +671,7 @@ mod tests {
             ],
             f32_variants: Vec::new(),
         };
-        let Ok(choice) = Optimus::new(tiny_config()).choose(&ModelView::full(&m), 3, &mut source);
+        let Ok(choice) = Optimus::new(tiny_config()).choose(&m, 3, &mut source);
         assert_eq!(choice.entries.len(), 3);
         for entry in &choice.entries {
             let e = &entry.estimate;
@@ -731,7 +720,7 @@ mod tests {
             ],
             f32_variants: Vec::new(),
         };
-        let Ok(choice) = Optimus::new(config).choose(&ModelView::full(&m), 1, &mut source);
+        let Ok(choice) = Optimus::new(config).choose(&m, 1, &mut source);
         let fex = &choice.entries[1].estimate;
         match fex.outcome {
             CandidateOutcome::Sampled => assert_eq!(fex.sampled_users, choice.sample_size),
@@ -845,8 +834,7 @@ mod tests {
             ],
             f32_variants: vec![Arc::new(lemp_screen)],
         };
-        let view = ModelView::full(&m);
-        let Ok(choice) = optimus.choose(&view, 3, &mut source);
+        let Ok(choice) = optimus.choose(&m, 3, &mut source);
         let names: Vec<&str> = choice
             .entries
             .iter()

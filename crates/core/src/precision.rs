@@ -112,10 +112,9 @@ mod tests {
     /// [`ScreenTier`] variant that misses one of these fails here.
     #[test]
     fn every_screen_tier_is_wired_end_to_end() {
-        use crate::engine::{BackendRegistry, IndexScope};
+        use crate::engine::BackendRegistry;
         use crate::serve::{LatencySnapshot, ServerMetrics};
         use mips_data::synth::{synth_model, SynthConfig};
-        use mips_data::ModelView;
 
         let model = crate::sync::Arc::new(synth_model(&SynthConfig {
             num_users: 12,
@@ -123,7 +122,6 @@ mod tests {
             num_factors: 6,
             ..SynthConfig::default()
         }));
-        let view = ModelView::full(&model);
         let registry = BackendRegistry::with_defaults();
         let metrics = ServerMetrics {
             submitted: 0,
@@ -131,7 +129,6 @@ mod tests {
             rejected: 0,
             failed: 0,
             epoch: 0,
-            index_scope: IndexScope::Global,
             precision: Precision::Auto,
             swaps: 0,
             latency: LatencySnapshot::default(),
@@ -149,7 +146,7 @@ mod tests {
                 let factory = registry.get(key).expect("default backend");
                 let base = factory.build(&model).expect("plain build");
                 assert!(base.screen_tiers().contains(&tier), "{key}");
-                let built = factory.build_screen(base.as_ref(), &view, tier);
+                let built = factory.build_screen(base.as_ref(), &model, tier);
                 let solver = built.expect("scan backends screen").expect("builds");
                 assert_eq!(solver.precision(), precision, "{key}");
             }

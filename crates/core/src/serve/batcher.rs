@@ -52,8 +52,6 @@ pub const QUEUE_LATENCY_CAP: u32 = 4;
 /// Flush policy for the micro-batcher.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
-    /// Whether coalescing is enabled at all.
-    pub enabled: bool,
     /// Budget of one coalesced solver call, in units of item weight
     /// (users).
     pub max_batch: usize,
@@ -223,7 +221,6 @@ mod tests {
 
     fn policy(window: Duration) -> BatchPolicy {
         BatchPolicy {
-            enabled: true,
             max_batch: 8,
             window,
         }

@@ -6,7 +6,6 @@
 //! enough resolution for the p50/p99 figures the bench reports while
 //! keeping `record` to two atomic adds.
 
-use crate::engine::IndexScope;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use mips_topk::ScreenTier;
 use std::fmt::Write as _;
@@ -358,11 +357,6 @@ pub struct ShardCounters {
     pub(crate) users_served: AtomicU64,
     /// Nanoseconds spent inside solver calls for this shard.
     pub(crate) busy_ns: AtomicU64,
-    /// Shard-local index builds this shard's planning performed
-    /// (`PerShard`/`Auto` scopes; 0 under `Global`).
-    pub(crate) local_index_builds: AtomicU64,
-    /// Nanoseconds spent inside those shard-local builds.
-    pub(crate) local_build_ns: AtomicU64,
     /// Sub-request latency, submission to completion.
     pub(crate) latency: LatencyHistogram,
 }
@@ -372,18 +366,11 @@ impl ShardCounters {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Snapshots the counters for shard `shard` covering `users`, serving
-    /// under `index_scope`.
-    pub(crate) fn snapshot(
-        &self,
-        shard: usize,
-        users: Range<usize>,
-        index_scope: IndexScope,
-    ) -> ShardMetrics {
+    /// Snapshots the counters for shard `shard` covering `users`.
+    pub(crate) fn snapshot(&self, shard: usize, users: Range<usize>) -> ShardMetrics {
         ShardMetrics {
             shard,
             users,
-            index_scope,
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
@@ -398,8 +385,6 @@ impl ShardCounters {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             users_served: self.users_served.load(Ordering::Relaxed),
             busy_seconds: self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            local_index_builds: self.local_index_builds.load(Ordering::Relaxed),
-            local_build_us: self.local_build_ns.load(Ordering::Relaxed) / 1_000,
             latency: self.latency.snapshot(),
         }
     }
@@ -412,9 +397,6 @@ pub struct ShardMetrics {
     pub shard: usize,
     /// The contiguous user range this shard owns.
     pub users: Range<usize>,
-    /// The index scope this shard serves under (which tier of derived
-    /// state its plans come from).
-    pub index_scope: IndexScope,
     /// Sub-requests routed to this shard so far.
     pub submitted: u64,
     /// Sub-requests completed so far.
@@ -430,8 +412,8 @@ pub struct ShardMetrics {
     /// survivors` exact dots were proven unnecessary, so the survivor rate
     /// is the screen's selectivity in production traffic. Results are
     /// bit-identical either way; under
-    /// [`crate::precision::Precision::Auto`] the lanes show the per-shard
-    /// planner decisions in effect.
+    /// [`crate::precision::Precision::Auto`] the lanes show the planner
+    /// decisions in effect.
     pub lanes: TierLanes,
     /// Sub-requests that were coalesced into a shared batch.
     pub coalesced: u64,
@@ -439,13 +421,6 @@ pub struct ShardMetrics {
     pub users_served: u64,
     /// Wall-clock seconds spent inside solver calls.
     pub busy_seconds: f64,
-    /// Shard-local index builds performed by this shard's planning (0
-    /// under [`IndexScope::Global`]; under `Auto` local candidates are
-    /// built to be timed, so this also counts shards that ended up staying
-    /// on the global plan).
-    pub local_index_builds: u64,
-    /// Microseconds of wall clock spent inside those builds.
-    pub local_build_us: u64,
     /// Sub-request latency distribution (submission → completion).
     pub latency: LatencySnapshot,
 }
@@ -460,7 +435,6 @@ impl ShardMetrics {
             "users",
             &format!("[{},{}]", self.users.start, self.users.end),
         );
-        w.field_str("index_scope", self.index_scope.as_str());
         w.field_u64("submitted", self.submitted);
         w.field_u64("completed", self.completed);
         w.field_u64("batches", self.batches);
@@ -468,8 +442,6 @@ impl ShardMetrics {
         w.field_u64("coalesced", self.coalesced);
         w.field_u64("users_served", self.users_served);
         w.field_f64("busy_seconds", self.busy_seconds, 6);
-        w.field_u64("local_index_builds", self.local_index_builds);
-        w.field_u64("local_build_us", self.local_build_us);
         self.latency.write_json(w, "latency");
         w.end_obj();
     }
@@ -502,9 +474,6 @@ pub struct ServerMetrics {
     /// The model epoch the server is currently admitting requests onto.
     /// In-flight requests may still be finishing on older epochs.
     pub epoch: u64,
-    /// The configured index scope (granularity of derived-state
-    /// construction; every shard of this server serves under it).
-    pub index_scope: IndexScope,
     /// The engine's configured numeric mode
     /// ([`crate::precision::Precision`]). Per-plan decisions under `Auto`
     /// surface as each shard's per-tier [`ShardMetrics::lanes`] shares.
@@ -544,18 +513,6 @@ impl ServerMetrics {
         self.shards.iter().map(|s| s.coalesced).sum()
     }
 
-    /// Total shard-local index builds across shards (0 under
-    /// [`IndexScope::Global`]).
-    pub fn local_index_builds(&self) -> u64 {
-        self.shards.iter().map(|s| s.local_index_builds).sum()
-    }
-
-    /// Total microseconds spent building shard-local indexes, across
-    /// shards.
-    pub fn local_build_us(&self) -> u64 {
-        self.shards.iter().map(|s| s.local_build_us).sum()
-    }
-
     /// Renders the whole snapshot — server counters, latency, per-shard
     /// breakdown — as one compact JSON document. This is the body of the
     /// `mips-net` `GET /metrics` endpoint and the shape bench digests
@@ -574,15 +531,12 @@ impl ServerMetrics {
         w.field_u64("rejected", self.rejected);
         w.field_u64("failed", self.failed);
         w.field_u64("epoch", self.epoch);
-        w.field_str("index_scope", self.index_scope.as_str());
         w.field_str("precision", self.precision.as_str());
         w.field_u64("swaps", self.swaps);
         w.field_u64("batches", self.batches());
         write_lanes_json(&self.lanes(), w);
         w.field_u64("coalesced", self.coalesced());
         w.field_f64("mean_batch", self.mean_batch_size(), 2);
-        w.field_u64("local_index_builds", self.local_index_builds());
-        w.field_u64("local_build_us", self.local_build_us());
         self.latency.write_json(w, "latency");
         w.begin_arr_field("shards");
         for shard in &self.shards {
@@ -734,14 +688,13 @@ mod tests {
         shard_counters.add(&i8_lane.candidates, 120);
         shard_counters.add(&i8_lane.survivors, 7);
         shard_counters.latency.record_ns(1_000);
-        let shard = shard_counters.snapshot(0, 0..25, IndexScope::PerShard);
+        let shard = shard_counters.snapshot(0, 0..25);
         let metrics = ServerMetrics {
             submitted: 3,
             completed: 3,
             rejected: 1,
             failed: 0,
             epoch: 2,
-            index_scope: IndexScope::PerShard,
             precision: crate::precision::Precision::Auto,
             swaps: 2,
             latency: LatencySnapshot::default(),
@@ -752,7 +705,6 @@ mod tests {
             "\"submitted\":3",
             "\"rejected\":1",
             "\"epoch\":2",
-            "\"index_scope\":\"per-shard\"",
             "\"precision\":\"auto\"",
             "\"f32_batches\":0",
             "\"i8_batches\":2",

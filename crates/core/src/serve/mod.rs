@@ -7,7 +7,9 @@
 //!
 //! * **Sharding.** The model's users are split into contiguous ranges (the
 //!   paper's Fig. 6 partitioning), one `ShardEngine` per shard with its own
-//!   [`PreparedPlan`](crate::engine::PreparedPlan) cache and counters.
+//!   counters and a memo of the engine's per-`k`
+//!   [`PreparedPlan`](crate::engine::PreparedPlan)s — every solver is built
+//!   once over the whole model and shared by all shards.
 //!   A request that straddles shards is split and its response reassembled
 //!   in request order — including id-lists and exclusion sets that cross
 //!   boundaries.
@@ -29,14 +31,6 @@
 //!   follows the new epoch for subsequent admissions. The micro-batcher
 //!   never coalesces across epochs, and [`ServerMetrics`] reports the
 //!   serving epoch and swap count.
-//! * **Shard-local indexes.** [`ServerBuilder::index_scope`] selects the
-//!   granularity of derived state: one global solver set shared by every
-//!   shard ([`IndexScope::Global`]), per-shard indexes and plans built
-//!   over each shard's user slice ([`IndexScope::PerShard`] — the paper's
-//!   optimizer applied to each shard's own data shape), or a per-shard
-//!   OPTIMUS choice between the two ([`IndexScope::Auto`]). Shard-local
-//!   state is built lazily on first use within a model epoch and reclaimed
-//!   with it; results are bit-identical to the global engine either way.
 //!
 //! Results are bit-identical to sequential [`Engine::execute`] calls; the
 //! concurrency is invisible except in the clock.
@@ -77,7 +71,6 @@ pub(crate) mod queue;
 pub(crate) mod shard;
 mod worker;
 
-pub use crate::engine::IndexScope;
 pub use gate::WakeGate;
 pub use metrics::{
     escape_json, JsonWriter, LatencyHistogram, LatencySnapshot, ServerMetrics, ShardMetrics,
@@ -110,24 +103,15 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Submission-queue bound, in sub-requests; the backpressure threshold.
     pub queue_capacity: usize,
-    /// Master switch for micro-batching (off = every sub-request is its own
-    /// solver call).
-    pub batching: bool,
     /// Largest micro-batch, in **users**: the budget for one coalesced
     /// solver call, whether it is 32 single-user requests or four 8-user
-    /// ones. Sub-requests at or above this size are served solo.
+    /// ones. Sub-requests at or above this size are served solo, so `1`
+    /// makes every sub-request its own solver call.
     pub max_batch: usize,
     /// How long a worker holds a partial batch open for more arrivals.
     /// Zero (the default) flushes adaptively: coalesce whatever is already
     /// queued, never wait.
     pub batch_window: Duration,
-    /// Granularity of derived-state construction: whether shards share the
-    /// epoch's global solver set and plans ([`IndexScope::Global`], the
-    /// default), build their own over their user slice
-    /// ([`IndexScope::PerShard`]), or let per-shard OPTIMUS decide shard by
-    /// shard ([`IndexScope::Auto`]). Results are bit-identical whatever
-    /// the scope.
-    pub index_scope: IndexScope,
 }
 
 impl Default for ServeOptions {
@@ -136,10 +120,8 @@ impl Default for ServeOptions {
             shards: 0,
             workers: 0,
             queue_capacity: 1024,
-            batching: true,
             max_batch: 32,
             batch_window: Duration::ZERO,
-            index_scope: IndexScope::Global,
         }
     }
 }
@@ -149,12 +131,13 @@ impl ServeOptions {
     /// (`0 = pick for me` resolution and the queue-vs-shard admission bound
     /// happen in [`ServerBuilder::build`], which calls this first).
     pub fn validate(&self) -> Result<(), MipsError> {
-        if !self.batching && self.batch_window > Duration::ZERO {
-            // A window without batching would be silently ignored — the
+        if self.max_batch == 1 && self.batch_window > Duration::ZERO {
+            // No sub-request is below a one-user budget, so nothing ever
+            // coalesces and the window would be silently ignored — the
             // caller asked for deadline coalescing the runtime would never
             // perform.
             return Err(MipsError::InvalidConfig(
-                "batch_window requires batching to be enabled".into(),
+                "batch_window requires max_batch above 1".into(),
             ));
         }
         if self.queue_capacity == 0 {
@@ -178,7 +161,7 @@ pub struct ServerBuilder {
     config: ServeOptions,
     /// Whether [`ServerBuilder::shards`]/[`ServerBuilder::workers`] were
     /// called explicitly: an explicit `0` is a configuration error, while
-    /// an untouched builder (or a wholesale [`ServerBuilder::config`])
+    /// an untouched builder (or a wholesale [`ServerBuilder::options`])
     /// keeps the documented `0 = pick for me` resolution.
     shards_set: bool,
     workers_set: bool,
@@ -221,13 +204,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Enables or disables micro-batching.
-    pub fn batching(mut self, enabled: bool) -> ServerBuilder {
-        self.config.batching = enabled;
-        self
-    }
-
-    /// Sets the micro-batch budget (users per coalesced solver call).
+    /// Sets the micro-batch budget (users per coalesced solver call; `1`
+    /// turns coalescing off).
     pub fn max_batch(mut self, max_batch: usize) -> ServerBuilder {
         self.config.max_batch = max_batch;
         self
@@ -236,13 +214,6 @@ impl ServerBuilder {
     /// Sets the deadline-flush window (zero = adaptive flush only).
     pub fn batch_window(mut self, window: Duration) -> ServerBuilder {
         self.config.batch_window = window;
-        self
-    }
-
-    /// Sets the index scope: global derived state (default), shard-local
-    /// construction, or per-shard OPTIMUS choice. See [`IndexScope`].
-    pub fn index_scope(mut self, scope: IndexScope) -> ServerBuilder {
-        self.config.index_scope = scope;
         self
     }
 
@@ -302,7 +273,6 @@ impl ServerBuilder {
             rebuild: Mutex::new(()),
             queue: SubmitQueue::new(config.queue_capacity),
             policy: BatchPolicy {
-                enabled: config.batching,
                 max_batch: config.max_batch,
                 window: config.batch_window,
             },
@@ -363,7 +333,6 @@ fn build_topology(
             Arc::new(ShardEngine::new(
                 i,
                 users.clone(),
-                config.index_scope,
                 Arc::clone(engine),
                 Arc::clone(snapshot),
                 counters,
@@ -589,7 +558,6 @@ impl MipsServer {
             rejected: self.shared.counters.rejected.load(Ordering::Relaxed),
             failed: self.shared.counters.failed.load(Ordering::Relaxed),
             epoch: topology.epoch,
-            index_scope: self.shared.config.index_scope,
             precision: self.shared.engine.precision(),
             swaps: self.shared.counters.swaps.load(Ordering::Relaxed),
             latency: self.shared.counters.latency.snapshot(),
@@ -631,9 +599,7 @@ impl std::fmt::Debug for MipsServer {
             .field("shards", &topology.router.num_shards())
             .field("workers", &self.workers.len())
             .field("queue_capacity", &self.shared.config.queue_capacity)
-            .field("batching", &self.shared.policy.enabled)
             .field("max_batch", &self.shared.policy.max_batch)
-            .field("index_scope", &self.shared.config.index_scope)
             .finish()
     }
 }

@@ -14,8 +14,8 @@
 use super::metrics::{ServerCounters, ShardCounters, ShardMetrics};
 use crate::engine::epoch::ModelEpoch;
 use crate::engine::{
-    lock_recovering, Engine, ExclusionSet, IndexScope, MipsError, PreparedPlan, QueryRequest,
-    QueryResponse, UserSelection,
+    lock_recovering, Engine, ExclusionSet, MipsError, PreparedPlan, QueryRequest, QueryResponse,
+    UserSelection,
 };
 use crate::parallel::chunk_bounds;
 use crate::sync::{Arc, Condvar, Mutex};
@@ -25,9 +25,9 @@ use std::ops::Range;
 use std::time::Instant;
 
 /// One shard of the serving runtime: a contiguous user range plus the
-/// shard-local state the workers touch on the hot path — its own
-/// [`PreparedPlan`] cache (so steady-state serving never takes the engine's
-/// global plan lock) and its counters. Solver scratch stays where PR 1/2
+/// shard-local state the workers touch on the hot path — its own memo of
+/// the epoch's [`PreparedPlan`]s (so steady-state serving never takes the
+/// engine's plan lock) and its counters. Solver scratch stays where PR 1/2
 /// put it: allocated inside each `query_*` call, one set per worker
 /// invocation, never shared.
 ///
@@ -44,13 +44,6 @@ pub(crate) struct ShardEngine {
     /// The pinned model epoch (plans, solvers, and validation all resolve
     /// against this snapshot, never the engine's live state).
     pub(crate) epoch: Arc<ModelEpoch>,
-    /// The granularity of derived state this shard plans with:
-    /// [`IndexScope::Global`] shares the epoch's whole-model tier,
-    /// `PerShard`/`Auto` build (lazily, on first use within the epoch)
-    /// shard-local solvers and plans over a view of `users`. Shard-local
-    /// state lives in the epoch's per-shard cache tier, so swaps and
-    /// re-sharding reclaim it exactly like the global state.
-    scope: IndexScope,
     engine: Arc<Engine>,
     plans: Mutex<HashMap<usize, Arc<PreparedPlan>>>,
     /// Shared so a re-built topology with identical bounds carries its
@@ -62,7 +55,6 @@ impl ShardEngine {
     pub(crate) fn new(
         index: usize,
         users: Range<usize>,
-        scope: IndexScope,
         engine: Arc<Engine>,
         epoch: Arc<ModelEpoch>,
         counters: Arc<ShardCounters>,
@@ -70,7 +62,6 @@ impl ShardEngine {
         ShardEngine {
             index,
             users,
-            scope,
             epoch,
             engine,
             plans: Mutex::new(HashMap::new()),
@@ -78,44 +69,21 @@ impl ShardEngine {
         }
     }
 
-    /// The plan for `k` on this shard's pinned epoch: shard-local cache
-    /// first, then the epoch's shared tier on a miss — the global per-`k`
-    /// cache under [`IndexScope::Global`], the per-shard tier (keyed by
-    /// this shard's bounds) under `PerShard`/`Auto`. Either way concurrent
-    /// planning across shards and topologies dedupes in the epoch.
-    ///
-    /// Shard-local index construction performed on a miss is rolled into
-    /// this shard's `local_index_builds` / build-time counters.
+    /// The plan for `k` on this shard's pinned epoch: this shard's memo
+    /// first, then the epoch's per-`k` cache on a miss
+    /// ([`Engine::prepare_on`]), so concurrent planning across shards and
+    /// topologies dedupes in the epoch.
     pub(crate) fn plan(&self, k: usize) -> Result<Arc<PreparedPlan>, MipsError> {
         if let Some(plan) = lock_recovering(&self.plans).get(&k) {
             return Ok(Arc::clone(plan));
         }
-        let plan = if self.scope.builds_local() {
-            let mut stats = crate::engine::scope::ShardBuildStats::default();
-            let plan = self.engine.prepare_shard_on(
-                &self.epoch,
-                &self.users,
-                k,
-                self.scope,
-                &mut stats,
-            )?;
-            if stats.builds > 0 {
-                self.counters
-                    .add(&self.counters.local_index_builds, stats.builds);
-                self.counters
-                    .add(&self.counters.local_build_ns, stats.build_ns);
-            }
-            plan
-        } else {
-            self.engine.prepare_on(&self.epoch, k)?
-        };
+        let plan = self.engine.prepare_on(&self.epoch, k)?;
         lock_recovering(&self.plans).insert(k, Arc::clone(&plan));
         Ok(plan)
     }
 
     pub(crate) fn metrics(&self) -> ShardMetrics {
-        self.counters
-            .snapshot(self.index, self.users.clone(), self.scope)
+        self.counters.snapshot(self.index, self.users.clone())
     }
 }
 
@@ -462,9 +430,7 @@ impl Pending {
         if state.backend.is_empty() {
             state.backend = backend.to_string();
             // Like the backend label, the first completing sub-request
-            // names the response's precision; under per-shard Auto plans
-            // the shards of one request may differ, and "first to finish"
-            // is the same convention the backend field already uses.
+            // names the response's precision.
             state.precision = precision;
         }
         self.finish_one(state)
@@ -574,7 +540,6 @@ pub(crate) fn test_engines(router: &ShardRouter) -> Vec<Arc<ShardEngine>> {
             Arc::new(ShardEngine::new(
                 i,
                 users.clone(),
-                IndexScope::Global,
                 Arc::clone(&engine),
                 Arc::clone(&epoch),
                 Arc::new(ShardCounters::default()),

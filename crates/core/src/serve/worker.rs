@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub(crate) fn run_worker(shared: Arc<ServerShared>) {
     while let Some(first) = shared.queue.pop() {
         let policy = shared.policy;
-        let batch = if policy.enabled && first.batchable(policy.max_batch) {
+        let batch = if first.batchable(policy.max_batch) {
             collect_batch(&shared.queue, first, &policy)
         } else {
             vec![first]

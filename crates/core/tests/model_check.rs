@@ -58,11 +58,7 @@ impl ms::QueueItem for Toy {
 }
 
 fn policy(max_batch: usize, window: Duration) -> ms::BatchPolicy {
-    ms::BatchPolicy {
-        enabled: true,
-        max_batch,
-        window,
-    }
+    ms::BatchPolicy { max_batch, window }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
 //! Two properties make "decide before building" safe to rely on:
 //!
 //! * **Build once.** A backend's plain construction runs once per
-//!   `(bounds, key)` and epoch; every screen variant is derived from that
+//!   `key` and epoch; every screen variant is derived from that
 //!   build through [`SolverFactory::build_screen`] and reports only its own
-//!   mirroring as `build_seconds`.
+//!   mirroring as `build_seconds`. Builds run outside every cache lock, so
+//!   a slow one never holds up another first-touch builder.
 //! * **Race lazily, never wrongly.** [`Optimus::choose`] builds a candidate
 //!   only while it can still win: a candidate over its analytical bound is
 //!   never built, a far-off one stops at `min_t_samples`, a variant over its
@@ -18,7 +19,9 @@
 //! of the stub rather than of the host.
 
 use mips_core::bmm::BmmSolver;
-use mips_core::engine::{EngineBuilder, IndexScope, MipsError, QueryRequest, SolverFactory};
+use mips_core::engine::{
+    BmmFactory, EngineBuilder, FnFactory, MipsError, QueryRequest, SolverFactory,
+};
 use mips_core::optimus::{
     CandidateOutcome, CandidateSource, Optimus, OptimusConfig, StrategyEstimate,
 };
@@ -26,12 +29,12 @@ use mips_core::serve::ServerBuilder;
 use mips_core::solver::MipsSolver;
 use mips_core::Precision;
 use mips_data::synth::{synth_model, SynthConfig};
-use mips_data::{MfModel, ModelView};
+use mips_data::MfModel;
 use mips_linalg::CacheConfig;
 use mips_topk::{ScreenTier, TopKList};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 fn model(users: usize, seed: u64) -> Arc<MfModel> {
@@ -200,7 +203,7 @@ fn a_far_off_candidate_stops_at_min_t_samples_and_a_gated_one_is_never_built() {
         // An hour of analytical cost against a leader of milliseconds.
         (Arc::clone(&gated), Some(3600.0)),
     ]);
-    let Ok(choice) = Optimus::new(config).choose(&ModelView::full(&m), 3, &mut source);
+    let Ok(choice) = Optimus::new(config).choose(&m, 3, &mut source);
     let estimates: Vec<StrategyEstimate> =
         choice.entries.iter().map(|e| e.estimate.clone()).collect();
 
@@ -252,7 +255,7 @@ fn a_variant_exactly_at_the_tier_rate_bound_is_still_built_and_can_win() {
         (0, ScreenTier::F32, 1.0, variant_of(&base, "base+f32")),
         (0, ScreenTier::I8, 1.0 + 1e-9, variant_of(&base, "base+i8")),
     ];
-    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&ModelView::full(&m), 3, &mut source);
+    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, &mut source);
     let estimates: Vec<StrategyEstimate> =
         choice.entries.iter().map(|e| e.estimate.clone()).collect();
 
@@ -299,7 +302,7 @@ impl SolverFactory for CountingFactory {
     fn build_screen(
         &self,
         base: &dyn MipsSolver,
-        _view: &ModelView,
+        _model: &Arc<MfModel>,
         tier: ScreenTier,
     ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
         self.screens.fetch_add(1, Ordering::SeqCst);
@@ -359,8 +362,8 @@ fn variants_never_rerun_their_base_construction() {
     // One build_screen per variant the races built, never one per plan.
     assert!(screens.load(Ordering::SeqCst) <= 2 * ScreenTier::ALL.len());
 
-    // Forced tiers, whole-model and shard-local: one plain build per
-    // `(bounds, key)`, one derived variant each.
+    // Forced tiers, in-process and served: one plain build per `key`, one
+    // derived variant, however many shards serve.
     for tier in ScreenTier::ALL {
         let (engine, builds, screens) = counting_engine(Precision::of_tier(Some(tier)));
         let response = engine
@@ -379,7 +382,6 @@ fn variants_never_rerun_their_base_construction() {
             .engine(Arc::new(engine))
             .shards(2)
             .workers(1)
-            .index_scope(IndexScope::PerShard)
             .build()
             .expect("server assembles");
         for _ in 0..2 {
@@ -391,8 +393,58 @@ fn variants_never_rerun_their_base_construction() {
                 builds.load(Ordering::SeqCst),
                 screens.load(Ordering::SeqCst)
             ),
-            (3, 3),
-            "two shards, each one plain build and one derived variant"
+            (1, 1),
+            "two shards share the one plain build and its derived variant"
         );
     }
+}
+
+#[test]
+fn concurrent_first_touch_builds_do_not_convoy() {
+    // Lazy builds run OUTSIDE the epoch's cache locks and install
+    // compare-and-swap style. The "slow" backend's first build parks until
+    // released; while it is parked mid-build, a first-touch build of another
+    // key on the same epoch and a second first-touch of the slow key itself
+    // (whose later builds are instant) must both complete.
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    let builds = AtomicUsize::new(0);
+    let slow = FnFactory::new("slow", move |m: &Arc<MfModel>| {
+        if builds.fetch_add(1, Ordering::SeqCst) == 0 {
+            entered_tx.send(()).expect("the test is listening");
+            let parked = release_rx.lock().expect("one parked build");
+            parked.recv().expect("the test releases the build");
+        }
+        Ok(Box::new(Stub::new(m, "Slow", Duration::ZERO)) as Box<dyn MipsSolver>)
+    });
+    let engine = EngineBuilder::new()
+        .model(model(40, 3))
+        .register(slow)
+        .register(BmmFactory)
+        .build()
+        .expect("engine assembles");
+
+    let (probed_tx, probed_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let parked = scope.spawn(|| engine.solver("slow").expect("slow builds"));
+        entered_rx.recv().expect("the slow build starts");
+
+        scope.spawn(|| {
+            let other = engine.solver("bmm").expect("bmm builds");
+            let second = engine.solver("slow").expect("slow builds again");
+            probed_tx
+                .send((other, second))
+                .expect("the test is listening");
+        });
+        let probed = probed_rx.recv_timeout(Duration::from_secs(10));
+        // Unpark the first build whatever happened, so a failure is an
+        // assertion and not a hung scope.
+        release_tx.send(()).expect("the slow build is parked");
+        let (other, second) = probed.expect("first-touch builds convoyed behind the slow one");
+        assert_eq!(other.name(), "Blocked MM");
+        // The parked build lost the install race and adopted the winner.
+        let first = parked.join().expect("no panic");
+        assert!(Arc::ptr_eq(&first, &second));
+    });
 }

@@ -8,9 +8,7 @@
 //! products toward overflow and underflow, and near-cancelling dots where
 //! the relative envelope is enormous compared to the score).
 
-use mips_core::engine::{
-    BackendRegistry, Engine, EngineBuilder, IndexScope, QueryRequest, QueryResponse,
-};
+use mips_core::engine::{BackendRegistry, Engine, EngineBuilder, QueryRequest, QueryResponse};
 use mips_core::precision::Precision;
 use mips_core::serve::ServerBuilder;
 use mips_data::MfModel;
@@ -133,9 +131,9 @@ proptest! {
         );
     }
 
-    /// Per-shard serving: each shard screens against its own view's f32
-    /// mirror; reassembled responses still match the global f64 engine
-    /// bit for bit, for every backend registered alone.
+    /// Sharded serving: every shard screens through the one f32 variant;
+    /// reassembled responses still match the f64 engine bit for bit, for
+    /// every backend registered alone.
     #[test]
     fn sharded_f32_rescore_matches_the_global_f64_engine(
         n_users in 4usize..20,
@@ -168,7 +166,6 @@ proptest! {
                 .engine(f32_engine)
                 .shards(shards)
                 .workers(1)
-                .index_scope(IndexScope::PerShard)
                 .build()
                 .unwrap();
             let served = server.execute(&QueryRequest::top_k(k)).unwrap();

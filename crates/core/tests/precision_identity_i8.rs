@@ -14,9 +14,7 @@
 //! under `MIPS_KERNEL=scalar` in CI therefore checks the same contract
 //! over the portable kernels.
 
-use mips_core::engine::{
-    BackendRegistry, Engine, EngineBuilder, IndexScope, QueryRequest, QueryResponse,
-};
+use mips_core::engine::{BackendRegistry, Engine, EngineBuilder, QueryRequest, QueryResponse};
 use mips_core::precision::Precision;
 use mips_core::serve::{ServerBuilder, TierLaneMetrics};
 use mips_data::MfModel;
@@ -101,9 +99,9 @@ proptest! {
         }
     }
 
-    /// Per-shard serving: each shard quantizes against its own view's int8
-    /// mirror; reassembled responses still match the global f64 engine
-    /// bit for bit, for every backend registered alone.
+    /// Sharded serving: every shard screens through the one int8 variant;
+    /// reassembled responses still match the f64 engine bit for bit, for
+    /// every backend registered alone.
     #[test]
     fn sharded_i8_rescore_matches_the_global_f64_engine(
         n_users in 4usize..20,
@@ -136,7 +134,6 @@ proptest! {
                 .engine(i8_engine)
                 .shards(shards)
                 .workers(1)
-                .index_scope(IndexScope::PerShard)
                 .build()
                 .unwrap();
             let served = server.execute(&QueryRequest::top_k(k)).unwrap();
@@ -310,7 +307,6 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
             .engine(engine)
             .shards(2)
             .workers(1)
-            .index_scope(IndexScope::PerShard)
             .build()
             .unwrap();
         for k in [1, 5, 20] {

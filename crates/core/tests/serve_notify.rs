@@ -77,7 +77,7 @@ fn stack(queue_capacity: usize) -> (Arc<Engine>, Arc<MipsServer>) {
             .shards(1)
             .workers(1)
             .queue_capacity(queue_capacity)
-            .batching(false)
+            .max_batch(1)
             .build()
             .unwrap(),
     );

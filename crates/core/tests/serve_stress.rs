@@ -97,13 +97,12 @@ fn concurrent_mixed_requests_are_bit_identical_to_sequential() {
         .map(|request| engine.execute(request).unwrap().results)
         .collect();
 
-    for (shards, workers, batching) in [(3, 4, true), (4, 2, false), (97, 8, true)] {
+    for (shards, workers, max_batch) in [(3, 4, 8), (4, 2, 1), (97, 8, 8)] {
         let server = ServerBuilder::new()
             .engine(Arc::clone(&engine))
             .shards(shards)
             .workers(workers)
-            .batching(batching)
-            .max_batch(8)
+            .max_batch(max_batch)
             .build()
             .unwrap();
         // 6 submitter threads × 4 passes, each walking the corpus from a
@@ -124,7 +123,7 @@ fn concurrent_mixed_requests_are_bit_identical_to_sequential() {
                             let response = handle.wait().unwrap();
                             assert_eq!(
                                 response.results, expected[idx],
-                                "request {idx} diverged (shards={shards} workers={workers} batching={batching})"
+                                "request {idx} diverged (shards={shards} workers={workers} max_batch={max_batch})"
                             );
                             assert!(response.planned);
                             assert!(!response.backend.is_empty());
@@ -210,38 +209,51 @@ fn k_edges_match_sequential_and_invalid_k_is_a_typed_error() {
 
 #[test]
 fn single_backend_server_matches_direct_solver() {
-    // MAXIMUS takes a different sequential path for query_all (cluster
-    // membership order) than for ranges; the server's range splits must
-    // still reproduce it bit-for-bit.
-    use mips_core::engine::MaximusFactory;
+    // Every backend family registered alone. MAXIMUS takes a different
+    // sequential path for query_all (cluster membership order) than for
+    // ranges; the server's range splits must still reproduce it
+    // bit-for-bit.
+    use mips_core::engine::{
+        BmmFactory, FexiproFactory, LempFactory, MaximusFactory, SolverFactory,
+    };
     use mips_core::maximus::MaximusConfig;
     let m = model(60, 48);
-    let engine = Arc::new(
-        EngineBuilder::new()
-            .model(Arc::clone(&m))
-            .register(MaximusFactory::new(MaximusConfig {
-                num_clusters: 3,
-                block_size: 8,
-                ..MaximusConfig::default()
-            }))
-            .build()
-            .unwrap(),
-    );
-    let server = ServerBuilder::new()
-        .engine(Arc::clone(&engine))
-        .shards(4)
-        .workers(2)
-        .build()
-        .unwrap();
-    for request in [
-        QueryRequest::top_k(5),
-        QueryRequest::top_k(5).users_range(13..44),
-        QueryRequest::top_k(5).users(vec![59, 0, 17, 17, 30]),
-    ] {
-        assert_eq!(
-            server.execute(&request).unwrap().results,
-            engine.execute(&request).unwrap().results
+    let families: [Arc<dyn SolverFactory>; 4] = [
+        Arc::new(BmmFactory),
+        Arc::new(MaximusFactory::new(MaximusConfig {
+            num_clusters: 3,
+            block_size: 8,
+            ..MaximusConfig::default()
+        })),
+        Arc::new(LempFactory::default()),
+        Arc::new(FexiproFactory::si()),
+    ];
+    for factory in families {
+        let key = factory.key().to_string();
+        let engine = Arc::new(
+            EngineBuilder::new()
+                .model(Arc::clone(&m))
+                .register_arc(factory)
+                .build()
+                .unwrap(),
         );
+        let server = ServerBuilder::new()
+            .engine(Arc::clone(&engine))
+            .shards(4)
+            .workers(2)
+            .build()
+            .unwrap();
+        for request in [
+            QueryRequest::top_k(5),
+            QueryRequest::top_k(5).users_range(13..44),
+            QueryRequest::top_k(5).users(vec![59, 0, 17, 17, 30]),
+        ] {
+            assert_eq!(
+                server.execute(&request).unwrap().results,
+                engine.execute(&request).unwrap().results,
+                "{key}"
+            );
+        }
     }
 }
 
@@ -328,7 +340,7 @@ fn try_submit_applies_backpressure_and_blocking_submit_recovers() {
         .shards(1)
         .workers(1)
         .queue_capacity(2)
-        .batching(false)
+        .max_batch(1)
         .build()
         .unwrap();
     // Fill the pipeline: one request executing, two queued.
@@ -512,12 +524,12 @@ fn builder_rejects_bad_assemblies() {
             .build(),
         Err(MipsError::InvalidConfig(_))
     ));
-    // A deadline window with batching disabled would be silently ignored:
-    // rejected instead.
+    // A deadline window with a one-user batch budget (nothing ever
+    // coalesces) would be silently ignored: rejected instead.
     assert!(matches!(
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
-            .batching(false)
+            .max_batch(1)
             .batch_window(Duration::from_micros(100))
             .build(),
         Err(MipsError::InvalidConfig(_))
@@ -527,7 +539,7 @@ fn builder_rejects_bad_assemblies() {
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
             .batch_window(Duration::from_micros(100))
-            .batching(false)
+            .max_batch(1)
             .build(),
         Err(MipsError::InvalidConfig(_))
     ));

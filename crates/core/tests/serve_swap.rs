@@ -18,7 +18,7 @@
 //! model is guaranteed to serve bit-identically.
 
 use mips_core::engine::{BmmFactory, Engine, EngineBuilder, ExclusionSet, QueryRequest};
-use mips_core::serve::{IndexScope, ServerBuilder};
+use mips_core::serve::ServerBuilder;
 use mips_data::synth::{synth_model, SynthConfig};
 use mips_data::MfModel;
 use mips_topk::TopKList;
@@ -74,22 +74,6 @@ fn swap_corpus(min_users: usize, min_items: usize) -> Vec<QueryRequest> {
 
 #[test]
 fn swap_under_load_is_bit_identical_per_epoch_with_zero_lost_requests() {
-    swap_under_load_for_scope(IndexScope::Global);
-}
-
-#[test]
-fn swap_under_load_with_per_shard_indexes_is_bit_identical_per_epoch() {
-    // Re-sharding swaps change every shard's bounds, so each new epoch
-    // rebuilds its per-shard tier from scratch — under full load.
-    swap_under_load_for_scope(IndexScope::PerShard);
-}
-
-#[test]
-fn swap_under_load_with_auto_scope_is_bit_identical_per_epoch() {
-    swap_under_load_for_scope(IndexScope::Auto);
-}
-
-fn swap_under_load_for_scope(scope: IndexScope) {
     // Three models, rotated under load: B shrinks the user count (forcing
     // a re-shard), C changes the catalog size.
     let models = [model(97, 120, 42), model(61, 120, 7), model(97, 90, 13)];
@@ -116,7 +100,6 @@ fn swap_under_load_for_scope(scope: IndexScope) {
         .workers(3)
         .max_batch(8)
         .batch_window(Duration::from_micros(300))
-        .index_scope(scope)
         .build()
         .unwrap();
 
@@ -207,14 +190,6 @@ fn swap_under_load_for_scope(scope: IndexScope) {
         "the runtime must have picked up at least one swap"
     );
     assert!(engine.swap_count() >= metrics.swaps);
-    assert_eq!(metrics.index_scope, scope);
-    if scope != IndexScope::Global {
-        // The current topology's shards planned locally on their epoch.
-        assert!(
-            metrics.local_index_builds() > 0,
-            "per-shard scopes rebuild local indexes per epoch"
-        );
-    }
     server.shutdown().unwrap();
 }
 

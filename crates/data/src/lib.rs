@@ -34,7 +34,7 @@ pub mod stats;
 pub mod synth;
 
 pub use catalog::{reference_models, ModelSpec};
-pub use model::{MfModel, Mirror32, MirrorI8, ModelError, ModelView};
+pub use model::{MfModel, Mirror32, MirrorI8, ModelError};
 pub use ratings::RatingsData;
 pub use sparse::{
     synth_sparse_model, SparseBlock, SparseError, SparseSynthConfig, SparseVec, SparsityStats,

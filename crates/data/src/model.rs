@@ -1,18 +1,16 @@
-//! The matrix-factorization model type consumed by every MIPS solver, and
-//! the zero-copy [`ModelView`] over a contiguous user range of it.
+//! The matrix-factorization model type consumed by every MIPS solver.
 
 use mips_linalg::{
     dot, norm2, quantize_row_i8, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock,
     I8_DOT_MAX_LEN,
 };
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A catalog side packed for the GEMM driver on first use and kept for its
 /// owner's lifetime — the same caching discipline as the mirrors: lazy, at
-/// most one build, shared by every view, shard and thread that reaches the
+/// most one build, shared by every shard and thread that reaches the
 /// owner. A clone shares the cell, built or not (clones hold the same
 /// rows). `builds` is the owning model's counter
 /// ([`MfModel::panel_builds`]).
@@ -99,8 +97,8 @@ pub struct MfModel {
     validated: bool,
     /// The lazily built single-precision mirror (see [`Mirror32`]), cached
     /// for the model's lifetime like solvers and plans are cached per epoch:
-    /// a swapped-in model builds its mirror at most once, and every view or
-    /// shard over the model shares it through the parent `Arc`. Cloning a
+    /// a swapped-in model builds its mirror at most once, and every shard
+    /// serving the model shares it through the model's `Arc`. Cloning a
     /// model shares an already built mirror (the mirror is a pure function
     /// of the factor matrices, which clones share).
     mirror32: OnceLock<Arc<Mirror32>>,
@@ -462,139 +460,9 @@ impl MfModel {
     }
 
     /// How many packed-panel sets this model has built, all tiers together
-    /// — at most three, however many views, shards and threads scan it.
+    /// — at most three, however many shards and threads scan it.
     pub fn panel_builds(&self) -> u64 {
         self.item_panels.builds.load(Ordering::Relaxed)
-    }
-}
-
-/// A zero-copy view of a contiguous user range of a shared [`MfModel`].
-///
-/// Row-major storage makes a contiguous user range a contiguous factor
-/// block, so the view is an `Arc` plus a range: [`ModelView::users_block`]
-/// borrows the block straight out of the parent matrix without copying, and
-/// the item matrix is shared untouched. This is the unit solver indexes and
-/// serving plans can be built over — a shard of the serving runtime is
-/// exactly such a view — while the parent model stays the single source of
-/// truth for global user ids (`global id = view.user_range().start + local
-/// row`).
-#[derive(Debug, Clone)]
-pub struct ModelView {
-    model: Arc<MfModel>,
-    users: Range<usize>,
-}
-
-impl ModelView {
-    /// The view covering every user (the whole-model case; zero-copy in
-    /// every operation including [`ModelView::to_model`]).
-    pub fn full(model: &Arc<MfModel>) -> ModelView {
-        ModelView {
-            users: 0..model.num_users(),
-            model: Arc::clone(model),
-        }
-    }
-
-    /// The view over a contiguous user range.
-    ///
-    /// # Panics
-    /// Panics when the range is empty or exceeds the model's user count;
-    /// callers (the serving runtime's shard router) derive ranges from the
-    /// model itself, so an out-of-range view is a logic error.
-    pub fn of_range(model: &Arc<MfModel>, users: Range<usize>) -> ModelView {
-        assert!(
-            users.start < users.end && users.end <= model.num_users(),
-            "ModelView: user range {users:?} invalid for {} users",
-            model.num_users()
-        );
-        ModelView {
-            users,
-            model: Arc::clone(model),
-        }
-    }
-
-    /// The parent model the view slices.
-    pub fn model(&self) -> &Arc<MfModel> {
-        &self.model
-    }
-
-    /// The global user ids the view covers.
-    pub fn user_range(&self) -> Range<usize> {
-        self.users.clone()
-    }
-
-    /// `true` when the view covers the whole model.
-    pub fn is_full(&self) -> bool {
-        self.users.start == 0 && self.users.end == self.model.num_users()
-    }
-
-    /// Users in the view.
-    pub fn num_users(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Items of the (shared, un-sliced) catalog.
-    pub fn num_items(&self) -> usize {
-        self.model.num_items()
-    }
-
-    /// Latent factors `f`.
-    pub fn num_factors(&self) -> usize {
-        self.model.num_factors()
-    }
-
-    /// The view's user factor rows as one contiguous block — zero-copy:
-    /// this borrows straight from the parent matrix.
-    pub fn users_block(&self) -> RowBlock<'_, f64> {
-        self.model
-            .users()
-            .row_block(self.users.start, self.users.end)
-    }
-
-    /// The shared item factor matrix (`|I| × f`).
-    pub fn items(&self) -> &Matrix<f64> {
-        self.model.items()
-    }
-
-    /// A model equivalent to the view, for consumers that only speak
-    /// [`MfModel`]. A full view returns the parent `Arc` (zero-copy); a
-    /// proper slice materializes a sub-model whose user matrix is one
-    /// `memcpy` of the contiguous factor block. Built-in solver factories
-    /// avoid even that copy by consuming the view natively.
-    pub fn to_model(&self) -> Arc<MfModel> {
-        if self.is_full() {
-            return Arc::clone(&self.model);
-        }
-        let f = self.model.num_factors();
-        let block = self.users_block();
-        let users = Matrix::from_vec(self.users.len(), f, block.as_slice().to_vec())
-            .expect("a slice of a well-formed matrix is well-formed");
-        Arc::new(MfModel {
-            name: format!(
-                "{}[{}..{})",
-                self.model.name, self.users.start, self.users.end
-            ),
-            users,
-            items: self.model.items.clone(),
-            // Slicing preserves the parent's validation status: no new
-            // values are introduced.
-            validated: self.model.validated,
-            mirror32: OnceLock::new(),
-            mirror_i8: OnceLock::new(),
-            // Same items, same panels.
-            item_panels: self.model.item_panels.clone(),
-        })
-    }
-
-    /// The parent model's single-precision mirror (shared across every view
-    /// of the model; local rows address it at `user_range().start + row`).
-    pub fn mirror32(&self) -> &Arc<Mirror32> {
-        self.model.mirror32()
-    }
-
-    /// The parent model's int8 mirror (shared across every view of the
-    /// model; local rows address it at `user_range().start + row`).
-    pub fn mirror_i8(&self) -> &Arc<MirrorI8> {
-        self.model.mirror_i8()
     }
 }
 
@@ -660,38 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn full_view_is_the_model_itself_zero_copy() {
-        let m = MfModel::new_shared("v", users2x2(), items3x2()).unwrap();
-        let view = ModelView::full(&m);
-        assert!(view.is_full());
-        assert_eq!(view.num_users(), 2);
-        assert_eq!(view.num_items(), 3);
-        assert_eq!(view.num_factors(), 2);
-        assert_eq!(view.users_block().as_slice(), m.users().as_slice());
-        // to_model on a full view hands back the same allocation.
-        assert!(Arc::ptr_eq(&view.to_model(), &m));
-    }
-
-    #[test]
-    fn range_view_slices_the_factor_block_and_materializes_identically() {
-        let users = Matrix::from_vec(4, 2, (0..8).map(|v| v as f64).collect()).unwrap();
-        let m = MfModel::new_shared("v", users, items3x2()).unwrap();
-        let view = ModelView::of_range(&m, 1..3);
-        assert!(!view.is_full());
-        assert_eq!(view.num_users(), 2);
-        assert_eq!(view.user_range(), 1..3);
-        // The block borrows rows 1 and 2 verbatim.
-        assert_eq!(view.users_block().as_slice(), &[2.0, 3.0, 4.0, 5.0]);
-        let sub = view.to_model();
-        assert_eq!(sub.num_users(), 2);
-        assert_eq!(sub.users().as_slice(), view.users_block().as_slice());
-        assert_eq!(sub.items().as_slice(), m.items().as_slice());
-        assert!(sub.is_validated(), "slicing keeps the validation status");
-        // Local row 0 of the view is global user 1.
-        assert_eq!(sub.predict(0, 2), m.predict(1, 2));
-    }
-
-    #[test]
     fn mirror32_is_lazy_shared_and_rounds_to_nearest() {
         let m = MfModel::new_shared("m", users2x2(), items3x2()).unwrap();
         let mirror = m.mirror32();
@@ -702,10 +538,8 @@ mod tests {
         // Norms are the exact f64 row norms.
         assert!((mirror.item_norms()[0] - (1.0f64 + 4.0).sqrt()).abs() < 1e-12);
         assert_eq!(mirror.user_norms().len(), 2);
-        // Repeated calls and views share one build.
+        // Repeated calls share one build.
         assert!(Arc::ptr_eq(m.mirror32(), mirror));
-        let view = ModelView::of_range(&m, 0..1);
-        assert!(Arc::ptr_eq(view.mirror32(), mirror));
     }
 
     #[test]
@@ -731,38 +565,34 @@ mod tests {
         assert!((mirror.item_inv_scales()[2] - 6.0 / 127.0).abs() < 1e-15);
         assert!((mirror.item_l1()[2] - 11.0).abs() < 1e-12);
         assert_eq!(mirror.items_q().len(), 6);
-        // Repeated calls and views share one build.
+        // Repeated calls share one build.
         assert!(Arc::ptr_eq(m.mirror_i8(), mirror));
-        let view = ModelView::of_range(&m, 0..1);
-        assert!(Arc::ptr_eq(view.mirror_i8(), mirror));
     }
 
     #[test]
-    fn packed_item_panels_are_built_once_per_model_and_shared_by_views() {
+    fn packed_item_panels_are_built_once_per_model() {
         let m = MfModel::new_shared("m", users2x2(), items3x2()).unwrap();
         // Lazy like the mirrors: nothing is packed until a scan asks.
         assert_eq!(m.panel_builds(), 0);
         let panels = m.item_panels();
         assert_eq!((panels.rows(), panels.cols()), (3, 2));
         assert_eq!(m.panel_builds(), 1);
-        // Views, repeated calls and threads reach the same panels.
-        let (a, b) = (ModelView::of_range(&m, 0..1), ModelView::of_range(&m, 1..2));
-        assert!(std::ptr::eq(a.model().item_panels(), panels));
+        // Repeated calls and threads reach the same panels.
         let from_thread = std::thread::scope(|s| {
-            let lookup = s.spawn(|| b.model().item_panels());
+            let lookup = s.spawn(|| m.item_panels());
             lookup.join().expect("the lookup does not panic")
         });
         assert!(std::ptr::eq(from_thread, panels));
         assert_eq!(m.panel_builds(), 1);
-        // A shard's materialized sub-model holds the same items, so it
-        // shares the f64 panels instead of packing them again.
-        assert!(std::ptr::eq(a.to_model().item_panels(), panels));
+        // A user subset holds the same items, so it shares the f64 panels
+        // instead of packing them again.
+        assert!(std::ptr::eq(m.with_users(&[1]).item_panels(), panels));
         assert_eq!(m.panel_builds(), 1);
         // Each mirror packs its own tier's panels, once, on first use.
         let (p32, p8) = (m.mirror32().item_panels(), m.mirror_i8().item_panels());
         assert_eq!((p32.rows(), p8.rows()), (3, 3));
-        assert!(std::ptr::eq(a.mirror32().item_panels(), p32));
-        assert!(std::ptr::eq(b.mirror_i8().item_panels(), p8));
+        assert!(std::ptr::eq(m.mirror32().item_panels(), p32));
+        assert!(std::ptr::eq(m.mirror_i8().item_panels(), p8));
         assert_eq!(m.panel_builds(), 3);
     }
 
@@ -781,19 +611,5 @@ mod tests {
         users.set(0, 0, f64::NAN);
         let m = MfModel::new_unvalidated("nan", users, items3x2());
         assert!(!m.mirror_i8().is_usable());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid")]
-    fn out_of_range_views_are_rejected() {
-        let m = MfModel::new_shared("v", users2x2(), items3x2()).unwrap();
-        let _ = ModelView::of_range(&m, 1..5);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid")]
-    fn empty_views_are_rejected() {
-        let m = MfModel::new_shared("v", users2x2(), items3x2()).unwrap();
-        let _ = ModelView::of_range(&m, 1..1);
     }
 }

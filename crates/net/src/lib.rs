@@ -14,7 +14,7 @@
 //! |---|---|
 //! | `POST /query` | A [`QueryRequest`](mips_core::engine::QueryRequest) as JSON; admitted via [`MipsServer::try_submit_notify`], so overload answers `429` + `Retry-After` instead of queueing unboundedly. |
 //! | `POST /vector-query` | A [`VectorQueryRequest`](mips_core::engine::VectorQueryRequest) as JSON — the exact top-k for one ad-hoc factor vector, dense (`"vector": [..]`) or sparse (`"vector": {"dim", "indices", "values"}`). Served synchronously via [`Engine::execute_vector`](mips_core::engine::Engine::execute_vector). |
-//! | `GET /metrics` | `{"server": ..., "net": ...}` — the full [`ServerMetrics`](mips_core::serve::ServerMetrics) rollup (per-shard counters, `index_scope`, `local_index_builds`, latency quantiles) plus this crate's [`NetMetrics`] connection counters. |
+//! | `GET /metrics` | `{"server": ..., "net": ...}` — the full [`ServerMetrics`](mips_core::serve::ServerMetrics) rollup (per-shard counters, latency quantiles) plus this crate's [`NetMetrics`] connection counters. |
 //! | `GET /healthz` | Liveness + the current model epoch. |
 //! | `POST /admin/swap` | Pulls a fresh model from the builder-registered [`swap source`](HttpServerBuilder::swap_source) and installs it via [`Engine::swap_model`](mips_core::engine::Engine::swap_model). In-flight requests finish on their pinned epoch; subsequent admissions (any connection) see the new one — graceful drain without a pause. |
 //!

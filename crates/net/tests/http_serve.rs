@@ -416,11 +416,52 @@ fn metrics_and_healthz_expose_the_rollup() {
     let doc = json::parse(&metrics.body).unwrap();
     let server_side = doc.get("server").expect("server section");
     assert_eq!(server_side.get("completed").and_then(Json::as_u64), Some(3));
-    assert_eq!(
-        server_side.get("index_scope").and_then(Json::as_str),
-        Some("global")
-    );
-    assert!(server_side.get("shards").and_then(Json::as_arr).is_some());
+    // The wire schema, pinned whole: a key added to or dropped from the
+    // `server` object or a `shards[i]` object has to change these lists.
+    let keys = |obj: &Json| -> Vec<String> {
+        let fields = obj.as_obj().expect("a JSON object");
+        fields.iter().map(|(key, _)| key.clone()).collect()
+    };
+    let server_keys = [
+        "submitted",
+        "completed",
+        "rejected",
+        "failed",
+        "epoch",
+        "precision",
+        "swaps",
+        "batches",
+        "f32_batches",
+        "i8_batches",
+        "screen_candidates_f32",
+        "screen_survivors_f32",
+        "screen_candidates_i8",
+        "screen_survivors_i8",
+        "coalesced",
+        "mean_batch",
+        "latency",
+        "shards",
+    ];
+    assert_eq!(keys(server_side), server_keys);
+    let shards = server_side.get("shards").and_then(Json::as_arr).unwrap();
+    let shard_keys = [
+        "shard",
+        "users",
+        "submitted",
+        "completed",
+        "batches",
+        "f32_batches",
+        "i8_batches",
+        "screen_candidates_f32",
+        "screen_survivors_f32",
+        "screen_candidates_i8",
+        "screen_survivors_i8",
+        "coalesced",
+        "users_served",
+        "busy_seconds",
+        "latency",
+    ];
+    assert_eq!(keys(&shards[0]), shard_keys);
     let net_side = doc.get("net").expect("net section");
     // The /metrics request itself is parsed before its response counts.
     assert!(
@@ -607,7 +648,7 @@ fn overload_answers_429_with_retry_after() {
             .shards(1)
             .workers(1)
             .queue_capacity(2)
-            .batching(false)
+            .max_batch(1)
             .build()
             .unwrap(),
     );
@@ -720,7 +761,7 @@ fn shutdown_drains_in_flight_requests() {
 // ---------------------------------------------------------------------------
 
 /// A stack whose only backend serves through BMM but holds any batch that
-/// contains user 0 for `hold` first: 2 workers, one shard, batching off, so
+/// contains user 0 for `hold` first: 2 workers, one shard, `max_batch(1)`, so
 /// a held request and a fast one run side by side.
 fn slow_stub_stack(hold: Duration, net: HttpServerBuilder) -> (Arc<MipsServer>, HttpServer) {
     use mips_core::engine::FnFactory;
@@ -775,7 +816,7 @@ fn slow_stub_stack(hold: Duration, net: HttpServerBuilder) -> (Arc<MipsServer>, 
             .engine(engine)
             .shards(1)
             .workers(2)
-            .batching(false)
+            .max_batch(1)
             .build()
             .unwrap(),
     );
