@@ -13,6 +13,9 @@
 //! The item side of every scan is the model's cached packed panels
 //! ([`MfModel::item_panels`] and the mirrors' twins): packed once per
 //! model, so neither a batch nor a single-user lookup repacks the catalog.
+//! The solver holds its tier as a value; [`mips_linalg::per_tier!`] turns
+//! it into the mirror's element type where a scan starts, and everything
+//! below that point is generic ([`MfModel::mirror`], [`mips_linalg::TierRows`]).
 //!
 //! Every path runs on the runtime-dispatched SIMD micro-kernels
 //! ([`mips_linalg::simd`]); results are identical either way.
@@ -20,11 +23,11 @@
 use crate::precision::Precision;
 use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::Arc;
-use mips_data::MfModel;
-use mips_linalg::{CacheConfig, GemmScratch, Matrix, RowBlock};
+use mips_data::{MfModel, MirrorElem};
+use mips_linalg::{per_tier, CacheConfig, GemmScratch, Matrix, RowBlock, TierView};
 use mips_topk::{
-    screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenItems, ScreenScratch,
-    ScreenTier, ScreenUsers, TopKHeap, TopKList,
+    screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch, ScreenTier, TopKHeap,
+    TopKList,
 };
 use std::ops::Range;
 use std::time::Instant;
@@ -55,83 +58,6 @@ pub struct BmmSolver {
     screen_tally: Arc<ScreenTallyCells>,
 }
 
-/// Both sides of `model` in `tier`, borrowed from the model-level mirror
-/// (built on first use and shared by every solver over the model).
-/// The item side comes as rows only — what a gather needs; a block scan
-/// adds the mirror's packed panels ([`BmmSolver::armed_sides`]). `None`
-/// when the model does not mirror usably in that tier.
-pub(crate) fn screen_sides(
-    model: &MfModel,
-    tier: ScreenTier,
-) -> Option<(ScreenUsers<'_>, ScreenItems<'_>)> {
-    match tier {
-        ScreenTier::F32 => {
-            let mirror = model.mirror32();
-            let users = ScreenUsers::F32 {
-                rows: mirror.users().into(),
-                norms: mirror.user_norms(),
-            };
-            let items = ScreenItems::F32 {
-                rows: mirror.items().into(),
-                panels: None,
-                norms: mirror.item_norms(),
-            };
-            mirror.is_usable().then_some((users, items))
-        }
-        ScreenTier::I8 => {
-            let mirror = model.mirror_i8();
-            let users = ScreenUsers::I8 {
-                codes: mirror.users_q(),
-                scales: mirror.user_scales(),
-                l1: mirror.user_l1(),
-            };
-            let items = ScreenItems::I8 {
-                codes: mirror.items_q(),
-                panels: None,
-                inv_scales: mirror.item_inv_scales(),
-                l1: mirror.item_l1(),
-            };
-            mirror.is_usable().then_some((users, items))
-        }
-    }
-}
-
-/// An owned copy of some rows of a [`ScreenUsers`] — the screen-side twin of
-/// the f64 rows a `query_subset` call gathers.
-enum GatheredUsers {
-    F32(Matrix<f32>, Vec<f64>),
-    I8(Vec<i8>, Vec<f64>, Vec<f64>),
-}
-
-impl GatheredUsers {
-    fn gather(users: ScreenUsers<'_>, picks: &[usize]) -> GatheredUsers {
-        let pick = |values: &[f64]| picks.iter().map(|&r| values[r]).collect();
-        match users {
-            ScreenUsers::F32 { rows, norms } => {
-                let data = picks.iter().flat_map(|&r| rows.row(r)).copied().collect();
-                let gathered = Matrix::from_vec(picks.len(), rows.cols(), data);
-                GatheredUsers::F32(gathered.expect("rows × cols values"), pick(norms))
-            }
-            ScreenUsers::I8 { codes, scales, l1 } => {
-                let f = codes.len().checked_div(scales.len()).unwrap_or(0);
-                let row = |&r: &usize| &codes[r * f..(r + 1) * f];
-                let gathered = picks.iter().flat_map(row).copied().collect();
-                GatheredUsers::I8(gathered, pick(scales), pick(l1))
-            }
-        }
-    }
-
-    fn borrow(&self) -> ScreenUsers<'_> {
-        match self {
-            GatheredUsers::F32(rows, norms) => ScreenUsers::F32 {
-                rows: rows.into(),
-                norms,
-            },
-            GatheredUsers::I8(codes, scales, l1) => ScreenUsers::I8 { codes, scales, l1 },
-        }
-    }
-}
-
 impl BmmSolver {
     /// Prepares the solver (no index; build cost is effectively zero).
     pub fn build(model: Arc<MfModel>) -> BmmSolver {
@@ -157,7 +83,7 @@ impl BmmSolver {
     /// path.
     pub fn with_screen(mut self, tier: ScreenTier) -> BmmSolver {
         let start = Instant::now();
-        if screen_sides(&self.model, tier).is_some() {
+        if per_tier!(tier, T => self.model.mirror::<T>().is_usable()) {
             self.screen = Some(tier);
             self.name = screened_name("Blocked MM", self.screen);
         }
@@ -178,67 +104,62 @@ impl BmmSolver {
         self.batch_rows
     }
 
-    /// Both sides of the armed tier over the whole model, if one is armed,
-    /// the item side with its mirror's packed panels (built on the first
-    /// scan, then shared).
-    fn armed_sides(&self) -> Option<(ScreenUsers<'_>, ScreenItems<'_>)> {
-        let sides = screen_sides(&self.model, self.screen?);
-        let (users, mut items) = sides.expect("armed tiers mirror usably");
-        match &mut items {
-            ScreenItems::F32 { panels, .. } => *panels = Some(self.model.mirror32().item_panels()),
-            ScreenItems::I8 { panels, .. } => *panels = Some(self.model.mirror_i8().item_panels()),
-        }
-        Some((users, items))
-    }
-
-    /// Serves `users` — with their rows of the armed tier's user side, when
-    /// one is armed — in batches of [`BmmSolver::batch_rows`], reusing one
-    /// scratch across the batches.
-    fn serve_rows(
+    /// Serves `users` in batches of [`BmmSolver::batch_rows`]: `scan` fills
+    /// the heaps of one batch — rows `start..end` of `users` — and owns the
+    /// scratch it reuses across batches, so what remains per batch is only
+    /// the per-user output itself (heaps/lists of size `k`).
+    fn serve_batches(
         &self,
         users: RowBlock<'_, f64>,
-        screen: Option<(ScreenUsers<'_>, ScreenItems<'_>)>,
         k: usize,
+        mut scan: impl FnMut(Range<usize>, RowBlock<'_, f64>, &mut [TopKHeap]),
     ) -> Vec<TopKList> {
         let f = users.cols();
-        let ids = ColumnIds::Offset(0);
-        let mut scratch = BmmScratch::default();
         let mut out = Vec::with_capacity(users.rows());
         for start in (0..users.rows()).step_by(self.batch_rows) {
             let end = (start + self.batch_rows).min(users.rows());
             let block = RowBlock::new(&users.as_slice()[start * f..end * f], end - start, f);
             let mut heaps: Vec<TopKHeap> = (0..block.rows()).map(|_| TopKHeap::new(k)).collect();
-            if let Some((screen_users, screen_items)) = screen {
-                let stats = screen_topk_into_heaps(
-                    block,
-                    self.model.items().into(),
-                    screen_users.rows(start..end),
-                    screen_items,
-                    &mut heaps,
-                    ids,
-                    &mut scratch.screen,
-                );
-                self.screen_tally.record(stats.screened, stats.rescored);
-            } else {
-                let items = self.model.item_panels().into();
-                stream_topk_into_heaps(block, items, &mut heaps, ids, &mut scratch.gemm);
-            }
+            scan(start..end, block, &mut heaps);
             out.extend(heaps.into_iter().map(TopKHeap::into_sorted));
         }
         out
     }
-}
 
-/// Per-query-loop reusable buffers: one of these lives on the stack of each
-/// `query_*` invocation (and therefore per worker thread under
-/// `par_query_*`). The bulk buffers — GEMM pack panels, the streaming score
-/// block, the screen's bound heaps and candidate lists — are allocated once
-/// per query loop and reused across blocks; what remains per block is only
-/// the per-user output itself (heaps/lists of size `k`).
-#[derive(Default)]
-struct BmmScratch {
-    gemm: GemmScratch<f64>,
-    screen: ScreenScratch,
+    /// The fused f64 scan over `users`.
+    fn serve_f64(&self, users: RowBlock<'_, f64>, k: usize) -> Vec<TopKList> {
+        let items = self.model.item_panels().into();
+        let mut scratch = GemmScratch::new();
+        self.serve_batches(users, k, |_, block, heaps| {
+            stream_topk_into_heaps(block, items, heaps, ColumnIds::Offset(0), &mut scratch)
+        })
+    }
+
+    /// The armed tier's screen over `users`, whose rows of the tier's user
+    /// side are `screen_users`; the item side is the model's mirror with
+    /// its packed panels (built on the first scan, then shared).
+    fn serve_screened<T: MirrorElem>(
+        &self,
+        users: RowBlock<'_, f64>,
+        screen_users: TierView<'_, T>,
+        k: usize,
+    ) -> Vec<TopKList> {
+        let mirror = self.model.mirror::<T>();
+        let items = mirror.items().view().with_panels(mirror.item_panels());
+        let mut scratch = ScreenScratch::new();
+        self.serve_batches(users, k, |batch, block, heaps| {
+            let stats = screen_topk_into_heaps(
+                block,
+                self.model.items().into(),
+                screen_users.rows(batch),
+                items,
+                heaps,
+                ColumnIds::Offset(0),
+                &mut scratch,
+            );
+            self.screen_tally.record(stats.screened, stats.rescored);
+        })
+    }
 }
 
 impl MipsSolver for BmmSolver {
@@ -265,8 +186,13 @@ impl MipsSolver for BmmSolver {
     fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
         assert!(users.end <= self.num_users(), "user range out of bounds");
         let rows = self.model.users().row_block(users.start, users.end);
-        let screen = self.armed_sides();
-        self.serve_rows(rows, screen.map(|(u, i)| (u.rows(users), i)), k)
+        match self.screen {
+            None => self.serve_f64(rows, k),
+            Some(tier) => per_tier!(tier, T => {
+                let mirrored = self.model.mirror::<T>().users().view();
+                self.serve_screened(rows, mirrored.rows(users), k)
+            }),
+        }
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
@@ -274,10 +200,14 @@ impl MipsSolver for BmmSolver {
             let in_range = distinct.iter().all(|&u| u < self.num_users());
             assert!(in_range, "user id out of bounds");
             let gathered: Matrix<f64> = self.model.users().gather_rows(distinct);
-            let screen = self.armed_sides();
-            let screen = screen.map(|(u, i)| (GatheredUsers::gather(u, distinct), i));
-            let screen = screen.as_ref().map(|(u, i)| (u.borrow(), *i));
-            self.serve_rows((&gathered).into(), screen, k)
+            match self.screen {
+                None => self.serve_f64((&gathered).into(), k),
+                Some(tier) => per_tier!(tier, T => {
+                    let mirrored = self.model.mirror::<T>().users();
+                    let picked = mirrored.gather(distinct.iter().copied());
+                    self.serve_screened((&gathered).into(), picked.view(), k)
+                }),
+            }
         })
     }
 

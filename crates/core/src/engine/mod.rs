@@ -873,14 +873,45 @@ mod tests {
                 "{err:?}"
             );
         }
-        let lemp = LempFactory::new(mips_lemp::LempConfig {
-            bucket_size: 0,
-            ..mips_lemp::LempConfig::default()
-        });
-        assert!(matches!(
-            lemp.build(&model(8, 12)),
-            Err(MipsError::BackendBuild { .. })
-        ));
+        // LEMP's invariants are `LempConfig::validate`'s, whichever knob
+        // breaks them: typed from the factory, and typed — twice — through
+        // the engine.
+        use mips_lemp::LempConfig;
+        let ok = LempConfig::default();
+        for config in [
+            LempConfig {
+                bucket_size: 0,
+                ..ok
+            },
+            LempConfig {
+                checkpoint_fraction: 0.0,
+                ..ok
+            },
+            LempConfig { tune_k: 0, ..ok },
+        ] {
+            let lemp = LempFactory::new(config);
+            assert!(
+                matches!(
+                    lemp.build(&model(8, 12)),
+                    Err(MipsError::BackendBuild { .. })
+                ),
+                "{config:?}"
+            );
+            let engine = EngineBuilder::new()
+                .model(model(8, 12))
+                .register(lemp)
+                .build()
+                .expect("config errors surface at first use, not assembly");
+            for _ in 0..2 {
+                let err = engine
+                    .execute(&QueryRequest::top_k(2))
+                    .expect_err("degenerate config cannot build");
+                assert!(
+                    matches!(&err, MipsError::BackendBuild { key, .. } if key == "lemp"),
+                    "{config:?}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1607,9 +1638,6 @@ mod tests {
         for (g, w) in auto.results.iter().zip(&want.results) {
             assert_eq!(g.items, w.items);
         }
-        // Screen candidates competed (raced or bounded), so the f32
-        // analytical prior is recorded alongside the f64 one.
-        assert!(plan.analytical_screen_seconds() > 0.0);
         assert!(plan.analytical_bmm_seconds() > 0.0);
     }
 

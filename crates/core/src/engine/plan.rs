@@ -39,11 +39,6 @@ pub struct PreparedPlan {
     /// stage over the plan's users, from the registry's calibrated FLOP
     /// rate. `0.0` when planning skipped sampling (single candidate).
     pub(super) analytical_bmm_seconds: f64,
-    /// The analytical prior for the f32 screen phase of the
-    /// mixed-precision path (calibrated single-precision FLOP rate over
-    /// the plan's users). `0.0` whenever no screen candidate competed — in
-    /// particular always `0.0` under [`Precision::F64`] engines.
-    pub(super) analytical_screen_seconds: f64,
     /// The numeric mode the winning solver actually serves through. Under
     /// [`Precision::Auto`] this records the planner's per-plan decision;
     /// under a forced mode it records the effective value (a backend
@@ -111,12 +106,6 @@ impl PreparedPlan {
     /// when planning skipped sampling.
     pub fn analytical_bmm_seconds(&self) -> f64 {
         self.analytical_bmm_seconds
-    }
-
-    /// The analytical prior for the f32 screen phase, when a
-    /// mixed-precision candidate competed in this plan (`0.0` otherwise).
-    pub fn analytical_screen_seconds(&self) -> f64 {
-        self.analytical_screen_seconds
     }
 
     /// The analytical prior for the sparse inverted-index accumulation

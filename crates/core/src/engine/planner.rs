@@ -180,21 +180,12 @@ impl Engine {
             sample_size: 0,
             decision_seconds: 0.0,
             analytical_bmm_seconds: 0.0,
-            analytical_screen_seconds: 0.0,
             analytical_sparse_seconds: 0.0,
         };
         if let Some(choice) = choice {
-            let f32_competed = choice.entries.iter().any(|e| {
-                let served = e.solver.as_ref().map(|s| s.precision());
-                e.tier == Some(ScreenTier::F32) || served == Some(Precision::F32Rescore)
-            });
             plan.analytical_bmm_seconds = self.analytical_bmm_seconds(model);
-            // Recorded only when an f32 candidate competed, so pure-f64
-            // engines never pay the f32 calibration; the sparse prior
-            // likewise only when the sparse backend is a candidate.
-            if f32_competed {
-                plan.analytical_screen_seconds = self.analytical_screen_seconds(model);
-            }
+            // The sparse prior is recorded only when the sparse backend is
+            // a candidate, so other engines never pay its calibration.
             if source.keys.contains(&SPARSE_KEY) {
                 plan.analytical_sparse_seconds = self.analytical_sparse_seconds(model);
             }
@@ -238,14 +229,6 @@ impl Engine {
             model.num_items(),
             model.num_factors(),
         )
-    }
-
-    /// The analytical prior for the f32 **screen phase** of the
-    /// mixed-precision path. The rescore phase is data-dependent and
-    /// covered by online sampling, like the top-k stage of the f64 prior.
-    fn analytical_screen_seconds(&self, model: &MfModel) -> f64 {
-        let f32_rate = self.registry.analytical_tier(Some(ScreenTier::F32));
-        f32_rate.predict_seconds(model.num_users(), model.num_items(), model.num_factors())
     }
 
     /// The analytical cost of the sparse inverted-index **accumulation

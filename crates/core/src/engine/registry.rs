@@ -71,6 +71,15 @@ pub trait SolverFactory: Send + Sync {
     }
 }
 
+/// A backend config's own `validate()` verdict as the engine's typed error:
+/// the invariants live on the config, the factory only relays them.
+fn config_checked(key: &str, config: &str, verdict: Result<(), String>) -> Result<(), MipsError> {
+    verdict.map_err(|message| MipsError::BackendBuild {
+        key: key.to_string(),
+        message: format!("{config}: {message}"),
+    })
+}
+
 /// Recovers a factory's own concrete solver from the `base` its
 /// `build_screen` was handed; a foreign solver is a wiring error.
 fn own_base<'a, T: MipsSolver>(key: &str, base: &'a dyn MipsSolver) -> Result<&'a T, MipsError> {
@@ -123,33 +132,13 @@ impl MaximusFactory {
     }
 }
 
-impl MaximusFactory {
-    /// The config checks `MaximusIndex::build` would otherwise assert on,
-    /// surfaced as typed errors.
-    fn validate_config(&self) -> Result<(), MipsError> {
-        for (value, name) in [
-            (self.config.num_clusters, "num_clusters"),
-            (self.config.kmeans_iters, "kmeans_iters"),
-            (self.config.block_size, "block_size"),
-        ] {
-            if value == 0 {
-                return Err(MipsError::BackendBuild {
-                    key: "maximus".to_string(),
-                    message: format!("MaximusConfig: {name} must be > 0"),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 impl SolverFactory for MaximusFactory {
     fn key(&self) -> &str {
         "maximus"
     }
 
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        self.validate_config()?;
+        config_checked(self.key(), "MaximusConfig", self.config.validate())?;
         Ok(Box::new(MaximusIndex::build(
             Arc::clone(model),
             &self.config,
@@ -183,36 +172,13 @@ impl LempFactory {
     }
 }
 
-impl LempFactory {
-    /// The config checks `LempIndex::build` would otherwise assert on,
-    /// surfaced as typed errors.
-    fn validate_config(&self) -> Result<(), MipsError> {
-        if self.config.bucket_size == 0 {
-            return Err(MipsError::BackendBuild {
-                key: "lemp".to_string(),
-                message: "LempConfig: bucket_size must be > 0".to_string(),
-            });
-        }
-        if !(0.0..=1.0).contains(&self.config.checkpoint_fraction) {
-            return Err(MipsError::BackendBuild {
-                key: "lemp".to_string(),
-                message: format!(
-                    "LempConfig: checkpoint_fraction must be in [0, 1], got {}",
-                    self.config.checkpoint_fraction
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
 impl SolverFactory for LempFactory {
     fn key(&self) -> &str {
         "lemp"
     }
 
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        self.validate_config()?;
+        config_checked(self.key(), "LempConfig", self.config.validate())?;
         Ok(Box::new(LempSolver::build(Arc::clone(model), &self.config)))
     }
 
@@ -281,17 +247,6 @@ impl SparseFactory {
     pub fn new(config: SparseConfig) -> SparseFactory {
         SparseFactory { config }
     }
-
-    /// The config checks `InvertedIndex::build` would otherwise panic on,
-    /// surfaced as typed errors.
-    fn validate_config(&self) -> Result<(), MipsError> {
-        self.config
-            .validate()
-            .map_err(|message| MipsError::BackendBuild {
-                key: "sparse".to_string(),
-                message: format!("SparseConfig: {message}"),
-            })
-    }
 }
 
 impl SolverFactory for SparseFactory {
@@ -300,7 +255,7 @@ impl SolverFactory for SparseFactory {
     }
 
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        self.validate_config()?;
+        config_checked(self.key(), "SparseConfig", self.config.validate())?;
         Ok(Box::new(SparseSolver::build(
             Arc::clone(model),
             &self.config,

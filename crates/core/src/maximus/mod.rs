@@ -22,7 +22,7 @@ use crate::sync::{Arc, OnceLock};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::MfModel;
 use mips_linalg::kernels::{angle, dot, dot_gemm_ordered_x4, norm2};
-use mips_linalg::{GemmScratch, Matrix, PackedPanels};
+use mips_linalg::{per_tier, GemmScratch, Matrix, PackedPanels};
 use mips_topk::{
     stream_topk_into_heaps, ColumnIds, ItemMirror, ScreenTier, TopKHeap, TopKList, UserScreen,
 };
@@ -72,6 +72,24 @@ impl Default for MaximusConfig {
             clustering: ClusteringAlgo::KMeans,
             seed: 0x0A_11_05,
         }
+    }
+}
+
+impl MaximusConfig {
+    /// Validates parameter ranges — the one statement of this config's
+    /// invariants: [`MaximusIndex::build`] `expect`s it, the engine's
+    /// factory maps it to a typed error.
+    pub fn validate(&self) -> Result<(), String> {
+        for (value, name) in [
+            (self.num_clusters, "num_clusters"),
+            (self.kmeans_iters, "kmeans_iters"),
+            (self.block_size, "block_size"),
+        ] {
+            if value == 0 {
+                return Err(format!("{name} must be > 0"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -184,20 +202,9 @@ impl MaximusIndex {
     /// Builds the index: cluster users, compute θ_b, sort item lists.
     ///
     /// # Panics
-    /// Panics on a degenerate configuration.
+    /// Panics on a configuration [`MaximusConfig::validate`] rejects.
     pub fn build(model: Arc<MfModel>, config: &MaximusConfig) -> MaximusIndex {
-        assert!(
-            config.num_clusters > 0,
-            "MaximusConfig: num_clusters must be > 0"
-        );
-        assert!(
-            config.kmeans_iters > 0,
-            "MaximusConfig: kmeans_iters must be > 0"
-        );
-        assert!(
-            config.block_size > 0,
-            "MaximusConfig: block_size must be > 0"
-        );
+        config.validate().expect("a valid MaximusConfig");
 
         let t0 = Instant::now();
         let kconfig = KMeansConfig {
@@ -283,9 +290,9 @@ impl MaximusIndex {
     /// the §III-E new-vector path.
     ///
     /// Each cluster's mirror is **gathered** in list order from the model's
-    /// own mirror of the tier ([`MfModel::mirror32`] / [`MfModel::mirror_i8`]
-    /// — built once per model and shared with brute force's screen), so no
-    /// row is rounded or quantized once per cluster. The variant's
+    /// own mirror of the tier ([`MfModel::mirror`] — built once per model
+    /// and shared with brute force's screen), so no row is rounded or
+    /// quantized once per cluster. The variant's
     /// `build_seconds` is that gathering alone; its work counters start at
     /// zero.
     ///
@@ -297,11 +304,17 @@ impl MaximusIndex {
     pub fn with_screen(&self, tier: ScreenTier) -> MaximusIndex {
         let t = Instant::now();
         let core = Arc::clone(&self.core);
-        let (mirrors, screen) = match crate::bmm::screen_sides(&core.model, tier) {
-            Some((_, items)) => {
-                let gather = |c: &ClusterIndex| ItemMirror::gather(items, &c.list_ids);
-                (core.clusters.iter().map(gather).collect(), Some(tier))
-            }
+        let gathered: Option<Vec<ItemMirror>> = per_tier!(tier, T => {
+            let sides = core.model.mirror::<T>().sides();
+            sides.map(|(_, items)| {
+                let lists = core.clusters.iter().map(|c| c.list_ids.iter());
+                lists
+                    .map(|ids| items.gather(ids.map(|&i| i as usize)).into())
+                    .collect()
+            })
+        });
+        let (mirrors, screen) = match gathered {
+            Some(mirrors) => (mirrors, Some(tier)),
             None => (self.mirrors.clone(), self.screen),
         };
         MaximusIndex::over(core, mirrors, screen, t.elapsed().as_secs_f64())
@@ -386,7 +399,7 @@ impl MaximusIndex {
             let screen = self
                 .mirrors
                 .get(c)
-                .and_then(|mirror| Some((UserScreen::arm(user, unorm, mirror.tier())?, mirror)));
+                .and_then(|mirror| Some((UserScreen::arm(user, mirror.tier())?, mirror)));
             let mut walked = 0u64;
             let mut screen_evaluated = 0u64;
             let mut screened_out = 0u64;
@@ -405,9 +418,7 @@ impl MaximusIndex {
                 if heap.is_full() {
                     if let Some((user_screen, mirror)) = &screen {
                         screen_evaluated += 1;
-                        let bound =
-                            user_screen.upper_bound(mirror, list_pos, cluster.norms[list_pos]);
-                        if bound < heap.threshold() {
+                        if user_screen.upper_bound(mirror, list_pos) < heap.threshold() {
                             screened_out += 1;
                             list_pos += 1;
                             continue;
@@ -891,22 +902,21 @@ mod tests {
     }
 
     #[test]
-    fn cluster_mirrors_are_gathered_from_the_model_mirror_row_for_row() {
-        // Per-row scales travel with the row: a cluster's gathered mirror
-        // must bound exactly like one quantized from the cluster's own f64
-        // copy (the pre-sharing construction).
+    fn cluster_mirrors_are_gathered_in_list_order() {
+        // A cluster's mirror, gathered from the model's, is row-aligned
+        // with the cluster's list: it bounds exactly like one built from
+        // the cluster's own f64 copy.
         let m = model(40, 90, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
         for tier in ScreenTier::ALL {
             let screened = plain.with_screen(tier);
-            let user = m.users().row(3);
-            let screen = UserScreen::arm(user, norm2(user), tier).unwrap();
+            let screen = UserScreen::arm(m.users().row(3), tier).unwrap();
             for (cluster, mirror) in plain.core.clusters.iter().zip(&screened.mirrors) {
                 let rebuilt = ItemMirror::build(&cluster.items, tier).unwrap();
-                for (r, &norm) in cluster.norms.iter().enumerate() {
+                for r in 0..cluster.list_ids.len() {
                     assert_eq!(
-                        screen.upper_bound(mirror, r, norm).to_bits(),
-                        screen.upper_bound(&rebuilt, r, norm).to_bits(),
+                        screen.upper_bound(mirror, r).to_bits(),
+                        screen.upper_bound(&rebuilt, r).to_bits(),
                         "{tier:?} list position {r}"
                     );
                 }

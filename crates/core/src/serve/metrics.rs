@@ -13,9 +13,9 @@ use std::ops::Range;
 
 /// A minimal hand-rolled JSON writer: compact output, comma bookkeeping,
 /// string escaping — nothing else. Shared by everything in this workspace
-/// that emits JSON (the `/metrics` endpoint of `mips-net`, the bench
-/// digests) so the wire format and the committed BENCH_* files come from
-/// one serializer, dependency-free.
+/// that emits JSON (the `/metrics` endpoint and the query responses of
+/// `mips-net`), so the whole wire format comes from one serializer,
+/// dependency-free.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     out: String,
@@ -515,8 +515,8 @@ impl ServerMetrics {
 
     /// Renders the whole snapshot — server counters, latency, per-shard
     /// breakdown — as one compact JSON document. This is the body of the
-    /// `mips-net` `GET /metrics` endpoint and the shape bench digests
-    /// embed, produced by the shared [`JsonWriter`].
+    /// `mips-net` `GET /metrics` endpoint, produced by the shared
+    /// [`JsonWriter`].
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         self.write_json(&mut w);

@@ -1,18 +1,26 @@
-//! Property: [`Precision::F32Rescore`] is an execution-strategy change,
-//! never a results change. For every registered backend, forcing the f32
-//! screen + exact f64 rescore path must reproduce the pure-f64 engine's
-//! ids **and score bits** exactly — across named dispatch, planned
-//! dispatch, `Auto` competition, per-shard serving, model swaps, and
-//! adversarial corpora built to stress the screen envelope (near-ties
-//! below f32 resolution, exact duplicates, magnitudes that push f32
-//! products toward overflow and underflow, and near-cancelling dots where
-//! the relative envelope is enormous compared to the score).
+//! Property: a forced screen tier ([`Precision::of_tier`] of every
+//! [`ScreenTier`]) is an execution-strategy change, never a results change.
+//! For every registered backend and every tier, forcing the screen + exact
+//! f64 rescore path must reproduce the pure-f64 engine's ids **and score
+//! bits** exactly — across named dispatch, planned dispatch, `Auto`
+//! competition, per-shard serving, model swaps, and adversarial corpora
+//! built to stress both envelopes at once (near-ties far below f32 and int8
+//! resolution, exact duplicates, magnitudes that push f32 products toward
+//! overflow and underflow and the per-row int8 scales to their extremes,
+//! and near-cancelling dots where the envelope dwarfs the score).
+//!
+//! The int8 screen is *kernel-invariant* — integer dots are exact in i32,
+//! so the screen scores and candidate sets are identical across AVX2,
+//! NEON, and scalar (pinned at the `mips-topk` layer); running this suite
+//! under `MIPS_KERNEL=scalar` in CI therefore checks the same contract
+//! over the portable kernels.
 
 use mips_core::engine::{BackendRegistry, Engine, EngineBuilder, QueryRequest, QueryResponse};
 use mips_core::precision::Precision;
-use mips_core::serve::ServerBuilder;
+use mips_core::serve::{ServerBuilder, TierLaneMetrics};
 use mips_data::MfModel;
 use mips_linalg::Matrix;
+use mips_topk::ScreenTier;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -40,6 +48,11 @@ fn engine_at(model: &Arc<MfModel>, precision: Precision) -> Arc<Engine> {
     )
 }
 
+/// The mode that forces `tier` on every backend that has it.
+fn forced(tier: ScreenTier) -> Precision {
+    Precision::of_tier(Some(tier))
+}
+
 /// Collapses a response to `(items, score bits)` rows — `f64` equality
 /// would accept `-0.0 == 0.0` and reject `NaN == NaN`; bit equality is the
 /// contract the mixed-precision path promises.
@@ -56,14 +69,29 @@ fn bits(response: &QueryResponse) -> Vec<(Vec<u32>, Vec<u64>)> {
         .collect()
 }
 
+/// The registry key of the backend that served `response`: its display
+/// name with any tier suffix stripped ("LEMP+f32" / "LEMP+i8" → "LEMP"),
+/// looked up among `engine`'s plain builds.
+fn served_key<'e>(engine: &'e Engine, response: &QueryResponse) -> &'e str {
+    let suffixed = ScreenTier::ALL
+        .iter()
+        .find_map(|tier| response.backend.strip_suffix(tier.suffix()));
+    let base_name = suffixed.unwrap_or(&response.backend);
+    engine
+        .backend_keys()
+        .into_iter()
+        .find(|key| engine.solver(key).is_ok_and(|s| s.name() == base_name))
+        .expect("the winner maps to a registered backend")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Named dispatch: for every backend key, the forced-f32 engine's
+    /// Named dispatch: for every backend key and tier, the forced engine's
     /// answer is bit-identical to the f64 engine's, at every k, while the
     /// screen-capable backends actually report the mixed-precision path.
     #[test]
-    fn forced_f32_rescore_is_bit_identical_per_backend(
+    fn forced_rescore_is_bit_identical_per_backend(
         n_users in 2usize..14,
         n_items in 2usize..50,
         f in 1usize..9,
@@ -71,34 +99,36 @@ proptest! {
     ) {
         let model = random_model(n_users, n_items, f, seed);
         let f64_engine = engine_at(&model, Precision::F64);
-        let f32_engine = engine_at(&model, Precision::F32Rescore);
-        for key in f64_engine.backend_keys() {
-            for k in [1, (n_items / 2).max(1), n_items] {
-                let request = QueryRequest::top_k(k);
-                let want = f64_engine.execute_with(key, &request).unwrap();
-                let got = f32_engine.execute_with(key, &request).unwrap();
-                prop_assert_eq!(
-                    bits(&got), bits(&want),
-                    "{} diverged at k={}", key, k
-                );
-                prop_assert_eq!(want.precision, Precision::F64);
-                let screened = matches!(key, "bmm" | "lemp" | "maximus");
-                prop_assert_eq!(
-                    got.precision,
-                    if screened { Precision::F32Rescore } else { Precision::F64 },
-                    "{} must report its numeric path", key
-                );
+        for tier in ScreenTier::ALL {
+            let tier_engine = engine_at(&model, forced(tier));
+            for key in f64_engine.backend_keys() {
+                for k in [1, (n_items / 2).max(1), n_items] {
+                    let request = QueryRequest::top_k(k);
+                    let want = f64_engine.execute_with(key, &request).unwrap();
+                    let got = tier_engine.execute_with(key, &request).unwrap();
+                    prop_assert_eq!(
+                        bits(&got), bits(&want),
+                        "{} diverged at k={} under {:?}", key, k, tier
+                    );
+                    prop_assert_eq!(want.precision, Precision::F64);
+                    let screened = matches!(key, "bmm" | "lemp" | "maximus");
+                    prop_assert_eq!(
+                        got.precision,
+                        if screened { forced(tier) } else { Precision::F64 },
+                        "{} must report its numeric path", key
+                    );
+                }
             }
         }
     }
 
     /// Planned dispatch under `Auto`: whichever candidate OPTIMUS picks —
-    /// f64-direct or a `+f32` screen variant — the served bits match the
-    /// **same backend's** pure-f64 path. (Different backends legitimately
-    /// accumulate dots in different orders and may disagree in the last
-    /// ulp, so the contract is per-backend, not cross-backend: `Auto` must
-    /// never let the numeric *mode* change the bits the chosen backend
-    /// would have served.)
+    /// f64-direct or a screen variant of any tier — the served bits match
+    /// the **same backend's** pure-f64 path. (Different backends
+    /// legitimately accumulate dots in different orders and may disagree in
+    /// the last ulp, so the contract is per-backend, not cross-backend:
+    /// `Auto` must never let the numeric *mode* change the bits the chosen
+    /// backend would have served.)
     #[test]
     fn auto_planning_is_bit_identical_whatever_wins(
         n_users in 2usize..12,
@@ -111,19 +141,7 @@ proptest! {
         let request = QueryRequest::top_k(k.min(n_items));
         let f64_engine = engine_at(&model, Precision::F64);
         let got = engine_at(&model, Precision::Auto).execute(&request).unwrap();
-        // Map the winner's display name ("LEMP+f32" / "LEMP+i8" → "LEMP")
-        // back to its registry key to pin the f64 reference to the same
-        // backend.
-        let base_name = got
-            .backend
-            .strip_suffix("+f32")
-            .or_else(|| got.backend.strip_suffix("+i8"))
-            .unwrap_or(&got.backend);
-        let key = f64_engine
-            .backend_keys()
-            .into_iter()
-            .find(|key| f64_engine.solver(key).is_ok_and(|s| s.name() == base_name))
-            .expect("auto winner maps to a registered backend");
+        let key = served_key(&f64_engine, &got);
         let want = f64_engine.execute_with(key, &request).unwrap();
         prop_assert_eq!(
             bits(&got), bits(&want),
@@ -131,11 +149,11 @@ proptest! {
         );
     }
 
-    /// Sharded serving: every shard screens through the one f32 variant;
-    /// reassembled responses still match the f64 engine bit for bit, for
-    /// every backend registered alone.
+    /// Sharded serving: every shard screens through the one variant of the
+    /// forced tier; reassembled responses still match the f64 engine bit
+    /// for bit, for every backend registered alone.
     #[test]
-    fn sharded_f32_rescore_matches_the_global_f64_engine(
+    fn sharded_rescore_matches_the_global_f64_engine(
         n_users in 4usize..20,
         n_items in 4usize..40,
         f in 1usize..6,
@@ -145,74 +163,89 @@ proptest! {
         let model = random_model(n_users, n_items, f, seed);
         let k = (n_items / 2).max(1);
         for factory in BackendRegistry::with_defaults().factories() {
-            let want = Arc::new(
-                EngineBuilder::new()
-                    .model(Arc::clone(&model))
-                    .register_arc(Arc::clone(factory))
+            let alone = |precision: Precision| {
+                Arc::new(
+                    EngineBuilder::new()
+                        .model(Arc::clone(&model))
+                        .register_arc(Arc::clone(factory))
+                        .precision(precision)
+                        .build()
+                        .unwrap(),
+                )
+            };
+            let want = alone(Precision::F64).execute(&QueryRequest::top_k(k)).unwrap();
+            for tier in ScreenTier::ALL {
+                let server = ServerBuilder::new()
+                    .engine(alone(forced(tier)))
+                    .shards(shards)
+                    .workers(1)
                     .build()
-                    .unwrap(),
-            )
-            .execute(&QueryRequest::top_k(k))
-            .unwrap();
-            let f32_engine = Arc::new(
-                EngineBuilder::new()
-                    .model(Arc::clone(&model))
-                    .register_arc(Arc::clone(factory))
-                    .precision(Precision::F32Rescore)
-                    .build()
-                    .unwrap(),
-            );
-            let server = ServerBuilder::new()
-                .engine(f32_engine)
-                .shards(shards)
-                .workers(1)
-                .build()
-                .unwrap();
-            let served = server.execute(&QueryRequest::top_k(k)).unwrap();
-            prop_assert_eq!(
-                bits(&served), bits(&want),
-                "{} diverged across {} shards", factory.key(), shards
-            );
-            server.shutdown().unwrap();
+                    .unwrap();
+                let served = server.execute(&QueryRequest::top_k(k)).unwrap();
+                prop_assert_eq!(
+                    bits(&served), bits(&want),
+                    "{} diverged across {} shards under {:?}", factory.key(), shards, tier
+                );
+                server.shutdown().unwrap();
+            }
         }
     }
 }
 
-/// Model swaps rebuild the screen mirrors for the new epoch: after each
-/// swap, the forced-f32 engine must match a fresh f64 engine built
-/// directly on that epoch's model — pinned to the **same backend** the
-/// f32 engine's planner picked (two independently planned engines may
-/// legitimately crown different winners, and different backends may
-/// disagree in the last ulp; the swap contract is that rebuilding the
-/// mirrors never changes the chosen backend's bits).
+/// Named dispatch under a forced tier serves the screen variants by name;
+/// the screenless backends still answer, f64-direct.
 #[test]
-fn f32_rescore_survives_model_swaps_bit_identically() {
+fn named_dispatch_under_a_forced_tier_uses_the_screen_variant() {
+    let model = random_model(30, 90, 8, 42);
+    let request = QueryRequest::top_k(3);
+    for tier in ScreenTier::ALL {
+        let engine = engine_at(&model, forced(tier));
+        for (key, name) in [
+            ("bmm", "Blocked MM"),
+            ("lemp", "LEMP"),
+            ("maximus", "Maximus"),
+        ] {
+            let response = engine.execute_with(key, &request).unwrap();
+            assert_eq!(response.backend, format!("{name}{}", tier.suffix()));
+            assert_eq!(response.precision, forced(tier), "{key}");
+        }
+        let fex = engine.execute_with("fexipro-si", &request).unwrap();
+        assert_eq!(fex.precision, Precision::F64);
+    }
+}
+
+/// Model swaps rebuild the screen mirrors for the new epoch: after each
+/// swap, the forced engine must match a fresh f64 engine built directly on
+/// that epoch's model — pinned to the **same backend** the forced engine's
+/// planner picked (two independently planned engines may legitimately
+/// crown different winners, and different backends may disagree in the
+/// last ulp; the swap contract is that rebuilding the mirrors never
+/// changes the chosen backend's bits).
+#[test]
+fn forced_rescore_survives_model_swaps_bit_identically() {
     let generations = [
         random_model(30, 200, 8, 1),
         random_model(45, 150, 8, 2),
         random_model(20, 260, 8, 3),
     ];
-    let engine = engine_at(&generations[0], Precision::F32Rescore);
-    for (epoch, model) in generations.iter().enumerate() {
-        if epoch > 0 {
-            engine.swap_model(Arc::clone(model)).unwrap();
-        }
-        let want = engine_at(model, Precision::F64);
-        for k in [1, 7, 40] {
-            let request = QueryRequest::top_k(k);
-            let got = engine.execute(&request).unwrap();
-            let base_name = got.backend.strip_suffix("+f32").unwrap_or(&got.backend);
-            let key = want
-                .backend_keys()
-                .into_iter()
-                .find(|key| want.solver(key).is_ok_and(|s| s.name() == base_name))
-                .expect("screen winner maps to a registered backend");
-            assert_eq!(
-                bits(&got),
-                bits(&want.execute_with(key, &request).unwrap()),
-                "epoch {epoch} diverged at k={k} on {}",
-                &got.backend
-            );
+    for tier in ScreenTier::ALL {
+        let engine = engine_at(&generations[0], forced(tier));
+        for (epoch, model) in generations.iter().enumerate() {
+            if epoch > 0 {
+                engine.swap_model(Arc::clone(model)).unwrap();
+            }
+            let want = engine_at(model, Precision::F64);
+            for k in [1, 7, 40] {
+                let request = QueryRequest::top_k(k);
+                let got = engine.execute(&request).unwrap();
+                let key = served_key(&want, &got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want.execute_with(key, &request).unwrap()),
+                    "{tier:?}: epoch {epoch} diverged at k={k} on {}",
+                    &got.backend
+                );
+            }
         }
     }
 }
@@ -228,14 +261,14 @@ fn models_wider_than_the_depth_block_stay_bit_identical() {
     let model = random_model(9, 70, 300, 77);
     let f64_engine = engine_at(&model, Precision::F64);
     let request = QueryRequest::top_k(5);
-    for precision in [Precision::F32Rescore, Precision::I8Rescore] {
-        let screened = engine_at(&model, precision);
+    for tier in ScreenTier::ALL {
+        let screened = engine_at(&model, forced(tier));
         // The screen-capable backends (FEXIPRO's 300 × 300 SVD would
         // dominate a debug run and has no screen to check).
         for key in ["bmm", "maximus", "lemp"] {
             let want = f64_engine.execute_with(key, &request).unwrap();
             let got = screened.execute_with(key, &request).unwrap();
-            assert_eq!(bits(&got), bits(&want), "{key} under {precision:?}");
+            assert_eq!(bits(&got), bits(&want), "{key} under {tier:?}");
         }
     }
     let direct = f64_engine.execute_with("bmm", &request).unwrap();
@@ -250,9 +283,9 @@ fn models_wider_than_the_depth_block_stay_bit_identical() {
     }
 }
 
-/// Builds a corpus designed to break an unsound screen, with `n` items per
-/// regime. The user rows mirror the regimes so every (user, item) pairing
-/// crosses magnitudes.
+/// Builds a corpus designed to break an unsound screen in either tier,
+/// with `n` items per regime. The user rows mirror the regimes so every
+/// (user, item) pairing crosses magnitudes.
 fn adversarial_model(n: usize, f: usize) -> Arc<MfModel> {
     let mut state = 0xDEAD_BEEF_u64;
     let mut next = move || {
@@ -267,22 +300,30 @@ fn adversarial_model(n: usize, f: usize) -> Arc<MfModel> {
     let items = Matrix::from_fn(5 * n, f, |r, c| {
         let (regime, jitter) = (r / n, next());
         match regime {
-            // Near-ties: perturbations ~1e-13 below f32 resolution — every
-            // pairwise score gap is invisible to the screen; only the
+            // Near-ties: perturbations ~1e-13, below f32 resolution and
+            // orders of magnitude below the ~1/254 int8 quantization step —
+            // every pairwise score gap is invisible to the screen; only the
             // envelope keeps the true winners alive for the f64 rescore.
             0 => base[c] + jitter * 1e-13,
             // Exact duplicates of one vector: ties broken by item id, a
             // decision the screen must not perturb.
             1 => base[c],
-            // Large magnitude: f32 products near 1e16 — rel envelope grows
-            // with the norms, abs error per entry ~1e1.
+            // Large magnitude: f32 products near 1e16 (the relative
+            // envelope grows with the norms, abs error per entry ~1e1); the
+            // per-row int8 scale shrinks to ~127/1e8, so each reconstructed
+            // product carries an absolute error ~1e6 — the envelope must
+            // absorb all of it.
             2 => jitter * 1e8,
-            // Tiny magnitude: f32 products underflow to zero entirely; the
-            // envelope's absolute term must cover the lost mass.
+            // Tiny magnitude: f32 products underflow to zero entirely (the
+            // envelope's absolute term must cover the lost mass); the
+            // per-row int8 scale grows to ~127/1e-30 — the scale inversions
+            // and the envelope's 1/s terms must stay finite and
+            // conservative.
             3 => jitter * 1e-30,
             // Near-cancellation: huge alternating entries whose dot nearly
-            // cancels — ‖u‖·‖i‖ is enormous relative to the score, so the
-            // screen learns nothing and must rescore everything.
+            // cancels — ‖u‖·‖i‖ and ‖i‖₁ are enormous relative to the
+            // score, so the screen learns nothing and must rescore
+            // everything.
             _ => {
                 if c % 2 == 0 {
                     1e6 + jitter
@@ -301,23 +342,114 @@ fn adversarial_model(n: usize, f: usize) -> Arc<MfModel> {
     Arc::new(MfModel::new("adversarial", users, items).unwrap())
 }
 
-/// The adversarial corpus, end to end: every backend, forced f32, at ks
-/// spanning "deep in the near-tie block" to "the whole corpus".
+/// The adversarial corpus, end to end: every backend, every forced tier, at
+/// ks spanning "deep in the near-tie block" to "the whole corpus".
 #[test]
 fn adversarial_corpora_cannot_shake_bit_identity() {
     let model = adversarial_model(40, 8);
     let f64_engine = engine_at(&model, Precision::F64);
-    let f32_engine = engine_at(&model, Precision::F32Rescore);
-    for key in f64_engine.backend_keys() {
-        for k in [1, 3, 35, 90, 200] {
-            let request = QueryRequest::top_k(k);
-            let want = f64_engine.execute_with(key, &request).unwrap();
-            let got = f32_engine.execute_with(key, &request).unwrap();
-            assert_eq!(
-                bits(&got),
-                bits(&want),
-                "{key} diverged on the adversarial corpus at k={k}"
-            );
+    for tier in ScreenTier::ALL {
+        let tier_engine = engine_at(&model, forced(tier));
+        for key in f64_engine.backend_keys() {
+            for k in [1, 3, 35, 90, 200] {
+                let request = QueryRequest::top_k(k);
+                let want = f64_engine.execute_with(key, &request).unwrap();
+                let got = tier_engine.execute_with(key, &request).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{key} diverged on the adversarial corpus at k={k} under {tier:?}"
+                );
+            }
         }
+    }
+}
+
+/// Serving under a forced tier surfaces the screen's work in the shard
+/// counters: batches, candidates and survivors accumulate in that tier's
+/// lane and every other lane stays untouched. This is the
+/// per-precision-mode screen observability `/metrics` exposes.
+#[test]
+fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
+    let model = random_model(40, 300, 8, 7);
+    let registry = BackendRegistry::with_defaults();
+    let bmm = registry
+        .factories()
+        .iter()
+        .find(|f| f.key() == "bmm")
+        .expect("bmm is a default backend");
+    for active_tier in ScreenTier::ALL {
+        let precision = forced(active_tier);
+        let engine = Arc::new(
+            EngineBuilder::new()
+                .model(Arc::clone(&model))
+                .register_arc(Arc::clone(bmm))
+                .precision(precision)
+                .build()
+                .unwrap(),
+        );
+        let server = ServerBuilder::new()
+            .engine(engine)
+            .shards(2)
+            .workers(1)
+            .build()
+            .unwrap();
+        for k in [1, 5, 20] {
+            server.execute(&QueryRequest::top_k(k)).unwrap();
+        }
+        let metrics = server.metrics();
+        server.shutdown().unwrap();
+        assert!(metrics.completed > 0);
+        let active = metrics.lanes()[active_tier.index()];
+        assert!(active.batches > 0, "{precision:?}: no screened batches");
+        // BMM screens every (user, item) score of every batch.
+        assert!(
+            active.candidates > 0,
+            "{precision:?}: screen evaluated nothing"
+        );
+        assert!(
+            active.survivors <= active.candidates,
+            "{precision:?}: survivors exceed candidates"
+        );
+        for idle_tier in ScreenTier::ALL {
+            if idle_tier != active_tier {
+                assert_eq!(
+                    metrics.lanes()[idle_tier.index()],
+                    TierLaneMetrics::default(),
+                    "{precision:?}: wrong-mode batches or screen counts"
+                );
+            }
+        }
+        // Per-shard counters carry the same lanes as the rollup.
+        let per_shard = metrics.shards.iter();
+        assert_eq!(
+            per_shard
+                .map(|s| s.lanes[active_tier.index()].candidates)
+                .sum::<u64>(),
+            active.candidates
+        );
+    }
+}
+
+/// A model whose factors quantize degenerately (subnormal rows) must
+/// silently serve f64-direct under forced i8 — exactness before speed.
+/// (The one tier-specific case: f32 represents these rows fine.)
+#[test]
+fn degenerate_quantization_serves_f64_direct() {
+    let users = Matrix::from_fn(6, 4, |r, c| ((r + c) as f64 + 1.0) * 1.0e-320);
+    let items = Matrix::from_fn(12, 4, |r, c| ((r * c) as f64 + 1.0) * 1.0e-320);
+    let model = Arc::new(MfModel::new("subnormal", users, items).unwrap());
+    let f64_engine = engine_at(&model, Precision::F64);
+    let i8_engine = engine_at(&model, Precision::I8Rescore);
+    for key in f64_engine.backend_keys() {
+        let request = QueryRequest::top_k(3);
+        let want = f64_engine.execute_with(key, &request).unwrap();
+        let got = i8_engine.execute_with(key, &request).unwrap();
+        assert_eq!(bits(&got), bits(&want), "{key}");
+        assert_eq!(
+            got.precision,
+            Precision::F64,
+            "{key} must fall back to f64-direct on degenerate quantization"
+        );
     }
 }

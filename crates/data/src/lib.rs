@@ -34,7 +34,7 @@ pub mod stats;
 pub mod synth;
 
 pub use catalog::{reference_models, ModelSpec};
-pub use model::{MfModel, Mirror32, MirrorI8, ModelError};
+pub use model::{MfModel, Mirror, Mirror32, MirrorElem, MirrorI8, MirrorSlots, ModelError};
 pub use ratings::RatingsData;
 pub use sparse::{
     synth_sparse_model, SparseBlock, SparseError, SparseSynthConfig, SparseVec, SparsityStats,

@@ -1,8 +1,7 @@
 //! The matrix-factorization model type consumed by every MIPS solver.
 
 use mips_linalg::{
-    dot, norm2, quantize_row_i8, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock,
-    I8_DOT_MAX_LEN,
+    dot, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock, ScreenElem, TierRows,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,223 +94,136 @@ pub struct MfModel {
     /// must defend against NaN (the serving engine's model intake) skip
     /// their re-scan when this is set.
     validated: bool,
-    /// The lazily built single-precision mirror (see [`Mirror32`]), cached
-    /// for the model's lifetime like solvers and plans are cached per epoch:
-    /// a swapped-in model builds its mirror at most once, and every shard
-    /// serving the model shares it through the model's `Arc`. Cloning a
-    /// model shares an already built mirror (the mirror is a pure function
-    /// of the factor matrices, which clones share).
-    mirror32: OnceLock<Arc<Mirror32>>,
-    /// The lazily built int8 mirror (see [`MirrorI8`]); same caching and
-    /// sharing discipline as `mirror32`.
-    mirror_i8: OnceLock<Arc<MirrorI8>>,
+    /// The lazily built mirrors, one slot per screen tier (see [`Mirror`]),
+    /// cached for the model's lifetime like solvers and plans are cached
+    /// per epoch: a swapped-in model builds each mirror at most once, and
+    /// every shard serving the model shares it through the model's `Arc`.
+    /// Cloning a model shares the mirrors already built (a mirror is a pure
+    /// function of the factor matrices, which clones share).
+    mirrors: MirrorSlots,
     /// The item matrix packed for the GEMM driver (see
     /// [`MfModel::item_panels`]); the mirrors hold their own tiers' panels
     /// and report their builds to the same counter.
     item_panels: LazyPanels<f64>,
 }
 
-/// The single-precision mirror of a model's factor matrices, plus the exact
-/// (f64) row norms the screen envelope is evaluated against.
+/// A model's factor matrices in screen tier `T`'s storage — the data side
+/// of the mixed-precision screen path: scan backends prune in the tier's
+/// arithmetic against [`Mirror::sides`], widen every screened score by the
+/// tier's envelope and rescore the survivors on the parent model's f64
+/// matrices. Both sides are one [`TierRows`] store each (what a row becomes
+/// in a tier, and which terms it carries, is [`mips_linalg::ScreenElem`]);
+/// the terms are computed in f64 *before* rounding or quantizing, so the
+/// envelope refers to the true vectors.
 ///
-/// This is the data side of the mixed-precision screen path: scan backends
-/// prune in f32 against `users()`/`items()`, widen every screened score by
-/// `mips_linalg::f32_screen_envelope(f, user_norms[u], item_norms[i])`, and
-/// rescore the survivors on the parent model's f64 matrices. The norms are
-/// computed in f64 *before* rounding, so the envelope's Cauchy–Schwarz bound
-/// refers to the true vectors.
-///
-/// `f64 → f32` conversion rounds to nearest; values beyond f32 range become
-/// infinite, in which case the mirror marks itself unusable
-/// ([`Mirror32::is_usable`]) and every consumer falls back to the pure-f64
-/// path rather than screening against garbage.
+/// A mirror is unusable ([`Mirror::is_usable`]) when some row has no image
+/// in the tier — a factor beyond the f32 range, an int8 scale driven to
+/// infinity by a subnormal magnitude, a factor count past the integer
+/// kernels' overflow cap; consumers then fall back to the pure-f64 path
+/// rather than screening against garbage.
 #[derive(Debug)]
-pub struct Mirror32 {
-    users: Matrix<f32>,
-    items: Matrix<f32>,
-    user_norms: Vec<f64>,
-    item_norms: Vec<f64>,
-    usable: bool,
-    item_panels: LazyPanels<f32>,
+pub struct Mirror<T: ScreenElem> {
+    /// `(users, items)`; `None` when the model does not mirror usably.
+    sides: Option<(TierRows<T>, TierRows<T>)>,
+    item_panels: LazyPanels<T>,
 }
 
-impl Mirror32 {
-    fn build(users: &Matrix<f64>, items: &Matrix<f64>, builds: &Arc<AtomicU64>) -> Mirror32 {
-        let users32: Matrix<f32> = users.cast();
-        let items32: Matrix<f32> = items.cast();
-        let usable = users32.as_slice().iter().all(|v| v.is_finite())
-            && items32.as_slice().iter().all(|v| v.is_finite());
-        let row_norms = |m: &Matrix<f64>| m.iter_rows().map(norm2).collect();
-        Mirror32 {
-            user_norms: row_norms(users),
-            item_norms: row_norms(items),
-            users: users32,
-            items: items32,
-            usable,
+/// The single-precision mirror ([`MfModel::mirror32`]).
+pub type Mirror32 = Mirror<f32>;
+
+/// The int8 mirror ([`MfModel::mirror_i8`]).
+pub type MirrorI8 = Mirror<i8>;
+
+impl<T: ScreenElem> Mirror<T> {
+    fn build(users: &Matrix<f64>, items: &Matrix<f64>, builds: &Arc<AtomicU64>) -> Mirror<T> {
+        Mirror {
+            sides: TierRows::build(users.into()).zip(TierRows::build(items.into())),
             item_panels: LazyPanels::counted_by(builds),
         }
     }
 
-    /// [`Mirror32::items`] packed for the GEMM driver: built on first use,
-    /// then shared by every screen over this mirror.
-    pub fn item_panels(&self) -> &PackedPanels<f32> {
-        self.item_panels.get((&self.items).into())
-    }
-
-    /// The rounded user factor matrix (`|U| × f`).
-    pub fn users(&self) -> &Matrix<f32> {
-        &self.users
-    }
-
-    /// The rounded item factor matrix (`|I| × f`).
-    pub fn items(&self) -> &Matrix<f32> {
-        &self.items
-    }
-
-    /// Exact (f64) Euclidean norm of each original user row.
-    pub fn user_norms(&self) -> &[f64] {
-        &self.user_norms
-    }
-
-    /// Exact (f64) Euclidean norm of each original item row.
-    pub fn item_norms(&self) -> &[f64] {
-        &self.item_norms
-    }
-
-    /// `false` when some factor overflowed the f32 range, making the mirror
-    /// unfit for screening (consumers must fall back to f64-direct).
-    pub fn is_usable(&self) -> bool {
-        self.usable
-    }
-}
-
-/// The int8 mirror of a model's factor matrices: every row quantized
-/// symmetrically to `[-127, 127]` with its own scale
-/// (`mips_linalg::quant::scale_for`), plus the exact (f64) L1 norms the int8
-/// screen envelope is evaluated against.
-///
-/// This is the data side of the int8 screen tier below the f32 one: scan
-/// backends compute the *exact* integer dot `D = q(u)·q(i)` (order-invariant,
-/// so bit-identical across SIMD kernels), reconstruct `ŝ = D/(s_u·s_i)`,
-/// widen by `mips_linalg::i8_screen_envelope_parts` — which needs `s_u`,
-/// `‖u‖₁`, `1/s_i`, and `‖i‖₁` — and rescore the survivors on the parent
-/// model's f64 matrices. The L1 norms are computed in f64 *before* rounding,
-/// so the envelope refers to the true vectors.
-///
-/// A mirror is unusable ([`MirrorI8::is_usable`]) when any row's scale is
-/// non-finite (a subnormal max-magnitude drives `127/max_abs` to infinity),
-/// any L1 norm is non-finite (NaN-poisoned unvalidated input), or the factor
-/// count exceeds the integer kernels' i32-overflow cap
-/// (`mips_linalg::I8_DOT_MAX_LEN`); consumers then fall back to the pure-f64
-/// path rather than screening against garbage.
-#[derive(Debug)]
-pub struct MirrorI8 {
-    users_q: Vec<i8>,
-    items_q: Vec<i8>,
-    f: usize,
-    user_scales: Vec<f64>,
-    item_inv_scales: Vec<f64>,
-    user_l1: Vec<f64>,
-    item_l1: Vec<f64>,
-    usable: bool,
-    item_panels: LazyPanels<i8>,
-}
-
-impl MirrorI8 {
-    fn build(users: &Matrix<f64>, items: &Matrix<f64>, builds: &Arc<AtomicU64>) -> MirrorI8 {
-        let f = users.cols();
-        let quantize = |m: &Matrix<f64>| {
-            let mut q = vec![0i8; m.rows() * f];
-            let mut scales = Vec::with_capacity(m.rows());
-            let mut l1 = Vec::with_capacity(m.rows());
-            for (r, row) in m.iter_rows().enumerate() {
-                let (s, n1) = quantize_row_i8(row, &mut q[r * f..(r + 1) * f]);
-                scales.push(s);
-                l1.push(n1);
-            }
-            (q, scales, l1)
-        };
-        let (users_q, user_scales, user_l1) = quantize(users);
-        let (items_q, item_scales, item_l1) = quantize(items);
-        let usable = f <= I8_DOT_MAX_LEN
-            && user_scales
-                .iter()
-                .chain(&item_scales)
-                .all(|s| s.is_finite())
-            && user_l1.iter().chain(&item_l1).all(|n| n.is_finite());
-        MirrorI8 {
-            users_q,
-            items_q,
-            f,
-            user_scales,
-            item_inv_scales: item_scales.iter().map(|&s| 1.0 / s).collect(),
-            user_l1,
-            item_l1,
-            usable,
-            item_panels: LazyPanels::counted_by(builds),
-        }
-    }
-
-    /// [`MirrorI8::items_q`] packed for the GEMM driver (`i16` pairs):
-    /// built on first use, then shared by every screen over this mirror.
-    /// Only meaningful on a usable mirror.
-    pub fn item_panels(&self) -> &PackedPanels<i8> {
-        let rows = self.items_q.len().checked_div(self.f).unwrap_or(0);
-        self.item_panels
-            .get(RowBlock::new(&self.items_q, rows, self.f))
-    }
-
-    /// Latent factors per row.
-    pub fn factors(&self) -> usize {
-        self.f
-    }
-
-    /// The quantized codes of user row `r`.
-    pub fn user_row(&self, r: usize) -> &[i8] {
-        &self.users_q[r * self.f..(r + 1) * self.f]
-    }
-
-    /// The quantized codes of item row `r`.
-    pub fn item_row(&self, r: usize) -> &[i8] {
-        &self.items_q[r * self.f..(r + 1) * self.f]
-    }
-
-    /// The full quantized user matrix, row-major (`|U| × f`).
-    pub fn users_q(&self) -> &[i8] {
-        &self.users_q
-    }
-
-    /// The full quantized item matrix, row-major (`|I| × f`).
-    pub fn items_q(&self) -> &[i8] {
-        &self.items_q
-    }
-
-    /// Per-user quantization scale `s_u` (codes = round(value · s_u)).
-    pub fn user_scales(&self) -> &[f64] {
-        &self.user_scales
-    }
-
-    /// Per-item *inverse* scale `1/s_i`, precomputed because every screened
-    /// score multiplies by it.
-    pub fn item_inv_scales(&self) -> &[f64] {
-        &self.item_inv_scales
-    }
-
-    /// Exact (f64) L1 norm of each original user row.
-    pub fn user_l1(&self) -> &[f64] {
-        &self.user_l1
-    }
-
-    /// Exact (f64) L1 norm of each original item row.
-    pub fn item_l1(&self) -> &[f64] {
-        &self.item_l1
-    }
-
-    /// `false` when quantization degenerated (non-finite scale or L1) or the
-    /// factor count exceeds the integer kernels' overflow cap; consumers
+    /// `false` when the model has no usable image in this tier; consumers
     /// must fall back to an unscreened path.
     pub fn is_usable(&self) -> bool {
-        self.usable
+        self.sides.is_some()
+    }
+
+    /// The user and item rows in tier storage, `None` on an unusable
+    /// mirror.
+    pub fn sides(&self) -> Option<(&TierRows<T>, &TierRows<T>)> {
+        self.sides.as_ref().map(|(users, items)| (users, items))
+    }
+
+    fn usable_sides(&self) -> (&TierRows<T>, &TierRows<T>) {
+        self.sides()
+            .expect("the model does not mirror usably in this tier (check is_usable)")
+    }
+
+    /// The user factor matrix in tier storage (`|U| × f`).
+    ///
+    /// # Panics
+    /// Panics on an unusable mirror.
+    pub fn users(&self) -> &TierRows<T> {
+        self.usable_sides().0
+    }
+
+    /// The item factor matrix in tier storage (`|I| × f`).
+    ///
+    /// # Panics
+    /// Panics on an unusable mirror.
+    pub fn items(&self) -> &TierRows<T> {
+        self.usable_sides().1
+    }
+
+    /// User row `r` in tier storage.
+    ///
+    /// # Panics
+    /// Panics on an unusable mirror.
+    pub fn user_row(&self, r: usize) -> &[T] {
+        self.users().row(r)
+    }
+
+    /// Item row `r` in tier storage.
+    ///
+    /// # Panics
+    /// Panics on an unusable mirror.
+    pub fn item_row(&self, r: usize) -> &[T] {
+        self.items().row(r)
+    }
+
+    /// [`Mirror::items`] packed for the GEMM driver: built on first use,
+    /// then shared by every screen over this mirror.
+    ///
+    /// # Panics
+    /// Panics on an unusable mirror.
+    pub fn item_panels(&self) -> &PackedPanels<T> {
+        let items = self.items();
+        self.item_panels.get(items.row_block(0, items.rows()))
+    }
+}
+
+/// A model's mirror cache: one lazily filled slot per screen tier.
+#[derive(Debug, Clone, Default)]
+pub struct MirrorSlots {
+    f32: OnceLock<Arc<Mirror<f32>>>,
+    i8: OnceLock<Arc<Mirror<i8>>>,
+}
+
+/// A screen tier the model caches a mirror for: names its slot.
+pub trait MirrorElem: ScreenElem {
+    /// The tier's slot in a model's cache.
+    fn slot(slots: &MirrorSlots) -> &OnceLock<Arc<Mirror<Self>>>;
+}
+
+impl MirrorElem for f32 {
+    fn slot(slots: &MirrorSlots) -> &OnceLock<Arc<Mirror<f32>>> {
+        &slots.f32
+    }
+}
+
+impl MirrorElem for i8 {
+    fn slot(slots: &MirrorSlots) -> &OnceLock<Arc<Mirror<i8>>> {
+        &slots.i8
     }
 }
 
@@ -335,8 +247,7 @@ impl MfModel {
             users,
             items,
             validated: true,
-            mirror32: OnceLock::new(),
-            mirror_i8: OnceLock::new(),
+            mirrors: MirrorSlots::default(),
             item_panels: LazyPanels::default(),
         })
     }
@@ -359,8 +270,7 @@ impl MfModel {
             users,
             items,
             validated: false,
-            mirror32: OnceLock::new(),
-            mirror_i8: OnceLock::new(),
+            mirrors: MirrorSlots::default(),
             item_panels: LazyPanels::default(),
         }
     }
@@ -425,36 +335,36 @@ impl MfModel {
             items: self.items.clone(),
             // Row-gathering validated matrices cannot introduce NaN.
             validated: self.validated,
-            mirror32: OnceLock::new(),
-            mirror_i8: OnceLock::new(),
+            mirrors: MirrorSlots::default(),
             // Same items, same panels.
             item_panels: self.item_panels.clone(),
         }
     }
 
-    /// The single-precision mirror, built on first use and cached for the
-    /// model's lifetime (see [`Mirror32`]). Thread-safe: concurrent first
+    /// The model's mirror in tier `T`, built on first use and cached for
+    /// the model's lifetime (see [`Mirror`]). Thread-safe: concurrent first
     /// callers race to build and all observe one winner.
-    pub fn mirror32(&self) -> &Arc<Mirror32> {
+    pub fn mirror<T: MirrorElem>(&self) -> &Arc<Mirror<T>> {
         let builds = &self.item_panels.builds;
-        self.mirror32
-            .get_or_init(|| Arc::new(Mirror32::build(&self.users, &self.items, builds)))
+        T::slot(&self.mirrors)
+            .get_or_init(|| Arc::new(Mirror::build(&self.users, &self.items, builds)))
     }
 
-    /// The int8 mirror, built on first use and cached for the model's
-    /// lifetime (see [`MirrorI8`]). Thread-safe like [`MfModel::mirror32`].
+    /// The single-precision mirror ([`MfModel::mirror`] of `f32`).
+    pub fn mirror32(&self) -> &Arc<Mirror32> {
+        self.mirror()
+    }
+
+    /// The int8 mirror ([`MfModel::mirror`] of `i8`).
     pub fn mirror_i8(&self) -> &Arc<MirrorI8> {
-        let builds = &self.item_panels.builds;
-        self.mirror_i8
-            .get_or_init(|| Arc::new(MirrorI8::build(&self.users, &self.items, builds)))
+        self.mirror()
     }
 
     /// The item matrix packed once for the GEMM driver
     /// ([`mips_linalg::PackedPanels`]): built on first use and cached for
     /// the model's lifetime like the mirrors, so brute-force scans — whole
     /// batches and single-user lookups alike — never repack the catalog.
-    /// The mirrors cache their own tiers' panels
-    /// ([`Mirror32::item_panels`], [`MirrorI8::item_panels`]).
+    /// The mirrors cache their own tiers' panels ([`Mirror::item_panels`]).
     pub fn item_panels(&self) -> &PackedPanels<f64> {
         self.item_panels.get((&self.items).into())
     }
@@ -528,45 +438,49 @@ mod tests {
     }
 
     #[test]
-    fn mirror32_is_lazy_shared_and_rounds_to_nearest() {
+    fn mirrors_are_lazy_shared_and_hold_both_sides_in_their_tier() {
+        fn check<T: MirrorElem + PartialEq>() {
+            let m = MfModel::new_shared("m", users2x2(), items3x2()).unwrap();
+            let mirror = m.mirror::<T>();
+            assert!(mirror.is_usable());
+            let (users, items) = mirror.sides().expect("usable");
+            assert_eq!((users.rows(), users.cols()), (2, 2));
+            assert_eq!((items.rows(), items.cols()), (3, 2));
+            // What a row becomes in the tier is the row store's business
+            // (pinned in mips-linalg); the mirror holds exactly that.
+            let rebuilt = TierRows::<T>::build(m.items().into()).unwrap();
+            assert_eq!(mirror.item_row(2), rebuilt.row(2));
+            assert_eq!(mirror.items().terms(), rebuilt.terms());
+            assert_eq!(mirror.user_row(0), mirror.users().row(0));
+            // Repeated calls share one build.
+            assert!(Arc::ptr_eq(m.mirror::<T>(), mirror));
+        }
+        check::<f32>();
+        check::<i8>();
         let m = MfModel::new_shared("m", users2x2(), items3x2()).unwrap();
-        let mirror = m.mirror32();
-        assert!(mirror.is_usable());
-        assert_eq!(mirror.users().rows(), 2);
-        assert_eq!(mirror.items().rows(), 3);
-        assert_eq!(mirror.items().get(2, 1), 6.0_f32);
-        // Norms are the exact f64 row norms.
-        assert!((mirror.item_norms()[0] - (1.0f64 + 4.0).sqrt()).abs() < 1e-12);
-        assert_eq!(mirror.user_norms().len(), 2);
-        // Repeated calls share one build.
-        assert!(Arc::ptr_eq(m.mirror32(), mirror));
+        assert_eq!(m.mirror32().item_row(2), [5.0f32, 6.0]);
+        assert_eq!(m.mirror_i8().user_row(0), [127, 0]);
     }
 
     #[test]
-    fn mirror32_flags_f32_overflow_as_unusable() {
+    fn rows_a_tier_cannot_store_make_the_mirror_unusable() {
+        // f32 overflow.
         let users = Matrix::from_vec(1, 2, vec![1e300, 0.0]).unwrap();
         let m = MfModel::new("big", users, items3x2()).unwrap();
         assert!(!m.mirror32().is_usable());
-    }
-
-    #[test]
-    fn mirror_i8_is_lazy_shared_and_quantizes_per_row() {
-        let m = MfModel::new_shared("m", users2x2(), items3x2()).unwrap();
-        let mirror = m.mirror_i8();
-        assert!(mirror.is_usable());
-        assert_eq!(mirror.factors(), 2);
-        // User row 0 = [1, 0]: max-abs 1 → scale 127, codes [127, 0].
-        assert_eq!(mirror.user_row(0), &[127, 0]);
-        assert!((mirror.user_scales()[0] - 127.0).abs() < 1e-12);
-        assert!((mirror.user_l1()[0] - 1.0).abs() < 1e-12);
-        // Item row 2 = [5, 6]: max-abs 6 → scale 127/6, codes round(v·s).
-        let s: f64 = 127.0 / 6.0;
-        assert_eq!(mirror.item_row(2), &[(5.0 * s).round() as i8, 127]);
-        assert!((mirror.item_inv_scales()[2] - 6.0 / 127.0).abs() < 1e-15);
-        assert!((mirror.item_l1()[2] - 11.0).abs() < 1e-12);
-        assert_eq!(mirror.items_q().len(), 6);
-        // Repeated calls share one build.
-        assert!(Arc::ptr_eq(m.mirror_i8(), mirror));
+        assert!(m.mirror32().sides().is_none());
+        assert!(m.mirror_i8().is_usable());
+        // A subnormal max-magnitude drives scale = 127/max_abs to infinity.
+        let users = Matrix::from_vec(1, 2, vec![f64::MIN_POSITIVE / 4.0, 0.0]).unwrap();
+        let m = MfModel::new("tiny", users, items3x2()).unwrap();
+        assert!(!m.mirror_i8().is_usable());
+        assert!(m.mirror32().is_usable());
+        // Unvalidated models may carry NaN; the norms catch it.
+        let mut users = users2x2();
+        users.set(0, 0, f64::NAN);
+        let m = MfModel::new_unvalidated("nan", users, items3x2());
+        assert!(!m.mirror_i8().is_usable());
+        assert!(!m.mirror32().is_usable());
     }
 
     #[test]
@@ -594,22 +508,5 @@ mod tests {
         assert!(std::ptr::eq(m.mirror32().item_panels(), p32));
         assert!(std::ptr::eq(m.mirror_i8().item_panels(), p8));
         assert_eq!(m.panel_builds(), 3);
-    }
-
-    #[test]
-    fn mirror_i8_flags_subnormal_rows_as_unusable() {
-        // A subnormal max-magnitude drives scale = 127/max_abs to infinity.
-        let users = Matrix::from_vec(1, 2, vec![f64::MIN_POSITIVE / 4.0, 0.0]).unwrap();
-        let m = MfModel::new("tiny", users, items3x2()).unwrap();
-        assert!(!m.mirror_i8().is_usable());
-    }
-
-    #[test]
-    fn mirror_i8_flags_nan_input_as_unusable() {
-        // Unvalidated models may carry NaN; the L1 scan catches it.
-        let mut users = users2x2();
-        users.set(0, 0, f64::NAN);
-        let m = MfModel::new_unvalidated("nan", users, items3x2());
-        assert!(!m.mirror_i8().is_usable());
     }
 }

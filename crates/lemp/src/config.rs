@@ -33,17 +33,23 @@ impl Default for LempConfig {
 }
 
 impl LempConfig {
-    /// Validates parameter ranges.
-    ///
-    /// # Panics
-    /// Panics on degenerate values.
-    pub fn validate(&self) {
-        assert!(self.bucket_size > 0, "LempConfig: bucket_size must be > 0");
-        assert!(
-            self.checkpoint_fraction > 0.0 && self.checkpoint_fraction <= 1.0,
-            "LempConfig: checkpoint_fraction must be in (0, 1]"
-        );
-        assert!(self.tune_k > 0, "LempConfig: tune_k must be > 0");
+    /// Validates parameter ranges — the one statement of this config's
+    /// invariants: [`crate::LempIndex::build`] `expect`s it, the engine's
+    /// factory maps it to a typed error.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.bucket_size == 0 {
+            return Err("bucket_size must be > 0".to_string());
+        }
+        if !(self.checkpoint_fraction > 0.0 && self.checkpoint_fraction <= 1.0) {
+            return Err(format!(
+                "checkpoint_fraction {} outside (0, 1]",
+                self.checkpoint_fraction
+            ));
+        }
+        if self.tune_k == 0 {
+            return Err("tune_k must be > 0".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -52,27 +58,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_valid() {
-        LempConfig::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket_size")]
-    fn rejects_zero_bucket() {
-        LempConfig {
-            bucket_size: 0,
-            ..LempConfig::default()
+    fn default_is_valid_and_each_degenerate_knob_is_named() {
+        let ok = LempConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        for (config, knob) in [
+            (
+                LempConfig {
+                    bucket_size: 0,
+                    ..ok
+                },
+                "bucket_size",
+            ),
+            (
+                LempConfig {
+                    checkpoint_fraction: 0.0,
+                    ..ok
+                },
+                "checkpoint_fraction",
+            ),
+            (
+                LempConfig {
+                    checkpoint_fraction: f64::NAN,
+                    ..ok
+                },
+                "checkpoint_fraction",
+            ),
+            (
+                LempConfig {
+                    checkpoint_fraction: 1.5,
+                    ..ok
+                },
+                "checkpoint_fraction",
+            ),
+            (LempConfig { tune_k: 0, ..ok }, "tune_k"),
+        ] {
+            let message = config.validate().expect_err(knob);
+            assert!(message.contains(knob), "{message}");
         }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint_fraction")]
-    fn rejects_bad_checkpoint() {
-        LempConfig {
-            checkpoint_fraction: 0.0,
-            ..LempConfig::default()
-        }
-        .validate();
     }
 }

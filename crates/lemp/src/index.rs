@@ -51,8 +51,11 @@ pub struct LempIndex {
 impl LempIndex {
     /// Builds the index over the model's items and tunes per-bucket
     /// retrieval on a sample of the model's users.
+    ///
+    /// # Panics
+    /// Panics on a configuration [`LempConfig::validate`] rejects.
     pub fn build(model: &MfModel, config: &LempConfig) -> LempIndex {
-        config.validate();
+        config.validate().expect("a valid LempConfig");
         let f = model.num_factors();
         let checkpoint = ((f as f64 * config.checkpoint_fraction).round() as usize).clamp(1, f);
         let buckets = build_buckets(model.items(), config.bucket_size, checkpoint);
@@ -85,9 +88,10 @@ impl LempIndex {
     /// double-precision scan (see [`crate::scan`]).
     ///
     /// The variant carries the mirrors of `tier` only, whatever `self` had
-    /// armed. When any bucket has no usable mirror in `tier` (int8:
-    /// subnormal rows, factor counts past [`mips_linalg::I8_DOT_MAX_LEN`])
-    /// the result is a plain clone of `self`, tier and all.
+    /// armed. When any bucket has no usable mirror in `tier` (f32: values
+    /// past its range; int8: subnormal rows, factor counts past
+    /// [`mips_linalg::I8_DOT_MAX_LEN`]) the result is a plain clone of
+    /// `self`, tier and all.
     pub fn with_screen(&self, tier: ScreenTier) -> LempIndex {
         let mirrors: Option<Vec<ItemMirror>> = self
             .core

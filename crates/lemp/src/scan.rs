@@ -114,7 +114,7 @@ impl UserCtx {
     /// still exact, just unaccelerated. Only scans handed a mirror of the
     /// same tier actually screen.
     pub fn with_screen(mut self, tier: ScreenTier) -> UserCtx {
-        self.screen = UserScreen::arm(&self.user, self.norm, tier);
+        self.screen = UserScreen::arm(&self.user, tier);
         self
     }
 }
@@ -199,7 +199,7 @@ fn verify_and_push(
     if heap.is_full() {
         if let (Some(screen), Some(mirror)) = (&ctx.screen, side.mirror) {
             stats.screen_evaluated += 1;
-            if screen.upper_bound(mirror, r, bucket.norms[r]) < heap.threshold() {
+            if screen.upper_bound(mirror, r) < heap.threshold() {
                 stats.screen_pruned += 1;
                 return;
             }

@@ -19,6 +19,8 @@
 //!   safe [`simd::Kernel`] vtable, with the scalar code as the guaranteed
 //!   fallback (`MIPS_KERNEL=scalar` forces it). All `f64` kernels above
 //!   route through the active set automatically.
+//! * [`tier`] — a numeric screen tier's data format ([`ScreenElem`]) and the
+//!   one row store every screen consumer shares ([`TierRows`]).
 //! * [`blocking`] — cache-geometry-aware tile-size selection, shared with the
 //!   OPTIMUS optimizer (which sizes its sampling runs to occupy the L2 cache).
 //! * [`eig`] / [`svd`] — a cyclic Jacobi symmetric eigensolver and the item
@@ -44,6 +46,7 @@ pub mod quant;
 pub mod scalar;
 pub mod simd;
 pub mod svd;
+pub mod tier;
 
 pub use blocking::{BlockSizes, CacheConfig};
 pub use error::LinalgError;
@@ -62,3 +65,4 @@ pub use quant::{
 };
 pub use scalar::Scalar;
 pub use simd::Kernel;
+pub use tier::{ScreenElem, ScreenTier, TierRows, TierView};

@@ -7,7 +7,7 @@
 //! * FEXIPRO's integer pruning stage (`mips-fexipro`) maps magnitudes onto
 //!   a `bits`-wide unsigned range with a **ceiling** rounding so the
 //!   quantized dot is a one-sided upper bound;
-//! * the int8 screen mirror (`mips-data`) maps each row onto `[-127, 127]`
+//! * the int8 screen tier ([`crate::tier`]) maps each row onto `[-127, 127]`
 //!   with **round-to-nearest** and a per-row scale, trading the one-sided
 //!   bound for a symmetric error envelope ([`i8_screen_envelope_parts`])
 //!   half as wide.
@@ -51,7 +51,7 @@ pub const I8_QUANT_LEVEL: f64 = 127.0;
 /// `127² = 16129`, so `f ≤ 65536` bounds any accumulation order by
 /// `2³⁰.3 < i32::MAX` with a 2× margin. Factor counts beyond this are far
 /// outside any MF model this repository targets; consumers gate their i8
-/// mirrors on it (`mips_data::MirrorI8` marks itself unusable).
+/// stores on it ([`crate::TierRows`] refuses longer rows).
 pub const I8_DOT_MAX_LEN: usize = 65536;
 
 /// Quantizes one row symmetrically into `out`, returning `(scale, l1)`:

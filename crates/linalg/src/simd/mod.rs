@@ -93,7 +93,7 @@
 //!
 //! The int8 entries serve the quantized screen tier beneath the f32 one:
 //! item rows are stored as symmetric int8 codes with per-row scales
-//! (`mips_data::MirrorI8`). [`Kernel::tile_i8`] is the block scan's tile —
+//! ([`crate::TierRows`] of `i8`). [`Kernel::tile_i8`] is the block scan's tile —
 //! codes widened to `i16` and packed in depth pairs, so one `vpmaddwd`
 //! multiplies a broadcast pair of A against sixteen packed B values (the
 //! scalar and NEON sets run the portable twin) — and [`Kernel::dot_i8`]

@@ -5,9 +5,8 @@
 //! recursion, no unescaped control characters, surrogate pairs handled,
 //! trailing garbage rejected — and deliberately total: any byte sequence
 //! produces either a [`Json`] value or an error string, never a panic.
-//! Serialization reuses [`JsonWriter`] so
-//! the `/metrics` endpoint, query responses, and the bench digests all
-//! come from one serializer.
+//! Serialization reuses [`JsonWriter`] so the `/metrics` endpoint and
+//! query responses come from one serializer.
 //!
 //! ## Request shape (`POST /query`)
 //!

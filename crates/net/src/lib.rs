@@ -45,7 +45,7 @@
 //! pipelined requests on one connection run concurrently while their
 //! responses leave in order, and one slow query never stalls other
 //! connections. (`POST /vector-query` is the exception: it is still served
-//! on the loop thread — ROADMAP 3(d).)
+//! on the loop thread — ROADMAP 3(e).)
 //!
 //! ```
 //! use mips_core::engine::EngineBuilder;
@@ -451,7 +451,7 @@ impl Router {
     /// event-loop thread*, the one request that can hold every connection
     /// up while it runs (the first sparse-routed query per model epoch
     /// also pays the inverted index's lazy build there). Moving it onto
-    /// the completion-driven path `/query` takes is ROADMAP 3(d), still
+    /// the completion-driven path `/query` takes is ROADMAP 3(e), still
     /// open.
     fn vector_query(&self, request: &http::Request) -> Dispatched {
         let query = match json::decode_vector_query_request(&request.body) {

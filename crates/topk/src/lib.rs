@@ -34,7 +34,7 @@ pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnI
 pub use heap::TopKHeap;
 pub use list::TopKList;
 pub use screen::{
-    screen_topk_into_heaps, screen_topk_into_heaps_with, ItemMirror, ScreenItems, ScreenScratch,
-    ScreenStats, ScreenTier, ScreenUsers, UserScreen,
+    screen_topk_into_heaps, screen_topk_into_heaps_with, ItemMirror, ScreenScratch, ScreenStats,
+    ScreenTier, UserScreen,
 };
 pub use select::{row_topk, rows_topk, topk_all_rows};
