@@ -288,14 +288,16 @@ pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> crate::sync::MutexGuard<'_
         .unwrap_or_else(crate::sync::PoisonError::into_inner)
 }
 
-/// Rejects malformed models — mismatched factor dimensions, or NaN and
-/// infinite factors — with a typed error.
+/// Rejects malformed models — mismatched factor dimensions, NaN and
+/// infinite factors, or factors so large that inner products overflow —
+/// with a typed error.
 ///
 /// [`MfModel::new`] already validates all of this, but models can also
 /// reach the engine through trusted zero-copy loaders
 /// ([`MfModel::new_unvalidated`]); a factor-width mismatch would feed
-/// unequal-length rows into the dot kernels, and a NaN that slips into a
-/// norm-sorted index or a score comparison would poison results silently.
+/// unequal-length rows into the dot kernels, a NaN that slips into a
+/// norm-sorted index or a score comparison would poison results silently,
+/// and an overflowed `+∞ + −∞` score would reach a heap as NaN.
 /// The engine therefore re-checks at its two model intake points —
 /// [`EngineBuilder::build`] and [`Engine::swap_model`].
 fn ensure_well_formed(model: &MfModel) -> Result<(), MipsError> {
@@ -320,7 +322,9 @@ fn ensure_well_formed(model: &MfModel) -> Result<(), MipsError> {
             }
         }
     }
-    Ok(())
+    model
+        .check_score_range()
+        .map_err(|e| MipsError::InvalidConfig(format!("model rejected: {e}")))
 }
 
 /// The serving engine: backends + planner + the current model epoch.

@@ -9,6 +9,7 @@ use super::error::MipsError;
 use crate::sync::{Arc, OnceLock};
 use mips_data::sparse::SparseVec;
 use mips_data::MfModel;
+use mips_linalg::scaled_norm2;
 use mips_topk::TopKList;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -308,12 +309,24 @@ impl VectorQueryRequest {
         }
         // SparseVec enforces finite values at construction; dense payloads
         // arrive unchecked.
-        if let QueryVector::Dense(v) = &self.vector {
-            if let Some(pos) = v.iter().position(|x| !x.is_finite()) {
-                return Err(MipsError::InvalidVector(format!(
-                    "non-finite value at dimension {pos}"
-                )));
+        let values = match &self.vector {
+            QueryVector::Dense(v) => {
+                if let Some(pos) = v.iter().position(|x| !x.is_finite()) {
+                    return Err(MipsError::InvalidVector(format!(
+                        "non-finite value at dimension {pos}"
+                    )));
+                }
+                v.as_slice()
             }
+            QueryVector::Sparse(v) => v.values(),
+        };
+        // Cauchy–Schwarz: a finite ‖q‖·max‖i‖ bounds every score, so none
+        // overflows (an overflowed `+∞ + −∞` would be a NaN score).
+        let (norm, items) = (scaled_norm2(values), model.max_item_norm());
+        if !(norm * items).is_finite() {
+            return Err(MipsError::InvalidVector(format!(
+                "vector norm {norm:e} times the largest item norm {items:e} overflows f64"
+            )));
         }
         Ok(())
     }

@@ -2,9 +2,15 @@
 //! [`MipsError`] values — they never panic — for every registered backend,
 //! on the deterministic edge cases and under randomized fuzzing.
 
-use mips_core::engine::{EngineBuilder, ExclusionSet, MipsError, QueryRequest, UserSelection};
+use mips_core::engine::{
+    BmmFactory, EngineBuilder, ExclusionSet, MipsError, QueryRequest, UserSelection,
+    VectorQueryRequest,
+};
 use mips_core::maximus::MaximusConfig;
+use mips_data::sparse::SparseVec;
 use mips_data::synth::{synth_model, SynthConfig};
+use mips_data::{MfModel, ModelError};
+use mips_linalg::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -146,6 +152,68 @@ fn out_of_range_exclusions_are_typed_errors() {
             "backend {key}"
         );
     }
+}
+
+/// Finite factors whose inner products overflow: `u·i₀` is
+/// `1e400 − 1e400`, which f64 evaluates as `+∞ + −∞ = NaN` — the score that
+/// used to panic the heap inside `Engine::execute`.
+fn overflowing_factors() -> (Matrix<f64>, Matrix<f64>) {
+    (
+        Matrix::from_vec(1, 2, vec![1e200, 1e200]).unwrap(),
+        Matrix::from_vec(3, 2, vec![1e200, -1e200, 1.0, 2.0, -3.0, 0.5]).unwrap(),
+    )
+}
+
+fn is_overflow_config_error(err: &MipsError) -> bool {
+    matches!(err, MipsError::InvalidConfig(message) if message.contains("overflow"))
+}
+
+#[test]
+fn models_whose_inner_products_overflow_are_typed_errors() {
+    let (users, items) = overflowing_factors();
+    assert_eq!(
+        MfModel::new("huge", users.clone(), items.clone()).unwrap_err(),
+        ModelError::ScoreOverflow
+    );
+    // A trusted loader's model is caught at the engine's intake instead.
+    let trusted = Arc::new(MfModel::new_unvalidated("huge", users, items));
+    let built = EngineBuilder::new()
+        .model(Arc::clone(&trusted))
+        .register(BmmFactory)
+        .build();
+    assert!(matches!(built, Err(ref e) if is_overflow_config_error(e)));
+}
+
+#[test]
+fn swapping_in_a_model_whose_inner_products_overflow_is_refused() {
+    let engine = engine();
+    let (users, items) = overflowing_factors();
+    let trusted = Arc::new(MfModel::new_unvalidated("huge", users, items));
+    let err = engine.swap_model(trusted).unwrap_err();
+    assert!(is_overflow_config_error(&err), "{err:?}");
+    // Nothing was installed, and the old model still serves.
+    assert_eq!((engine.epoch(), engine.swap_count()), (0, 0));
+    assert!(engine.execute(&QueryRequest::top_k(3)).is_ok());
+}
+
+#[test]
+fn vectors_whose_inner_products_overflow_are_typed_errors() {
+    let engine = shared_engine();
+    let sparse = SparseVec::new(6, vec![0, 3], vec![1.7e308, -1.7e308]).unwrap();
+    for request in [
+        VectorQueryRequest::dense(3, vec![1.7e308; 6]),
+        VectorQueryRequest::sparse(3, sparse),
+    ] {
+        match engine.execute_vector(&request) {
+            Err(MipsError::InvalidVector(message)) => {
+                assert!(message.contains("overflows"), "{message}")
+            }
+            other => panic!("{request:?}: {other:?}"),
+        }
+    }
+    // Large is fine as long as the scores fit.
+    let big = VectorQueryRequest::dense(3, vec![1e150; 6]);
+    assert_eq!(engine.execute_vector(&big).unwrap().results[0].len(), 3);
 }
 
 /// Assembles a request from fuzzed raw parts. Selection modes:

@@ -1,7 +1,8 @@
 //! The matrix-factorization model type consumed by every MIPS solver.
 
 use mips_linalg::{
-    dot, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock, ScreenElem, TierRows,
+    dot, norm2_sq, scaled_norm2, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock, ScreenElem,
+    TierRows,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,6 +48,10 @@ pub enum ModelError {
     },
     /// A matrix failed validation (empty or non-finite).
     InvalidMatrix(LinalgError),
+    /// The largest user norm times the largest item norm is not a finite
+    /// f64, so some inner product of the model can overflow — and an
+    /// overflowed `+∞ + −∞` is a NaN score.
+    ScoreOverflow,
 }
 
 impl fmt::Display for ModelError {
@@ -60,6 +65,11 @@ impl fmt::Display for ModelError {
                 "user matrix has {user_factors} factors but item matrix has {item_factors}"
             ),
             ModelError::InvalidMatrix(e) => write!(f, "invalid factor matrix: {e}"),
+            ModelError::ScoreOverflow => write!(
+                f,
+                "the largest user and item norms multiply past the f64 range, \
+                 so inner products can overflow"
+            ),
         }
     }
 }
@@ -105,6 +115,44 @@ pub struct MfModel {
     /// [`MfModel::item_panels`]); the mirrors hold their own tiers' panels
     /// and report their builds to the same counter.
     item_panels: LazyPanels<f64>,
+    /// [`MfModel::max_item_norm`]: set by [`MfModel::new`], which needs it
+    /// for its range check, and on first use otherwise.
+    max_item_norm: OnceLock<f64>,
+}
+
+/// The largest Euclidean row norm of `m`, or the validation error of an
+/// empty matrix or one holding a non-finite factor.
+///
+/// One pass of squared row norms on the SIMD dot does both jobs when every
+/// square is finite — a non-finite factor makes its row's square
+/// non-finite — so a well-formed matrix is read once. Otherwise the matrix
+/// is validated, and then its norms are recomputed scaled
+/// ([`scaled_norm2`]): the result is `+∞` only for a norm past the f64
+/// range, never an overflowed square.
+fn checked_max_row_norm(m: &Matrix<f64>, context: &'static str) -> Result<f64, LinalgError> {
+    let mut max_sq = 0.0f64;
+    let mut finite = true;
+    for row in m.iter_rows() {
+        let sq = norm2_sq(row);
+        finite &= sq.is_finite();
+        max_sq = max_sq.max(sq);
+    }
+    if finite && !m.is_empty() {
+        return Ok(max_sq.sqrt());
+    }
+    m.validate(context)?;
+    Ok(m.iter_rows().map(scaled_norm2).fold(0.0, f64::max))
+}
+
+/// Cauchy–Schwarz bounds every score `|uᵀi|` by `‖u‖·‖i‖`, so a finite
+/// `max‖u‖·max‖i‖` means no inner product of the model overflows. A norm
+/// past the f64 range is `+∞`, and `0·∞` is NaN: both fail.
+fn check_score_range(max_user_norm: f64, max_item_norm: f64) -> Result<(), ModelError> {
+    if (max_user_norm * max_item_norm).is_finite() {
+        Ok(())
+    } else {
+        Err(ModelError::ScoreOverflow)
+    }
 }
 
 /// A model's factor matrices in screen tier `T`'s storage — the data side
@@ -228,20 +276,23 @@ impl MirrorElem for i8 {
 }
 
 impl MfModel {
-    /// Builds and validates a model.
+    /// Builds and validates a model: non-empty, finite matrices of one
+    /// width whose inner products cannot overflow
+    /// ([`MfModel::check_score_range`]).
     pub fn new(
         name: impl Into<String>,
         users: Matrix<f64>,
         items: Matrix<f64>,
     ) -> Result<Self, ModelError> {
-        users.validate("MfModel users")?;
-        items.validate("MfModel items")?;
+        let max_user_norm = checked_max_row_norm(&users, "MfModel users")?;
+        let max_item_norm = checked_max_row_norm(&items, "MfModel items")?;
         if users.cols() != items.cols() {
             return Err(ModelError::FactorMismatch {
                 user_factors: users.cols(),
                 item_factors: items.cols(),
             });
         }
+        check_score_range(max_user_norm, max_item_norm)?;
         Ok(MfModel {
             name: name.into(),
             users,
@@ -249,6 +300,7 @@ impl MfModel {
             validated: true,
             mirrors: MirrorSlots::default(),
             item_panels: LazyPanels::default(),
+            max_item_norm: OnceLock::from(max_item_norm),
         })
     }
 
@@ -272,6 +324,7 @@ impl MfModel {
             validated: false,
             mirrors: MirrorSlots::default(),
             item_panels: LazyPanels::default(),
+            max_item_norm: OnceLock::new(),
         }
     }
 
@@ -322,6 +375,27 @@ impl MfModel {
         self.users.cols()
     }
 
+    /// The largest Euclidean norm of an item vector (`+∞` only when it is
+    /// past the f64 range; NaN when an unvalidated model's items hold a
+    /// non-finite factor) — what a query vector's norm is checked against
+    /// before it is scored.
+    pub fn max_item_norm(&self) -> f64 {
+        *self
+            .max_item_norm
+            .get_or_init(|| checked_max_row_norm(&self.items, "MfModel items").unwrap_or(f64::NAN))
+    }
+
+    /// `Err(ModelError::ScoreOverflow)` when the largest user norm times
+    /// the largest item norm is not a finite f64 — some inner product could
+    /// overflow — and the validation error of a non-finite factor.
+    /// [`MfModel::new`] runs this check; a model from
+    /// [`MfModel::new_unvalidated`] is checked by whoever takes it in (the
+    /// serving engine does, at build and swap).
+    pub fn check_score_range(&self) -> Result<(), ModelError> {
+        let max_user_norm = checked_max_row_norm(&self.users, "MfModel users")?;
+        check_score_range(max_user_norm, self.max_item_norm())
+    }
+
     /// The predicted rating `uᵀi` for one user–item pair.
     pub fn predict(&self, user: usize, item: usize) -> f64 {
         dot(self.users.row(user), self.items.row(item))
@@ -336,8 +410,9 @@ impl MfModel {
             // Row-gathering validated matrices cannot introduce NaN.
             validated: self.validated,
             mirrors: MirrorSlots::default(),
-            // Same items, same panels.
+            // Same items, same panels and norms.
             item_panels: self.item_panels.clone(),
+            max_item_norm: self.max_item_norm.clone(),
         }
     }
 
@@ -413,6 +488,34 @@ mod tests {
         users.set(0, 0, f64::NAN);
         let err = MfModel::new("nan", users, items3x2()).unwrap_err();
         assert!(matches!(err, ModelError::InvalidMatrix(_)));
+    }
+
+    #[test]
+    fn rejects_factors_whose_inner_products_overflow() {
+        // 1e200·1e200 overflows: u·i₀ = +∞ + −∞ = NaN.
+        let users = Matrix::from_vec(1, 2, vec![1e200, 1e200]).unwrap();
+        let items = Matrix::from_vec(2, 2, vec![1e200, -1e200, 1.0, 1.0]).unwrap();
+        let err = MfModel::new("huge", users.clone(), items.clone()).unwrap_err();
+        assert_eq!(err, ModelError::ScoreOverflow);
+        assert!(err.to_string().contains("overflow"));
+        // The escape hatch still builds it; the check is one call away.
+        let trusted = MfModel::new_unvalidated("huge", users, items);
+        assert_eq!(trusted.check_score_range(), Err(ModelError::ScoreOverflow));
+        // Norms near the range's edge are fine as long as their product is.
+        let small = Matrix::from_vec(1, 2, vec![1e-200, 1e-200]).unwrap();
+        let big = Matrix::from_vec(1, 2, vec![3e200, -4e200]).unwrap();
+        let m = MfModel::new("edge", small, big).unwrap();
+        assert!((m.max_item_norm() / 5e200 - 1.0).abs() < 1e-15);
+        assert_eq!(m.check_score_range(), Ok(()));
+    }
+
+    #[test]
+    fn max_item_norm_is_the_largest_row_norm() {
+        let m = MfModel::new("test", users2x2(), items3x2()).unwrap();
+        assert!((m.max_item_norm() - 61f64.sqrt()).abs() < 1e-12);
+        let lazy = MfModel::new_unvalidated("test", users2x2(), items3x2());
+        assert_eq!(lazy.max_item_norm(), m.max_item_norm());
+        assert_eq!(m.with_users(&[0]).max_item_norm(), m.max_item_norm());
     }
 
     #[test]

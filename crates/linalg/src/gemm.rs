@@ -362,7 +362,9 @@ pub fn gemm_nt_blocked_with<T: GemmElem>(
 }
 
 /// Reusable buffers for the packed driver: the two packed operand panels
-/// plus the one resident score block of the streaming path.
+/// plus the one resident score block of the streaming path, and the
+/// per-row group maxima a block consumer may need
+/// ([`GemmScratch::with_maxima`]).
 ///
 /// Owning one of these per query loop (or per worker thread) removes every
 /// per-block allocation from the serve path; the buffers grow to the
@@ -372,6 +374,7 @@ pub struct GemmScratch<T: GemmElem> {
     pack_a: Vec<T::Panel>,
     pack_b: Vec<T::Panel>,
     block: Vec<T::Acc>,
+    maxima: Vec<f64>,
 }
 
 impl<T: GemmElem> Default for GemmScratch<T> {
@@ -387,7 +390,19 @@ impl<T: GemmElem> GemmScratch<T> {
             pack_a: Vec::new(),
             pack_b: Vec::new(),
             block: Vec::new(),
+            maxima: Vec::new(),
         }
+    }
+
+    /// Runs `body` with this scratch and, beside it, the scratch's group
+    /// maxima buffer — how a block consumer of the streaming driver (the
+    /// top-k passes' threshold floor in `mips-topk`) gets reusable memory
+    /// while the driver holds the scratch.
+    pub fn with_maxima<R>(&mut self, body: impl FnOnce(&mut Self, &mut Vec<f64>) -> R) -> R {
+        let mut maxima = std::mem::take(&mut self.maxima);
+        let out = body(self, &mut maxima);
+        self.maxima = maxima;
+        out
     }
 }
 
@@ -428,6 +443,7 @@ pub fn gemm_nt_stream_blocks_with<T: GemmElem>(
         pack_a,
         pack_b,
         block,
+        ..
     } = scratch;
     for_each_block(kern, blocks, a, b, pack_a, pack_b, |rows, cols, fill| {
         // Stale values from the previous block are fully overwritten by

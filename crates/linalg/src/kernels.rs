@@ -250,6 +250,18 @@ pub fn norm2<T: Scalar>(x: &[T]) -> T {
     norm2_sq(x).sqrt()
 }
 
+/// Euclidean norm of a finite `x`, computed as `m·‖x/m‖` with
+/// `m = max|x_j|` so that no square overflows on the way: `+∞` only when
+/// the norm itself is past the f64 range. For range checks on untrusted
+/// vectors (one division per element), not for scan loops.
+pub fn scaled_norm2(x: &[f64]) -> f64 {
+    let m = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    if m == 0.0 {
+        return 0.0;
+    }
+    m * x.iter().map(|v| (v / m) * (v / m)).sum::<f64>().sqrt()
+}
+
 /// Squared Euclidean distance `‖x − y‖²` with unrolled independent
 /// accumulators (SIMD-dispatched for `f64`).
 ///
@@ -439,6 +451,21 @@ mod tests {
         assert_eq!(ys32[1], 7.0);
         assert!(simd::as_f64_mut(&mut ys32).is_none());
         assert!(simd::as_f32_mut(&mut ys64).is_none());
+    }
+
+    #[test]
+    fn scaled_norm_survives_what_the_plain_norm_overflows() {
+        assert_eq!(scaled_norm2(&[]), 0.0);
+        assert_eq!(scaled_norm2(&[0.0, -0.0]), 0.0);
+        assert_eq!(scaled_norm2(&[3.0, -4.0]), 5.0);
+        // Squares past f64::MAX: the plain norm is +∞, the scaled one is not.
+        let big = [3e200, 4e200];
+        assert_eq!(norm2(&big), f64::INFINITY);
+        assert!((scaled_norm2(&big) / 5e200 - 1.0).abs() < 1e-15);
+        // A norm genuinely past the range is +∞, never NaN.
+        assert_eq!(scaled_norm2(&[f64::MAX, f64::MAX]), f64::INFINITY);
+        // Squares below the subnormal range: not flushed to zero.
+        assert!((scaled_norm2(&[3e-200, 4e-200]) / 5e-200 - 1.0).abs() < 1e-15);
     }
 
     #[test]

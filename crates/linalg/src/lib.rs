@@ -57,7 +57,7 @@ pub use gemm::{
 };
 pub use kernels::{
     axpy, dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize, scale,
-    sumsq_reassoc_bound,
+    scaled_norm2, sumsq_reassoc_bound,
 };
 pub use matrix::{Matrix, RowBlock};
 pub use quant::{

@@ -11,8 +11,8 @@
 //! The accumulation orders deliberately mirror the scalar kernels so results
 //! are bit-identical — see the bit-identity contract in [`super`].
 
-use super::filter::{hit_f32, hit_i8};
-use super::{check_tile, F32Offer, I8Offer, PeakOp};
+use super::filter::{hit_f32, hit_i8, lo_f32, lo_i8, max_keep};
+use super::{check_groups, check_tile, F32Offer, I8Offer, PeakOp};
 use core::arch::x86_64::*;
 
 /// Safe wrapper; see module docs for the soundness argument.
@@ -675,6 +675,177 @@ unsafe fn next_hit_i8_inner(
         j += 1;
     }
     j
+}
+
+/// Largest of four lanes that are never NaN (the accumulators start at
+/// `−∞` and `vmaxpd(x, acc)` keeps `acc` when `x` is NaN).
+// SAFETY contract: AVX2 available, per the kernel constructor contract.
+#[target_feature(enable = "avx2")]
+unsafe fn hmax_pd(v: __m256d) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    _mm256_storeu_pd(lanes.as_mut_ptr(), v);
+    lanes.iter().fold(f64::NEG_INFINITY, |m, &x| max_keep(x, m))
+}
+
+/// The frame of the three group-maxima bodies, around their lane
+/// expressions: `$lanes` is the four lanes at `$j` as a vector, `$lane` the
+/// scalar twin's lane `$t`. Per group, four `vmaxpd(lanes, acc)` chains over
+/// sixteen lanes at a time (so the compares overlap instead of waiting on
+/// one accumulator), one chain over the remaining whole vectors, the
+/// scalar twin's rule on the tail, then `+ 0.0` (`filter::group_max`).
+/// A maximum does not depend on reduction order once NaN lanes are skipped
+/// and a zero result is made `+0`, so this agrees with the sequential scalar
+/// fold bit for bit. Every vector load sits behind `$j + 4 <= end`.
+macro_rules! group_max_frame {
+    ($n:expr, $group:expr, $out:expr, |$j:ident| $lanes:expr, |$t:ident| $lane:expr) => {
+        for (g, slot) in $out.iter_mut().enumerate() {
+            let end = ((g + 1) * $group).min($n);
+            let mut $j = g * $group;
+            let mut acc = [_mm256_set1_pd(f64::NEG_INFINITY); 4];
+            while $j + 16 <= end {
+                for chain in &mut acc {
+                    *chain = _mm256_max_pd($lanes, *chain);
+                    $j += 4;
+                }
+            }
+            while $j + 4 <= end {
+                acc[0] = _mm256_max_pd($lanes, acc[0]);
+                $j += 4;
+            }
+            let both = _mm256_max_pd(_mm256_max_pd(acc[0], acc[1]), _mm256_max_pd(acc[2], acc[3]));
+            let mut m = hmax_pd(both);
+            for $t in $j..end {
+                m = max_keep($lane, m);
+            }
+            *slot = m + 0.0;
+        }
+    };
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn group_max_f64(scores: &[f64], group: usize, out: &mut [f64]) {
+    check_groups(scores.len(), group, out);
+    // SAFETY: as for `dot`; every group lies inside `scores`.
+    unsafe { group_max_f64_inner(scores, group, out) }
+}
+
+/// Per group, the largest score (`group_max_frame!`).
+// SAFETY contract: the caller must guarantee AVX2 is available (upheld by
+// constructing the `Kernel` only after feature detection) and
+// `out.len() <= scores.len().div_ceil(group)` — every load below is
+// guarded by `j + 4 <= end <= scores.len()`.
+#[target_feature(enable = "avx2")]
+unsafe fn group_max_f64_inner(scores: &[f64], group: usize, out: &mut [f64]) {
+    let sp = scores.as_ptr();
+    group_max_frame!(
+        scores.len(),
+        group,
+        out,
+        |j| _mm256_loadu_pd(sp.add(j)),
+        |t| *sp.add(t)
+    );
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn group_max_f32(
+    scores: &[f32],
+    item_norms: &[f64],
+    user: F32Offer,
+    group: usize,
+    out: &mut [f64],
+) {
+    assert_eq!(item_norms.len(), scores.len());
+    check_groups(scores.len(), group, out);
+    // SAFETY: as for `dot`; the slices are equally long and every group
+    // lies inside them.
+    unsafe { group_max_f32_inner(scores, item_norms, user, group, out) }
+}
+
+/// Per group, the largest f32 lower bound, operation for operation the
+/// scalar twin's (`filter::lo_f32`): widen, one FMA for the envelope,
+/// subtract, then `+ s·0` so a non-finite score is NaN and skipped.
+// SAFETY contract: the caller must guarantee AVX2+FMA are available
+// (upheld by constructing the `Kernel` only after feature detection),
+// `item_norms.len() == scores.len()` and
+// `out.len() <= scores.len().div_ceil(group)` — every load below is
+// guarded by `j + 4 <= end <= scores.len()`.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn group_max_f32_inner(
+    scores: &[f32],
+    item_norms: &[f64],
+    user: F32Offer,
+    group: usize,
+    out: &mut [f64],
+) {
+    let (sp, np) = (scores.as_ptr(), item_norms.as_ptr());
+    let rel = _mm256_set1_pd(user.rel_u);
+    let abs = _mm256_set1_pd(user.env_abs);
+    let zero = _mm256_setzero_pd();
+    group_max_frame!(
+        scores.len(),
+        group,
+        out,
+        |j| {
+            let s = _mm256_cvtps_pd(_mm_loadu_ps(sp.add(j)));
+            let env = _mm256_fmadd_pd(rel, _mm256_loadu_pd(np.add(j)), abs);
+            _mm256_add_pd(_mm256_sub_pd(s, env), _mm256_mul_pd(s, zero))
+        },
+        |t| lo_f32(*sp.add(t), *np.add(t), user)
+    );
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn group_max_i8(
+    dots: &[i32],
+    item_inv_scales: &[f64],
+    item_l1: &[f64],
+    user: I8Offer,
+    group: usize,
+    out: &mut [f64],
+) {
+    assert!(item_inv_scales.len() == dots.len() && item_l1.len() == dots.len());
+    check_groups(dots.len(), group, out);
+    // SAFETY: as for `dot`; the slices are equally long and every group
+    // lies inside them.
+    unsafe { group_max_i8_inner(dots, item_inv_scales, item_l1, user, group, out) }
+}
+
+/// Per group, the largest int8 lower bound, operation for operation the
+/// scalar twin's (`filter::lo_i8`): explicit multiplies, adds and the
+/// subtract, never contracted into FMAs.
+// SAFETY contract: the caller must guarantee AVX2 is available (upheld by
+// constructing the `Kernel` only after feature detection), the three
+// slices equally long and `out.len() <= dots.len().div_ceil(group)` —
+// every load below is guarded by `j + 4 <= end <= dots.len()`.
+#[target_feature(enable = "avx2")]
+unsafe fn group_max_i8_inner(
+    dots: &[i32],
+    item_inv_scales: &[f64],
+    item_l1: &[f64],
+    user: I8Offer,
+    group: usize,
+    out: &mut [f64],
+) {
+    let (dp, ip, lp) = (dots.as_ptr(), item_inv_scales.as_ptr(), item_l1.as_ptr());
+    let inv_su = _mm256_set1_pd(user.inv_su);
+    let env_a = _mm256_set1_pd(user.env.0);
+    let env_b = _mm256_set1_pd(user.env.1);
+    group_max_frame!(
+        dots.len(),
+        group,
+        out,
+        |j| {
+            let d = _mm256_cvtepi32_pd(_mm_loadu_si128(dp.add(j) as *const __m128i));
+            let inv_si = _mm256_loadu_pd(ip.add(j));
+            let score = _mm256_mul_pd(d, _mm256_mul_pd(inv_su, inv_si));
+            let env = _mm256_add_pd(
+                _mm256_mul_pd(env_a, inv_si),
+                _mm256_mul_pd(env_b, _mm256_loadu_pd(lp.add(j))),
+            );
+            _mm256_sub_pd(score, env)
+        },
+        |t| lo_i8(*dp.add(t), *ip.add(t), *lp.add(t), user)
+    );
 }
 
 /// Safe wrapper; see module docs for the soundness argument.

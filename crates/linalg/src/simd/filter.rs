@@ -1,9 +1,13 @@
-//! Portable bodies of the threshold filters and the peak probe: the scalar
-//! [`super::Kernel`]'s slots, and the lane-arithmetic reference the AVX2
-//! bodies reproduce. Safe code — it lives here to sit beside its twins.
+//! Portable bodies of the threshold filters, the group-maxima slots and the
+//! peak probe: the scalar [`super::Kernel`]'s slots, and the lane-arithmetic
+//! reference the AVX2 bodies reproduce. Safe code — it lives here to sit
+//! beside its twins.
 //!
-//! Each function returns the first index `j ≥ from` whose lane is flagged,
-//! or the slice length when none is.
+//! Each `next_hit_*` returns the first index `j ≥ from` whose lane is
+//! flagged, or the slice length when none is. Each `group_max_*` writes, for
+//! each of the first `out.len()` runs of `group` lanes, the largest lane
+//! value that is not NaN (`−∞` when there is none), plus `0.0` so a zero
+//! maximum is `+0` whichever zero the reduction met first.
 
 use super::{F32Offer, I8Offer, PeakOp, PEAK_CHAINS};
 
@@ -63,6 +67,70 @@ pub(super) fn next_hit_i8(
         .zip(&item_l1[from..]);
     let hit = lanes.position(|((&d, &inv_si), &l1)| hit_i8(d, inv_si, l1, user, threshold));
     hit.map_or(dots.len(), |j| from + j)
+}
+
+/// The maximum both group-maxima bodies reduce with: `a` when it is
+/// greater, else `b` — `vmaxpd(a, b)`'s rule, so a NaN `a` leaves `b`.
+#[inline(always)]
+pub(super) fn max_keep(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The shared frame of the portable group-maxima slots over `len` lanes.
+#[inline(always)]
+fn group_max(len: usize, group: usize, out: &mut [f64], lane: impl Fn(usize) -> f64) {
+    for (g, slot) in out.iter_mut().enumerate() {
+        let lanes = g * group..((g + 1) * group).min(len);
+        *slot = lanes.fold(f64::NEG_INFINITY, |m, j| max_keep(lane(j), m)) + 0.0;
+    }
+}
+
+pub(super) fn group_max_f64(scores: &[f64], group: usize, out: &mut [f64]) {
+    group_max(scores.len(), group, out, |j| scores[j]);
+}
+
+/// One lane's f32 lower bound `ŝ − envelope`, in the operations of the
+/// screen's offer rule. Adding `ŝ·0` turns a non-finite score — which
+/// carries no bound — into NaN, so it contributes no maximum.
+#[inline(always)]
+pub(super) fn lo_f32(s32: f32, item_norm: f64, user: F32Offer) -> f64 {
+    let s = s32 as f64;
+    (s - user.envelope(item_norm)) + s * 0.0
+}
+
+pub(super) fn group_max_f32(
+    scores: &[f32],
+    item_norms: &[f64],
+    user: F32Offer,
+    group: usize,
+    out: &mut [f64],
+) {
+    group_max(scores.len(), group, out, |j| {
+        lo_f32(scores[j], item_norms[j], user)
+    });
+}
+
+/// One lane's int8 lower bound `ŝ − envelope`.
+#[inline(always)]
+pub(super) fn lo_i8(d: i32, inv_si: f64, l1: f64, user: I8Offer) -> f64 {
+    user.score(d, inv_si) - user.envelope(inv_si, l1)
+}
+
+pub(super) fn group_max_i8(
+    dots: &[i32],
+    item_inv_scales: &[f64],
+    item_l1: &[f64],
+    user: I8Offer,
+    group: usize,
+    out: &mut [f64],
+) {
+    group_max(dots.len(), group, out, |j| {
+        lo_i8(dots[j], item_inv_scales[j], item_l1[j], user)
+    });
 }
 
 /// The scalar peak probe: [`PEAK_CHAINS`] independent one-element chains.

@@ -60,6 +60,19 @@
 //!   lane, which is why a stale (lower) threshold is harmless and why
 //!   candidate sets, survivor counts and results are identical under every
 //!   kernel.
+//! * [`Kernel::group_max_f64`], [`Kernel::group_max_f32`],
+//!   [`Kernel::group_max_i8`] — the group maxima a filling heap's floor is
+//!   selected from. Each lane's value is the score (f64) or the lower bound
+//!   `ŝ − envelope` in the same operations as the filters' `hi` (f32: widen,
+//!   one FMA, subtract, then `+ ŝ·0` so a non-finite score is NaN; int8:
+//!   explicit multiplies and adds, never contracted). A group's maximum
+//!   skips NaN lanes (`vmaxpd(lane, acc)` keeps `acc`, the scalar
+//!   `if lane > acc` likewise), is `−∞` when nothing is left, and gets
+//!   `+ 0.0` so a zero maximum is `+0`. A maximum of the non-NaN lanes does
+//!   not depend on the order it is reduced in except for the sign of a
+//!   zero, so the AVX2 bodies' four accumulator chains and the scalar
+//!   fold write the **same bits**, and every kernel set primes the same
+//!   floor.
 //!
 //! The one exception is [`Kernel::suffix_sumsq`]: a suffix scan is a serial
 //! carry chain, and the vector version re-associates the within-block sums
@@ -183,6 +196,9 @@ pub struct Kernel {
     next_hit_f64: fn(&[f64], usize, f64) -> usize,
     next_hit_f32: NextHitF32,
     next_hit_i8: NextHitI8,
+    group_max_f64: fn(&[f64], usize, &mut [f64]),
+    group_max_f32: GroupMaxF32,
+    group_max_i8: GroupMaxI8,
     peak: fn(PeakOp, u64) -> f64,
 }
 
@@ -190,6 +206,11 @@ pub struct Kernel {
 /// to the first flagged index at or after `from`, or the length.
 type NextHitF32 = fn(&[f32], &[f64], F32Offer, usize, f64) -> usize;
 type NextHitI8 = fn(&[i32], &[f64], &[f64], I8Offer, usize, f64) -> usize;
+
+/// Group-maxima slots: `(scores, per-item terms.., user terms, group, out)`
+/// writing one maximum per `group`-wide run of lanes into `out`.
+type GroupMaxF32 = fn(&[f32], &[f64], F32Offer, usize, &mut [f64]);
+type GroupMaxI8 = fn(&[i32], &[f64], &[f64], I8Offer, usize, &mut [f64]);
 
 /// One user's side of the f32 screen's **offer expression**: column `j`
 /// with screen score `ŝ` and exact item norm `‖i‖` has upper bound
@@ -483,6 +504,73 @@ impl Kernel {
         (j < dots.len()).then_some(j)
     }
 
+    /// The fused select's floor slot: splits `scores` into runs of `group`
+    /// lanes from index 0 (the last one may be shorter) and writes the
+    /// largest score of each of the first `out.len()` runs to `out` — NaN
+    /// lanes skipped, `−∞` for a run without any other, a zero maximum
+    /// written as `+0`. The caller's floor is the k-th largest of these
+    /// maxima: k real scores of distinct columns. Every kernel set writes
+    /// the same bits (see the module docs).
+    ///
+    /// # Panics
+    /// Panics if `group` is 0 or `out` has more slots than `scores` has
+    /// runs.
+    #[inline]
+    pub fn group_max_f64(&self, scores: &[f64], group: usize, out: &mut [f64]) {
+        check_groups(scores.len(), group, out);
+        (self.group_max_f64)(scores, group, out)
+    }
+
+    /// [`Kernel::group_max_f64`] over the f32 screen's per-lane **lower
+    /// bounds** `ŝ − envelope` ([`F32Offer`], the offer rule's operations);
+    /// a lane whose score is not finite carries no bound and contributes
+    /// no maximum.
+    ///
+    /// # Panics
+    /// As [`Kernel::group_max_f64`], or if `item_norms` is not as long as
+    /// `scores`.
+    #[inline]
+    pub fn group_max_f32(
+        &self,
+        scores: &[f32],
+        item_norms: &[f64],
+        user: F32Offer,
+        group: usize,
+        out: &mut [f64],
+    ) {
+        assert_eq!(
+            scores.len(),
+            item_norms.len(),
+            "group_max_f32: one norm per score"
+        );
+        check_groups(scores.len(), group, out);
+        (self.group_max_f32)(scores, item_norms, user, group, out)
+    }
+
+    /// [`Kernel::group_max_f64`] over the int8 screen's per-lane lower
+    /// bounds `ŝ − envelope` ([`I8Offer`]).
+    ///
+    /// # Panics
+    /// As [`Kernel::group_max_f64`], or if the per-item slices are not as
+    /// long as `dots`.
+    #[inline]
+    pub fn group_max_i8(
+        &self,
+        dots: &[i32],
+        item_inv_scales: &[f64],
+        item_l1: &[f64],
+        user: I8Offer,
+        group: usize,
+        out: &mut [f64],
+    ) {
+        assert!(
+            item_inv_scales.len() == dots.len() && item_l1.len() == dots.len(),
+            "group_max_i8: one scale and one L1 norm per dot"
+        );
+        check_groups(dots.len(), group, out);
+        (self.group_max_i8)(dots, item_inv_scales, item_l1, user, group, out)
+    }
+
     /// A register-only throughput probe: issues `rounds` rounds of
     /// [`PEAK_CHAINS`] independent `op` instructions (no loads, no stores)
     /// and returns a checksum that keeps them alive. One instruction is a
@@ -529,6 +617,9 @@ impl Kernel {
             next_hit_f64: filter::next_hit_f64,
             next_hit_f32: filter::next_hit_f32,
             next_hit_i8: filter::next_hit_i8,
+            group_max_f64: filter::group_max_f64,
+            group_max_f32: filter::group_max_f32,
+            group_max_i8: filter::group_max_i8,
             peak: filter::peak,
         }
     }
@@ -555,6 +646,9 @@ impl Kernel {
                     next_hit_f64: avx2::next_hit_f64,
                     next_hit_f32: avx2::next_hit_f32,
                     next_hit_i8: avx2::next_hit_i8,
+                    group_max_f64: avx2::group_max_f64,
+                    group_max_f32: avx2::group_max_f32,
+                    group_max_i8: avx2::group_max_i8,
                     peak: avx2::peak,
                 });
             }
@@ -585,13 +679,16 @@ impl Kernel {
                 suffix_sumsq_f32: neon::suffix_sumsq_f32,
                 tile_f32: neon::tile_f32,
                 dot_i8: neon::dot_i8,
-                // No NEON bodies for the int8 tile and the filters: the
-                // portable ones are exact, and aarch64's baseline FMA makes
-                // their `mul_add`s hardware instructions.
+                // No NEON bodies for the int8 tile, the filters and the
+                // group maxima: the portable ones are exact, and aarch64's
+                // baseline FMA makes their `mul_add`s hardware instructions.
                 tile_i8: crate::gemm::tile_scalar_i8,
                 next_hit_f64: filter::next_hit_f64,
                 next_hit_f32: filter::next_hit_f32,
                 next_hit_i8: filter::next_hit_i8,
+                group_max_f64: filter::group_max_f64,
+                group_max_f32: filter::group_max_f32,
+                group_max_i8: filter::group_max_i8,
                 peak: neon::peak,
             })
         }
@@ -640,6 +737,17 @@ pub(crate) fn check_tile<P, C>(
         "tile: panel depth mismatch"
     );
     assert!((mr - 1) * ldc + nr <= c.len(), "tile: C tile out of bounds");
+}
+
+/// Checks a group-maxima call: a non-empty group and at most one output
+/// slot per `group`-wide run of `len` lanes.
+#[inline(always)]
+fn check_groups(len: usize, group: usize, out: &[f64]) {
+    assert!(group > 0, "group maxima: empty group");
+    assert!(
+        out.len() <= len.div_ceil(group),
+        "group maxima: more outputs than groups"
+    );
 }
 
 /// The process-wide active kernel, selected on first use and cached.
@@ -1150,6 +1258,109 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn group_maxima_agree_bit_for_bit_under_every_kernel() {
+        // Ragged lengths and groups (dividing the length or not, runs that
+        // end in a partial vector), whole and prefix output ranges; NaN,
+        // ±∞ and signed-zero lanes, and f32 accumulators that are not
+        // finite — which carry no bound and must contribute no maximum.
+        for len in [0usize, 1, 3, 4, 5, 15, 16, 17, 33, 64, 67, 130] {
+            let mut s64 = pseudo(len, 101);
+            for (j, v) in s64.iter_mut().enumerate() {
+                match j % 13 {
+                    2 => *v = f64::NAN,
+                    5 => *v = f64::INFINITY,
+                    7 => *v = f64::NEG_INFINITY,
+                    9 => *v = -0.0,
+                    11 => *v = 0.0,
+                    _ => {}
+                }
+            }
+            let mut s32 = pseudo32(len, 103);
+            for (j, v) in s32.iter_mut().enumerate() {
+                match j % 7 {
+                    1 => *v = f32::NAN,
+                    3 => *v = f32::INFINITY,
+                    4 => *v = f32::NEG_INFINITY,
+                    _ => {}
+                }
+            }
+            let norms: Vec<f64> = pseudo(len, 105).iter().map(|v| v.abs() + 0.5).collect();
+            let l1: Vec<f64> = pseudo(len, 107).iter().map(|v| 3.0 * v.abs()).collect();
+            let inv: Vec<f64> = pseudo(len, 109)
+                .iter()
+                .map(|v| 0.01 * (v.abs() + 0.1))
+                .collect();
+            let dots: Vec<i32> = pseudo(len, 111)
+                .iter()
+                .map(|v| (v * 40_000.0) as i32)
+                .collect();
+            let f32u = F32Offer {
+                rel_u: 3.0e-7,
+                env_abs: 1.0e-30,
+            };
+            let i8u = I8Offer {
+                inv_su: 0.02,
+                env: (1.5, 0.004),
+            };
+            // The lanes, spelled out independently of `filter.rs`.
+            let lo32 = |j: usize| {
+                let s = s32[j] as f64;
+                let lo = s - f32u.rel_u.mul_add(norms[j], f32u.env_abs);
+                if s.is_finite() {
+                    lo
+                } else {
+                    f64::NAN
+                }
+            };
+            let lo8 = |j: usize| {
+                dots[j] as f64 * (i8u.inv_su * inv[j]) - (i8u.env.0 * inv[j] + i8u.env.1 * l1[j])
+            };
+            for group in [1usize, 3, 4, 5, 8, 16, 17, 21, 64] {
+                let runs = len.div_ceil(group);
+                for count in [runs, runs / 2] {
+                    let want = |lane: &dyn Fn(usize) -> f64| -> Vec<u64> {
+                        (0..count)
+                            .map(|g| {
+                                let lanes = g * group..((g + 1) * group).min(len);
+                                let m = lanes
+                                    .map(lane)
+                                    .filter(|v| !v.is_nan())
+                                    .fold(f64::NEG_INFINITY, f64::max);
+                                (m + 0.0).to_bits()
+                            })
+                            .collect()
+                    };
+                    let (want64, want32, want8) = (want(&|j| s64[j]), want(&lo32), want(&lo8));
+                    for k in all_kernels() {
+                        let label = format!("{} len {len} group {group} count {count}", k.name());
+                        let mut out = vec![f64::NAN; count];
+                        let bits =
+                            |out: &[f64]| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        k.group_max_f64(&s64, group, &mut out);
+                        assert_eq!(bits(&out), want64, "f64 {label}");
+                        k.group_max_f32(&s32, &norms, f32u, group, &mut out);
+                        assert_eq!(bits(&out), want32, "f32 {label}");
+                        k.group_max_i8(&dots, &inv, &l1, i8u, group, &mut out);
+                        assert_eq!(bits(&out), want8, "i8 {label}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more outputs than groups")]
+    fn group_maxima_reject_more_outputs_than_groups() {
+        Kernel::scalar().group_max_f64(&[1.0; 9], 4, &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty group")]
+    fn group_maxima_reject_an_empty_group() {
+        active().group_max_f64(&[1.0; 9], 0, &mut []);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! it: how an exact f64 row is stored in the tier (and which per-row
 //! **terms** its error envelope needs), the user-side **offer** those terms
 //! turn into, how one accumulator becomes a screen score and an envelope,
-//! the threshold-filter slot and the point dot. Everything above this
-//! module — the row store [`TierRows`], the block pass and point bound in
-//! `mips_topk::screen`, the model-level mirrors in `mips_data` — is generic
-//! over the trait, so a tier is one `GemmElem` impl, one `ScreenElem` impl
-//! and one [`ScreenTier`] variant (with its arm in [`crate::per_tier!`]).
+//! the threshold-filter and group-maxima slots and the point dot.
+//! Everything above this module — the row store [`TierRows`], the block
+//! pass and point bound in `mips_topk::screen`, the model-level mirrors in
+//! `mips_data` — is generic over the trait, so a tier is one `GemmElem`
+//! impl, one `ScreenElem` impl and one [`ScreenTier`] variant (with its arm
+//! in [`crate::per_tier!`]).
 //!
 //! The terms are stored column-wise (one `f64` slice per term, one entry
 //! per row), which is what the SIMD filters load:
@@ -103,8 +104,8 @@ pub const MAX_TERMS: usize = 3;
 pub type Terms<'a> = [&'a [f64]; MAX_TERMS];
 
 /// An element type the scan can screen in: [`GemmElem`] plus the tier's
-/// storage rule, offer expression, filter slot and point dot (see the
-/// module docs).
+/// storage rule, offer expression, filter and group-maxima slots and point
+/// dot (see the module docs).
 pub trait ScreenElem: GemmElem + Default {
     /// The tier this element type stores.
     const TIER: ScreenTier;
@@ -141,6 +142,21 @@ pub trait ScreenElem: GemmElem + Default {
         from: usize,
         threshold: f64,
     ) -> Option<usize>;
+
+    /// The tier's group-maxima slot in `kern`: for each `g < out.len()`,
+    /// `out[g]` is the largest lower bound `score − envelope` — evaluated
+    /// in exactly the operations of [`ScreenElem::bound`] and the offer
+    /// rule's subtraction — over columns `g·group .. (g + 1)·group` of
+    /// `accs`. Columns without a bound contribute none; `−∞` when no column
+    /// of the run has one.
+    fn group_max(
+        kern: &Kernel,
+        accs: &[Self::Acc],
+        items: Terms<'_>,
+        offer: Self::Offer,
+        group: usize,
+        out: &mut [f64],
+    );
 
     /// The point dot `xᵀy` in the tier's arithmetic, on the dispatched
     /// kernel set.
@@ -184,6 +200,18 @@ impl ScreenElem for f32 {
         threshold: f64,
     ) -> Option<usize> {
         kern.next_hit_f32(accs, items[0], offer, from, threshold)
+    }
+
+    #[inline(always)]
+    fn group_max(
+        kern: &Kernel,
+        accs: &[f32],
+        items: Terms<'_>,
+        offer: F32Offer,
+        group: usize,
+        out: &mut [f64],
+    ) {
+        kern.group_max_f32(accs, items[0], offer, group, out)
     }
 
     #[inline(always)]
@@ -233,6 +261,18 @@ impl ScreenElem for i8 {
         threshold: f64,
     ) -> Option<usize> {
         kern.next_hit_i8(accs, items[1], items[2], offer, from, threshold)
+    }
+
+    #[inline(always)]
+    fn group_max(
+        kern: &Kernel,
+        accs: &[i32],
+        items: Terms<'_>,
+        offer: I8Offer,
+        group: usize,
+        out: &mut [f64],
+    ) {
+        kern.group_max_i8(accs, items[1], items[2], offer, group, out)
     }
 
     #[inline(always)]
@@ -564,6 +604,47 @@ mod tests {
         // An overflowed f32 product carries no bound.
         let offer = <f32 as ScreenElem>::offer(2, [&[1.0], &[], &[]], 0);
         assert!(f32::bound(&offer, f32::INFINITY, [&[1.0], &[], &[]], 0).is_none());
+    }
+
+    #[test]
+    fn group_maxima_are_the_largest_lower_bounds_bound_reports() {
+        fn check<T: ScreenElem>(
+            accs_of: impl Fn(&TierRows<T>, &TierRows<T>, usize) -> Vec<T::Acc>,
+        ) {
+            let (users, items) = (random_matrix(3, 12, 5), random_matrix(37, 12, 6));
+            let u = TierRows::<T>::build((&users).into()).unwrap();
+            let i = TierRows::<T>::build((&items).into()).unwrap();
+            for a in 0..3 {
+                let offer = T::offer(12, u.terms(), a);
+                let accs = accs_of(&u, &i, a);
+                for group in [1usize, 4, 7, 37] {
+                    let mut out = vec![0.0; 37usize.div_ceil(group)];
+                    T::group_max(simd::active(), &accs, i.terms(), offer, group, &mut out);
+                    for (g, &got) in out.iter().enumerate() {
+                        let lows = (g * group..((g + 1) * group).min(37))
+                            .filter_map(|b| T::bound(&offer, accs[b], i.terms(), b))
+                            .map(|(score, env)| score - env);
+                        let want = lows.fold(f64::NEG_INFINITY, f64::max);
+                        assert_eq!(got, want, "{:?} user {a} group {group}", T::TIER);
+                    }
+                }
+            }
+        }
+        let dots = |u: &TierRows<i8>, i: &TierRows<i8>, a: usize| {
+            (0..i.rows())
+                .map(|b| <i8 as ScreenElem>::dot(u.row(a), i.row(b)))
+                .collect()
+        };
+        check::<i8>(dots);
+        // Every fourth f32 accumulator overflowed: no bound, no maximum.
+        check::<f32>(|u, i, a| {
+            (0..i.rows())
+                .map(|b| match b % 4 {
+                    1 => f32::INFINITY,
+                    _ => <f32 as ScreenElem>::dot(u.row(a), i.row(b)),
+                })
+                .collect()
+        });
     }
 
     #[test]

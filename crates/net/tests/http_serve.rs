@@ -211,6 +211,43 @@ fn vector_queries_serve_both_encodings_bit_identically() {
     http.shutdown().unwrap();
 }
 
+/// A finite vector whose inner products overflow used to panic the event
+/// loop's thread (a vector query runs there): the client saw the
+/// connection close mid-response and every later connect was reset. It is
+/// a 400 now, and the server answers the next connection.
+#[test]
+fn a_vector_whose_scores_overflow_is_a_400_and_the_server_stays_up() {
+    let model = Arc::new(synth_model(&SynthConfig {
+        num_users: 20,
+        num_items: 30,
+        num_factors: 4,
+        seed: 5,
+        ..SynthConfig::default()
+    }));
+    let server = Arc::new(
+        ServerBuilder::new()
+            .engine(engine(&model))
+            .workers(1)
+            .build()
+            .unwrap(),
+    );
+    let http = HttpServerBuilder::new().server(server).build().unwrap();
+    let mut client = Client::connect(http.local_addr()).unwrap();
+    let huge = "{\"k\": 3, \"vector\": [1.7e308, 1.7e308, 1.7e308, 1.7e308]}";
+    let response = client.request("POST", "/vector-query", Some(huge)).unwrap();
+    assert_eq!(response.status, 400, "{}", response.body);
+    let doc = json::parse(&response.body).unwrap();
+    let message = doc.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains("overflows"), "{message}");
+
+    let mut fresh = Client::connect(http.local_addr()).unwrap();
+    let fine = "{\"k\": 3, \"vector\": [1, 0.5, -2, 0.25]}";
+    let response = fresh.request("POST", "/vector-query", Some(fine)).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert_eq!(wire_results(&response.body)[0].0.len(), 3);
+    http.shutdown().unwrap();
+}
+
 #[test]
 fn forced_f32_rescore_is_bit_identical_and_announced_on_the_wire() {
     // A mixed-precision stack must change how answers are computed — f32

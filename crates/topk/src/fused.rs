@@ -12,14 +12,21 @@
 //!
 //! Selection is a vector compare: the kernel set's threshold filter
 //! ([`Kernel::next_hit_f64`]) skips four scores per instruction and the
-//! scalar admission rule runs only on the lanes it flags.
+//! scalar admission rule runs only on the lanes it flags. A row whose heap
+//! is still filling first gets a **floor**: the k-th largest of ≈ `2k`
+//! group maxima of its block ([`Kernel::group_max_f64`]), k real scores
+//! the filter then runs against instead of `−∞` — so a fresh heap admits
+//! about `2k` columns of its first block rather than `k·(1 + ln(n/k))`.
+//! The rule and the argument that it keeps every heap's set are in the
+//! crate's admission module; [`crate::select`] runs the same rule.
 //!
 //! Exactness is unaffected: the heap's `(score, id)` ordering is total, so
 //! the retained top-k set is independent of the order in which columns are
-//! offered, and the `_with` variants pin the micro-kernel set so the
-//! `fused_exactness` property suite can compare the SIMD and forced-scalar
-//! paths bit for bit.
+//! offered and of which provably losing columns are never offered, and the
+//! `_with` variants pin the micro-kernel set so the `fused_exactness`
+//! property suite can compare the SIMD and forced-scalar paths bit for bit.
 
+use crate::admit;
 use crate::heap::TopKHeap;
 use crate::list::TopKList;
 use mips_linalg::simd::{self, Kernel};
@@ -36,6 +43,17 @@ pub enum ColumnIds<'a> {
     Offset(u32),
     /// Column `j` of B is item `ids[j]`.
     Mapped(&'a [u32]),
+}
+
+impl ColumnIds<'_> {
+    /// The item id of column `col`.
+    #[inline(always)]
+    pub(crate) fn id(self, col: usize) -> u32 {
+        match self {
+            ColumnIds::Offset(off) => off + col as u32,
+            ColumnIds::Mapped(map) => map[col],
+        }
+    }
 }
 
 /// Fused `A·Bᵀ` → per-row top-k: returns one sorted [`TopKList`] per row of
@@ -118,28 +136,12 @@ pub fn stream_topk_into_heaps_with(
             "stream_topk: id map shorter than item count"
         );
     }
-    mips_linalg::gemm_nt_stream_blocks_with(kern, a, b, blocks, scratch, |block, rows, cols| {
-        for (scores, heap) in block.chunks_exact(cols.len()).zip(&mut heaps[rows]) {
-            // The cached admission threshold: the filter drops most scores
-            // four per compare without touching the heap. Scores *equal*
-            // to the threshold must still be offered: with `Mapped` ids the
-            // column order is not id order, so a tying candidate may beat
-            // the root on the smaller-id rule.
-            let mut threshold = heap.threshold();
-            let mut from = 0;
-            while let Some(j) = kern.next_hit_f64(scores, from, threshold) {
-                if scores[j] >= threshold || !heap.is_full() {
-                    let col = cols.start + j;
-                    let id = match ids {
-                        ColumnIds::Offset(off) => off + col as u32,
-                        ColumnIds::Mapped(map) => map[col],
-                    };
-                    heap.push(scores[j], id);
-                    threshold = heap.threshold();
-                }
-                from = j + 1;
+    scratch.with_maxima(|scratch, maxima| {
+        mips_linalg::gemm_nt_stream_blocks_with(kern, a, b, blocks, scratch, |block, rows, cols| {
+            for (scores, heap) in block.chunks_exact(cols.len()).zip(&mut heaps[rows]) {
+                admit::offer_scores(kern, scores, heap, ids, cols.start, maxima);
             }
-        }
+        })
     });
 }
 

@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admit;
 pub mod fused;
 pub mod heap;
 pub mod list;

@@ -57,6 +57,30 @@
 //! (`s_c` equal to the k-th score, decided by the smaller-id rule) are
 //! safe for the same reason: the comparison uses `≥`, never `>`.
 //!
+//! **The floor.** While a user's bound heap is not yet full, each block's
+//! row is first primed with a floor `θ`: the k-th largest of ≈ `2k` group
+//! maxima of the row's *lower bounds* `ŝ − env` (the tier's
+//! [`mips_linalg::ScreenElem::group_max`], the same operations as the
+//! offer rule; a column without a bound contributes none). The row is then
+//! filtered and offered against `max(bound heap threshold, θ)`. This moves
+//! neither `L̂` nor the survivor set:
+//!
+//! * `L̂` is the k-th largest value of {seeded entries} ∪ {`lo_c` over every
+//!   column with a bound}. Without a floor a column is pushed unless its
+//!   `hi_c` sits below the running threshold, and then `lo_c ≤ hi_c` is
+//!   below k values already held, so skipping it never changes that k-th
+//!   value. With a floor, `θ` is the lower bound of k distinct columns of
+//!   the block, so a column with `hi_c < θ` has `lo_c` below k lower bounds
+//!   of the block — the same argument — and `θ ≤ L̂`.
+//! * The survivors are the columns with `hi_c ≥ L̂` (and every column
+//!   without a bound). The threshold a column faces, floor included, never
+//!   exceeds `L̂`, so each of them is still collected; the final filter
+//!   drops the rest as before.
+//!
+//! So a primed pass collects fewer candidates but rescores exactly the
+//! same survivors, and every result stays bit-identical; the survivor
+//! recount test in this module pins it per tier.
+//!
 //! Entries already present in the caller's heaps are treated as exact
 //! scores from a previous phase: they seed the bound heap (an exact score
 //! is its own lower bound), so the screen is exactly as selective as the
@@ -79,6 +103,7 @@
 //! envelope-widened screen score, and the walk skips the exact dot when
 //! even that sits below its threshold.
 
+use crate::admit;
 use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use mips_linalg::simd::{self, Kernel};
@@ -125,22 +150,16 @@ pub struct ScreenStats {
     pub rescored: u64,
 }
 
-fn column_id(ids: ColumnIds<'_>, col: usize) -> u32 {
-    match ids {
-        ColumnIds::Offset(off) => off + col as u32,
-        ColumnIds::Mapped(map) => map[col],
-    }
-}
-
-/// One user's side of the shared frame while a pass streams scores at it:
-/// the bound heap, the candidate list, and the heap threshold cached
-/// between pushes. For every lane its tier's filter flags at that
-/// threshold, a pass calls [`RowOffers::offer`] (finite score) or
-/// [`RowOffers::keep`] (no score).
+/// One user's side of the shared frame while a pass streams one block at
+/// it: the bound heap, the candidate list, the block's floor and the
+/// threshold `max(bound heap threshold, floor)` cached between pushes. For
+/// every lane its tier's filter flags at that threshold, a pass calls
+/// [`RowOffers::offer`] (finite score) or [`RowOffers::keep`] (no score).
 struct RowOffers<'a> {
     ids: ColumnIds<'a>,
     bounds: &'a mut TopKHeap,
     candidates: &'a mut Vec<(u32, f64)>,
+    floor: f64,
     threshold: f64,
 }
 
@@ -149,12 +168,14 @@ impl<'a> RowOffers<'a> {
         ids: ColumnIds<'a>,
         bounds: &'a mut TopKHeap,
         candidates: &'a mut Vec<(u32, f64)>,
+        floor: f64,
     ) -> RowOffers<'a> {
-        let threshold = bounds.threshold();
+        let threshold = bounds.threshold().max(floor);
         RowOffers {
             ids,
             bounds,
             candidates,
+            floor,
             threshold,
         }
     }
@@ -166,17 +187,16 @@ impl<'a> RowOffers<'a> {
         let hi = score + env;
         if hi >= self.threshold {
             self.candidates.push((col as u32, hi));
-            self.bounds.push(score - env, column_id(self.ids, col));
-            self.threshold = self.bounds.threshold();
+            self.bounds.push(score - env, self.ids.id(col));
+            self.threshold = self.bounds.threshold().max(self.floor);
         }
     }
 
     /// The offer rule for a column whose screen score is not finite (an
     /// f32 product overflowed): no score, no bound — keep the column
-    /// unconditionally (k = 0 heaps have threshold +∞ and correctly collect
-    /// nothing).
+    /// unconditionally (a k = 0 heap correctly collects nothing).
     fn keep(&mut self, col: usize) {
-        if self.threshold < f64::INFINITY {
+        if self.bounds.capacity() > 0 {
             self.candidates.push((col as u32, f64::INFINITY));
         }
     }
@@ -257,32 +277,41 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
     }
 
     // Screen pass: the tier's multiply, block by block; each row of a block
-    // goes through the tier's filter, flagged lanes through the offer rule.
+    // is primed with the floor of its lower bounds while its bound heap is
+    // filling, then goes through the tier's filter, flagged lanes through
+    // the offer rule.
     let blocks = blocks.unwrap_or(&T::BLOCKS);
     let user_terms = users.terms();
-    gemm_nt_stream_blocks_with(
-        kern,
-        a,
-        items.gemm_b(),
-        blocks,
-        gemm,
-        |block, rows, cols| {
-            let item_terms = items.rows(cols.clone()).terms();
-            for (accs, i) in block.chunks_exact(cols.len()).zip(rows) {
-                let mut row = RowOffers::new(ids, &mut bound_heaps[i], &mut candidates[i]);
-                let offer = T::offer(f, user_terms, i);
-                let mut from = 0;
-                while let Some(j) = T::next_hit(kern, accs, item_terms, offer, from, row.threshold)
-                {
-                    match T::bound(&offer, accs[j], item_terms, j) {
-                        Some((score, env)) => row.offer(cols.start + j, score, env),
-                        None => row.keep(cols.start + j),
+    gemm.with_maxima(|gemm, maxima| {
+        gemm_nt_stream_blocks_with(
+            kern,
+            a,
+            items.gemm_b(),
+            blocks,
+            gemm,
+            |block, rows, cols| {
+                let item_terms = items.rows(cols.clone()).terms();
+                for (accs, i) in block.chunks_exact(cols.len()).zip(rows) {
+                    let offer = T::offer(f, user_terms, i);
+                    let floor = admit::floor(&bound_heaps[i], accs.len(), maxima, |group, out| {
+                        T::group_max(kern, accs, item_terms, offer, group, out)
+                    });
+                    let mut row =
+                        RowOffers::new(ids, &mut bound_heaps[i], &mut candidates[i], floor);
+                    let mut from = 0;
+                    while let Some(j) =
+                        T::next_hit(kern, accs, item_terms, offer, from, row.threshold)
+                    {
+                        match T::bound(&offer, accs[j], item_terms, j) {
+                            Some((score, env)) => row.offer(cols.start + j, score, env),
+                            None => row.keep(cols.start + j),
+                        }
+                        from = j + 1;
                     }
-                    from = j + 1;
                 }
-            }
-        },
-    );
+            },
+        )
+    });
 
     // Rescore pass: exact f64, GEMM per-element reduction, groups of four
     // so the sequential chains pipeline.
@@ -300,7 +329,7 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
             let pick = |q: usize| b64.row(*cols.get(q).unwrap_or(&pad));
             let scores = kern.dot_seq4(urow, [pick(0), pick(1), pick(2), pick(3)]);
             for (q, &col) in cols.iter().enumerate() {
-                heap.push(scores[q], column_id(ids, col));
+                heap.push(scores[q], ids.id(col));
             }
         };
         for &(col, _) in survivors {
@@ -654,6 +683,70 @@ mod tests {
             let (heaps, stats) = screen_all(tier, &a, &b, 10, ColumnIds::Offset(0));
             assert!(heaps.iter().all(|h| h.len() == 4));
             assert_eq!(stats.rescored, 8);
+        }
+    }
+
+    /// `ScreenStats::rescored` recounted naively from the module docs'
+    /// definition: `L̂` is the k-th largest lower bound over every column
+    /// and the seeded entries, and the survivors are the columns whose
+    /// upper bound reaches it (plus every column without a bound). The
+    /// floor makes the pass offer fewer columns; this pins that `L̂` and the
+    /// survivor set stay where they were — at k on both sides of the
+    /// floor's `width ≥ 4k` boundary (4096 is the tiers' block width, so
+    /// k = 1024 primes and 1025 does not), past the catalog, and with
+    /// seeds that fill part of a heap.
+    fn survivors_recount<T: ScreenElem>() {
+        let (m, n, f) = (4usize, 4096 + 300, 13usize);
+        let a = random_matrix(m, f, 71);
+        let b = random_matrix(n, f, 72);
+        let (users, items) = (store::<T>(&a), store::<T>(&b));
+        // The pass's own accumulators: same kernel, same blocking.
+        let mut accs = vec![T::Acc::default(); m * n];
+        mips_linalg::gemm_nt_into(users.row_block(0, m), items.row_block(0, n), &mut accs);
+        let seeds = [(0.4f64, 90_000u32), (-0.2, 90_001)];
+        for k in [1usize, 2, 10, 75, 1024, 1025, n, n + 3] {
+            let mut heaps = fresh_heaps(m, k);
+            for heap in &mut heaps {
+                for &(score, id) in &seeds {
+                    heap.push(score, id);
+                }
+            }
+            let seeded: Vec<Vec<f64>> = heaps
+                .iter()
+                .map(|h| h.entries().iter().map(|e| e.score).collect())
+                .collect();
+            let stats = screen_topk_into_heaps(
+                (&a).into(),
+                (&b).into(),
+                users.view(),
+                items.view(),
+                &mut heaps,
+                ColumnIds::Offset(0),
+                &mut ScreenScratch::new(),
+            );
+            let mut want = 0u64;
+            for (r, seeded) in seeded.iter().enumerate() {
+                let offer = T::offer(f, users.terms(), r);
+                let bounds: Vec<Option<(f64, f64)>> = (0..n)
+                    .map(|c| T::bound(&offer, accs[r * n + c], items.terms(), c))
+                    .collect();
+                let mut lows: Vec<f64> = bounds.iter().flatten().map(|(s, e)| s - e).collect();
+                lows.extend(seeded);
+                lows.sort_by(|x, y| y.total_cmp(x));
+                let l_hat = lows.get(k - 1).copied().unwrap_or(f64::NEG_INFINITY);
+                want += bounds
+                    .iter()
+                    .filter(|b| b.map_or(true, |(s, e)| s + e >= l_hat))
+                    .count() as u64;
+            }
+            assert_eq!(stats.rescored, want, "{:?} k={k}", T::TIER);
+        }
+    }
+
+    #[test]
+    fn survivors_are_the_columns_whose_upper_bound_reaches_the_kth_lower_bound() {
+        for tier in ScreenTier::ALL {
+            per_tier!(tier, T => survivors_recount::<T>());
         }
     }
 

@@ -1,40 +1,29 @@
 //! Row-wise top-k selection over dense score buffers.
 //!
 //! This is the "select the top K items for each user (e.g., using a
-//! min-heap)" phase of the BMM brute force (§II-B). The scan skips heap
-//! pushes for scores below the current threshold, which matters because the
-//! threshold stabilizes quickly: for realistic rating distributions most of
-//! the row is dropped four scores per compare by the kernel set's threshold
-//! filter ([`mips_linalg::simd::Kernel::next_hit_f64`]).
+//! min-heap)" phase of the BMM brute force (§II-B), over a score buffer
+//! that already exists. It runs the fused path's admission rule
+//! ([`crate::fused`]): the row is primed with the k-th largest of ≈ `2k`
+//! group maxima, then the kernel set's threshold filter
+//! ([`mips_linalg::simd::Kernel::next_hit_f64`]) drops most of it four
+//! scores per compare and only the flagged lanes reach the heap.
 
+use crate::admit;
+use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use crate::list::TopKList;
-use mips_linalg::{simd, Matrix, Scalar};
+use mips_linalg::simd::{self, Kernel};
+use mips_linalg::{Matrix, Scalar};
 
 /// Top-k of one score row; item ids are the column indices.
 pub fn row_topk(scores: &[f64], k: usize) -> TopKList {
-    row_topk_offset(scores, k, 0)
+    row_topk_with(simd::active(), scores, k, &mut Vec::new())
 }
 
-/// Top-k of one score row whose columns represent items
-/// `id_offset..id_offset + scores.len()`.
-///
-/// MAXIMUS scores items in cluster-list order, and LEMP scores bucket slices;
-/// the offset keeps ids global without copying.
-pub fn row_topk_offset(scores: &[f64], k: usize, id_offset: u32) -> TopKList {
-    let kern = simd::active();
+/// [`row_topk`] on `kern`, with a reusable group-maxima buffer.
+fn row_topk_with(kern: &Kernel, scores: &[f64], k: usize, maxima: &mut Vec<f64>) -> TopKList {
     let mut heap = TopKHeap::new(k);
-    let mut threshold = heap.threshold();
-    let mut from = 0;
-    // The filter flags `>=`; columns arrive in id order, so a tie with the
-    // root loses and only a strictly larger score is offered.
-    while let Some(j) = kern.next_hit_f64(scores, from, threshold) {
-        if scores[j] > threshold || !heap.is_full() {
-            heap.push(scores[j], id_offset + j as u32);
-            threshold = heap.threshold();
-        }
-        from = j + 1;
-    }
+    admit::offer_scores(kern, scores, &mut heap, ColumnIds::Offset(0), 0, maxima);
     heap.into_sorted()
 }
 
@@ -48,10 +37,11 @@ pub fn rows_topk(scores: &[f64], rows: usize, items: usize, k: usize) -> Vec<Top
         rows * items,
         "rows_topk: buffer shape mismatch"
     );
+    let (kern, mut maxima) = (simd::active(), Vec::new());
     scores
         .chunks_exact(items.max(1))
         .take(rows)
-        .map(|row| row_topk(row, k))
+        .map(|row| row_topk_with(kern, row, k, &mut maxima))
         .collect()
 }
 
@@ -95,9 +85,12 @@ mod tests {
     }
 
     #[test]
-    fn offset_shifts_ids() {
-        let l = row_topk_offset(&[1.0, 3.0, 2.0], 2, 100);
-        assert_eq!(l.items, vec![101, 102]);
+    fn primed_rows_keep_the_smaller_id_on_ties() {
+        // Wide enough to prime at k = 2 (8 ≥ 4k); the floor is the tied 5.
+        let scores = [5.0, 1.0, 5.0, 0.0, 5.0, 2.0, 3.0, 5.0];
+        let l = row_topk(&scores, 2);
+        assert_eq!(l.items, vec![0, 2]);
+        assert_eq!(l.scores, vec![5.0, 5.0]);
     }
 
     #[test]

@@ -20,11 +20,18 @@
 //! Shapes deliberately avoid the tile sizes: m, n not multiples of MR=4 /
 //! NR=8, f not a multiple of 4, plus k ∈ {0, 1, n} edges and tiny custom
 //! block sizes that force partial tiles everywhere.
+//!
+//! A third layer pins the **threshold floor** a row gets while its heap is
+//! filling (k-th largest of ≈ 2k group maxima of the block, on blocks at
+//! least 4k wide): shapes where it engages — one block and several, tied
+//! corpora whose floor is a tied score, mapped ids whose smaller-id tie
+//! arrives after the floor is set, preloaded heaps, ±∞ scores — against a
+//! naive sort that shares no code with the filter, the floor or the heap.
 
 use mips_linalg::simd::Kernel;
 use mips_linalg::{BlockSizes, CacheConfig, GemmScratch, Matrix};
-use mips_topk::fused::{gemm_nt_topk, gemm_nt_topk_with};
-use mips_topk::{rows_topk, TopKList};
+use mips_topk::fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps_with};
+use mips_topk::{rows_topk, ColumnIds, TopKHeap, TopKList};
 use proptest::prelude::*;
 
 fn quantized_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
@@ -47,6 +54,77 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
             .wrapping_add(1442695040888963407);
         ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
     })
+}
+
+/// `rows × cols` values from only `distinct` different rows: every score of
+/// a user ties with those of the other copies of an item row.
+fn tied_matrix(rows: usize, cols: usize, distinct: usize, seed: u64) -> Matrix<f64> {
+    let base = quantized_matrix(distinct, cols, seed);
+    let mut state = seed | 1;
+    Matrix::from_fn(rows, cols, |_, c| {
+        if c == 0 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+        }
+        base.get((state >> 40) as usize % distinct, c)
+    })
+}
+
+/// The naive reference: each row's `(score, id)` pairs — the exact naive
+/// GEMM's scores under `ids`, plus `preload` — sorted best first (higher
+/// score, then smaller id) and cut to `k`. It shares no code with the
+/// filter, the floor or the heap.
+fn naive_reference(
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    k: usize,
+    ids: &[u32],
+    preload: &[(f64, u32)],
+) -> Vec<TopKList> {
+    let scores = mips_linalg::naive_gemm_nt(a, b);
+    scores
+        .iter_rows()
+        .map(|row| {
+            let mut pairs: Vec<(f64, u32)> = row.iter().copied().zip(ids.iter().copied()).collect();
+            pairs.extend_from_slice(preload);
+            pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+            pairs.truncate(k);
+            TopKList {
+                items: pairs.iter().map(|p| p.1).collect(),
+                scores: pairs.iter().map(|p| p.0).collect(),
+            }
+        })
+        .collect()
+}
+
+/// The fused stream into heaps preloaded with `preload`, columns named by
+/// `ids` (mapped), under `kern` and `blocks`.
+fn streamed(
+    kern: &Kernel,
+    blocks: &BlockSizes,
+    a: &Matrix<f64>,
+    b: &Matrix<f64>,
+    k: usize,
+    ids: &[u32],
+    preload: &[(f64, u32)],
+) -> Vec<TopKList> {
+    let mut heaps = vec![TopKHeap::new(k); a.rows()];
+    for heap in &mut heaps {
+        for &(score, id) in preload {
+            heap.push(score, id);
+        }
+    }
+    stream_topk_into_heaps_with(
+        kern,
+        blocks,
+        a.into(),
+        b.into(),
+        &mut heaps,
+        ColumnIds::Mapped(ids),
+        &mut GemmScratch::new(),
+    );
+    heaps.into_iter().map(TopKHeap::into_sorted).collect()
 }
 
 /// Bitwise equality of whole result sets (ids and score bits).
@@ -134,6 +212,36 @@ proptest! {
         }
     }
 
+    /// Shapes where the floor engages (n ≥ 4k on blocks of random width):
+    /// the fused stream under every kernel equals the naive sort, on
+    /// quantized and on heavily tied corpora, with columns in a shuffled
+    /// id order.
+    #[test]
+    fn primed_streams_match_the_naive_sort(m in 1usize..6,
+                                           k in 1usize..9,
+                                           extra in 0usize..90,
+                                           f in 1usize..7,
+                                           nc in 1usize..6,
+                                           distinct in 1usize..4,
+                                           seed in 0u64..1000) {
+        let n = 4 * k + extra;
+        let a = quantized_matrix(m, f, seed + 3);
+        let b = if seed % 2 == 0 {
+            quantized_matrix(n, f, seed + 4)
+        } else {
+            tied_matrix(n, f, distinct, seed + 4)
+        };
+        // A rotation reversed: column order is never id order.
+        let ids: Vec<u32> = (0..n).map(|j| (n - 1 - (j + seed as usize) % n) as u32).collect();
+        let blocks = BlockSizes { mc: 4, kc: 5, nc: 8 * nc };
+        let want = naive_reference(&a, &b, k, &ids, &[]);
+        for kern in kernels_under_test() {
+            let got = streamed(&kern, &blocks, &a, &b, k, &ids, &[]);
+            assert_bit_identical(&got, &want,
+                &format!("{} m={m} n={n} f={f} k={k} nc={}", kern.name(), blocks.nc));
+        }
+    }
+
     /// The default-dispatch entry (whatever `MIPS_KERNEL`/detection chose)
     /// agrees with the explicit scalar run on quantized ties.
     #[test]
@@ -178,5 +286,100 @@ fn odd_shape_k_edges_all_kernels() {
                 assert_bit_identical(&got, &want, &format!("{} {m}x{n}x{f} k={k}", kern.name()));
             }
         }
+    }
+}
+
+/// The floor's edges on one block and on several: `k` at the priming
+/// boundary of the block width (`w/4` primes, `w/4 + 1` does not), past the
+/// catalog, tied corpora whose floor is a tied score, ids in reverse
+/// column order (a smaller-id tie arrives after the floor is set), and
+/// heaps preloaded the way MAXIMUS preloads them — under every kernel set.
+#[test]
+fn floor_edges_match_the_naive_sort_under_every_kernel() {
+    let whole = BlockSizes::for_scalar::<f64>(&CacheConfig::default());
+    let tiny = BlockSizes {
+        mc: 4,
+        kc: 5,
+        nc: 24,
+    };
+    for (blocks, one_block) in [(whole, true), (tiny, false)] {
+        for &(m, n, f) in &[(5usize, 97usize, 6usize), (3, 200, 3)] {
+            let width = if one_block { n } else { blocks.nc };
+            let a = quantized_matrix(m, f, 31);
+            let corpora = [quantized_matrix(n, f, 37), tied_matrix(n, f, 3, 41)];
+            let orders = [
+                (0..n as u32).collect::<Vec<u32>>(),
+                (0..n as u32).rev().collect(),
+            ];
+            // Preloads tie with column scores (same 1/64 grid) and carry
+            // ids past the catalog, as MAXIMUS's walk entries do.
+            let preloads: [&[(f64, u32)]; 2] = [&[], &[(0.5, 5000), (0.0, 5001), (-1.25, 5002)]];
+            for b in &corpora {
+                for ids in &orders {
+                    for preload in preloads {
+                        for k in [0, 1, width / 4, width / 4 + 1, n, n + 3] {
+                            let want = naive_reference(&a, b, k, ids, preload);
+                            for kern in kernels_under_test() {
+                                let got = streamed(&kern, &blocks, &a, b, k, ids, preload);
+                                assert_bit_identical(
+                                    &got,
+                                    &want,
+                                    &format!(
+                                        "{} {m}x{n}x{f} nc={} k={k} preload={}",
+                                        kern.name(),
+                                        blocks.nc,
+                                        preload.len()
+                                    ),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// ±∞ scores: a user with a 1e300 factor against items with ±1e300 in the
+/// same factor (and zeros there otherwise) scores +∞, −∞ or an exact
+/// quantized value — never NaN. Infinite maxima make infinite floors; the
+/// heaps must still hold the reference's top-k, smaller ids first among
+/// the tied infinities.
+#[test]
+fn infinite_scores_prime_like_the_naive_sort() {
+    let (m, n, f) = (4usize, 120usize, 5usize);
+    let mut a = quantized_matrix(m, f, 51);
+    let mut b = quantized_matrix(n, f, 53);
+    for r in 0..m {
+        a.set(r, 0, if r % 2 == 0 { 1e300 } else { 0.0 });
+    }
+    for r in 0..n {
+        b.set(r, 0, [1e300, -1e300, 0.0, 0.0, 0.0][r % 5]);
+    }
+    let ids: Vec<u32> = (0..n as u32).rev().collect();
+    let blocks = BlockSizes {
+        mc: 4,
+        kc: 3,
+        nc: 40,
+    };
+    for k in [1usize, 5, 10, 23, 24, 25, 30, n] {
+        let want = naive_reference(&a, &b, k, &ids, &[]);
+        for kern in kernels_under_test() {
+            for blocks in [
+                blocks,
+                BlockSizes::for_scalar::<f64>(&CacheConfig::default()),
+            ] {
+                let got = streamed(&kern, &blocks, &a, &b, k, &ids, &[]);
+                assert_bit_identical(&got, &want, &format!("{} k={k}", kern.name()));
+            }
+        }
+        // The select over a materialized row runs the same rule.
+        let scores = mips_linalg::naive_gemm_nt(&a, &b);
+        let plain = naive_reference(&a, &b, k, &(0..n as u32).collect::<Vec<_>>(), &[]);
+        assert_bit_identical(
+            &rows_topk(scores.as_slice(), m, n, k),
+            &plain,
+            &format!("rows_topk k={k}"),
+        );
     }
 }

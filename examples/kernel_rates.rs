@@ -5,15 +5,25 @@
 //! (512 users × 5200 items × f 50), so the driver rows are the per-score
 //! costs the BMM scan pays.
 //!
+//! A last table adds the selection: multiply + top-k per score at
+//! k = 1, 10, 50 for the f64 fused select and the f32 / i8 screens (with
+//! their exact rescore), on a seeded model of the benchmark's dense shape —
+//! the per-layer view of how selection cost grows with k.
+//!
 //! ```sh
 //! cargo run --release --example kernel_rates            # dispatched kernels
 //! MIPS_KERNEL=scalar cargo run --release --example kernel_rates
 //! ```
 
+use optimus_maximus::data::synth::{synth_model, SynthConfig};
+use optimus_maximus::data::{MfModel, MirrorElem};
 use optimus_maximus::linalg::simd::{self, PeakOp};
 use optimus_maximus::linalg::{
     gemm_flops, gemm_nt_into, gemm_nt_stream_blocks, GemmElem, GemmScratch, PackedPanels, RowBlock,
     Scalar,
+};
+use optimus_maximus::topk::{
+    screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch, TopKHeap,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -106,6 +116,88 @@ fn report<T: GemmElem>(name: &str, unit: &str, peak: f64, map: impl Fn(f64) -> T
     row("stream blocks, B packed once", giga(ops, seconds));
 }
 
+/// The k values of the select table: the benchmark's batch ks.
+const SELECT_KS: [usize; 3] = [1, 10, 50];
+
+/// One row of the select table: ns per score of a pass at `k`.
+type SelectRow = fn(&MfModel, usize) -> f64;
+
+/// Nanoseconds per (user, item) score of one multiply + select pass.
+fn ns_per_score(model: &MfModel, seconds: f64) -> f64 {
+    seconds * 1e9 / (model.num_users() * model.num_items()) as f64
+}
+
+/// The f64 row of the select table: the fused multiply + top-k off the
+/// catalog panels packed once.
+fn select_f64(model: &MfModel, k: usize) -> f64 {
+    let mut scratch = GemmScratch::new();
+    let seconds = best_of_5(|| {
+        let mut heaps = vec![TopKHeap::new(k); model.num_users()];
+        stream_topk_into_heaps(
+            model.users().into(),
+            model.item_panels().into(),
+            &mut heaps,
+            ColumnIds::Offset(0),
+            &mut scratch,
+        );
+        black_box(heaps);
+    });
+    ns_per_score(model, seconds)
+}
+
+/// A screen tier's row: its multiply + screen select + exact rescore.
+fn select_screen<T: MirrorElem>(model: &MfModel, k: usize) -> f64 {
+    let mirror = model.mirror::<T>();
+    let items = mirror.items().view().with_panels(mirror.item_panels());
+    let mut scratch = ScreenScratch::new();
+    let seconds = best_of_5(|| {
+        let mut heaps = vec![TopKHeap::new(k); model.num_users()];
+        screen_topk_into_heaps(
+            model.users().into(),
+            model.items().into(),
+            mirror.users().view(),
+            items,
+            &mut heaps,
+            ColumnIds::Offset(0),
+            &mut scratch,
+        );
+        black_box(heaps);
+    });
+    ns_per_score(model, seconds)
+}
+
+fn select_table() {
+    // The benchmark's dense model (`benchmark/src/models.rs`), cut to
+    // `USERS` users.
+    let model = synth_model(&SynthConfig {
+        num_users: USERS,
+        num_items: ITEMS,
+        num_factors: FACTORS,
+        seed: 3,
+        user_clusters: 6,
+        user_spread: 1.30,
+        item_norm_skew: 0.08,
+        spectral_decay: 1.00,
+    });
+    println!("select: multiply + top-k, ns per score (dense synth model, seed 3)");
+    println!("tier       k=1     k=10     k=50   k=50 / k=1");
+    let rows: [(&str, SelectRow); 3] = [
+        ("f64", select_f64),
+        ("f32", select_screen::<f32>),
+        ("i8", select_screen::<i8>),
+    ];
+    for (name, run) in rows {
+        let ns = SELECT_KS.map(|k| run(&model, k));
+        println!(
+            "{name:<4} {:8.2} {:8.2} {:8.2} {:10.2}",
+            ns[0],
+            ns[1],
+            ns[2],
+            ns[2] / ns[0]
+        );
+    }
+}
+
 fn main() {
     let kern = simd::active();
     println!(
@@ -125,4 +217,5 @@ fn main() {
     report::<i8>("i8", "GOP/s  ", p16, |v| {
         i8::try_from((v * 127.0).round() as i32).expect("|v| <= 1 maps into the code range")
     });
+    select_table();
 }
