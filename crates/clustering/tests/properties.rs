@@ -1,8 +1,6 @@
 //! Property tests for the clustering substrate.
 
-use mips_clustering::{
-    assign_to_nearest, kmeans, max_angles_per_cluster, spherical_kmeans, KMeansConfig,
-};
+use mips_clustering::{assign_to_nearest, kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_linalg::kernels::{angle, dist2_sq};
 use mips_linalg::Matrix;
 use proptest::prelude::*;
@@ -22,16 +20,14 @@ fn points_strategy() -> impl Strategy<Value = Matrix<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Structural invariants hold for any input and both algorithms.
+    /// Structural invariants hold for any input.
     #[test]
     fn clustering_invariants(points in points_strategy(), k in 1usize..8, iters in 1usize..5) {
-        let cfg = KMeansConfig { k, max_iters: iters, seed: 1 };
-        for result in [kmeans(&points, &cfg), spherical_kmeans(&points, &cfg)] {
-            result.check_invariants(points.rows());
-            prop_assert!(result.inertia >= 0.0);
-            prop_assert!(result.iterations >= 1 && result.iterations <= iters);
-            prop_assert!(result.k() <= k);
-        }
+        let result = kmeans(&points, &KMeansConfig { k, max_iters: iters, seed: 1 });
+        result.check_invariants(points.rows());
+        prop_assert!(result.inertia >= 0.0);
+        prop_assert!(result.iterations >= 1 && result.iterations <= iters);
+        prop_assert!(result.k() <= k);
     }
 
     /// After the final assignment step, every point sits with its nearest
@@ -50,21 +46,18 @@ proptest! {
         prop_assert_eq!(assign_to_nearest(&points, &result.centroids), result.assignments);
     }
 
-    /// θ_b dominates every member's angle (the MAXIMUS exactness premise),
-    /// for both clusterings.
+    /// θ_b dominates every member's angle (the MAXIMUS exactness premise).
     #[test]
     fn theta_b_dominates_members(points in points_strategy(), k in 1usize..6) {
-        let cfg = KMeansConfig { k, max_iters: 3, seed: 3 };
-        for result in [kmeans(&points, &cfg), spherical_kmeans(&points, &cfg)] {
-            let thetas = max_angles_per_cluster(&points, &result);
-            for (p, &c) in result.assignments.iter().enumerate() {
-                let row = points.row(p);
-                if row.iter().all(|&v| v == 0.0) {
-                    continue; // zero vectors are excluded from θ_b by design
-                }
-                let a = angle(row, result.centroids.row(c as usize));
-                prop_assert!(a <= thetas[c as usize] + 1e-9);
+        let result = kmeans(&points, &KMeansConfig { k, max_iters: 3, seed: 3 });
+        let thetas = max_angles_per_cluster(&points, &result);
+        for (p, &c) in result.assignments.iter().enumerate() {
+            let row = points.row(p);
+            if row.iter().all(|&v| v == 0.0) {
+                continue; // zero vectors are excluded from θ_b by design
             }
+            let a = angle(row, result.centroids.row(c as usize));
+            prop_assert!(a <= thetas[c as usize] + 1e-9);
         }
     }
 }

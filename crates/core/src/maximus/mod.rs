@@ -29,21 +29,6 @@ use mips_topk::{
 use std::ops::Range;
 use std::time::Instant;
 
-/// Which clustering algorithm groups the users (§III-A).
-///
-/// The ideal objective is angular (spherical clustering, as in Koenigstein
-/// et al. \[18\]); the paper measures plain Euclidean k-means within ~7 % of
-/// spherical's θ_b quality at 2–3× less cost and ships it as the default.
-/// Both remain available so the trade-off can be reproduced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClusteringAlgo {
-    /// Euclidean k-means with k-means++ seeding (the paper's choice).
-    #[default]
-    KMeans,
-    /// Spherical k-means (unit centroids, cosine objective).
-    Spherical,
-}
-
 /// MAXIMUS parameters (§III-D: "B = 4096, |C| = 8, and i = 3 is effective
 /// for many inputs").
 #[derive(Debug, Clone, Copy)]
@@ -56,8 +41,6 @@ pub struct MaximusConfig {
     pub block_size: usize,
     /// Lesion switch for the §III-D item-blocking optimization (Fig. 8).
     pub item_blocking: bool,
-    /// User clustering algorithm (§III-A lesion).
-    pub clustering: ClusteringAlgo,
     /// Seed for clustering.
     pub seed: u64,
 }
@@ -69,7 +52,6 @@ impl Default for MaximusConfig {
             kmeans_iters: 3,
             block_size: 4096,
             item_blocking: true,
-            clustering: ClusteringAlgo::KMeans,
             seed: 0x0A_11_05,
         }
     }
@@ -212,10 +194,7 @@ impl MaximusIndex {
             max_iters: config.kmeans_iters,
             seed: config.seed,
         };
-        let clustering = match config.clustering {
-            ClusteringAlgo::KMeans => kmeans(model.users(), &kconfig),
-            ClusteringAlgo::Spherical => mips_clustering::spherical_kmeans(model.users(), &kconfig),
-        };
+        let clustering = kmeans(model.users(), &kconfig);
         let thetas = max_angles_per_cluster(model.users(), &clustering);
         let clustering_seconds = t0.elapsed().as_secs_f64();
 
@@ -721,37 +700,8 @@ mod tests {
             kmeans_iters: 3,
             block_size: 16,
             item_blocking: true,
-            clustering: ClusteringAlgo::KMeans,
             seed: 7,
         }
-    }
-
-    #[test]
-    fn spherical_clustering_variant_is_exact_and_at_least_as_tight() {
-        let m = model(60, 200, 10, 0.3);
-        let bmm = BmmSolver::build(Arc::clone(&m));
-        let want = bmm.query_all(5);
-        let euclid = MaximusIndex::build(Arc::clone(&m), &small_config());
-        let sphere = MaximusIndex::build(
-            Arc::clone(&m),
-            &MaximusConfig {
-                clustering: ClusteringAlgo::Spherical,
-                ..small_config()
-            },
-        );
-        let got = sphere.query_all(5);
-        for u in 0..m.num_users() {
-            assert_eq!(got[u].items, want[u].items, "user {u}");
-        }
-        // §III-A: the angular objective should give θ_b no worse on average
-        // (clusterings differ, so compare means, with slack for seeding).
-        let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-        let te = mean(euclid.cluster_thetas());
-        let ts = mean(sphere.cluster_thetas());
-        assert!(
-            ts <= te * 1.25,
-            "spherical θ_b {ts} much worse than k-means {te}"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests specific to the MAXIMUS index.
 
 use mips_core::bmm::BmmSolver;
-use mips_core::maximus::{ClusteringAlgo, MaximusConfig, MaximusIndex};
+use mips_core::maximus::{MaximusConfig, MaximusIndex};
 use mips_core::solver::MipsSolver;
 use mips_data::MfModel;
 use mips_linalg::Matrix;
@@ -105,21 +105,18 @@ proptest! {
         prop_assert_eq!(got.items, want[0].items.clone());
     }
 
-    /// Both clustering algorithms yield exact indexes.
+    /// The k-means clustering yields an exact index.
     #[test]
-    fn clustering_algo_is_result_invariant(n_users in 2usize..12,
-                                           n_items in 2usize..40,
-                                           f in 1usize..6,
-                                           seed in 0u64..200) {
+    fn kmeans_clustered_index_is_exact(n_users in 2usize..12,
+                                       n_items in 2usize..40,
+                                       f in 1usize..6,
+                                       seed in 0u64..200) {
         let model = random_model(n_users, n_items, f, seed);
         let want = BmmSolver::build(Arc::clone(&model)).query_all(4);
-        for algo in [ClusteringAlgo::KMeans, ClusteringAlgo::Spherical] {
-            let index = MaximusIndex::build(Arc::clone(&model), &MaximusConfig {
-                num_clusters: 3,
-                clustering: algo,
-                ..MaximusConfig::default()
-            });
-            prop_assert_eq!(index.query_all(4), want.clone(), "algo {:?}", algo);
-        }
+        let index = MaximusIndex::build(Arc::clone(&model), &MaximusConfig {
+            num_clusters: 3,
+            ..MaximusConfig::default()
+        });
+        prop_assert_eq!(index.query_all(4), want);
     }
 }

@@ -4,7 +4,7 @@
 use mips_core::engine::{
     BmmFactory, FexiproFactory, LempFactory, MaximusFactory, SolverFactory, SparseFactory,
 };
-use mips_core::maximus::{ClusteringAlgo, MaximusConfig};
+use mips_core::maximus::MaximusConfig;
 use mips_core::verify::check_all_topk;
 use mips_data::MfModel;
 use mips_lemp::LempConfig;
@@ -21,7 +21,6 @@ fn all_backends() -> Vec<Arc<dyn SolverFactory>> {
             kmeans_iters: 2,
             block_size: 8,
             item_blocking: true,
-            clustering: ClusteringAlgo::KMeans,
             seed: 5,
         })),
         Arc::new(MaximusFactory::new(MaximusConfig {
@@ -29,7 +28,6 @@ fn all_backends() -> Vec<Arc<dyn SolverFactory>> {
             kmeans_iters: 2,
             block_size: 4,
             item_blocking: false,
-            clustering: ClusteringAlgo::Spherical,
             seed: 6,
         })),
         Arc::new(LempFactory::new(LempConfig {

@@ -1,4 +1,4 @@
-//! Matrix-factorization models, synthetic dataset stand-ins, and trainers.
+//! Matrix-factorization models and synthetic dataset stand-ins.
 //!
 //! The paper evaluates MIPS solvers on factor matrices from 23 reference
 //! models over four datasets (Netflix Prize, Yahoo Music KDD, Yahoo Music R2,
@@ -11,31 +11,26 @@
 //!   (user clusteredness, item-norm skew, spectral decay, shape),
 //! * [`catalog`] — one scaled stand-in per paper model
 //!   (`Netflix-DSGD f=50`, `KDD-REF f=51`, …),
-//! * [`ratings`] / [`sgd`] / [`bpr`] — an end-to-end training substrate
-//!   (synthetic ratings → explicit-SGD or BPR MF → factor matrices), standing
-//!   in for the paper's DSGD/NOMAD/BPR toolkits,
 //! * [`sparse`] — sparse/hybrid vector and CSR block types plus sparse
 //!   catalog generators for the inverted-index backend,
-//! * [`stats`] — the dataset statistics printed by the Table I bench.
+//! * [`stats`] — the dataset statistics `examples/paper.rs` prints for
+//!   `table1`.
 //!
-//! Everything is deterministic given a seed.
+//! The factors arrive trained: this crate generates stand-ins for them and
+//! validates them, it does not fit them. Everything is deterministic given a
+//! seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod als;
-pub mod bpr;
 pub mod catalog;
 pub mod model;
-pub mod ratings;
-pub mod sgd;
 pub mod sparse;
 pub mod stats;
 pub mod synth;
 
 pub use catalog::{reference_models, ModelSpec};
 pub use model::{MfModel, Mirror, Mirror32, MirrorElem, MirrorI8, MirrorSlots, ModelError};
-pub use ratings::RatingsData;
 pub use sparse::{
     synth_sparse_model, SparseBlock, SparseError, SparseSynthConfig, SparseVec, SparsityStats,
 };

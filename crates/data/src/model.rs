@@ -1,7 +1,7 @@
 //! The matrix-factorization model type consumed by every MIPS solver.
 
 use mips_linalg::{
-    dot, norm2_sq, scaled_norm2, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock, ScreenElem,
+    norm2_sq, scaled_norm2, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock, ScreenElem,
     TierRows,
 };
 use std::fmt;
@@ -396,11 +396,6 @@ impl MfModel {
         check_score_range(max_user_norm, self.max_item_norm())
     }
 
-    /// The predicted rating `uᵀi` for one user–item pair.
-    pub fn predict(&self, user: usize, item: usize) -> f64 {
-        dot(self.users.row(user), self.items.row(item))
-    }
-
     /// A copy restricted to the given users (used by OPTIMUS sampling tests).
     pub fn with_users(&self, indices: &[usize]) -> MfModel {
         MfModel {
@@ -454,6 +449,7 @@ impl MfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mips_linalg::dot;
 
     fn users2x2() -> Matrix<f64> {
         Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap()
@@ -470,8 +466,8 @@ mod tests {
         assert_eq!(m.num_users(), 2);
         assert_eq!(m.num_items(), 3);
         assert_eq!(m.num_factors(), 2);
-        assert_eq!(m.predict(0, 1), 3.0);
-        assert_eq!(m.predict(1, 2), 6.0);
+        assert_eq!(dot(m.users().row(0), m.items().row(1)), 3.0);
+        assert_eq!(dot(m.users().row(1), m.items().row(2)), 6.0);
     }
 
     #[test]
@@ -530,7 +526,7 @@ mod tests {
         let sub = m.with_users(&[1]);
         assert_eq!(sub.num_users(), 1);
         assert_eq!(sub.num_items(), 3);
-        assert_eq!(sub.predict(0, 2), 6.0);
+        assert_eq!(dot(sub.users().row(0), sub.items().row(2)), 6.0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property tests for the data substrate.
 
-use mips_data::ratings::RatingsData;
 use mips_data::synth::{synth_model, SynthConfig};
 use proptest::prelude::*;
 
@@ -32,47 +31,5 @@ proptest! {
         prop_assert_eq!(m.num_factors(), f);
         prop_assert!(m.users().all_finite());
         prop_assert!(m.items().all_finite());
-    }
-
-    /// Train/test splits partition the ratings exactly.
-    #[test]
-    fn splits_partition(per_user in 1usize..20,
-                        frac in 0.05f64..0.95,
-                        seed in 0u64..1000) {
-        let truth = synth_model(&SynthConfig {
-            num_users: 20,
-            num_items: 25,
-            num_factors: 4,
-            ..SynthConfig::default()
-        });
-        let data = RatingsData::from_ground_truth(&truth, per_user, 0.1, seed);
-        let (train, test) = data.split(frac, seed ^ 0xF00D);
-        prop_assert_eq!(train.len() + test.len(), data.len());
-        // Every triple lands in exactly one side, order preserved.
-        let mut merged: Vec<_> = train.triples.clone();
-        merged.extend(test.triples.iter().copied());
-        merged.sort_by_key(|&(u, i, _)| (u, i));
-        let mut original = data.triples.clone();
-        original.sort_by_key(|&(u, i, _)| (u, i));
-        prop_assert_eq!(merged, original);
-    }
-
-    /// RMSE against the generating model is bounded by the injected noise
-    /// (up to sampling variance).
-    #[test]
-    fn rmse_tracks_noise(noise in 0.0f64..1.0, seed in 0u64..500) {
-        let truth = synth_model(&SynthConfig {
-            num_users: 40,
-            num_items: 30,
-            num_factors: 4,
-            seed: 9,
-            ..SynthConfig::default()
-        });
-        let data = RatingsData::from_ground_truth(&truth, 20, noise, seed);
-        let rmse = data.rmse(&truth);
-        prop_assert!(rmse <= noise * 1.3 + 1e-9, "rmse {rmse} vs noise {noise}");
-        if noise > 0.2 {
-            prop_assert!(rmse >= noise * 0.7, "rmse {rmse} vs noise {noise}");
-        }
     }
 }

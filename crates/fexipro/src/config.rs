@@ -1,19 +1,18 @@
 //! FEXIPRO configuration and the SI / SIR presets.
 
-/// Configuration for [`crate::FexiproIndex`].
+/// Energy fraction the SVD checkpoint must capture; the checkpoint `h` is
+/// the shortest coordinate prefix reaching it.
+pub(crate) const ENERGY_TARGET: f64 = 0.90;
+
+/// Bits of integer precision for the "I" stage quantization.
+pub(crate) const INT_BITS: u32 = 12;
+
+/// Configuration for [`crate::FexiproIndex`]: the S and I stages always run,
+/// the R stage is the one choice (FEXIPRO-SI vs FEXIPRO-SIR).
 #[derive(Debug, Clone, Copy)]
 pub struct FexiproConfig {
-    /// Enable the SVD partial-product filter (the "S" stage).
-    pub enable_svd: bool,
-    /// Enable the integer upper-bound filter (the "I" stage).
-    pub enable_int: bool,
     /// Enable the reduction filter (the "R" stage).
     pub enable_reduction: bool,
-    /// Energy fraction the SVD checkpoint must capture; the checkpoint `h`
-    /// is the shortest coordinate prefix reaching it.
-    pub energy_target: f64,
-    /// Bits of integer precision for the "I" stage quantization.
-    pub int_bits: u32,
 }
 
 impl Default for FexiproConfig {
@@ -26,11 +25,7 @@ impl FexiproConfig {
     /// FEXIPRO-SI: SVD + integer pruning (the faster preset in the paper).
     pub fn si() -> Self {
         FexiproConfig {
-            enable_svd: true,
-            enable_int: true,
             enable_reduction: false,
-            energy_target: 0.90,
-            int_bits: 12,
         }
     }
 
@@ -38,23 +33,7 @@ impl FexiproConfig {
     pub fn sir() -> Self {
         FexiproConfig {
             enable_reduction: true,
-            ..FexiproConfig::si()
         }
-    }
-
-    /// Validates parameter ranges.
-    ///
-    /// # Panics
-    /// Panics on degenerate values.
-    pub fn validate(&self) {
-        assert!(
-            self.energy_target > 0.0 && self.energy_target <= 1.0,
-            "FexiproConfig: energy_target must be in (0, 1]"
-        );
-        assert!(
-            (1..=30).contains(&self.int_bits),
-            "FexiproConfig: int_bits must be in [1, 30]"
-        );
     }
 }
 
@@ -64,32 +43,7 @@ mod tests {
 
     #[test]
     fn presets_differ_only_in_reduction() {
-        let si = FexiproConfig::si();
-        let sir = FexiproConfig::sir();
-        assert!(!si.enable_reduction);
-        assert!(sir.enable_reduction);
-        assert_eq!(si.energy_target, sir.energy_target);
-        si.validate();
-        sir.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "int_bits")]
-    fn rejects_huge_bit_width() {
-        FexiproConfig {
-            int_bits: 40,
-            ..FexiproConfig::si()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "energy_target")]
-    fn rejects_zero_energy() {
-        FexiproConfig {
-            energy_target: 0.0,
-            ..FexiproConfig::si()
-        }
-        .validate();
+        assert!(!FexiproConfig::si().enable_reduction);
+        assert!(FexiproConfig::sir().enable_reduction);
     }
 }

@@ -1,7 +1,7 @@
 //! The FEXIPRO index: norm-ordered scan through a cascade of pruning
 //! filters.
 
-use crate::config::FexiproConfig;
+use crate::config::{FexiproConfig, ENERGY_TARGET, INT_BITS};
 use crate::quant::{int_upper_bound, quantize_items, quantize_user, QuantizedItems};
 use crate::transform::{Reduction, SvdStage};
 use mips_data::MfModel;
@@ -36,7 +36,7 @@ struct UserCtx {
     original: Vec<f64>,
     /// `‖u‖`.
     norm: f64,
-    /// Transformed user `Vᵀu` (equals `original` when SVD is disabled).
+    /// Transformed user `Vᵀu` (equals `original` when the SVD failed).
     t: Vec<f64>,
     /// `‖t[h..]‖` — SVD-stage suffix factor.
     t_suffix_at_h: f64,
@@ -56,7 +56,6 @@ struct UserCtx {
 /// build time, mirroring the original system's batch preprocessing step.
 #[derive(Debug, Clone)]
 pub struct FexiproIndex {
-    config: FexiproConfig,
     num_factors: usize,
     /// Item ids in descending-norm order.
     ids: Vec<u32>,
@@ -72,8 +71,10 @@ pub struct FexiproIndex {
     h: usize,
     /// Reduction checkpoint (`≈ h/2`; the R filter runs before S).
     h_r: usize,
+    /// The S stage's basis; `None` when the SVD failed, which leaves the
+    /// identity transform and `h = ⌈f/2⌉`.
     svd: Option<SvdStage>,
-    quant: Option<QuantizedItems>,
+    quant: QuantizedItems,
     reduction: Option<Reduction>,
     /// Precomputed per-user contexts for the model's users.
     users: Vec<UserCtx>,
@@ -82,12 +83,10 @@ pub struct FexiproIndex {
 impl FexiproIndex {
     /// Builds the index over the model's items and preprocesses its users.
     ///
-    /// # Panics
-    /// Panics if the configuration is invalid. SVD failures (which cannot
-    /// happen for finite validated models) degrade to the identity
-    /// transform.
+    /// An SVD failure (e.g. a finite model whose item Gram matrix
+    /// overflows) degrades to the identity transform; the bounds stay
+    /// valid.
     pub fn build(model: &MfModel, config: &FexiproConfig) -> FexiproIndex {
-        config.validate();
         let f = model.num_factors();
 
         // Sort items by norm descending (ties toward smaller id).
@@ -107,11 +106,7 @@ impl FexiproIndex {
         let originals = model.items().gather_rows(&idx);
 
         // S stage: orthogonal energy-ordering transform.
-        let svd = if config.enable_svd {
-            SvdStage::build(model.items(), config.energy_target).ok()
-        } else {
-            None
-        };
+        let svd = SvdStage::build(model.items(), ENERGY_TARGET).ok();
         let t_items = match &svd {
             Some(stage) => stage.transform(&originals),
             None => originals.clone(),
@@ -123,9 +118,7 @@ impl FexiproIndex {
             .collect();
 
         // I stage: integer quantization of the transformed items.
-        let quant = config
-            .enable_int
-            .then(|| quantize_items(&t_items, config.int_bits));
+        let quant = quantize_items(&t_items, INT_BITS);
 
         // R stage: norm-equalized early angular filter at a shorter
         // checkpoint.
@@ -135,7 +128,6 @@ impl FexiproIndex {
             .then(|| Reduction::build(&t_items, h_r));
 
         let mut index = FexiproIndex {
-            config: *config,
             num_factors: f,
             ids,
             originals,
@@ -199,11 +191,7 @@ impl FexiproIndex {
             vec![0.0; t.len()]
         };
         let unit_suffix_at_hr = suffix_norms(&unit)[self.h_r];
-        let (q, q_scale) = if self.config.enable_int {
-            quantize_user(&t, self.config.int_bits)
-        } else {
-            (Vec::new(), 1.0)
-        };
+        let (q, q_scale) = quantize_user(&t, INT_BITS);
         UserCtx {
             original: user.to_vec(),
             norm,
@@ -260,21 +248,17 @@ impl FexiproIndex {
                 }
                 // S: partial product in the energy-ordered basis plus
                 // Cauchy–Schwarz on the suffix.
-                if self.config.enable_svd || self.svd.is_none() {
-                    let partial = dot(&ctx.t[..self.h], &self.t_items.row(r)[..self.h]);
-                    let bound = partial + ctx.t_suffix_at_h * self.t_suffix_at_h[r];
-                    if bound + slack < t {
-                        stats.svd_pruned += 1;
-                        continue;
-                    }
+                let partial = dot(&ctx.t[..self.h], &self.t_items.row(r)[..self.h]);
+                let bound = partial + ctx.t_suffix_at_h * self.t_suffix_at_h[r];
+                if bound + slack < t {
+                    stats.svd_pruned += 1;
+                    continue;
                 }
                 // I: integer upper bound on |u·i|.
-                if let Some(q) = &self.quant {
-                    let bound = int_upper_bound(&ctx.q, ctx.q_scale, q, r);
-                    if bound + slack < t {
-                        stats.int_pruned += 1;
-                        continue;
-                    }
+                let bound = int_upper_bound(&ctx.q, ctx.q_scale, &self.quant, r);
+                if bound + slack < t {
+                    stats.int_pruned += 1;
+                    continue;
                 }
             }
             let score = dot(&ctx.original, self.originals.row(r));
@@ -352,26 +336,34 @@ mod tests {
     }
 
     #[test]
-    fn every_stage_combination_is_exact() {
-        let m = model(0.9, 0.6);
-        for (s, i, r) in [
-            (false, false, false),
-            (true, false, false),
-            (false, true, false),
-            (false, false, true),
-            (true, true, true),
-        ] {
-            let cfg = FexiproConfig {
-                enable_svd: s,
-                enable_int: i,
-                enable_reduction: r,
-                ..FexiproConfig::si()
-            };
+    fn failed_svd_falls_back_to_the_identity_and_stays_exact() {
+        // Item factors near 1e160 make the item Gram matrix overflow while
+        // every score (≈ 1e-160 · 1e160) stays finite: a valid model whose
+        // SVD fails, the one route to `svd == None`.
+        let mut state = 0x5EEDu64;
+        let mut next = move |magnitude: f64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0) * magnitude
+        };
+        let users = Matrix::from_fn(60, 6, |_, _| next(1e-160));
+        let items = Matrix::from_fn(12, 6, |_, _| next(1e160));
+        let m = MfModel::new("gram-overflow", users, items).expect("scores are finite");
+        assert!(matches!(
+            mips_linalg::svd::SvdBasis::from_rows(m.items()),
+            Err(mips_linalg::LinalgError::NonFinite { .. })
+        ));
+        for cfg in [FexiproConfig::si(), FexiproConfig::sir()] {
             let index = FexiproIndex::build(&m, &cfg);
-            for u in (0..m.num_users()).step_by(11) {
+            assert!(index.svd.is_none());
+            for u in 0..m.num_users() {
+                // `reference` is the brute-force scan BMM matches item for
+                // item; scores must match it bit for bit.
                 let got = index.query_user(u, 5);
                 let want = reference(&m, u, 5);
-                assert_eq!(got.items, want.items, "cfg s={s} i={i} r={r} u={u}");
+                assert_eq!(got, want, "{cfg:?} u={u}");
+                assert_eq!(index.query_vector(m.users().row(u), 5), want);
             }
         }
     }

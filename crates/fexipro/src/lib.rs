@@ -20,7 +20,11 @@
 //!   FEXIPRO-SIR is often no faster than FEXIPRO-SI.
 //!
 //! The paper benchmarks the presets [`FexiproConfig::si`] (SVD + integer)
-//! and [`FexiproConfig::sir`] (all three); both are reproduced here.
+//! and [`FexiproConfig::sir`] (all three), and those are the only two
+//! configurations: S and I always run, at a fixed 90 % energy checkpoint and
+//! 12-bit quantization, and R is the one switch. An SVD that fails (an item
+//! Gram matrix past the f64 range) leaves the identity basis, so S still
+//! bounds, just less tightly.
 //!
 //! Like our LEMP port, all pruning bounds are inflated by a relative epsilon
 //! and survivors are verified against the *original* vectors, so results are

@@ -27,8 +27,8 @@
 //! `i32` sums are exact.
 //!
 //! [`naive_gemm_nt`] is the same computation as a double loop of `dot` calls
-//! — the paper's "naïve inner products" strawman — kept for correctness
-//! testing and for the §II-B speedup measurement in `bench/micro_gemm`.
+//! — the paper's "naïve inner products" strawman — kept as the reference
+//! the packed driver is tested against.
 
 use crate::blocking::{BlockSizes, CacheConfig};
 use crate::kernels::dot;
@@ -660,7 +660,7 @@ pub(crate) fn tile_scalar_i8(a: &[i16], b: &[i16], c: &mut [i32], ldc: usize, ac
 
 /// Reference `C = A·Bᵀ` as a double loop over [`dot`] — the paper's
 /// "naïve inner products" brute force. Quadratically cache-unfriendly for
-/// large `B`; kept for testing and the §II-B speedup measurement.
+/// large `B`; kept as the correctness reference.
 pub fn naive_gemm_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_eq!(a.cols(), b.cols(), "naive_gemm_nt: dimension mismatch");
     let mut c = Matrix::zeros(a.rows(), b.rows());
@@ -672,16 +672,6 @@ pub fn naive_gemm_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
         }
     }
     c
-}
-
-/// Matrix–vector product `y = A·x` (one dot per row — the "matrix–vector"
-/// middle ground of §II-B).
-///
-/// # Panics
-/// Panics if `x.len() != a.cols()`.
-pub fn matvec<T: Scalar>(a: &Matrix<T>, x: &[T]) -> Vec<T> {
-    assert_eq!(x.len(), a.cols(), "matvec: dimension mismatch");
-    a.iter_rows().map(|row| dot(row, x)).collect()
 }
 
 /// Standard product `C = A·B` for row-major operands, implemented by
@@ -814,18 +804,6 @@ mod tests {
             for j in 0..10 {
                 assert!((c[i * 10 + j] - full.get(5 + i, j)).abs() < 1e-12);
             }
-        }
-    }
-
-    #[test]
-    fn matvec_matches_gemm_column() {
-        let a = random_matrix(11, 9, 5);
-        let x: Vec<f64> = (0..9).map(|i| i as f64 * 0.3 - 1.0).collect();
-        let xm = Matrix::from_vec(1, 9, x.clone()).unwrap();
-        let y = matvec(&a, &x);
-        let c = gemm_nt(&a, &xm);
-        for (i, &yi) in y.iter().enumerate() {
-            assert!((yi - c.get(i, 0)).abs() < 1e-12);
         }
     }
 

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod blocking;
-pub mod chol;
 pub mod eig;
 pub mod error;
 pub mod gemm;
@@ -52,8 +51,8 @@ pub use blocking::{BlockSizes, CacheConfig};
 pub use error::LinalgError;
 pub use gemm::{
     gemm_flops, gemm_nt, gemm_nt_blocked, gemm_nt_blocked_with, gemm_nt_into,
-    gemm_nt_stream_blocks, gemm_nt_stream_blocks_with, matmul_nn, matvec, naive_gemm_nt, GemmB,
-    GemmElem, GemmScratch, PackedPanels,
+    gemm_nt_stream_blocks, gemm_nt_stream_blocks_with, matmul_nn, naive_gemm_nt, GemmB, GemmElem,
+    GemmScratch, PackedPanels,
 };
 pub use kernels::{
     axpy, dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize, scale,

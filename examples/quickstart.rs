@@ -72,6 +72,18 @@ fn main() -> Result<(), MipsError> {
         println!("  user {user}: {}", pretty.join(", "));
     }
 
+    // A recommender never re-surfaces what a user has already seen: exclude
+    // each of those users' top two items and serve them again. The filtered
+    // lists continue exactly where the excluded items left off.
+    let seen = ExclusionSet::from_pairs(
+        (0..3).flat_map(|u| response.results[u].items[..2].iter().map(move |&i| (u, i))),
+    );
+    let filtered = engine.execute(&QueryRequest::top_k(5).users(vec![0, 1, 2]).exclude(seen))?;
+    for (user, list) in filtered.results.iter().enumerate() {
+        assert_eq!(list.items[..3], response.results[user].items[2..]);
+    }
+    println!("excluding each one's top two items shifts their lists up by two");
+
     // Malformed requests come back as typed errors, never panics.
     let err = engine.execute(&QueryRequest::top_k(0)).unwrap_err();
     println!("\nk = 0 rejected gracefully: {err}");

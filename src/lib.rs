@@ -12,7 +12,7 @@
 //! | OPTIMUS | the online sample-based optimizer, now the engine's planner | [`core::optimus`] |
 //! | LEMP | baseline index of Teflioudi et al. (SIGMOD'15) | [`lemp`] |
 //! | FEXIPRO | baseline index of Li et al. (SIGMOD'17) | [`fexipro`] |
-//! | substrates | BLAS-like kernels, k-means, top-k heaps, t-tests, MF trainers | [`linalg`], [`clustering`], [`topk`], [`stats`], [`data`] |
+//! | substrates | BLAS-like kernels, k-means, top-k heaps, t-tests, synthetic MF models | [`linalg`], [`clustering`], [`topk`], [`stats`], [`data`] |
 //! | front door | std-only HTTP/1.1 serving layer: deadlines, admission control, hot swap (feature `net`, on by default) | `net` |
 //!
 //! ## Quickstart
@@ -58,11 +58,12 @@
 //! # Ok::<(), MipsError>(())
 //! ```
 //!
-//! The `examples/` directory walks through a trained movie recommender, a
-//! word-embedding similarity search, and an optimizer tour across
-//! contrasting workloads; `examples/paper.rs` regenerates every table and
-//! figure of the paper's evaluation through the same engine and planner
-//! that serve, and `benchmark/` is the repo's one end-to-end benchmark (see
+//! The `examples/` directory walks through the engine and planner
+//! (`quickstart`), a word-embedding similarity search over new query
+//! vectors, and an optimizer tour across contrasting workloads;
+//! `examples/paper.rs` regenerates every table and figure of the paper's
+//! evaluation through the same engine and planner that serve, and
+//! `benchmark/` is the repo's one end-to-end benchmark (see
 //! `benchmark/README.md`).
 
 #![forbid(unsafe_code)]
@@ -101,7 +102,7 @@ pub mod prelude {
     pub use mips_data::catalog::{reference_models, ModelSpec};
     pub use mips_data::sparse::{SparseVec, SparsityStats};
     pub use mips_data::synth::{synth_model, SynthConfig};
-    pub use mips_data::{MfModel, ModelError, RatingsData};
+    pub use mips_data::{MfModel, ModelError};
     pub use mips_fexipro::FexiproConfig;
     pub use mips_lemp::LempConfig;
     #[cfg(feature = "net")]
