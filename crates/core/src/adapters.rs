@@ -6,7 +6,7 @@ use crate::sync::Arc;
 use mips_data::MfModel;
 use mips_fexipro::{FexiproConfig, FexiproIndex};
 use mips_lemp::{LempConfig, LempIndex, QueryStats};
-use mips_sparse::{InvertedIndex, SparseConfig, SparseScratch};
+use mips_sparse::{InvertedIndex, SparseScratch};
 use mips_topk::{ScreenTier, TopKList};
 use std::ops::Range;
 use std::time::Instant;
@@ -204,9 +204,9 @@ pub struct SparseSolver {
 
 impl SparseSolver {
     /// Builds the per-factor postings lists and hybrid-head dense panels.
-    pub fn build(model: Arc<MfModel>, config: &SparseConfig) -> SparseSolver {
+    pub fn build(model: Arc<MfModel>) -> SparseSolver {
         let start = Instant::now();
-        let index = InvertedIndex::build(model.items(), *config);
+        let index = InvertedIndex::build(model.items());
         let build_seconds = start.elapsed().as_secs_f64();
         SparseSolver {
             model,
@@ -315,7 +315,7 @@ mod tests {
     fn adapters_report_point_query_semantics() {
         let m = model();
         assert!(!LempSolver::build(Arc::clone(&m), &LempConfig::default()).batches_users());
-        assert!(!SparseSolver::build(Arc::clone(&m), &SparseConfig::default()).batches_users());
+        assert!(!SparseSolver::build(Arc::clone(&m)).batches_users());
         assert!(!FexiproSolver::build(m, &FexiproConfig::si()).batches_users());
     }
 
@@ -325,7 +325,7 @@ mod tests {
         // exactness contract must hold regardless.
         let m = model();
         let bmm = BmmSolver::build(Arc::clone(&m));
-        let sparse = SparseSolver::build(Arc::clone(&m), &SparseConfig::default());
+        let sparse = SparseSolver::build(Arc::clone(&m));
         assert_eq!(sparse.name(), "Sparse-II");
         for k in [1, 4, 60, 61] {
             let want = bmm.query_all(k);

@@ -75,7 +75,6 @@ use crate::sync::{Arc, Mutex};
 use epoch::{get_or_build, ArcCell, ModelEpoch};
 use mips_data::MfModel;
 use mips_linalg::kernels::dot_gemm_ordered;
-use mips_sparse::SparseConfig;
 use mips_topk::{ScreenTier, TopKHeap, TopKList};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -91,18 +90,13 @@ pub struct EngineOptions {
     /// sequentially; values above one route every request through the
     /// multi-core path.
     pub threads: usize,
-    /// Planner configuration (sampling fraction, t-test, seed).
+    /// Planner configuration (sampling fraction, cache geometry, seed).
     pub optimus: OptimusConfig,
     /// Numeric execution mode for the scan backends: pure f64 (default),
     /// a forced screen tier + f64 rescore, or planner's choice per plan.
     /// Results are bit-identical across all of them — see
     /// [`crate::precision::Precision`].
     pub precision: Precision,
-    /// Sparse inverted-index knobs (postings pruning threshold, hybrid
-    /// dense-column split) for the `sparse` backend registered by
-    /// [`EngineBuilder::with_default_backends`]. Results are bit-identical
-    /// under every valid setting — these tune work skipped, not answers.
-    pub sparse: SparseConfig,
 }
 
 impl Default for EngineOptions {
@@ -111,7 +105,6 @@ impl Default for EngineOptions {
             threads: 1,
             optimus: OptimusConfig::default(),
             precision: Precision::F64,
-            sparse: SparseConfig::default(),
         }
     }
 }
@@ -131,22 +124,6 @@ impl EngineOptions {
                 "optimus.sample_fraction must be in (0, 1], got {f}"
             )));
         }
-        // The planner's t-test asserts both on the request path.
-        let alpha = self.optimus.alpha;
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return Err(MipsError::InvalidConfig(format!(
-                "optimus.alpha must be in (0, 1), got {alpha}"
-            )));
-        }
-        if self.optimus.min_t_samples < 2 {
-            return Err(MipsError::InvalidConfig(format!(
-                "optimus.min_t_samples must be at least 2, got {}",
-                self.optimus.min_t_samples
-            )));
-        }
-        self.sparse
-            .validate()
-            .map_err(|msg| MipsError::InvalidConfig(format!("sparse: {msg}")))?;
         Ok(())
     }
 }
@@ -158,11 +135,6 @@ pub struct EngineBuilder {
     registry: BackendRegistry,
     config: EngineOptions,
     defer_error: Option<MipsError>,
-    /// Set by [`EngineBuilder::with_default_backends`]: the built-in
-    /// factories are instantiated at [`EngineBuilder::build`] time so they
-    /// honour options (notably [`EngineOptions::sparse`]) set in either
-    /// order around the call.
-    pending_defaults: bool,
 }
 
 impl EngineBuilder {
@@ -192,24 +164,22 @@ impl EngineBuilder {
     }
 
     /// Registers all built-in backends
-    /// (`bmm`, `maximus`, `lemp`, `fexipro-si`, `fexipro-sir`, `sparse`).
-    /// Registration is deferred to [`EngineBuilder::build`] so the sparse
-    /// backend picks up [`EngineOptions::sparse`] however the calls are
-    /// ordered; explicit [`EngineBuilder::register`] calls keep their keys
-    /// ahead of the defaults.
+    /// (`bmm`, `maximus`, `lemp`, `fexipro-si`, `fexipro-sir`, `sparse`)
+    /// with default parameters, in that order, after whatever is already
+    /// registered.
     pub fn with_default_backends(mut self) -> EngineBuilder {
-        self.pending_defaults = true;
+        for factory in BackendRegistry::with_defaults().factories() {
+            self = self.register_arc(Arc::clone(factory));
+        }
         self
     }
 
     /// Replaces the registry wholesale, clearing any error deferred from
     /// earlier incremental registrations (they targeted the replaced
-    /// registry) along with any pending
-    /// [`EngineBuilder::with_default_backends`] request.
+    /// registry).
     pub fn registry(mut self, registry: BackendRegistry) -> EngineBuilder {
         self.registry = registry;
         self.defer_error = None;
-        self.pending_defaults = false;
         self
     }
 
@@ -233,31 +203,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the sparse inverted-index knobs the default `sparse` backend is
-    /// built with (see [`EngineOptions::sparse`]).
-    pub fn sparse(mut self, sparse: SparseConfig) -> EngineBuilder {
-        self.config.sparse = sparse;
-        self
-    }
-
-    /// Sets every engine option at once.
-    pub fn options(mut self, options: EngineOptions) -> EngineBuilder {
-        self.config = options;
-        self
-    }
-
     /// Validates the assembly and produces the engine.
-    pub fn build(mut self) -> Result<Engine, MipsError> {
+    pub fn build(self) -> Result<Engine, MipsError> {
         if let Some(err) = self.defer_error {
             return Err(err);
         }
         self.config.validate()?;
-        if self.pending_defaults {
-            for factory in BackendRegistry::with_defaults_configured(self.config.sparse).factories()
-            {
-                self.registry.register(Arc::clone(factory))?;
-            }
-        }
         let model = self
             .model
             .ok_or_else(|| MipsError::InvalidConfig("a model is required".into()))?;
@@ -830,30 +781,26 @@ mod tests {
                 .unwrap_err(),
             MipsError::DuplicateBackend { key: "bmm".into() }
         );
-        let defaults = OptimusConfig::default();
-        for optimus in [
-            OptimusConfig {
-                alpha: 0.0,
-                ..defaults
-            },
-            OptimusConfig {
-                alpha: 1.0,
-                ..defaults
-            },
-            OptimusConfig {
-                min_t_samples: 1,
-                ..defaults
-            },
-        ] {
-            assert!(matches!(
-                EngineBuilder::new()
-                    .model(model(4, 6))
-                    .register(BmmFactory)
-                    .optimus(optimus)
-                    .build(),
-                Err(MipsError::InvalidConfig(_))
-            ));
+        // A bad sampling fraction is refused at assembly, before
+        // `Optimus::new` could assert on it at the first plan.
+        let with_fraction = |sample_fraction: f64| {
+            EngineBuilder::new()
+                .model(model(4, 6))
+                .register(BmmFactory)
+                .optimus(OptimusConfig {
+                    sample_fraction,
+                    ..OptimusConfig::default()
+                })
+                .build()
+        };
+        for bad in [0.0, -0.5, 1.5, f64::NAN] {
+            assert!(
+                matches!(with_fraction(bad), Err(MipsError::InvalidConfig(_))),
+                "sample_fraction {bad} was accepted"
+            );
         }
+        let whole = with_fraction(1.0).expect("sampling every user is valid");
+        assert!(whole.execute(&QueryRequest::top_k(2)).is_ok());
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::sync::{Arc, Mutex};
 use mips_data::MfModel;
 use mips_fexipro::FexiproConfig;
 use mips_lemp::LempConfig;
-use mips_sparse::SparseConfig;
 use mips_topk::ScreenTier;
 use std::collections::HashMap;
 
@@ -233,21 +232,10 @@ impl SolverFactory for FexiproFactory {
     }
 }
 
-/// Factory for the sparse inverted-index backend with a fixed
-/// configuration — the registry's first non-scan access pattern.
+/// Factory for the sparse inverted-index backend — the registry's first
+/// non-scan access pattern.
 #[derive(Debug, Clone, Default)]
-pub struct SparseFactory {
-    /// Index parameters used for every build (pruning threshold, hybrid
-    /// dense/sparse column split).
-    pub config: SparseConfig,
-}
-
-impl SparseFactory {
-    /// A factory with the given parameters.
-    pub fn new(config: SparseConfig) -> SparseFactory {
-        SparseFactory { config }
-    }
-}
+pub struct SparseFactory;
 
 impl SolverFactory for SparseFactory {
     fn key(&self) -> &str {
@@ -255,11 +243,7 @@ impl SolverFactory for SparseFactory {
     }
 
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        config_checked(self.key(), "SparseConfig", self.config.validate())?;
-        Ok(Box::new(SparseSolver::build(
-            Arc::clone(model),
-            &self.config,
-        )))
+        Ok(Box::new(SparseSolver::build(Arc::clone(model))))
     }
 }
 
@@ -408,13 +392,6 @@ impl BackendRegistry {
     /// The registry of all built-in backends with default parameters:
     /// `bmm`, `maximus`, `lemp`, `fexipro-si`, `fexipro-sir`, `sparse`.
     pub fn with_defaults() -> BackendRegistry {
-        BackendRegistry::with_defaults_configured(SparseConfig::default())
-    }
-
-    /// [`BackendRegistry::with_defaults`] with the sparse backend's knobs
-    /// taken from `sparse` — how `EngineOptions.sparse` reaches the default
-    /// registration path.
-    pub fn with_defaults_configured(sparse: SparseConfig) -> BackendRegistry {
         let mut registry = BackendRegistry::new();
         registry
             .register(Arc::new(BmmFactory))
@@ -422,7 +399,7 @@ impl BackendRegistry {
             .and_then(|r| r.register(Arc::new(LempFactory::default())))
             .and_then(|r| r.register(Arc::new(FexiproFactory::si())))
             .and_then(|r| r.register(Arc::new(FexiproFactory::sir())))
-            .and_then(|r| r.register(Arc::new(SparseFactory::new(sparse))))
+            .and_then(|r| r.register(Arc::new(SparseFactory)))
             .expect("default keys are unique");
         registry
     }

@@ -11,7 +11,7 @@
 //! assert on.
 
 pub use crate::engine::epoch::{get_or_build, ArcCell, CacheCell};
-pub use crate::serve::batcher::{collect_batch, BatchPolicy, QUEUE_LATENCY_CAP};
+pub use crate::serve::batcher::collect_batch;
 pub use crate::serve::metrics::ServerCounters;
 pub use crate::serve::queue::{BoundedQueue, QueueItem};
 pub use crate::serve::shard::{Pending, SubUsers};

@@ -41,6 +41,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
+/// Significance level of the early-stopping t-test (paper: 5 %).
+pub const TTEST_ALPHA: f64 = 0.05;
+
+/// Users a point-query candidate is timed on before the t-test may stop it.
+pub const TTEST_MIN_SAMPLES: u64 = 8;
+
 /// OPTIMUS configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimusConfig {
@@ -48,12 +54,6 @@ pub struct OptimusConfig {
     pub sample_fraction: f64,
     /// Cache geometry used for the L2-occupancy sample floor.
     pub cache: CacheConfig,
-    /// Significance level for the early-stopping t-test (paper: 5 %).
-    pub alpha: f64,
-    /// Minimum observations before the t-test may decide.
-    pub min_t_samples: u64,
-    /// Enable t-test early stopping for point-query indexes.
-    pub early_stopping: bool,
     /// Seed for user sampling.
     pub seed: u64,
 }
@@ -63,9 +63,6 @@ impl Default for OptimusConfig {
         OptimusConfig {
             sample_fraction: 0.005,
             cache: CacheConfig::default(),
-            alpha: 0.05,
-            min_t_samples: 8,
-            early_stopping: true,
             seed: 0x0971,
         }
     }
@@ -513,8 +510,7 @@ impl Optimus {
     /// sample at once (their per-user cost is only meaningful with work
     /// sharing); point-query indexes are timed user-by-user under the
     /// incremental t-test against `reference_per_user`, as far as
-    /// `early_stop` (and [`OptimusConfig::early_stopping`]) lets the test
-    /// cut them short.
+    /// `early_stop` lets the test cut them short.
     fn estimate_index(
         &self,
         solver: &dyn MipsSolver,
@@ -524,7 +520,7 @@ impl Optimus {
         n: usize,
         early_stop: EarlyStop,
     ) -> StrategyEstimate {
-        if solver.batches_users() || early_stop == EarlyStop::Never || !self.config.early_stopping {
+        if solver.batches_users() || early_stop == EarlyStop::Never {
             let t0 = Instant::now();
             let results = solver.query_subset(k, sample);
             let sample_seconds = t0.elapsed().as_secs_f64();
@@ -540,11 +536,7 @@ impl Optimus {
 
         // Point queries: incremental one-sample t-test against the
         // reference's mean.
-        let mut ttest = OneSampleTTest::new(
-            reference_per_user,
-            self.config.alpha,
-            self.config.min_t_samples,
-        );
+        let mut ttest = OneSampleTTest::new(reference_per_user, TTEST_ALPHA, TTEST_MIN_SAMPLES);
         let mut sample_seconds = 0.0;
         let mut used = 0;
         for &u in sample {
@@ -706,7 +698,7 @@ mod tests {
         // before the full sample is the clock's business, but the record
         // must say which happened — `Sampled` over the whole sample, or
         // `StoppedEarly` at the user count it reports, never before
-        // `min_t_samples` and never past the sample.
+        // `TTEST_MIN_SAMPLES` and never past the sample.
         let m = model();
         let config = tiny_config();
         let fexipro = crate::adapters::FexiproSolver::build(
@@ -726,7 +718,7 @@ mod tests {
             CandidateOutcome::Sampled => assert_eq!(fex.sampled_users, choice.sample_size),
             CandidateOutcome::StoppedEarly { after } => {
                 assert_eq!(after, fex.sampled_users);
-                assert!(after as u64 >= config.min_t_samples && after < choice.sample_size);
+                assert!(after as u64 >= TTEST_MIN_SAMPLES && after < choice.sample_size);
                 assert_ne!(choice.chosen, 1, "a stopped candidate lost to the leader");
             }
             other => panic!("a built, unpaired candidate cannot be {other:?}"),

@@ -6,24 +6,13 @@
 //! `1 × f` passes over the item matrix (§II-B; LEMP makes the same
 //! observation with bucket-batched probing). Single-user traffic squanders
 //! that, so the batcher coalesces queued sub-requests that target the same
-//! shard engine at the same `k` into one `query_subset` call:
+//! shard engine at the same `k` into one `query_subset` call.
 //!
-//! * **Adaptive flush (default).** A worker pops one sub-request, then
-//!   extracts every queued match up to `max_batch`. Under light load the
-//!   queue is empty and requests serve solo with zero added latency; under
-//!   heavy load a backlog forms and batches fill — throughput rises exactly
-//!   when it is needed.
-//! * **Deadline flush (`batch_window > 0`).** After draining the backlog a
-//!   worker holds the partial batch open, absorbing arrivals, then flushes.
-//!   The hold-open window is anchored at **pop time** (when the worker
-//!   starts assembling the batch), not at the leader's submission time: a
-//!   leader that already sat in the queue for a full window — exactly the
-//!   backlog situation where coalescing pays most — still gets a window's
-//!   worth of arrivals. To keep queue delay from compounding unboundedly,
-//!   the hold-open is capped so the leader's **total** queue latency
-//!   (submission → flush) never exceeds [`QUEUE_LATENCY_CAP`] windows; a
-//!   leader already past that cap flushes immediately with whatever the
-//!   backlog drain produced.
+//! The flush is adaptive and never waits: a worker pops one sub-request,
+//! extracts every queued match up to `max_batch` users, and runs the batch.
+//! Under light load the queue is empty and requests serve solo with zero
+//! added latency; under heavy load a backlog forms and batches fill —
+//! throughput rises exactly when it is needed.
 //!
 //! Coalescing is transparent: every solver's `query_subset` produces
 //! per-user results that are independent of batch composition (the stress
@@ -41,59 +30,21 @@ use super::shard::{SubRequest, SubUsers};
 use crate::engine::serve;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Bound on a deadline-flush leader's total queue latency, in units of
-/// `batch_window`: the hold-open never extends a leader's
-/// submission-to-flush delay beyond this many windows. See the module docs
-/// for the semantics.
-pub const QUEUE_LATENCY_CAP: u32 = 4;
-
-/// Flush policy for the micro-batcher.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchPolicy {
-    /// Budget of one coalesced solver call, in units of item weight
-    /// (users).
-    pub max_batch: usize,
-    /// Deadline-flush hold-open window; zero disables the hold-open.
-    pub window: Duration,
-}
-
-/// Gathers the micro-batch led by `first`: drains queued matches, then
-/// (with a deadline policy) holds the batch open for the window — anchored
-/// at pop time, capped by the leader's total queue latency (module docs).
-/// Generic over [`QueueItem`] so the model-check suite can drive the exact
-/// coalescing protocol with toy items.
-pub fn collect_batch<I: QueueItem>(
-    queue: &BoundedQueue<I>,
-    first: I,
-    policy: &BatchPolicy,
-) -> Vec<I> {
+/// Gathers the micro-batch led by `first`: every queued match that fits
+/// the `max_batch` user budget, extracted in one pass. Generic over
+/// [`QueueItem`] so the model-check suite can drive the exact coalescing
+/// protocol with toy items.
+pub fn collect_batch<I: QueueItem>(queue: &BoundedQueue<I>, first: I, max_batch: usize) -> Vec<I> {
     let key = first.key();
     // `max_batch` budgets the coalesced solver call in *users*: a batch of
     // 32 single-user requests and a batch of four 8-user requests cost the
     // same, and a small request is never made to wait behind a coalesced
     // call bigger than the knob promises.
-    let mut budget = policy.max_batch.saturating_sub(first.weight());
+    let budget = max_batch.saturating_sub(first.weight());
     let mut batch = vec![first];
-    queue.extract_matching(key, budget, policy.max_batch, &mut batch);
-    budget = policy
-        .max_batch
-        .saturating_sub(batch.iter().map(|s| s.weight()).sum());
-    if budget > 0 && !policy.window.is_zero() {
-        let now = Instant::now();
-        let latency_cap = batch[0].submitted_at() + policy.window * QUEUE_LATENCY_CAP;
-        let deadline = (now + policy.window).min(latency_cap);
-        if deadline > now {
-            queue.extract_until(
-                key,
-                policy.max_batch,
-                policy.max_batch,
-                deadline,
-                &mut batch,
-            );
-        }
-    }
+    queue.extract_matching(key, budget, max_batch, &mut batch);
     batch
 }
 
@@ -209,80 +160,5 @@ pub(crate) fn execute_batch(batch: Vec<SubRequest>, progress: &AtomicUsize) {
                 sub.pending.fail(error.clone());
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::serve::queue::SubmitQueue;
-    use crate::serve::shard::{test_engines, Pending, ShardEngine, ShardRouter};
-    use crate::sync::Arc;
-
-    fn policy(window: Duration) -> BatchPolicy {
-        BatchPolicy {
-            max_batch: 8,
-            window,
-        }
-    }
-
-    fn sub_at(engine: &Arc<ShardEngine>, user: usize, submitted_at: Instant) -> SubRequest {
-        SubRequest {
-            shard: engine.index,
-            epoch: engine.epoch.id,
-            k: 2,
-            users: SubUsers::Ids {
-                users: vec![user],
-                positions: vec![0],
-            },
-            exclude: None,
-            pending: Arc::new(Pending::new(1, submitted_at)),
-            engine: Arc::clone(engine),
-            submitted_at,
-        }
-    }
-
-    #[test]
-    fn stale_leaders_still_hold_the_window_open_at_pop_time() {
-        // The leader already waited one full window in the queue — the old
-        // submission-anchored deadline would flush immediately and lose
-        // exactly the coalescing a backlog makes valuable. The pop-anchored
-        // window must still absorb an arrival landing shortly after pop.
-        let engines = test_engines(&ShardRouter::new(8, 1));
-        let window = Duration::from_millis(80);
-        let queue = SubmitQueue::new(16);
-        let leader = sub_at(&engines[0], 0, Instant::now() - window);
-        crate::sync::thread::scope(|scope| {
-            scope.spawn(|| {
-                crate::sync::thread::sleep(Duration::from_millis(10));
-                queue
-                    .push_all(vec![sub_at(&engines[0], 1, Instant::now())], false)
-                    .unwrap();
-            });
-            let batch = collect_batch(&queue, leader, &policy(window));
-            assert_eq!(batch.len(), 2, "the late arrival must coalesce");
-        });
-    }
-
-    #[test]
-    fn the_queue_latency_cap_bounds_the_hold_open() {
-        // A leader already past QUEUE_LATENCY_CAP windows of queue delay
-        // flushes with whatever the drain produced instead of waiting.
-        let engines = test_engines(&ShardRouter::new(8, 1));
-        let window = Duration::from_millis(60);
-        let queue = SubmitQueue::new(16);
-        let ancient = sub_at(
-            &engines[0],
-            0,
-            Instant::now() - window * (QUEUE_LATENCY_CAP + 1),
-        );
-        let started = Instant::now();
-        let batch = collect_batch(&queue, ancient, &policy(window));
-        assert_eq!(batch.len(), 1);
-        assert!(
-            started.elapsed() < window / 2,
-            "capped leader must not hold the batch open: {:?}",
-            started.elapsed()
-        );
     }
 }

@@ -19,9 +19,9 @@
 //!   [`MipsError::ServerOverloaded`] instead.
 //! * **Dynamic micro-batching.** Queued single-user/small sub-requests
 //!   targeting the same `(shard, k)` coalesce into one batched solver call
-//!   — the paper's batched-GEMM amortization applied to concurrent traffic
-//!   — flushing on a size ([`ServerBuilder::max_batch`]) or deadline
-//!   ([`ServerBuilder::batch_window`]) threshold.
+//!   — the paper's batched-GEMM amortization applied to concurrent traffic.
+//!   A worker takes whatever matching work is already queued, up to
+//!   [`ServerBuilder::max_batch`] users, and never waits for more.
 //! * **Observability.** Per-shard throughput/latency counters and
 //!   request-level p50/p99, via [`MipsServer::metrics`].
 //! * **Hot model swap.** [`Engine::swap_model`] on the fronted engine is
@@ -82,12 +82,11 @@ use crate::engine::{lock_recovering, Engine, MipsError, QueryRequest, QueryRespo
 use crate::sync::atomic::Ordering;
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Arc, Mutex};
-use batcher::BatchPolicy;
 use metrics::{ServerCounters, ShardCounters};
 use queue::SubmitQueue;
 use shard::{Notifier, Pending, ShardEngine, ShardRouter};
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tunables of the serving runtime — every [`ServerBuilder`] knob as one
 /// typed value. Zeroes mean "pick for me" where noted;
@@ -106,12 +105,9 @@ pub struct ServeOptions {
     /// Largest micro-batch, in **users**: the budget for one coalesced
     /// solver call, whether it is 32 single-user requests or four 8-user
     /// ones. Sub-requests at or above this size are served solo, so `1`
-    /// makes every sub-request its own solver call.
+    /// makes every sub-request its own solver call. A batch is whatever is
+    /// already queued: no worker waits for more arrivals.
     pub max_batch: usize,
-    /// How long a worker holds a partial batch open for more arrivals.
-    /// Zero (the default) flushes adaptively: coalesce whatever is already
-    /// queued, never wait.
-    pub batch_window: Duration,
 }
 
 impl Default for ServeOptions {
@@ -121,7 +117,6 @@ impl Default for ServeOptions {
             workers: 0,
             queue_capacity: 1024,
             max_batch: 32,
-            batch_window: Duration::ZERO,
         }
     }
 }
@@ -131,15 +126,6 @@ impl ServeOptions {
     /// (`0 = pick for me` resolution and the queue-vs-shard admission bound
     /// happen in [`ServerBuilder::build`], which calls this first).
     pub fn validate(&self) -> Result<(), MipsError> {
-        if self.max_batch == 1 && self.batch_window > Duration::ZERO {
-            // No sub-request is below a one-user budget, so nothing ever
-            // coalesces and the window would be silently ignored — the
-            // caller asked for deadline coalescing the runtime would never
-            // perform.
-            return Err(MipsError::InvalidConfig(
-                "batch_window requires max_batch above 1".into(),
-            ));
-        }
         if self.queue_capacity == 0 {
             return Err(MipsError::InvalidConfig(
                 "queue_capacity must be at least 1".into(),
@@ -161,8 +147,8 @@ pub struct ServerBuilder {
     config: ServeOptions,
     /// Whether [`ServerBuilder::shards`]/[`ServerBuilder::workers`] were
     /// called explicitly: an explicit `0` is a configuration error, while
-    /// an untouched builder (or a wholesale [`ServerBuilder::options`])
-    /// keeps the documented `0 = pick for me` resolution.
+    /// an untouched builder keeps the documented `0 = pick for me`
+    /// resolution.
     shards_set: bool,
     workers_set: bool,
 }
@@ -208,18 +194,6 @@ impl ServerBuilder {
     /// turns coalescing off).
     pub fn max_batch(mut self, max_batch: usize) -> ServerBuilder {
         self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the deadline-flush window (zero = adaptive flush only).
-    pub fn batch_window(mut self, window: Duration) -> ServerBuilder {
-        self.config.batch_window = window;
-        self
-    }
-
-    /// Sets every serving option at once.
-    pub fn options(mut self, options: ServeOptions) -> ServerBuilder {
-        self.config = options;
         self
     }
 
@@ -272,10 +246,6 @@ impl ServerBuilder {
             topology: ArcCell::new(topology),
             rebuild: Mutex::new(()),
             queue: SubmitQueue::new(config.queue_capacity),
-            policy: BatchPolicy {
-                max_batch: config.max_batch,
-                window: config.batch_window,
-            },
             counters,
             config: config.clone(),
         });
@@ -355,7 +325,6 @@ pub(crate) struct ServerShared {
     /// build the new shard set once, not once each.
     rebuild: Mutex<()>,
     pub(crate) queue: SubmitQueue,
-    pub(crate) policy: BatchPolicy,
     pub(crate) counters: Arc<ServerCounters>,
     pub(crate) config: ServeOptions,
 }
@@ -599,7 +568,7 @@ impl std::fmt::Debug for MipsServer {
             .field("shards", &topology.router.num_shards())
             .field("workers", &self.workers.len())
             .field("queue_capacity", &self.shared.config.queue_capacity)
-            .field("max_batch", &self.shared.policy.max_batch)
+            .field("max_batch", &self.shared.config.max_batch)
             .finish()
     }
 }

@@ -24,7 +24,6 @@ use super::shard::SubRequest;
 use crate::engine::MipsError;
 use crate::sync::{Arc, Condvar, Mutex};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// The key micro-batchable work is coalesced under: one concrete
 /// [`ShardEngine`](super::shard::ShardEngine) instance at one `k`.
@@ -67,9 +66,6 @@ pub trait QueueItem {
     fn weight(&self) -> usize;
     /// Whether this item may join a coalesced batch at all.
     fn batchable(&self, max_batch: usize) -> bool;
-    /// When the item was submitted; anchors the batcher's queue-latency
-    /// cap.
-    fn submitted_at(&self) -> Instant;
     /// Called once per item at the moment its set is admitted — under the
     /// queue lock, before any consumer can see it — and never for a set
     /// that is bounced. Where per-item admission counters belong.
@@ -88,9 +84,6 @@ impl QueueItem for SubRequest {
         // The inherent method: no exclusions, and small enough to share.
         SubRequest::batchable(self, max_batch)
     }
-    fn submitted_at(&self) -> Instant {
-        self.submitted_at
-    }
     fn admitted(&self) {
         // Counted here rather than by the submitter so a bounced request
         // never shows as phantom in-flight work in `ShardMetrics`, and a
@@ -106,11 +99,6 @@ struct QueueState<I> {
     /// is non-zero: a notify is a syscall whether or not anyone waits, and
     /// steady traffic never has a blocked pusher.
     blocked_pushers: usize,
-    /// Batchers parked on `not_empty` inside a hold-open window. They
-    /// share the condvar with idle workers, so while one is parked a
-    /// single-item push wakes everyone — a lone `notify_one` could be spent
-    /// on a batcher the item does not match.
-    holding_open: usize,
 }
 
 /// Bounded MPMC queue of keyed work items with atomic multi-item
@@ -135,7 +123,6 @@ impl<I: QueueItem> BoundedQueue<I> {
                 items: VecDeque::new(),
                 closed: false,
                 blocked_pushers: 0,
-                holding_open: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -166,9 +153,9 @@ impl<I: QueueItem> BoundedQueue<I> {
             let fits = state.items.len() + subs.len() <= self.capacity
                 || (state.items.is_empty() && subs.len() > self.capacity);
             if fits {
-                // One item occupies one worker: wake one. A set (or a
-                // parked batcher, see `holding_open`) wakes the pool.
-                let wake_all = subs.len() > 1 || state.holding_open > 0;
+                // One item occupies one worker: wake one. A set wakes the
+                // pool.
+                let wake_all = subs.len() > 1;
                 subs.iter().for_each(I::admitted);
                 state.items.extend(subs);
                 drop(state);
@@ -239,8 +226,8 @@ impl<I: QueueItem> BoundedQueue<I> {
         }
         let mut state = self.lock();
         // Allocation-free pre-scan: under mixed load most of the backlog is
-        // other shards' work (and the deadline batcher rescans every few
-        // milliseconds), so the no-match case must not pay a queue rebuild.
+        // other shards' work, and every pop of a batchable item scans once,
+        // so the no-match case must not pay a queue rebuild.
         let fits = |sub: &I, budget: usize| {
             sub.key() == key && sub.batchable(max_batch) && sub.weight() <= budget
         };
@@ -261,47 +248,6 @@ impl<I: QueueItem> BoundedQueue<I> {
         self.release_after_take(state);
     }
 
-    /// Waits until `deadline` for more `key`-matching arrivals, extracting
-    /// them into `out` until the batch holds `target_users` weight or the
-    /// window closes. Used by the deadline-flush micro-batcher.
-    pub fn extract_until(
-        &self,
-        key: I::Key,
-        target_users: usize,
-        max_batch: usize,
-        deadline: Instant,
-        out: &mut Vec<I>,
-    ) {
-        let users_in = |out: &[I]| out.iter().map(|s| s.weight()).sum::<usize>();
-        loop {
-            if users_in(out) >= target_users {
-                return;
-            }
-            self.extract_matching(key, target_users - users_in(out), max_batch, out);
-            if users_in(out) >= target_users {
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let mut state = self.lock();
-            if state.closed {
-                return;
-            }
-            // Wait for any arrival (or the window to close), then rescan.
-            state.holding_open += 1;
-            let (mut state, _timed_out) = self
-                .not_empty
-                .wait_timeout(
-                    state,
-                    deadline.duration_since(now).min(Duration::from_millis(5)),
-                )
-                .unwrap_or_else(crate::sync::PoisonError::into_inner);
-            state.holding_open -= 1;
-        }
-    }
-
     /// Closes the queue: pending pops drain the backlog, then return
     /// `None`; new pushes fail with [`MipsError::ServerShutdown`].
     pub fn close(&self) {
@@ -315,6 +261,7 @@ impl<I: QueueItem> BoundedQueue<I> {
 mod tests {
     use super::*;
     use crate::serve::shard::{test_engines, Pending, ShardEngine, ShardRouter, SubUsers};
+    use std::time::{Duration, Instant};
 
     /// One shard-engine set shared by every sub-request of a test, so
     /// sub-requests with equal shard indexes get equal batch keys.
@@ -419,49 +366,5 @@ mod tests {
         ));
         assert!(q.pop().is_some(), "backlog drains after close");
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn a_single_push_reaches_the_idle_worker_past_a_parked_batcher() {
-        // A batcher parked in its hold-open window shares `not_empty` with
-        // idle workers. A one-item push wakes one waiter — which must not
-        // mean "the batcher the item does not match".
-        let e = engines();
-        let q = SubmitQueue::new(8);
-        let leader = sub(&e, 0, 2, 0);
-        let key = BatchKey::of(&leader);
-        crate::sync::thread::scope(|scope| {
-            let batcher = scope.spawn(|| {
-                let mut out = vec![leader];
-                let deadline = Instant::now() + Duration::from_millis(400);
-                q.extract_until(key, 4, 32, deadline, &mut out);
-                out.len()
-            });
-            crate::sync::thread::sleep(Duration::from_millis(30));
-            let worker = scope.spawn(|| q.pop().map(|sub| sub.shard));
-            crate::sync::thread::sleep(Duration::from_millis(30));
-            let pushed = Instant::now();
-            q.push_all(vec![sub(&e, 1, 2, 5)], false).unwrap();
-            assert_eq!(worker.join().unwrap(), Some(1));
-            assert!(
-                pushed.elapsed() < Duration::from_millis(200),
-                "the idle worker slept through the push: {:?}",
-                pushed.elapsed()
-            );
-            assert_eq!(batcher.join().unwrap(), 1, "another shard's item joined");
-        });
-    }
-
-    #[test]
-    fn extract_until_respects_the_deadline() {
-        let e = engines();
-        let q = SubmitQueue::new(4);
-        let leader = sub(&e, 0, 2, 0);
-        let key = BatchKey::of(&leader);
-        let mut out = vec![leader];
-        let deadline = Instant::now() + Duration::from_millis(15);
-        q.extract_until(key, 4, 32, deadline, &mut out);
-        assert_eq!(out.len(), 1, "nothing arrived inside the window");
-        assert!(Instant::now() >= deadline);
     }
 }

@@ -30,9 +30,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// The body of one worker thread.
 pub(crate) fn run_worker(shared: Arc<ServerShared>) {
     while let Some(first) = shared.queue.pop() {
-        let policy = shared.policy;
-        let batch = if first.batchable(policy.max_batch) {
-            collect_batch(&shared.queue, first, &policy)
+        let max_batch = shared.config.max_batch;
+        let batch = if first.batchable(max_batch) {
+            collect_batch(&shared.queue, first, max_batch)
         } else {
             vec![first]
         };

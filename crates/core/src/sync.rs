@@ -32,7 +32,7 @@
 mod imp {
     pub use std::sync::{
         Arc, Barrier, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, RwLock,
-        RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult, Weak,
+        RwLockReadGuard, RwLockWriteGuard, Weak,
     };
 
     /// Atomic types and memory orderings (std in normal builds).
@@ -51,9 +51,7 @@ mod imp {
 
 #[cfg(mips_model_check)]
 mod imp {
-    pub use loom::sync::{
-        Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-    };
+    pub use loom::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
     pub use std::sync::{Arc, Barrier, LockResult, OnceLock, PoisonError, Weak};
 
     /// Atomic types and memory orderings (loom-instrumented).

@@ -11,7 +11,7 @@
 //! `MIPS_MODEL_REPLAY=<seed>` replays exactly that interleaving.
 //!
 //! Five protocol invariants from the serving runtime are proved here, plus
-//! two regression pins for behaviors earlier PRs fixed, a seeded-bug suite
+//! a regression pin for a behavior an earlier change fixed, a seeded-bug suite
 //! demonstrating the checker actually catches planted races, and
 //! determinism/replay assertions over the checker itself.
 
@@ -23,21 +23,17 @@ use mips_core::serve::WakeGate;
 use mips_core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use mips_core::sync::{thread, Arc, Condvar, Mutex};
 use mips_core::{MipsError, Precision};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A toy queue item: key models the epoch a sub-request is pinned to.
 #[derive(Debug, Clone)]
 struct Toy {
     epoch: u64,
-    at: Instant,
 }
 
 impl Toy {
     fn new(epoch: u64) -> Toy {
-        Toy {
-            epoch,
-            at: Instant::now(),
-        }
+        Toy { epoch }
     }
 }
 
@@ -52,13 +48,6 @@ impl ms::QueueItem for Toy {
     fn batchable(&self, _max_batch: usize) -> bool {
         true
     }
-    fn submitted_at(&self) -> Instant {
-        self.at
-    }
-}
-
-fn policy(max_batch: usize, window: Duration) -> ms::BatchPolicy {
-    ms::BatchPolicy { max_batch, window }
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +255,7 @@ fn batcher_never_coalesces_across_epochs() {
             })
         };
 
-        let batch = ms::collect_batch(&queue, Toy::new(1), &policy(8, Duration::ZERO));
+        let batch = ms::collect_batch(&queue, Toy::new(1), 8);
         assert!(
             batch.iter().all(|item| item.epoch == 1),
             "batch coalesced across epochs: {:?}",
@@ -283,63 +272,6 @@ fn batcher_never_coalesces_across_epochs() {
         }
         let stranded_old: usize = left.iter().filter(|&&e| e == 2).count();
         assert_eq!(stranded_old, 2, "old-epoch items vanished: {left:?}");
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Regression pin (PR 6): the deadline batcher's hold-open window is
-// anchored at pop time, not the leader's submission time.
-// ---------------------------------------------------------------------------
-
-/// A leader that already sat in the queue for a full window still absorbs
-/// a concurrent arrival: the pop-anchored deadline keeps the window open
-/// (the old submission-anchored deadline flushed immediately, losing
-/// exactly the coalescing a backlog makes valuable). The model proves it
-/// for every producer/consumer interleaving, including the producer
-/// arriving only after the batcher has parked in its timed wait.
-#[test]
-fn stale_leader_hold_open_is_anchored_at_pop_time() {
-    model(|| {
-        let window = Duration::from_secs(60);
-        let queue = Arc::new(ms::BoundedQueue::<Toy>::new(8));
-        let racer = {
-            let queue = Arc::clone(&queue);
-            thread::spawn(move || {
-                queue.push_all(vec![Toy::new(1)], false).unwrap();
-            })
-        };
-
-        let mut leader = Toy::new(1);
-        leader.at = Instant::now()
-            .checked_sub(window)
-            .expect("monotonic clock too young for a 60s backdate");
-        // max_batch 2 = leader + one absorbed arrival: the batch fills and
-        // flushes the moment the racer's item lands, so no schedule ever
-        // waits out the (real-time) window.
-        let batch = ms::collect_batch(&queue, leader, &policy(2, window));
-        assert_eq!(
-            batch.len(),
-            2,
-            "pop-anchored window failed to absorb the concurrent arrival"
-        );
-        racer.join().unwrap();
-    });
-}
-
-/// The latency cap still bounds the hold-open: a leader older than
-/// `QUEUE_LATENCY_CAP` windows flushes immediately with whatever the
-/// backlog drain produced, instead of adding another window of delay.
-#[test]
-fn latency_capped_leader_flushes_immediately() {
-    model(|| {
-        let window = Duration::from_secs(10);
-        let queue = ms::BoundedQueue::<Toy>::new(8);
-        let mut ancient = Toy::new(1);
-        ancient.at = Instant::now()
-            .checked_sub(window * (ms::QUEUE_LATENCY_CAP + 1))
-            .expect("monotonic clock too young for the backdate");
-        let batch = ms::collect_batch(&queue, ancient, &policy(8, window));
-        assert_eq!(batch.len(), 1, "capped leader held the batch open");
     });
 }
 

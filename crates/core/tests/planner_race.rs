@@ -10,7 +10,7 @@
 //!   a slow one never holds up another first-touch builder.
 //! * **Race lazily, never wrongly.** [`Optimus::choose`] builds a candidate
 //!   only while it can still win: a candidate over its analytical bound is
-//!   never built, a far-off one stops at `min_t_samples`, a variant over its
+//!   never built, a far-off one stops at `TTEST_MIN_SAMPLES`, a variant over its
 //!   tier-rate bound is never built — and one sitting exactly *at* the
 //!   bound still is.
 //!
@@ -23,7 +23,7 @@ use mips_core::engine::{
     BmmFactory, EngineBuilder, FnFactory, MipsError, QueryRequest, SolverFactory,
 };
 use mips_core::optimus::{
-    CandidateOutcome, CandidateSource, Optimus, OptimusConfig, StrategyEstimate,
+    CandidateOutcome, CandidateSource, Optimus, OptimusConfig, StrategyEstimate, TTEST_MIN_SAMPLES,
 };
 use mips_core::serve::ServerBuilder;
 use mips_core::solver::MipsSolver;
@@ -207,7 +207,7 @@ fn a_far_off_candidate_stops_at_min_t_samples_and_a_gated_one_is_never_built() {
     let estimates: Vec<StrategyEstimate> =
         choice.entries.iter().map(|e| e.estimate.clone()).collect();
 
-    let min_t = config.min_t_samples as usize;
+    let min_t = TTEST_MIN_SAMPLES as usize;
     assert_eq!(
         row(&estimates, "slow").outcome,
         CandidateOutcome::StoppedEarly { after: min_t }

@@ -15,8 +15,7 @@ use mips_data::MfModel;
 use mips_linalg::CacheConfig;
 use mips_topk::TopKList;
 use std::ops::Range;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, RwLock};
 
 fn model(users: usize, items: usize) -> Arc<MfModel> {
     Arc::new(synth_model(&SynthConfig {
@@ -257,20 +256,68 @@ fn single_backend_server_matches_direct_solver() {
     }
 }
 
+/// BMM behind a gate: every query waits for a read lock, so a test holding
+/// the write lock keeps the workers busy while a backlog forms.
+struct GatedSolver {
+    inner: mips_core::BmmSolver,
+    gate: Arc<RwLock<()>>,
+}
+
+impl MipsSolver for GatedSolver {
+    fn name(&self) -> &str {
+        "gated"
+    }
+    fn build_seconds(&self) -> f64 {
+        0.0
+    }
+    fn batches_users(&self) -> bool {
+        true
+    }
+    fn num_users(&self) -> usize {
+        self.inner.num_users()
+    }
+    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
+        let _open = self.gate.read().unwrap();
+        self.inner.query_range(k, users)
+    }
+    fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+        let _open = self.gate.read().unwrap();
+        self.inner.query_subset(k, users)
+    }
+}
+
+/// An engine whose only backend is a [`GatedSolver`] behind `gate`.
+fn gated_engine(model: Arc<MfModel>, gate: &Arc<RwLock<()>>) -> Arc<Engine> {
+    let gate = Arc::clone(gate);
+    Arc::new(
+        EngineBuilder::new()
+            .model(model)
+            .register(FnFactory::new("gated", move |model: &Arc<MfModel>| {
+                Ok(Box::new(GatedSolver {
+                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
+                    gate: Arc::clone(&gate),
+                }) as Box<dyn MipsSolver>)
+            }))
+            .build()
+            .unwrap(),
+    )
+}
+
 #[test]
 fn micro_batching_coalesces_single_user_traffic_without_changing_results() {
-    let engine = engine(64, 80);
-    let expected = engine.execute(&QueryRequest::top_k(5)).unwrap().results;
+    let gate = Arc::new(RwLock::new(()));
+    let engine = gated_engine(model(64, 80), &gate);
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
         .shards(2)
         .workers(1) // one worker: the backlog forms, batches must fill
         .max_batch(16)
-        .batch_window(Duration::from_millis(2))
         .build()
         .unwrap();
-    // Flood with single-user requests; a single worker guarantees a queue
-    // backlog, so the adaptive batcher must coalesce.
+    // Flood with single-user requests while the gate holds the one worker
+    // inside its first solver call: the rest of the flood is queued when
+    // the gate opens, so the batcher must coalesce.
+    let closed = gate.write().unwrap();
     let handles: Vec<_> = (0..64)
         .map(|u| {
             (
@@ -281,6 +328,8 @@ fn micro_batching_coalesces_single_user_traffic_without_changing_results() {
             )
         })
         .collect();
+    drop(closed);
+    let expected = engine.execute(&QueryRequest::top_k(5)).unwrap().results;
     for (u, handle) in handles {
         assert_eq!(handle.wait().unwrap().results[0], expected[u], "user {u}");
     }
@@ -297,53 +346,18 @@ fn micro_batching_coalesces_single_user_traffic_without_changing_results() {
 
 #[test]
 fn try_submit_applies_backpressure_and_blocking_submit_recovers() {
-    /// A solver that serves slowly enough to hold the queue full.
-    struct SlowSolver {
-        inner: mips_core::BmmSolver,
-    }
-    impl MipsSolver for SlowSolver {
-        fn name(&self) -> &str {
-            "slow"
-        }
-        fn build_seconds(&self) -> f64 {
-            0.0
-        }
-        fn batches_users(&self) -> bool {
-            true
-        }
-        fn num_users(&self) -> usize {
-            self.inner.num_users()
-        }
-        fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
-            std::thread::sleep(Duration::from_millis(30));
-            self.inner.query_range(k, users)
-        }
-        fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
-            std::thread::sleep(Duration::from_millis(30));
-            self.inner.query_subset(k, users)
-        }
-    }
-    let m = model(16, 20);
-    let engine = Arc::new(
-        EngineBuilder::new()
-            .model(Arc::clone(&m))
-            .register(FnFactory::new("slow", |model: &Arc<MfModel>| {
-                Ok(Box::new(SlowSolver {
-                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
-                }) as Box<dyn MipsSolver>)
-            }))
-            .build()
-            .unwrap(),
-    );
+    let gate = Arc::new(RwLock::new(()));
     let server = ServerBuilder::new()
-        .engine(engine)
+        .engine(gated_engine(model(16, 20), &gate))
         .shards(1)
         .workers(1)
         .queue_capacity(2)
         .max_batch(1)
         .build()
         .unwrap();
-    // Fill the pipeline: one request executing, two queued.
+    // Fill the pipeline: the one worker holds the first request at the
+    // gate, and the next two fill the queue (capacity 2).
+    let closed = gate.write().unwrap();
     let running: Vec<_> = (0..3)
         .map(|_| {
             server
@@ -351,28 +365,21 @@ fn try_submit_applies_backpressure_and_blocking_submit_recovers() {
                 .unwrap()
         })
         .collect();
-    // The queue (capacity 2) is now full more often than not; hammer
-    // try_submit until backpressure shows.
-    let mut bounced = false;
-    for _ in 0..50 {
-        match server.try_submit(&QueryRequest::top_k(2).users(vec![1])) {
-            Err(MipsError::ServerOverloaded { capacity: 2 }) => {
-                bounced = true;
-                break;
-            }
-            Err(other) => panic!("unexpected error: {other:?}"),
-            Ok(handle) => {
-                handle.wait().unwrap();
-            }
-        }
-    }
-    assert!(bounced, "try_submit never hit backpressure");
-    assert!(server.metrics().rejected >= 1);
+    assert!(matches!(
+        server.try_submit(&QueryRequest::top_k(2).users(vec![1])),
+        Err(MipsError::ServerOverloaded { capacity: 2 })
+    ));
+    assert_eq!(server.metrics().rejected, 1);
     // Blocking submit waits out the backlog instead of bouncing.
-    let late = server
-        .submit(&QueryRequest::top_k(2).users(vec![2]))
-        .unwrap();
-    assert_eq!(late.wait().unwrap().results.len(), 1);
+    std::thread::scope(|scope| {
+        let late = scope.spawn(|| {
+            server
+                .submit(&QueryRequest::top_k(2).users(vec![2]))
+                .unwrap()
+        });
+        drop(closed);
+        assert_eq!(late.join().unwrap().wait().unwrap().results.len(), 1);
+    });
     for handle in running {
         handle.wait().unwrap();
     }
@@ -521,25 +528,6 @@ fn builder_rejects_bad_assemblies() {
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
             .workers(0)
-            .build(),
-        Err(MipsError::InvalidConfig(_))
-    ));
-    // A deadline window with a one-user batch budget (nothing ever
-    // coalesces) would be silently ignored: rejected instead.
-    assert!(matches!(
-        ServerBuilder::new()
-            .engine(Arc::clone(&engine))
-            .max_batch(1)
-            .batch_window(Duration::from_micros(100))
-            .build(),
-        Err(MipsError::InvalidConfig(_))
-    ));
-    // The order of the two calls must not matter.
-    assert!(matches!(
-        ServerBuilder::new()
-            .engine(Arc::clone(&engine))
-            .batch_window(Duration::from_micros(100))
-            .max_batch(1)
             .build(),
         Err(MipsError::InvalidConfig(_))
     ));

@@ -99,7 +99,6 @@ fn swap_under_load_is_bit_identical_per_epoch_with_zero_lost_requests() {
         .shards(4)
         .workers(3)
         .max_batch(8)
-        .batch_window(Duration::from_micros(300))
         .build()
         .unwrap();
 

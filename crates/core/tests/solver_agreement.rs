@@ -9,7 +9,6 @@ use mips_core::verify::check_all_topk;
 use mips_data::MfModel;
 use mips_lemp::LempConfig;
 use mips_linalg::Matrix;
-use mips_sparse::SparseConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -37,7 +36,7 @@ fn all_backends() -> Vec<Arc<dyn SolverFactory>> {
         })),
         Arc::new(FexiproFactory::si()),
         Arc::new(FexiproFactory::sir()),
-        Arc::new(SparseFactory::new(SparseConfig::default())),
+        Arc::new(SparseFactory),
     ]
 }
 

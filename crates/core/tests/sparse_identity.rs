@@ -4,10 +4,12 @@
 //! on *every* catalog — from fully dense to 99%-sparse, hybrid heads
 //! included — the inverted index returns results bit-identical to the
 //! densified brute-force reference (same item order, same score bits), at
-//! every `k` edge (1, middle, `n`, clamped past `n`) and under every knob
-//! combination (norm pruning on/off, postings-vs-panel split forced both
-//! ways). The same bar applies to the ad-hoc [`MipsSolver::query_vector`]
-//! point-lookup path the query-API redesign added.
+//! every `k` edge (1, middle, `n`, clamped past `n`). The index's storage
+//! form follows the data — a column denser than
+//! [`DENSE_COLUMN_CUTOFF`](mips_sparse::DENSE_COLUMN_CUTOFF) is a dense
+//! panel, the rest are postings lists — so three fixed catalogs pin each
+//! form: all postings, all panels, and a hybrid of both. The same bar
+//! applies to the ad-hoc [`MipsSolver::query_vector`] point-lookup path.
 
 use mips_core::solver::MipsSolver;
 use mips_core::{BmmSolver, SparseSolver};
@@ -15,7 +17,6 @@ use mips_data::sparse::{synth_sparse_model, SparseSynthConfig, SparseVec};
 use mips_data::MfModel;
 use mips_linalg::kernels::dot_gemm_ordered;
 use mips_linalg::Matrix;
-use mips_sparse::SparseConfig;
 use mips_topk::{TopKHeap, TopKList};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -46,24 +47,6 @@ fn reference_vector_topk(model: &MfModel, query: &[f64], k: usize) -> TopKList {
     heap.into_sorted()
 }
 
-/// The knob grid every property sweeps: pruning off and on (twice), and
-/// the hybrid split forced to panels-everywhere, the default mix, and
-/// postings-everywhere.
-fn config_grid() -> Vec<SparseConfig> {
-    let mut grid = Vec::new();
-    for prune_threshold in [0.0, 0.15, 0.45] {
-        for dense_column_cutoff in [0.05, 0.25, 1.0] {
-            let config = SparseConfig {
-                prune_threshold,
-                dense_column_cutoff,
-            };
-            config.validate().expect("grid configs are valid");
-            grid.push(config);
-        }
-    }
-    grid
-}
-
 /// The `k` edges for an `n`-item catalog: smallest, middle, exact, and
 /// past-the-end (solvers clamp to `n`).
 fn k_edges(n: usize) -> Vec<usize> {
@@ -76,8 +59,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Sparse catalogs across the density spectrum: the inverted index and
-    /// the blocked-GEMM reference agree to the bit for every user, every
-    /// `k` edge, and every knob combination.
+    /// the blocked-GEMM reference agree to the bit for every user and every
+    /// `k` edge.
     #[test]
     fn sparse_solver_matches_bmm_on_sparse_catalogs(users in 1usize..14,
                                                     items in 1usize..40,
@@ -94,15 +77,13 @@ proptest! {
             seed,
         }));
         let bmm = BmmSolver::build(Arc::clone(&model));
-        for config in config_grid() {
-            let sparse = SparseSolver::build(Arc::clone(&model), &config);
-            for k in k_edges(items) {
-                prop_assert_eq!(
-                    bits(&sparse.query_all(k)),
-                    bits(&bmm.query_all(k)),
-                    "divergence at k={} under {:?}", k, config
-                );
-            }
+        let sparse = SparseSolver::build(Arc::clone(&model));
+        for k in k_edges(items) {
+            prop_assert_eq!(
+                bits(&sparse.query_all(k)),
+                bits(&bmm.query_all(k)),
+                "divergence at k={}", k
+            );
         }
     }
 
@@ -131,15 +112,13 @@ proptest! {
         let users_matrix = Matrix::from_fn(users, f, |_, _| next());
         let model = Arc::new(MfModel::new("ties", users_matrix, item_matrix).unwrap());
         let bmm = BmmSolver::build(Arc::clone(&model));
-        for config in config_grid() {
-            let sparse = SparseSolver::build(Arc::clone(&model), &config);
-            for k in k_edges(items) {
-                prop_assert_eq!(
-                    bits(&sparse.query_all(k)),
-                    bits(&bmm.query_all(k)),
-                    "tie divergence at k={} under {:?}", k, config
-                );
-            }
+        let sparse = SparseSolver::build(Arc::clone(&model));
+        for k in k_edges(items) {
+            prop_assert_eq!(
+                bits(&sparse.query_all(k)),
+                bits(&bmm.query_all(k)),
+                "tie divergence at k={}", k
+            );
         }
     }
 
@@ -184,18 +163,16 @@ proptest! {
             densified.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             query.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-        for config in config_grid() {
-            let sparse = SparseSolver::build(Arc::clone(&model), &config);
-            for k in k_edges(items) {
-                let reference = reference_vector_topk(&model, &query, k);
-                let got = MipsSolver::query_vector(&sparse, &query, k)
-                    .expect("sparse backend supports point lookups");
-                prop_assert_eq!(
-                    bits(&[got]),
-                    bits(&[reference]),
-                    "query_vector divergence at k={} under {:?}", k, config
-                );
-            }
+        let sparse = SparseSolver::build(Arc::clone(&model));
+        for k in k_edges(items) {
+            let reference = reference_vector_topk(&model, &query, k);
+            let got = MipsSolver::query_vector(&sparse, &query, k)
+                .expect("sparse backend supports point lookups");
+            prop_assert_eq!(
+                bits(&[got]),
+                bits(&[reference]),
+                "query_vector divergence at k={}", k
+            );
         }
     }
 }
@@ -230,12 +207,89 @@ fn zero_query_vector_is_exact() {
         seed: 11,
     }));
     let query = vec![0.0; 6];
-    for config in config_grid() {
-        let sparse = SparseSolver::build(Arc::clone(&model), &config);
-        for k in [1, 5, 12, 15] {
-            let got = MipsSolver::query_vector(&sparse, &query, k).unwrap();
-            let reference = reference_vector_topk(&model, &query, k);
-            assert_eq!(bits(&[got]), bits(&[reference]), "k={k} under {config:?}");
+    let sparse = SparseSolver::build(Arc::clone(&model));
+    for k in [1, 5, 12, 15] {
+        let got = MipsSolver::query_vector(&sparse, &query, k).unwrap();
+        let reference = reference_vector_topk(&model, &query, k);
+        assert_eq!(bits(&[got]), bits(&[reference]), "k={k}");
+    }
+}
+
+/// The whole identity bar on one catalog whose storage form is known:
+/// `query_all` against BMM and `query_vector` against the one-heap scan,
+/// for every user row and one off-model query, at every `k` edge.
+fn assert_exact_with_dense_cols(model: &Arc<MfModel>, dense_cols: usize) {
+    let sparse = SparseSolver::build(Arc::clone(model));
+    assert_eq!(sparse.index().num_dense_cols(), dense_cols);
+    let bmm = BmmSolver::build(Arc::clone(model));
+    let f = model.num_factors();
+    let off_model: Vec<f64> = (0..f)
+        .map(|j| {
+            if j % 3 == 0 {
+                1.5 - j as f64 * 0.25
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let n = model.num_items();
+    for k in k_edges(n) {
+        assert_eq!(bits(&sparse.query_all(k)), bits(&bmm.query_all(k)), "k={k}");
+        let users = (0..model.num_users()).map(|u| model.users().row(u));
+        for query in users.chain([off_model.as_slice()]) {
+            let got = MipsSolver::query_vector(&sparse, query, k).unwrap();
+            let reference = reference_vector_topk(model, query, k);
+            assert_eq!(bits(&[got]), bits(&[reference]), "query_vector k={k}");
         }
     }
+}
+
+/// Every column at most 0.2 dense: the whole catalog is postings lists.
+/// Item `i` is nonzero on columns `i mod 10` and `(7i + 3) mod 10` (never
+/// the same), so each column holds 8 of 40 items; each user touches one
+/// column, i.e. 8 items, so the other 32 enter through the untouched-item
+/// `+0.0` path at every `k` past 8.
+#[test]
+fn an_all_postings_catalog_is_exact() {
+    let (n, f) = (40, 10);
+    let value = |i: usize| (i % 9) as f64 * 0.5 - 1.75; // never zero
+    let items = Matrix::from_fn(n, f, |i, j| {
+        if j == i % f || j == (7 * i + 3) % f {
+            value(i + j)
+        } else {
+            0.0
+        }
+    });
+    let users = Matrix::from_fn(6, f, |u, j| if j == (3 * u) % f { value(u) } else { 0.0 });
+    let model = Arc::new(MfModel::new("striped", users, items).unwrap());
+    assert_exact_with_dense_cols(&model, 0);
+}
+
+/// Density 1.0: every column is a dense panel.
+#[test]
+fn an_all_panels_catalog_is_exact() {
+    let model = Arc::new(synth_sparse_model(&SparseSynthConfig {
+        num_users: 6,
+        num_items: 30,
+        num_factors: 7,
+        density: 1.0,
+        dense_head: 0,
+        seed: 21,
+    }));
+    assert_exact_with_dense_cols(&model, 7);
+}
+
+/// A dense head over a 5 %-dense tail: panels for the head's columns,
+/// postings for the tail's.
+#[test]
+fn a_hybrid_catalog_is_exact() {
+    let model = Arc::new(synth_sparse_model(&SparseSynthConfig {
+        num_users: 6,
+        num_items: 60,
+        num_factors: 16,
+        density: 0.05,
+        dense_head: 3,
+        seed: 33,
+    }));
+    assert_exact_with_dense_cols(&model, 3);
 }

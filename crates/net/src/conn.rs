@@ -45,6 +45,12 @@ use std::time::{Duration, Instant};
 /// backpressure).
 pub(crate) const MAX_PIPELINE: usize = 64;
 
+/// The `Retry-After` seconds on every overload answer, the `429` of a full
+/// submission queue and the `503` of a full connection table alike: the
+/// runtime never holds work back on purpose, so the header's one-second
+/// resolution is the earliest useful retry.
+pub(crate) const RETRY_AFTER: &str = "1";
+
 /// The per-connection deadline configuration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Deadlines {
@@ -161,7 +167,7 @@ impl Conn {
     ) -> std::io::Result<Conn> {
         let mut conn = Conn::new(stream, counters, now)?;
         let body = json::encode_error(503, "connection limit reached; retry shortly");
-        let extra = [("Retry-After", "1".to_string())];
+        let extra = [("Retry-After", RETRY_AFTER.to_string())];
         conn.inflight
             .push_back(Slot::Ready(rendered(503, &body, false, &extra)));
         conn.closing = true;

@@ -88,7 +88,7 @@ mod poll;
 
 pub use metrics::NetMetrics;
 
-use conn::{Conn, Deadlines, Dispatch, Dispatched, Mailbox};
+use conn::{Conn, Deadlines, Dispatch, Dispatched, Mailbox, RETRY_AFTER};
 use http::Limits;
 use metrics::NetCounters;
 use mips_core::engine::MipsError;
@@ -266,16 +266,11 @@ impl HttpServerBuilder {
             tx: wake_tx,
             counters: Arc::clone(&counters),
         });
-        // The Retry-After hint for 429s: the batch window is how long the
-        // runtime may hold work back, so "a beat past it" is the natural
-        // earliest retry — floored at 1s, the header's resolution.
-        let retry_after = server.options().batch_window.as_secs().max(1).to_string();
         let router = Router {
             server: Arc::clone(&server),
             swap_source: self.swap_source,
             counters: Arc::clone(&counters),
             waker: Arc::clone(&waker),
-            retry_after,
         };
         let loop_config = config.clone();
         let thread = std::thread::Builder::new()
@@ -397,7 +392,6 @@ struct Router {
     swap_source: Option<SwapSource>,
     counters: Arc<NetCounters>,
     waker: Arc<Waker>,
-    retry_after: String,
 }
 
 fn immediate(status: u16, body: String) -> Dispatched {
@@ -432,7 +426,7 @@ impl Router {
                 let mut extra = Vec::new();
                 if matches!(error, MipsError::ServerOverloaded { .. }) {
                     self.counters.add(&self.counters.rejected_overload, 1);
-                    extra.push(("Retry-After", self.retry_after.clone()));
+                    extra.push(("Retry-After", RETRY_AFTER.to_string()));
                 }
                 Dispatched::Immediate {
                     status,
@@ -451,8 +445,8 @@ impl Router {
     /// event-loop thread*, the one request that can hold every connection
     /// up while it runs (the first sparse-routed query per model epoch
     /// also pays the inverted index's lazy build there). Moving it onto
-    /// the completion-driven path `/query` takes is ROADMAP 3(e), still
-    /// open.
+    /// the completion-driven path `/query` takes is ROADMAP item 9(a),
+    /// still open.
     fn vector_query(&self, request: &http::Request) -> Dispatched {
         let query = match json::decode_vector_query_request(&request.body) {
             Ok(query) => query,

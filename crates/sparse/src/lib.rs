@@ -19,18 +19,17 @@
 //! therefore runs a *screen-then-rescore* pipeline, the same discipline the
 //! mixed-precision f32 screen uses:
 //!
-//! 1. **Accumulate** approximate scores over the postings (plus dense
-//!    column panels for the hybrid head — columns denser than
-//!    [`SparseConfig::dense_column_cutoff`] are stored contiguously and
+//! 1. **Accumulate** approximate scores over the postings of every nonzero
+//!    query term (plus dense column panels for the hybrid head — columns
+//!    denser than [`DENSE_COLUMN_CUTOFF`] are stored contiguously and
 //!    accumulated with a dense AXPY-style loop).
 //! 2. **Bound** each accumulated score by a conservative envelope
 //!    ([`sparse_accum_envelope_parts`]) covering reassociation between the
-//!    accumulation order and the canonical chain, plus the L2 mass of any
-//!    pruned query terms (norm-based pruning, [`SparseConfig::prune_threshold`]).
+//!    accumulation order and the canonical chain.
 //! 3. **Select** candidates whose upper bound clears the `k`-th best lower
 //!    bound, and **rescore** exactly those with the canonical FMA chain.
-//!    Untouched items — no overlap with the (unpruned) query support — have
-//!    a canonical score of *exactly* `+0.0` (every chain step is
+//!    Untouched items — no overlap with the query support — have a
+//!    canonical score of *exactly* `+0.0` (every chain step is
 //!    `fma(x, ±0, acc)` or `fma(0, y, acc)`, which cannot move `acc` off
 //!    `+0.0` in round-to-nearest), so they are admitted as literal zeros
 //!    without rescoring when the threshold allows them at all.
@@ -46,58 +45,16 @@ use mips_linalg::kernels::{dot_gemm_ordered, dot_gemm_ordered_x4};
 use mips_linalg::{norm2, Matrix};
 use mips_topk::{TopKHeap, TopKList};
 
-/// Knobs of the inverted-index backend — the sparse entries of the engine's
-/// options surface.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SparseConfig {
-    /// Fraction of the query's L2 mass that norm-based pruning may skip, in
-    /// `[0, 1)`. The smallest-magnitude query terms are dropped while their
-    /// combined L2 norm stays within `prune_threshold · ‖q‖`; the skipped
-    /// mass is folded into the rescore envelope (Cauchy–Schwarz), so
-    /// results stay exact — pruning trades accumulation work for rescore
-    /// work. `0` (the default) disables pruning.
-    pub prune_threshold: f64,
-    /// Column density above which a factor column is stored as a contiguous
-    /// dense panel instead of a postings list, in `(0, 1]`. This is the
-    /// hybrid split: dense-head coordinates of a hybrid catalog exceed the
-    /// cutoff and get cache-friendly dense accumulation, the sparse tail
-    /// stays on postings. `1.0` forces postings everywhere.
-    pub dense_column_cutoff: f64,
-}
-
-impl Default for SparseConfig {
-    fn default() -> SparseConfig {
-        SparseConfig {
-            prune_threshold: 0.0,
-            dense_column_cutoff: 0.25,
-        }
-    }
-}
-
-impl SparseConfig {
-    /// Validates knob ranges (mirrors the other backends' config checks).
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..1.0).contains(&self.prune_threshold) {
-            return Err(format!(
-                "prune_threshold {} outside [0, 1)",
-                self.prune_threshold
-            ));
-        }
-        if !(self.dense_column_cutoff > 0.0 && self.dense_column_cutoff <= 1.0) {
-            return Err(format!(
-                "dense_column_cutoff {} outside (0, 1]",
-                self.dense_column_cutoff
-            ));
-        }
-        Ok(())
-    }
-}
+/// Column density above which a factor column is stored as a contiguous
+/// dense panel instead of a postings list. This is the hybrid split:
+/// dense-head coordinates of a hybrid catalog exceed it and get
+/// cache-friendly dense accumulation, the sparse tail stays on postings.
+pub const DENSE_COLUMN_CUTOFF: f64 = 0.25;
 
 /// Envelope parts `(rel, abs)` for the inverted-index accumulator: the
 /// accumulated score of an item with norm `‖v‖` under a query with norm
 /// `‖q‖` differs from the canonical GEMM-ordered chain by at most
-/// `rel · ‖q‖ · ‖v‖ + abs` (before pruning, whose skipped mass is added
-/// separately). Both the canonical chain (`f` terms) and the accumulation
+/// `rel · ‖q‖ · ‖v‖ + abs`. Both the canonical chain (`f` terms) and the accumulation
 /// chain (≤ `f` terms, any order) carry `γ_f ≈ f·2⁻⁵³` relative error
 /// against the exact sum, so `2γ_f` separates them; the constants below
 /// double that again and pad the norm rounding, mirroring
@@ -174,19 +131,15 @@ pub struct InvertedIndex {
     max_item_norm: f64,
     postings_nnz: usize,
     num_dense_cols: usize,
-    config: SparseConfig,
 }
 
 impl InvertedIndex {
     /// Builds the index over `items` (one item vector per row).
     ///
     /// # Panics
-    /// Panics if `config` fails validation, on non-finite entries, or if
-    /// the item count exceeds `u32` index space.
-    pub fn build(items: &Matrix<f64>, config: SparseConfig) -> InvertedIndex {
-        config
-            .validate()
-            .unwrap_or_else(|err| panic!("InvertedIndex: invalid config: {err}"));
+    /// Panics on non-finite entries, or if the item count exceeds `u32`
+    /// index space.
+    pub fn build(items: &Matrix<f64>) -> InvertedIndex {
         let n = items.rows();
         let f = items.cols();
         assert!(
@@ -209,7 +162,7 @@ impl InvertedIndex {
         let mut num_dense_cols = 0usize;
         for &nnz in &col_nnz {
             let density = if n == 0 { 0.0 } else { nnz as f64 / n as f64 };
-            if density > config.dense_column_cutoff {
+            if density > DENSE_COLUMN_CUTOFF {
                 columns.push(Column::Dense {
                     panel: num_dense_cols,
                 });
@@ -259,7 +212,6 @@ impl InvertedIndex {
             max_item_norm,
             postings_nnz,
             num_dense_cols,
-            config,
         }
     }
 
@@ -281,11 +233,6 @@ impl InvertedIndex {
     /// Columns stored as dense panels (the hybrid head).
     pub fn num_dense_cols(&self) -> usize {
         self.num_dense_cols
-    }
-
-    /// The configuration the index was built with.
-    pub fn config(&self) -> &SparseConfig {
-        &self.config
     }
 
     /// Accumulation cost of a query touching *every* factor once: postings
@@ -338,42 +285,11 @@ impl InvertedIndex {
         let n = self.num_items;
         let query_norm = norm2(query);
 
-        // --- Term selection and norm-based pruning. -----------------------
+        // --- Term selection. ----------------------------------------------
         scratch.terms.clear();
         for (j, &q) in query.iter().enumerate() {
             if q != 0.0 {
                 scratch.terms.push((j as u32, q));
-            }
-        }
-        let mut skipped_mass = 0.0f64;
-        if self.config.prune_threshold > 0.0 && !scratch.terms.is_empty() {
-            // Drop the smallest-|q_j| sparse-column terms while their joint
-            // L2 mass stays within the budget. Dense panels are never
-            // pruned: their per-term cost is the point of the panel, and
-            // keeping them tightens the envelope for free.
-            let budget = self.config.prune_threshold * query_norm;
-            scratch
-                .terms
-                .sort_by(|a, b| a.1.abs().total_cmp(&b.1.abs()));
-            let mut sumsq = 0.0f64;
-            let mut keep_from = 0usize;
-            for (idx, &(j, q)) in scratch.terms.iter().enumerate() {
-                if matches!(self.columns[j as usize], Column::Dense { .. }) {
-                    break;
-                }
-                let next = sumsq + q * q;
-                if next.sqrt() <= budget {
-                    sumsq = next;
-                    keep_from = idx + 1;
-                } else {
-                    break;
-                }
-            }
-            if keep_from > 0 {
-                scratch.terms.drain(..keep_from);
-                // 1.001 pads the rounding of the pruned-mass arithmetic
-                // itself; the envelope proper is handled separately.
-                skipped_mass = sumsq.sqrt() * 1.001;
             }
         }
 
@@ -423,7 +339,7 @@ impl InvertedIndex {
 
         // --- Envelope + candidate selection. ------------------------------
         let (rel, abs) = sparse_accum_envelope_parts(self.num_factors);
-        let env_rel = rel * query_norm + skipped_mass;
+        let env_rel = rel * query_norm;
         let envelope = |norm: f64| env_rel * norm + abs;
 
         let mut lower = TopKHeap::new(k);
@@ -476,24 +392,14 @@ impl InvertedIndex {
         }
 
         // --- Untouched items. ---------------------------------------------
-        // Without pruning an untouched item's canonical score is exactly
-        // +0.0 (see crate docs), so it enters as a literal zero. With
-        // pruning its accumulator is an implicit 0 with the same envelope
-        // as everyone else, so it must be rescored when the envelope
-        // clears θ. Either way the global max-norm envelope lets the whole
-        // pass be skipped once θ is safely above anything untouched.
+        // An untouched item's canonical score is exactly +0.0 (see crate
+        // docs), so it enters as a literal zero. The global max-norm
+        // envelope lets the whole pass be skipped once θ is safely above
+        // anything untouched.
         if !all_touched && theta <= envelope(self.max_item_norm) {
             let epoch = scratch.epoch;
-            let prune_active = skipped_mass > 0.0;
             for i in 0..n as u32 {
-                if scratch.stamp[i as usize] == epoch {
-                    continue; // touched
-                }
-                if prune_active {
-                    if envelope(self.item_norms[i as usize]) >= theta {
-                        heap.push(dot_gemm_ordered(query, items.row(i as usize)), i);
-                    }
-                } else {
+                if scratch.stamp[i as usize] != epoch {
                     heap.push(0.0, i);
                 }
             }
@@ -542,7 +448,7 @@ mod tests {
     #[test]
     fn matches_reference_on_toy_matrix_at_every_k() {
         let items = toy_items();
-        let index = InvertedIndex::build(&items, SparseConfig::default());
+        let index = InvertedIndex::build(&items);
         assert_eq!(
             index.num_dense_cols(),
             2,
@@ -566,16 +472,12 @@ mod tests {
     fn untouched_items_enter_as_exact_zeros() {
         // Query supported only on factor 1 → touches item 1 alone; with
         // k=3 the zero-scoring untouched items must fill the tail in id
-        // order, exactly as the dense reference produces them.
+        // order, exactly as the dense reference produces them. Column 1 is
+        // 1/6 dense, so it stays a postings list and no panel touches
+        // every item.
         let items = toy_items();
-        let index = InvertedIndex::build(
-            &items,
-            SparseConfig {
-                dense_column_cutoff: 1.0, // force postings everywhere
-                ..SparseConfig::default()
-            },
-        );
-        assert_eq!(index.num_dense_cols(), 0);
+        let index = InvertedIndex::build(&items);
+        assert_eq!(index.num_dense_cols(), 2);
         let query = vec![0.0, 1.0, 0.0, 0.0];
         let got = index.query(&query, 3, &items);
         let want = reference_topk(&query, 3, &items);
@@ -585,28 +487,9 @@ mod tests {
     }
 
     #[test]
-    fn pruning_stays_exact() {
-        let items = toy_items();
-        let index = InvertedIndex::build(
-            &items,
-            SparseConfig {
-                prune_threshold: 0.5,
-                dense_column_cutoff: 1.0,
-            },
-        );
-        // Tiny component on factor 3 gets pruned; results must not change.
-        let query = vec![1.0, 0.4, 0.3, 1e-6];
-        for k in 1..=6 {
-            let got = index.query(&query, k, &items);
-            let want = reference_topk(&query, k, &items);
-            assert_bit_identical(&got, &want);
-        }
-    }
-
-    #[test]
     fn scan_cost_counts_postings_and_panels() {
         let items = toy_items();
-        let index = InvertedIndex::build(&items, SparseConfig::default());
+        let index = InvertedIndex::build(&items);
         // Columns 0 (5/6) and 2 (2/6) exceed the 0.25 cutoff → dense panels
         // (cost 6 each). Columns 1 and 3 hold 1 posting apiece.
         assert_eq!(index.postings_nnz(), 2);
@@ -614,23 +497,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "prune_threshold")]
-    fn rejects_invalid_config() {
-        let items = toy_items();
-        let _ = InvertedIndex::build(
-            &items,
-            SparseConfig {
-                prune_threshold: 1.5,
-                ..SparseConfig::default()
-            },
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "query dimension")]
     fn rejects_query_dim_mismatch() {
         let items = toy_items();
-        let index = InvertedIndex::build(&items, SparseConfig::default());
+        let index = InvertedIndex::build(&items);
         let _ = index.query(&[1.0, 2.0], 1, &items);
     }
 }

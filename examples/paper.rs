@@ -587,7 +587,7 @@ fn sparse(paper: &Paper) {
     }));
     let (users, items, f) = (model.num_users(), model.num_items(), model.num_factors());
     println!("== Sparse: inverted index vs BMM on SparseSynth ({users} x {items}, f = {f}) ==\n");
-    let index: Factory = Arc::new(SparseFactory::new(SparseConfig::default()));
+    let index: Factory = Arc::new(SparseFactory);
     let index = build(engine(&model, [index]));
     let bmm = build(engine(&model, [Arc::new(BmmFactory) as Factory]));
     let auto = engine(&model, []).with_default_backends();

@@ -12,7 +12,7 @@
 
 use optimus_maximus::prelude::*;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() -> Result<(), MipsError> {
     let model = Arc::new(synth_model(&SynthConfig {
@@ -37,8 +37,7 @@ fn main() -> Result<(), MipsError> {
         .shards(4) // contiguous user ranges, one ShardEngine each
         .workers(4) // persistent pool; any worker serves any shard
         .queue_capacity(1024) // backpressure bound, in sub-requests
-        .max_batch(32) // micro-batch size flush threshold
-        .batch_window(Duration::from_micros(200)) // deadline flush
+        .max_batch(32) // most users one coalesced solver call may carry
         .build()?;
     println!("server: {server:?}");
     println!("shard bounds: {:?}\n", server.shard_bounds());

@@ -24,10 +24,9 @@
 //! which replays the same interleaving deterministically via [`replay`]
 //! or the `MIPS_MODEL_REPLAY` environment variable.
 //!
-//! Blocked [`sync::Condvar::wait_timeout`] waiters are woken (as timed
-//! out) only when no other thread can make progress — the standard
-//! "maximal progress" abstraction of real time — and a state where no
-//! thread is runnable and no waiter is timed is reported as a deadlock.
+//! There is no model of time: a condvar waiter wakes only by
+//! notification, and a state where no thread is runnable is reported as a
+//! deadlock.
 //!
 //! # Model limitations
 //!

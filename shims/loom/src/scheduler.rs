@@ -24,14 +24,8 @@ pub(crate) enum Blocked {
     RwRead(u64),
     /// Waiting for exclusive access to the rwlock with this resource id.
     RwWrite(u64),
-    /// Parked on a condvar; `timed` waiters may be woken by the
-    /// maximal-progress timeout rule when nothing else can run.
-    Condvar {
-        /// Resource id of the condvar.
-        cv: u64,
-        /// Whether this is a `wait_timeout` park.
-        timed: bool,
-    },
+    /// Parked on the condvar with this resource id.
+    Condvar(u64),
     /// Waiting for another task to finish.
     Join(TaskId),
     /// Finished (normally or by unwinding).
@@ -40,9 +34,6 @@ pub(crate) enum Blocked {
 
 struct Task {
     blocked: Blocked,
-    /// Set when the task was woken by the timeout rule rather than a
-    /// notification; consumed by `wait_timeout`.
-    timed_out: bool,
     name: String,
 }
 
@@ -220,12 +211,6 @@ impl Scheduler {
         }
     }
 
-    /// Read and clear the calling task's timed-out flag.
-    pub(crate) fn take_timed_out(&self, me: TaskId) -> bool {
-        let mut st = self.lock();
-        std::mem::take(&mut st.tasks[me].timed_out)
-    }
-
     /// Whether `task` has finished.
     pub(crate) fn is_done(&self, task: TaskId) -> bool {
         self.lock().tasks[task].blocked == Blocked::Done
@@ -247,28 +232,16 @@ impl Scheduler {
             .filter(|&i| st.tasks[i].blocked == Blocked::Ready)
             .collect();
         if options.is_empty() {
-            // Maximal-progress timeout rule: timed condvar waiters wake
-            // (as timed out) only when nothing else can run.
-            let timed: Vec<TaskId> = (0..st.tasks.len())
-                .filter(|&i| matches!(st.tasks[i].blocked, Blocked::Condvar { timed: true, .. }))
-                .collect();
-            if timed.is_empty() {
-                if st.tasks.iter().all(|t| t.blocked == Blocked::Done) {
-                    // Execution complete; wake the driver.
-                    st.active = None;
-                    self.cv.notify_all();
-                    return;
-                }
-                let report = Self::deadlock_report(st);
-                Self::fail(st, report);
+            if st.tasks.iter().all(|t| t.blocked == Blocked::Done) {
+                // Execution complete; wake `run`, which waits for it.
+                st.active = None;
                 self.cv.notify_all();
                 return;
             }
-            for &t in &timed {
-                st.tasks[t].blocked = Blocked::Ready;
-                st.tasks[t].timed_out = true;
-            }
-            options = timed;
+            let report = Self::deadlock_report(st);
+            Self::fail(st, report);
+            self.cv.notify_all();
+            return;
         }
         // The yielding task, if still runnable, goes first: choice 0
         // means "continue without preempting".
@@ -341,7 +314,6 @@ impl Scheduler {
             };
             st.tasks.push(Task {
                 blocked: Blocked::Ready,
-                timed_out: false,
                 name: name.clone(),
             });
             name

@@ -14,7 +14,6 @@ use std::sync::{
     LockResult, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock, RwLock as StdRwLock,
     RwLockReadGuard as StdRwLockReadGuard, RwLockWriteGuard as StdRwLockWriteGuard,
 };
-use std::time::Duration;
 
 use crate::scheduler::{Blocked, Scheduler};
 
@@ -118,21 +117,6 @@ impl<T> Drop for MutexGuard<'_, T> {
     }
 }
 
-/// The result of a timed condvar wait (the std type cannot be
-/// constructed outside `std`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the model's timeout rule fired
-    /// (nothing else could make progress) rather than by notification.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
 /// A condition variable checked by the model scheduler.
 ///
 /// Releasing the mutex and parking happen atomically with respect to
@@ -155,11 +139,9 @@ impl Condvar {
         *self.id.get_or_init(|| sched.resource_id())
     }
 
-    fn wait_inner<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timed: bool,
-    ) -> (MutexGuard<'a, T>, bool) {
+    /// Parks the calling task until notified, releasing the mutex while
+    /// parked and reacquiring it before returning.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
         let (sched, me) = Scheduler::current();
         let cv = self.id(&sched);
         let lock = guard.lock;
@@ -173,8 +155,7 @@ impl Condvar {
         // task can run between the two, so no notify slips through.
         *lock.held.lock().unwrap_or_else(|e| e.into_inner()) = false;
         sched.unblock_where(|b| b == Blocked::Mutex(mid));
-        sched.switch(me, Blocked::Condvar { cv, timed });
-        let timed_out = sched.take_timed_out(me);
+        sched.switch(me, Blocked::Condvar(cv));
         // Reacquire.
         loop {
             {
@@ -186,30 +167,10 @@ impl Condvar {
             }
             sched.switch(me, Blocked::Mutex(mid));
         }
-        (
-            MutexGuard {
-                data: Some(lock.data.lock().unwrap_or_else(|e| e.into_inner())),
-                lock,
-            },
-            timed_out,
-        )
-    }
-
-    /// Parks the calling task until notified, releasing the mutex while
-    /// parked and reacquiring it before returning.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-        Ok(self.wait_inner(guard, false).0)
-    }
-
-    /// Like [`Condvar::wait`], but the park may also end via the model's
-    /// maximal-progress timeout rule; the duration itself is ignored.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        _dur: Duration,
-    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-        let (guard, timed_out) = self.wait_inner(guard, true);
-        Ok((guard, WaitTimeoutResult { timed_out }))
+        Ok(MutexGuard {
+            data: Some(lock.data.lock().unwrap_or_else(|e| e.into_inner())),
+            lock,
+        })
     }
 
     /// Wakes every task parked on this condvar (they still race to
@@ -217,7 +178,7 @@ impl Condvar {
     pub fn notify_all(&self) {
         let (sched, me) = Scheduler::current();
         let cv = self.id(&sched);
-        sched.unblock_where(|b| matches!(b, Blocked::Condvar { cv: c, .. } if c == cv));
+        sched.unblock_where(|b| b == Blocked::Condvar(cv));
         sched.switch(me, Blocked::Ready);
     }
 
@@ -226,7 +187,7 @@ impl Condvar {
     pub fn notify_one(&self) {
         let (sched, me) = Scheduler::current();
         let cv = self.id(&sched);
-        sched.unblock_first(|b| matches!(b, Blocked::Condvar { cv: c, .. } if c == cv));
+        sched.unblock_first(|b| b == Blocked::Condvar(cv));
         sched.switch(me, Blocked::Ready);
     }
 }

@@ -153,28 +153,6 @@ fn notify_handshake_has_no_lost_wakeup() {
     assert!(report.failure.is_none(), "{:?}", report.failure);
 }
 
-/// `wait_timeout` waiters wake via the maximal-progress timeout rule
-/// when nothing else can run, reporting `timed_out()`.
-#[test]
-fn wait_timeout_fires_only_when_nothing_else_runs() {
-    let report = explore(Config::default(), || {
-        let pair = Arc::new((Mutex::new(()), Condvar::new()));
-        let waiter = {
-            let pair = Arc::clone(&pair);
-            thread::spawn(move || {
-                let (lock, cv) = &*pair;
-                let guard = lock.lock().unwrap();
-                let (_guard, result) = cv
-                    .wait_timeout(guard, std::time::Duration::from_millis(5))
-                    .unwrap();
-                assert!(result.timed_out(), "woken without a notifier");
-            })
-        };
-        waiter.join().unwrap();
-    });
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-}
-
 /// Failure traces are deterministic (same exploration → same trace) and
 /// replayable (the seed alone reproduces the failure).
 #[test]
