@@ -8,7 +8,6 @@ use mips_fexipro::{FexiproConfig, FexiproIndex};
 use mips_lemp::{LempConfig, LempIndex, QueryStats};
 use mips_sparse::{InvertedIndex, SparseScratch};
 use mips_topk::{ScreenTier, TopKList};
-use std::ops::Range;
 use std::time::Instant;
 
 /// LEMP behind the common solver interface.
@@ -92,21 +91,12 @@ impl MipsSolver for LempSolver {
         &ScreenTier::ALL
     }
 
-    fn num_users(&self) -> usize {
-        self.model.num_users()
+    fn screen_variant(&self, tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
+        Some(Box::new(self.with_screen(tier)))
     }
 
-    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
-        assert!(users.end <= self.num_users(), "user range out of bounds");
-        let mut stats = QueryStats::default();
-        let out = users
-            .map(|u| {
-                self.index
-                    .query_with_stats(self.model.users().row(u), k, &mut stats)
-            })
-            .collect();
-        self.record_scan(&stats);
-        out
+    fn num_users(&self) -> usize {
+        self.model.num_users()
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
@@ -177,11 +167,6 @@ impl MipsSolver for FexiproSolver {
         self.index.num_users()
     }
 
-    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
-        assert!(users.end <= self.num_users(), "user range out of bounds");
-        users.map(|u| self.index.query_user(u, k)).collect()
-    }
-
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         crate::solver::dedup_query_subset(users, |distinct| {
             distinct
@@ -242,18 +227,6 @@ impl MipsSolver for SparseSolver {
 
     fn num_users(&self) -> usize {
         self.model.num_users()
-    }
-
-    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
-        assert!(users.end <= self.num_users(), "user range out of bounds");
-        let items = self.model.items();
-        let mut scratch = SparseScratch::new(items.rows());
-        users
-            .map(|u| {
-                self.index
-                    .query_with_scratch(self.model.users().row(u), k, items, &mut scratch)
-            })
-            .collect()
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {

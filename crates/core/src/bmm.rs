@@ -54,7 +54,8 @@ pub struct BmmSolver {
     name: String,
     /// Cumulative screen candidate/survivor counts, drained by the serving
     /// layer ([`MipsSolver::take_screen_stats`]). Clones share the cells —
-    /// the counters describe the screen's selectivity, not one handle's.
+    /// the counters describe the screen's selectivity, not one handle's —
+    /// while [`BmmSolver::with_screen`] starts fresh ones.
     screen_tally: Arc<ScreenTallyCells>,
 }
 
@@ -73,22 +74,26 @@ impl BmmSolver {
         }
     }
 
-    /// Arms the mixed-precision path: the scan screens in `tier` and the
-    /// survivors are rescored exactly. The model's mirror for the tier is
-    /// built here (or fetched from the model-shared cache — every solver
-    /// over the model reuses one rounding / quantization pass), so its cost
-    /// is paid at build time, where OPTIMUS accounts it. A model that does not
-    /// mirror usably in `tier` (f32 overflow, degenerate quantization)
-    /// leaves the solver as it was — serving silently stays on its current
-    /// path.
-    pub fn with_screen(mut self, tier: ScreenTier) -> BmmSolver {
+    /// This solver with the mixed-precision path armed: the scan screens in
+    /// `tier` and the survivors are rescored exactly. The model's mirror for
+    /// the tier is built here (or fetched from the model-shared cache —
+    /// every solver over the model reuses one rounding / quantization
+    /// pass), so its cost is the variant's `build_seconds`, where OPTIMUS
+    /// accounts it. The variant counts its screen work in cells of its own.
+    /// A model that does not mirror usably in `tier` (f32 overflow,
+    /// degenerate quantization) yields a solver on `self`'s path.
+    pub fn with_screen(&self, tier: ScreenTier) -> BmmSolver {
         let start = Instant::now();
-        if per_tier!(tier, T => self.model.mirror::<T>().is_usable()) {
-            self.screen = Some(tier);
-            self.name = screened_name("Blocked MM", self.screen);
+        let usable = per_tier!(tier, T => self.model.mirror::<T>().is_usable());
+        let screen = if usable { Some(tier) } else { self.screen };
+        BmmSolver {
+            model: Arc::clone(&self.model),
+            batch_rows: self.batch_rows,
+            build_seconds: start.elapsed().as_secs_f64(),
+            screen,
+            name: screened_name("Blocked MM", screen),
+            screen_tally: Arc::default(),
         }
-        self.build_seconds += start.elapsed().as_secs_f64();
-        self
     }
 
     /// Users per GEMM batch: bounded by the score-buffer budget, floored at
@@ -177,6 +182,10 @@ impl MipsSolver for BmmSolver {
 
     fn screen_tiers(&self) -> &[ScreenTier] {
         &ScreenTier::ALL
+    }
+
+    fn screen_variant(&self, tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
+        Some(Box::new(self.with_screen(tier)))
     }
 
     fn num_users(&self) -> usize {
@@ -286,6 +295,25 @@ mod tests {
         assert!(big.iter().all(|l| l.len() == 8));
         let empty_range = solver.query_range(3, 2..2);
         assert!(empty_range.is_empty());
+    }
+
+    #[test]
+    fn sibling_screen_variants_count_their_own_work() {
+        // Clones share their tally cells, so a variant derived as a clone
+        // of the plain build would report its siblings' screen work.
+        let plain = BmmSolver::build(model(30, 50, 8));
+        let [f32_variant, i8_variant] =
+            ScreenTier::ALL.map(|tier| plain.screen_variant(tier).expect("BMM screens"));
+        assert_eq!(f32_variant.precision(), Precision::F32Rescore);
+        assert_eq!(i8_variant.precision(), Precision::I8Rescore);
+        let served = f32_variant.query_all(3);
+        assert_eq!(served, plain.query_all(3));
+        // The idle sibling drains first: shared cells would hand it the
+        // served variant's counts.
+        assert_eq!(i8_variant.take_screen_stats(), Some(ScreenTally::default()));
+        let tally = f32_variant.take_screen_stats().expect("a screening solver");
+        assert!(tally.screened > 0 && tally.rescored > 0, "{tally:?}");
+        assert_eq!(plain.take_screen_stats(), None);
     }
 
     #[test]

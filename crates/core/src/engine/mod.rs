@@ -218,7 +218,6 @@ impl EngineBuilder {
         if self.registry.is_empty() {
             return Err(MipsError::NoBackends);
         }
-        ensure_well_formed(&model)?;
         Ok(Engine {
             state: ArcCell::new(Arc::new(ModelEpoch::new(0, model))),
             registry: self.registry,
@@ -237,45 +236,6 @@ pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> crate::sync::MutexGuard<'_
     mutex
         .lock()
         .unwrap_or_else(crate::sync::PoisonError::into_inner)
-}
-
-/// Rejects malformed models — mismatched factor dimensions, NaN and
-/// infinite factors, or factors so large that inner products overflow —
-/// with a typed error.
-///
-/// [`MfModel::new`] already validates all of this, but models can also
-/// reach the engine through trusted zero-copy loaders
-/// ([`MfModel::new_unvalidated`]); a factor-width mismatch would feed
-/// unequal-length rows into the dot kernels, a NaN that slips into a
-/// norm-sorted index or a score comparison would poison results silently,
-/// and an overflowed `+∞ + −∞` score would reach a heap as NaN.
-/// The engine therefore re-checks at its two model intake points —
-/// [`EngineBuilder::build`] and [`Engine::swap_model`].
-fn ensure_well_formed(model: &MfModel) -> Result<(), MipsError> {
-    let (uf, itf) = (model.users().cols(), model.items().cols());
-    if uf != itf {
-        return Err(MipsError::InvalidConfig(format!(
-            "model user matrix has {uf} factors but item matrix has {itf}"
-        )));
-    }
-    if model.is_validated() {
-        // Constructed through MfModel::new, which already scanned for
-        // non-finite values — skip the O(n·f) re-scan so swap_model stays
-        // cheap for the common (validated) retraining path.
-        return Ok(());
-    }
-    for (what, matrix) in [("users", model.users()), ("items", model.items())] {
-        for (row, values) in matrix.iter_rows().enumerate() {
-            if values.iter().any(|v| !v.is_finite()) {
-                return Err(MipsError::InvalidConfig(format!(
-                    "model {what} matrix has a non-finite factor in row {row}"
-                )));
-            }
-        }
-    }
-    model
-        .check_score_range()
-        .map_err(|e| MipsError::InvalidConfig(format!("model rejected: {e}")))
 }
 
 /// The serving engine: backends + planner + the current model epoch.
@@ -332,14 +292,14 @@ impl Engine {
     /// the epoch; the old epoch (model, indexes, plans) is freed when its
     /// last in-flight request completes.
     ///
-    /// The new model is validated like at build time (non-empty, finite
-    /// factors); its shape may differ freely — user count, catalog size,
-    /// and factor dimensionality are all per-epoch properties.
+    /// The new model must be non-empty, like at build time; everything
+    /// else about it was validated by [`MfModel::new`]. Its shape may differ
+    /// freely — user count, catalog size, and factor dimensionality are all
+    /// per-epoch properties.
     pub fn swap_model(&self, model: Arc<MfModel>) -> Result<u64, MipsError> {
         if model.num_users() == 0 || model.num_items() == 0 {
             return Err(MipsError::EmptyModel);
         }
-        ensure_well_formed(&model)?;
         let installed = self
             .state
             .swap_with(|old| Arc::new(ModelEpoch::new(old.id + 1, model)));
@@ -394,11 +354,11 @@ impl Engine {
     /// in `tier`; the plain build always exists.
     ///
     /// A tier variant is **derived from the plain build**: the
-    /// `(key, None)` cell's solver (built here if this is its first use) is
-    /// handed to the factory's `build_screen`, which adds the tier's mirrors
-    /// over the shared construction — so a backend's clustering, sorting
-    /// and gathered copies exist once per `key` and epoch, however many
-    /// tiers are armed.
+    /// `(key, None)` cell's solver (built here if this is its first use)
+    /// derives it ([`MipsSolver::screen_variant`]), adding the tier's
+    /// mirrors over the shared construction — so a backend's clustering,
+    /// sorting and gathered copies exist once per `key` and epoch, however
+    /// many tiers are armed.
     fn solver_on(
         &self,
         state: &ModelEpoch,
@@ -414,19 +374,13 @@ impl Engine {
             let mut map = lock_recovering(&state.solvers);
             Arc::clone(map.entry((key.to_string(), tier)).or_default())
         };
-        get_or_build(&cell, || {
-            let built = match tier {
-                Some(tier) => {
-                    let plain = self.solver_on(state, key, None)?;
-                    let plain = plain.as_deref().expect("every backend has a plain build");
-                    match factory.build_screen(plain, &state.model, tier) {
-                        Some(built) => built?,
-                        None => return Ok(None),
-                    }
-                }
-                None => factory.build(&state.model)?,
-            };
-            Ok(Some(Arc::from(built)))
+        get_or_build(&cell, || match tier {
+            None => Ok(Some(Arc::from(factory.build(&state.model)?))),
+            Some(tier) => {
+                let plain = self.solver_on(state, key, None)?;
+                let plain = plain.expect("every backend has a plain build");
+                Ok(plain.screen_variant(tier).map(Arc::from))
+            }
         })
     }
 
@@ -722,7 +676,6 @@ mod tests {
     use crate::optimus::CandidateOutcome;
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_linalg::CacheConfig;
-    use std::ops::Range;
 
     fn model(users: usize, items: usize) -> Arc<MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -1369,81 +1322,38 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_models_are_rejected_at_build_and_swap() {
-        use mips_linalg::Matrix;
-        let nan_users = Matrix::from_vec(2, 2, vec![1.0, f64::NAN, 0.0, 1.0]).unwrap();
-        let items = Matrix::from_vec(3, 2, vec![1.0; 6]).unwrap();
-        let bad = Arc::new(MfModel::new_unvalidated("nan", nan_users, items));
-        assert!(matches!(
-            EngineBuilder::new()
-                .model(Arc::clone(&bad))
-                .register(BmmFactory)
-                .build(),
-            Err(MipsError::InvalidConfig(msg)) if msg.contains("non-finite")
-        ));
-        let engine = engine(10, 10);
-        assert!(matches!(
-            engine.swap_model(bad),
-            Err(MipsError::InvalidConfig(msg)) if msg.contains("non-finite")
-        ));
-        let inf_items = Matrix::from_vec(2, 2, vec![1.0, 2.0, f64::INFINITY, 0.5]).unwrap();
-        let users = Matrix::from_vec(2, 2, vec![1.0; 4]).unwrap();
-        let bad_items = Arc::new(MfModel::new_unvalidated("inf", users, inf_items));
-        assert!(engine.swap_model(bad_items).is_err());
-        // A failed swap leaves the serving epoch untouched.
-        assert_eq!(engine.epoch(), 0);
-        assert_eq!(engine.swap_count(), 0);
-        assert!(engine.execute(&QueryRequest::top_k(2)).is_ok());
-    }
-
-    #[test]
-    fn factor_width_mismatch_is_rejected_at_build_and_swap() {
-        use mips_linalg::Matrix;
-        // Users have 4 factors, items only 2: the dot kernels must never
-        // see these rows, so both intake points reject with a typed error.
-        let mismatched = Arc::new(MfModel::new_unvalidated(
-            "ragged",
-            Matrix::from_vec(2, 4, vec![0.5; 8]).unwrap(),
-            Matrix::from_vec(3, 2, vec![0.5; 6]).unwrap(),
-        ));
-        assert!(matches!(
-            EngineBuilder::new()
-                .model(Arc::clone(&mismatched))
-                .register(BmmFactory)
-                .build(),
-            Err(MipsError::InvalidConfig(msg)) if msg.contains("factors")
-        ));
-        let engine = engine(10, 10);
-        assert!(matches!(
-            engine.swap_model(mismatched),
-            Err(MipsError::InvalidConfig(msg)) if msg.contains("factors")
-        ));
-        assert_eq!(engine.epoch(), 0);
-    }
-
-    #[test]
     fn swap_rejects_empty_models() {
-        use mips_linalg::Matrix;
         let engine = engine(10, 10);
-        let empty = Arc::new(MfModel::new_unvalidated(
-            "empty",
-            Matrix::<f64>::zeros(0, 2),
-            Matrix::<f64>::zeros(3, 2),
-        ));
+        let empty = Arc::new(model(10, 10).with_users(&[]));
         assert_eq!(engine.swap_model(empty).unwrap_err(), MipsError::EmptyModel);
+        assert_eq!(engine.epoch(), 0);
     }
 
     #[test]
-    fn analytical_prior_calibrates_once_across_epochs() {
-        let engine = engine(60, 40);
-        assert_eq!(engine.registry().calibration_runs(), 0);
-        let plan = engine.prepare(3).unwrap();
-        assert!(plan.analytical_bmm_seconds() > 0.0);
-        assert_eq!(engine.registry().calibration_runs(), 1);
-        // A fresh epoch reuses the rate: no per-epoch recalibration.
-        engine.swap_model(model(60, 40)).unwrap();
-        engine.prepare(3).unwrap();
-        assert_eq!(engine.registry().calibration_runs(), 1);
+    fn host_rates_are_process_constants_every_engine_shares() {
+        use crate::optimus::cost::{sparse_updates_per_second, tier_flops_per_second};
+        let rates = || -> Vec<u64> {
+            let tiers = std::iter::once(None).chain(ScreenTier::ALL.map(Some));
+            let mut rates: Vec<f64> = tiers.map(tier_flops_per_second).collect();
+            rates.push(sparse_updates_per_second());
+            assert!(rates.iter().all(|&rate| rate > 0.0), "{rates:?}");
+            rates.into_iter().map(f64::to_bits).collect()
+        };
+        let first = rates();
+        assert_eq!(rates(), first, "repeated reads are bit-equal");
+        // Two engines planning under Auto (the tier-rate bounds) with the
+        // sparse backend registered (its gate) read the same constants.
+        for _ in 0..2 {
+            let engine = EngineBuilder::new()
+                .model(model(60, 40))
+                .with_default_backends()
+                .optimus(tiny_optimus())
+                .precision(Precision::Auto)
+                .build()
+                .unwrap();
+            engine.prepare(3).unwrap();
+            assert_eq!(rates(), first);
+        }
     }
 
     #[test]
@@ -1513,9 +1423,6 @@ mod tests {
             }
             fn num_users(&self) -> usize {
                 self.0.num_users()
-            }
-            fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
-                self.0.query_range(k, users)
             }
             fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
                 self.0.query_subset(k, users)
@@ -1589,7 +1496,6 @@ mod tests {
         for (g, w) in auto.results.iter().zip(&want.results) {
             assert_eq!(g.items, w.items);
         }
-        assert!(plan.analytical_bmm_seconds() > 0.0);
     }
 
     #[test]

@@ -35,22 +35,12 @@ pub struct PreparedPlan {
     pub(super) estimates: Vec<StrategyEstimate>,
     pub(super) sample_size: usize,
     pub(super) decision_seconds: f64,
-    /// The §IV-A analytical prior: predicted seconds for the BMM multiply
-    /// stage over the plan's users, from the registry's calibrated FLOP
-    /// rate. `0.0` when planning skipped sampling (single candidate).
-    pub(super) analytical_bmm_seconds: f64,
     /// The numeric mode the winning solver actually serves through. Under
     /// [`Precision::Auto`] this records the planner's per-plan decision;
     /// under a forced mode it records the effective value (a backend
     /// without a screen path reports [`Precision::F64`] even when
     /// `F32Rescore` was requested).
     pub(super) precision: Precision,
-    /// The analytical prior for the sparse inverted-index accumulation
-    /// stage — the bound the planner gates the sparse backend on:
-    /// predicted seconds for serving every user the plan covers, from the
-    /// calibrated postings-walk rate scaled by sampled nnz/density
-    /// statistics. `0.0` when no sparse backend was a candidate.
-    pub(super) analytical_sparse_seconds: f64,
 }
 
 impl PreparedPlan {
@@ -98,24 +88,6 @@ impl PreparedPlan {
     /// (`estimates()[i].build_seconds`).
     pub fn decision_seconds(&self) -> f64 {
         self.decision_seconds
-    }
-
-    /// The analytical BMM prior recorded at planning time: predicted
-    /// multiply-stage seconds for serving every user the plan covers, from
-    /// the registry's calibrated (per-kernel, cached) FLOP rate. `0.0`
-    /// when planning skipped sampling.
-    pub fn analytical_bmm_seconds(&self) -> f64 {
-        self.analytical_bmm_seconds
-    }
-
-    /// The analytical prior for the sparse inverted-index accumulation
-    /// stage, when a sparse backend was a candidate of this plan (`0.0`
-    /// otherwise): calibrated postings-walk rate × expected touched
-    /// postings from sampled nnz/density statistics. The planner builds
-    /// the index only when this does not already exceed the leader's
-    /// sampled estimate.
-    pub fn analytical_sparse_seconds(&self) -> f64 {
-        self.analytical_sparse_seconds
     }
 
     /// The numeric mode the plan's winner serves through — the effective

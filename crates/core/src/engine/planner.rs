@@ -11,18 +11,16 @@
 //! What the engine adds to the race:
 //!
 //! * the **analytical gate** for the sparse backend
-//!   ([`Engine::analytical_sparse_seconds`]) and the **tier-rate bound**
-//!   for screen variants, both from the registry's per-kernel calibration
-//!   cache ([`BackendRegistry::analytical_tier`]) — measured, never
-//!   configured;
+//!   ([`sparse_bound_seconds`]) and the **tier-rate bound** for screen
+//!   variants, both from the host's kernel rates ([`crate::optimus::cost`])
+//!   — measured, never configured;
 //! * the **adoption rule** ([`demote_marginal_screen_winner`]): under
 //!   [`Precision::Auto`] a screen variant displaces its own f64 build only
 //!   when it is clearly, not marginally, faster.
-//!
-//! [`BackendRegistry::analytical_tier`]: super::BackendRegistry::analytical_tier
 
 use super::epoch::ModelEpoch;
 use super::{Engine, MipsError, PreparedPlan};
+use crate::optimus::cost::{sparse_updates_per_second, tier_flops_per_second};
 use crate::optimus::{CandidateOutcome, CandidateSource, Optimus, PlannedChoice, StrategyEstimate};
 use crate::precision::Precision;
 use crate::solver::{screened_name, MipsSolver};
@@ -32,7 +30,7 @@ use mips_data::MfModel;
 use mips_topk::ScreenTier;
 
 /// Registry key of the one backend with an analytical cost model of its
-/// own ([`Engine::analytical_sparse_seconds`]).
+/// own ([`sparse_bound_seconds`]).
 const SPARSE_KEY: &str = "sparse";
 
 /// The lazy candidate source of one plan: registry backends in order, each
@@ -41,7 +39,7 @@ const SPARSE_KEY: &str = "sparse";
 /// when it has one (under the plain key — the mode is forced, not
 /// competed); [`Precision::Auto`] competes every available screen variant
 /// as an **extra** candidate against its f64 build, bounded by the
-/// calibrated tier-rate ratio.
+/// measured tier-rate ratio.
 struct Candidates<'a> {
     engine: &'a Engine,
     state: &'a ModelEpoch,
@@ -57,8 +55,7 @@ impl CandidateSource for Candidates<'_> {
     }
 
     fn analytical_bound(&mut self, base: usize) -> Option<f64> {
-        (self.keys[base] == SPARSE_KEY)
-            .then(|| self.engine.analytical_sparse_seconds(&self.state.model))
+        (self.keys[base] == SPARSE_KEY).then(|| sparse_bound_seconds(&self.state.model))
     }
 
     fn build(&mut self, base: usize) -> Result<Arc<dyn MipsSolver>, MipsError> {
@@ -68,11 +65,8 @@ impl CandidateSource for Candidates<'_> {
     }
 
     fn tier_time_ratio(&mut self, _base: usize, tier: ScreenTier) -> Option<f64> {
-        (self.engine.config.precision == Precision::Auto).then(|| {
-            let registry = &self.engine.registry;
-            registry.analytical_tier(None).flops_per_second
-                / registry.analytical_tier(Some(tier)).flops_per_second
-        })
+        (self.engine.config.precision == Precision::Auto)
+            .then(|| tier_flops_per_second(None) / tier_flops_per_second(Some(tier)))
     }
 
     fn build_variant(
@@ -179,16 +173,8 @@ impl Engine {
             estimates: Vec::new(),
             sample_size: 0,
             decision_seconds: 0.0,
-            analytical_bmm_seconds: 0.0,
-            analytical_sparse_seconds: 0.0,
         };
         if let Some(choice) = choice {
-            plan.analytical_bmm_seconds = self.analytical_bmm_seconds(model);
-            // The sparse prior is recorded only when the sparse backend is
-            // a candidate, so other engines never pay its calibration.
-            if source.keys.contains(&SPARSE_KEY) {
-                plan.analytical_sparse_seconds = self.analytical_sparse_seconds(model);
-            }
             plan.sample_size = choice.sample_size;
             plan.decision_seconds = choice.decision_seconds;
             plan.estimates = choice.entries.into_iter().map(|e| e.estimate).collect();
@@ -218,37 +204,23 @@ impl Engine {
         }
         Ok(choice)
     }
+}
 
-    /// The §IV-A analytical prior recorded on sampled plans: predicted
-    /// multiply-stage seconds for the model's users over the full catalog,
-    /// using the registry's calibrated FLOP rate (measured once per SIMD
-    /// kernel, cached across epochs).
-    fn analytical_bmm_seconds(&self, model: &MfModel) -> f64 {
-        self.registry.analytical_bmm().predict_seconds(
-            model.num_users(),
-            model.num_items(),
-            model.num_factors(),
-        )
-    }
-
-    /// The analytical cost of the sparse inverted-index **accumulation
-    /// stage** — the planner's lower bound on the sparse backend, checked
-    /// before the index is built. Expected work is derived from sampled
-    /// nnz/density statistics the same way the BMM prior derives FLOPs from
-    /// the model's shape: each query touches one postings list per nonzero
-    /// query factor, and each list holds `density × num_items` postings on
-    /// average. Candidate selection and the exact rescore come on top (they
-    /// are data-dependent, which is why a sparse candidate under the bound
-    /// is still sampled).
-    fn analytical_sparse_seconds(&self, model: &MfModel) -> f64 {
-        const SAMPLE_ROWS: usize = 256;
-        let user_stats = mips_data::SparsityStats::sample(model.users(), SAMPLE_ROWS);
-        let item_stats = mips_data::SparsityStats::sample(model.items(), SAMPLE_ROWS);
-        let updates_per_query =
-            user_stats.avg_nnz_per_row * item_stats.density * model.num_items() as f64;
-        let updates = model.num_users() as f64 * updates_per_query;
-        self.registry.analytical_sparse().predict_seconds(updates)
-    }
+/// The analytical cost of the sparse inverted-index **accumulation
+/// stage** for every user of `model` — the planner's lower bound on the
+/// sparse backend, checked before the index is built. Expected work is
+/// derived from sampled nnz/density statistics: each query touches one
+/// postings list per nonzero query factor, and each list holds
+/// `density × num_items` postings on average. Candidate selection and the
+/// exact rescore come on top (they are data-dependent, which is why a
+/// sparse candidate under the bound is still sampled).
+fn sparse_bound_seconds(model: &MfModel) -> f64 {
+    const SAMPLE_ROWS: usize = 256;
+    let user_stats = mips_data::SparsityStats::sample(model.users(), SAMPLE_ROWS);
+    let item_stats = mips_data::SparsityStats::sample(model.items(), SAMPLE_ROWS);
+    let updates_per_query =
+        user_stats.avg_nnz_per_row * item_stats.density * model.num_items() as f64;
+    model.num_users() as f64 * updates_per_query / sparse_updates_per_second()
 }
 
 #[cfg(test)]

@@ -8,24 +8,22 @@
 //! [`FexiproFactory`]), and downstream crates can register their own with
 //! [`FnFactory`] or a custom type — the planner treats all of them alike.
 //!
-//! A factory has two hooks: [`SolverFactory::build`] over the model, and
-//! [`SolverFactory::build_screen`] for the mixed-precision variant in a
-//! given [`ScreenTier`] (defaulted to "no such variant"), which is derived
-//! from — and shares the construction of — the plain build it is handed.
+//! A factory has one job, [`SolverFactory::build`]: the plain f64 solver
+//! over a model. A backend's mixed-precision variants are derived from that
+//! build by the solver itself ([`MipsSolver::screen_variant`]), and the
+//! host's kernel rates the planner bounds candidates with are process
+//! constants ([`crate::optimus::cost`]), so the registry holds its
+//! factories and nothing else.
 
 use super::error::MipsError;
 use crate::adapters::{FexiproSolver, LempSolver, SparseSolver};
 use crate::bmm::BmmSolver;
 use crate::maximus::{MaximusConfig, MaximusIndex};
-use crate::optimus::cost::{AnalyticalBmmModel, AnalyticalSparseModel};
 use crate::solver::MipsSolver;
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex};
+use crate::sync::Arc;
 use mips_data::MfModel;
 use mips_fexipro::FexiproConfig;
 use mips_lemp::LempConfig;
-use mips_topk::ScreenTier;
-use std::collections::HashMap;
 
 /// Builds solvers for one backend family.
 ///
@@ -36,38 +34,9 @@ pub trait SolverFactory: Send + Sync {
     /// Stable registry key (`"bmm"`, `"maximus"`, `"lemp"`, …).
     fn key(&self) -> &str;
 
-    /// Constructs a solver over `model`.
+    /// Constructs the plain f64 solver over `model`; its screen variants
+    /// come from it ([`MipsSolver::screen_variant`]).
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError>;
-
-    /// Constructs the mixed-precision variant of this backend in `tier`
-    /// **from its plain build** — scans screen in `tier` with a
-    /// conservative error envelope, survivors are rescored in f64, results
-    /// stay bit-identical (see [`mips_topk::screen`]).
-    ///
-    /// `base` is the solver this factory's own [`SolverFactory::build`]
-    /// produced over the same `model` (the engine hands it over from its
-    /// epoch cache; `base.downcast_ref::<T>()` recovers the concrete type).
-    /// The contract is **sharing**: the variant holds whatever `base`
-    /// constructed — clusterings, sorted lists, gathered item copies —
-    /// behind an `Arc` and adds only the tier's mirrors, so the
-    /// construction exists once per epoch however many tiers are armed, and
-    /// the variant's `build_seconds` is the mirroring alone. A factory whose
-    /// plain build is free may ignore `base` and build over `model`.
-    ///
-    /// `None` (the default) means the backend has no screen path: the
-    /// engine then serves it f64-direct under every
-    /// [`Precision`](crate::precision::Precision) setting. `Some` for
-    /// exactly the tiers `base` lists in [`MipsSolver::screen_tiers`]. A
-    /// backend whose *model* cannot be mirrored in `tier` returns a solver
-    /// serving the plain f64 path instead.
-    fn build_screen(
-        &self,
-        _base: &dyn MipsSolver,
-        _model: &Arc<MfModel>,
-        _tier: ScreenTier,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        None
-    }
 }
 
 /// A backend config's own `validate()` verdict as the engine's typed error:
@@ -76,18 +45,6 @@ fn config_checked(key: &str, config: &str, verdict: Result<(), String>) -> Resul
     verdict.map_err(|message| MipsError::BackendBuild {
         key: key.to_string(),
         message: format!("{config}: {message}"),
-    })
-}
-
-/// Recovers a factory's own concrete solver from the `base` its
-/// `build_screen` was handed; a foreign solver is a wiring error.
-fn own_base<'a, T: MipsSolver>(key: &str, base: &'a dyn MipsSolver) -> Result<&'a T, MipsError> {
-    base.downcast_ref().ok_or_else(|| MipsError::BackendBuild {
-        key: key.to_string(),
-        message: format!(
-            "build_screen was handed `{}`, which this factory did not build",
-            base.name()
-        ),
     })
 }
 
@@ -102,18 +59,6 @@ impl SolverFactory for BmmFactory {
 
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
         Ok(Box::new(BmmSolver::build(Arc::clone(model))))
-    }
-
-    fn build_screen(
-        &self,
-        _base: &dyn MipsSolver,
-        model: &Arc<MfModel>,
-        tier: ScreenTier,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        // Nothing to share: the plain build is free, and the tier's mirror
-        // lives on the model, so every tier reuses one rounding pass anyway.
-        let plain = BmmSolver::build(Arc::clone(model));
-        Some(Ok(Box::new(plain.with_screen(tier))))
     }
 }
 
@@ -143,18 +88,6 @@ impl SolverFactory for MaximusFactory {
             &self.config,
         )))
     }
-
-    fn build_screen(
-        &self,
-        base: &dyn MipsSolver,
-        _model: &Arc<MfModel>,
-        tier: ScreenTier,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(
-            own_base::<MaximusIndex>(self.key(), base)
-                .map(|index| Box::new(index.with_screen(tier)) as Box<dyn MipsSolver>),
-        )
-    }
 }
 
 /// Factory for the LEMP baseline with a fixed configuration.
@@ -179,18 +112,6 @@ impl SolverFactory for LempFactory {
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
         config_checked(self.key(), "LempConfig", self.config.validate())?;
         Ok(Box::new(LempSolver::build(Arc::clone(model), &self.config)))
-    }
-
-    fn build_screen(
-        &self,
-        base: &dyn MipsSolver,
-        _model: &Arc<MfModel>,
-        tier: ScreenTier,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        Some(
-            own_base::<LempSolver>(self.key(), base)
-                .map(|solver| Box::new(solver.with_screen(tier)) as Box<dyn MipsSolver>),
-        )
     }
 }
 
@@ -286,107 +207,15 @@ where
 /// whole sample before anything else, then races the rest in registration
 /// order against the running leader — so conventionally BMM registers
 /// first.
-///
-/// The registry also owns the planner's **calibration cache**: the
-/// sustained kernel rate of every numeric tier and of the sparse postings
-/// walk, each measured once per SIMD kernel and shared (through clones of
-/// the registry, and therefore across model epochs and shards) by every plan
-/// — see [`BackendRegistry::analytical_tier`].
 #[derive(Clone, Default)]
 pub struct BackendRegistry {
     factories: Vec<Arc<dyn SolverFactory>>,
-    /// Calibrated rates per `(kernel name, what)`. Behind an `Arc` so engine
-    /// builders that clone the registry keep sharing one cache.
-    calibration: Arc<Mutex<HashMap<(&'static str, Calibrated), f64>>>,
-    /// How many real dense-kernel calibration measurements have run (tests
-    /// assert the cache actually dedupes across epochs and shards).
-    calibration_runs: Arc<AtomicU64>,
-    /// Sparse calibration misses, counted apart: sparse calibration only
-    /// runs when a sparse backend is actually planned, and tests pin the
-    /// dense counter.
-    sparse_calibration_runs: Arc<AtomicU64>,
-}
-
-/// What a calibration-cache entry measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Calibrated {
-    /// The dense multiply kernel of a numeric tier (`None`: f64), FLOP/s.
-    Tier(Option<ScreenTier>),
-    /// The sparse postings walk, updates/s.
-    Sparse,
 }
 
 impl BackendRegistry {
     /// An empty registry.
     pub fn new() -> BackendRegistry {
         BackendRegistry::default()
-    }
-
-    /// The calibrated analytical BMM cost model (the f64 multiply stage) —
-    /// [`BackendRegistry::analytical_tier`] of the plain tier.
-    pub fn analytical_bmm(&self) -> AnalyticalBmmModel {
-        self.analytical_tier(None)
-    }
-
-    /// The calibrated cost model of `tier`'s dense scan kernel (`None`: the
-    /// f64 GEMM; `Some`: the screen kernel of that tier) for the **active**
-    /// SIMD kernel set, measuring on first use and caching the rate per
-    /// `(kernel name, tier)`.
-    ///
-    /// A rate calibrated under one kernel must never be reused under
-    /// another (the module docs of [`crate::optimus::cost`]), so the kernel
-    /// name is part of the key; within one kernel the rate is a host
-    /// property, not a model property, so epochs and shards all reuse the
-    /// single measurement instead of re-timing a `256³` multiply on their
-    /// first plan. The ratio of two tiers' rates is the planner's bound on
-    /// what a screen variant can gain over its f64 base.
-    pub fn analytical_tier(&self, tier: Option<ScreenTier>) -> AnalyticalBmmModel {
-        let flops_per_second =
-            self.calibrated(Calibrated::Tier(tier), &self.calibration_runs, || {
-                AnalyticalBmmModel::calibrate_tier(tier).flops_per_second
-            });
-        AnalyticalBmmModel {
-            flops_per_second,
-            kernel: mips_linalg::simd::active().name(),
-        }
-    }
-
-    /// The cached rate of `what` under the active kernel, measured with
-    /// `measure` (and counted in `runs`) on a miss.
-    fn calibrated(&self, what: Calibrated, runs: &AtomicU64, measure: impl FnOnce() -> f64) -> f64 {
-        let kernel = mips_linalg::simd::active().name();
-        // Calibration is a few milliseconds; holding the lock dedupes
-        // concurrent first callers onto one measurement.
-        let mut cache = super::lock_recovering(&self.calibration);
-        *cache.entry((kernel, what)).or_insert_with(|| {
-            runs.fetch_add(1, Ordering::Relaxed);
-            measure()
-        })
-    }
-
-    /// How many dense-kernel calibration measurements
-    /// [`BackendRegistry::analytical_tier`] has actually run (cache misses).
-    pub fn calibration_runs(&self) -> u64 {
-        self.calibration_runs.load(Ordering::Relaxed)
-    }
-
-    /// The calibrated analytical cost model of the sparse inverted-index
-    /// accumulation loop, cached per kernel name like
-    /// [`BackendRegistry::analytical_tier`].
-    pub fn analytical_sparse(&self) -> AnalyticalSparseModel {
-        let updates_per_second =
-            self.calibrated(Calibrated::Sparse, &self.sparse_calibration_runs, || {
-                AnalyticalSparseModel::calibrate().updates_per_second
-            });
-        AnalyticalSparseModel {
-            updates_per_second,
-            kernel: mips_linalg::simd::active().name(),
-        }
-    }
-
-    /// Cache misses of [`BackendRegistry::analytical_sparse`].
-    pub fn sparse_calibration_runs(&self) -> u64 {
-        self.sparse_calibration_runs.load(Ordering::Relaxed)
     }
 
     /// The registry of all built-in backends with default parameters:
@@ -456,6 +285,7 @@ impl std::fmt::Debug for BackendRegistry {
 mod tests {
     use super::*;
     use mips_data::synth::{synth_model, SynthConfig};
+    use mips_topk::ScreenTier;
 
     fn model() -> Arc<MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -500,13 +330,12 @@ mod tests {
                 assert_eq!(
                     base.screen_tiers().contains(&tier),
                     has_screen,
-                    "{key} advertises what build_screen delivers"
+                    "{key} advertises what screen_variant delivers"
                 );
-                match factory.build_screen(base.as_ref(), &m, tier) {
+                match base.screen_variant(tier) {
                     None => assert!(!has_screen, "{key} lost its {tier:?} path"),
-                    Some(built) => {
+                    Some(screened) => {
                         assert!(has_screen, "{key} unexpectedly screens in {tier:?}");
-                        let screened = built.expect("screen build");
                         assert_eq!(
                             screened.precision(),
                             crate::precision::Precision::of_tier(Some(tier)),
@@ -525,23 +354,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn analytical_bmm_calibrates_once_per_kernel_and_shares_across_clones() {
-        let registry = BackendRegistry::with_defaults();
-        assert_eq!(registry.calibration_runs(), 0);
-        let first = registry.analytical_bmm();
-        assert_eq!(registry.calibration_runs(), 1);
-        assert!(first.flops_per_second > 0.0);
-        // Second call (and calls through a clone — the engine builder
-        // clones the registry) reuse the measurement.
-        let clone = registry.clone();
-        let again = clone.analytical_bmm();
-        assert_eq!(registry.calibration_runs(), 1);
-        assert_eq!(clone.calibration_runs(), 1);
-        assert_eq!(again.flops_per_second, first.flops_per_second);
-        assert_eq!(again.kernel, first.kernel);
     }
 
     #[test]

@@ -26,7 +26,6 @@ use mips_linalg::{per_tier, GemmScratch, Matrix, PackedPanels};
 use mips_topk::{
     stream_topk_into_heaps, ColumnIds, ItemMirror, ScreenTier, TopKHeap, TopKList, UserScreen,
 };
-use std::ops::Range;
 use std::time::Instant;
 
 /// MAXIMUS parameters (§III-D: "B = 4096, |C| = 8, and i = 3 is effective
@@ -626,18 +625,16 @@ impl MipsSolver for MaximusIndex {
         &ScreenTier::ALL
     }
 
+    fn screen_variant(&self, tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
+        Some(Box::new(self.with_screen(tier)))
+    }
+
     fn num_users(&self) -> usize {
         self.core.model.num_users()
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
         self.screen.map(|_| self.screen_tally.drain())
-    }
-
-    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
-        assert!(users.end <= self.num_users(), "user range out of bounds");
-        let ids: Vec<usize> = users.collect();
-        self.query_subset(k, &ids)
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {

@@ -1,27 +1,31 @@
-//! The offline analytical BMM cost model (§IV-A, "Offline Performance
+//! The offline analytical cost rates (§IV-A, "Offline Performance
 //! Profiling for BMM").
 //!
 //! Dense matrix multiply is compute-bound, so its runtime is well predicted
 //! by `FLOPs / sustained FLOP rate`. The paper derives the rate from CPU
-//! datasheets \[14\]; lacking a datasheet for arbitrary hosts, we *calibrate*
-//! the sustained rate once with a short measurement — same model, same
+//! datasheets \[14\]; lacking a datasheet for arbitrary hosts, we *measure*
+//! the sustained rate with a short calibration — same model, same
 //! limitation: it predicts only the multiply stage, not the data-dependent
 //! top-k selection, which is why OPTIMUS's production path uses online
 //! sampling instead (the paper reports the min-heap stage at ≥ 9.5 % of
 //! runtime for its largest models).
 //!
-//! Calibration runs every tier — f64, f32 and int8 alike — the way the scan
-//! is served: the packed GEMM driver streaming score blocks off a B side
-//! packed once ([`gemm_nt_stream_blocks`]), under whatever SIMD kernel set
-//! [`mips_linalg::simd::active`] selected, and records that kernel's name.
-//! This matters: switching between the scalar and AVX2 micro-kernels moves
-//! the sustained rate by an order of magnitude, which in turn moves every
-//! BMM-vs-index crossover the optimizer reasons about. A rate calibrated
-//! under one kernel must never be reused under another — compare
-//! [`AnalyticalBmmModel::kernel`] before trusting a cached rate.
+//! Each rate is a property of the host and of the SIMD kernel set
+//! [`mips_linalg::simd::active`] selected, which is fixed for the process
+//! lifetime. So each is measured at most once per process, on first use,
+//! and then read as a constant by every engine, epoch and shard.
+//!
+//! * [`tier_flops_per_second`] — every numeric tier's dense scan kernel
+//!   (f64, f32, int8), timed the way the scan is served: the packed GEMM
+//!   driver streaming score blocks off a B side packed once
+//!   ([`gemm_nt_stream_blocks`]). The ratio of two tiers' rates bounds what
+//!   a screen variant can gain over its f64 base.
+//! * [`sparse_updates_per_second`] — the sparse inverted index's postings
+//!   walk, whose gathered accumulator updates sit far below the dense rate.
 
+use crate::sync::OnceLock;
 use mips_linalg::{
-    gemm_flops, gemm_nt_stream_blocks, simd, GemmElem, GemmScratch, PackedPanels, RowBlock, Scalar,
+    gemm_flops, gemm_nt_stream_blocks, GemmElem, GemmScratch, PackedPanels, RowBlock, Scalar,
 };
 use mips_topk::ScreenTier;
 use std::hint::black_box;
@@ -32,8 +36,8 @@ use std::time::Instant;
 const DIM: usize = 256;
 
 /// Seconds of the fastest of three runs of `work`, after one warm-up: a
-/// calibration is reused for the registry's lifetime, so one preempted run
-/// must not become the rate.
+/// rate is kept for the process lifetime, so one preempted run must not
+/// become the rate.
 fn fastest_of_three(mut work: impl FnMut()) -> f64 {
     work();
     let mut best = f64::INFINITY;
@@ -66,88 +70,38 @@ fn time_gemm<T: GemmElem>(elem: impl Fn(i8) -> T) -> f64 {
     })
 }
 
-/// A calibrated analytical cost model for the BMM multiply stage.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyticalBmmModel {
-    /// Sustained throughput in FLOP/s measured during calibration.
-    pub flops_per_second: f64,
-    /// The SIMD kernel set the rate was measured under
-    /// ([`mips_linalg::simd::Kernel::name`]).
-    pub kernel: &'static str,
-}
-
-impl AnalyticalBmmModel {
-    /// Calibrates by timing a `256 × 256 × 256` double-precision multiply.
-    pub fn calibrate() -> AnalyticalBmmModel {
-        AnalyticalBmmModel::calibrate_tier(None)
-    }
-
-    /// Calibrates the dense scan kernel of one numeric tier on the same
-    /// `256³` multiply through the packed driver: the f64 tile (`None`),
-    /// the f32 tile, or the int8 tile. The ratio between a screen tier's
-    /// rate and the f64 rate is the analytical bound on how much of a
-    /// backend's scan the tier can save (the rescore cost is data-dependent
-    /// and left to online sampling, exactly like the top-k stage) — every
-    /// tier has an entry here, which is what lets the planner bound a
-    /// variant before building it.
-    pub fn calibrate_tier(tier: Option<ScreenTier>) -> AnalyticalBmmModel {
+/// The sustained FLOP rate of `tier`'s dense scan kernel on this host —
+/// the f64 GEMM (`None`) or a screen tier's — timed on a `256³` multiply
+/// through the packed driver the first time it is asked for and a process
+/// constant from then on. Every tier has a rate, which is what lets the
+/// planner bound a variant before building it.
+pub fn tier_flops_per_second(tier: Option<ScreenTier>) -> f64 {
+    static RATES: [OnceLock<f64>; 1 + ScreenTier::ALL.len()] =
+        [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+    *RATES[tier.map_or(0, |t| 1 + t.index())].get_or_init(|| {
         let seconds = match tier {
             None => time_gemm(|v| f64::from(v) * 0.1),
             Some(ScreenTier::F32) => time_gemm(|v| f32::from_f64(f64::from(v) * 0.1)),
             Some(ScreenTier::I8) => time_gemm(|v: i8| v),
         };
-        AnalyticalBmmModel {
-            flops_per_second: gemm_flops(DIM, DIM, DIM) / seconds,
-            kernel: simd::active().name(),
-        }
-    }
-
-    /// Builds a model from a known FLOP rate (for tests and datasheets).
-    pub fn with_rate(flops_per_second: f64) -> AnalyticalBmmModel {
-        assert!(
-            flops_per_second > 0.0,
-            "AnalyticalBmmModel: rate must be positive"
-        );
-        AnalyticalBmmModel {
-            flops_per_second,
-            kernel: "assumed",
-        }
-    }
-
-    /// Predicted seconds for the `m × n × k` multiply stage (top-k
-    /// selection excluded — see module docs).
-    pub fn predict_seconds(&self, m: usize, n: usize, k: usize) -> f64 {
-        gemm_flops(m, n, k) / self.flops_per_second
-    }
+        gemm_flops(DIM, DIM, DIM) / seconds
+    })
 }
 
-/// A calibrated analytical cost model for the sparse inverted-index
-/// accumulation stage — the postings analog of [`AnalyticalBmmModel`].
+/// The sustained rate of the sparse inverted index's accumulation loop, in
+/// postings updates per second — the postings analog of
+/// [`tier_flops_per_second`], measured once per process.
 ///
 /// A postings walk is one fused multiply-add per stored nonzero, but
-/// through an index indirection into a scattered accumulator, so its
-/// sustained rate sits far below the dense GEMM rate and must be measured
-/// separately. Calibration times a synthetic walk with the same access
-/// pattern (gathered accumulator updates); prediction multiplies the rate
-/// by the expected touched-posting count, which the engine derives from
-/// sampled nnz/density statistics ([`mips_data::SparsityStats`]) the same
-/// way the planner samples users for its timing runs. Like the BMM model it
-/// covers only the accumulation stage — candidate selection and the exact
-/// rescore are data-dependent and left to online sampling.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyticalSparseModel {
-    /// Sustained postings updates per second measured during calibration.
-    pub updates_per_second: f64,
-    /// The SIMD kernel set active at calibration time (the scalar walk does
-    /// not dispatch, but the cache key and provenance mirror the BMM model).
-    pub kernel: &'static str,
-}
-
-impl AnalyticalSparseModel {
-    /// Calibrates by timing a synthetic term-at-a-time walk: 2¹⁸ postings
-    /// scattered over a 4096-slot accumulator (big enough to defeat the
-    /// store buffer, small enough to finish in milliseconds).
-    pub fn calibrate() -> AnalyticalSparseModel {
+/// through an index indirection into a scattered accumulator. Calibration
+/// times a synthetic term-at-a-time walk with that access pattern: 2¹⁸
+/// postings scattered over a 4096-slot accumulator (big enough to defeat
+/// the store buffer, small enough to finish in milliseconds). Like the
+/// dense rate it covers only the accumulation stage — candidate selection
+/// and the exact rescore are data-dependent and left to online sampling.
+pub fn sparse_updates_per_second() -> f64 {
+    static RATE: OnceLock<f64> = OnceLock::new();
+    *RATE.get_or_init(|| {
         const POSTINGS: usize = 1 << 18;
         const SLOTS: usize = 4096;
         let items: Vec<u32> = (0..POSTINGS)
@@ -157,40 +111,17 @@ impl AnalyticalSparseModel {
             .map(|p| ((p * 31 + 7) % 13) as f64 * 0.1)
             .collect();
         let mut acc = vec![0.0f64; SLOTS];
-        let walk = |acc: &mut [f64]| {
+        let elapsed = fastest_of_three(|| {
             let q = 0.37f64;
             for (&i, &v) in items.iter().zip(&values) {
                 let slot = &mut acc[i as usize];
                 *slot = q.mul_add(v, *slot);
             }
-        };
-        let elapsed = fastest_of_three(|| walk(&mut acc));
+        });
         // Keep the accumulator alive so the walk cannot be optimized out.
         black_box(acc[0]);
-        AnalyticalSparseModel {
-            updates_per_second: POSTINGS as f64 / elapsed,
-            kernel: simd::active().name(),
-        }
-    }
-
-    /// Builds a model from a known update rate (for tests).
-    pub fn with_rate(updates_per_second: f64) -> AnalyticalSparseModel {
-        assert!(
-            updates_per_second > 0.0,
-            "AnalyticalSparseModel: rate must be positive"
-        );
-        AnalyticalSparseModel {
-            updates_per_second,
-            kernel: "assumed",
-        }
-    }
-
-    /// Predicted seconds for `updates` accumulator updates (selection and
-    /// rescore excluded — see type docs).
-    pub fn predict_seconds(&self, updates: f64) -> f64 {
-        assert!(updates >= 0.0, "AnalyticalSparseModel: negative work");
-        updates / self.updates_per_second
-    }
+        POSTINGS as f64 / elapsed
+    })
 }
 
 #[cfg(test)]
@@ -202,19 +133,12 @@ mod tests {
     fn calibration_yields_plausible_rate() {
         // Anything from an emulator to a vector monster, in every tier.
         for tier in std::iter::once(None).chain(ScreenTier::ALL.map(Some)) {
-            let model = AnalyticalBmmModel::calibrate_tier(tier);
-            assert!(model.flops_per_second > 1e6, "{tier:?}");
-            assert!(model.flops_per_second < 1e13, "{tier:?}");
-            assert_eq!(model.kernel, simd::active().name());
+            let rate = tier_flops_per_second(tier);
+            assert!(rate > 1e6 && rate < 1e13, "{tier:?}: {rate}");
         }
-    }
-
-    #[test]
-    fn prediction_scales_linearly_with_flops() {
-        let model = AnalyticalBmmModel::with_rate(1e9);
-        let base = model.predict_seconds(100, 100, 100);
-        assert!((model.predict_seconds(200, 100, 100) - 2.0 * base).abs() < 1e-12);
-        assert!((model.predict_seconds(100, 300, 100) - 3.0 * base).abs() < 1e-12);
+        // One FMA per update: anywhere from an emulator to a wide core.
+        let sparse = sparse_updates_per_second();
+        assert!(sparse > 1e5 && sparse < 1e12, "{sparse}");
     }
 
     #[test]
@@ -222,10 +146,7 @@ mod tests {
         // The paper reports ~5 % accuracy for MKL on a fixed testbed; on a
         // shared VM we assert the right order of magnitude (within 4×),
         // which is all OPTIMUS's coarse-grained decision needs.
-        let model = AnalyticalBmmModel::calibrate();
-        let m = 300;
-        let n = 400;
-        let k = 64;
+        let (m, n, k) = (300, 400, 64);
         let a = Matrix::<f64>::from_fn(m, k, |r, c| ((r + c) % 7) as f64 * 0.3);
         let b = Matrix::<f64>::from_fn(n, k, |r, c| ((r * 3 + c) % 5) as f64 * 0.2);
         let mut out = vec![0.0; m * n];
@@ -237,39 +158,11 @@ mod tests {
             gemm_nt_into((&a).into(), (&b).into(), &mut out);
             best = best.min(t.elapsed().as_secs_f64());
         }
-        let predicted = model.predict_seconds(m, n, k);
+        let predicted = gemm_flops(m, n, k) / tier_flops_per_second(None);
         let ratio = predicted / best;
         assert!(
             (0.25..=4.0).contains(&ratio),
             "predicted {predicted}s vs measured {best}s (ratio {ratio})"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_bad_rate() {
-        let _ = AnalyticalBmmModel::with_rate(0.0);
-    }
-
-    #[test]
-    fn sparse_calibration_yields_plausible_rate() {
-        let model = AnalyticalSparseModel::calibrate();
-        // One FMA per update: anywhere from an emulator to a wide core.
-        assert!(model.updates_per_second > 1e5);
-        assert!(model.updates_per_second < 1e12);
-    }
-
-    #[test]
-    fn sparse_prediction_scales_linearly_with_updates() {
-        let model = AnalyticalSparseModel::with_rate(1e8);
-        let base = model.predict_seconds(1e6);
-        assert!((model.predict_seconds(2e6) - 2.0 * base).abs() < 1e-12);
-        assert_eq!(model.predict_seconds(0.0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn sparse_rejects_bad_rate() {
-        let _ = AnalyticalSparseModel::with_rate(-1.0);
     }
 }

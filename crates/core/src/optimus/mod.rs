@@ -25,9 +25,10 @@
 //! planner calls it, and `examples/paper.rs` reproduces the paper's Table II
 //! and Figs. 7–8 by reading the plans it produces.
 //!
-//! [`cost`] additionally implements the paper's offline analytical FLOP
-//! model for the BMM multiply stage, with calibration replacing the paper's
-//! hardware datasheet lookup.
+//! [`cost`] holds the paper's offline profiling of the host (§IV-A): the
+//! sustained rate of every numeric tier's multiply kernel and of the sparse
+//! postings walk, measured once per process in place of the paper's
+//! hardware datasheet lookup. The engine bounds candidates with them.
 
 pub mod cost;
 
@@ -791,9 +792,6 @@ mod tests {
             }
             fn num_users(&self) -> usize {
                 self.inner.num_users()
-            }
-            fn query_range(&self, k: usize, users: std::ops::Range<usize>) -> Vec<TopKList> {
-                self.inner.query_range(k, users)
             }
             fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
                 self.largest_subset

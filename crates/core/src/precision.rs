@@ -141,18 +141,17 @@ mod tests {
             let precision = Precision::of_tier(Some(tier));
             assert_eq!(precision.forced_tier(), Some(tier));
             assert_eq!(Precision::parse(precision.as_str()), Some(precision));
-            // Every scan backend builds a variant in the tier.
+            // Every scan backend derives a variant in the tier.
             for key in ["bmm", "maximus", "lemp"] {
                 let factory = registry.get(key).expect("default backend");
                 let base = factory.build(&model).expect("plain build");
                 assert!(base.screen_tiers().contains(&tier), "{key}");
-                let built = factory.build_screen(base.as_ref(), &model, tier);
-                let solver = built.expect("scan backends screen").expect("builds");
+                let solver = base.screen_variant(tier).expect("scan backends screen");
                 assert_eq!(solver.precision(), precision, "{key}");
             }
-            // The planner can bound the tier's variants: it has a calibrated
+            // The planner can bound the tier's variants: it has a measured
             // kernel rate.
-            assert!(registry.analytical_tier(Some(tier)).flops_per_second > 0.0);
+            assert!(crate::optimus::cost::tier_flops_per_second(Some(tier)) > 0.0);
             // `/metrics` carries the tier's three lanes.
             for lane in [
                 format!("\"{}_batches\":0", tier.name()),

@@ -76,7 +76,7 @@ pub(crate) fn execute_batch(batch: Vec<SubRequest>, progress: &AtomicUsize) {
         progress.fetch_add(1, Ordering::Relaxed);
     };
 
-    let plan = match shard.plan(k) {
+    let plan = match shard.engine.prepare_on(&shard.epoch, k) {
         Ok(plan) => plan,
         Err(error) => {
             for sub in &batch {

@@ -7,9 +7,9 @@
 //!
 //! * **Sharding.** The model's users are split into contiguous ranges (the
 //!   paper's Fig. 6 partitioning), one `ShardEngine` per shard with its own
-//!   counters and a memo of the engine's per-`k`
-//!   [`PreparedPlan`](crate::engine::PreparedPlan)s — every solver is built
-//!   once over the whole model and shared by all shards.
+//!   counters. Every solver is built once over the whole model, and every
+//!   [`PreparedPlan`](crate::engine::PreparedPlan) once per `k` and epoch;
+//!   all shards share both.
 //!   A request that straddles shards is split and its response reassembled
 //!   in request order — including id-lists and exclusion sets that cross
 //!   boundaries.

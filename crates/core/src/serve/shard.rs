@@ -13,10 +13,7 @@
 
 use super::metrics::{ServerCounters, ShardCounters, ShardMetrics};
 use crate::engine::epoch::ModelEpoch;
-use crate::engine::{
-    lock_recovering, Engine, ExclusionSet, MipsError, PreparedPlan, QueryRequest, QueryResponse,
-    UserSelection,
-};
+use crate::engine::{Engine, ExclusionSet, MipsError, QueryRequest, QueryResponse, UserSelection};
 use crate::parallel::chunk_bounds;
 use crate::sync::{Arc, Condvar, Mutex};
 use mips_topk::TopKList;
@@ -25,11 +22,10 @@ use std::ops::Range;
 use std::time::Instant;
 
 /// One shard of the serving runtime: a contiguous user range plus the
-/// shard-local state the workers touch on the hot path — its own memo of
-/// the epoch's [`PreparedPlan`]s (so steady-state serving never takes the
-/// engine's plan lock) and its counters. Solver scratch stays where PR 1/2
-/// put it: allocated inside each `query_*` call, one set per worker
-/// invocation, never shared.
+/// shard-local counters the workers touch on the hot path. Plans come from
+/// the pinned epoch's per-`k` cache ([`Engine::prepare_on`]), shared by
+/// every shard. Solver scratch is allocated inside each `query_*` call,
+/// one set per worker invocation, never shared.
 ///
 /// A shard engine is pinned to one model epoch: sub-requests carry an
 /// `Arc` to the shard engine they were split against, so a sub-request
@@ -44,8 +40,7 @@ pub(crate) struct ShardEngine {
     /// The pinned model epoch (plans, solvers, and validation all resolve
     /// against this snapshot, never the engine's live state).
     pub(crate) epoch: Arc<ModelEpoch>,
-    engine: Arc<Engine>,
-    plans: Mutex<HashMap<usize, Arc<PreparedPlan>>>,
+    pub(crate) engine: Arc<Engine>,
     /// Shared so a re-built topology with identical bounds carries its
     /// cumulative counters forward (see `build_topology`).
     pub(crate) counters: Arc<ShardCounters>,
@@ -64,22 +59,8 @@ impl ShardEngine {
             users,
             epoch,
             engine,
-            plans: Mutex::new(HashMap::new()),
             counters,
         }
-    }
-
-    /// The plan for `k` on this shard's pinned epoch: this shard's memo
-    /// first, then the epoch's per-`k` cache on a miss
-    /// ([`Engine::prepare_on`]), so concurrent planning across shards and
-    /// topologies dedupes in the epoch.
-    pub(crate) fn plan(&self, k: usize) -> Result<Arc<PreparedPlan>, MipsError> {
-        if let Some(plan) = lock_recovering(&self.plans).get(&k) {
-            return Ok(Arc::clone(plan));
-        }
-        let plan = self.engine.prepare_on(&self.epoch, k)?;
-        lock_recovering(&self.plans).insert(k, Arc::clone(&plan));
-        Ok(plan)
     }
 
     pub(crate) fn metrics(&self) -> ShardMetrics {

@@ -1,34 +1,23 @@
 //! The common solver interface: the [`MipsSolver`] trait every backend
-//! implements, and the helpers its implementations share. Solvers are built
-//! by registering a [`crate::engine::SolverFactory`] with
-//! [`crate::engine::BackendRegistry`].
+//! implements, and the helpers its implementations share.
+//!
+//! A backend's [`crate::engine::SolverFactory`] builds its plain f64
+//! solver; everything else is asked of that solver. Its mixed-precision
+//! variants come from [`MipsSolver::screen_variant`], which shares the
+//! plain build's construction, so the engine constructs each backend once
+//! per model epoch however many screen tiers it arms.
 
 use crate::precision::Precision;
 use mips_topk::{ScreenTier, TopKList};
-use std::any::Any;
 use std::collections::HashMap;
 use std::ops::Range;
-
-/// Recovers the concrete type behind a `dyn` [`MipsSolver`]. Implemented
-/// for every `'static` type, so solver implementations get it for free;
-/// callers go through `<dyn MipsSolver>::downcast_ref`.
-pub trait AsAny: Any {
-    /// `self` as [`Any`].
-    fn as_any(&self) -> &dyn Any;
-}
-
-impl<T: Any> AsAny for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
 
 /// A built, queryable exact MIPS solver.
 ///
 /// Implementations hold their model in an [`Arc`](crate::sync::Arc) and are
 /// immutable after construction, so they can be queried concurrently (the
 /// multi-core experiments of Fig. 6 partition users across threads).
-pub trait MipsSolver: Send + Sync + AsAny {
+pub trait MipsSolver: Send + Sync {
     /// Human-readable name used in benchmark tables
     /// (`"Blocked MM"`, `"Maximus"`, `"LEMP"`, `"FEXIPRO-SI"`, …).
     fn name(&self) -> &str;
@@ -45,11 +34,15 @@ pub trait MipsSolver: Send + Sync + AsAny {
     /// Number of users of the underlying model.
     fn num_users(&self) -> usize;
 
-    /// Top-k for a contiguous user range, in order.
-    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList>;
-
     /// Top-k for an explicit list of user ids, in input order.
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList>;
+
+    /// Top-k for a contiguous user range, in order: by default the range's
+    /// ids served through [`MipsSolver::query_subset`].
+    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
+        assert!(users.end <= self.num_users(), "user range out of bounds");
+        self.query_subset(k, &users.collect::<Vec<_>>())
+    }
 
     /// Top-k for every user.
     fn query_all(&self, k: usize) -> Vec<TopKList> {
@@ -66,13 +59,34 @@ pub trait MipsSolver: Send + Sync + AsAny {
     }
 
     /// The screen tiers this solver's backend has a variant in: for each
-    /// one, the factory's
-    /// [`build_screen`](crate::engine::SolverFactory::build_screen) over
-    /// this solver returns `Some`. Empty (the default) for a backend without
-    /// a screen path. The planner reads it to list — and bound — a plain
-    /// build's variants before deciding which of them are worth building.
+    /// one, [`MipsSolver::screen_variant`] returns `Some`. Empty (the
+    /// default) for a backend without a screen path. The planner reads it
+    /// to list — and bound — a plain build's variants before deciding which
+    /// of them are worth building.
     fn screen_tiers(&self) -> &[ScreenTier] {
         &[]
+    }
+
+    /// This backend's mixed-precision variant in `tier`, **derived from
+    /// this (plain) build**: scans screen in `tier` with a conservative
+    /// error envelope, survivors are rescored in f64, results stay
+    /// bit-identical (see [`mips_topk::screen`]).
+    ///
+    /// The contract is **sharing**: the variant holds whatever this solver
+    /// constructed — clusterings, sorted lists, gathered item copies —
+    /// behind an `Arc` and adds only the tier's mirrors, so the construction
+    /// exists once per epoch however many tiers are armed, and the variant's
+    /// `build_seconds` is the mirroring alone. Its screen counters
+    /// ([`MipsSolver::take_screen_stats`]) are its own, never shared with
+    /// the solver it was derived from or with a sibling tier.
+    ///
+    /// `None` (the default) means the backend has no screen path: the
+    /// engine then serves it f64-direct under every [`Precision`] setting.
+    /// `Some` for exactly the tiers [`MipsSolver::screen_tiers`] lists. A
+    /// backend whose *model* cannot be mirrored in `tier` returns a solver
+    /// serving the plain f64 path instead.
+    fn screen_variant(&self, _tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
+        None
     }
 
     /// Exact top-k for an *ad-hoc* query vector — one that is not a stored
@@ -99,15 +113,6 @@ pub trait MipsSolver: Send + Sync + AsAny {
     /// exact.
     fn take_screen_stats(&self) -> Option<ScreenTally> {
         None
-    }
-}
-
-impl dyn MipsSolver {
-    /// The concrete solver behind the trait object, when it is a `T` — how
-    /// a factory's [`build_screen`](crate::engine::SolverFactory::build_screen)
-    /// gets at the shared state of the plain build it is handed.
-    pub fn downcast_ref<T: MipsSolver>(&self) -> Option<&T> {
-        self.as_any().downcast_ref()
     }
 }
 

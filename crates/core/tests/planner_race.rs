@@ -5,7 +5,7 @@
 //!
 //! * **Build once.** A backend's plain construction runs once per
 //!   `key` and epoch; every screen variant is derived from that
-//!   build through [`SolverFactory::build_screen`] and reports only its own
+//!   build through [`MipsSolver::screen_variant`] and reports only its own
 //!   mirroring as `build_seconds`. Builds run outside every cache lock, so
 //!   a slow one never holds up another first-touch builder.
 //! * **Race lazily, never wrongly.** [`Optimus::choose`] builds a candidate
@@ -32,7 +32,6 @@ use mips_data::synth::{synth_model, SynthConfig};
 use mips_data::MfModel;
 use mips_linalg::CacheConfig;
 use mips_topk::{ScreenTier, TopKList};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -75,6 +74,9 @@ struct Stub {
     build_seconds: f64,
     /// Users served, warm-up included.
     served: AtomicUsize,
+    /// Counts the variants derived through
+    /// [`MipsSolver::screen_variant`]; `None`: the stub has none.
+    screens: Option<Arc<AtomicUsize>>,
 }
 
 impl Stub {
@@ -89,6 +91,7 @@ impl Stub {
             tiers: &[],
             build_seconds: 0.0,
             served: AtomicUsize::new(0),
+            screens: None,
         }
     }
 
@@ -114,13 +117,23 @@ impl MipsSolver for Stub {
     fn num_users(&self) -> usize {
         self.core.answers.num_users()
     }
-    fn query_range(&self, k: usize, users: Range<usize>) -> Vec<TopKList> {
-        self.pay(users.len());
-        self.core.answers.query_range(k, users)
-    }
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         self.pay(users.len());
         self.core.answers.query_subset(k, users)
+    }
+    fn screen_variant(&self, tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
+        self.screens.as_ref()?.fetch_add(1, Ordering::SeqCst);
+        Some(Box::new(Stub {
+            core: Arc::clone(&self.core),
+            name: format!("{}{}", self.name, tier.suffix()),
+            per_user: self.per_user,
+            batches: self.batches,
+            tiers: self.tiers,
+            // Only what the variant added.
+            build_seconds: 1e-6,
+            served: AtomicUsize::new(0),
+            screens: None,
+        }))
     }
 }
 
@@ -276,7 +289,7 @@ fn a_variant_exactly_at_the_tier_rate_bound_is_still_built_and_can_win() {
 }
 
 /// A backend whose plain build is slow and counted, and whose screen
-/// variants share it.
+/// variants share it (and are counted by the stub it builds).
 struct CountingFactory {
     builds: Arc<AtomicUsize>,
     screens: Arc<AtomicUsize>,
@@ -296,29 +309,8 @@ impl SolverFactory for CountingFactory {
         stub.batches = true;
         stub.tiers = &ScreenTier::ALL;
         stub.build_seconds = BUILD_COST.as_secs_f64();
+        stub.screens = Some(Arc::clone(&self.screens));
         Ok(Box::new(stub))
-    }
-
-    fn build_screen(
-        &self,
-        base: &dyn MipsSolver,
-        _model: &Arc<MfModel>,
-        tier: ScreenTier,
-    ) -> Option<Result<Box<dyn MipsSolver>, MipsError>> {
-        self.screens.fetch_add(1, Ordering::SeqCst);
-        let base = base
-            .downcast_ref::<Stub>()
-            .expect("the engine hands a factory its own plain build");
-        Some(Ok(Box::new(Stub {
-            core: Arc::clone(&base.core),
-            name: format!("Stub{}", tier.suffix()),
-            per_user: Duration::ZERO,
-            batches: true,
-            tiers: &ScreenTier::ALL,
-            // Only what the variant added.
-            build_seconds: 1e-6,
-            served: AtomicUsize::new(0),
-        })))
     }
 }
 
@@ -359,7 +351,7 @@ fn variants_never_rerun_their_base_construction() {
     planned(5, 1);
     engine.swap_model(model(120, 8)).expect("valid model");
     planned(3, 2);
-    // One build_screen per variant the races built, never one per plan.
+    // One derived variant per variant the races built, never one per plan.
     assert!(screens.load(Ordering::SeqCst) <= 2 * ScreenTier::ALL.len());
 
     // Forced tiers, in-process and served: one plain build per `key`, one

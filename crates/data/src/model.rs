@@ -100,10 +100,6 @@ pub struct MfModel {
     name: String,
     users: Matrix<f64>,
     items: Matrix<f64>,
-    /// Whether construction ran the full matrix validation; consumers that
-    /// must defend against NaN (the serving engine's model intake) skip
-    /// their re-scan when this is set.
-    validated: bool,
     /// The lazily built mirrors, one slot per screen tier (see [`Mirror`]),
     /// cached for the model's lifetime like solvers and plans are cached
     /// per epoch: a swapped-in model builds each mirror at most once, and
@@ -115,9 +111,9 @@ pub struct MfModel {
     /// [`MfModel::item_panels`]); the mirrors hold their own tiers' panels
     /// and report their builds to the same counter.
     item_panels: LazyPanels<f64>,
-    /// [`MfModel::max_item_norm`]: set by [`MfModel::new`], which needs it
-    /// for its range check, and on first use otherwise.
-    max_item_norm: OnceLock<f64>,
+    /// [`MfModel::max_item_norm`], measured by [`MfModel::new`]'s range
+    /// check.
+    max_item_norm: f64,
 }
 
 /// The largest Euclidean row norm of `m`, or the validation error of an
@@ -277,8 +273,10 @@ impl MirrorElem for i8 {
 
 impl MfModel {
     /// Builds and validates a model: non-empty, finite matrices of one
-    /// width whose inner products cannot overflow
-    /// ([`MfModel::check_score_range`]).
+    /// width whose inner products cannot overflow (largest user norm times
+    /// largest item norm is a finite f64, else [`ModelError::ScoreOverflow`]).
+    /// Every model comes through here, [`MfModel::with_users`] or `Clone`,
+    /// so solvers and the engine can assume well-formed factors.
     pub fn new(
         name: impl Into<String>,
         users: Matrix<f64>,
@@ -297,43 +295,10 @@ impl MfModel {
             name: name.into(),
             users,
             items,
-            validated: true,
             mirrors: MirrorSlots::default(),
             item_panels: LazyPanels::default(),
-            max_item_norm: OnceLock::from(max_item_norm),
+            max_item_norm,
         })
-    }
-
-    /// Builds a model **without** validating the matrices.
-    ///
-    /// For trusted zero-copy loaders (and tests of downstream validation)
-    /// where re-scanning every factor at construction is unwanted. The
-    /// serving engine re-checks finiteness at its model intake points
-    /// (`EngineBuilder::build` and `Engine::swap_model`), so a non-finite
-    /// or shape-mismatched model built this way surfaces as a typed error
-    /// there rather than as silent NaN-poisoned results.
-    pub fn new_unvalidated(
-        name: impl Into<String>,
-        users: Matrix<f64>,
-        items: Matrix<f64>,
-    ) -> MfModel {
-        MfModel {
-            name: name.into(),
-            users,
-            items,
-            validated: false,
-            mirrors: MirrorSlots::default(),
-            item_panels: LazyPanels::default(),
-            max_item_norm: OnceLock::new(),
-        }
-    }
-
-    /// Whether this model was constructed through the validating path
-    /// ([`MfModel::new`]/[`MfModel::new_shared`]). Models from
-    /// [`MfModel::new_unvalidated`] report `false`, telling downstream
-    /// intake checks (the engine's build/swap validation) to re-scan.
-    pub fn is_validated(&self) -> bool {
-        self.validated
     }
 
     /// Builds a model and wraps it in an [`Arc`] for sharing across solvers.
@@ -376,24 +341,10 @@ impl MfModel {
     }
 
     /// The largest Euclidean norm of an item vector (`+∞` only when it is
-    /// past the f64 range; NaN when an unvalidated model's items hold a
-    /// non-finite factor) — what a query vector's norm is checked against
+    /// past the f64 range) — what a query vector's norm is checked against
     /// before it is scored.
     pub fn max_item_norm(&self) -> f64 {
-        *self
-            .max_item_norm
-            .get_or_init(|| checked_max_row_norm(&self.items, "MfModel items").unwrap_or(f64::NAN))
-    }
-
-    /// `Err(ModelError::ScoreOverflow)` when the largest user norm times
-    /// the largest item norm is not a finite f64 — some inner product could
-    /// overflow — and the validation error of a non-finite factor.
-    /// [`MfModel::new`] runs this check; a model from
-    /// [`MfModel::new_unvalidated`] is checked by whoever takes it in (the
-    /// serving engine does, at build and swap).
-    pub fn check_score_range(&self) -> Result<(), ModelError> {
-        let max_user_norm = checked_max_row_norm(&self.users, "MfModel users")?;
-        check_score_range(max_user_norm, self.max_item_norm())
+        self.max_item_norm
     }
 
     /// A copy restricted to the given users (used by OPTIMUS sampling tests).
@@ -402,12 +353,10 @@ impl MfModel {
             name: format!("{}[{} users]", self.name, indices.len()),
             users: self.users.gather_rows(indices),
             items: self.items.clone(),
-            // Row-gathering validated matrices cannot introduce NaN.
-            validated: self.validated,
             mirrors: MirrorSlots::default(),
             // Same items, same panels and norms.
             item_panels: self.item_panels.clone(),
-            max_item_norm: self.max_item_norm.clone(),
+            max_item_norm: self.max_item_norm,
         }
     }
 
@@ -491,26 +440,20 @@ mod tests {
         // 1e200·1e200 overflows: u·i₀ = +∞ + −∞ = NaN.
         let users = Matrix::from_vec(1, 2, vec![1e200, 1e200]).unwrap();
         let items = Matrix::from_vec(2, 2, vec![1e200, -1e200, 1.0, 1.0]).unwrap();
-        let err = MfModel::new("huge", users.clone(), items.clone()).unwrap_err();
+        let err = MfModel::new("huge", users, items).unwrap_err();
         assert_eq!(err, ModelError::ScoreOverflow);
         assert!(err.to_string().contains("overflow"));
-        // The escape hatch still builds it; the check is one call away.
-        let trusted = MfModel::new_unvalidated("huge", users, items);
-        assert_eq!(trusted.check_score_range(), Err(ModelError::ScoreOverflow));
         // Norms near the range's edge are fine as long as their product is.
         let small = Matrix::from_vec(1, 2, vec![1e-200, 1e-200]).unwrap();
         let big = Matrix::from_vec(1, 2, vec![3e200, -4e200]).unwrap();
         let m = MfModel::new("edge", small, big).unwrap();
         assert!((m.max_item_norm() / 5e200 - 1.0).abs() < 1e-15);
-        assert_eq!(m.check_score_range(), Ok(()));
     }
 
     #[test]
     fn max_item_norm_is_the_largest_row_norm() {
         let m = MfModel::new("test", users2x2(), items3x2()).unwrap();
         assert!((m.max_item_norm() - 61f64.sqrt()).abs() < 1e-12);
-        let lazy = MfModel::new_unvalidated("test", users2x2(), items3x2());
-        assert_eq!(lazy.max_item_norm(), m.max_item_norm());
         assert_eq!(m.with_users(&[0]).max_item_norm(), m.max_item_norm());
     }
 
@@ -574,12 +517,6 @@ mod tests {
         let m = MfModel::new("tiny", users, items3x2()).unwrap();
         assert!(!m.mirror_i8().is_usable());
         assert!(m.mirror32().is_usable());
-        // Unvalidated models may carry NaN; the norms catch it.
-        let mut users = users2x2();
-        users.set(0, 0, f64::NAN);
-        let m = MfModel::new_unvalidated("nan", users, items3x2());
-        assert!(!m.mirror_i8().is_usable());
-        assert!(!m.mirror32().is_usable());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Level-1 kernels: dot products, norms, axpy, scaling.
+//! Level-1 kernels: dot products, norms, scaling.
 //!
 //! These are the `sdot`-style routines the paper contrasts against blocked
 //! matrix multiply. Every accumulating kernel uses four independent
@@ -118,10 +118,6 @@ pub(crate) fn dot_seq4_scalar_f64(x: &[f64], ys: [&[f64]; 4]) -> [f64; 4] {
     acc
 }
 
-pub(crate) fn axpy_scalar_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
-    axpy_scalar(alpha, x, y)
-}
-
 pub(crate) fn dist2_sq_scalar_f64(x: &[f64], y: &[f64]) -> f64 {
     dist2_sq_scalar(x, y)
 }
@@ -134,10 +130,6 @@ pub(crate) fn suffix_sumsq_scalar_f64(x: &[f64], out: &mut [f64]) {
 /// (the screen-path kernels; tolerance contract, see [`crate::simd`]).
 pub(crate) fn dot_scalar_f32(x: &[f32], y: &[f32]) -> f32 {
     dot_scalar(x, y)
-}
-
-pub(crate) fn suffix_sumsq_scalar_f32(x: &[f32], out: &mut [f32]) {
-    suffix_sumsq_scalar(x, out)
 }
 
 /// Scalar body of [`crate::simd::Kernel::dot_i8`]: widening i8×i8→i32
@@ -304,39 +296,6 @@ fn dist2_sq_scalar<T: Scalar>(x: &[T], y: &[T]) -> T {
     ((acc0 + acc1) + (acc2 + acc3)) + tail
 }
 
-/// `y += alpha * x` (SIMD-dispatched for `f64`).
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-#[inline]
-pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    if let Some(xf) = simd::as_f64(x) {
-        if let Some(yf) = simd::as_f64_mut(y) {
-            simd::active().axpy(alpha.to_f64(), xf, yf);
-            return;
-        }
-    }
-    axpy_scalar(alpha, x, y)
-}
-
-/// Portable `axpy` body, unrolled four-wide so the independent element
-/// updates issue as four parallel FMA streams.
-#[inline]
-fn axpy_scalar<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
-    let mut xc = x.chunks_exact(4);
-    let mut yc = y.chunks_exact_mut(4);
-    for (xs, ys) in (&mut xc).zip(&mut yc) {
-        ys[0] = xs[0].mul_add(alpha, ys[0]);
-        ys[1] = xs[1].mul_add(alpha, ys[1]);
-        ys[2] = xs[2].mul_add(alpha, ys[2]);
-        ys[3] = xs[3].mul_add(alpha, ys[3]);
-    }
-    for (yi, &xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *yi = xi.mul_add(alpha, *yi);
-    }
-}
-
 /// `x *= alpha`.
 #[inline]
 pub fn scale<T: Scalar>(alpha: T, x: &mut [T]) {
@@ -396,13 +355,6 @@ pub fn suffix_norms<T: Scalar>(x: &[T]) -> Vec<T> {
         }
         return out;
     }
-    if let (Some(xf), Some(of)) = (simd::as_f32(x), simd::as_f32_mut(&mut out)) {
-        simd::active().suffix_sumsq_f32(xf, of);
-        for v in &mut out {
-            *v = v.sqrt();
-        }
-        return out;
-    }
     suffix_sumsq_scalar(x, &mut out);
     for v in &mut out {
         *v = v.sqrt();
@@ -447,10 +399,7 @@ mod tests {
         simd::as_f64_mut(&mut ys64).expect("mutable f64 cast")[2] = 9.0;
         assert_eq!(ys64[2], 9.0);
         let mut ys32 = [0.0f32; 4];
-        simd::as_f32_mut(&mut ys32).expect("mutable f32 cast")[1] = 7.0;
-        assert_eq!(ys32[1], 7.0);
         assert!(simd::as_f64_mut(&mut ys32).is_none());
-        assert!(simd::as_f32_mut(&mut ys64).is_none());
     }
 
     #[test]
@@ -499,11 +448,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let x = [1.0_f64, 2.0, 3.0];
-        let mut y = [10.0_f64, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0, 36.0]);
+    fn scale_multiplies_in_place() {
+        let mut y = [12.0_f64, 24.0, 36.0];
         scale(0.5, &mut y);
         assert_eq!(y, [6.0, 12.0, 18.0]);
     }

@@ -13,7 +13,7 @@
 //! * [`gemm`] — a Goto/BLIS-style packed, cache-blocked `C = A·Bᵀ` kernel with
 //!   an unrolled register micro-kernel, a panel-streaming driver for fused
 //!   GEMM→top-k consumers, plus naive references for testing.
-//! * [`kernels`] — level-1 routines (dot, axpy, norms) with unrolled
+//! * [`kernels`] — level-1 routines (dot, norms, scaling) with unrolled
 //!   accumulators.
 //! * [`simd`] — runtime-dispatched AVX2+FMA / NEON micro-kernels behind a
 //!   safe [`simd::Kernel`] vtable, with the scalar code as the guaranteed
@@ -55,7 +55,7 @@ pub use gemm::{
     GemmScratch, PackedPanels,
 };
 pub use kernels::{
-    axpy, dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize, scale,
+    dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize, scale,
     scaled_norm2, sumsq_reassoc_bound,
 };
 pub use matrix::{Matrix, RowBlock};

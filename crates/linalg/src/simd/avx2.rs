@@ -81,35 +81,6 @@ unsafe fn dot_seq4_inner(x: &[f64], ys: [&[f64]; 4]) -> [f64; 4] {
 }
 
 /// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    // SAFETY: as for `dot`.
-    unsafe { axpy_inner(alpha, x, y) }
-}
-
-// SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_inner(alpha: f64, x: &[f64], y: &mut [f64]) {
-    let n = x.len();
-    let chunks = n / 4;
-    let a = _mm256_set1_pd(alpha);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    for i in 0..chunks {
-        let xv = _mm256_loadu_pd(xp.add(4 * i));
-        let yv = _mm256_loadu_pd(yp.add(4 * i));
-        _mm256_storeu_pd(yp.add(4 * i), _mm256_fmadd_pd(xv, a, yv));
-    }
-    for j in 4 * chunks..n {
-        *yp.add(j) = (*xp.add(j)).mul_add(alpha, *yp.add(j));
-    }
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
 pub(super) fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.
@@ -231,50 +202,6 @@ unsafe fn dot_f32_inner(x: &[f32], y: &[f32]) -> f32 {
     (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
         + tail
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn suffix_sumsq_f32(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(out.len(), x.len() + 1);
-    // SAFETY: as for `dot`.
-    unsafe { suffix_sumsq_f32_inner(x, out) }
-}
-
-/// Backward f32 suffix scan, eight squares per vector step (see
-/// `suffix_sumsq` for the carry-chain structure; same tolerance caveats as
-/// every f32 kernel).
-// SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn suffix_sumsq_f32_inner(x: &[f32], out: &mut [f32]) {
-    let n = x.len();
-    let op = out.as_mut_ptr();
-    *op.add(n) = 0.0;
-    let rem = n % 8;
-    let mut carry = 0.0f32;
-    let xp = x.as_ptr();
-    let mut block = n;
-    while block > rem {
-        block -= 8;
-        let v = _mm256_loadu_ps(xp.add(block));
-        let mut sq = [0.0f32; 8];
-        _mm256_storeu_ps(sq.as_mut_ptr(), _mm256_mul_ps(v, v));
-        let mut t = carry;
-        for lane in (0..8).rev() {
-            t += sq[lane];
-            *op.add(block + lane) = t;
-        }
-        carry = t;
-    }
-    let mut j = rem;
-    while j > 0 {
-        j -= 1;
-        carry = (*xp.add(j)).mul_add(*xp.add(j), carry);
-        *op.add(j) = carry;
-    }
 }
 
 /// Safe wrapper; see module docs for the soundness argument.

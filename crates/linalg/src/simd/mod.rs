@@ -34,7 +34,6 @@
 //!   `x[4i+l]·y[4i+l]`, exactly the scalar `dot`'s four accumulators; the
 //!   reduction is `((l0+l1)+(l2+l3)) + tail` in both.
 //! * [`Kernel::dist2_sq`] — same mapping over `(x-y)²`.
-//! * [`Kernel::axpy`] — element-wise, so lane mapping is trivial.
 //! * [`Kernel::tile_f64`] — each `(i, j)` accumulator of the `4×8` GEMM
 //!   register tile is one vector lane fed by a single sequential FMA chain
 //!   over the packed depth, identical to the scalar tile's loop. The tile
@@ -85,8 +84,8 @@
 //!
 //! ## Single-precision screen kernels
 //!
-//! The `*_f32` entries ([`Kernel::dot_f32`], [`Kernel::suffix_sumsq_f32`],
-//! [`Kernel::tile_f32`] — a `4×16` tile, eight accumulators) exist for the
+//! The `*_f32` entries ([`Kernel::dot_f32`], [`Kernel::tile_f32`] — a
+//! `4×16` tile, eight accumulators) exist for the
 //! mixed-precision *screen* path:
 //! scan in f32, keep every candidate whose widened bound could still reach
 //! the top-k, then rescore survivors in f64. They are deliberately **outside
@@ -184,12 +183,10 @@ pub struct Kernel {
     name: &'static str,
     dot: fn(&[f64], &[f64]) -> f64,
     dot_seq4: fn(&[f64], [&[f64]; 4]) -> [f64; 4],
-    axpy: fn(f64, &[f64], &mut [f64]),
     dist2_sq: fn(&[f64], &[f64]) -> f64,
     suffix_sumsq: fn(&[f64], &mut [f64]),
     tile_f64: Tile<f64, f64>,
     dot_f32: fn(&[f32], &[f32]) -> f32,
-    suffix_sumsq_f32: fn(&[f32], &mut [f32]),
     tile_f32: Tile<f32, f32>,
     dot_i8: fn(&[i8], &[i8]) -> i32,
     tile_i8: Tile<i16, i32>,
@@ -333,16 +330,6 @@ impl Kernel {
         (self.dot_seq4)(x, ys)
     }
 
-    /// `y += alpha * x`.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    #[inline]
-    pub fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-        (self.axpy)(alpha, x, y)
-    }
-
     /// Squared Euclidean distance `‖x − y‖²`.
     ///
     /// # Panics
@@ -381,17 +368,6 @@ impl Kernel {
     pub fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32 {
         assert_eq!(x.len(), y.len(), "dot_f32: length mismatch");
         (self.dot_f32)(x, y)
-    }
-
-    /// Single-precision suffix sums of squares (screen path; tolerance, not
-    /// bit-identity — see the module docs).
-    ///
-    /// # Panics
-    /// Panics unless `out.len() == x.len() + 1`.
-    #[inline]
-    pub fn suffix_sumsq_f32(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), x.len() + 1, "suffix_sumsq_f32: output length");
-        (self.suffix_sumsq_f32)(x, out)
     }
 
     /// The `f32` GEMM register tile (4×16; screen path — tolerance, not
@@ -605,12 +581,10 @@ impl Kernel {
             name: "scalar",
             dot: crate::kernels::dot_scalar_f64,
             dot_seq4: crate::kernels::dot_seq4_scalar_f64,
-            axpy: crate::kernels::axpy_scalar_f64,
             dist2_sq: crate::kernels::dist2_sq_scalar_f64,
             suffix_sumsq: crate::kernels::suffix_sumsq_scalar_f64,
             tile_f64: crate::gemm::tile_scalar_f64,
             dot_f32: crate::kernels::dot_scalar_f32,
-            suffix_sumsq_f32: crate::kernels::suffix_sumsq_scalar_f32,
             tile_f32: crate::gemm::tile_scalar_f32,
             dot_i8: crate::kernels::dot_scalar_i8,
             tile_i8: crate::gemm::tile_scalar_i8,
@@ -634,12 +608,10 @@ impl Kernel {
                     name: "avx2-fma",
                     dot: avx2::dot,
                     dot_seq4: avx2::dot_seq4,
-                    axpy: avx2::axpy,
                     dist2_sq: avx2::dist2_sq,
                     suffix_sumsq: avx2::suffix_sumsq,
                     tile_f64: avx2::tile_f64,
                     dot_f32: avx2::dot_f32,
-                    suffix_sumsq_f32: avx2::suffix_sumsq_f32,
                     tile_f32: avx2::tile_f32,
                     dot_i8: avx2::dot_i8,
                     tile_i8: avx2::tile_i8,
@@ -671,12 +643,10 @@ impl Kernel {
                 // aarch64 guarantees scalar FMA, so the portable body
                 // already compiles to fused hardware madds.
                 dot_seq4: crate::kernels::dot_seq4_scalar_f64,
-                axpy: neon::axpy,
                 dist2_sq: neon::dist2_sq,
                 suffix_sumsq: neon::suffix_sumsq,
                 tile_f64: neon::tile_f64,
                 dot_f32: neon::dot_f32,
-                suffix_sumsq_f32: neon::suffix_sumsq_f32,
                 tile_f32: neon::tile_f32,
                 dot_i8: neon::dot_i8,
                 // No NEON bodies for the int8 tile, the filters and the
@@ -802,17 +772,6 @@ pub(crate) fn as_f32<T: 'static>(x: &[T]) -> Option<&[f32]> {
     }
 }
 
-/// Reinterprets `&mut [T]` as `&mut [f32]` when `T` *is* `f32`.
-#[inline(always)]
-pub(crate) fn as_f32_mut<T: 'static>(x: &mut [T]) -> Option<&mut [f32]> {
-    if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: as in `as_f32`; uniqueness is inherited from the input.
-        Some(unsafe { &mut *(x as *mut [T] as *mut [f32]) })
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -911,23 +870,6 @@ mod tests {
             let want = Kernel::scalar().dist2_sq(&x, &y);
             for k in all_kernels() {
                 assert_eq!(k.dist2_sq(&x, &y).to_bits(), want.to_bits(), "{}", k.name());
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_bit_identical_across_kernels() {
-        for len in [0usize, 1, 6, 17, 64, 97] {
-            let x = pseudo(len, 31);
-            let base = pseudo(len, 37);
-            let mut want = base.clone();
-            Kernel::scalar().axpy(1.7, &x, &mut want);
-            for k in all_kernels() {
-                let mut got = base.clone();
-                k.axpy(1.7, &x, &mut got);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "{}", k.name());
-                }
             }
         }
     }
@@ -1077,8 +1019,6 @@ mod tests {
         // The f32 guards mirror the f64 ones exactly.
         assert!(as_f32(&ys).is_some());
         assert!(as_f32(&xs).is_none());
-        let mut ws = [3.0f32];
-        assert!(as_f32_mut(&mut ws).is_some());
     }
 
     fn pseudo32(len: usize, seed: u64) -> Vec<f32> {
@@ -1138,27 +1078,6 @@ mod tests {
     fn dot_i8_rejects_lengths_past_the_overflow_cap() {
         let too_long = vec![1i8; crate::quant::I8_DOT_MAX_LEN + 1];
         let _ = Kernel::scalar().dot_i8(&too_long, &too_long);
-    }
-
-    #[test]
-    fn suffix_sumsq_f32_matches_scalar_within_tolerance() {
-        for len in [0usize, 1, 3, 8, 9, 50, 130] {
-            let x = pseudo32(len, 71);
-            let mut want = vec![0.0f32; len + 1];
-            Kernel::scalar().suffix_sumsq_f32(&x, &mut want);
-            for k in all_kernels() {
-                let mut got = vec![0.0f32; len + 1];
-                k.suffix_sumsq_f32(&x, &mut got);
-                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        (g - w).abs() <= 1e-4 * (1.0 + w.abs()),
-                        "{} len {len} j {j}: {g} vs {w}",
-                        k.name()
-                    );
-                }
-                assert_eq!(got[len], 0.0);
-            }
-        }
     }
 
     #[test]

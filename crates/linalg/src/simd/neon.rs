@@ -49,32 +49,6 @@ unsafe fn dot_inner(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Safe wrapper; soundness per the module-level contract.
-pub(super) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    // SAFETY: as for `dot`.
-    unsafe { axpy_inner(alpha, x, y) }
-}
-
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn axpy_inner(alpha: f64, x: &[f64], y: &mut [f64]) {
-    let n = x.len();
-    let chunks = n / 2;
-    let a = vdupq_n_f64(alpha);
-    let xp = x.as_ptr();
-    let yp = y.as_mut_ptr();
-    for i in 0..chunks {
-        let yv = vld1q_f64(yp.add(2 * i));
-        vst1q_f64(yp.add(2 * i), vfmaq_f64(yv, vld1q_f64(xp.add(2 * i)), a));
-    }
-    for j in 2 * chunks..n {
-        *yp.add(j) = (*xp.add(j)).mul_add(alpha, *yp.add(j));
-    }
-}
-
-/// Safe wrapper; soundness per the module-level contract.
 pub(super) fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.
@@ -177,49 +151,6 @@ unsafe fn dot_f32_inner(x: &[f32], y: &[f32]) -> f32 {
         tail = (*xp.add(j)).mul_add(*yp.add(j), tail);
     }
     (vaddvq_f32(acc0) + vaddvq_f32(acc1)) + tail
-}
-
-/// Safe wrapper; soundness per the module-level contract.
-pub(super) fn suffix_sumsq_f32(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(out.len(), x.len() + 1);
-    // SAFETY: as for `dot`.
-    unsafe { suffix_sumsq_f32_inner(x, out) }
-}
-
-/// Backward f32 suffix scan, four squares per vector step (same carry-chain
-/// structure and tolerance caveats as the f64 scan).
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn suffix_sumsq_f32_inner(x: &[f32], out: &mut [f32]) {
-    let n = x.len();
-    let op = out.as_mut_ptr();
-    *op.add(n) = 0.0;
-    let rem = n % 4;
-    let mut carry = 0.0f32;
-    let xp = x.as_ptr();
-    let mut block = n;
-    while block > rem {
-        block -= 4;
-        let v = vld1q_f32(xp.add(block));
-        let sq = vmulq_f32(v, v);
-        let t3 = vgetq_lane_f32(sq, 3) + carry;
-        let t2 = vgetq_lane_f32(sq, 2) + t3;
-        let t1 = vgetq_lane_f32(sq, 1) + t2;
-        let t0 = vgetq_lane_f32(sq, 0) + t1;
-        *op.add(block) = t0;
-        *op.add(block + 1) = t1;
-        *op.add(block + 2) = t2;
-        *op.add(block + 3) = t3;
-        carry = t0;
-    }
-    let mut j = rem;
-    while j > 0 {
-        j -= 1;
-        carry = (*xp.add(j)).mul_add(*xp.add(j), carry);
-        *op.add(j) = carry;
-    }
 }
 
 /// Safe wrapper; soundness per the module-level contract.

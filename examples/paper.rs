@@ -27,7 +27,7 @@ use optimus_maximus::prelude::*;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The `K` values the paper evaluates throughout (Fig. 2, Fig. 5, Table II).
@@ -134,18 +134,11 @@ fn ks_for(model: &MfModel) -> Vec<usize> {
 
 type Factory = Arc<dyn SolverFactory>;
 
-/// Clones of a registry share its per-kernel calibration cache: the hundreds
-/// of engines below time the planner's `256³` multiply once, not once each.
-static CALIBRATED: OnceLock<BackendRegistry> = OnceLock::new();
-
 fn engine(model: &Arc<MfModel>, factories: impl IntoIterator<Item = Factory>) -> EngineBuilder {
-    let mut registry = CALIBRATED.get_or_init(BackendRegistry::new).clone();
-    for factory in factories {
-        registry.register(factory).expect("distinct keys");
-    }
-    EngineBuilder::new()
-        .model(Arc::clone(model))
-        .registry(registry)
+    let builder = EngineBuilder::new().model(Arc::clone(model));
+    factories
+        .into_iter()
+        .fold(builder, EngineBuilder::register_arc)
 }
 
 fn build(builder: EngineBuilder) -> Engine {
@@ -511,9 +504,10 @@ fn fig8(paper: &Paper) {
             let maximus: Factory = Arc::new(MaximusFactory::new(config));
             let engine = build(engine(&rows.model, [Arc::new(BmmFactory), maximus]));
             let plan = engine.prepare(1).expect("planner runs");
-            let traversal = serve_with(&engine, "maximus", 1);
-            let solver = engine.solver("maximus").expect("the serve built it");
-            let index = solver.downcast_ref::<MaximusIndex>().expect("MAXIMUS");
+            let index = MaximusIndex::build(Arc::clone(&rows.model), &config);
+            let started = Instant::now();
+            assert_eq!(index.query_all(1).len(), rows.model.num_users());
+            let traversal = started.elapsed().as_secs_f64();
             let (stages, visited) = (index.build_stats(), index.query_stats().avg_items_visited());
             let (clustering, construction) =
                 (stages.clustering_seconds, stages.construction_seconds);
