@@ -127,30 +127,45 @@ struct ClusterIndex {
     theta_ic: Vec<f64>,
     /// Item norms per list position.
     norms: Vec<f64>,
-    /// Item vectors gathered in list order (the `O(|C||I|f)` storage of
-    /// §III-D; sequential walks instead of random model access).
+    /// Length of the list prefix the §III-D blocked multiply scores: `B`
+    /// capped at the list length, 0 with item blocking off.
+    start: usize,
+    /// The walked items, list positions `start..`, gathered in list order
+    /// (the `O(|C||I|f)` storage of §III-D; sequential walks instead of
+    /// random model access): row `pos − start` is position `pos`. The
+    /// prefix has no gathered copy; only its packed panels score it.
     items: Matrix<f64>,
-    /// The list prefix the §III-D blocked multiply scores (`items` rows
-    /// `0..B`), packed for the GEMM driver by the first request that
-    /// reaches the cluster and shared from then on by every request, thread
-    /// and screen variant. A per-call pack is a fixed `B × f` copy per
-    /// cluster that a small batch does not amortize: a point lookup would
-    /// pay it whole, and the planner — which times a user sample and scales
-    /// by `|U| / sample` — would charge MAXIMUS that copy many times over
-    /// and tie it with candidates it beats.
+    /// The list prefix (positions `0..start`), packed for the GEMM driver
+    /// straight from the model's rows by the first request that reaches the
+    /// cluster, and shared from then on by every request, thread and screen
+    /// variant. A per-call pack is a fixed `B × f` copy per cluster that a
+    /// small batch does not amortize: a point lookup would pay it whole,
+    /// and the planner — which times a user sample and scales by
+    /// `|U| / sample` — would charge MAXIMUS that copy many times over and
+    /// tie it with candidates it beats.
     block_panels: OnceLock<PackedPanels<f64>>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
 }
 
+impl ClusterIndex {
+    /// The item row at list position `pos`: a walked row from the gathered
+    /// copy, a prefix row from the model's `items` by id.
+    fn item_row<'a>(&'a self, items: &'a Matrix<f64>, pos: usize) -> &'a [f64] {
+        match pos.checked_sub(self.start) {
+            Some(walked) => self.items.row(walked),
+            None => items.row(self.list_ids[pos] as usize),
+        }
+    }
+}
+
 /// Everything construction derives from the model — the clustering, every
-/// cluster's bound-sorted list and its gathered item copy. Immutable once
-/// built (the packed list prefixes fill in on first use) and shared, behind
-/// an [`Arc`], by an index and every screen variant of it
+/// cluster's bound-sorted list and its gathered copy of the walked items.
+/// Immutable once built (the packed list prefixes fill in on first use) and
+/// shared, behind an [`Arc`], by an index and every screen variant of it
 /// ([`MaximusIndex::with_screen`]).
 struct MaximusCore {
     model: Arc<MfModel>,
-    config: MaximusConfig,
     assignments: Vec<u32>,
     clusters: Vec<ClusterIndex>,
     centroids: Matrix<f64>,
@@ -160,9 +175,9 @@ struct MaximusCore {
 /// The built MAXIMUS index.
 pub struct MaximusIndex {
     core: Arc<MaximusCore>,
-    /// One mirror per cluster — its gathered items in the armed tier's
-    /// storage — row-aligned with the cluster's list; empty when no tier is
-    /// armed.
+    /// One mirror per cluster — its gathered walked items in the armed
+    /// tier's storage — row-aligned with the cluster's `items`; empty when
+    /// no tier is armed.
     mirrors: Vec<ItemMirror>,
     /// Seconds spent building what this handle added: the whole
     /// construction for [`MaximusIndex::build`], the mirrors alone for a
@@ -199,6 +214,11 @@ impl MaximusIndex {
 
         let t1 = Instant::now();
         let item_norms: Vec<f64> = model.items().row_norms();
+        let start = if config.item_blocking {
+            config.block_size.min(model.num_items())
+        } else {
+            0
+        };
         let clusters: Vec<ClusterIndex> = (0..clustering.k())
             .map(|c| {
                 let centroid = clustering.centroids.row(c);
@@ -214,6 +234,7 @@ impl MaximusIndex {
                     &item_norms,
                     centroid,
                     theta_b,
+                    start,
                     clustering.members[c].clone(),
                 )
             })
@@ -224,7 +245,6 @@ impl MaximusIndex {
             assignments: clustering.assignments,
             centroids: clustering.centroids,
             clusters,
-            config: *config,
             build_stats: MaximusBuildStats {
                 clustering_seconds,
                 construction_seconds,
@@ -270,9 +290,9 @@ impl MaximusIndex {
     /// Each cluster's mirror is **gathered** in list order from the model's
     /// own mirror of the tier ([`MfModel::mirror`] — built once per model
     /// and shared with brute force's screen), so no row is rounded or
-    /// quantized once per cluster. The variant's
-    /// `build_seconds` is that gathering alone; its work counters start at
-    /// zero.
+    /// quantized once per cluster; like the f64 copy it holds the walked
+    /// positions only. The variant's `build_seconds` is that gathering
+    /// alone; its work counters start at zero.
     ///
     /// The variant carries the mirrors of `tier` only, whatever `self` had
     /// armed. When the model does not mirror usably in `tier` (int8:
@@ -285,7 +305,7 @@ impl MaximusIndex {
         let gathered: Option<Vec<ItemMirror>> = per_tier!(tier, T => {
             let sides = core.model.mirror::<T>().sides();
             sides.map(|(_, items)| {
-                let lists = core.clusters.iter().map(|c| c.list_ids.iter());
+                let lists = core.clusters.iter().map(|c| c.list_ids[c.start..].iter());
                 lists
                     .map(|ids| items.gather(ids.map(|&i| i as usize)).into())
                     .collect()
@@ -339,22 +359,18 @@ impl MaximusIndex {
         scratch: &mut GemmScratch<f64>,
         out: &mut [TopKList],
     ) {
-        let MaximusCore { model, config, .. } = &*self.core;
+        let model = &self.core.model;
         let cluster = &self.core.clusters[c];
         let n_items = cluster.list_ids.len();
-        let block = if config.item_blocking {
-            config.block_size.min(n_items)
-        } else {
-            0
-        };
+        let block = cluster.start;
 
         let mut heaps: Vec<TopKHeap> = group.iter().map(|_| TopKHeap::new(k)).collect();
         if block > 0 {
             let users: Vec<usize> = group.iter().map(|&(_, u)| u).collect();
             let gathered = model.users().gather_rows(&users);
-            let panels = cluster
-                .block_panels
-                .get_or_init(|| PackedPanels::pack(cluster.items.row_block(0, block)));
+            let panels = cluster.block_panels.get_or_init(|| {
+                PackedPanels::gather(model.items().into(), &cluster.list_ids[..block])
+            });
             stream_topk_into_heaps(
                 (&gathered).into(),
                 panels.into(),
@@ -396,14 +412,14 @@ impl MaximusIndex {
                 if heap.is_full() {
                     if let Some((user_screen, mirror)) = &screen {
                         screen_evaluated += 1;
-                        if user_screen.upper_bound(mirror, list_pos) < heap.threshold() {
+                        if user_screen.upper_bound(mirror, list_pos - block) < heap.threshold() {
                             screened_out += 1;
                             list_pos += 1;
                             continue;
                         }
                     }
                 }
-                let score = dot(user, cluster.items.row(list_pos));
+                let score = dot(user, cluster.items.row(list_pos - block));
                 walk_admitted |= heap.push(score, cluster.list_ids[list_pos]);
                 walked += 1;
                 list_pos += 1;
@@ -462,6 +478,7 @@ impl MaximusIndex {
             angle(user, centroid)
         };
 
+        let items = core.model.items();
         let mut heap = TopKHeap::new(k);
         if theta_uc <= cluster.theta_b {
             // Covered by the stored bounds: normal walk with early exit.
@@ -469,7 +486,7 @@ impl MaximusIndex {
                 if heap.is_full() && unorm * cluster.bounds[pos] < heap.threshold() {
                     break;
                 }
-                heap.push(dot(user, cluster.items.row(pos)), id);
+                heap.push(dot(user, cluster.item_row(items, pos)), id);
             }
         } else {
             for (pos, &id) in cluster.list_ids.iter().enumerate() {
@@ -479,10 +496,10 @@ impl MaximusIndex {
                         continue; // no early exit: order is stale for θ_uc
                     }
                 }
-                heap.push(dot(user, cluster.items.row(pos)), id);
+                heap.push(dot(user, cluster.item_row(items, pos)), id);
             }
         }
-        canonical_list(user, core.model.items(), heap)
+        canonical_list(user, items, heap)
     }
 }
 
@@ -556,12 +573,14 @@ fn canonical_list(user: &[f64], items: &Matrix<f64>, heap: TopKHeap) -> TopKList
     list
 }
 
-/// Builds one cluster's sorted list.
+/// Builds one cluster's sorted list, gathering the items past its blocked
+/// prefix of `start` positions.
 fn build_cluster_list(
     items: &Matrix<f64>,
     item_norms: &[f64],
     centroid: &[f64],
     theta_b: f64,
+    start: usize,
     members: Vec<u32>,
 ) -> ClusterIndex {
     let n = items.rows();
@@ -589,8 +608,8 @@ fn build_cluster_list(
     let bounds: Vec<f64> = entries.iter().map(|e| e.0).collect();
     let theta_ic: Vec<f64> = entries.iter().map(|e| e.1).collect();
     let norms: Vec<f64> = entries.iter().map(|e| item_norms[e.2 as usize]).collect();
-    let idx: Vec<usize> = list_ids.iter().map(|&i| i as usize).collect();
-    let gathered = items.gather_rows(&idx);
+    let walked: Vec<usize> = list_ids[start..].iter().map(|&i| i as usize).collect();
+    let gathered = items.gather_rows(&walked);
 
     ClusterIndex {
         theta_b,
@@ -598,6 +617,7 @@ fn build_cluster_list(
         bounds,
         theta_ic,
         norms,
+        start,
         items: gathered,
         block_panels: OnceLock::new(),
         members,
@@ -849,22 +869,52 @@ mod tests {
     }
 
     #[test]
+    fn clusters_gather_only_the_walked_suffix() {
+        // Each cluster's gathered copy holds list positions `start..` in
+        // list order; the blocked prefix lives only in its packed panels.
+        // The Fig. 8 lesion blocks nothing, so it gathers the whole list.
+        let m = model(40, 90, 8, 0.4);
+        for (item_blocking, block_size, start) in [(true, 16, 16), (true, 500, 90), (false, 16, 0)]
+        {
+            let config = MaximusConfig {
+                item_blocking,
+                block_size,
+                ..small_config()
+            };
+            let index = MaximusIndex::build(Arc::clone(&m), &config);
+            for cluster in &index.core.clusters {
+                assert_eq!(cluster.start, start, "{config:?}");
+                assert_eq!(cluster.items.rows(), m.num_items() - start, "{config:?}");
+                for (r, &id) in cluster.list_ids[start..].iter().enumerate() {
+                    assert_eq!(cluster.items.row(r), m.items().row(id as usize));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cluster_mirrors_are_gathered_in_list_order() {
         // A cluster's mirror, gathered from the model's, is row-aligned
-        // with the cluster's list: it bounds exactly like one built from
-        // the cluster's own f64 copy.
+        // with the cluster's walked rows: row `r` is list position
+        // `start + r`, and it bounds exactly like a mirror built from the
+        // model's rows at those positions.
         let m = model(40, 90, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
         for tier in ScreenTier::ALL {
             let screened = plain.with_screen(tier);
             let screen = UserScreen::arm(m.users().row(3), tier).unwrap();
             for (cluster, mirror) in plain.core.clusters.iter().zip(&screened.mirrors) {
-                let rebuilt = ItemMirror::build(&cluster.items, tier).unwrap();
-                for r in 0..cluster.list_ids.len() {
+                let walked: Vec<usize> = cluster.list_ids[cluster.start..]
+                    .iter()
+                    .map(|&id| id as usize)
+                    .collect();
+                let rebuilt = ItemMirror::build(&m.items().gather_rows(&walked), tier).unwrap();
+                for r in 0..walked.len() {
                     assert_eq!(
                         screen.upper_bound(mirror, r).to_bits(),
                         screen.upper_bound(&rebuilt, r).to_bits(),
-                        "{tier:?} list position {r}"
+                        "{tier:?} list position {}",
+                        cluster.start + r
                     );
                 }
             }
@@ -957,6 +1007,25 @@ mod tests {
         for u in [0usize, 17, 39] {
             let got = maximus.query_new_vector(m.users().row(u), 5);
             assert_eq!(got.items, bmm.query_range(5, u..u + 1)[0].items, "user {u}");
+        }
+        // The blocked prefix has no gathered copy: a walk through it reads
+        // the model's rows by id. With the whole list blocked, every item
+        // it returns comes from there.
+        let prefix_only = MaximusIndex::build(
+            Arc::clone(&m),
+            &MaximusConfig {
+                block_size: 10_000,
+                ..small_config()
+            },
+        );
+        assert!(prefix_only
+            .core
+            .clusters
+            .iter()
+            .all(|c| c.items.rows() == 0));
+        for u in [0usize, 17, 39] {
+            let got = prefix_only.query_new_vector(m.users().row(u), 5);
+            assert_eq!(got, bmm.query_range(5, u..u + 1)[0], "user {u}");
         }
         // A genuinely new direction, far from every centroid.
         let novel: Vec<f64> = (0..8).map(|j| if j == 7 { -3.0 } else { 0.01 }).collect();

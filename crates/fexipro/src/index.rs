@@ -2,7 +2,7 @@
 //! filters.
 
 use crate::config::{FexiproConfig, ENERGY_TARGET, INT_BITS};
-use crate::quant::{int_upper_bound, quantize_items, quantize_user, QuantizedItems};
+use crate::quant::{int_upper_bound, quantize_items, quantize_user, Code, QuantizedItems};
 use crate::transform::{Reduction, SvdStage};
 use mips_data::MfModel;
 use mips_linalg::kernels::{dot, norm2, suffix_norms};
@@ -29,23 +29,26 @@ pub struct FexiproStats {
     pub dots_computed: u64,
 }
 
-/// Per-user precomputed query state.
+/// Per-user precomputed query state. The transformed vectors keep only the
+/// checkpoint prefixes their filters read.
 #[derive(Debug, Clone)]
 struct UserCtx {
     /// Original user vector.
     original: Vec<f64>,
     /// `‖u‖`.
     norm: f64,
-    /// Transformed user `Vᵀu` (equals `original` when the SVD failed).
+    /// The first `h` coordinates of the transformed user `Vᵀu` (of
+    /// `original` when the SVD failed).
     t: Vec<f64>,
-    /// `‖t[h..]‖` — SVD-stage suffix factor.
+    /// `‖(Vᵀu)[h..]‖` — SVD-stage suffix factor.
     t_suffix_at_h: f64,
-    /// Unit transformed user (zeros for a zero user).
+    /// The first `h_r` coordinates of the unit transformed user (zeros for
+    /// a zero user).
     unit: Vec<f64>,
     /// `‖unit[h_r..]‖` — reduction-stage suffix factor.
     unit_suffix_at_hr: f64,
-    /// Quantized transformed user and its scale.
-    q: Vec<u32>,
+    /// Quantized transformed user (all `f` coordinates) and its scale.
+    q: Vec<Code>,
     q_scale: f64,
 }
 
@@ -63,7 +66,9 @@ pub struct FexiproIndex {
     originals: Matrix<f64>,
     /// Item norms, descending.
     norms: Vec<f64>,
-    /// Transformed items in scan order.
+    /// The first `h` columns of the transformed items, in scan order: all
+    /// the S filter reads. The I codes, the R stage and the suffix norms
+    /// are derived from the full transform at build time.
     t_items: Matrix<f64>,
     /// `‖tᵢ[h..]‖` per item.
     t_suffix_at_h: Vec<f64>,
@@ -132,7 +137,7 @@ impl FexiproIndex {
             ids,
             originals,
             norms,
-            t_items,
+            t_items: Matrix::from_fn(t_items.rows(), h, |r, c| t_items.get(r, c)),
             t_suffix_at_h,
             h,
             h_r,
@@ -149,7 +154,7 @@ impl FexiproIndex {
             None => model.users().clone(),
         };
         index.users = (0..model.num_users())
-            .map(|u| index.ctx_from_transformed(model.users().row(u), t_users.row(u).to_vec()))
+            .map(|u| index.ctx_from_transformed(model.users().row(u), t_users.row(u)))
             .collect();
         index
     }
@@ -177,27 +182,27 @@ impl FexiproIndex {
             }
             None => user.to_vec(),
         };
-        self.ctx_from_transformed(user, t)
+        self.ctx_from_transformed(user, &t)
     }
 
     /// Builds a query context from the original vector and its already
     /// transformed counterpart.
-    fn ctx_from_transformed(&self, user: &[f64], t: Vec<f64>) -> UserCtx {
+    fn ctx_from_transformed(&self, user: &[f64], t: &[f64]) -> UserCtx {
         let norm = norm2(user);
-        let t_suffix_at_h = suffix_norms(&t)[self.h];
+        let t_suffix_at_h = suffix_norms(t)[self.h];
         let unit: Vec<f64> = if norm > 0.0 {
             t.iter().map(|&v| v / norm).collect()
         } else {
             vec![0.0; t.len()]
         };
         let unit_suffix_at_hr = suffix_norms(&unit)[self.h_r];
-        let (q, q_scale) = quantize_user(&t, INT_BITS);
+        let (q, q_scale) = quantize_user(t, INT_BITS);
         UserCtx {
             original: user.to_vec(),
             norm,
-            t,
+            t: t[..self.h].to_vec(),
             t_suffix_at_h,
-            unit,
+            unit: unit[..self.h_r].to_vec(),
             unit_suffix_at_hr,
             q,
             q_scale,
@@ -238,7 +243,7 @@ impl FexiproIndex {
                 }
                 // R: norm-equalized angular filter at the short checkpoint.
                 if let Some(red) = &self.reduction {
-                    let partial = dot(&ctx.unit[..self.h_r], red.prefix.row(r));
+                    let partial = dot(&ctx.unit, red.prefix.row(r));
                     let bound =
                         ctx.norm * red.max_norm * (partial + ctx.unit_suffix_at_hr * red.suffix[r]);
                     if bound + ctx.norm * red.max_norm * BOUND_EPS < t {
@@ -248,7 +253,7 @@ impl FexiproIndex {
                 }
                 // S: partial product in the energy-ordered basis plus
                 // Cauchy–Schwarz on the suffix.
-                let partial = dot(&ctx.t[..self.h], &self.t_items.row(r)[..self.h]);
+                let partial = dot(&ctx.t, self.t_items.row(r));
                 let bound = partial + ctx.t_suffix_at_h * self.t_suffix_at_h[r];
                 if bound + slack < t {
                     stats.svd_pruned += 1;
@@ -306,6 +311,38 @@ mod tests {
         heap.into_sorted()
     }
 
+    /// The transformed catalog keeps the `h` columns the S filter reads,
+    /// each user context the `h` and `h_r` prefixes its filters read; the
+    /// I codes keep every coordinate.
+    fn assert_checkpoint_widths(index: &FexiproIndex) {
+        let f = index.num_factors;
+        assert!(
+            index.h < f,
+            "a checkpoint that trims nothing proves nothing"
+        );
+        assert_eq!(index.t_items.cols(), index.h);
+        assert_eq!(index.quant.f, f);
+        if let Some(red) = &index.reduction {
+            assert_eq!(red.prefix.cols(), index.h_r);
+        }
+        for ctx in &index.users {
+            assert_eq!(
+                (ctx.t.len(), ctx.unit.len(), ctx.q.len()),
+                (index.h, index.h_r, f)
+            );
+        }
+    }
+
+    #[test]
+    fn stores_only_the_checkpoint_prefixes() {
+        let m = model(0.75, 1.0);
+        for cfg in [FexiproConfig::si(), FexiproConfig::sir()] {
+            let index = FexiproIndex::build(&m, &cfg);
+            assert!(index.svd.is_some());
+            assert_checkpoint_widths(&index);
+        }
+    }
+
     #[test]
     fn si_exact_against_brute_force() {
         let m = model(0.9, 0.8);
@@ -357,6 +394,8 @@ mod tests {
         for cfg in [FexiproConfig::si(), FexiproConfig::sir()] {
             let index = FexiproIndex::build(&m, &cfg);
             assert!(index.svd.is_none());
+            assert_eq!(index.checkpoint(), 3, "h = ⌈f/2⌉");
+            assert_checkpoint_widths(&index);
             for u in 0..m.num_users() {
                 // `reference` is the brute-force scan BMM matches item for
                 // item; scores must match it bit for bit.

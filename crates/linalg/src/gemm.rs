@@ -148,14 +148,13 @@ fn padded_depth<T: GemmElem>(depth: usize) -> usize {
     depth.div_ceil(T::KGROUP) * T::KGROUP
 }
 
-/// Packs rows `row0..row0 + nrows` of `src`, depth window `pc..pc + kcb`,
-/// into `width`-interleaved panels at the start of `out`: panel `q` holds
-/// rows `q·width..`, and within it depth group `d` of row `r` sits at
+/// Packs rows `row(0)..row(nrows)`, depth window `pc..pc + kcb`, into
+/// `width`-interleaved panels at the start of `out`: panel `q` holds rows
+/// `q·width..`, and within it depth group `d` of row `r` sits at
 /// `(d·width + r)·KGROUP`. Missing rows of the last panel and the missing
 /// half of an odd last pair are zero. Returns the packed length.
-fn pack_block<T: GemmElem>(
-    src: RowBlock<'_, T>,
-    row0: usize,
+fn pack_block<'a, T: GemmElem>(
+    row: impl Fn(usize) -> &'a [T],
     nrows: usize,
     pc: usize,
     kcb: usize,
@@ -169,7 +168,7 @@ fn pack_block<T: GemmElem>(
     out.fill(T::Panel::default());
     for (q, panel) in out.chunks_exact_mut(panel_len).enumerate() {
         for r in 0..width.min(nrows - q * width) {
-            let row = &src.row(row0 + q * width + r)[pc..pc + kcb];
+            let row = &row(q * width + r)[pc..pc + kcb];
             for (d, group) in row.chunks(g).enumerate() {
                 let at = (d * width + r) * g;
                 for (slot, &v) in panel[at..at + g].iter_mut().zip(group) {
@@ -189,28 +188,20 @@ fn packed_len<T: GemmElem>(rows: usize, depth: usize, kc: usize) -> usize {
     rows.div_ceil(T::NR) * T::NR * (full + padded_depth::<T>(depth - full))
 }
 
-/// Packs rows `row0..row0 + nrows` of `b` over the **whole** depth, one
-/// [`pack_block`] per `kc` depth block, into `out` (resized to fit).
-fn pack_full_depth<T: GemmElem>(
-    b: RowBlock<'_, T>,
-    row0: usize,
+/// Packs rows `row(0)..row(nrows)`, each `depth` wide, over the **whole**
+/// depth, one [`pack_block`] per `kc` depth block, into `out` (resized to
+/// fit).
+fn pack_full_depth<'a, T: GemmElem>(
+    row: impl Fn(usize) -> &'a [T],
     nrows: usize,
+    depth: usize,
     kc: usize,
     out: &mut Vec<T::Panel>,
 ) {
-    let depth = b.cols();
     out.resize(packed_len::<T>(nrows, depth, kc), T::Panel::default());
     let mut at = 0;
     for pc in (0..depth).step_by(kc) {
-        at += pack_block(
-            b,
-            row0,
-            nrows,
-            pc,
-            kc.min(depth - pc),
-            T::NR,
-            &mut out[at..],
-        );
+        at += pack_block(&row, nrows, pc, kc.min(depth - pc), T::NR, &mut out[at..]);
     }
 }
 
@@ -230,13 +221,30 @@ pub struct PackedPanels<T: GemmElem> {
 impl<T: GemmElem> PackedPanels<T> {
     /// Packs every row of `b` under the default blocking's depth block.
     pub fn pack(b: RowBlock<'_, T>) -> PackedPanels<T> {
+        PackedPanels::pack_rows(|r| b.row(r), b.rows(), b.cols())
+    }
+
+    /// Packs rows `ids` of `b`, in that order: the panels [`PackedPanels::pack`]
+    /// makes of their gathered copy, read straight from `b` without one.
+    ///
+    /// # Panics
+    /// Panics if an id is out of range.
+    pub fn gather(b: RowBlock<'_, T>, ids: &[u32]) -> PackedPanels<T> {
+        assert!(
+            ids.iter().all(|&id| (id as usize) < b.rows()),
+            "PackedPanels::gather: id out of range"
+        );
+        PackedPanels::pack_rows(|r| b.row(ids[r] as usize), ids.len(), b.cols())
+    }
+
+    fn pack_rows<'a>(row: impl Fn(usize) -> &'a [T], rows: usize, depth: usize) -> Self {
         let kc = T::BLOCKS.kc;
         let mut data = Vec::new();
-        pack_full_depth(b, 0, b.rows(), kc, &mut data);
+        pack_full_depth(row, rows, depth, kc, &mut data);
         PackedPanels {
             data,
-            rows: b.rows(),
-            depth: b.cols(),
+            rows,
+            depth,
             kc,
         }
     }
@@ -347,7 +355,8 @@ pub fn gemm_nt_blocked_with<T: GemmElem>(
         a.rows() * n,
         "gemm_nt: output buffer length mismatch"
     );
-    // One-off multiply: per-call packing buffers; tiles store into `c`.
+    // One-off multiply: per-call packing buffers; tiles store into `c`,
+    // which has no rows past the last block's.
     let mut scratch = GemmScratch::<T>::new();
     let GemmScratch { pack_a, pack_b, .. } = &mut scratch;
     for_each_block(
@@ -357,7 +366,7 @@ pub fn gemm_nt_blocked_with<T: GemmElem>(
         b.into(),
         pack_a,
         pack_b,
-        |rows, cols, fill| fill(&mut c[rows.start * n + cols.start..], n),
+        |rows, cols, fill| fill(&mut c[rows.start * n + cols.start..], n, false),
     );
 }
 
@@ -446,19 +455,28 @@ pub fn gemm_nt_stream_blocks_with<T: GemmElem>(
         ..
     } = scratch;
     for_each_block(kern, blocks, a, b, pack_a, pack_b, |rows, cols, fill| {
-        // Stale values from the previous block are fully overwritten by
-        // the first (non-accumulating) depth pass.
-        block.resize(rows.len() * cols.len(), T::Acc::default());
-        fill(block, cols.len());
-        consumer(block, rows, cols);
+        // Whole `MR` rows, so a tile short of rows but full in columns
+        // stores straight into the block instead of through the edge
+        // buffer; the consumer sees only the real rows. Stale values from
+        // the previous block are fully overwritten by the first
+        // (non-accumulating) depth pass.
+        let len = rows.len() * cols.len();
+        block.resize(
+            rows.len().div_ceil(T::MR) * T::MR * cols.len(),
+            T::Acc::default(),
+        );
+        fill(block, cols.len(), true);
+        consumer(&block[..len], rows, cols);
     });
 }
 
 /// The blocked driver. Walks C in `NC`-wide column panels and `MC`-tall
 /// blocks within them; for each block calls `visit(rows, cols, fill)`, and
-/// `fill(out, ldc)` computes the block — **all** depth passes — into `out`
-/// (`out[0]` is its top-left element, rows `ldc` apart). Shared by the
-/// in-place and streaming entries, which differ only in where `out` lives.
+/// `fill(out, ldc, whole_rows)` computes the block — **all** depth passes —
+/// into `out` (`out[0]` is its top-left element, rows `ldc` apart;
+/// `whole_rows` when `out` has room for the block's rows rounded up to
+/// whole `MR` tiles). Shared by the in-place and streaming entries, which
+/// differ only in where `out` lives.
 ///
 /// B is packed once per column panel over the whole depth (or not at all,
 /// when prepacked); A once per block and depth pass.
@@ -469,7 +487,7 @@ fn for_each_block<T: GemmElem>(
     b: GemmB<'_, T>,
     pack_a: &mut Vec<T::Panel>,
     pack_b: &mut Vec<T::Panel>,
-    mut visit: impl FnMut(Range<usize>, Range<usize>, &mut dyn FnMut(&mut [T::Acc], usize)),
+    mut visit: impl FnMut(Range<usize>, Range<usize>, &mut dyn FnMut(&mut [T::Acc], usize, bool)),
 ) {
     let (m, n, k) = (a.rows(), b.rows(), a.cols());
     assert_eq!(k, b.cols(), "gemm_nt: inner dimension mismatch");
@@ -496,7 +514,7 @@ fn for_each_block<T: GemmElem>(
         // over the whole depth for `b_rows` rows.
         let (panels, first_col, b_rows): (&[T::Panel], usize, usize) = match b {
             GemmB::Rows(rows) => {
-                pack_full_depth(rows, jc, ncb, kc, pack_b);
+                pack_full_depth(|r| rows.row(jc + r), ncb, k, kc, pack_b);
                 (pack_b, jc, ncb)
             }
             GemmB::Packed(p) => (&p.data, 0, n),
@@ -504,7 +522,7 @@ fn for_each_block<T: GemmElem>(
         let row_panels = b_rows.div_ceil(T::NR);
         for ic in (0..m).step_by(mc) {
             let mcb = mc.min(m - ic);
-            visit(ic..ic + mcb, jc..jc + ncb, &mut |out, ldc| {
+            visit(ic..ic + mcb, jc..jc + ncb, &mut |out, ldc, whole_rows| {
                 if k == 0 {
                     for row in out.chunks_mut(ldc).take(mcb) {
                         row[..ncb].fill(T::Acc::default());
@@ -512,7 +530,7 @@ fn for_each_block<T: GemmElem>(
                 }
                 for pc in (0..k).step_by(kc) {
                     let depth = padded_depth::<T>(kc.min(k - pc));
-                    pack_block(a, ic, mcb, pc, kc.min(k - pc), T::MR, pack_a);
+                    pack_block(|r| a.row(ic + r), mcb, pc, kc.min(k - pc), T::MR, pack_a);
                     // Depth block `pc / kc` starts after `pc` full steps of
                     // every row panel; within it, panel `q` is `depth·NR` long.
                     let at = (pc * row_panels + (jc - first_col) / T::NR * depth) * T::NR;
@@ -526,6 +544,7 @@ fn for_each_block<T: GemmElem>(
                         ncb,
                         depth,
                         pc > 0,
+                        whole_rows,
                     );
                 }
             });
@@ -534,8 +553,10 @@ fn for_each_block<T: GemmElem>(
 }
 
 /// Walks the `MR × NR` register tiles of one `mcb × ncb` block of C. Full
-/// tiles are stored by the micro-kernel straight into `c`; an edge tile is
-/// computed into a stack buffer and its valid corner copied out. The B
+/// tiles are stored by the micro-kernel straight into `c`, and so are tiles
+/// short of rows but full in columns when `whole_rows` says `c` has room for
+/// their padding rows (which then hold scratch values). Any other edge tile
+/// is computed into a stack buffer and its valid corner copied out. The B
 /// micro-panel is the outer loop, so it stays in L1 while the (small) packed
 /// A block sweeps past it.
 #[allow(clippy::too_many_arguments)]
@@ -549,6 +570,7 @@ fn macro_kernel<T: GemmElem>(
     ncb: usize,
     depth: usize,
     accumulate: bool,
+    whole_rows: bool,
 ) {
     let (mr, nr) = (T::MR, T::NR);
     for (qb, b_panel) in pack_b
@@ -564,7 +586,7 @@ fn macro_kernel<T: GemmElem>(
         {
             let rows = mr.min(mcb - qa * mr);
             let at = qa * mr * ldc + qb * nr;
-            if rows == mr && cols == nr {
+            if cols == nr && (rows == mr || whole_rows) {
                 tile(a_panel, b_panel, &mut c[at..], ldc, accumulate);
                 continue;
             }
@@ -892,15 +914,18 @@ mod tests {
         };
         // Miri interprets every multiply-add: one ragged shape and the two
         // interesting depths exercise the same pack and addressing code.
+        // Streamed blocks short of `MR` rows store their full-width tiles
+        // straight into the block's padding rows; depths past the default
+        // `kc` reload those rows on every later pass.
         let shapes: &[(usize, usize)] = if cfg!(miri) {
             &[(5, 33)]
         } else {
-            &[(1, 1), (3, 17), (5, 33), (9, 70)]
+            &[(1, 1), (1, 40), (2, 40), (3, 17), (5, 33), (7, 40), (9, 70)]
         };
         let depths: &[usize] = if cfg!(miri) {
             &[0, 51]
         } else {
-            &[0, 1, 49, 50, 51]
+            &[0, 1, 3, 49, 50, 51, 301, 600]
         };
         for &(m, n) in shapes {
             for &f in depths {

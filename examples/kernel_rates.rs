@@ -67,9 +67,9 @@ fn operand<T>(rows: usize, seed: u64, map: impl Fn(f64) -> T) -> Vec<T> {
         .collect()
 }
 
-/// One element type's three rows: the tile alone on L1-resident panels,
+/// One element type's four rows: the tile alone on L1-resident panels,
 /// the driver packing B per call, and the driver streaming blocks off
-/// panels packed once.
+/// panels packed once, for the whole user block and for one user.
 fn report<T: GemmElem>(name: &str, unit: &str, peak: f64, map: impl Fn(f64) -> T) {
     let kern = simd::active();
     let giga = |ops: f64, seconds: f64| ops / seconds * 1e-9;
@@ -114,6 +114,20 @@ fn report<T: GemmElem>(name: &str, unit: &str, peak: f64, map: impl Fn(f64) -> T
         });
     });
     row("stream blocks, B packed once", giga(ops, seconds));
+
+    // A single-user lookup: one row of A against the same panels, so a
+    // tile short of `MR` rows shows its cost beside the full ones.
+    let one = RowBlock::new(&users.as_slice()[..FACTORS], 1, FACTORS);
+    let reps = 50;
+    let seconds = best_of_5(|| {
+        for _ in 0..reps {
+            gemm_nt_stream_blocks(one, (&panels).into(), &mut scratch, |block, _, _| {
+                black_box(block);
+            });
+        }
+    });
+    let one_ops = gemm_flops(1, ITEMS, FACTORS) * reps as f64;
+    row("stream blocks, 1 row", giga(one_ops, seconds));
 }
 
 /// The k values of the select table: the benchmark's batch ks.
