@@ -1,5 +1,11 @@
 //! [`MipsSolver`] adapters for the LEMP, FEXIPRO, and sparse inverted-index
 //! crates.
+//!
+//! LEMP and FEXIPRO select with the four-lane `dot`, so their solvers
+//! finish every answer through [`canonicalize`]: the `k` reported scores
+//! become the chain the other backends report, and the answer the one
+//! [`mips_topk::exact_topk`] gives. The sparse index rescores with the chain
+//! itself.
 
 use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::Arc;
@@ -7,7 +13,7 @@ use mips_data::MfModel;
 use mips_fexipro::{FexiproConfig, FexiproIndex};
 use mips_lemp::{LempConfig, LempIndex, QueryStats};
 use mips_sparse::{InvertedIndex, SparseScratch};
-use mips_topk::{ScreenTier, TopKList};
+use mips_topk::{canonicalize, ScreenTier, TopKList};
 use std::time::Instant;
 
 /// LEMP behind the common solver interface.
@@ -105,8 +111,9 @@ impl MipsSolver for LempSolver {
             let out = distinct
                 .iter()
                 .map(|&u| {
-                    self.index
-                        .query_with_stats(self.model.users().row(u), k, &mut stats)
+                    let user = self.model.users().row(u);
+                    let list = self.index.query_with_stats(user, k, &mut stats);
+                    canonicalize(list, user, self.model.items())
                 })
                 .collect();
             self.record_scan(&stats);
@@ -121,6 +128,7 @@ impl MipsSolver for LempSolver {
 
 /// FEXIPRO behind the common solver interface.
 pub struct FexiproSolver {
+    model: Arc<MfModel>,
     index: FexiproIndex,
     name: &'static str,
     build_seconds: f64,
@@ -138,6 +146,7 @@ impl FexiproSolver {
             "FEXIPRO-SI"
         };
         FexiproSolver {
+            model,
             index,
             name,
             build_seconds,
@@ -164,14 +173,15 @@ impl MipsSolver for FexiproSolver {
     }
 
     fn num_users(&self) -> usize {
-        self.index.num_users()
+        self.model.num_users()
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         crate::solver::dedup_query_subset(users, |distinct| {
+            let (user_rows, items) = (self.model.users(), self.model.items());
             distinct
                 .iter()
-                .map(|&u| self.index.query_user(u, k))
+                .map(|&u| canonicalize(self.index.query_user(u, k), user_rows.row(u), items))
                 .collect()
         })
     }
@@ -264,24 +274,26 @@ mod tests {
     }
 
     #[test]
-    fn adapters_agree_with_bmm() {
+    fn adapters_serve_bmm_answers_bit_for_bit() {
         let m = model();
         let bmm = BmmSolver::build(Arc::clone(&m));
-        let want = bmm.query_all(4);
-
-        let lemp = LempSolver::build(Arc::clone(&m), &LempConfig::default());
-        let got = lemp.query_all(4);
-        for u in 0..20 {
-            assert_eq!(got[u].items, want[u].items, "LEMP user {u}");
-        }
-
-        for cfg in [FexiproConfig::si(), FexiproConfig::sir()] {
-            let fex = FexiproSolver::build(Arc::clone(&m), &cfg);
-            let got = fex.query_all(4);
-            for u in 0..20 {
-                assert_eq!(got[u].items, want[u].items, "{} user {u}", fex.name());
+        let solvers: Vec<Box<dyn MipsSolver>> = vec![
+            Box::new(LempSolver::build(Arc::clone(&m), &LempConfig::default())),
+            Box::new(FexiproSolver::build(Arc::clone(&m), &FexiproConfig::si())),
+            Box::new(FexiproSolver::build(Arc::clone(&m), &FexiproConfig::sir())),
+            Box::new(SparseSolver::build(Arc::clone(&m))),
+        ];
+        for k in [1, 4, 60, 61] {
+            let want = bmm.query_all(k);
+            for solver in &solvers {
+                assert_eq!(solver.query_all(k), want, "{} k={k}", solver.name());
             }
         }
+        // Ad-hoc vector queries run the sparse pipeline too.
+        let sparse = SparseSolver::build(Arc::clone(&m));
+        assert_eq!(sparse.name(), "Sparse-II");
+        let got = sparse.query_vector(m.users().row(3), 5);
+        assert_eq!(got, bmm.query_range(5, 3..4)[0]);
     }
 
     #[test]
@@ -290,30 +302,6 @@ mod tests {
         assert!(!LempSolver::build(Arc::clone(&m), &LempConfig::default()).batches_users());
         assert!(!SparseSolver::build(Arc::clone(&m)).batches_users());
         assert!(!FexiproSolver::build(m, &FexiproConfig::si()).batches_users());
-    }
-
-    #[test]
-    fn sparse_adapter_is_bit_identical_to_bmm_even_on_dense_models() {
-        // Fully dense factors are the sparse backend's worst case; the
-        // exactness contract must hold regardless.
-        let m = model();
-        let bmm = BmmSolver::build(Arc::clone(&m));
-        let sparse = SparseSolver::build(Arc::clone(&m));
-        assert_eq!(sparse.name(), "Sparse-II");
-        for k in [1, 4, 60, 61] {
-            let want = bmm.query_all(k);
-            let got = sparse.query_all(k);
-            for u in 0..20 {
-                assert_eq!(got[u].items, want[u].items, "items k={k} user {u}");
-                let gb: Vec<u64> = got[u].scores.iter().map(|s| s.to_bits()).collect();
-                let wb: Vec<u64> = want[u].scores.iter().map(|s| s.to_bits()).collect();
-                assert_eq!(gb, wb, "score bits k={k} user {u}");
-            }
-        }
-        // Ad-hoc vector queries run the same pipeline.
-        let q = m.users().row(3);
-        let got = sparse.query_vector(q, 5);
-        assert_eq!(got.items, bmm.query_range(5, 3..4)[0].items);
     }
 
     #[test]

@@ -233,8 +233,7 @@ impl MipsSolver for BmmSolver {
 mod tests {
     use super::*;
     use mips_data::synth::{synth_model, SynthConfig};
-    use mips_linalg::kernels::dot;
-    use mips_topk::TopKHeap;
+    use mips_topk::exact_topk;
 
     fn model(users: usize, items: usize, f: usize) -> Arc<MfModel> {
         Arc::new(synth_model(&SynthConfig {
@@ -245,25 +244,16 @@ mod tests {
         }))
     }
 
-    fn reference(model: &MfModel, u: usize, k: usize) -> TopKList {
-        let mut heap = TopKHeap::new(k);
-        for i in 0..model.num_items() {
-            heap.push(dot(model.users().row(u), model.items().row(i)), i as u32);
-        }
-        heap.into_sorted()
-    }
-
     #[test]
-    fn matches_per_pair_reference() {
+    fn matches_the_oracle_bit_for_bit() {
         let m = model(30, 50, 12);
         let solver = BmmSolver::build(Arc::clone(&m));
         let all = solver.query_all(5);
         for (u, got) in all.iter().enumerate() {
-            let want = reference(&m, u, 5);
+            let want = exact_topk(m.users().row(u), m.items(), 5);
             assert_eq!(got.items, want.items, "user {u}");
-            for (a, b) in got.scores.iter().zip(&want.scores) {
-                assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
-            }
+            let bits = |l: &TopKList| l.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "user {u}");
         }
     }
 

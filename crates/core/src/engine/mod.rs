@@ -74,8 +74,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use epoch::{get_or_build, ArcCell, ModelEpoch};
 use mips_data::MfModel;
-use mips_linalg::kernels::dot_gemm_ordered;
-use mips_topk::{ScreenTier, TopKHeap, TopKList};
+use mips_topk::{exact_topk, ScreenTier, TopKList};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -436,9 +435,9 @@ impl Engine {
     /// the same vector return bit-identical results. When the sparse
     /// inverted-index backend is registered, its point-lookup path serves
     /// the query (the index is built lazily and cached on the epoch, like
-    /// every solver); otherwise the engine runs the canonical one-vector
-    /// scan. The two paths are bit-identical by the backend exactness
-    /// contract, so routing is invisible in the results.
+    /// every solver); otherwise the engine runs the oracle scan,
+    /// [`exact_topk`]. The two paths are bit-identical by the backend
+    /// exactness contract, so routing is invisible in the results.
     pub fn execute_vector(&self, request: &VectorQueryRequest) -> Result<QueryResponse, MipsError> {
         let state = self.snapshot();
         request.validate(&state.model)?;
@@ -455,7 +454,7 @@ impl Engine {
         let (list, backend) = match served {
             Some(hit) => hit,
             None => (
-                scan_vector_topk(&state.model, &query, request.k),
+                exact_topk(&query, state.model.items(), request.k),
                 // The fallback is the brute-force scan the backends are
                 // all measured against; report it under that name.
                 "Blocked MM".to_string(),
@@ -540,20 +539,6 @@ fn dispatch(
         UserSelection::Range(r) => par_query_range(solver, k, r.clone(), threads),
         UserSelection::Ids(ids) => par_query_subset(solver, k, ids, threads),
     }
-}
-
-/// Canonical one-vector scan: every item's [`dot_gemm_ordered`] score
-/// pushed through a [`TopKHeap`] (ties to the smaller item id). This is
-/// the reference every [`MipsSolver::query_vector`] implementation must
-/// match bit for bit, and the fallback [`Engine::execute_vector`] serves
-/// when no backend offers a point-lookup path.
-fn scan_vector_topk(model: &MfModel, query: &[f64], k: usize) -> TopKList {
-    let items = model.items();
-    let mut heap = TopKHeap::new(k);
-    for i in 0..items.rows() {
-        heap.push(dot_gemm_ordered(query, items.row(i)), i as u32);
-    }
-    heap.into_sorted()
 }
 
 /// Serves one **already-validated** request with a concrete solver.

@@ -21,10 +21,11 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, OnceLock};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::MfModel;
-use mips_linalg::kernels::{angle, dot, dot_gemm_ordered_x4, norm2};
+use mips_linalg::kernels::{angle, dot, norm2};
 use mips_linalg::{per_tier, GemmScratch, Matrix, PackedPanels};
 use mips_topk::{
-    stream_topk_into_heaps, ColumnIds, ItemMirror, ScreenTier, TopKHeap, TopKList, UserScreen,
+    canonicalize, stream_topk_into_heaps, ColumnIds, ItemMirror, ScreenTier, TopKHeap, TopKList,
+    UserScreen,
 };
 use std::time::Instant;
 
@@ -442,7 +443,7 @@ impl MaximusIndex {
             // (GEMM-kernel) scores; only a heap a walk-scored (`dot`) item
             // made it into needs the canonicalizing pass.
             out[pos] = if walk_admitted {
-                canonical_list(user, model.items(), heap)
+                canonicalize(heap.into_sorted(), user, model.items())
             } else {
                 heap.into_sorted()
             };
@@ -499,78 +500,8 @@ impl MaximusIndex {
                 heap.push(dot(user, cluster.item_row(items, pos)), id);
             }
         }
-        canonical_list(user, items, heap)
+        canonicalize(heap.into_sorted(), user, items)
     }
-}
-
-/// Finalizes one user's heap into its **canonical** top-k list: the
-/// returned scores are re-derived with
-/// [`dot_gemm_ordered`] — the GEMM micro-kernel's per-element reduction —
-/// over the model's own item rows, and the list re-sorted by (score
-/// descending, item id ascending).
-///
-/// Selection and pruning still run on whatever the serve path streamed —
-/// the §III-D blocked prefix scores items through GEMM, the list walk
-/// through `dot`, and the two can disagree in the last ulp; where the
-/// boundary falls depends on the cluster structure. Canonicalizing the
-/// *reported* values makes the returned scores and ordering a pure
-/// function of (user row, item matrix, k), so two indexes over the same
-/// users — whatever their clustering — return bit-identical lists. The
-/// GEMM per-element reduction is shape-independent, so the canonical
-/// scores also coincide bit-for-bit with the blocked-MM brute force: the
-/// cross-backend exactness contract. Cost is `k`
-/// sequential-FMA dots per user — a few hundred flops, noise against the
-/// thousands of streamed scores behind them.
-///
-/// One caveat survives: *membership* is still decided by the streamed
-/// scores, so a pair whose true scores differ only in the path ulp and
-/// sit exactly at the k-th place could in principle resolve differently
-/// under two index shapes. Exact-arithmetic ties are immune (both paths
-/// are exact there, and ids break the tie identically), which is why the
-/// tie-heavy property corpora and the serve stress corpus both observe
-/// full bit-identity; on continuous data the coincidence has measure
-/// zero. Scoring the walk with the sequential-FMA kernel would close even
-/// that, at ~4x the walk's dot cost — not worth the hot-loop tax.
-fn canonical_list(user: &[f64], items: &Matrix<f64>, heap: TopKHeap) -> TopKList {
-    let mut list = heap.into_sorted();
-    if list.items.is_empty() {
-        return list;
-    }
-    // Four items per call ([`dot_gemm_ordered_x4`]): each item keeps the
-    // GEMM per-element FMA chain while the chains pipeline, and the
-    // dispatched kernel keeps the fused multiply-adds inline hardware
-    // instructions. The ragged tail pads with the last item (extra lanes
-    // discarded).
-    let n = list.items.len();
-    let mut pos = 0;
-    while pos < n {
-        let row = |offset: usize| items.row(list.items[(pos + offset).min(n - 1)] as usize);
-        let scores = dot_gemm_ordered_x4(user, [row(0), row(1), row(2), row(3)]);
-        let lanes = 4.min(n - pos);
-        list.scores[pos..pos + lanes].copy_from_slice(&scores[..lanes]);
-        pos += 4;
-    }
-    // Re-sort only if recomputation reordered an ulp-close pair; the
-    // common case (still sorted) allocates nothing.
-    let still_sorted = (1..n).all(|i| {
-        list.scores[i - 1]
-            .total_cmp(&list.scores[i])
-            .then(list.items[i].cmp(&list.items[i - 1]))
-            .is_ge()
-    });
-    if !still_sorted {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            list.scores[b]
-                .total_cmp(&list.scores[a])
-                .then(list.items[a].cmp(&list.items[b]))
-        });
-        list = TopKList {
-            items: order.iter().map(|&i| list.items[i]).collect(),
-            scores: order.iter().map(|&i| list.scores[i]).collect(),
-        };
-    }
-    list
 }
 
 /// Builds one cluster's sorted list, gathering the items past its blocked
@@ -722,37 +653,18 @@ mod tests {
     }
 
     #[test]
-    fn exact_against_bmm() {
+    fn clustered_users_get_bmm_answers_with_and_without_item_blocking() {
         let m = model(50, 200, 12, 0.4);
         let bmm = BmmSolver::build(Arc::clone(&m));
-        let maximus = MaximusIndex::build(Arc::clone(&m), &small_config());
-        for k in [1usize, 5, 20] {
-            let want = bmm.query_all(k);
-            let got = maximus.query_all(k);
-            for u in 0..m.num_users() {
-                assert_eq!(got[u].items, want[u].items, "k={k} user {u}");
-                for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
-                    assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exact_without_item_blocking() {
-        let m = model(40, 150, 8, 0.3);
-        let bmm = BmmSolver::build(Arc::clone(&m));
-        let maximus = MaximusIndex::build(
-            Arc::clone(&m),
-            &MaximusConfig {
-                item_blocking: false,
+        for item_blocking in [true, false] {
+            let config = MaximusConfig {
+                item_blocking,
                 ..small_config()
-            },
-        );
-        let want = bmm.query_all(5);
-        let got = maximus.query_all(5);
-        for u in 0..m.num_users() {
-            assert_eq!(got[u].items, want[u].items, "user {u}");
+            };
+            let maximus = MaximusIndex::build(Arc::clone(&m), &config);
+            for k in [1usize, 5, 20] {
+                assert_eq!(maximus.query_all(k), bmm.query_all(k), "{config:?} k={k}");
+            }
         }
     }
 
@@ -986,11 +898,7 @@ mod tests {
                 ..small_config()
             },
         );
-        let want = bmm.query_all(3);
-        let got = maximus.query_all(3);
-        for u in 0..20 {
-            assert_eq!(got[u].items, want[u].items);
-        }
+        assert_eq!(maximus.query_all(3), bmm.query_all(3));
         // Everything was scored in the blocked phase.
         assert_eq!(
             maximus.query_stats().items_walked.load(Ordering::Relaxed),
@@ -1006,7 +914,7 @@ mod tests {
         // Existing user vector served through the §III-E path.
         for u in [0usize, 17, 39] {
             let got = maximus.query_new_vector(m.users().row(u), 5);
-            assert_eq!(got.items, bmm.query_range(5, u..u + 1)[0].items, "user {u}");
+            assert_eq!(got, bmm.query_range(5, u..u + 1)[0], "user {u}");
         }
         // The blocked prefix has no gathered copy: a walk through it reads
         // the model's rows by id. With the whole list blocked, every item
@@ -1030,11 +938,7 @@ mod tests {
         // A genuinely new direction, far from every centroid.
         let novel: Vec<f64> = (0..8).map(|j| if j == 7 { -3.0 } else { 0.01 }).collect();
         let got = maximus.query_new_vector(&novel, 4);
-        let mut heap = TopKHeap::new(4);
-        for i in 0..m.num_items() {
-            heap.push(dot(&novel, m.items().row(i)), i as u32);
-        }
-        assert_eq!(got.items, heap.into_sorted().items);
+        assert_eq!(got, mips_topk::exact_topk(&novel, m.items(), 4));
     }
 
     #[test]

@@ -34,7 +34,10 @@ pub trait MipsSolver: Send + Sync {
     /// Number of users of the underlying model.
     fn num_users(&self) -> usize;
 
-    /// Top-k for an explicit list of user ids, in input order.
+    /// Top-k for an explicit list of user ids, in input order. Each list
+    /// is the user row's [`mips_topk::exact_topk`] answer, ids and score
+    /// bits: a scan that scores with `dot` finishes through
+    /// [`mips_topk::canonicalize`].
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList>;
 
     /// Top-k for a contiguous user range, in order: by default the range's
@@ -92,11 +95,10 @@ pub trait MipsSolver: Send + Sync {
     /// Exact top-k for an *ad-hoc* query vector — one that is not a stored
     /// user row (a fresh embedding, a composed query, a densified sparse
     /// payload). `None` (the default) means the backend has no point-lookup
-    /// path and the engine falls back to its canonical scan.
+    /// path and the engine falls back to the oracle scan.
     ///
-    /// Implementations must be bit-identical to pushing every item's
-    /// [`mips_linalg::kernels::dot_gemm_ordered`] score into a
-    /// [`mips_topk::TopKHeap`] — the same contract as user queries.
+    /// Implementations must be bit-identical to [`mips_topk::exact_topk`] —
+    /// the same contract as user queries.
     fn query_vector(&self, _query: &[f64], _k: usize) -> Option<TopKList> {
         None
     }

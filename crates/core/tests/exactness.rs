@@ -1,0 +1,157 @@
+//! The exactness contract, refereed by the core test kit's driver: on every
+//! corpus of the family, every backend in every numeric path returns the
+//! oracle's ids and score bits ([`common::drive`]), under whichever kernel
+//! set the process runs (CI runs this suite under the dispatched and the
+//! forced-scalar kernels).
+
+mod common;
+
+use common::{adversarial, drive, drive_one, k_edges, model, oracle, Bar, Corpus};
+use mips_core::engine::{LempFactory, MaximusFactory, SolverFactory};
+use mips_core::maximus::MaximusConfig;
+use mips_lemp::LempConfig;
+use proptest::prelude::*;
+
+/// Drives one seeded model of `corpus` at its `k` edges.
+fn drive_corpus(
+    corpus: Corpus,
+    users: usize,
+    items: usize,
+    f: usize,
+    seed: u64,
+) -> Result<(), String> {
+    drive(
+        &model(corpus, users, items, f, seed),
+        &k_edges(items),
+        Bar::Oracle,
+    )
+}
+
+/// Drives one drawn structure configuration on a seeded random model at
+/// `k`: the structure parameters change how the work is split, never the
+/// answer.
+fn drive_structure(
+    label: &str,
+    factory: &dyn SolverFactory,
+    (users, items, f, seed): (usize, usize, usize, u64),
+    k: usize,
+) -> Result<(), String> {
+    let model = model(Corpus::Random, users, items, f, seed);
+    drive_one(
+        label,
+        factory,
+        &model,
+        &[k],
+        &[oracle(&model, k)],
+        Bar::Oracle,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn random_models_get_the_oracle_answer(users in 1usize..12,
+                                           items in 1usize..60,
+                                           f in 1usize..10,
+                                           seed in 0u64..400) {
+        let verdict = drive_corpus(Corpus::Random, users, items, f, seed);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    #[test]
+    fn tied_models_get_the_oracle_answer(users in 1usize..8,
+                                         items in 2usize..40,
+                                         f in 1usize..6,
+                                         seed in 0u64..400) {
+        let verdict = drive_corpus(Corpus::Tied, users, items, f, seed);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    #[test]
+    fn quantized_models_get_the_oracle_answer(users in 1usize..8,
+                                              items in 2usize..40,
+                                              f in 1usize..8,
+                                              seed in 0u64..400) {
+        let verdict = drive_corpus(Corpus::Eighths, users, items, f, seed);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    #[test]
+    fn skewed_norm_models_get_the_oracle_answer(users in 1usize..10,
+                                                items in 8usize..80,
+                                                f in 1usize..10,
+                                                seed in 0u64..400) {
+        let verdict = drive_corpus(Corpus::Skewed, users, items, f, seed);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// LEMP with any bucket size, down to one item per bucket, on catalogs
+    /// that span many buckets.
+    #[test]
+    fn lemp_bucket_size_is_result_invariant(users in 1usize..8,
+                                            items in 1usize..120,
+                                            f in 1usize..12,
+                                            k in 1usize..8,
+                                            bucket_size in 1usize..40,
+                                            seed in 0u64..500) {
+        let lemp = LempFactory::new(LempConfig {
+            bucket_size,
+            tune_sample: 4,
+            ..LempConfig::default()
+        });
+        let label = format!("lemp, buckets of {bucket_size}");
+        let verdict = drive_structure(&label, &lemp, (users, items, f, seed), k);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+
+    /// MAXIMUS with any §III-D block size, from a one-item prefix to one
+    /// that covers the whole list.
+    #[test]
+    fn maximus_block_size_is_result_invariant(users in 2usize..15,
+                                              items in 2usize..60,
+                                              f in 1usize..8,
+                                              k in 1usize..8,
+                                              block_size in 1usize..70,
+                                              seed in 0u64..300) {
+        let maximus = MaximusFactory::new(MaximusConfig {
+            num_clusters: 3,
+            block_size,
+            item_blocking: true,
+            ..MaximusConfig::default()
+        });
+        let label = format!("maximus, B = {block_size}");
+        let verdict = drive_structure(&label, &maximus, (users, items, f, seed), k);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+}
+
+/// Factor counts on both sides of the f64 depth block (`KC` = 256): the
+/// packed GEMM splits the depth there, and every score must still be the
+/// one chain the canonicalizing pass and the screens' rescore reproduce —
+/// a chain restarted per depth block differs in the last bit on almost
+/// every element.
+#[test]
+fn wide_models_get_the_oracle_answer() {
+    for f in [1, 50, 257, 600] {
+        drive_corpus(Corpus::Random, 6, 40, f, f as u64).unwrap_or_else(|e| panic!("f = {f}: {e}"));
+    }
+}
+
+/// The adversarial corpus, at ks from inside the near-tie block to the
+/// whole catalog: every screen tier repeats its f64 build bit for bit,
+/// every reported score is the canonical chain, and the items that make
+/// the k-th place are within `tol` of the oracle's — the one decision a
+/// scan selecting with `dot` makes in its own arithmetic.
+#[test]
+fn adversarial_corpora_report_canonical_bits() {
+    for f in [8, 50] {
+        let model = adversarial(40, f);
+        let ks = [0, 1, 3, 35, 90, 100, 200, 203];
+        drive(&model, &ks, Bar::Membership(1e-9)).unwrap_or_else(|e| panic!("f = {f}: {e}"));
+    }
+}

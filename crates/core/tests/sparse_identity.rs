@@ -1,73 +1,50 @@
-//! Bit-identity properties for the sparse inverted-index backend.
-//!
-//! The contract under test is the acceptance bar of the sparse subsystem:
-//! on *every* catalog — from fully dense to 99%-sparse, hybrid heads
-//! included — the inverted index returns results bit-identical to the
-//! densified brute-force reference (same item order, same score bits), at
-//! every `k` edge (1, middle, `n`, clamped past `n`). The index's storage
-//! form follows the data — a column denser than
+//! Bit-identity legs of the sparse inverted-index backend that the core
+//! test kit's driver (`exactness.rs`) does not take: catalogs across the
+//! density spectrum — from fully dense to 99%-sparse, hybrid heads
+//! included — and sparse ad-hoc queries with exact-zero holes. The index's
+//! storage form follows the data — a column denser than
 //! [`DENSE_COLUMN_CUTOFF`](mips_sparse::DENSE_COLUMN_CUTOFF) is a dense
 //! panel, the rest are postings lists — so three fixed catalogs pin each
-//! form: all postings, all panels, and a hybrid of both. The same bar
-//! applies to the ad-hoc [`MipsSolver::query_vector`] point-lookup path.
+//! form: all postings, all panels, and a hybrid of both. On each, the
+//! answers are the oracle's ids and score bits at every `k` edge, for
+//! stored users and for the [`MipsSolver::query_vector`] point-lookup path.
 
+mod common;
+
+use common::{bits, k_edges, oracle, Lcg};
 use mips_core::solver::MipsSolver;
 use mips_core::{BmmSolver, SparseSolver};
 use mips_data::sparse::{synth_sparse_model, SparseSynthConfig, SparseVec};
 use mips_data::MfModel;
-use mips_linalg::kernels::dot_gemm_ordered;
 use mips_linalg::Matrix;
-use mips_topk::{TopKHeap, TopKList};
+use mips_topk::exact_topk;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Collapses lists to comparable (ids, score bits) rows — scores must match
-/// to the bit, not within a tolerance.
-fn bits(lists: &[TopKList]) -> Vec<(Vec<u32>, Vec<u64>)> {
-    lists
-        .iter()
-        .map(|l| {
-            (
-                l.items.clone(),
-                l.scores.iter().map(|s| s.to_bits()).collect(),
-            )
-        })
-        .collect()
-}
-
-/// The canonical reference for an ad-hoc query: every item's
-/// `dot_gemm_ordered` score pushed through one `TopKHeap` (ties to the
-/// smaller id) — the exact contract `query_vector` implementations owe.
-fn reference_vector_topk(model: &MfModel, query: &[f64], k: usize) -> TopKList {
-    let items = model.items();
-    let mut heap = TopKHeap::new(k);
-    for i in 0..items.rows() {
-        heap.push(dot_gemm_ordered(query, items.row(i)), i as u32);
-    }
-    heap.into_sorted()
-}
-
-/// The `k` edges for an `n`-item catalog: smallest, middle, exact, and
-/// past-the-end (solvers clamp to `n`).
-fn k_edges(n: usize) -> Vec<usize> {
-    let mut edges = vec![1, (n / 2).max(1), n, n + 3];
-    edges.dedup();
-    edges
+/// `sparse.query_vector(query, k)` and the oracle's answer, as comparable
+/// bits.
+fn point_bits(
+    sparse: &SparseSolver,
+    model: &MfModel,
+    query: &[f64],
+    k: usize,
+) -> [Vec<(Vec<u32>, Vec<u64>)>; 2] {
+    let got = MipsSolver::query_vector(sparse, query, k).expect("sparse backend has point lookups");
+    [bits(&[got]), bits(&[exact_topk(query, model.items(), k)])]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sparse catalogs across the density spectrum: the inverted index and
-    /// the blocked-GEMM reference agree to the bit for every user and every
-    /// `k` edge.
+    /// Sparse catalogs across the density spectrum: the inverted index
+    /// serves the oracle's answer for every user and every `k` edge.
     #[test]
-    fn sparse_solver_matches_bmm_on_sparse_catalogs(users in 1usize..14,
-                                                    items in 1usize..40,
-                                                    f in 1usize..24,
-                                                    density in 0.01f64..=1.0,
-                                                    dense_head in 0usize..4,
-                                                    seed in 0u64..2_000) {
+    fn sparse_solver_serves_the_oracle_answer_on_sparse_catalogs(users in 1usize..14,
+                                                                 items in 1usize..40,
+                                                                 f in 1usize..24,
+                                                                 density in 0.01f64..=1.0,
+                                                                 dense_head in 0usize..4,
+                                                                 seed in 0u64..2_000) {
         let model = Arc::new(synth_sparse_model(&SparseSynthConfig {
             num_users: users,
             num_items: items,
@@ -76,61 +53,25 @@ proptest! {
             dense_head: dense_head.min(f),
             seed,
         }));
-        let bmm = BmmSolver::build(Arc::clone(&model));
         let sparse = SparseSolver::build(Arc::clone(&model));
         for k in k_edges(items) {
             prop_assert_eq!(
                 bits(&sparse.query_all(k)),
-                bits(&bmm.query_all(k)),
+                bits(&oracle(&model, k)),
                 "divergence at k={}", k
             );
         }
     }
 
-    /// Tie-heavy catalogs (values drawn from {-1, 0, 1}) force the
-    /// smaller-id tie-break through both the postings path and the rescore
-    /// envelope; agreement must still be exact.
-    #[test]
-    fn sparse_solver_matches_bmm_under_ties(users in 1usize..8,
-                                            items in 2usize..30,
-                                            f in 1usize..6,
-                                            seed in 0u64..1_000) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 60) % 3) as f64 - 1.0
-        };
-        // Guarantee at least one nonzero per item row (rescue the corner).
-        let mut item_matrix = Matrix::from_fn(items, f, |_, _| next());
-        for r in 0..items {
-            if item_matrix.row(r).iter().all(|v| *v == 0.0) {
-                item_matrix.row_mut(r)[r % f] = 1.0;
-            }
-        }
-        let users_matrix = Matrix::from_fn(users, f, |_, _| next());
-        let model = Arc::new(MfModel::new("ties", users_matrix, item_matrix).unwrap());
-        let bmm = BmmSolver::build(Arc::clone(&model));
-        let sparse = SparseSolver::build(Arc::clone(&model));
-        for k in k_edges(items) {
-            prop_assert_eq!(
-                bits(&sparse.query_all(k)),
-                bits(&bmm.query_all(k)),
-                "tie divergence at k={}", k
-            );
-        }
-    }
-
     /// Ad-hoc `query_vector` lookups — both sparse payloads densified at
-    /// the API boundary and fresh dense embeddings — match the canonical
-    /// one-heap scan to the bit.
+    /// the API boundary and fresh dense embeddings — match the oracle to
+    /// the bit.
     #[test]
-    fn query_vector_matches_the_canonical_scan(items in 1usize..40,
-                                               f in 1usize..24,
-                                               density in 0.01f64..=1.0,
-                                               query_density in 0.05f64..=1.0,
-                                               seed in 0u64..2_000) {
+    fn query_vector_matches_the_oracle(items in 1usize..40,
+                                       f in 1usize..24,
+                                       density in 0.01f64..=1.0,
+                                       query_density in 0.05f64..=1.0,
+                                       seed in 0u64..2_000) {
         let model = Arc::new(synth_sparse_model(&SparseSynthConfig {
             num_users: 2,
             num_items: items,
@@ -141,17 +82,11 @@ proptest! {
         }));
         // A deterministic ad-hoc query with exact-zero holes, exercising
         // the sparse wire shape via the same canonical form clients use.
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Lcg::new(seed);
         let query: Vec<f64> = (0..f)
             .map(|_| {
-                if next() < query_density {
-                    let v = next() * 4.0 - 2.0;
+                if rng.next() < query_density {
+                    let v = rng.next() * 4.0 - 2.0;
                     if v == 0.0 { 0.5 } else { v }
                 } else {
                     0.0
@@ -165,20 +100,14 @@ proptest! {
         );
         let sparse = SparseSolver::build(Arc::clone(&model));
         for k in k_edges(items) {
-            let reference = reference_vector_topk(&model, &query, k);
-            let got = MipsSolver::query_vector(&sparse, &query, k)
-                .expect("sparse backend supports point lookups");
-            prop_assert_eq!(
-                bits(&[got]),
-                bits(&[reference]),
-                "query_vector divergence at k={}", k
-            );
+            let [got, want] = point_bits(&sparse, &model, &query, k);
+            prop_assert_eq!(got, want, "query_vector divergence at k={}", k);
         }
     }
 }
 
 /// The trait-level default: backends without a point-lookup path report
-/// `None` and the engine falls back to its canonical scan — BMM is one.
+/// `None` and the engine falls back to the oracle scan — BMM is one.
 #[test]
 fn backends_without_point_lookup_return_none() {
     let model = Arc::new(synth_sparse_model(&SparseSynthConfig {
@@ -194,7 +123,7 @@ fn backends_without_point_lookup_return_none() {
 }
 
 /// An all-zero ad-hoc query has no postings to walk; the sparse path must
-/// still produce the reference answer (all scores exactly `+0.0`, ids
+/// still produce the oracle's answer (all scores exactly `+0.0`, ids
 /// ascending), not an empty list.
 #[test]
 fn zero_query_vector_is_exact() {
@@ -209,19 +138,17 @@ fn zero_query_vector_is_exact() {
     let query = vec![0.0; 6];
     let sparse = SparseSolver::build(Arc::clone(&model));
     for k in [1, 5, 12, 15] {
-        let got = MipsSolver::query_vector(&sparse, &query, k).unwrap();
-        let reference = reference_vector_topk(&model, &query, k);
-        assert_eq!(bits(&[got]), bits(&[reference]), "k={k}");
+        let [got, want] = point_bits(&sparse, &model, &query, k);
+        assert_eq!(got, want, "k={k}");
     }
 }
 
 /// The whole identity bar on one catalog whose storage form is known:
-/// `query_all` against BMM and `query_vector` against the one-heap scan,
-/// for every user row and one off-model query, at every `k` edge.
+/// `query_all` and `query_vector` against the oracle, for every user row
+/// and one off-model query, at every `k` edge.
 fn assert_exact_with_dense_cols(model: &Arc<MfModel>, dense_cols: usize) {
     let sparse = SparseSolver::build(Arc::clone(model));
     assert_eq!(sparse.index().num_dense_cols(), dense_cols);
-    let bmm = BmmSolver::build(Arc::clone(model));
     let f = model.num_factors();
     let off_model: Vec<f64> = (0..f)
         .map(|j| {
@@ -232,14 +159,12 @@ fn assert_exact_with_dense_cols(model: &Arc<MfModel>, dense_cols: usize) {
             }
         })
         .collect();
-    let n = model.num_items();
-    for k in k_edges(n) {
-        assert_eq!(bits(&sparse.query_all(k)), bits(&bmm.query_all(k)), "k={k}");
+    for k in k_edges(model.num_items()) {
+        assert_eq!(bits(&sparse.query_all(k)), bits(&oracle(model, k)), "k={k}");
         let users = (0..model.num_users()).map(|u| model.users().row(u));
         for query in users.chain([off_model.as_slice()]) {
-            let got = MipsSolver::query_vector(&sparse, query, k).unwrap();
-            let reference = reference_vector_topk(model, query, k);
-            assert_eq!(bits(&[got]), bits(&[reference]), "query_vector k={k}");
+            let [got, want] = point_bits(&sparse, model, query, k);
+            assert_eq!(got, want, "query_vector k={k}");
         }
     }
 }

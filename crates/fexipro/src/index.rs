@@ -279,17 +279,13 @@ impl FexiproIndex {
             .map(|u| self.query_user(u, k))
             .collect()
     }
-
-    /// Number of preprocessed users.
-    pub fn num_users(&self) -> usize {
-        self.users.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mips_data::synth::{synth_model, SynthConfig};
+    use mips_topk::{canonicalize, exact_topk};
 
     fn model(decay: f64, skew: f64) -> MfModel {
         synth_model(&SynthConfig {
@@ -303,12 +299,14 @@ mod tests {
         })
     }
 
-    fn reference(model: &MfModel, u: usize, k: usize) -> TopKList {
-        let mut heap = TopKHeap::new(k);
-        for i in 0..model.num_items() {
-            heap.push(dot(model.users().row(u), model.items().row(i)), i as u32);
-        }
-        heap.into_sorted()
+    /// The canonicalized answer for user `u` — what the solver serves —
+    /// and the oracle's.
+    fn served_and_oracle(index: &FexiproIndex, m: &MfModel, u: usize, k: usize) -> [TopKList; 2] {
+        let user = m.users().row(u);
+        [
+            canonicalize(index.query_user(u, k), user, m.items()),
+            exact_topk(user, m.items(), k),
+        ]
     }
 
     /// The transformed catalog keeps the `h` columns the S filter reads,
@@ -349,12 +347,8 @@ mod tests {
         let index = FexiproIndex::build(&m, &FexiproConfig::si());
         for k in [1usize, 5, 20] {
             for u in (0..m.num_users()).step_by(5) {
-                let got = index.query_user(u, k);
-                let want = reference(&m, u, k);
-                assert_eq!(got.items, want.items, "SI k={k} u={u}");
-                for (a, b) in got.scores.iter().zip(&want.scores) {
-                    assert!((a - b).abs() < 1e-9);
-                }
+                let [got, want] = served_and_oracle(&index, &m, u, k);
+                assert_eq!(got, want, "SI k={k} u={u}");
             }
         }
     }
@@ -365,9 +359,8 @@ mod tests {
         let index = FexiproIndex::build(&m, &FexiproConfig::sir());
         for k in [1usize, 7] {
             for u in (0..m.num_users()).step_by(7) {
-                let got = index.query_user(u, k);
-                let want = reference(&m, u, k);
-                assert_eq!(got.items, want.items, "SIR k={k} u={u}");
+                let [got, want] = served_and_oracle(&index, &m, u, k);
+                assert_eq!(got, want, "SIR k={k} u={u}");
             }
         }
     }
@@ -397,12 +390,10 @@ mod tests {
             assert_eq!(index.checkpoint(), 3, "h = ⌈f/2⌉");
             assert_checkpoint_widths(&index);
             for u in 0..m.num_users() {
-                // `reference` is the brute-force scan BMM matches item for
-                // item; scores must match it bit for bit.
-                let got = index.query_user(u, 5);
-                let want = reference(&m, u, 5);
+                let [got, want] = served_and_oracle(&index, &m, u, 5);
                 assert_eq!(got, want, "{cfg:?} u={u}");
-                assert_eq!(index.query_vector(m.users().row(u), 5), want);
+                let vector = index.query_vector(m.users().row(u), 5);
+                assert_eq!(vector, index.query_user(u, 5), "{cfg:?} u={u}");
             }
         }
     }

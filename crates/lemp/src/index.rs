@@ -179,7 +179,7 @@ impl LempIndex {
 mod tests {
     use super::*;
     use mips_data::synth::{synth_model, SynthConfig};
-    use mips_linalg::kernels::dot;
+    use mips_topk::{canonicalize, exact_topk};
 
     fn model(skew: f64) -> MfModel {
         synth_model(&SynthConfig {
@@ -192,26 +192,20 @@ mod tests {
         })
     }
 
-    fn reference(model: &MfModel, u: usize, k: usize) -> TopKList {
-        let mut heap = TopKHeap::new(k);
-        for i in 0..model.num_items() {
-            heap.push(dot(model.users().row(u), model.items().row(i)), i as u32);
-        }
-        heap.into_sorted()
+    /// The canonicalized answer for user `u` — what the solver serves.
+    fn served(index: &LempIndex, m: &MfModel, u: usize, k: usize) -> TopKList {
+        let user = m.users().row(u);
+        canonicalize(index.query(user, k), user, m.items())
     }
 
     #[test]
-    fn exact_against_brute_force() {
+    fn canonicalized_answers_are_the_oracle_answers() {
         let m = model(0.8);
         let index = LempIndex::build(&m, &LempConfig::default());
         for k in [1usize, 5, 17] {
             for u in (0..m.num_users()).step_by(7) {
-                let got = index.query(m.users().row(u), k);
-                let want = reference(&m, u, k);
-                assert_eq!(got.items, want.items, "k={k} u={u}");
-                for (a, b) in got.scores.iter().zip(&want.scores) {
-                    assert!((a - b).abs() < 1e-9);
-                }
+                let want = exact_topk(m.users().row(u), m.items(), k);
+                assert_eq!(served(&index, &m, u, k), want, "k={k} u={u}");
             }
         }
     }
@@ -353,7 +347,7 @@ mod tests {
             },
         );
         assert_eq!(index.num_buckets(), 1);
-        let got = index.query(m.users().row(0), 3);
-        assert_eq!(got.items, reference(&m, 0, 3).items);
+        let want = exact_topk(m.users().row(0), m.items(), 3);
+        assert_eq!(served(&index, &m, 0, 3), want);
     }
 }

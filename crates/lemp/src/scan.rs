@@ -1,6 +1,6 @@
-//! Per-bucket retrieval algorithms: NAIVE, LENGTH, and INCR.
+//! Per-bucket retrieval algorithms: LENGTH and INCR.
 //!
-//! All three produce identical results; they differ in how much work they
+//! Both produce identical results; they differ in how much work they
 //! spend deciding that an item cannot beat the current threshold. Bounds are
 //! inflated by a relative epsilon before comparison so floating-point
 //! rounding can never prune a true top-k item (exactness first, then speed).
@@ -54,8 +54,6 @@ pub fn inflate(bound: f64) -> f64 {
 /// The retrieval algorithms LEMP chooses among per bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetrievalAlgo {
-    /// Full inner product for every item in the bucket.
-    Naive,
     /// Norm-bound scanning: stop at the first item with
     /// `‖u‖·‖i‖ < threshold` (items are norm-sorted).
     Length,
@@ -163,7 +161,6 @@ pub fn scan_bucket(
 ) {
     let side = BucketSide { bucket, mirror };
     match algo {
-        RetrievalAlgo::Naive => scan_naive(side, ctx, heap, stats),
         RetrievalAlgo::Length => scan_length(side, ctx, heap, stats),
         RetrievalAlgo::Incr => scan_incr(side, ctx, heap, stats),
     }
@@ -207,12 +204,6 @@ fn verify_and_push(
     }
     heap.push(dot(&ctx.user, bucket.vectors.row(r)), id);
     stats.dots_computed += 1;
-}
-
-fn scan_naive(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
-    for (r, &id) in side.bucket.ids.iter().enumerate() {
-        verify_and_push(side, ctx, r, id, heap, stats);
-    }
 }
 
 fn scan_length(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
@@ -260,6 +251,7 @@ mod tests {
     use super::*;
     use crate::bucket::build_buckets;
     use mips_linalg::Matrix;
+    use mips_topk::{canonicalize, exact_topk, TopKList};
 
     fn random_items(n: usize, f: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed | 1;
@@ -271,22 +263,17 @@ mod tests {
         })
     }
 
-    fn reference_topk(items: &Matrix<f64>, user: &[f64], k: usize) -> Vec<u32> {
-        let mut heap = TopKHeap::new(k);
-        for r in 0..items.rows() {
-            heap.push(dot(user, items.row(r)), r as u32);
-        }
-        heap.into_sorted().items
-    }
+    const ALGOS: [RetrievalAlgo; 2] = [RetrievalAlgo::Length, RetrievalAlgo::Incr];
 
+    /// The scan's answer brought to canonical scores, and the scan's work.
     fn run_algo(
         algo: RetrievalAlgo,
         items: &Matrix<f64>,
         user: &[f64],
         k: usize,
-    ) -> (Vec<u32>, ScanStats) {
+    ) -> (TopKList, ScanStats) {
         let (list, stats) = run_algo_screened(algo, items, user, k, None);
-        (list.items, stats)
+        (canonicalize(list, user, items), stats)
     }
 
     fn run_algo_screened(
@@ -295,7 +282,7 @@ mod tests {
         user: &[f64],
         k: usize,
         tier: Option<ScreenTier>,
-    ) -> (mips_topk::TopKList, ScanStats) {
+    ) -> (TopKList, ScanStats) {
         let cp = (items.cols() / 4).max(1);
         let buckets = build_buckets(items, 16, cp);
         let mut ctx = UserCtx::new(user, cp);
@@ -317,18 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_agree_with_reference() {
+    fn both_algorithms_give_the_oracle_answer() {
         let items = random_items(120, 12, 5);
         let users = random_items(8, 12, 99);
         for k in [1usize, 3, 10] {
             for u in 0..users.rows() {
                 let user = users.row(u);
-                let want = reference_topk(&items, user, k);
-                for algo in [
-                    RetrievalAlgo::Naive,
-                    RetrievalAlgo::Length,
-                    RetrievalAlgo::Incr,
-                ] {
+                let want = exact_topk(user, &items, k);
+                for algo in ALGOS {
                     let (got, _) = run_algo(algo, &items, user, k);
                     assert_eq!(got, want, "algo {algo:?} k={k} user {u}");
                 }
@@ -370,12 +353,8 @@ mod tests {
     fn zero_norm_user_is_handled() {
         let items = random_items(30, 6, 8);
         let zero = vec![0.0; 6];
-        let want = reference_topk(&items, &zero, 5);
-        for algo in [
-            RetrievalAlgo::Naive,
-            RetrievalAlgo::Length,
-            RetrievalAlgo::Incr,
-        ] {
+        let want = exact_topk(&zero, &items, 5);
+        for algo in ALGOS {
             let (got, _) = run_algo(algo, &items, &zero, 5);
             assert_eq!(got, want, "algo {algo:?}");
         }
@@ -390,8 +369,8 @@ mod tests {
         for (j, v) in user.iter_mut().enumerate() {
             *v = -items.get(0, j) * 3.0;
         }
-        let want = reference_topk(&items, &user, 4);
-        for algo in [RetrievalAlgo::Length, RetrievalAlgo::Incr] {
+        let want = exact_topk(&user, &items, 4);
+        for algo in ALGOS {
             let (got, _) = run_algo(algo, &items, &user, 4);
             assert_eq!(got, want, "algo {algo:?}");
         }
@@ -405,11 +384,7 @@ mod tests {
         for u in 0..users.rows() {
             let user = users.row(u);
             for k in [1usize, 4, 9] {
-                for algo in [
-                    RetrievalAlgo::Naive,
-                    RetrievalAlgo::Length,
-                    RetrievalAlgo::Incr,
-                ] {
+                for algo in ALGOS {
                     let (want, _) = run_algo_screened(algo, &items, user, k, None);
                     for tier in ScreenTier::ALL {
                         let (got, stats) = run_algo_screened(algo, &items, user, k, Some(tier));
@@ -435,19 +410,28 @@ mod tests {
     #[test]
     fn screen_without_bucket_mirror_degrades_to_plain_scan() {
         // A screened UserCtx scanning without a mirror must not change
-        // behavior (the screen needs both sides).
+        // behavior (the screen needs both sides): the same heap, the same
+        // exact dots as the unscreened context.
         let items = random_items(80, 8, 3);
         let buckets = build_buckets(&items, 16, 2);
-        for tier in ScreenTier::ALL {
-            let ctx = UserCtx::new(items.row(0), 2).with_screen(tier);
-            assert!(ctx.screen.is_some());
+        let scan = |ctx: &UserCtx, algo: RetrievalAlgo| {
             let mut heap = TopKHeap::new(5);
             let mut stats = ScanStats::default();
             for b in &buckets {
-                scan_bucket(RetrievalAlgo::Naive, b, None, &ctx, &mut heap, &mut stats);
+                scan_bucket(algo, b, None, ctx, &mut heap, &mut stats);
             }
-            assert_eq!(stats.screen_pruned, 0);
-            assert_eq!(stats.dots_computed, 80);
+            (heap.into_sorted(), stats)
+        };
+        let plain = UserCtx::new(items.row(0), 2);
+        for tier in ScreenTier::ALL {
+            let ctx = plain.clone().with_screen(tier);
+            assert!(ctx.screen.is_some());
+            for algo in ALGOS {
+                let (want, want_stats) = scan(&plain, algo);
+                let (got, stats) = scan(&ctx, algo);
+                assert_eq!(got, want, "{tier:?} {algo:?}");
+                assert_eq!(stats, want_stats, "{tier:?} {algo:?}");
+            }
         }
     }
 
@@ -459,14 +443,15 @@ mod tests {
         let user = vec![1.0e-320; 6];
         let ctx = UserCtx::new(&user, 2).with_screen(ScreenTier::I8);
         assert!(ctx.screen.is_none());
-        let (want, _) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, None);
-        for tier in ScreenTier::ALL {
-            let (got, _) = run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, Some(tier));
-            assert_eq!(got.items, want.items, "{tier:?}");
+        for algo in ALGOS {
+            let (want, _) = run_algo_screened(algo, &items, &user, 5, None);
+            for tier in ScreenTier::ALL {
+                let (got, _) = run_algo_screened(algo, &items, &user, 5, Some(tier));
+                assert_eq!(got.items, want.items, "{tier:?} {algo:?}");
+            }
+            let (_, stats) = run_algo_screened(algo, &items, &user, 5, Some(ScreenTier::I8));
+            assert_eq!(stats.screen_pruned, 0);
         }
-        let (_, stats) =
-            run_algo_screened(RetrievalAlgo::Naive, &items, &user, 5, Some(ScreenTier::I8));
-        assert_eq!(stats.screen_pruned, 0);
     }
 
     #[test]

@@ -32,6 +32,12 @@
 //!   only exact-safe where the symmetric scale/clamp/envelope analysis
 //!   applies; an unblessed cast is either a truncation bug or a screen
 //!   site missing its error budget.
+//! * **`loop-thread-panic`** — the front door's event loop runs the code of
+//!   `crates/net/src/{lib,conn,http,json}.rs` on its one thread, and a
+//!   panic there takes every connection down with it. Outside their
+//!   `#[cfg(test)]` modules those files call no `.unwrap()`, `.expect(`,
+//!   `panic!`, `unreachable!`, `todo!` or `unimplemented!` unless
+//!   `crates/lint/allow.txt` names the file with the reason.
 //!
 //! Comments and string literals are stripped before token checks, so prose
 //! about `unsafe` or examples inside doc comments never trip the lint.
@@ -197,12 +203,34 @@ fn token_at(code: &str, needle: &str) -> Option<usize> {
     None
 }
 
+/// The files whose code runs on the front door's event-loop thread.
+const LOOP_THREAD_FILES: [&str; 4] = [
+    "crates/net/src/lib.rs",
+    "crates/net/src/conn.rs",
+    "crates/net/src/http.rs",
+    "crates/net/src/json.rs",
+];
+
+/// The calls that panic on the caller's thread: method calls matched as
+/// text, macros as whole tokens.
+const PANICKING_CALLS: [&str; 2] = [".unwrap()", ".expect("];
+const PANICKING_MACROS: [&str; 4] = ["panic!", "unreachable!", "todo!", "unimplemented!"];
+
 /// The per-file rule pass over pre-stripped code lines. `path` uses `/`
 /// separators relative to the workspace root.
 fn lint_lines(path: &str, raw: &[&str], code: &[String], findings: &mut Vec<Finding>) {
     let in_simd = path.contains("crates/linalg/src/simd/");
     let in_core_src = path.starts_with("crates/core/src/");
     let is_facade = path == "crates/core/src/sync.rs";
+    // Loop-thread code ends where the file's test module begins; an
+    // item-level `#[cfg(test)]` (on a fn or an impl) ends nothing.
+    let loop_code_end = if LOOP_THREAD_FILES.contains(&path) {
+        (0..raw.len())
+            .find(|&i| raw[i].trim_start().starts_with("#[cfg(test)]") && opens_mod(&code[i + 1..]))
+            .unwrap_or(raw.len())
+    } else {
+        0
+    };
 
     for (idx, code_line) in code.iter().enumerate() {
         let line_no = idx + 1;
@@ -283,6 +311,24 @@ fn lint_lines(path: &str, raw: &[&str], code: &[String], findings: &mut Vec<Find
             });
         }
 
+        // Rule: nothing on the event-loop thread panics.
+        if idx < loop_code_end {
+            let call = PANICKING_CALLS.iter().find(|c| code_line.contains(*c));
+            let mac = PANICKING_MACROS.iter().find(|m| has_token(code_line, m));
+            if let Some(what) = call.or(mac) {
+                findings.push(Finding {
+                    rule: "loop-thread-panic",
+                    path: path.to_string(),
+                    line: line_no,
+                    message: format!(
+                        "`{what}` on the event-loop thread — one panic there drops every \
+                         connection; return a typed error (or bless the file in \
+                         crates/lint/allow.txt with the reason)"
+                    ),
+                });
+            }
+        }
+
         // Rule: no i8 quantization casts outside blessed sites.
         if has_token(code_line, "as i8") {
             findings.push(Finding {
@@ -296,6 +342,16 @@ fn lint_lines(path: &str, raw: &[&str], code: &[String], findings: &mut Vec<Find
             });
         }
     }
+}
+
+/// Whether the first item in `code`, past blank, comment and attribute
+/// lines, is a `mod` (of any visibility).
+fn opens_mod(code: &[String]) -> bool {
+    code.iter()
+        .map(|l| l.trim())
+        .find(|t| !t.is_empty() && !t.starts_with("#["))
+        .and_then(|t| t.split_whitespace().find(|w| !w.starts_with("pub")))
+        == Some("mod")
 }
 
 /// Whether the `unsafe` at `raw[idx]` is annotated: a comment containing
@@ -488,6 +544,18 @@ fn self_test(root: &Path) -> ExitCode {
             "crates/topk/src/seeded_i8.rs",
             "pub fn f(x: f64) -> i8 {\n    x as i8\n}\n",
         ),
+        (
+            "loop-thread-panic",
+            "crates/net/src/conn.rs",
+            "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
+        ),
+        (
+            // An item-level `#[cfg(test)]` part-way through a file does
+            // not exempt the loop-thread code after it.
+            "loop-thread-panic",
+            "crates/net/src/lib.rs",
+            "#[cfg(test)]\nfn probe() {}\npub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
+        ),
     ];
 
     // Sources the lint must NOT flag: the conventions done right, plus
@@ -513,6 +581,17 @@ fn self_test(root: &Path) -> ExitCode {
         (
             "crates/topk/src/seeded_good_i8.rs",
             "//! Doc prose may mention v as i8 without tripping the lint.\npub fn f(x: i8) -> i32 {\n    i32::from(x) // widening an i8 code is always fine\n}\n",
+        ),
+        (
+            // Loop-thread code may say `.unwrap()` in prose and call
+            // `unwrap_or`; its test module may unwrap.
+            "crates/net/src/json.rs",
+            "/// Never `.unwrap()` or `panic!` here.\npub fn f(x: Option<u8>) -> u8 {\n    x.unwrap_or(0)\n}\n#[cfg(test)]\nmod tests {\n    fn g() {\n        super::f(None).checked_add(1).unwrap();\n    }\n}\n",
+        ),
+        (
+            // Off the loop thread (the blocking client) the rule is silent.
+            "crates/net/src/client.rs",
+            "pub fn f(x: Option<u8>) -> u8 {\n    x.expect(\"present\")\n}\n",
         ),
     ];
 

@@ -107,29 +107,27 @@ use std::time::{Duration, Instant};
 /// in-memory registry. Errors are reported to the caller as a 500.
 pub type SwapSource = Arc<dyn Fn() -> Result<Arc<MfModel>, String> + Send + Sync>;
 
-/// Tunables of the front door.
+/// Tunables of the front door, each set through its [`HttpServerBuilder`]
+/// method. Request sizes are bounded by [`Limits::default`] (8 KiB of head,
+/// 1 MiB of body).
 #[derive(Debug, Clone)]
-pub struct NetConfig {
+struct NetConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`HttpServer::local_addr`]).
-    pub addr: String,
+    addr: String,
     /// Most simultaneous connections; excess accepts are shed with `503`.
-    pub max_connections: usize,
-    /// Largest request head accepted (`431` beyond).
-    pub max_head_bytes: usize,
-    /// Largest request body accepted (`413` beyond).
-    pub max_body_bytes: usize,
+    max_connections: usize,
     /// A partially received request must complete within this of its last
     /// byte (`408` + close beyond).
-    pub read_timeout: Duration,
+    read_timeout: Duration,
     /// A response making no write progress for this long condemns the
     /// connection.
-    pub write_timeout: Duration,
+    write_timeout: Duration,
     /// Keep-alive connections with nothing pending close after this.
-    pub idle_timeout: Duration,
+    idle_timeout: Duration,
     /// At shutdown, how long in-flight requests get to settle and flush
     /// before connections are force-closed.
-    pub drain_timeout: Duration,
+    drain_timeout: Duration,
 }
 
 impl Default for NetConfig {
@@ -137,8 +135,6 @@ impl Default for NetConfig {
         NetConfig {
             addr: "127.0.0.1:0".to_string(),
             max_connections: 256,
-            max_head_bytes: 8 * 1024,
-            max_body_bytes: 1024 * 1024,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
@@ -214,12 +210,6 @@ impl HttpServerBuilder {
         self
     }
 
-    /// Replaces the whole configuration at once.
-    pub fn config(mut self, config: NetConfig) -> HttpServerBuilder {
-        self.config = config;
-        self
-    }
-
     /// Validates the assembly, binds the listener, spawns the event-loop
     /// thread, and returns the running front door.
     pub fn build(self) -> Result<HttpServer, MipsError> {
@@ -230,11 +220,6 @@ impl HttpServerBuilder {
         if config.max_connections == 0 {
             return Err(MipsError::InvalidConfig(
                 "max_connections must be at least 1".into(),
-            ));
-        }
-        if config.max_head_bytes < 64 {
-            return Err(MipsError::InvalidConfig(
-                "max_head_bytes must be at least 64 (a request line must fit)".into(),
             ));
         }
         for (name, value) in [
@@ -550,10 +535,7 @@ impl Dispatch for Router {
 /// flush, closes idle connections, and force-closes whatever remains at
 /// the drain deadline.
 fn run_loop(listener: TcpListener, mut wake_rx: WakeStream, router: Router, config: NetConfig) {
-    let limits = Limits {
-        max_head_bytes: config.max_head_bytes,
-        max_body_bytes: config.max_body_bytes,
-    };
+    let limits = Limits::default();
     let deadlines = Deadlines {
         read: config.read_timeout,
         write: config.write_timeout,

@@ -342,9 +342,9 @@ fn forced_i8_rescore_is_bit_identical_and_announced_on_the_wire() {
     // The int8 tier under the f32 one: integer screen, exact f64 rescore,
     // same bit-identity contract, and /metrics must attribute batches and
     // screen candidate/survivor counts to the i8 lanes. The engine is
-    // pinned to BMM — with the full registry, OPTIMUS may legitimately
-    // hand a forced-i8 plan to a screenless backend (which serves
-    // f64-direct), and this test is about the i8 lanes, not the planner.
+    // pinned to BMM: with the full registry, OPTIMUS may hand a forced-i8
+    // plan to a screenless backend, which serves the same bits f64-direct
+    // and leaves the i8 lanes empty — and this test is about the lanes.
     let model = model(80, 100, 11);
     let f64_engine = engine(&model);
     let registry = mips_core::engine::BackendRegistry::with_defaults();

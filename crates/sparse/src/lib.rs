@@ -11,9 +11,10 @@
 //! `O(nnz(q) · avg postings)`.
 //!
 //! The catch is exactness. This repository's contract is that every backend
-//! returns results **bit-identical** to the blocked-matrix-multiply
-//! reference, whose scores are single sequential FMA chains over all `f`
-//! coordinates ([`mips_linalg::kernels::dot_gemm_ordered`]). A postings
+//! returns results **bit-identical** to the oracle,
+//! [`mips_topk::exact_topk`], whose scores are single sequential FMA chains
+//! over all `f` coordinates ([`mips_linalg::kernels::dot_gemm_ordered`]) —
+//! the scores blocked matrix multiplication produces. A postings
 //! accumulator sums a different subset in a different order, so its floats
 //! can differ from the canonical chain in the last ulps. [`InvertedIndex`]
 //! therefore runs a *screen-then-rescore* pipeline, the same discipline the
@@ -412,14 +413,7 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn reference_topk(query: &[f64], k: usize, items: &Matrix<f64>) -> TopKList {
-        let mut heap = TopKHeap::new(k);
-        for i in 0..items.rows() {
-            heap.push(dot_gemm_ordered(query, items.row(i)), i as u32);
-        }
-        heap.into_sorted()
-    }
+    use mips_topk::exact_topk;
 
     fn assert_bit_identical(a: &TopKList, b: &TopKList) {
         assert_eq!(a.items, b.items, "item order differs");
@@ -462,7 +456,7 @@ mod tests {
         ] {
             for k in 0..=7 {
                 let got = index.query(&query, k, &items);
-                let want = reference_topk(&query, k, &items);
+                let want = exact_topk(&query, &items, k);
                 assert_bit_identical(&got, &want);
             }
         }
@@ -480,7 +474,7 @@ mod tests {
         assert_eq!(index.num_dense_cols(), 2);
         let query = vec![0.0, 1.0, 0.0, 0.0];
         let got = index.query(&query, 3, &items);
-        let want = reference_topk(&query, 3, &items);
+        let want = exact_topk(&query, &items, 3);
         assert_bit_identical(&got, &want);
         assert_eq!(got.items[0], 1);
         assert_eq!(got.scores[1], 0.0);

@@ -10,6 +10,11 @@
 //! independent solvers produce byte-identical results and cross-solver tests
 //! can compare exactly.
 //!
+//! [`canonical`] holds the contract those results meet: [`exact_topk`], the
+//! oracle every backend is refereed against, and [`canonicalize`], which
+//! brings a scan that scored with the four-lane `dot` to the oracle's score
+//! bits.
+//!
 //! [`fused`] additionally provides the fused GEMM→top-k path: score panels
 //! stream out of the blocked multiply straight into the heaps, so the dense
 //! `batch × n` score buffer of the two-stage pipeline never exists.
@@ -25,12 +30,14 @@
 #![warn(missing_docs)]
 
 mod admit;
+pub mod canonical;
 pub mod fused;
 pub mod heap;
 pub mod list;
 pub mod screen;
 pub mod select;
 
+pub use canonical::{canonicalize, exact_topk};
 pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnIds};
 pub use heap::TopKHeap;
 pub use list::TopKList;

@@ -89,8 +89,8 @@
 //! Because every reported score comes from the f64 rescore — with the same
 //! reduction order as the pure-f64 GEMM path — a screened scan's results
 //! are **bit-identical** to f64-direct: same scores, same ids, same
-//! tie-breaks. The `precision_identity` suite in `mips-core` asserts this
-//! end to end.
+//! tie-breaks. The `exactness` driver in `mips-core` asserts this for every
+//! backend's tier variants, and the `precision_identity` suite end to end.
 //!
 //! ## Point screens
 //!

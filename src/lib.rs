@@ -106,7 +106,7 @@ pub mod prelude {
     pub use mips_fexipro::FexiproConfig;
     pub use mips_lemp::LempConfig;
     #[cfg(feature = "net")]
-    pub use mips_net::{HttpServer, HttpServerBuilder, NetConfig, NetMetrics};
+    pub use mips_net::{HttpServer, HttpServerBuilder, NetMetrics};
     pub use mips_sparse::InvertedIndex;
     pub use mips_topk::TopKList;
 }
