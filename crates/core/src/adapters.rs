@@ -7,13 +7,13 @@
 //! [`mips_topk::exact_topk`] gives. The sparse index rescores with the chain
 //! itself.
 
-use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
+use crate::solver::MipsSolver;
 use crate::sync::Arc;
 use mips_data::MfModel;
 use mips_fexipro::{FexiproConfig, FexiproIndex};
-use mips_lemp::{LempConfig, LempIndex, QueryStats};
+use mips_lemp::{LempConfig, LempIndex};
 use mips_sparse::{InvertedIndex, SparseScratch};
-use mips_topk::{canonicalize, ScreenTier, TopKList};
+use mips_topk::{canonicalize, TopKList};
 use std::time::Instant;
 
 /// LEMP behind the common solver interface.
@@ -21,11 +21,6 @@ pub struct LempSolver {
     model: Arc<MfModel>,
     index: LempIndex,
     build_seconds: f64,
-    /// `"LEMP"` plus the armed tier's suffix.
-    name: String,
-    /// Cumulative screen candidate/survivor counts, drained by the serving
-    /// layer ([`MipsSolver::take_screen_stats`]).
-    screen_tally: ScreenTallyCells,
 }
 
 impl LempSolver {
@@ -38,27 +33,6 @@ impl LempSolver {
             model,
             index,
             build_seconds,
-            name: screened_name("LEMP", None),
-            screen_tally: ScreenTallyCells::default(),
-        }
-    }
-
-    /// This solver with the mixed-precision screen armed in `tier`,
-    /// **sharing the built index** (see [`LempIndex::with_screen`]): scans
-    /// pre-score candidates in the tier's arithmetic and skip exact dots the
-    /// error envelope proves hopeless, with bit-identical results. The
-    /// variant's reported build time is its mirroring pass alone. A tier the
-    /// model cannot be mirrored in yields a solver with the identity `self`
-    /// had.
-    pub fn with_screen(&self, tier: ScreenTier) -> LempSolver {
-        let start = Instant::now();
-        let index = self.index.with_screen(tier);
-        LempSolver {
-            model: Arc::clone(&self.model),
-            name: screened_name("LEMP", index.screen()),
-            index,
-            build_seconds: start.elapsed().as_secs_f64(),
-            screen_tally: ScreenTallyCells::default(),
         }
     }
 
@@ -66,19 +40,11 @@ impl LempSolver {
     pub fn index(&self) -> &LempIndex {
         &self.index
     }
-
-    /// Folds one query loop's scan counters into the drainable tally.
-    fn record_scan(&self, stats: &QueryStats) {
-        self.screen_tally.record(
-            stats.scan.screen_evaluated,
-            stats.scan.screen_evaluated - stats.scan.screen_pruned,
-        );
-    }
 }
 
 impl MipsSolver for LempSolver {
     fn name(&self) -> &str {
-        &self.name
+        "LEMP"
     }
 
     fn build_seconds(&self) -> f64 {
@@ -89,40 +55,21 @@ impl MipsSolver for LempSolver {
         false // point queries: OPTIMUS may t-test LEMP
     }
 
-    fn precision(&self) -> crate::precision::Precision {
-        crate::precision::Precision::of_tier(self.index.screen())
-    }
-
-    fn screen_tiers(&self) -> &[ScreenTier] {
-        &ScreenTier::ALL
-    }
-
-    fn screen_variant(&self, tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
-        Some(Box::new(self.with_screen(tier)))
-    }
-
     fn num_users(&self) -> usize {
         self.model.num_users()
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         crate::solver::dedup_query_subset(users, |distinct| {
-            let mut stats = QueryStats::default();
-            let out = distinct
+            let items = self.model.items();
+            distinct
                 .iter()
                 .map(|&u| {
                     let user = self.model.users().row(u);
-                    let list = self.index.query_with_stats(user, k, &mut stats);
-                    canonicalize(list, user, self.model.items())
+                    canonicalize(self.index.query(user, k), user, items)
                 })
-                .collect();
-            self.record_scan(&stats);
-            out
+                .collect()
         })
-    }
-
-    fn take_screen_stats(&self) -> Option<ScreenTally> {
-        self.index.screen().map(|_| self.screen_tally.drain())
     }
 }
 

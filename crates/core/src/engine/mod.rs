@@ -1376,17 +1376,24 @@ mod tests {
 
     #[test]
     fn forced_f32_rescore_on_screenless_backend_degrades_to_f64() {
-        let engine = EngineBuilder::new()
-            .model(model(20, 40))
-            .register(FexiproFactory::si())
-            .precision(Precision::F32Rescore)
-            .build()
-            .unwrap();
-        let response = engine.execute(&QueryRequest::top_k(3)).unwrap();
-        // FEXIPRO has no screen path: the request is served f64-direct
-        // and the response says so.
-        assert_eq!(response.precision, Precision::F64);
-        assert_eq!(response.backend, "FEXIPRO-SI");
+        // FEXIPRO and LEMP have no screen path, MAXIMUS none in f32: the
+        // request is served f64-direct and the response says so.
+        let registry = BackendRegistry::with_defaults();
+        for (key, name) in [
+            ("fexipro-si", "FEXIPRO-SI"),
+            ("lemp", "LEMP"),
+            ("maximus", "Maximus"),
+        ] {
+            let engine = EngineBuilder::new()
+                .model(model(20, 40))
+                .register_arc(Arc::clone(registry.get(key).unwrap()))
+                .precision(Precision::F32Rescore)
+                .build()
+                .unwrap();
+            let response = engine.execute(&QueryRequest::top_k(3)).unwrap();
+            assert_eq!(response.precision, Precision::F64, "{key}");
+            assert_eq!(response.backend, name);
+        }
     }
 
     #[test]
@@ -1442,18 +1449,18 @@ mod tests {
             .build()
             .unwrap();
         let plan = engine.prepare(4).unwrap();
-        // 6 registry backends + 2 screen tiers × 3 screening backends
-        // (bmm, maximus, lemp): every one is on the record, whether the
-        // race built it or its tier-rate bound excluded it first.
-        assert_eq!(plan.estimates().len(), engine.registry().keys().len() + 6);
-        for screened in [
-            "Blocked MM+f32",
-            "Maximus+f32",
-            "LEMP+f32",
-            "Blocked MM+i8",
-            "Maximus+i8",
-            "LEMP+i8",
-        ] {
+        // 6 registry backends + BMM's two screen tiers + MAXIMUS's int8
+        // one: every one is on the record, whether the race built it or its
+        // tier-rate bound excluded it first. No other variant is raced.
+        assert_eq!(plan.estimates().len(), engine.registry().keys().len() + 3);
+        for cut in ["LEMP+f32", "LEMP+i8", "Maximus+f32"] {
+            assert!(
+                plan.estimates().iter().all(|e| e.name != cut),
+                "{cut} raced: {:?}",
+                plan.estimates()
+            );
+        }
+        for screened in ["Blocked MM+f32", "Blocked MM+i8", "Maximus+i8"] {
             let row = plan.estimates().iter().find(|e| e.name == screened);
             let row = row.unwrap_or_else(|| panic!("{screened} missing: {:?}", plan.estimates()));
             match row.outcome {
@@ -1493,18 +1500,18 @@ mod tests {
             .build()
             .unwrap();
         let request = QueryRequest::top_k(3);
-        for (key, name) in [
-            ("bmm", "Blocked MM+f32"),
-            ("lemp", "LEMP+f32"),
-            ("maximus", "Maximus+f32"),
+        // Per key: what serves under forced f32. Backends without an f32
+        // variant still answer, f64-direct.
+        for (key, name, precision) in [
+            ("bmm", "Blocked MM+f32", Precision::F32Rescore),
+            ("maximus", "Maximus", Precision::F64),
+            ("lemp", "LEMP", Precision::F64),
+            ("fexipro-si", "FEXIPRO-SI", Precision::F64),
         ] {
             let response = engine.execute_with(key, &request).unwrap();
             assert_eq!(response.backend, name);
-            assert_eq!(response.precision, Precision::F32Rescore, "{key}");
+            assert_eq!(response.precision, precision, "{key}");
         }
-        // Screenless backends still answer, f64-direct.
-        let fex = engine.execute_with("fexipro-si", &request).unwrap();
-        assert_eq!(fex.precision, Precision::F64);
     }
 
     #[test]

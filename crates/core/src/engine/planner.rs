@@ -246,39 +246,51 @@ mod tests {
         let paired = [None, Some(0)];
         // Screen barely ahead of its base (within the noise margin): the
         // exact-direct incumbent keeps the plan.
-        let noisy = [estimate("LEMP", 1.00), estimate("LEMP+f32", 0.95)];
+        let noisy = [
+            estimate("Blocked MM", 1.00),
+            estimate("Blocked MM+f32", 0.95),
+        ];
         assert_eq!(demote(&noisy, 1, &paired), Some(0));
         // Screen clearly faster than the margin: adoption stands.
-        let clear = [estimate("LEMP", 1.00), estimate("LEMP+f32", 0.60)];
+        let clear = [
+            estimate("Blocked MM", 1.00),
+            estimate("Blocked MM+f32", 0.60),
+        ];
         assert_eq!(demote(&clear, 1, &paired), None);
         // Exactly at the margin boundary counts as clearly faster (the
         // demotion predicate is strict).
         let edge = [
-            estimate("LEMP", 1.00),
-            estimate("LEMP+f32", SCREEN_ADOPTION_MARGIN),
+            estimate("Blocked MM", 1.00),
+            estimate("Blocked MM+f32", SCREEN_ADOPTION_MARGIN),
         ];
         assert_eq!(demote(&edge, 1, &paired), None);
         // Sub-millisecond requests: even a clear relative win saves less
         // absolute time than the noise floor — the incumbent keeps it.
-        let tiny = [estimate("LEMP", 900e-6), estimate("LEMP+f32", 500e-6)];
+        let tiny = [
+            estimate("Blocked MM", 900e-6),
+            estimate("Blocked MM+f32", 500e-6),
+        ];
         assert_eq!(demote(&tiny, 1, &paired), Some(0));
         // Forced modes: screens run under plain keys and no base twin
         // competes — nothing to demote to.
-        let forced = [estimate("Blocked MM", 1.0), estimate("Maximus+f32", 0.99)];
+        let forced = [estimate("Maximus", 1.0), estimate("Blocked MM+f32", 0.99)];
         assert_eq!(demote(&forced, 1, &[None, None]), None);
         // Pairing is structural, never read off display names: a
         // third-party solver that merely *names* itself like a screen of
         // another candidate is not one, and is never demoted to it.
-        let lookalike = [estimate("LEMP", 1.00), estimate("LEMP+i8", 0.95)];
+        let lookalike = [
+            estimate("Blocked MM", 1.00),
+            estimate("Blocked MM+i8", 0.95),
+        ];
         assert_eq!(demote(&lookalike, 1, &[None, None]), None);
         // Every tier rides the same adoption discipline: marginal winners
         // demote to their f64 base, clear wins stand, and a screen winner
         // never demotes to a sibling tier (the base is the f64 build, not
         // the other screen).
         let three_way = [
-            estimate("LEMP", 1.00),
-            estimate("LEMP+f32", 0.70),
-            estimate("LEMP+i8", 0.95),
+            estimate("Blocked MM", 1.00),
+            estimate("Blocked MM+f32", 0.70),
+            estimate("Blocked MM+i8", 0.95),
         ];
         let both = [None, Some(0), Some(0)];
         assert_eq!(demote(&three_way, 2, &both), Some(0));

@@ -320,18 +320,23 @@ mod tests {
 
     #[test]
     fn screen_builds_cover_the_scan_backends_and_stay_bit_identical() {
+        // The tiers each default backend offers: only those that served
+        // plans. LEMP and the rest scan f64 only.
+        let tiers_of = |key: &str| -> &[ScreenTier] {
+            match key {
+                "bmm" => &ScreenTier::ALL,
+                "maximus" => &[ScreenTier::I8],
+                _ => &[],
+            }
+        };
         let registry = BackendRegistry::with_defaults();
         let m = model();
-        for tier in ScreenTier::ALL {
-            for factory in registry.factories() {
-                let key = factory.key();
-                let has_screen = matches!(key, "bmm" | "maximus" | "lemp");
-                let base = factory.build(&m).expect("plain build");
-                assert_eq!(
-                    base.screen_tiers().contains(&tier),
-                    has_screen,
-                    "{key} advertises what screen_variant delivers"
-                );
+        for factory in registry.factories() {
+            let key = factory.key();
+            let base = factory.build(&m).expect("plain build");
+            assert_eq!(base.screen_tiers(), tiers_of(key), "{key}");
+            for tier in ScreenTier::ALL {
+                let has_screen = tiers_of(key).contains(&tier);
                 match base.screen_variant(tier) {
                     None => assert!(!has_screen, "{key} lost its {tier:?} path"),
                     Some(screened) => {

@@ -22,10 +22,9 @@ use crate::sync::{Arc, OnceLock};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::MfModel;
 use mips_linalg::kernels::{angle, dot, norm2};
-use mips_linalg::{per_tier, GemmScratch, Matrix, PackedPanels};
+use mips_linalg::{GemmScratch, Matrix, PackedPanels, TierRows};
 use mips_topk::{
-    canonicalize, stream_topk_into_heaps, ColumnIds, ItemMirror, ScreenTier, TopKHeap, TopKList,
-    UserScreen,
+    canonicalize, stream_topk_into_heaps, ArmedUser, ColumnIds, ScreenTier, TopKHeap, TopKList,
 };
 use std::time::Instant;
 
@@ -97,8 +96,7 @@ pub struct MaximusQueryStats {
     /// Items skipped by early termination.
     pub items_pruned: AtomicU64,
     /// Walked items whose exact dot (and guaranteed-rejected push) the
-    /// mixed-precision screen — f32 or int8 — skipped; counted neither as
-    /// walked nor pruned.
+    /// int8 screen skipped; counted neither as walked nor pruned.
     pub items_screen_pruned: AtomicU64,
 }
 
@@ -163,8 +161,8 @@ impl ClusterIndex {
 /// Everything construction derives from the model — the clustering, every
 /// cluster's bound-sorted list and its gathered copy of the walked items.
 /// Immutable once built (the packed list prefixes fill in on first use) and
-/// shared, behind an [`Arc`], by an index and every screen variant of it
-/// ([`MaximusIndex::with_screen`]).
+/// shared, behind an [`Arc`], by an index and its screen variant
+/// ([`MaximusIndex::with_i8_screen`]).
 struct MaximusCore {
     model: Arc<MfModel>,
     assignments: Vec<u32>,
@@ -176,21 +174,19 @@ struct MaximusCore {
 /// The built MAXIMUS index.
 pub struct MaximusIndex {
     core: Arc<MaximusCore>,
-    /// One mirror per cluster — its gathered walked items in the armed
-    /// tier's storage — row-aligned with the cluster's `items`; empty when
-    /// no tier is armed.
-    mirrors: Vec<ItemMirror>,
+    /// With the int8 screen armed, one mirror per cluster — its gathered
+    /// walked items as int8 codes — row-aligned with the cluster's `items`;
+    /// `None` on the f64 walk.
+    mirrors: Option<Vec<TierRows<i8>>>,
     /// Seconds spent building what this handle added: the whole
-    /// construction for [`MaximusIndex::build`], the mirrors alone for a
-    /// [`MaximusIndex::with_screen`] variant.
+    /// construction for [`MaximusIndex::build`], the mirrors alone for the
+    /// [`MaximusIndex::with_i8_screen`] variant.
     build_seconds: f64,
     query_stats: MaximusQueryStats,
     /// Cumulative screen candidate/survivor counts, drained by the serving
     /// layer ([`MipsSolver::take_screen_stats`]); separate from
     /// [`MaximusQueryStats`], whose counters benches read cumulatively.
     screen_tally: ScreenTallyCells,
-    /// The armed screen tier.
-    screen: Option<ScreenTier>,
     /// `"Maximus"` plus the armed tier's suffix.
     name: String,
 }
@@ -254,74 +250,65 @@ impl MaximusIndex {
         };
         MaximusIndex::over(
             Arc::new(core),
-            Vec::new(),
             None,
             clustering_seconds + construction_seconds,
         )
     }
 
-    /// A handle on `core` serving through `mirrors` in `screen`.
+    /// A handle on `core` walking through `mirrors` (`None`: unscreened).
     fn over(
         core: Arc<MaximusCore>,
-        mirrors: Vec<ItemMirror>,
-        screen: Option<ScreenTier>,
+        mirrors: Option<Vec<TierRows<i8>>>,
         build_seconds: f64,
     ) -> MaximusIndex {
+        let screen = mirrors.as_ref().map(|_| ScreenTier::I8);
         MaximusIndex {
             core,
             mirrors,
             build_seconds,
             query_stats: MaximusQueryStats::default(),
             screen_tally: ScreenTallyCells::default(),
-            screen,
             name: screened_name("Maximus", screen),
         }
     }
 
-    /// This index with the mixed-precision screen armed on the **list
-    /// walk**, **sharing everything [`MaximusIndex::build`] constructed**:
-    /// the variant adds one mirror per cluster in `tier`'s storage, and
-    /// walked items are pre-scored against it — the exact dot and its push
-    /// are skipped only when the envelope-widened screen score
-    /// ([`UserScreen::upper_bound`]) proves the push would be rejected, so
-    /// results stay bit-identical. The §III-D blocked prefix stays f64 (it
-    /// is GEMM-bound; the `bmm` screen variant covers that regime), as does
-    /// the §III-E new-vector path.
+    /// This index with the int8 screen armed on the **list walk**,
+    /// **sharing everything [`MaximusIndex::build`] constructed**: the
+    /// variant adds one int8 mirror per cluster, and walked items are
+    /// pre-scored against it — the exact dot and its push are skipped only
+    /// when the envelope-widened screen score ([`ArmedUser::upper_bound`])
+    /// proves the push would be rejected, so results stay bit-identical.
+    /// The §III-D blocked prefix stays f64 (it is GEMM-bound; the `bmm`
+    /// screen variants cover that regime), as does the §III-E new-vector
+    /// path. int8 is MAXIMUS's one screen tier: measured over the catalog
+    /// stand-ins and the benchmark shapes, an f32 walk screen won no plan
+    /// by more than sampling noise, and racing it cost cold time and a
+    /// mirror per cluster.
     ///
     /// Each cluster's mirror is **gathered** in list order from the model's
-    /// own mirror of the tier ([`MfModel::mirror`] — built once per model
-    /// and shared with brute force's screen), so no row is rounded or
-    /// quantized once per cluster; like the f64 copy it holds the walked
-    /// positions only. The variant's `build_seconds` is that gathering
-    /// alone; its work counters start at zero.
+    /// own int8 mirror ([`MfModel::mirror`] — built once per model and
+    /// shared with brute force's screen), so no row is quantized once per
+    /// cluster; like the f64 copy it holds the walked positions only. The
+    /// variant's `build_seconds` is that gathering alone; its work counters
+    /// start at zero.
     ///
-    /// The variant carries the mirrors of `tier` only, whatever `self` had
-    /// armed. When the model does not mirror usably in `tier` (int8:
-    /// subnormal rows, factor counts past the i32-overflow cap; f32:
-    /// overflow) the result keeps the identity `self` had, plain or
-    /// screened.
-    pub fn with_screen(&self, tier: ScreenTier) -> MaximusIndex {
+    /// When the model does not quantize usably (subnormal rows, factor
+    /// counts past the i32-overflow cap) the result walks unscreened.
+    pub fn with_i8_screen(&self) -> MaximusIndex {
         let t = Instant::now();
         let core = Arc::clone(&self.core);
-        let gathered: Option<Vec<ItemMirror>> = per_tier!(tier, T => {
-            let sides = core.model.mirror::<T>().sides();
-            sides.map(|(_, items)| {
-                let lists = core.clusters.iter().map(|c| c.list_ids[c.start..].iter());
-                lists
-                    .map(|ids| items.gather(ids.map(|&i| i as usize)).into())
-                    .collect()
-            })
+        let mirrors = core.model.mirror::<i8>().sides().map(|(_, items)| {
+            let lists = core.clusters.iter().map(|c| c.list_ids[c.start..].iter());
+            lists
+                .map(|ids| items.gather(ids.map(|&i| i as usize)))
+                .collect()
         });
-        let (mirrors, screen) = match gathered {
-            Some(mirrors) => (mirrors, Some(tier)),
-            None => (self.mirrors.clone(), self.screen),
-        };
-        MaximusIndex::over(core, mirrors, screen, t.elapsed().as_secs_f64())
+        MaximusIndex::over(core, mirrors, t.elapsed().as_secs_f64())
     }
 
     /// The armed screen tier, if any.
     pub fn screen(&self) -> Option<ScreenTier> {
-        self.screen
+        self.mirrors.as_ref().map(|_| ScreenTier::I8)
     }
 
     /// Build-stage breakdown (Fig. 8) of the shared construction.
@@ -387,14 +374,14 @@ impl MaximusIndex {
         for (mut heap, &(pos, u)) in heaps.into_iter().zip(group) {
             let user = model.users().row(u);
             let unorm = norm2(user);
-            // Walk-phase screen state: the user row in the armed tier's
-            // storage plus its envelope coefficients. Absent unless a tier
-            // is armed; a user row the tier cannot represent walks
-            // unscreened — still exact, just unaccelerated.
+            // Walk-phase screen state: the user row as int8 codes plus its
+            // envelope coefficients. Absent unless the screen is armed; a
+            // user row that does not quantize walks unscreened — still
+            // exact, just unaccelerated.
             let screen = self
                 .mirrors
-                .get(c)
-                .and_then(|mirror| Some((UserScreen::arm(user, mirror.tier())?, mirror)));
+                .as_ref()
+                .and_then(|mirrors| Some((ArmedUser::<i8>::arm(user)?, &mirrors[c])));
             let mut walked = 0u64;
             let mut screen_evaluated = 0u64;
             let mut screened_out = 0u64;
@@ -406,14 +393,14 @@ impl MaximusIndex {
                 if heap.is_full() && unorm * cluster.bounds[list_pos] < heap.threshold() {
                     break;
                 }
-                // Mixed-precision screen: when even the envelope-widened
+                // Int8 screen: when even the envelope-widened
                 // screen score sits strictly below the threshold, the exact
                 // score does too and its push would be rejected — skipping
                 // dot and push leaves the heap trajectory bit-identical.
                 if heap.is_full() {
-                    if let Some((user_screen, mirror)) = &screen {
+                    if let Some((armed, mirror)) = &screen {
                         screen_evaluated += 1;
-                        if user_screen.upper_bound(mirror, list_pos - block) < heap.threshold() {
+                        if armed.upper_bound(mirror, list_pos - block) < heap.threshold() {
                             screened_out += 1;
                             list_pos += 1;
                             continue;
@@ -569,15 +556,16 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn precision(&self) -> crate::precision::Precision {
-        crate::precision::Precision::of_tier(self.screen)
+        crate::precision::Precision::of_tier(self.screen())
     }
 
     fn screen_tiers(&self) -> &[ScreenTier] {
-        &ScreenTier::ALL
+        &[ScreenTier::I8]
     }
 
     fn screen_variant(&self, tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
-        Some(Box::new(self.with_screen(tier)))
+        let listed = self.screen_tiers().contains(&tier);
+        listed.then(|| Box::new(self.with_i8_screen()) as Box<dyn MipsSolver>)
     }
 
     fn num_users(&self) -> usize {
@@ -585,7 +573,7 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
-        self.screen.map(|_| self.screen_tally.drain())
+        self.mirrors.as_ref().map(|_| self.screen_tally.drain())
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
@@ -703,59 +691,51 @@ mod tests {
         };
         let plain = MaximusIndex::build(Arc::clone(&m), &config);
         assert_eq!(plain.screen(), None);
-        for tier in ScreenTier::ALL {
-            let screened = plain.with_screen(tier);
-            assert!(
-                Arc::ptr_eq(&screened.core, &plain.core),
-                "construction is shared"
-            );
-            assert_eq!(screened.screen(), Some(tier));
-            assert_eq!(screened.name(), format!("Maximus{}", tier.suffix()));
-            assert_eq!(screened.precision(), Precision::of_tier(Some(tier)));
-            for k in [1usize, 5, 20] {
-                let want = plain.query_all(k);
-                let got = screened.query_all(k);
-                for u in 0..m.num_users() {
-                    assert_eq!(got[u].items, want[u].items, "{tier:?} k={k} user {u}");
-                    for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{tier:?} k={k} user {u}");
-                    }
+        let screened = plain.with_i8_screen();
+        assert!(
+            Arc::ptr_eq(&screened.core, &plain.core),
+            "construction is shared"
+        );
+        assert_eq!(screened.screen(), Some(ScreenTier::I8));
+        assert_eq!(screened.name(), "Maximus+i8");
+        assert_eq!(screened.precision(), Precision::I8Rescore);
+        for k in [1usize, 5, 20] {
+            let want = plain.query_all(k);
+            let got = screened.query_all(k);
+            for u in 0..m.num_users() {
+                assert_eq!(got[u].items, want[u].items, "k={k} user {u}");
+                for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} user {u}");
                 }
             }
-            let stats = screened.query_stats();
-            assert!(
-                stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
-                "{tier:?} screen never engaged on a walk-dominated configuration"
-            );
-            // Screened items reduce walked dots relative to the plain index.
-            assert!(
-                stats.items_walked.load(Ordering::Relaxed)
-                    < plain.query_stats().items_walked.load(Ordering::Relaxed)
-            );
         }
+        let stats = screened.query_stats();
+        assert!(
+            stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
+            "the screen never engaged on a walk-dominated configuration"
+        );
+        // Screened items reduce walked dots relative to the plain index.
+        assert!(
+            stats.items_walked.load(Ordering::Relaxed)
+                < plain.query_stats().items_walked.load(Ordering::Relaxed)
+        );
     }
 
     #[test]
-    fn a_variant_carries_one_tier_and_a_degenerate_request_changes_nothing() {
+    fn int8_is_the_one_variant_and_a_degenerate_model_walks_unscreened() {
         use crate::precision::Precision;
-        let tiers = |index: &MaximusIndex| -> Vec<ScreenTier> {
-            index.mirrors.iter().map(ItemMirror::tier).collect()
-        };
         let plain = MaximusIndex::build(model(30, 80, 6, 0.4), &small_config());
-        let index = plain
-            .with_screen(ScreenTier::F32)
-            .with_screen(ScreenTier::I8);
-        assert_eq!(index.name(), "Maximus+i8");
-        // One mirror per cluster, in the newly armed tier: the f32 rows are
-        // not resident next to the int8 codes.
-        assert_eq!(tiers(&index), vec![ScreenTier::I8; 4]);
-        assert!(
-            tiers(&plain).is_empty(),
-            "deriving a variant leaves the base plain"
-        );
+        assert_eq!(plain.screen_tiers(), &[ScreenTier::I8]);
+        assert!(plain.screen_variant(ScreenTier::F32).is_none());
+        let variant = plain.screen_variant(ScreenTier::I8).expect("the i8 walk");
+        assert_eq!(variant.name(), "Maximus+i8");
+        // One mirror per cluster; deriving the variant leaves the base plain.
+        let index = plain.with_i8_screen();
+        assert_eq!(index.mirrors.as_ref().map(Vec::len), Some(4));
+        assert!(plain.mirrors.is_none());
 
-        // Subnormal item rows cannot be quantized: the int8 request is
-        // refused and the index keeps the identity it had.
+        // Subnormal item rows cannot be quantized: the variant walks
+        // unscreened under the base's identity.
         let degenerate = Arc::new(
             MfModel::new(
                 "subnormal",
@@ -764,20 +744,12 @@ mod tests {
             )
             .unwrap(),
         );
-        let plain = MaximusIndex::build(degenerate, &small_config());
-        let index = plain.with_screen(ScreenTier::I8);
+        let index = MaximusIndex::build(degenerate, &small_config()).with_i8_screen();
         assert_eq!(
             (index.name(), index.precision()),
             ("Maximus", Precision::F64)
         );
-        let index = plain
-            .with_screen(ScreenTier::F32)
-            .with_screen(ScreenTier::I8);
-        assert_eq!(
-            (index.name(), index.precision()),
-            ("Maximus+f32", Precision::F32Rescore)
-        );
-        assert_eq!(tiers(&index), vec![ScreenTier::F32; 4]);
+        assert!(index.take_screen_stats().is_none());
     }
 
     #[test]
@@ -812,23 +784,23 @@ mod tests {
         // model's rows at those positions.
         let m = model(40, 90, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
-        for tier in ScreenTier::ALL {
-            let screened = plain.with_screen(tier);
-            let screen = UserScreen::arm(m.users().row(3), tier).unwrap();
-            for (cluster, mirror) in plain.core.clusters.iter().zip(&screened.mirrors) {
-                let walked: Vec<usize> = cluster.list_ids[cluster.start..]
-                    .iter()
-                    .map(|&id| id as usize)
-                    .collect();
-                let rebuilt = ItemMirror::build(&m.items().gather_rows(&walked), tier).unwrap();
-                for r in 0..walked.len() {
-                    assert_eq!(
-                        screen.upper_bound(mirror, r).to_bits(),
-                        screen.upper_bound(&rebuilt, r).to_bits(),
-                        "{tier:?} list position {}",
-                        cluster.start + r
-                    );
-                }
+        let screened = plain.with_i8_screen();
+        let armed = ArmedUser::<i8>::arm(m.users().row(3)).unwrap();
+        let mirrors = screened.mirrors.as_ref().expect("the model quantizes");
+        for (cluster, mirror) in plain.core.clusters.iter().zip(mirrors) {
+            let walked: Vec<usize> = cluster.list_ids[cluster.start..]
+                .iter()
+                .map(|&id| id as usize)
+                .collect();
+            let rows = m.items().gather_rows(&walked);
+            let rebuilt = TierRows::<i8>::build((&rows).into()).unwrap();
+            for r in 0..walked.len() {
+                assert_eq!(
+                    armed.upper_bound(mirror, r).to_bits(),
+                    armed.upper_bound(&rebuilt, r).to_bits(),
+                    "list position {}",
+                    cluster.start + r
+                );
             }
         }
     }
@@ -859,7 +831,7 @@ mod tests {
         }
         // A variant derived afterwards multiplies against the very same
         // panels, and a second pass repacks nothing.
-        let screened = plain.with_screen(ScreenTier::I8);
+        let screened = plain.with_i8_screen();
         assert_eq!(screened.query_all(5), all);
         assert_eq!(plain.query_all(5), all);
         assert_eq!(packed(&screened), after_all);

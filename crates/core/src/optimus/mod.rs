@@ -770,12 +770,40 @@ mod tests {
         // sides of a raced pair must report the full sample; the unpaired
         // point-query candidates keep early-stopped sampling.
         //
+        // No default point-query backend screens, but a third-party one
+        // may: `Point` lists the f32 tier and carries a variant, so stage 2
+        // re-times it on the whole sample if the t-test stopped it.
+        //
         // Pairing is the source's structural knowledge: a third-party
         // solver whose display name merely *ends* in a tier suffix (and
         // even matches another candidate's name before it) is unpaired.
         // The stub records the largest subset it was ever asked for: a
         // paired candidate is timed on the whole sample at once, an
         // unpaired point-query one user by user after the warm-up.
+        struct Point {
+            inner: crate::adapters::LempSolver,
+            name: &'static str,
+        }
+        impl MipsSolver for Point {
+            fn name(&self) -> &str {
+                self.name
+            }
+            fn build_seconds(&self) -> f64 {
+                self.inner.build_seconds()
+            }
+            fn batches_users(&self) -> bool {
+                false
+            }
+            fn screen_tiers(&self) -> &[ScreenTier] {
+                &[ScreenTier::F32]
+            }
+            fn num_users(&self) -> usize {
+                self.inner.num_users()
+            }
+            fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+                self.inner.query_subset(k, users)
+            }
+        }
         struct Lookalike {
             inner: crate::adapters::FexiproSolver,
             largest_subset: crate::sync::atomic::AtomicUsize,
@@ -801,8 +829,10 @@ mod tests {
         }
         let m = model();
         let optimus = Optimus::new(tiny_config());
-        let lemp = crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default());
-        let lemp_screen = lemp.with_screen(ScreenTier::F32);
+        let point = |name| Point {
+            inner: crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default()),
+            name,
+        };
         let fexipro = || {
             crate::adapters::FexiproSolver::build(
                 Arc::clone(&m),
@@ -813,16 +843,16 @@ mod tests {
             inner: fexipro(),
             largest_subset: Default::default(),
         });
-        // LEMP leads the list so that it is the base with the variant; BMM
-        // is still the reference (the first batch-capable candidate).
+        // `Point` leads the list so that it is the base with the variant;
+        // BMM is still the reference (the first batch-capable candidate).
         let mut source = Prebuilt {
             bases: vec![
-                Arc::new(lemp),
+                Arc::new(point("Point")),
                 Arc::new(BmmSolver::build(Arc::clone(&m))),
                 Arc::new(fexipro()),
                 Arc::clone(&lookalike) as Arc<dyn MipsSolver>,
             ],
-            f32_variants: vec![Arc::new(lemp_screen)],
+            f32_variants: vec![Arc::new(point("Point+f32"))],
         };
         let Ok(choice) = optimus.choose(&m, 3, &mut source);
         let names: Vec<&str> = choice
@@ -833,8 +863,8 @@ mod tests {
         assert_eq!(
             names,
             [
-                "LEMP",
-                "LEMP+f32",
+                "Point",
+                "Point+f32",
                 "Blocked MM",
                 "FEXIPRO-SI",
                 "FEXIPRO-SI+i8"
@@ -845,7 +875,7 @@ mod tests {
         assert_eq!(choice.base_entry_of(4), None, "a name is not a pairing");
         for entry in &choice.entries {
             let e = &entry.estimate;
-            if e.name == "LEMP" || e.name == "LEMP+f32" || e.name == "Blocked MM" {
+            if e.name == "Point" || e.name == "Point+f32" || e.name == "Blocked MM" {
                 assert_eq!(e.outcome, CandidateOutcome::Sampled, "{}", e.name);
                 assert_eq!(
                     e.sampled_users, choice.sample_size,

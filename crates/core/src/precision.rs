@@ -1,9 +1,9 @@
 //! The numeric execution mode of the scan backends.
 //!
-//! The scan-dominated solvers (BMM, LEMP, MAXIMUS) can run their prune/scan
-//! phase in a lower-precision [`ScreenTier`] — an f32 mirror of the factor
-//! block, or a symmetric int8 mirror with exact integer dots (see
-//! [`mips_topk::screen`]) — and rescore the surviving candidates in f64.
+//! Brute force can run its scan in a lower-precision [`ScreenTier`] — an f32
+//! mirror of the factor block, or a symmetric int8 mirror with exact integer
+//! dots (see [`mips_topk::screen`]) — and MAXIMUS its list walk in the int8
+//! one; both rescore the surviving candidates in f64.
 //! Because the rescore uses the exact same f64 reduction as the direct
 //! path, all modes are **bit-identical** in their results — the choice is
 //! purely a performance decision, which is why OPTIMUS can make it per plan
@@ -141,14 +141,18 @@ mod tests {
             let precision = Precision::of_tier(Some(tier));
             assert_eq!(precision.forced_tier(), Some(tier));
             assert_eq!(Precision::parse(precision.as_str()), Some(precision));
-            // Every scan backend derives a variant in the tier.
-            for key in ["bmm", "maximus", "lemp"] {
-                let factory = registry.get(key).expect("default backend");
+            // Brute force derives a variant in every tier, and so does
+            // every other backend that lists the tier.
+            let mut screening = Vec::new();
+            for factory in registry.factories() {
                 let base = factory.build(&model).expect("plain build");
-                assert!(base.screen_tiers().contains(&tier), "{key}");
-                let solver = base.screen_variant(tier).expect("scan backends screen");
-                assert_eq!(solver.precision(), precision, "{key}");
+                if base.screen_tiers().contains(&tier) {
+                    let solver = base.screen_variant(tier).expect("a listed tier screens");
+                    assert_eq!(solver.precision(), precision, "{}", factory.key());
+                    screening.push(factory.key());
+                }
             }
+            assert!(screening.contains(&"bmm"), "{tier:?}: {screening:?}");
             // The planner can bound the tier's variants: it has a measured
             // kernel rate.
             assert!(crate::optimus::cost::tier_flops_per_second(Some(tier)) > 0.0);

@@ -104,29 +104,34 @@ proptest! {
     }
 }
 
-/// Named dispatch under a forced tier serves the screen variants by name
-/// and reports the tier; the screenless backends still answer, f64-direct.
-/// Either way the answer is the oracle's.
+/// Named dispatch under a forced tier serves a backend's variant in that
+/// tier by name and reports the tier; a backend without one still answers,
+/// f64-direct. Either way the answer is the oracle's.
 #[test]
 fn named_dispatch_under_a_forced_tier_uses_the_screen_variant() {
     let model = model(Corpus::Random, 30, 90, 8, 42);
     let request = QueryRequest::top_k(3);
     let want = bits(&oracle(&model, 3));
+    // Per key: its display name and the tiers it has a variant in.
+    let table: [(&str, &str, &[ScreenTier]); 6] = [
+        ("bmm", "Blocked MM", &ScreenTier::ALL),
+        ("maximus", "Maximus", &[ScreenTier::I8]),
+        ("lemp", "LEMP", &[]),
+        ("fexipro-si", "FEXIPRO-SI", &[]),
+        ("fexipro-sir", "FEXIPRO-SIR", &[]),
+        ("sparse", "Sparse-II", &[]),
+    ];
     for tier in ScreenTier::ALL {
         let engine = engine_at(&model, forced(tier));
-        for (key, name) in [
-            ("bmm", "Blocked MM"),
-            ("lemp", "LEMP"),
-            ("maximus", "Maximus"),
-        ] {
+        for (key, name, tiers) in table {
             let response = engine.execute_with(key, &request).unwrap();
-            assert_eq!(response.backend, format!("{name}{}", tier.suffix()));
-            assert_eq!(response.precision, forced(tier), "{key}");
-            assert_eq!(bits(&response.results), want, "{key} under {tier:?}");
-        }
-        for key in ["fexipro-si", "fexipro-sir", "sparse"] {
-            let response = engine.execute_with(key, &request).unwrap();
-            assert_eq!(response.precision, Precision::F64, "{key}");
+            let (name, precision) = if tiers.contains(&tier) {
+                (format!("{name}{}", tier.suffix()), forced(tier))
+            } else {
+                (name.to_string(), Precision::F64)
+            };
+            assert_eq!(response.backend, name, "{key} under {tier:?}");
+            assert_eq!(response.precision, precision, "{key} under {tier:?}");
             assert_eq!(bits(&response.results), want, "{key} under {tier:?}");
         }
     }

@@ -5,8 +5,7 @@ use crate::config::LempConfig;
 use crate::scan::{inflate, scan_bucket, RetrievalAlgo, ScanStats, UserCtx};
 use crate::tuner::tune_buckets;
 use mips_data::MfModel;
-use mips_topk::{ItemMirror, ScreenTier, TopKHeap, TopKList};
-use std::sync::Arc;
+use mips_topk::{TopKHeap, TopKList};
 
 /// Cumulative work counters for a sequence of queries.
 #[derive(Debug, Clone, Copy, Default)]
@@ -19,33 +18,18 @@ pub struct QueryStats {
     pub scan: ScanStats,
 }
 
-/// Everything construction derives from the model: the norm-sorted
-/// buckets and their tuned retrieval algorithms. Immutable once built and
-/// shared, behind an [`Arc`], by an index and every screen variant of it.
-#[derive(Debug)]
-struct LempCore {
-    buckets: Vec<Bucket>,
-    algos: Vec<RetrievalAlgo>,
-    checkpoint: usize,
-    num_factors: usize,
-}
-
-/// A built LEMP index over one model's item matrix.
+/// A built LEMP index over one model's item matrix: the norm-sorted
+/// buckets and their tuned retrieval algorithms.
 ///
 /// Point-query oriented, like the original system: [`LempIndex::query`]
 /// serves one user at a time (the property that lets OPTIMUS apply its
 /// incremental t-test to LEMP, §IV-A).
-///
-/// Cloning — and [`LempIndex::with_screen`] — shares the built buckets; a
-/// screen variant adds only its per-bucket mirrors.
 #[derive(Debug, Clone)]
 pub struct LempIndex {
-    core: Arc<LempCore>,
-    /// One mirror per bucket in the armed tier's storage, row-aligned with
-    /// [`Bucket::vectors`]; empty when no tier is armed.
-    mirrors: Vec<ItemMirror>,
-    /// The armed screen tier.
-    screen: Option<ScreenTier>,
+    buckets: Vec<Bucket>,
+    algos: Vec<RetrievalAlgo>,
+    checkpoint: usize,
+    num_factors: usize,
 }
 
 impl LempIndex {
@@ -68,60 +52,21 @@ impl LempIndex {
             config.seed,
         );
         LempIndex {
-            core: Arc::new(LempCore {
-                buckets,
-                algos,
-                checkpoint,
-                num_factors: f,
-            }),
-            mirrors: Vec::new(),
-            screen: None,
+            buckets,
+            algos,
+            checkpoint,
+            num_factors: f,
         }
-    }
-
-    /// This index with the mixed-precision screen armed in `tier`, **sharing
-    /// the built buckets**: the variant adds one mirror of every bucket's
-    /// item vectors in the tier's storage, and its queries pre-score
-    /// candidates against it — pruning only those the envelope-widened
-    /// screen score proves cannot enter the heap — before the exact f64
-    /// verification dot. Results stay bit-identical to the pure
-    /// double-precision scan (see [`crate::scan`]).
-    ///
-    /// The variant carries the mirrors of `tier` only, whatever `self` had
-    /// armed. When any bucket has no usable mirror in `tier` (f32: values
-    /// past its range; int8: subnormal rows, factor counts past
-    /// [`mips_linalg::I8_DOT_MAX_LEN`]) the result is a plain clone of
-    /// `self`, tier and all.
-    pub fn with_screen(&self, tier: ScreenTier) -> LempIndex {
-        let mirrors: Option<Vec<ItemMirror>> = self
-            .core
-            .buckets
-            .iter()
-            .map(|b| ItemMirror::build(&b.vectors, tier))
-            .collect();
-        match mirrors {
-            Some(mirrors) => LempIndex {
-                core: Arc::clone(&self.core),
-                mirrors,
-                screen: Some(tier),
-            },
-            None => self.clone(),
-        }
-    }
-
-    /// The armed screen tier, if any.
-    pub fn screen(&self) -> Option<ScreenTier> {
-        self.screen
     }
 
     /// Number of buckets.
     pub fn num_buckets(&self) -> usize {
-        self.core.buckets.len()
+        self.buckets.len()
     }
 
     /// The tuned per-bucket algorithms (exposed for the ablation bench).
     pub fn algorithms(&self) -> &[RetrievalAlgo] {
-        &self.core.algos
+        &self.algos
     }
 
     /// Top-k for one user vector.
@@ -135,34 +80,23 @@ impl LempIndex {
 
     /// Top-k for one user, accumulating work counters into `stats`.
     pub fn query_with_stats(&self, user: &[f64], k: usize, stats: &mut QueryStats) -> TopKList {
-        let core = &*self.core;
         assert_eq!(
             user.len(),
-            core.num_factors,
+            self.num_factors,
             "LempIndex::query: user dimensionality mismatch"
         );
-        let mut ctx = UserCtx::new(user, core.checkpoint);
-        if let Some(tier) = self.screen {
-            ctx = ctx.with_screen(tier);
-        }
+        let ctx = UserCtx::new(user, self.checkpoint);
         let mut heap = TopKHeap::new(k);
-        for (b, bucket) in core.buckets.iter().enumerate() {
+        for (b, bucket) in self.buckets.iter().enumerate() {
             // Buckets descend in max norm: once even the best possible score
             // in this bucket cannot enter the heap, later buckets can't
             // either.
             if heap.is_full() && inflate(ctx.norm * bucket.max_norm) < heap.threshold() {
-                stats.buckets_skipped += (core.buckets.len() - b) as u64;
+                stats.buckets_skipped += (self.buckets.len() - b) as u64;
                 break;
             }
             stats.buckets_visited += 1;
-            scan_bucket(
-                core.algos[b],
-                bucket,
-                self.mirrors.get(b),
-                &ctx,
-                &mut heap,
-                &mut stats.scan,
-            );
+            scan_bucket(self.algos[b], bucket, &ctx, &mut heap, &mut stats.scan);
         }
         heap.into_sorted()
     }
@@ -249,72 +183,6 @@ mod tests {
         let m = model(0.5);
         let index = LempIndex::build(&m, &LempConfig::default());
         assert!(index.query(m.users().row(0), 0).is_empty());
-    }
-
-    #[test]
-    fn screened_index_is_bit_identical_and_prunes() {
-        let m = model(0.8);
-        let plain = LempIndex::build(&m, &LempConfig::default());
-        assert_eq!(plain.screen(), None);
-        for tier in ScreenTier::ALL {
-            let screened = plain.with_screen(tier);
-            assert_eq!(screened.screen(), Some(tier));
-            assert!(
-                Arc::ptr_eq(&screened.core, &plain.core),
-                "buckets are shared"
-            );
-            let mut stats = QueryStats::default();
-            for k in [1usize, 5, 17] {
-                for u in 0..m.num_users() {
-                    let want = plain.query(m.users().row(u), k);
-                    let got = screened.query_with_stats(m.users().row(u), k, &mut stats);
-                    assert_eq!(got.items, want.items, "{tier:?} k={k} u={u}");
-                    for (a, b) in got.scores.iter().zip(&want.scores) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{tier:?} k={k} u={u}");
-                    }
-                }
-            }
-            assert!(
-                stats.scan.screen_pruned > 0,
-                "{tier:?} screen never engaged"
-            );
-        }
-    }
-
-    #[test]
-    fn a_variant_carries_one_tier_and_a_degenerate_request_changes_nothing() {
-        let tiers = |index: &LempIndex| -> Vec<ScreenTier> {
-            index.mirrors.iter().map(ItemMirror::tier).collect()
-        };
-        let m = model(0.8);
-        let plain = LempIndex::build(&m, &LempConfig::default());
-        let index = plain
-            .with_screen(ScreenTier::F32)
-            .with_screen(ScreenTier::I8);
-        assert_eq!(index.screen(), Some(ScreenTier::I8));
-        // One mirror per bucket, in the newly armed tier: the f32 rows are
-        // not resident next to the int8 codes.
-        assert_eq!(tiers(&index), vec![ScreenTier::I8; plain.num_buckets()]);
-        assert!(
-            tiers(&plain).is_empty(),
-            "deriving a variant leaves the base plain"
-        );
-
-        // Subnormal item rows cannot be quantized: the int8 request is
-        // refused and the previously armed f32 tier keeps serving.
-        let degenerate = MfModel::new(
-            "subnormal",
-            mips_linalg::Matrix::from_fn(4, 4, |r, c| ((r + c) as f64 + 1.0) * 1.0e-320),
-            mips_linalg::Matrix::from_fn(9, 4, |r, c| ((r * c) as f64 + 1.0) * 1.0e-320),
-        )
-        .unwrap();
-        let plain = LempIndex::build(&degenerate, &LempConfig::default());
-        assert_eq!(plain.with_screen(ScreenTier::I8).screen(), None);
-        let index = plain
-            .with_screen(ScreenTier::F32)
-            .with_screen(ScreenTier::I8);
-        assert_eq!(index.screen(), Some(ScreenTier::F32));
-        assert_eq!(tiers(&index), vec![ScreenTier::F32; plain.num_buckets()]);
     }
 
     #[test]

@@ -13,20 +13,10 @@
 //! kernel that is not bit-identical to scalar) is absorbed by [`BOUND_EPS`],
 //! which dominates the proved re-association bound
 //! ([`mips_linalg::sumsq_reassoc_bound`]) by orders of magnitude.
-//!
-//! When the index carries a screen-tier mirror
-//! ([`crate::LempIndex::with_screen`]), a **mixed-precision screen** runs
-//! just before each verification dot: the item is scored in the tier's
-//! arithmetic (single-precision kernels, or exact integer dots over
-//! symmetric int8 codes), the score widened by the tier's error envelope
-//! ([`mips_topk::UserScreen::upper_bound`]), and the exact dot is skipped
-//! when even the widened score cannot reach the heap threshold — the
-//! skipped push was guaranteed to be rejected, so results stay
-//! bit-identical to the pure double-precision scan.
 
 use crate::bucket::Bucket;
 use mips_linalg::kernels::{dot, norm2, suffix_norms};
-use mips_topk::{ItemMirror, ScreenTier, TopKHeap, UserScreen};
+use mips_topk::TopKHeap;
 
 /// Relative inflation applied to every pruning bound.
 ///
@@ -75,9 +65,6 @@ pub struct UserCtx {
     pub unit_suffix_at_cp: f64,
     /// The INCR checkpoint used to compute `unit_suffix_at_cp`.
     pub checkpoint: usize,
-    /// Screen state, present only via [`UserCtx::with_screen`] (and only
-    /// when the user row has a usable representation in that tier).
-    pub screen: Option<UserScreen>,
 }
 
 impl UserCtx {
@@ -103,17 +90,7 @@ impl UserCtx {
             unit,
             unit_suffix_at_cp,
             checkpoint,
-            screen: None,
         }
-    }
-
-    /// Arms the mixed-precision screen in `tier`. A user row the tier
-    /// cannot represent (degenerate int8 quantization) scans unscreened —
-    /// still exact, just unaccelerated. Only scans handed a mirror of the
-    /// same tier actually screen.
-    pub fn with_screen(mut self, tier: ScreenTier) -> UserCtx {
-        self.screen = UserScreen::arm(&self.user, tier);
-        self
     }
 }
 
@@ -126,14 +103,6 @@ pub struct ScanStats {
     pub length_pruned: u64,
     /// Items skipped by the INCR partial-product bound.
     pub incr_pruned: u64,
-    /// Items the mixed-precision screen evaluated (f32 or int8): every
-    /// screen pre-score computed, whether it pruned or not.
-    /// `screen_evaluated - screen_pruned` survivors went on to the exact
-    /// verification dot.
-    pub screen_evaluated: u64,
-    /// Items whose exact verification dot (and guaranteed-rejected heap
-    /// push) was skipped by the mixed-precision screen (f32 or int8).
-    pub screen_pruned: u64,
 }
 
 impl ScanStats {
@@ -142,72 +111,24 @@ impl ScanStats {
         self.dots_computed += other.dots_computed;
         self.length_pruned += other.length_pruned;
         self.incr_pruned += other.incr_pruned;
-        self.screen_evaluated += other.screen_evaluated;
-        self.screen_pruned += other.screen_pruned;
     }
 }
 
 /// Scans one bucket with the given algorithm, updating the heap in place.
-/// `mirror` is the bucket's item vectors in a screen tier's storage
-/// (row-aligned with [`Bucket::vectors`]), when the index serving the query
-/// has one armed.
 pub fn scan_bucket(
     algo: RetrievalAlgo,
     bucket: &Bucket,
-    mirror: Option<&ItemMirror>,
     ctx: &UserCtx,
     heap: &mut TopKHeap,
     stats: &mut ScanStats,
 ) {
-    let side = BucketSide { bucket, mirror };
     match algo {
-        RetrievalAlgo::Length => scan_length(side, ctx, heap, stats),
-        RetrievalAlgo::Incr => scan_incr(side, ctx, heap, stats),
+        RetrievalAlgo::Length => scan_length(bucket, ctx, heap, stats),
+        RetrievalAlgo::Incr => scan_incr(bucket, ctx, heap, stats),
     }
 }
 
-/// The item side of one scan: the shared bucket plus the serving index's
-/// mirror of it, if any.
-#[derive(Clone, Copy)]
-struct BucketSide<'a> {
-    bucket: &'a Bucket,
-    mirror: Option<&'a ItemMirror>,
-}
-
-/// The exact verification dot and push, gated by the mixed-precision
-/// screen when both sides carry the armed tier ([`UserCtx::with_screen`],
-/// the mirror handed to [`scan_bucket`]).
-///
-/// When even the envelope-widened screen score sits strictly below the
-/// heap threshold, the exact score does too, so its push would have been
-/// rejected — skipping the f64 dot *and* the push leaves the heap
-/// trajectory, and therefore the results, bit-identical to the pure
-/// double-precision scan.
-#[inline]
-fn verify_and_push(
-    side: BucketSide<'_>,
-    ctx: &UserCtx,
-    r: usize,
-    id: u32,
-    heap: &mut TopKHeap,
-    stats: &mut ScanStats,
-) {
-    let bucket = side.bucket;
-    if heap.is_full() {
-        if let (Some(screen), Some(mirror)) = (&ctx.screen, side.mirror) {
-            stats.screen_evaluated += 1;
-            if screen.upper_bound(mirror, r) < heap.threshold() {
-                stats.screen_pruned += 1;
-                return;
-            }
-        }
-    }
-    heap.push(dot(&ctx.user, bucket.vectors.row(r)), id);
-    stats.dots_computed += 1;
-}
-
-fn scan_length(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
-    let bucket = side.bucket;
+fn scan_length(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
     for (r, &id) in bucket.ids.iter().enumerate() {
         // Items are norm-sorted: once the Cauchy–Schwarz ceiling drops below
         // the threshold, no later item in this bucket can qualify either.
@@ -215,12 +136,12 @@ fn scan_length(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: 
             stats.length_pruned += (bucket.len() - r) as u64;
             return;
         }
-        verify_and_push(side, ctx, r, id, heap, stats);
+        heap.push(dot(&ctx.user, bucket.vectors.row(r)), id);
+        stats.dots_computed += 1;
     }
 }
 
-fn scan_incr(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
-    let bucket = side.bucket;
+fn scan_incr(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
     let cp = ctx.checkpoint;
     for (r, &id) in bucket.ids.iter().enumerate() {
         let scale = ctx.norm * bucket.norms[r];
@@ -242,7 +163,8 @@ fn scan_incr(side: BucketSide<'_>, ctx: &UserCtx, heap: &mut TopKHeap, stats: &m
                 continue;
             }
         }
-        verify_and_push(side, ctx, r, id, heap, stats);
+        heap.push(dot(&ctx.user, bucket.vectors.row(r)), id);
+        stats.dots_computed += 1;
     }
 }
 
@@ -272,35 +194,18 @@ mod tests {
         user: &[f64],
         k: usize,
     ) -> (TopKList, ScanStats) {
-        let (list, stats) = run_algo_screened(algo, items, user, k, None);
-        (canonicalize(list, user, items), stats)
-    }
-
-    fn run_algo_screened(
-        algo: RetrievalAlgo,
-        items: &Matrix<f64>,
-        user: &[f64],
-        k: usize,
-        tier: Option<ScreenTier>,
-    ) -> (TopKList, ScanStats) {
         let cp = (items.cols() / 4).max(1);
         let buckets = build_buckets(items, 16, cp);
-        let mut ctx = UserCtx::new(user, cp);
-        let mut mirrors = Vec::new();
-        if let Some(tier) = tier {
-            let mirror = |b: &Bucket| ItemMirror::build(&b.vectors, tier).expect("usable mirror");
-            mirrors = buckets.iter().map(mirror).collect();
-            ctx = ctx.with_screen(tier);
-        }
+        let ctx = UserCtx::new(user, cp);
         let mut heap = TopKHeap::new(k);
         let mut stats = ScanStats::default();
-        for (i, b) in buckets.iter().enumerate() {
+        for b in &buckets {
             if heap.is_full() && inflate(ctx.norm * b.max_norm) < heap.threshold() {
                 break;
             }
-            scan_bucket(algo, b, mirrors.get(i), &ctx, &mut heap, &mut stats);
+            scan_bucket(algo, b, &ctx, &mut heap, &mut stats);
         }
-        (heap.into_sorted(), stats)
+        (canonicalize(heap.into_sorted(), user, items), stats)
     }
 
     #[test]
@@ -373,84 +278,6 @@ mod tests {
         for algo in ALGOS {
             let (got, _) = run_algo(algo, &items, &user, 4);
             assert_eq!(got, want, "algo {algo:?}");
-        }
-    }
-
-    #[test]
-    fn screened_scans_are_bit_identical_and_prune() {
-        let items = random_items(300, 24, 11);
-        let users = random_items(6, 24, 42);
-        let mut pruned = [0u64; ScreenTier::ALL.len()];
-        for u in 0..users.rows() {
-            let user = users.row(u);
-            for k in [1usize, 4, 9] {
-                for algo in ALGOS {
-                    let (want, _) = run_algo_screened(algo, &items, user, k, None);
-                    for tier in ScreenTier::ALL {
-                        let (got, stats) = run_algo_screened(algo, &items, user, k, Some(tier));
-                        assert_eq!(got.items, want.items, "algo {algo:?} k={k} user {u}");
-                        for (a, b) in got.scores.iter().zip(&want.scores) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "algo {algo:?} k={k} user {u}");
-                        }
-                        pruned[tier.index()] += stats.screen_pruned;
-                    }
-                }
-            }
-        }
-        // Random dense scores leave most items far from the top-k
-        // threshold: the screens must actually be saving exact dots.
-        for tier in ScreenTier::ALL {
-            assert!(
-                pruned[tier.index()] > 0,
-                "{tier:?} screen never pruned anything"
-            );
-        }
-    }
-
-    #[test]
-    fn screen_without_bucket_mirror_degrades_to_plain_scan() {
-        // A screened UserCtx scanning without a mirror must not change
-        // behavior (the screen needs both sides): the same heap, the same
-        // exact dots as the unscreened context.
-        let items = random_items(80, 8, 3);
-        let buckets = build_buckets(&items, 16, 2);
-        let scan = |ctx: &UserCtx, algo: RetrievalAlgo| {
-            let mut heap = TopKHeap::new(5);
-            let mut stats = ScanStats::default();
-            for b in &buckets {
-                scan_bucket(algo, b, None, ctx, &mut heap, &mut stats);
-            }
-            (heap.into_sorted(), stats)
-        };
-        let plain = UserCtx::new(items.row(0), 2);
-        for tier in ScreenTier::ALL {
-            let ctx = plain.clone().with_screen(tier);
-            assert!(ctx.screen.is_some());
-            for algo in ALGOS {
-                let (want, want_stats) = scan(&plain, algo);
-                let (got, stats) = scan(&ctx, algo);
-                assert_eq!(got, want, "{tier:?} {algo:?}");
-                assert_eq!(stats, want_stats, "{tier:?} {algo:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_user_rows_scan_unscreened_but_exact() {
-        // A subnormal user row quantizes to a non-finite scale: with_screen
-        // must leave the int8 screen unarmed rather than prune wrongly.
-        let items = random_items(60, 6, 9);
-        let user = vec![1.0e-320; 6];
-        let ctx = UserCtx::new(&user, 2).with_screen(ScreenTier::I8);
-        assert!(ctx.screen.is_none());
-        for algo in ALGOS {
-            let (want, _) = run_algo_screened(algo, &items, &user, 5, None);
-            for tier in ScreenTier::ALL {
-                let (got, _) = run_algo_screened(algo, &items, &user, 5, Some(tier));
-                assert_eq!(got.items, want.items, "{tier:?} {algo:?}");
-            }
-            let (_, stats) = run_algo_screened(algo, &items, &user, 5, Some(ScreenTier::I8));
-            assert_eq!(stats.screen_pruned, 0);
         }
     }
 

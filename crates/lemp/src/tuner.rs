@@ -79,7 +79,7 @@ fn time_per_bucket(
                 break;
             }
             let start = Instant::now();
-            scan_bucket(algo, bucket, None, &ctx, &mut heap, &mut stats);
+            scan_bucket(algo, bucket, &ctx, &mut heap, &mut stats);
             elapsed[b] += start.elapsed().as_secs_f64();
         }
     }

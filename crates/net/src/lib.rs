@@ -45,7 +45,7 @@
 //! pipelined requests on one connection run concurrently while their
 //! responses leave in order, and one slow query never stalls other
 //! connections. (`POST /vector-query` is the exception: it is still served
-//! on the loop thread — ROADMAP 3(e).)
+//! on the loop thread — ROADMAP item 9(a).)
 //!
 //! ```
 //! use mips_core::engine::EngineBuilder;

@@ -42,7 +42,7 @@ pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnI
 pub use heap::TopKHeap;
 pub use list::TopKList;
 pub use screen::{
-    screen_topk_into_heaps, screen_topk_into_heaps_with, ItemMirror, ScreenScratch, ScreenStats,
-    ScreenTier, UserScreen,
+    screen_topk_into_heaps, screen_topk_into_heaps_with, ArmedUser, ScreenScratch, ScreenStats,
+    ScreenTier,
 };
 pub use select::{row_topk, rows_topk, topk_all_rows};

@@ -94,12 +94,10 @@
 //!
 //! ## Point screens
 //!
-//! Index walks (MAXIMUS's list walk, LEMP's bucket scans) visit one item at
-//! a time and only need a yes/no: *can this item still reach the heap
-//! threshold?* They hold their tier as a run-time value, so they go through
-//! the two thin wrappers here: [`ItemMirror`] is a gathered item block in
-//! some tier's store and [`UserScreen`] one user's row of the same store
-//! with its offer terms; [`UserScreen::upper_bound`] returns the
+//! An index walk (MAXIMUS's list walk) visits one item at a time and only
+//! needs a yes/no: *can this item still reach the heap threshold?* It arms
+//! the user once ([`ArmedUser::arm`]) against a gathered item block in the
+//! same tier's store; [`ArmedUser::upper_bound`] returns the
 //! envelope-widened screen score, and the walk skips the exact dot when
 //! even that sits below its threshold.
 
@@ -108,8 +106,7 @@ use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use mips_linalg::simd::{self, Kernel};
 use mips_linalg::{
-    gemm_nt_stream_blocks_with, per_tier, BlockSizes, GemmScratch, Matrix, RowBlock, ScreenElem,
-    TierRows, TierView,
+    gemm_nt_stream_blocks_with, BlockSizes, GemmScratch, RowBlock, ScreenElem, TierRows, TierView,
 };
 
 pub use mips_linalg::ScreenTier;
@@ -361,91 +358,13 @@ pub struct ArmedUser<T: ScreenElem> {
 }
 
 impl<T: ScreenElem> ArmedUser<T> {
-    fn arm(user: &[f64]) -> Option<ArmedUser<T>> {
+    /// Prepares `user` for screening in tier `T`. `None` when the user row
+    /// has no usable representation there ([`TierRows::build`]); the caller
+    /// then walks unscreened: still exact, just unaccelerated.
+    pub fn arm(user: &[f64]) -> Option<ArmedUser<T>> {
         let row = TierRows::build(RowBlock::new(user, 1, user.len()))?;
         let offer = T::offer(user.len(), row.terms(), 0);
         Some(ArmedUser { row, offer })
-    }
-
-    /// The point bound: the screen score of this user against row `row` of
-    /// `items`, widened by the tier's envelope; `+∞` when the score carries
-    /// no bound.
-    #[inline]
-    fn upper_bound(&self, items: &TierRows<T>, row: usize) -> f64 {
-        let acc = T::dot(self.row.row(0), items.row(row));
-        match T::bound(&self.offer, acc, items.terms(), row) {
-            Some((score, env)) => score + env,
-            None => f64::INFINITY,
-        }
-    }
-}
-
-/// A gathered item block in one tier's store, the tier chosen at run time —
-/// the item side of a [`UserScreen`], row-aligned with the f64 block it
-/// mirrors (a MAXIMUS cluster list, a LEMP bucket).
-#[derive(Debug, Clone)]
-pub enum ItemMirror {
-    /// Rounded rows.
-    F32(TierRows<f32>),
-    /// Symmetric int8 codes.
-    I8(TierRows<i8>),
-}
-
-impl From<TierRows<f32>> for ItemMirror {
-    fn from(rows: TierRows<f32>) -> ItemMirror {
-        ItemMirror::F32(rows)
-    }
-}
-
-impl From<TierRows<i8>> for ItemMirror {
-    fn from(rows: TierRows<i8>) -> ItemMirror {
-        ItemMirror::I8(rows)
-    }
-}
-
-impl ItemMirror {
-    /// Mirrors `items` in `tier`; `None` when the tier cannot represent
-    /// some row ([`TierRows::build`]).
-    pub fn build(items: &Matrix<f64>, tier: ScreenTier) -> Option<ItemMirror> {
-        per_tier!(tier, T => TierRows::<T>::build(items.into()).map(ItemMirror::from))
-    }
-
-    /// The tier this mirror stores.
-    pub fn tier(&self) -> ScreenTier {
-        match self {
-            ItemMirror::F32(_) => ScreenTier::F32,
-            ItemMirror::I8(_) => ScreenTier::I8,
-        }
-    }
-}
-
-/// One user's side of a point screen, the tier chosen at run time.
-#[derive(Debug, Clone)]
-pub enum UserScreen {
-    /// Armed in the f32 tier.
-    F32(ArmedUser<f32>),
-    /// Armed in the int8 tier.
-    I8(ArmedUser<i8>),
-}
-
-impl From<ArmedUser<f32>> for UserScreen {
-    fn from(user: ArmedUser<f32>) -> UserScreen {
-        UserScreen::F32(user)
-    }
-}
-
-impl From<ArmedUser<i8>> for UserScreen {
-    fn from(user: ArmedUser<i8>) -> UserScreen {
-        UserScreen::I8(user)
-    }
-}
-
-impl UserScreen {
-    /// Prepares `user` for screening in `tier`. `None` when the user row
-    /// has no usable representation there; the caller then walks
-    /// unscreened: still exact, just unaccelerated.
-    pub fn arm(user: &[f64], tier: ScreenTier) -> Option<UserScreen> {
-        per_tier!(tier, T => ArmedUser::<T>::arm(user).map(UserScreen::from))
     }
 
     /// An upper bound on the exact score of this user against row `row` of
@@ -453,17 +372,14 @@ impl UserScreen {
     /// sits strictly below a full heap's threshold the exact score does
     /// too, so the exact dot *and* its guaranteed-rejected push can be
     /// skipped with the heap trajectory — and therefore the results —
-    /// bit-identical.
-    ///
-    /// `+∞` (never prunes) when the screen score carries no bound (an f32
-    /// product overflowed), or when `items` stores a different tier than
-    /// this user was armed for.
+    /// bit-identical. `+∞` (never prunes) when the screen score carries no
+    /// bound (an f32 product overflowed).
     #[inline]
-    pub fn upper_bound(&self, items: &ItemMirror, row: usize) -> f64 {
-        match (self, items) {
-            (UserScreen::F32(user), ItemMirror::F32(items)) => user.upper_bound(items, row),
-            (UserScreen::I8(user), ItemMirror::I8(items)) => user.upper_bound(items, row),
-            _ => f64::INFINITY,
+    pub fn upper_bound(&self, items: &TierRows<T>, row: usize) -> f64 {
+        let acc = T::dot(self.row.row(0), items.row(row));
+        match T::bound(&self.offer, acc, items.terms(), row) {
+            Some((score, env)) => score + env,
+            None => f64::INFINITY,
         }
     }
 }
@@ -474,7 +390,7 @@ mod tests {
     use crate::fused::{gemm_nt_topk, stream_topk_into_heaps};
     use crate::list::TopKList;
     use mips_linalg::kernels::dot;
-    use mips_linalg::PackedPanels;
+    use mips_linalg::{per_tier, Matrix, PackedPanels};
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed | 1;
@@ -964,46 +880,38 @@ mod tests {
 
     #[test]
     fn point_screen_upper_bounds_dominate_the_exact_scores() {
-        let items = random_matrix(80, 12, 3);
-        let users = random_matrix(5, 12, 4);
-        for tier in ScreenTier::ALL {
-            let mirror = ItemMirror::build(&items, tier).unwrap();
-            assert_eq!(mirror.tier(), tier);
-            let other = ScreenTier::ALL[(tier.index() + 1) % ScreenTier::ALL.len()];
-            let mismatched = ItemMirror::build(&items, other).unwrap();
+        fn check<T: ScreenElem>() {
+            let items = random_matrix(80, 12, 3);
+            let users = random_matrix(5, 12, 4);
+            let store = store::<T>(&items);
             let mut tightest = f64::INFINITY;
             for user in users.iter_rows() {
-                let screen = UserScreen::arm(user, tier).unwrap();
+                let armed = ArmedUser::<T>::arm(user).unwrap();
                 for (r, item) in items.iter_rows().enumerate() {
                     let exact = dot(user, item);
-                    let ub = screen.upper_bound(&mirror, r);
-                    assert!(ub >= exact, "{tier:?} row {r}: {ub} < {exact}");
+                    let ub = armed.upper_bound(&store, r);
+                    assert!(ub >= exact, "{:?} row {r}: {ub} < {exact}", T::TIER);
                     tightest = tightest.min(ub - exact);
-                    // A mirror of another tier carries no bound.
-                    assert_eq!(screen.upper_bound(&mismatched, r), f64::INFINITY);
                 }
             }
-            assert!(tightest.is_finite(), "{tier:?} never produced a bound");
+            assert!(tightest.is_finite(), "{:?} never produced a bound", T::TIER);
+        }
+        for tier in ScreenTier::ALL {
+            per_tier!(tier, T => check::<T>());
         }
         // An overflowed f32 product screens to +∞ instead of pruning.
         let huge = Matrix::from_rows(&[vec![1.0e30, 1.0]]).unwrap();
-        let mirror = ItemMirror::build(&huge, ScreenTier::F32).unwrap();
-        let screen = UserScreen::arm(&[1.0e30, 1.0], ScreenTier::F32).unwrap();
-        assert_eq!(screen.upper_bound(&mirror, 0), f64::INFINITY);
+        let armed = ArmedUser::<f32>::arm(&[1.0e30, 1.0]).unwrap();
+        assert_eq!(armed.upper_bound(&store(&huge), 0), f64::INFINITY);
     }
 
     #[test]
-    fn rows_a_tier_cannot_store_arm_and_mirror_as_none() {
+    fn user_rows_a_tier_cannot_store_arm_as_none() {
         // Subnormal magnitudes break int8 quantization, values past the f32
-        // range the f32 rounding; the other tier still serves each.
-        let tiny = Matrix::from_rows(&[vec![1.0e-320, 0.0], vec![1.0, 2.0]]).unwrap();
-        assert!(ItemMirror::build(&tiny, ScreenTier::I8).is_none());
-        assert!(ItemMirror::build(&tiny, ScreenTier::F32).is_some());
-        assert!(UserScreen::arm(&[1.0e-320; 6], ScreenTier::I8).is_none());
-        assert!(UserScreen::arm(&[1.0e-320; 6], ScreenTier::F32).is_some());
-        let huge = Matrix::from_rows(&[vec![1.0e300, 0.0]]).unwrap();
-        assert!(ItemMirror::build(&huge, ScreenTier::F32).is_none());
-        assert!(ItemMirror::build(&huge, ScreenTier::I8).is_some());
-        assert!(UserScreen::arm(&[1.0e300, 1.0], ScreenTier::F32).is_none());
+        // range the f32 rounding; the other tier still arms each.
+        assert!(ArmedUser::<i8>::arm(&[1.0e-320; 6]).is_none());
+        assert!(ArmedUser::<f32>::arm(&[1.0e-320; 6]).is_some());
+        assert!(ArmedUser::<f32>::arm(&[1.0e300, 1.0]).is_none());
+        assert!(ArmedUser::<i8>::arm(&[1.0e300, 1.0]).is_some());
     }
 }
