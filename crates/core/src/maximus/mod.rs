@@ -11,7 +11,10 @@
 //! optimization): users of a cluster share one blocked matrix multiply over
 //! the first `B` items of the cluster's list, then walk the remainder
 //! individually, stopping at the first position whose bound (scaled by
-//! `‖u‖`) falls below their heap threshold.
+//! `‖u‖`) falls below their heap threshold. The int8 variant
+//! ([`MaximusIndex::with_i8_screen`]) screens both phases: the prefix
+//! multiply runs in int8 with an exact f64 rescore of its survivors, and
+//! the walk skips every item whose int8 upper bound misses the threshold.
 
 pub mod bound;
 
@@ -24,7 +27,8 @@ use mips_data::MfModel;
 use mips_linalg::kernels::{angle, dot, norm2};
 use mips_linalg::{GemmScratch, Matrix, PackedPanels, TierRows};
 use mips_topk::{
-    canonicalize, stream_topk_into_heaps, ArmedUser, ColumnIds, ScreenTier, TopKHeap, TopKList,
+    canonicalize, screen_topk_into_heaps, stream_topk_into_heaps, ArmedUser, ColumnIds,
+    ScreenScratch, ScreenTier, TopKHeap, TopKList,
 };
 use std::time::Instant;
 
@@ -89,7 +93,8 @@ pub struct MaximusBuildStats {
 pub struct MaximusQueryStats {
     /// Users served.
     pub users_served: AtomicU64,
-    /// Items scored through the shared blocked multiply.
+    /// Items scored through the shared blocked multiply (screened, on the
+    /// int8 variant, with only the survivors rescored).
     pub items_blocked: AtomicU64,
     /// Items scored individually during the list walk.
     pub items_walked: AtomicU64,
@@ -135,13 +140,14 @@ struct ClusterIndex {
     /// prefix has no gathered copy; only its packed panels score it.
     items: Matrix<f64>,
     /// The list prefix (positions `0..start`), packed for the GEMM driver
-    /// straight from the model's rows by the first request that reaches the
-    /// cluster, and shared from then on by every request, thread and screen
-    /// variant. A per-call pack is a fixed `B × f` copy per cluster that a
-    /// small batch does not amortize: a point lookup would pay it whole,
-    /// and the planner — which times a user sample and scales by
-    /// `|U| / sample` — would charge MAXIMUS that copy many times over and
-    /// tie it with candidates it beats.
+    /// straight from the model's rows by the first f64 request that reaches
+    /// the cluster, and shared from then on by every request and thread;
+    /// the int8 variant multiplies its own int8 panels instead
+    /// ([`ClusterScreen`]) and never packs these. A per-call pack is a
+    /// fixed `B × f` copy per cluster that a small batch does not amortize:
+    /// a point lookup would pay it whole, and the planner — which times a
+    /// user sample and scales by `|U| / sample` — would charge MAXIMUS that
+    /// copy many times over and tie it with candidates it beats.
     block_panels: OnceLock<PackedPanels<f64>>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
@@ -156,6 +162,25 @@ impl ClusterIndex {
             None => items.row(self.list_ids[pos] as usize),
         }
     }
+}
+
+/// One cluster's list in int8: the screen's item side in both phases.
+struct ClusterScreen {
+    /// Every list position's int8 codes and envelope terms, gathered in
+    /// list order from the model's mirror: row `pos` is position `pos`.
+    rows: TierRows<i8>,
+    /// Rows `0..start` (the blocked prefix) packed for the screen's
+    /// multiply: the prefix's int8 twin of `ClusterIndex::block_panels`.
+    prefix_panels: PackedPanels<i8>,
+}
+
+/// Per-call buffers of [`MaximusIndex::serve_cluster`], one per query loop:
+/// the f64 prefix multiply's and the int8 screen's (each sized on first
+/// use, so the one a path does not take costs nothing).
+#[derive(Default)]
+struct Scratch {
+    gemm: GemmScratch<f64>,
+    screen: ScreenScratch<i8>,
 }
 
 /// Everything construction derives from the model — the clustering, every
@@ -174,13 +199,12 @@ struct MaximusCore {
 /// The built MAXIMUS index.
 pub struct MaximusIndex {
     core: Arc<MaximusCore>,
-    /// With the int8 screen armed, one mirror per cluster — its gathered
-    /// walked items as int8 codes — row-aligned with the cluster's `items`;
-    /// `None` on the f64 walk.
-    mirrors: Option<Vec<TierRows<i8>>>,
+    /// With the int8 screen armed, one [`ClusterScreen`] per cluster;
+    /// `None` on the f64 path.
+    screens: Option<Vec<ClusterScreen>>,
     /// Seconds spent building what this handle added: the whole
-    /// construction for [`MaximusIndex::build`], the mirrors alone for the
-    /// [`MaximusIndex::with_i8_screen`] variant.
+    /// construction for [`MaximusIndex::build`], the cluster screens alone
+    /// for the [`MaximusIndex::with_i8_screen`] variant.
     build_seconds: f64,
     query_stats: MaximusQueryStats,
     /// Cumulative screen candidate/survivor counts, drained by the serving
@@ -255,16 +279,16 @@ impl MaximusIndex {
         )
     }
 
-    /// A handle on `core` walking through `mirrors` (`None`: unscreened).
+    /// A handle on `core` screening through `screens` (`None`: unscreened).
     fn over(
         core: Arc<MaximusCore>,
-        mirrors: Option<Vec<TierRows<i8>>>,
+        screens: Option<Vec<ClusterScreen>>,
         build_seconds: f64,
     ) -> MaximusIndex {
-        let screen = mirrors.as_ref().map(|_| ScreenTier::I8);
+        let screen = screens.as_ref().map(|_| ScreenTier::I8);
         MaximusIndex {
             core,
-            mirrors,
+            screens,
             build_seconds,
             query_stats: MaximusQueryStats::default(),
             screen_tally: ScreenTallyCells::default(),
@@ -272,43 +296,58 @@ impl MaximusIndex {
         }
     }
 
-    /// This index with the int8 screen armed on the **list walk**,
-    /// **sharing everything [`MaximusIndex::build`] constructed**: the
-    /// variant adds one int8 mirror per cluster, and walked items are
-    /// pre-scored against it — the exact dot and its push are skipped only
-    /// when the envelope-widened screen score ([`ArmedUser::upper_bound`])
-    /// proves the push would be rejected, so results stay bit-identical.
-    /// The §III-D blocked prefix stays f64 (it is GEMM-bound; the `bmm`
-    /// screen variants cover that regime), as does the §III-E new-vector
-    /// path. int8 is MAXIMUS's one screen tier: measured over the catalog
-    /// stand-ins and the benchmark shapes, an f32 walk screen won no plan
-    /// by more than sampling noise, and racing it cost cold time and a
+    /// This index with the int8 screen armed on **both phases** of the
+    /// query, **sharing everything [`MaximusIndex::build`] constructed**:
+    /// the variant adds one int8 screen per cluster — its whole list
+    /// in int8, the prefix also packed.
+    ///
+    /// * The §III-D blocked prefix runs the block screen
+    ///   ([`mips_topk::screen_topk_into_heaps`]): an int8 multiply whose
+    ///   envelope-widened scores keep every item that could reach the heap,
+    ///   each survivor rescored in f64 from the model's rows by id with the
+    ///   GEMM's reduction order — so the heaps leave the prefix holding the
+    ///   f64 multiply's exact entries.
+    /// * The walk pre-scores each item against the cluster's int8 rows; the
+    ///   exact dot and its push are skipped only when the envelope-widened
+    ///   screen score ([`ArmedUser::upper_bound`]) proves the push would be
+    ///   rejected.
+    ///
+    /// Results stay bit-identical to the f64 index. The §III-E new-vector
+    /// path stays f64. int8 is MAXIMUS's one screen tier: measured over the
+    /// catalog stand-ins and the benchmark shapes, an f32 walk screen won no
+    /// plan by more than sampling noise, and racing it cost cold time and a
     /// mirror per cluster.
     ///
-    /// Each cluster's mirror is **gathered** in list order from the model's
-    /// own int8 mirror ([`MfModel::mirror`] — built once per model and
-    /// shared with brute force's screen), so no row is quantized once per
-    /// cluster; like the f64 copy it holds the walked positions only. The
-    /// variant's `build_seconds` is that gathering alone; its work counters
-    /// start at zero.
+    /// Each cluster's int8 rows are **gathered** in list order from the
+    /// model's own int8 mirror ([`MfModel::mirror`] — built once per model
+    /// and shared with brute force's screen), so no row is quantized once
+    /// per cluster, and the rescore reads the model's f64 rows, so the
+    /// variant holds no f64 copy of the prefix and never packs the f64
+    /// prefix panels. The variant's `build_seconds` is that gathering and
+    /// packing alone; its work counters start at zero.
     ///
     /// When the model does not quantize usably (subnormal rows, factor
-    /// counts past the i32-overflow cap) the result walks unscreened.
+    /// counts past the i32-overflow cap) the result runs unscreened.
     pub fn with_i8_screen(&self) -> MaximusIndex {
         let t = Instant::now();
         let core = Arc::clone(&self.core);
-        let mirrors = core.model.mirror::<i8>().sides().map(|(_, items)| {
-            let lists = core.clusters.iter().map(|c| c.list_ids[c.start..].iter());
-            lists
-                .map(|ids| items.gather(ids.map(|&i| i as usize)))
-                .collect()
+        let screens = core.model.mirror::<i8>().sides().map(|(_, items)| {
+            let screen = |c: &ClusterIndex| {
+                let rows = items.gather(c.list_ids.iter().map(|&i| i as usize));
+                let prefix_panels = PackedPanels::pack(rows.row_block(0, c.start));
+                ClusterScreen {
+                    rows,
+                    prefix_panels,
+                }
+            };
+            core.clusters.iter().map(screen).collect()
         });
-        MaximusIndex::over(core, mirrors, t.elapsed().as_secs_f64())
+        MaximusIndex::over(core, screens, t.elapsed().as_secs_f64())
     }
 
     /// The armed screen tier, if any.
     pub fn screen(&self) -> Option<ScreenTier> {
-        self.mirrors.as_ref().map(|_| ScreenTier::I8)
+        self.screens.as_ref().map(|_| ScreenTier::I8)
     }
 
     /// Build-stage breakdown (Fig. 8) of the shared construction.
@@ -338,34 +377,52 @@ impl MaximusIndex {
     /// The §III-D blocked multiply no longer materializes its
     /// `group × block` score buffer: panels stream straight into the same
     /// per-user heaps the list walk continues with, translated from list
-    /// positions to item ids by [`ColumnIds::Mapped`].
+    /// positions to item ids by [`ColumnIds::Mapped`]. With the screen
+    /// armed the prefix streams int8 blocks through the block screen
+    /// instead, into the same heaps.
     fn serve_cluster(
         &self,
         c: usize,
         group: &[(usize, usize)],
         k: usize,
-        scratch: &mut GemmScratch<f64>,
+        scratch: &mut Scratch,
         out: &mut [TopKList],
     ) {
         let model = &self.core.model;
         let cluster = &self.core.clusters[c];
         let n_items = cluster.list_ids.len();
         let block = cluster.start;
+        let screen = self.screens.as_ref().map(|screens| &screens[c]);
 
         let mut heaps: Vec<TopKHeap> = group.iter().map(|_| TopKHeap::new(k)).collect();
         if block > 0 {
             let users: Vec<usize> = group.iter().map(|&(_, u)| u).collect();
             let gathered = model.users().gather_rows(&users);
-            let panels = cluster.block_panels.get_or_init(|| {
-                PackedPanels::gather(model.items().into(), &cluster.list_ids[..block])
-            });
-            stream_topk_into_heaps(
-                (&gathered).into(),
-                panels.into(),
-                &mut heaps,
-                ColumnIds::Mapped(&cluster.list_ids[..block]),
-                scratch,
-            );
+            let prefix_ids = ColumnIds::Mapped(&cluster.list_ids[..block]);
+            match screen {
+                None => {
+                    let panels = cluster.block_panels.get_or_init(|| {
+                        PackedPanels::gather(model.items().into(), &cluster.list_ids[..block])
+                    });
+                    let (users, items) = ((&gathered).into(), panels.into());
+                    stream_topk_into_heaps(users, items, &mut heaps, prefix_ids, &mut scratch.gemm);
+                }
+                Some(screen) => {
+                    // `screens` exists only over a usable int8 mirror.
+                    let mirrored = model.mirror::<i8>().users().gather(users.iter().copied());
+                    let prefix = screen.rows.view().rows(0..block);
+                    let stats = screen_topk_into_heaps(
+                        (&gathered).into(),
+                        model.items().into(),
+                        mirrored.view(),
+                        prefix.with_panels(&screen.prefix_panels),
+                        &mut heaps,
+                        prefix_ids,
+                        &mut scratch.screen,
+                    );
+                    self.screen_tally.record(stats.screened, stats.rescored);
+                }
+            }
             self.query_stats
                 .items_blocked
                 .fetch_add((group.len() * block) as u64, Ordering::Relaxed);
@@ -378,10 +435,7 @@ impl MaximusIndex {
             // envelope coefficients. Absent unless the screen is armed; a
             // user row that does not quantize walks unscreened — still
             // exact, just unaccelerated.
-            let screen = self
-                .mirrors
-                .as_ref()
-                .and_then(|mirrors| Some((ArmedUser::<i8>::arm(user)?, &mirrors[c])));
+            let armed = screen.and_then(|screen| Some((ArmedUser::<i8>::arm(user)?, &screen.rows)));
             let mut walked = 0u64;
             let mut screen_evaluated = 0u64;
             let mut screened_out = 0u64;
@@ -398,9 +452,9 @@ impl MaximusIndex {
                 // score does too and its push would be rejected — skipping
                 // dot and push leaves the heap trajectory bit-identical.
                 if heap.is_full() {
-                    if let Some((armed, mirror)) = &screen {
+                    if let Some((armed, rows)) = &armed {
                         screen_evaluated += 1;
-                        if armed.upper_bound(mirror, list_pos - block) < heap.threshold() {
+                        if armed.upper_bound(rows, list_pos) < heap.threshold() {
                             screened_out += 1;
                             list_pos += 1;
                             continue;
@@ -427,8 +481,9 @@ impl MaximusIndex {
                 .users_served
                 .fetch_add(1, Ordering::Relaxed);
             // Heaps fed only by the blocked prefix already hold canonical
-            // (GEMM-kernel) scores; only a heap a walk-scored (`dot`) item
-            // made it into needs the canonicalizing pass.
+            // (GEMM-kernel or GEMM-ordered rescore) scores; only a heap a
+            // walk-scored (`dot`) item made it into needs the canonicalizing
+            // pass.
             out[pos] = if walk_admitted {
                 canonicalize(heap.into_sorted(), user, model.items())
             } else {
@@ -573,7 +628,7 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
-        self.mirrors.as_ref().map(|_| self.screen_tally.drain())
+        self.screens.as_ref().map(|_| self.screen_tally.drain())
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
@@ -584,7 +639,7 @@ impl MipsSolver for MaximusIndex {
                 groups[self.core.assignments[u] as usize].push((pos, u));
             }
             let mut out = vec![TopKList::empty(); distinct.len()];
-            let mut scratch = GemmScratch::new();
+            let mut scratch = Scratch::default();
             for (c, group) in groups.iter().enumerate() {
                 if !group.is_empty() {
                     self.serve_cluster(c, group, k, &mut scratch, &mut out);
@@ -598,7 +653,7 @@ impl MipsSolver for MaximusIndex {
         // Serve whole clusters in membership order: maximal work sharing.
         // One scratch outlives every per-cluster fused multiply.
         let mut out = vec![TopKList::empty(); self.num_users()];
-        let mut scratch = GemmScratch::new();
+        let mut scratch = Scratch::default();
         for (c, cluster) in self.core.clusters.iter().enumerate() {
             let group: Vec<(usize, usize)> = cluster
                 .members
@@ -680,45 +735,57 @@ mod tests {
     }
 
     #[test]
-    fn screened_walk_is_bit_identical_and_prunes() {
+    fn screened_variant_is_bit_identical_and_prunes_in_both_phases() {
         use crate::precision::Precision;
-        // Small block size pushes most of the work into the walk phase,
-        // where the screen operates.
+        // B = 8 pushes most of the work into the walk, B = 64 splits it, and
+        // a block past the list length leaves the block screen alone.
         let m = model(60, 500, 16, 0.4);
-        let config = MaximusConfig {
-            block_size: 8,
-            ..small_config()
-        };
-        let plain = MaximusIndex::build(Arc::clone(&m), &config);
-        assert_eq!(plain.screen(), None);
-        let screened = plain.with_i8_screen();
-        assert!(
-            Arc::ptr_eq(&screened.core, &plain.core),
-            "construction is shared"
-        );
-        assert_eq!(screened.screen(), Some(ScreenTier::I8));
-        assert_eq!(screened.name(), "Maximus+i8");
-        assert_eq!(screened.precision(), Precision::I8Rescore);
-        for k in [1usize, 5, 20] {
-            let want = plain.query_all(k);
-            let got = screened.query_all(k);
-            for u in 0..m.num_users() {
-                assert_eq!(got[u].items, want[u].items, "k={k} user {u}");
-                for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} user {u}");
+        for block_size in [8usize, 64, 10_000] {
+            let config = MaximusConfig {
+                block_size,
+                ..small_config()
+            };
+            let plain = MaximusIndex::build(Arc::clone(&m), &config);
+            assert_eq!(plain.screen(), None);
+            let screened = plain.with_i8_screen();
+            assert!(
+                Arc::ptr_eq(&screened.core, &plain.core),
+                "construction is shared"
+            );
+            assert_eq!(screened.screen(), Some(ScreenTier::I8));
+            assert_eq!(screened.name(), "Maximus+i8");
+            assert_eq!(screened.precision(), Precision::I8Rescore);
+            for k in [1usize, 5, 20] {
+                let want = plain.query_all(k);
+                let got = screened.query_all(k);
+                for u in 0..m.num_users() {
+                    assert_eq!(got[u].items, want[u].items, "B={block_size} k={k} user {u}");
+                    for (a, b) in got[u].scores.iter().zip(&want[u].scores) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "B={block_size} k={k} user {u}");
+                    }
                 }
             }
+            // The block screen saw every prefix pair and rescored a fraction.
+            let tally = screened.take_screen_stats().expect("a screening solver");
+            let prefix = (3 * m.num_users() * block_size.min(500)) as u64;
+            assert!(tally.screened >= prefix, "B={block_size}: {tally:?}");
+            assert!(
+                tally.rescored < tally.screened / 2,
+                "B={block_size}: {tally:?}"
+            );
+            let stats = screened.query_stats();
+            let walked = stats.items_walked.load(Ordering::Relaxed);
+            if block_size >= 500 {
+                assert_eq!(walked, 0);
+                continue;
+            }
+            assert!(
+                stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
+                "the walk screen never engaged at B={block_size}"
+            );
+            // Screened items reduce walked dots relative to the plain index.
+            assert!(walked < plain.query_stats().items_walked.load(Ordering::Relaxed));
         }
-        let stats = screened.query_stats();
-        assert!(
-            stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
-            "the screen never engaged on a walk-dominated configuration"
-        );
-        // Screened items reduce walked dots relative to the plain index.
-        assert!(
-            stats.items_walked.load(Ordering::Relaxed)
-                < plain.query_stats().items_walked.load(Ordering::Relaxed)
-        );
     }
 
     #[test]
@@ -727,12 +794,12 @@ mod tests {
         let plain = MaximusIndex::build(model(30, 80, 6, 0.4), &small_config());
         assert_eq!(plain.screen_tiers(), &[ScreenTier::I8]);
         assert!(plain.screen_variant(ScreenTier::F32).is_none());
-        let variant = plain.screen_variant(ScreenTier::I8).expect("the i8 walk");
+        let variant = plain.screen_variant(ScreenTier::I8).expect("the i8 screen");
         assert_eq!(variant.name(), "Maximus+i8");
-        // One mirror per cluster; deriving the variant leaves the base plain.
+        // One screen per cluster; deriving the variant leaves the base plain.
         let index = plain.with_i8_screen();
-        assert_eq!(index.mirrors.as_ref().map(Vec::len), Some(4));
-        assert!(plain.mirrors.is_none());
+        assert_eq!(index.screens.as_ref().map(Vec::len), Some(4));
+        assert!(plain.screens.is_none());
 
         // Subnormal item rows cannot be quantized: the variant walks
         // unscreened under the base's identity.
@@ -777,36 +844,35 @@ mod tests {
     }
 
     #[test]
-    fn cluster_mirrors_are_gathered_in_list_order() {
-        // A cluster's mirror, gathered from the model's, is row-aligned
-        // with the cluster's walked rows: row `r` is list position
-        // `start + r`, and it bounds exactly like a mirror built from the
-        // model's rows at those positions.
+    fn cluster_screens_are_gathered_in_list_order() {
+        // A cluster's int8 rows, gathered from the model's mirror, cover
+        // the whole list: row `pos` is list position `pos`, and it bounds
+        // exactly like a store built from the model's rows at those
+        // positions. The packed prefix is the first `start` of them.
         let m = model(40, 90, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
         let screened = plain.with_i8_screen();
         let armed = ArmedUser::<i8>::arm(m.users().row(3)).unwrap();
-        let mirrors = screened.mirrors.as_ref().expect("the model quantizes");
-        for (cluster, mirror) in plain.core.clusters.iter().zip(mirrors) {
-            let walked: Vec<usize> = cluster.list_ids[cluster.start..]
-                .iter()
-                .map(|&id| id as usize)
-                .collect();
-            let rows = m.items().gather_rows(&walked);
+        let screens = screened.screens.as_ref().expect("the model quantizes");
+        for (cluster, screen) in plain.core.clusters.iter().zip(screens) {
+            let list: Vec<usize> = cluster.list_ids.iter().map(|&id| id as usize).collect();
+            let rows = m.items().gather_rows(&list);
             let rebuilt = TierRows::<i8>::build((&rows).into()).unwrap();
-            for r in 0..walked.len() {
+            assert_eq!(screen.rows.rows(), m.num_items());
+            for pos in 0..list.len() {
                 assert_eq!(
-                    armed.upper_bound(mirror, r).to_bits(),
-                    armed.upper_bound(&rebuilt, r).to_bits(),
-                    "list position {}",
-                    cluster.start + r
+                    armed.upper_bound(&screen.rows, pos).to_bits(),
+                    armed.upper_bound(&rebuilt, pos).to_bits(),
+                    "list position {pos}"
                 );
             }
+            let panels = &screen.prefix_panels;
+            assert_eq!((panels.rows(), panels.cols()), (cluster.start, 8));
         }
     }
 
     #[test]
-    fn the_blocked_prefix_is_packed_once_per_cluster_and_shared_by_variants() {
+    fn the_blocked_prefix_is_packed_once_per_cluster_and_only_by_the_f64_path() {
         let m = model(40, 90, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
         let packed = |index: &MaximusIndex| -> Vec<Option<*const PackedPanels<f64>>> {
@@ -829,13 +895,16 @@ mod tests {
         for (cluster, panels) in plain.core.clusters.iter().zip(&after_all) {
             assert_eq!(panels.is_some(), !cluster.members.is_empty());
         }
-        // A variant derived afterwards multiplies against the very same
-        // panels, and a second pass repacks nothing.
-        let screened = plain.with_i8_screen();
-        assert_eq!(screened.query_all(5), all);
+        // A second pass repacks nothing.
         assert_eq!(plain.query_all(5), all);
-        assert_eq!(packed(&screened), after_all);
         assert_eq!(packed(&plain), after_all);
+        // The int8 variant screens its prefix from its own int8 panels and
+        // rescores from the model's rows: derived from a fresh build, it
+        // answers the same and leaves the shared f64 panels unpacked.
+        let fresh = MaximusIndex::build(Arc::clone(&m), &small_config());
+        let screened = fresh.with_i8_screen();
+        assert_eq!(screened.query_all(5), all);
+        assert!(packed(&screened).iter().all(Option::is_none));
         // The panels hold the list prefix the rows hold: the lesion index
         // (no blocking, so no panels) answers the same.
         let unblocked = MaximusConfig {

@@ -92,6 +92,11 @@
 //! tie-breaks. The `exactness` driver in `mips-core` asserts this for every
 //! backend's tier variants, and the `precision_identity` suite end to end.
 //!
+//! The item side need not be the whole catalog: the rescore reads each
+//! column's f64 row from the catalog by its id, so a gathered subset in
+//! tier storage (MAXIMUS's blocked list prefix, under
+//! [`ColumnIds::Mapped`]) screens without an f64 copy of its own.
+//!
 //! ## Point screens
 //!
 //! An index walk (MAXIMUS's list walk) visits one item at a time and only
@@ -201,13 +206,19 @@ impl<'a> RowOffers<'a> {
 
 /// Screens `A·Bᵀ` in the tier of `users`/`items` and streams exact f64
 /// rescored survivors into caller-owned heaps — same contract and output as
-/// [`crate::fused::stream_topk_into_heaps`], different execution.
+/// [`crate::fused::stream_topk_into_heaps`] over the f64 rows `items`
+/// mirrors, different execution.
 ///
-/// `users` and `items` must mirror `a64` and `b64` row for row.
+/// `users` must mirror `a64` row for row. `b64` is the f64 catalog the
+/// `ids` index: column `j` of `items` mirrors row `ids.id(j)` of `b64`, and
+/// the rescore reads that row. An item side that is the whole catalog
+/// takes `ColumnIds::Offset(0)`; one gathered from it (MAXIMUS's list
+/// prefix) takes its id map and needs no f64 copy of its own.
 ///
 /// # Panics
-/// Panics if `heaps.len() != a.rows()`, if either side disagrees with its
-/// f64 block on shape, or if a mapped id slice is shorter than `b.rows()`.
+/// Panics if `heaps.len() != a.rows()`, if either side disagrees with
+/// `a64` on width or the user side on rows, if a mapped id slice is
+/// shorter than `items`, or if an id lies past `b64`.
 pub fn screen_topk_into_heaps<T: ScreenElem>(
     a64: RowBlock<'_, f64>,
     b64: RowBlock<'_, f64>,
@@ -244,17 +255,26 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
     ids: ColumnIds<'_>,
     scratch: &mut ScreenScratch<T>,
 ) -> ScreenStats {
-    let (m, n, f) = (a64.rows(), b64.rows(), a64.cols());
-    assert_eq!(heaps.len(), m, "screen_topk: one heap per query row");
     let (a, b) = (users.row_block(), items.row_block());
+    let (m, n, f) = (a64.rows(), b.rows(), a64.cols());
+    assert_eq!(heaps.len(), m, "screen_topk: one heap per query row");
     assert_eq!((a.rows(), a.cols()), (m, f), "screen_topk: user side shape");
-    assert_eq!((b.rows(), b.cols()), (n, f), "screen_topk: item side shape");
-    if let ColumnIds::Mapped(map) = ids {
-        assert!(
-            map.len() >= n,
-            "screen_topk: id map shorter than item count"
-        );
-    }
+    assert_eq!(
+        (b.cols(), b64.cols()),
+        (f, f),
+        "screen_topk: item side shape"
+    );
+    let past_catalog = match ids {
+        ColumnIds::Offset(off) => off as usize + n > b64.rows(),
+        ColumnIds::Mapped(map) => {
+            assert!(
+                map.len() >= n,
+                "screen_topk: id map shorter than item count"
+            );
+            map[..n].iter().any(|&id| id as usize >= b64.rows())
+        }
+    };
+    assert!(!past_catalog, "screen_topk: item ids past the f64 catalog");
 
     // Per-row bound heaps: capacity k, seeded with the caller's existing
     // (exact) entries — see the module docs.
@@ -311,7 +331,8 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
     });
 
     // Rescore pass: exact f64, GEMM per-element reduction, groups of four
-    // so the sequential chains pipeline.
+    // so the sequential chains pipeline, each column's f64 row read from
+    // the catalog by its id.
     let mut rescored = 0u64;
     for (i, heap) in heaps.iter_mut().enumerate() {
         let final_threshold = bound_heaps[i].threshold();
@@ -323,7 +344,7 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
         let mut filled = 0usize;
         let flush = |cols: &[usize], heap: &mut TopKHeap| {
             let pad = cols[cols.len() - 1];
-            let pick = |q: usize| b64.row(*cols.get(q).unwrap_or(&pad));
+            let pick = |q: usize| b64.row(ids.id(*cols.get(q).unwrap_or(&pad)) as usize);
             let scores = kern.dot_seq4(urow, [pick(0), pick(1), pick(2), pick(3)]);
             for (q, &col) in cols.iter().enumerate() {
                 heap.push(scores[q], ids.id(col));
@@ -580,9 +601,25 @@ mod tests {
         let a = random_matrix(2, 5, 7);
         let b = random_matrix(4, 5, 8);
         let map = [40u32, 30, 20, 10];
+        // The catalog the ids index, as MAXIMUS's list prefix is gathered
+        // out of the model's: row `map[j]` is row `j` of `b`, and every
+        // other row would rescore to a different score.
+        let catalog = Matrix::from_fn(41, 5, |r, c| {
+            let column = map.iter().position(|&id| id as usize == r);
+            column.map_or(9.0, |j| b.get(j, c))
+        });
         let plain = gemm_nt_topk((&a).into(), (&b).into(), 2, &mut GemmScratch::new());
         for tier in ScreenTier::ALL {
-            let (heaps, _) = screen_all(tier, &a, &b, 2, ColumnIds::Mapped(&map));
+            let mut heaps = fresh_heaps(2, 2);
+            per_tier!(tier, T => screen_topk_into_heaps(
+                (&a).into(),
+                (&catalog).into(),
+                store::<T>(&a).view(),
+                store::<T>(&b).view(),
+                &mut heaps,
+                ColumnIds::Mapped(&map),
+                &mut ScreenScratch::new(),
+            ));
             for (heap, want) in heaps.into_iter().zip(&plain) {
                 let got = heap.into_sorted();
                 let translated: Vec<u32> = want.items.iter().map(|&j| map[j as usize]).collect();
@@ -755,13 +792,19 @@ mod tests {
             1 => 1.0e19,
             _ => ((r * 7 + c * 3) % 5) as f64 - 2.0,
         });
+        // The item side walks the catalog backwards: column `j` is row
+        // `36 − j`, reported under that id.
         let map: Vec<u32> = (0..37u32).rev().collect();
-        let (users, items) = (store::<f32>(&a), store::<f32>(&b));
+        let reversed: Vec<usize> = map.iter().map(|&id| id as usize).collect();
+        let (users, items) = (
+            store::<f32>(&a),
+            store::<f32>(&b).gather(reversed.iter().copied()),
+        );
         for k in [0usize, 1, 6, 37] {
             let mut want = fresh_heaps(4, k);
             stream_topk_into_heaps(
                 (&a).into(),
-                (&b).into(),
+                (&b.gather_rows(&reversed)).into(),
                 &mut want,
                 ColumnIds::Mapped(&map),
                 &mut GemmScratch::new(),
@@ -839,15 +882,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "item side shape")]
+    #[should_panic(expected = "item ids past the f64 catalog")]
     fn rejects_a_side_that_does_not_mirror_its_f64_block() {
+        // Three item columns against a two-row catalog: the last column
+        // has no f64 row to be rescored from.
         let a = random_matrix(1, 4, 1);
         let b = random_matrix(3, 4, 2);
         screen_topk_into_heaps(
             (&a).into(),
-            (&b).into(),
+            b.row_block(0, 2),
             store::<i8>(&a).view(),
-            store::<i8>(&b).view().rows(0..2),
+            store::<i8>(&b).view(),
             &mut [TopKHeap::new(1)],
             ColumnIds::Offset(0),
             &mut ScreenScratch::new(),
