@@ -35,11 +35,6 @@ impl LempSolver {
             build_seconds,
         }
     }
-
-    /// The wrapped index (for stats-aware benches).
-    pub fn index(&self) -> &LempIndex {
-        &self.index
-    }
 }
 
 impl MipsSolver for LempSolver {
@@ -98,11 +93,6 @@ impl FexiproSolver {
             name,
             build_seconds,
         }
-    }
-
-    /// The wrapped index (for stats-aware benches).
-    pub fn index(&self) -> &FexiproIndex {
-        &self.index
     }
 }
 

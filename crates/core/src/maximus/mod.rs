@@ -41,9 +41,9 @@ pub struct MaximusConfig {
     /// k-means iterations `i`.
     pub kmeans_iters: usize,
     /// Item blocking factor `B`: list prefix scored with a shared GEMM.
+    /// `0` switches the §III-D item blocking off (the Fig. 8 lesion): every
+    /// list is walked from its first item.
     pub block_size: usize,
-    /// Lesion switch for the §III-D item-blocking optimization (Fig. 8).
-    pub item_blocking: bool,
     /// Seed for clustering.
     pub seed: u64,
 }
@@ -54,7 +54,6 @@ impl Default for MaximusConfig {
             num_clusters: 8,
             kmeans_iters: 3,
             block_size: 4096,
-            item_blocking: true,
             seed: 0x0A_11_05,
         }
     }
@@ -68,7 +67,6 @@ impl MaximusConfig {
         for (value, name) in [
             (self.num_clusters, "num_clusters"),
             (self.kmeans_iters, "kmeans_iters"),
-            (self.block_size, "block_size"),
         ] {
             if value == 0 {
                 return Err(format!("{name} must be > 0"));
@@ -132,7 +130,8 @@ struct ClusterIndex {
     /// Item norms per list position.
     norms: Vec<f64>,
     /// Length of the list prefix the §III-D blocked multiply scores: `B`
-    /// capped at the list length, 0 with item blocking off.
+    /// capped at the list length (0 with item blocking off), or the whole
+    /// list over a model with tiny rows.
     start: usize,
     /// The walked items, list positions `start..`, gathered in list order
     /// (the `O(|C||I|f)` storage of §III-D; sequential walks instead of
@@ -235,10 +234,12 @@ impl MaximusIndex {
 
         let t1 = Instant::now();
         let item_norms: Vec<f64> = model.items().row_norms();
-        let start = if config.item_blocking {
-            config.block_size.min(model.num_items())
+        // Over tiny rows the walk's norm bounds can underflow: block the
+        // whole list instead (MfModel::has_tiny_rows).
+        let start = if model.has_tiny_rows() {
+            model.num_items()
         } else {
-            0
+            config.block_size.min(model.num_items())
         };
         let clusters: Vec<ClusterIndex> = (0..clustering.k())
             .map(|c| {
@@ -690,7 +691,6 @@ mod tests {
             num_clusters: 4,
             kmeans_iters: 3,
             block_size: 16,
-            item_blocking: true,
             seed: 7,
         }
     }
@@ -699,9 +699,9 @@ mod tests {
     fn clustered_users_get_bmm_answers_with_and_without_item_blocking() {
         let m = model(50, 200, 12, 0.4);
         let bmm = BmmSolver::build(Arc::clone(&m));
-        for item_blocking in [true, false] {
+        for block_size in [16, 0] {
             let config = MaximusConfig {
-                item_blocking,
+                block_size,
                 ..small_config()
             };
             let maximus = MaximusIndex::build(Arc::clone(&m), &config);
@@ -825,10 +825,8 @@ mod tests {
         // list order; the blocked prefix lives only in its packed panels.
         // The Fig. 8 lesion blocks nothing, so it gathers the whole list.
         let m = model(40, 90, 8, 0.4);
-        for (item_blocking, block_size, start) in [(true, 16, 16), (true, 500, 90), (false, 16, 0)]
-        {
+        for (block_size, start) in [(16, 16), (500, 90), (0, 0)] {
             let config = MaximusConfig {
-                item_blocking,
                 block_size,
                 ..small_config()
             };
@@ -908,7 +906,7 @@ mod tests {
         // The panels hold the list prefix the rows hold: the lesion index
         // (no blocking, so no panels) answers the same.
         let unblocked = MaximusConfig {
-            item_blocking: false,
+            block_size: 0,
             ..small_config()
         };
         let walked = MaximusIndex::build(Arc::clone(&m), &unblocked);

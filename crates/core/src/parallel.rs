@@ -105,24 +105,6 @@ pub fn par_query_subset(
     })
 }
 
-/// Serves all users with `threads` worker threads.
-///
-/// Compatibility wrapper over [`par_query_range`]; new code should set
-/// [`crate::engine::EngineOptions::threads`] and go through the engine,
-/// which returns typed errors instead of panicking. With one thread this
-/// takes the solver's specialized `query_all` path (MAXIMUS serves whole
-/// clusters in membership order there).
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn par_query_all(solver: &dyn MipsSolver, k: usize, threads: usize) -> Vec<TopKList> {
-    assert!(threads > 0, "par_query_all: threads must be > 0");
-    if threads == 1 {
-        return solver.query_all(k);
-    }
-    par_query_range(solver, k, 0..solver.num_users(), threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +128,7 @@ mod tests {
         let solver = BmmSolver::build(m);
         let seq = solver.query_all(4);
         for threads in [1usize, 2, 3, 8, 200] {
-            let par = par_query_all(&solver, 4, threads);
+            let par = par_query_range(&solver, 4, 0..101, threads);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -163,7 +145,7 @@ mod tests {
             },
         );
         let seq = solver.query_all(5);
-        let par = par_query_all(&solver, 5, 4);
+        let par = par_query_range(&solver, 5, 0..60, 4);
         assert_eq!(par, seq);
     }
 
@@ -241,6 +223,6 @@ mod tests {
     fn rejects_zero_threads() {
         let m = model(4);
         let solver = BmmSolver::build(m);
-        let _ = par_query_all(&solver, 1, 0);
+        let _ = par_query_range(&solver, 1, 0..4, 0);
     }
 }

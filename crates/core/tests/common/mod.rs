@@ -1,26 +1,38 @@
 //! The core test kit: one seeded corpus family and one driver that referees
-//! every backend against the oracle, [`mips_topk::exact_topk`].
+//! every backend, on every route an answer can take, against the oracle,
+//! [`mips_topk::exact_topk`].
 //!
-//! The contract is README "Adding a backend" step 1: whatever backend and
-//! numeric path serves, the answer is the oracle's — the same ids and the
-//! same score bits. [`drive`] checks it for every key of
+//! The contract is README "Adding a backend" step 1: whatever backend,
+//! numeric path and route serves, the answer is the oracle's — the same ids
+//! and the same score bits. [`drive`] checks it for every key of
 //! [`BackendRegistry::with_defaults`] plus small-structure MAXIMUS and LEMP
-//! configurations, in f64 and in every tier each solver's `screen_tiers()`
-//! lists, through `query_all`, a reversed `query_subset` and (where offered)
-//! `query_vector`. A backend added to `with_defaults`, or a tier added to a
-//! solver's `screen_tiers()`, is covered with no edit here. A suite
-//! includes the kit with `mod common;` and uses the part it needs.
+//! configurations, on each [`Route`] it is given: the solver itself (in f64
+//! and every tier its `screen_tiers()` lists), named and planned dispatch
+//! through an [`Engine`] under every [`Precision`], a sharded
+//! `MipsServer`, and `POST /query` on a loopback `HttpServer`. A
+//! backend added to `with_defaults`, or a tier added to a solver's
+//! `screen_tiers()` or to [`ScreenTier::ALL`], is covered with no edit
+//! here. A suite includes the kit with `mod common;` and uses the part it
+//! needs.
 
 #![allow(dead_code)]
 
-use mips_core::engine::{BackendRegistry, LempFactory, MaximusFactory, SolverFactory};
+use mips_core::engine::{
+    BackendRegistry, Engine, EngineBuilder, LempFactory, MaximusFactory, QueryRequest,
+    QueryResponse, SolverFactory, UserSelection,
+};
 use mips_core::maximus::MaximusConfig;
+use mips_core::precision::Precision;
+use mips_core::serve::ServerBuilder;
 use mips_core::solver::MipsSolver;
 use mips_core::verify::check_user_topk;
 use mips_data::MfModel;
 use mips_lemp::LempConfig;
 use mips_linalg::Matrix;
-use mips_topk::{exact_topk, TopKList};
+use mips_net::client::Client;
+use mips_net::json::{self, Json};
+use mips_net::HttpServerBuilder;
+use mips_topk::{exact_topk, ScreenTier, TopKList};
 use std::sync::Arc;
 
 /// A seeded linear congruential generator: every corpus draws from one.
@@ -57,19 +69,45 @@ pub enum Corpus {
     /// 2⁻³..2³ (powers of two, so the scaling is exact) — the shape LEMP's
     /// buckets and the length bounds prune on.
     Skewed,
+    /// Random, with every third user and item row all zero: whole rows of
+    /// exact-zero scores, ordered by item id alone.
+    ZeroRows,
+    /// Random, with every third user and item row scaled to subnormals: the
+    /// int8 scales overflow, so the int8 mirror is unusable and a forced
+    /// int8 tier must serve f64-direct.
+    Subnormal,
+}
+
+impl Corpus {
+    /// Every corpus shape.
+    pub const ALL: [Corpus; 6] = [
+        Corpus::Random,
+        Corpus::Tied,
+        Corpus::Eighths,
+        Corpus::Skewed,
+        Corpus::ZeroRows,
+        Corpus::Subnormal,
+    ];
 }
 
 /// A `users × items × f` model of `corpus`, seeded.
 pub fn model(corpus: Corpus, users: usize, items: usize, f: usize, seed: u64) -> Arc<MfModel> {
     let mut rng = Lcg::new(seed);
-    let mut draw = |row_scale: f64| match corpus {
-        Corpus::Random => rng.next() * 4.0 - 2.0,
+    // Row `r`'s scale on the item (`true`) or user side.
+    let row_scale = |r: usize, item: bool| match corpus {
+        Corpus::Skewed if item => 2f64.powi((r % 7) as i32 - 3),
+        Corpus::ZeroRows if r % 3 == 0 => 0.0,
+        Corpus::Subnormal if r % 3 == 0 => 1e-310,
+        _ => 1.0,
+    };
+    let mut draw = |scale: f64| match corpus {
         Corpus::Tied => (rng.next() * 3.0).floor() - 1.0,
         Corpus::Eighths => ((rng.next() * 32.0).floor() - 16.0) / 8.0,
-        Corpus::Skewed => (rng.next() * 4.0 - 2.0) * row_scale,
+        _ if scale == 0.0 => 0.0,
+        _ => (rng.next() * 4.0 - 2.0) * scale,
     };
-    let user_rows = Matrix::from_fn(users, f, |_, _| draw(1.0));
-    let item_rows = Matrix::from_fn(items, f, |r, _| draw(2f64.powi((r % 7) as i32 - 3)));
+    let user_rows = Matrix::from_fn(users, f, |r, _| draw(row_scale(r, false)));
+    let item_rows = Matrix::from_fn(items, f, |r, _| draw(row_scale(r, true)));
     Arc::new(MfModel::new(format!("{corpus:?}"), user_rows, item_rows).unwrap())
 }
 
@@ -160,17 +198,16 @@ pub fn backends() -> Vec<(String, Arc<dyn SolverFactory>)> {
         .iter()
         .map(|f| (f.key().to_string(), Arc::clone(f)))
         .collect();
-    let maximus = |block_size, item_blocking, seed| {
+    let maximus = |block_size, seed| {
         Arc::new(MaximusFactory::new(MaximusConfig {
             num_clusters: 3,
             kmeans_iters: 2,
             block_size,
-            item_blocking,
             seed,
         }))
     };
-    all.push(("maximus, B = 8".into(), maximus(8, true, 5)));
-    all.push(("maximus, unblocked".into(), maximus(4, false, 6)));
+    all.push(("maximus, B = 8".into(), maximus(8, 5)));
+    all.push(("maximus, unblocked".into(), maximus(0, 6)));
     let lemp = LempFactory::new(LempConfig {
         bucket_size: 8,
         tune_sample: 2,
@@ -198,27 +235,79 @@ fn skipped(label: &str, model: &MfModel) -> bool {
     cfg!(debug_assertions) && label.starts_with("fexipro") && model.num_factors() >= 600
 }
 
-/// Referees every backend of [`backends`] on `model` at each of `ks`.
-///
-/// Each solver — the plain build and every variant its `screen_tiers()`
-/// lists — answers through `query_all`; its reversed `query_subset` and
-/// its `query_vector` of each user row (where offered) must repeat that
-/// answer bit for bit, every variant must repeat its plain build's, and
-/// the plain build's must meet `bar`. Returns the first failure,
-/// labelled with the backend, the tier, `k` and the user.
-pub fn drive(model: &Arc<MfModel>, ks: &[usize], bar: Bar) -> Result<(), String> {
+/// A way an answer reaches its caller; [`drive`] checks the routes it is
+/// given.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// The built solver: `query_all`, a reversed `query_subset` and (where
+    /// offered) `query_vector`, in f64 and in every tier its
+    /// `screen_tiers()` lists.
+    Solver,
+    /// [`Engine::execute_with`] by key under each [`Precision`], at 1 and 2
+    /// engine threads.
+    Named,
+    /// [`Engine::execute`] under [`Precision::Auto`], at 1 and 2 engine
+    /// threads: whichever of the backend's builds the planner picks.
+    Planned,
+    /// A `MipsServer` over 2 shards and 2 workers under each
+    /// [`Precision`].
+    Served,
+    /// `POST /query` to a loopback `HttpServer` over the `Served` server,
+    /// the JSON scores parsed back to bits.
+    Wire,
+}
+
+impl Route {
+    /// Every route.
+    pub const ALL: [Route; 5] = [
+        Route::Solver,
+        Route::Named,
+        Route::Planned,
+        Route::Served,
+        Route::Wire,
+    ];
+}
+
+/// Referees every backend of [`backends`] on `model` at each of `ks`, on
+/// each of `routes`. Returns the first failure, labelled with the backend,
+/// the route, the precision or tier, `k`, the user selection and the user.
+pub fn drive(model: &Arc<MfModel>, ks: &[usize], bar: Bar, routes: &[Route]) -> Result<(), String> {
     let oracles: Vec<Vec<TopKList>> = ks.iter().map(|&k| oracle(model, k)).collect();
     for (label, factory) in backends() {
         if !skipped(&label, model) {
-            drive_one(&label, factory.as_ref(), model, ks, &oracles, bar)?;
+            drive_one(&label, &factory, model, ks, &oracles, bar, routes)?;
         }
     }
     Ok(())
 }
 
 /// [`drive`] for one backend, e.g. a structure configuration a property
-/// test draws: `oracles[i]` is [`oracle`]'s answer at `ks[i]`.
+/// test draws: `oracles[i]` is [`oracle`]'s answer at `ks[i]`. The engine
+/// routes take the `ks` in `1..=items` (any other `k` is a typed error
+/// there).
 pub fn drive_one(
+    label: &str,
+    factory: &Arc<dyn SolverFactory>,
+    model: &Arc<MfModel>,
+    ks: &[usize],
+    oracles: &[Vec<TopKList>],
+    bar: Bar,
+    routes: &[Route],
+) -> Result<(), String> {
+    if routes.contains(&Route::Solver) {
+        drive_solver(label, factory.as_ref(), model, ks, oracles, bar)?;
+    }
+    if routes.iter().any(|&route| route != Route::Solver) {
+        drive_engine(label, factory, model, ks, oracles, bar, routes)?;
+    }
+    Ok(())
+}
+
+/// The [`Route::Solver`] leg: the plain build and every variant its
+/// `screen_tiers()` lists answer through `query_all`; each one's other
+/// query paths must repeat that answer bit for bit, every variant must
+/// repeat its plain build's, and the plain build's must meet `bar`.
+fn drive_solver(
     label: &str,
     factory: &dyn SolverFactory,
     model: &Arc<MfModel>,
@@ -239,19 +328,178 @@ pub fn drive_one(
         .collect();
     for (&k, want) in ks.iter().zip(oracles) {
         let served = answers(plain.as_ref(), model, k).map_err(|e| format!("{label} {e}"))?;
-        referee(model, k, &served, want, bar).map_err(|e| format!("{label} k={k}: {e}"))?;
         for (name, variant) in &variants {
             let got = answers(variant.as_ref(), model, k).map_err(|e| format!("{name} {e}"))?;
             if bits(&got) != bits(&served) {
                 return Err(format!("{name} k={k}: differs from its f64 build"));
             }
         }
+        check(label, model, &QueryRequest::top_k(k), want, bar, Ok(served))?;
     }
     Ok(())
 }
 
+/// Every [`Precision`] an engine can run under: f64, each screen tier
+/// forced, and `Auto`.
+fn precisions() -> Vec<Precision> {
+    let tiers = ScreenTier::ALL.map(Some);
+    std::iter::once(None)
+        .chain(tiers)
+        .map(Precision::of_tier)
+        .chain([Precision::Auto])
+        .collect()
+}
+
+/// The user selections the engine routes serve out of `n` users: every
+/// user, a range across the 2-shard split, and an out-of-order id list
+/// with a repeat.
+fn selections(n: usize) -> [UserSelection; 3] {
+    [
+        UserSelection::All,
+        UserSelection::Range(n / 3..n),
+        UserSelection::Ids(vec![n - 1, 0, n / 2, n - 1]),
+    ]
+}
+
+/// The engine legs — [`Route::Named`], [`Route::Planned`],
+/// [`Route::Served`] and [`Route::Wire`], whichever `routes` lists — over
+/// an engine holding `factory` alone, under every [`precisions`] entry.
+fn drive_engine(
+    label: &str,
+    factory: &Arc<dyn SolverFactory>,
+    model: &Arc<MfModel>,
+    ks: &[usize],
+    oracles: &[Vec<TopKList>],
+    bar: Bar,
+    routes: &[Route],
+) -> Result<(), String> {
+    let on = |route| routes.contains(&route);
+    let requests: Vec<(QueryRequest, &[TopKList])> = ks
+        .iter()
+        .zip(oracles)
+        .filter(|(&k, _)| (1..=model.num_items()).contains(&k))
+        .flat_map(|(&k, want)| {
+            selections(model.num_users()).map(|users| {
+                let request = QueryRequest {
+                    k,
+                    users,
+                    exclude: None,
+                };
+                (request, want.as_slice())
+            })
+        })
+        .collect();
+    for precision in precisions() {
+        for threads in [1, 2] {
+            let engine = EngineBuilder::new()
+                .model(Arc::clone(model))
+                .register_arc(Arc::clone(factory))
+                .precision(precision)
+                .threads(threads)
+                .build()
+                .map_err(|e| format!("{label}: engine: {e}"))?;
+            let at = format!("{label} under {precision} at {threads} threads");
+            for (request, want) in &requests {
+                if on(Route::Named) {
+                    let got = results(engine.execute_with(factory.key(), request));
+                    check(&format!("{at}, named"), model, request, want, bar, got)?;
+                }
+                if on(Route::Planned) && precision == Precision::Auto {
+                    let got = results(engine.execute(request));
+                    check(&format!("{at}, planned"), model, request, want, bar, got)?;
+                }
+            }
+            if threads == 1 && (on(Route::Served) || on(Route::Wire)) {
+                let at = format!("{label} under {precision}");
+                drive_server(&at, Arc::new(engine), model, &requests, bar, routes)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The [`Route::Served`] and [`Route::Wire`] legs over one engine.
+fn drive_server(
+    at: &str,
+    engine: Arc<Engine>,
+    model: &MfModel,
+    requests: &[(QueryRequest, &[TopKList])],
+    bar: Bar,
+    routes: &[Route],
+) -> Result<(), String> {
+    let server = Arc::new(
+        ServerBuilder::new()
+            .engine(engine)
+            .shards(2)
+            .workers(2)
+            .build()
+            .map_err(|e| format!("{at}: server: {e}"))?,
+    );
+    let mut front = routes.contains(&Route::Wire).then(|| {
+        let http = HttpServerBuilder::new().server(Arc::clone(&server));
+        let http = http.build().expect("a loopback front door");
+        let client = Client::connect(http.local_addr()).expect("a loopback connection");
+        (http, client)
+    });
+    for (request, want) in requests {
+        if routes.contains(&Route::Served) {
+            let got = results(server.execute(request));
+            check(&format!("{at}, served"), model, request, want, bar, got)?;
+        }
+        if let Some((_, client)) = front.as_mut() {
+            let got = wire(client, request);
+            check(&format!("{at}, wire"), model, request, want, bar, got)?;
+        }
+    }
+    if let Some((http, _)) = front {
+        http.shutdown().expect("the front door drains");
+    }
+    Ok(())
+}
+
+/// A route's response as its result lists.
+fn results(
+    response: Result<QueryResponse, mips_core::engine::MipsError>,
+) -> Result<Vec<TopKList>, String> {
+    response.map(|r| r.results).map_err(|e| e.to_string())
+}
+
+/// `request` as `POST /query` on `client`, with the answer's JSON scores
+/// parsed back to `f64`s.
+fn wire(client: &mut Client, request: &QueryRequest) -> Result<Vec<TopKList>, String> {
+    let users = match &request.users {
+        UserSelection::All => String::new(),
+        UserSelection::Range(r) => format!(", \"users\": {{\"range\": [{}, {}]}}", r.start, r.end),
+        UserSelection::Ids(ids) => format!(", \"users\": {ids:?}"),
+    };
+    let body = format!("{{\"k\": {}{users}}}", request.k);
+    let response = client
+        .request("POST", "/query", Some(&body))
+        .map_err(|e| e.to_string())?;
+    if response.status != 200 {
+        return Err(format!("status {}: {}", response.status, response.body));
+    }
+    let doc = json::parse(&response.body)?;
+    let numbers = |row: &Json, key: &str| -> Vec<f64> {
+        let values = row.get(key).and_then(Json::as_arr).unwrap_or_default();
+        values.iter().filter_map(Json::as_num).collect()
+    };
+    let rows = doc
+        .get("results")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    let list = |row: &Json| TopKList {
+        items: numbers(row, "items")
+            .into_iter()
+            .map(|i| i as u32)
+            .collect(),
+        scores: numbers(row, "scores"),
+    };
+    Ok(rows.iter().map(list).collect())
+}
+
 /// `solver`'s `query_all` answer at `k`, after checking that its other
-/// routes repeat it.
+/// query paths repeat it.
 fn answers(solver: &dyn MipsSolver, model: &MfModel, k: usize) -> Result<Vec<TopKList>, String> {
     let all = solver.query_all(k);
     let reversed: Vec<usize> = (0..model.num_users()).rev().collect();
@@ -272,22 +520,41 @@ fn answers(solver: &dyn MipsSolver, model: &MfModel, k: usize) -> Result<Vec<Top
     Ok(all)
 }
 
-/// Holds one solver's answers to `bar`.
-fn referee(
+/// Holds one route's answer to `request` to `bar`: `oracle` is the
+/// oracle's answer for every user at `request.k`.
+fn check(
+    what: &str,
     model: &MfModel,
-    k: usize,
-    got: &[TopKList],
+    request: &QueryRequest,
     oracle: &[TopKList],
     bar: Bar,
+    got: Result<Vec<TopKList>, String>,
 ) -> Result<(), String> {
-    for (u, (got, want)) in got.iter().zip(oracle).enumerate() {
+    let k = request.k;
+    let fail = |e: String| format!("{what} k={k} {:?}: {e}", request.users);
+    let got = got.map_err(fail)?;
+    let users: Vec<usize> = match &request.users {
+        UserSelection::All => (0..model.num_users()).collect(),
+        UserSelection::Range(r) => r.clone().collect(),
+        UserSelection::Ids(ids) => ids.clone(),
+    };
+    if got.len() != users.len() {
+        return Err(fail(format!(
+            "{} lists for {} users",
+            got.len(),
+            users.len()
+        )));
+    }
+    for (got, &u) in got.iter().zip(&users) {
+        let want = &oracle[u];
         match bar {
             Bar::Oracle => {
                 if bits(std::slice::from_ref(got)) != bits(std::slice::from_ref(want)) {
-                    return Err(format!("user {u}: got {got:?}, the oracle has {want:?}"));
+                    let e = format!("user {u}: got {got:?}, the oracle has {want:?}");
+                    return Err(fail(e));
                 }
             }
-            Bar::Membership(tol) => check_user_topk(model, u, k, got, tol)?,
+            Bar::Membership(tol) => check_user_topk(model, u, k, got, tol).map_err(fail)?,
         }
     }
     Ok(())

@@ -1,29 +1,32 @@
 //! The exactness contract, refereed by the core test kit's driver: on every
 //! corpus of the family, every backend in every numeric path returns the
-//! oracle's ids and score bits ([`common::drive`]), under whichever kernel
-//! set the process runs (CI runs this suite under the dispatched and the
-//! forced-scalar kernels).
+//! oracle's ids and score bits on every route — the solver, named and
+//! planned engine dispatch, the sharded server and the wire
+//! ([`common::drive`]) — under whichever kernel set the process runs (CI
+//! runs this suite under the dispatched and the forced-scalar kernels).
+//! The property tests draw many shapes through the solver route; the
+//! engine, server and wire routes run at one fixed seed per corpus.
 
 mod common;
 
-use common::{adversarial, drive, drive_one, k_edges, model, oracle, Bar, Corpus};
+use common::{adversarial, drive, drive_one, k_edges, model, oracle, Bar, Corpus, Route};
 use mips_core::engine::{LempFactory, MaximusFactory, SolverFactory};
 use mips_core::maximus::MaximusConfig;
 use mips_lemp::LempConfig;
 use proptest::prelude::*;
+use std::sync::Arc;
 
-/// Drives one seeded model of `corpus` at its `k` edges.
+/// Drives one seeded model of `corpus` at its `k` edges on `routes`.
 fn drive_corpus(
     corpus: Corpus,
-    users: usize,
-    items: usize,
-    f: usize,
-    seed: u64,
+    (users, items, f, seed): (usize, usize, usize, u64),
+    routes: &[Route],
 ) -> Result<(), String> {
     drive(
         &model(corpus, users, items, f, seed),
         &k_edges(items),
         Bar::Oracle,
+        routes,
     )
 }
 
@@ -32,18 +35,20 @@ fn drive_corpus(
 /// answer.
 fn drive_structure(
     label: &str,
-    factory: &dyn SolverFactory,
+    factory: impl SolverFactory + 'static,
     (users, items, f, seed): (usize, usize, usize, u64),
     k: usize,
 ) -> Result<(), String> {
     let model = model(Corpus::Random, users, items, f, seed);
+    let factory: Arc<dyn SolverFactory> = Arc::new(factory);
     drive_one(
         label,
-        factory,
+        &factory,
         &model,
         &[k],
         &[oracle(&model, k)],
         Bar::Oracle,
+        &[Route::Solver],
     )
 }
 
@@ -55,7 +60,7 @@ proptest! {
                                            items in 1usize..60,
                                            f in 1usize..10,
                                            seed in 0u64..400) {
-        let verdict = drive_corpus(Corpus::Random, users, items, f, seed);
+        let verdict = drive_corpus(Corpus::Random, (users, items, f, seed), &[Route::Solver]);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
@@ -64,7 +69,7 @@ proptest! {
                                          items in 2usize..40,
                                          f in 1usize..6,
                                          seed in 0u64..400) {
-        let verdict = drive_corpus(Corpus::Tied, users, items, f, seed);
+        let verdict = drive_corpus(Corpus::Tied, (users, items, f, seed), &[Route::Solver]);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
@@ -73,7 +78,7 @@ proptest! {
                                               items in 2usize..40,
                                               f in 1usize..8,
                                               seed in 0u64..400) {
-        let verdict = drive_corpus(Corpus::Eighths, users, items, f, seed);
+        let verdict = drive_corpus(Corpus::Eighths, (users, items, f, seed), &[Route::Solver]);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
@@ -82,7 +87,7 @@ proptest! {
                                                 items in 8usize..80,
                                                 f in 1usize..10,
                                                 seed in 0u64..400) {
-        let verdict = drive_corpus(Corpus::Skewed, users, items, f, seed);
+        let verdict = drive_corpus(Corpus::Skewed, (users, items, f, seed), &[Route::Solver]);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }
@@ -105,7 +110,7 @@ proptest! {
             ..LempConfig::default()
         });
         let label = format!("lemp, buckets of {bucket_size}");
-        let verdict = drive_structure(&label, &lemp, (users, items, f, seed), k);
+        let verdict = drive_structure(&label, lemp, (users, items, f, seed), k);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
@@ -121,12 +126,22 @@ proptest! {
         let maximus = MaximusFactory::new(MaximusConfig {
             num_clusters: 3,
             block_size,
-            item_blocking: true,
             ..MaximusConfig::default()
         });
         let label = format!("maximus, B = {block_size}");
-        let verdict = drive_structure(&label, &maximus, (users, items, f, seed), k);
+        let verdict = drive_structure(&label, maximus, (users, items, f, seed), k);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+}
+
+/// Every route, on one seeded model of each corpus shape: the engine, the
+/// sharded server and the wire add dispatch, threads, shards and framing,
+/// never a different answer.
+#[test]
+fn every_route_gets_the_oracle_answer_on_every_corpus() {
+    for corpus in Corpus::ALL {
+        drive_corpus(corpus, (9, 40, 6, 17), &Route::ALL)
+            .unwrap_or_else(|e| panic!("{corpus:?}: {e}"));
     }
 }
 
@@ -138,7 +153,8 @@ proptest! {
 #[test]
 fn wide_models_get_the_oracle_answer() {
     for f in [1, 50, 257, 600] {
-        drive_corpus(Corpus::Random, 6, 40, f, f as u64).unwrap_or_else(|e| panic!("f = {f}: {e}"));
+        drive_corpus(Corpus::Random, (6, 40, f, f as u64), &[Route::Solver])
+            .unwrap_or_else(|e| panic!("f = {f}: {e}"));
     }
 }
 
@@ -146,12 +162,15 @@ fn wide_models_get_the_oracle_answer() {
 /// whole catalog: every screen tier repeats its f64 build bit for bit,
 /// every reported score is the canonical chain, and the items that make
 /// the k-th place are within `tol` of the oracle's — the one decision a
-/// scan selecting with `dot` makes in its own arithmetic.
+/// scan selecting with `dot` makes in its own arithmetic. Every route at
+/// f = 8; the wider rows through the solver route, where the factor count
+/// matters.
 #[test]
 fn adversarial_corpora_report_canonical_bits() {
-    for f in [8, 50] {
+    for (f, routes) in [(8, &Route::ALL[..]), (50, &[Route::Solver][..])] {
         let model = adversarial(40, f);
         let ks = [0, 1, 3, 35, 90, 100, 200, 203];
-        drive(&model, &ks, Bar::Membership(1e-9)).unwrap_or_else(|e| panic!("f = {f}: {e}"));
+        drive(&model, &ks, Bar::Membership(1e-9), routes)
+            .unwrap_or_else(|e| panic!("f = {f}: {e}"));
     }
 }

@@ -11,7 +11,7 @@
 //!   (user clusteredness, item-norm skew, spectral decay, shape),
 //! * [`catalog`] — one scaled stand-in per paper model
 //!   (`Netflix-DSGD f=50`, `KDD-REF f=51`, …),
-//! * [`sparse`] — sparse/hybrid vector and CSR block types plus sparse
+//! * [`sparse`] — the sparse vector type, sparsity statistics and sparse
 //!   catalog generators for the inverted-index backend,
 //! * [`stats`] — the dataset statistics `examples/paper.rs` prints for
 //!   `table1`.
@@ -31,8 +31,6 @@ pub mod synth;
 
 pub use catalog::{reference_models, ModelSpec};
 pub use model::{MfModel, Mirror, Mirror32, MirrorElem, MirrorI8, MirrorSlots, ModelError};
-pub use sparse::{
-    synth_sparse_model, SparseBlock, SparseError, SparseSynthConfig, SparseVec, SparsityStats,
-};
+pub use sparse::{synth_sparse_model, SparseError, SparseSynthConfig, SparseVec, SparsityStats};
 pub use stats::DatasetStats;
 pub use synth::{synth_model, SynthConfig};

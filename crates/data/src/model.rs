@@ -114,7 +114,13 @@ pub struct MfModel {
     /// [`MfModel::max_item_norm`], measured by [`MfModel::new`]'s range
     /// check.
     max_item_norm: f64,
+    /// [`MfModel::has_tiny_rows`], scanned on first use.
+    tiny_rows: OnceLock<bool>,
 }
+
+/// The largest factor below which a row counts as tiny
+/// ([`MfModel::has_tiny_rows`]): `2⁻⁴⁰⁰`.
+const TINY_ROW: f64 = 3.8725919148493183e-121;
 
 /// The largest Euclidean row norm of `m`, or the validation error of an
 /// empty matrix or one holding a non-finite factor.
@@ -298,6 +304,7 @@ impl MfModel {
             mirrors: MirrorSlots::default(),
             item_panels: LazyPanels::default(),
             max_item_norm,
+            tiny_rows: OnceLock::new(),
         })
     }
 
@@ -347,6 +354,26 @@ impl MfModel {
         self.max_item_norm
     }
 
+    /// Whether some nonzero user or item row is tiny: its largest factor
+    /// below `2⁻⁴⁰⁰`. Such a row's norm and suffix norms lose up to
+    /// `2⁻⁵³⁷·√f` to underflow (every square of a factor below `2⁻⁵¹¹` is
+    /// subnormal or zero), which no relative slack on a bound covers — a
+    /// subnormal row's norm computes as 0. The pruning indexes (MAXIMUS,
+    /// LEMP, FEXIPRO) bound scores with those norms, so over such a model
+    /// they score every item instead. Above the cutoff the loss stays far
+    /// inside their `1e-10` relative slack.
+    pub fn has_tiny_rows(&self) -> bool {
+        let tiny = |m: &Matrix<f64>| {
+            m.iter_rows().any(|row| {
+                let max = row.iter().fold(0.0f64, |max, v| max.max(v.abs()));
+                max > 0.0 && max < TINY_ROW
+            })
+        };
+        *self
+            .tiny_rows
+            .get_or_init(|| tiny(&self.users) || tiny(&self.items))
+    }
+
     /// A copy restricted to the given users (used by OPTIMUS sampling tests).
     pub fn with_users(&self, indices: &[usize]) -> MfModel {
         MfModel {
@@ -357,6 +384,7 @@ impl MfModel {
             // Same items, same panels and norms.
             item_panels: self.item_panels.clone(),
             max_item_norm: self.max_item_norm,
+            tiny_rows: OnceLock::new(),
         }
     }
 
@@ -517,6 +545,24 @@ mod tests {
         let m = MfModel::new("tiny", users, items3x2()).unwrap();
         assert!(!m.mirror_i8().is_usable());
         assert!(m.mirror32().is_usable());
+    }
+
+    #[test]
+    fn tiny_rows_are_nonzero_rows_below_the_cutoff() {
+        let with_user = |row: Vec<f64>| {
+            let users = Matrix::from_vec(1, 2, row).unwrap();
+            MfModel::new("m", users, items3x2())
+                .unwrap()
+                .has_tiny_rows()
+        };
+        assert!(with_user(vec![1e-310, 0.0]));
+        assert!(with_user(vec![-1e-200, 1e-130]));
+        assert!(!with_user(vec![0.0, 0.0]), "a zero row bounds exactly");
+        assert!(
+            !with_user(vec![1e-300, 1e-100]),
+            "one large factor is enough"
+        );
+        assert!(!with_user(vec![1.0, 2.0]));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sparse vector/block types and sparse–hybrid synthetic catalogs.
+//! Sparse vector types and sparse–hybrid synthetic catalogs.
 //!
 //! Real recommender catalogs are often sparse (bag-of-words item features,
 //! learned sparse embeddings à la SINDI) or dense–sparse hybrids (a short
@@ -8,8 +8,6 @@
 //! * [`SparseVec`] — one validated sparse vector in canonical form: indices
 //!   strictly ascending, values finite and nonzero. The canonical form makes
 //!   encode/decode and sparsify/densify round-trips exact identities.
-//! * [`SparseBlock`] — a CSR matrix (postings per row) with cached exact
-//!   per-row L2 norms, the storage the inverted-index solver prunes with.
 //! * [`SparsityStats`] — sampled nnz/density statistics, the inputs OPTIMUS
 //!   uses to cost dense vs sparse vs hybrid execution per plan candidate.
 //! * [`synth_sparse_model`] — deterministic sparse/hybrid catalog generator
@@ -19,7 +17,7 @@
 //!
 //! Sparsity here is a *distributional* property: models stay dense-stored
 //! [`MfModel`]s so every existing solver works unchanged, and sparse-aware
-//! consumers ([`SparseBlock::from_dense`]) recover the postings exactly.
+//! consumers (the inverted index) recover the postings from the dense rows.
 
 use crate::model::MfModel;
 use crate::synth::gaussian;
@@ -216,122 +214,6 @@ impl SparseVec {
     /// Exact L2 norm of the encoded vector.
     pub fn norm(&self) -> f64 {
         norm2(&self.values)
-    }
-}
-
-/// A CSR block of sparse rows with cached exact per-row L2 norms — the
-/// postings-side storage of the inverted-index solver. Built losslessly
-/// from a dense matrix and convertible back ([`SparseBlock::to_dense`] is
-/// the exact inverse of [`SparseBlock::from_dense`]).
-#[derive(Debug, Clone)]
-pub struct SparseBlock {
-    rows: usize,
-    dim: usize,
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f64>,
-    row_norms: Vec<f64>,
-}
-
-impl SparseBlock {
-    /// The canonical CSR form of a dense row-major matrix.
-    ///
-    /// # Panics
-    /// Panics on non-finite entries (model matrices are validated upstream).
-    pub fn from_dense(matrix: &Matrix<f64>) -> SparseBlock {
-        assert!(
-            matrix.cols() <= u32::MAX as usize,
-            "SparseBlock: {} columns exceed u32 index space",
-            matrix.cols()
-        );
-        let mut indptr = Vec::with_capacity(matrix.rows() + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        let mut row_norms = Vec::with_capacity(matrix.rows());
-        indptr.push(0);
-        // Index rows directly rather than `iter_rows()`: the iterator is
-        // empty for zero-column matrices, which would leave `indptr`
-        // inconsistent with `rows` and make `row()` panic later.
-        for r in 0..matrix.rows() {
-            let row = matrix.row(r);
-            for (j, &v) in row.iter().enumerate() {
-                assert!(v.is_finite(), "SparseBlock::from_dense: non-finite entry");
-                if v != 0.0 {
-                    indices.push(j as u32);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-            row_norms.push(norm2(row));
-        }
-        SparseBlock {
-            rows: matrix.rows(),
-            dim: matrix.cols(),
-            indptr,
-            indices,
-            values,
-            row_norms,
-        }
-    }
-
-    /// The dense matrix this block encodes (exact inverse of
-    /// [`SparseBlock::from_dense`] for matrices without `-0.0` entries,
-    /// which densify to `+0.0` like every absent entry).
-    pub fn to_dense(&self) -> Matrix<f64> {
-        let mut out = Matrix::<f64>::zeros(self.rows, self.dim);
-        for r in 0..self.rows {
-            let (indices, values) = self.row(r);
-            let row = out.row_mut(r);
-            for (&j, &v) in indices.iter().zip(values) {
-                row[j as usize] = v;
-            }
-        }
-        out
-    }
-
-    /// The postings of one row: `(indices, values)`, indices ascending.
-    pub fn row(&self, r: usize) -> (&[u32], &[f64]) {
-        let span = self.indptr[r]..self.indptr[r + 1];
-        (&self.indices[span.clone()], &self.values[span])
-    }
-
-    /// One row as a [`SparseVec`] (clones the postings).
-    pub fn row_vec(&self, r: usize) -> SparseVec {
-        let (indices, values) = self.row(r);
-        SparseVec {
-            dim: self.dim,
-            indices: indices.to_vec(),
-            values: values.to_vec(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Dimensionality of the (dense) space.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Total stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Fraction of entries that are nonzero, in `[0, 1]`.
-    pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.dim == 0 {
-            return 0.0;
-        }
-        self.nnz() as f64 / (self.rows as f64 * self.dim as f64)
-    }
-
-    /// Exact L2 norm of each row (computed from the dense row before
-    /// sparsification, so it equals the dense row norm bit-for-bit).
-    pub fn row_norms(&self) -> &[f64] {
-        &self.row_norms
     }
 }
 
@@ -556,36 +438,6 @@ mod tests {
         assert_eq!(empty.densify(), vec![0.0; 5]);
         assert_eq!(SparseVec::new(5, vec![], vec![]).unwrap(), empty);
         assert_eq!(empty.norm(), 0.0);
-    }
-
-    #[test]
-    fn sparse_block_round_trips_and_caches_norms() {
-        let dense = Matrix::from_vec(
-            3,
-            4,
-            vec![
-                1.0, 0.0, 2.0, 0.0, //
-                0.0, 0.0, 0.0, 0.0, //
-                0.5, 0.5, 0.0, -3.0,
-            ],
-        )
-        .unwrap();
-        let block = SparseBlock::from_dense(&dense);
-        assert_eq!(block.num_rows(), 3);
-        assert_eq!(block.dim(), 4);
-        assert_eq!(block.nnz(), 5);
-        assert!((block.density() - 5.0 / 12.0).abs() < 1e-12);
-        let (indices, values) = block.row(0);
-        assert_eq!(indices, &[0, 2]);
-        assert_eq!(values, &[1.0, 2.0]);
-        let (empty_idx, _) = block.row(1);
-        assert!(empty_idx.is_empty(), "all-zero rows have empty postings");
-        assert_eq!(block.to_dense().as_slice(), dense.as_slice());
-        // Row norms equal the dense row norms bit-for-bit.
-        for (r, row) in dense.iter_rows().enumerate() {
-            assert_eq!(block.row_norms()[r].to_bits(), norm2(row).to_bits());
-        }
-        assert_eq!(block.row_vec(2).densify(), dense.row(2));
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The canonical-form contract is *exact*: sparsify ∘ densify and its
 //! converse are bit-for-bit identities (no arithmetic happens either way),
-//! CSR blocks reproduce their dense source verbatim, and every malformed
-//! posting list is rejected with a typed [`SparseError`] — never a panic,
-//! never a silently repaired vector.
+//! and every malformed posting list is rejected with a typed
+//! [`SparseError`] — never a panic, never a silently repaired vector.
 
 use mips_data::sparse::{
-    synth_sparse_model, SparseBlock, SparseError, SparseSynthConfig, SparseVec, SparsityStats,
+    synth_sparse_model, SparseError, SparseSynthConfig, SparseVec, SparsityStats,
 };
-use mips_linalg::{norm2, Matrix};
+use mips_linalg::Matrix;
 use proptest::prelude::*;
 
 /// Deterministic dense vector in `[-2, 2]` with exact `+0.0` holes: each
@@ -90,41 +89,6 @@ proptest! {
         prop_assert_eq!(bits(round.values()), bits(&values));
     }
 
-    /// CSR blocks are exact: `to_dense` reproduces the source matrix to the
-    /// bit, per-row postings match `from_dense` of each row, and the cached
-    /// row norms equal the dense-row norms bit-for-bit.
-    #[test]
-    fn csr_round_trip_is_exact(rows in 0usize..20,
-                               cols in 0usize..40,
-                               density in 0.0f64..=1.0,
-                               seed in 0u64..5_000) {
-        let source = Matrix::from_fn(rows, cols, |r, c| {
-            random_dense(1, density, seed ^ ((r as u64) << 24) ^ c as u64)[0]
-        });
-        let block = SparseBlock::from_dense(&source);
-        prop_assert_eq!(block.num_rows(), rows);
-        prop_assert_eq!(block.dim(), cols);
-
-        let dense = block.to_dense();
-        let mut nnz = 0usize;
-        for r in 0..rows {
-            prop_assert_eq!(bits(dense.row(r)), bits(source.row(r)));
-            let row_vec = block.row_vec(r);
-            let expect = SparseVec::from_dense(source.row(r));
-            prop_assert_eq!(row_vec.indices(), expect.indices());
-            prop_assert_eq!(bits(row_vec.values()), bits(expect.values()));
-            prop_assert_eq!(block.row_norms()[r].to_bits(), norm2(source.row(r)).to_bits());
-            nnz += row_vec.nnz();
-        }
-        prop_assert_eq!(block.nnz(), nnz);
-        if rows > 0 && cols > 0 {
-            let exact = nnz as f64 / (rows * cols) as f64;
-            prop_assert!((block.density() - exact).abs() < 1e-12);
-        } else {
-            prop_assert_eq!(block.density(), 0.0);
-        }
-    }
-
     /// Sampling every row makes the stats exact, not estimates.
     #[test]
     fn full_sample_stats_are_exact(rows in 1usize..16,
@@ -135,12 +99,14 @@ proptest! {
             random_dense(1, density, seed ^ ((r as u64) << 20) ^ c as u64)[0]
         });
         let stats = SparsityStats::sample(&source, rows);
-        let block = SparseBlock::from_dense(&source);
+        let per_row: Vec<usize> = (0..rows)
+            .map(|r| source.row(r).iter().filter(|v| **v != 0.0).count())
+            .collect();
+        let nnz: usize = per_row.iter().sum();
         prop_assert_eq!(stats.rows_sampled, rows);
-        prop_assert_eq!(stats.sampled_nnz, block.nnz());
-        prop_assert!((stats.density - block.density()).abs() < 1e-12);
-        let max = (0..rows).map(|r| block.row(r).0.len()).max().unwrap();
-        prop_assert_eq!(stats.max_nnz_per_row, max);
+        prop_assert_eq!(stats.sampled_nnz, nnz);
+        prop_assert!((stats.density - nnz as f64 / (rows * cols) as f64).abs() < 1e-12);
+        prop_assert_eq!(stats.max_nnz_per_row, *per_row.iter().max().unwrap());
     }
 
     /// The sparse synthetic generator never emits an all-zero row (the
@@ -160,12 +126,9 @@ proptest! {
             dense_head: 0,
             seed,
         });
-        for block in [
-            SparseBlock::from_dense(model.users()),
-            SparseBlock::from_dense(model.items()),
-        ] {
-            for r in 0..block.num_rows() {
-                prop_assert!(!block.row(r).0.is_empty(), "all-zero row {r}");
+        for side in [model.users(), model.items()] {
+            for r in 0..side.rows() {
+                prop_assert!(side.row(r).iter().any(|v| *v != 0.0), "all-zero row {r}");
             }
         }
     }
@@ -221,19 +184,5 @@ fn empty_postings_round_trip() {
         let dense = empty.densify();
         assert_eq!(dense.len(), dim);
         assert!(dense.iter().all(|v| v.to_bits() == 0));
-    }
-}
-
-/// An all-zero matrix is the empty CSR block and survives the round trip.
-#[test]
-fn empty_block_round_trip() {
-    let zeros = Matrix::<f64>::zeros(5, 9);
-    let block = SparseBlock::from_dense(&zeros);
-    assert_eq!(block.nnz(), 0);
-    assert_eq!(block.density(), 0.0);
-    let back = block.to_dense();
-    for r in 0..5 {
-        assert!(back.row(r).iter().all(|v| v.to_bits() == 0));
-        assert_eq!(block.row_norms()[r], 0.0);
     }
 }

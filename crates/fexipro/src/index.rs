@@ -59,7 +59,6 @@ struct UserCtx {
 /// build time, mirroring the original system's batch preprocessing step.
 #[derive(Debug, Clone)]
 pub struct FexiproIndex {
-    num_factors: usize,
     /// Item ids in descending-norm order.
     ids: Vec<u32>,
     /// Original item vectors, gathered in scan order (exact verification).
@@ -83,6 +82,9 @@ pub struct FexiproIndex {
     reduction: Option<Reduction>,
     /// Precomputed per-user contexts for the model's users.
     users: Vec<UserCtx>,
+    /// `false` over a model with tiny rows ([`MfModel::has_tiny_rows`]),
+    /// whose norms the filters cannot trust: every item is scored.
+    bounded: bool,
 }
 
 impl FexiproIndex {
@@ -133,7 +135,6 @@ impl FexiproIndex {
             .then(|| Reduction::build(&t_items, h_r));
 
         let mut index = FexiproIndex {
-            num_factors: f,
             ids,
             originals,
             norms,
@@ -145,6 +146,7 @@ impl FexiproIndex {
             quant,
             reduction,
             users: Vec::new(),
+            bounded: !model.has_tiny_rows(),
         };
         // Transform every user in one matrix multiply (the original system
         // preprocesses the full user set up front, §V-A); per-user contexts
@@ -167,22 +169,6 @@ impl FexiproIndex {
     /// The SVD checkpoint `h` (for diagnostics and ablations).
     pub fn checkpoint(&self) -> usize {
         self.h
-    }
-
-    fn make_ctx(&self, user: &[f64]) -> UserCtx {
-        assert_eq!(
-            user.len(),
-            self.num_factors,
-            "FexiproIndex: user dimensionality mismatch"
-        );
-        let t: Vec<f64> = match &self.svd {
-            Some(stage) => {
-                let m = Matrix::from_vec(1, user.len(), user.to_vec()).expect("1 x f");
-                stage.transform(&m).into_vec()
-            }
-            None => user.to_vec(),
-        };
-        self.ctx_from_transformed(user, &t)
     }
 
     /// Builds a query context from the original vector and its already
@@ -220,20 +206,13 @@ impl FexiproIndex {
         self.query_ctx(&self.users[u], k, stats)
     }
 
-    /// Top-k for an ad-hoc user vector (context computed on the fly).
-    pub fn query_vector(&self, user: &[f64], k: usize) -> TopKList {
-        let ctx = self.make_ctx(user);
-        let mut stats = FexiproStats::default();
-        self.query_ctx(&ctx, k, &mut stats)
-    }
-
     fn query_ctx(&self, ctx: &UserCtx, k: usize, stats: &mut FexiproStats) -> TopKList {
         let mut heap = TopKHeap::new(k);
         let n = self.ids.len();
         for r in 0..n {
             let mag = ctx.norm * self.norms[r];
             let slack = mag * BOUND_EPS;
-            if heap.is_full() {
+            if self.bounded && heap.is_full() {
                 let t = heap.threshold();
                 // Length: items descend in norm, so one failure ends the
                 // scan.
@@ -313,7 +292,7 @@ mod tests {
     /// each user context the `h` and `h_r` prefixes its filters read; the
     /// I codes keep every coordinate.
     fn assert_checkpoint_widths(index: &FexiproIndex) {
-        let f = index.num_factors;
+        let f = index.originals.cols();
         assert!(
             index.h < f,
             "a checkpoint that trims nothing proves nothing"
@@ -392,8 +371,6 @@ mod tests {
             for u in 0..m.num_users() {
                 let [got, want] = served_and_oracle(&index, &m, u, 5);
                 assert_eq!(got, want, "{cfg:?} u={u}");
-                let vector = index.query_vector(m.users().row(u), 5);
-                assert_eq!(vector, index.query_user(u, 5), "{cfg:?} u={u}");
             }
         }
     }
@@ -414,39 +391,5 @@ mod tests {
             total
         );
         assert!(stats.svd_pruned + stats.int_pruned + stats.length_pruned > 0);
-    }
-
-    #[test]
-    fn query_vector_matches_query_user() {
-        let m = model(0.9, 0.5);
-        let index = FexiproIndex::build(&m, &FexiproConfig::sir());
-        for u in [0usize, 13, 39] {
-            assert_eq!(
-                index.query_vector(m.users().row(u), 6).items,
-                index.query_user(u, 6).items
-            );
-        }
-    }
-
-    #[test]
-    fn zero_user_and_k_edge_cases() {
-        let m = model(0.9, 0.5);
-        let index = FexiproIndex::build(&m, &FexiproConfig::si());
-        let zero = vec![0.0; m.num_factors()];
-        let got = index.query_vector(&zero, 4);
-        assert_eq!(got.len(), 4);
-        // All scores are exactly zero; ids must be the four smallest.
-        assert_eq!(got.items, vec![0, 1, 2, 3]);
-        assert!(index.query_user(0, 0).is_empty());
-        let all = index.query_user(0, 10_000);
-        assert_eq!(all.len(), m.num_items());
-    }
-
-    #[test]
-    #[should_panic(expected = "dimensionality mismatch")]
-    fn rejects_wrong_width_vector() {
-        let m = model(0.9, 0.5);
-        let index = FexiproIndex::build(&m, &FexiproConfig::si());
-        let _ = index.query_vector(&[1.0; 3], 2);
     }
 }

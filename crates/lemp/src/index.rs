@@ -5,6 +5,7 @@ use crate::config::LempConfig;
 use crate::scan::{inflate, scan_bucket, RetrievalAlgo, ScanStats, UserCtx};
 use crate::tuner::tune_buckets;
 use mips_data::MfModel;
+use mips_linalg::kernels::dot;
 use mips_topk::{TopKHeap, TopKList};
 
 /// Cumulative work counters for a sequence of queries.
@@ -30,6 +31,9 @@ pub struct LempIndex {
     algos: Vec<RetrievalAlgo>,
     checkpoint: usize,
     num_factors: usize,
+    /// `false` over a model with tiny rows ([`MfModel::has_tiny_rows`]),
+    /// whose norms the bounds cannot trust: every item is scored.
+    bounded: bool,
 }
 
 impl LempIndex {
@@ -56,6 +60,7 @@ impl LempIndex {
             algos,
             checkpoint,
             num_factors: f,
+            bounded: !model.has_tiny_rows(),
         }
     }
 
@@ -85,8 +90,17 @@ impl LempIndex {
             self.num_factors,
             "LempIndex::query: user dimensionality mismatch"
         );
-        let ctx = UserCtx::new(user, self.checkpoint);
         let mut heap = TopKHeap::new(k);
+        if !self.bounded {
+            for bucket in &self.buckets {
+                for (r, &id) in bucket.ids.iter().enumerate() {
+                    heap.push(dot(user, bucket.vectors.row(r)), id);
+                }
+                stats.scan.dots_computed += bucket.len() as u64;
+            }
+            return heap.into_sorted();
+        }
+        let ctx = UserCtx::new(user, self.checkpoint);
         for (b, bucket) in self.buckets.iter().enumerate() {
             // Buckets descend in max norm: once even the best possible score
             // in this bucket cannot enter the heap, later buckets can't

@@ -36,8 +36,10 @@
 //!   `crates/net/src/{lib,conn,http,json}.rs` on its one thread, and a
 //!   panic there takes every connection down with it. Outside their
 //!   `#[cfg(test)]` modules those files call no `.unwrap()`, `.expect(`,
-//!   `panic!`, `unreachable!`, `todo!` or `unimplemented!` unless
-//!   `crates/lint/allow.txt` names the file with the reason.
+//!   `panic!`, `unreachable!`, `todo!` or `unimplemented!`, and index or
+//!   slice nothing with `[…]` (`get`, `split_at_checked` and iterators do
+//!   not panic), unless `crates/lint/allow.txt` names the file with the
+//!   reason.
 //!
 //! Comments and string literals are stripped before token checks, so prose
 //! about `unsafe` or examples inside doc comments never trip the lint.
@@ -216,6 +218,18 @@ const LOOP_THREAD_FILES: [&str; 4] = [
 const PANICKING_CALLS: [&str; 2] = [".unwrap()", ".expect("];
 const PANICKING_MACROS: [&str; 4] = ["panic!", "unreachable!", "todo!", "unimplemented!"];
 
+/// Whether `line` indexes or slices with `[…]`: a bracket glued to the
+/// expression before it (`xs[i]`, `f()[0]`, `m[r][c]`). Array types and
+/// literals, attributes and `vec![…]` follow a space, `&`, `<`, `(`, `#`
+/// or `!` instead.
+fn indexes(line: &str) -> bool {
+    let bytes = line.as_bytes();
+    (1..bytes.len()).any(|i| {
+        let before = bytes[i - 1];
+        bytes[i] == b'[' && (is_word(before) || before == b')' || before == b']')
+    })
+}
+
 /// The per-file rule pass over pre-stripped code lines. `path` uses `/`
 /// separators relative to the workspace root.
 fn lint_lines(path: &str, raw: &[&str], code: &[String], findings: &mut Vec<Finding>) {
@@ -315,7 +329,8 @@ fn lint_lines(path: &str, raw: &[&str], code: &[String], findings: &mut Vec<Find
         if idx < loop_code_end {
             let call = PANICKING_CALLS.iter().find(|c| code_line.contains(*c));
             let mac = PANICKING_MACROS.iter().find(|m| has_token(code_line, m));
-            if let Some(what) = call.or(mac) {
+            let index = indexes(code_line).then_some(&"[…]");
+            if let Some(what) = call.or(mac).or(index) {
                 findings.push(Finding {
                     rule: "loop-thread-panic",
                     path: path.to_string(),
@@ -556,6 +571,12 @@ fn self_test(root: &Path) -> ExitCode {
             "crates/net/src/lib.rs",
             "#[cfg(test)]\nfn probe() {}\npub fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",
         ),
+        (
+            // Slice indexing panics out of bounds like an unwrap.
+            "loop-thread-panic",
+            "crates/net/src/http.rs",
+            "pub fn f(xs: &[u8], n: usize) -> &[u8] {\n    &xs[..n]\n}\n",
+        ),
     ];
 
     // Sources the lint must NOT flag: the conventions done right, plus
@@ -586,7 +607,7 @@ fn self_test(root: &Path) -> ExitCode {
             // Loop-thread code may say `.unwrap()` in prose and call
             // `unwrap_or`; its test module may unwrap.
             "crates/net/src/json.rs",
-            "/// Never `.unwrap()` or `panic!` here.\npub fn f(x: Option<u8>) -> u8 {\n    x.unwrap_or(0)\n}\n#[cfg(test)]\nmod tests {\n    fn g() {\n        super::f(None).checked_add(1).unwrap();\n    }\n}\n",
+            "/// Never `.unwrap()`, `panic!` or `xs[i]` here.\n#[inline]\npub fn f(x: Option<u8>, xs: &[u8; 2]) -> u8 {\n    let [a, _] = *xs;\n    let _ = vec![0u8; 2];\n    x.unwrap_or(a)\n}\n#[cfg(test)]\nmod tests {\n    fn g() {\n        super::f(None).checked_add(1).unwrap();\n    }\n}\n",
         ),
         (
             // Off the loop thread (the blocking client) the rule is silent.

@@ -283,7 +283,10 @@ impl Conn {
     /// Writes pending output until the socket stops taking it.
     fn flush(&mut self, now: Instant) {
         while self.unflushed() {
-            match self.stream.write(&self.out[self.out_pos..]) {
+            match self
+                .stream
+                .write(self.out.get(self.out_pos..).unwrap_or_default())
+            {
                 Ok(0) => {
                     self.closed = true;
                     return;
@@ -321,7 +324,8 @@ impl Conn {
                 self.closing = true;
             }
             Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
+                self.buf
+                    .extend_from_slice(chunk.get(..n).unwrap_or_default());
                 self.last_read = now;
                 self.counters.add(&self.counters.bytes_read, n as u64);
                 self.parse_available(router, limits, now);

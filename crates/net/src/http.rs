@@ -107,7 +107,7 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Parse {
             format!("request head exceeds {} bytes", limits.max_head_bytes),
         ));
     }
-    let Ok(head) = std::str::from_utf8(&buf[..head_len]) else {
+    let Ok(head) = std::str::from_utf8(buf.get(..head_len).unwrap_or_default()) else {
         return Parse::Bad(HttpError::new(400, "request head is not valid UTF-8"));
     };
     let mut lines = head.split("\r\n");
@@ -216,7 +216,7 @@ pub fn parse_request(buf: &[u8], limits: &Limits) -> Parse {
     Parse::Ready(Request {
         method: method.to_string(),
         path: path.to_string(),
-        body: buf[head_len..total].to_vec(),
+        body: buf.get(head_len..total).unwrap_or_default().to_vec(),
         keep_alive,
         consumed: total,
     })

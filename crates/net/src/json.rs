@@ -168,7 +168,11 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &[u8], value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word) {
+        if self
+            .bytes
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(word))
+        {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -277,7 +281,8 @@ impl Parser<'_> {
     /// The verbatim bytes `run..self.pos` as UTF-8 (always valid: the input
     /// is a `&str` and both run delimiters are ASCII).
     fn run_str(&self, run: usize) -> Result<&str, String> {
-        std::str::from_utf8(&self.bytes[run..self.pos]).map_err(|_| "invalid UTF-8".into())
+        std::str::from_utf8(self.bytes.get(run..self.pos).unwrap_or_default())
+            .map_err(|_| "invalid UTF-8".into())
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -359,7 +364,7 @@ impl Parser<'_> {
                 return Err(format!("digits required in exponent at position {start}"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or_default())
             .map_err(|_| "invalid UTF-8 in number")?;
         text.parse::<f64>()
             .map(Json::Num)
@@ -418,13 +423,13 @@ fn decode_users(users: &Json) -> Result<UserSelection, String> {
                 .get("range")
                 .and_then(Json::as_arr)
                 .ok_or("\"users\" object must be {\"range\": [lo, hi]}")?;
-            if range.len() != 2 {
+            let [lo, hi] = range else {
                 return Err("\"range\" must hold exactly [lo, hi]".into());
-            }
-            let lo = range[0]
+            };
+            let lo = lo
                 .as_u64()
                 .ok_or("\"range\" bounds must be non-negative integers")?;
-            let hi = range[1]
+            let hi = hi
                 .as_u64()
                 .ok_or("\"range\" bounds must be non-negative integers")?;
             let lo = usize::try_from(lo).map_err(|_| "\"range\" bound too large")?;

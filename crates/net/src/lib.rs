@@ -597,13 +597,13 @@ fn run_loop(listener: TcpListener, mut wake_rx: WakeStream, router: Router, conf
         counters.add(&counters.loop_wakeups, 1);
 
         let now = Instant::now();
-        if fds[0].readable() {
+        if fds.first().is_some_and(PollFd::readable) {
             // Level-triggered: leave nothing behind or the next wait
             // returns at once. One read takes every pending wake-up short
             // of a burst larger than the buffer.
             let _ = wake_rx.read(&mut [0u8; 64]);
         }
-        for (conn, fd) in conns.iter_mut().zip(&fds[1..]) {
+        for (conn, fd) in conns.iter_mut().zip(fds.iter().skip(1)) {
             if !(fd.readable() || fd.failed()) {
                 continue;
             }

@@ -2,17 +2,21 @@
 //! admission behavior.
 //!
 //! Each test boots an [`HttpServer`] on an ephemeral port and drives it
-//! with the crate's blocking [`Client`]. Wire answers are compared
-//! bit-for-bit against in-process [`Engine::execute`] — the socket layer
-//! must add framing, never change results.
+//! with the crate's blocking [`Client`]. That wire answers are the
+//! oracle's, bit for bit, for every backend and precision, is the core
+//! test kit's `Wire` route (`mips-core`'s `exactness.rs`); this suite holds
+//! the protocol: statuses, framing, pipelining order, metrics, deadlines,
+//! admission and drain.
 
-use mips_core::engine::{Engine, EngineBuilder, QueryRequest};
+use mips_core::engine::{BmmFactory, Engine, EngineBuilder, QueryRequest};
+use mips_core::precision::Precision;
 use mips_core::serve::{MipsServer, ServerBuilder};
 use mips_data::synth::{synth_model, SynthConfig};
 use mips_data::MfModel;
 use mips_net::client::Client;
 use mips_net::json::{self, Json};
 use mips_net::{HttpServer, HttpServerBuilder};
+use mips_topk::ScreenTier;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,91 +86,9 @@ fn wire_results(body: &str) -> Vec<(Vec<u32>, Vec<u64>)> {
 }
 
 #[test]
-fn wire_queries_are_bit_identical_to_in_process_execution() {
-    let (engine, _server, http) = stack();
-    let mut client = Client::connect(http.local_addr()).unwrap();
-    let cases = [
-        (
-            "{\"k\": 5, \"users\": [3, 0, 9, 3]}",
-            QueryRequest::top_k(5).users(vec![3, 0, 9, 3]),
-        ),
-        ("{\"k\": 1}", QueryRequest::top_k(1)),
-        (
-            "{\"k\": 4, \"users\": {\"range\": [10, 30]}}",
-            QueryRequest::top_k(4).users_range(10..30),
-        ),
-        (
-            "{\"k\": 3, \"users\": [2], \"exclude\": {\"2\": [0, 1, 2, 3]}}",
-            QueryRequest::top_k(3).users(vec![2]).exclude(
-                mips_core::engine::ExclusionSet::from_pairs((0..4).map(|i| (2usize, i as u32))),
-            ),
-        ),
-    ];
-    for (wire, request) in cases {
-        let response = client.request("POST", "/query", Some(wire)).unwrap();
-        assert_eq!(response.status, 200, "{wire}: {}", response.body);
-        let expected = engine.execute(&request).unwrap();
-        let got = wire_results(&response.body);
-        assert_eq!(got.len(), expected.results.len(), "{wire}");
-        for (row, want) in got.iter().zip(&expected.results) {
-            assert_eq!(row.0, want.items, "{wire}");
-            let want_bits: Vec<u64> = want.scores.iter().map(|s| s.to_bits()).collect();
-            assert_eq!(
-                row.1, want_bits,
-                "{wire}: scores must survive the wire exactly"
-            );
-        }
-        let doc = json::parse(&response.body).unwrap();
-        assert_eq!(
-            doc.get("epoch").and_then(Json::as_u64),
-            Some(expected.epoch)
-        );
-        assert!(doc.get("backend").and_then(Json::as_str).is_some());
-        // The default stack runs pure f64; the wire must say so.
-        assert_eq!(
-            doc.get("precision").and_then(Json::as_str),
-            Some("f64"),
-            "{wire}"
-        );
-    }
-    http.shutdown().unwrap();
-}
-
-#[test]
 fn vector_queries_serve_both_encodings_bit_identically() {
-    let (engine, _server, http) = stack();
+    let (_engine, _server, http) = stack();
     let mut client = Client::connect(http.local_addr()).unwrap();
-
-    // Dense payload = a stored user row: the wire answer must match
-    // serving that user through the batch path, bit for bit.
-    let row: Vec<f64> = engine.model().users().row(3).to_vec();
-    let dense_body = format!(
-        "{{\"k\": 5, \"vector\": [{}]}}",
-        row.iter()
-            .map(|v| format!("{v:?}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let response = client
-        .request("POST", "/vector-query", Some(&dense_body))
-        .unwrap();
-    assert_eq!(response.status, 200, "{}", response.body);
-    let expected = engine
-        .execute_with("bmm", &QueryRequest::top_k(5).users(vec![3]))
-        .unwrap();
-    let got = wire_results(&response.body);
-    assert_eq!(got.len(), 1);
-    assert_eq!(got[0].0, expected.results[0].items);
-    let want_bits: Vec<u64> = expected.results[0]
-        .scores
-        .iter()
-        .map(|s| s.to_bits())
-        .collect();
-    assert_eq!(got[0].1, want_bits, "scores must survive the wire exactly");
-    let doc = json::parse(&response.body).unwrap();
-    // The default stack registers the sparse backend, which owns the
-    // point-lookup path.
-    assert_eq!(doc.get("backend").and_then(Json::as_str), Some("Sparse-II"));
 
     // A sparse payload and its densified twin answer identically.
     let sparse_body =
@@ -185,6 +107,10 @@ fn vector_queries_serve_both_encodings_bit_identically() {
         wire_results(&via_dense.body),
         "sparse and dense encodings must be interchangeable on the wire"
     );
+    // The default stack registers the sparse backend, which owns the
+    // point-lookup path.
+    let doc = json::parse(&via_dense.body).unwrap();
+    assert_eq!(doc.get("backend").and_then(Json::as_str), Some("Sparse-II"));
 
     // Typed errors reach the wire with their statuses.
     let cases = [
@@ -249,177 +175,76 @@ fn a_vector_whose_scores_overflow_is_a_400_and_the_server_stays_up() {
 }
 
 #[test]
-fn forced_f32_rescore_is_bit_identical_and_announced_on_the_wire() {
-    // A mixed-precision stack must change how answers are computed — f32
-    // screen, exact f64 rescore — without changing a single reported bit,
-    // and both the response and /metrics must announce the mode.
-    //
-    // The engine registers the one default backend with an f32 variant,
-    // brute force, so the forced tier is served by that variant.
+fn a_forced_tier_is_announced_on_the_wire_and_counted_in_its_lanes() {
+    // A forced tier changes how answers are computed — a screen, then the
+    // exact f64 rescore — and both the response and /metrics must announce
+    // the mode, with the screen work in that tier's lanes only. The engine
+    // is pinned to BMM, which has a variant in every tier: with the full
+    // registry OPTIMUS may hand a forced plan to a screenless backend, which
+    // serves f64-direct and leaves the lanes empty.
     let model = model(80, 100, 11);
-    let f64_engine = engine(&model);
-    let f32_engine = Arc::new(
-        EngineBuilder::new()
-            .model(Arc::clone(&model))
-            .register(mips_core::engine::BmmFactory)
-            .precision(mips_core::precision::Precision::F32Rescore)
-            .build()
-            .unwrap(),
-    );
-    let plan = f32_engine.prepare(5).unwrap();
-    assert_eq!(plan.solver().name(), "Blocked MM+f32");
-    assert_eq!(
-        plan.precision(),
-        mips_core::precision::Precision::F32Rescore
-    );
-    let server = Arc::new(
-        ServerBuilder::new()
-            .engine(Arc::clone(&f32_engine))
-            .shards(2)
-            .workers(2)
-            .build()
-            .unwrap(),
-    );
-    let http = HttpServerBuilder::new()
-        .server(Arc::clone(&server))
-        .build()
-        .unwrap();
-    let mut client = Client::connect(http.local_addr()).unwrap();
+    for tier in ScreenTier::ALL {
+        let precision = Precision::of_tier(Some(tier));
+        let engine = Arc::new(
+            EngineBuilder::new()
+                .model(Arc::clone(&model))
+                .register(BmmFactory)
+                .precision(precision)
+                .build()
+                .unwrap(),
+        );
+        let plan = engine.prepare(5).unwrap();
+        assert_eq!(plan.solver().name(), format!("Blocked MM{}", tier.suffix()));
+        assert_eq!(plan.precision(), precision);
+        let server = Arc::new(
+            ServerBuilder::new()
+                .engine(engine)
+                .shards(2)
+                .workers(2)
+                .build()
+                .unwrap(),
+        );
+        let http = HttpServerBuilder::new().server(server).build().unwrap();
+        let mut client = Client::connect(http.local_addr()).unwrap();
 
-    let wire = "{\"k\": 5, \"users\": [3, 0, 9, 3]}";
-    let response = client.request("POST", "/query", Some(wire)).unwrap();
-    assert_eq!(response.status, 200, "{}", response.body);
-    let doc = json::parse(&response.body).unwrap();
-    assert_eq!(
-        doc.get("precision").and_then(Json::as_str),
-        Some("f32-rescore"),
-        "the response must carry the serving plan's precision"
-    );
-    // Bit-identity against the pure-f64 engine, across the wire.
-    let expected = f64_engine
-        .execute(&QueryRequest::top_k(5).users(vec![3, 0, 9, 3]))
-        .unwrap();
-    let got = wire_results(&response.body);
-    for (row, want) in got.iter().zip(&expected.results) {
-        assert_eq!(row.0, want.items);
-        let want_bits: Vec<u64> = want.scores.iter().map(|s| s.to_bits()).collect();
-        assert_eq!(row.1, want_bits, "f32-rescore must not move a single bit");
+        let wire = "{\"k\": 5, \"users\": [3, 0, 9, 3]}";
+        let response = client.request("POST", "/query", Some(wire)).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+        let doc = json::parse(&response.body).unwrap();
+        assert_eq!(
+            doc.get("precision").and_then(Json::as_str),
+            Some(precision.as_str()),
+            "the response must carry the serving plan's precision"
+        );
+
+        let metrics = client.request("GET", "/metrics", None).unwrap();
+        let doc = json::parse(&metrics.body).unwrap();
+        let server_side = doc.get("server").expect("server section");
+        let counter = |obj: &Json, key: &str| obj.get(key).and_then(Json::as_u64).unwrap();
+        assert_eq!(
+            server_side.get("precision").and_then(Json::as_str),
+            Some(precision.as_str())
+        );
+        let shards = server_side.get("shards").and_then(Json::as_arr).unwrap();
+        let batches = format!("{}_batches", tier.name());
+        let shard_batches: u64 = shards.iter().map(|s| counter(s, &batches)).sum();
+        assert!(
+            counter(server_side, &batches) >= 1 && shard_batches >= 1,
+            "served batches must be attributed to the {tier:?} screen path"
+        );
+        let candidates = counter(server_side, &format!("screen_candidates_{}", tier.name()));
+        let survivors = counter(server_side, &format!("screen_survivors_{}", tier.name()));
+        assert!(
+            candidates >= 1,
+            "the {tier:?} screen must report evaluated scores"
+        );
+        assert!(survivors <= candidates);
+        for idle in ScreenTier::ALL.into_iter().filter(|&t| t != tier) {
+            let key = format!("screen_candidates_{}", idle.name());
+            assert_eq!(counter(server_side, &key), 0, "{key} under {tier:?}");
+        }
+        http.shutdown().unwrap();
     }
-
-    let metrics = client.request("GET", "/metrics", None).unwrap();
-    let doc = json::parse(&metrics.body).unwrap();
-    let server_side = doc.get("server").expect("server section");
-    assert_eq!(
-        server_side.get("precision").and_then(Json::as_str),
-        Some("f32-rescore")
-    );
-    let f32_batches: u64 = server_side
-        .get("shards")
-        .and_then(Json::as_arr)
-        .unwrap()
-        .iter()
-        .map(|s| s.get("f32_batches").and_then(Json::as_u64).unwrap())
-        .sum();
-    assert!(
-        f32_batches >= 1,
-        "served batches must be attributed to the f32 screen path"
-    );
-    http.shutdown().unwrap();
-}
-
-#[test]
-fn forced_i8_rescore_is_bit_identical_and_announced_on_the_wire() {
-    // The int8 tier under the f32 one: integer screen, exact f64 rescore,
-    // same bit-identity contract, and /metrics must attribute batches and
-    // screen candidate/survivor counts to the i8 lanes. The engine is
-    // pinned to BMM: with the full registry, OPTIMUS may hand a forced-i8
-    // plan to a screenless backend, which serves the same bits f64-direct
-    // and leaves the i8 lanes empty — and this test is about the lanes.
-    let model = model(80, 100, 11);
-    let f64_engine = engine(&model);
-    let registry = mips_core::engine::BackendRegistry::with_defaults();
-    let bmm = registry
-        .factories()
-        .iter()
-        .find(|f| f.key() == "bmm")
-        .expect("bmm is a default backend");
-    let i8_engine = Arc::new(
-        EngineBuilder::new()
-            .model(Arc::clone(&model))
-            .register_arc(Arc::clone(bmm))
-            .precision(mips_core::precision::Precision::I8Rescore)
-            .build()
-            .unwrap(),
-    );
-    let server = Arc::new(
-        ServerBuilder::new()
-            .engine(Arc::clone(&i8_engine))
-            .shards(2)
-            .workers(2)
-            .build()
-            .unwrap(),
-    );
-    let http = HttpServerBuilder::new()
-        .server(Arc::clone(&server))
-        .build()
-        .unwrap();
-    let mut client = Client::connect(http.local_addr()).unwrap();
-
-    let wire = "{\"k\": 5, \"users\": [3, 0, 9, 3]}";
-    let response = client.request("POST", "/query", Some(wire)).unwrap();
-    assert_eq!(response.status, 200, "{}", response.body);
-    let doc = json::parse(&response.body).unwrap();
-    assert_eq!(
-        doc.get("precision").and_then(Json::as_str),
-        Some("i8-rescore"),
-        "the response must carry the serving plan's precision"
-    );
-    let expected = f64_engine
-        .execute(&QueryRequest::top_k(5).users(vec![3, 0, 9, 3]))
-        .unwrap();
-    let got = wire_results(&response.body);
-    for (row, want) in got.iter().zip(&expected.results) {
-        assert_eq!(row.0, want.items);
-        let want_bits: Vec<u64> = want.scores.iter().map(|s| s.to_bits()).collect();
-        assert_eq!(row.1, want_bits, "i8-rescore must not move a single bit");
-    }
-
-    let metrics = client.request("GET", "/metrics", None).unwrap();
-    let doc = json::parse(&metrics.body).unwrap();
-    let server_side = doc.get("server").expect("server section");
-    assert_eq!(
-        server_side.get("precision").and_then(Json::as_str),
-        Some("i8-rescore")
-    );
-    assert!(
-        server_side
-            .get("i8_batches")
-            .and_then(Json::as_u64)
-            .unwrap()
-            >= 1,
-        "served batches must be attributed to the i8 screen path"
-    );
-    let candidates = server_side
-        .get("screen_candidates_i8")
-        .and_then(Json::as_u64)
-        .unwrap();
-    let survivors = server_side
-        .get("screen_survivors_i8")
-        .and_then(Json::as_u64)
-        .unwrap();
-    assert!(
-        candidates >= 1,
-        "the i8 screen must report evaluated scores"
-    );
-    assert!(survivors <= candidates);
-    assert_eq!(
-        server_side
-            .get("screen_candidates_f32")
-            .and_then(Json::as_u64),
-        Some(0),
-        "no f32 screen work under a forced i8 engine"
-    );
-    http.shutdown().unwrap();
 }
 
 #[test]

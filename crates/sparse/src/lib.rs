@@ -236,14 +236,6 @@ impl InvertedIndex {
         self.num_dense_cols
     }
 
-    /// Accumulation cost of a query touching *every* factor once: postings
-    /// entries plus dense-panel cells. A query with `nnz(q)` uniformly
-    /// placed nonzeros expects `nnz(q)/f` of this — the quantity OPTIMUS's
-    /// analytical sparse model scales by sampled query-side nnz.
-    pub fn total_scan_cost(&self) -> usize {
-        self.postings_nnz + self.num_dense_cols * self.num_items
-    }
-
     /// Exact top-`k` for a dense query vector, allocating fresh scratch.
     /// See [`InvertedIndex::query_with_scratch`].
     pub fn query(&self, query: &[f64], k: usize, items: &Matrix<f64>) -> TopKList {
@@ -481,13 +473,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_cost_counts_postings_and_panels() {
+    fn postings_count_only_the_sparse_columns() {
         let items = toy_items();
         let index = InvertedIndex::build(&items);
-        // Columns 0 (5/6) and 2 (2/6) exceed the 0.25 cutoff → dense panels
-        // (cost 6 each). Columns 1 and 3 hold 1 posting apiece.
+        // Columns 0 (5/6) and 2 (2/6) exceed the 0.25 cutoff → dense panels.
+        // Columns 1 and 3 hold 1 posting apiece.
+        assert_eq!(index.num_dense_cols(), 2);
         assert_eq!(index.postings_nnz(), 2);
-        assert_eq!(index.total_scan_cost(), 12 + 2);
     }
 
     #[test]

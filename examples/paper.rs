@@ -498,9 +498,12 @@ fn fig8(paper: &Paper) {
     for (dataset, training) in [("Netflix", "NOMAD"), ("R2", "NOMAD")] {
         let rows = paper.find(dataset, training, 50);
         let name = rows.model.name();
-        let traversal = [(false, "w/o"), (true, "with")].map(|(item_blocking, label)| {
-            let mut config = rows.maximus_config();
-            config.item_blocking = item_blocking;
+        let blocked = rows.maximus_config();
+        let unblocked = MaximusConfig {
+            block_size: 0,
+            ..blocked
+        };
+        let traversal = [(unblocked, "w/o"), (blocked, "with")].map(|(config, label)| {
             let maximus: Factory = Arc::new(MaximusFactory::new(config));
             let engine = build(engine(&rows.model, [Arc::new(BmmFactory), maximus]));
             let plan = engine.prepare(1).expect("planner runs");

@@ -91,7 +91,6 @@ pub mod prelude {
     };
     pub use mips_core::maximus::{MaximusConfig, MaximusIndex};
     pub use mips_core::optimus::{Optimus, OptimusConfig};
-    pub use mips_core::parallel::par_query_all;
     pub use mips_core::serve::{
         LatencySnapshot, MipsServer, ResponseHandle, ServeOptions, ServerBuilder, ServerMetrics,
         ShardMetrics,

@@ -1,23 +1,27 @@
 //! Cross-crate integration tests: the full pipeline from factor matrices
-//! through the serving engine, every backend, and the planner.
+//! through the serving engine, every backend, and the planner, on the
+//! catalog's stand-in models. That every backend, precision and route
+//! returns the oracle's answer on every corpus shape is `mips-core`'s
+//! exactness driver.
 
-use optimus_maximus::core::parallel::par_query_all;
 use optimus_maximus::prelude::*;
+use optimus_maximus::topk::exact_topk;
 use std::sync::Arc;
 
-/// Small versions of a few catalog models spanning all four dataset
-/// families.
-fn small_catalog() -> Vec<Arc<MfModel>> {
-    reference_models()
-        .into_iter()
-        .filter(|s| {
-            (s.dataset == "Netflix" && s.training == "DSGD" && s.f == 10)
-                || (s.dataset == "R2" && s.training == "NOMAD" && s.f == 10)
-                || (s.dataset == "KDD" && s.training == "REF")
-                || (s.dataset == "GloVe" && s.f == 50)
-        })
-        .map(|s| Arc::new(s.build(0.05)))
+/// The oracle's answer for every user of `model` at `k`.
+fn oracle(model: &MfModel, k: usize) -> Vec<TopKList> {
+    (0..model.num_users())
+        .map(|u| exact_topk(model.users().row(u), model.items(), k))
         .collect()
+}
+
+/// A small version of one catalog model.
+fn catalog_model(dataset: &str, training: &str, f: usize) -> Arc<MfModel> {
+    let spec = reference_models()
+        .into_iter()
+        .find(|s| s.dataset == dataset && s.training == training && s.f == f)
+        .expect("a catalog model");
+    Arc::new(spec.build(0.05))
 }
 
 fn engine_for(model: &Arc<MfModel>) -> Engine {
@@ -38,45 +42,30 @@ fn engine_for(model: &Arc<MfModel>) -> Engine {
 
 #[test]
 fn all_backends_exact_on_all_dataset_families() {
-    for model in small_catalog() {
+    // The exactness kit's corpora are synthetic shapes; this holds every backend to
+    // the oracle on one stand-in model of each catalog family.
+    for model in [
+        catalog_model("Netflix", "DSGD", 10),
+        catalog_model("R2", "NOMAD", 10),
+        catalog_model("KDD", "REF", 51),
+        catalog_model("GloVe", "", 50),
+    ] {
         let engine = engine_for(&model);
-        for key in engine.backend_keys() {
-            for k in [1usize, 10] {
+        for k in [1usize, 10] {
+            let want = oracle(&model, k);
+            for key in engine.backend_keys() {
                 let response = engine
                     .execute_with(key, &QueryRequest::top_k(k))
                     .expect("valid request");
-                check_all_topk(&model, k, &response.results, 1e-9)
-                    .unwrap_or_else(|msg| panic!("{key} on {}: {msg}", model.name()));
+                assert_eq!(response.results, want, "{key} on {}", model.name());
             }
         }
     }
 }
 
 #[test]
-fn backends_agree_item_for_item() {
-    let model = small_catalog().remove(0);
-    let engine = engine_for(&model);
-    let reference = engine
-        .execute_with("bmm", &QueryRequest::top_k(5))
-        .expect("valid request");
-    for key in engine.backend_keys() {
-        let response = engine
-            .execute_with(key, &QueryRequest::top_k(5))
-            .expect("valid request");
-        for u in (0..model.num_users()).step_by(13) {
-            assert_eq!(
-                response.results[u].items,
-                reference.results[u].items,
-                "{key} disagrees with BMM for user {u} on {}",
-                model.name()
-            );
-        }
-    }
-}
-
-#[test]
 fn planner_serves_exact_results_and_reuses_the_decision() {
-    let model = small_catalog().remove(1);
+    let model = catalog_model("R2", "NOMAD", 10);
     let engine = EngineBuilder::new()
         .model(Arc::clone(&model))
         .register(BmmFactory)
@@ -97,7 +86,7 @@ fn planner_serves_exact_results_and_reuses_the_decision() {
         .execute(&QueryRequest::top_k(5))
         .expect("valid request");
     assert!(first.planned);
-    check_all_topk(&model, 5, &first.results, 1e-9).expect("planned serving is exact");
+    assert_eq!(first.results, oracle(&model, 5), "planned serving is exact");
 
     // The plan carries an estimate per candidate, all finite.
     let plan = engine.prepare(5).expect("cached");
@@ -118,48 +107,6 @@ fn planner_serves_exact_results_and_reuses_the_decision() {
 }
 
 #[test]
-fn engine_threads_match_sequential_everywhere() {
-    let model = small_catalog().remove(2);
-    let sequential = engine_for(&model);
-    let threaded = EngineBuilder::new()
-        .model(Arc::clone(&model))
-        .register(BmmFactory)
-        .register(MaximusFactory::new(MaximusConfig {
-            num_clusters: 4,
-            block_size: 32,
-            ..MaximusConfig::default()
-        }))
-        .register(LempFactory::default())
-        .register(FexiproFactory::si())
-        .register(FexiproFactory::sir())
-        .threads(4)
-        .build()
-        .expect("engine assembles");
-    for key in sequential.backend_keys() {
-        let seq = sequential
-            .execute_with(key, &QueryRequest::top_k(4))
-            .expect("valid request");
-        let par = threaded
-            .execute_with(key, &QueryRequest::top_k(4))
-            .expect("valid request");
-        assert_eq!(seq.results, par.results, "{key} parallel mismatch");
-    }
-}
-
-#[test]
-fn par_query_all_matches_query_all_on_every_default_backend() {
-    // Direct solver access, outside the engine: every factory of the default
-    // registry builds, and partitioning users across threads changes nothing.
-    let model = small_catalog().remove(2);
-    for factory in BackendRegistry::with_defaults().factories() {
-        let solver = factory.build(&model).expect("builds");
-        let seq = solver.query_all(4);
-        let par = par_query_all(solver.as_ref(), 4, 4);
-        assert_eq!(seq, par, "{} parallel mismatch", factory.key());
-    }
-}
-
-#[test]
 fn end_to_end_train_then_serve() {
     // Trained factors → exact serving, the serving half of Fig. 1.
     let model = Arc::new(synth_model(&SynthConfig {
@@ -170,12 +117,12 @@ fn end_to_end_train_then_serve() {
         ..SynthConfig::default()
     }));
     let engine = engine_for(&model);
+    let want = oracle(&model, 3);
     for key in engine.backend_keys() {
         let response = engine
             .execute_with(key, &QueryRequest::top_k(3))
             .expect("valid request");
-        check_all_topk(&model, 3, &response.results, 1e-9)
-            .unwrap_or_else(|msg| panic!("{key}: {msg}"));
+        assert_eq!(response.results, want, "{key}");
     }
 
     // The recommender path: exclude 25 already-rated items per user (17 is
@@ -258,7 +205,7 @@ fn model_validation_rejects_bad_input() {
 
 #[test]
 fn malformed_requests_fail_with_typed_errors_on_every_backend() {
-    let model = small_catalog().remove(0);
+    let model = catalog_model("Netflix", "DSGD", 10);
     let engine = engine_for(&model);
     let n_items = model.num_items();
     let n_users = model.num_users();
