@@ -23,11 +23,11 @@ use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, OnceLock};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
-use mips_data::MfModel;
+use mips_data::{is_tiny_row, MfModel};
 use mips_linalg::kernels::{angle, dot, norm2};
 use mips_linalg::{GemmScratch, Matrix, PackedPanels, TierRows};
 use mips_topk::{
-    canonicalize, screen_topk_into_heaps, stream_topk_into_heaps, ArmedUser, ColumnIds,
+    canonicalize, exact_topk, screen_topk_into_heaps, stream_topk_into_heaps, ArmedUser, ColumnIds,
     ScreenScratch, ScreenTier, TopKHeap, TopKList,
 };
 use std::time::Instant;
@@ -500,7 +500,8 @@ impl MaximusIndex {
     ///
     /// List order no longer matches the widened bound, so pruning skips
     /// items without early exit — still exact, usually still far fewer dots
-    /// than brute force.
+    /// than brute force. A tiny `user` or model ([`is_tiny_row`]), whose
+    /// norms bound nothing, scores every item ([`exact_topk`]).
     pub fn query_new_vector(&self, user: &[f64], k: usize) -> TopKList {
         let core = &*self.core;
         assert_eq!(
@@ -508,6 +509,9 @@ impl MaximusIndex {
             core.model.num_factors(),
             "MaximusIndex: user dimensionality mismatch"
         );
+        if is_tiny_row(user) || core.model.has_tiny_rows() {
+            return exact_topk(user, core.model.items(), k);
+        }
         // Assignment step of k-means only.
         let assigned = mips_clustering::assign_to_nearest(
             &Matrix::from_vec(1, user.len(), user.to_vec()).expect("1 x f"),

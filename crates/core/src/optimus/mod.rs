@@ -16,8 +16,11 @@
 //! 3. **times the candidates on the sample** and linearly extrapolates total
 //!    serving time. For point-query indexes (LEMP, FEXIPRO) an incremental
 //!    one-sample t-test against the current leader's mean per-user time
-//!    stops sampling as soon as the candidate is significantly slower;
-//! 4. **hands the estimated winner to the engine**, which caches it in a
+//!    stops sampling as soon as the candidate is significantly slower
+//!    (the exact integer-df Student-t at α = 5 %);
+//! 4. **keeps the exact-direct incumbent** unless a screen variant is
+//!    clearly faster than its own f64 base (the adoption rule);
+//! 5. **hands the estimated winner to the engine**, which caches it in a
 //!    [`crate::engine::PreparedPlan`] — with every candidate's estimate and
 //!    [`CandidateOutcome`] — and serves all requests at that `k` with it.
 //!
@@ -36,7 +39,6 @@ use crate::solver::{screened_name, MipsSolver};
 use crate::sync::Arc;
 use mips_data::MfModel;
 use mips_linalg::CacheConfig;
-use mips_stats::{OneSampleTTest, TTestDecision};
 use mips_topk::ScreenTier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,6 +49,27 @@ pub const TTEST_ALPHA: f64 = 0.05;
 
 /// Users a point-query candidate is timed on before the t-test may stop it.
 pub const TTEST_MIN_SAMPLES: u64 = 8;
+
+/// The standard normal's 97.5 % quantile. Student's t has heavier tails, so
+/// `|t| ≤ Z_975` gives a two-sided p of at least 5 % at every df: the
+/// t-test skips its `O(df)` series there, and no decision changes.
+const Z_975: f64 = 1.959963984540054;
+
+/// Under `Auto`, a screen variant displaces its own f64 build only when its
+/// sampled estimate is at most this fraction of the base's — i.e.
+/// clearly faster, not within sampling noise of a tie. See
+/// [`demote_marginal_screen_winner`] for the asymmetry argument that
+/// justifies favouring the exact-direct incumbent.
+const SCREEN_ADOPTION_MARGIN: f64 = 0.85;
+
+/// The screen must also be estimated to save at least this much absolute
+/// wall-clock before it displaces its f64 base. Sub-millisecond requests
+/// finish inside the sampling noise floor: a relative margin alone still
+/// adopts on a "30 µs vs 40 µs" sample, where the decision is pure noise
+/// and the upside — even when real — is microseconds. Seconds-scale
+/// requests (where the screen genuinely pays) clear this floor by orders
+/// of magnitude.
+const SCREEN_ADOPTION_FLOOR_SECONDS: f64 = 500e-6;
 
 /// OPTIMUS configuration.
 #[derive(Debug, Clone, Copy)]
@@ -229,18 +252,6 @@ pub struct PlannedChoice {
     pub decision_seconds: f64,
 }
 
-impl PlannedChoice {
-    /// The index in `entries` of the f64 base that entry `idx` is a screen
-    /// variant of (`None` when `idx` is itself a base).
-    pub fn base_entry_of(&self, idx: usize) -> Option<usize> {
-        let entry = &self.entries[idx];
-        entry.tier?;
-        self.entries
-            .iter()
-            .position(|e| e.base == entry.base && e.tier.is_none())
-    }
-}
-
 /// When the per-user t-test may cut a point-query candidate's sampling
 /// short.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,13 +329,18 @@ impl Optimus {
     ///   compared over the identical user mix (on backends whose per-user
     ///   cost tracks the user's norm, different mixes mis-rank a pair whose
     ///   true costs are within ~20 %).
-    /// * **Second pass.** The caller's adoption rule compares a winning
-    ///   variant head-to-head with its own base, so the provisional
+    /// * **Second pass.** The adoption rule compares a winning variant
+    ///   head-to-head with its own base, so the provisional
     ///   winner's base/variant group — and only it — gets a second timing
     ///   pass with the per-candidate minimum kept: one scheduler burst
     ///   inside a candidate's only pass can mis-rank a pair within the
     ///   adoption margin, but to survive a min-of-two it would have to hit
     ///   the same side twice and the other side never.
+    /// * **Adoption.** A winning variant within the margin of its own f64
+    ///   base hands the plan to the base
+    ///   ([`CandidateOutcome::DemotedWithinMargin`]): a screen displaces
+    ///   the exact-direct incumbent only when it is clearly, not
+    ///   marginally, faster.
     ///
     /// Every bound errs toward racing (the strict comparisons build a
     /// candidate sitting exactly at its bound), and every path that can win
@@ -499,8 +515,13 @@ impl Optimus {
             }
         }
 
+        let mut chosen = fastest(&entries);
+        if let Some(base) = demote_marginal_screen_winner(&entries, chosen) {
+            entries[chosen].estimate.outcome = CandidateOutcome::DemotedWithinMargin;
+            chosen = base;
+        }
         Ok(PlannedChoice {
-            chosen: fastest(&entries),
+            chosen,
             entries,
             sample_size: sample.len(),
             decision_seconds: overall.elapsed().as_secs_f64() - building,
@@ -537,7 +558,7 @@ impl Optimus {
 
         // Point queries: incremental one-sample t-test against the
         // reference's mean.
-        let mut ttest = OneSampleTTest::new(reference_per_user, TTEST_ALPHA, TTEST_MIN_SAMPLES);
+        let mut times = Welford::default();
         let mut sample_seconds = 0.0;
         let mut used = 0;
         for &u in sample {
@@ -547,7 +568,8 @@ impl Optimus {
             debug_assert_eq!(result.len(), 1);
             sample_seconds += dt;
             used += 1;
-            if ttest.push(dt) == TTestDecision::SignificantlyAbove {
+            times.push(dt);
+            if times.significantly_above(reference_per_user) {
                 break;
             }
         }
@@ -558,6 +580,100 @@ impl Optimus {
         };
         StrategyEstimate::timed(solver, used, sample_seconds, n, outcome)
     }
+}
+
+/// Screen-adoption margin: under `Auto` a screen variant competes against
+/// its own f64 build, and the two run the identical access pattern — their
+/// sampled estimates differ by the screen's true advantage plus sampling
+/// noise. Adopting the screen on a hair's-breadth estimate trades bounded
+/// upside for an unbounded noise regression, so the exact-direct incumbent
+/// keeps the plan unless the screen is estimated clearly faster — below
+/// [`SCREEN_ADOPTION_MARGIN`] of the base's time *and* saving at least
+/// [`SCREEN_ADOPTION_FLOOR_SECONDS`] of absolute wall-clock. A wrongly
+/// kept incumbent forgoes at most the margin; a wrongly adopted screen
+/// can serve arbitrarily slower than the committed f64 baseline.
+///
+/// A variant is paired with its base by [`RaceEntry::base`] and
+/// [`RaceEntry::tier`], never by name: under a forced mode the screens run
+/// under plain keys, and a third-party solver that merely *names* itself
+/// like a screen has no base twin. Returns the base's index in `entries`
+/// when the winner `chosen` should be demoted to it. Every screen tier
+/// faces the same incumbent and the same noise asymmetry, so they share
+/// one margin.
+fn demote_marginal_screen_winner(entries: &[RaceEntry], chosen: usize) -> Option<usize> {
+    let winner = &entries[chosen];
+    winner.tier?;
+    let base = entries
+        .iter()
+        .position(|e| e.base == winner.base && e.tier.is_none())?;
+    let screen_seconds = winner.estimate.estimated_total_seconds;
+    let base_seconds = entries[base].estimate.estimated_total_seconds;
+    (screen_seconds > SCREEN_ADOPTION_MARGIN * base_seconds
+        || base_seconds - screen_seconds < SCREEN_ADOPTION_FLOOR_SECONDS)
+        .then_some(base)
+}
+
+/// Welford's running mean and sum of squared deviations of a point-query
+/// candidate's per-user times: the state of the early-stopping t-test.
+#[derive(Debug, Clone, Copy, Default)]
+struct Welford {
+    n: u64,
+    mean: f64,
+    m2: f64,
+}
+
+impl Welford {
+    fn push(&mut self, x: f64) {
+        self.n += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.n as f64;
+        self.m2 += delta * (x - self.mean);
+    }
+
+    /// The one-sample t-test against `reference`: whether the mean time is
+    /// significantly above it at [`TTEST_ALPHA`], two-sided. No verdict
+    /// before [`TTEST_MIN_SAMPLES`] times; with zero variance the sign of
+    /// the difference decides.
+    fn significantly_above(&self, reference: f64) -> bool {
+        if self.n < TTEST_MIN_SAMPLES {
+            return false;
+        }
+        let diff = self.mean - reference;
+        let std_error = (self.m2 / (self.n - 1) as f64).sqrt() / (self.n as f64).sqrt();
+        if std_error == 0.0 {
+            return diff > 0.0;
+        }
+        let t = diff / std_error;
+        t > Z_975 && two_sided_p(t, self.n - 1) < TTEST_ALPHA
+    }
+}
+
+/// `P(|T| ≥ t)` for Student's t with `df ≥ 1` degrees of freedom and
+/// `t ≥ 0`: one minus the finite series for `A(t|ν)` of Abramowitz &
+/// Stegun 26.7.3 (odd ν) and 26.7.4 (even ν), with θ = atan(t/√ν):
+///
+/// * odd: `A = (2/π)·(θ + sin θ·(cos θ + (2/3)cos³θ + … + (2·4⋯(ν−3))/(1·3⋯(ν−2))·cos^(ν−2)θ))`,
+/// * even: `A = sin θ·(1 + (1/2)cos²θ + … + (1·3⋯(ν−3))/(2·4⋯(ν−2))·cos^(ν−2)θ)`.
+///
+/// Both sums have `⌊ν/2⌋` terms, and each term is the last times
+/// `(2i − 1 + odd)/(2i + odd)·cos²θ`.
+fn two_sided_p(t: f64, df: u64) -> f64 {
+    let theta = (t / (df as f64).sqrt()).atan();
+    let (sin, cos) = theta.sin_cos();
+    let odd = df % 2;
+    let mut term = if odd == 1 { cos } else { 1.0 };
+    let mut sum = 0.0;
+    for i in 1..=df / 2 {
+        sum += term;
+        let num = (2 * i - 1 + odd) as f64;
+        term *= num / (num + 1.0) * cos * cos;
+    }
+    let within = if odd == 1 {
+        (theta + sin * sum) * std::f64::consts::FRAC_2_PI
+    } else {
+        sin * sum
+    };
+    1.0 - within
 }
 
 /// The solver in `slot`, building base candidate `base` into it first if
@@ -871,12 +987,19 @@ mod tests {
             ],
             "each base in order, followed by its competed variants"
         );
-        assert_eq!(choice.base_entry_of(1), Some(0));
-        assert_eq!(choice.base_entry_of(4), None, "a name is not a pairing");
+        let pairing = |idx: usize| (choice.entries[idx].base, choice.entries[idx].tier);
+        assert_eq!(pairing(1), (0, Some(ScreenTier::F32)));
+        assert_eq!(pairing(4), (3, None), "a name is not a pairing");
         for entry in &choice.entries {
             let e = &entry.estimate;
             if e.name == "Point" || e.name == "Point+f32" || e.name == "Blocked MM" {
-                assert_eq!(e.outcome, CandidateOutcome::Sampled, "{}", e.name);
+                // The variant runs the base's own scan: when it edges ahead,
+                // the adoption rule demotes it, after the whole sample.
+                let demoted =
+                    e.name == "Point+f32" && e.outcome == CandidateOutcome::DemotedWithinMargin;
+                if !demoted {
+                    assert_eq!(e.outcome, CandidateOutcome::Sampled, "{}", e.name);
+                }
                 assert_eq!(
                     e.sampled_users, choice.sample_size,
                     "{} must be timed on the whole sample",
@@ -894,5 +1017,169 @@ mod tests {
             largest <= 4,
             "a name ending in a tier suffix was paired: queried {largest} users at once"
         );
+    }
+
+    #[test]
+    fn screen_winner_within_margin_is_demoted_to_its_f64_base() {
+        let entry = |base: usize, tier: Option<ScreenTier>, secs: f64| RaceEntry {
+            base,
+            tier,
+            solver: None,
+            estimate: StrategyEstimate {
+                name: screened_name("Blocked MM", tier),
+                build_seconds: 0.0,
+                sampled_users: 8,
+                sample_seconds: secs / 10.0,
+                estimated_total_seconds: secs,
+                outcome: CandidateOutcome::Sampled,
+            },
+        };
+        let f32 = Some(ScreenTier::F32);
+        let i8 = Some(ScreenTier::I8);
+        // Entry 1 is a screen variant of entry 0.
+        let pair = |secs: f64| [entry(0, None, 1.00), entry(0, f32, secs)];
+        // Screen barely ahead of its base (within the noise margin): the
+        // exact-direct incumbent keeps the plan.
+        assert_eq!(demote_marginal_screen_winner(&pair(0.95), 1), Some(0));
+        // Screen clearly faster than the margin: adoption stands.
+        assert_eq!(demote_marginal_screen_winner(&pair(0.60), 1), None);
+        // Exactly at the margin boundary counts as clearly faster (the
+        // demotion predicate is strict).
+        let edge = pair(SCREEN_ADOPTION_MARGIN);
+        assert_eq!(demote_marginal_screen_winner(&edge, 1), None);
+        // Sub-millisecond requests: even a clear relative win saves less
+        // absolute time than the noise floor — the incumbent keeps it.
+        let tiny = [entry(0, None, 900e-6), entry(0, f32, 500e-6)];
+        assert_eq!(demote_marginal_screen_winner(&tiny, 1), Some(0));
+        // Forced modes: screens run under plain keys and no base twin
+        // competes — nothing to demote to. Pairing is structural, never
+        // read off display names: a third-party solver that merely *names*
+        // itself like a screen of another candidate is not one either.
+        let mut forced = pair(0.99);
+        forced[1].tier = None;
+        forced[1].base = 1;
+        assert_eq!(demote_marginal_screen_winner(&forced, 1), None);
+        // Every tier rides the same adoption discipline: marginal winners
+        // demote to their f64 base, clear wins stand, and a screen winner
+        // never demotes to a sibling tier (the base is the f64 build, not
+        // the other screen).
+        let three_way = [
+            entry(0, None, 1.00),
+            entry(0, f32, 0.70),
+            entry(0, i8, 0.95),
+        ];
+        assert_eq!(demote_marginal_screen_winner(&three_way, 2), Some(0));
+        assert_eq!(demote_marginal_screen_winner(&three_way, 1), None);
+        // A variant pairs with the base of its own `base` index, wherever
+        // that sits in the entries.
+        let two_bases = [
+            entry(0, None, 0.50),
+            entry(1, None, 1.00),
+            entry(1, i8, 0.95),
+        ];
+        assert_eq!(demote_marginal_screen_winner(&two_bases, 2), Some(1));
+    }
+
+    /// Welford's state after `xs`.
+    fn welford(xs: &[f64]) -> Welford {
+        let mut acc = Welford::default();
+        xs.iter().for_each(|&x| acc.push(x));
+        acc
+    }
+
+    #[test]
+    fn welford_matches_the_two_pass_mean_and_variance() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in [2usize, 3, 17, 200] {
+            // Times spanning orders of magnitude around a large offset.
+            let xs: Vec<f64> = (0..len)
+                .map(|_| 1e3 + rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-6..3)))
+                .collect();
+            let acc = welford(&xs);
+            let mean = xs.iter().sum::<f64>() / len as f64;
+            let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (len - 1) as f64;
+            assert_eq!(acc.n, len as u64);
+            assert!((acc.mean - mean).abs() <= 1e-12 * mean.abs(), "len {len}");
+            let welford_var = acc.m2 / (len - 1) as f64;
+            assert!((welford_var - var).abs() <= 1e-9 * var, "len {len}");
+        }
+    }
+
+    #[test]
+    fn p_values_hit_the_tabulated_critical_values() {
+        // Two-sided 5 % critical values of Student's t.
+        for (df, t) in [
+            (7, 2.364624),
+            (10, 2.228139),
+            (30, 2.042272),
+            (100, 1.983972),
+            (1000, 1.962339),
+        ] {
+            let p = two_sided_p(t, df);
+            assert!((p - 0.05).abs() < 1e-6, "df {df}: p({t}) = {p}");
+        }
+    }
+
+    #[test]
+    fn p_values_match_the_closed_forms_at_one_and_two_df() {
+        for i in 0..=400 {
+            let t = i as f64 * 0.05;
+            let cauchy = 1.0 - 2.0 * t.atan() / std::f64::consts::PI;
+            assert!((two_sided_p(t, 1) - cauchy).abs() < 1e-12, "df 1, t {t}");
+            let two = 1.0 - t / (2.0 + t * t).sqrt();
+            assert!((two_sided_p(t, 2) - two).abs() < 1e-12, "df 2, t {t}");
+        }
+        assert_eq!(two_sided_p(0.0, 9), 1.0);
+        assert!(two_sided_p(f64::INFINITY, 9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn the_guard_skips_only_ts_that_cannot_reach_significance() {
+        // At z₀.₉₇₅ Student's t is above 5 % at every df (the normal's
+        // tails are the thinnest), so the guard decides nothing; just past
+        // it, a df large enough is already significant.
+        for df in [1, 2, 7, 30, 1000, 20_000] {
+            assert!(two_sided_p(Z_975, df) > TTEST_ALPHA, "df {df}");
+        }
+        assert!(two_sided_p(Z_975 + 1e-3, 20_000) < TTEST_ALPHA);
+        // A stream whose t lands just under the cutoff never stops; one
+        // just over it stops once the df make it significant.
+        let at = |t: f64| {
+            // Eight times with mean t·se above the reference 0.
+            let xs = [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0];
+            let acc = welford(&xs);
+            let se = (acc.m2 / 7.0).sqrt() / 8f64.sqrt();
+            welford(&xs.map(|x| x + t * se)).significantly_above(0.0)
+        };
+        assert!(!at(Z_975 - 1e-6));
+        assert!(!at(2.364624 - 1e-4), "df 7 needs t > 2.3646");
+        assert!(at(2.364624 + 1e-4));
+    }
+
+    #[test]
+    fn the_t_test_waits_for_min_samples_and_decides_by_sign_without_variance() {
+        // A candidate 100× slower stops exactly at TTEST_MIN_SAMPLES.
+        let mut acc = Welford::default();
+        for i in 0..TTEST_MIN_SAMPLES {
+            assert!(!acc.significantly_above(1.0), "after {i} users");
+            acc.push(100.0 + i as f64 * 0.01);
+        }
+        assert!(acc.significantly_above(1.0));
+        // Zero variance: the sign of the difference decides alone.
+        let flat = welford(&[5.0; 8]);
+        assert!(flat.significantly_above(4.0));
+        assert!(!flat.significantly_above(5.0));
+        assert!(!flat.significantly_above(6.0));
+        // A faster candidate is never "above", however significant.
+        assert!(!welford(&[1.0, 1.1, 1.0, 1.1, 1.0, 1.1, 1.0, 1.1]).significantly_above(10.0));
+    }
+
+    #[test]
+    fn a_stream_straddling_the_reference_never_stops() {
+        let mut acc = Welford::default();
+        for i in 0..200 {
+            acc.push(if i % 2 == 0 { 9.0 } else { 11.0 });
+            assert!(!acc.significantly_above(10.0), "after {} users", i + 1);
+        }
     }
 }

@@ -12,7 +12,8 @@
 //!   only while it can still win: a candidate over its analytical bound is
 //!   never built, a far-off one stops at `TTEST_MIN_SAMPLES`, a variant over its
 //!   tier-rate bound is never built — and one sitting exactly *at* the
-//!   bound still is.
+//!   bound still is. A variant that wins the race by less than the
+//!   adoption margin hands the plan to its f64 base.
 //!
 //! The stubs answer through brute force (so every plan stays exact) and
 //! spend a fixed sleep per served user, which makes "10× slower" a property
@@ -277,7 +278,8 @@ fn a_variant_exactly_at_the_tier_rate_bound_is_still_built_and_can_win() {
     assert_eq!(raced.outcome, CandidateOutcome::Sampled);
     assert_eq!(raced.sampled_users, choice.sample_size);
     assert_eq!(choice.entries[choice.chosen].estimate.name, "base+f32");
-    assert_eq!(choice.base_entry_of(choice.chosen), Some(0));
+    let winner = &choice.entries[choice.chosen];
+    assert_eq!((winner.base, winner.tier), (0, Some(ScreenTier::F32)));
     assert!(matches!(
         row(&estimates, "base+i8").outcome,
         CandidateOutcome::NotBuilt { bound_seconds } if bound_seconds > 0.0
@@ -286,6 +288,33 @@ fn a_variant_exactly_at_the_tier_rate_bound_is_still_built_and_can_win() {
     // pass): warm-up + two whole samples each.
     let twice = 4 + 2 * choice.sample_size;
     assert_eq!(base.served.load(Ordering::Relaxed), twice);
+}
+
+#[test]
+fn a_variant_within_the_adoption_margin_hands_the_plan_to_its_base() {
+    // The adoption rule runs inside the race: a variant 7.5 % faster than
+    // its base leads the race but not by the margin (it must be under 85 %
+    // of the base), so the plan goes to the base and the record says why.
+    // The stubs sleep ≈ 60 ms per timed pass, so a scheduler stall would
+    // have to hit the same side in both passes to move either verdict.
+    let m = model(200, 9);
+    let mut base = Stub::new(&m, "base", Duration::from_micros(2000));
+    base.batches = true;
+    base.tiers = &[ScreenTier::I8];
+    let base = Arc::new(base);
+    let mut variant = Stub::new(&m, "base+i8", Duration::from_micros(1850));
+    variant.core = Arc::clone(&base.core);
+    let mut source = Stubs::new(vec![(Arc::clone(&base), None)]);
+    source.variants = vec![(0, ScreenTier::I8, 0.0, Arc::new(variant))];
+    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, &mut source);
+    let estimates: Vec<StrategyEstimate> =
+        choice.entries.iter().map(|e| e.estimate.clone()).collect();
+
+    let demoted = row(&estimates, "base+i8");
+    assert_eq!(demoted.outcome, CandidateOutcome::DemotedWithinMargin);
+    assert!(demoted.estimated_total_seconds < row(&estimates, "base").estimated_total_seconds);
+    let winner = &choice.entries[choice.chosen];
+    assert_eq!((winner.base, winner.tier), (0, None));
 }
 
 /// A backend whose plain build is slow and counted, and whose screen

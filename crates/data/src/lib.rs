@@ -30,7 +30,9 @@ pub mod stats;
 pub mod synth;
 
 pub use catalog::{reference_models, ModelSpec};
-pub use model::{MfModel, Mirror, Mirror32, MirrorElem, MirrorI8, MirrorSlots, ModelError};
+pub use model::{
+    is_tiny_row, MfModel, Mirror, Mirror32, MirrorElem, MirrorI8, MirrorSlots, ModelError,
+};
 pub use sparse::{synth_sparse_model, SparseError, SparseSynthConfig, SparseVec, SparsityStats};
 pub use stats::DatasetStats;
 pub use synth::{synth_model, SynthConfig};

@@ -118,9 +118,19 @@ pub struct MfModel {
     tiny_rows: OnceLock<bool>,
 }
 
-/// The largest factor below which a row counts as tiny
-/// ([`MfModel::has_tiny_rows`]): `2⁻⁴⁰⁰`.
-const TINY_ROW: f64 = 3.8725919148493183e-121;
+/// Whether `row` is tiny: nonzero, with its largest |factor| below
+/// `2⁻⁴⁰⁰`. Its norm and suffix norms lose up to `2⁻⁵³⁷·√f` to underflow
+/// (every square of a factor below `2⁻⁵¹¹` is subnormal or zero), which no
+/// relative slack on a bound covers — a subnormal row's norm computes as 0
+/// while its dots stay normal. A pruning index scores every item for such
+/// a row ([`MfModel::has_tiny_rows`] applies the test to the model's rows).
+/// Above the cutoff the loss stays far inside the indexes' `1e-10`
+/// relative slack.
+pub fn is_tiny_row(row: &[f64]) -> bool {
+    const TINY_ROW: f64 = 3.8725919148493183e-121; // 2⁻⁴⁰⁰
+    let max = row.iter().fold(0.0f64, |max, v| max.max(v.abs()));
+    max > 0.0 && max < TINY_ROW
+}
 
 /// The largest Euclidean row norm of `m`, or the validation error of an
 /// empty matrix or one holding a non-finite factor.
@@ -354,21 +364,11 @@ impl MfModel {
         self.max_item_norm
     }
 
-    /// Whether some nonzero user or item row is tiny: its largest factor
-    /// below `2⁻⁴⁰⁰`. Such a row's norm and suffix norms lose up to
-    /// `2⁻⁵³⁷·√f` to underflow (every square of a factor below `2⁻⁵¹¹` is
-    /// subnormal or zero), which no relative slack on a bound covers — a
-    /// subnormal row's norm computes as 0. The pruning indexes (MAXIMUS,
-    /// LEMP, FEXIPRO) bound scores with those norms, so over such a model
-    /// they score every item instead. Above the cutoff the loss stays far
-    /// inside their `1e-10` relative slack.
+    /// Whether some user or item row is tiny ([`is_tiny_row`]). The
+    /// pruning indexes (MAXIMUS, LEMP, FEXIPRO) bound scores with row
+    /// norms, so over such a model they score every item instead.
     pub fn has_tiny_rows(&self) -> bool {
-        let tiny = |m: &Matrix<f64>| {
-            m.iter_rows().any(|row| {
-                let max = row.iter().fold(0.0f64, |max, v| max.max(v.abs()));
-                max > 0.0 && max < TINY_ROW
-            })
-        };
+        let tiny = |m: &Matrix<f64>| m.iter_rows().any(is_tiny_row);
         *self
             .tiny_rows
             .get_or_init(|| tiny(&self.users) || tiny(&self.items))

@@ -4,7 +4,7 @@ use crate::bucket::{build_buckets, Bucket};
 use crate::config::LempConfig;
 use crate::scan::{inflate, scan_bucket, RetrievalAlgo, ScanStats, UserCtx};
 use crate::tuner::tune_buckets;
-use mips_data::MfModel;
+use mips_data::{is_tiny_row, MfModel};
 use mips_linalg::kernels::dot;
 use mips_topk::{TopKHeap, TopKList};
 
@@ -83,7 +83,9 @@ impl LempIndex {
         self.query_with_stats(user, k, &mut stats)
     }
 
-    /// Top-k for one user, accumulating work counters into `stats`.
+    /// Top-k for one user, accumulating work counters into `stats`. A tiny
+    /// `user` ([`is_tiny_row`]), whose norm bounds nothing, scores every
+    /// item.
     pub fn query_with_stats(&self, user: &[f64], k: usize, stats: &mut QueryStats) -> TopKList {
         assert_eq!(
             user.len(),
@@ -91,7 +93,7 @@ impl LempIndex {
             "LempIndex::query: user dimensionality mismatch"
         );
         let mut heap = TopKHeap::new(k);
-        if !self.bounded {
+        if !self.bounded || is_tiny_row(user) {
             for bucket in &self.buckets {
                 for (r, &id) in bucket.ids.iter().enumerate() {
                     heap.push(dot(user, bucket.vectors.row(r)), id);

@@ -12,7 +12,7 @@
 //! | OPTIMUS | the online sample-based optimizer, now the engine's planner | [`core::optimus`] |
 //! | LEMP | baseline index of Teflioudi et al. (SIGMOD'15) | [`lemp`] |
 //! | FEXIPRO | baseline index of Li et al. (SIGMOD'17) | [`fexipro`] |
-//! | substrates | BLAS-like kernels, k-means, top-k heaps, t-tests, synthetic MF models | [`linalg`], [`clustering`], [`topk`], [`stats`], [`data`] |
+//! | substrates | BLAS-like kernels, k-means, top-k heaps, synthetic MF models | [`linalg`], [`clustering`], [`topk`], [`data`] |
 //! | front door | std-only HTTP/1.1 serving layer: deadlines, admission control, hot swap (feature `net`, on by default) | `net` |
 //!
 //! ## Quickstart
@@ -78,7 +78,6 @@ pub use mips_linalg as linalg;
 #[cfg(feature = "net")]
 pub use mips_net as net;
 pub use mips_sparse as sparse;
-pub use mips_stats as stats;
 pub use mips_topk as topk;
 
 /// The most common imports, bundled.
