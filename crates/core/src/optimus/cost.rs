@@ -25,7 +25,7 @@
 
 use crate::sync::OnceLock;
 use mips_linalg::{
-    gemm_flops, gemm_nt_stream_blocks, GemmElem, GemmScratch, PackedPanels, RowBlock, Scalar,
+    gemm_flops, gemm_nt_stream_blocks, GemmElem, GemmScratch, PackedPanels, RowBlock,
 };
 use mips_topk::ScreenTier;
 use std::hint::black_box;
@@ -81,7 +81,7 @@ pub fn tier_flops_per_second(tier: Option<ScreenTier>) -> f64 {
     *RATES[tier.map_or(0, |t| 1 + t.index())].get_or_init(|| {
         let seconds = match tier {
             None => time_gemm(|v| f64::from(v) * 0.1),
-            Some(ScreenTier::F32) => time_gemm(|v| f32::from_f64(f64::from(v) * 0.1)),
+            Some(ScreenTier::F32) => time_gemm(|v| (f64::from(v) * 0.1) as f32),
             Some(ScreenTier::I8) => time_gemm(|v: i8| v),
         };
         gemm_flops(DIM, DIM, DIM) / seconds

@@ -10,7 +10,7 @@ use mips_linalg::{LinalgError, Matrix};
 #[derive(Debug, Clone)]
 pub struct SvdStage {
     /// The orthogonal basis (kept to transform query users).
-    pub basis: SvdBasis<f64>,
+    pub basis: SvdBasis,
     /// Checkpoint: number of leading coordinates scanned before bounding.
     pub h: usize,
 }

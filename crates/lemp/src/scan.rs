@@ -9,9 +9,9 @@
 //! INCR's leading-coordinate partial products, the suffix-norm tables built
 //! through [`suffix_norms`]) runs on the runtime-dispatched SIMD kernels of
 //! [`mips_linalg::simd`] — the scans get AVX2/NEON FMA throughput without
-//! any per-call-site change. The suffix scan's block re-association (the one
-//! kernel that is not bit-identical to scalar) is absorbed by [`BOUND_EPS`],
-//! which dominates the proved re-association bound
+//! any per-call-site change — except the suffix-norm tables, one portable
+//! square-then-add carry whose rounding against the exact sum is absorbed by
+//! [`BOUND_EPS`], which dominates the proved bound
 //! ([`mips_linalg::sumsq_reassoc_bound`]) by orders of magnitude.
 
 use crate::bucket::Bucket;
@@ -26,9 +26,10 @@ use mips_topk::TopKHeap;
 /// * accumulating an `f`-term double-precision dot in any association
 ///   order shifts it by at most `γ_f ≈ f·2⁻⁵³` relative to the operand
 ///   magnitudes (Higham ch. 3) — `≤ 5.7·10⁻¹⁴` for `f = 512`;
-/// * the suffix-norm tables are built by [`suffix_norms`], whose blocked
-///   SIMD re-association is bounded by
-///   [`mips_linalg::sumsq_reassoc_bound`] — `≤ 2.3·10⁻¹³` at `n = 1024`.
+/// * the suffix-norm tables are built by [`suffix_norms`], whose
+///   square-then-add carry differs from the exact sum of squares by at most
+///   [`mips_linalg::sumsq_reassoc_bound`] relative — `≤ 2.3·10⁻¹³` at
+///   `n = 1024`.
 ///
 /// `BOUND_EPS = 10⁻¹⁰` dominates both with more than two orders of
 /// magnitude to spare for every feasible factor count; the
@@ -287,7 +288,7 @@ mod tests {
         // an ad-hoc epsilon — it must dominate the *proved* rounding
         // bounds it absorbs, with two orders of magnitude of margin.
         // (a) any-order f64 dot accumulation: γ_f = (f·ε/2)/(1 − f·ε/2);
-        // (b) the suffix-norm kernel's blocked re-association.
+        // (b) the suffix-norm carry's rounding against the exact sum.
         for f in [8usize, 64, 512, 1024] {
             let eps = f64::EPSILON;
             let gamma = (f as f64 * eps / 2.0) / (1.0 - f as f64 * eps / 2.0);

@@ -8,16 +8,15 @@
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
-use crate::scalar::Scalar;
 
 /// Result of a symmetric eigendecomposition, sorted by descending eigenvalue.
 #[derive(Debug, Clone)]
-pub struct SymEigen<T> {
+pub struct SymEigen {
     /// Eigenvalues, descending.
-    pub values: Vec<T>,
+    pub values: Vec<f64>,
     /// Eigenvectors as matrix columns: `vectors.get(i, j)` is component `i`
     /// of the eigenvector paired with `values[j]`.
-    pub vectors: Matrix<T>,
+    pub vectors: Matrix<f64>,
 }
 
 /// Maximum number of Jacobi sweeps before declaring non-convergence.
@@ -33,7 +32,7 @@ const MAX_SWEEPS: usize = 50;
 /// * [`LinalgError::NonFinite`] if the input contains NaN/∞.
 /// * [`LinalgError::NoConvergence`] if the off-diagonal mass fails to vanish
 ///   within the sweep budget (does not happen for PSD Gram matrices).
-pub fn jacobi_eigen<T: Scalar>(a: &Matrix<T>) -> Result<SymEigen<T>, LinalgError> {
+pub fn jacobi_eigen(a: &Matrix<f64>) -> Result<SymEigen, LinalgError> {
     let n = a.rows();
     if a.cols() != n {
         return Err(LinalgError::DimensionMismatch {
@@ -58,22 +57,22 @@ pub fn jacobi_eigen<T: Scalar>(a: &Matrix<T>) -> Result<SymEigen<T>, LinalgError
     // accumulated rounding do not bias the rotations.
     for i in 0..n {
         for j in (i + 1)..n {
-            let avg = (m.get(i, j) + m.get(j, i)) / (T::ONE + T::ONE);
+            let avg = (m.get(i, j) + m.get(j, i)) / 2.0;
             m.set(i, j, avg);
             m.set(j, i, avg);
         }
     }
-    let mut v = Matrix::<T>::zeros(n, n);
+    let mut v = Matrix::<f64>::zeros(n, n);
     for i in 0..n {
-        v.set(i, i, T::ONE);
+        v.set(i, i, 1.0);
     }
 
     let frob = m.frobenius_norm();
-    let tol = frob * T::EPSILON * T::from_usize(n);
+    let tol = frob * f64::EPSILON * n as f64;
 
     for _sweep in 0..MAX_SWEEPS {
         let off = off_diagonal_norm(&m);
-        if off <= tol || off == T::ZERO {
+        if off <= tol || off == 0.0 {
             return Ok(sorted_eigen(m, v));
         }
         for p in 0..n {
@@ -94,9 +93,9 @@ pub fn jacobi_eigen<T: Scalar>(a: &Matrix<T>) -> Result<SymEigen<T>, LinalgError
 
 /// Frobenius norm of the strictly upper triangle (the symmetric off-diagonal
 /// mass driven to zero by the sweeps).
-fn off_diagonal_norm<T: Scalar>(m: &Matrix<T>) -> T {
+fn off_diagonal_norm(m: &Matrix<f64>) -> f64 {
     let n = m.rows();
-    let mut acc = T::ZERO;
+    let mut acc = 0.0f64;
     for i in 0..n {
         for j in (i + 1)..n {
             let x = m.get(i, j);
@@ -108,21 +107,20 @@ fn off_diagonal_norm<T: Scalar>(m: &Matrix<T>) -> T {
 
 /// One Jacobi rotation zeroing `m[p][q]`, applied two-sided to `m` and
 /// accumulated into the eigenvector matrix `v`.
-fn rotate<T: Scalar>(m: &mut Matrix<T>, v: &mut Matrix<T>, p: usize, q: usize) {
+fn rotate(m: &mut Matrix<f64>, v: &mut Matrix<f64>, p: usize, q: usize) {
     let apq = m.get(p, q);
-    if apq == T::ZERO {
+    if apq == 0.0 {
         return;
     }
     let app = m.get(p, p);
     let aqq = m.get(q, q);
-    let two = T::ONE + T::ONE;
     // Classic stable computation of tan(theta) for the annihilating rotation.
-    let theta = (aqq - app) / (two * apq);
+    let theta = (aqq - app) / (2.0 * apq);
     let t = {
-        let sign = if theta >= T::ZERO { T::ONE } else { -T::ONE };
-        sign / (theta.abs() + (theta.mul_add(theta, T::ONE)).sqrt())
+        let sign = if theta >= 0.0 { 1.0 } else { -1.0 };
+        sign / (theta.abs() + theta.mul_add(theta, 1.0).sqrt())
     };
-    let c = T::ONE / (t.mul_add(t, T::ONE)).sqrt();
+    let c = 1.0 / t.mul_add(t, 1.0).sqrt();
     let s = t * c;
 
     let n = m.rows();
@@ -145,19 +143,19 @@ fn rotate<T: Scalar>(m: &mut Matrix<T>, v: &mut Matrix<T>, p: usize, q: usize) {
         v.set(i, q, s * vip + c * viq);
     }
     // Enforce exact zero at the annihilated position to stop rounding drift.
-    m.set(p, q, T::ZERO);
-    m.set(q, p, T::ZERO);
+    m.set(p, q, 0.0);
+    m.set(q, p, 0.0);
 }
 
 /// Extracts the diagonal, sorts eigenpairs by descending eigenvalue, and
 /// permutes the eigenvector columns to match.
-fn sorted_eigen<T: Scalar>(m: Matrix<T>, v: Matrix<T>) -> SymEigen<T> {
+fn sorted_eigen(m: Matrix<f64>, v: Matrix<f64>) -> SymEigen {
     let n = m.rows();
     let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<T> = (0..n).map(|i| m.get(i, i)).collect();
+    let diag: Vec<f64> = (0..n).map(|i| m.get(i, i)).collect();
     order.sort_by(|&a, &b| diag[b].total_cmp(&diag[a]));
 
-    let values: Vec<T> = order.iter().map(|&j| diag[j]).collect();
+    let values: Vec<f64> = order.iter().map(|&j| diag[j]).collect();
     let vectors = Matrix::from_fn(n, n, |i, j| v.get(i, order[j]));
     SymEigen { values, vectors }
 }
@@ -167,7 +165,7 @@ mod tests {
     use super::*;
     use crate::gemm::matmul_nn;
 
-    fn reconstruct(e: &SymEigen<f64>) -> Matrix<f64> {
+    fn reconstruct(e: &SymEigen) -> Matrix<f64> {
         // A = V diag(λ) Vᵀ
         let n = e.values.len();
         let mut scaled = e.vectors.clone();

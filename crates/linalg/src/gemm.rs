@@ -31,9 +31,8 @@
 //! the packed driver is tested against.
 
 use crate::blocking::{BlockSizes, CacheConfig};
-use crate::kernels::dot;
+use crate::kernels::{dot, FmaFloat};
 use crate::matrix::{Matrix, RowBlock};
-use crate::scalar::Scalar;
 use crate::simd::{self, Kernel};
 use std::fmt::Debug;
 use std::ops::Range;
@@ -295,7 +294,7 @@ impl<'a, T: GemmElem> From<RowBlock<'a, T>> for GemmB<'a, T> {
     }
 }
 
-impl<'a, T: Scalar> From<&'a Matrix<T>> for GemmB<'a, T> {
+impl<'a, T: GemmElem> From<&'a Matrix<T>> for GemmB<'a, T> {
     fn from(m: &'a Matrix<T>) -> Self {
         GemmB::Rows(m.into())
     }
@@ -311,7 +310,7 @@ impl<'a, T: GemmElem> From<&'a PackedPanels<T>> for GemmB<'a, T> {
 ///
 /// # Panics
 /// Panics if `a.cols() != b.cols()`.
-pub fn gemm_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+pub fn gemm_nt(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
     let mut c = Matrix::zeros(a.rows(), b.rows());
     gemm_nt_into(a.into(), b.into(), c.as_mut_slice());
     c
@@ -609,7 +608,7 @@ fn macro_kernel<T: GemmElem>(
 /// `(i, j)` accumulator is one sequential fused-multiply-add chain over the
 /// packed depth.
 #[inline(always)]
-fn tile_portable<T: Scalar, const MR: usize, const NR: usize>(
+fn tile_portable<T: FmaFloat, const MR: usize, const NR: usize>(
     a_panel: &[T],
     b_panel: &[T],
     c: &mut [T],
@@ -617,7 +616,7 @@ fn tile_portable<T: Scalar, const MR: usize, const NR: usize>(
     accumulate: bool,
 ) {
     simd::check_tile(a_panel, b_panel, c, ldc, MR, NR, 1);
-    let mut acc = [[T::ZERO; NR]; MR];
+    let mut acc = [[T::default(); NR]; MR];
     if accumulate {
         for (i, row) in acc.iter_mut().enumerate() {
             row.copy_from_slice(&c[i * ldc..i * ldc + NR]);
@@ -683,7 +682,7 @@ pub(crate) fn tile_scalar_i8(a: &[i16], b: &[i16], c: &mut [i32], ldc: usize, ac
 /// Reference `C = A·Bᵀ` as a double loop over [`dot`] — the paper's
 /// "naïve inner products" brute force. Quadratically cache-unfriendly for
 /// large `B`; kept as the correctness reference.
-pub fn naive_gemm_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+pub fn naive_gemm_nt(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
     assert_eq!(a.cols(), b.cols(), "naive_gemm_nt: dimension mismatch");
     let mut c = Matrix::zeros(a.rows(), b.rows());
     for i in 0..a.rows() {
@@ -701,7 +700,7 @@ pub fn naive_gemm_nt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 ///
 /// Only used on small matrices (e.g. applying an `f × f` SVD basis), where
 /// the transpose copy is negligible.
-pub fn matmul_nn<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+pub fn matmul_nn(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
     assert_eq!(a.cols(), b.rows(), "matmul_nn: dimension mismatch");
     let bt = b.transpose();
     gemm_nt(a, &bt)
@@ -710,6 +709,7 @@ pub fn matmul_nn<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::tests::round_f32;
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         // Small deterministic LCG; avoids pulling rand into the crate deps.
@@ -842,17 +842,21 @@ mod tests {
         assert!((c.get(1, 1) - 154.0).abs() < 1e-12);
     }
 
+    /// `m` rounded to f32.
+    fn rounded(m: &Matrix<f64>) -> Matrix<f32> {
+        Matrix::from_vec(m.rows(), m.cols(), round_f32(m.as_slice())).unwrap()
+    }
+
     #[test]
     fn gemm_f32_matches_naive() {
-        let a64 = random_matrix(19, 37, 11);
-        let b64 = random_matrix(21, 37, 12);
-        let a: Matrix<f32> = a64.cast();
-        let b: Matrix<f32> = b64.cast();
-        let fast = gemm_nt(&a, &b);
-        let slow = naive_gemm_nt(&a, &b);
-        for r in 0..fast.rows() {
-            for c in 0..fast.cols() {
-                assert!((fast.get(r, c) - slow.get(r, c)).abs() < 1e-3);
+        let a = rounded(&random_matrix(19, 37, 11));
+        let b = rounded(&random_matrix(21, 37, 12));
+        let mut fast = vec![0.0f32; 19 * 21];
+        gemm_nt_into((&a).into(), (&b).into(), &mut fast);
+        for r in 0..19 {
+            for c in 0..21 {
+                let slow = crate::kernels::dot_scalar_f32(a.row(r), b.row(c));
+                assert!((fast[r * 21 + c] - slow).abs() < 1e-3);
             }
         }
     }
@@ -931,7 +935,7 @@ mod tests {
             for &f in depths {
                 let a64 = random_matrix(m, f, 5 + m as u64);
                 let b64 = random_matrix(n, f, 9 + n as u64);
-                let (a32, b32): (Matrix<f32>, Matrix<f32>) = (a64.cast(), b64.cast());
+                let (a32, b32) = (rounded(&a64), rounded(&b64));
                 let (a8, b8) = (codes(m, f, 1), codes(n, f, 4));
                 for blocks in [&f64::BLOCKS, &tiny] {
                     all_entries_agree::<f64>((&a64).into(), (&b64).into(), blocks);
@@ -985,13 +989,14 @@ mod tests {
         for &(m, n, f) in &[(5usize, 19usize, 49usize), (6, 35, 50), (7, 33, 51)] {
             let a64 = random_matrix(m, f, 21);
             let b64 = random_matrix(n, f, 22);
-            let c = gemm_nt(&a64.cast::<f32>(), &b64.cast::<f32>());
+            let mut c = vec![0.0f32; m * n];
+            gemm_nt_into((&rounded(&a64)).into(), (&rounded(&b64)).into(), &mut c);
             for i in 0..m {
                 for j in 0..n {
                     let (u, v) = (a64.row(i), b64.row(j));
                     let env = crate::f32_screen_envelope(f, crate::norm2(u), crate::norm2(v));
                     assert!(
-                        (c.get(i, j) as f64 - dot(u, v)).abs() <= env,
+                        (f64::from(c[i * n + j]) - dot(u, v)).abs() <= env,
                         "({i},{j}) f {f}"
                     );
                 }

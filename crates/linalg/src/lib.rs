@@ -9,7 +9,8 @@
 //! efficiency. Everything in this crate exists to make that brute-force path
 //! genuinely fast:
 //!
-//! * [`Matrix`] — a dense row-major matrix over [`Scalar`] (`f32` or `f64`).
+//! * [`Matrix`] — a dense row-major matrix (the model's `f64`, or any
+//!   element type a tier stores).
 //! * [`gemm`] — a Goto/BLIS-style packed, cache-blocked `C = A·Bᵀ` kernel with
 //!   an unrolled register micro-kernel, a panel-streaming driver for fused
 //!   GEMM→top-k consumers, plus naive references for testing.
@@ -17,7 +18,7 @@
 //!   accumulators.
 //! * [`simd`] — runtime-dispatched AVX2+FMA / NEON micro-kernels behind a
 //!   safe [`simd::Kernel`] vtable, with the scalar code as the guaranteed
-//!   fallback (`MIPS_KERNEL=scalar` forces it). All `f64` kernels above
+//!   fallback (`MIPS_KERNEL=scalar` forces it). The `f64` kernels above
 //!   route through the active set automatically.
 //! * [`tier`] — a numeric screen tier's data format ([`ScreenElem`]) and the
 //!   one row store every screen consumer shares ([`TierRows`]).
@@ -42,7 +43,6 @@ pub mod gemm;
 pub mod kernels;
 pub mod matrix;
 pub mod quant;
-pub mod scalar;
 pub mod simd;
 pub mod svd;
 pub mod tier;
@@ -62,6 +62,5 @@ pub use matrix::{Matrix, RowBlock};
 pub use quant::{
     dot_i8, i8_screen_envelope_parts, quantize_row_i8, scale_for, I8_DOT_MAX_LEN, I8_QUANT_LEVEL,
 };
-pub use scalar::Scalar;
 pub use simd::Kernel;
 pub use tier::{ScreenElem, ScreenTier, TierRows, TierView};

@@ -5,9 +5,9 @@
 //! GEMM kernel and the per-vector index traversals walk rows contiguously.
 
 use crate::error::LinalgError;
-use crate::scalar::Scalar;
 
-/// A dense row-major matrix over `f32` or `f64`.
+/// A dense row-major matrix: `f64` for the model and every numeric
+/// method, any element type for storage and views.
 ///
 /// Invariant: `data.len() == rows * cols`, enforced by every constructor.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,13 +17,13 @@ pub struct Matrix<T> {
     data: Vec<T>,
 }
 
-impl<T: Scalar> Matrix<T> {
+impl<T: Copy + Default> Matrix<T> {
     /// An `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
-            data: vec![T::ZERO; rows * cols],
+            data: vec![T::default(); rows * cols],
         }
     }
 
@@ -189,8 +189,17 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
+    /// Applies `f` to every element in place.
+    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
+        for v in &mut self.data {
+            *v = f(*v);
+        }
+    }
+}
+
+impl Matrix<f64> {
     /// Euclidean norm of every row.
-    pub fn row_norms(&self) -> Vec<T> {
+    pub fn row_norms(&self) -> Vec<f64> {
         self.iter_rows().map(crate::kernels::norm2).collect()
     }
 
@@ -211,24 +220,8 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> T {
+    pub fn frobenius_norm(&self) -> f64 {
         crate::kernels::norm2(&self.data)
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
-    /// Converts the element type (e.g. `f64` model → `f32` kernel input).
-    pub fn cast<U: Scalar>(&self) -> Matrix<U> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|v| U::from_f64(v.to_f64())).collect(),
-        }
     }
 }
 
@@ -273,9 +266,13 @@ impl<'a, T> RowBlock<'a, T> {
     }
 }
 
-impl<'a, T: Scalar> From<&'a Matrix<T>> for RowBlock<'a, T> {
+impl<'a, T> From<&'a Matrix<T>> for RowBlock<'a, T> {
     fn from(m: &'a Matrix<T>) -> Self {
-        m.row_block(0, m.rows())
+        RowBlock {
+            data: &m.data,
+            rows: m.rows,
+            cols: m.cols,
+        }
     }
 }
 
@@ -380,15 +377,6 @@ mod tests {
             empty.validate("test"),
             Err(LinalgError::Empty { .. })
         ));
-    }
-
-    #[test]
-    fn cast_changes_width() {
-        let m = sample();
-        let f: Matrix<f32> = m.cast();
-        assert_eq!(f.get(1, 2), 6.0_f32);
-        let back: Matrix<f64> = f.cast();
-        assert_eq!(back.get(1, 2), 6.0);
     }
 
     #[test]

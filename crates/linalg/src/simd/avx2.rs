@@ -117,94 +117,6 @@ unsafe fn dist2_sq_inner(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn suffix_sumsq(x: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(out.len(), x.len() + 1);
-    // SAFETY: as for `dot`.
-    unsafe { suffix_sumsq_inner(x, out) }
-}
-
-/// Backward suffix scan with vectorized squaring.
-///
-/// The carry chain is inherently serial; the vector unit only computes the
-/// four squares of each block at once. Within-block sums are re-associated
-/// relative to the scalar scan (square-then-add instead of a fused chain),
-/// which is the documented exception to the bit-identity contract.
-// SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn suffix_sumsq_inner(x: &[f64], out: &mut [f64]) {
-    let n = x.len();
-    let op = out.as_mut_ptr();
-    *op.add(n) = 0.0;
-    let rem = n % 4;
-    let mut carry = 0.0f64;
-    let xp = x.as_ptr();
-    let mut block = n;
-    while block > rem {
-        block -= 4;
-        let v = _mm256_loadu_pd(xp.add(block));
-        let mut sq = [0.0f64; 4];
-        _mm256_storeu_pd(sq.as_mut_ptr(), _mm256_mul_pd(v, v));
-        let t3 = sq[3] + carry;
-        let t2 = sq[2] + t3;
-        let t1 = sq[1] + t2;
-        let t0 = sq[0] + t1;
-        *op.add(block) = t0;
-        *op.add(block + 1) = t1;
-        *op.add(block + 2) = t2;
-        *op.add(block + 3) = t3;
-        carry = t0;
-    }
-    let mut j = rem;
-    while j > 0 {
-        j -= 1;
-        carry = (*xp.add(j)).mul_add(*xp.add(j), carry);
-        *op.add(j) = carry;
-    }
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
-pub(super) fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    // SAFETY: as for `dot`.
-    unsafe { dot_f32_inner(x, y) }
-}
-
-/// Single-precision screen dot: one 8-lane accumulator. No bit-identity
-/// promise (the scalar fallback uses four accumulators) — consumers widen
-/// by the screen envelope, which covers any accumulation order.
-// SAFETY contract: the caller must guarantee AVX2+FMA are available
-// (upheld by constructing the `Kernel` only after feature detection)
-// and pass slices satisfying the safe wrapper's length invariants —
-// every pointer read and write below is in bounds exactly when they
-// hold.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_f32_inner(x: &[f32], y: &[f32]) -> f32 {
-    let n = x.len();
-    let chunks = n / 8;
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let mut acc = _mm256_setzero_ps();
-    for i in 0..chunks {
-        let xv = _mm256_loadu_ps(xp.add(8 * i));
-        let yv = _mm256_loadu_ps(yp.add(8 * i));
-        acc = _mm256_fmadd_ps(xv, yv, acc);
-    }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut tail = 0.0f32;
-    for j in 8 * chunks..n {
-        tail = (*xp.add(j)).mul_add(*yp.add(j), tail);
-    }
-    (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
-        + tail
-}
-
-/// Safe wrapper; see module docs for the soundness argument.
 pub(super) fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.

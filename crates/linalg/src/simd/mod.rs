@@ -73,28 +73,24 @@
 //!   fold write the **same bits**, and every kernel set primes the same
 //!   floor.
 //!
-//! The one exception is [`Kernel::suffix_sumsq`]: a suffix scan is a serial
-//! carry chain, and the vector version re-associates the within-block sums
-//! (squares are computed with a vector multiply instead of being fused into
-//! the carry FMA). Its consumers (LEMP / FEXIPRO pruning bounds) inflate
-//! every bound by a relative epsilon; [`crate::sumsq_reassoc_bound`] derives
-//! the actual re-association bound that inflation must (and does, with orders
-//! of magnitude to spare) dominate, so exactness of the *search results* is
-//! unaffected.
+//! The contract has no exception: every slot above writes the same bits
+//! under every kernel set. (LEMP's and FEXIPRO's suffix norms are not a
+//! slot: [`crate::kernels::suffix_norms`] is one portable square-then-add
+//! carry, so it gives the same bits on every architecture.)
 //!
 //! ## Single-precision screen kernels
 //!
-//! The `*_f32` entries ([`Kernel::dot_f32`], [`Kernel::tile_f32`] — a
-//! `4×16` tile, eight accumulators) exist for the
-//! mixed-precision *screen* path:
-//! scan in f32, keep every candidate whose widened bound could still reach
-//! the top-k, then rescore survivors in f64. They are deliberately **outside
-//! the bit-identity contract** — different kernel sets may associate the f32
-//! accumulation differently (8 lanes on AVX2, 2×4 on NEON, 4 scalar chains).
-//! That is sound because no f32 value is ever reported: every consumer wraps
-//! the result in the error envelope of [`crate::f32_screen_envelope`], which
-//! bounds *any* accumulation order, and final scores always come from the
-//! exact f64 path.
+//! The f32 slots — [`Kernel::tile_f32`] (a `4×16` tile, eight
+//! accumulators), [`Kernel::next_hit_f32`] and [`Kernel::group_max_f32`] —
+//! serve the mixed-precision *screen* path: scan in f32, keep every
+//! candidate whose widened bound could still reach the top-k, then rescore
+//! survivors in f64. The filters and group maxima evaluate their bounds in
+//! f64 and sit inside the bit-identity contract (above). The tile is
+//! deliberately **outside** it: a kernel set may accumulate its f32 lanes
+//! in any order. That is sound because no f32 value is ever reported:
+//! every consumer wraps the result in the error envelope of
+//! [`crate::f32_screen_envelope`], which bounds *any* accumulation order,
+//! and final scores always come from the exact f64 path.
 //!
 //! The `fused_exactness` property suite in `mips-topk` exercises both
 //! contracts: bit-identical top-k (scores *and* tie-broken id order) between
@@ -140,12 +136,6 @@
 //!   wrappers check every slice bound their bodies rely on with `assert!`
 //!   themselves — a C tile that does not fit its slice is a panic, never
 //!   an out-of-bounds store.
-//! * Slice casts between `&[T]` and `&[f64]` (used by the generic entry
-//!   points in [`crate::kernels`] and [`crate::gemm`]) are guarded by a
-//!   `TypeId` equality check, making the transmute a no-op reinterpretation
-//!   of the same type. These helpers are intrinsics-free, so the Miri CI
-//!   leg executes them directly (with `MIPS_KERNEL=scalar` forcing the
-//!   portable path around the uninterpretable vector intrinsics).
 //!
 //! The discipline is mechanically enforced: `mips-lint` (CI's lint job)
 //! rejects any `unsafe` outside this directory, and rejects any `unsafe`
@@ -158,7 +148,6 @@
 #![allow(unsafe_code)]
 
 use crate::gemm::Tile;
-use std::any::TypeId;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -184,9 +173,7 @@ pub struct Kernel {
     dot: fn(&[f64], &[f64]) -> f64,
     dot_seq4: fn(&[f64], [&[f64]; 4]) -> [f64; 4],
     dist2_sq: fn(&[f64], &[f64]) -> f64,
-    suffix_sumsq: fn(&[f64], &mut [f64]),
     tile_f64: Tile<f64, f64>,
-    dot_f32: fn(&[f32], &[f32]) -> f32,
     tile_f32: Tile<f32, f32>,
     dot_i8: fn(&[i8], &[i8]) -> i32,
     tile_i8: Tile<i16, i32>,
@@ -340,34 +327,11 @@ impl Kernel {
         (self.dist2_sq)(x, y)
     }
 
-    /// Suffix sums of squares: `out[j] = Σ_{i ≥ j} x[i]²`, with
-    /// `out[x.len()] = 0`.
-    ///
-    /// # Panics
-    /// Panics unless `out.len() == x.len() + 1`.
-    #[inline]
-    pub fn suffix_sumsq(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), x.len() + 1, "suffix_sumsq: output length");
-        (self.suffix_sumsq)(x, out)
-    }
-
     /// The `f64` GEMM register tile (4×8): the [`Tile`] slot the packed
     /// driver resolves once per multiply. Bit-identical across kernel sets.
     #[inline]
     pub fn tile_f64(&self) -> Tile<f64, f64> {
         self.tile_f64
-    }
-
-    /// Single-precision dot product `xᵀy` for the screen path. **Not**
-    /// bit-identical across kernel sets (see the module docs); callers must
-    /// widen results by [`crate::f32_screen_envelope`].
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    #[inline]
-    pub fn dot_f32(&self, x: &[f32], y: &[f32]) -> f32 {
-        assert_eq!(x.len(), y.len(), "dot_f32: length mismatch");
-        (self.dot_f32)(x, y)
     }
 
     /// The `f32` GEMM register tile (4×16; screen path — tolerance, not
@@ -582,9 +546,7 @@ impl Kernel {
             dot: crate::kernels::dot_scalar_f64,
             dot_seq4: crate::kernels::dot_seq4_scalar_f64,
             dist2_sq: crate::kernels::dist2_sq_scalar_f64,
-            suffix_sumsq: crate::kernels::suffix_sumsq_scalar_f64,
             tile_f64: crate::gemm::tile_scalar_f64,
-            dot_f32: crate::kernels::dot_scalar_f32,
             tile_f32: crate::gemm::tile_scalar_f32,
             dot_i8: crate::kernels::dot_scalar_i8,
             tile_i8: crate::gemm::tile_scalar_i8,
@@ -609,9 +571,7 @@ impl Kernel {
                     dot: avx2::dot,
                     dot_seq4: avx2::dot_seq4,
                     dist2_sq: avx2::dist2_sq,
-                    suffix_sumsq: avx2::suffix_sumsq,
                     tile_f64: avx2::tile_f64,
-                    dot_f32: avx2::dot_f32,
                     tile_f32: avx2::tile_f32,
                     dot_i8: avx2::dot_i8,
                     tile_i8: avx2::tile_i8,
@@ -644,9 +604,7 @@ impl Kernel {
                 // already compiles to fused hardware madds.
                 dot_seq4: crate::kernels::dot_seq4_scalar_f64,
                 dist2_sq: neon::dist2_sq,
-                suffix_sumsq: neon::suffix_sumsq,
                 tile_f64: neon::tile_f64,
-                dot_f32: neon::dot_f32,
                 tile_f32: neon::tile_f32,
                 dot_i8: neon::dot_i8,
                 // No NEON bodies for the int8 tile, the filters and the
@@ -737,46 +695,11 @@ pub fn active() -> &'static Kernel {
     })
 }
 
-/// Reinterprets `&[T]` as `&[f64]` when `T` *is* `f64`.
-#[inline(always)]
-pub(crate) fn as_f64<T: 'static>(x: &[T]) -> Option<&[f64]> {
-    if TypeId::of::<T>() == TypeId::of::<f64>() {
-        // SAFETY: the TypeId check proves T == f64, so this is a no-op
-        // reinterpretation of the same slice type.
-        Some(unsafe { &*(x as *const [T] as *const [f64]) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets `&mut [T]` as `&mut [f64]` when `T` *is* `f64`.
-#[inline(always)]
-pub(crate) fn as_f64_mut<T: 'static>(x: &mut [T]) -> Option<&mut [f64]> {
-    if TypeId::of::<T>() == TypeId::of::<f64>() {
-        // SAFETY: as in `as_f64`; uniqueness is inherited from the input.
-        Some(unsafe { &mut *(x as *mut [T] as *mut [f64]) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets `&[T]` as `&[f32]` when `T` *is* `f32`.
-#[inline(always)]
-pub(crate) fn as_f32<T: 'static>(x: &[T]) -> Option<&[f32]> {
-    if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves T == f32, so this is a no-op
-        // reinterpretation of the same slice type.
-        Some(unsafe { &*(x as *const [T] as *const [f32]) })
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn pseudo(len: usize, seed: u64) -> Vec<f64> {
+    pub(crate) fn pseudo(len: usize, seed: u64) -> Vec<f64> {
         let mut state = seed | 1;
         (0..len)
             .map(|_| {
@@ -984,70 +907,14 @@ mod tests {
         active().tile_f64()(&a, &b, &mut c, 8, false);
     }
 
-    #[test]
-    fn suffix_sumsq_matches_scalar_within_tolerance() {
-        // The suffix scan is the documented exception to bit-identity:
-        // assert tight relative agreement instead.
-        for len in [0usize, 1, 3, 4, 9, 50, 130] {
-            let x = pseudo(len, 51);
-            let mut want = vec![0.0; len + 1];
-            Kernel::scalar().suffix_sumsq(&x, &mut want);
-            for k in all_kernels() {
-                let mut got = vec![0.0; len + 1];
-                k.suffix_sumsq(&x, &mut got);
-                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
-                        "{} len {len} j {j}: {g} vs {w}",
-                        k.name()
-                    );
-                }
-                assert_eq!(got[len], 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn slice_reinterpretation_is_type_guarded() {
-        let xs = [1.0f64, 2.0];
-        assert!(as_f64(&xs).is_some());
-        let ys = [1.0f32, 2.0];
-        assert!(as_f64(&ys).is_none());
-        let mut zs = [3.0f64];
-        assert!(as_f64_mut(&mut zs).is_some());
-
-        // The f32 guards mirror the f64 ones exactly.
-        assert!(as_f32(&ys).is_some());
-        assert!(as_f32(&xs).is_none());
+    /// `x` rounded to f32 — the crate's one test-side demotion, so no
+    /// other test file needs an `as f32` of its own.
+    pub(crate) fn round_f32(x: &[f64]) -> Vec<f32> {
+        x.iter().map(|&v| v as f32).collect()
     }
 
     fn pseudo32(len: usize, seed: u64) -> Vec<f32> {
-        pseudo(len, seed).into_iter().map(|v| v as f32).collect()
-    }
-
-    #[test]
-    fn dot_f32_within_screen_envelope_of_exact_f64() {
-        // The f32 kernels promise tolerance, not bit-identity: every kernel's
-        // f32 dot must land inside the screen envelope around the exact (f64)
-        // product of the *rounded* operands' originals.
-        for len in [0usize, 1, 3, 7, 8, 16, 31, 64, 257] {
-            let x64 = pseudo(len, 61);
-            let y64 = pseudo(len, 67);
-            let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-            let y32: Vec<f32> = y64.iter().map(|&v| v as f32).collect();
-            let exact = Kernel::scalar().dot(&x64, &y64);
-            let unorm = Kernel::scalar().dot(&x64, &x64).sqrt();
-            let inorm = Kernel::scalar().dot(&y64, &y64).sqrt();
-            let env = crate::f32_screen_envelope(len, unorm, inorm);
-            for k in all_kernels() {
-                let got = k.dot_f32(&x32, &y32) as f64;
-                assert!(
-                    (got - exact).abs() <= env,
-                    "{} len {len}: |{got} - {exact}| > {env}",
-                    k.name()
-                );
-            }
-        }
+        round_f32(&pseudo(len, seed))
     }
 
     #[test]

@@ -83,77 +83,6 @@ unsafe fn dist2_sq_inner(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Safe wrapper; soundness per the module-level contract.
-pub(super) fn suffix_sumsq(x: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(out.len(), x.len() + 1);
-    // SAFETY: as for `dot`.
-    unsafe { suffix_sumsq_inner(x, out) }
-}
-
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn suffix_sumsq_inner(x: &[f64], out: &mut [f64]) {
-    let n = x.len();
-    let op = out.as_mut_ptr();
-    *op.add(n) = 0.0;
-    let rem = n % 2;
-    let mut carry = 0.0f64;
-    let xp = x.as_ptr();
-    let mut block = n;
-    while block > rem {
-        block -= 2;
-        let v = vld1q_f64(xp.add(block));
-        let sq = vmulq_f64(v, v);
-        let t1 = vgetq_lane_f64(sq, 1) + carry;
-        let t0 = vgetq_lane_f64(sq, 0) + t1;
-        *op.add(block) = t0;
-        *op.add(block + 1) = t1;
-        carry = t0;
-    }
-    if rem == 1 {
-        carry = (*xp).mul_add(*xp, carry);
-        *op = carry;
-    }
-}
-
-/// Safe wrapper; soundness per the module-level contract.
-pub(super) fn dot_f32(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    // SAFETY: as for `dot`.
-    unsafe { dot_f32_inner(x, y) }
-}
-
-/// Single-precision screen dot: two 4-lane accumulators, eight elements per
-/// step. No bit-identity promise (see [`super`]'s f32 section) — consumers
-/// widen by the screen envelope.
-// SAFETY contract: NEON is baseline on aarch64, so the caller's only
-// obligation is the safe wrapper's length invariant — every pointer
-// read and write below is in bounds exactly when it holds.
-#[target_feature(enable = "neon")]
-unsafe fn dot_f32_inner(x: &[f32], y: &[f32]) -> f32 {
-    let n = x.len();
-    let chunks = n / 8;
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let mut acc0 = vdupq_n_f32(0.0);
-    let mut acc1 = vdupq_n_f32(0.0);
-    for i in 0..chunks {
-        acc0 = vfmaq_f32(acc0, vld1q_f32(xp.add(8 * i)), vld1q_f32(yp.add(8 * i)));
-        acc1 = vfmaq_f32(
-            acc1,
-            vld1q_f32(xp.add(8 * i + 4)),
-            vld1q_f32(yp.add(8 * i + 4)),
-        );
-    }
-    let mut tail = 0.0f32;
-    for j in 8 * chunks..n {
-        tail = (*xp.add(j)).mul_add(*yp.add(j), tail);
-    }
-    (vaddvq_f32(acc0) + vaddvq_f32(acc1)) + tail
-}
-
-/// Safe wrapper; soundness per the module-level contract.
 pub(super) fn dot_i8(x: &[i8], y: &[i8]) -> i32 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.

@@ -15,32 +15,27 @@ use crate::eig::jacobi_eigen;
 use crate::error::LinalgError;
 use crate::gemm::{gemm_nt_into, matmul_nn};
 use crate::matrix::Matrix;
-use crate::scalar::Scalar;
 
 /// An orthogonal basis ordered by descending singular value, with helpers to
 /// push vectors/matrices through the transform.
 #[derive(Debug, Clone)]
-pub struct SvdBasis<T> {
+pub struct SvdBasis {
     /// Right singular vectors as columns (`f × f`, orthogonal).
-    pub v: Matrix<T>,
+    pub v: Matrix<f64>,
     /// Singular values, descending.
-    pub singular_values: Vec<T>,
+    pub singular_values: Vec<f64>,
 }
 
-impl<T: Scalar> SvdBasis<T> {
+impl SvdBasis {
     /// Computes the basis from a tall data matrix (one vector per row).
     ///
     /// # Errors
     /// Propagates validation/convergence failures from the eigensolver.
-    pub fn from_rows(data: &Matrix<T>) -> Result<Self, LinalgError> {
+    pub fn from_rows(data: &Matrix<f64>) -> Result<Self, LinalgError> {
         data.validate("SvdBasis::from_rows")?;
         let gram = gram(data);
         let eig = jacobi_eigen(&gram)?;
-        let singular_values = eig
-            .values
-            .iter()
-            .map(|&l| l.max_val(T::ZERO).sqrt())
-            .collect();
+        let singular_values = eig.values.iter().map(|&l| l.max(0.0).sqrt()).collect();
         Ok(SvdBasis {
             v: eig.vectors,
             singular_values,
@@ -54,7 +49,7 @@ impl<T: Scalar> SvdBasis<T> {
 
     /// Applies `x ↦ Vᵀx` to every row of `m` (returns `M·V`, since rows are
     /// vectors).
-    pub fn transform(&self, m: &Matrix<T>) -> Matrix<T> {
+    pub fn transform(&self, m: &Matrix<f64>) -> Matrix<f64> {
         assert_eq!(
             m.cols(),
             self.dim(),
@@ -66,27 +61,18 @@ impl<T: Scalar> SvdBasis<T> {
     /// Fraction of total energy captured by the first `h` coordinates.
     ///
     /// FEXIPRO picks its checkpoint `h` so this reaches a target (e.g. 0.9).
-    pub fn energy_fraction(&self, h: usize) -> T {
-        let total: T = self
-            .singular_values
-            .iter()
-            .map(|&s| s * s)
-            .fold(T::ZERO, |a, b| a + b);
-        if total == T::ZERO {
-            return T::ONE;
+    pub fn energy_fraction(&self, h: usize) -> f64 {
+        let total: f64 = self.singular_values.iter().map(|&s| s * s).sum();
+        if total == 0.0 {
+            return 1.0;
         }
-        let head: T = self
-            .singular_values
-            .iter()
-            .take(h)
-            .map(|&s| s * s)
-            .fold(T::ZERO, |a, b| a + b);
+        let head: f64 = self.singular_values.iter().take(h).map(|&s| s * s).sum();
         head / total
     }
 
     /// Smallest prefix length whose energy fraction reaches `target`
     /// (clamped to `[1, f]`).
-    pub fn checkpoint_for_energy(&self, target: T) -> usize {
+    pub fn checkpoint_for_energy(&self, target: f64) -> usize {
         let f = self.dim();
         for h in 1..=f {
             if self.energy_fraction(h) >= target {
@@ -106,10 +92,10 @@ const GRAM_ROW_CHUNK: usize = 4096;
 /// packed GEMM: each chunk of rows is transposed into an `f × chunk` block
 /// `B` and contributes `B·Bᵀ`, so the extra memory is `O(f · chunk + f²)`
 /// whatever the row count.
-pub fn gram<T: Scalar>(m: &Matrix<T>) -> Matrix<T> {
+pub fn gram(m: &Matrix<f64>) -> Matrix<f64> {
     let f = m.cols();
     let mut g = Matrix::zeros(f, f);
-    let mut partial = vec![T::ZERO; f * f];
+    let mut partial = vec![0.0; f * f];
     for start in (0..m.rows()).step_by(GRAM_ROW_CHUNK) {
         let end = (start + GRAM_ROW_CHUNK).min(m.rows());
         let chunk = Matrix::from_vec(end - start, f, m.row_block(start, end).as_slice().to_vec())

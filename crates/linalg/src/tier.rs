@@ -26,7 +26,6 @@
 use crate::gemm::{GemmB, GemmElem, PackedPanels};
 use crate::matrix::RowBlock;
 use crate::quant::{quantize_row_i8, I8_DOT_MAX_LEN};
-use crate::scalar::Scalar;
 use crate::simd::{self, F32Offer, I8Offer, Kernel};
 use std::fmt::Debug;
 use std::ops::Range;
@@ -158,8 +157,8 @@ pub trait ScreenElem: GemmElem + Default {
         out: &mut [f64],
     );
 
-    /// The point dot `xᵀy` in the tier's arithmetic, on the dispatched
-    /// kernel set.
+    /// The point dot `xᵀy` in the tier's arithmetic: a dispatched
+    /// [`Kernel`] slot where a SIMD body pays (int8), else a portable body.
     fn dot(x: &[Self], y: &[Self]) -> Self::Acc;
 }
 
@@ -172,7 +171,7 @@ impl ScreenElem for f32 {
     /// image. The norm is taken in f64 *before* rounding.
     fn store_row(row: &[f64], out: &mut [f32]) -> Option<[f64; MAX_TERMS]> {
         for (o, &v) in out.iter_mut().zip(row) {
-            *o = f32::from_f64(v);
+            *o = v as f32;
         }
         let finite = out.iter().all(|v| v.is_finite());
         finite.then(|| [crate::norm2(row), 0.0, 0.0])
@@ -214,9 +213,11 @@ impl ScreenElem for f32 {
         kern.group_max_f32(accs, items[0], offer, group, out)
     }
 
+    /// The portable four-accumulator body under every kernel set.
     #[inline(always)]
     fn dot(x: &[f32], y: &[f32]) -> f32 {
-        simd::active().dot_f32(x, y)
+        assert_eq!(x.len(), y.len(), "dot: length mismatch");
+        crate::kernels::dot_scalar_f32(x, y)
     }
 }
 
@@ -540,7 +541,7 @@ mod tests {
         ])
         .unwrap();
         let rows32 = TierRows::<f32>::build((&m).into()).unwrap();
-        assert_eq!(rows32.row(1), [f32::from_f64(0.1), 0.0]);
+        assert_eq!(rows32.row(1), [0.1_f32, 0.0]);
         assert_eq!(rows32.terms()[0], [5.0, 0.1, 0.0, crate::norm2(m.row(3))]);
 
         let rows8 = TierRows::<i8>::build((&m).into()).unwrap();

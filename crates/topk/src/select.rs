@@ -13,7 +13,7 @@ use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use crate::list::TopKList;
 use mips_linalg::simd::{self, Kernel};
-use mips_linalg::{Matrix, Scalar};
+use mips_linalg::Matrix;
 
 /// Top-k of one score row; item ids are the column indices.
 pub fn row_topk(scores: &[f64], k: usize) -> TopKList {
@@ -46,13 +46,13 @@ pub fn rows_topk(scores: &[f64], rows: usize, items: usize, k: usize) -> Vec<Top
 }
 
 /// Top-k of every row of a score matrix (e.g. the output of `U·Iᵀ`).
-pub fn topk_all_rows<T: Scalar>(scores: &Matrix<T>, k: usize) -> Vec<TopKList> {
+pub fn topk_all_rows(scores: &Matrix<f64>, k: usize) -> Vec<TopKList> {
     scores
         .iter_rows()
         .map(|row| {
             let mut heap = TopKHeap::new(k);
             for (j, &s) in row.iter().enumerate() {
-                heap.push(s.to_f64(), j as u32);
+                heap.push(s, j as u32);
             }
             heap.into_sorted()
         })
@@ -116,12 +116,5 @@ mod tests {
         assert_eq!(lists[1].items, vec![0, 2]);
         let direct = rows_topk(m.as_slice(), 2, 4, 2);
         assert_eq!(lists, direct);
-    }
-
-    #[test]
-    fn matrix_topk_f32_input() {
-        let m = Matrix::from_vec(1, 3, vec![1.0_f32, 5.0, 3.0]).unwrap();
-        let lists = topk_all_rows(&m, 2);
-        assert_eq!(lists[0].items, vec![1, 2]);
     }
 }

@@ -20,7 +20,6 @@ use optimus_maximus::data::{MfModel, MirrorElem};
 use optimus_maximus::linalg::simd::{self, PeakOp};
 use optimus_maximus::linalg::{
     gemm_flops, gemm_nt_into, gemm_nt_stream_blocks, GemmElem, GemmScratch, PackedPanels, RowBlock,
-    Scalar,
 };
 use optimus_maximus::topk::{
     screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch, TopKHeap,
@@ -227,7 +226,7 @@ fn main() {
     println!("peak f32 FMA            {p32:8.2} GFLOP/s");
     println!("peak i16 multiply-add   {p16:8.2} GOP/s");
     report::<f64>("f64", "GFLOP/s", p64, |v| v);
-    report::<f32>("f32", "GFLOP/s", p32, f32::from_f64);
+    report::<f32>("f32", "GFLOP/s", p32, |v| v as f32);
     report::<i8>("i8", "GOP/s  ", p16, |v| {
         i8::try_from((v * 127.0).round() as i32).expect("|v| <= 1 maps into the code range")
     });
