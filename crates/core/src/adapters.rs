@@ -1,19 +1,19 @@
 //! [`MipsSolver`] adapters for the LEMP, FEXIPRO, and sparse inverted-index
 //! crates.
 //!
-//! LEMP and FEXIPRO select with the four-lane `dot`, so their solvers
-//! finish every answer through [`canonicalize`]: the `k` reported scores
-//! become the chain the other backends report, and the answer the one
-//! [`mips_topk::exact_topk`] gives. The sparse index rescores with the chain
-//! itself.
+//! Each index scores approximately — LEMP and FEXIPRO with the four-lane
+//! `dot`, the sparse index with its postings accumulator — and finishes
+//! every answer through the shared [`Shortlist`] rescore, so it returns the
+//! answer [`mips_topk::exact_topk`] gives. An adapter hands the index the
+//! model's item matrix and one shortlist per call.
 
 use crate::solver::MipsSolver;
 use crate::sync::Arc;
 use mips_data::MfModel;
-use mips_fexipro::{FexiproConfig, FexiproIndex};
-use mips_lemp::{LempConfig, LempIndex};
+use mips_fexipro::{FexiproConfig, FexiproIndex, FexiproStats};
+use mips_lemp::{LempConfig, LempIndex, QueryStats};
 use mips_sparse::{InvertedIndex, SparseScratch};
-use mips_topk::{canonicalize, TopKList};
+use mips_topk::{Shortlist, TopKList};
 use std::time::Instant;
 
 /// LEMP behind the common solver interface.
@@ -56,12 +56,13 @@ impl MipsSolver for LempSolver {
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         crate::solver::dedup_query_subset(users, |distinct| {
-            let items = self.model.items();
+            let (user_rows, items) = (self.model.users(), self.model.items());
+            let (mut list, mut stats) = (Shortlist::new(), QueryStats::default());
             distinct
                 .iter()
                 .map(|&u| {
-                    let user = self.model.users().row(u);
-                    canonicalize(self.index.query(user, k), user, items)
+                    let user = user_rows.row(u);
+                    self.index.query_with(user, k, items, &mut list, &mut stats)
                 })
                 .collect()
         })
@@ -115,10 +116,11 @@ impl MipsSolver for FexiproSolver {
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         crate::solver::dedup_query_subset(users, |distinct| {
-            let (user_rows, items) = (self.model.users(), self.model.items());
+            let items = self.model.items();
+            let (mut list, mut stats) = (Shortlist::new(), FexiproStats::default());
             distinct
                 .iter()
-                .map(|&u| canonicalize(self.index.query_user(u, k), user_rows.row(u), items))
+                .map(|&u| self.index.query_user(u, k, items, &mut list, &mut stats))
                 .collect()
         })
     }

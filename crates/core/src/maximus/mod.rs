@@ -11,7 +11,10 @@
 //! optimization): users of a cluster share one blocked matrix multiply over
 //! the first `B` items of the cluster's list, then walk the remainder
 //! individually, stopping at the first position whose bound (scaled by
-//! `‖u‖`) falls below their heap threshold. The int8 variant
+//! `‖u‖`) falls below their threshold. The walk scores with the four-lane
+//! `dot` and offers each score to a [`Shortlist`] seeded with the prefix's
+//! exact entries; its chain rescore finishes the answer, so it is the
+//! oracle's ([`mips_topk::exact_topk`]). The int8 variant
 //! ([`MaximusIndex::with_i8_screen`]) screens both phases: the prefix
 //! multiply runs in int8 with an exact f64 rescore of its survivors, and
 //! the walk skips every item whose int8 upper bound misses the threshold.
@@ -25,10 +28,10 @@ use crate::sync::{Arc, OnceLock};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::{is_tiny_row, MfModel};
 use mips_linalg::kernels::{angle, dot, norm2};
-use mips_linalg::{GemmScratch, Matrix, PackedPanels, TierRows};
+use mips_linalg::{reassoc_envelope_parts, simd, GemmScratch, Matrix, PackedPanels, TierRows};
 use mips_topk::{
-    canonicalize, exact_topk, screen_topk_into_heaps, stream_topk_into_heaps, ArmedUser, ColumnIds,
-    ScreenScratch, ScreenTier, TopKHeap, TopKList,
+    exact_topk, screen_topk_into_heaps, stream_topk_into_heaps, ArmedUser, ColumnIds,
+    ScreenScratch, ScreenTier, Shortlist, TopKHeap, TopKList,
 };
 use std::time::Instant;
 
@@ -174,12 +177,13 @@ struct ClusterScreen {
 }
 
 /// Per-call buffers of [`MaximusIndex::serve_cluster`], one per query loop:
-/// the f64 prefix multiply's and the int8 screen's (each sized on first
-/// use, so the one a path does not take costs nothing).
+/// the f64 prefix multiply's, the int8 screen's (each sized on first use,
+/// so the one a path does not take costs nothing) and the walks' shortlist.
 #[derive(Default)]
 struct Scratch {
     gemm: GemmScratch<f64>,
     screen: ScreenScratch<i8>,
+    walk: Shortlist,
 }
 
 /// Everything construction derives from the model — the clustering, every
@@ -309,9 +313,9 @@ impl MaximusIndex {
     ///   GEMM's reduction order — so the heaps leave the prefix holding the
     ///   f64 multiply's exact entries.
     /// * The walk pre-scores each item against the cluster's int8 rows; the
-    ///   exact dot and its push are skipped only when the envelope-widened
-    ///   screen score ([`ArmedUser::upper_bound`]) proves the push would be
-    ///   rejected.
+    ///   item's `dot` and offer are skipped only when the envelope-widened
+    ///   screen score ([`ArmedUser::upper_bound`]) sits below the walk's
+    ///   threshold, which proves the item is not in the answer.
     ///
     /// Results stay bit-identical to the f64 index. The §III-E new-vector
     /// path stays f64. int8 is MAXIMUS's one screen tier: measured over the
@@ -429,9 +433,12 @@ impl MaximusIndex {
                 .fetch_add((group.len() * block) as u64, Ordering::Relaxed);
         }
 
+        let (rel, abs) = reassoc_envelope_parts(model.num_factors());
+        let list = &mut scratch.walk;
         for (mut heap, &(pos, u)) in heaps.into_iter().zip(group) {
             let user = model.users().row(u);
             let unorm = norm2(user);
+            let env_rel = rel * unorm;
             // Walk-phase screen state: the user row as int8 codes plus its
             // envelope coefficients. Absent unless the screen is armed; a
             // user row that does not quantize walks unscreened — still
@@ -440,22 +447,23 @@ impl MaximusIndex {
             let mut walked = 0u64;
             let mut screen_evaluated = 0u64;
             let mut screened_out = 0u64;
-            let mut walk_admitted = false;
+            // The prefix's exact entries in the heap seed the shortlist;
+            // the walk's `dot` scores go through it.
+            list.begin(&heap);
             let mut list_pos = block;
             while list_pos < n_items {
                 // Early termination: bounds descend, so the first failure
                 // covers the whole tail.
-                if heap.is_full() && unorm * cluster.bounds[list_pos] < heap.threshold() {
+                if list.is_full() && unorm * cluster.bounds[list_pos] < list.threshold() {
                     break;
                 }
-                // Int8 screen: when even the envelope-widened
-                // screen score sits strictly below the threshold, the exact
-                // score does too and its push would be rejected — skipping
-                // dot and push leaves the heap trajectory bit-identical.
-                if heap.is_full() {
+                // Int8 screen: when even the envelope-widened screen score
+                // sits strictly below the threshold, so does the exact
+                // score, and the item cannot make the answer.
+                if list.is_full() {
                     if let Some((armed, rows)) = &armed {
                         screen_evaluated += 1;
-                        if armed.upper_bound(rows, list_pos) < heap.threshold() {
+                        if armed.upper_bound(rows, list_pos) < list.threshold() {
                             screened_out += 1;
                             list_pos += 1;
                             continue;
@@ -463,10 +471,12 @@ impl MaximusIndex {
                     }
                 }
                 let score = dot(user, cluster.items.row(list_pos - block));
-                walk_admitted |= heap.push(score, cluster.list_ids[list_pos]);
+                let env = env_rel * cluster.norms[list_pos] + abs;
+                list.offer(cluster.list_ids[list_pos], score, env);
                 walked += 1;
                 list_pos += 1;
             }
+            list.finish(simd::active(), user, model.items().into(), &mut heap);
             self.query_stats
                 .items_walked
                 .fetch_add(walked, Ordering::Relaxed);
@@ -481,22 +491,15 @@ impl MaximusIndex {
             self.query_stats
                 .users_served
                 .fetch_add(1, Ordering::Relaxed);
-            // Heaps fed only by the blocked prefix already hold canonical
-            // (GEMM-kernel or GEMM-ordered rescore) scores; only a heap a
-            // walk-scored (`dot`) item made it into needs the canonicalizing
-            // pass.
-            out[pos] = if walk_admitted {
-                canonicalize(heap.into_sorted(), user, model.items())
-            } else {
-                heap.into_sorted()
-            };
+            out[pos] = heap.into_sorted();
         }
     }
 
     /// Serves an ad-hoc user vector that was *not* part of the clustered set
     /// (§III-E dynamic users): assigns it to the nearest centroid and walks
     /// that cluster's list with a per-item bound widened to the user's own
-    /// angle when it exceeds θ_b.
+    /// angle when it exceeds θ_b, through a [`Shortlist`] like the
+    /// clustered users' walk.
     ///
     /// List order no longer matches the widened bound, so pruning skips
     /// items without early exit — still exact, usually still far fewer dots
@@ -527,27 +530,31 @@ impl MaximusIndex {
         };
 
         let items = core.model.items();
+        let (rel, abs) = reassoc_envelope_parts(user.len());
         let mut heap = TopKHeap::new(k);
-        if theta_uc <= cluster.theta_b {
-            // Covered by the stored bounds: normal walk with early exit.
-            for (pos, &id) in cluster.list_ids.iter().enumerate() {
-                if heap.is_full() && unorm * cluster.bounds[pos] < heap.threshold() {
-                    break;
-                }
-                heap.push(dot(user, cluster.item_row(items, pos)), id);
-            }
-        } else {
-            for (pos, &id) in cluster.list_ids.iter().enumerate() {
-                if heap.is_full() {
+        let mut list = Shortlist::new();
+        list.begin(&heap);
+        let covered = theta_uc <= cluster.theta_b;
+        for (pos, &id) in cluster.list_ids.iter().enumerate() {
+            if list.is_full() {
+                if covered {
+                    // Covered by the stored bounds: early exit.
+                    if unorm * cluster.bounds[pos] < list.threshold() {
+                        break;
+                    }
+                } else {
+                    // No early exit: the order is stale for θ_uc.
                     let b = stored_bound(cluster.norms[pos], cluster.theta_ic[pos], theta_uc);
-                    if unorm * b < heap.threshold() {
-                        continue; // no early exit: order is stale for θ_uc
+                    if unorm * b < list.threshold() {
+                        continue;
                     }
                 }
-                heap.push(dot(user, cluster.item_row(items, pos)), id);
             }
+            let score = dot(user, cluster.item_row(items, pos));
+            list.offer(id, score, rel * unorm * cluster.norms[pos] + abs);
         }
-        canonicalize(heap.into_sorted(), user, items)
+        list.finish(simd::active(), user, items.into(), &mut heap);
+        heap.into_sorted()
     }
 }
 

@@ -36,8 +36,9 @@ pub trait MipsSolver: Send + Sync {
 
     /// Top-k for an explicit list of user ids, in input order. Each list
     /// is the user row's [`mips_topk::exact_topk`] answer, ids and score
-    /// bits: a scan that scores with `dot` finishes through
-    /// [`mips_topk::canonicalize`].
+    /// bits: a scan that scores approximately (a screen tier, the
+    /// four-lane `dot`, a postings accumulator) offers those scores to a
+    /// [`mips_topk::Shortlist`] and finishes through its chain rescore.
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList>;
 
     /// Top-k for a contiguous user range, in order: by default the range's

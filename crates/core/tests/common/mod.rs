@@ -25,9 +25,9 @@ use mips_core::maximus::MaximusConfig;
 use mips_core::precision::Precision;
 use mips_core::serve::ServerBuilder;
 use mips_core::solver::MipsSolver;
-use mips_core::verify::check_user_topk;
 use mips_data::MfModel;
 use mips_lemp::LempConfig;
+use mips_linalg::kernels::{dot, dot_gemm_ordered};
 use mips_linalg::Matrix;
 use mips_net::client::Client;
 use mips_net::json::{self, Json};
@@ -113,9 +113,8 @@ pub fn model(corpus: Corpus, users: usize, items: usize, f: usize, seed: u64) ->
 
 /// A corpus built to break an unsound screen in either tier, with `n`
 /// items per regime; the user rows mirror the regimes so every (user,
-/// item) pairing crosses magnitudes. Its near-ties sit below the `dot`
-/// ulp, so a scan that selects with `dot` may pick the other item of such
-/// a pair at the k-th place — refereed with [`Bar::Membership`].
+/// item) pairing crosses magnitudes, and its near-ties sit below the `dot`
+/// ulp.
 pub fn adversarial(n: usize, f: usize) -> Arc<MfModel> {
     let mut rng = Lcg::new(0xDEAD_BEEF);
     let mut next = move || rng.next() * 2.0 - 1.0;
@@ -156,6 +155,50 @@ pub fn adversarial(n: usize, f: usize) -> Arc<MfModel> {
         _ => next(),
     });
     Arc::new(MfModel::new("adversarial", users, items).unwrap())
+}
+
+/// A one-user, eight-item model on which the four-lane `dot` and the chain
+/// order the top two items differently, so a scan that decides the k-th
+/// place in `dot`'s rounding returns the wrong k = 1 item. Items 1 (A) and
+/// 4 (B) lean on the user; one coordinate of B is solved so that B's score
+/// ties A's, then walked by ulps until `dot` strictly prefers one of the
+/// two and the chain the other. The other six items score far below. A
+/// seed whose walk finds no split moves on to the next seed. Below four
+/// factors `dot` is the chain, so `f` must be at least 4.
+pub fn split(f: usize, seed: u64) -> Arc<MfModel> {
+    assert!(f >= 4, "split: below four factors `dot` is the chain");
+    for seed in seed.. {
+        let mut rng = Lcg::new(seed);
+        let mut next = move || rng.next() * 2.0 - 1.0;
+        let user: Vec<f64> = (0..f).map(|_| next()).collect();
+        let a: Vec<f64> = user.iter().map(|&u| u + 0.5 * next()).collect();
+        let mut b: Vec<f64> = user.iter().map(|&u| u + 0.5 * next()).collect();
+        let target = dot_gemm_ordered(&user, &a);
+        let c = (0..f)
+            .max_by(|&i, &j| user[i].abs().total_cmp(&user[j].abs()))
+            .expect("f ≥ 4");
+        let rest: f64 = (0..f).filter(|&j| j != c).map(|j| user[j] * b[j]).sum();
+        let tie = (target - rest) / user[c];
+        let found = (0..400i64).flat_map(|step| [step, -step]).any(|step| {
+            b[c] = f64::from_bits((tie.to_bits() as i64 + step) as u64);
+            let (da, db) = (dot(&user, &a), dot(&user, &b));
+            let (ca, cb) = (dot_gemm_ordered(&user, &a), dot_gemm_ordered(&user, &b));
+            // `dot` strictly prefers one item where the heap, by the chain
+            // (ties to the smaller id, A), ranks the other first.
+            da != db && (da > db) != (ca >= cb)
+        });
+        if !found || target <= 0.0 {
+            continue;
+        }
+        let items = Matrix::from_fn(8, f, |r, col| match r {
+            1 => a[col],
+            4 => b[col],
+            _ => -(1.0 + r as f64 / 4.0) * a[col] + 0.01 * next(),
+        });
+        let users = Matrix::from_vec(1, f, user).unwrap();
+        return Arc::new(MfModel::new(format!("split {seed}"), users, items).unwrap());
+    }
+    unreachable!("the seed range is unbounded")
 }
 
 /// The `k` edges for an `n`-item catalog: none, one, the middle, all, and
@@ -217,17 +260,6 @@ pub fn backends() -> Vec<(String, Arc<dyn SolverFactory>)> {
     all
 }
 
-/// What an answer is held to.
-#[derive(Clone, Copy, Debug)]
-pub enum Bar {
-    /// The oracle's ids and score bits.
-    Oracle,
-    /// Canonical score bits, and [`check_user_topk`] at this tolerance for
-    /// which items make the k-th place — the bar for corpora whose
-    /// near-ties sit below the `dot` ulp.
-    Membership(f64),
-}
-
 /// Backends the driver leaves out on `model`, named so a skip is visible
 /// in the code that makes it: FEXIPRO's SVD over 600 factors takes minutes
 /// in an unoptimized build, so the widest corpus runs without it there.
@@ -271,11 +303,11 @@ impl Route {
 /// Referees every backend of [`backends`] on `model` at each of `ks`, on
 /// each of `routes`. Returns the first failure, labelled with the backend,
 /// the route, the precision or tier, `k`, the user selection and the user.
-pub fn drive(model: &Arc<MfModel>, ks: &[usize], bar: Bar, routes: &[Route]) -> Result<(), String> {
+pub fn drive(model: &Arc<MfModel>, ks: &[usize], routes: &[Route]) -> Result<(), String> {
     let oracles: Vec<Vec<TopKList>> = ks.iter().map(|&k| oracle(model, k)).collect();
     for (label, factory) in backends() {
         if !skipped(&label, model) {
-            drive_one(&label, &factory, model, ks, &oracles, bar, routes)?;
+            drive_one(&label, &factory, model, ks, &oracles, routes)?;
         }
     }
     Ok(())
@@ -291,14 +323,13 @@ pub fn drive_one(
     model: &Arc<MfModel>,
     ks: &[usize],
     oracles: &[Vec<TopKList>],
-    bar: Bar,
     routes: &[Route],
 ) -> Result<(), String> {
     if routes.contains(&Route::Solver) {
-        drive_solver(label, factory.as_ref(), model, ks, oracles, bar)?;
+        drive_solver(label, factory.as_ref(), model, ks, oracles)?;
     }
     if routes.iter().any(|&route| route != Route::Solver) {
-        drive_engine(label, factory, model, ks, oracles, bar, routes)?;
+        drive_engine(label, factory, model, ks, oracles, routes)?;
     }
     Ok(())
 }
@@ -306,14 +337,13 @@ pub fn drive_one(
 /// The [`Route::Solver`] leg: the plain build and every variant its
 /// `screen_tiers()` lists answer through `query_all`; each one's other
 /// query paths must repeat that answer bit for bit, every variant must
-/// repeat its plain build's, and the plain build's must meet `bar`.
+/// repeat its plain build's, and the plain build's must be the oracle's.
 fn drive_solver(
     label: &str,
     factory: &dyn SolverFactory,
     model: &Arc<MfModel>,
     ks: &[usize],
     oracles: &[Vec<TopKList>],
-    bar: Bar,
 ) -> Result<(), String> {
     let plain = factory
         .build(model)
@@ -334,7 +364,7 @@ fn drive_solver(
                 return Err(format!("{name} k={k}: differs from its f64 build"));
             }
         }
-        check(label, model, &QueryRequest::top_k(k), want, bar, Ok(served))?;
+        check(label, model, &QueryRequest::top_k(k), want, Ok(served))?;
     }
     Ok(())
 }
@@ -370,7 +400,6 @@ fn drive_engine(
     model: &Arc<MfModel>,
     ks: &[usize],
     oracles: &[Vec<TopKList>],
-    bar: Bar,
     routes: &[Route],
 ) -> Result<(), String> {
     let on = |route| routes.contains(&route);
@@ -402,16 +431,16 @@ fn drive_engine(
             for (request, want) in &requests {
                 if on(Route::Named) {
                     let got = results(engine.execute_with(factory.key(), request));
-                    check(&format!("{at}, named"), model, request, want, bar, got)?;
+                    check(&format!("{at}, named"), model, request, want, got)?;
                 }
                 if on(Route::Planned) && precision == Precision::Auto {
                     let got = results(engine.execute(request));
-                    check(&format!("{at}, planned"), model, request, want, bar, got)?;
+                    check(&format!("{at}, planned"), model, request, want, got)?;
                 }
             }
             if threads == 1 && (on(Route::Served) || on(Route::Wire)) {
                 let at = format!("{label} under {precision}");
-                drive_server(&at, Arc::new(engine), model, &requests, bar, routes)?;
+                drive_server(&at, Arc::new(engine), model, &requests, routes)?;
             }
         }
     }
@@ -424,7 +453,6 @@ fn drive_server(
     engine: Arc<Engine>,
     model: &MfModel,
     requests: &[(QueryRequest, &[TopKList])],
-    bar: Bar,
     routes: &[Route],
 ) -> Result<(), String> {
     let server = Arc::new(
@@ -444,11 +472,11 @@ fn drive_server(
     for (request, want) in requests {
         if routes.contains(&Route::Served) {
             let got = results(server.execute(request));
-            check(&format!("{at}, served"), model, request, want, bar, got)?;
+            check(&format!("{at}, served"), model, request, want, got)?;
         }
         if let Some((_, client)) = front.as_mut() {
             let got = wire(client, request);
-            check(&format!("{at}, wire"), model, request, want, bar, got)?;
+            check(&format!("{at}, wire"), model, request, want, got)?;
         }
     }
     if let Some((http, _)) = front {
@@ -520,14 +548,13 @@ fn answers(solver: &dyn MipsSolver, model: &MfModel, k: usize) -> Result<Vec<Top
     Ok(all)
 }
 
-/// Holds one route's answer to `request` to `bar`: `oracle` is the
-/// oracle's answer for every user at `request.k`.
+/// Holds one route's answer to `request` to the oracle's ids and score
+/// bits: `oracle` is the oracle's answer for every user at `request.k`.
 fn check(
     what: &str,
     model: &MfModel,
     request: &QueryRequest,
     oracle: &[TopKList],
-    bar: Bar,
     got: Result<Vec<TopKList>, String>,
 ) -> Result<(), String> {
     let k = request.k;
@@ -547,14 +574,9 @@ fn check(
     }
     for (got, &u) in got.iter().zip(&users) {
         let want = &oracle[u];
-        match bar {
-            Bar::Oracle => {
-                if bits(std::slice::from_ref(got)) != bits(std::slice::from_ref(want)) {
-                    let e = format!("user {u}: got {got:?}, the oracle has {want:?}");
-                    return Err(fail(e));
-                }
-            }
-            Bar::Membership(tol) => check_user_topk(model, u, k, got, tol).map_err(fail)?,
+        if bits(std::slice::from_ref(got)) != bits(std::slice::from_ref(want)) {
+            let e = format!("user {u}: got {got:?}, the oracle has {want:?}");
+            return Err(fail(e));
         }
     }
     Ok(())

@@ -9,10 +9,13 @@
 
 mod common;
 
-use common::{adversarial, drive, drive_one, k_edges, model, oracle, Bar, Corpus, Route};
+use common::{adversarial, drive, drive_one, k_edges, model, oracle, split, Corpus, Route};
 use mips_core::engine::{LempFactory, MaximusFactory, SolverFactory};
 use mips_core::maximus::MaximusConfig;
+use mips_data::MfModel;
 use mips_lemp::LempConfig;
+use mips_linalg::kernels::norm2;
+use mips_linalg::Matrix;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -25,7 +28,6 @@ fn drive_corpus(
     drive(
         &model(corpus, users, items, f, seed),
         &k_edges(items),
-        Bar::Oracle,
         routes,
     )
 }
@@ -47,7 +49,6 @@ fn drive_structure(
         &model,
         &[k],
         &[oracle(&model, k)],
-        Bar::Oracle,
         &[Route::Solver],
     )
 }
@@ -147,9 +148,8 @@ fn every_route_gets_the_oracle_answer_on_every_corpus() {
 
 /// Factor counts on both sides of the f64 depth block (`KC` = 256): the
 /// packed GEMM splits the depth there, and every score must still be the
-/// one chain the canonicalizing pass and the screens' rescore reproduce —
-/// a chain restarted per depth block differs in the last bit on almost
-/// every element.
+/// one chain the shortlist's rescore reproduces — a chain restarted per
+/// depth block differs in the last bit on almost every element.
 #[test]
 fn wide_models_get_the_oracle_answer() {
     for f in [1, 50, 257, 600] {
@@ -159,18 +159,44 @@ fn wide_models_get_the_oracle_answer() {
 }
 
 /// The adversarial corpus, at ks from inside the near-tie block to the
-/// whole catalog: every screen tier repeats its f64 build bit for bit,
-/// every reported score is the canonical chain, and the items that make
-/// the k-th place are within `tol` of the oracle's — the one decision a
-/// scan selecting with `dot` makes in its own arithmetic. Every route at
-/// f = 8; the wider rows through the solver route, where the factor count
+/// whole catalog: every screen tier repeats its f64 build bit for bit and
+/// every answer is the oracle's, ids and score bits. Every route at f = 8;
+/// the wider rows through the solver route, where the factor count
 /// matters.
 #[test]
-fn adversarial_corpora_report_canonical_bits() {
+fn adversarial_corpora_get_the_oracle_answer() {
     for (f, routes) in [(8, &Route::ALL[..]), (50, &[Route::Solver][..])] {
         let model = adversarial(40, f);
         let ks = [0, 1, 3, 35, 90, 100, 200, 203];
-        drive(&model, &ks, Bar::Membership(1e-9), routes)
-            .unwrap_or_else(|e| panic!("f = {f}: {e}"));
+        drive(&model, &ks, routes).unwrap_or_else(|e| panic!("f = {f}: {e}"));
     }
+}
+
+/// Models whose top two items `dot` and the chain order differently: a
+/// scan that decided the k-th place in `dot`'s rounding would return the
+/// other item at k = 1. Every backend, every route, several seeds.
+#[test]
+fn split_near_ties_get_the_oracle_answer() {
+    for f in [8, 50] {
+        for seed in [5, 6, 7] {
+            let model = split(f, seed);
+            drive(&model, &k_edges(8), &Route::ALL)
+                .unwrap_or_else(|e| panic!("f = {f}, {}: {e}", model.name()));
+        }
+    }
+}
+
+/// A zero user against items whose computed norm overflows to `+∞` while
+/// every score stays finite: `0·∞` makes the walks' envelope NaN, which
+/// bounds nothing, so those items must be kept for the rescore, not lost.
+#[test]
+fn zero_users_against_overflowing_item_norms_get_the_oracle_answer() {
+    let mut rng = common::Lcg::new(11);
+    let mut next = move |scale: f64| (rng.next() * 2.0 - 1.0) * scale;
+    let users = Matrix::from_fn(6, 4, |r, _| if r % 3 == 0 { 0.0 } else { next(1e-100) });
+    let items = Matrix::from_fn(24, 4, |r, _| next(if r % 2 == 0 { 1e155 } else { 1.0 }));
+    let model = Arc::new(MfModel::new("overflowing norms", users, items).unwrap());
+    assert_eq!(norm2(model.items().row(0)), f64::INFINITY);
+    assert!(!model.has_tiny_rows());
+    drive(&model, &k_edges(24), &[Route::Solver]).unwrap_or_else(|e| panic!("{e}"));
 }

@@ -45,10 +45,9 @@ proptest! {
 
 /// A model row × 1e-300 has a norm that underflows to 0 while its dots stay
 /// normal, so a norm bound would prune real top-k items: both direct calls
-/// score every item for it. MAXIMUS finishes with the oracle's score bits;
-/// LEMP's raw point query owes only its items.
+/// score every item for it, and both return the oracle's answer.
 #[test]
-fn tiny_new_vectors_get_the_oracle_items() {
+fn tiny_new_vectors_get_the_oracle_answer() {
     let model = model(Corpus::Skewed, 30, 200, 6, 5);
     let maximus = MaximusIndex::build(
         Arc::clone(&model),
@@ -69,7 +68,11 @@ fn tiny_new_vectors_get_the_oracle_items() {
                 want,
                 "maximus u={u} k={k}"
             );
-            assert_eq!(lemp.query(&tiny, k).items, want.items, "lemp u={u} k={k}");
+            assert_eq!(
+                lemp.query(&tiny, k, model.items()),
+                want,
+                "lemp u={u} k={k}"
+            );
         }
     }
 }

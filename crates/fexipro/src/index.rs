@@ -6,8 +6,8 @@ use crate::quant::{int_upper_bound, quantize_items, quantize_user, Code, Quantiz
 use crate::transform::{Reduction, SvdStage};
 use mips_data::MfModel;
 use mips_linalg::kernels::{dot, norm2, suffix_norms};
-use mips_linalg::Matrix;
-use mips_topk::{TopKHeap, TopKList};
+use mips_linalg::{reassoc_envelope_parts, simd, Matrix};
+use mips_topk::{exact_topk, Shortlist, TopKHeap, TopKList};
 
 /// Relative slack added to every pruning bound (scaled by the magnitude of
 /// the quantities involved) so floating-point rounding and the orthogonal
@@ -50,6 +50,10 @@ struct UserCtx {
     /// Quantized transformed user (all `f` coordinates) and its scale.
     q: Vec<Code>,
     q_scale: f64,
+    /// The reassociation envelope of this user's `dot` scores, `(rel·‖u‖,
+    /// abs)`: an item of norm `‖i‖` is offered with `env = rel·‖u‖·‖i‖ +
+    /// abs`.
+    envelope: (f64, f64),
 }
 
 /// A built FEXIPRO index (presets: SI and SIR; see [`FexiproConfig`]).
@@ -57,11 +61,15 @@ struct UserCtx {
 /// Point-query oriented: users are served one at a time in descending-norm
 /// item order. User preprocessing (transform + quantization) happens at
 /// build time, mirroring the original system's batch preprocessing step.
+/// A query scores what the filters pass with the four-lane `dot`, offers it
+/// to a [`Shortlist`] and finishes with the chain over the item matrix the
+/// index was built from, so it returns the oracle's answer
+/// ([`mips_topk::exact_topk`]).
 #[derive(Debug, Clone)]
 pub struct FexiproIndex {
     /// Item ids in descending-norm order.
     ids: Vec<u32>,
-    /// Original item vectors, gathered in scan order (exact verification).
+    /// Original item vectors, gathered in scan order (verification dots).
     originals: Matrix<f64>,
     /// Item norms, descending.
     norms: Vec<f64>,
@@ -83,7 +91,8 @@ pub struct FexiproIndex {
     /// Precomputed per-user contexts for the model's users.
     users: Vec<UserCtx>,
     /// `false` over a model with tiny rows ([`MfModel::has_tiny_rows`]),
-    /// whose norms the filters cannot trust: every item is scored.
+    /// whose norms neither the filters nor the rescore envelope can trust:
+    /// every item is scored with the chain.
     bounded: bool,
 }
 
@@ -183,6 +192,7 @@ impl FexiproIndex {
         };
         let unit_suffix_at_hr = suffix_norms(&unit)[self.h_r];
         let (q, q_scale) = quantize_user(t, INT_BITS);
+        let (rel, abs) = reassoc_envelope_parts(user.len());
         UserCtx {
             original: user.to_vec(),
             norm,
@@ -192,28 +202,36 @@ impl FexiproIndex {
             unit_suffix_at_hr,
             q,
             q_scale,
+            envelope: (rel * norm, abs),
         }
     }
 
-    /// Top-k for user `u` of the model the index was built from.
-    pub fn query_user(&self, u: usize, k: usize) -> TopKList {
-        let mut stats = FexiproStats::default();
-        self.query_ctx(&self.users[u], k, &mut stats)
-    }
-
-    /// Top-k for user `u`, accumulating work counters.
-    pub fn query_user_with_stats(&self, u: usize, k: usize, stats: &mut FexiproStats) -> TopKList {
-        self.query_ctx(&self.users[u], k, stats)
-    }
-
-    fn query_ctx(&self, ctx: &UserCtx, k: usize, stats: &mut FexiproStats) -> TopKList {
-        let mut heap = TopKHeap::new(k);
+    /// Top-k for user `u` of the model the index was built from; `items`
+    /// is that model's item matrix. `list` is the caller's, reused across
+    /// the users of one call; work counters accumulate into `stats`.
+    pub fn query_user(
+        &self,
+        u: usize,
+        k: usize,
+        items: &Matrix<f64>,
+        list: &mut Shortlist,
+        stats: &mut FexiproStats,
+    ) -> TopKList {
+        let ctx = &self.users[u];
         let n = self.ids.len();
+        assert_eq!(items.rows(), n, "FexiproIndex: not the indexed catalog");
+        if !self.bounded {
+            stats.dots_computed += n as u64;
+            return exact_topk(&ctx.original, items, k);
+        }
+        let (rel_u, abs) = ctx.envelope;
+        let mut heap = TopKHeap::new(k);
+        list.begin(&heap);
         for r in 0..n {
             let mag = ctx.norm * self.norms[r];
             let slack = mag * BOUND_EPS;
-            if self.bounded && heap.is_full() {
-                let t = heap.threshold();
+            if list.is_full() {
+                let t = list.threshold();
                 // Length: items descend in norm, so one failure ends the
                 // scan.
                 if mag + slack < t {
@@ -246,17 +264,11 @@ impl FexiproIndex {
                 }
             }
             let score = dot(&ctx.original, self.originals.row(r));
-            heap.push(score, self.ids[r]);
+            list.offer(self.ids[r], score, rel_u * self.norms[r] + abs);
             stats.dots_computed += 1;
         }
+        list.finish(simd::active(), &ctx.original, items.into(), &mut heap);
         heap.into_sorted()
-    }
-
-    /// Top-k for every user of the model, one point query at a time.
-    pub fn query_all(&self, k: usize) -> Vec<TopKList> {
-        (0..self.users.len())
-            .map(|u| self.query_user(u, k))
-            .collect()
     }
 }
 
@@ -264,7 +276,7 @@ impl FexiproIndex {
 mod tests {
     use super::*;
     use mips_data::synth::{synth_model, SynthConfig};
-    use mips_topk::{canonicalize, exact_topk};
+    use mips_topk::exact_topk;
 
     fn model(decay: f64, skew: f64) -> MfModel {
         synth_model(&SynthConfig {
@@ -278,13 +290,12 @@ mod tests {
         })
     }
 
-    /// The canonicalized answer for user `u` — what the solver serves —
-    /// and the oracle's.
+    /// The answer for user `u` and the oracle's.
     fn served_and_oracle(index: &FexiproIndex, m: &MfModel, u: usize, k: usize) -> [TopKList; 2] {
-        let user = m.users().row(u);
+        let (mut list, mut stats) = (Shortlist::new(), FexiproStats::default());
         [
-            canonicalize(index.query_user(u, k), user, m.items()),
-            exact_topk(user, m.items(), k),
+            index.query_user(u, k, m.items(), &mut list, &mut stats),
+            exact_topk(m.users().row(u), m.items(), k),
         ]
     }
 
@@ -379,9 +390,9 @@ mod tests {
     fn pruning_kicks_in_on_decayed_spectra() {
         let m = model(0.75, 1.0);
         let index = FexiproIndex::build(&m, &FexiproConfig::si());
-        let mut stats = FexiproStats::default();
+        let (mut list, mut stats) = (Shortlist::new(), FexiproStats::default());
         for u in 0..m.num_users() {
-            let _ = index.query_user_with_stats(u, 3, &mut stats);
+            let _ = index.query_user(u, 3, m.items(), &mut list, &mut stats);
         }
         let total = (m.num_users() * m.num_items()) as u64;
         assert!(

@@ -4,7 +4,7 @@
 //! FEXIPRO is a *point-query* index (one user at a time; it does not batch
 //! users, which is why the paper's OPTIMUS can apply its incremental t-test
 //! to it, §IV-A). Items are scanned in descending-norm order and run through
-//! a cascade of pruning filters before an exact verification dot:
+//! a cascade of pruning filters before a verification dot:
 //!
 //! * **S — SVD transform** ([`transform`]): an orthogonal change of basis
 //!   from the item matrix's SVD reorders coordinates by energy, so a partial
@@ -27,8 +27,10 @@
 //! bounds, just less tightly.
 //!
 //! Like our LEMP port, all pruning bounds are inflated by a relative epsilon
-//! and survivors are verified against the *original* vectors, so results are
-//! bit-identical to brute force.
+//! and survivors are verified against the *original* vectors with the
+//! four-lane `dot`. Each verified score is offered to the workspace's one
+//! screen-then-rescore, [`mips_topk::Shortlist`], whose chain rescore makes
+//! the answer bit-identical to the oracle, [`mips_topk::exact_topk`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

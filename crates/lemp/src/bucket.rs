@@ -3,8 +3,8 @@
 //! Items are sorted by Euclidean norm, descending, then chopped into
 //! fixed-size buckets. Each bucket stores the items' *unit directions*
 //! (for the INCR cosine bounds), their norms, the original vectors (for
-//! exact verification), and precomputed direction suffix norms at the INCR
-//! checkpoint.
+//! the verification dots), and precomputed direction suffix norms at the
+//! INCR checkpoint.
 
 use mips_linalg::kernels::{norm2, suffix_norms};
 use mips_linalg::Matrix;
@@ -14,7 +14,7 @@ use mips_linalg::Matrix;
 pub struct Bucket {
     /// Global item ids, in descending-norm order.
     pub ids: Vec<u32>,
-    /// Original item vectors (row-aligned with `ids`), used for exact
+    /// Original item vectors (row-aligned with `ids`), used for the
     /// verification dots.
     pub vectors: Matrix<f64>,
     /// Unit directions of the items (zero rows stay zero).

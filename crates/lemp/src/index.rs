@@ -5,8 +5,8 @@ use crate::config::LempConfig;
 use crate::scan::{inflate, scan_bucket, RetrievalAlgo, ScanStats, UserCtx};
 use crate::tuner::tune_buckets;
 use mips_data::{is_tiny_row, MfModel};
-use mips_linalg::kernels::dot;
-use mips_topk::{TopKHeap, TopKList};
+use mips_linalg::{simd, Matrix};
+use mips_topk::{exact_topk, Shortlist, TopKHeap, TopKList};
 
 /// Cumulative work counters for a sequence of queries.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,15 +24,20 @@ pub struct QueryStats {
 ///
 /// Point-query oriented, like the original system: [`LempIndex::query`]
 /// serves one user at a time (the property that lets OPTIMUS apply its
-/// incremental t-test to LEMP, §IV-A).
+/// incremental t-test to LEMP, §IV-A). A query takes the item matrix the
+/// index was built over, reads the survivors' rows from it by id for the
+/// chain rescore, and returns the oracle's answer
+/// ([`mips_topk::exact_topk`]).
+///
+/// `bounded` is `false` over a model with tiny rows
+/// ([`MfModel::has_tiny_rows`]), whose norms neither the bounds nor the
+/// rescore envelope can trust: every item is scored with the chain.
 #[derive(Debug, Clone)]
 pub struct LempIndex {
     buckets: Vec<Bucket>,
     algos: Vec<RetrievalAlgo>,
     checkpoint: usize,
     num_factors: usize,
-    /// `false` over a model with tiny rows ([`MfModel::has_tiny_rows`]),
-    /// whose norms the bounds cannot trust: every item is scored.
     bounded: bool,
 }
 
@@ -74,53 +79,61 @@ impl LempIndex {
         &self.algos
     }
 
-    /// Top-k for one user vector.
+    /// Top-k for one user vector; `items` is the matrix the index was built
+    /// over.
     ///
     /// # Panics
     /// Panics if the user dimensionality does not match the index.
-    pub fn query(&self, user: &[f64], k: usize) -> TopKList {
+    pub fn query(&self, user: &[f64], k: usize, items: &Matrix<f64>) -> TopKList {
         let mut stats = QueryStats::default();
-        self.query_with_stats(user, k, &mut stats)
+        self.query_with(user, k, items, &mut Shortlist::new(), &mut stats)
     }
 
-    /// Top-k for one user, accumulating work counters into `stats`. A tiny
+    /// [`LempIndex::query`] through the caller's `list`, reused across the
+    /// users of one call, accumulating work counters into `stats`. A tiny
     /// `user` ([`is_tiny_row`]), whose norm bounds nothing, scores every
-    /// item.
-    pub fn query_with_stats(&self, user: &[f64], k: usize, stats: &mut QueryStats) -> TopKList {
+    /// item with the chain.
+    pub fn query_with(
+        &self,
+        user: &[f64],
+        k: usize,
+        items: &Matrix<f64>,
+        list: &mut Shortlist,
+        stats: &mut QueryStats,
+    ) -> TopKList {
         assert_eq!(
-            user.len(),
-            self.num_factors,
+            (user.len(), items.cols()),
+            (self.num_factors, self.num_factors),
             "LempIndex::query: user dimensionality mismatch"
         );
-        let mut heap = TopKHeap::new(k);
         if !self.bounded || is_tiny_row(user) {
-            for bucket in &self.buckets {
-                for (r, &id) in bucket.ids.iter().enumerate() {
-                    heap.push(dot(user, bucket.vectors.row(r)), id);
-                }
-                stats.scan.dots_computed += bucket.len() as u64;
-            }
-            return heap.into_sorted();
+            stats.scan.dots_computed += items.rows() as u64;
+            return exact_topk(user, items, k);
         }
         let ctx = UserCtx::new(user, self.checkpoint);
+        let mut heap = TopKHeap::new(k);
+        list.begin(&heap);
         for (b, bucket) in self.buckets.iter().enumerate() {
             // Buckets descend in max norm: once even the best possible score
-            // in this bucket cannot enter the heap, later buckets can't
+            // in this bucket cannot reach the threshold, later buckets can't
             // either.
-            if heap.is_full() && inflate(ctx.norm * bucket.max_norm) < heap.threshold() {
+            if list.is_full() && inflate(ctx.norm * bucket.max_norm) < list.threshold() {
                 stats.buckets_skipped += (self.buckets.len() - b) as u64;
                 break;
             }
             stats.buckets_visited += 1;
-            scan_bucket(self.algos[b], bucket, &ctx, &mut heap, &mut stats.scan);
+            scan_bucket(self.algos[b], bucket, &ctx, list, &mut stats.scan);
         }
+        list.finish(simd::active(), user, items.into(), &mut heap);
         heap.into_sorted()
     }
 
     /// Top-k for every user in the model, one point query at a time.
     pub fn query_all(&self, model: &MfModel, k: usize) -> Vec<TopKList> {
+        let (mut list, mut stats) = (Shortlist::new(), QueryStats::default());
+        let (users, items) = (model.users(), model.items());
         (0..model.num_users())
-            .map(|u| self.query(model.users().row(u), k))
+            .map(|u| self.query_with(users.row(u), k, items, &mut list, &mut stats))
             .collect()
     }
 }
@@ -129,7 +142,7 @@ impl LempIndex {
 mod tests {
     use super::*;
     use mips_data::synth::{synth_model, SynthConfig};
-    use mips_topk::{canonicalize, exact_topk};
+    use mips_topk::exact_topk;
 
     fn model(skew: f64) -> MfModel {
         synth_model(&SynthConfig {
@@ -142,14 +155,13 @@ mod tests {
         })
     }
 
-    /// The canonicalized answer for user `u` — what the solver serves.
+    /// The answer for user `u`.
     fn served(index: &LempIndex, m: &MfModel, u: usize, k: usize) -> TopKList {
-        let user = m.users().row(u);
-        canonicalize(index.query(user, k), user, m.items())
+        index.query(m.users().row(u), k, m.items())
     }
 
     #[test]
-    fn canonicalized_answers_are_the_oracle_answers() {
+    fn answers_are_the_oracle_answers() {
         let m = model(0.8);
         let index = LempIndex::build(&m, &LempConfig::default());
         for k in [1usize, 5, 17] {
@@ -164,9 +176,9 @@ mod tests {
     fn skewed_norms_enable_bucket_skipping() {
         let m = model(1.3);
         let index = LempIndex::build(&m, &LempConfig::default());
-        let mut stats = QueryStats::default();
+        let (mut list, mut stats) = (Shortlist::new(), QueryStats::default());
         for u in 0..m.num_users() {
-            let _ = index.query_with_stats(m.users().row(u), 3, &mut stats);
+            let _ = index.query_with(m.users().row(u), 3, m.items(), &mut list, &mut stats);
         }
         assert!(
             stats.buckets_skipped > 0,
@@ -189,7 +201,7 @@ mod tests {
             ..SynthConfig::default()
         });
         let index = LempIndex::build(&m, &LempConfig::default());
-        let got = index.query(m.users().row(0), 50);
+        let got = index.query(m.users().row(0), 50, m.items());
         assert_eq!(got.len(), 5);
         assert!(got.is_sorted());
     }
@@ -198,7 +210,7 @@ mod tests {
     fn k_zero_returns_empty() {
         let m = model(0.5);
         let index = LempIndex::build(&m, &LempConfig::default());
-        assert!(index.query(m.users().row(0), 0).is_empty());
+        assert!(index.query(m.users().row(0), 0, m.items()).is_empty());
     }
 
     #[test]
@@ -208,7 +220,7 @@ mod tests {
         let all = index.query_all(&m, 4);
         assert_eq!(all.len(), m.num_users());
         for u in (0..m.num_users()).step_by(11) {
-            assert_eq!(all[u], index.query(m.users().row(u), 4));
+            assert_eq!(all[u], served(&index, &m, u, 4));
         }
     }
 
@@ -217,7 +229,7 @@ mod tests {
     fn rejects_wrong_width_user() {
         let m = model(0.5);
         let index = LempIndex::build(&m, &LempConfig::default());
-        let _ = index.query(&[1.0, 2.0], 3);
+        let _ = index.query(&[1.0, 2.0], 3, m.items());
     }
 
     #[test]

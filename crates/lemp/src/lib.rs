@@ -16,8 +16,10 @@
 //!    Cauchy–Schwarz on the coordinate suffix), the combination the paper
 //!    benchmarks as LEMP-LI.
 //! 3. **Verification** — candidates that survive pruning are scored with a
-//!    full inner product against the *original* item vector, so results are
-//!    bit-identical to brute force.
+//!    full inner product against the *original* item vector and offered to
+//!    the workspace's one screen-then-rescore, [`mips_topk::Shortlist`],
+//!    whose chain rescore makes the answer bit-identical to the oracle,
+//!    [`mips_topk::exact_topk`].
 //!
 //! The sample-driven tuner is deliberately retained: the paper's Fig. 7
 //! shows that LEMP's runtime estimates have high variance precisely because

@@ -5,18 +5,25 @@
 //! inflated by a relative epsilon before comparison so floating-point
 //! rounding can never prune a true top-k item (exactness first, then speed).
 //!
+//! A scan offers the `dot` score of each item it cannot prune to the
+//! query's [`Shortlist`] with the reassociation envelope
+//! ([`mips_linalg::reassoc_envelope_parts`]) and prunes against the
+//! shortlist's threshold; the query's [`Shortlist::finish`] rescores the
+//! survivors with the oracle's chain.
+//!
 //! Every full and partial inner product here (`dot` over the bucket rows,
-//! INCR's leading-coordinate partial products, the suffix-norm tables built
-//! through [`suffix_norms`]) runs on the runtime-dispatched SIMD kernels of
-//! [`mips_linalg::simd`] — the scans get AVX2/NEON FMA throughput without
-//! any per-call-site change — except the suffix-norm tables, one portable
-//! square-then-add carry whose rounding against the exact sum is absorbed by
-//! [`BOUND_EPS`], which dominates the proved bound
+//! INCR's leading-coordinate partial products) runs on the
+//! runtime-dispatched SIMD kernels of [`mips_linalg::simd`] — the scans get
+//! AVX2/NEON FMA throughput without any per-call-site change. The
+//! suffix-norm tables are built by [`suffix_norms`], one portable
+//! square-then-add carry whose rounding against the exact sum is absorbed
+//! by [`BOUND_EPS`], which dominates the proved bound
 //! ([`mips_linalg::sumsq_reassoc_bound`]) by orders of magnitude.
 
 use crate::bucket::Bucket;
 use mips_linalg::kernels::{dot, norm2, suffix_norms};
-use mips_topk::TopKHeap;
+use mips_linalg::reassoc_envelope_parts;
+use mips_topk::Shortlist;
 
 /// Relative inflation applied to every pruning bound.
 ///
@@ -66,6 +73,10 @@ pub struct UserCtx {
     pub unit_suffix_at_cp: f64,
     /// The INCR checkpoint used to compute `unit_suffix_at_cp`.
     pub checkpoint: usize,
+    /// The reassociation envelope of this user's `dot` scores, `(rel·‖u‖,
+    /// abs)`: an item of norm `‖i‖` is offered with `env = rel·‖u‖·‖i‖ +
+    /// abs`.
+    pub envelope: (f64, f64),
 }
 
 impl UserCtx {
@@ -85,13 +96,23 @@ impl UserCtx {
             vec![0.0; user.len()]
         };
         let unit_suffix_at_cp = suffix_norms(&unit)[checkpoint];
+        let (rel, abs) = reassoc_envelope_parts(user.len());
         UserCtx {
             user: user.to_vec(),
             norm,
             unit,
             unit_suffix_at_cp,
             checkpoint,
+            envelope: (rel * norm, abs),
         }
+    }
+
+    /// Offers item `id`, row `r` of `bucket`, scored with `dot`.
+    #[inline]
+    fn offer(&self, bucket: &Bucket, r: usize, id: u32, list: &mut Shortlist) {
+        let score = dot(&self.user, bucket.vectors.row(r));
+        let (rel_u, abs) = self.envelope;
+        list.offer(id, score, rel_u * bucket.norms[r] + abs);
     }
 }
 
@@ -115,42 +136,43 @@ impl ScanStats {
     }
 }
 
-/// Scans one bucket with the given algorithm, updating the heap in place.
+/// Scans one bucket with the given algorithm, offering what it cannot
+/// prune to `list`.
 pub fn scan_bucket(
     algo: RetrievalAlgo,
     bucket: &Bucket,
     ctx: &UserCtx,
-    heap: &mut TopKHeap,
+    list: &mut Shortlist,
     stats: &mut ScanStats,
 ) {
     match algo {
-        RetrievalAlgo::Length => scan_length(bucket, ctx, heap, stats),
-        RetrievalAlgo::Incr => scan_incr(bucket, ctx, heap, stats),
+        RetrievalAlgo::Length => scan_length(bucket, ctx, list, stats),
+        RetrievalAlgo::Incr => scan_incr(bucket, ctx, list, stats),
     }
 }
 
-fn scan_length(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
+fn scan_length(bucket: &Bucket, ctx: &UserCtx, list: &mut Shortlist, stats: &mut ScanStats) {
     for (r, &id) in bucket.ids.iter().enumerate() {
         // Items are norm-sorted: once the Cauchy–Schwarz ceiling drops below
         // the threshold, no later item in this bucket can qualify either.
-        if heap.is_full() && inflate(ctx.norm * bucket.norms[r]) < heap.threshold() {
+        if list.is_full() && inflate(ctx.norm * bucket.norms[r]) < list.threshold() {
             stats.length_pruned += (bucket.len() - r) as u64;
             return;
         }
-        heap.push(dot(&ctx.user, bucket.vectors.row(r)), id);
+        ctx.offer(bucket, r, id, list);
         stats.dots_computed += 1;
     }
 }
 
-fn scan_incr(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut ScanStats) {
+fn scan_incr(bucket: &Bucket, ctx: &UserCtx, list: &mut Shortlist, stats: &mut ScanStats) {
     let cp = ctx.checkpoint;
     for (r, &id) in bucket.ids.iter().enumerate() {
         let scale = ctx.norm * bucket.norms[r];
-        if heap.is_full() && inflate(scale) < heap.threshold() {
+        if list.is_full() && inflate(scale) < list.threshold() {
             stats.length_pruned += (bucket.len() - r) as u64;
             return;
         }
-        if heap.is_full() {
+        if list.is_full() {
             // Partial cosine over the leading coordinates, Cauchy–Schwarz on
             // the rest: cos(û, d̂) ≤ û[..cp]·d̂[..cp] + ‖û[cp..]‖‖d̂[cp..]‖.
             // The rounding slack must be relative to the *scale of the
@@ -159,12 +181,12 @@ fn scan_incr(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut Sc
             // carries ~ulp(1) of error.
             let partial = dot(&ctx.unit[..cp], &bucket.dirs.row(r)[..cp]);
             let cos_bound = (partial + ctx.unit_suffix_at_cp * bucket.dir_suffix_at_cp[r]).min(1.0);
-            if scale * (cos_bound + BOUND_EPS) < heap.threshold() {
+            if scale * (cos_bound + BOUND_EPS) < list.threshold() {
                 stats.incr_pruned += 1;
                 continue;
             }
         }
-        heap.push(dot(&ctx.user, bucket.vectors.row(r)), id);
+        ctx.offer(bucket, r, id, list);
         stats.dots_computed += 1;
     }
 }
@@ -173,8 +195,8 @@ fn scan_incr(bucket: &Bucket, ctx: &UserCtx, heap: &mut TopKHeap, stats: &mut Sc
 mod tests {
     use super::*;
     use crate::bucket::build_buckets;
-    use mips_linalg::Matrix;
-    use mips_topk::{canonicalize, exact_topk, TopKList};
+    use mips_linalg::{simd, Matrix};
+    use mips_topk::{exact_topk, TopKHeap, TopKList};
 
     fn random_items(n: usize, f: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed | 1;
@@ -188,7 +210,7 @@ mod tests {
 
     const ALGOS: [RetrievalAlgo; 2] = [RetrievalAlgo::Length, RetrievalAlgo::Incr];
 
-    /// The scan's answer brought to canonical scores, and the scan's work.
+    /// The scan's answer, finished through the shortlist, and its work.
     fn run_algo(
         algo: RetrievalAlgo,
         items: &Matrix<f64>,
@@ -199,14 +221,17 @@ mod tests {
         let buckets = build_buckets(items, 16, cp);
         let ctx = UserCtx::new(user, cp);
         let mut heap = TopKHeap::new(k);
+        let mut list = Shortlist::new();
+        list.begin(&heap);
         let mut stats = ScanStats::default();
         for b in &buckets {
-            if heap.is_full() && inflate(ctx.norm * b.max_norm) < heap.threshold() {
+            if list.is_full() && inflate(ctx.norm * b.max_norm) < list.threshold() {
                 break;
             }
-            scan_bucket(algo, b, &ctx, &mut heap, &mut stats);
+            scan_bucket(algo, b, &ctx, &mut list, &mut stats);
         }
-        (canonicalize(heap.into_sorted(), user, items), stats)
+        list.finish(simd::active(), user, items.into(), &mut heap);
+        (heap.into_sorted(), stats)
     }
 
     #[test]

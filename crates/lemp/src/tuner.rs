@@ -11,7 +11,7 @@
 use crate::bucket::Bucket;
 use crate::scan::{inflate, scan_bucket, RetrievalAlgo, ScanStats, UserCtx};
 use mips_linalg::Matrix;
-use mips_topk::TopKHeap;
+use mips_topk::{Shortlist, TopKHeap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -60,7 +60,8 @@ pub fn tune_buckets(
 }
 
 /// Runs sampled queries with a uniform algorithm, accumulating per-bucket
-/// wall-clock time.
+/// wall-clock time. Only the scans are timed: their offers, not the
+/// rescore that would finish each answer.
 fn time_per_bucket(
     algo: RetrievalAlgo,
     buckets: &[Bucket],
@@ -71,15 +72,16 @@ fn time_per_bucket(
 ) -> Vec<f64> {
     let mut elapsed = vec![0.0f64; buckets.len()];
     let mut stats = ScanStats::default();
+    let (empty, mut list) = (TopKHeap::new(k), Shortlist::new());
     for &u in sample {
         let ctx = UserCtx::new(users.row(u), checkpoint);
-        let mut heap = TopKHeap::new(k);
+        list.begin(&empty);
         for (b, bucket) in buckets.iter().enumerate() {
-            if heap.is_full() && inflate(ctx.norm * bucket.max_norm) < heap.threshold() {
+            if list.is_full() && inflate(ctx.norm * bucket.max_norm) < list.threshold() {
                 break;
             }
             let start = Instant::now();
-            scan_bucket(algo, bucket, &ctx, &mut heap, &mut stats);
+            scan_bucket(algo, bucket, &ctx, &mut list, &mut stats);
             elapsed[b] += start.elapsed().as_secs_f64();
         }
     }

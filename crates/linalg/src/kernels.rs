@@ -5,8 +5,8 @@
 //! accumulators so four FMA chains stay in flight; a single-accumulator loop
 //! serializes on the FMA latency and runs several times slower.
 //!
-//! The numeric layer is `f64`. [`dot`], [`dot_gemm_ordered_x4`] and
-//! [`dist2_sq`] run on the process-wide SIMD kernel set
+//! The numeric layer is `f64`. [`dot`] and [`dist2_sq`] run on the
+//! process-wide SIMD kernel set
 //! ([`crate::simd::active`]) — AVX2+FMA or NEON when available — whose
 //! results are bit-identical to the scalar bodies below (see the contract in
 //! [`crate::simd`]). So every caller in the workspace (LEMP's LENGTH/INCR
@@ -84,10 +84,11 @@ fn dot_scalar<T: FmaFloat>(x: &[T], y: &[T]) -> T {
 /// combine in a different order and can differ in the last ulp.
 ///
 /// Use this where a single recomputed score must agree bit-for-bit with
-/// GEMM-produced scores (e.g. canonicalizing an index's reported top-k
-/// values). The single chain serializes on the FMA latency, so it is
-/// several times slower than [`dot`] on long vectors — keep it off bulk
-/// scan paths.
+/// GEMM-produced scores (the oracle; the rescore that finishes every
+/// approximate scan runs four such chains at once,
+/// [`crate::simd::Kernel::dot_seq4`]).
+/// The single chain serializes on the FMA latency, so it is several times
+/// slower than [`dot`] on long vectors — keep it off bulk scan paths.
 ///
 /// # Panics
 /// Panics if `x.len() != y.len()`.
@@ -99,19 +100,6 @@ pub fn dot_gemm_ordered(x: &[f64], y: &[f64]) -> f64 {
         acc = a.mul_add(*b, acc);
     }
     acc
-}
-
-/// Four GEMM-ordered dot products `xᵀy_i` at once (SIMD-dispatched so the
-/// fused multiply-adds stay hardware instructions): each product is one
-/// sequential FMA chain — [`dot_gemm_ordered`]'s reduction — and the four
-/// independent chains pipeline, so a bulk canonicalizing pass is
-/// throughput-bound instead of FMA-latency-bound.
-///
-/// # Panics
-/// Panics if any `y` length differs from `x`'s.
-#[inline]
-pub fn dot_gemm_ordered_x4(x: &[f64], ys: [&[f64]; 4]) -> [f64; 4] {
-    simd::active().dot_seq4(x, ys)
 }
 
 /// Monomorphic scalar entries for the [`crate::simd::Kernel`] vtable.
@@ -247,6 +235,30 @@ pub fn f32_screen_envelope_parts(f: usize) -> (f64, f64) {
     (
         (2.0 * f + 8.0) * EPS_ROUND_F32 * 1.0001,
         (f + 4.0) * (f32::MIN_POSITIVE as f64),
+    )
+}
+
+/// The `(relative, absolute)` coefficients of the **reassociation
+/// envelope**: an f64 score accumulated over `f` terms in any order — the
+/// four-lane [`dot`] under any kernel set, the inverted index's postings
+/// accumulator — differs from [`dot_gemm_ordered`]'s chain by at most
+/// `rel·‖u‖·‖i‖ + abs`.
+///
+/// Both sums carry at most `γ_f ≈ f·2⁻⁵³` relative error against the exact
+/// sum per unit of `Σ|u_j·i_j| ≤ ‖u‖·‖i‖` (Higham ch. 3), so `2γ_f`
+/// separates them; `rel` doubles that again and pads the rounding of the
+/// computed norms and of the envelope itself, in the conservative style of
+/// [`f32_screen_envelope_parts`]. `abs` covers products and sums that go
+/// subnormal in either order. The norms are the computed [`norm2`]s of rows
+/// that are not tiny: a row whose largest factor sits far below `2⁻⁵¹¹`
+/// computes a norm that underflowed while its dots stay normal, and no
+/// envelope built on that norm bounds anything.
+#[inline]
+pub fn reassoc_envelope_parts(f: usize) -> (f64, f64) {
+    let f = f as f64;
+    (
+        (4.0 * f + 16.0) * f64::EPSILON * 1.0001,
+        (f + 8.0) * f64::MIN_POSITIVE,
     )
 }
 
@@ -591,6 +603,52 @@ mod tests {
     }
 
     #[test]
+    fn reassoc_envelope_is_conservative_on_adversarial_dots() {
+        // The four-lane dot under every kernel set against the chain, on
+        // rows that stress each term of the envelope: ordinary values,
+        // near-cancellation (the exact dot nearly vanishes while the norms
+        // stay O(√n)), ±1e8, 1e-30, and subnormals met by ordinary values
+        // and by ±1e8 — at every length remainder mod 4.
+        use crate::simd::Kernel;
+        let mut kernels = vec![Kernel::scalar()];
+        kernels.extend(Kernel::avx2());
+        kernels.extend(Kernel::neon());
+        let mut state = 0xE_4E10_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let scales = [1.0, 1e8, 1e-30, 1e-310];
+        for n in (0..=13).chain([50, 257, 1024]) {
+            for (sx, sy) in scales.iter().flat_map(|&x| scales.map(|y| (x, y))) {
+                // Each pairing of scales, and for equal scales a
+                // near-negated copy too: the dot nearly cancels.
+                for cancel in [false, sx == sy] {
+                    let x: Vec<f64> = (0..n).map(|_| next() * sx).collect();
+                    let y: Vec<f64> = if cancel {
+                        x.iter().map(|&v| -v + next() * sx * 1e-6).collect()
+                    } else {
+                        (0..n).map(|_| next() * sy).collect()
+                    };
+                    let chain = dot_gemm_ordered(&x, &y);
+                    let (rel, abs) = reassoc_envelope_parts(n);
+                    let env = rel * norm2(&x) * norm2(&y) + abs;
+                    for kern in &kernels {
+                        let got = kern.dot(&x, &y);
+                        assert!(
+                            (got - chain).abs() <= env,
+                            "{} n {n} scales {sx:e} {sy:e}: |{got:e} - {chain:e}| > {env:e}",
+                            kern.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn dot_gemm_ordered_reproduces_gemm_elements_bit_for_bit() {
         use crate::{gemm_nt, Matrix};
         // Random operands, so every rounding of the chain matters — at
@@ -625,8 +683,9 @@ mod tests {
                     );
                 }
             }
-            // The pipelined x4 form is the same chain.
-            let quad = dot_gemm_ordered_x4(a.row(0), [b.row(0), b.row(1), b.row(2), b.row(3)]);
+            // The pipelined four-chain slot is the same chain.
+            let rows = [b.row(0), b.row(1), b.row(2), b.row(3)];
+            let quad = simd::active().dot_seq4(a.row(0), rows);
             for (i, q) in quad.iter().enumerate() {
                 assert_eq!(q.to_bits(), big.get(0, i).to_bits(), "f {f} lane {i}");
             }

@@ -55,8 +55,8 @@ pub use gemm::{
     GemmScratch, PackedPanels,
 };
 pub use kernels::{
-    dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize, scale,
-    scaled_norm2, sumsq_reassoc_bound,
+    dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize,
+    reassoc_envelope_parts, scale, scaled_norm2, sumsq_reassoc_bound,
 };
 pub use matrix::{Matrix, RowBlock};
 pub use quant::{

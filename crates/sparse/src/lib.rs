@@ -17,23 +17,24 @@
 //! the scores blocked matrix multiplication produces. A postings
 //! accumulator sums a different subset in a different order, so its floats
 //! can differ from the canonical chain in the last ulps. [`InvertedIndex`]
-//! therefore runs a *screen-then-rescore* pipeline, the same discipline the
-//! mixed-precision f32 screen uses:
+//! therefore runs the workspace's one *screen-then-rescore*,
+//! [`mips_topk::Shortlist`], the same one the screen tiers and the index
+//! walks use:
 //!
 //! 1. **Accumulate** approximate scores over the postings of every nonzero
 //!    query term (plus dense column panels for the hybrid head — columns
 //!    denser than [`DENSE_COLUMN_CUTOFF`] are stored contiguously and
 //!    accumulated with a dense AXPY-style loop).
-//! 2. **Bound** each accumulated score by a conservative envelope
-//!    ([`sparse_accum_envelope_parts`]) covering reassociation between the
-//!    accumulation order and the canonical chain.
-//! 3. **Select** candidates whose upper bound clears the `k`-th best lower
-//!    bound, and **rescore** exactly those with the canonical FMA chain.
-//!    Untouched items — no overlap with the query support — have a
-//!    canonical score of *exactly* `+0.0` (every chain step is
-//!    `fma(x, ±0, acc)` or `fma(0, y, acc)`, which cannot move `acc` off
-//!    `+0.0` in round-to-nearest), so they are admitted as literal zeros
-//!    without rescoring when the threshold allows them at all.
+//! 2. **Offer** every touched item's score to the shortlist with the
+//!    reassociation envelope ([`mips_linalg::reassoc_envelope_parts`]),
+//!    which covers any accumulation order against the canonical chain.
+//! 3. **Rescore** the survivors — the items whose upper bound reaches the
+//!    `k`-th best lower bound — with the canonical chain
+//!    ([`mips_topk::Shortlist::finish`]). Untouched items — no overlap with
+//!    the query support — have a canonical score of *exactly* `+0.0` (every
+//!    chain step is `fma(x, ±0, acc)` or `fma(0, y, acc)`, which cannot move
+//!    `acc` off `+0.0` in round-to-nearest), so they are admitted as literal
+//!    zeros without rescoring when the threshold allows them at all.
 //!
 //! The top-k heap is push-order independent, so feeding it the canonical
 //! scores of a candidate superset yields the same list, bit for bit, as
@@ -42,31 +43,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mips_linalg::kernels::{dot_gemm_ordered, dot_gemm_ordered_x4};
-use mips_linalg::{norm2, Matrix};
-use mips_topk::{TopKHeap, TopKList};
+use mips_linalg::{norm2, reassoc_envelope_parts, simd, Matrix};
+use mips_topk::{Shortlist, TopKHeap, TopKList};
 
 /// Column density above which a factor column is stored as a contiguous
 /// dense panel instead of a postings list. This is the hybrid split:
 /// dense-head coordinates of a hybrid catalog exceed it and get
 /// cache-friendly dense accumulation, the sparse tail stays on postings.
 pub const DENSE_COLUMN_CUTOFF: f64 = 0.25;
-
-/// Envelope parts `(rel, abs)` for the inverted-index accumulator: the
-/// accumulated score of an item with norm `‖v‖` under a query with norm
-/// `‖q‖` differs from the canonical GEMM-ordered chain by at most
-/// `rel · ‖q‖ · ‖v‖ + abs`. Both the canonical chain (`f` terms) and the accumulation
-/// chain (≤ `f` terms, any order) carry `γ_f ≈ f·2⁻⁵³` relative error
-/// against the exact sum, so `2γ_f` separates them; the constants below
-/// double that again and pad the norm rounding, mirroring
-/// [`mips_linalg::f32_screen_envelope_parts`]'s conservative style. The
-/// `abs` part covers subnormal underflow in either chain.
-pub fn sparse_accum_envelope_parts(num_factors: usize) -> (f64, f64) {
-    let f = num_factors as f64;
-    let rel = (4.0 * f + 16.0) * f64::EPSILON * 1.0001;
-    let abs = (f + 8.0) * f64::MIN_POSITIVE;
-    (rel, abs)
-}
 
 /// How one factor column is stored.
 #[derive(Debug, Clone)]
@@ -77,8 +61,8 @@ enum Column {
     Dense { panel: usize },
 }
 
-/// Reusable per-query scratch: the dense accumulator, touch stamps, and
-/// candidate buffers. One instance serves any number of sequential queries
+/// Reusable per-query scratch: the dense accumulator, touch stamps, the
+/// query's terms and the [`Shortlist`]. One instance serves any number of sequential queries
 /// against the same index; allocating it once per `query_range` keeps the
 /// per-user cost at `O(touched)`, not `O(n)`.
 #[derive(Debug)]
@@ -87,8 +71,8 @@ pub struct SparseScratch {
     stamp: Vec<u32>,
     epoch: u32,
     touched: Vec<u32>,
-    candidates: Vec<u32>,
     terms: Vec<(u32, f64)>,
+    shortlist: Shortlist,
 }
 
 impl SparseScratch {
@@ -99,8 +83,8 @@ impl SparseScratch {
             stamp: vec![0; num_items],
             epoch: 0,
             touched: Vec::new(),
-            candidates: Vec::new(),
             terms: Vec::new(),
+            shortlist: Shortlist::new(),
         }
     }
 
@@ -244,7 +228,8 @@ impl InvertedIndex {
     }
 
     /// Exact top-`k` for a dense query vector, bit-identical to pushing
-    /// every item's [`dot_gemm_ordered`] score into a [`TopKHeap`].
+    /// every item's [`mips_linalg::kernels::dot_gemm_ordered`] score into a
+    /// [`TopKHeap`].
     ///
     /// `items` must be the matrix the index was built over (the caller —
     /// solver adapter or engine — owns it; the index stores only derived
@@ -330,66 +315,33 @@ impl InvertedIndex {
             }
         }
 
-        // --- Envelope + candidate selection. ------------------------------
-        let (rel, abs) = sparse_accum_envelope_parts(self.num_factors);
+        // --- Offers and the canonical rescore of the survivors. ----------
+        let (rel, abs) = reassoc_envelope_parts(self.num_factors);
         let env_rel = rel * query_norm;
         let envelope = |norm: f64| env_rel * norm + abs;
-
-        let mut lower = TopKHeap::new(k);
-        let push_lower = |lower: &mut TopKHeap, acc: f64, i: u32, norms: &[f64]| {
-            lower.push(acc - envelope(norms[i as usize]), i);
+        let mut heap = TopKHeap::new(k);
+        let list = &mut scratch.shortlist;
+        list.begin(&heap);
+        let mut offer = |i: u32| {
+            let i_norm = self.item_norms[i as usize];
+            list.offer(i, scratch.acc[i as usize], envelope(i_norm));
         };
         if all_touched {
-            for i in 0..n as u32 {
-                push_lower(&mut lower, scratch.acc[i as usize], i, &self.item_norms);
-            }
+            (0..n as u32).for_each(&mut offer);
         } else {
-            for &i in &scratch.touched {
-                push_lower(&mut lower, scratch.acc[i as usize], i, &self.item_norms);
-            }
+            scratch.touched.iter().copied().for_each(&mut offer);
         }
-        let theta = lower.threshold();
-
-        scratch.candidates.clear();
-        if all_touched {
-            for i in 0..n as u32 {
-                if scratch.acc[i as usize] + envelope(self.item_norms[i as usize]) >= theta {
-                    scratch.candidates.push(i);
-                }
-            }
-        } else {
-            for &i in &scratch.touched {
-                if scratch.acc[i as usize] + envelope(self.item_norms[i as usize]) >= theta {
-                    scratch.candidates.push(i);
-                }
-            }
-        }
-
-        // --- Exact canonical rescore of the candidate superset. -----------
-        let mut heap = TopKHeap::new(k);
-        let mut chunks = scratch.candidates.chunks_exact(4);
-        for chunk in &mut chunks {
-            let rows = [
-                items.row(chunk[0] as usize),
-                items.row(chunk[1] as usize),
-                items.row(chunk[2] as usize),
-                items.row(chunk[3] as usize),
-            ];
-            let scores = dot_gemm_ordered_x4(query, rows);
-            for (&i, &s) in chunk.iter().zip(&scores) {
-                heap.push(s, i);
-            }
-        }
-        for &i in chunks.remainder() {
-            heap.push(dot_gemm_ordered(query, items.row(i as usize)), i);
-        }
+        let theta = list.threshold();
+        list.finish(simd::active(), query, items.into(), &mut heap);
 
         // --- Untouched items. ---------------------------------------------
         // An untouched item's canonical score is exactly +0.0 (see crate
         // docs), so it enters as a literal zero. The global max-norm
         // envelope lets the whole pass be skipped once θ is safely above
-        // anything untouched.
-        if !all_touched && theta <= envelope(self.max_item_norm) {
+        // anything untouched; a NaN envelope (a zero query against an
+        // overflowed norm) proves nothing.
+        let untouched_below = theta > envelope(self.max_item_norm);
+        if !all_touched && !untouched_below {
             let epoch = scratch.epoch;
             for i in 0..n as u32 {
                 if scratch.stamp[i as usize] != epoch {

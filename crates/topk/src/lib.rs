@@ -11,9 +11,10 @@
 //! can compare exactly.
 //!
 //! [`canonical`] holds the contract those results meet: [`exact_topk`], the
-//! oracle every backend is refereed against, and [`canonicalize`], which
-//! brings a scan that scored with the four-lane `dot` to the oracle's score
-//! bits.
+//! oracle every backend is refereed against, and [`Shortlist`], the one
+//! screen-then-rescore every approximate score goes through — the screen
+//! tiers', the sparse accumulator's and the four-lane `dot` of the index
+//! walks — so that a scan returns the oracle's answer.
 //!
 //! [`fused`] additionally provides the fused GEMM→top-k path: score panels
 //! stream out of the blocked multiply straight into the heaps, so the dense
@@ -37,7 +38,7 @@ pub mod list;
 pub mod screen;
 pub mod select;
 
-pub use canonical::{canonicalize, exact_topk};
+pub use canonical::{exact_topk, Shortlist};
 pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnIds};
 pub use heap::TopKHeap;
 pub use list::TopKList;

@@ -8,14 +8,11 @@
 //! the price of a second (tiny) pass:
 //!
 //! 1. **Screen** — score every (user, item) pair in the tier's arithmetic
-//!    and widen the screen score `ŝ` into `[ŝ − env, ŝ + env]`, where `env`
-//!    bounds the tier's total error against the exact score `s` (so `s` is
-//!    always inside the interval). A per-user bound heap retains the `k`
-//!    largest *lower* bounds; any column whose *upper* bound reaches that
-//!    heap's threshold is collected as a candidate.
-//! 2. **Rescore** — recompute each surviving candidate's score in f64 with
-//!    the GEMM per-element reduction ([`mips_linalg::simd::Kernel::dot_seq4`])
-//!    and offer it to the caller's heap.
+//!    and offer the screen score `ŝ` with `env`, a bound on the tier's total
+//!    error against the exact score, to the user's [`Shortlist`].
+//! 2. **Rescore** — [`Shortlist::finish`]: each surviving candidate is
+//!    rescored in f64 with the GEMM per-element reduction and pushed into
+//!    the caller's heap.
 //!
 //! Every tier runs the same frame — the packed GEMM driver
 //! ([`mips_linalg::gemm_nt_stream_blocks`]) streams one `MC × NC` block of
@@ -42,20 +39,9 @@
 //!   bit-identical scores and collects the identical candidate set — the
 //!   envelope covers quantization only, not kernel-dependent rounding.
 //!
-//! Everything around the pass — shape checks, bound-heap seeding, the offer
-//! rule, the survivor filter, the rescore — exists once and is shared.
-//!
-//! ## Why no true top-k member can be lost
-//!
-//! Let `L̂` be the final threshold of a user's bound heap. Each of its `k`
-//! retained entries is a lower bound of some column's exact score, so at
-//! least `k` columns have exact score `≥ L̂` — hence the true k-th exact
-//! score is `≥ L̂`. Every true top-k column `c` has exact score
-//! `s_c ≥ kth ≥ L̂`, and its upper bound `ŝ_c + env ≥ s_c ≥ L̂`, so `c` was
-//! collected (thresholds only grow during the scan, so the test it faced
-//! was no stricter than `L̂`) and survives the final `hi ≥ L̂` filter. Ties
-//! (`s_c` equal to the k-th score, decided by the smaller-id rule) are
-//! safe for the same reason: the comparison uses `≥`, never `>`.
+//! Everything around the pass — shape checks, the per-user shortlists and
+//! the floor — exists once and is shared; why the shortlist's rescore
+//! loses no true top-k member is argued in [`crate::canonical`].
 //!
 //! **The floor.** While a user's bound heap is not yet full, each block's
 //! row is first primed with a floor `θ`: the k-th largest of ≈ `2k` group
@@ -63,7 +49,7 @@
 //! [`mips_linalg::ScreenElem::group_max`], the same operations as the
 //! offer rule; a column without a bound contributes none). The row is then
 //! filtered and offered against `max(bound heap threshold, θ)`. This moves
-//! neither `L̂` nor the survivor set:
+//! neither `L̂`, the bound heap's final threshold, nor the survivor set:
 //!
 //! * `L̂` is the k-th largest value of {seeded entries} ∪ {`lo_c` over every
 //!   column with a bound}. Without a floor a column is pushed unless its
@@ -79,18 +65,13 @@
 //!
 //! So a primed pass collects fewer candidates but rescores exactly the
 //! same survivors, and every result stays bit-identical; the survivor
-//! recount test in this module pins it per tier.
+//! recount test in this module pins it per tier. The floor is the one
+//! thing the block screen adds to the [`Shortlist`]
+//! ([`Shortlist::set_floor`]).
 //!
-//! Entries already present in the caller's heaps are treated as exact
-//! scores from a previous phase: they seed the bound heap (an exact score
-//! is its own lower bound), so the screen is exactly as selective as the
-//! f64 path would have been with the same preloaded state.
-//!
-//! Because every reported score comes from the f64 rescore — with the same
-//! reduction order as the pure-f64 GEMM path — a screened scan's results
-//! are **bit-identical** to f64-direct: same scores, same ids, same
-//! tie-breaks. The `exactness` driver in `mips-core` asserts this for every
-//! backend's tier variants, and the `precision_identity` suite end to end.
+//! The `exactness` driver in `mips-core` asserts bit-identity to f64-direct
+//! for every backend's tier variants, the `precision_identity` suite end to
+//! end.
 //!
 //! The item side need not be the whole catalog: the rescore reads each
 //! column's f64 row from the catalog by its id, so a gathered subset in
@@ -100,13 +81,15 @@
 //! ## Point screens
 //!
 //! An index walk (MAXIMUS's list walk) visits one item at a time and only
-//! needs a yes/no: *can this item still reach the heap threshold?* It arms
-//! the user once ([`ArmedUser::arm`]) against a gathered item block in the
-//! same tier's store; [`ArmedUser::upper_bound`] returns the
-//! envelope-widened screen score, and the walk skips the exact dot when
-//! even that sits below its threshold.
+//! needs a yes/no: *can this item still reach the threshold?* It arms the
+//! user once ([`ArmedUser::arm`]) against a gathered item block in the same
+//! tier's store; [`ArmedUser::upper_bound`] returns the envelope-widened
+//! screen score, and the walk skips the item's f64 `dot` and its offer to
+//! the walk's [`Shortlist`] when even that sits below the shortlist's
+//! threshold.
 
 use crate::admit;
+use crate::canonical::Shortlist;
 use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use mips_linalg::simd::{self, Kernel};
@@ -116,22 +99,20 @@ use mips_linalg::{
 
 pub use mips_linalg::ScreenTier;
 
-/// Reusable buffers for [`screen_topk_into_heaps_with`]: the per-user bound
-/// heaps and candidate lists, plus the pass's GEMM scratch. Own one per
-/// query loop / worker thread, like [`GemmScratch`].
+/// Reusable buffers for [`screen_topk_into_heaps_with`]: one [`Shortlist`]
+/// per user row, plus the pass's GEMM scratch. Own one per query loop /
+/// worker thread, like [`GemmScratch`].
 #[derive(Debug)]
 pub struct ScreenScratch<T: ScreenElem> {
     gemm: GemmScratch<T>,
-    bound_heaps: Vec<TopKHeap>,
-    candidates: Vec<Vec<(u32, f64)>>,
+    shortlists: Vec<Shortlist>,
 }
 
 impl<T: ScreenElem> Default for ScreenScratch<T> {
     fn default() -> Self {
         ScreenScratch {
             gemm: GemmScratch::new(),
-            bound_heaps: Vec::new(),
-            candidates: Vec::new(),
+            shortlists: Vec::new(),
         }
     }
 }
@@ -150,58 +131,6 @@ pub struct ScreenStats {
     pub screened: u64,
     /// Candidates surviving to the exact rescore.
     pub rescored: u64,
-}
-
-/// One user's side of the shared frame while a pass streams one block at
-/// it: the bound heap, the candidate list, the block's floor and the
-/// threshold `max(bound heap threshold, floor)` cached between pushes. For
-/// every lane its tier's filter flags at that threshold, a pass calls
-/// [`RowOffers::offer`] (finite score) or [`RowOffers::keep`] (no score).
-struct RowOffers<'a> {
-    ids: ColumnIds<'a>,
-    bounds: &'a mut TopKHeap,
-    candidates: &'a mut Vec<(u32, f64)>,
-    floor: f64,
-    threshold: f64,
-}
-
-impl<'a> RowOffers<'a> {
-    fn new(
-        ids: ColumnIds<'a>,
-        bounds: &'a mut TopKHeap,
-        candidates: &'a mut Vec<(u32, f64)>,
-        floor: f64,
-    ) -> RowOffers<'a> {
-        let threshold = bounds.threshold().max(floor);
-        RowOffers {
-            ids,
-            bounds,
-            candidates,
-            floor,
-            threshold,
-        }
-    }
-
-    /// The offer rule for a **finite** screen score: collect `col` when its
-    /// upper bound `score + env` reaches the threshold, and raise the
-    /// threshold with its lower bound.
-    fn offer(&mut self, col: usize, score: f64, env: f64) {
-        let hi = score + env;
-        if hi >= self.threshold {
-            self.candidates.push((col as u32, hi));
-            self.bounds.push(score - env, self.ids.id(col));
-            self.threshold = self.bounds.threshold().max(self.floor);
-        }
-    }
-
-    /// The offer rule for a column whose screen score is not finite (an
-    /// f32 product overflowed): no score, no bound — keep the column
-    /// unconditionally (a k = 0 heap correctly collects nothing).
-    fn keep(&mut self, col: usize) {
-        if self.bounds.capacity() > 0 {
-            self.candidates.push((col as u32, f64::INFINITY));
-        }
-    }
 }
 
 /// Screens `A·Bᵀ` in the tier of `users`/`items` and streams exact f64
@@ -276,21 +205,12 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
     };
     assert!(!past_catalog, "screen_topk: item ids past the f64 catalog");
 
-    // Per-row bound heaps: capacity k, seeded with the caller's existing
-    // (exact) entries — see the module docs.
-    let ScreenScratch {
-        gemm,
-        bound_heaps,
-        candidates,
-    } = scratch;
-    bound_heaps.resize_with(m, || TopKHeap::new(0));
-    candidates.resize_with(m, Vec::new);
-    for ((heap, bounds), list) in heaps.iter().zip(&mut *bound_heaps).zip(&mut *candidates) {
-        bounds.reset(heap.capacity());
-        for e in heap.entries() {
-            bounds.push(e.score, e.id);
-        }
-        list.clear();
+    // One shortlist per row, seeded with the caller's existing (exact)
+    // entries.
+    let ScreenScratch { gemm, shortlists } = scratch;
+    shortlists.resize_with(m, Shortlist::new);
+    for (heap, list) in heaps.iter().zip(&mut *shortlists) {
+        list.begin(heap);
     }
 
     // Screen pass: the tier's multiply, block by block; each row of a block
@@ -310,18 +230,19 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
                 let item_terms = items.rows(cols.clone()).terms();
                 for (accs, i) in block.chunks_exact(cols.len()).zip(rows) {
                     let offer = T::offer(f, user_terms, i);
-                    let floor = admit::floor(&bound_heaps[i], accs.len(), maxima, |group, out| {
+                    let list = &mut shortlists[i];
+                    let floor = admit::floor(list.bounds(), accs.len(), maxima, |group, out| {
                         T::group_max(kern, accs, item_terms, offer, group, out)
                     });
-                    let mut row =
-                        RowOffers::new(ids, &mut bound_heaps[i], &mut candidates[i], floor);
+                    list.set_floor(floor);
                     let mut from = 0;
                     while let Some(j) =
-                        T::next_hit(kern, accs, item_terms, offer, from, row.threshold)
+                        T::next_hit(kern, accs, item_terms, offer, from, list.threshold())
                     {
+                        let id = ids.id(cols.start + j);
                         match T::bound(&offer, accs[j], item_terms, j) {
-                            Some((score, env)) => row.offer(cols.start + j, score, env),
-                            None => row.keep(cols.start + j),
+                            Some((score, env)) => list.offer(id, score, env),
+                            None => list.keep(id),
                         }
                         from = j + 1;
                     }
@@ -330,39 +251,11 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
         )
     });
 
-    // Rescore pass: exact f64, GEMM per-element reduction, groups of four
-    // so the sequential chains pipeline, each column's f64 row read from
-    // the catalog by its id.
-    let mut rescored = 0u64;
-    for (i, heap) in heaps.iter_mut().enumerate() {
-        let final_threshold = bound_heaps[i].threshold();
-        let survivors = candidates[i]
-            .iter()
-            .filter(|&&(_, hi)| hi >= final_threshold);
-        let urow = a64.row(i);
-        let mut group = [0usize; 4];
-        let mut filled = 0usize;
-        let flush = |cols: &[usize], heap: &mut TopKHeap| {
-            let pad = cols[cols.len() - 1];
-            let pick = |q: usize| b64.row(ids.id(*cols.get(q).unwrap_or(&pad)) as usize);
-            let scores = kern.dot_seq4(urow, [pick(0), pick(1), pick(2), pick(3)]);
-            for (q, &col) in cols.iter().enumerate() {
-                heap.push(scores[q], ids.id(col));
-            }
-        };
-        for &(col, _) in survivors {
-            group[filled] = col as usize;
-            filled += 1;
-            rescored += 1;
-            if filled == 4 {
-                flush(&group, heap);
-                filled = 0;
-            }
-        }
-        if filled > 0 {
-            flush(&group[..filled], heap);
-        }
-    }
+    // Rescore pass: each row's survivors, exact f64 from the catalog rows
+    // their ids name.
+    let rescored = (heaps.iter_mut().zip(&*shortlists).enumerate())
+        .map(|(i, (heap, list))| list.finish(kern, a64.row(i), b64, heap))
+        .sum();
 
     ScreenStats {
         screened: (m * n) as u64,
@@ -390,11 +283,10 @@ impl<T: ScreenElem> ArmedUser<T> {
 
     /// An upper bound on the exact score of this user against row `row` of
     /// `items`: the screen score widened by the tier's envelope. When it
-    /// sits strictly below a full heap's threshold the exact score does
-    /// too, so the exact dot *and* its guaranteed-rejected push can be
-    /// skipped with the heap trajectory — and therefore the results —
-    /// bit-identical. `+∞` (never prunes) when the screen score carries no
-    /// bound (an f32 product overflowed).
+    /// sits strictly below a walk's [`Shortlist::threshold`] the exact
+    /// score does too, so the item is below the true k-th score and its
+    /// dot and offer can be skipped. `+∞` (never prunes) when the screen
+    /// score carries no bound (an f32 product overflowed).
     #[inline]
     pub fn upper_bound(&self, items: &TierRows<T>, row: usize) -> f64 {
         let acc = T::dot(self.row.row(0), items.row(row));

@@ -89,7 +89,7 @@ fn main() -> Result<(), MipsError> {
     println!("\nk = 0 rejected gracefully: {err}");
 
     // Every result is exact — verify against a freshly computed reference.
-    check_all_topk(&model, 5, &response.results, 1e-9).expect("exact top-k");
+    check_all_topk(&model, 5, &response.results).expect("exact top-k");
     println!(
         "verified: all {} results exactly match brute force",
         response.results.len()

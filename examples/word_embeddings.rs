@@ -46,7 +46,7 @@ fn main() {
         );
         match &reference {
             None => {
-                check_all_topk(&model, k, &response.results, 1e-9).expect("exact");
+                check_all_topk(&model, k, &response.results).expect("exact");
                 reference = Some(response.results);
             }
             Some(want) => {

@@ -95,7 +95,7 @@ pub mod prelude {
         ShardMetrics,
     };
     pub use mips_core::solver::MipsSolver;
-    pub use mips_core::verify::{check_all_topk, check_user_topk};
+    pub use mips_core::verify::check_all_topk;
     pub use mips_core::{BmmSolver, FexiproSolver, LempSolver, SparseSolver};
     pub use mips_data::catalog::{reference_models, ModelSpec};
     pub use mips_data::sparse::{SparseVec, SparsityStats};
