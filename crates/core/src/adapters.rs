@@ -10,7 +10,7 @@
 use crate::solver::MipsSolver;
 use crate::sync::Arc;
 use mips_data::MfModel;
-use mips_fexipro::{FexiproConfig, FexiproIndex, FexiproStats};
+use mips_fexipro::{FexiproConfig, FexiproIndex, FexiproScratch, FexiproStats};
 use mips_lemp::{LempConfig, LempIndex, QueryStats};
 use mips_sparse::{InvertedIndex, SparseScratch};
 use mips_topk::{Shortlist, TopKList};
@@ -78,7 +78,8 @@ pub struct FexiproSolver {
 }
 
 impl FexiproSolver {
-    /// Builds the FEXIPRO index (SVD, quantization, user preprocessing).
+    /// Builds the FEXIPRO index (SVD, quantization); each query derives its
+    /// own user-side state.
     pub fn build(model: Arc<MfModel>, config: &FexiproConfig) -> FexiproSolver {
         let start = Instant::now();
         let index = FexiproIndex::build(&model, config);
@@ -116,11 +117,16 @@ impl MipsSolver for FexiproSolver {
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
         crate::solver::dedup_query_subset(users, |distinct| {
-            let items = self.model.items();
+            let (user_rows, items) = (self.model.users(), self.model.items());
+            let mut scratch = FexiproScratch::default();
             let (mut list, mut stats) = (Shortlist::new(), FexiproStats::default());
             distinct
                 .iter()
-                .map(|&u| self.index.query_user(u, k, items, &mut list, &mut stats))
+                .map(|&u| {
+                    let user = user_rows.row(u);
+                    self.index
+                        .query(user, k, items, &mut scratch, &mut list, &mut stats)
+                })
                 .collect()
         })
     }

@@ -2,10 +2,10 @@
 //! filters.
 
 use crate::config::{FexiproConfig, ENERGY_TARGET, INT_BITS};
-use crate::quant::{int_upper_bound, quantize_items, quantize_user, Code, QuantizedItems};
+use crate::quant::{int_upper_bound, quantize_items, quantize_user_into, Code, QuantizedItems};
 use crate::transform::{Reduction, SvdStage};
-use mips_data::MfModel;
-use mips_linalg::kernels::{dot, norm2, suffix_norms};
+use mips_data::{is_tiny_row, MfModel};
+use mips_linalg::kernels::norm2;
 use mips_linalg::{reassoc_envelope_parts, simd, Matrix};
 use mips_topk::{exact_topk, Shortlist, TopKHeap, TopKList};
 
@@ -29,48 +29,49 @@ pub struct FexiproStats {
     pub dots_computed: u64,
 }
 
-/// Per-user precomputed query state. The transformed vectors keep only the
-/// checkpoint prefixes their filters read.
-#[derive(Debug, Clone)]
-struct UserCtx {
-    /// Original user vector.
-    original: Vec<f64>,
+/// Caller-owned buffers for one user's query-side state. A call reuses
+/// one scratch across its users, so once the buffers have grown a query
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FexiproScratch {
+    /// The transformed user `Vᵀu`, all `f` coordinates (the user itself
+    /// when the SVD failed): the S filter reads the first `h`, the codes
+    /// and both suffix norms the rest.
+    t: Vec<f64>,
+    /// The first `h_r` coordinates of the unit transformed user, which
+    /// only the R stage reads (empty under SI; zeros for a zero user).
+    unit: Vec<f64>,
+    /// The I-stage codes of `t`.
+    q: Vec<Code>,
+}
+
+/// The scalars of one user's query-side state; its vectors are in the
+/// [`FexiproScratch`].
+struct UserBounds {
     /// `‖u‖`.
     norm: f64,
-    /// The first `h` coordinates of the transformed user `Vᵀu` (of
-    /// `original` when the SVD failed).
-    t: Vec<f64>,
     /// `‖(Vᵀu)[h..]‖` — SVD-stage suffix factor.
     t_suffix_at_h: f64,
-    /// The first `h_r` coordinates of the unit transformed user (zeros for
-    /// a zero user).
-    unit: Vec<f64>,
-    /// `‖unit[h_r..]‖` — reduction-stage suffix factor.
+    /// `‖unit[h_r..]‖` — reduction-stage suffix factor (0 under SI).
     unit_suffix_at_hr: f64,
-    /// Quantized transformed user (all `f` coordinates) and its scale.
-    q: Vec<Code>,
+    /// The scale of the codes.
     q_scale: f64,
-    /// The reassociation envelope of this user's `dot` scores, `(rel·‖u‖,
-    /// abs)`: an item of norm `‖i‖` is offered with `env = rel·‖u‖·‖i‖ +
-    /// abs`.
-    envelope: (f64, f64),
 }
 
 /// A built FEXIPRO index (presets: SI and SIR; see [`FexiproConfig`]).
 ///
 /// Point-query oriented: users are served one at a time in descending-norm
-/// item order. User preprocessing (transform + quantization) happens at
-/// build time, mirroring the original system's batch preprocessing step.
-/// A query scores what the filters pass with the four-lane `dot`, offers it
-/// to a [`Shortlist`] and finishes with the chain over the item matrix the
-/// index was built from, so it returns the oracle's answer
-/// ([`mips_topk::exact_topk`]).
+/// item order. The index holds item-side state only. Each query derives
+/// the user's transform, unit prefix, codes and envelope into the caller's
+/// [`FexiproScratch`] (one mat-vec against the stored basis), so it
+/// serves any vector, a model row or not. A query scores what the filters
+/// pass with the four-lane `dot` over the caller's item matrix, read by
+/// id, offers it to a [`Shortlist`] and finishes with the chain over that
+/// matrix, so it returns the oracle's answer ([`mips_topk::exact_topk`]).
 #[derive(Debug, Clone)]
 pub struct FexiproIndex {
     /// Item ids in descending-norm order.
     ids: Vec<u32>,
-    /// Original item vectors, gathered in scan order (verification dots).
-    originals: Matrix<f64>,
     /// Item norms, descending.
     norms: Vec<f64>,
     /// The first `h` columns of the transformed items, in scan order: all
@@ -83,13 +84,12 @@ pub struct FexiproIndex {
     h: usize,
     /// Reduction checkpoint (`≈ h/2`; the R filter runs before S).
     h_r: usize,
-    /// The S stage's basis; `None` when the SVD failed, which leaves the
-    /// identity transform and `h = ⌈f/2⌉`.
-    svd: Option<SvdStage>,
+    /// The S stage's basis, transposed (`f × f`: row `j` is the `j`-th
+    /// basis vector, so `(Vᵀu)[j]` is one `dot`); `None` when the SVD
+    /// failed, which leaves the identity transform and `h = ⌈f/2⌉`.
+    basis: Option<Matrix<f64>>,
     quant: QuantizedItems,
     reduction: Option<Reduction>,
-    /// Precomputed per-user contexts for the model's users.
-    users: Vec<UserCtx>,
     /// `false` over a model with tiny rows ([`MfModel::has_tiny_rows`]),
     /// whose norms neither the filters nor the rescore envelope can trust:
     /// every item is scored with the chain.
@@ -97,7 +97,7 @@ pub struct FexiproIndex {
 }
 
 impl FexiproIndex {
-    /// Builds the index over the model's items and preprocesses its users.
+    /// Builds the index over the model's items; the users are not read.
     ///
     /// An SVD failure (e.g. a finite model whose item Gram matrix
     /// overflows) degrades to the identity transform; the bounds stay
@@ -119,18 +119,19 @@ impl FexiproIndex {
         let ids: Vec<u32> = order.iter().map(|&(_, id)| id).collect();
         let norms: Vec<f64> = order.iter().map(|&(n, _)| n).collect();
         let idx: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-        let originals = model.items().gather_rows(&idx);
 
-        // S stage: orthogonal energy-ordering transform.
+        // S stage: orthogonal energy-ordering transform of the items,
+        // gathered in scan order.
         let svd = SvdStage::build(model.items(), ENERGY_TARGET).ok();
+        let scan_order = model.items().gather_rows(&idx);
         let t_items = match &svd {
-            Some(stage) => stage.transform(&originals),
-            None => originals.clone(),
+            Some(stage) => stage.transform(&scan_order),
+            None => scan_order,
         };
         let h = svd.as_ref().map_or_else(|| f.div_ceil(2).max(1), |s| s.h);
         let t_suffix_at_h: Vec<f64> = t_items
             .iter_rows()
-            .map(|row| suffix_norms(row)[h])
+            .map(|row| tail_norm(row[h..].iter().copied()))
             .collect();
 
         // I stage: integer quantization of the transformed items.
@@ -143,31 +144,18 @@ impl FexiproIndex {
             .enable_reduction
             .then(|| Reduction::build(&t_items, h_r));
 
-        let mut index = FexiproIndex {
+        FexiproIndex {
             ids,
-            originals,
             norms,
             t_items: Matrix::from_fn(t_items.rows(), h, |r, c| t_items.get(r, c)),
             t_suffix_at_h,
             h,
             h_r,
-            svd,
+            basis: svd.map(|stage| stage.basis.v.transpose()),
             quant,
             reduction,
-            users: Vec::new(),
             bounded: !model.has_tiny_rows(),
-        };
-        // Transform every user in one matrix multiply (the original system
-        // preprocesses the full user set up front, §V-A); per-user contexts
-        // then reuse the transformed rows.
-        let t_users = match &index.svd {
-            Some(stage) => stage.transform(model.users()),
-            None => model.users().clone(),
-        };
-        index.users = (0..model.num_users())
-            .map(|u| index.ctx_from_transformed(model.users().row(u), t_users.row(u)))
-            .collect();
-        index
+        }
     }
 
     /// Number of items indexed.
@@ -180,96 +168,141 @@ impl FexiproIndex {
         self.h
     }
 
-    /// Builds a query context from the original vector and its already
-    /// transformed counterpart.
-    fn ctx_from_transformed(&self, user: &[f64], t: &[f64]) -> UserCtx {
+    /// The bytes the index holds: the summed capacities of its buffers.
+    /// They depend on the catalog alone — no user-side state, no `f64` copy
+    /// of the items.
+    pub fn resident_bytes(&self) -> usize {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        fn matrix(m: &Matrix<f64>) -> usize {
+            std::mem::size_of_val(m.as_slice())
+        }
+        vec(&self.ids)
+            + vec(&self.norms)
+            + matrix(&self.t_items)
+            + vec(&self.t_suffix_at_h)
+            + self.basis.as_ref().map_or(0, matrix)
+            + vec(&self.quant.q)
+            + self
+                .reduction
+                .as_ref()
+                .map_or(0, |red| matrix(&red.prefix) + vec(&red.suffix))
+    }
+
+    /// Derives `user`'s query-side state into `scratch`: the transform is
+    /// one `dot` per basis vector, the rest reads it.
+    fn prepare(&self, user: &[f64], scratch: &mut FexiproScratch) -> UserBounds {
+        let kern = simd::active();
+        let FexiproScratch { t, unit, q } = scratch;
+        t.clear();
+        match &self.basis {
+            Some(vt) => t.extend(vt.iter_rows().map(|v| kern.dot(v, user))),
+            None => t.extend_from_slice(user),
+        }
         let norm = norm2(user);
-        let t_suffix_at_h = suffix_norms(t)[self.h];
-        let unit: Vec<f64> = if norm > 0.0 {
-            t.iter().map(|&v| v / norm).collect()
-        } else {
-            vec![0.0; t.len()]
+        unit.clear();
+        let unit_suffix_at_hr = match self.reduction {
+            None => 0.0,
+            Some(_) if norm > 0.0 => {
+                unit.extend(t[..self.h_r].iter().map(|&v| v / norm));
+                tail_norm(t[self.h_r..].iter().map(|&v| v / norm))
+            }
+            Some(_) => {
+                unit.resize(self.h_r, 0.0);
+                0.0
+            }
         };
-        let unit_suffix_at_hr = suffix_norms(&unit)[self.h_r];
-        let (q, q_scale) = quantize_user(t, INT_BITS);
-        let (rel, abs) = reassoc_envelope_parts(user.len());
-        UserCtx {
-            original: user.to_vec(),
+        UserBounds {
             norm,
-            t: t[..self.h].to_vec(),
-            t_suffix_at_h,
-            unit: unit[..self.h_r].to_vec(),
+            t_suffix_at_h: tail_norm(t[self.h..].iter().copied()),
             unit_suffix_at_hr,
-            q,
-            q_scale,
-            envelope: (rel * norm, abs),
+            q_scale: quantize_user_into(t, INT_BITS, q),
         }
     }
 
-    /// Top-k for user `u` of the model the index was built from; `items`
-    /// is that model's item matrix. `list` is the caller's, reused across
-    /// the users of one call; work counters accumulate into `stats`.
-    pub fn query_user(
+    /// Top-k of `user` over `items`, the item matrix the index was built
+    /// from. `scratch` and `list` are the caller's, reused across the users
+    /// of one call; work counters accumulate into `stats`. A tiny `user`
+    /// ([`is_tiny_row`]), whose norm bounds nothing, scores every item with
+    /// the chain.
+    pub fn query(
         &self,
-        u: usize,
+        user: &[f64],
         k: usize,
         items: &Matrix<f64>,
+        scratch: &mut FexiproScratch,
         list: &mut Shortlist,
         stats: &mut FexiproStats,
     ) -> TopKList {
-        let ctx = &self.users[u];
         let n = self.ids.len();
-        assert_eq!(items.rows(), n, "FexiproIndex: not the indexed catalog");
-        if !self.bounded {
+        assert_eq!(
+            (items.rows(), items.cols(), user.len()),
+            (n, self.quant.f, self.quant.f),
+            "FexiproIndex: not the indexed catalog, or a query of another width"
+        );
+        if !self.bounded || is_tiny_row(user) {
             stats.dots_computed += n as u64;
-            return exact_topk(&ctx.original, items, k);
+            return exact_topk(user, items, k);
         }
-        let (rel_u, abs) = ctx.envelope;
+        let ctx = self.prepare(user, scratch);
+        let (t, unit, q) = (&scratch.t[..self.h], &scratch.unit, &scratch.q);
+        let (rel, abs) = reassoc_envelope_parts(user.len());
+        let rel_u = rel * ctx.norm;
+        let kern = simd::active();
         let mut heap = TopKHeap::new(k);
         list.begin(&heap);
         for r in 0..n {
             let mag = ctx.norm * self.norms[r];
             let slack = mag * BOUND_EPS;
             if list.is_full() {
-                let t = list.threshold();
+                let threshold = list.threshold();
                 // Length: items descend in norm, so one failure ends the
                 // scan.
-                if mag + slack < t {
+                if mag + slack < threshold {
                     stats.length_pruned += (n - r) as u64;
                     break;
                 }
                 // R: norm-equalized angular filter at the short checkpoint.
                 if let Some(red) = &self.reduction {
-                    let partial = dot(&ctx.unit, red.prefix.row(r));
+                    let partial = kern.dot(unit, red.prefix.row(r));
                     let bound =
                         ctx.norm * red.max_norm * (partial + ctx.unit_suffix_at_hr * red.suffix[r]);
-                    if bound + ctx.norm * red.max_norm * BOUND_EPS < t {
+                    if bound + ctx.norm * red.max_norm * BOUND_EPS < threshold {
                         stats.reduction_pruned += 1;
                         continue;
                     }
                 }
                 // S: partial product in the energy-ordered basis plus
                 // Cauchy–Schwarz on the suffix.
-                let partial = dot(&ctx.t, self.t_items.row(r));
+                let partial = kern.dot(t, self.t_items.row(r));
                 let bound = partial + ctx.t_suffix_at_h * self.t_suffix_at_h[r];
-                if bound + slack < t {
+                if bound + slack < threshold {
                     stats.svd_pruned += 1;
                     continue;
                 }
                 // I: integer upper bound on |u·i|.
-                let bound = int_upper_bound(&ctx.q, ctx.q_scale, &self.quant, r);
-                if bound + slack < t {
+                let bound = int_upper_bound(q, ctx.q_scale, &self.quant, r);
+                if bound + slack < threshold {
                     stats.int_pruned += 1;
                     continue;
                 }
             }
-            let score = dot(&ctx.original, self.originals.row(r));
-            list.offer(self.ids[r], score, rel_u * self.norms[r] + abs);
+            let id = self.ids[r];
+            let score = kern.dot(user, items.row(id as usize));
+            list.offer(id, score, rel_u * self.norms[r] + abs);
             stats.dots_computed += 1;
         }
-        list.finish(simd::active(), &ctx.original, items.into(), &mut heap);
+        list.finish(kern, user, items.into(), &mut heap);
         heap.into_sorted()
     }
+}
+
+/// `‖x‖` of a suffix `x`, accumulated from its last element as
+/// [`mips_linalg::kernels::suffix_norms`] does, so it writes the same bits
+/// without the vector of every suffix.
+fn tail_norm(tail: impl DoubleEndedIterator<Item = f64>) -> f64 {
+    tail.rev().fold(0.0, |acc, v| acc + v * v).sqrt()
 }
 
 #[cfg(test)]
@@ -292,18 +325,21 @@ mod tests {
 
     /// The answer for user `u` and the oracle's.
     fn served_and_oracle(index: &FexiproIndex, m: &MfModel, u: usize, k: usize) -> [TopKList; 2] {
+        let mut scratch = FexiproScratch::default();
         let (mut list, mut stats) = (Shortlist::new(), FexiproStats::default());
+        let user = m.users().row(u);
         [
-            index.query_user(u, k, m.items(), &mut list, &mut stats),
-            exact_topk(m.users().row(u), m.items(), k),
+            index.query(user, k, m.items(), &mut scratch, &mut list, &mut stats),
+            exact_topk(user, m.items(), k),
         ]
     }
 
-    /// The transformed catalog keeps the `h` columns the S filter reads,
-    /// each user context the `h` and `h_r` prefixes its filters read; the
-    /// I codes keep every coordinate.
-    fn assert_checkpoint_widths(index: &FexiproIndex) {
-        let f = index.originals.cols();
+    /// The transformed catalog keeps the `h` columns the S filter reads;
+    /// a query's scratch holds the `f`-wide transform (the S filter reads
+    /// its first `h`), the `h_r`-wide unit prefix R reads (none under SI)
+    /// and `f` codes.
+    fn assert_checkpoint_widths(index: &FexiproIndex, m: &MfModel) {
+        let f = m.num_factors();
         assert!(
             index.h < f,
             "a checkpoint that trims nothing proves nothing"
@@ -313,12 +349,13 @@ mod tests {
         if let Some(red) = &index.reduction {
             assert_eq!(red.prefix.cols(), index.h_r);
         }
-        for ctx in &index.users {
-            assert_eq!(
-                (ctx.t.len(), ctx.unit.len(), ctx.q.len()),
-                (index.h, index.h_r, f)
-            );
-        }
+        let mut scratch = FexiproScratch::default();
+        let _ = index.prepare(m.users().row(0), &mut scratch);
+        let h_r = index.reduction.as_ref().map_or(0, |_| index.h_r);
+        assert_eq!(
+            (scratch.t.len(), scratch.unit.len(), scratch.q.len()),
+            (f, h_r, f)
+        );
     }
 
     #[test]
@@ -326,8 +363,8 @@ mod tests {
         let m = model(0.75, 1.0);
         for cfg in [FexiproConfig::si(), FexiproConfig::sir()] {
             let index = FexiproIndex::build(&m, &cfg);
-            assert!(index.svd.is_some());
-            assert_checkpoint_widths(&index);
+            assert!(index.basis.is_some());
+            assert_checkpoint_widths(&index, &m);
         }
     }
 
@@ -376,9 +413,9 @@ mod tests {
         ));
         for cfg in [FexiproConfig::si(), FexiproConfig::sir()] {
             let index = FexiproIndex::build(&m, &cfg);
-            assert!(index.svd.is_none());
+            assert!(index.basis.is_none());
             assert_eq!(index.checkpoint(), 3, "h = ⌈f/2⌉");
-            assert_checkpoint_widths(&index);
+            assert_checkpoint_widths(&index, &m);
             for u in 0..m.num_users() {
                 let [got, want] = served_and_oracle(&index, &m, u, 5);
                 assert_eq!(got, want, "{cfg:?} u={u}");
@@ -390,9 +427,10 @@ mod tests {
     fn pruning_kicks_in_on_decayed_spectra() {
         let m = model(0.75, 1.0);
         let index = FexiproIndex::build(&m, &FexiproConfig::si());
+        let mut scratch = FexiproScratch::default();
         let (mut list, mut stats) = (Shortlist::new(), FexiproStats::default());
-        for u in 0..m.num_users() {
-            let _ = index.query_user(u, 3, m.items(), &mut list, &mut stats);
+        for user in m.users().iter_rows() {
+            let _ = index.query(user, 3, m.items(), &mut scratch, &mut list, &mut stats);
         }
         let total = (m.num_users() * m.num_items()) as u64;
         assert!(

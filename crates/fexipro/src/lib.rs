@@ -26,9 +26,15 @@
 //! Gram matrix past the f64 range) leaves the identity basis, so S still
 //! bounds, just less tightly.
 //!
+//! The index holds item-side state only. A query derives the user's
+//! transform (one mat-vec against the stored basis), codes and envelope
+//! into a caller-owned [`FexiproScratch`], so it serves any vector, and its
+//! resident bytes ([`FexiproIndex::resident_bytes`]) do not grow with the
+//! model's users.
+//!
 //! Like our LEMP port, all pruning bounds are inflated by a relative epsilon
-//! and survivors are verified against the *original* vectors with the
-//! four-lane `dot`. Each verified score is offered to the workspace's one
+//! and survivors are verified against the *original* vectors — rows of the
+//! caller's item matrix, read by id — with the four-lane `dot`. Each verified score is offered to the workspace's one
 //! screen-then-rescore, [`mips_topk::Shortlist`], whose chain rescore makes
 //! the answer bit-identical to the oracle, [`mips_topk::exact_topk`].
 
@@ -41,4 +47,4 @@ pub mod quant;
 pub mod transform;
 
 pub use config::FexiproConfig;
-pub use index::{FexiproIndex, FexiproStats};
+pub use index::{FexiproIndex, FexiproScratch, FexiproStats};

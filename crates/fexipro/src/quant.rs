@@ -61,9 +61,22 @@ pub fn quantize_items(items: &Matrix<f64>, bits: u32) -> QuantizedItems {
 /// # Panics
 /// Panics if `bits` exceeds [`MAX_BITS`].
 pub fn quantize_user(user: &[f64], bits: u32) -> (Vec<Code>, f64) {
+    let mut codes = Vec::new();
+    let scale = quantize_user_into(user, bits, &mut codes);
+    (codes, scale)
+}
+
+/// [`quantize_user`] into the caller's `codes` (cleared first), returning
+/// the scale: a query reuses one buffer across its users.
+///
+/// # Panics
+/// Panics if `bits` exceeds [`MAX_BITS`].
+pub fn quantize_user_into(user: &[f64], bits: u32, codes: &mut Vec<Code>) -> f64 {
     let max_abs = user.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
     let scale = scale_for(max_abs, bits);
-    (user.iter().map(|&v| code(v, scale)).collect(), scale)
+    codes.clear();
+    codes.extend(user.iter().map(|&v| code(v, scale)));
+    scale
 }
 
 /// `⌈|v|·scale⌉`: at most `2^bits` for the `scale` of a block holding `v`.

@@ -9,7 +9,8 @@ use mips_linalg::{LinalgError, Matrix};
 /// checkpoint `h`.
 #[derive(Debug, Clone)]
 pub struct SvdStage {
-    /// The orthogonal basis (kept to transform query users).
+    /// The orthogonal basis (the index keeps its transpose to transform
+    /// each query).
     pub basis: SvdBasis,
     /// Checkpoint: number of leading coordinates scanned before bounding.
     pub h: usize,
