@@ -5,8 +5,8 @@
 //! work — a `32 × f · f × n` multiply is far cheaper than 32 separate
 //! `1 × f` passes over the item matrix (§II-B; LEMP makes the same
 //! observation with bucket-batched probing). Single-user traffic squanders
-//! that, so the batcher coalesces queued sub-requests that target the same
-//! shard engine at the same `k` into one `query_subset` call.
+//! that, so the batcher coalesces queued sub-requests of the same epoch and
+//! shard at the same `k` into one `query_subset` call.
 //!
 //! The flush is adaptive and never waits: a worker pops one sub-request,
 //! extracts every queued match up to `max_batch` users, and runs the batch.
@@ -20,16 +20,16 @@
 //! [`Engine::execute`](crate::engine::Engine::execute) calls), and
 //! exclusion-carrying sub-requests are never coalesced, because two
 //! requests may exclude different items for the same user. Model epochs
-//! are respected by construction: the batch key is the identity of the
-//! shard engine (which pins one epoch), so sub-requests admitted before
-//! and after a [`swap_model`](crate::engine::Engine::swap_model) can never
-//! share a solver call.
+//! are respected by construction: the batch key holds the epoch id each
+//! sub-request was validated on, so sub-requests admitted before and after
+//! a [`swap_model`](crate::engine::Engine::swap_model) can never share a
+//! solver call.
 
+use super::metrics::ShardCounters;
 use super::queue::{BoundedQueue, QueueItem};
 use super::shard::{SubRequest, SubUsers};
-use crate::engine::serve;
+use crate::engine::{serve, Engine};
 use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::Arc;
 use std::time::Instant;
 
 /// Gathers the micro-batch led by `first`: every queued match that fits
@@ -48,35 +48,33 @@ pub fn collect_batch<I: QueueItem>(queue: &BoundedQueue<I>, first: I, max_batch:
     batch
 }
 
-/// Executes one batch (one or many coalesced sub-requests) on the shard
-/// engine every sub-request in it is pinned to, scattering results back
-/// into each pending response. Request-level completion metrics roll up
-/// inside the pending itself, before any waiter wakes. `progress` counts
-/// subs whose shard `completed` counter has been bumped — the worker's
-/// panic handler uses it to settle the remainder so
-/// `submitted == completed` holds even across backend panics.
-pub(crate) fn execute_batch(batch: Vec<SubRequest>, progress: &AtomicUsize) {
+/// Executes one batch (one or many coalesced sub-requests) on the epoch
+/// every sub-request in it is pinned to, scattering results back into each
+/// pending response and counting it in `shard`, the batch's shard slot.
+/// Request-level completion metrics roll up inside the pending itself,
+/// before any waiter wakes. `progress` counts subs whose shard `completed`
+/// counter has been bumped — the worker's panic handler uses it to settle
+/// the remainder so `submitted == completed` holds even across backend
+/// panics.
+pub(crate) fn execute_batch(
+    engine: &Engine,
+    shard: &ShardCounters,
+    batch: Vec<SubRequest>,
+    progress: &AtomicUsize,
+) {
     debug_assert!(!batch.is_empty());
-    // The batch key guarantees one shard engine (hence one epoch) per
-    // batch.
-    debug_assert!(batch
-        .iter()
-        .all(|s| Arc::ptr_eq(&s.engine, &batch[0].engine)));
-    let shard = Arc::clone(&batch[0].engine);
-    debug_assert!(batch
-        .iter()
-        .all(|s| s.shard == shard.index && s.epoch == shard.epoch.id));
+    // The batch key guarantees one epoch and one shard per batch.
+    debug_assert!(batch.iter().all(|s| s.key() == batch[0].key()));
     let k = batch[0].k;
     let settle_one = |sub: &SubRequest| {
-        shard.counters.add(&shard.counters.completed, 1);
+        shard.add(&shard.completed, 1);
         shard
-            .counters
             .latency
             .record_ns(sub.submitted_at.elapsed().as_nanos() as u64);
         progress.fetch_add(1, Ordering::Relaxed);
     };
 
-    let plan = match shard.engine.prepare_on(&shard.epoch, k) {
+    let plan = match engine.prepare_on(&batch[0].epoch, k) {
         Ok(plan) => plan,
         Err(error) => {
             for sub in &batch {
@@ -117,27 +115,23 @@ pub(crate) fn execute_batch(batch: Vec<SubRequest>, progress: &AtomicUsize) {
     // Roll up shard counters before scattering so metrics never lag the
     // caller's wakeup.
     let total_users: usize = batch.iter().map(|s| s.users.len()).sum();
-    shard.counters.add(&shard.counters.batches, 1);
+    shard.add(&shard.batches, 1);
     // Fold the batch and the solver's screen work into the lane of the
     // tier the plan screens in. Under concurrency another worker's
     // in-flight scan may drain here — attribution is per-shard, and a
     // shard's plan has one screen mode, so the per-tier totals stay exact.
     if let Some(tier) = plan.precision().forced_tier() {
-        let lane = &shard.counters.lanes[tier.index()];
-        shard.counters.add(&lane.batches, 1);
+        let lane = &shard.lanes[tier.index()];
+        shard.add(&lane.batches, 1);
         if let Some(tally) = solver.take_screen_stats() {
-            shard.counters.add(&lane.candidates, tally.screened);
-            shard.counters.add(&lane.survivors, tally.rescored);
+            shard.add(&lane.candidates, tally.screened);
+            shard.add(&lane.survivors, tally.rescored);
         }
     }
-    shard.counters.add(&shard.counters.busy_ns, busy_ns);
-    shard
-        .counters
-        .add(&shard.counters.users_served, total_users as u64);
+    shard.add(&shard.busy_ns, busy_ns);
+    shard.add(&shard.users_served, total_users as u64);
     if batch.len() > 1 {
-        shard
-            .counters
-            .add(&shard.counters.coalesced, batch.len() as u64);
+        shard.add(&shard.coalesced, batch.len() as u64);
     }
 
     match outcome {

@@ -395,7 +395,7 @@ impl ShardCounters {
 pub struct ShardMetrics {
     /// Shard index.
     pub shard: usize,
-    /// The contiguous user range this shard owns.
+    /// The contiguous user range this shard owns in the current epoch.
     pub users: Range<usize>,
     /// Sub-requests routed to this shard so far.
     pub submitted: u64,
@@ -454,9 +454,6 @@ pub struct ServerCounters {
     pub(crate) completed: AtomicU64,
     pub(crate) rejected: AtomicU64,
     pub(crate) failed: AtomicU64,
-    /// Topology installs beyond the initial one: how many model swaps the
-    /// serving runtime has picked up (re-sharding included).
-    pub(crate) swaps: AtomicU64,
     pub(crate) latency: LatencyHistogram,
 }
 
@@ -471,21 +468,21 @@ pub struct ServerMetrics {
     pub rejected: u64,
     /// Requests that completed with an error (worker panic, plan failure).
     pub failed: u64,
-    /// The model epoch the server is currently admitting requests onto.
-    /// In-flight requests may still be finishing on older epochs.
+    /// The engine's current model epoch: the one new requests are admitted
+    /// onto. In-flight requests may still be finishing on older epochs.
     pub epoch: u64,
     /// The engine's configured numeric mode
     /// ([`crate::precision::Precision`]). Per-plan decisions under `Auto`
     /// surface as each shard's per-tier [`ShardMetrics::lanes`] shares.
     pub precision: crate::precision::Precision,
-    /// Model swaps the runtime has picked up (topology rebuilds — the
-    /// count of `swap_model` calls whose new epoch reached the server).
+    /// Model swaps since the server was built (`epoch` minus the engine's
+    /// epoch at build).
     pub swaps: u64,
     /// End-to-end request latency (submission → reassembled response).
     pub latency: LatencySnapshot,
-    /// Per-shard counters, in shard order. Counters accumulate across
-    /// swaps while the shard bounds are unchanged; a swap that re-shards
-    /// (the user count changed) starts the per-shard counters afresh.
+    /// Per-shard counters, in shard order, cumulative since the server was
+    /// built: shard `i` counts the `i`-th user range of every epoch served,
+    /// and its `users` is that range in the current epoch.
     pub shards: Vec<ShardMetrics>,
 }
 

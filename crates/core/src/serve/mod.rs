@@ -6,8 +6,8 @@
 //! ROADMAP's "millions of users" north star:
 //!
 //! * **Sharding.** The model's users are split into contiguous ranges (the
-//!   paper's Fig. 6 partitioning), one `ShardEngine` per shard with its own
-//!   counters. Every solver is built once over the whole model, and every
+//!   paper's Fig. 6 partitioning), each with its own counters. Every solver
+//!   is built once over the whole model, and every
 //!   [`PreparedPlan`](crate::engine::PreparedPlan) once per `k` and epoch;
 //!   all shards share both.
 //!   A request that straddles shards is split and its response reassembled
@@ -18,19 +18,19 @@
 //!   blocking; [`MipsServer::try_submit`] bounces with
 //!   [`MipsError::ServerOverloaded`] instead.
 //! * **Dynamic micro-batching.** Queued single-user/small sub-requests
-//!   targeting the same `(shard, k)` coalesce into one batched solver call
+//!   under the same `(epoch, shard, k)` coalesce into one batched solver call
 //!   — the paper's batched-GEMM amortization applied to concurrent traffic.
 //!   A worker takes whatever matching work is already queued, up to
 //!   [`ServerBuilder::max_batch`] users, and never waits for more.
 //! * **Observability.** Per-shard throughput/latency counters and
 //!   request-level p50/p99, via [`MipsServer::metrics`].
 //! * **Hot model swap.** [`Engine::swap_model`] on the fronted engine is
-//!   picked up without restarting the server: each request is admitted
-//!   onto the epoch current at submission and served on it end to end,
-//!   while the shard topology (re-chunked when the user count changed)
-//!   follows the new epoch for subsequent admissions. The micro-batcher
-//!   never coalesces across epochs, and [`ServerMetrics`] reports the
-//!   serving epoch and swap count.
+//!   picked up without restarting the server: each request pins the epoch
+//!   current at submission, is split into that epoch's shard ranges, and
+//!   is served on it end to end; the epoch is freed when its last
+//!   in-flight sub-request settles. The micro-batcher never coalesces
+//!   across epochs, and [`ServerMetrics`] reports the current epoch and the
+//!   swaps since the server was built.
 //!
 //! Results are bit-identical to sequential [`Engine::execute`] calls; the
 //! concurrency is invisible except in the clock.
@@ -77,14 +77,14 @@ pub use metrics::{
     TierLaneMetrics, TierLanes,
 };
 
-use crate::engine::epoch::{ArcCell, ModelEpoch};
-use crate::engine::{lock_recovering, Engine, MipsError, QueryRequest, QueryResponse};
+use crate::engine::{Engine, MipsError, QueryRequest, QueryResponse};
+use crate::parallel::chunk_bounds;
 use crate::sync::atomic::Ordering;
 use crate::sync::thread::JoinHandle;
-use crate::sync::{Arc, Mutex};
+use crate::sync::Arc;
 use metrics::{ServerCounters, ShardCounters};
 use queue::SubmitQueue;
-use shard::{Notifier, Pending, ShardEngine, ShardRouter};
+use shard::{Notifier, Pending};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -95,8 +95,9 @@ use std::time::Instant;
 /// builder-assembled one are rejected identically.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// User shards (contiguous ranges). `0` = one per available core,
-    /// capped by the user count.
+    /// User shards (contiguous ranges). `0` = one per available core.
+    /// Capped by the user count at build; every epoch's users are cut into
+    /// at most that many ranges, so a swap never adds shards.
     pub shards: usize,
     /// Worker threads in the pool. `0` = match the shard count.
     pub workers: usize,
@@ -223,30 +224,27 @@ impl ServerBuilder {
         if config.workers == 0 {
             config.workers = config.shards;
         }
-        if config.queue_capacity < config.shards.min(engine.model().num_users()) {
+        let epoch = engine.snapshot();
+        let num_shards = chunk_bounds(epoch.model.num_users(), config.shards).len();
+        if config.queue_capacity < num_shards {
             // A request can split into one sub-request per shard; a queue
             // smaller than that could only admit such a request into an
             // empty queue, which sustained small traffic can starve forever.
-            // (Topology rebuilds after a model swap additionally cap the
-            // effective shard count at `queue_capacity`, so the guarantee
-            // survives swaps that grow the user count.)
+            // No later epoch is cut into more shards, so the bound holds
+            // across swaps.
             return Err(MipsError::InvalidConfig(format!(
-                "queue_capacity ({}) must be at least the shard count ({}) \
+                "queue_capacity ({}) must be at least the shard count ({num_shards}) \
                  so any request can be admitted",
-                config.queue_capacity,
-                config.shards.min(engine.model().num_users())
+                config.queue_capacity
             )));
         }
 
-        let snapshot = engine.snapshot();
-        let counters = Arc::new(ServerCounters::default());
-        let topology = Arc::new(build_topology(&engine, &snapshot, &config, None));
         let shared = Arc::new(ServerShared {
             engine,
-            topology: ArcCell::new(topology),
-            rebuild: Mutex::new(()),
             queue: SubmitQueue::new(config.queue_capacity),
-            counters,
+            counters: Arc::new(ServerCounters::default()),
+            shards: (0..num_shards).map(|_| ShardCounters::default()).collect(),
+            first_epoch: epoch.id,
             config: config.clone(),
         });
         let workers = (0..config.workers)
@@ -262,109 +260,18 @@ impl ServerBuilder {
     }
 }
 
-/// The shard layout for one model epoch: the router that splits requests
-/// plus the epoch-pinned [`ShardEngine`] each shard executes on.
-///
-/// A model swap does not mutate a topology — a fresh one is built for the
-/// new epoch on the next admission (see [`ServerShared::topology_for`]) and
-/// installed atomically, so in-flight sub-requests keep their old shard
-/// engines until they settle.
-pub(crate) struct Topology {
-    pub(crate) epoch: u64,
-    pub(crate) router: ShardRouter,
-    pub(crate) shards: Vec<Arc<ShardEngine>>,
-}
-
-/// Builds the topology serving `snapshot`: shards re-chunk to the epoch's
-/// user count (capped by the configured shard count and, post-swap, the
-/// queue capacity — so a whole-model request always fits the queue). When
-/// the previous topology has identical bounds, per-shard counters carry
-/// over so swap-induced rebuilds do not reset cumulative metrics; a
-/// re-shard (changed bounds) starts them afresh.
-fn build_topology(
-    engine: &Arc<Engine>,
-    snapshot: &Arc<ModelEpoch>,
-    config: &ServeOptions,
-    previous: Option<&Topology>,
-) -> Topology {
-    let shard_cap = config.shards.min(config.queue_capacity);
-    let router = ShardRouter::new(snapshot.model.num_users(), shard_cap);
-    let carry_over =
-        previous.filter(|prev| prev.router.bounds() == router.bounds() && !prev.shards.is_empty());
-    let shards = router
-        .bounds()
-        .iter()
-        .enumerate()
-        .map(|(i, users)| {
-            let counters = match carry_over {
-                Some(prev) => Arc::clone(&prev.shards[i].counters),
-                None => Arc::new(ShardCounters::default()),
-            };
-            Arc::new(ShardEngine::new(
-                i,
-                users.clone(),
-                Arc::clone(engine),
-                Arc::clone(snapshot),
-                counters,
-            ))
-        })
-        .collect();
-    Topology {
-        epoch: snapshot.id,
-        router,
-        shards,
-    }
-}
-
 /// State shared between the server handle and its workers.
 pub(crate) struct ServerShared {
     pub(crate) engine: Arc<Engine>,
-    /// The topology serving the newest epoch the server has seen.
-    pub(crate) topology: ArcCell<Topology>,
-    /// Serializes topology rebuilds so concurrent submitters after a swap
-    /// build the new shard set once, not once each.
-    rebuild: Mutex<()>,
     pub(crate) queue: SubmitQueue,
     pub(crate) counters: Arc<ServerCounters>,
+    /// One counter slot per shard, sized at build: slot `i` counts the
+    /// `i`-th range of whichever epoch a sub-request was split on.
+    pub(crate) shards: Arc<[ShardCounters]>,
+    /// The engine's epoch when the server was built; `swaps` counts from
+    /// it.
+    first_epoch: u64,
     pub(crate) config: ServeOptions,
-}
-
-impl ServerShared {
-    /// The topology for the given epoch snapshot, rebuilding (and
-    /// installing) it when the engine has swapped since the last admission.
-    ///
-    /// Returns `None` when `snapshot` is already older than the installed
-    /// topology (another submitter raced a newer swap in): the caller must
-    /// re-snapshot and re-validate on the newer epoch. This keeps the
-    /// installed topology's epoch monotonic and ensures every admitted
-    /// sub-request lands on shard counters that [`MipsServer::metrics`]
-    /// can see — no orphan topologies.
-    pub(crate) fn topology_for(&self, snapshot: &Arc<ModelEpoch>) -> Option<Arc<Topology>> {
-        let current = self.topology.load();
-        if current.epoch == snapshot.id {
-            return Some(current);
-        }
-        if current.epoch > snapshot.id {
-            return None;
-        }
-        let _rebuild = lock_recovering(&self.rebuild);
-        let current = self.topology.load();
-        if current.epoch == snapshot.id {
-            return Some(current);
-        }
-        if current.epoch > snapshot.id {
-            return None;
-        }
-        let fresh = Arc::new(build_topology(
-            &self.engine,
-            snapshot,
-            &self.config,
-            Some(&current),
-        ));
-        self.topology.swap_with(|_| Arc::clone(&fresh));
-        self.counters.swaps.fetch_add(1, Ordering::Relaxed);
-        Some(fresh)
-    }
 }
 
 /// A waitable in-flight request returned by [`MipsServer::submit`].
@@ -408,10 +315,11 @@ impl MipsServer {
         &self.shared.config
     }
 
-    /// The contiguous user range of each shard of the current topology
-    /// (a snapshot: a model swap that changes the user count re-chunks).
+    /// The contiguous user range of each shard of the current epoch (a
+    /// snapshot: a model swap that changes the user count re-cuts them).
     pub fn shard_bounds(&self) -> Vec<Range<usize>> {
-        self.shared.topology.load().router.bounds().to_vec()
+        let num_users = self.shared.engine.snapshot().model.num_users();
+        chunk_bounds(num_users, self.shared.shards.len())
     }
 
     /// Worker threads in the pool.
@@ -467,28 +375,18 @@ impl MipsServer {
     ) -> Result<Arc<Pending>, MipsError> {
         // One epoch snapshot per request: validation, splitting, planning,
         // and serving all resolve against it, so a concurrent swap_model
-        // can never tear a request across two models. If a newer epoch was
-        // installed while validating (rare swap race), retry on it —
-        // epochs are monotonic, so this terminates.
-        let (snapshot, topology) = loop {
-            let snapshot = self.shared.engine.snapshot();
-            request.validate(&snapshot.model)?;
-            if let Some(topology) = self.shared.topology_for(&snapshot) {
-                break (snapshot, topology);
-            }
-        };
+        // can never tear a request across two models.
+        let epoch = self.shared.engine.snapshot();
+        request.validate(&epoch.model)?;
         let now = Instant::now();
-        let result_len = request.result_len(&snapshot.model);
         let pending = Arc::new(Pending::with_notifier(
-            result_len,
+            request.result_len(&epoch.model),
             now,
             Some(Arc::clone(&self.shared.counters)),
-            snapshot.id,
+            epoch.id,
             notifier,
         ));
-        let subs = topology
-            .router
-            .split(request, &pending, now, &topology.shards);
+        let subs = shard::split(request, &epoch, &self.shared.shards, &pending, now);
         debug_assert!(!subs.is_empty(), "validated requests select users");
         // Safe to set after splitting: no worker sees the subs until
         // push_all succeeds below.
@@ -517,20 +415,30 @@ impl MipsServer {
     }
 
     /// Snapshots every counter: request-level throughput/latency plus the
-    /// per-shard breakdown of the current topology (per-shard counters
-    /// survive swaps that keep the shard bounds; a re-shard resets them).
+    /// per-shard breakdown, cumulative since build. The epoch, swap count
+    /// and shard ranges come from one engine snapshot; a slot the current
+    /// epoch has no range for (it has fewer users than shards) reports an
+    /// empty one.
     pub fn metrics(&self) -> ServerMetrics {
-        let topology = self.shared.topology.load();
+        let epoch = self.shared.engine.snapshot();
+        let num_users = epoch.model.num_users();
+        let bounds = chunk_bounds(num_users, self.shared.shards.len());
+        let counters = &self.shared.counters;
         ServerMetrics {
-            submitted: self.shared.counters.submitted.load(Ordering::Relaxed),
-            completed: self.shared.counters.completed.load(Ordering::Relaxed),
-            rejected: self.shared.counters.rejected.load(Ordering::Relaxed),
-            failed: self.shared.counters.failed.load(Ordering::Relaxed),
-            epoch: topology.epoch,
+            submitted: counters.submitted.load(Ordering::Relaxed),
+            completed: counters.completed.load(Ordering::Relaxed),
+            rejected: counters.rejected.load(Ordering::Relaxed),
+            failed: counters.failed.load(Ordering::Relaxed),
+            epoch: epoch.id,
             precision: self.shared.engine.precision(),
-            swaps: self.shared.counters.swaps.load(Ordering::Relaxed),
-            latency: self.shared.counters.latency.snapshot(),
-            shards: topology.shards.iter().map(|s| s.metrics()).collect(),
+            swaps: epoch.id - self.shared.first_epoch,
+            latency: counters.latency.snapshot(),
+            shards: (self.shared.shards.iter().enumerate())
+                .map(|(i, shard)| {
+                    let users = bounds.get(i).cloned().unwrap_or(num_users..num_users);
+                    shard.snapshot(i, users)
+                })
+                .collect(),
         }
     }
 
@@ -562,10 +470,9 @@ impl Drop for MipsServer {
 
 impl std::fmt::Debug for MipsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let topology = self.shared.topology.load();
         f.debug_struct("MipsServer")
-            .field("epoch", &topology.epoch)
-            .field("shards", &topology.router.num_shards())
+            .field("epoch", &self.shared.engine.epoch())
+            .field("shards", &self.shared.shards.len())
             .field("workers", &self.workers.len())
             .field("queue_capacity", &self.shared.config.queue_capacity)
             .field("max_batch", &self.shared.config.max_batch)

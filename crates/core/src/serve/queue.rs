@@ -8,7 +8,7 @@
 //!   would leave a request permanently incomplete. `push_all` admits a
 //!   request's whole sub-request set atomically or not at all.
 //! * **Keyed extraction.** The micro-batcher coalesces queued sub-requests
-//!   that target the same `(shard, k)`. Workers pull their first item FIFO,
+//!   under the same `(epoch, shard, k)`. Workers pull their first item FIFO,
 //!   then extract every queued match, leaving other work in order for the
 //!   rest of the pool.
 //!
@@ -22,34 +22,21 @@
 
 use super::shard::SubRequest;
 use crate::engine::MipsError;
-use crate::sync::{Arc, Condvar, Mutex};
+use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 
-/// The key micro-batchable work is coalesced under: one concrete
-/// [`ShardEngine`](super::shard::ShardEngine) instance at one `k`.
+/// The key micro-batchable work is coalesced under: one shard range of one
+/// model epoch at one `k`.
 ///
-/// Keying on the shard engine's identity (not its index) makes coalescing
-/// epoch-safe by construction: a model swap installs a new topology with
-/// new shard engines, so sub-requests admitted before and after a swap can
-/// never share a batch — they would plan on different models. The raw
-/// address is stable and unambiguous here because every candidate
-/// sub-request holds the engine alive through its `Arc` while it is
-/// queued, so two equal addresses always mean the same live engine.
+/// The epoch id makes coalescing epoch-safe by construction: sub-requests
+/// admitted before and after a model swap can never share a batch — they
+/// would plan on different models. Epoch ids are strictly increasing per
+/// engine, so equal keys always mean the same epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct BatchKey {
-    /// `Arc::as_ptr` of the shard engine, kept as a plain address token —
-    /// never dereferenced, only compared.
-    engine: usize,
+    epoch: u64,
+    shard: usize,
     k: usize,
-}
-
-impl BatchKey {
-    pub(crate) fn of(sub: &SubRequest) -> BatchKey {
-        BatchKey {
-            engine: Arc::as_ptr(&sub.engine) as usize,
-            k: sub.k,
-        }
-    }
 }
 
 /// Work items the bounded queue can carry and the micro-batcher can
@@ -75,7 +62,11 @@ pub trait QueueItem {
 impl QueueItem for SubRequest {
     type Key = BatchKey;
     fn key(&self) -> BatchKey {
-        BatchKey::of(self)
+        BatchKey {
+            epoch: self.epoch.id,
+            shard: self.shard,
+            k: self.k,
+        }
     }
     fn weight(&self) -> usize {
         self.users.len()
@@ -88,7 +79,8 @@ impl QueueItem for SubRequest {
         // Counted here rather than by the submitter so a bounced request
         // never shows as phantom in-flight work in `ShardMetrics`, and a
         // shard's `completed` can never run ahead of its `submitted`.
-        self.engine.counters.add(&self.engine.counters.submitted, 1);
+        let counters = &self.shards[self.shard];
+        counters.add(&counters.submitted, 1);
     }
 }
 
@@ -111,7 +103,7 @@ pub struct BoundedQueue<I: QueueItem> {
     capacity: usize,
 }
 
-/// The production queue: sub-requests keyed by `(shard engine, k)`.
+/// The production queue: sub-requests keyed by `(epoch, shard, k)`.
 pub(crate) type SubmitQueue = BoundedQueue<SubRequest>;
 
 impl<I: QueueItem> BoundedQueue<I> {
@@ -260,20 +252,32 @@ impl<I: QueueItem> BoundedQueue<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::shard::{test_engines, Pending, ShardEngine, ShardRouter, SubUsers};
+    use crate::engine::epoch::ModelEpoch;
+    use crate::engine::QueryRequest;
+    use crate::serve::metrics::ShardCounters;
+    use crate::serve::shard::{split, test_epoch, test_shards, Pending, SubUsers};
+    use crate::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// One shard-engine set shared by every sub-request of a test, so
-    /// sub-requests with equal shard indexes get equal batch keys.
-    fn engines() -> Vec<Arc<ShardEngine>> {
-        test_engines(&ShardRouter::new(12, 3))
+    /// One epoch and one counter set shared by every sub-request of a
+    /// test, so sub-requests with equal shard indexes get equal batch
+    /// keys.
+    struct Fixture {
+        epoch: Arc<ModelEpoch>,
+        shards: Arc<[ShardCounters]>,
     }
 
-    fn sub(engines: &[Arc<ShardEngine>], shard: usize, k: usize, user: usize) -> SubRequest {
+    fn fixture() -> Fixture {
+        Fixture {
+            epoch: test_epoch(0, 12),
+            shards: test_shards(3),
+        }
+    }
+
+    fn sub(f: &Fixture, shard: usize, k: usize, user: usize) -> SubRequest {
         let now = Instant::now();
         SubRequest {
             shard,
-            epoch: engines[shard].epoch.id,
             k,
             users: SubUsers::Ids {
                 users: vec![user],
@@ -281,14 +285,15 @@ mod tests {
             },
             exclude: None,
             pending: Arc::new(Pending::new(1, now)),
-            engine: Arc::clone(&engines[shard]),
+            epoch: Arc::clone(&f.epoch),
+            shards: Arc::clone(&f.shards),
             submitted_at: now,
         }
     }
 
     #[test]
     fn try_push_bounces_when_full_blocking_push_waits() {
-        let e = engines();
+        let e = fixture();
         let q = SubmitQueue::new(2);
         q.push_all(vec![sub(&e, 0, 1, 0), sub(&e, 0, 1, 1)], false)
             .unwrap();
@@ -308,7 +313,7 @@ mod tests {
 
     #[test]
     fn oversized_requests_admit_only_into_an_empty_queue() {
-        let e = engines();
+        let e = fixture();
         let q = SubmitQueue::new(2);
         let big = vec![sub(&e, 0, 1, 0), sub(&e, 1, 1, 1), sub(&e, 2, 1, 2)];
         q.push_all(big, false).unwrap();
@@ -318,7 +323,7 @@ mod tests {
 
     #[test]
     fn extract_matching_pulls_only_the_key_and_keeps_order() {
-        let e = engines();
+        let e = fixture();
         let q = SubmitQueue::new(16);
         q.push_all(
             vec![
@@ -332,7 +337,7 @@ mod tests {
         .unwrap();
         let first = q.pop().unwrap();
         assert_eq!((first.shard, first.k), (0, 5));
-        let key = BatchKey::of(&first);
+        let key = first.key();
         let mut batch = vec![first];
         q.extract_matching(key, 8, 32, &mut batch);
         assert_eq!(batch.len(), 2, "only shard-0 k=5 items coalesce");
@@ -342,21 +347,35 @@ mod tests {
     }
 
     #[test]
-    fn subs_on_different_shard_engine_sets_never_share_a_key() {
-        // Two topologies (e.g. before and after a model swap) produce
-        // distinct batch keys even at the same shard index and k, so the
-        // micro-batcher cannot coalesce across epochs.
-        let old_topology = engines();
-        let new_topology = engines();
-        let a = sub(&old_topology, 0, 5, 1);
-        let b = sub(&new_topology, 0, 5, 2);
-        assert_ne!(BatchKey::of(&a), BatchKey::of(&b));
-        assert_eq!(BatchKey::of(&a), BatchKey::of(&sub(&old_topology, 0, 5, 3)));
+    fn one_request_split_on_two_epochs_never_shares_a_key() {
+        // The same request split on the epochs before and after a swap
+        // yields the same shards and k but distinct batch keys, so the
+        // micro-batcher cannot coalesce across epochs; the same
+        // `(epoch, shard, k)` always shares one.
+        let shards = test_shards(3);
+        let request = QueryRequest::top_k(5).users(vec![0, 5, 11]);
+        let now = Instant::now();
+        let keys = |epoch: &Arc<ModelEpoch>| -> Vec<BatchKey> {
+            let pending = Arc::new(Pending::new(3, now));
+            let subs = split(&request, epoch, &shards, &pending, now);
+            subs.iter().map(QueueItem::key).collect()
+        };
+        let (old, new) = (test_epoch(0, 12), test_epoch(1, 12));
+        let (old_keys, new_keys) = (keys(&old), keys(&new));
+        assert_eq!(old_keys.len(), 3);
+        assert_eq!(new_keys.len(), 3);
+        for key in &old_keys {
+            assert!(!new_keys.contains(key), "{key:?} shared across epochs");
+        }
+        assert_eq!(old_keys, keys(&old));
+        // Keyed by value: a second `Arc` of an epoch with the same id
+        // coalesces with the first, so the key holds no identity.
+        assert_eq!(old_keys, keys(&test_epoch(0, 12)));
     }
 
     #[test]
     fn closed_queue_drains_then_ends() {
-        let e = engines();
+        let e = fixture();
         let q = SubmitQueue::new(4);
         q.push_all(vec![sub(&e, 0, 1, 0)], false).unwrap();
         q.close();

@@ -9,11 +9,13 @@
 //! per shard, and the per-shard results are scattered back into the
 //! response in request order. Exclusion sets ride along untouched: they are
 //! keyed by global user id, so a set that straddles shards simply travels
-//! with every sub-request that needs it.
+//! with every sub-request that needs it. The ranges are cut from the
+//! request's own epoch at split time, so a swap that changes the user count
+//! re-cuts them with nothing to rebuild.
 
-use super::metrics::{ServerCounters, ShardCounters, ShardMetrics};
+use super::metrics::{ServerCounters, ShardCounters};
 use crate::engine::epoch::ModelEpoch;
-use crate::engine::{Engine, ExclusionSet, MipsError, QueryRequest, QueryResponse, UserSelection};
+use crate::engine::{ExclusionSet, MipsError, QueryRequest, QueryResponse, UserSelection};
 use crate::parallel::chunk_bounds;
 use crate::sync::{Arc, Condvar, Mutex};
 use mips_topk::TopKList;
@@ -21,183 +23,89 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
-/// One shard of the serving runtime: a contiguous user range plus the
-/// shard-local counters the workers touch on the hot path. Plans come from
-/// the pinned epoch's per-`k` cache ([`Engine::prepare_on`]), shared by
-/// every shard. Solver scratch is allocated inside each `query_*` call,
-/// one set per worker invocation, never shared.
-///
-/// A shard engine is pinned to one model epoch: sub-requests carry an
-/// `Arc` to the shard engine they were split against, so a sub-request
-/// admitted before a [`swap_model`](Engine::swap_model) plans and serves on
-/// its original epoch even if the swap lands mid-queue. Fresh shard
-/// engines (a new topology) are built for the new epoch on the next
-/// admission; the old set is reclaimed when the last in-flight sub-request
-/// drops its `Arc`.
-pub(crate) struct ShardEngine {
-    pub(crate) index: usize,
-    pub(crate) users: Range<usize>,
-    /// The pinned model epoch (plans, solvers, and validation all resolve
-    /// against this snapshot, never the engine's live state).
-    pub(crate) epoch: Arc<ModelEpoch>,
-    pub(crate) engine: Arc<Engine>,
-    /// Shared so a re-built topology with identical bounds carries its
-    /// cumulative counters forward (see `build_topology`).
-    pub(crate) counters: Arc<ShardCounters>,
+/// Splits a request validated on `epoch` into per-shard sub-requests, all
+/// wired to one [`Pending`] reassembly buffer sized for the full response.
+/// The shard ranges are `epoch`'s users cut into at most `shards.len()`
+/// [`chunk_bounds`] pieces; each sub-request pins `epoch` until it settles
+/// and is counted in `shards[its shard]`.
+pub(crate) fn split(
+    request: &QueryRequest,
+    epoch: &Arc<ModelEpoch>,
+    shards: &Arc<[ShardCounters]>,
+    pending: &Arc<Pending>,
+    now: Instant,
+) -> Vec<SubRequest> {
+    let bounds = chunk_bounds(epoch.model.num_users(), shards.len());
+    let exclude = request.exclude.clone().filter(|e| !e.is_empty());
+    let sub = |(shard, users): (usize, SubUsers)| SubRequest {
+        shard,
+        k: request.k,
+        users,
+        exclude: exclude.clone(),
+        pending: Arc::clone(pending),
+        epoch: Arc::clone(epoch),
+        shards: Arc::clone(shards),
+        submitted_at: now,
+    };
+    let groups = match &request.users {
+        UserSelection::All => group_range(&bounds, 0..epoch.model.num_users()),
+        UserSelection::Range(range) => group_range(&bounds, range.clone()),
+        UserSelection::Ids(ids) => group_ids(&bounds, ids),
+    };
+    groups.into_iter().map(sub).collect()
 }
 
-impl ShardEngine {
-    pub(crate) fn new(
-        index: usize,
-        users: Range<usize>,
-        engine: Arc<Engine>,
-        epoch: Arc<ModelEpoch>,
-        counters: Arc<ShardCounters>,
-    ) -> ShardEngine {
-        ShardEngine {
-            index,
-            users,
-            epoch,
-            engine,
-            counters,
-        }
-    }
-
-    pub(crate) fn metrics(&self) -> ShardMetrics {
-        self.counters.snapshot(self.index, self.users.clone())
-    }
+/// The slice of `range` each shard owns, ascending by shard; each slice's
+/// results land contiguously at its offset in `range`.
+fn group_range(bounds: &[Range<usize>], range: Range<usize>) -> Vec<(usize, SubUsers)> {
+    let slice = |(shard, owned): (usize, &Range<usize>)| {
+        let users = range.start.max(owned.start)..range.end.min(owned.end);
+        let out_start = users.start - range.start;
+        (!users.is_empty()).then_some((shard, SubUsers::Range { users, out_start }))
+    };
+    bounds.iter().enumerate().filter_map(slice).collect()
 }
 
-/// Maps users to shards and splits requests at shard boundaries.
-pub(crate) struct ShardRouter {
-    bounds: Vec<Range<usize>>,
+/// The shard owning `user` among `bounds` (a [`chunk_bounds`] cut, so every
+/// range but the last is as long as the first). Caller guarantees `user`
+/// is in range.
+fn shard_of(bounds: &[Range<usize>], user: usize) -> usize {
+    user / bounds[0].len()
 }
 
-impl ShardRouter {
-    /// Partitions `num_users` into at most `shards` contiguous ranges
-    /// (fewer when there are not enough users; the final range is shorter
-    /// when the division is ragged).
-    pub(crate) fn new(num_users: usize, shards: usize) -> ShardRouter {
-        ShardRouter {
-            bounds: chunk_bounds(num_users, shards),
+/// The ids of one request grouped by owning shard, ascending by shard,
+/// request order (and response positions) preserved within each.
+fn group_ids(bounds: &[Range<usize>], ids: &[usize]) -> Vec<(usize, SubUsers)> {
+    // The straight path: every id on one shard — always so for the
+    // one-id request that is most point traffic — needs no grouping.
+    if let Some(&first) = ids.first() {
+        let shard = shard_of(bounds, first);
+        if ids.iter().all(|user| bounds[shard].contains(user)) {
+            let users = SubUsers::Ids {
+                users: ids.to_vec(),
+                positions: (0..ids.len()).collect(),
+            };
+            return vec![(shard, users)];
         }
     }
+    group_ids_across_shards(bounds, ids)
+}
 
-    pub(crate) fn bounds(&self) -> &[Range<usize>] {
-        &self.bounds
+/// [`group_ids`] for ids that straddle shards (correct for any id list;
+/// the unit tests hold the straight path against it).
+fn group_ids_across_shards(bounds: &[Range<usize>], ids: &[usize]) -> Vec<(usize, SubUsers)> {
+    let mut per_shard: HashMap<usize, (Vec<usize>, Vec<usize>)> = HashMap::new();
+    for (pos, &user) in ids.iter().enumerate() {
+        let entry = per_shard.entry(shard_of(bounds, user)).or_default();
+        entry.0.push(user);
+        entry.1.push(pos);
     }
-
-    pub(crate) fn num_shards(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// The shard owning `user`. Caller guarantees `user` is in range.
-    fn shard_of(&self, user: usize) -> usize {
-        // Shards are contiguous and start at 0; binary-search the start
-        // offsets.
-        self.bounds
-            .partition_point(|r| r.end <= user)
-            .min(self.bounds.len() - 1)
-    }
-
-    /// Splits a validated request into per-shard sub-requests, all wired to
-    /// one [`Pending`] reassembly buffer sized for the full response. Each
-    /// sub-request carries the [`ShardEngine`] it was split against
-    /// (`engines[shard]`), pinning it to that topology's model epoch.
-    pub(crate) fn split(
-        &self,
-        request: &QueryRequest,
-        pending: &Arc<Pending>,
-        now: Instant,
-        engines: &[Arc<ShardEngine>],
-    ) -> Vec<SubRequest> {
-        debug_assert_eq!(engines.len(), self.bounds.len());
-        let exclude = request.exclude.clone().filter(|e| !e.is_empty());
-        let sub = |users: SubUsers, shard: usize| SubRequest {
-            shard,
-            epoch: engines[shard].epoch.id,
-            k: request.k,
-            users,
-            exclude: exclude.clone(),
-            pending: Arc::clone(pending),
-            engine: Arc::clone(&engines[shard]),
-            submitted_at: now,
-        };
-        match &request.users {
-            UserSelection::All => self
-                .bounds
-                .iter()
-                .filter(|r| !r.is_empty())
-                .enumerate()
-                .map(|(shard, r)| {
-                    sub(
-                        SubUsers::Range {
-                            users: r.clone(),
-                            out_start: r.start,
-                        },
-                        shard,
-                    )
-                })
-                .collect(),
-            UserSelection::Range(range) => {
-                let mut subs = Vec::new();
-                for (shard, bounds) in self.bounds.iter().enumerate() {
-                    let start = range.start.max(bounds.start);
-                    let end = range.end.min(bounds.end);
-                    if start < end {
-                        subs.push(sub(
-                            SubUsers::Range {
-                                users: start..end,
-                                out_start: start - range.start,
-                            },
-                            shard,
-                        ));
-                    }
-                }
-                subs
-            }
-            UserSelection::Ids(ids) => self
-                .group_ids(ids)
-                .into_iter()
-                .map(|(shard, users)| sub(users, shard))
-                .collect(),
-        }
-    }
-
-    /// The ids of one request grouped by owning shard, ascending by shard,
-    /// request order (and response positions) preserved within each.
-    fn group_ids(&self, ids: &[usize]) -> Vec<(usize, SubUsers)> {
-        // The straight path: every id on one shard — always so for the
-        // one-id request that is most point traffic — needs no grouping.
-        if let Some(&first) = ids.first() {
-            let shard = self.shard_of(first);
-            if ids.iter().all(|user| self.bounds[shard].contains(user)) {
-                let users = SubUsers::Ids {
-                    users: ids.to_vec(),
-                    positions: (0..ids.len()).collect(),
-                };
-                return vec![(shard, users)];
-            }
-        }
-        self.group_ids_across_shards(ids)
-    }
-
-    /// [`ShardRouter::group_ids`] for ids that straddle shards (correct for
-    /// any id list; the unit tests hold the straight path against it).
-    fn group_ids_across_shards(&self, ids: &[usize]) -> Vec<(usize, SubUsers)> {
-        let mut per_shard: HashMap<usize, (Vec<usize>, Vec<usize>)> = HashMap::new();
-        for (pos, &user) in ids.iter().enumerate() {
-            let entry = per_shard.entry(self.shard_of(user)).or_default();
-            entry.0.push(user);
-            entry.1.push(pos);
-        }
-        let mut groups: Vec<(usize, SubUsers)> = per_shard
-            .into_iter()
-            .map(|(shard, (users, positions))| (shard, SubUsers::Ids { users, positions }))
-            .collect();
-        groups.sort_unstable_by_key(|(shard, _)| *shard);
-        groups
-    }
+    let mut groups: Vec<(usize, SubUsers)> = per_shard
+        .into_iter()
+        .map(|(shard, (users, positions))| (shard, SubUsers::Ids { users, positions }))
+        .collect();
+    groups.sort_unstable_by_key(|(shard, _)| *shard);
+    groups
 }
 
 /// The users of one sub-request, with the positions their results occupy in
@@ -234,23 +142,26 @@ impl SubUsers {
 /// One unit of shard work: a per-shard slice of a request, submitted to the
 /// worker pool through the server's queue.
 pub(crate) struct SubRequest {
+    /// The position of this sub-request's range among its epoch's shard
+    /// ranges.
     pub(crate) shard: usize,
-    /// The model epoch this sub-request is pinned to (`engine.epoch.id`,
-    /// duplicated here so metrics and assertions need no pointer chase).
-    pub(crate) epoch: u64,
     pub(crate) k: usize,
     pub(crate) users: SubUsers,
     pub(crate) exclude: Option<Arc<ExclusionSet>>,
     pub(crate) pending: Arc<Pending>,
-    /// The shard engine to execute on — the topology entry current at
-    /// admission, kept alive by this `Arc` until the sub-request settles.
-    pub(crate) engine: Arc<ShardEngine>,
+    /// The model epoch the request was validated on: planning and serving
+    /// resolve against it, and this `Arc` keeps its model, solvers and
+    /// plans alive until the sub-request settles — no longer.
+    pub(crate) epoch: Arc<ModelEpoch>,
+    /// The server's per-shard counters; `shards[shard]` counts this
+    /// sub-request.
+    pub(crate) shards: Arc<[ShardCounters]>,
     pub(crate) submitted_at: Instant,
 }
 
 impl SubRequest {
     /// Whether the micro-batcher may coalesce this sub-request with others
-    /// targeting the same `(shard, k)`. Exclusion-carrying requests are
+    /// under the same `(epoch, shard, k)`. Exclusion-carrying requests are
     /// served solo: two batched requests could exclude different items for
     /// the same user, which a merged exclusion set cannot express.
     pub(crate) fn batchable(&self, max_batch: usize) -> bool {
@@ -492,93 +403,71 @@ impl Pending {
     }
 }
 
-/// Test-only construction of a shard-engine set over a tiny real engine,
-/// shared by the shard/queue/batcher unit tests (which exercise routing and
-/// coalescing identity, not serving).
+/// A test-only epoch `id` over a tiny synthetic model, shared by the
+/// shard and queue unit tests (which exercise splitting and batch keys,
+/// not serving).
 #[cfg(test)]
-pub(crate) fn test_engines(router: &ShardRouter) -> Vec<Arc<ShardEngine>> {
-    use crate::engine::{BmmFactory, EngineBuilder};
+pub(crate) fn test_epoch(id: u64, num_users: usize) -> Arc<ModelEpoch> {
     use mips_data::synth::{synth_model, SynthConfig};
-    let model = Arc::new(synth_model(&SynthConfig {
-        num_users: router.bounds().last().map_or(1, |r| r.end).max(1),
+    let model = synth_model(&SynthConfig {
+        num_users,
         num_items: 16,
         num_factors: 4,
         ..SynthConfig::default()
-    }));
-    let engine = Arc::new(
-        EngineBuilder::new()
-            .model(model)
-            .register(BmmFactory)
-            .build()
-            .unwrap(),
-    );
-    let epoch = engine.snapshot();
-    router
-        .bounds()
-        .iter()
-        .enumerate()
-        .map(|(i, users)| {
-            Arc::new(ShardEngine::new(
-                i,
-                users.clone(),
-                Arc::clone(&engine),
-                Arc::clone(&epoch),
-                Arc::new(ShardCounters::default()),
-            ))
-        })
-        .collect()
+    });
+    Arc::new(ModelEpoch::new(id, Arc::new(model)))
+}
+
+/// `n` fresh per-shard counter slots.
+#[cfg(test)]
+pub(crate) fn test_shards(n: usize) -> Arc<[ShardCounters]> {
+    (0..n).map(|_| ShardCounters::default()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn router() -> ShardRouter {
+    #[test]
+    fn shard_of_respects_chunk_boundaries() {
         // 10 users over 3 shards: ragged bounds 0..4, 4..8, 8..10.
-        ShardRouter::new(10, 3)
-    }
-
-    #[test]
-    fn bounds_are_contiguous_and_ragged_division_is_covered() {
-        let r = router();
-        assert_eq!(r.bounds(), &[0..4, 4..8, 8..10]);
-        let one = ShardRouter::new(3, 8);
-        assert_eq!(one.num_shards(), 3, "never more shards than users");
-        let whole = ShardRouter::new(10, 1);
-        assert_eq!(whole.num_shards(), 1);
-        assert_eq!(whole.bounds()[0], 0..10);
-    }
-
-    #[test]
-    fn shard_of_respects_boundaries() {
-        let r = router();
+        let bounds = chunk_bounds(10, 3);
+        assert_eq!(bounds, [0..4, 4..8, 8..10]);
         for (user, shard) in [(0, 0), (3, 0), (4, 1), (7, 1), (8, 2), (9, 2)] {
-            assert_eq!(r.shard_of(user), shard, "user {user}");
+            assert_eq!(shard_of(&bounds, user), shard, "user {user}");
         }
+        assert_eq!(chunk_bounds(3, 8).len(), 3, "never more shards than users");
+        let whole = chunk_bounds(10, 1);
+        assert_eq!(whole.len(), 1);
+        assert_eq!(whole[0], 0..10);
     }
 
     #[test]
     fn splits_cover_each_selection_shape() {
-        let r = router();
-        let engines = test_engines(&r);
+        let epoch = test_epoch(3, 10);
+        let shards = test_shards(3);
         let now = Instant::now();
-        let all = QueryRequest::top_k(2);
-        let pending = Arc::new(Pending::new(10, now));
-        let subs = r.split(&all, &pending, now, &engines);
+        let split = |request: &QueryRequest, len: usize| {
+            split(
+                request,
+                &epoch,
+                &shards,
+                &Arc::new(Pending::new(len, now)),
+                now,
+            )
+        };
+        let subs = split(&QueryRequest::top_k(2), 10);
         assert_eq!(subs.len(), 3);
         assert!(
             matches!(&subs[1].users, SubUsers::Range { users, out_start } if *users == (4..8) && *out_start == 4)
         );
-        // Every sub-request is pinned to its shard's engine and epoch.
+        // Every sub-request is pinned to the epoch it was split on.
         for sub in &subs {
-            assert!(Arc::ptr_eq(&sub.engine, &engines[sub.shard]));
-            assert_eq!(sub.epoch, engines[sub.shard].epoch.id);
+            assert!(Arc::ptr_eq(&sub.epoch, &epoch));
         }
 
         // A range straddling the first boundary only touches two shards.
-        let range = QueryRequest::top_k(2).users_range(2..6);
-        let pending = Arc::new(Pending::new(4, now));
-        let subs = r.split(&range, &pending, now, &engines);
+        let subs = split(&QueryRequest::top_k(2).users_range(2..6), 4);
         assert_eq!(subs.len(), 2);
         assert!(
             matches!(&subs[0].users, SubUsers::Range { users, out_start } if *users == (2..4) && *out_start == 0)
@@ -588,9 +477,7 @@ mod tests {
         );
 
         // Ids scatter by shard but keep their response positions.
-        let ids = QueryRequest::top_k(2).users(vec![9, 0, 5, 0]);
-        let pending = Arc::new(Pending::new(4, now));
-        let subs = r.split(&ids, &pending, now, &engines);
+        let subs = split(&QueryRequest::top_k(2).users(vec![9, 0, 5, 0]), 4);
         assert_eq!(subs.len(), 3);
         assert!(
             matches!(&subs[0].users, SubUsers::Ids { users, positions } if users == &[0, 0] && positions == &[1, 3])
@@ -601,30 +488,52 @@ mod tests {
     }
 
     #[test]
+    fn an_epoch_with_fewer_users_is_cut_into_fewer_ranges() {
+        // Three slots, but a two-user epoch has only two ranges to fill
+        // them with: every user is still served exactly once.
+        let epoch = test_epoch(0, 2);
+        let now = Instant::now();
+        let pending = Arc::new(Pending::new(2, now));
+        let subs = split(
+            &QueryRequest::top_k(1),
+            &epoch,
+            &test_shards(3),
+            &pending,
+            now,
+        );
+        let cut: Vec<_> = subs.iter().map(|s| (s.shard, s.users.clone())).collect();
+        let range = |users: Range<usize>| SubUsers::Range {
+            out_start: users.start,
+            users,
+        };
+        assert_eq!(cut, [(0, range(0..1)), (1, range(1..2))]);
+    }
+
+    #[test]
     fn the_single_shard_straight_path_equals_the_general_grouping() {
         for (num_users, shards) in [(10, 3), (7, 7), (64, 4), (5, 1)] {
-            let r = ShardRouter::new(num_users, shards);
+            let bounds = chunk_bounds(num_users, shards);
             // A one-id request at (and next to) every shard boundary.
             for user in 0..num_users {
                 assert_eq!(
-                    r.group_ids(&[user]),
-                    r.group_ids_across_shards(&[user]),
+                    group_ids(&bounds, &[user]),
+                    group_ids_across_shards(&bounds, &[user]),
                     "user {user} of {num_users} over {shards} shards"
                 );
             }
             // Several ids on one shard, repeats included, and the lists
             // that must *not* take the straight path.
-            for bounds in r.bounds() {
-                let (first, last) = (bounds.start, bounds.end - 1);
+            for range in &bounds {
+                let (first, last) = (range.start, range.end - 1);
                 let same_shard = [last, first, last];
                 assert_eq!(
-                    r.group_ids(&same_shard),
-                    r.group_ids_across_shards(&same_shard)
+                    group_ids(&bounds, &same_shard),
+                    group_ids_across_shards(&bounds, &same_shard)
                 );
                 let straddling = [last, (last + 1) % num_users, first];
                 assert_eq!(
-                    r.group_ids(&straddling),
-                    r.group_ids_across_shards(&straddling)
+                    group_ids(&bounds, &straddling),
+                    group_ids_across_shards(&bounds, &straddling)
                 );
             }
         }

@@ -7,12 +7,11 @@
 //! utilized under skewed traffic (a hot shard's backlog is drained by every
 //! idle worker, not just a pinned one).
 //!
-//! Workers are topology-agnostic: each sub-request carries the
-//! [`ShardEngine`](super::shard::ShardEngine) it was admitted against, so
-//! after a [`swap_model`](crate::engine::Engine::swap_model) the pool picks
-//! up the new shard set request by request, without restarting — old-epoch
-//! work drains on the old shard engines while new-epoch work runs on the
-//! new ones.
+//! Workers hold no per-epoch state: each sub-request carries the model
+//! epoch it was admitted on, so after a
+//! [`swap_model`](crate::engine::Engine::swap_model) old-epoch work drains
+//! on the old epoch while new-epoch work runs on the new one, without
+//! restarting anything.
 //!
 //! A panicking backend (a custom factory or solver) must not wedge callers
 //! blocked on a [`super::ResponseHandle`], so each batch executes under
@@ -36,10 +35,10 @@ pub(crate) fn run_worker(shared: Arc<ServerShared>) {
         } else {
             vec![first]
         };
-        // The batch's shard engine (all subs share it — the batch key is
-        // the engine's identity); kept out of the batch so the panic
-        // handler can settle counters after `execute_batch` consumed it.
-        let shard = Arc::clone(&batch[0].engine);
+        // The batch's shard slot (all subs share it — the batch key holds
+        // the shard), looked up here so the panic handler can settle
+        // counters after `execute_batch` consumed the batch.
+        let shard = &shared.shards[batch[0].shard];
 
         // Keep handles to every affected pending so a panic mid-execution
         // can still complete them with an error. `fail` on an
@@ -47,14 +46,14 @@ pub(crate) fn run_worker(shared: Arc<ServerShared>) {
         // panic only touches the requests the panic actually cut short.
         let pendings: Vec<_> = batch.iter().map(|s| Arc::clone(&s.pending)).collect();
         let progress = AtomicUsize::new(0);
-        let executed = catch_unwind(AssertUnwindSafe(|| execute_batch(batch, &progress)));
+        let executed = catch_unwind(AssertUnwindSafe(|| {
+            execute_batch(&shared.engine, shard, batch, &progress)
+        }));
         if let Err(payload) = executed {
             // Settle the shard counter for the subs execute_batch never
             // reached, so `submitted == completed` survives backend panics.
             let unsettled = pendings.len() - progress.load(Ordering::Relaxed);
-            shard
-                .counters
-                .add(&shard.counters.completed, unsettled as u64);
+            shard.add(&shard.completed, unsettled as u64);
             let message = panic_message(payload.as_ref());
             for pending in pendings {
                 pending.fail(MipsError::WorkerPanicked {

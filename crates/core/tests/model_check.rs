@@ -25,22 +25,29 @@ use mips_core::sync::{thread, Arc, Condvar, Mutex};
 use mips_core::{MipsError, Precision};
 use std::time::Instant;
 
-/// A toy queue item: key models the epoch a sub-request is pinned to.
+/// A toy queue item: its key models a sub-request's `(epoch, shard, k)`
+/// batch key, with every toy on shard 0 at `k = 1`.
 #[derive(Debug, Clone)]
 struct Toy {
     epoch: u64,
+    /// Seeded bug switch: key on `(shard, k)` alone, dropping the epoch.
+    epoch_blind: bool,
 }
 
 impl Toy {
     fn new(epoch: u64) -> Toy {
-        Toy { epoch }
+        Toy {
+            epoch,
+            epoch_blind: false,
+        }
     }
 }
 
 impl ms::QueueItem for Toy {
-    type Key = u64;
-    fn key(&self) -> u64 {
-        self.epoch
+    type Key = (u64, usize, usize);
+    fn key(&self) -> (u64, usize, usize) {
+        let epoch = if self.epoch_blind { 0 } else { self.epoch };
+        (epoch, 0, 1)
     }
     fn weight(&self) -> usize {
         1
@@ -238,41 +245,44 @@ fn one_wake_per_item_drains_every_item() {
 
 /// An epoch-2 item queued ahead of (or racing with) an epoch-1 leader
 /// never joins the leader's batch; it stays queued for its own batch. The
-/// batch key is the epoch pin, so this must hold in every interleaving.
+/// batch key holds the epoch, so this must hold in every interleaving.
 #[test]
 fn batcher_never_coalesces_across_epochs() {
-    model(|| {
-        let queue = Arc::new(ms::BoundedQueue::<Toy>::new(8));
-        // An old-epoch item is already queued when the new-epoch leader is
-        // popped; another old-epoch item races in while the batch gathers.
-        queue.push_all(vec![Toy::new(2)], false).unwrap();
-        let racer = {
-            let queue = Arc::clone(&queue);
-            thread::spawn(move || {
-                queue
-                    .push_all(vec![Toy::new(2), Toy::new(1)], false)
-                    .unwrap();
-            })
-        };
+    model(|| leader_batch_stays_in_its_epoch(false));
+}
 
-        let batch = ms::collect_batch(&queue, Toy::new(1), 8);
-        assert!(
-            batch.iter().all(|item| item.epoch == 1),
-            "batch coalesced across epochs: {:?}",
-            batch.iter().map(|i| i.epoch).collect::<Vec<_>>()
-        );
-        racer.join().unwrap();
+/// One leader, old-epoch items queued before and racing in; `epoch_blind`
+/// keys every toy without its epoch.
+fn leader_batch_stays_in_its_epoch(epoch_blind: bool) {
+    let toy = move |epoch| Toy { epoch, epoch_blind };
+    let queue = Arc::new(ms::BoundedQueue::<Toy>::new(8));
+    // An old-epoch item is already queued when the new-epoch leader is
+    // popped; another old-epoch item races in while the batch gathers.
+    queue.push_all(vec![toy(2)], false).unwrap();
+    let racer = {
+        let queue = Arc::clone(&queue);
+        thread::spawn(move || {
+            queue.push_all(vec![toy(2), toy(1)], false).unwrap();
+        })
+    };
 
-        // The other epoch's items are intact in queue order, ready to lead
-        // their own batch.
-        queue.close();
-        let mut left = Vec::new();
-        while let Some(item) = queue.pop() {
-            left.push(item.epoch);
-        }
-        let stranded_old: usize = left.iter().filter(|&&e| e == 2).count();
-        assert_eq!(stranded_old, 2, "old-epoch items vanished: {left:?}");
-    });
+    let batch = ms::collect_batch(&queue, toy(1), 8);
+    assert!(
+        batch.iter().all(|item| item.epoch == 1),
+        "batch coalesced across epochs: {:?}",
+        batch.iter().map(|i| i.epoch).collect::<Vec<_>>()
+    );
+    racer.join().unwrap();
+
+    // The other epoch's items are intact in queue order, ready to lead
+    // their own batch.
+    queue.close();
+    let mut left = Vec::new();
+    while let Some(item) = queue.pop() {
+        left.push(item.epoch);
+    }
+    let stranded_old: usize = left.iter().filter(|&&e| e == 2).count();
+    assert_eq!(stranded_old, 2, "old-epoch items vanished: {left:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -608,6 +618,21 @@ fn seeded_dropped_notify_is_caught_as_deadlock() {
     assert!(
         failure.message.contains("deadlock"),
         "expected a deadlock report, got: {}",
+        failure.message
+    );
+}
+
+/// A batch key that drops the epoch: the leader's batch swallows the
+/// old-epoch item already queued, so two models would share one solver
+/// call. The checker must find it (here every schedule shows it).
+#[test]
+fn seeded_epoch_blind_key_is_caught() {
+    // BUG (seeded): the key is `(shard, k)` without the epoch.
+    let report = explore(small(), || leader_batch_stays_in_its_epoch(true));
+    let failure = report.failure.expect("the epoch-blind key must be caught");
+    assert!(
+        failure.message.contains("coalesced across epochs"),
+        "unexpected failure: {}",
         failure.message
     );
 }

@@ -7,11 +7,11 @@
 //!   `Engine::execute` on a fresh engine holding that epoch's model — no
 //!   matter how many swaps landed while the request was in flight.
 //! * **Zero lost or failed requests.** Swaps (including ones that change
-//!   `num_users` and force re-sharding) never drop, fail, or wedge a
-//!   request.
+//!   `num_users` and re-cut the shards) never drop, fail, or wedge a
+//!   request, and never set a cumulative counter back.
 //! * **Old epochs are reclaimed.** Once the last in-flight request of an
-//!   epoch completes and the topology has moved on, nothing keeps the old
-//!   model (or its derived indexes and plans) alive.
+//!   epoch completes after a swap, nothing keeps the old model (or its
+//!   derived indexes and plans) alive — no further admission needed.
 //!
 //! A single-backend (BMM) engine is used throughout so the planning
 //! decision is deterministic and a fresh reference engine on the same
@@ -204,11 +204,15 @@ fn swaps_that_change_num_users_recut_the_shards() {
         .build()
         .unwrap();
 
+    // Two requests before the swap, one after: a counter reset by the
+    // re-cut would read lower after the swap than before it.
     let before = server.execute(&QueryRequest::top_k(3)).unwrap();
     assert_eq!(before.results.len(), 90);
-    let bounds = server.shard_bounds();
-    assert_eq!(bounds.last().unwrap().end, 90);
-    assert_eq!(server.metrics().epoch, 0);
+    server.execute(&QueryRequest::top_k(3)).unwrap();
+    let bounds_before = server.shard_bounds();
+    assert_eq!(bounds_before.last().unwrap().end, 90);
+    let before_swap = server.metrics();
+    assert_eq!(before_swap.epoch, 0);
 
     engine.swap_model(Arc::clone(&small)).unwrap();
     let after = server.execute(&QueryRequest::top_k(3)).unwrap();
@@ -232,11 +236,28 @@ fn swaps_that_change_num_users_recut_the_shards() {
             .results
     );
 
-    // Same-bounds swaps carry per-shard counters forward; the re-shard
-    // above reset them, so only post-swap traffic shows.
+    // The re-cut keeps every shard's count: each all-user request split
+    // into one sub-request per shard, and each one is still counted after
+    // the swap, so the cumulative totals only grow.
+    let settled = (2 * bounds_before.len() + bounds.len()) as u64;
     let submitted: u64 = metrics.shards.iter().map(|s| s.submitted).sum();
     let completed: u64 = metrics.shards.iter().map(|s| s.completed).sum();
+    assert_eq!(completed, settled, "every sub-request since build");
     assert_eq!(submitted, completed, "no phantom in-flight work");
+    assert!(metrics.batches() >= before_swap.batches());
+    assert!(metrics.coalesced() >= before_swap.coalesced());
+    assert_eq!(metrics.batches(), settled, "one solver call per shard");
+
+    // A model with fewer users than shards fills only as many ranges as it
+    // has users; the other slots keep their counts under an empty range.
+    engine.swap_model(model(4, 40, 3)).unwrap();
+    server.execute(&QueryRequest::top_k(3)).unwrap();
+    assert_eq!(server.shard_bounds(), [0..1, 1..2, 2..3, 3..4]);
+    let metrics = server.metrics();
+    assert_eq!(metrics.shards.len(), 6, "one slot per shard since build");
+    assert_eq!(metrics.shards[5].users, 4..4);
+    let completed: u64 = metrics.shards.iter().map(|s| s.completed).sum();
+    assert_eq!(completed, settled + 4);
     server.shutdown().unwrap();
 }
 
@@ -253,8 +274,8 @@ fn old_epochs_become_unreachable_after_the_last_in_flight_request() {
         .workers(2)
         .build()
         .unwrap();
-    // Serve on epoch 0: builds the solver, the plan, and the topology that
-    // all pin the old model.
+    // Serve on epoch 0: builds the solver and the plan that pin the old
+    // model.
     server.execute(&QueryRequest::top_k(4)).unwrap();
     assert!(
         weak_old.upgrade().is_some(),
@@ -262,11 +283,10 @@ fn old_epochs_become_unreachable_after_the_last_in_flight_request() {
     );
 
     engine.swap_model(model(52, 30, 4)).unwrap();
-    // The next admission moves the topology to epoch 1; with it gone and
-    // no in-flight epoch-0 work, every derived structure of epoch 0
-    // (model, BMM solver, prepared plan, shard engines) must drop. Poll
-    // briefly: the last worker may still be releasing its locals.
-    server.execute(&QueryRequest::top_k(4)).unwrap();
+    // With no in-flight epoch-0 work, every derived structure of epoch 0
+    // (model, BMM solver, prepared plan) must drop — before any request is
+    // admitted on epoch 1. Poll briefly: the last worker may still be
+    // releasing its locals.
     let mut reclaimed = false;
     for _ in 0..200 {
         if weak_old.upgrade().is_none() {

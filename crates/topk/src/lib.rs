@@ -46,4 +46,4 @@ pub use screen::{
     screen_topk_into_heaps, screen_topk_into_heaps_with, ArmedUser, ScreenScratch, ScreenStats,
     ScreenTier,
 };
-pub use select::{row_topk, rows_topk, topk_all_rows};
+pub use select::{row_topk, rows_topk};

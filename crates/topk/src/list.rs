@@ -32,18 +32,6 @@ impl TopKList {
         self.items.iter().copied().zip(self.scores.iter().copied())
     }
 
-    /// `true` if the two lists agree exactly on items and agree on scores
-    /// within `tol` (relative). Used by cross-solver exactness tests.
-    pub fn approx_eq(&self, other: &TopKList, tol: f64) -> bool {
-        if self.items != other.items {
-            return false;
-        }
-        self.scores
-            .iter()
-            .zip(&other.scores)
-            .all(|(a, b)| (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())))
-    }
-
     /// Checks the sorted-best-first invariant (descending scores, ids
     /// ascending within a tie). Cheap enough to assert in tests.
     pub fn is_sorted(&self) -> bool {
@@ -81,29 +69,6 @@ mod tests {
         let pairs: Vec<_> = l.iter().collect();
         assert_eq!(pairs, vec![(4, 9.0), (2, 3.0)]);
         assert!(TopKList::empty().is_empty());
-    }
-
-    #[test]
-    fn approx_eq_tolerates_rounding_only() {
-        let a = TopKList {
-            items: vec![1, 2],
-            scores: vec![1.0, 0.5],
-        };
-        let b = TopKList {
-            items: vec![1, 2],
-            scores: vec![1.0 + 1e-12, 0.5],
-        };
-        assert!(a.approx_eq(&b, 1e-9));
-        let c = TopKList {
-            items: vec![2, 1],
-            scores: vec![1.0, 0.5],
-        };
-        assert!(!a.approx_eq(&c, 1e-9));
-        let d = TopKList {
-            items: vec![1, 2],
-            scores: vec![1.1, 0.5],
-        };
-        assert!(!a.approx_eq(&d, 1e-9));
     }
 
     #[test]

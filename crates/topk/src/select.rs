@@ -13,7 +13,6 @@ use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use crate::list::TopKList;
 use mips_linalg::simd::{self, Kernel};
-use mips_linalg::Matrix;
 
 /// Top-k of one score row; item ids are the column indices.
 pub fn row_topk(scores: &[f64], k: usize) -> TopKList {
@@ -42,20 +41,6 @@ pub fn rows_topk(scores: &[f64], rows: usize, items: usize, k: usize) -> Vec<Top
         .chunks_exact(items.max(1))
         .take(rows)
         .map(|row| row_topk_with(kern, row, k, &mut maxima))
-        .collect()
-}
-
-/// Top-k of every row of a score matrix (e.g. the output of `U·Iᵀ`).
-pub fn topk_all_rows(scores: &Matrix<f64>, k: usize) -> Vec<TopKList> {
-    scores
-        .iter_rows()
-        .map(|row| {
-            let mut heap = TopKHeap::new(k);
-            for (j, &s) in row.iter().enumerate() {
-                heap.push(s, j as u32);
-            }
-            heap.into_sorted()
-        })
         .collect()
 }
 
@@ -106,15 +91,5 @@ mod tests {
     #[should_panic(expected = "buffer shape mismatch")]
     fn rows_topk_validates_shape() {
         let _ = rows_topk(&[1.0; 5], 2, 3, 1);
-    }
-
-    #[test]
-    fn matrix_topk_matches_row_topk() {
-        let m = Matrix::from_vec(2, 4, vec![4.0, 1.0, 3.0, 2.0, -1.0, -4.0, -2.0, -3.0]).unwrap();
-        let lists = topk_all_rows(&m, 2);
-        assert_eq!(lists[0].items, vec![0, 2]);
-        assert_eq!(lists[1].items, vec![0, 2]);
-        let direct = rows_topk(m.as_slice(), 2, 4, 2);
-        assert_eq!(lists, direct);
     }
 }

@@ -34,7 +34,7 @@ fn main() -> Result<(), MipsError> {
 
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(4) // contiguous user ranges, one ShardEngine each
+        .shards(4) // contiguous user ranges, each with its own counters
         .workers(4) // persistent pool; any worker serves any shard
         .queue_capacity(1024) // backpressure bound, in sub-requests
         .max_batch(32) // most users one coalesced solver call may carry
