@@ -150,7 +150,7 @@ impl BmmSolver {
         k: usize,
     ) -> Vec<TopKList> {
         let mirror = self.model.mirror::<T>();
-        let items = mirror.items().view().with_panels(mirror.item_panels());
+        let items = TierView::packed(mirror.item_panels().into(), mirror.items().terms());
         let mut scratch = ScreenScratch::new();
         self.serve_batches(users, k, |batch, block, heaps| {
             let stats = screen_topk_into_heaps(

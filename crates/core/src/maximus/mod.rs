@@ -5,35 +5,62 @@
 //!    `|C| = 8`, `i = 3`),
 //! 2. compute each cluster's worst user–centroid angle `θ_b`,
 //! 3. for every cluster, sort all items descending by the Koenigstein bound
-//!    `CBound(c, i, θ_b)` ([`bound`]).
+//!    `CBound(c, i, θ_b)` ([`bound`]), and pack the sorted list once for
+//!    the GEMM driver.
 //!
 //! Querying (Algorithm 1, `QueryIndex`, plus the §III-D blocking
-//! optimization): users of a cluster share one blocked matrix multiply over
-//! the first `B` items of the cluster's list, then walk the remainder
-//! individually, stopping at the first position whose bound (scaled by
-//! `‖u‖`) falls below their threshold. The walk scores with the four-lane
-//! `dot` and offers each score to a [`Shortlist`] seeded with the prefix's
-//! exact entries; its chain rescore finishes the answer, so it is the
-//! oracle's ([`mips_topk::exact_topk`]). The int8 variant
-//! ([`MaximusIndex::with_i8_screen`]) screens both phases: the prefix
-//! multiply runs in int8 with an exact f64 rescore of its survivors, and
-//! the walk skips every item whose int8 upper bound misses the threshold.
+//! optimization): the users of a cluster walk its list together, in block
+//! passes. The first pass is the §III-D prefix, the first `B` positions;
+//! the list continues in segments of [`FIRST_SEGMENT`] positions that grow
+//! by [`SEGMENT_GROWTH`] each time. Before each segment, every user whose
+//! bound at the segment's first position (scaled by `‖u‖`) sits strictly
+//! below its heap's threshold stops: bounds descend, so nothing further
+//! down the list can reach its answer. For the same reason the segment
+//! ends, at the latest, where the bound of every user still walking has
+//! fallen below its threshold. Each pass is one fused multiply
+//! ([`mips_topk::stream_topk_into_heaps`]) over a panel-aligned slice of
+//! the packed list, for the users still walking, into their heaps.
+//!
+//! The paper walks each user past the prefix one item at a time; the
+//! segments trade a few items scored past a user's own stop point for a
+//! multiply instead of per-item `dot`s and bound checks. That stays
+//! exact: every pass pushes the GEMM chain's scores, the oracle's
+//! ([`mips_topk::exact_topk`]), a heap keeps the same set whatever order
+//! scores arrive in, and the stored bounds' slack covers the chain's
+//! rounding at every stop. The int8 variant
+//! ([`MaximusIndex::with_i8_screen`]) runs every pass through the int8
+//! block screen instead, whose survivors are rescored with the same chain.
 
 pub mod bound;
 
 use crate::maximus::bound::stored_bound;
 use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, OnceLock};
+use crate::sync::Arc;
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::{is_tiny_row, MfModel};
 use mips_linalg::kernels::{angle, dot, norm2};
-use mips_linalg::{reassoc_envelope_parts, simd, GemmScratch, Matrix, PackedPanels, TierRows};
+use mips_linalg::tier::MAX_TERMS;
+use mips_linalg::{
+    reassoc_envelope_parts, simd, GemmElem, GemmScratch, Matrix, PackedPanels, TierView,
+};
 use mips_topk::{
-    exact_topk, screen_topk_into_heaps, stream_topk_into_heaps, ArmedUser, ColumnIds,
-    ScreenScratch, ScreenTier, Shortlist, TopKHeap, TopKList,
+    exact_topk, screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch,
+    ScreenTier, Shortlist, TopKHeap, TopKList,
 };
 use std::time::Instant;
+
+/// List positions in the first segment past the §III-D prefix.
+pub const FIRST_SEGMENT: usize = 128;
+
+/// Each segment is this many times as long as the one before it.
+pub const SEGMENT_GROWTH: usize = 2;
+
+/// The prefix length and every segment start are multiples of this: the
+/// widest tier's `NR`, so each pass multiplies a slice of the packed list
+/// that starts on a panel boundary in every tier.
+const ALIGN: usize = <i8 as GemmElem>::NR;
+const _: () = assert!(ALIGN % <f64 as GemmElem>::NR == 0 && FIRST_SEGMENT % ALIGN == 0);
 
 /// MAXIMUS parameters (§III-D: "B = 4096, |C| = 8, and i = 3 is effective
 /// for many inputs").
@@ -43,9 +70,12 @@ pub struct MaximusConfig {
     pub num_clusters: usize,
     /// k-means iterations `i`.
     pub kmeans_iters: usize,
-    /// Item blocking factor `B`: list prefix scored with a shared GEMM.
-    /// `0` switches the §III-D item blocking off (the Fig. 8 lesion): every
-    /// list is walked from its first item.
+    /// Item blocking factor `B`: the list prefix every member of a cluster
+    /// scores in one shared pass, rounded up to a multiple of 16 (the
+    /// widest tier's panel width). The rest of the list follows in
+    /// segments of [`FIRST_SEGMENT`] positions, growing by
+    /// [`SEGMENT_GROWTH`]. `0` switches the §III-D prefix off (the Fig. 8
+    /// lesion): the segments start at the list's first position.
     pub block_size: usize,
     /// Seed for clustering.
     pub seed: u64,
@@ -84,38 +114,33 @@ impl MaximusConfig {
 pub struct MaximusBuildStats {
     /// k-means time.
     pub clustering_seconds: f64,
-    /// Bound computation + sorting + list gathering time.
+    /// Bound computation + sorting + list packing time.
     pub construction_seconds: f64,
 }
 
-/// Cumulative query work counters (w̄ of Eqn. 4 is
-/// `items_blocked + items_walked` per served user).
+/// Cumulative query work counters (w̄ of Eqn. 4 is `items_blocked` per
+/// served user).
 #[derive(Debug, Default)]
 pub struct MaximusQueryStats {
     /// Users served.
     pub users_served: AtomicU64,
-    /// Items scored through the shared blocked multiply (screened, on the
-    /// int8 variant, with only the survivors rescored).
+    /// Items scored, summed over users: every position of the prefix and
+    /// of each segment a user was still walking at (screened, on the int8
+    /// variant, with only the survivors rescored).
     pub items_blocked: AtomicU64,
-    /// Items scored individually during the list walk.
-    pub items_walked: AtomicU64,
-    /// Items skipped by early termination.
+    /// Items skipped by early termination: the list positions past each
+    /// user's stop.
     pub items_pruned: AtomicU64,
-    /// Walked items whose exact dot (and guaranteed-rejected push) the
-    /// int8 screen skipped; counted neither as walked nor pruned.
-    pub items_screen_pruned: AtomicU64,
 }
 
 impl MaximusQueryStats {
-    /// Average items visited per user (the paper's w̄).
+    /// Average items scored per user (the paper's w̄).
     pub fn avg_items_visited(&self) -> f64 {
         let users = self.users_served.load(Ordering::Relaxed);
         if users == 0 {
             return 0.0;
         }
-        (self.items_blocked.load(Ordering::Relaxed) + self.items_walked.load(Ordering::Relaxed))
-            as f64
-            / users as f64
+        self.items_blocked.load(Ordering::Relaxed) as f64 / users as f64
     }
 }
 
@@ -132,63 +157,46 @@ struct ClusterIndex {
     theta_ic: Vec<f64>,
     /// Item norms per list position.
     norms: Vec<f64>,
-    /// Length of the list prefix the §III-D blocked multiply scores: `B`
-    /// capped at the list length (0 with item blocking off), or the whole
-    /// list over a model with tiny rows.
+    /// Length of the §III-D prefix: `B` rounded up to a multiple of
+    /// [`ALIGN`] and capped at the list length (0 with item blocking off),
+    /// or the whole list over a model with tiny rows.
     start: usize,
-    /// The walked items, list positions `start..`, gathered in list order
-    /// (the `O(|C||I|f)` storage of §III-D; sequential walks instead of
-    /// random model access): row `pos − start` is position `pos`. The
-    /// prefix has no gathered copy; only its packed panels score it.
-    items: Matrix<f64>,
-    /// The list prefix (positions `0..start`), packed for the GEMM driver
-    /// straight from the model's rows by the first f64 request that reaches
-    /// the cluster, and shared from then on by every request and thread;
-    /// the int8 variant multiplies its own int8 panels instead
-    /// ([`ClusterScreen`]) and never packs these. A per-call pack is a
-    /// fixed `B × f` copy per cluster that a small batch does not amortize:
-    /// a point lookup would pay it whole, and the planner — which times a
-    /// user sample and scales by `|U| / sample` — would charge MAXIMUS that
-    /// copy many times over and tie it with candidates it beats.
-    block_panels: OnceLock<PackedPanels<f64>>,
+    /// The whole list packed for the GEMM driver at build, row `pos` being
+    /// list position `pos` (the `O(|C||I|f)` storage of §III-D): the
+    /// prefix and every segment multiply a slice of it.
+    panels: PackedPanels<f64>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
 }
 
-impl ClusterIndex {
-    /// The item row at list position `pos`: a walked row from the gathered
-    /// copy, a prefix row from the model's `items` by id.
-    fn item_row<'a>(&'a self, items: &'a Matrix<f64>, pos: usize) -> &'a [f64] {
-        match pos.checked_sub(self.start) {
-            Some(walked) => self.items.row(walked),
-            None => items.row(self.list_ids[pos] as usize),
-        }
+/// One cluster's list in int8: the block screen's item side.
+struct ClusterScreen {
+    /// Every list position's int8 codes, packed, gathered in list order
+    /// from the model's mirror.
+    panels: PackedPanels<i8>,
+    /// Every list position's envelope terms, one column per term.
+    terms: [Vec<f64>; MAX_TERMS],
+}
+
+impl ClusterScreen {
+    /// The whole list as a screen's item side: panels and terms, no rows.
+    fn view(&self) -> TierView<'_, i8> {
+        let terms = std::array::from_fn(|t| self.terms[t].as_slice());
+        TierView::packed((&self.panels).into(), terms)
     }
 }
 
-/// One cluster's list in int8: the screen's item side in both phases.
-struct ClusterScreen {
-    /// Every list position's int8 codes and envelope terms, gathered in
-    /// list order from the model's mirror: row `pos` is position `pos`.
-    rows: TierRows<i8>,
-    /// Rows `0..start` (the blocked prefix) packed for the screen's
-    /// multiply: the prefix's int8 twin of `ClusterIndex::block_panels`.
-    prefix_panels: PackedPanels<i8>,
-}
-
 /// Per-call buffers of [`MaximusIndex::serve_cluster`], one per query loop:
-/// the f64 prefix multiply's, the int8 screen's (each sized on first use,
-/// so the one a path does not take costs nothing) and the walks' shortlist.
+/// the f64 multiply's and the int8 screen's, each sized on first use, so
+/// the one a path does not take costs nothing.
 #[derive(Default)]
 struct Scratch {
     gemm: GemmScratch<f64>,
     screen: ScreenScratch<i8>,
-    walk: Shortlist,
 }
 
-/// Everything construction derives from the model — the clustering, every
-/// cluster's bound-sorted list and its gathered copy of the walked items.
-/// Immutable once built (the packed list prefixes fill in on first use) and
+/// Everything construction derives from the model — the clustering and
+/// every cluster's bound-sorted, packed list. Immutable once built and
 /// shared, behind an [`Arc`], by an index and its screen variant
 /// ([`MaximusIndex::with_i8_screen`]).
 struct MaximusCore {
@@ -238,12 +246,15 @@ impl MaximusIndex {
 
         let t1 = Instant::now();
         let item_norms: Vec<f64> = model.items().row_norms();
-        // Over tiny rows the walk's norm bounds can underflow: block the
-        // whole list instead (MfModel::has_tiny_rows).
+        // Over tiny rows the norm bounds can underflow: score the whole
+        // list in the prefix instead (MfModel::has_tiny_rows).
         let start = if model.has_tiny_rows() {
             model.num_items()
         } else {
-            config.block_size.min(model.num_items())
+            config
+                .block_size
+                .next_multiple_of(ALIGN)
+                .min(model.num_items())
         };
         let clusters: Vec<ClusterIndex> = (0..clustering.k())
             .map(|c| {
@@ -301,35 +312,30 @@ impl MaximusIndex {
         }
     }
 
-    /// This index with the int8 screen armed on **both phases** of the
+    /// This index with the int8 screen armed on every block pass of the
     /// query, **sharing everything [`MaximusIndex::build`] constructed**:
-    /// the variant adds one int8 screen per cluster — its whole list
-    /// in int8, the prefix also packed.
+    /// the variant adds one int8 screen per cluster — its whole list's
+    /// codes, packed, and each position's envelope terms.
     ///
-    /// * The §III-D blocked prefix runs the block screen
-    ///   ([`mips_topk::screen_topk_into_heaps`]): an int8 multiply whose
-    ///   envelope-widened scores keep every item that could reach the heap,
-    ///   each survivor rescored in f64 from the model's rows by id with the
-    ///   GEMM's reduction order — so the heaps leave the prefix holding the
-    ///   f64 multiply's exact entries.
-    /// * The walk pre-scores each item against the cluster's int8 rows; the
-    ///   item's `dot` and offer are skipped only when the envelope-widened
-    ///   screen score ([`ArmedUser::upper_bound`]) sits below the walk's
-    ///   threshold, which proves the item is not in the answer.
-    ///
-    /// Results stay bit-identical to the f64 index. The §III-E new-vector
+    /// The prefix and every segment run the block screen
+    /// ([`mips_topk::screen_topk_into_heaps`]): an int8 multiply whose
+    /// envelope-widened scores keep every item that could reach the heap,
+    /// each survivor rescored in f64 from the model's rows by id with the
+    /// GEMM's reduction order — so after every pass the heaps hold the f64
+    /// multiply's exact entries, every user stops where it stops on the f64
+    /// index, and results are bit-identical to it. The §III-E new-vector
     /// path stays f64. int8 is MAXIMUS's one screen tier: measured over the
-    /// catalog stand-ins and the benchmark shapes, an f32 walk screen won no
-    /// plan by more than sampling noise, and racing it cost cold time and a
-    /// mirror per cluster.
+    /// catalog stand-ins and the benchmark shapes, an f32 screen won no
+    /// plan by more than sampling noise, and racing it cost cold time and
+    /// a mirror per cluster.
     ///
-    /// Each cluster's int8 rows are **gathered** in list order from the
-    /// model's own int8 mirror ([`MfModel::mirror`] — built once per model
-    /// and shared with brute force's screen), so no row is quantized once
-    /// per cluster, and the rescore reads the model's f64 rows, so the
-    /// variant holds no f64 copy of the prefix and never packs the f64
-    /// prefix panels. The variant's `build_seconds` is that gathering and
-    /// packing alone; its work counters start at zero.
+    /// Each cluster's codes and terms are **gathered** in list order from
+    /// the model's own int8 mirror ([`MfModel::mirror`] — built once per
+    /// model and shared with brute force's screen), so no row is quantized
+    /// once per cluster, and the panels are the only copy of the codes the
+    /// variant holds. The rescore reads the model's f64 rows, so the
+    /// variant holds no f64 copy of its own. Its `build_seconds` is that
+    /// gathering and packing alone; its work counters start at zero.
     ///
     /// When the model does not quantize usably (subnormal rows, factor
     /// counts past the i32-overflow cap) the result runs unscreened.
@@ -337,13 +343,12 @@ impl MaximusIndex {
         let t = Instant::now();
         let core = Arc::clone(&self.core);
         let screens = core.model.mirror::<i8>().sides().map(|(_, items)| {
-            let screen = |c: &ClusterIndex| {
-                let rows = items.gather(c.list_ids.iter().map(|&i| i as usize));
-                let prefix_panels = PackedPanels::pack(rows.row_block(0, c.start));
-                ClusterScreen {
-                    rows,
-                    prefix_panels,
-                }
+            let codes = items.row_block(0, items.rows());
+            let screen = |c: &ClusterIndex| ClusterScreen {
+                panels: PackedPanels::gather(codes, &c.list_ids),
+                terms: items
+                    .terms()
+                    .map(|column| c.list_ids.iter().map(|&i| column[i as usize]).collect()),
             };
             core.clusters.iter().map(screen).collect()
         });
@@ -375,16 +380,16 @@ impl MaximusIndex {
         self.core.clusters.iter().map(|c| c.theta_b).collect()
     }
 
-    /// Serves one cluster's user group: shared **fused** GEMM→heap streaming
-    /// over the list prefix, then individual walks. `group` carries
-    /// `(output position, user id)`.
+    /// Serves one cluster's user group, `(output position, user id)` each,
+    /// in block passes over the list: the §III-D prefix, then growing
+    /// segments, each for the users still walking (see the module docs).
     ///
-    /// The §III-D blocked multiply no longer materializes its
-    /// `group × block` score buffer: panels stream straight into the same
-    /// per-user heaps the list walk continues with, translated from list
-    /// positions to item ids by [`ColumnIds::Mapped`]. With the screen
-    /// armed the prefix streams int8 blocks through the block screen
-    /// instead, into the same heaps.
+    /// Users that stop are moved, with their heaps, behind the ones still
+    /// walking, so every pass multiplies one contiguous block of user rows
+    /// into one contiguous run of heaps. A pass streams score panels
+    /// straight into the heaps, translated from list positions to item ids
+    /// by [`ColumnIds::Mapped`]; with the screen armed it streams int8
+    /// blocks through the block screen instead, into the same heaps.
     fn serve_cluster(
         &self,
         c: usize,
@@ -396,110 +401,93 @@ impl MaximusIndex {
         let model = &self.core.model;
         let cluster = &self.core.clusters[c];
         let n_items = cluster.list_ids.len();
-        let block = cluster.start;
-        let screen = self.screens.as_ref().map(|screens| &screens[c]);
+        let screen = self.screens.as_ref().map(|screens| screens[c].view());
 
+        // Slot `i < walking` is a user still walking: `(output position,
+        // user id, ‖u‖)` beside its heap.
+        let mut users: Vec<(usize, usize, f64)> = group
+            .iter()
+            .map(|&(pos, u)| (pos, u, norm2(model.users().row(u))))
+            .collect();
         let mut heaps: Vec<TopKHeap> = group.iter().map(|_| TopKHeap::new(k)).collect();
-        if block > 0 {
-            let users: Vec<usize> = group.iter().map(|&(_, u)| u).collect();
-            let gathered = model.users().gather_rows(&users);
-            let prefix_ids = ColumnIds::Mapped(&cluster.list_ids[..block]);
-            match screen {
-                None => {
-                    let panels = cluster.block_panels.get_or_init(|| {
-                        PackedPanels::gather(model.items().into(), &cluster.list_ids[..block])
-                    });
-                    let (users, items) = ((&gathered).into(), panels.into());
-                    stream_topk_into_heaps(users, items, &mut heaps, prefix_ids, &mut scratch.gemm);
+        let mut walking = users.len();
+        let (mut scored, mut pruned) = (0u64, 0u64);
+
+        let (mut lo, mut end, mut segment) = (0, cluster.start, FIRST_SEGMENT);
+        while lo < n_items {
+            if end == lo {
+                end = (lo + segment).min(n_items);
+                segment *= SEGMENT_GROWTH;
+            }
+            // Early termination: bounds descend, so a user whose scaled
+            // bound at `lo` sits below its threshold is done with the rest,
+            // and a user still walking can use no position from the first
+            // one its bound misses on: `reach`, the furthest of those, caps
+            // the pass (thresholds only rise).
+            let (mut kept, mut reach) = (0, lo);
+            for i in 0..walking {
+                let (norm, threshold) = (users[i].2, heaps[i].threshold());
+                let hits = cluster.bounds[lo..].partition_point(|&b| norm * b >= threshold);
+                if hits == 0 {
+                    pruned += (n_items - lo) as u64;
+                } else {
+                    users.swap(kept, i);
+                    heaps.swap(kept, i);
+                    kept += 1;
+                    reach = reach.max(lo + hits);
                 }
+            }
+            walking = kept;
+            if walking == 0 {
+                break;
+            }
+            // Rounded up so the next pass, if any, starts on a panel.
+            let hi = end.min(reach.next_multiple_of(ALIGN));
+            let walkers: Vec<usize> = users[..walking].iter().map(|&(_, u, _)| u).collect();
+            let rows = model.users().gather_rows(&walkers);
+            let ids = ColumnIds::Mapped(&cluster.list_ids[lo..hi]);
+            let heaps = &mut heaps[..walking];
+            match screen {
                 Some(screen) => {
                     // `screens` exists only over a usable int8 mirror.
-                    let mirrored = model.mirror::<i8>().users().gather(users.iter().copied());
-                    let prefix = screen.rows.view().rows(0..block);
+                    let codes = model.mirror::<i8>().users().gather(walkers.into_iter());
                     let stats = screen_topk_into_heaps(
-                        (&gathered).into(),
+                        (&rows).into(),
                         model.items().into(),
-                        mirrored.view(),
-                        prefix.with_panels(&screen.prefix_panels),
-                        &mut heaps,
-                        prefix_ids,
+                        codes.view(),
+                        screen.rows(lo..hi),
+                        heaps,
+                        ids,
                         &mut scratch.screen,
                     );
                     self.screen_tally.record(stats.screened, stats.rescored);
                 }
+                None => {
+                    let items = cluster.panels.slice(lo..hi).into();
+                    stream_topk_into_heaps((&rows).into(), items, heaps, ids, &mut scratch.gemm);
+                }
             }
-            self.query_stats
-                .items_blocked
-                .fetch_add((group.len() * block) as u64, Ordering::Relaxed);
+            scored += (walking * (hi - lo)) as u64;
+            lo = hi;
         }
 
-        let (rel, abs) = reassoc_envelope_parts(model.num_factors());
-        let list = &mut scratch.walk;
-        for (mut heap, &(pos, u)) in heaps.into_iter().zip(group) {
-            let user = model.users().row(u);
-            let unorm = norm2(user);
-            let env_rel = rel * unorm;
-            // Walk-phase screen state: the user row as int8 codes plus its
-            // envelope coefficients. Absent unless the screen is armed; a
-            // user row that does not quantize walks unscreened — still
-            // exact, just unaccelerated.
-            let armed = screen.and_then(|screen| Some((ArmedUser::<i8>::arm(user)?, &screen.rows)));
-            let mut walked = 0u64;
-            let mut screen_evaluated = 0u64;
-            let mut screened_out = 0u64;
-            // The prefix's exact entries in the heap seed the shortlist;
-            // the walk's `dot` scores go through it.
-            list.begin(&heap);
-            let mut list_pos = block;
-            while list_pos < n_items {
-                // Early termination: bounds descend, so the first failure
-                // covers the whole tail.
-                if list.is_full() && unorm * cluster.bounds[list_pos] < list.threshold() {
-                    break;
-                }
-                // Int8 screen: when even the envelope-widened screen score
-                // sits strictly below the threshold, so does the exact
-                // score, and the item cannot make the answer.
-                if list.is_full() {
-                    if let Some((armed, rows)) = &armed {
-                        screen_evaluated += 1;
-                        if armed.upper_bound(rows, list_pos) < list.threshold() {
-                            screened_out += 1;
-                            list_pos += 1;
-                            continue;
-                        }
-                    }
-                }
-                let score = dot(user, cluster.items.row(list_pos - block));
-                let env = env_rel * cluster.norms[list_pos] + abs;
-                list.offer(cluster.list_ids[list_pos], score, env);
-                walked += 1;
-                list_pos += 1;
-            }
-            list.finish(simd::active(), user, model.items().into(), &mut heap);
-            self.query_stats
-                .items_walked
-                .fetch_add(walked, Ordering::Relaxed);
-            self.query_stats
-                .items_screen_pruned
-                .fetch_add(screened_out, Ordering::Relaxed);
-            self.screen_tally
-                .record(screen_evaluated, screen_evaluated - screened_out);
-            self.query_stats
-                .items_pruned
-                .fetch_add((n_items - list_pos) as u64, Ordering::Relaxed);
-            self.query_stats
-                .users_served
-                .fetch_add(1, Ordering::Relaxed);
+        let stats = &self.query_stats;
+        stats.items_blocked.fetch_add(scored, Ordering::Relaxed);
+        stats.items_pruned.fetch_add(pruned, Ordering::Relaxed);
+        stats
+            .users_served
+            .fetch_add(group.len() as u64, Ordering::Relaxed);
+        for (heap, &(pos, _, _)) in heaps.into_iter().zip(&users) {
             out[pos] = heap.into_sorted();
         }
     }
 
     /// Serves an ad-hoc user vector that was *not* part of the clustered set
     /// (§III-E dynamic users): assigns it to the nearest centroid and walks
-    /// that cluster's list with a per-item bound widened to the user's own
-    /// angle when it exceeds θ_b, through a [`Shortlist`] like the
-    /// clustered users' walk.
+    /// that cluster's list one item at a time, reading each row from the
+    /// model by id, with a per-item bound widened to the user's own angle
+    /// when it exceeds θ_b. The walk's four-lane `dot` scores go through a
+    /// [`Shortlist`], whose chain rescore finishes the answer.
     ///
     /// List order no longer matches the widened bound, so pruning skips
     /// items without early exit — still exact, usually still far fewer dots
@@ -550,7 +538,7 @@ impl MaximusIndex {
                     }
                 }
             }
-            let score = dot(user, cluster.item_row(items, pos));
+            let score = dot(user, items.row(id as usize));
             list.offer(id, score, rel * unorm * cluster.norms[pos] + abs);
         }
         list.finish(simd::active(), user, items.into(), &mut heap);
@@ -558,8 +546,7 @@ impl MaximusIndex {
     }
 }
 
-/// Builds one cluster's sorted list, gathering the items past its blocked
-/// prefix of `start` positions.
+/// Builds one cluster's sorted list and packs it, whole, in list order.
 fn build_cluster_list(
     items: &Matrix<f64>,
     item_norms: &[f64],
@@ -593,8 +580,7 @@ fn build_cluster_list(
     let bounds: Vec<f64> = entries.iter().map(|e| e.0).collect();
     let theta_ic: Vec<f64> = entries.iter().map(|e| e.1).collect();
     let norms: Vec<f64> = entries.iter().map(|e| item_norms[e.2 as usize]).collect();
-    let walked: Vec<usize> = list_ids[start..].iter().map(|&i| i as usize).collect();
-    let gathered = items.gather_rows(&walked);
+    let panels = PackedPanels::gather(items.into(), &list_ids);
 
     ClusterIndex {
         theta_b,
@@ -603,8 +589,7 @@ fn build_cluster_list(
         theta_ic,
         norms,
         start,
-        items: gathered,
-        block_panels: OnceLock::new(),
+        panels,
         members,
     }
 }
@@ -619,7 +604,7 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn batches_users(&self) -> bool {
-        true // the shared prefix GEMM batches cluster members
+        true // the shared block passes batch cluster members
     }
 
     fn precision(&self) -> crate::precision::Precision {
@@ -724,7 +709,9 @@ mod tests {
 
     #[test]
     fn tight_clusters_prune() {
-        let m = model(60, 500, 16, 0.1); // tight bundles → small θ_b
+        // Tight bundles → small θ_b; a list long enough for several
+        // segments past the prefix, so users stop at segment starts.
+        let m = model(60, 2000, 16, 0.1);
         let maximus = MaximusIndex::build(
             Arc::clone(&m),
             &MaximusConfig {
@@ -734,10 +721,13 @@ mod tests {
         );
         let _ = maximus.query_all(1);
         let stats = maximus.query_stats();
-        assert!(
-            stats.items_pruned.load(Ordering::Relaxed) > 0,
-            "no pruning on tightly clustered users"
+        let (scored, pruned) = (
+            stats.items_blocked.load(Ordering::Relaxed),
+            stats.items_pruned.load(Ordering::Relaxed),
         );
+        assert!(pruned > 0, "no pruning on tightly clustered users");
+        // Each user scores a prefix of its list and prunes the rest.
+        assert_eq!(scored + pruned, (m.num_users() * m.num_items()) as u64);
         let avg = stats.avg_items_visited();
         assert!(
             avg < m.num_items() as f64 * 0.9,
@@ -746,10 +736,11 @@ mod tests {
     }
 
     #[test]
-    fn screened_variant_is_bit_identical_and_prunes_in_both_phases() {
+    fn screened_variant_is_bit_identical_and_screens_every_pass() {
         use crate::precision::Precision;
-        // B = 8 pushes most of the work into the walk, B = 64 splits it, and
-        // a block past the list length leaves the block screen alone.
+        // B = 8 (rounded up to 16) pushes most of the work into the
+        // segments, B = 64 splits it, and a block past the list length
+        // leaves the prefix alone.
         let m = model(60, 500, 16, 0.4);
         for block_size in [8usize, 64, 10_000] {
             let config = MaximusConfig {
@@ -776,26 +767,32 @@ mod tests {
                     }
                 }
             }
-            // The block screen saw every prefix pair and rescored a fraction.
+            // After every pass the screened heaps hold the f64 heaps'
+            // exact entries, so every user stops at the same segment: both
+            // score and prune the same items, and the screen saw each
+            // scored item once and rescored a fraction.
+            let counts = |index: &MaximusIndex| {
+                let stats = index.query_stats();
+                (
+                    stats.items_blocked.load(Ordering::Relaxed),
+                    stats.items_pruned.load(Ordering::Relaxed),
+                )
+            };
+            let (scored, pruned) = counts(&screened);
+            assert_eq!((scored, pruned), counts(&plain), "B={block_size}");
             let tally = screened.take_screen_stats().expect("a screening solver");
-            let prefix = (3 * m.num_users() * block_size.min(500)) as u64;
-            assert!(tally.screened >= prefix, "B={block_size}: {tally:?}");
+            assert_eq!(tally.screened, scored, "B={block_size}");
+            let prefix = (3 * m.num_users() * block_size.next_multiple_of(16).min(500)) as u64;
+            assert!(scored >= prefix, "B={block_size}");
             assert!(
                 tally.rescored < tally.screened / 2,
                 "B={block_size}: {tally:?}"
             );
-            let stats = screened.query_stats();
-            let walked = stats.items_walked.load(Ordering::Relaxed);
-            if block_size >= 500 {
-                assert_eq!(walked, 0);
-                continue;
+            if block_size < 500 {
+                assert!(pruned > 0, "no user stopped at B={block_size}");
+            } else {
+                assert_eq!(pruned, 0);
             }
-            assert!(
-                stats.items_screen_pruned.load(Ordering::Relaxed) > 0,
-                "the walk screen never engaged at B={block_size}"
-            );
-            // Screened items reduce walked dots relative to the plain index.
-            assert!(walked < plain.query_stats().items_walked.load(Ordering::Relaxed));
         }
     }
 
@@ -831,12 +828,14 @@ mod tests {
     }
 
     #[test]
-    fn clusters_gather_only_the_walked_suffix() {
-        // Each cluster's gathered copy holds list positions `start..` in
-        // list order; the blocked prefix lives only in its packed panels.
-        // The Fig. 8 lesion blocks nothing, so it gathers the whole list.
+    fn clusters_pack_their_whole_list_in_list_order() {
+        // Each cluster packs its whole list at build, position `pos` being
+        // panel row `pos`: one user's pass over all of it, with the list's
+        // ids, scores every item exactly as the oracle does. The prefix is
+        // `B` rounded up to a multiple of 16 and capped at the list; the
+        // Fig. 8 lesion has none.
         let m = model(40, 90, 8, 0.4);
-        for (block_size, start) in [(16, 16), (500, 90), (0, 0)] {
+        for (block_size, start) in [(16, 16), (5, 16), (17, 32), (500, 90), (0, 0)] {
             let config = MaximusConfig {
                 block_size,
                 ..small_config()
@@ -844,85 +843,134 @@ mod tests {
             let index = MaximusIndex::build(Arc::clone(&m), &config);
             for cluster in &index.core.clusters {
                 assert_eq!(cluster.start, start, "{config:?}");
-                assert_eq!(cluster.items.rows(), m.num_items() - start, "{config:?}");
-                for (r, &id) in cluster.list_ids[start..].iter().enumerate() {
-                    assert_eq!(cluster.items.row(r), m.items().row(id as usize));
-                }
+                let panels = &cluster.panels;
+                assert_eq!((panels.rows(), panels.cols()), (90, 8), "{config:?}");
+                let user = m.users().row_block(3, 4);
+                let mut heaps = vec![TopKHeap::new(90)];
+                let ids = ColumnIds::Mapped(&cluster.list_ids);
+                let mut scratch = GemmScratch::new();
+                stream_topk_into_heaps(user, panels.into(), &mut heaps, ids, &mut scratch);
+                let want = exact_topk(m.users().row(3), m.items(), 90);
+                assert_eq!(heaps.pop().unwrap().into_sorted(), want, "{config:?}");
             }
         }
     }
 
     #[test]
     fn cluster_screens_are_gathered_in_list_order() {
-        // A cluster's int8 rows, gathered from the model's mirror, cover
-        // the whole list: row `pos` is list position `pos`, and it bounds
-        // exactly like a store built from the model's rows at those
-        // positions. The packed prefix is the first `start` of them.
+        // A cluster's int8 screen covers the whole list: position `pos`
+        // carries the mirror's terms of item `list_ids[pos]`, and its
+        // packed codes screen exactly like the mirror's rows gathered in
+        // list order — the same candidates, survivors and heaps.
         let m = model(40, 90, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
         let screened = plain.with_i8_screen();
-        let armed = ArmedUser::<i8>::arm(m.users().row(3)).unwrap();
+        let mirror = m.mirror::<i8>();
+        let users = mirror.users().gather(0..40);
         let screens = screened.screens.as_ref().expect("the model quantizes");
         for (cluster, screen) in plain.core.clusters.iter().zip(screens) {
-            let list: Vec<usize> = cluster.list_ids.iter().map(|&id| id as usize).collect();
-            let rows = m.items().gather_rows(&list);
-            let rebuilt = TierRows::<i8>::build((&rows).into()).unwrap();
-            assert_eq!(screen.rows.rows(), m.num_items());
-            for pos in 0..list.len() {
-                assert_eq!(
-                    armed.upper_bound(&screen.rows, pos).to_bits(),
-                    armed.upper_bound(&rebuilt, pos).to_bits(),
-                    "list position {pos}"
-                );
+            let list = || cluster.list_ids.iter().map(|&id| id as usize);
+            let rows = mirror.items().gather(list());
+            assert_eq!(screen.panels.rows(), m.num_items());
+            for (t, column) in screen.terms.iter().enumerate() {
+                let want = rows.terms()[t];
+                let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(column), bits(want), "term {t}");
             }
-            let panels = &screen.prefix_panels;
-            assert_eq!((panels.rows(), panels.cols()), (cluster.start, 8));
+            let run = |items: TierView<'_, i8>| {
+                let mut heaps: Vec<TopKHeap> = (0..40).map(|_| TopKHeap::new(5)).collect();
+                let stats = screen_topk_into_heaps(
+                    m.users().into(),
+                    m.items().into(),
+                    users.view(),
+                    items,
+                    &mut heaps,
+                    ColumnIds::Mapped(&cluster.list_ids[16..]),
+                    &mut ScreenScratch::new(),
+                );
+                let lists: Vec<TopKList> = heaps.into_iter().map(TopKHeap::into_sorted).collect();
+                (stats, lists)
+            };
+            // A segment from position 16 on, as the query slices it.
+            assert_eq!(
+                run(screen.view().rows(16..90)),
+                run(rows.view().rows(16..90))
+            );
         }
     }
 
     #[test]
-    fn the_blocked_prefix_is_packed_once_per_cluster_and_only_by_the_f64_path() {
+    fn lists_are_packed_at_build_and_shared_by_the_screen_variant() {
+        // Every list is packed once, at build; the int8 variant shares the
+        // core and its panels (its passes read its own int8 panels and
+        // rescore from the model's rows), and a point lookup, a full pass,
+        // the variant and the lesion (no prefix) all answer alike.
         let m = model(40, 90, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
-        let packed = |index: &MaximusIndex| -> Vec<Option<*const PackedPanels<f64>>> {
+        let panels = |index: &MaximusIndex| -> Vec<*const PackedPanels<f64>> {
             let clusters = index.core.clusters.iter();
-            clusters
-                .map(|c| c.block_panels.get().map(|p| p as *const _))
-                .collect()
+            clusters.map(|c| &c.panels as *const _).collect()
         };
-        // Lazy: nothing is packed until a request reaches the cluster, and
-        // a point lookup packs its own cluster's prefix only.
-        assert!(packed(&plain).iter().all(Option::is_none));
-        let first = plain.query_range(5, 3..4);
-        let home = plain.assignments()[3] as usize;
-        for (c, panels) in packed(&plain).iter().enumerate() {
-            assert_eq!(panels.is_some(), c == home, "cluster {c}");
+        for cluster in &plain.core.clusters {
+            assert_eq!(cluster.panels.rows(), cluster.list_ids.len());
         }
+        let first = plain.query_range(5, 3..4);
         let all = plain.query_all(5);
         assert_eq!(all[3], first[0]);
-        let after_all = packed(&plain);
-        for (cluster, panels) in plain.core.clusters.iter().zip(&after_all) {
-            assert_eq!(panels.is_some(), !cluster.members.is_empty());
-        }
-        // A second pass repacks nothing.
         assert_eq!(plain.query_all(5), all);
-        assert_eq!(packed(&plain), after_all);
-        // The int8 variant screens its prefix from its own int8 panels and
-        // rescores from the model's rows: derived from a fresh build, it
-        // answers the same and leaves the shared f64 panels unpacked.
-        let fresh = MaximusIndex::build(Arc::clone(&m), &small_config());
-        let screened = fresh.with_i8_screen();
+        let screened = plain.with_i8_screen();
+        assert_eq!(panels(&screened), panels(&plain));
         assert_eq!(screened.query_all(5), all);
-        assert!(packed(&screened).iter().all(Option::is_none));
-        // The panels hold the list prefix the rows hold: the lesion index
-        // (no blocking, so no panels) answers the same.
         let unblocked = MaximusConfig {
             block_size: 0,
             ..small_config()
         };
         let walked = MaximusIndex::build(Arc::clone(&m), &unblocked);
+        assert!(walked.core.clusters.iter().all(|c| c.start == 0));
         assert_eq!(walked.query_all(5), all);
-        assert!(packed(&walked).iter().all(Option::is_none));
+        assert_eq!(walked.with_i8_screen().query_all(5), all);
+    }
+
+    #[test]
+    fn segment_boundaries_get_the_oracle_answer() {
+        // B = 20 rounds up to a 32-position prefix; a 2000-item list then
+        // runs segments 32..160..416..928..1952..2000, five past the
+        // prefix. Every k — one, a few, more than a segment, past the list
+        // — on every query shape, in f64 and int8, is the oracle's answer.
+        let m = model(24, 2000, 8, 0.2);
+        let config = MaximusConfig {
+            block_size: 20,
+            ..small_config()
+        };
+        let plain = MaximusIndex::build(Arc::clone(&m), &config);
+        assert!(plain.core.clusters.iter().all(|c| c.start == 32));
+        let screened = plain.with_i8_screen();
+        assert_eq!(screened.screen(), Some(ScreenTier::I8));
+        let users = m.num_users();
+        for k in [1usize, 10, 50, 2500] {
+            let want: Vec<TopKList> = (0..users)
+                .map(|u| exact_topk(m.users().row(u), m.items(), k))
+                .collect();
+            for index in [&plain, &screened] {
+                let name = index.name();
+                assert_eq!(index.query_all(k), want, "{name} k={k} query_all");
+                for u in 0..users {
+                    let single = index.query_subset(k, &[u]);
+                    assert_eq!(single[0], want[u], "{name} k={k} user {u}");
+                    for v in [(u + 1) % users, (u * 7 + 5) % users] {
+                        let pair = index.query_subset(k, &[u, v]);
+                        assert_eq!(pair[0], want[u], "{name} k={k} pair ({u}, {v})");
+                        assert_eq!(pair[1], want[v], "{name} k={k} pair ({u}, {v})");
+                    }
+                }
+            }
+        }
+        // Users stop at several segment starts, not only after the prefix.
+        let stats = plain.query_stats();
+        let scored = stats.items_blocked.load(Ordering::Relaxed);
+        let served = stats.users_served.load(Ordering::Relaxed);
+        assert!(stats.items_pruned.load(Ordering::Relaxed) > 0);
+        assert!(scored > served * 160, "no user walked past one segment");
     }
 
     #[test]
@@ -949,11 +997,10 @@ mod tests {
             },
         );
         assert_eq!(maximus.query_all(3), bmm.query_all(3));
-        // Everything was scored in the blocked phase.
-        assert_eq!(
-            maximus.query_stats().items_walked.load(Ordering::Relaxed),
-            0
-        );
+        // Everything was scored in the prefix.
+        let stats = maximus.query_stats();
+        assert_eq!(stats.items_blocked.load(Ordering::Relaxed), 20 * 30);
+        assert_eq!(stats.items_pruned.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -966,9 +1013,7 @@ mod tests {
             let got = maximus.query_new_vector(m.users().row(u), 5);
             assert_eq!(got, bmm.query_range(5, u..u + 1)[0], "user {u}");
         }
-        // The blocked prefix has no gathered copy: a walk through it reads
-        // the model's rows by id. With the whole list blocked, every item
-        // it returns comes from there.
+        // The walk reads the model's rows by id, whatever the prefix.
         let prefix_only = MaximusIndex::build(
             Arc::clone(&m),
             &MaximusConfig {
@@ -976,11 +1021,7 @@ mod tests {
                 ..small_config()
             },
         );
-        assert!(prefix_only
-            .core
-            .clusters
-            .iter()
-            .all(|c| c.items.rows() == 0));
+        assert!(prefix_only.core.clusters.iter().all(|c| c.start == 120));
         for u in [0usize, 17, 39] {
             let got = prefix_only.query_new_vector(m.users().row(u), 5);
             assert_eq!(got, bmm.query_range(5, u..u + 1)[0], "user {u}");

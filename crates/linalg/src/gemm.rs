@@ -257,17 +257,80 @@ impl<T: GemmElem> PackedPanels<T> {
     pub fn cols(&self) -> usize {
         self.depth
     }
+
+    /// Rows `range` of the packed operand, borrowed: a multiply against
+    /// the view reads these panels and packs nothing.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds or does not start on a panel
+    /// boundary (a multiple of [`GemmElem::NR`]).
+    pub fn slice(&self, range: Range<usize>) -> PanelView<'_, T> {
+        PanelView::from(self).slice(range)
+    }
+}
+
+/// A run of consecutive rows of [`PackedPanels`], starting on a panel
+/// boundary: how a caller multiplies one stretch of a packed operand (a
+/// MAXIMUS list segment) without repacking it. The last panel may hold
+/// rows past the view; the driver computes them into its edge buffer and
+/// never hands them out.
+#[derive(Debug, Clone, Copy)]
+pub struct PanelView<'a, T: GemmElem> {
+    panels: &'a PackedPanels<T>,
+    /// First packed row of the view, a multiple of `NR`.
+    start: usize,
+    rows: usize,
+}
+
+impl<'a, T: GemmElem> PanelView<'a, T> {
+    /// Rows of the view.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Width (shared dimension) of the packed operand.
+    pub fn cols(&self) -> usize {
+        self.panels.depth
+    }
+
+    /// Rows `range` of this view.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds or does not start on a panel
+    /// boundary (a multiple of [`GemmElem::NR`]).
+    pub fn slice(self, range: Range<usize>) -> PanelView<'a, T> {
+        assert!(
+            range.start <= range.end && range.end <= self.rows,
+            "panel view out of range"
+        );
+        assert_eq!(range.start % T::NR, 0, "panel view off a panel boundary");
+        PanelView {
+            panels: self.panels,
+            start: self.start + range.start,
+            rows: range.len(),
+        }
+    }
+}
+
+impl<'a, T: GemmElem> From<&'a PackedPanels<T>> for PanelView<'a, T> {
+    fn from(panels: &'a PackedPanels<T>) -> Self {
+        PanelView {
+            panels,
+            start: 0,
+            rows: panels.rows,
+        }
+    }
 }
 
 /// The B side of a multiply: borrowed rows, packed per call, or panels
-/// packed once ([`PackedPanels`]).
+/// packed once ([`PackedPanels`], or a run of their rows).
 #[derive(Debug, Clone, Copy)]
 pub enum GemmB<'a, T: GemmElem> {
     /// Row-major rows (the explicit-blocking test entries, one-off
     /// multiplies).
     Rows(RowBlock<'a, T>),
     /// Prepacked panels. Their depth block overrides the caller's `kc`.
-    Packed(&'a PackedPanels<T>),
+    Packed(PanelView<'a, T>),
 }
 
 impl<T: GemmElem> GemmB<'_, T> {
@@ -283,7 +346,7 @@ impl<T: GemmElem> GemmB<'_, T> {
     pub fn cols(&self) -> usize {
         match self {
             GemmB::Rows(b) => b.cols(),
-            GemmB::Packed(p) => p.depth,
+            GemmB::Packed(p) => p.cols(),
         }
     }
 }
@@ -302,7 +365,13 @@ impl<'a, T: GemmElem> From<&'a Matrix<T>> for GemmB<'a, T> {
 
 impl<'a, T: GemmElem> From<&'a PackedPanels<T>> for GemmB<'a, T> {
     fn from(panels: &'a PackedPanels<T>) -> Self {
-        GemmB::Packed(panels)
+        GemmB::Packed(panels.into())
+    }
+}
+
+impl<'a, T: GemmElem> From<PanelView<'a, T>> for GemmB<'a, T> {
+    fn from(view: PanelView<'a, T>) -> Self {
+        GemmB::Packed(view)
     }
 }
 
@@ -500,7 +569,7 @@ fn for_each_block<T: GemmElem>(
     let nc = (blocks.nc / T::NR).max(1) * T::NR;
     let kc = match b {
         GemmB::Rows(_) => padded_depth::<T>(blocks.kc.max(1)),
-        GemmB::Packed(p) => p.kc,
+        GemmB::Packed(p) => p.panels.kc,
     };
     // Sized to this multiply, not to the blocking: a one-user lookup packs
     // one tile row of A, not `MC` of them.
@@ -509,16 +578,19 @@ fn for_each_block<T: GemmElem>(
 
     for jc in (0..n).step_by(nc) {
         let ncb = nc.min(n - jc);
-        // `panels` holds B's `NR`-panels from column `first_col` on, packed
-        // over the whole depth for `b_rows` rows.
-        let (panels, first_col, b_rows): (&[T::Panel], usize, usize) = match b {
+        // `panels` holds `row_panels` `NR`-panels packed over the whole
+        // depth; this column panel starts at panel `first_panel` of them.
+        let (panels, first_panel, row_panels): (&[T::Panel], usize, usize) = match b {
             GemmB::Rows(rows) => {
                 pack_full_depth(|r| rows.row(jc + r), ncb, k, kc, pack_b);
-                (pack_b, jc, ncb)
+                (pack_b, 0, ncb.div_ceil(T::NR))
             }
-            GemmB::Packed(p) => (&p.data, 0, n),
+            GemmB::Packed(p) => (
+                &p.panels.data,
+                (p.start + jc) / T::NR,
+                p.panels.rows.div_ceil(T::NR),
+            ),
         };
-        let row_panels = b_rows.div_ceil(T::NR);
         for ic in (0..m).step_by(mc) {
             let mcb = mc.min(m - ic);
             visit(ic..ic + mcb, jc..jc + ncb, &mut |out, ldc, whole_rows| {
@@ -532,7 +604,7 @@ fn for_each_block<T: GemmElem>(
                     pack_block(|r| a.row(ic + r), mcb, pc, kc.min(k - pc), T::MR, pack_a);
                     // Depth block `pc / kc` starts after `pc` full steps of
                     // every row panel; within it, panel `q` is `depth·NR` long.
-                    let at = (pc * row_panels + (jc - first_col) / T::NR * depth) * T::NR;
+                    let at = (pc * row_panels + first_panel * depth) * T::NR;
                     macro_kernel::<T>(
                         tile,
                         pack_a,
@@ -855,7 +927,7 @@ mod tests {
         gemm_nt_into((&a).into(), (&b).into(), &mut fast);
         for r in 0..19 {
             for c in 0..21 {
-                let slow = crate::kernels::dot_scalar_f32(a.row(r), b.row(c));
+                let slow = crate::kernels::tests::dot_scalar_f32(a.row(r), b.row(c));
                 assert!((fast[r * 21 + c] - slow).abs() < 1e-3);
             }
         }
@@ -884,7 +956,7 @@ mod tests {
             gemm_nt_blocked_with(&kern, a, b, &mut blocked, blocks);
             assert!(blocked == want, "{} in place, {blocks:?}", kern.name());
             let panels = PackedPanels::pack(b);
-            for side in [GemmB::Rows(b), GemmB::Packed(&panels)] {
+            for side in [GemmB::Rows(b), (&panels).into()] {
                 let mut streamed = vec![T::Acc::default(); m * n];
                 let mut seen = 0usize;
                 let mut scratch = GemmScratch::new();
@@ -948,6 +1020,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every panel-aligned slice of packed panels multiplies like the rows
+    /// it covers, packed per call — element for element, whatever its end.
+    fn slices_agree<T: GemmElem>(a: RowBlock<'_, T>, b: RowBlock<'_, T>, blocks: &BlockSizes)
+    where
+        T::Acc: PartialEq,
+    {
+        let (m, n, f) = (a.rows(), b.rows(), b.cols());
+        let panels = PackedPanels::pack(b);
+        for start in (0..=n).step_by(T::NR) {
+            for end in [start, start + 1, start + T::NR + 3, n] {
+                let end = end.min(n);
+                let rows = RowBlock::new(&b.as_slice()[start * f..end * f], end - start, f);
+                let mut want = vec![T::Acc::default(); m * rows.rows()];
+                gemm_nt_blocked_with(simd::active(), a, rows, &mut want, blocks);
+                let mut got = vec![T::Acc::default(); m * rows.rows()];
+                let view = panels.slice(start..end);
+                let mut scratch = GemmScratch::new();
+                let width = rows.rows();
+                gemm_nt_stream_blocks_with(
+                    simd::active(),
+                    a,
+                    view.into(),
+                    blocks,
+                    &mut scratch,
+                    |block, rows, cols| {
+                        for (r, scores) in rows.zip(block.chunks_exact(cols.len())) {
+                            got[r * width + cols.start..r * width + cols.end]
+                                .copy_from_slice(scores);
+                        }
+                    },
+                );
+                assert!(got == want, "rows {start}..{end} of {n}, {blocks:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn panel_slices_multiply_like_the_rows_they_cover() {
+        let tiny = BlockSizes {
+            mc: 6,
+            kc: 4,
+            nc: 16,
+        };
+        for &(m, n, f) in &[(3usize, 40usize, 3usize), (5, 70, 51)] {
+            let a64 = random_matrix(m, f, 3 + n as u64);
+            let b64 = random_matrix(n, f, 7 + n as u64);
+            let (a8, b8) = (codes(m, f, 3), codes(n, f, 5));
+            for blocks in [&f64::BLOCKS, &tiny] {
+                slices_agree::<f64>((&a64).into(), (&b64).into(), blocks);
+                slices_agree::<i8>(RowBlock::new(&a8, m, f), RowBlock::new(&b8, n, f), blocks);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "off a panel boundary")]
+    fn panel_slices_start_on_a_panel_boundary() {
+        let b = random_matrix(20, 4, 1);
+        let _ = PackedPanels::pack((&b).into()).slice(3..20);
     }
 
     #[test]

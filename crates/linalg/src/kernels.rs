@@ -10,7 +10,7 @@
 //! ([`crate::simd::active`]) — AVX2+FMA or NEON when available — whose
 //! results are bit-identical to the scalar bodies below (see the contract in
 //! [`crate::simd`]). So every caller in the workspace (LEMP's LENGTH/INCR
-//! scans, MAXIMUS's list walks, FEXIPRO's partial products, the naive GEMM
+//! scans, MAXIMUS's new-vector walk, FEXIPRO's partial products, the naive GEMM
 //! reference) picks up the dispatched kernels without code changes.
 
 use crate::simd;
@@ -104,13 +104,6 @@ pub fn dot_gemm_ordered(x: &[f64], y: &[f64]) -> f64 {
 
 /// Monomorphic scalar entries for the [`crate::simd::Kernel`] vtable.
 pub(crate) fn dot_scalar_f64(x: &[f64], y: &[f64]) -> f64 {
-    dot_scalar(x, y)
-}
-
-/// The `f32` screen tier's point dot ([`crate::ScreenElem::dot`]): the
-/// portable body under every kernel set. Its accumulation order is one of
-/// the orders [`f32_screen_envelope`] covers.
-pub(crate) fn dot_scalar_f32(x: &[f32], y: &[f32]) -> f32 {
     dot_scalar(x, y)
 }
 
@@ -384,9 +377,16 @@ pub fn suffix_norms(x: &[f64]) -> Vec<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::simd::tests::round_f32;
+
+    /// A portable `f32` point dot, the reference the screen-envelope tests
+    /// hold an f32 accumulation to. Its order is one of the orders
+    /// [`f32_screen_envelope`] covers.
+    pub(crate) fn dot_scalar_f32(x: &[f32], y: &[f32]) -> f32 {
+        dot_scalar(x, y)
+    }
 
     #[test]
     fn scaled_norm_survives_what_the_plain_norm_overflows() {

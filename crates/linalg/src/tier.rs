@@ -5,12 +5,12 @@
 //! it: how an exact f64 row is stored in the tier (and which per-row
 //! **terms** its error envelope needs), the user-side **offer** those terms
 //! turn into, how one accumulator becomes a screen score and an envelope,
-//! the threshold-filter and group-maxima slots and the point dot.
-//! Everything above this module — the row store [`TierRows`], the block
-//! pass and point bound in `mips_topk::screen`, the model-level mirrors in
-//! `mips_data` — is generic over the trait, so a tier is one `GemmElem`
-//! impl, one `ScreenElem` impl and one [`ScreenTier`] variant (with its arm
-//! in [`crate::per_tier!`]).
+//! and the threshold-filter and group-maxima slots. Everything above this
+//! module — the row store [`TierRows`], the block pass in
+//! `mips_topk::screen`, the model-level mirrors in `mips_data` — is
+//! generic over the trait, so a tier is one `GemmElem` impl, one
+//! `ScreenElem` impl and one [`ScreenTier`] variant (with its arm in
+//! [`crate::per_tier!`]).
 //!
 //! The terms are stored column-wise (one `f64` slice per term, one entry
 //! per row), which is what the SIMD filters load:
@@ -23,10 +23,10 @@
 //!   side multiplies by `1/s`, so both are stored rather than one re-derived
 //!   from the other.
 
-use crate::gemm::{GemmB, GemmElem, PackedPanels};
+use crate::gemm::{GemmB, GemmElem, PanelView};
 use crate::matrix::RowBlock;
 use crate::quant::{quantize_row_i8, I8_DOT_MAX_LEN};
-use crate::simd::{self, F32Offer, I8Offer, Kernel};
+use crate::simd::{F32Offer, I8Offer, Kernel};
 use std::fmt::Debug;
 use std::ops::Range;
 
@@ -103,8 +103,8 @@ pub const MAX_TERMS: usize = 3;
 pub type Terms<'a> = [&'a [f64]; MAX_TERMS];
 
 /// An element type the scan can screen in: [`GemmElem`] plus the tier's
-/// storage rule, offer expression, filter and group-maxima slots and point
-/// dot (see the module docs).
+/// storage rule, offer expression, and filter and group-maxima slots (see
+/// the module docs).
 pub trait ScreenElem: GemmElem + Default {
     /// The tier this element type stores.
     const TIER: ScreenTier;
@@ -156,10 +156,6 @@ pub trait ScreenElem: GemmElem + Default {
         group: usize,
         out: &mut [f64],
     );
-
-    /// The point dot `xᵀy` in the tier's arithmetic: a dispatched
-    /// [`Kernel`] slot where a SIMD body pays (int8), else a portable body.
-    fn dot(x: &[Self], y: &[Self]) -> Self::Acc;
 }
 
 impl ScreenElem for f32 {
@@ -211,13 +207,6 @@ impl ScreenElem for f32 {
         out: &mut [f64],
     ) {
         kern.group_max_f32(accs, items[0], offer, group, out)
-    }
-
-    /// The portable four-accumulator body under every kernel set.
-    #[inline(always)]
-    fn dot(x: &[f32], y: &[f32]) -> f32 {
-        assert_eq!(x.len(), y.len(), "dot: length mismatch");
-        crate::kernels::dot_scalar_f32(x, y)
     }
 }
 
@@ -275,16 +264,10 @@ impl ScreenElem for i8 {
     ) {
         kern.group_max_i8(accs, items[1], items[2], offer, group, out)
     }
-
-    #[inline(always)]
-    fn dot(x: &[i8], y: &[i8]) -> i32 {
-        simd::active().dot_i8(x, y)
-    }
 }
 
 /// Rows of an f64 block in tier `T`'s storage, each with its envelope
-/// terms — either side of a block screen, a gathered item block of a point
-/// screen, or (one row) a user armed for one.
+/// terms — either side of a block screen.
 #[derive(Debug, Clone)]
 pub struct TierRows<T: ScreenElem> {
     /// Row-major, `rows × cols`.
@@ -383,66 +366,77 @@ impl<T: ScreenElem> TierRows<T> {
     /// Every row, borrowed.
     pub fn view(&self) -> TierView<'_, T> {
         TierView {
-            rows: self.row_block(0, self.rows()),
+            rows: GemmB::Rows(self.row_block(0, self.rows())),
             terms: self.terms(),
-            panels: None,
         }
     }
 }
 
-/// A borrowed block of [`TierRows`]: what a screen pass takes. The item
-/// side may carry the same rows packed once for the GEMM driver
-/// ([`TierView::with_panels`]); the pass then packs nothing on that side.
+/// A borrowed block of tier rows with their terms: what a screen pass
+/// takes. The rows are row storage ([`TierRows::view`]) or the same rows
+/// packed once for the GEMM driver ([`TierView::packed`]); the pass then
+/// packs nothing on that side. The item side needs nothing else, so a
+/// packed view keeps no rows: the pass reads the codes through the
+/// multiply and the terms by column.
 #[derive(Debug, Clone, Copy)]
 pub struct TierView<'a, T: ScreenElem> {
-    rows: RowBlock<'a, T>,
+    rows: GemmB<'a, T>,
     terms: Terms<'a>,
-    panels: Option<&'a PackedPanels<T>>,
 }
 
 impl<'a, T: ScreenElem> TierView<'a, T> {
-    /// The sub-block of rows `range` — how a caller walks one borrowed side
-    /// in batches. Panels cover the whole block, so the sub-block has none.
+    /// Packed rows and their terms, with no row storage: a screen's item
+    /// side held as panels alone.
     ///
     /// # Panics
-    /// Panics if the range is out of bounds.
+    /// Panics if a term column's length differs from the panels' rows.
+    pub fn packed(panels: PanelView<'a, T>, terms: Terms<'a>) -> TierView<'a, T> {
+        for column in &terms[..T::TERMS] {
+            assert_eq!(column.len(), panels.rows(), "terms of a different block");
+        }
+        TierView {
+            rows: GemmB::Packed(panels),
+            terms,
+        }
+    }
+
+    /// The sub-block of rows `range` — how a caller walks one borrowed side
+    /// in batches or segments.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds, or if the view is packed and
+    /// the range does not start on a panel boundary ([`PanelView::slice`]).
     pub fn rows(self, range: Range<usize>) -> TierView<'a, T> {
-        let f = self.rows.cols();
-        let data = &self.rows.as_slice()[range.start * f..range.end * f];
         let mut terms = self.terms;
         for column in &mut terms[..T::TERMS] {
             *column = &column[range.clone()];
         }
-        TierView {
-            rows: RowBlock::new(data, range.len(), f),
-            terms,
-            panels: None,
+        let rows = match self.rows {
+            GemmB::Rows(rows) => {
+                let f = rows.cols();
+                let data = &rows.as_slice()[range.start * f..range.end * f];
+                GemmB::Rows(RowBlock::new(data, range.len(), f))
+            }
+            GemmB::Packed(panels) => GemmB::Packed(panels.slice(range)),
+        };
+        TierView { rows, terms }
+    }
+
+    /// The rows in tier storage — the A side of a multiply.
+    ///
+    /// # Panics
+    /// Panics on a packed view, which holds no row storage.
+    #[inline(always)]
+    pub fn row_block(&self) -> RowBlock<'a, T> {
+        match self.rows {
+            GemmB::Rows(rows) => rows,
+            GemmB::Packed(_) => panic!("a packed tier view has no row storage"),
         }
     }
 
-    /// This view with its rows' prepacked panels attached.
-    ///
-    /// # Panics
-    /// Panics if `panels` is not the shape of the view.
-    pub fn with_panels(mut self, panels: &'a PackedPanels<T>) -> TierView<'a, T> {
-        assert_eq!(
-            (panels.rows(), panels.cols()),
-            (self.rows.rows(), self.rows.cols()),
-            "panels of a different block"
-        );
-        self.panels = Some(panels);
-        self
-    }
-
-    /// The rows in tier storage.
-    #[inline(always)]
-    pub fn row_block(&self) -> RowBlock<'a, T> {
-        self.rows
-    }
-
-    /// The rows as the B side of a multiply: the panels when attached.
+    /// The rows as the B side of a multiply.
     pub fn gemm_b(&self) -> GemmB<'a, T> {
-        self.panels.map_or(GemmB::Rows(self.rows), GemmB::Packed)
+        self.rows
     }
 
     /// The per-row terms, one slice per term.
@@ -455,7 +449,7 @@ impl<'a, T: ScreenElem> TierView<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
+    use crate::{Matrix, PackedPanels};
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed | 1;
@@ -583,9 +577,27 @@ mod tests {
         assert!(TierRows::<i8>::build(RowBlock::new(at_cap, 1, at_cap.len())).is_some());
     }
 
+    /// Each tier's reference point dot for these tests: the int8 kernel
+    /// slot, and the portable f32 body the envelope tests hold to it.
+    trait PointDot: ScreenElem {
+        fn point_dot(x: &[Self], y: &[Self]) -> Self::Acc;
+    }
+
+    impl PointDot for i8 {
+        fn point_dot(x: &[i8], y: &[i8]) -> i32 {
+            crate::quant::dot_i8(x, y)
+        }
+    }
+
+    impl PointDot for f32 {
+        fn point_dot(x: &[f32], y: &[f32]) -> f32 {
+            crate::kernels::tests::dot_scalar_f32(x, y)
+        }
+    }
+
     #[test]
     fn offers_and_bounds_contain_the_exact_score_in_every_tier() {
-        fn check<T: ScreenElem>() {
+        fn check<T: PointDot>() {
             let (users, items) = (random_matrix(4, 12, 3), random_matrix(25, 12, 4));
             let u = TierRows::<T>::build((&users).into()).unwrap();
             let i = TierRows::<T>::build((&items).into()).unwrap();
@@ -593,7 +605,7 @@ mod tests {
                 let offer = T::offer(12, u.terms(), a);
                 for b in 0..25 {
                     let exact = crate::dot(users.row(a), items.row(b));
-                    let acc = T::dot(u.row(a), i.row(b));
+                    let acc = T::point_dot(u.row(a), i.row(b));
                     let (score, env) = T::bound(&offer, acc, i.terms(), b).expect("finite");
                     assert!((score - exact).abs() <= env, "{:?} {a}x{b}", T::TIER);
                 }
@@ -620,7 +632,8 @@ mod tests {
                 let accs = accs_of(&u, &i, a);
                 for group in [1usize, 4, 7, 37] {
                     let mut out = vec![0.0; 37usize.div_ceil(group)];
-                    T::group_max(simd::active(), &accs, i.terms(), offer, group, &mut out);
+                    let kern = crate::simd::active();
+                    T::group_max(kern, &accs, i.terms(), offer, group, &mut out);
                     for (g, &got) in out.iter().enumerate() {
                         let lows = (g * group..((g + 1) * group).min(37))
                             .filter_map(|b| T::bound(&offer, accs[b], i.terms(), b))
@@ -633,7 +646,7 @@ mod tests {
         }
         let dots = |u: &TierRows<i8>, i: &TierRows<i8>, a: usize| {
             (0..i.rows())
-                .map(|b| <i8 as ScreenElem>::dot(u.row(a), i.row(b)))
+                .map(|b| i8::point_dot(u.row(a), i.row(b)))
                 .collect()
         };
         check::<i8>(dots);
@@ -642,18 +655,18 @@ mod tests {
             (0..i.rows())
                 .map(|b| match b % 4 {
                     1 => f32::INFINITY,
-                    _ => <f32 as ScreenElem>::dot(u.row(a), i.row(b)),
+                    _ => f32::point_dot(u.row(a), i.row(b)),
                 })
                 .collect()
         });
     }
 
     #[test]
-    #[should_panic(expected = "panels of a different block")]
-    fn panels_must_match_the_view() {
+    #[should_panic(expected = "terms of a different block")]
+    fn panels_must_match_their_terms() {
         let m = random_matrix(6, 4, 9);
         let rows = TierRows::<f32>::build((&m).into()).unwrap();
         let panels = PackedPanels::pack(rows.row_block(0, 5));
-        let _ = rows.view().with_panels(&panels);
+        let _ = TierView::packed((&panels).into(), rows.terms());
     }
 }

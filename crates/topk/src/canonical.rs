@@ -10,9 +10,11 @@
 //!
 //! Every other score is approximate — a screen tier's (f32, int8), the
 //! inverted index's postings accumulator, the four-lane
-//! [`dot`](mips_linalg::kernels::dot) of MAXIMUS's walks, LEMP and FEXIPRO,
-//! whose rounding can order a near-tie the other way — and never enters a
-//! heap. The scan offers it, widened by an envelope that bounds its distance
+//! [`dot`](mips_linalg::kernels::dot) of LEMP's and FEXIPRO's scans and of
+//! MAXIMUS's §III-E new-vector walk, whose rounding can order a near-tie
+//! the other way — and never enters a heap. (MAXIMUS's clustered users
+//! walk their lists in block passes, which push chain scores straight
+//! into their heaps or screen through the block screen.) The scan offers it, widened by an envelope that bounds its distance
 //! from the chain, to a [`Shortlist`], prunes against the shortlist's
 //! threshold, and ends with [`Shortlist::finish`], which rescores the
 //! survivors with the chain into the scan's heap.
@@ -27,8 +29,8 @@
 //! smaller-id rule are safe too, and an item a scan skips because an upper
 //! bound of its score sits strictly below the threshold is strictly below
 //! the true k-th score. Entries already in the scan's heap are exact scores
-//! of an earlier phase (MAXIMUS's blocked prefix); they seed the bound heap,
-//! an exact score being its own lower bound. The heap is push-order
+//! of an earlier pass (MAXIMUS's prefix and list segments); they seed the
+//! bound heap, an exact score being its own lower bound. The heap is push-order
 //! independent, so the answer is the one pushing every chain score gives.
 
 use crate::heap::TopKHeap;

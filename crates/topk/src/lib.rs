@@ -14,7 +14,7 @@
 //! oracle every backend is refereed against, and [`Shortlist`], the one
 //! screen-then-rescore every approximate score goes through — the screen
 //! tiers', the sparse accumulator's and the four-lane `dot` of the index
-//! walks — so that a scan returns the oracle's answer.
+//! scans — so that a scan returns the oracle's answer.
 //!
 //! [`fused`] additionally provides the fused GEMM→top-k path: score panels
 //! stream out of the blocked multiply straight into the heaps, so the dense
@@ -43,7 +43,6 @@ pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnI
 pub use heap::TopKHeap;
 pub use list::TopKList;
 pub use screen::{
-    screen_topk_into_heaps, screen_topk_into_heaps_with, ArmedUser, ScreenScratch, ScreenStats,
-    ScreenTier,
+    screen_topk_into_heaps, screen_topk_into_heaps_with, ScreenScratch, ScreenStats, ScreenTier,
 };
 pub use select::{row_topk, rows_topk};

@@ -75,18 +75,8 @@
 //!
 //! The item side need not be the whole catalog: the rescore reads each
 //! column's f64 row from the catalog by its id, so a gathered subset in
-//! tier storage (MAXIMUS's blocked list prefix, under
-//! [`ColumnIds::Mapped`]) screens without an f64 copy of its own.
-//!
-//! ## Point screens
-//!
-//! An index walk (MAXIMUS's list walk) visits one item at a time and only
-//! needs a yes/no: *can this item still reach the threshold?* It arms the
-//! user once ([`ArmedUser::arm`]) against a gathered item block in the same
-//! tier's store; [`ArmedUser::upper_bound`] returns the envelope-widened
-//! screen score, and the walk skips the item's f64 `dot` and its offer to
-//! the walk's [`Shortlist`] when even that sits below the shortlist's
-//! threshold.
+//! tier storage (a segment of a MAXIMUS list, packed panels plus terms,
+//! under [`ColumnIds::Mapped`]) screens without an f64 copy of its own.
 
 use crate::admit;
 use crate::canonical::Shortlist;
@@ -94,7 +84,7 @@ use crate::fused::ColumnIds;
 use crate::heap::TopKHeap;
 use mips_linalg::simd::{self, Kernel};
 use mips_linalg::{
-    gemm_nt_stream_blocks_with, BlockSizes, GemmScratch, RowBlock, ScreenElem, TierRows, TierView,
+    gemm_nt_stream_blocks_with, BlockSizes, GemmScratch, RowBlock, ScreenElem, TierView,
 };
 
 pub use mips_linalg::ScreenTier;
@@ -141,8 +131,8 @@ pub struct ScreenStats {
 /// `users` must mirror `a64` row for row. `b64` is the f64 catalog the
 /// `ids` index: column `j` of `items` mirrors row `ids.id(j)` of `b64`, and
 /// the rescore reads that row. An item side that is the whole catalog
-/// takes `ColumnIds::Offset(0)`; one gathered from it (MAXIMUS's list
-/// prefix) takes its id map and needs no f64 copy of its own.
+/// takes `ColumnIds::Offset(0)`; one gathered from it (a segment of a
+/// MAXIMUS list) takes its id map and needs no f64 copy of its own.
 ///
 /// # Panics
 /// Panics if `heaps.len() != a.rows()`, if either side disagrees with
@@ -184,7 +174,7 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
     ids: ColumnIds<'_>,
     scratch: &mut ScreenScratch<T>,
 ) -> ScreenStats {
-    let (a, b) = (users.row_block(), items.row_block());
+    let (a, b) = (users.row_block(), items.gemm_b());
     let (m, n, f) = (a64.rows(), b.rows(), a64.cols());
     assert_eq!(heaps.len(), m, "screen_topk: one heap per query row");
     assert_eq!((a.rows(), a.cols()), (m, f), "screen_topk: user side shape");
@@ -220,35 +210,28 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
     let blocks = blocks.unwrap_or(&T::BLOCKS);
     let user_terms = users.terms();
     gemm.with_maxima(|gemm, maxima| {
-        gemm_nt_stream_blocks_with(
-            kern,
-            a,
-            items.gemm_b(),
-            blocks,
-            gemm,
-            |block, rows, cols| {
-                let item_terms = items.rows(cols.clone()).terms();
-                for (accs, i) in block.chunks_exact(cols.len()).zip(rows) {
-                    let offer = T::offer(f, user_terms, i);
-                    let list = &mut shortlists[i];
-                    let floor = admit::floor(list.bounds(), accs.len(), maxima, |group, out| {
-                        T::group_max(kern, accs, item_terms, offer, group, out)
-                    });
-                    list.set_floor(floor);
-                    let mut from = 0;
-                    while let Some(j) =
-                        T::next_hit(kern, accs, item_terms, offer, from, list.threshold())
-                    {
-                        let id = ids.id(cols.start + j);
-                        match T::bound(&offer, accs[j], item_terms, j) {
-                            Some((score, env)) => list.offer(id, score, env),
-                            None => list.keep(id),
-                        }
-                        from = j + 1;
+        gemm_nt_stream_blocks_with(kern, a, b, blocks, gemm, |block, rows, cols| {
+            let item_terms = items.rows(cols.clone()).terms();
+            for (accs, i) in block.chunks_exact(cols.len()).zip(rows) {
+                let offer = T::offer(f, user_terms, i);
+                let list = &mut shortlists[i];
+                let floor = admit::floor(list.bounds(), accs.len(), maxima, |group, out| {
+                    T::group_max(kern, accs, item_terms, offer, group, out)
+                });
+                list.set_floor(floor);
+                let mut from = 0;
+                while let Some(j) =
+                    T::next_hit(kern, accs, item_terms, offer, from, list.threshold())
+                {
+                    let id = ids.id(cols.start + j);
+                    match T::bound(&offer, accs[j], item_terms, j) {
+                        Some((score, env)) => list.offer(id, score, env),
+                        None => list.keep(id),
                     }
+                    from = j + 1;
                 }
-            },
-        )
+            }
+        })
     });
 
     // Rescore pass: each row's survivors, exact f64 from the catalog rows
@@ -263,47 +246,12 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
     }
 }
 
-/// One user armed for point screens in tier `T`: the user's row in tier
-/// storage and the offer terms that depend only on the user.
-#[derive(Debug, Clone)]
-pub struct ArmedUser<T: ScreenElem> {
-    row: TierRows<T>,
-    offer: T::Offer,
-}
-
-impl<T: ScreenElem> ArmedUser<T> {
-    /// Prepares `user` for screening in tier `T`. `None` when the user row
-    /// has no usable representation there ([`TierRows::build`]); the caller
-    /// then walks unscreened: still exact, just unaccelerated.
-    pub fn arm(user: &[f64]) -> Option<ArmedUser<T>> {
-        let row = TierRows::build(RowBlock::new(user, 1, user.len()))?;
-        let offer = T::offer(user.len(), row.terms(), 0);
-        Some(ArmedUser { row, offer })
-    }
-
-    /// An upper bound on the exact score of this user against row `row` of
-    /// `items`: the screen score widened by the tier's envelope. When it
-    /// sits strictly below a walk's [`Shortlist::threshold`] the exact
-    /// score does too, so the item is below the true k-th score and its
-    /// dot and offer can be skipped. `+∞` (never prunes) when the screen
-    /// score carries no bound (an f32 product overflowed).
-    #[inline]
-    pub fn upper_bound(&self, items: &TierRows<T>, row: usize) -> f64 {
-        let acc = T::dot(self.row.row(0), items.row(row));
-        match T::bound(&self.offer, acc, items.terms(), row) {
-            Some((score, env)) => score + env,
-            None => f64::INFINITY,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fused::{gemm_nt_topk, stream_topk_into_heaps};
     use crate::list::TopKList;
-    use mips_linalg::kernels::dot;
-    use mips_linalg::{per_tier, Matrix, PackedPanels};
+    use mips_linalg::{per_tier, Matrix, PackedPanels, TierRows};
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed | 1;
@@ -493,7 +441,7 @@ mod tests {
         let a = random_matrix(2, 5, 7);
         let b = random_matrix(4, 5, 8);
         let map = [40u32, 30, 20, 10];
-        // The catalog the ids index, as MAXIMUS's list prefix is gathered
+        // The catalog the ids index, as a MAXIMUS list segment is gathered
         // out of the model's: row `map[j]` is row `j` of `b`, and every
         // other row would rescore to a different score.
         let catalog = Matrix::from_fn(41, 5, |r, c| {
@@ -623,9 +571,10 @@ mod tests {
     }
 
     /// Same candidates, same survivors, same heaps — whether the item side
-    /// arrives as rows or as panels packed once, and however the multiply
-    /// is blocked (tiny blocks force partial tiles, several depth passes
-    /// and several row blocks per panel).
+    /// arrives as rows or as panels packed once (whole, or a segment of
+    /// them with only its terms beside it), and however the multiply is
+    /// blocked (tiny blocks force partial tiles, several depth passes and
+    /// several row blocks per panel).
     fn prepacked_panels_and_tiny_blocks_change_nothing<T: ScreenElem>() {
         let a = random_matrix(11, 23, 51);
         let b = random_matrix(75, 23, 52);
@@ -636,7 +585,7 @@ mod tests {
         };
         let (users, items) = (store::<T>(&a), store::<T>(&b));
         let panels = PackedPanels::pack(items.row_block(0, 75));
-        let run = |items: TierView<'_, T>, blocks: Option<&BlockSizes>| {
+        let run = |items: TierView<'_, T>, blocks: Option<&BlockSizes>, first: u32| {
             let mut heaps = fresh_heaps(11, 5);
             let stats = screen_topk_into_heaps_with(
                 simd::active(),
@@ -646,22 +595,39 @@ mod tests {
                 users.view(),
                 items,
                 &mut heaps,
-                ColumnIds::Offset(0),
+                ColumnIds::Offset(first),
                 &mut ScreenScratch::new(),
             );
             (stats, sorted(heaps))
         };
         let tier = T::TIER;
-        let want = run(items.view(), None);
-        let packed = items.view().with_panels(&panels);
-        assert_eq!(run(packed, None), want, "{tier:?} prepacked");
+        let want = run(items.view(), None, 0);
+        let packed = TierView::packed((&panels).into(), items.terms());
+        assert_eq!(run(packed, None, 0), want, "{tier:?} prepacked");
         assert_eq!(
-            run(items.view(), Some(&tiny)).1,
+            run(items.view(), Some(&tiny), 0).1,
             want.1,
             "{tier:?} tiny blocks"
         );
         let direct = gemm_nt_topk((&a).into(), (&b).into(), 5, &mut GemmScratch::new());
         assert_eq!(want.1, direct, "{tier:?} vs f64-direct");
+        // Rows 32.. alone: a panel-aligned segment of the packed panels,
+        // with its terms and no rows, screens like the rows it covers.
+        let segment = packed.rows(32..75);
+        let want = run(items.view().rows(32..75), None, 32);
+        assert_eq!(run(segment, None, 32), want, "{tier:?} packed segment");
+        assert_eq!(run(segment, Some(&tiny), 32).1, want.1, "{tier:?} tiny");
+        let mut heaps = fresh_heaps(11, 5);
+        let mut scratch = GemmScratch::new();
+        let rest = b.row_block(32, 75);
+        stream_topk_into_heaps(
+            (&a).into(),
+            rest.into(),
+            &mut heaps,
+            ColumnIds::Offset(32),
+            &mut scratch,
+        );
+        assert_eq!(want.1, sorted(heaps), "{tier:?} segment vs f64-direct");
     }
 
     #[test]
@@ -813,42 +779,5 @@ mod tests {
         for tier in ScreenTier::ALL {
             per_tier!(tier, T => check::<T>());
         }
-    }
-
-    #[test]
-    fn point_screen_upper_bounds_dominate_the_exact_scores() {
-        fn check<T: ScreenElem>() {
-            let items = random_matrix(80, 12, 3);
-            let users = random_matrix(5, 12, 4);
-            let store = store::<T>(&items);
-            let mut tightest = f64::INFINITY;
-            for user in users.iter_rows() {
-                let armed = ArmedUser::<T>::arm(user).unwrap();
-                for (r, item) in items.iter_rows().enumerate() {
-                    let exact = dot(user, item);
-                    let ub = armed.upper_bound(&store, r);
-                    assert!(ub >= exact, "{:?} row {r}: {ub} < {exact}", T::TIER);
-                    tightest = tightest.min(ub - exact);
-                }
-            }
-            assert!(tightest.is_finite(), "{:?} never produced a bound", T::TIER);
-        }
-        for tier in ScreenTier::ALL {
-            per_tier!(tier, T => check::<T>());
-        }
-        // An overflowed f32 product screens to +∞ instead of pruning.
-        let huge = Matrix::from_rows(&[vec![1.0e30, 1.0]]).unwrap();
-        let armed = ArmedUser::<f32>::arm(&[1.0e30, 1.0]).unwrap();
-        assert_eq!(armed.upper_bound(&store(&huge), 0), f64::INFINITY);
-    }
-
-    #[test]
-    fn user_rows_a_tier_cannot_store_arm_as_none() {
-        // Subnormal magnitudes break int8 quantization, values past the f32
-        // range the f32 rounding; the other tier still arms each.
-        assert!(ArmedUser::<i8>::arm(&[1.0e-320; 6]).is_none());
-        assert!(ArmedUser::<f32>::arm(&[1.0e-320; 6]).is_some());
-        assert!(ArmedUser::<f32>::arm(&[1.0e300, 1.0]).is_none());
-        assert!(ArmedUser::<i8>::arm(&[1.0e300, 1.0]).is_some());
     }
 }

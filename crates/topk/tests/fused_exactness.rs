@@ -312,7 +312,7 @@ fn floor_edges_match_the_naive_sort_under_every_kernel() {
                 (0..n as u32).rev().collect(),
             ];
             // Preloads tie with column scores (same 1/64 grid) and carry
-            // ids past the catalog, as MAXIMUS's walk entries do.
+            // ids past the catalog, as an earlier pass's entries may.
             let preloads: [&[(f64, u32)]; 2] = [&[], &[(0.5, 5000), (0.0, 5001), (-1.25, 5002)]];
             for b in &corpora {
                 for ids in &orders {

@@ -20,6 +20,7 @@ use optimus_maximus::data::{MfModel, MirrorElem};
 use optimus_maximus::linalg::simd::{self, PeakOp};
 use optimus_maximus::linalg::{
     gemm_flops, gemm_nt_into, gemm_nt_stream_blocks, GemmElem, GemmScratch, PackedPanels, RowBlock,
+    TierView,
 };
 use optimus_maximus::topk::{
     screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch, TopKHeap,
@@ -161,7 +162,7 @@ fn select_f64(model: &MfModel, k: usize) -> f64 {
 /// A screen tier's row: its multiply + screen select + exact rescore.
 fn select_screen<T: MirrorElem>(model: &MfModel, k: usize) -> f64 {
     let mirror = model.mirror::<T>();
-    let items = mirror.items().view().with_panels(mirror.item_panels());
+    let items = TierView::packed(mirror.item_panels().into(), mirror.items().terms());
     let mut scratch = ScreenScratch::new();
     let seconds = best_of_5(|| {
         let mut heaps = vec![TopKHeap::new(k); model.num_users()];
