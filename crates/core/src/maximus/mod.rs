@@ -11,8 +11,8 @@
 //! Querying (Algorithm 1, `QueryIndex`, plus the §III-D blocking
 //! optimization): the users of a cluster walk its list together, in block
 //! passes. The first pass is the §III-D prefix, the first `B` positions;
-//! the list continues in segments of [`FIRST_SEGMENT`] positions that grow
-//! by [`SEGMENT_GROWTH`] each time. Before each segment, every user whose
+//! the list continues in segments of 128 positions that double each
+//! time. Before each segment, every user whose
 //! bound at the segment's first position (scaled by `‖u‖`) sits strictly
 //! below its heap's threshold stops: bounds descend, so nothing further
 //! down the list can reach its answer. For the same reason the segment
@@ -48,13 +48,14 @@ use mips_topk::{
     exact_topk, screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch,
     ScreenTier, Shortlist, TopKHeap, TopKList,
 };
+use std::cmp::Ordering::Less;
 use std::time::Instant;
 
 /// List positions in the first segment past the §III-D prefix.
-pub const FIRST_SEGMENT: usize = 128;
+const FIRST_SEGMENT: usize = 128;
 
 /// Each segment is this many times as long as the one before it.
-pub const SEGMENT_GROWTH: usize = 2;
+const SEGMENT_GROWTH: usize = 2;
 
 /// The prefix length and every segment start are multiples of this: the
 /// widest tier's `NR`, so each pass multiplies a slice of the packed list
@@ -73,9 +74,9 @@ pub struct MaximusConfig {
     /// Item blocking factor `B`: the list prefix every member of a cluster
     /// scores in one shared pass, rounded up to a multiple of 16 (the
     /// widest tier's panel width). The rest of the list follows in
-    /// segments of [`FIRST_SEGMENT`] positions, growing by
-    /// [`SEGMENT_GROWTH`]. `0` switches the §III-D prefix off (the Fig. 8
-    /// lesion): the segments start at the list's first position.
+    /// segments of 128 positions, doubling each time. `0` switches the
+    /// §III-D prefix off (the Fig. 8 lesion): the segments start at the
+    /// list's first position.
     pub block_size: usize,
     /// Seed for clustering.
     pub seed: u64,
@@ -423,11 +424,14 @@ impl MaximusIndex {
             // bound at `lo` sits below its threshold is done with the rest,
             // and a user still walking can use no position from the first
             // one its bound misses on: `reach`, the furthest of those, caps
-            // the pass (thresholds only rise).
+            // the pass (thresholds only rise). A NaN product (a zero norm
+            // times an overflowed one) misses nothing, so the predicate
+            // reads true, then false, down any list.
             let (mut kept, mut reach) = (0, lo);
             for i in 0..walking {
                 let (norm, threshold) = (users[i].2, heaps[i].threshold());
-                let hits = cluster.bounds[lo..].partition_point(|&b| norm * b >= threshold);
+                let hits = cluster.bounds[lo..]
+                    .partition_point(|&b| (norm * b).partial_cmp(&threshold) != Some(Less));
                 if hits == 0 {
                     pruned += (n_items - lo) as u64;
                 } else {
@@ -971,6 +975,54 @@ mod tests {
         let served = stats.users_served.load(Ordering::Relaxed);
         assert!(stats.items_pruned.load(Ordering::Relaxed) > 0);
         assert!(scored > served * 160, "no user walked past one segment");
+    }
+
+    #[test]
+    fn overflowing_norms_never_stop_a_user_on_nan() {
+        // `‖u‖ · bound` is NaN for a zero user against an item whose norm
+        // overflows (bound +∞, sorted first), and for an overflowing user
+        // against a zero item. Neither may read as "bound missed": three
+        // quarters of the list overflowing must not retire the zero users
+        // with empty heaps, in the prefix or in a segment.
+        let wave = |r: usize, c: usize| ((r * 7 + c * 3) as f64 + 0.5).sin();
+        for (users, items) in [
+            (
+                Matrix::from_fn(6, 4, |r, c| if r % 3 == 0 { 0.0 } else { wave(r, c) }),
+                Matrix::from_fn(300, 4, |r, c| {
+                    wave(r + 11, c) * if r % 4 != 0 { 1e155 } else { 1.0 }
+                }),
+            ),
+            (
+                Matrix::from_fn(6, 4, |r, c| {
+                    wave(r, c) * if r % 3 == 0 { 1e155 } else { 1.0 }
+                }),
+                Matrix::from_fn(
+                    300,
+                    4,
+                    |r, c| if r % 4 != 0 { 0.0 } else { wave(r + 11, c) },
+                ),
+            ),
+        ] {
+            let m = Arc::new(MfModel::new("overflowing norms", users, items).unwrap());
+            for block_size in [0, 16] {
+                let config = MaximusConfig {
+                    block_size,
+                    ..small_config()
+                };
+                let plain = MaximusIndex::build(Arc::clone(&m), &config);
+                for k in [1usize, 10, 300] {
+                    let want: Vec<TopKList> = (0..m.num_users())
+                        .map(|u| exact_topk(m.users().row(u), m.items(), k))
+                        .collect();
+                    for index in [&plain, &plain.with_i8_screen()] {
+                        assert_eq!(index.query_all(k), want, "B={block_size} k={k}");
+                        for (u, want) in want.iter().enumerate() {
+                            assert_eq!(&index.query_subset(k, &[u])[0], want, "user {u}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
