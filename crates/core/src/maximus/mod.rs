@@ -5,21 +5,24 @@
 //!    `|C| = 8`, `i = 3`),
 //! 2. compute each cluster's worst user–centroid angle `θ_b`,
 //! 3. for every cluster, sort all items descending by the Koenigstein bound
-//!    `CBound(c, i, θ_b)` ([`bound`]), and pack the sorted list once for
-//!    the GEMM driver.
+//!    `CBound(c, i, θ_b)` ([`bound`]), and pack the sorted list's §III-D
+//!    prefix for the GEMM driver. Every later segment of the list is
+//!    packed the first time a pass reaches it, so the tail no user reaches
+//!    costs neither bytes nor packing time.
 //!
 //! Querying (Algorithm 1, `QueryIndex`, plus the §III-D blocking
 //! optimization): the users of a cluster walk its list together, in block
 //! passes. The first pass is the §III-D prefix, the first `B` positions;
-//! the list continues in segments of 128 positions that double each
-//! time. Before each segment, every user whose
+//! the list continues in segments of 128, 256 and 512 positions, then
+//! 1024 positions each. Before each segment, every user whose
 //! bound at the segment's first position (scaled by `‖u‖`) sits strictly
 //! below its heap's threshold stops: bounds descend, so nothing further
 //! down the list can reach its answer. For the same reason the segment
 //! ends, at the latest, where the bound of every user still walking has
 //! fallen below its threshold. Each pass is one fused multiply
 //! ([`mips_topk::stream_topk_into_heaps`]) over a panel-aligned slice of
-//! the packed list, for the users still walking, into their heaps.
+//! the packed prefix or segment, for the users still walking, into their
+//! heaps; a pass never crosses a segment.
 //!
 //! The paper walks each user past the prefix one item at a time; the
 //! segments trade a few items scored past a user's own stop point for a
@@ -36,32 +39,43 @@ pub mod bound;
 use crate::maximus::bound::stored_bound;
 use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::Arc;
+use crate::sync::{Arc, OnceLock};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::{is_tiny_row, MfModel};
 use mips_linalg::kernels::{angle, dot, norm2};
 use mips_linalg::tier::MAX_TERMS;
 use mips_linalg::{
-    reassoc_envelope_parts, simd, GemmElem, GemmScratch, Matrix, PackedPanels, TierView,
+    reassoc_envelope_parts, simd, GemmElem, GemmScratch, Matrix, PackedPanels, RowBlock, TierView,
 };
 use mips_topk::{
     exact_topk, screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch,
     ScreenTier, Shortlist, TopKHeap, TopKList,
 };
 use std::cmp::Ordering::Less;
+use std::mem::size_of;
 use std::time::Instant;
 
 /// List positions in the first segment past the §III-D prefix.
 const FIRST_SEGMENT: usize = 128;
 
-/// Each segment is this many times as long as the one before it.
+/// Each segment is this many times as long as the one before it, up to
+/// [`MAX_SEGMENT`].
 const SEGMENT_GROWTH: usize = 2;
 
+/// The longest segment; every segment past the first one this long is
+/// this long too. A segment is packed whole on first touch, so the cap
+/// bounds what a pass packs beyond the positions its users need.
+const MAX_SEGMENT: usize = 1024;
+
 /// The prefix length and every segment start are multiples of this: the
-/// widest tier's `NR`, so each pass multiplies a slice of the packed list
-/// that starts on a panel boundary in every tier.
+/// widest tier's `NR`, so each pass multiplies a slice of the packed
+/// prefix or segment that starts on a panel boundary in every tier.
 const ALIGN: usize = <i8 as GemmElem>::NR;
-const _: () = assert!(ALIGN % <f64 as GemmElem>::NR == 0 && FIRST_SEGMENT % ALIGN == 0);
+const _: () = assert!(
+    ALIGN % <f64 as GemmElem>::NR == 0
+        && FIRST_SEGMENT % ALIGN == 0
+        && MAX_SEGMENT % FIRST_SEGMENT == 0
+);
 
 /// MAXIMUS parameters (§III-D: "B = 4096, |C| = 8, and i = 3 is effective
 /// for many inputs").
@@ -73,10 +87,11 @@ pub struct MaximusConfig {
     pub kmeans_iters: usize,
     /// Item blocking factor `B`: the list prefix every member of a cluster
     /// scores in one shared pass, rounded up to a multiple of 16 (the
-    /// widest tier's panel width). The rest of the list follows in
-    /// segments of 128 positions, doubling each time. `0` switches the
-    /// §III-D prefix off (the Fig. 8 lesion): the segments start at the
-    /// list's first position.
+    /// widest tier's panel width), packed at build. The rest of the list
+    /// follows in segments of 128, 256 and 512 positions, then 1024
+    /// positions each, each packed the first time a pass reaches it. `0`
+    /// switches the §III-D prefix off (the Fig. 8 lesion): the segments
+    /// start at the list's first position.
     pub block_size: usize,
     /// Seed for clustering.
     pub seed: u64,
@@ -115,7 +130,8 @@ impl MaximusConfig {
 pub struct MaximusBuildStats {
     /// k-means time.
     pub clustering_seconds: f64,
-    /// Bound computation + sorting + list packing time.
+    /// Bound computation + sorting + prefix packing time, plus the
+    /// segments the handle's passes have packed on first touch so far.
     pub construction_seconds: f64,
 }
 
@@ -162,28 +178,111 @@ struct ClusterIndex {
     /// [`ALIGN`] and capped at the list length (0 with item blocking off),
     /// or the whole list over a model with tiny rows.
     start: usize,
-    /// The whole list packed for the GEMM driver at build, row `pos` being
-    /// list position `pos` (the `O(|C||I|f)` storage of §III-D): the
-    /// prefix and every segment multiply a slice of it.
-    panels: PackedPanels<f64>,
+    /// Where the list is cut into parts ([`list_cuts`]): part `p` is list
+    /// positions `cuts[p]..cuts[p + 1]`, the prefix first, then the
+    /// segments.
+    cuts: Vec<usize>,
+    /// The list packed for the GEMM driver, part by part, row `r` of a
+    /// part being its `r`-th list position (the `O(|C||I|f)` storage of
+    /// §III-D, held only as far down the list as some pass reached): the
+    /// prefix at build, each segment on first touch.
+    panels: ListPanels<f64>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
 }
 
+impl ClusterIndex {
+    /// Part `p` of `panels`, a list packed in this cluster's parts: packed
+    /// from `rows` by list id the first time any pass reaches it, the
+    /// nanoseconds that takes added to `packing`.
+    fn part<'a, T: GemmElem>(
+        &self,
+        panels: &'a ListPanels<T>,
+        p: usize,
+        rows: RowBlock<'_, T>,
+        packing: &AtomicU64,
+    ) -> &'a PackedPanels<T> {
+        panels.parts[p].get_or_init(|| {
+            let started = Instant::now();
+            let ids = &self.list_ids[self.cuts[p]..self.cuts[p + 1]];
+            let packed = PackedPanels::gather(rows, ids);
+            packing.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            packed
+        })
+    }
+
+    /// Heap bytes of the list's per-position vectors and its members.
+    fn list_bytes(&self) -> usize {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        vec(&self.list_ids)
+            + vec(&self.bounds)
+            + vec(&self.theta_ic)
+            + vec(&self.norms)
+            + vec(&self.cuts)
+            + vec(&self.members)
+    }
+}
+
+/// Where a list of `n` positions with a `start`-position prefix is cut
+/// into parts: `[0, start, …, n]`, the segments past the prefix 128, 256
+/// and 512 positions long, then [`MAX_SEGMENT`] each, the last one ending
+/// at `n`. An empty prefix is an empty first part.
+fn list_cuts(start: usize, n: usize) -> Vec<usize> {
+    let mut cuts = vec![0, start];
+    let mut segment = FIRST_SEGMENT;
+    while let Some(&last) = cuts.last().filter(|&&last| last < n) {
+        cuts.push((last + segment).min(n));
+        segment = (segment * SEGMENT_GROWTH).min(MAX_SEGMENT);
+    }
+    cuts
+}
+
+/// A cluster's list packed in one tier, one slot per part
+/// ([`ClusterIndex::cuts`]): the prefix's filled when the slots are made,
+/// a segment's the first time a pass reaches it ([`ClusterIndex::part`]).
+/// A slot packs once, however many threads reach it together.
+struct ListPanels<T: GemmElem> {
+    parts: Vec<OnceLock<PackedPanels<T>>>,
+}
+
+impl<T: GemmElem> ListPanels<T> {
+    /// `parts` slots: the first holds rows `prefix` of `rows` (the
+    /// prefix's list ids), packed; the rest are empty.
+    fn new(rows: RowBlock<'_, T>, prefix: &[u32], parts: usize) -> ListPanels<T> {
+        let prefix = PackedPanels::gather(rows, prefix);
+        let segments = (1..parts).map(|_| OnceLock::new());
+        ListPanels {
+            parts: std::iter::once(OnceLock::from(prefix))
+                .chain(segments)
+                .collect(),
+        }
+    }
+
+    /// Heap bytes of the parts packed so far.
+    fn resident_bytes(&self) -> usize {
+        let packed = self.parts.iter().filter_map(OnceLock::get);
+        packed.map(PackedPanels::resident_bytes).sum()
+    }
+}
+
 /// One cluster's list in int8: the block screen's item side.
 struct ClusterScreen {
-    /// Every list position's int8 codes, packed, gathered in list order
-    /// from the model's mirror.
-    panels: PackedPanels<i8>,
+    /// The list's int8 codes, packed part by part like
+    /// [`ClusterIndex::panels`], gathered in list order from the model's
+    /// mirror: the prefix when the screen is made, each segment on first
+    /// touch.
+    panels: ListPanels<i8>,
     /// Every list position's envelope terms, one column per term.
     terms: [Vec<f64>; MAX_TERMS],
 }
 
 impl ClusterScreen {
-    /// The whole list as a screen's item side: panels and terms, no rows.
-    fn view(&self) -> TierView<'_, i8> {
-        let terms = std::array::from_fn(|t| self.terms[t].as_slice());
-        TierView::packed((&self.panels).into(), terms)
+    /// Heap bytes of the terms and of the parts packed so far.
+    fn resident_bytes(&self) -> usize {
+        let terms = self.terms.iter().map(|t| t.capacity() * size_of::<f64>());
+        terms.sum::<usize>() + self.panels.resident_bytes()
     }
 }
 
@@ -197,9 +296,10 @@ struct Scratch {
 }
 
 /// Everything construction derives from the model — the clustering and
-/// every cluster's bound-sorted, packed list. Immutable once built and
-/// shared, behind an [`Arc`], by an index and its screen variant
-/// ([`MaximusIndex::with_i8_screen`]).
+/// every cluster's bound-sorted list with its f64 panels. Shared, behind
+/// an [`Arc`], by an index and its screen variant
+/// ([`MaximusIndex::with_i8_screen`]); nothing in it changes once built
+/// but the segments packed on first touch.
 struct MaximusCore {
     model: Arc<MfModel>,
     assignments: Vec<u32>,
@@ -218,6 +318,10 @@ pub struct MaximusIndex {
     /// construction for [`MaximusIndex::build`], the cluster screens alone
     /// for the [`MaximusIndex::with_i8_screen`] variant.
     build_seconds: f64,
+    /// Nanoseconds this handle's passes spent packing segments on first
+    /// touch: construction, reported in [`MipsSolver::build_seconds`] and
+    /// [`MaximusIndex::build_stats`].
+    packing: AtomicU64,
     query_stats: MaximusQueryStats,
     /// Cumulative screen candidate/survivor counts, drained by the serving
     /// layer ([`MipsSolver::take_screen_stats`]); separate from
@@ -307,6 +411,7 @@ impl MaximusIndex {
             core,
             screens,
             build_seconds,
+            packing: AtomicU64::new(0),
             query_stats: MaximusQueryStats::default(),
             screen_tally: ScreenTallyCells::default(),
             name: screened_name("Maximus", screen),
@@ -315,8 +420,10 @@ impl MaximusIndex {
 
     /// This index with the int8 screen armed on every block pass of the
     /// query, **sharing everything [`MaximusIndex::build`] constructed**:
-    /// the variant adds one int8 screen per cluster — its whole list's
-    /// codes, packed, and each position's envelope terms.
+    /// the variant adds one int8 screen per cluster — its list's codes,
+    /// packed part by part like the f64 panels (the prefix now, each
+    /// segment the first time one of the variant's passes reaches it), and
+    /// each position's envelope terms.
     ///
     /// The prefix and every segment run the block screen
     /// ([`mips_topk::screen_topk_into_heaps`]): an int8 multiply whose
@@ -336,7 +443,8 @@ impl MaximusIndex {
     /// once per cluster, and the panels are the only copy of the codes the
     /// variant holds. The rescore reads the model's f64 rows, so the
     /// variant holds no f64 copy of its own. Its `build_seconds` is that
-    /// gathering and packing alone; its work counters start at zero.
+    /// gathering and packing alone, the segments it packed on first touch
+    /// included; its work counters start at zero.
     ///
     /// When the model does not quantize usably (subnormal rows, factor
     /// counts past the i32-overflow cap) the result runs unscreened.
@@ -346,7 +454,7 @@ impl MaximusIndex {
         let screens = core.model.mirror::<i8>().sides().map(|(_, items)| {
             let codes = items.row_block(0, items.rows());
             let screen = |c: &ClusterIndex| ClusterScreen {
-                panels: PackedPanels::gather(codes, &c.list_ids),
+                panels: ListPanels::new(codes, &c.list_ids[..c.start], c.cuts.len() - 1),
                 terms: items
                     .terms()
                     .map(|column| c.list_ids.iter().map(|&i| column[i as usize]).collect()),
@@ -361,9 +469,31 @@ impl MaximusIndex {
         self.screens.as_ref().map(|_| ScreenTier::I8)
     }
 
-    /// Build-stage breakdown (Fig. 8) of the shared construction.
+    /// Build-stage breakdown (Fig. 8) of the shared construction, plus the
+    /// segments this handle's passes have packed on first touch so far.
     pub fn build_stats(&self) -> MaximusBuildStats {
-        self.core.build_stats
+        let mut stats = self.core.build_stats;
+        stats.construction_seconds += self.packing_seconds();
+        stats
+    }
+
+    /// Seconds this handle's passes have spent packing segments.
+    fn packing_seconds(&self) -> f64 {
+        self.packing.load(Ordering::Relaxed) as f64 * 1e-9
+    }
+
+    /// The bytes the index holds for its own tier: the summed capacities
+    /// of every cluster's list vectors and of the panels packed so far
+    /// (f64, or int8 with the screen armed, plus its terms). The lists'
+    /// untouched tails are not among them.
+    pub fn resident_bytes(&self) -> usize {
+        let clusters = &self.core.clusters;
+        let lists: usize = clusters.iter().map(ClusterIndex::list_bytes).sum();
+        let panels: usize = match &self.screens {
+            Some(screens) => screens.iter().map(ClusterScreen::resident_bytes).sum(),
+            None => clusters.iter().map(|c| c.panels.resident_bytes()).sum(),
+        };
+        lists + panels
     }
 
     /// Cumulative query work counters.
@@ -383,7 +513,8 @@ impl MaximusIndex {
 
     /// Serves one cluster's user group, `(output position, user id)` each,
     /// in block passes over the list: the §III-D prefix, then growing
-    /// segments, each for the users still walking (see the module docs).
+    /// segments, each for the users still walking (see the module docs). A
+    /// segment no pass reached before is packed on the way in.
     ///
     /// Users that stop are moved, with their heaps, behind the ones still
     /// walking, so every pass multiplies one contiguous block of user rows
@@ -401,8 +532,9 @@ impl MaximusIndex {
     ) {
         let model = &self.core.model;
         let cluster = &self.core.clusters[c];
-        let n_items = cluster.list_ids.len();
-        let screen = self.screens.as_ref().map(|screens| screens[c].view());
+        let (n_items, cuts) = (cluster.list_ids.len(), &cluster.cuts);
+        // `screens` exists only over a usable int8 mirror.
+        let screen = self.screens.as_ref().map(|s| (&s[c], model.mirror::<i8>()));
 
         // Slot `i < walking` is a user still walking: `(output position,
         // user id, ‖u‖)` beside its heap.
@@ -414,12 +546,13 @@ impl MaximusIndex {
         let mut walking = users.len();
         let (mut scored, mut pruned) = (0u64, 0u64);
 
-        let (mut lo, mut end, mut segment) = (0, cluster.start, FIRST_SEGMENT);
+        let (mut lo, mut p) = (0, 0);
         while lo < n_items {
-            if end == lo {
-                end = (lo + segment).min(n_items);
-                segment *= SEGMENT_GROWTH;
+            // The part `lo` lies in: the prefix or a segment.
+            while cuts[p + 1] == lo {
+                p += 1;
             }
+            let (first, end) = (cuts[p], cuts[p + 1]);
             // Early termination: bounds descend, so a user whose scaled
             // bound at `lo` sits below its threshold is done with the rest,
             // and a user still walking can use no position from the first
@@ -451,15 +584,17 @@ impl MaximusIndex {
             let rows = model.users().gather_rows(&walkers);
             let ids = ColumnIds::Mapped(&cluster.list_ids[lo..hi]);
             let heaps = &mut heaps[..walking];
+            let within = lo - first..hi - first;
             match screen {
-                Some(screen) => {
-                    // `screens` exists only over a usable int8 mirror.
-                    let codes = model.mirror::<i8>().users().gather(walkers.into_iter());
+                Some((screen, mirror)) => {
+                    let codes = mirror.items().row_block(0, n_items);
+                    let panels = cluster.part(&screen.panels, p, codes, &self.packing);
+                    let terms = std::array::from_fn(|t| &screen.terms[t][first..end]);
                     let stats = screen_topk_into_heaps(
                         (&rows).into(),
                         model.items().into(),
-                        codes.view(),
-                        screen.rows(lo..hi),
+                        mirror.users().gather(walkers.into_iter()).view(),
+                        TierView::packed(panels.into(), terms).rows(within),
                         heaps,
                         ids,
                         &mut scratch.screen,
@@ -467,7 +602,9 @@ impl MaximusIndex {
                     self.screen_tally.record(stats.screened, stats.rescored);
                 }
                 None => {
-                    let items = cluster.panels.slice(lo..hi).into();
+                    let items = model.items().into();
+                    let panels = cluster.part(&cluster.panels, p, items, &self.packing);
+                    let items = panels.slice(within).into();
                     stream_topk_into_heaps((&rows).into(), items, heaps, ids, &mut scratch.gemm);
                 }
             }
@@ -550,7 +687,7 @@ impl MaximusIndex {
     }
 }
 
-/// Builds one cluster's sorted list and packs it, whole, in list order.
+/// Builds one cluster's sorted list and packs its prefix in list order.
 fn build_cluster_list(
     items: &Matrix<f64>,
     item_norms: &[f64],
@@ -584,7 +721,8 @@ fn build_cluster_list(
     let bounds: Vec<f64> = entries.iter().map(|e| e.0).collect();
     let theta_ic: Vec<f64> = entries.iter().map(|e| e.1).collect();
     let norms: Vec<f64> = entries.iter().map(|e| item_norms[e.2 as usize]).collect();
-    let panels = PackedPanels::gather(items.into(), &list_ids);
+    let cuts = list_cuts(start, n);
+    let panels = ListPanels::new(items.into(), &list_ids[..start], cuts.len() - 1);
 
     ClusterIndex {
         theta_b,
@@ -593,6 +731,7 @@ fn build_cluster_list(
         theta_ic,
         norms,
         start,
+        cuts,
         panels,
         members,
     }
@@ -604,7 +743,7 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn build_seconds(&self) -> f64 {
-        self.build_seconds
+        self.build_seconds + self.packing_seconds()
     }
 
     fn batches_users(&self) -> bool {
@@ -831,15 +970,26 @@ mod tests {
         assert!(index.take_screen_stats().is_none());
     }
 
+    /// Whether each part of each cluster's list is packed in `panels`.
+    fn packed<T: GemmElem>(panels: &ListPanels<T>) -> Vec<bool> {
+        panels.parts.iter().map(|p| p.get().is_some()).collect()
+    }
+
     #[test]
-    fn clusters_pack_their_whole_list_in_list_order() {
-        // Each cluster packs its whole list at build, position `pos` being
-        // panel row `pos`: one user's pass over all of it, with the list's
-        // ids, scores every item exactly as the oracle does. The prefix is
-        // `B` rounded up to a multiple of 16 and capped at the list; the
-        // Fig. 8 lesion has none.
-        let m = model(40, 90, 8, 0.4);
-        for (block_size, start) in [(16, 16), (5, 16), (17, 32), (500, 90), (0, 0)] {
+    fn clusters_pack_the_prefix_at_build_and_each_segment_in_list_order() {
+        // The parts: the prefix, then segments of 128, 256 and 512
+        // positions and 1024 each after; an empty prefix is an empty part.
+        let cuts = list_cuts(32, 5000);
+        assert_eq!(cuts, [0, 32, 160, 416, 928, 1952, 2976, 4000, 5000]);
+        assert_eq!(list_cuts(0, 100), [0, 0, 100]);
+        assert_eq!(list_cuts(90, 90), [0, 90]);
+        // Build packs the prefix alone: `B` rounded up to a multiple of 16
+        // and capped at the list; the Fig. 8 lesion has none. Each part,
+        // once packed, holds its list positions in list order: one user's
+        // passes over every part, with the part's ids, score every item
+        // exactly as the oracle does.
+        let m = model(40, 400, 8, 0.4);
+        for (block_size, start) in [(16, 16), (5, 16), (17, 32), (500, 400), (0, 0)] {
             let config = MaximusConfig {
                 block_size,
                 ..small_config()
@@ -847,14 +997,24 @@ mod tests {
             let index = MaximusIndex::build(Arc::clone(&m), &config);
             for cluster in &index.core.clusters {
                 assert_eq!(cluster.start, start, "{config:?}");
-                let panels = &cluster.panels;
-                assert_eq!((panels.rows(), panels.cols()), (90, 8), "{config:?}");
+                assert_eq!(cluster.cuts, list_cuts(start, 400), "{config:?}");
+                let parts = cluster.cuts.len() - 1;
+                let mut want = vec![false; parts];
+                want[0] = true;
+                assert_eq!(packed(&cluster.panels), want, "{config:?}");
                 let user = m.users().row_block(3, 4);
-                let mut heaps = vec![TopKHeap::new(90)];
-                let ids = ColumnIds::Mapped(&cluster.list_ids);
+                let mut heaps = vec![TopKHeap::new(400)];
                 let mut scratch = GemmScratch::new();
-                stream_topk_into_heaps(user, panels.into(), &mut heaps, ids, &mut scratch);
-                let want = exact_topk(m.users().row(3), m.items(), 90);
+                let packing = AtomicU64::new(0);
+                for (p, range) in cluster.cuts.windows(2).enumerate() {
+                    let panels = cluster.part(&cluster.panels, p, m.items().into(), &packing);
+                    assert_eq!((panels.rows(), panels.cols()), (range[1] - range[0], 8));
+                    let ids = ColumnIds::Mapped(&cluster.list_ids[range[0]..range[1]]);
+                    stream_topk_into_heaps(user, panels.into(), &mut heaps, ids, &mut scratch);
+                }
+                assert_eq!(packed(&cluster.panels), vec![true; parts]);
+                assert_eq!(packing.load(Ordering::Relaxed) > 0, parts > 1, "{config:?}");
+                let want = exact_topk(m.users().row(3), m.items(), 400);
                 assert_eq!(heaps.pop().unwrap().into_sorted(), want, "{config:?}");
             }
         }
@@ -863,25 +1023,30 @@ mod tests {
     #[test]
     fn cluster_screens_are_gathered_in_list_order() {
         // A cluster's int8 screen covers the whole list: position `pos`
-        // carries the mirror's terms of item `list_ids[pos]`, and its
-        // packed codes screen exactly like the mirror's rows gathered in
-        // list order — the same candidates, survivors and heaps.
-        let m = model(40, 90, 8, 0.4);
+        // carries the mirror's terms of item `list_ids[pos]`, and each
+        // part's packed codes (the prefix's at once, a segment's on first
+        // touch) screen exactly like the mirror's rows gathered in list
+        // order — the same candidates, survivors and heaps.
+        let m = model(40, 400, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
         let screened = plain.with_i8_screen();
         let mirror = m.mirror::<i8>();
         let users = mirror.users().gather(0..40);
+        let codes = mirror.items().row_block(0, 400);
         let screens = screened.screens.as_ref().expect("the model quantizes");
+        let packing = AtomicU64::new(0);
         for (cluster, screen) in plain.core.clusters.iter().zip(screens) {
             let list = || cluster.list_ids.iter().map(|&id| id as usize);
             let rows = mirror.items().gather(list());
-            assert_eq!(screen.panels.rows(), m.num_items());
             for (t, column) in screen.terms.iter().enumerate() {
                 let want = rows.terms()[t];
                 let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(column), bits(want), "term {t}");
             }
-            let run = |items: TierView<'_, i8>| {
+            let mut want = vec![false; cluster.cuts.len() - 1];
+            want[0] = true;
+            assert_eq!(packed(&screen.panels), want);
+            let run = |items: TierView<'_, i8>, ids: &[u32]| {
                 let mut heaps: Vec<TopKHeap> = (0..40).map(|_| TopKHeap::new(5)).collect();
                 let stats = screen_topk_into_heaps(
                     m.users().into(),
@@ -889,41 +1054,70 @@ mod tests {
                     users.view(),
                     items,
                     &mut heaps,
-                    ColumnIds::Mapped(&cluster.list_ids[16..]),
+                    ColumnIds::Mapped(ids),
                     &mut ScreenScratch::new(),
                 );
                 let lists: Vec<TopKList> = heaps.into_iter().map(TopKHeap::into_sorted).collect();
                 (stats, lists)
             };
-            // A segment from position 16 on, as the query slices it.
-            assert_eq!(
-                run(screen.view().rows(16..90)),
-                run(rows.view().rows(16..90))
-            );
+            for (p, range) in cluster.cuts.windows(2).enumerate() {
+                let (first, end) = (range[0], range[1]);
+                let panels = cluster.part(&screen.panels, p, codes, &packing);
+                let terms = std::array::from_fn(|t| &screen.terms[t][first..end]);
+                // The part from its second panel on, as a pass slices it.
+                let skip = 16.min(end - first);
+                let ids = &cluster.list_ids[first + skip..end];
+                let part = TierView::packed(panels.into(), terms);
+                assert_eq!(
+                    run(part.rows(skip..end - first), ids),
+                    run(rows.view().rows(first + skip..end), ids),
+                    "part {p}"
+                );
+            }
         }
     }
 
     #[test]
-    fn lists_are_packed_at_build_and_shared_by_the_screen_variant() {
-        // Every list is packed once, at build; the int8 variant shares the
-        // core and its panels (its passes read its own int8 panels and
-        // rescore from the model's rows), and a point lookup, a full pass,
-        // the variant and the lesion (no prefix) all answer alike.
-        let m = model(40, 90, 8, 0.4);
+    fn prefixes_are_packed_at_build_and_shared_by_the_screen_variant() {
+        // Each prefix is packed once, at build; the int8 variant shares the
+        // core and its f64 panels, and its passes pack only its own int8
+        // segments (they rescore from the model's rows). A point lookup, a
+        // full pass, the variant and the lesion (no prefix) all answer
+        // alike.
+        let m = model(40, 400, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
-        let panels = |index: &MaximusIndex| -> Vec<*const PackedPanels<f64>> {
+        let panels = |index: &MaximusIndex| -> Vec<*const ListPanels<f64>> {
             let clusters = index.core.clusters.iter();
             clusters.map(|c| &c.panels as *const _).collect()
         };
+        let f64_parts = |index: &MaximusIndex| -> Vec<Vec<bool>> {
+            index
+                .core
+                .clusters
+                .iter()
+                .map(|c| packed(&c.panels))
+                .collect()
+        };
+        let at_build = f64_parts(&plain);
         for cluster in &plain.core.clusters {
-            assert_eq!(cluster.panels.rows(), cluster.list_ids.len());
+            let prefix = cluster.panels.parts[0].get().expect("packed at build");
+            assert_eq!(prefix.rows(), cluster.start);
         }
+        let screened = plain.with_i8_screen();
+        assert_eq!(panels(&screened), panels(&plain));
+        let every = screened.query_all(400);
+        assert_eq!(
+            f64_parts(&plain),
+            at_build,
+            "the variant packs no f64 segment"
+        );
+        assert_eq!(plain.query_all(400), every);
+        assert!(f64_parts(&plain).iter().flatten().all(|&p| p));
+
         let first = plain.query_range(5, 3..4);
         let all = plain.query_all(5);
         assert_eq!(all[3], first[0]);
         assert_eq!(plain.query_all(5), all);
-        let screened = plain.with_i8_screen();
-        assert_eq!(panels(&screened), panels(&plain));
         assert_eq!(screened.query_all(5), all);
         let unblocked = MaximusConfig {
             block_size: 0,
@@ -933,6 +1127,106 @@ mod tests {
         assert!(walked.core.clusters.iter().all(|c| c.start == 0));
         assert_eq!(walked.query_all(5), all);
         assert_eq!(walked.with_i8_screen().query_all(5), all);
+    }
+
+    #[test]
+    fn resident_bytes_count_the_segments_passes_reached() {
+        // Tight clusters: at k = 1 users stop early and the lists' tails
+        // stay unpacked; at k = |I| every user walks its whole list and the
+        // index holds every part of it, in its own tier. Every answer on
+        // the way is the oracle's.
+        let m = model(60, 2000, 16, 0.1);
+        let config = MaximusConfig {
+            block_size: 8,
+            ..small_config()
+        };
+        let plain = MaximusIndex::build(Arc::clone(&m), &config);
+        let screened = plain.with_i8_screen();
+        let items = m.mirror::<i8>().items();
+        let codes = items.row_block(0, items.rows());
+        let whole = |index: &MaximusIndex| -> usize {
+            let clusters = index.core.clusters.iter().enumerate();
+            let per_cluster = clusters.map(|(c, cluster)| {
+                let parts = cluster.cuts.windows(2);
+                let ids = parts.map(|r| &cluster.list_ids[r[0]..r[1]]);
+                let panels: usize = match &index.screens {
+                    Some(screens) => {
+                        let terms = screens[c].terms.iter().map(|t| t.len() * size_of::<f64>());
+                        let packed =
+                            ids.map(|ids| PackedPanels::gather(codes, ids).resident_bytes());
+                        packed.sum::<usize>() + terms.sum::<usize>()
+                    }
+                    None => ids
+                        .map(|ids| PackedPanels::gather(m.items().into(), ids).resident_bytes())
+                        .sum(),
+                };
+                cluster.list_bytes() + panels
+            });
+            per_cluster.sum()
+        };
+        let oracle = |k: usize| -> Vec<TopKList> {
+            let users = 0..m.num_users();
+            users
+                .map(|u| exact_topk(m.users().row(u), m.items(), k))
+                .collect()
+        };
+        for index in [&plain, &screened] {
+            let name = index.name();
+            let total = whole(index);
+            assert_eq!(index.query_all(1), oracle(1), "{name}");
+            let after_k1 = index.resident_bytes();
+            assert!(after_k1 < total, "{name}: {after_k1} of {total}");
+            assert_eq!(index.query_all(2000), oracle(2000), "{name}");
+            assert_eq!(index.resident_bytes(), total, "{name}");
+        }
+    }
+
+    #[test]
+    fn concurrent_first_touch_packs_each_segment_once() {
+        // Four threads query overlapping user sets on a fresh index, in
+        // f64 and int8: every answer is the oracle's, and the index ends up
+        // holding exactly what a sequential run over the same sets holds.
+        let m = model(60, 2000, 16, 0.2);
+        let config = MaximusConfig {
+            block_size: 8,
+            ..small_config()
+        };
+        let sets: Vec<Vec<usize>> = (0..4).map(|t| (t * 12..t * 12 + 24).collect()).collect();
+        for screened in [false, true] {
+            let fresh = || {
+                let index = MaximusIndex::build(Arc::clone(&m), &config);
+                if screened {
+                    index.with_i8_screen()
+                } else {
+                    index
+                }
+            };
+            for k in [10usize, 50] {
+                let sequential = fresh();
+                for set in &sets {
+                    let _ = sequential.query_subset(k, set);
+                }
+                let concurrent = fresh();
+                crate::sync::thread::scope(|scope| {
+                    for set in &sets {
+                        let index = &concurrent;
+                        let m = &m;
+                        scope.spawn(move || {
+                            for (list, &u) in index.query_subset(k, set).iter().zip(set) {
+                                let want = exact_topk(m.users().row(u), m.items(), k);
+                                assert_eq!(list, &want, "{} k={k} user {u}", index.name());
+                            }
+                        });
+                    }
+                });
+                let name = concurrent.name();
+                assert_eq!(
+                    concurrent.resident_bytes(),
+                    sequential.resident_bytes(),
+                    "{name} k={k}"
+                );
+            }
+        }
     }
 
     #[test]

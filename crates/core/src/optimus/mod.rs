@@ -130,7 +130,8 @@ pub struct StrategyEstimate {
     pub name: String,
     /// Index construction seconds (0 for BMM and for anything never built;
     /// the mirroring alone for a screen variant, which shares its base's
-    /// construction).
+    /// construction), including any the timed passes set off (MAXIMUS
+    /// packs list segments on first touch).
     pub build_seconds: f64,
     /// Users actually timed (may be below the sample size when the t-test
     /// stopped early; 0 for a candidate that was never built).
@@ -377,6 +378,7 @@ impl Optimus {
             warm: sample.len().min(4),
             sample: &sample,
             leader_seconds: f64::INFINITY,
+            building: 0.0,
         };
 
         let bounds: Vec<Option<f64>> = (0..labels.len())
@@ -384,10 +386,6 @@ impl Optimus {
             .collect();
         let mut solvers: Vec<Option<Arc<dyn MipsSolver>>> = vec![None; labels.len()];
         let mut bases: Vec<Option<StrategyEstimate>> = vec![None; labels.len()];
-        // Seconds inside the source's builds: construction the race
-        // triggered, reported per candidate and kept out of the decision's
-        // own clock.
-        let mut building = 0.0;
 
         // The reference: the first batch-capable base, else the first base
         // without an analytical bound, else the first base. Bases with a
@@ -395,13 +393,18 @@ impl Optimus {
         let mut reference = None;
         for base in (0..labels.len()).filter(|&b| bounds[b].is_none()) {
             reference.get_or_insert(base);
-            if built(source, &mut solvers[base], base, &mut building)?.batches_users() {
+            if built(source, &mut solvers[base], base, &mut race.building)?.batches_users() {
                 reference = Some(base);
                 break;
             }
         }
         let reference = reference.unwrap_or(0);
-        let solver = built(source, &mut solvers[reference], reference, &mut building)?;
+        let solver = built(
+            source,
+            &mut solvers[reference],
+            reference,
+            &mut race.building,
+        )?;
         bases[reference] = Some(race.time(solver.as_ref(), EarlyStop::Never));
 
         // Stage 1: the remaining f64 bases, in order.
@@ -414,7 +417,7 @@ impl Optimus {
                 ));
                 continue;
             }
-            let solver = built(source, &mut solvers[base], base, &mut building)?;
+            let solver = built(source, &mut solvers[base], base, &mut race.building)?;
             bases[base] = Some(race.time(solver.as_ref(), EarlyStop::WhenSlower));
         }
         let mut bases: Vec<StrategyEstimate> = bases
@@ -455,7 +458,7 @@ impl Optimus {
                 }
                 let started = Instant::now();
                 let variant = source.build_variant(base, tier)?;
-                building += started.elapsed().as_secs_f64();
+                race.building += started.elapsed().as_secs_f64();
                 let Some(variant) = variant else {
                     continue;
                 };
@@ -524,7 +527,7 @@ impl Optimus {
             chosen,
             entries,
             sample_size: sample.len(),
-            decision_seconds: overall.elapsed().as_secs_f64() - building,
+            decision_seconds: overall.elapsed().as_secs_f64() - race.building,
         })
     }
 
@@ -543,10 +546,7 @@ impl Optimus {
         early_stop: EarlyStop,
     ) -> StrategyEstimate {
         if solver.batches_users() || early_stop == EarlyStop::Never {
-            let t0 = Instant::now();
-            let results = solver.query_subset(k, sample);
-            let sample_seconds = t0.elapsed().as_secs_f64();
-            debug_assert_eq!(results.len(), sample.len());
+            let sample_seconds = serving_seconds(solver, k, sample);
             return StrategyEstimate::timed(
                 solver,
                 sample.len(),
@@ -562,10 +562,7 @@ impl Optimus {
         let mut sample_seconds = 0.0;
         let mut used = 0;
         for &u in sample {
-            let t0 = Instant::now();
-            let result = solver.query_subset(k, &[u]);
-            let dt = t0.elapsed().as_secs_f64();
-            debug_assert_eq!(result.len(), 1);
+            let dt = serving_seconds(solver, k, &[u]);
             sample_seconds += dt;
             used += 1;
             times.push(dt);
@@ -580,6 +577,20 @@ impl Optimus {
         };
         StrategyEstimate::timed(solver, used, sample_seconds, n, outcome)
     }
+}
+
+/// Seconds `solver` takes to serve `users` at `k`, less the construction
+/// the query set off: an index that builds part of itself on first touch
+/// (MAXIMUS packs a list segment the first time a pass reaches it) adds
+/// those seconds to its [`MipsSolver::build_seconds`], and they count as
+/// construction, not serving — estimates must not carry cold-start noise.
+fn serving_seconds(solver: &dyn MipsSolver, k: usize, users: &[usize]) -> f64 {
+    let built = solver.build_seconds();
+    let t0 = Instant::now();
+    let results = solver.query_subset(k, users);
+    let elapsed = t0.elapsed().as_secs_f64();
+    debug_assert_eq!(results.len(), users.len());
+    (elapsed - (solver.build_seconds() - built)).max(0.0)
 }
 
 /// Screen-adoption margin: under `Auto` a screen variant competes against
@@ -704,13 +715,20 @@ struct Race<'a> {
     warm: usize,
     /// The lowest whole-sample estimate so far.
     leader_seconds: f64,
+    /// Seconds inside construction the race triggered — the source's
+    /// builds and what timed candidates built on first touch — reported
+    /// per candidate and kept out of the decision's own clock.
+    building: f64,
 }
 
 impl Race<'_> {
     /// Warms `solver` up, times it on the sample — against the leader's
     /// mean per-user time, as far as `early_stop` allows — and lets a
-    /// whole-sample estimate take the lead.
+    /// whole-sample estimate take the lead. Construction either pass sets
+    /// off (the growth of [`MipsSolver::build_seconds`]) counts as
+    /// `building`, not as serving time or deciding time.
     fn time(&mut self, solver: &dyn MipsSolver, early_stop: EarlyStop) -> StrategyEstimate {
+        let built = solver.build_seconds();
         let _ = solver.query_subset(self.k, &self.sample[..self.warm]);
         let estimate = self.optimus.estimate_index(
             solver,
@@ -723,6 +741,7 @@ impl Race<'_> {
         if estimate.is_sampled() {
             self.leader_seconds = self.leader_seconds.min(estimate.estimated_total_seconds);
         }
+        self.building += solver.build_seconds() - built;
         estimate
     }
 }

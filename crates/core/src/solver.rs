@@ -23,7 +23,10 @@ pub trait MipsSolver: Send + Sync {
     fn name(&self) -> &str;
 
     /// Wall-clock seconds spent building this solver (index construction;
-    /// ~0 for brute force). Fig. 4 compares this against serving time.
+    /// ~0 for brute force). Fig. 4 compares this against serving time. A
+    /// solver that builds part of itself on first touch adds those seconds
+    /// as its queries set them off, so the figure may grow; the planner
+    /// keeps the growth out of a candidate's serving time.
     fn build_seconds(&self) -> f64;
 
     /// `true` if the solver shares work across users in a batch (BMM,

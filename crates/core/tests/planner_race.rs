@@ -33,9 +33,9 @@ use mips_data::synth::{synth_model, SynthConfig};
 use mips_data::MfModel;
 use mips_linalg::CacheConfig;
 use mips_topk::{ScreenTier, TopKList};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn model(users: usize, seed: u64) -> Arc<MfModel> {
     Arc::new(synth_model(&SynthConfig {
@@ -73,6 +73,13 @@ struct Stub {
     batches: bool,
     tiers: &'static [ScreenTier],
     build_seconds: f64,
+    /// A one-off price for each user the stub serves for the first time,
+    /// reported as construction: the stub builds per-user state lazily,
+    /// as MAXIMUS packs a list segment the first time a pass reaches it.
+    first_touch: Duration,
+    touched: Mutex<Vec<bool>>,
+    /// Nanoseconds spent on first touches so far.
+    lazy_nanos: AtomicU64,
     /// Users served, warm-up included.
     served: AtomicUsize,
     /// Counts the variants derived through
@@ -91,14 +98,27 @@ impl Stub {
             batches: false,
             tiers: &[],
             build_seconds: 0.0,
+            first_touch: Duration::ZERO,
+            touched: Mutex::new(vec![false; model.num_users()]),
+            lazy_nanos: AtomicU64::new(0),
             served: AtomicUsize::new(0),
             screens: None,
         }
     }
 
-    fn pay(&self, users: usize) {
-        self.served.fetch_add(users, Ordering::Relaxed);
-        std::thread::sleep(self.per_user * users as u32);
+    fn pay(&self, users: &[usize]) {
+        self.served.fetch_add(users.len(), Ordering::Relaxed);
+        if !self.first_touch.is_zero() {
+            let mut touched = self.touched.lock().expect("no panic while held");
+            let fresh = users
+                .iter()
+                .filter(|&&u| !std::mem::replace(&mut touched[u], true));
+            let started = Instant::now();
+            std::thread::sleep(self.first_touch * fresh.count() as u32);
+            let nanos = started.elapsed().as_nanos() as u64;
+            self.lazy_nanos.fetch_add(nanos, Ordering::Relaxed);
+        }
+        std::thread::sleep(self.per_user * users.len() as u32);
     }
 }
 
@@ -107,7 +127,7 @@ impl MipsSolver for Stub {
         &self.name
     }
     fn build_seconds(&self) -> f64 {
-        self.build_seconds
+        self.build_seconds + self.lazy_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
     fn batches_users(&self) -> bool {
         self.batches
@@ -119,7 +139,7 @@ impl MipsSolver for Stub {
         self.core.answers.num_users()
     }
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
-        self.pay(users.len());
+        self.pay(users);
         self.core.answers.query_subset(k, users)
     }
     fn screen_variant(&self, tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
@@ -132,6 +152,9 @@ impl MipsSolver for Stub {
             tiers: self.tiers,
             // Only what the variant added.
             build_seconds: 1e-6,
+            first_touch: Duration::ZERO,
+            touched: Mutex::new(Vec::new()),
+            lazy_nanos: AtomicU64::new(0),
             served: AtomicUsize::new(0),
             screens: None,
         }))
@@ -315,6 +338,36 @@ fn a_variant_within_the_adoption_margin_hands_the_plan_to_its_base() {
     assert!(demoted.estimated_total_seconds < row(&estimates, "base").estimated_total_seconds);
     let winner = &choice.entries[choice.chosen];
     assert_eq!((winner.base, winner.tier), (0, None));
+}
+
+#[test]
+fn construction_a_timed_pass_sets_off_is_charged_to_the_build() {
+    // The lazy stub serves at 100 µs per user but pays 3 ms the first time
+    // it serves each user, and reports that as construction. The warm-up
+    // touches only the sample's first users, so the timed pass sets off the
+    // rest: timed as serving, the stub would lose to a steady rival at
+    // 400 µs per user by ≈ 7x; charged to its build, it wins by ≈ 4x, and
+    // the one-offs stay out of the decision's seconds too.
+    let m = model(200, 11);
+    let mut rival = Stub::new(&m, "rival", Duration::from_micros(400));
+    rival.batches = true;
+    let mut lazy = Stub::new(&m, "lazy", Duration::from_micros(100));
+    lazy.batches = true;
+    lazy.first_touch = Duration::from_millis(3);
+    let mut source = Stubs::new(vec![(Arc::new(rival), None), (Arc::new(lazy), None)]);
+    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, &mut source);
+    let estimates: Vec<StrategyEstimate> =
+        choice.entries.iter().map(|e| e.estimate.clone()).collect();
+
+    let lazy = row(&estimates, "lazy");
+    assert_eq!(lazy.outcome, CandidateOutcome::Sampled);
+    assert_eq!(choice.entries[choice.chosen].estimate.name, "lazy");
+    // Every sampled user was touched once, warm-up included.
+    let one_offs = Duration::from_millis(3) * choice.sample_size as u32;
+    assert!(lazy.build_seconds >= one_offs.as_secs_f64(), "{lazy:?}");
+    assert!(lazy.sample_seconds < row(&estimates, "rival").sample_seconds);
+    // ... and none of the decision's own clock.
+    assert!(choice.decision_seconds < one_offs.as_secs_f64() / 2.0);
 }
 
 /// A backend whose plain build is slow and counted, and whose screen

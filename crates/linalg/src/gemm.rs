@@ -258,6 +258,11 @@ impl<T: GemmElem> PackedPanels<T> {
         self.depth
     }
 
+    /// Heap bytes the panels hold: their buffer's capacity.
+    pub fn resident_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<T::Panel>()
+    }
+
     /// Rows `range` of the packed operand, borrowed: a multiply against
     /// the view reads these panels and packs nothing.
     ///
