@@ -5,77 +5,119 @@
 //!    `|C| = 8`, `i = 3`),
 //! 2. compute each cluster's worst user–centroid angle `θ_b`,
 //! 3. for every cluster, sort all items descending by the Koenigstein bound
-//!    `CBound(c, i, θ_b)` ([`bound`]), and pack the sorted list's §III-D
-//!    prefix for the GEMM driver. Every later segment of the list is
-//!    packed the first time a pass reaches it, so the tail no user reaches
-//!    costs neither bytes nor packing time.
+//!    `CBound(c, i, θ_b)` ([`bound`]). Nothing is packed: each part of the
+//!    list (its first 4096 positions, then 1024 each) is packed for the
+//!    GEMM driver the first time a pass reaches it, so the tail no user
+//!    reaches costs neither bytes nor packing time.
 //!
-//! Querying (Algorithm 1, `QueryIndex`, plus the §III-D blocking
-//! optimization): the users of a cluster walk its list together, in block
-//! passes. The first pass is the §III-D prefix, the first `B` positions;
-//! the list continues in segments of 128, 256 and 512 positions, then
-//! 1024 positions each. Before each segment, every user whose
-//! bound at the segment's first position (scaled by `‖u‖`) sits strictly
-//! below its heap's threshold stops: bounds descend, so nothing further
-//! down the list can reach its answer. For the same reason the segment
-//! ends, at the latest, where the bound of every user still walking has
-//! fallen below its threshold. Each pass is one fused multiply
-//! ([`mips_topk::stream_topk_into_heaps`]) over a panel-aligned slice of
-//! the packed prefix or segment, for the users still walking, into their
-//! heaps; a pass never crosses a segment.
+//! Querying (Algorithm 1, `QueryIndex`, with the §III-D blocking done as
+//! block passes): the users of a cluster walk its list together. Before
+//! each pass, every user whose bound at the pass's first position (scaled
+//! by `‖u‖`) sits strictly below its heap's threshold stops: bounds
+//! descend, so nothing further down the list can reach its answer. The
+//! same check gives each user still walking its current *stop position*,
+//! the first position its bound misses, and the pass ends, at the latest,
+//! at the furthest of them. Each pass is one fused multiply
+//! ([`mips_topk::stream_topk_into_heaps`]) per list part it spans, over a
+//! panel-aligned slice of that part, for the users still walking, into
+//! their heaps.
 //!
-//! The paper walks each user past the prefix one item at a time; the
-//! segments trade a few items scored past a user's own stop point for a
-//! multiply instead of per-item `dot`s and bound checks. That stays
-//! exact: every pass pushes the GEMM chain's scores, the oracle's
-//! ([`mips_topk::exact_topk`]), a heap keeps the same set whatever order
-//! scores arrive in, and the stored bounds' slack covers the chain's
-//! rounding at every stop. The int8 variant
-//! ([`MaximusIndex::with_i8_screen`]) runs every pass through the int8
-//! block screen instead, whose survivors are rescored with the same chain.
+//! Where passes end is chosen at query time, from counts the walk already
+//! has — no clock:
+//! * the first pass at `(cluster, k)` runs to the median of the
+//!   stop positions that earlier walks at that `k` reached in that cluster
+//!   (the planner's sampled users supply the first of them), or, before
+//!   any walk at that `k` has run, `max(128, 32·k)` positions;
+//! * every later pass runs to the median of the walking users' current
+//!   stop positions, and is at least 128 positions long.
+//!
+//! A pass may span several parts: it multiplies them part by part with the
+//! same gathered user rows. Over flat norms no user stops, every recorded
+//! stop is the list's end, and after one walk at `k` the first pass is the
+//! whole list: brute force over the bound-sorted catalog.
+//!
+//! The paper fixes a `B = 4096` prefix for every user and walks past it
+//! one item at a time; the passes trade a few items scored past a user's
+//! own stop point for a multiply instead of per-item `dot`s and bound
+//! checks. That stays exact: every pass pushes the GEMM chain's scores,
+//! the oracle's ([`mips_topk::exact_topk`]), a heap keeps the same set
+//! whatever order scores arrive in, and the stored bounds' slack covers the
+//! chain's rounding at every stop, wherever the passes end. The int8
+//! variant ([`MaximusIndex::with_i8_screen`]) runs every pass through the
+//! int8 block screen instead ([`mips_topk::screen_parts_topk_into_heaps`]),
+//! whose survivors are rescored with the same chain once per pass.
 
 pub mod bound;
 
 use crate::maximus::bound::stored_bound;
 use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, OnceLock};
+use crate::sync::{Arc, Mutex, OnceLock, PoisonError};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
 use mips_data::{is_tiny_row, MfModel};
 use mips_linalg::kernels::{angle, dot, norm2};
 use mips_linalg::tier::MAX_TERMS;
 use mips_linalg::{
-    reassoc_envelope_parts, simd, GemmElem, GemmScratch, Matrix, PackedPanels, RowBlock, TierView,
+    reassoc_envelope_parts, simd, GemmElem, GemmScratch, Matrix, PackedPanels, TierRows, TierView,
 };
 use mips_topk::{
-    exact_topk, screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch,
+    exact_topk, screen_parts_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch,
     ScreenTier, Shortlist, TopKHeap, TopKList,
 };
 use std::cmp::Ordering::Less;
 use std::mem::size_of;
+use std::ops::Range;
 use std::time::Instant;
 
-/// List positions in the first segment past the §III-D prefix.
-const FIRST_SEGMENT: usize = 128;
+/// The shortest pass past the first, in list positions, and the shortest
+/// first pass before any stop is recorded.
+const MIN_PASS: usize = 128;
 
-/// Each segment is this many times as long as the one before it, up to
-/// [`MAX_SEGMENT`].
-const SEGMENT_GROWTH: usize = 2;
+/// List positions in a list's first part. A fresh heap is primed with a
+/// floor drawn from the first block it is offered ([`mips_topk`]'s
+/// admission floor), and a pass multiplies part by part, so this is as
+/// wide as that floor ever looks: the paper's `B = 4096`. On the dense
+/// benchmark shape's int8 walk at k = 50, whose first pass runs to the end
+/// of the list, a 1024-position first part ran 1.15× slower (a 2-vCPU
+/// AVX2 guest).
+const FIRST_PART: usize = 4096;
 
-/// The longest segment; every segment past the first one this long is
-/// this long too. A segment is packed whole on first touch, so the cap
-/// bounds what a pass packs beyond the positions its users need.
-const MAX_SEGMENT: usize = 1024;
+/// List positions in each later part but the last. A part is packed whole
+/// on first touch, so its length bounds what a pass packs beyond the
+/// positions its users need.
+const PART: usize = 1024;
 
-/// The prefix length and every segment start are multiples of this: the
-/// widest tier's `NR`, so each pass multiplies a slice of the packed
-/// prefix or segment that starts on a panel boundary in every tier.
+/// Every part start and every pass end short of the list's end is a
+/// multiple of this: the widest tier's `NR`, so each pass multiplies
+/// slices of packed parts that start on a panel boundary in every tier.
 const ALIGN: usize = <i8 as GemmElem>::NR;
 const _: () = assert!(
     ALIGN % <f64 as GemmElem>::NR == 0
-        && FIRST_SEGMENT % ALIGN == 0
-        && MAX_SEGMENT % FIRST_SEGMENT == 0
+        && MIN_PASS % ALIGN == 0
+        && FIRST_PART % ALIGN == 0
+        && PART % ALIGN == 0
 );
+
+/// Where passes end: the first pass at `(cluster, k)` runs to this
+/// quantile of the stop positions earlier walks at `k` reached in the
+/// cluster, every later pass to this quantile of the walking users' current
+/// stop positions. On the clustered and dense-skew benchmark shapes (the
+/// same guest, best of 7 interleaved runs), 0.25 and 0.5 ran within noise
+/// of each other, while 0.75 scored up to 10 % more items and ran up to
+/// 1.2× slower: half the users walking on for another pass costs less than
+/// every user scoring positions only a few of them need.
+const STOP_QUANTILE: f64 = 0.5;
+
+/// Before any walk at `k` has run in a cluster, its first pass is
+/// `max(MIN_PASS, UNRECORDED_PASS_PER_K · k)` positions long.
+const UNRECORDED_PASS_PER_K: usize = 32;
+
+/// Stop positions a cluster keeps per `k`: the latest ones.
+const RECORDED_STOPS: usize = 256;
+
+/// Values of `k` a cluster keeps stop positions for; a new `k` past these
+/// evicts the one recorded first.
+const RECORDED_KS: usize = 16;
 
 /// MAXIMUS parameters (§III-D: "B = 4096, |C| = 8, and i = 3 is effective
 /// for many inputs").
@@ -85,13 +127,14 @@ pub struct MaximusConfig {
     pub num_clusters: usize,
     /// k-means iterations `i`.
     pub kmeans_iters: usize,
-    /// Item blocking factor `B`: the list prefix every member of a cluster
-    /// scores in one shared pass, rounded up to a multiple of 16 (the
-    /// widest tier's panel width), packed at build. The rest of the list
-    /// follows in segments of 128, 256 and 512 positions, then 1024
-    /// positions each, each packed the first time a pass reaches it. `0`
-    /// switches the §III-D prefix off (the Fig. 8 lesion): the segments
-    /// start at the list's first position.
+    /// Item blocking factor `B`: an override of the first pass's length.
+    /// `0`, the default, sizes every pass at query time (see the module
+    /// docs). A positive value forces every walk's first pass to the
+    /// list's first `B` positions, rounded up to a multiple of 16 (the
+    /// widest tier's panel width) and capped at the list; the passes after
+    /// it are sized at query time as before. The paper's §III-D prefix is
+    /// `B = 4096`; the Fig. 8 lesion forces the shortest first pass,
+    /// `B = 16`.
     pub block_size: usize,
     /// Seed for clustering.
     pub seed: u64,
@@ -102,7 +145,7 @@ impl Default for MaximusConfig {
         MaximusConfig {
             num_clusters: 8,
             kmeans_iters: 3,
-            block_size: 4096,
+            block_size: 0,
             seed: 0x0A_11_05,
         }
     }
@@ -130,8 +173,8 @@ impl MaximusConfig {
 pub struct MaximusBuildStats {
     /// k-means time.
     pub clustering_seconds: f64,
-    /// Bound computation + sorting + prefix packing time, plus the
-    /// segments the handle's passes have packed on first touch so far.
+    /// Bound computation + sorting time, plus the list parts the handle's
+    /// passes have packed on first touch so far.
     pub construction_seconds: f64,
 }
 
@@ -141,9 +184,9 @@ pub struct MaximusBuildStats {
 pub struct MaximusQueryStats {
     /// Users served.
     pub users_served: AtomicU64,
-    /// Items scored, summed over users: every position of the prefix and
-    /// of each segment a user was still walking at (screened, on the int8
-    /// variant, with only the survivors rescored).
+    /// Items scored, summed over users: every position of each pass a
+    /// user was still walking at (screened, on the int8 variant, with only
+    /// the survivors rescored).
     pub items_blocked: AtomicU64,
     /// Items skipped by early termination: the list positions past each
     /// user's stop.
@@ -169,117 +212,218 @@ struct ClusterIndex {
     list_ids: Vec<u32>,
     /// Inflated `CBound` per list position, descending.
     bounds: Vec<f64>,
-    /// Per-position angle θ_ic (needed to re-derive bounds for new users,
-    /// §III-E).
-    theta_ic: Vec<f64>,
-    /// Item norms per list position.
-    norms: Vec<f64>,
-    /// Length of the §III-D prefix: `B` rounded up to a multiple of
-    /// [`ALIGN`] and capped at the list length (0 with item blocking off),
-    /// or the whole list over a model with tiny rows.
-    start: usize,
     /// Where the list is cut into parts ([`list_cuts`]): part `p` is list
-    /// positions `cuts[p]..cuts[p + 1]`, the prefix first, then the
-    /// segments.
+    /// positions `cuts[p]..cuts[p + 1]`.
     cuts: Vec<usize>,
     /// The list packed for the GEMM driver, part by part, row `r` of a
     /// part being its `r`-th list position (the `O(|C||I|f)` storage of
-    /// §III-D, held only as far down the list as some pass reached): the
-    /// prefix at build, each segment on first touch.
-    panels: ListPanels<f64>,
+    /// §III-D, held only as far down the list as some pass reached).
+    panels: ListParts<PackedPanels<f64>>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
+    /// The stop positions recent walks reached, per `k`.
+    stops: Mutex<Vec<StopRecord>>,
 }
 
 impl ClusterIndex {
-    /// Part `p` of `panels`, a list packed in this cluster's parts: packed
-    /// from `rows` by list id the first time any pass reaches it, the
-    /// nanoseconds that takes added to `packing`.
-    fn part<'a, T: GemmElem>(
+    /// Part `p` of `parts`, a list held in this cluster's parts: made by
+    /// `pack` from the part's list ids the first time any pass reaches it,
+    /// the nanoseconds that takes added to `packing`.
+    fn part<'a, P>(
         &self,
-        panels: &'a ListPanels<T>,
+        parts: &'a ListParts<P>,
         p: usize,
-        rows: RowBlock<'_, T>,
         packing: &AtomicU64,
-    ) -> &'a PackedPanels<T> {
-        panels.parts[p].get_or_init(|| {
+        pack: impl FnOnce(&[u32]) -> P,
+    ) -> &'a P {
+        parts.parts[p].get_or_init(|| {
             let started = Instant::now();
-            let ids = &self.list_ids[self.cuts[p]..self.cuts[p + 1]];
-            let packed = PackedPanels::gather(rows, ids);
+            let packed = pack(&self.list_ids[self.cuts[p]..self.cuts[p + 1]]);
             packing.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             packed
         })
     }
 
-    /// Heap bytes of the list's per-position vectors and its members.
+    /// The parts list positions `lo..hi` span: for each, its index `p`, the
+    /// rows of part `p` in the span, and their list ids.
+    fn spanned(
+        &self,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = (usize, Range<usize>, &[u32])> + '_ {
+        let first = self.cuts.partition_point(|&cut| cut <= lo) - 1;
+        let parts = self.cuts[first..].windows(2).enumerate();
+        let parts = parts.take_while(move |(_, part)| part[0] < hi);
+        parts.map(move |(i, part)| {
+            let (start, span) = (part[0], lo.max(part[0])..hi.min(part[1]));
+            let ids = &self.list_ids[span.clone()];
+            (first + i, span.start - start..span.end - start, ids)
+        })
+    }
+
+    /// The length of the first pass at `k`: a quantile of the stops
+    /// recorded at `k`, or, with none yet, a short pass that grows with `k`.
+    fn first_pass(&self, k: usize) -> usize {
+        let stops = self.stops.lock().unwrap_or_else(PoisonError::into_inner);
+        match stops.iter().find(|record| record.k == k) {
+            Some(record) => record.first_pass,
+            None => MIN_PASS.max(UNRECORDED_PASS_PER_K.saturating_mul(k)),
+        }
+    }
+
+    /// Records where the users of a walk at `k` stopped (`walked` is
+    /// reordered).
+    fn record_stops(&self, k: usize, walked: &mut [usize]) {
+        let mut stops = self.stops.lock().unwrap_or_else(PoisonError::into_inner);
+        let at = match stops.iter().position(|record| record.k == k) {
+            Some(at) => at,
+            None => {
+                if stops.len() == RECORDED_KS {
+                    stops.remove(0);
+                }
+                stops.push(StopRecord::new(k));
+                stops.len() - 1
+            }
+        };
+        stops[at].push(walked);
+    }
+
+    /// Heap bytes of the list's per-position vectors, its members and its
+    /// stop records.
     fn list_bytes(&self) -> usize {
         fn vec<T>(v: &Vec<T>) -> usize {
             v.capacity() * size_of::<T>()
         }
+        let stops = self.stops.lock().unwrap_or_else(PoisonError::into_inner);
+        let records = stops.iter().map(|record| vec(&record.stops));
         vec(&self.list_ids)
             + vec(&self.bounds)
-            + vec(&self.theta_ic)
-            + vec(&self.norms)
             + vec(&self.cuts)
             + vec(&self.members)
+            + vec(&stops)
+            + records.sum::<usize>()
     }
 }
 
-/// Where a list of `n` positions with a `start`-position prefix is cut
-/// into parts: `[0, start, …, n]`, the segments past the prefix 128, 256
-/// and 512 positions long, then [`MAX_SEGMENT`] each, the last one ending
-/// at `n`. An empty prefix is an empty first part.
-fn list_cuts(start: usize, n: usize) -> Vec<usize> {
-    let mut cuts = vec![0, start];
-    let mut segment = FIRST_SEGMENT;
-    while let Some(&last) = cuts.last().filter(|&&last| last < n) {
-        cuts.push((last + segment).min(n));
-        segment = (segment * SEGMENT_GROWTH).min(MAX_SEGMENT);
-    }
-    cuts
+/// The latest stop positions walks at one `k` reached in a cluster, and
+/// the first pass they give.
+struct StopRecord {
+    k: usize,
+    /// Up to [`RECORDED_STOPS`] stop positions, a ring once full.
+    stops: Vec<u32>,
+    /// Where the ring's next stop goes.
+    next: usize,
+    /// Stops pushed since `first_pass` was last computed.
+    fresh: usize,
+    /// [`STOP_QUANTILE`] of `stops`, rounded up to a multiple of
+    /// [`ALIGN`] (at least one panel).
+    first_pass: usize,
 }
 
-/// A cluster's list packed in one tier, one slot per part
-/// ([`ClusterIndex::cuts`]): the prefix's filled when the slots are made,
-/// a segment's the first time a pass reaches it ([`ClusterIndex::part`]).
-/// A slot packs once, however many threads reach it together.
-struct ListPanels<T: GemmElem> {
-    parts: Vec<OnceLock<PackedPanels<T>>>,
-}
-
-impl<T: GemmElem> ListPanels<T> {
-    /// `parts` slots: the first holds rows `prefix` of `rows` (the
-    /// prefix's list ids), packed; the rest are empty.
-    fn new(rows: RowBlock<'_, T>, prefix: &[u32], parts: usize) -> ListPanels<T> {
-        let prefix = PackedPanels::gather(rows, prefix);
-        let segments = (1..parts).map(|_| OnceLock::new());
-        ListPanels {
-            parts: std::iter::once(OnceLock::from(prefix))
-                .chain(segments)
-                .collect(),
+impl StopRecord {
+    fn new(k: usize) -> StopRecord {
+        StopRecord {
+            k,
+            stops: Vec::with_capacity(RECORDED_STOPS),
+            next: 0,
+            fresh: 0,
+            first_pass: 0,
         }
     }
 
-    /// Heap bytes of the parts packed so far.
-    fn resident_bytes(&self) -> usize {
-        let packed = self.parts.iter().filter_map(OnceLock::get);
-        packed.map(PackedPanels::resident_bytes).sum()
+    /// Adds a walk's stop positions to the ring: each of them, or, from a
+    /// walk of more users than the ring holds, a ringful evenly spaced in
+    /// stop order — the walk's distribution, not the users it happened to
+    /// list last. Once an eighth of the ring is new since the last time
+    /// (and on the first walk), recomputes the first pass.
+    fn push(&mut self, walked: &mut [usize]) {
+        let (n, take) = (walked.len(), walked.len().min(RECORDED_STOPS));
+        if n > take {
+            walked.sort_unstable();
+        }
+        for i in 0..take {
+            let stop = u32::try_from(walked[(2 * i + 1) * n / (2 * take)]).unwrap_or(u32::MAX);
+            if self.stops.len() < RECORDED_STOPS {
+                self.stops.push(stop);
+            } else {
+                self.stops[self.next] = stop;
+            }
+            self.next = (self.next + 1) % RECORDED_STOPS;
+        }
+        self.fresh += take;
+        if self.fresh * 8 >= self.stops.len() || self.first_pass == 0 {
+            let mut stops: Vec<usize> = self.stops.iter().map(|&s| s as usize).collect();
+            self.first_pass = quantile(&mut stops, STOP_QUANTILE).max(1);
+            self.first_pass = self.first_pass.next_multiple_of(ALIGN);
+            self.fresh = 0;
+        }
     }
 }
 
-/// One cluster's list in int8: the block screen's item side.
-struct ClusterScreen {
-    /// The list's int8 codes, packed part by part like
-    /// [`ClusterIndex::panels`], gathered in list order from the model's
-    /// mirror: the prefix when the screen is made, each segment on first
-    /// touch.
-    panels: ListPanels<i8>,
-    /// Every list position's envelope terms, one column per term.
+/// The `q` quantile of `values` by nearest rank: the smallest value at
+/// least a share `q` of them do not exceed (`values` is reordered). 0 for
+/// none.
+fn quantile(values: &mut [usize], q: f64) -> usize {
+    if values.is_empty() {
+        return 0;
+    }
+    let rank = ((values.len() as f64 * q).ceil() as usize).clamp(1, values.len());
+    *values.select_nth_unstable(rank - 1).1
+}
+
+/// Where a list of `n` positions is cut into parts: `[0, 4096, 5120, …,
+/// n]`, a [`FIRST_PART`] and then [`PART`]s, the last one ending at `n`.
+fn list_cuts(n: usize) -> Vec<usize> {
+    let starts = std::iter::once(0).chain((FIRST_PART..).step_by(PART));
+    let mut cuts: Vec<usize> = starts.take_while(|&cut| cut < n).collect();
+    cuts.push(n);
+    cuts
+}
+
+/// A cluster's list in one tier, one slot per part
+/// ([`ClusterIndex::cuts`]), each filled the first time a pass reaches it
+/// ([`ClusterIndex::part`]). A slot fills once, however many threads reach
+/// it together.
+struct ListParts<P> {
+    parts: Vec<OnceLock<P>>,
+}
+
+impl<P> ListParts<P> {
+    /// `parts` empty slots.
+    fn new(parts: usize) -> ListParts<P> {
+        ListParts {
+            parts: (0..parts).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Heap bytes of the parts filled so far, `bytes` each.
+    fn resident_bytes(&self, bytes: impl Fn(&P) -> usize) -> usize {
+        self.parts.iter().filter_map(OnceLock::get).map(bytes).sum()
+    }
+}
+
+/// One part of a cluster's list in int8: the block screen's item side.
+struct ScreenPart {
+    /// The part's int8 codes, gathered in list order from the model's
+    /// mirror, packed.
+    panels: PackedPanels<i8>,
+    /// The part's envelope terms, one column per term.
     terms: [Vec<f64>; MAX_TERMS],
 }
 
-impl ClusterScreen {
-    /// Heap bytes of the terms and of the parts packed so far.
+impl ScreenPart {
+    /// Rows `ids` of the mirror's item side, in that order.
+    fn gather(items: &TierRows<i8>, ids: &[u32]) -> ScreenPart {
+        let codes = items.row_block(0, items.rows());
+        ScreenPart {
+            panels: PackedPanels::gather(codes, ids),
+            terms: items
+                .terms()
+                .map(|column| ids.iter().map(|&id| column[id as usize]).collect()),
+        }
+    }
+
+    /// Heap bytes of the codes and the terms.
     fn resident_bytes(&self) -> usize {
         let terms = self.terms.iter().map(|t| t.capacity() * size_of::<f64>());
         terms.sum::<usize>() + self.panels.resident_bytes()
@@ -296,29 +440,34 @@ struct Scratch {
 }
 
 /// Everything construction derives from the model — the clustering and
-/// every cluster's bound-sorted list with its f64 panels. Shared, behind
-/// an [`Arc`], by an index and its screen variant
+/// every cluster's bound-sorted list with its f64 parts. Shared, behind an
+/// [`Arc`], by an index and its screen variant
 /// ([`MaximusIndex::with_i8_screen`]); nothing in it changes once built
-/// but the segments packed on first touch.
+/// but the parts packed on first touch and the recorded stop positions.
 struct MaximusCore {
     model: Arc<MfModel>,
     assignments: Vec<u32>,
     clusters: Vec<ClusterIndex>,
     centroids: Matrix<f64>,
+    /// A forced first pass (list positions, a multiple of [`ALIGN`] or the
+    /// whole list): `block_size` rounded up, or the whole list over a model
+    /// with tiny rows. `None`: sized at query time.
+    first_pass: Option<usize>,
     build_stats: MaximusBuildStats,
 }
 
 /// The built MAXIMUS index.
 pub struct MaximusIndex {
     core: Arc<MaximusCore>,
-    /// With the int8 screen armed, one [`ClusterScreen`] per cluster;
+    /// With the int8 screen armed, each cluster's list in int8 parts;
     /// `None` on the f64 path.
-    screens: Option<Vec<ClusterScreen>>,
+    screens: Option<Vec<ListParts<ScreenPart>>>,
     /// Seconds spent building what this handle added: the whole
-    /// construction for [`MaximusIndex::build`], the cluster screens alone
-    /// for the [`MaximusIndex::with_i8_screen`] variant.
+    /// construction for [`MaximusIndex::build`]; for the
+    /// [`MaximusIndex::with_i8_screen`] variant, whose parts are all packed
+    /// on first touch, the int8 mirror if it built it.
     build_seconds: f64,
-    /// Nanoseconds this handle's passes spent packing segments on first
+    /// Nanoseconds this handle's passes spent packing list parts on first
     /// touch: construction, reported in [`MipsSolver::build_seconds`] and
     /// [`MaximusIndex::build_stats`].
     packing: AtomicU64,
@@ -351,16 +500,6 @@ impl MaximusIndex {
 
         let t1 = Instant::now();
         let item_norms: Vec<f64> = model.items().row_norms();
-        // Over tiny rows the norm bounds can underflow: score the whole
-        // list in the prefix instead (MfModel::has_tiny_rows).
-        let start = if model.has_tiny_rows() {
-            model.num_items()
-        } else {
-            config
-                .block_size
-                .next_multiple_of(ALIGN)
-                .min(model.num_items())
-        };
         let clusters: Vec<ClusterIndex> = (0..clustering.k())
             .map(|c| {
                 let centroid = clustering.centroids.row(c);
@@ -376,17 +515,25 @@ impl MaximusIndex {
                     &item_norms,
                     centroid,
                     theta_b,
-                    start,
                     clustering.members[c].clone(),
                 )
             })
             .collect();
         let construction_seconds = t1.elapsed().as_secs_f64();
 
+        // Over tiny rows the norm bounds can underflow: score the whole
+        // list in the first pass instead (MfModel::has_tiny_rows).
+        let n = model.num_items();
+        let first_pass = if model.has_tiny_rows() {
+            Some(n)
+        } else {
+            (config.block_size > 0).then(|| config.block_size.next_multiple_of(ALIGN).min(n))
+        };
         let core = MaximusCore {
             assignments: clustering.assignments,
             centroids: clustering.centroids,
             clusters,
+            first_pass,
             build_stats: MaximusBuildStats {
                 clustering_seconds,
                 construction_seconds,
@@ -403,7 +550,7 @@ impl MaximusIndex {
     /// A handle on `core` screening through `screens` (`None`: unscreened).
     fn over(
         core: Arc<MaximusCore>,
-        screens: Option<Vec<ClusterScreen>>,
+        screens: Option<Vec<ListParts<ScreenPart>>>,
         build_seconds: f64,
     ) -> MaximusIndex {
         let screen = screens.as_ref().map(|_| ScreenTier::I8);
@@ -420,46 +567,39 @@ impl MaximusIndex {
 
     /// This index with the int8 screen armed on every block pass of the
     /// query, **sharing everything [`MaximusIndex::build`] constructed**:
-    /// the variant adds one int8 screen per cluster — its list's codes,
-    /// packed part by part like the f64 panels (the prefix now, each
-    /// segment the first time one of the variant's passes reaches it), and
-    /// each position's envelope terms.
+    /// the variant adds each cluster's list in int8 parts — a part's codes,
+    /// packed, and its envelope terms, both made the first time one of the
+    /// variant's passes reaches the part.
     ///
-    /// The prefix and every segment run the block screen
-    /// ([`mips_topk::screen_topk_into_heaps`]): an int8 multiply whose
-    /// envelope-widened scores keep every item that could reach the heap,
-    /// each survivor rescored in f64 from the model's rows by id with the
-    /// GEMM's reduction order — so after every pass the heaps hold the f64
-    /// multiply's exact entries, every user stops where it stops on the f64
-    /// index, and results are bit-identical to it. The §III-E new-vector
-    /// path stays f64. int8 is MAXIMUS's one screen tier: measured over the
-    /// catalog stand-ins and the benchmark shapes, an f32 screen won no
-    /// plan by more than sampling noise, and racing it cost cold time and
-    /// a mirror per cluster.
+    /// Every pass runs the block screen
+    /// ([`mips_topk::screen_parts_topk_into_heaps`]): an int8 multiply
+    /// whose envelope-widened scores keep every item that could reach the
+    /// heap, each survivor rescored in f64 from the model's rows by id with
+    /// the GEMM's reduction order — so after every pass the heaps hold the
+    /// f64 multiply's exact entries, every user stops where it stops on the
+    /// f64 index, and results are bit-identical to it. The §III-E
+    /// new-vector path stays f64. int8 is MAXIMUS's one screen tier:
+    /// measured over the catalog stand-ins and the benchmark shapes, an f32
+    /// screen won no plan by more than sampling noise, and racing it cost
+    /// cold time and a mirror per cluster.
     ///
-    /// Each cluster's codes and terms are **gathered** in list order from
-    /// the model's own int8 mirror ([`MfModel::mirror`] — built once per
-    /// model and shared with brute force's screen), so no row is quantized
-    /// once per cluster, and the panels are the only copy of the codes the
+    /// Each part's codes and terms are **gathered** in list order from the
+    /// model's own int8 mirror ([`MfModel::mirror`] — built once per model
+    /// and shared with brute force's screen), so no row is quantized once
+    /// per cluster, and the parts are the only copy of the codes the
     /// variant holds. The rescore reads the model's f64 rows, so the
-    /// variant holds no f64 copy of its own. Its `build_seconds` is that
-    /// gathering and packing alone, the segments it packed on first touch
-    /// included; its work counters start at zero.
+    /// variant holds no f64 copy of its own. Its `build_seconds` is the
+    /// mirror, if this call built it, and the parts it packed on first
+    /// touch; its work counters start at zero.
     ///
     /// When the model does not quantize usably (subnormal rows, factor
     /// counts past the i32-overflow cap) the result runs unscreened.
     pub fn with_i8_screen(&self) -> MaximusIndex {
         let t = Instant::now();
         let core = Arc::clone(&self.core);
-        let screens = core.model.mirror::<i8>().sides().map(|(_, items)| {
-            let codes = items.row_block(0, items.rows());
-            let screen = |c: &ClusterIndex| ClusterScreen {
-                panels: ListPanels::new(codes, &c.list_ids[..c.start], c.cuts.len() - 1),
-                terms: items
-                    .terms()
-                    .map(|column| c.list_ids.iter().map(|&i| column[i as usize]).collect()),
-            };
-            core.clusters.iter().map(screen).collect()
+        let screens = core.model.mirror::<i8>().sides().map(|_| {
+            let clusters = core.clusters.iter();
+            clusters.map(|c| ListParts::new(c.cuts.len() - 1)).collect()
         });
         MaximusIndex::over(core, screens, t.elapsed().as_secs_f64())
     }
@@ -470,30 +610,35 @@ impl MaximusIndex {
     }
 
     /// Build-stage breakdown (Fig. 8) of the shared construction, plus the
-    /// segments this handle's passes have packed on first touch so far.
+    /// list parts this handle's passes have packed on first touch so far.
     pub fn build_stats(&self) -> MaximusBuildStats {
         let mut stats = self.core.build_stats;
         stats.construction_seconds += self.packing_seconds();
         stats
     }
 
-    /// Seconds this handle's passes have spent packing segments.
+    /// Seconds this handle's passes have spent packing list parts.
     fn packing_seconds(&self) -> f64 {
         self.packing.load(Ordering::Relaxed) as f64 * 1e-9
     }
 
     /// The bytes the index holds for its own tier: the summed capacities
-    /// of every cluster's list vectors and of the panels packed so far
-    /// (f64, or int8 with the screen armed, plus its terms). The lists'
-    /// untouched tails are not among them.
+    /// of every cluster's list vectors and stop records, and of the parts
+    /// packed so far (f64 panels, or int8 panels and terms with the screen
+    /// armed). A fresh index holds no parts, and the lists' untouched
+    /// tails never join them.
     pub fn resident_bytes(&self) -> usize {
         let clusters = &self.core.clusters;
         let lists: usize = clusters.iter().map(ClusterIndex::list_bytes).sum();
-        let panels: usize = match &self.screens {
-            Some(screens) => screens.iter().map(ClusterScreen::resident_bytes).sum(),
-            None => clusters.iter().map(|c| c.panels.resident_bytes()).sum(),
+        let parts: usize = match &self.screens {
+            Some(screens) => (screens.iter())
+                .map(|s| s.resident_bytes(ScreenPart::resident_bytes))
+                .sum(),
+            None => (clusters.iter())
+                .map(|c| c.panels.resident_bytes(PackedPanels::resident_bytes))
+                .sum(),
         };
-        lists + panels
+        lists + parts
     }
 
     /// Cumulative query work counters.
@@ -512,16 +657,18 @@ impl MaximusIndex {
     }
 
     /// Serves one cluster's user group, `(output position, user id)` each,
-    /// in block passes over the list: the §III-D prefix, then growing
-    /// segments, each for the users still walking (see the module docs). A
-    /// segment no pass reached before is packed on the way in.
+    /// in block passes over the list, each sized at query time (see the
+    /// module docs). A part no pass reached before is packed on the way
+    /// in. The walk ends by recording where each user's final threshold
+    /// stops it, for the first pass of the next walk at `k`.
     ///
     /// Users that stop are moved, with their heaps, behind the ones still
     /// walking, so every pass multiplies one contiguous block of user rows
     /// into one contiguous run of heaps. A pass streams score panels
-    /// straight into the heaps, translated from list positions to item ids
-    /// by [`ColumnIds::Mapped`]; with the screen armed it streams int8
-    /// blocks through the block screen instead, into the same heaps.
+    /// straight into the heaps, part by part, translated from list
+    /// positions to item ids by [`ColumnIds::Mapped`]; with the screen
+    /// armed it screens the parts' int8 blocks into the same heaps,
+    /// rescoring once at the end of the pass.
     fn serve_cluster(
         &self,
         c: usize,
@@ -532,9 +679,10 @@ impl MaximusIndex {
     ) {
         let model = &self.core.model;
         let cluster = &self.core.clusters[c];
-        let (n_items, cuts) = (cluster.list_ids.len(), &cluster.cuts);
+        let n_items = cluster.list_ids.len();
         // `screens` exists only over a usable int8 mirror.
         let screen = self.screens.as_ref().map(|s| (&s[c], model.mirror::<i8>()));
+        let first_pass = (self.core.first_pass).unwrap_or_else(|| cluster.first_pass(k));
 
         // Slot `i < walking` is a user still walking: `(output position,
         // user id, ‖u‖)` beside its heap.
@@ -545,67 +693,83 @@ impl MaximusIndex {
         let mut heaps: Vec<TopKHeap> = group.iter().map(|_| TopKHeap::new(k)).collect();
         let mut walking = users.len();
         let (mut scored, mut pruned) = (0u64, 0u64);
+        let mut stops = Vec::with_capacity(walking);
 
-        let (mut lo, mut p) = (0, 0);
+        let mut lo = 0;
         while lo < n_items {
-            // The part `lo` lies in: the prefix or a segment.
-            while cuts[p + 1] == lo {
-                p += 1;
-            }
-            let (first, end) = (cuts[p], cuts[p + 1]);
             // Early termination: bounds descend, so a user whose scaled
             // bound at `lo` sits below its threshold is done with the rest,
-            // and a user still walking can use no position from the first
-            // one its bound misses on: `reach`, the furthest of those, caps
-            // the pass (thresholds only rise). A NaN product (a zero norm
-            // times an overflowed one) misses nothing, so the predicate
-            // reads true, then false, down any list.
-            let (mut kept, mut reach) = (0, lo);
+            // and a user still walking can use no position from its stop
+            // position on, the first one its bound misses (thresholds only
+            // rise). A NaN product (a zero norm times an overflowed one)
+            // misses nothing, so the predicate reads true, then false, down
+            // any list.
+            let mut kept = 0;
+            stops.clear();
             for i in 0..walking {
-                let (norm, threshold) = (users[i].2, heaps[i].threshold());
-                let hits = cluster.bounds[lo..]
-                    .partition_point(|&b| (norm * b).partial_cmp(&threshold) != Some(Less));
+                let hits = stop_position(&cluster.bounds[lo..], users[i].2, &heaps[i]);
                 if hits == 0 {
                     pruned += (n_items - lo) as u64;
                 } else {
                     users.swap(kept, i);
                     heaps.swap(kept, i);
                     kept += 1;
-                    reach = reach.max(lo + hits);
+                    stops.push(lo + hits);
                 }
             }
             walking = kept;
             if walking == 0 {
                 break;
             }
-            // Rounded up so the next pass, if any, starts on a panel.
-            let hi = end.min(reach.next_multiple_of(ALIGN));
+            // The pass ends at the furthest stop, rounded up to a panel so
+            // the next pass starts on one; short of that, at the first
+            // pass's length or a quantile of the current stops.
+            let reach = stops.iter().copied().max().unwrap_or(lo);
+            let target = if lo == 0 {
+                first_pass
+            } else {
+                quantile(&mut stops, STOP_QUANTILE).max(lo + MIN_PASS)
+            };
+            let hi = target.min(reach).next_multiple_of(ALIGN).min(n_items);
             let walkers: Vec<usize> = users[..walking].iter().map(|&(_, u, _)| u).collect();
             let rows = model.users().gather_rows(&walkers);
-            let ids = ColumnIds::Mapped(&cluster.list_ids[lo..hi]);
             let heaps = &mut heaps[..walking];
-            let within = lo - first..hi - first;
+            let spanned = cluster.spanned(lo, hi);
             match screen {
-                Some((screen, mirror)) => {
-                    let codes = mirror.items().row_block(0, n_items);
-                    let panels = cluster.part(&screen.panels, p, codes, &self.packing);
-                    let terms = std::array::from_fn(|t| &screen.terms[t][first..end]);
-                    let stats = screen_topk_into_heaps(
+                Some((parts, mirror)) => {
+                    let views: Vec<(TierView<'_, i8>, ColumnIds<'_>)> = spanned
+                        .map(|(p, within, ids)| {
+                            let part = cluster.part(parts, p, &self.packing, |ids| {
+                                ScreenPart::gather(mirror.items(), ids)
+                            });
+                            let terms = std::array::from_fn(|t| part.terms[t].as_slice());
+                            let view = TierView::packed((&part.panels).into(), terms);
+                            (view.rows(within), ColumnIds::Mapped(ids))
+                        })
+                        .collect();
+                    let stats = screen_parts_topk_into_heaps(
                         (&rows).into(),
                         model.items().into(),
                         mirror.users().gather(walkers.into_iter()).view(),
-                        TierView::packed(panels.into(), terms).rows(within),
+                        &views,
                         heaps,
-                        ids,
                         &mut scratch.screen,
                     );
                     self.screen_tally.record(stats.screened, stats.rescored);
                 }
                 None => {
-                    let items = model.items().into();
-                    let panels = cluster.part(&cluster.panels, p, items, &self.packing);
-                    let items = panels.slice(within).into();
-                    stream_topk_into_heaps((&rows).into(), items, heaps, ids, &mut scratch.gemm);
+                    for (p, within, ids) in spanned {
+                        let part = cluster.part(&cluster.panels, p, &self.packing, |ids| {
+                            PackedPanels::gather(model.items().into(), ids)
+                        });
+                        stream_topk_into_heaps(
+                            (&rows).into(),
+                            part.slice(within).into(),
+                            heaps,
+                            ColumnIds::Mapped(ids),
+                            &mut scratch.gemm,
+                        );
+                    }
                 }
             }
             scored += (walking * (hi - lo)) as u64;
@@ -618,6 +782,11 @@ impl MaximusIndex {
         stats
             .users_served
             .fetch_add(group.len() as u64, Ordering::Relaxed);
+        let walked = users.iter().zip(&heaps);
+        let mut walked: Vec<usize> = walked
+            .map(|(&(_, _, norm), heap)| stop_position(&cluster.bounds, norm, heap))
+            .collect();
+        cluster.record_stops(k, &mut walked);
         for (heap, &(pos, _, _)) in heaps.into_iter().zip(&users) {
             out[pos] = heap.into_sorted();
         }
@@ -628,7 +797,9 @@ impl MaximusIndex {
     /// that cluster's list one item at a time, reading each row from the
     /// model by id, with a per-item bound widened to the user's own angle
     /// when it exceeds θ_b. The walk's four-lane `dot` scores go through a
-    /// [`Shortlist`], whose chain rescore finishes the answer.
+    /// [`Shortlist`], whose chain rescore finishes the answer. Each visited
+    /// item's norm, and for a widened bound its angle to the centroid, are
+    /// derived from its row as construction derives them.
     ///
     /// List order no longer matches the widened bound, so pruning skips
     /// items without early exit — still exact, usually still far fewer dots
@@ -652,7 +823,8 @@ impl MaximusIndex {
         let cluster = &core.clusters[assigned];
         let unorm = norm2(user);
         let centroid = core.centroids.row(assigned);
-        let theta_uc = if unorm == 0.0 || norm2(centroid) == 0.0 {
+        let cnorm = norm2(centroid);
+        let theta_uc = if unorm == 0.0 || cnorm == 0.0 {
             std::f64::consts::PI
         } else {
             angle(user, centroid)
@@ -665,6 +837,8 @@ impl MaximusIndex {
         list.begin(&heap);
         let covered = theta_uc <= cluster.theta_b;
         for (pos, &id) in cluster.list_ids.iter().enumerate() {
+            let row = items.row(id as usize);
+            let norm = norm2(row);
             if list.is_full() {
                 if covered {
                     // Covered by the stored bounds: early exit.
@@ -673,67 +847,72 @@ impl MaximusIndex {
                     }
                 } else {
                     // No early exit: the order is stale for θ_uc.
-                    let b = stored_bound(cluster.norms[pos], cluster.theta_ic[pos], theta_uc);
+                    let b = stored_bound(norm, item_angle(centroid, cnorm, row, norm), theta_uc);
                     if unorm * b < list.threshold() {
                         continue;
                     }
                 }
             }
-            let score = dot(user, items.row(id as usize));
-            list.offer(id, score, rel * unorm * cluster.norms[pos] + abs);
+            list.offer(id, dot(user, row), rel * unorm * norm + abs);
         }
         list.finish(simd::active(), user, items.into(), &mut heap);
         heap.into_sorted()
     }
 }
 
-/// Builds one cluster's sorted list and packs its prefix in list order.
+/// Where `bounds` (descending), scaled by a user's norm, first sits below
+/// the threshold of its heap: the positions the user can still use. A NaN
+/// product reads as a hit.
+fn stop_position(bounds: &[f64], norm: f64, heap: &TopKHeap) -> usize {
+    let threshold = heap.threshold();
+    bounds.partition_point(|&b| (norm * b).partial_cmp(&threshold) != Some(Less))
+}
+
+/// The angle θ_ic between a cluster's centroid (of norm `cnorm`) and an
+/// item row of norm `norm`: π/2 when either norm is zero, where the angle
+/// is undefined.
+fn item_angle(centroid: &[f64], cnorm: f64, row: &[f64], norm: f64) -> f64 {
+    if cnorm == 0.0 || norm == 0.0 {
+        std::f64::consts::FRAC_PI_2
+    } else {
+        angle(centroid, row)
+    }
+}
+
+/// Builds one cluster's sorted list; no part of it is packed.
 fn build_cluster_list(
     items: &Matrix<f64>,
     item_norms: &[f64],
     centroid: &[f64],
     theta_b: f64,
-    start: usize,
     members: Vec<u32>,
 ) -> ClusterIndex {
     let n = items.rows();
     let cnorm = norm2(centroid);
-    let mut entries: Vec<(f64, f64, u32)> = (0..n)
+    let mut entries: Vec<(f64, u32)> = (0..n)
         .map(|i| {
-            let theta_ic = if cnorm == 0.0 || item_norms[i] == 0.0 {
-                std::f64::consts::FRAC_PI_2
-            } else {
-                angle(centroid, items.row(i))
-            };
-            (
-                stored_bound(item_norms[i], theta_ic, theta_b),
-                theta_ic,
-                i as u32,
-            )
+            let theta_ic = item_angle(centroid, cnorm, items.row(i), item_norms[i]);
+            (stored_bound(item_norms[i], theta_ic, theta_b), i as u32)
         })
         .collect();
     // `total_cmp`: same panic-free hardening as the LEMP/FEXIPRO
     // norm-sorts — bounds are finite for validated models, but an index
     // build must not be able to panic on a stray NaN.
-    entries.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
+    entries.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
-    let list_ids: Vec<u32> = entries.iter().map(|e| e.2).collect();
+    let list_ids: Vec<u32> = entries.iter().map(|e| e.1).collect();
     let bounds: Vec<f64> = entries.iter().map(|e| e.0).collect();
-    let theta_ic: Vec<f64> = entries.iter().map(|e| e.1).collect();
-    let norms: Vec<f64> = entries.iter().map(|e| item_norms[e.2 as usize]).collect();
-    let cuts = list_cuts(start, n);
-    let panels = ListPanels::new(items.into(), &list_ids[..start], cuts.len() - 1);
+    let cuts = list_cuts(n);
+    let panels = ListParts::new(cuts.len() - 1);
 
     ClusterIndex {
         theta_b,
         list_ids,
         bounds,
-        theta_ic,
-        norms,
-        start,
         cuts,
         panels,
         members,
+        stops: Mutex::new(Vec::new()),
     }
 }
 
@@ -852,8 +1031,8 @@ mod tests {
 
     #[test]
     fn tight_clusters_prune() {
-        // Tight bundles → small θ_b; a list long enough for several
-        // segments past the prefix, so users stop at segment starts.
+        // Tight bundles → small θ_b; a list long enough for several passes
+        // past the first, so users stop at pass starts.
         let m = model(60, 2000, 16, 0.1);
         let maximus = MaximusIndex::build(
             Arc::clone(&m),
@@ -869,7 +1048,7 @@ mod tests {
             stats.items_pruned.load(Ordering::Relaxed),
         );
         assert!(pruned > 0, "no pruning on tightly clustered users");
-        // Each user scores a prefix of its list and prunes the rest.
+        // Each user scores the head of its list and prunes the rest.
         assert_eq!(scored + pruned, (m.num_users() * m.num_items()) as u64);
         let avg = stats.avg_items_visited();
         assert!(
@@ -881,9 +1060,9 @@ mod tests {
     #[test]
     fn screened_variant_is_bit_identical_and_screens_every_pass() {
         use crate::precision::Precision;
-        // B = 8 (rounded up to 16) pushes most of the work into the
-        // segments, B = 64 splits it, and a block past the list length
-        // leaves the prefix alone.
+        // B = 8 (rounded up to 16) pushes most of the work past the first
+        // pass, B = 64 splits it, and a block past the list length scores
+        // the whole list in the first pass.
         let m = model(60, 500, 16, 0.4);
         for block_size in [8usize, 64, 10_000] {
             let config = MaximusConfig {
@@ -911,7 +1090,7 @@ mod tests {
                 }
             }
             // After every pass the screened heaps hold the f64 heaps'
-            // exact entries, so every user stops at the same segment: both
+            // exact entries, so every user stops at the same pass: both
             // score and prune the same items, and the screen saw each
             // scored item once and rescored a fraction.
             let counts = |index: &MaximusIndex| {
@@ -925,8 +1104,8 @@ mod tests {
             assert_eq!((scored, pruned), counts(&plain), "B={block_size}");
             let tally = screened.take_screen_stats().expect("a screening solver");
             assert_eq!(tally.screened, scored, "B={block_size}");
-            let prefix = (3 * m.num_users() * block_size.next_multiple_of(16).min(500)) as u64;
-            assert!(scored >= prefix, "B={block_size}");
+            let first = (3 * m.num_users() * block_size.next_multiple_of(16).min(500)) as u64;
+            assert!(scored >= first, "B={block_size}");
             assert!(
                 tally.rescored < tally.screened / 2,
                 "B={block_size}: {tally:?}"
@@ -970,50 +1149,147 @@ mod tests {
         assert!(index.take_screen_stats().is_none());
     }
 
-    /// Whether each part of each cluster's list is packed in `panels`.
-    fn packed<T: GemmElem>(panels: &ListPanels<T>) -> Vec<bool> {
-        panels.parts.iter().map(|p| p.get().is_some()).collect()
+    /// Whether each part of a cluster's list is packed in `parts`.
+    fn packed<P>(parts: &ListParts<P>) -> Vec<bool> {
+        parts.parts.iter().map(|p| p.get().is_some()).collect()
+    }
+
+    /// Every user's oracle answer at `k`.
+    fn oracle(m: &MfModel, k: usize) -> Vec<TopKList> {
+        let users = 0..m.num_users();
+        users
+            .map(|u| exact_topk(m.users().row(u), m.items(), k))
+            .collect()
+    }
+
+    /// The answers as ids and score bits.
+    fn bits(lists: &[TopKList]) -> Vec<(Vec<u32>, Vec<u64>)> {
+        let bits = |l: &TopKList| l.scores.iter().map(|s| s.to_bits()).collect();
+        lists.iter().map(|l| (l.items.clone(), bits(l))).collect()
     }
 
     #[test]
-    fn clusters_pack_the_prefix_at_build_and_each_segment_in_list_order() {
-        // The parts: the prefix, then segments of 128, 256 and 512
-        // positions and 1024 each after; an empty prefix is an empty part.
-        let cuts = list_cuts(32, 5000);
-        assert_eq!(cuts, [0, 32, 160, 416, 928, 1952, 2976, 4000, 5000]);
-        assert_eq!(list_cuts(0, 100), [0, 0, 100]);
-        assert_eq!(list_cuts(90, 90), [0, 90]);
-        // Build packs the prefix alone: `B` rounded up to a multiple of 16
-        // and capped at the list; the Fig. 8 lesion has none. Each part,
-        // once packed, holds its list positions in list order: one user's
-        // passes over every part, with the part's ids, score every item
-        // exactly as the oracle does.
+    fn lists_are_cut_into_parts_and_passes_span_them() {
+        // A 4096-position first part, then parts of 1024, the last one
+        // ending at the list's end, whatever the passes.
+        assert_eq!(list_cuts(7000), [0, 4096, 5120, 6144, 7000]);
+        assert_eq!(list_cuts(5120), [0, 4096, 5120]);
+        assert_eq!(list_cuts(100), [0, 100]);
+        assert_eq!(list_cuts(0), [0]);
+        // A pass `lo..hi` visits each part it overlaps, with its slice of
+        // that part.
+        let m = model(8, 5500, 4, 0.4);
+        let index = MaximusIndex::build(Arc::clone(&m), &small_config());
+        let cluster = &index.core.clusters[0];
+        assert_eq!(cluster.cuts, [0, 4096, 5120, 5500]);
+        let spanned = |lo, hi| {
+            let parts = cluster.spanned(lo, hi).map(|(p, within, ids)| {
+                let first = cluster.cuts[p];
+                assert_eq!(
+                    ids,
+                    &cluster.list_ids[first + within.start..first + within.end]
+                );
+                (p, within)
+            });
+            parts.collect::<Vec<_>>()
+        };
+        assert_eq!(spanned(0, 16), [(0, 0..16)]);
+        assert_eq!(spanned(0, 4096), [(0, 0..4096)]);
+        assert_eq!(spanned(16, 4112), [(0, 16..4096), (1, 0..16)]);
+        assert_eq!(spanned(4096, 5500), [(1, 0..1024), (2, 0..380)]);
+        assert_eq!(spanned(5488, 5500), [(2, 368..380)]);
+        assert_eq!(spanned(0, 5500).len(), 3);
+        // Nearest-rank quantiles.
+        assert_eq!(quantile(&mut [], 0.9), 0);
+        assert_eq!(quantile(&mut [7], 0.75), 7);
+        assert_eq!(quantile(&mut [40, 10, 30, 20], 0.75), 30);
+        assert_eq!(quantile(&mut [40, 10, 30, 20], 0.9), 40);
+    }
+
+    #[test]
+    fn first_passes_follow_the_recorded_stops_per_k() {
+        // Before any walk at k the first pass is short and grows with k;
+        // after one, it is the median of the stops recorded at that
+        // k, rounded up to a panel; each k keeps its own.
+        let m = model(60, 2000, 16, 0.1);
+        let index = MaximusIndex::build(Arc::clone(&m), &small_config_sized());
+        let cluster = &index.core.clusters[0];
+        assert_eq!(cluster.first_pass(1), MIN_PASS);
+        assert_eq!(cluster.first_pass(10), 320);
+        cluster.record_stops(1, &mut [5, 40, 33, 17, 900, 12, 20, 25, 30, 35]);
+        assert_eq!(cluster.first_pass(1), 32, "median 25, rounded up");
+        assert_eq!(cluster.first_pass(10), 320);
+        // A walk records every user's stop at its final threshold.
+        let _ = index.query_all(10);
+        for cluster in &index.core.clusters {
+            let stops = cluster.stops.lock().unwrap();
+            let record = stops.iter().find(|r| r.k == 10).expect("k = 10 recorded");
+            let want = cluster.members.len().min(RECORDED_STOPS);
+            assert_eq!(record.stops.len(), want);
+            assert!(record.first_pass % ALIGN == 0 && record.first_pass <= 2000);
+        }
+        // Small walks fill a ring; a walk of a ringful or more replaces it
+        // with its own stops, evenly spaced in stop order, whatever order
+        // its users come in.
+        let mut record = StopRecord::new(3);
+        record.push(&mut [4000; 100]);
+        assert_eq!(record.first_pass, 4000);
+        let mut walk: Vec<usize> = (0..1000).map(|u| u * 7 % 1000).collect();
+        record.push(&mut walk);
+        assert_eq!(record.stops.len(), RECORDED_STOPS);
+        assert_eq!(record.first_pass, 512, "median 498, rounded up");
+        for _ in 0..RECORDED_STOPS {
+            record.push(&mut [64]);
+        }
+        assert_eq!(record.first_pass, 64);
+        // The table keeps the latest ks.
+        for k in 100..100 + RECORDED_KS + 3 {
+            cluster.record_stops(k, &mut [16]);
+        }
+        let stops = cluster.stops.lock().unwrap();
+        assert_eq!(stops.len(), RECORDED_KS);
+        assert_eq!(stops[0].k, 103);
+    }
+
+    /// [`small_config`] with every pass sized at query time.
+    fn small_config_sized() -> MaximusConfig {
+        MaximusConfig {
+            block_size: 0,
+            ..small_config()
+        }
+    }
+
+    #[test]
+    fn a_fresh_index_holds_no_parts() {
+        // Build packs nothing, in either tier: the index holds its lists'
+        // vectors alone. Each part, once packed, holds its list positions
+        // in list order: one user's passes over every part, with the
+        // part's ids, score every item exactly as the oracle does.
         let m = model(40, 400, 8, 0.4);
-        for (block_size, start) in [(16, 16), (5, 16), (17, 32), (500, 400), (0, 0)] {
-            let config = MaximusConfig {
-                block_size,
-                ..small_config()
-            };
-            let index = MaximusIndex::build(Arc::clone(&m), &config);
-            for cluster in &index.core.clusters {
-                assert_eq!(cluster.start, start, "{config:?}");
-                assert_eq!(cluster.cuts, list_cuts(start, 400), "{config:?}");
-                let parts = cluster.cuts.len() - 1;
-                let mut want = vec![false; parts];
-                want[0] = true;
-                assert_eq!(packed(&cluster.panels), want, "{config:?}");
+        for config in [small_config(), small_config_sized()] {
+            let plain = MaximusIndex::build(Arc::clone(&m), &config);
+            let screened = plain.with_i8_screen();
+            let lists: usize = plain.core.clusters.iter().map(|c| c.list_bytes()).sum();
+            assert_eq!(plain.resident_bytes(), lists, "{config:?}");
+            assert_eq!(screened.resident_bytes(), lists, "{config:?}");
+            for (c, cluster) in plain.core.clusters.iter().enumerate() {
+                let none = vec![false; cluster.cuts.len() - 1];
+                assert_eq!(packed(&cluster.panels), none);
+                assert_eq!(packed(&screened.screens.as_ref().unwrap()[c]), none);
                 let user = m.users().row_block(3, 4);
                 let mut heaps = vec![TopKHeap::new(400)];
                 let mut scratch = GemmScratch::new();
                 let packing = AtomicU64::new(0);
                 for (p, range) in cluster.cuts.windows(2).enumerate() {
-                    let panels = cluster.part(&cluster.panels, p, m.items().into(), &packing);
+                    let panels = cluster.part(&cluster.panels, p, &packing, |ids| {
+                        PackedPanels::gather(m.items().into(), ids)
+                    });
                     assert_eq!((panels.rows(), panels.cols()), (range[1] - range[0], 8));
                     let ids = ColumnIds::Mapped(&cluster.list_ids[range[0]..range[1]]);
                     stream_topk_into_heaps(user, panels.into(), &mut heaps, ids, &mut scratch);
                 }
-                assert_eq!(packed(&cluster.panels), vec![true; parts]);
-                assert_eq!(packing.load(Ordering::Relaxed) > 0, parts > 1, "{config:?}");
+                assert!(packed(&cluster.panels).iter().all(|&p| p));
+                assert!(packing.load(Ordering::Relaxed) > 0);
                 let want = exact_topk(m.users().row(3), m.items(), 400);
                 assert_eq!(heaps.pop().unwrap().into_sorted(), want, "{config:?}");
             }
@@ -1022,39 +1298,29 @@ mod tests {
 
     #[test]
     fn cluster_screens_are_gathered_in_list_order() {
-        // A cluster's int8 screen covers the whole list: position `pos`
-        // carries the mirror's terms of item `list_ids[pos]`, and each
-        // part's packed codes (the prefix's at once, a segment's on first
-        // touch) screen exactly like the mirror's rows gathered in list
-        // order — the same candidates, survivors and heaps.
+        // A cluster's int8 parts cover the whole list: part position `r`
+        // carries the mirror's terms of item `list_ids[first + r]`, and each
+        // part's packed codes screen exactly like the mirror's rows
+        // gathered in list order — the same candidates, survivors and
+        // heaps.
         let m = model(40, 400, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
         let screened = plain.with_i8_screen();
         let mirror = m.mirror::<i8>();
         let users = mirror.users().gather(0..40);
-        let codes = mirror.items().row_block(0, 400);
         let screens = screened.screens.as_ref().expect("the model quantizes");
         let packing = AtomicU64::new(0);
-        for (cluster, screen) in plain.core.clusters.iter().zip(screens) {
+        for (cluster, parts) in plain.core.clusters.iter().zip(screens) {
             let list = || cluster.list_ids.iter().map(|&id| id as usize);
             let rows = mirror.items().gather(list());
-            for (t, column) in screen.terms.iter().enumerate() {
-                let want = rows.terms()[t];
-                let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(column), bits(want), "term {t}");
-            }
-            let mut want = vec![false; cluster.cuts.len() - 1];
-            want[0] = true;
-            assert_eq!(packed(&screen.panels), want);
             let run = |items: TierView<'_, i8>, ids: &[u32]| {
                 let mut heaps: Vec<TopKHeap> = (0..40).map(|_| TopKHeap::new(5)).collect();
-                let stats = screen_topk_into_heaps(
+                let stats = screen_parts_topk_into_heaps(
                     m.users().into(),
                     m.items().into(),
                     users.view(),
-                    items,
+                    &[(items, ColumnIds::Mapped(ids))],
                     &mut heaps,
-                    ColumnIds::Mapped(ids),
                     &mut ScreenScratch::new(),
                 );
                 let lists: Vec<TopKList> = heaps.into_iter().map(TopKHeap::into_sorted).collect();
@@ -1062,14 +1328,21 @@ mod tests {
             };
             for (p, range) in cluster.cuts.windows(2).enumerate() {
                 let (first, end) = (range[0], range[1]);
-                let panels = cluster.part(&screen.panels, p, codes, &packing);
-                let terms = std::array::from_fn(|t| &screen.terms[t][first..end]);
+                let part = cluster.part(parts, p, &packing, |ids| {
+                    ScreenPart::gather(mirror.items(), ids)
+                });
+                for (t, column) in part.terms.iter().enumerate() {
+                    let want = &rows.terms()[t][first..end];
+                    let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(column), bits(want), "part {p} term {t}");
+                }
+                let terms = std::array::from_fn(|t| part.terms[t].as_slice());
                 // The part from its second panel on, as a pass slices it.
                 let skip = 16.min(end - first);
                 let ids = &cluster.list_ids[first + skip..end];
-                let part = TierView::packed(panels.into(), terms);
+                let view = TierView::packed((&part.panels).into(), terms);
                 assert_eq!(
-                    run(part.rows(skip..end - first), ids),
+                    run(view.rows(skip..end - first), ids),
                     run(rows.view().rows(first + skip..end), ids),
                     "part {p}"
                 );
@@ -1078,39 +1351,30 @@ mod tests {
     }
 
     #[test]
-    fn prefixes_are_packed_at_build_and_shared_by_the_screen_variant() {
-        // Each prefix is packed once, at build; the int8 variant shares the
-        // core and its f64 panels, and its passes pack only its own int8
-        // segments (they rescore from the model's rows). A point lookup, a
-        // full pass, the variant and the lesion (no prefix) all answer
-        // alike.
+    fn the_screen_variant_shares_the_f64_parts_and_packs_only_its_own() {
+        // The int8 variant shares the core and its f64 parts, and its
+        // passes pack only its own int8 parts (they rescore from the
+        // model's rows). A point lookup, a full pass, the variant and a
+        // forced first pass all answer alike.
         let m = model(40, 400, 8, 0.4);
-        let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
-        let panels = |index: &MaximusIndex| -> Vec<*const ListPanels<f64>> {
+        let plain = MaximusIndex::build(Arc::clone(&m), &small_config_sized());
+        let panels = |index: &MaximusIndex| -> Vec<*const ListParts<PackedPanels<f64>>> {
             let clusters = index.core.clusters.iter();
             clusters.map(|c| &c.panels as *const _).collect()
         };
         let f64_parts = |index: &MaximusIndex| -> Vec<Vec<bool>> {
-            index
-                .core
-                .clusters
-                .iter()
-                .map(|c| packed(&c.panels))
-                .collect()
+            let clusters = index.core.clusters.iter();
+            clusters.map(|c| packed(&c.panels)).collect()
         };
-        let at_build = f64_parts(&plain);
-        for cluster in &plain.core.clusters {
-            let prefix = cluster.panels.parts[0].get().expect("packed at build");
-            assert_eq!(prefix.rows(), cluster.start);
-        }
         let screened = plain.with_i8_screen();
         assert_eq!(panels(&screened), panels(&plain));
         let every = screened.query_all(400);
-        assert_eq!(
-            f64_parts(&plain),
-            at_build,
-            "the variant packs no f64 segment"
+        assert!(
+            f64_parts(&plain).iter().flatten().all(|&p| !p),
+            "the variant packs no f64 part"
         );
+        let int8 = screened.screens.as_ref().unwrap();
+        assert!(int8.iter().flat_map(packed).all(|p| p));
         assert_eq!(plain.query_all(400), every);
         assert!(f64_parts(&plain).iter().flatten().all(|&p| p));
 
@@ -1119,133 +1383,191 @@ mod tests {
         assert_eq!(all[3], first[0]);
         assert_eq!(plain.query_all(5), all);
         assert_eq!(screened.query_all(5), all);
-        let unblocked = MaximusConfig {
-            block_size: 0,
-            ..small_config()
-        };
-        let walked = MaximusIndex::build(Arc::clone(&m), &unblocked);
-        assert!(walked.core.clusters.iter().all(|c| c.start == 0));
-        assert_eq!(walked.query_all(5), all);
-        assert_eq!(walked.with_i8_screen().query_all(5), all);
+        let forced = MaximusIndex::build(Arc::clone(&m), &small_config());
+        assert_eq!(forced.core.first_pass, Some(16));
+        assert_eq!(forced.query_all(5), all);
+        assert_eq!(forced.with_i8_screen().query_all(5), all);
     }
 
     #[test]
-    fn resident_bytes_count_the_segments_passes_reached() {
+    fn resident_bytes_count_the_parts_passes_reached() {
         // Tight clusters: at k = 1 users stop early and the lists' tails
         // stay unpacked; at k = |I| every user walks its whole list and the
         // index holds every part of it, in its own tier. Every answer on
         // the way is the oracle's.
-        let m = model(60, 2000, 16, 0.1);
-        let config = MaximusConfig {
-            block_size: 8,
-            ..small_config()
-        };
-        let plain = MaximusIndex::build(Arc::clone(&m), &config);
-        let screened = plain.with_i8_screen();
-        let items = m.mirror::<i8>().items();
-        let codes = items.row_block(0, items.rows());
-        let whole = |index: &MaximusIndex| -> usize {
-            let clusters = index.core.clusters.iter().enumerate();
-            let per_cluster = clusters.map(|(c, cluster)| {
-                let parts = cluster.cuts.windows(2);
-                let ids = parts.map(|r| &cluster.list_ids[r[0]..r[1]]);
-                let panels: usize = match &index.screens {
-                    Some(screens) => {
-                        let terms = screens[c].terms.iter().map(|t| t.len() * size_of::<f64>());
-                        let packed =
-                            ids.map(|ids| PackedPanels::gather(codes, ids).resident_bytes());
-                        packed.sum::<usize>() + terms.sum::<usize>()
-                    }
-                    None => ids
-                        .map(|ids| PackedPanels::gather(m.items().into(), ids).resident_bytes())
-                        .sum(),
-                };
-                cluster.list_bytes() + panels
-            });
-            per_cluster.sum()
-        };
-        let oracle = |k: usize| -> Vec<TopKList> {
-            let users = 0..m.num_users();
-            users
-                .map(|u| exact_topk(m.users().row(u), m.items(), k))
-                .collect()
-        };
-        for index in [&plain, &screened] {
-            let name = index.name();
-            let total = whole(index);
-            assert_eq!(index.query_all(1), oracle(1), "{name}");
-            let after_k1 = index.resident_bytes();
-            assert!(after_k1 < total, "{name}: {after_k1} of {total}");
-            assert_eq!(index.query_all(2000), oracle(2000), "{name}");
-            assert_eq!(index.resident_bytes(), total, "{name}");
+        let m = model(60, 6000, 16, 0.1);
+        let (first, every) = (oracle(&m, 1), oracle(&m, 6000));
+        for config in [small_config(), small_config_sized()] {
+            let plain = MaximusIndex::build(Arc::clone(&m), &config);
+            let screened = plain.with_i8_screen();
+            let items = m.mirror::<i8>().items();
+            let whole = |index: &MaximusIndex| -> usize {
+                let per_cluster = index.core.clusters.iter().map(|cluster| {
+                    let parts = cluster.cuts.windows(2);
+                    let ids = parts.map(|r| &cluster.list_ids[r[0]..r[1]]);
+                    let parts: usize = match &index.screens {
+                        Some(_) => ids
+                            .map(|ids| ScreenPart::gather(items, ids).resident_bytes())
+                            .sum(),
+                        None => ids
+                            .map(|ids| PackedPanels::gather(m.items().into(), ids).resident_bytes())
+                            .sum(),
+                    };
+                    cluster.list_bytes() + parts
+                });
+                per_cluster.sum()
+            };
+            for index in [&plain, &screened] {
+                let name = index.name();
+                assert_eq!(index.query_all(1), first, "{name} {config:?}");
+                let after_k1 = index.resident_bytes();
+                let total = whole(index);
+                assert!(after_k1 < total, "{name}: {after_k1} of {total}");
+                assert_eq!(index.query_all(6000), every, "{name}");
+                assert_eq!(index.resident_bytes(), whole(index), "{name} {config:?}");
+            }
         }
     }
 
     #[test]
-    fn concurrent_first_touch_packs_each_segment_once() {
-        // Four threads query overlapping user sets on a fresh index, in
-        // f64 and int8: every answer is the oracle's, and the index ends up
-        // holding exactly what a sequential run over the same sets holds.
-        let m = model(60, 2000, 16, 0.2);
-        let config = MaximusConfig {
-            block_size: 8,
+    fn query_time_passes_score_less_than_a_whole_list_pass() {
+        // Tight clusters at k = 1: users stop after a few hundred
+        // positions, so the default walk scores fewer items per user than
+        // one forced pass over the whole list — on a fresh index and once
+        // stops are recorded — and every answer is the oracle's.
+        let m = model(60, 2000, 16, 0.1);
+        let whole = MaximusConfig {
+            block_size: 2000,
             ..small_config()
         };
-        let sets: Vec<Vec<usize>> = (0..4).map(|t| (t * 12..t * 12 + 24).collect()).collect();
+        let per_user = |config: &MaximusConfig, screened: bool| {
+            let index = MaximusIndex::build(Arc::clone(&m), config);
+            let index = if screened {
+                index.with_i8_screen()
+            } else {
+                index
+            };
+            let mut visited = Vec::new();
+            for _ in 0..2 {
+                assert_eq!(bits(&index.query_all(1)), bits(&oracle(&m, 1)));
+                visited.push(index.query_stats().avg_items_visited());
+            }
+            visited
+        };
+        for screened in [false, true] {
+            let forced = per_user(&whole, screened);
+            assert_eq!(forced, [2000.0, 2000.0]);
+            let sized = per_user(&small_config_sized(), screened);
+            assert!(sized.iter().all(|&w| w < 1000.0), "{sized:?}");
+        }
+    }
+
+    #[test]
+    fn the_order_of_k_changes_no_answer() {
+        // The stops a walk at one k records change the next walks' passes,
+        // never their answers: k = 50 then 1 gives the bits of k = 1 then
+        // 50, and of the oracle, in f64 and int8, query_all and per user.
+        let m = model(60, 2000, 16, 0.2);
+        let want = |k| bits(&oracle(&m, k));
         for screened in [false, true] {
             let fresh = || {
-                let index = MaximusIndex::build(Arc::clone(&m), &config);
+                let index = MaximusIndex::build(Arc::clone(&m), &small_config_sized());
                 if screened {
                     index.with_i8_screen()
                 } else {
                     index
                 }
             };
-            for k in [10usize, 50] {
-                let sequential = fresh();
-                for set in &sets {
-                    let _ = sequential.query_subset(k, set);
-                }
-                let concurrent = fresh();
-                crate::sync::thread::scope(|scope| {
-                    for set in &sets {
-                        let index = &concurrent;
-                        let m = &m;
-                        scope.spawn(move || {
-                            for (list, &u) in index.query_subset(k, set).iter().zip(set) {
-                                let want = exact_topk(m.users().row(u), m.items(), k);
-                                assert_eq!(list, &want, "{} k={k} user {u}", index.name());
-                            }
-                        });
+            for ks in [[50usize, 1], [1, 50]] {
+                let index = fresh();
+                for _ in 0..2 {
+                    for k in ks {
+                        let name = index.name();
+                        assert_eq!(bits(&index.query_all(k)), want(k), "{name} {ks:?}");
+                        let users: Vec<usize> = (0..60).step_by(7).collect();
+                        let got = bits(&index.query_subset(k, &users));
+                        let want = want(k);
+                        let want: Vec<_> = users.iter().map(|&u| want[u].clone()).collect();
+                        assert_eq!(got, want, "{name} {ks:?} subset");
                     }
-                });
-                let name = concurrent.name();
-                assert_eq!(
-                    concurrent.resident_bytes(),
-                    sequential.resident_bytes(),
-                    "{name} k={k}"
-                );
+                }
             }
         }
     }
 
     #[test]
-    fn segment_boundaries_get_the_oracle_answer() {
-        // B = 20 rounds up to a 32-position prefix; a 2000-item list then
-        // runs segments 32..160..416..928..1952..2000, five past the
-        // prefix. Every k — one, a few, more than a segment, past the list
-        // — on every query shape, in f64 and int8, is the oracle's answer.
-        let m = model(24, 2000, 8, 0.2);
+    fn concurrent_first_touch_packs_each_segment_once() {
+        // Four threads query overlapping user sets on a fresh index, which
+        // holds no part yet, in f64 and int8: every answer is the
+        // oracle's. With the first pass forced, each walk's passes are its
+        // own, and the index ends up holding exactly what a sequential run
+        // over the same sets holds; sized at query time, the threads also
+        // race the stop records.
+        let m = model(60, 6000, 16, 0.2);
+        let forced = MaximusConfig {
+            block_size: 8,
+            ..small_config()
+        };
+        let sets: Vec<Vec<usize>> = (0..4).map(|t| (t * 12..t * 12 + 24).collect()).collect();
+        for config in [forced, small_config_sized()] {
+            for screened in [false, true] {
+                let fresh = || {
+                    let index = MaximusIndex::build(Arc::clone(&m), &config);
+                    if screened {
+                        index.with_i8_screen()
+                    } else {
+                        index
+                    }
+                };
+                for k in [10usize, 50] {
+                    let sequential = fresh();
+                    for set in &sets {
+                        let _ = sequential.query_subset(k, set);
+                    }
+                    let concurrent = fresh();
+                    crate::sync::thread::scope(|scope| {
+                        for set in &sets {
+                            let index = &concurrent;
+                            let m = &m;
+                            scope.spawn(move || {
+                                for (list, &u) in index.query_subset(k, set).iter().zip(set) {
+                                    let want = exact_topk(m.users().row(u), m.items(), k);
+                                    assert_eq!(list, &want, "{} k={k} user {u}", index.name());
+                                }
+                            });
+                        }
+                    });
+                    let name = concurrent.name();
+                    if config.block_size > 0 {
+                        assert_eq!(
+                            concurrent.resident_bytes(),
+                            sequential.resident_bytes(),
+                            "{name} k={k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn part_boundaries_get_the_oracle_answer() {
+        // B = 20 forces a 32-position first pass; a 6000-item list is cut
+        // at 4096, 5120 and 6000, so later passes start and end inside
+        // parts and span several. Every k — one, a few, more than a part,
+        // past the list — on every query shape, in f64 and int8, is the
+        // oracle's answer.
+        let m = model(16, 6000, 8, 0.2);
         let config = MaximusConfig {
             block_size: 20,
             ..small_config()
         };
         let plain = MaximusIndex::build(Arc::clone(&m), &config);
-        assert!(plain.core.clusters.iter().all(|c| c.start == 32));
+        assert_eq!(plain.core.first_pass, Some(32));
         let screened = plain.with_i8_screen();
         assert_eq!(screened.screen(), Some(ScreenTier::I8));
         let users = m.num_users();
-        for k in [1usize, 10, 50, 2500] {
+        for k in [1usize, 10, 1500, 7000] {
             let want: Vec<TopKList> = (0..users)
                 .map(|u| exact_topk(m.users().row(u), m.items(), k))
                 .collect();
@@ -1263,12 +1585,12 @@ mod tests {
                 }
             }
         }
-        // Users stop at several segment starts, not only after the prefix.
+        // Users stop after several passes, not only after the first.
         let stats = plain.query_stats();
         let scored = stats.items_blocked.load(Ordering::Relaxed);
         let served = stats.users_served.load(Ordering::Relaxed);
         assert!(stats.items_pruned.load(Ordering::Relaxed) > 0);
-        assert!(scored > served * 160, "no user walked past one segment");
+        assert!(scored > served * 160, "no user walked past two passes");
     }
 
     #[test]
@@ -1277,7 +1599,7 @@ mod tests {
         // overflows (bound +∞, sorted first), and for an overflowing user
         // against a zero item. Neither may read as "bound missed": three
         // quarters of the list overflowing must not retire the zero users
-        // with empty heaps, in the prefix or in a segment.
+        // with empty heaps, in the first pass or a later one.
         let wave = |r: usize, c: usize| ((r * 7 + c * 3) as f64 + 0.5).sin();
         for (users, items) in [
             (
@@ -1343,7 +1665,7 @@ mod tests {
             },
         );
         assert_eq!(maximus.query_all(3), bmm.query_all(3));
-        // Everything was scored in the prefix.
+        // Everything was scored in the first pass.
         let stats = maximus.query_stats();
         assert_eq!(stats.items_blocked.load(Ordering::Relaxed), 20 * 30);
         assert_eq!(stats.items_pruned.load(Ordering::Relaxed), 0);
@@ -1359,7 +1681,7 @@ mod tests {
             let got = maximus.query_new_vector(m.users().row(u), 5);
             assert_eq!(got, bmm.query_range(5, u..u + 1)[0], "user {u}");
         }
-        // The walk reads the model's rows by id, whatever the prefix.
+        // The walk reads the model's rows by id, whatever the first pass.
         let prefix_only = MaximusIndex::build(
             Arc::clone(&m),
             &MaximusConfig {
@@ -1367,7 +1689,7 @@ mod tests {
                 ..small_config()
             },
         );
-        assert!(prefix_only.core.clusters.iter().all(|c| c.start == 120));
+        assert_eq!(prefix_only.core.first_pass, Some(120));
         for u in [0usize, 17, 39] {
             let got = prefix_only.query_new_vector(m.users().row(u), 5);
             assert_eq!(got, bmm.query_range(5, u..u + 1)[0], "user {u}");

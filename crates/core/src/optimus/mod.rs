@@ -131,7 +131,7 @@ pub struct StrategyEstimate {
     /// Index construction seconds (0 for BMM and for anything never built;
     /// the mirroring alone for a screen variant, which shares its base's
     /// construction), including any the timed passes set off (MAXIMUS
-    /// packs list segments on first touch).
+    /// packs list parts on first touch).
     pub build_seconds: f64,
     /// Users actually timed (may be below the sample size when the t-test
     /// stopped early; 0 for a candidate that was never built).
@@ -581,7 +581,7 @@ impl Optimus {
 
 /// Seconds `solver` takes to serve `users` at `k`, less the construction
 /// the query set off: an index that builds part of itself on first touch
-/// (MAXIMUS packs a list segment the first time a pass reaches it) adds
+/// (MAXIMUS packs a list part the first time a pass reaches it) adds
 /// those seconds to its [`MipsSolver::build_seconds`], and they count as
 /// construction, not serving — estimates must not carry cold-start noise.
 fn serving_seconds(solver: &dyn MipsSolver, k: usize, users: &[usize]) -> f64 {

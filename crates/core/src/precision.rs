@@ -3,8 +3,8 @@
 //! Brute force can run its scan in a lower-precision [`ScreenTier`] — an f32
 //! mirror of the factor block, or a symmetric int8 mirror with exact integer
 //! dots (see [`mips_topk::screen`]) — and MAXIMUS every block pass over
-//! its lists (the §III-D prefix and the segments after it) in the int8
-//! one; both rescore the surviving candidates in f64.
+//! its lists in the int8 one; both rescore the surviving candidates in
+//! f64.
 //! Because the rescore uses the exact same f64 reduction as the direct
 //! path, all modes are **bit-identical** in their results — the choice is
 //! purely a performance decision, which is why OPTIMUS can make it per plan

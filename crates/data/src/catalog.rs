@@ -67,15 +67,6 @@ impl ModelSpec {
         }
     }
 
-    /// MAXIMUS's item blocking factor, scaled from the paper's fixed
-    /// `B = 4096` by this dataset's item-count ratio: at paper scale B is
-    /// 23 % of the Netflix catalog but 0.65 % of KDD's, and that *fraction*
-    /// is what shapes the work-sharing trade-off.
-    pub fn scaled_block_size(&self, num_items: usize) -> usize {
-        let (_, paper_items) = self.paper_shape();
-        ((4096.0 * num_items as f64 / paper_items as f64).round() as usize).clamp(16, 4096)
-    }
-
     /// Distributional knobs mimicking this model family (see module docs).
     fn knobs(&self) -> (usize, f64, f64, f64) {
         // (user_clusters, user_spread, item_norm_skew, spectral_decay)

@@ -276,7 +276,7 @@ impl<T: GemmElem> PackedPanels<T> {
 
 /// A run of consecutive rows of [`PackedPanels`], starting on a panel
 /// boundary: how a caller multiplies one stretch of a packed operand (a
-/// MAXIMUS list segment) without repacking it. The last panel may hold
+/// MAXIMUS list part) without repacking it. The last panel may hold
 /// rows past the view; the driver computes them into its edge buffer and
 /// never hands them out.
 #[derive(Debug, Clone, Copy)]

@@ -29,7 +29,7 @@
 //! smaller-id rule are safe too, and an item a scan skips because an upper
 //! bound of its score sits strictly below the threshold is strictly below
 //! the true k-th score. Entries already in the scan's heap are exact scores
-//! of an earlier pass (MAXIMUS's prefix and list segments); they seed the
+//! of an earlier pass (MAXIMUS's earlier block passes); they seed the
 //! bound heap, an exact score being its own lower bound. The heap is push-order
 //! independent, so the answer is the one pushing every chain score gives.
 

@@ -75,8 +75,11 @@
 //!
 //! The item side need not be the whole catalog: the rescore reads each
 //! column's f64 row from the catalog by its id, so a gathered subset in
-//! tier storage (a segment of a MAXIMUS list, packed panels plus terms,
-//! under [`ColumnIds::Mapped`]) screens without an f64 copy of its own.
+//! tier storage (a part of a MAXIMUS list, packed panels plus terms,
+//! under [`ColumnIds::Mapped`]) screens without an f64 copy of its own,
+//! and a pass over several such parts
+//! ([`screen_parts_topk_into_heaps`]) keeps each user's shortlist open
+//! across them and rescores once.
 
 use crate::admit;
 use crate::canonical::Shortlist;
@@ -89,7 +92,7 @@ use mips_linalg::{
 
 pub use mips_linalg::ScreenTier;
 
-/// Reusable buffers for [`screen_topk_into_heaps_with`]: one [`Shortlist`]
+/// Reusable buffers for [`screen_parts_topk_into_heaps_with`]: one [`Shortlist`]
 /// per user row, plus the pass's GEMM scratch. Own one per query loop /
 /// worker thread, like [`GemmScratch`].
 #[derive(Debug)]
@@ -126,12 +129,13 @@ pub struct ScreenStats {
 /// Screens `A·Bᵀ` in the tier of `users`/`items` and streams exact f64
 /// rescored survivors into caller-owned heaps — same contract and output as
 /// [`crate::fused::stream_topk_into_heaps`] over the f64 rows `items`
-/// mirrors, different execution.
+/// mirrors, different execution. The one-part case of
+/// [`screen_parts_topk_into_heaps`].
 ///
 /// `users` must mirror `a64` row for row. `b64` is the f64 catalog the
 /// `ids` index: column `j` of `items` mirrors row `ids.id(j)` of `b64`, and
 /// the rescore reads that row. An item side that is the whole catalog
-/// takes `ColumnIds::Offset(0)`; one gathered from it (a segment of a
+/// takes `ColumnIds::Offset(0)`; one gathered from it (a part of a
 /// MAXIMUS list) takes its id map and needs no f64 copy of its own.
 ///
 /// # Panics
@@ -147,53 +151,67 @@ pub fn screen_topk_into_heaps<T: ScreenElem>(
     ids: ColumnIds<'_>,
     scratch: &mut ScreenScratch<T>,
 ) -> ScreenStats {
-    screen_topk_into_heaps_with(
-        simd::active(),
-        None,
-        a64,
-        b64,
-        users,
-        items,
-        heaps,
-        ids,
-        scratch,
-    )
+    screen_parts_topk_into_heaps(a64, b64, users, &[(items, ids)], heaps, scratch)
 }
 
-/// [`screen_topk_into_heaps`] with explicit kernel set and blocking
+/// [`screen_topk_into_heaps`] over an item side that arrives in parts,
+/// each with its own id map (the packed parts of a MAXIMUS list that one
+/// pass spans): every part is screened against the same user rows, and
+/// each user's [`Shortlist`] stays open across them, so the survivors are
+/// rescored once, at the end — exactly the survivors and heaps of one
+/// screen over the parts laid end to end. Every id must name a different
+/// item.
+///
+/// # Panics
+/// As [`screen_topk_into_heaps`], for every part.
+pub fn screen_parts_topk_into_heaps<T: ScreenElem>(
+    a64: RowBlock<'_, f64>,
+    b64: RowBlock<'_, f64>,
+    users: TierView<'_, T>,
+    parts: &[(TierView<'_, T>, ColumnIds<'_>)],
+    heaps: &mut [TopKHeap],
+    scratch: &mut ScreenScratch<T>,
+) -> ScreenStats {
+    screen_parts_topk_into_heaps_with(simd::active(), None, a64, b64, users, parts, heaps, scratch)
+}
+
+/// [`screen_parts_topk_into_heaps`] with explicit kernel set and blocking
 /// parameters (`None`: the tier's default) — the forced-scalar test entry.
 #[allow(clippy::too_many_arguments)]
-pub fn screen_topk_into_heaps_with<T: ScreenElem>(
+pub fn screen_parts_topk_into_heaps_with<T: ScreenElem>(
     kern: &Kernel,
     blocks: Option<&BlockSizes>,
     a64: RowBlock<'_, f64>,
     b64: RowBlock<'_, f64>,
     users: TierView<'_, T>,
-    items: TierView<'_, T>,
+    parts: &[(TierView<'_, T>, ColumnIds<'_>)],
     heaps: &mut [TopKHeap],
-    ids: ColumnIds<'_>,
     scratch: &mut ScreenScratch<T>,
 ) -> ScreenStats {
-    let (a, b) = (users.row_block(), items.gemm_b());
-    let (m, n, f) = (a64.rows(), b.rows(), a64.cols());
+    let a = users.row_block();
+    let (m, f) = (a64.rows(), a64.cols());
     assert_eq!(heaps.len(), m, "screen_topk: one heap per query row");
     assert_eq!((a.rows(), a.cols()), (m, f), "screen_topk: user side shape");
-    assert_eq!(
-        (b.cols(), b64.cols()),
-        (f, f),
-        "screen_topk: item side shape"
-    );
-    let past_catalog = match ids {
-        ColumnIds::Offset(off) => off as usize + n > b64.rows(),
-        ColumnIds::Mapped(map) => {
-            assert!(
-                map.len() >= n,
-                "screen_topk: id map shorter than item count"
-            );
-            map[..n].iter().any(|&id| id as usize >= b64.rows())
-        }
-    };
-    assert!(!past_catalog, "screen_topk: item ids past the f64 catalog");
+    for (items, ids) in parts {
+        let b = items.gemm_b();
+        let n = b.rows();
+        assert_eq!(
+            (b.cols(), b64.cols()),
+            (f, f),
+            "screen_topk: item side shape"
+        );
+        let past_catalog = match *ids {
+            ColumnIds::Offset(off) => off as usize + n > b64.rows(),
+            ColumnIds::Mapped(map) => {
+                assert!(
+                    map.len() >= n,
+                    "screen_topk: id map shorter than item count"
+                );
+                map[..n].iter().any(|&id| id as usize >= b64.rows())
+            }
+        };
+        assert!(!past_catalog, "screen_topk: item ids past the f64 catalog");
+    }
 
     // One shortlist per row, seeded with the caller's existing (exact)
     // entries.
@@ -203,35 +221,40 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
         list.begin(heap);
     }
 
-    // Screen pass: the tier's multiply, block by block; each row of a block
-    // is primed with the floor of its lower bounds while its bound heap is
-    // filling, then goes through the tier's filter, flagged lanes through
-    // the offer rule.
+    // Screen pass: the tier's multiply, part by part and block by block;
+    // each row of a block is primed with the floor of its lower bounds
+    // while its bound heap is filling, then goes through the tier's
+    // filter, flagged lanes through the offer rule.
     let blocks = blocks.unwrap_or(&T::BLOCKS);
     let user_terms = users.terms();
+    let mut screened = 0;
     gemm.with_maxima(|gemm, maxima| {
-        gemm_nt_stream_blocks_with(kern, a, b, blocks, gemm, |block, rows, cols| {
-            let item_terms = items.rows(cols.clone()).terms();
-            for (accs, i) in block.chunks_exact(cols.len()).zip(rows) {
-                let offer = T::offer(f, user_terms, i);
-                let list = &mut shortlists[i];
-                let floor = admit::floor(list.bounds(), accs.len(), maxima, |group, out| {
-                    T::group_max(kern, accs, item_terms, offer, group, out)
-                });
-                list.set_floor(floor);
-                let mut from = 0;
-                while let Some(j) =
-                    T::next_hit(kern, accs, item_terms, offer, from, list.threshold())
-                {
-                    let id = ids.id(cols.start + j);
-                    match T::bound(&offer, accs[j], item_terms, j) {
-                        Some((score, env)) => list.offer(id, score, env),
-                        None => list.keep(id),
+        for &(items, ids) in parts {
+            let b = items.gemm_b();
+            screened += (m * b.rows()) as u64;
+            gemm_nt_stream_blocks_with(kern, a, b, blocks, gemm, |block, rows, cols| {
+                let item_terms = items.rows(cols.clone()).terms();
+                for (accs, i) in block.chunks_exact(cols.len()).zip(rows) {
+                    let offer = T::offer(f, user_terms, i);
+                    let list = &mut shortlists[i];
+                    let floor = admit::floor(list.bounds(), accs.len(), maxima, |group, out| {
+                        T::group_max(kern, accs, item_terms, offer, group, out)
+                    });
+                    list.set_floor(floor);
+                    let mut from = 0;
+                    while let Some(j) =
+                        T::next_hit(kern, accs, item_terms, offer, from, list.threshold())
+                    {
+                        let id = ids.id(cols.start + j);
+                        match T::bound(&offer, accs[j], item_terms, j) {
+                            Some((score, env)) => list.offer(id, score, env),
+                            None => list.keep(id),
+                        }
+                        from = j + 1;
                     }
-                    from = j + 1;
                 }
-            }
-        })
+            });
+        }
     });
 
     // Rescore pass: each row's survivors, exact f64 from the catalog rows
@@ -240,10 +263,7 @@ pub fn screen_topk_into_heaps_with<T: ScreenElem>(
         .map(|(i, (heap, list))| list.finish(kern, a64.row(i), b64, heap))
         .sum();
 
-    ScreenStats {
-        screened: (m * n) as u64,
-        rescored,
-    }
+    ScreenStats { screened, rescored }
 }
 
 #[cfg(test)]
@@ -554,15 +574,14 @@ mod tests {
         let mut counts = Vec::new();
         for kern in &kernels() {
             let mut heaps = fresh_heaps(4, 6);
-            let stats = screen_topk_into_heaps_with(
+            let stats = screen_parts_topk_into_heaps_with(
                 kern,
                 None,
                 (&a).into(),
                 (&b).into(),
                 users.view(),
-                items.view(),
+                &[(items.view(), ColumnIds::Offset(0))],
                 &mut heaps,
-                ColumnIds::Offset(0),
                 &mut ScreenScratch::new(),
             );
             counts.push(stats.rescored);
@@ -587,15 +606,14 @@ mod tests {
         let panels = PackedPanels::pack(items.row_block(0, 75));
         let run = |items: TierView<'_, T>, blocks: Option<&BlockSizes>, first: u32| {
             let mut heaps = fresh_heaps(11, 5);
-            let stats = screen_topk_into_heaps_with(
+            let stats = screen_parts_topk_into_heaps_with(
                 simd::active(),
                 blocks,
                 (&a).into(),
                 (&b).into(),
                 users.view(),
-                items,
+                &[(items, ColumnIds::Offset(first))],
                 &mut heaps,
-                ColumnIds::Offset(first),
                 &mut ScreenScratch::new(),
             );
             (stats, sorted(heaps))
@@ -637,6 +655,55 @@ mod tests {
         }
     }
 
+    /// A screen over parts is one screen over the parts laid end to end:
+    /// the same survivors, rescored once, and the same heaps, wherever the
+    /// item side is cut — here each part packed on its own, as MAXIMUS
+    /// packs its list, with its columns mapped to shuffled ids.
+    fn parts_screen_like_the_whole<T: ScreenElem>() {
+        let a = random_matrix(9, 21, 61);
+        let b = random_matrix(90, 21, 62);
+        let users = store::<T>(&a);
+        // Column `j` of the item side is item `order[j]` (37 is prime to 90).
+        let order: Vec<u32> = (0..90u32).map(|j| j * 37 % 90).collect();
+        let items = store::<T>(&b).gather(order.iter().map(|&id| id as usize));
+        let run = |parts: &[(TierView<'_, T>, ColumnIds<'_>)]| {
+            let mut heaps = fresh_heaps(9, 7);
+            let stats = screen_parts_topk_into_heaps(
+                (&a).into(),
+                (&b).into(),
+                users.view(),
+                parts,
+                &mut heaps,
+                &mut ScreenScratch::new(),
+            );
+            (stats, sorted(heaps))
+        };
+        let tier = T::TIER;
+        let whole = run(&[(items.view(), ColumnIds::Mapped(&order))]);
+        let direct = gemm_nt_topk((&a).into(), (&b).into(), 7, &mut GemmScratch::new());
+        assert_eq!(whole.1, direct, "{tier:?} vs f64-direct");
+        for cuts in [&[0, 16, 90][..], &[0, 32, 48, 90], &[0, 80, 90]] {
+            let packed: Vec<PackedPanels<T>> = (cuts.windows(2))
+                .map(|w| PackedPanels::pack(items.row_block(w[0], w[1])))
+                .collect();
+            let parts: Vec<(TierView<'_, T>, ColumnIds<'_>)> = (cuts.windows(2).zip(&packed))
+                .map(|(w, panels)| {
+                    let terms = items.view().rows(w[0]..w[1]).terms();
+                    let ids = ColumnIds::Mapped(&order[w[0]..w[1]]);
+                    (TierView::packed(panels.into(), terms), ids)
+                })
+                .collect();
+            assert_eq!(run(&parts), whole, "{tier:?} cut at {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn a_screen_over_parts_is_one_screen_over_the_whole() {
+        for tier in ScreenTier::ALL {
+            per_tier!(tier, T => parts_screen_like_the_whole::<T>());
+        }
+    }
+
     #[test]
     fn non_finite_f32_scores_are_kept_and_rescored_under_every_kernel() {
         // Magnitudes whose f32 products overflow: the screen sees +∞, −∞
@@ -670,15 +737,14 @@ mod tests {
             let want = sorted(want);
             for kern in &kernels() {
                 let mut heaps = fresh_heaps(4, k);
-                let stats = screen_topk_into_heaps_with(
+                let stats = screen_parts_topk_into_heaps_with(
                     kern,
                     None,
                     (&a).into(),
                     (&b).into(),
                     users.view(),
-                    items.view(),
+                    &[(items.view(), ColumnIds::Mapped(&map))],
                     &mut heaps,
-                    ColumnIds::Mapped(&map),
                     &mut ScreenScratch::new(),
                 );
                 assert_eq!(sorted(heaps), want, "{} k={k}", kern.name());

@@ -13,16 +13,12 @@
 use optimus_maximus::prelude::*;
 use std::sync::Arc;
 
-fn tour(label: &str, model: Arc<MfModel>, block_size: usize, k: usize) {
+fn tour(label: &str, model: Arc<MfModel>, k: usize) {
     println!("== {label}: {} ==", model.name());
-    let maximus_cfg = MaximusConfig {
-        block_size,
-        ..MaximusConfig::default()
-    };
     let engine = EngineBuilder::new()
         .model(model)
         .register(BmmFactory)
-        .register(MaximusFactory::new(maximus_cfg))
+        .register(MaximusFactory::default())
         .build()
         .expect("engine assembles");
 
@@ -84,8 +80,7 @@ fn main() {
         .find(|s| s.dataset == "Netflix" && s.training == "BPR" && s.f == 50)
         .unwrap();
     let model = Arc::new(netflix_like.build(1.0));
-    let block = netflix_like.scaled_block_size(model.num_items());
-    tour("BMM-friendly workload", model, block, 10);
+    tour("BMM-friendly workload", model, 10);
 
     // R2-like: heavy norm skew, tight user bundles — index territory
     // (Fig. 2, right).
@@ -94,6 +89,5 @@ fn main() {
         .find(|s| s.dataset == "R2" && s.training == "NOMAD" && s.f == 50)
         .unwrap();
     let model = Arc::new(r2_like.build(1.0));
-    let block = r2_like.scaled_block_size(model.num_items());
-    tour("index-friendly workload", model, block, 10);
+    tour("index-friendly workload", model, 10);
 }

@@ -51,7 +51,6 @@ const SI: usize = 4;
 /// One model's slice of the Fig. 5 grid: every strategy built once and
 /// served to completion at every `k`, through a one-backend engine.
 struct ModelRows {
-    spec: ModelSpec,
     model: Arc<MfModel>,
     ks: Vec<usize>,
     /// Construction seconds per strategy, in [`BACKENDS`] order.
@@ -68,22 +67,15 @@ impl ModelRows {
     }
 
     /// The factories of [`BACKENDS`], in its order: MAXIMUS with the paper's
-    /// defaults and the blocking factor scaled to the stand-in's catalog.
+    /// `|C|` and `i`, its passes sized at query time.
     fn factories(&self) -> Vec<Factory> {
         vec![
             Arc::new(BmmFactory),
-            Arc::new(MaximusFactory::new(self.maximus_config())),
+            Arc::new(MaximusFactory::default()),
             Arc::new(LempFactory::default()),
             Arc::new(FexiproFactory::sir()),
             Arc::new(FexiproFactory::si()),
         ]
-    }
-
-    fn maximus_config(&self) -> MaximusConfig {
-        MaximusConfig {
-            block_size: self.spec.scaled_block_size(self.model.num_items()),
-            ..MaximusConfig::default()
-        }
     }
 }
 
@@ -107,7 +99,6 @@ impl Paper {
         let model = Arc::new(spec.build(self.scale));
         let ks = ks_for(&model);
         let mut rows = ModelRows {
-            spec,
             model,
             build: Vec::new(),
             serve: vec![Vec::new(); ks.len()],
@@ -118,7 +109,7 @@ impl Paper {
             let solver = engine.solver(key).expect("the backend builds");
             for (at, &k) in rows.ks.iter().enumerate() {
                 // Construction a serve sets off (MAXIMUS packs a list
-                // segment on first touch) goes to the build column.
+                // part on first touch) goes to the build column.
                 let built = solver.build_seconds();
                 let serve = serve_with(&engine, key, k);
                 rows.serve[at].push(serve - (solver.build_seconds() - built));
@@ -493,10 +484,13 @@ fn fig7(paper: &Paper) {
 
 /// Figure 8: MAXIMUS's four stages — clustering, construction, cost
 /// estimation (the planner's `decision_seconds` for a BMM + MAXIMUS engine),
-/// traversal — without and with the §III-D prefix. Without it
-/// (`block_size: 0`) the lists are walked in their growing segments from
-/// the first position on; the paper's lesion walks them one item at a
-/// time, which this index never does.
+/// traversal — with the shortest first pass and with the default walk. The
+/// lesion forces every walk's first pass to 16 positions (`block_size:
+/// 16`), the shortest there is, so users are checked for a stop from the
+/// first panel on; the default sizes each pass at query time from the stop
+/// positions earlier walks reached. The paper's lesion, with no `B`-item
+/// prefix, walks the lists one item at a time, which this index never
+/// does.
 fn fig8(paper: &Paper) {
     println!("== Figure 8: MAXIMUS runtime breakdown, K = 1 ==\n");
     let mut table = Table::new(
@@ -506,12 +500,15 @@ fn fig8(paper: &Paper) {
     for (dataset, training) in [("Netflix", "NOMAD"), ("R2", "NOMAD")] {
         let rows = paper.find(dataset, training, 50);
         let name = rows.model.name();
-        let blocked = rows.maximus_config();
-        let unblocked = MaximusConfig {
-            block_size: 0,
-            ..blocked
+        let sized = MaximusConfig::default();
+        let shortest = MaximusConfig {
+            block_size: 16,
+            ..sized
         };
-        let configs = [(unblocked, "no prefix"), (blocked, "B-item prefix")];
+        let configs = [
+            (shortest, "shortest first pass, B = 16"),
+            (sized, "passes sized at query time"),
+        ];
         let traversal = configs.map(|(config, label)| {
             let maximus: Factory = Arc::new(MaximusFactory::new(config));
             let engine = build(engine(&rows.model, [Arc::new(BmmFactory), maximus]));
@@ -521,7 +518,7 @@ fn fig8(paper: &Paper) {
             let started = Instant::now();
             assert_eq!(index.query_all(1).len(), rows.model.num_users());
             let (stages, visited) = (index.build_stats(), index.query_stats().avg_items_visited());
-            // The segments the traversal packed are construction.
+            // The parts the traversal packed are construction.
             let packing = stages.construction_seconds - built;
             let traversal = started.elapsed().as_secs_f64() - packing;
             let (clustering, construction) =
@@ -529,14 +526,14 @@ fn fig8(paper: &Paper) {
             let stages = [clustering, construction, plan.decision_seconds(), traversal].map(secs);
             let (stages, planned) = (stages.join("|"), plan.backend_name());
             table.row(format!(
-                "{name} ({label}, segments packed on first touch)|{stages}|{visited:.0}|{planned}"
+                "{name} ({label}, parts packed on first touch)|{stages}|{visited:.0}|{planned}"
             ));
             traversal
         });
         lesion.push((name.to_string(), traversal));
     }
     table.print();
-    println!("\n-- prefix lesion: segments from position 0 vs a B-item prefix --");
+    println!("\n-- first-pass lesion: the shortest first pass vs passes sized at query time --");
     println!("(the paper's lesion walks item by item: 2.4x Netflix, 1.4x R2)");
     for (name, [without, with]) in lesion {
         let (ratio, without, with) = (without / with, secs(without), secs(with));
@@ -546,20 +543,22 @@ fn fig8(paper: &Paper) {
 }
 
 /// Ablation (§III-D): MAXIMUS's runtime across the blocking factor `B`, the
-/// cluster count `|C|` and the k-means budget `i`, swept around the scaled
-/// defaults on one index-friendly and one BMM-friendly model.
+/// cluster count `|C|` and the k-means budget `i`, swept around the
+/// defaults on one index-friendly and one BMM-friendly model. A `B` row
+/// forces every walk's first pass to `B` positions; the default (`B = 0`)
+/// sizes it at query time.
 fn ablation(paper: &Paper) {
     println!("== Ablation: MAXIMUS parameters (K = 1) ==\n");
     let sweeps: [(&str, &[usize]); 3] = [
-        ("B", &[16, 64, 256, 1024, 4096]),
+        ("B", &[0, 16, 64, 256, 1024, 4096]),
         ("C", &[1, 2, 4, 8, 16, 32]),
         ("i", &[1, 3, 10]),
     ];
     for (dataset, training) in [("R2", "NOMAD"), ("Netflix", "DSGD")] {
         let rows = paper.find(dataset, training, 50);
-        let (name, base) = (rows.model.name(), rows.maximus_config());
+        let (name, base) = (rows.model.name(), MaximusConfig::default());
         let (b, c, i) = (base.block_size, base.num_clusters, base.kmeans_iters);
-        println!("{name} (scaled defaults: B = {b}, |C| = {c}, i = {i})");
+        println!("{name} (defaults: B = {b}, sized at query time; |C| = {c}, i = {i})");
         let mut table = Table::new("parameter|value|end-to-end|w̄");
         for (parameter, values) in sweeps {
             for &value in values {
@@ -570,7 +569,7 @@ fn ablation(paper: &Paper) {
                     _ => config.kmeans_iters = value,
                 }
                 let index = MaximusIndex::build(Arc::clone(&rows.model), &config);
-                // Read before the query: the segments it packs on first
+                // Read before the query: the parts it packs on first
                 // touch are in its elapsed time.
                 let built = index.build_seconds();
                 let started = Instant::now();
