@@ -36,7 +36,7 @@ pub enum MipsError {
     InvalidVector(String),
     /// The model has no users or no items.
     EmptyModel,
-    /// No backend is registered under the requested key.
+    /// No backend is registered or built in under the requested key.
     UnknownBackend {
         /// The key that failed to resolve.
         key: String,

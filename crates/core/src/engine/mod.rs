@@ -59,8 +59,8 @@ pub mod request;
 pub use error::MipsError;
 pub use plan::PreparedPlan;
 pub use registry::{
-    BackendRegistry, BmmFactory, FexiproFactory, FnFactory, LempFactory, MaximusFactory,
-    SolverFactory, SparseFactory,
+    builtin, BackendRegistry, BmmFactory, FexiproFactory, FnFactory, LempFactory, MaximusFactory,
+    SolverFactory, SparseFactory, BUILTIN_KEYS,
 };
 pub use request::{
     ExclusionSet, QueryRequest, QueryResponse, QueryVector, UserSelection, VectorQueryRequest,
@@ -162,10 +162,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Registers all built-in backends
-    /// (`bmm`, `maximus`, `lemp`, `fexipro-si`, `fexipro-sir`, `sparse`)
-    /// with default parameters, in that order, after whatever is already
-    /// registered.
+    /// Registers the raced built-in backends
+    /// ([`BackendRegistry::with_defaults`]) with default parameters, in
+    /// order, after whatever is already registered.
     pub fn with_default_backends(mut self) -> EngineBuilder {
         for factory in BackendRegistry::with_defaults().factories() {
             self = self.register_arc(Arc::clone(factory));
@@ -335,7 +334,8 @@ impl Engine {
     }
 
     /// The built (plain f64) solver for `key` on the current epoch,
-    /// constructing and caching it on first use. Concurrent requests for
+    /// constructing and caching it on first use; an unregistered built-in
+    /// key ([`registry::builtin`]) serves too. Concurrent requests for
     /// other backends proceed; concurrent first requests for this one may
     /// race the build but share the single installed instance.
     pub fn solver(&self, key: &str) -> Result<Arc<dyn MipsSolver>, MipsError> {
@@ -343,7 +343,8 @@ impl Engine {
     }
 
     /// The one solver lookup: backend `key` on one epoch snapshot, in
-    /// screen tier `tier` (`None`: the plain f64 build).
+    /// screen tier `tier` (`None`: the plain f64 build), `key` resolved in
+    /// the registry first, then among the built-ins.
     ///
     /// Built lazily and cached in the epoch under the typed pair
     /// `(key, tier)`. The build runs outside the cache lock and installs
@@ -364,11 +365,11 @@ impl Engine {
         key: &str,
         tier: Option<ScreenTier>,
     ) -> Result<Option<Arc<dyn MipsSolver>>, MipsError> {
-        let factory = Arc::clone(
-            self.registry
-                .get(key)
+        let factory = match self.registry.get(key) {
+            Some(factory) => Arc::clone(factory),
+            None => registry::builtin(key)
                 .ok_or_else(|| MipsError::UnknownBackend { key: key.into() })?,
-        );
+        };
         let cell = {
             let mut map = lock_recovering(&state.solvers);
             Arc::clone(map.entry((key.to_string(), tier)).or_default())
@@ -402,7 +403,8 @@ impl Engine {
             .expect("every backend has a plain build"))
     }
 
-    /// Serves a request with an explicitly named backend — no planning.
+    /// Serves a request with an explicitly named backend — registered or
+    /// built in — with no planning.
     pub fn execute_with(
         &self,
         key: &str,
@@ -843,7 +845,10 @@ mod tests {
             .registry(BackendRegistry::with_defaults())
             .build()
             .expect("replaced registry is valid");
-        assert_eq!(engine.backend_keys().len(), 6);
+        assert_eq!(
+            engine.backend_keys(),
+            BackendRegistry::with_defaults().keys()
+        );
     }
 
     #[test]
@@ -859,8 +864,8 @@ mod tests {
         assert_eq!(via_engine.results, direct);
         assert_eq!(via_engine.backend, "Blocked MM");
         assert!(!via_engine.planned);
-        // Every registered backend returns the same items.
-        for key in engine.backend_keys() {
+        // Every built-in backend, raced or named, returns the same items.
+        for key in BUILTIN_KEYS {
             let response = engine.execute_with(key, &QueryRequest::top_k(5)).unwrap();
             for (u, (got, want)) in response.results.iter().zip(&direct).enumerate() {
                 assert_eq!(got.items, want.items, "{key} user {u}");
@@ -1018,7 +1023,7 @@ mod tests {
         exclusions.insert(3, baseline.results[3].items[1]);
         exclusions.insert(5, baseline.results[5].items[0]);
         let request = QueryRequest::top_k(6).exclude(exclusions.clone());
-        for key in engine.backend_keys() {
+        for key in BUILTIN_KEYS {
             let response = engine.execute_with(key, &request).unwrap();
             // Excluded items are gone, results still k-long and sorted.
             for (u, list) in response.results.iter().enumerate() {
@@ -1065,7 +1070,7 @@ mod tests {
         exclusions.insert(6, full.results[6].items[0]);
         exclusions.insert(6, full.results[6].items[1]);
         let request = QueryRequest::top_k(4).exclude(exclusions);
-        for key in engine.backend_keys() {
+        for key in BUILTIN_KEYS {
             let response = engine.execute_with(key, &request).unwrap();
             // Expected answers come straight off the full ranking.
             assert_eq!(
@@ -1378,7 +1383,6 @@ mod tests {
     fn forced_f32_rescore_on_screenless_backend_degrades_to_f64() {
         // FEXIPRO and LEMP have no screen path, MAXIMUS none in f32: the
         // request is served f64-direct and the response says so.
-        let registry = BackendRegistry::with_defaults();
         for (key, name) in [
             ("fexipro-si", "FEXIPRO-SI"),
             ("lemp", "LEMP"),
@@ -1386,7 +1390,7 @@ mod tests {
         ] {
             let engine = EngineBuilder::new()
                 .model(model(20, 40))
-                .register_arc(Arc::clone(registry.get(key).unwrap()))
+                .register_arc(builtin(key).unwrap())
                 .precision(Precision::F32Rescore)
                 .build()
                 .unwrap();

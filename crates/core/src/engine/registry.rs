@@ -5,8 +5,10 @@
 //! that: a backend is anything implementing
 //! [`SolverFactory`], registered under a string key. The built-in solvers
 //! ship as factories ([`BmmFactory`], [`MaximusFactory`], [`LempFactory`],
-//! [`FexiproFactory`]), and downstream crates can register their own with
-//! [`FnFactory`] or a custom type — the planner treats all of them alike.
+//! [`FexiproFactory`], [`SparseFactory`]), and downstream crates can
+//! register their own with [`FnFactory`] or a custom type — the planner
+//! treats all of them alike. It races what is registered; a built-in key
+//! left unregistered still serves by name ([`builtin`]).
 //!
 //! A factory has one job, [`SolverFactory::build`]: the plain f64 solver
 //! over a model. A backend's mixed-precision variants are derived from that
@@ -201,6 +203,37 @@ where
     }
 }
 
+/// Every built-in backend key: the raced defaults in race order, then
+/// `fexipro-sir`, which won no cell of the plan census (README,
+/// "When each candidate wins") and so serves by name only.
+pub const BUILTIN_KEYS: [&str; 6] = [
+    "bmm",
+    "maximus",
+    "lemp",
+    "fexipro-si",
+    "sparse",
+    "fexipro-sir",
+];
+
+/// How many leading [`BUILTIN_KEYS`] [`BackendRegistry::with_defaults`]
+/// registers.
+const RACED_BUILTINS: usize = 5;
+
+/// The built-in backend under `key`, with default parameters; `None` for
+/// a key outside [`BUILTIN_KEYS`]. An engine resolves a key it has not
+/// registered here, so every built-in serves by name on any engine.
+pub fn builtin(key: &str) -> Option<Arc<dyn SolverFactory>> {
+    Some(match key {
+        "bmm" => Arc::new(BmmFactory),
+        "maximus" => Arc::new(MaximusFactory::default()),
+        "lemp" => Arc::new(LempFactory::default()),
+        "fexipro-si" => Arc::new(FexiproFactory::si()),
+        "fexipro-sir" => Arc::new(FexiproFactory::sir()),
+        "sparse" => Arc::new(SparseFactory),
+        _ => return None,
+    })
+}
+
 /// An ordered, key-unique set of backends.
 ///
 /// Order matters: the planner times the first batch-capable backend on the
@@ -218,19 +251,13 @@ impl BackendRegistry {
         BackendRegistry::default()
     }
 
-    /// The registry of all built-in backends with default parameters:
-    /// `bmm`, `maximus`, `lemp`, `fexipro-si`, `fexipro-sir`, `sparse`.
+    /// The raced built-in backends with default parameters: `bmm`,
+    /// `maximus`, `lemp`, `fexipro-si`, `sparse`. The one other built-in,
+    /// `fexipro-sir`, serves by name on any engine but never enters a plan.
     pub fn with_defaults() -> BackendRegistry {
-        let mut registry = BackendRegistry::new();
-        registry
-            .register(Arc::new(BmmFactory))
-            .and_then(|r| r.register(Arc::new(MaximusFactory::default())))
-            .and_then(|r| r.register(Arc::new(LempFactory::default())))
-            .and_then(|r| r.register(Arc::new(FexiproFactory::si())))
-            .and_then(|r| r.register(Arc::new(FexiproFactory::sir())))
-            .and_then(|r| r.register(Arc::new(SparseFactory)))
-            .expect("default keys are unique");
-        registry
+        let raced = &BUILTIN_KEYS[..RACED_BUILTINS];
+        let factories = raced.iter().filter_map(|key| builtin(key)).collect();
+        BackendRegistry { factories }
     }
 
     /// Registers a backend; fails on a duplicate key.
@@ -297,30 +324,33 @@ mod tests {
     }
 
     #[test]
-    fn defaults_cover_all_builtins_in_order() {
+    fn defaults_are_the_raced_builtins_in_order() {
         let registry = BackendRegistry::with_defaults();
         assert_eq!(
             registry.keys(),
-            vec![
-                "bmm",
-                "maximus",
-                "lemp",
-                "fexipro-si",
-                "fexipro-sir",
-                "sparse"
-            ]
+            ["bmm", "maximus", "lemp", "fexipro-si", "sparse"]
         );
-        let m = model();
-        for factory in registry.factories() {
-            let solver = factory.build(&m).expect("builtin builds");
-            assert_eq!(solver.num_users(), 12);
-            assert_eq!(solver.query_all(2).len(), 12);
+        for key in registry.keys() {
+            assert!(BUILTIN_KEYS.contains(&key), "{key} is not built in");
         }
     }
 
     #[test]
+    fn every_builtin_key_builds_and_answers() {
+        let m = model();
+        for key in BUILTIN_KEYS {
+            let factory = builtin(key).expect("a built-in key resolves");
+            assert_eq!(factory.key(), key);
+            let solver = factory.build(&m).expect("builtin builds");
+            assert_eq!(solver.num_users(), 12);
+            assert_eq!(solver.query_all(2).len(), 12);
+        }
+        assert!(builtin("nope").is_none());
+    }
+
+    #[test]
     fn screen_builds_cover_the_scan_backends_and_stay_bit_identical() {
-        // The tiers each default backend offers: only those that served
+        // The tiers each built-in backend offers: only those that served
         // plans. LEMP and the rest scan f64 only.
         let tiers_of = |key: &str| -> &[ScreenTier] {
             match key {
@@ -329,11 +359,9 @@ mod tests {
                 _ => &[],
             }
         };
-        let registry = BackendRegistry::with_defaults();
         let m = model();
-        for factory in registry.factories() {
-            let key = factory.key();
-            let base = factory.build(&m).expect("plain build");
+        for key in BUILTIN_KEYS {
+            let base = builtin(key).unwrap().build(&m).expect("plain build");
             assert_eq!(base.screen_tiers(), tiers_of(key), "{key}");
             for tier in ScreenTier::ALL {
                 let has_screen = tiers_of(key).contains(&tier);

@@ -795,16 +795,15 @@ impl MaximusIndex {
     /// Serves an ad-hoc user vector that was *not* part of the clustered set
     /// (§III-E dynamic users): assigns it to the nearest centroid and walks
     /// that cluster's list one item at a time, reading each row from the
-    /// model by id, with a per-item bound widened to the user's own angle
-    /// when it exceeds θ_b. The walk's four-lane `dot` scores go through a
-    /// [`Shortlist`], whose chain rescore finishes the answer. Each visited
-    /// item's norm, and for a widened bound its angle to the centroid, are
-    /// derived from its row as construction derives them.
+    /// model by id, until the stored bound scaled by the user's norm falls
+    /// below the k-th score. The walk's four-lane `dot` scores go through a
+    /// [`Shortlist`], whose chain rescore finishes the answer.
     ///
-    /// List order no longer matches the widened bound, so pruning skips
-    /// items without early exit — still exact, usually still far fewer dots
-    /// than brute force. A tiny `user` or model ([`is_tiny_row`]), whose
-    /// norms bound nothing, scores every item ([`exact_topk`]).
+    /// The stored bounds, and so the early exit, hold only for users
+    /// within the cluster's widest angle θ_b: a user outside it walks the
+    /// whole list, scoring every item with the same `dot`. A tiny `user` or
+    /// model ([`is_tiny_row`]), whose norms bound nothing, is served by
+    /// [`exact_topk`].
     pub fn query_new_vector(&self, user: &[f64], k: usize) -> TopKList {
         let core = &*self.core;
         assert_eq!(
@@ -823,37 +822,24 @@ impl MaximusIndex {
         let cluster = &core.clusters[assigned];
         let unorm = norm2(user);
         let centroid = core.centroids.row(assigned);
-        let cnorm = norm2(centroid);
-        let theta_uc = if unorm == 0.0 || cnorm == 0.0 {
+        let theta_uc = if unorm == 0.0 || norm2(centroid) == 0.0 {
             std::f64::consts::PI
         } else {
             angle(user, centroid)
         };
+        let covered = theta_uc <= cluster.theta_b;
 
         let items = core.model.items();
         let (rel, abs) = reassoc_envelope_parts(user.len());
         let mut heap = TopKHeap::new(k);
         let mut list = Shortlist::new();
         list.begin(&heap);
-        let covered = theta_uc <= cluster.theta_b;
         for (pos, &id) in cluster.list_ids.iter().enumerate() {
-            let row = items.row(id as usize);
-            let norm = norm2(row);
-            if list.is_full() {
-                if covered {
-                    // Covered by the stored bounds: early exit.
-                    if unorm * cluster.bounds[pos] < list.threshold() {
-                        break;
-                    }
-                } else {
-                    // No early exit: the order is stale for θ_uc.
-                    let b = stored_bound(norm, item_angle(centroid, cnorm, row, norm), theta_uc);
-                    if unorm * b < list.threshold() {
-                        continue;
-                    }
-                }
+            if covered && list.is_full() && unorm * cluster.bounds[pos] < list.threshold() {
+                break;
             }
-            list.offer(id, dot(user, row), rel * unorm * norm + abs);
+            let row = items.row(id as usize);
+            list.offer(id, dot(user, row), rel * unorm * norm2(row) + abs);
         }
         list.finish(simd::active(), user, items.into(), &mut heap);
         heap.into_sorted()
@@ -868,17 +854,6 @@ fn stop_position(bounds: &[f64], norm: f64, heap: &TopKHeap) -> usize {
     bounds.partition_point(|&b| (norm * b).partial_cmp(&threshold) != Some(Less))
 }
 
-/// The angle θ_ic between a cluster's centroid (of norm `cnorm`) and an
-/// item row of norm `norm`: π/2 when either norm is zero, where the angle
-/// is undefined.
-fn item_angle(centroid: &[f64], cnorm: f64, row: &[f64], norm: f64) -> f64 {
-    if cnorm == 0.0 || norm == 0.0 {
-        std::f64::consts::FRAC_PI_2
-    } else {
-        angle(centroid, row)
-    }
-}
-
 /// Builds one cluster's sorted list; no part of it is packed.
 fn build_cluster_list(
     items: &Matrix<f64>,
@@ -891,7 +866,12 @@ fn build_cluster_list(
     let cnorm = norm2(centroid);
     let mut entries: Vec<(f64, u32)> = (0..n)
         .map(|i| {
-            let theta_ic = item_angle(centroid, cnorm, items.row(i), item_norms[i]);
+            // θ_ic is undefined where either norm is zero: take π/2.
+            let theta_ic = if cnorm == 0.0 || item_norms[i] == 0.0 {
+                std::f64::consts::FRAC_PI_2
+            } else {
+                angle(centroid, items.row(i))
+            };
             (stored_bound(item_norms[i], theta_ic, theta_b), i as u32)
         })
         .collect();

@@ -4,13 +4,13 @@
 //!
 //! The contract is README "Adding a backend" step 1: whatever backend,
 //! numeric path and route serves, the answer is the oracle's — the same ids
-//! and the same score bits. [`drive`] checks it for every key of
-//! [`BackendRegistry::with_defaults`] plus small-structure MAXIMUS and LEMP
+//! and the same score bits. [`drive`] checks it for every built-in key
+//! ([`BUILTIN_KEYS`], raced or named) plus small-structure MAXIMUS and LEMP
 //! configurations, on each [`Route`] it is given: the solver itself (in f64
 //! and every tier its `screen_tiers()` lists), named and planned dispatch
 //! through an [`Engine`] under every [`Precision`], a sharded
 //! `MipsServer`, and `POST /query` on a loopback `HttpServer`. A
-//! backend added to `with_defaults`, or a tier added to a solver's
+//! backend added to `BUILTIN_KEYS`, or a tier added to a solver's
 //! `screen_tiers()` or to [`ScreenTier::ALL`], is covered with no edit
 //! here. A suite includes the kit with `mod common;` and uses the part it
 //! needs.
@@ -18,8 +18,8 @@
 #![allow(dead_code)]
 
 use mips_core::engine::{
-    BackendRegistry, Engine, EngineBuilder, LempFactory, MaximusFactory, QueryRequest,
-    QueryResponse, SolverFactory, UserSelection,
+    builtin, Engine, EngineBuilder, LempFactory, MaximusFactory, QueryRequest, QueryResponse,
+    SolverFactory, UserSelection, BUILTIN_KEYS,
 };
 use mips_core::maximus::MaximusConfig;
 use mips_core::precision::Precision;
@@ -231,15 +231,13 @@ pub fn oracle(model: &MfModel, k: usize) -> Vec<TopKList> {
 }
 
 /// Every backend the driver referees, labelled: each key of
-/// [`BackendRegistry::with_defaults`], plus a MAXIMUS whose small blocks
+/// [`BUILTIN_KEYS`], plus a MAXIMUS whose small blocks
 /// leave most of each list to the walk, one with the §III-D blocking off,
 /// and a LEMP with many small buckets.
 pub fn backends() -> Vec<(String, Arc<dyn SolverFactory>)> {
-    let registry = BackendRegistry::with_defaults();
-    let mut all: Vec<(String, Arc<dyn SolverFactory>)> = registry
-        .factories()
+    let mut all: Vec<(String, Arc<dyn SolverFactory>)> = BUILTIN_KEYS
         .iter()
-        .map(|f| (f.key().to_string(), Arc::clone(f)))
+        .map(|&key| (key.to_string(), builtin(key).expect("a built-in key")))
         .collect();
     let maximus = |block_size, seed| {
         Arc::new(MaximusFactory::new(MaximusConfig {

@@ -1,9 +1,11 @@
 //! The engine's error contract: malformed requests return typed
-//! [`MipsError`] values — they never panic — for every registered backend,
-//! on the deterministic edge cases and under randomized fuzzing.
+//! [`MipsError`] values — they never panic — for every built-in backend
+//! served by name, on the deterministic edge cases and under randomized
+//! fuzzing.
 
 use mips_core::engine::{
     EngineBuilder, ExclusionSet, MipsError, QueryRequest, UserSelection, VectorQueryRequest,
+    BUILTIN_KEYS,
 };
 use mips_core::maximus::MaximusConfig;
 use mips_data::sparse::SparseVec;
@@ -29,6 +31,8 @@ fn engine() -> mips_core::engine::Engine {
         num_factors: 6,
         ..SynthConfig::default()
     }));
+    // Two raced backends, the MAXIMUS with small blocks; every other
+    // built-in key serves by name.
     EngineBuilder::new()
         .model(model)
         .register(mips_core::engine::BmmFactory)
@@ -37,9 +41,6 @@ fn engine() -> mips_core::engine::Engine {
             block_size: 8,
             ..MaximusConfig::default()
         }))
-        .register(mips_core::engine::LempFactory::default())
-        .register(mips_core::engine::FexiproFactory::si())
-        .register(mips_core::engine::FexiproFactory::sir())
         .build()
         .expect("engine assembles")
 }
@@ -47,7 +48,7 @@ fn engine() -> mips_core::engine::Engine {
 #[test]
 fn k_zero_is_a_typed_error_for_every_backend() {
     let engine = engine();
-    for key in engine.backend_keys() {
+    for key in BUILTIN_KEYS {
         assert_eq!(
             engine
                 .execute_with(key, &QueryRequest::top_k(0))
@@ -71,7 +72,7 @@ fn k_zero_is_a_typed_error_for_every_backend() {
 #[test]
 fn k_above_catalog_is_a_typed_error_for_every_backend() {
     let engine = engine();
-    for key in engine.backend_keys() {
+    for key in BUILTIN_KEYS {
         for k in [NUM_ITEMS + 1, NUM_ITEMS * 10, usize::MAX] {
             assert_eq!(
                 engine
@@ -90,7 +91,7 @@ fn k_above_catalog_is_a_typed_error_for_every_backend() {
 #[test]
 fn out_of_range_users_are_typed_errors_for_every_backend() {
     let engine = engine();
-    for key in engine.backend_keys() {
+    for key in BUILTIN_KEYS {
         assert_eq!(
             engine
                 .execute_with(key, &QueryRequest::top_k(1).users(vec![0, NUM_USERS]))
@@ -117,7 +118,7 @@ fn out_of_range_users_are_typed_errors_for_every_backend() {
 #[test]
 fn empty_user_selections_are_typed_errors_for_every_backend() {
     let engine = engine();
-    for key in engine.backend_keys() {
+    for key in BUILTIN_KEYS {
         assert_eq!(
             engine
                 .execute_with(key, &QueryRequest::top_k(1).users(Vec::new()))
@@ -139,7 +140,7 @@ fn empty_user_selections_are_typed_errors_for_every_backend() {
 fn out_of_range_exclusions_are_typed_errors() {
     let engine = engine();
     let excl = ExclusionSet::from_pairs([(0usize, NUM_ITEMS as u32)]);
-    for key in engine.backend_keys() {
+    for key in BUILTIN_KEYS {
         assert_eq!(
             engine
                 .execute_with(key, &QueryRequest::top_k(1).exclude(excl.clone()))
@@ -213,7 +214,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Any request — valid or garbage — produces `Ok` or a typed `Err`,
-    /// never a panic, on every registered backend; and `Ok` appears exactly
+    /// never a panic, on every built-in backend; and `Ok` appears exactly
     /// when validation accepts the request.
     #[test]
     fn random_requests_never_abort(
@@ -227,7 +228,7 @@ proptest! {
         let engine = shared_engine();
         let request = assemble(k, mode, start, end, ids, exclusions);
         let valid = request.validate(&engine.model()).is_ok();
-        for key in engine.backend_keys() {
+        for key in BUILTIN_KEYS {
             match engine.execute_with(key, &request) {
                 Ok(response) => {
                     prop_assert!(valid, "{key} accepted an invalid request: {request:?}");
@@ -264,7 +265,7 @@ proptest! {
             }
             _ => QueryRequest::top_k(k.min(22)).users(Vec::new()),
         };
-        for key in engine.backend_keys() {
+        for key in BUILTIN_KEYS {
             prop_assert!(
                 engine.execute_with(key, &request).is_err(),
                 "{key} accepted {request:?}"

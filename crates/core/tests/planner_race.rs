@@ -14,6 +14,9 @@
 //!   tier-rate bound is never built — and one sitting exactly *at* the
 //!   bound still is. A variant that wins the race by less than the
 //!   adoption margin hands the plan to its f64 base.
+//! * **Race only what is registered.** A built-in key the engine did not
+//!   register still serves by name, with the oracle's answer, and never
+//!   enters a plan's decision record.
 //!
 //! The stubs answer through brute force (so every plan stays exact) and
 //! spend a fixed sleep per served user, which makes "10× slower" a property
@@ -32,7 +35,7 @@ use mips_core::Precision;
 use mips_data::synth::{synth_model, SynthConfig};
 use mips_data::MfModel;
 use mips_linalg::CacheConfig;
-use mips_topk::{ScreenTier, TopKList};
+use mips_topk::{exact_topk, ScreenTier, TopKList};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -521,4 +524,44 @@ fn concurrent_first_touch_builds_do_not_convoy() {
         let first = parked.join().expect("no panic");
         assert!(Arc::ptr_eq(&first, &second));
     });
+}
+
+#[test]
+fn unregistered_builtins_serve_by_name_and_never_enter_a_plan() {
+    let m = model(120, 13);
+    let engine = EngineBuilder::new()
+        .model(Arc::clone(&m))
+        .register(BmmFactory)
+        .precision(Precision::Auto)
+        .optimus(tiny_optimus())
+        .build()
+        .expect("engine assembles");
+    let k = 5;
+    let want: Vec<TopKList> = (0..m.num_users())
+        .map(|u| exact_topk(m.users().row(u), m.items(), k))
+        .collect();
+    for key in ["lemp", "fexipro-si", "fexipro-sir"] {
+        let response = engine
+            .execute_with(key, &QueryRequest::top_k(k))
+            .unwrap_or_else(|e| panic!("{key} by name: {e}"));
+        assert!(!response.planned, "{key}");
+        for (u, (got, want)) in response.results.iter().zip(&want).enumerate() {
+            assert_eq!(got.items, want.items, "{key} user {u}");
+            let bits =
+                |list: &TopKList| list.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "{key} user {u}");
+        }
+    }
+    // The plan races BMM and its tiers alone, though three other built-ins
+    // are now built in this epoch.
+    let plan = engine.prepare(k).expect("plan");
+    assert!(!plan.estimates().is_empty(), "Auto races BMM's tiers");
+    for estimate in plan.estimates() {
+        assert!(estimate.name.starts_with("Blocked MM"), "{estimate:?}");
+    }
+    assert!(plan.backend_key().starts_with("bmm"));
+    let unknown = MipsError::UnknownBackend { key: "nope".into() };
+    let err = engine.execute_with("nope", &QueryRequest::top_k(k));
+    assert_eq!(err.unwrap_err(), unknown);
+    assert_eq!(engine.solver("nope").err(), Some(unknown));
 }
