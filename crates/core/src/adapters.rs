@@ -206,7 +206,7 @@ impl MipsSolver for SparseSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmm::BmmSolver;
+    use crate::maximus::MaximusIndex;
     use mips_data::synth::{synth_model, SynthConfig};
 
     fn model() -> Arc<MfModel> {
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn adapters_serve_bmm_answers_bit_for_bit() {
         let m = model();
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = MaximusIndex::brute_force(Arc::clone(&m));
         let solvers: Vec<Box<dyn MipsSolver>> = vec![
             Box::new(LempSolver::build(Arc::clone(&m), &LempConfig::default())),
             Box::new(FexiproSolver::build(Arc::clone(&m), &FexiproConfig::si())),

@@ -434,34 +434,34 @@ impl Engine {
     /// queries, sparse bag-of-words vectors).
     ///
     /// A sparse payload is densified before serving, so both encodings of
-    /// the same vector return bit-identical results. When the sparse
-    /// inverted-index backend is registered, its point-lookup path serves
-    /// the query (the index is built lazily and cached on the epoch, like
-    /// every solver); otherwise the engine runs the oracle scan,
-    /// [`exact_topk`]. The two paths are bit-identical by the backend
-    /// exactness contract, so routing is invisible in the results.
+    /// the same vector return bit-identical results. The point-lookup path
+    /// of the first registered of `sparse` (the inverted index) and `bmm`
+    /// (brute force's norm-sorted walk with its Cauchy–Schwarz stop)
+    /// serves the query, under that solver's name — the solver is built
+    /// lazily and cached on the epoch, like every solver. An engine with
+    /// neither runs the oracle scan, [`exact_topk`], reported under brute
+    /// force's name. The paths are bit-identical by the backend exactness
+    /// contract, so routing is invisible in the results.
     pub fn execute_vector(&self, request: &VectorQueryRequest) -> Result<QueryResponse, MipsError> {
         let state = self.snapshot();
         request.validate(&state.model)?;
         let query = request.vector.densify();
         let started = Instant::now();
-        let served = if self.registry.get("sparse").is_some() {
-            let solver = self.solver_or_plain(&state, "sparse", None)?;
-            solver
-                .query_vector(&query, request.k)
-                .map(|list| (list, solver.name().to_string()))
-        } else {
-            None
+        let served = match ["sparse", "bmm"]
+            .into_iter()
+            .find(|key| self.registry.get(key).is_some())
+        {
+            Some(key) => {
+                let solver = self.solver_or_plain(&state, key, None)?;
+                let list = solver.query_vector(&query, request.k);
+                list.map(|list| (list, solver.name().to_string()))
+            }
+            None => None,
         };
-        let (list, backend) = match served {
-            Some(hit) => hit,
-            None => (
-                exact_topk(&query, state.model.items(), request.k),
-                // The fallback is the brute-force scan the backends are
-                // all measured against; report it under that name.
-                "Blocked MM".to_string(),
-            ),
-        };
+        let (list, backend) = served.unwrap_or_else(|| {
+            let list = exact_topk(&query, state.model.items(), request.k);
+            (list, "Blocked MM".to_string())
+        });
         Ok(QueryResponse {
             results: vec![list],
             backend,
@@ -659,7 +659,7 @@ fn filter_excluded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmm::BmmSolver;
+    use crate::maximus::MaximusIndex;
     use crate::optimus::CandidateOutcome;
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_linalg::CacheConfig;
@@ -859,7 +859,7 @@ mod tests {
             .with_default_backends()
             .build()
             .unwrap();
-        let direct = BmmSolver::build(Arc::clone(&m)).query_all(5);
+        let direct = MaximusIndex::brute_force(Arc::clone(&m)).query_all(5);
         let via_engine = engine.execute_with("bmm", &QueryRequest::top_k(5)).unwrap();
         assert_eq!(via_engine.results, direct);
         assert_eq!(via_engine.backend, "Blocked MM");
@@ -888,7 +888,7 @@ mod tests {
             .register(BmmFactory)
             .build()
             .unwrap();
-        let direct = BmmSolver::build(Arc::clone(&m)).query_all(5);
+        let direct = MaximusIndex::brute_force(Arc::clone(&m)).query_all(5);
         for u in [0usize, 7, 29] {
             let request = VectorQueryRequest::dense(5, m.users().row(u).to_vec());
             let routed = with_sparse.execute_vector(&request).unwrap();
@@ -906,6 +906,40 @@ mod tests {
                 let wb: Vec<u64> = direct[u].scores.iter().map(|s| s.to_bits()).collect();
                 assert_eq!(gb, wb, "score bits user {u}");
             }
+        }
+    }
+
+    #[test]
+    fn vector_queries_name_the_solver_that_served() {
+        // Without `sparse`, the registered `bmm` solver's point lookup
+        // serves under its own name — here a two-cluster MAXIMUS keyed
+        // `bmm`, so the label proves which solver ran. An engine with
+        // neither key runs the oracle scan.
+        use crate::maximus::MaximusConfig;
+        let m = model(30, 70);
+        let keyed_bmm = EngineBuilder::new()
+            .model(Arc::clone(&m))
+            .register(FnFactory::new("bmm", |m: &Arc<MfModel>| {
+                let config = MaximusConfig {
+                    num_clusters: 2,
+                    ..MaximusConfig::default()
+                };
+                Ok(Box::new(MaximusIndex::build(Arc::clone(m), &config)) as Box<dyn MipsSolver>)
+            }))
+            .build()
+            .unwrap();
+        let neither = EngineBuilder::new()
+            .model(Arc::clone(&m))
+            .register(LempFactory::default())
+            .build()
+            .unwrap();
+        let query: Vec<f64> = (0..8).map(|j| (j as f64 * 0.7).cos()).collect();
+        let want = exact_topk(&query, m.items(), 6);
+        for (engine, backend) in [(&keyed_bmm, "Maximus"), (&neither, "Blocked MM")] {
+            let request = VectorQueryRequest::dense(6, query.clone());
+            let response = engine.execute_vector(&request).unwrap();
+            assert_eq!(response.backend, backend);
+            assert_eq!(response.results, std::slice::from_ref(&want), "{backend}");
         }
     }
 
@@ -1406,7 +1440,7 @@ mod tests {
         // that looks like BMM's f32 screen. Solver cache cells are keyed by
         // the typed `(key, tier)` pair, so the two never alias,
         // whichever is built first.
-        struct Stub(BmmSolver);
+        struct Stub(MaximusIndex);
         impl MipsSolver for Stub {
             fn name(&self) -> &str {
                 "Stub"
@@ -1427,7 +1461,7 @@ mod tests {
         let engine = EngineBuilder::new()
             .model(model(12, 30))
             .register(FnFactory::new("bmm+f32", |m: &Arc<MfModel>| {
-                Ok(Box::new(Stub(BmmSolver::build(Arc::clone(m)))) as Box<dyn MipsSolver>)
+                Ok(Box::new(Stub(MaximusIndex::brute_force(Arc::clone(m)))) as Box<dyn MipsSolver>)
             }))
             .register(BmmFactory)
             .precision(Precision::F32Rescore)

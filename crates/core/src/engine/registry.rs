@@ -19,7 +19,6 @@
 
 use super::error::MipsError;
 use crate::adapters::{FexiproSolver, LempSolver, SparseSolver};
-use crate::bmm::BmmSolver;
 use crate::maximus::{MaximusConfig, MaximusIndex};
 use crate::solver::MipsSolver;
 use crate::sync::Arc;
@@ -50,7 +49,8 @@ fn config_checked(key: &str, config: &str, verdict: Result<(), String>) -> Resul
     })
 }
 
-/// Factory for the brute-force blocked matrix multiply.
+/// Factory for the brute-force blocked matrix multiply: the one-cluster
+/// MAXIMUS walk ([`MaximusIndex::brute_force`]).
 #[derive(Debug, Clone, Default)]
 pub struct BmmFactory;
 
@@ -60,7 +60,7 @@ impl SolverFactory for BmmFactory {
     }
 
     fn build(&self, model: &Arc<MfModel>) -> Result<Box<dyn MipsSolver>, MipsError> {
-        Ok(Box::new(BmmSolver::build(Arc::clone(model))))
+        Ok(Box::new(MaximusIndex::brute_force(Arc::clone(model))))
     }
 }
 
@@ -403,8 +403,7 @@ mod tests {
             .register(Arc::new(FnFactory::new(
                 "custom-bmm",
                 |m: &Arc<MfModel>| {
-                    Ok(Box::new(crate::bmm::BmmSolver::build(Arc::clone(m)))
-                        as Box<dyn MipsSolver>)
+                    Ok(Box::new(MaximusIndex::brute_force(Arc::clone(m))) as Box<dyn MipsSolver>)
                 },
             )))
             .unwrap();

@@ -15,12 +15,12 @@
 //!   every entry point returns `Result<_, MipsError>` instead of
 //!   panicking; and [`PreparedPlan`] caches the
 //!   planner's choice so repeated requests never re-sample.
-//! * [`bmm`] — the hardware-efficient brute force (§II-B): one blocked
-//!   matrix multiply per user batch followed by heap-based top-k
-//!   selection.
 //! * [`maximus`] — the paper's index (§III): k-means user clusters, a
 //!   per-cluster sorted item list under the Koenigstein angular bound, and
-//!   a work-shared blocked multiply over the first `B` list items.
+//!   work-shared blocked multiplies down each list. With one cluster it is
+//!   the hardware-efficient brute force (§II-B,
+//!   [`MaximusIndex::brute_force`]): blocked matrix multiply with fused
+//!   top-k over the norm-sorted catalog, in cache-sized user batches.
 //! * [`optimus`] — the paper's optimizer (§IV): times candidates on a
 //!   small user sample sized to occupy the L2 cache, optionally stops
 //!   early with an incremental t-test, and picks the estimated winner.
@@ -61,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod adapters;
-pub mod bmm;
 pub mod engine;
 pub mod maximus;
 #[cfg(mips_model_check)]
@@ -76,7 +75,6 @@ pub mod sync;
 pub mod verify;
 
 pub use adapters::{FexiproSolver, LempSolver, SparseSolver};
-pub use bmm::BmmSolver;
 pub use engine::{
     BackendRegistry, Engine, EngineBuilder, EngineOptions, ExclusionSet, MipsError, PreparedPlan,
     QueryRequest, QueryResponse, SolverFactory, UserSelection,

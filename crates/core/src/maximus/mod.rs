@@ -6,7 +6,8 @@
 //! 2. compute each cluster's worst user–centroid angle `θ_b`,
 //! 3. for every cluster, sort all items descending by the Koenigstein bound
 //!    `CBound(c, i, θ_b)` ([`bound`]). Nothing is packed: each part of the
-//!    list (its first 4096 positions, then 1024 each) is packed for the
+//!    list (its first 4096 positions, then 1024 each, a tail under 512
+//!    joining the part before it) is packed for the
 //!    GEMM driver the first time a pass reaches it, so the tail no user
 //!    reaches costs neither bytes nor packing time.
 //!
@@ -42,23 +43,35 @@
 //! checks. That stays exact: every pass pushes the GEMM chain's scores,
 //! the oracle's ([`mips_topk::exact_topk`]), a heap keeps the same set
 //! whatever order scores arrive in, and the stored bounds' slack covers the
-//! chain's rounding at every stop, wherever the passes end. The int8
-//! variant ([`MaximusIndex::with_i8_screen`]) runs every pass through the
-//! int8 block screen instead ([`mips_topk::screen_parts_topk_into_heaps`]),
+//! chain's rounding at every stop, wherever the passes end. A screen
+//! variant ([`MaximusIndex::with_screen`]) runs every pass through its
+//! tier's block screen instead ([`mips_topk::screen_parts_topk_into_heaps`]),
 //! whose survivors are rescored with the same chain once per pass.
+//!
+//! A cluster's users walk in even batches of at most `max(8 MiB / 8 /
+//! |I|, the f64 user rows that fill L2)` users, each batch with its own
+//! heaps and passes, so what a walk holds at once — heaps, gathered rows,
+//! score blocks — is bounded by the batch, not by the cluster.
+//!
+//! **Brute force is the one-cluster walk** ([`MaximusIndex::brute_force`],
+//! the `bmm` backend, §II-B): the list is the catalog in bound order, the
+//! stop Ram & Gray's Cauchy–Schwarz test, and over flat norms, where no
+//! user stops, every walk after the first is one fused multiply per batch.
 
 pub mod bound;
 
 use crate::maximus::bound::stored_bound;
+use crate::precision::Precision;
 use crate::solver::{screened_name, MipsSolver, ScreenTally, ScreenTallyCells};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex, OnceLock, PoisonError};
 use mips_clustering::{kmeans, max_angles_per_cluster, KMeansConfig};
-use mips_data::{is_tiny_row, MfModel};
+use mips_data::{is_tiny_row, MfModel, MirrorElem};
 use mips_linalg::kernels::{angle, dot, norm2};
 use mips_linalg::tier::MAX_TERMS;
 use mips_linalg::{
-    reassoc_envelope_parts, simd, GemmElem, GemmScratch, Matrix, PackedPanels, TierRows, TierView,
+    per_tier, reassoc_envelope_parts, simd, CacheConfig, GemmElem, GemmScratch, Matrix,
+    PackedPanels, RowBlock, TierRows, TierView,
 };
 use mips_topk::{
     exact_topk, screen_parts_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch,
@@ -72,6 +85,19 @@ use std::time::Instant;
 /// The shortest pass past the first, in list positions, and the shortest
 /// first pass before any stop is recorded.
 const MIN_PASS: usize = 128;
+
+/// The score block a batch of users *would* produce over the whole list
+/// is kept within this budget ([`batch_rows`]), so the panels the fused
+/// multiply actually holds (strictly smaller) stay cache-warm.
+const SCORE_BUFFER_BYTES: usize = 8 << 20;
+
+/// Users per walk batch over `num_items` items of `f` factors: bounded by
+/// the score-buffer budget, floored at the L2-occupancy row count OPTIMUS
+/// also samples with (§IV-A).
+fn batch_rows(num_items: usize, f: usize) -> usize {
+    let by_memory = (SCORE_BUFFER_BYTES / 8 / num_items.max(1)).max(1);
+    by_memory.max(CacheConfig::default().rows_to_fill_l2(f, 8))
+}
 
 /// List positions in a list's first part. A fresh heap is primed with a
 /// floor drawn from the first block it is offered ([`mips_topk`]'s
@@ -219,6 +245,10 @@ struct ClusterIndex {
     /// part being its `r`-th list position (the `O(|C||I|f)` storage of
     /// §III-D, held only as far down the list as some pass reached).
     panels: ListParts<PackedPanels<f64>>,
+    /// The list in each screen tier's parts, packed as that tier's passes
+    /// reach them: one copy per tier, shared by every handle.
+    f32_parts: ListParts<ScreenPart<f32>>,
+    i8_parts: ListParts<ScreenPart<i8>>,
     /// Members (user ids) of this cluster.
     members: Vec<u32>,
     /// The stop positions recent walks reached, per `k`.
@@ -248,8 +278,7 @@ impl ClusterIndex {
     /// rows of part `p` in the span, and their list ids.
     fn spanned(
         &self,
-        lo: usize,
-        hi: usize,
+        Range { start: lo, end: hi }: Range<usize>,
     ) -> impl Iterator<Item = (usize, Range<usize>, &[u32])> + '_ {
         let first = self.cuts.partition_point(|&cut| cut <= lo) - 1;
         let parts = self.cuts[first..].windows(2).enumerate();
@@ -371,11 +400,24 @@ fn quantile(values: &mut [usize], q: f64) -> usize {
     *values.select_nth_unstable(rank - 1).1
 }
 
+/// `group` cut into the fewest batches of at most `max` entries, as even
+/// as they go: the first ones one longer than the last ones.
+fn even_batches<T>(group: &[T], max: usize) -> std::slice::Chunks<'_, T> {
+    let batches = group.len().div_ceil(max).max(1);
+    group.chunks(group.len().div_ceil(batches).max(1))
+}
+
 /// Where a list of `n` positions is cut into parts: `[0, 4096, 5120, …,
-/// n]`, a [`FIRST_PART`] and then [`PART`]s, the last one ending at `n`.
+/// n]`, a [`FIRST_PART`] and then [`PART`]s, the last one ending at `n`. A
+/// tail shorter than half a part joins the part before it: each part is a
+/// block of its own for the GEMM driver, whose per-block work a sliver
+/// pays in full (on the dense benchmark shape, 5 200 items, a separate
+/// 80-position part made the int8 walk at k = 1 2–4 % slower).
 fn list_cuts(n: usize) -> Vec<usize> {
     let starts = std::iter::once(0).chain((FIRST_PART..).step_by(PART));
-    let mut cuts: Vec<usize> = starts.take_while(|&cut| cut < n).collect();
+    let mut cuts: Vec<usize> = starts
+        .take_while(|&cut| cut < n && (cut == 0 || cut + PART / 2 < n))
+        .collect();
     cuts.push(n);
     cuts
 }
@@ -402,48 +444,63 @@ impl<P> ListParts<P> {
     }
 }
 
-/// One part of a cluster's list in int8: the block screen's item side.
-struct ScreenPart {
-    /// The part's int8 codes, gathered in list order from the model's
-    /// mirror, packed.
-    panels: PackedPanels<i8>,
+/// One part of a cluster's list in a screen tier: the block screen's item
+/// side.
+struct ScreenPart<T: MirrorElem> {
+    /// The part's rows in tier storage, gathered in list order from the
+    /// model's mirror, packed.
+    panels: PackedPanels<T>,
     /// The part's envelope terms, one column per term.
     terms: [Vec<f64>; MAX_TERMS],
 }
 
-impl ScreenPart {
-    /// Rows `ids` of the mirror's item side, in that order.
-    fn gather(items: &TierRows<i8>, ids: &[u32]) -> ScreenPart {
-        let codes = items.row_block(0, items.rows());
+impl<T: MirrorElem> ScreenPart<T> {
+    /// Rows `ids` of the mirror's item side, in that order (a term column
+    /// the tier does not store stays empty, as in the mirror).
+    fn gather(items: &TierRows<T>, ids: &[u32]) -> ScreenPart<T> {
+        let rows = items.row_block(0, items.rows());
+        let gather = |column: &[f64]| ids.iter().map(|&id| column[id as usize]).collect();
         ScreenPart {
-            panels: PackedPanels::gather(codes, ids),
-            terms: items
-                .terms()
-                .map(|column| ids.iter().map(|&id| column[id as usize]).collect()),
+            panels: PackedPanels::gather(rows, ids),
+            terms: (items.terms()).map(|c| if c.is_empty() { Vec::new() } else { gather(c) }),
         }
     }
 
-    /// Heap bytes of the codes and the terms.
+    /// The part as the screen's item side.
+    fn view(&self) -> TierView<'_, T> {
+        let terms = std::array::from_fn(|t| self.terms[t].as_slice());
+        TierView::packed((&self.panels).into(), terms)
+    }
+
+    /// Heap bytes of the packed rows and the terms.
     fn resident_bytes(&self) -> usize {
         let terms = self.terms.iter().map(|t| t.capacity() * size_of::<f64>());
         terms.sum::<usize>() + self.panels.resident_bytes()
     }
 }
 
-/// Per-call buffers of [`MaximusIndex::serve_cluster`], one per query loop:
-/// the f64 multiply's and the int8 screen's, each sized on first use, so
-/// the one a path does not take costs nothing.
-#[derive(Default)]
-struct Scratch {
-    gemm: GemmScratch<f64>,
-    screen: ScreenScratch<i8>,
+/// A screen tier a cluster keeps list parts in: names its slot.
+trait ListTier: MirrorElem {
+    fn parts(cluster: &ClusterIndex) -> &ListParts<ScreenPart<Self>>;
+}
+
+impl ListTier for f32 {
+    fn parts(cluster: &ClusterIndex) -> &ListParts<ScreenPart<f32>> {
+        &cluster.f32_parts
+    }
+}
+
+impl ListTier for i8 {
+    fn parts(cluster: &ClusterIndex) -> &ListParts<ScreenPart<i8>> {
+        &cluster.i8_parts
+    }
 }
 
 /// Everything construction derives from the model — the clustering and
-/// every cluster's bound-sorted list with its f64 parts. Shared, behind an
-/// [`Arc`], by an index and its screen variant
-/// ([`MaximusIndex::with_i8_screen`]); nothing in it changes once built
-/// but the parts packed on first touch and the recorded stop positions.
+/// every cluster's bound-sorted list with its parts in each tier. Shared,
+/// behind an [`Arc`], by an index and its screen variants
+/// ([`MaximusIndex::with_screen`]); nothing in it changes once built but
+/// the parts packed on first touch and the recorded stop positions.
 struct MaximusCore {
     model: Arc<MfModel>,
     assignments: Vec<u32>,
@@ -453,19 +510,25 @@ struct MaximusCore {
     /// whole list): `block_size` rounded up, or the whole list over a model
     /// with tiny rows. `None`: sized at query time.
     first_pass: Option<usize>,
+    /// The most users one walk batch holds ([`batch_rows`]).
+    batch_rows: usize,
+    /// The backend's display name before a tier suffix.
+    name: &'static str,
+    /// The screen tiers the backend races ([`MipsSolver::screen_tiers`]).
+    tiers: &'static [ScreenTier],
     build_stats: MaximusBuildStats,
 }
 
 /// The built MAXIMUS index.
 pub struct MaximusIndex {
     core: Arc<MaximusCore>,
-    /// With the int8 screen armed, each cluster's list in int8 parts;
-    /// `None` on the f64 path.
-    screens: Option<Vec<ListParts<ScreenPart>>>,
+    /// The armed screen tier, set only over a model that mirrors usably in
+    /// it; `None` on the f64 path.
+    screen: Option<ScreenTier>,
     /// Seconds spent building what this handle added: the whole
-    /// construction for [`MaximusIndex::build`]; for the
-    /// [`MaximusIndex::with_i8_screen`] variant, whose parts are all packed
-    /// on first touch, the int8 mirror if it built it.
+    /// construction for [`MaximusIndex::build`]; for a
+    /// [`MaximusIndex::with_screen`] variant, whose parts are all packed on
+    /// first touch, the tier's mirror if it built it.
     build_seconds: f64,
     /// Nanoseconds this handle's passes spent packing list parts on first
     /// touch: construction, reported in [`MipsSolver::build_seconds`] and
@@ -476,16 +539,38 @@ pub struct MaximusIndex {
     /// layer ([`MipsSolver::take_screen_stats`]); separate from
     /// [`MaximusQueryStats`], whose counters benches read cumulatively.
     screen_tally: ScreenTallyCells,
-    /// `"Maximus"` plus the armed tier's suffix.
+    /// The backend's name plus the armed tier's suffix.
     name: String,
 }
 
 impl MaximusIndex {
-    /// Builds the index: cluster users, compute θ_b, sort item lists.
+    /// Builds the index: cluster users, compute θ_b, sort item lists. It
+    /// races only its int8 screen: an f32 screen won no clustered plan by
+    /// more than sampling noise, yet cost cold time in every race.
     ///
     /// # Panics
     /// Panics on a configuration [`MaximusConfig::validate`] rejects.
     pub fn build(model: Arc<MfModel>, config: &MaximusConfig) -> MaximusIndex {
+        MaximusIndex::construct(model, config, "Maximus", &[ScreenTier::I8])
+    }
+
+    /// Brute force (§II-B) as the one-cluster index: one list, the catalog
+    /// in bound order, walked by every user in cache-sized batches (see the
+    /// module docs). Named `Blocked MM`, it races every screen tier.
+    pub fn brute_force(model: Arc<MfModel>) -> MaximusIndex {
+        let config = MaximusConfig {
+            num_clusters: 1,
+            ..MaximusConfig::default()
+        };
+        MaximusIndex::construct(model, &config, "Blocked MM", &ScreenTier::ALL)
+    }
+
+    fn construct(
+        model: Arc<MfModel>,
+        config: &MaximusConfig,
+        name: &'static str,
+        tiers: &'static [ScreenTier],
+    ) -> MaximusIndex {
         config.validate().expect("a valid MaximusConfig");
 
         let t0 = Instant::now();
@@ -527,13 +612,17 @@ impl MaximusIndex {
         let first_pass = if model.has_tiny_rows() {
             Some(n)
         } else {
-            (config.block_size > 0).then(|| config.block_size.next_multiple_of(ALIGN).min(n))
+            let forced = config.block_size.min(n).next_multiple_of(ALIGN).min(n);
+            (config.block_size > 0).then_some(forced)
         };
         let core = MaximusCore {
             assignments: clustering.assignments,
             centroids: clustering.centroids,
             clusters,
             first_pass,
+            batch_rows: batch_rows(n, model.num_factors()),
+            name,
+            tiers,
             build_stats: MaximusBuildStats {
                 clustering_seconds,
                 construction_seconds,
@@ -547,66 +636,59 @@ impl MaximusIndex {
         )
     }
 
-    /// A handle on `core` screening through `screens` (`None`: unscreened).
+    /// A handle on `core` screening in `screen` (`None`: unscreened).
     fn over(
         core: Arc<MaximusCore>,
-        screens: Option<Vec<ListParts<ScreenPart>>>,
+        screen: Option<ScreenTier>,
         build_seconds: f64,
     ) -> MaximusIndex {
-        let screen = screens.as_ref().map(|_| ScreenTier::I8);
         MaximusIndex {
+            name: screened_name(core.name, screen),
             core,
-            screens,
+            screen,
             build_seconds,
             packing: AtomicU64::new(0),
             query_stats: MaximusQueryStats::default(),
             screen_tally: ScreenTallyCells::default(),
-            name: screened_name("Maximus", screen),
         }
     }
 
-    /// This index with the int8 screen armed on every block pass of the
-    /// query, **sharing everything [`MaximusIndex::build`] constructed**:
-    /// the variant adds each cluster's list in int8 parts — a part's codes,
-    /// packed, and its envelope terms, both made the first time one of the
-    /// variant's passes reaches the part.
+    /// This index with `tier`'s screen armed on every block pass of the
+    /// query, **sharing everything [`MaximusIndex::build`] constructed**,
+    /// each cluster's list in the tier's parts included: a part's rows,
+    /// packed, and its envelope terms, both made the first time a pass in
+    /// the tier reaches the part.
     ///
     /// Every pass runs the block screen
-    /// ([`mips_topk::screen_parts_topk_into_heaps`]): an int8 multiply
-    /// whose envelope-widened scores keep every item that could reach the
-    /// heap, each survivor rescored in f64 from the model's rows by id with
-    /// the GEMM's reduction order — so after every pass the heaps hold the
-    /// f64 multiply's exact entries, every user stops where it stops on the
-    /// f64 index, and results are bit-identical to it. The §III-E
-    /// new-vector path stays f64. int8 is MAXIMUS's one screen tier:
-    /// measured over the catalog stand-ins and the benchmark shapes, an f32
-    /// screen won no plan by more than sampling noise, and racing it cost
-    /// cold time and a mirror per cluster.
+    /// ([`mips_topk::screen_parts_topk_into_heaps`]): a multiply in the
+    /// tier's arithmetic whose envelope-widened scores keep every item that
+    /// could reach the heap, each survivor rescored in f64 from the model's
+    /// rows by id with the GEMM's reduction order — so after every pass the
+    /// heaps hold the f64 multiply's exact entries, every user stops where
+    /// it stops on the f64 index, and results are bit-identical to it. The
+    /// §III-E new-vector path stays f64.
     ///
-    /// Each part's codes and terms are **gathered** in list order from the
-    /// model's own int8 mirror ([`MfModel::mirror`] — built once per model
-    /// and shared with brute force's screen), so no row is quantized once
-    /// per cluster, and the parts are the only copy of the codes the
-    /// variant holds. The rescore reads the model's f64 rows, so the
-    /// variant holds no f64 copy of its own. Its `build_seconds` is the
-    /// mirror, if this call built it, and the parts it packed on first
-    /// touch; its work counters start at zero.
+    /// Each part's rows and terms are **gathered** in list order from the
+    /// model's own mirror in the tier ([`MfModel::mirror`] — built once per
+    /// model), so no row is rounded or quantized once per cluster, and the
+    /// parts are the only packed copy of the list in the tier. The rescore
+    /// reads the model's f64 rows, so the variant holds no f64 copy of its
+    /// own. Its `build_seconds` is the mirror, if this call built it, and
+    /// the parts it packed on first touch; its work counters start at zero.
     ///
-    /// When the model does not quantize usably (subnormal rows, factor
-    /// counts past the i32-overflow cap) the result runs unscreened.
-    pub fn with_i8_screen(&self) -> MaximusIndex {
+    /// A model that does not mirror usably in `tier` (f32 overflow,
+    /// subnormal rows, factor counts past the i32-overflow cap) yields a
+    /// handle on `self`'s path.
+    pub fn with_screen(&self, tier: ScreenTier) -> MaximusIndex {
         let t = Instant::now();
-        let core = Arc::clone(&self.core);
-        let screens = core.model.mirror::<i8>().sides().map(|_| {
-            let clusters = core.clusters.iter();
-            clusters.map(|c| ListParts::new(c.cuts.len() - 1)).collect()
-        });
-        MaximusIndex::over(core, screens, t.elapsed().as_secs_f64())
+        let usable = per_tier!(tier, T => self.core.model.mirror::<T>().is_usable());
+        let screen = if usable { Some(tier) } else { self.screen };
+        MaximusIndex::over(Arc::clone(&self.core), screen, t.elapsed().as_secs_f64())
     }
 
     /// The armed screen tier, if any.
     pub fn screen(&self) -> Option<ScreenTier> {
-        self.screens.as_ref().map(|_| ScreenTier::I8)
+        self.screen
     }
 
     /// Build-stage breakdown (Fig. 8) of the shared construction, plus the
@@ -624,19 +706,19 @@ impl MaximusIndex {
 
     /// The bytes the index holds for its own tier: the summed capacities
     /// of every cluster's list vectors and stop records, and of the parts
-    /// packed so far (f64 panels, or int8 panels and terms with the screen
-    /// armed). A fresh index holds no parts, and the lists' untouched
-    /// tails never join them.
+    /// packed so far in the handle's tier (f64 panels, or the screen
+    /// tier's panels and terms). A fresh index holds no parts, and the
+    /// lists' untouched tails never join them.
     pub fn resident_bytes(&self) -> usize {
-        let clusters = &self.core.clusters;
-        let lists: usize = clusters.iter().map(ClusterIndex::list_bytes).sum();
-        let parts: usize = match &self.screens {
-            Some(screens) => (screens.iter())
-                .map(|s| s.resident_bytes(ScreenPart::resident_bytes))
-                .sum(),
-            None => (clusters.iter())
+        let clusters = self.core.clusters.iter();
+        let lists: usize = clusters.clone().map(ClusterIndex::list_bytes).sum();
+        let parts: usize = match self.screen {
+            None => clusters
                 .map(|c| c.panels.resident_bytes(PackedPanels::resident_bytes))
                 .sum(),
+            Some(tier) => per_tier!(tier, T => clusters
+                .map(|c| T::parts(c).resident_bytes(ScreenPart::resident_bytes))
+                .sum()),
         };
         lists + parts
     }
@@ -656,41 +738,73 @@ impl MaximusIndex {
         self.core.clusters.iter().map(|c| c.theta_b).collect()
     }
 
-    /// Serves one cluster's user group, `(output position, user id)` each,
-    /// in block passes over the list, each sized at query time (see the
-    /// module docs). A part no pass reached before is packed on the way
-    /// in. The walk ends by recording where each user's final threshold
-    /// stops it, for the first pass of the next walk at `k`.
+    /// Serves `groups[c]`, the `(output position, user id)` pairs of
+    /// cluster `c`'s users, into `out`, each pass in the handle's tier.
+    fn serve(&self, k: usize, groups: &[Vec<(usize, usize)>], out: &mut [TopKList]) {
+        match self.screen {
+            None => {
+                let mut scratch = GemmScratch::new();
+                self.serve_with(k, groups, out, |cluster, span, rows, _, heaps| {
+                    self.pass_f64(cluster, span, rows, heaps, &mut scratch)
+                })
+            }
+            Some(tier) => per_tier!(tier, T => {
+                let mut scratch = ScreenScratch::<T>::new();
+                self.serve_with(k, groups, out, |cluster, span, rows, walkers, heaps| {
+                    self.pass_screened(cluster, span, rows, walkers, heaps, &mut scratch)
+                })
+            }),
+        }
+    }
+
+    /// [`MaximusIndex::serve`] with `pass` scoring each pass: each
+    /// cluster's group walks in even batches of at most
+    /// [`MaximusCore::batch_rows`] users, in group order.
+    fn serve_with(
+        &self,
+        k: usize,
+        groups: &[Vec<(usize, usize)>],
+        out: &mut [TopKList],
+        mut pass: impl FnMut(&ClusterIndex, Range<usize>, RowBlock<'_, f64>, &[usize], &mut [TopKHeap]),
+    ) {
+        for (cluster, group) in self.core.clusters.iter().zip(groups) {
+            for batch in even_batches(group, self.core.batch_rows) {
+                self.walk(cluster, batch, k, &mut pass, out);
+            }
+        }
+    }
+
+    /// Walks one batch of a cluster's users, `(output position, user id)`
+    /// each, down its list in block passes, each sized at query time (see
+    /// the module docs) and scored by `pass` — list positions, the walking
+    /// users' f64 rows and ids, their heaps. The rows are the model's own
+    /// where the walkers' ids run contiguously (a brute-force batch no user
+    /// has left), else gathered. The walk ends by recording
+    /// where each user's final threshold stops it, for the first pass of
+    /// the next walk at `k`.
     ///
     /// Users that stop are moved, with their heaps, behind the ones still
-    /// walking, so every pass multiplies one contiguous block of user rows
-    /// into one contiguous run of heaps. A pass streams score panels
-    /// straight into the heaps, part by part, translated from list
-    /// positions to item ids by [`ColumnIds::Mapped`]; with the screen
-    /// armed it screens the parts' int8 blocks into the same heaps,
-    /// rescoring once at the end of the pass.
-    fn serve_cluster(
+    /// walking, so every pass scores one contiguous block of user rows
+    /// into one contiguous run of heaps.
+    fn walk(
         &self,
-        c: usize,
-        group: &[(usize, usize)],
+        cluster: &ClusterIndex,
+        batch: &[(usize, usize)],
         k: usize,
-        scratch: &mut Scratch,
+        pass: &mut impl FnMut(&ClusterIndex, Range<usize>, RowBlock<'_, f64>, &[usize], &mut [TopKHeap]),
         out: &mut [TopKList],
     ) {
         let model = &self.core.model;
-        let cluster = &self.core.clusters[c];
         let n_items = cluster.list_ids.len();
-        // `screens` exists only over a usable int8 mirror.
-        let screen = self.screens.as_ref().map(|s| (&s[c], model.mirror::<i8>()));
         let first_pass = (self.core.first_pass).unwrap_or_else(|| cluster.first_pass(k));
 
         // Slot `i < walking` is a user still walking: `(output position,
         // user id, ‖u‖)` beside its heap.
-        let mut users: Vec<(usize, usize, f64)> = group
+        let mut users: Vec<(usize, usize, f64)> = batch
             .iter()
             .map(|&(pos, u)| (pos, u, norm2(model.users().row(u))))
             .collect();
-        let mut heaps: Vec<TopKHeap> = group.iter().map(|_| TopKHeap::new(k)).collect();
+        let mut heaps: Vec<TopKHeap> = batch.iter().map(|_| TopKHeap::new(k)).collect();
         let mut walking = users.len();
         let (mut scored, mut pruned) = (0u64, 0u64);
         let mut stops = Vec::with_capacity(walking);
@@ -732,46 +846,15 @@ impl MaximusIndex {
             };
             let hi = target.min(reach).next_multiple_of(ALIGN).min(n_items);
             let walkers: Vec<usize> = users[..walking].iter().map(|&(_, u, _)| u).collect();
-            let rows = model.users().gather_rows(&walkers);
-            let heaps = &mut heaps[..walking];
-            let spanned = cluster.spanned(lo, hi);
-            match screen {
-                Some((parts, mirror)) => {
-                    let views: Vec<(TierView<'_, i8>, ColumnIds<'_>)> = spanned
-                        .map(|(p, within, ids)| {
-                            let part = cluster.part(parts, p, &self.packing, |ids| {
-                                ScreenPart::gather(mirror.items(), ids)
-                            });
-                            let terms = std::array::from_fn(|t| part.terms[t].as_slice());
-                            let view = TierView::packed((&part.panels).into(), terms);
-                            (view.rows(within), ColumnIds::Mapped(ids))
-                        })
-                        .collect();
-                    let stats = screen_parts_topk_into_heaps(
-                        (&rows).into(),
-                        model.items().into(),
-                        mirror.users().gather(walkers.into_iter()).view(),
-                        &views,
-                        heaps,
-                        &mut scratch.screen,
-                    );
-                    self.screen_tally.record(stats.screened, stats.rescored);
-                }
+            let gathered;
+            let rows = match id_run(&walkers) {
+                Some(run) => model.users().row_block(run.start, run.end),
                 None => {
-                    for (p, within, ids) in spanned {
-                        let part = cluster.part(&cluster.panels, p, &self.packing, |ids| {
-                            PackedPanels::gather(model.items().into(), ids)
-                        });
-                        stream_topk_into_heaps(
-                            (&rows).into(),
-                            part.slice(within).into(),
-                            heaps,
-                            ColumnIds::Mapped(ids),
-                            &mut scratch.gemm,
-                        );
-                    }
+                    gathered = model.users().gather_rows(&walkers);
+                    (&gathered).into()
                 }
-            }
+            };
+            pass(cluster, lo..hi, rows, &walkers, &mut heaps[..walking]);
             scored += (walking * (hi - lo)) as u64;
             lo = hi;
         }
@@ -781,7 +864,7 @@ impl MaximusIndex {
         stats.items_pruned.fetch_add(pruned, Ordering::Relaxed);
         stats
             .users_served
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         let walked = users.iter().zip(&heaps);
         let mut walked: Vec<usize> = walked
             .map(|(&(_, _, norm), heap)| stop_position(&cluster.bounds, norm, heap))
@@ -790,6 +873,66 @@ impl MaximusIndex {
         for (heap, &(pos, _, _)) in heaps.into_iter().zip(&users) {
             out[pos] = heap.into_sorted();
         }
+    }
+
+    /// One f64 pass: list positions `span` of `cluster`, part by part
+    /// (each packed on first touch), multiplied against `rows` with the
+    /// scores streamed straight into `heaps`, translated from list
+    /// positions to item ids by [`ColumnIds::Mapped`].
+    fn pass_f64(
+        &self,
+        cluster: &ClusterIndex,
+        span: Range<usize>,
+        rows: RowBlock<'_, f64>,
+        heaps: &mut [TopKHeap],
+        scratch: &mut GemmScratch<f64>,
+    ) {
+        let items = self.core.model.items();
+        for (p, within, ids) in cluster.spanned(span) {
+            let part = cluster.part(&cluster.panels, p, &self.packing, |ids| {
+                PackedPanels::gather(items.into(), ids)
+            });
+            let ids = ColumnIds::Mapped(ids);
+            stream_topk_into_heaps(rows, part.slice(within).into(), heaps, ids, scratch);
+        }
+    }
+
+    /// One pass through tier `T`'s block screen: the tier's parts `span`
+    /// covers (each packed on first touch) screened against the
+    /// `walkers`' mirrored rows (viewed or gathered as `rows` are) into
+    /// `heaps`, the survivors rescored from `rows` once, at the end.
+    fn pass_screened<T: ListTier>(
+        &self,
+        cluster: &ClusterIndex,
+        span: Range<usize>,
+        rows: RowBlock<'_, f64>,
+        walkers: &[usize],
+        heaps: &mut [TopKHeap],
+        scratch: &mut ScreenScratch<T>,
+    ) {
+        let model = &self.core.model;
+        // A handle screens only over a usable mirror.
+        let mirror = model.mirror::<T>();
+        let parts = T::parts(cluster);
+        let views: Vec<(TierView<'_, T>, ColumnIds<'_>)> = (cluster.spanned(span))
+            .map(|(p, within, ids)| {
+                let part = cluster.part(parts, p, &self.packing, |ids| {
+                    ScreenPart::gather(mirror.items(), ids)
+                });
+                (part.view().rows(within), ColumnIds::Mapped(ids))
+            })
+            .collect();
+        let gathered;
+        let users = match id_run(walkers) {
+            Some(run) => mirror.users().view().rows(run),
+            None => {
+                gathered = mirror.users().gather(walkers.iter().copied());
+                gathered.view()
+            }
+        };
+        let items = model.items().into();
+        let stats = screen_parts_topk_into_heaps(rows, items, users, &views, heaps, scratch);
+        self.screen_tally.record(stats.screened, stats.rescored);
     }
 
     /// Serves an ad-hoc user vector that was *not* part of the clustered set
@@ -846,6 +989,13 @@ impl MaximusIndex {
     }
 }
 
+/// The range `ids` list in order, if they run contiguously.
+fn id_run(ids: &[usize]) -> Option<Range<usize>> {
+    let first = *ids.first()?;
+    let run = ids.iter().enumerate().all(|(i, &id)| id == first + i);
+    run.then(|| first..first + ids.len())
+}
+
 /// Where `bounds` (descending), scaled by a user's norm, first sits below
 /// the threshold of its heap: the positions the user can still use. A NaN
 /// product reads as a hit.
@@ -883,14 +1033,16 @@ fn build_cluster_list(
     let list_ids: Vec<u32> = entries.iter().map(|e| e.1).collect();
     let bounds: Vec<f64> = entries.iter().map(|e| e.0).collect();
     let cuts = list_cuts(n);
-    let panels = ListParts::new(cuts.len() - 1);
+    let parts = cuts.len() - 1;
 
     ClusterIndex {
         theta_b,
         list_ids,
         bounds,
         cuts,
-        panels,
+        panels: ListParts::new(parts),
+        f32_parts: ListParts::new(parts),
+        i8_parts: ListParts::new(parts),
         members,
         stops: Mutex::new(Vec::new()),
     }
@@ -909,17 +1061,17 @@ impl MipsSolver for MaximusIndex {
         true // the shared block passes batch cluster members
     }
 
-    fn precision(&self) -> crate::precision::Precision {
-        crate::precision::Precision::of_tier(self.screen())
+    fn precision(&self) -> Precision {
+        Precision::of_tier(self.screen)
     }
 
     fn screen_tiers(&self) -> &[ScreenTier] {
-        &[ScreenTier::I8]
+        self.core.tiers
     }
 
     fn screen_variant(&self, tier: ScreenTier) -> Option<Box<dyn MipsSolver>> {
         let listed = self.screen_tiers().contains(&tier);
-        listed.then(|| Box::new(self.with_i8_screen()) as Box<dyn MipsSolver>)
+        listed.then(|| Box::new(self.with_screen(tier)) as Box<dyn MipsSolver>)
     }
 
     fn num_users(&self) -> usize {
@@ -927,7 +1079,7 @@ impl MipsSolver for MaximusIndex {
     }
 
     fn take_screen_stats(&self) -> Option<ScreenTally> {
-        self.screens.as_ref().map(|_| self.screen_tally.drain())
+        self.screen.map(|_| self.screen_tally.drain())
     }
 
     fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
@@ -938,39 +1090,36 @@ impl MipsSolver for MaximusIndex {
                 groups[self.core.assignments[u] as usize].push((pos, u));
             }
             let mut out = vec![TopKList::empty(); distinct.len()];
-            let mut scratch = Scratch::default();
-            for (c, group) in groups.iter().enumerate() {
-                if !group.is_empty() {
-                    self.serve_cluster(c, group, k, &mut scratch, &mut out);
-                }
-            }
+            self.serve(k, &groups, &mut out);
             out
         })
     }
 
     fn query_all(&self, k: usize) -> Vec<TopKList> {
         // Serve whole clusters in membership order: maximal work sharing.
-        // One scratch outlives every per-cluster fused multiply.
+        let clusters = self.core.clusters.iter();
+        let groups: Vec<Vec<(usize, usize)>> = clusters
+            .map(|c| {
+                c.members
+                    .iter()
+                    .map(|&u| (u as usize, u as usize))
+                    .collect()
+            })
+            .collect();
         let mut out = vec![TopKList::empty(); self.num_users()];
-        let mut scratch = Scratch::default();
-        for (c, cluster) in self.core.clusters.iter().enumerate() {
-            let group: Vec<(usize, usize)> = cluster
-                .members
-                .iter()
-                .map(|&u| (u as usize, u as usize))
-                .collect();
-            if !group.is_empty() {
-                self.serve_cluster(c, &group, k, &mut scratch, &mut out);
-            }
-        }
+        self.serve(k, &groups, &mut out);
         out
+    }
+
+    fn query_vector(&self, query: &[f64], k: usize) -> Option<TopKList> {
+        Some(self.query_new_vector(query, k))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmm::BmmSolver;
+    use crate::maximus::MaximusIndex;
     use mips_data::synth::{synth_model, SynthConfig};
 
     fn model(users: usize, items: usize, f: usize, spread: f64) -> Arc<MfModel> {
@@ -996,7 +1145,7 @@ mod tests {
     #[test]
     fn clustered_users_get_bmm_answers_with_and_without_item_blocking() {
         let m = model(50, 200, 12, 0.4);
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = MaximusIndex::brute_force(Arc::clone(&m));
         for block_size in [16, 0] {
             let config = MaximusConfig {
                 block_size,
@@ -1051,7 +1200,7 @@ mod tests {
             };
             let plain = MaximusIndex::build(Arc::clone(&m), &config);
             assert_eq!(plain.screen(), None);
-            let screened = plain.with_i8_screen();
+            let screened = plain.with_screen(ScreenTier::I8);
             assert!(
                 Arc::ptr_eq(&screened.core, &plain.core),
                 "construction is shared"
@@ -1106,10 +1255,12 @@ mod tests {
         assert!(plain.screen_variant(ScreenTier::F32).is_none());
         let variant = plain.screen_variant(ScreenTier::I8).expect("the i8 screen");
         assert_eq!(variant.name(), "Maximus+i8");
-        // One screen per cluster; deriving the variant leaves the base plain.
-        let index = plain.with_i8_screen();
-        assert_eq!(index.screens.as_ref().map(Vec::len), Some(4));
-        assert!(plain.screens.is_none());
+        // Deriving the variant leaves the base plain.
+        let index = plain.with_screen(ScreenTier::I8);
+        assert_eq!(
+            (index.screen(), plain.screen()),
+            (Some(ScreenTier::I8), None)
+        );
 
         // Subnormal item rows cannot be quantized: the variant walks
         // unscreened under the base's identity.
@@ -1121,7 +1272,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let index = MaximusIndex::build(degenerate, &small_config()).with_i8_screen();
+        let index = MaximusIndex::build(degenerate, &small_config()).with_screen(ScreenTier::I8);
         assert_eq!(
             (index.name(), index.precision()),
             ("Maximus", Precision::F64)
@@ -1151,19 +1302,23 @@ mod tests {
     #[test]
     fn lists_are_cut_into_parts_and_passes_span_them() {
         // A 4096-position first part, then parts of 1024, the last one
-        // ending at the list's end, whatever the passes.
+        // ending at the list's end, whatever the passes; a tail shorter
+        // than 512 joins the part before it.
         assert_eq!(list_cuts(7000), [0, 4096, 5120, 6144, 7000]);
         assert_eq!(list_cuts(5120), [0, 4096, 5120]);
+        assert_eq!(list_cuts(5200), [0, 4096, 5200]);
+        assert_eq!(list_cuts(5633), [0, 4096, 5120, 5633]);
+        assert_eq!(list_cuts(4500), [0, 4500]);
         assert_eq!(list_cuts(100), [0, 100]);
         assert_eq!(list_cuts(0), [0]);
         // A pass `lo..hi` visits each part it overlaps, with its slice of
         // that part.
-        let m = model(8, 5500, 4, 0.4);
+        let m = model(8, 5800, 4, 0.4);
         let index = MaximusIndex::build(Arc::clone(&m), &small_config());
         let cluster = &index.core.clusters[0];
-        assert_eq!(cluster.cuts, [0, 4096, 5120, 5500]);
+        assert_eq!(cluster.cuts, [0, 4096, 5120, 5800]);
         let spanned = |lo, hi| {
-            let parts = cluster.spanned(lo, hi).map(|(p, within, ids)| {
+            let parts = cluster.spanned(lo..hi).map(|(p, within, ids)| {
                 let first = cluster.cuts[p];
                 assert_eq!(
                     ids,
@@ -1178,7 +1333,7 @@ mod tests {
         assert_eq!(spanned(16, 4112), [(0, 16..4096), (1, 0..16)]);
         assert_eq!(spanned(4096, 5500), [(1, 0..1024), (2, 0..380)]);
         assert_eq!(spanned(5488, 5500), [(2, 368..380)]);
-        assert_eq!(spanned(0, 5500).len(), 3);
+        assert_eq!(spanned(0, 5800).len(), 3);
         // Nearest-rank quantiles.
         assert_eq!(quantile(&mut [], 0.9), 0);
         assert_eq!(quantile(&mut [7], 0.75), 7);
@@ -1248,14 +1403,14 @@ mod tests {
         let m = model(40, 400, 8, 0.4);
         for config in [small_config(), small_config_sized()] {
             let plain = MaximusIndex::build(Arc::clone(&m), &config);
-            let screened = plain.with_i8_screen();
+            let screened = plain.with_screen(ScreenTier::I8);
             let lists: usize = plain.core.clusters.iter().map(|c| c.list_bytes()).sum();
             assert_eq!(plain.resident_bytes(), lists, "{config:?}");
             assert_eq!(screened.resident_bytes(), lists, "{config:?}");
-            for (c, cluster) in plain.core.clusters.iter().enumerate() {
+            for cluster in &plain.core.clusters {
                 let none = vec![false; cluster.cuts.len() - 1];
                 assert_eq!(packed(&cluster.panels), none);
-                assert_eq!(packed(&screened.screens.as_ref().unwrap()[c]), none);
+                assert_eq!(packed(&cluster.i8_parts), none);
                 let user = m.users().row_block(3, 4);
                 let mut heaps = vec![TopKHeap::new(400)];
                 let mut scratch = GemmScratch::new();
@@ -1285,12 +1440,17 @@ mod tests {
         // heaps.
         let m = model(40, 400, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config());
-        let screened = plain.with_i8_screen();
+        let screened = plain.with_screen(ScreenTier::I8);
         let mirror = m.mirror::<i8>();
         let users = mirror.users().gather(0..40);
-        let screens = screened.screens.as_ref().expect("the model quantizes");
+        assert_eq!(
+            screened.screen(),
+            Some(ScreenTier::I8),
+            "the model quantizes"
+        );
         let packing = AtomicU64::new(0);
-        for (cluster, parts) in plain.core.clusters.iter().zip(screens) {
+        for cluster in &plain.core.clusters {
+            let parts = &cluster.i8_parts;
             let list = || cluster.list_ids.iter().map(|&id| id as usize);
             let rows = mirror.items().gather(list());
             let run = |items: TierView<'_, i8>, ids: &[u32]| {
@@ -1316,11 +1476,10 @@ mod tests {
                     let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(column), bits(want), "part {p} term {t}");
                 }
-                let terms = std::array::from_fn(|t| part.terms[t].as_slice());
                 // The part from its second panel on, as a pass slices it.
                 let skip = 16.min(end - first);
                 let ids = &cluster.list_ids[first + skip..end];
-                let view = TierView::packed((&part.panels).into(), terms);
+                let view = part.view();
                 assert_eq!(
                     run(view.rows(skip..end - first), ids),
                     run(rows.view().rows(first + skip..end), ids),
@@ -1346,15 +1505,15 @@ mod tests {
             let clusters = index.core.clusters.iter();
             clusters.map(|c| packed(&c.panels)).collect()
         };
-        let screened = plain.with_i8_screen();
+        let screened = plain.with_screen(ScreenTier::I8);
         assert_eq!(panels(&screened), panels(&plain));
         let every = screened.query_all(400);
         assert!(
             f64_parts(&plain).iter().flatten().all(|&p| !p),
             "the variant packs no f64 part"
         );
-        let int8 = screened.screens.as_ref().unwrap();
-        assert!(int8.iter().flat_map(packed).all(|p| p));
+        let clusters = plain.core.clusters.iter();
+        assert!(clusters.flat_map(|c| packed(&c.i8_parts)).all(|p| p));
         assert_eq!(plain.query_all(400), every);
         assert!(f64_parts(&plain).iter().flatten().all(|&p| p));
 
@@ -1366,7 +1525,7 @@ mod tests {
         let forced = MaximusIndex::build(Arc::clone(&m), &small_config());
         assert_eq!(forced.core.first_pass, Some(16));
         assert_eq!(forced.query_all(5), all);
-        assert_eq!(forced.with_i8_screen().query_all(5), all);
+        assert_eq!(forced.with_screen(ScreenTier::I8).query_all(5), all);
     }
 
     #[test]
@@ -1379,13 +1538,13 @@ mod tests {
         let (first, every) = (oracle(&m, 1), oracle(&m, 6000));
         for config in [small_config(), small_config_sized()] {
             let plain = MaximusIndex::build(Arc::clone(&m), &config);
-            let screened = plain.with_i8_screen();
+            let screened = plain.with_screen(ScreenTier::I8);
             let items = m.mirror::<i8>().items();
             let whole = |index: &MaximusIndex| -> usize {
                 let per_cluster = index.core.clusters.iter().map(|cluster| {
                     let parts = cluster.cuts.windows(2);
                     let ids = parts.map(|r| &cluster.list_ids[r[0]..r[1]]);
-                    let parts: usize = match &index.screens {
+                    let parts: usize = match index.screen {
                         Some(_) => ids
                             .map(|ids| ScreenPart::gather(items, ids).resident_bytes())
                             .sum(),
@@ -1423,7 +1582,7 @@ mod tests {
         let per_user = |config: &MaximusConfig, screened: bool| {
             let index = MaximusIndex::build(Arc::clone(&m), config);
             let index = if screened {
-                index.with_i8_screen()
+                index.with_screen(ScreenTier::I8)
             } else {
                 index
             };
@@ -1453,7 +1612,7 @@ mod tests {
             let fresh = || {
                 let index = MaximusIndex::build(Arc::clone(&m), &small_config_sized());
                 if screened {
-                    index.with_i8_screen()
+                    index.with_screen(ScreenTier::I8)
                 } else {
                     index
                 }
@@ -1488,15 +1647,23 @@ mod tests {
             block_size: 8,
             ..small_config()
         };
+        // The one-cluster index (`None`): every thread walks the one list,
+        // sharing its parts and its stop record, in every tier.
         let sets: Vec<Vec<usize>> = (0..4).map(|t| (t * 12..t * 12 + 24).collect()).collect();
-        for config in [forced, small_config_sized()] {
-            for screened in [false, true] {
+        for config in [Some(forced), Some(small_config_sized()), None] {
+            let tiers = match config {
+                Some(_) => &[None, Some(ScreenTier::I8)][..],
+                None => &[None, Some(ScreenTier::F32), Some(ScreenTier::I8)],
+            };
+            for &tier in tiers {
                 let fresh = || {
-                    let index = MaximusIndex::build(Arc::clone(&m), &config);
-                    if screened {
-                        index.with_i8_screen()
-                    } else {
-                        index
+                    let index = match &config {
+                        Some(config) => MaximusIndex::build(Arc::clone(&m), config),
+                        None => MaximusIndex::brute_force(Arc::clone(&m)),
+                    };
+                    match tier {
+                        Some(tier) => index.with_screen(tier),
+                        None => index,
                     }
                 };
                 for k in [10usize, 50] {
@@ -1518,7 +1685,7 @@ mod tests {
                         }
                     });
                     let name = concurrent.name();
-                    if config.block_size > 0 {
+                    if config.is_some_and(|c| c.block_size > 0) {
                         assert_eq!(
                             concurrent.resident_bytes(),
                             sequential.resident_bytes(),
@@ -1544,7 +1711,7 @@ mod tests {
         };
         let plain = MaximusIndex::build(Arc::clone(&m), &config);
         assert_eq!(plain.core.first_pass, Some(32));
-        let screened = plain.with_i8_screen();
+        let screened = plain.with_screen(ScreenTier::I8);
         assert_eq!(screened.screen(), Some(ScreenTier::I8));
         let users = m.num_users();
         for k in [1usize, 10, 1500, 7000] {
@@ -1610,7 +1777,7 @@ mod tests {
                     let want: Vec<TopKList> = (0..m.num_users())
                         .map(|u| exact_topk(m.users().row(u), m.items(), k))
                         .collect();
-                    for index in [&plain, &plain.with_i8_screen()] {
+                    for index in [&plain, &plain.with_screen(ScreenTier::I8)] {
                         assert_eq!(index.query_all(k), want, "B={block_size} k={k}");
                         for (u, want) in want.iter().enumerate() {
                             assert_eq!(&index.query_subset(k, &[u])[0], want, "user {u}");
@@ -1636,7 +1803,7 @@ mod tests {
     #[test]
     fn block_larger_than_item_count_degenerates_to_bmm() {
         let m = model(20, 30, 5, 0.6);
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = MaximusIndex::brute_force(Arc::clone(&m));
         let maximus = MaximusIndex::build(
             Arc::clone(&m),
             &MaximusConfig {
@@ -1654,7 +1821,7 @@ mod tests {
     #[test]
     fn new_vector_queries_are_exact() {
         let m = model(40, 120, 8, 0.4);
-        let bmm = BmmSolver::build(Arc::clone(&m));
+        let bmm = MaximusIndex::brute_force(Arc::clone(&m));
         let maximus = MaximusIndex::build(Arc::clone(&m), &small_config());
         // Existing user vector served through the §III-E path.
         for u in [0usize, 17, 39] {
@@ -1697,6 +1864,108 @@ mod tests {
         let maximus = MaximusIndex::build(m, &small_config());
         assert!(maximus.query_all(0).iter().all(|l| l.is_empty()));
         assert!(maximus.query_all(100).iter().all(|l| l.len() == 15));
+    }
+
+    #[test]
+    fn the_widest_block_size_builds_and_answers() {
+        // A forced first pass is capped at the list before it is rounded,
+        // so `usize::MAX` scores the whole list in the first pass instead
+        // of overflowing the rounding.
+        let m = model(20, 70, 6, 0.4);
+        let config = MaximusConfig {
+            block_size: usize::MAX,
+            ..small_config()
+        };
+        let index = MaximusIndex::build(Arc::clone(&m), &config);
+        assert_eq!(index.core.first_pass, Some(70));
+        for k in [1usize, 10, 70] {
+            assert_eq!(bits(&index.query_all(k)), bits(&oracle(&m, k)), "k={k}");
+        }
+    }
+
+    /// `index`'s answers to `query_all` and to two user subsets at `k`, as
+    /// ids and score bits, against the oracle's.
+    fn assert_oracle(index: &MaximusIndex, m: &MfModel, k: usize) {
+        let (name, want) = (index.name(), bits(&oracle(m, k)));
+        assert_eq!(bits(&index.query_all(k)), want, "{name} k={k} query_all");
+        let n = m.num_users();
+        for users in [
+            (0..n).rev().step_by(3).collect::<Vec<_>>(),
+            vec![n - 1, 2, 9],
+        ] {
+            let want: Vec<_> = users.iter().map(|&u| want[u].clone()).collect();
+            let got = bits(&index.query_subset(k, &users));
+            assert_eq!(got, want, "{name} k={k} {users:?}");
+        }
+    }
+
+    #[test]
+    fn one_cluster_batches_get_the_oracle_answer_in_every_tier() {
+        // 20 users in batches of at most 7: three even batches of 7, 7 and
+        // a ragged 6, each walking on its own, in f64 and both screens, at
+        // k = 1, a few and the whole catalog.
+        assert_eq!(batch_rows(5200, 50), 656, "the L2 floor on the dense shape");
+        assert_eq!(batch_rows(100, 1000), 10_485, "the score budget");
+        let m = model(20, 300, 8, 0.6);
+        let mut plain = MaximusIndex::brute_force(Arc::clone(&m));
+        Arc::get_mut(&mut plain.core)
+            .expect("one handle")
+            .batch_rows = 7;
+        assert_eq!(plain.core.clusters.len(), 1);
+        for tier in [None, Some(ScreenTier::F32), Some(ScreenTier::I8)] {
+            let index = match tier {
+                Some(tier) => plain.with_screen(tier),
+                None => MaximusIndex::over(Arc::clone(&plain.core), None, 0.0),
+            };
+            assert_eq!(index.screen(), tier);
+            for k in [1usize, 10, 300] {
+                assert_oracle(&index, &m, k);
+            }
+            let stats = index.query_stats();
+            assert_eq!(stats.users_served.load(Ordering::Relaxed), 3 * (20 + 7 + 3));
+        }
+        let batches = |n: usize, max| {
+            let group: Vec<usize> = (0..n).collect();
+            let batches = even_batches(&group, max).map(<[_]>::len);
+            batches.collect::<Vec<_>>()
+        };
+        assert_eq!(batches(20, 7), [7, 7, 6]);
+        assert_eq!(
+            batches(14_400, 656),
+            [[655; 21].as_slice(), &[645]].concat()
+        );
+        assert_eq!(batches(3, 656), [3]);
+        assert_eq!(batches(0, 656), [0; 0]);
+    }
+
+    #[test]
+    fn brute_force_races_every_tier_and_maximus_int8_only() {
+        // `bmm` is the one-cluster index named Blocked MM, with a variant
+        // in every tier; `maximus` races int8 alone, though it screens in
+        // f32 when asked. Each variant counts its own screen work.
+        let m = model(30, 50, 8, 0.4);
+        let bmm = MaximusIndex::brute_force(Arc::clone(&m));
+        let maximus = MaximusIndex::build(Arc::clone(&m), &small_config());
+        assert_eq!((bmm.name(), maximus.name()), ("Blocked MM", "Maximus"));
+        assert_eq!(bmm.screen_tiers(), ScreenTier::ALL);
+        assert_eq!(maximus.screen_tiers(), [ScreenTier::I8]);
+        assert!(maximus.screen_variant(ScreenTier::F32).is_none());
+        let maximus_f32 = maximus.with_screen(ScreenTier::F32);
+        assert_eq!(maximus_f32.name(), "Maximus+f32");
+        assert_oracle(&maximus_f32, &m, 5);
+        let [f32_variant, i8_variant] =
+            ScreenTier::ALL.map(|tier| bmm.screen_variant(tier).expect("bmm screens"));
+        assert_eq!(f32_variant.name(), "Blocked MM+f32");
+        assert_eq!(i8_variant.name(), "Blocked MM+i8");
+        assert_eq!(f32_variant.precision(), Precision::F32Rescore);
+        assert_eq!(i8_variant.precision(), Precision::I8Rescore);
+        assert_eq!(f32_variant.query_all(3), bmm.query_all(3));
+        // The idle sibling drains first: shared cells would hand it the
+        // served variant's counts.
+        assert_eq!(i8_variant.take_screen_stats(), Some(ScreenTally::default()));
+        let tally = f32_variant.take_screen_stats().expect("a screening solver");
+        assert!(tally.screened > 0 && tally.rescored > 0, "{tally:?}");
+        assert_eq!(bmm.take_screen_stats(), None);
     }
 
     #[test]

@@ -749,7 +749,6 @@ impl Race<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmm::BmmSolver;
     use crate::maximus::{MaximusConfig, MaximusIndex};
     use mips_data::synth::{synth_model, SynthConfig};
     use mips_data::MfModel;
@@ -793,7 +792,7 @@ mod tests {
         let lemp = crate::adapters::LempSolver::build(Arc::clone(&m), &LempConfig::default());
         let mut source = Prebuilt {
             bases: vec![
-                Arc::new(BmmSolver::build(Arc::clone(&m))),
+                Arc::new(MaximusIndex::brute_force(Arc::clone(&m))),
                 Arc::new(maximus),
                 Arc::new(lemp),
             ],
@@ -808,7 +807,7 @@ mod tests {
         }
         let winner = choice.entries[choice.chosen].solver.as_deref();
         let got = winner.expect("the winner was built").query_all(3);
-        let want = BmmSolver::build(Arc::clone(&m)).query_all(3);
+        let want = MaximusIndex::brute_force(Arc::clone(&m)).query_all(3);
         assert_eq!(got.len(), want.len());
         for (u, (got, expect)) in got.iter().zip(&want).enumerate() {
             assert_eq!(got.items, expect.items, "user {u}");
@@ -843,7 +842,7 @@ mod tests {
         );
         let mut source = Prebuilt {
             bases: vec![
-                Arc::new(BmmSolver::build(Arc::clone(&m))),
+                Arc::new(MaximusIndex::brute_force(Arc::clone(&m))),
                 Arc::new(fexipro),
             ],
             f32_variants: Vec::new(),
@@ -983,7 +982,7 @@ mod tests {
         let mut source = Prebuilt {
             bases: vec![
                 Arc::new(point("Point")),
-                Arc::new(BmmSolver::build(Arc::clone(&m))),
+                Arc::new(MaximusIndex::brute_force(Arc::clone(&m))),
                 Arc::new(fexipro()),
                 Arc::clone(&lookalike) as Arc<dyn MipsSolver>,
             ],

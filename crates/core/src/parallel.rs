@@ -108,7 +108,6 @@ pub fn par_query_subset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmm::BmmSolver;
     use crate::maximus::{MaximusConfig, MaximusIndex};
     use crate::sync::Arc;
     use mips_data::synth::{synth_model, SynthConfig};
@@ -125,7 +124,7 @@ mod tests {
     #[test]
     fn parallel_equals_sequential_for_bmm() {
         let m = model(101); // odd size: uneven final chunk
-        let solver = BmmSolver::build(m);
+        let solver = MaximusIndex::brute_force(m);
         let seq = solver.query_all(4);
         for threads in [1usize, 2, 3, 8, 200] {
             let par = par_query_range(&solver, 4, 0..101, threads);
@@ -152,7 +151,7 @@ mod tests {
     #[test]
     fn offset_ranges_and_subsets_match_sequential() {
         let m = model(83);
-        let solver = BmmSolver::build(m);
+        let solver = MaximusIndex::brute_force(m);
         let seq_range = solver.query_range(3, 17..64);
         for threads in [2usize, 5, 100] {
             assert_eq!(par_query_range(&solver, 3, 17..64, threads), seq_range);
@@ -173,7 +172,7 @@ mod tests {
 
         /// Wraps a solver and counts how often each user id is queried.
         struct CountingSolver {
-            inner: BmmSolver,
+            inner: MaximusIndex,
             counts: Mutex<HashMap<usize, usize>>,
         }
         impl MipsSolver for CountingSolver {
@@ -204,7 +203,7 @@ mod tests {
 
         let m = model(20);
         let solver = CountingSolver {
-            inner: BmmSolver::build(Arc::clone(&m)),
+            inner: MaximusIndex::brute_force(Arc::clone(&m)),
             counts: Mutex::new(HashMap::new()),
         };
         // User 7 repeats across what would be several chunks at 4 threads.
@@ -222,7 +221,7 @@ mod tests {
     #[should_panic(expected = "threads must be > 0")]
     fn rejects_zero_threads() {
         let m = model(4);
-        let solver = BmmSolver::build(m);
+        let solver = MaximusIndex::brute_force(m);
         let _ = par_query_range(&solver, 1, 0..4, 0);
     }
 }

@@ -48,7 +48,7 @@ pub fn check_all_topk(model: &MfModel, k: usize, results: &[TopKList]) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bmm::BmmSolver;
+    use crate::maximus::MaximusIndex;
     use crate::solver::MipsSolver;
     use crate::sync::Arc;
     use mips_data::synth::{synth_model, SynthConfig};
@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn accepts_correct_results() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = MaximusIndex::brute_force(Arc::clone(&m));
         let results = solver.query_all(5);
         check_all_topk(&m, 5, &results).unwrap();
     }
@@ -73,7 +73,7 @@ mod tests {
     #[test]
     fn rejects_wrong_length() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = MaximusIndex::brute_force(Arc::clone(&m));
         let mut results = solver.query_all(5);
         results[3].items.pop();
         results[3].scores.pop();
@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn rejects_fabricated_scores() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = MaximusIndex::brute_force(Arc::clone(&m));
         let mut results = solver.query_all(3);
         results[0].scores[0] += 1.0;
         let err = check_all_topk(&m, 3, &results).unwrap_err();
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn rejects_suboptimal_items() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = MaximusIndex::brute_force(Arc::clone(&m));
         let mut results = solver.query_all(1);
         // Replace user 0's best item with its true worst, scored canonically.
         let every = exact_topk(m.users().row(0), m.items(), m.num_items());
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn rejects_duplicates_and_bad_ids() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = MaximusIndex::brute_force(Arc::clone(&m));
         let mut results = solver.query_all(3);
         results[1].items[2] = results[1].items[0];
         results[1].scores[2] = results[1].scores[0];
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn rejects_wrong_result_count() {
         let m = model();
-        let solver = BmmSolver::build(Arc::clone(&m));
+        let solver = MaximusIndex::brute_force(Arc::clone(&m));
         let results = solver.query_all(2);
         let err = check_all_topk(&m, 2, &results[..5]).unwrap_err();
         assert!(err.contains("result lists"));

@@ -22,7 +22,6 @@
 //! spend a fixed sleep per served user, which makes "10× slower" a property
 //! of the stub rather than of the host.
 
-use mips_core::bmm::BmmSolver;
 use mips_core::engine::{
     BmmFactory, EngineBuilder, FnFactory, MipsError, QueryRequest, SolverFactory,
 };
@@ -31,6 +30,7 @@ use mips_core::optimus::{
 };
 use mips_core::serve::ServerBuilder;
 use mips_core::solver::MipsSolver;
+use mips_core::MaximusIndex;
 use mips_core::Precision;
 use mips_data::synth::{synth_model, SynthConfig};
 use mips_data::MfModel;
@@ -65,7 +65,7 @@ fn tiny_optimus() -> OptimusConfig {
 
 /// What a stub's construction produced — the thing variants must share.
 struct Core {
-    answers: BmmSolver,
+    answers: MaximusIndex,
 }
 
 /// Brute force at a fixed price per served user.
@@ -94,7 +94,7 @@ impl Stub {
     fn new(model: &Arc<MfModel>, name: &str, per_user: Duration) -> Stub {
         Stub {
             core: Arc::new(Core {
-                answers: BmmSolver::build(Arc::clone(model)),
+                answers: MaximusIndex::brute_force(Arc::clone(model)),
             }),
             name: name.to_string(),
             per_user,

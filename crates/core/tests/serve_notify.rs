@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Serves through BMM, except: user 13 panics, user 7 takes 100 ms.
 struct Moody {
-    inner: mips_core::BmmSolver,
+    inner: mips_core::MaximusIndex,
 }
 
 impl Moody {
@@ -65,7 +65,7 @@ fn stack(queue_capacity: usize) -> (Arc<Engine>, Arc<MipsServer>) {
             .model(model)
             .register(FnFactory::new("moody", |model: &Arc<MfModel>| {
                 Ok(Box::new(Moody {
-                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
+                    inner: mips_core::MaximusIndex::brute_force(Arc::clone(model)),
                 }) as Box<dyn MipsSolver>)
             }))
             .build()

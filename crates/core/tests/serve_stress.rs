@@ -201,7 +201,7 @@ fn invalid_k_and_user_selections_are_typed_errors() {
 /// BMM behind a gate: every query waits for a read lock, so a test holding
 /// the write lock keeps the workers busy while a backlog forms.
 struct GatedSolver {
-    inner: mips_core::BmmSolver,
+    inner: mips_core::MaximusIndex,
     gate: Arc<RwLock<()>>,
 }
 
@@ -236,7 +236,7 @@ fn gated_engine(model: Arc<MfModel>, gate: &Arc<RwLock<()>>) -> Arc<Engine> {
             .model(model)
             .register(FnFactory::new("gated", move |model: &Arc<MfModel>| {
                 Ok(Box::new(GatedSolver {
-                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
+                    inner: mips_core::MaximusIndex::brute_force(Arc::clone(model)),
                     gate: Arc::clone(&gate),
                 }) as Box<dyn MipsSolver>)
             }))
@@ -331,7 +331,7 @@ fn try_submit_applies_backpressure_and_blocking_submit_recovers() {
 fn worker_panic_fails_the_request_but_not_the_server() {
     /// Panics when asked for user 13, serves everyone else.
     struct TrapSolver {
-        inner: mips_core::BmmSolver,
+        inner: mips_core::MaximusIndex,
     }
     impl TrapSolver {
         fn check(&self, users: &[usize]) {
@@ -368,7 +368,7 @@ fn worker_panic_fails_the_request_but_not_the_server() {
             .model(Arc::clone(&m))
             .register(FnFactory::new("trap", |model: &Arc<MfModel>| {
                 Ok(Box::new(TrapSolver {
-                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
+                    inner: mips_core::MaximusIndex::brute_force(Arc::clone(model)),
                 }) as Box<dyn MipsSolver>)
             }))
             .build()

@@ -13,7 +13,7 @@ mod common;
 
 use common::{bits, k_edges, oracle, Lcg};
 use mips_core::solver::MipsSolver;
-use mips_core::{BmmSolver, SparseSolver};
+use mips_core::{LempSolver, SparseSolver};
 use mips_data::sparse::{synth_sparse_model, SparseSynthConfig, SparseVec};
 use mips_data::MfModel;
 use mips_linalg::Matrix;
@@ -107,7 +107,7 @@ proptest! {
 }
 
 /// The trait-level default: backends without a point-lookup path report
-/// `None` and the engine falls back to the oracle scan — BMM is one.
+/// `None` and the engine falls back to the oracle scan — LEMP is one.
 #[test]
 fn backends_without_point_lookup_return_none() {
     let model = Arc::new(synth_sparse_model(&SparseSynthConfig {
@@ -118,8 +118,8 @@ fn backends_without_point_lookup_return_none() {
         dense_head: 0,
         seed: 7,
     }));
-    let bmm = BmmSolver::build(Arc::clone(&model));
-    assert!(MipsSolver::query_vector(&bmm, &[1.0; 8], 3).is_none());
+    let lemp = LempSolver::build(Arc::clone(&model), &Default::default());
+    assert!(MipsSolver::query_vector(&lemp, &[1.0; 8], 3).is_none());
 }
 
 /// An all-zero ad-hoc query has no postings to walk; the sparse path must

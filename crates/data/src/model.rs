@@ -1,40 +1,8 @@
 //! The matrix-factorization model type consumed by every MIPS solver.
 
-use mips_linalg::{
-    norm2_sq, scaled_norm2, GemmElem, LinalgError, Matrix, PackedPanels, RowBlock, ScreenElem,
-    TierRows,
-};
+use mips_linalg::{norm2_sq, scaled_norm2, LinalgError, Matrix, ScreenElem, TierRows};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// A catalog side packed for the GEMM driver on first use and kept for its
-/// owner's lifetime — the same caching discipline as the mirrors: lazy, at
-/// most one build, shared by every shard and thread that reaches the
-/// owner. A clone shares the cell, built or not (clones hold the same
-/// rows). `builds` is the owning model's counter
-/// ([`MfModel::panel_builds`]).
-#[derive(Debug, Clone, Default)]
-struct LazyPanels<T: GemmElem> {
-    panels: Arc<OnceLock<PackedPanels<T>>>,
-    builds: Arc<AtomicU64>,
-}
-
-impl<T: GemmElem> LazyPanels<T> {
-    fn counted_by(builds: &Arc<AtomicU64>) -> LazyPanels<T> {
-        LazyPanels {
-            panels: Arc::default(),
-            builds: Arc::clone(builds),
-        }
-    }
-
-    fn get(&self, rows: RowBlock<'_, T>) -> &PackedPanels<T> {
-        self.panels.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            PackedPanels::pack(rows)
-        })
-    }
-}
 
 /// Errors raised when constructing a model from untrusted input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,10 +75,6 @@ pub struct MfModel {
     /// Cloning a model shares the mirrors already built (a mirror is a pure
     /// function of the factor matrices, which clones share).
     mirrors: MirrorSlots,
-    /// The item matrix packed for the GEMM driver (see
-    /// [`MfModel::item_panels`]); the mirrors hold their own tiers' panels
-    /// and report their builds to the same counter.
-    item_panels: LazyPanels<f64>,
     /// [`MfModel::max_item_norm`], measured by [`MfModel::new`]'s range
     /// check.
     max_item_norm: f64,
@@ -185,7 +149,6 @@ fn check_score_range(max_user_norm: f64, max_item_norm: f64) -> Result<(), Model
 pub struct Mirror<T: ScreenElem> {
     /// `(users, items)`; `None` when the model does not mirror usably.
     sides: Option<(TierRows<T>, TierRows<T>)>,
-    item_panels: LazyPanels<T>,
 }
 
 /// The single-precision mirror ([`MfModel::mirror32`]).
@@ -195,10 +158,9 @@ pub type Mirror32 = Mirror<f32>;
 pub type MirrorI8 = Mirror<i8>;
 
 impl<T: ScreenElem> Mirror<T> {
-    fn build(users: &Matrix<f64>, items: &Matrix<f64>, builds: &Arc<AtomicU64>) -> Mirror<T> {
+    fn build(users: &Matrix<f64>, items: &Matrix<f64>) -> Mirror<T> {
         Mirror {
             sides: TierRows::build(users.into()).zip(TierRows::build(items.into())),
-            item_panels: LazyPanels::counted_by(builds),
         }
     }
 
@@ -249,16 +211,6 @@ impl<T: ScreenElem> Mirror<T> {
     /// Panics on an unusable mirror.
     pub fn item_row(&self, r: usize) -> &[T] {
         self.items().row(r)
-    }
-
-    /// [`Mirror::items`] packed for the GEMM driver: built on first use,
-    /// then shared by every screen over this mirror.
-    ///
-    /// # Panics
-    /// Panics on an unusable mirror.
-    pub fn item_panels(&self) -> &PackedPanels<T> {
-        let items = self.items();
-        self.item_panels.get(items.row_block(0, items.rows()))
     }
 }
 
@@ -312,7 +264,6 @@ impl MfModel {
             users,
             items,
             mirrors: MirrorSlots::default(),
-            item_panels: LazyPanels::default(),
             max_item_norm,
             tiny_rows: OnceLock::new(),
         })
@@ -381,8 +332,7 @@ impl MfModel {
             users: self.users.gather_rows(indices),
             items: self.items.clone(),
             mirrors: MirrorSlots::default(),
-            // Same items, same panels and norms.
-            item_panels: self.item_panels.clone(),
+            // Same items, same norms.
             max_item_norm: self.max_item_norm,
             tiny_rows: OnceLock::new(),
         }
@@ -392,9 +342,7 @@ impl MfModel {
     /// the model's lifetime (see [`Mirror`]). Thread-safe: concurrent first
     /// callers race to build and all observe one winner.
     pub fn mirror<T: MirrorElem>(&self) -> &Arc<Mirror<T>> {
-        let builds = &self.item_panels.builds;
-        T::slot(&self.mirrors)
-            .get_or_init(|| Arc::new(Mirror::build(&self.users, &self.items, builds)))
+        T::slot(&self.mirrors).get_or_init(|| Arc::new(Mirror::build(&self.users, &self.items)))
     }
 
     /// The single-precision mirror ([`MfModel::mirror`] of `f32`).
@@ -405,21 +353,6 @@ impl MfModel {
     /// The int8 mirror ([`MfModel::mirror`] of `i8`).
     pub fn mirror_i8(&self) -> &Arc<MirrorI8> {
         self.mirror()
-    }
-
-    /// The item matrix packed once for the GEMM driver
-    /// ([`mips_linalg::PackedPanels`]): built on first use and cached for
-    /// the model's lifetime like the mirrors, so brute-force scans — whole
-    /// batches and single-user lookups alike — never repack the catalog.
-    /// The mirrors cache their own tiers' panels ([`Mirror::item_panels`]).
-    pub fn item_panels(&self) -> &PackedPanels<f64> {
-        self.item_panels.get((&self.items).into())
-    }
-
-    /// How many packed-panel sets this model has built, all tiers together
-    /// — at most three, however many shards and threads scan it.
-    pub fn panel_builds(&self) -> u64 {
-        self.item_panels.builds.load(Ordering::Relaxed)
     }
 }
 
@@ -563,32 +496,5 @@ mod tests {
             "one large factor is enough"
         );
         assert!(!with_user(vec![1.0, 2.0]));
-    }
-
-    #[test]
-    fn packed_item_panels_are_built_once_per_model() {
-        let m = MfModel::new_shared("m", users2x2(), items3x2()).unwrap();
-        // Lazy like the mirrors: nothing is packed until a scan asks.
-        assert_eq!(m.panel_builds(), 0);
-        let panels = m.item_panels();
-        assert_eq!((panels.rows(), panels.cols()), (3, 2));
-        assert_eq!(m.panel_builds(), 1);
-        // Repeated calls and threads reach the same panels.
-        let from_thread = std::thread::scope(|s| {
-            let lookup = s.spawn(|| m.item_panels());
-            lookup.join().expect("the lookup does not panic")
-        });
-        assert!(std::ptr::eq(from_thread, panels));
-        assert_eq!(m.panel_builds(), 1);
-        // A user subset holds the same items, so it shares the f64 panels
-        // instead of packing them again.
-        assert!(std::ptr::eq(m.with_users(&[1]).item_panels(), panels));
-        assert_eq!(m.panel_builds(), 1);
-        // Each mirror packs its own tier's panels, once, on first use.
-        let (p32, p8) = (m.mirror32().item_panels(), m.mirror_i8().item_panels());
-        assert_eq!((p32.rows(), p8.rows()), (3, 3));
-        assert!(std::ptr::eq(m.mirror32().item_panels(), p32));
-        assert!(std::ptr::eq(m.mirror_i8().item_panels(), p8));
-        assert_eq!(m.panel_builds(), 3);
     }
 }

@@ -392,9 +392,8 @@ pub fn gemm_nt(a: &Matrix<f64>, b: &Matrix<f64>) -> Matrix<f64> {
 
 /// `C = A·Bᵀ` into a caller-provided row-major buffer of length `m·n`.
 ///
-/// Both operands are zero-copy row views, which lets the BMM solver stream
-/// user batches and lets MAXIMUS multiply per-cluster user blocks without
-/// copying. `c` is fully overwritten.
+/// Both operands are zero-copy row views, which lets a caller multiply
+/// user batches and per-cluster user blocks without copying. `c` is fully overwritten.
 ///
 /// # Panics
 /// Panics if the operand widths differ or `c` has the wrong length.

@@ -146,8 +146,8 @@ impl<T: Copy + Default> Matrix<T> {
 
     /// A contiguous sub-matrix view of rows `start..end` (zero-copy).
     ///
-    /// Used by the BMM solver to process user batches and by OPTIMUS to time
-    /// samples without copying.
+    /// Used by the MAXIMUS walk to multiply a contiguous user batch and by
+    /// OPTIMUS to time samples without copying.
     pub fn row_block(&self, start: usize, end: usize) -> RowBlock<'_, T> {
         assert!(start <= end && end <= self.rows, "row_block out of range");
         RowBlock {

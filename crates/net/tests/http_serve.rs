@@ -622,7 +622,7 @@ fn slow_stub_stack(hold: Duration, net: HttpServerBuilder) -> (Arc<MipsServer>, 
     use std::ops::Range;
 
     struct Slow {
-        inner: mips_core::BmmSolver,
+        inner: mips_core::MaximusIndex,
         hold: Duration,
     }
     impl MipsSolver for Slow {
@@ -656,7 +656,7 @@ fn slow_stub_stack(hold: Duration, net: HttpServerBuilder) -> (Arc<MipsServer>, 
             .model(model(30, 40, 21))
             .register(FnFactory::new("slow-stub", move |model: &Arc<MfModel>| {
                 Ok(Box::new(Slow {
-                    inner: mips_core::BmmSolver::build(Arc::clone(model)),
+                    inner: mips_core::MaximusIndex::brute_force(Arc::clone(model)),
                     hold,
                 }) as Box<dyn MipsSolver>)
             }))

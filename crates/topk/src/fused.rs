@@ -34,9 +34,10 @@ use mips_linalg::{BlockSizes, GemmB, GemmElem, GemmScratch, RowBlock};
 
 /// How panel columns map to item ids.
 ///
-/// The BMM solver scores items in catalog order (`Offset`, usually 0);
-/// MAXIMUS scores a cluster's items in bound-sorted list order and needs
-/// each column translated back to its global item id (`Mapped`).
+/// A scan over the catalog in its own order takes `Offset` (usually 0);
+/// MAXIMUS — brute force included, its one-cluster walk — scores a
+/// cluster's items in bound-sorted list order and needs each column
+/// translated back to its global item id (`Mapped`).
 #[derive(Debug, Clone, Copy)]
 pub enum ColumnIds<'a> {
     /// Column `j` of B is item `offset + j`.

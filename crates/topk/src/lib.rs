@@ -43,7 +43,7 @@ pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnI
 pub use heap::TopKHeap;
 pub use list::TopKList;
 pub use screen::{
-    screen_parts_topk_into_heaps, screen_parts_topk_into_heaps_with, screen_topk_into_heaps,
-    ScreenScratch, ScreenStats, ScreenTier,
+    screen_parts_topk_into_heaps, screen_parts_topk_into_heaps_with, ScreenScratch, ScreenStats,
+    ScreenTier,
 };
 pub use select::{row_topk, rows_topk};

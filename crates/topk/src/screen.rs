@@ -126,44 +126,25 @@ pub struct ScreenStats {
     pub rescored: u64,
 }
 
-/// Screens `A·Bᵀ` in the tier of `users`/`items` and streams exact f64
-/// rescored survivors into caller-owned heaps — same contract and output as
-/// [`crate::fused::stream_topk_into_heaps`] over the f64 rows `items`
-/// mirrors, different execution. The one-part case of
-/// [`screen_parts_topk_into_heaps`].
+/// Screens `A·Bᵀ` in the tier of `users` and the item `parts` and streams
+/// exact f64 rescored survivors into caller-owned heaps — same contract
+/// and output as [`crate::fused::stream_topk_into_heaps`] over the f64 rows
+/// the parts mirror, different execution.
 ///
 /// `users` must mirror `a64` row for row. `b64` is the f64 catalog the
-/// `ids` index: column `j` of `items` mirrors row `ids.id(j)` of `b64`, and
-/// the rescore reads that row. An item side that is the whole catalog
-/// takes `ColumnIds::Offset(0)`; one gathered from it (a part of a
-/// MAXIMUS list) takes its id map and needs no f64 copy of its own.
+/// ids index: column `j` of a part mirrors row `ids.id(j)` of `b64`, and
+/// the rescore reads that row. A part that is the whole catalog takes
+/// `ColumnIds::Offset(0)`; one gathered from it (a part of a MAXIMUS list)
+/// takes its id map and needs no f64 copy of its own. Every part is
+/// screened against the same user rows, and each user's [`Shortlist`]
+/// stays open across them, so the survivors are rescored once, at the end
+/// — exactly the survivors and heaps of one screen over the parts laid end
+/// to end. Every id must name a different item.
 ///
 /// # Panics
-/// Panics if `heaps.len() != a.rows()`, if either side disagrees with
-/// `a64` on width or the user side on rows, if a mapped id slice is
-/// shorter than `items`, or if an id lies past `b64`.
-pub fn screen_topk_into_heaps<T: ScreenElem>(
-    a64: RowBlock<'_, f64>,
-    b64: RowBlock<'_, f64>,
-    users: TierView<'_, T>,
-    items: TierView<'_, T>,
-    heaps: &mut [TopKHeap],
-    ids: ColumnIds<'_>,
-    scratch: &mut ScreenScratch<T>,
-) -> ScreenStats {
-    screen_parts_topk_into_heaps(a64, b64, users, &[(items, ids)], heaps, scratch)
-}
-
-/// [`screen_topk_into_heaps`] over an item side that arrives in parts,
-/// each with its own id map (the packed parts of a MAXIMUS list that one
-/// pass spans): every part is screened against the same user rows, and
-/// each user's [`Shortlist`] stays open across them, so the survivors are
-/// rescored once, at the end — exactly the survivors and heaps of one
-/// screen over the parts laid end to end. Every id must name a different
-/// item.
-///
-/// # Panics
-/// As [`screen_topk_into_heaps`], for every part.
+/// Panics if `heaps.len() != a.rows()`, if any side disagrees with `a64`
+/// on width or the user side on rows, if a mapped id slice is shorter than
+/// its part, or if an id lies past `b64`.
 pub fn screen_parts_topk_into_heaps<T: ScreenElem>(
     a64: RowBlock<'_, f64>,
     b64: RowBlock<'_, f64>,
@@ -272,6 +253,19 @@ mod tests {
     use crate::fused::{gemm_nt_topk, stream_topk_into_heaps};
     use crate::list::TopKList;
     use mips_linalg::{per_tier, Matrix, PackedPanels, TierRows};
+
+    /// The one-part screen.
+    fn screen_topk_into_heaps<T: ScreenElem>(
+        a64: RowBlock<'_, f64>,
+        b64: RowBlock<'_, f64>,
+        users: TierView<'_, T>,
+        items: TierView<'_, T>,
+        heaps: &mut [TopKHeap],
+        ids: ColumnIds<'_>,
+        scratch: &mut ScreenScratch<T>,
+    ) -> ScreenStats {
+        screen_parts_topk_into_heaps(a64, b64, users, &[(items, ids)], heaps, scratch)
+    }
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
         let mut state = seed | 1;

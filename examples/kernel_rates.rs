@@ -23,7 +23,7 @@ use optimus_maximus::linalg::{
     TierView,
 };
 use optimus_maximus::topk::{
-    screen_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch, TopKHeap,
+    screen_parts_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch, TopKHeap,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -144,12 +144,13 @@ fn ns_per_score(model: &MfModel, seconds: f64) -> f64 {
 /// The f64 row of the select table: the fused multiply + top-k off the
 /// catalog panels packed once.
 fn select_f64(model: &MfModel, k: usize) -> f64 {
+    let panels = PackedPanels::pack(model.items().into());
     let mut scratch = GemmScratch::new();
     let seconds = best_of_5(|| {
         let mut heaps = vec![TopKHeap::new(k); model.num_users()];
         stream_topk_into_heaps(
             model.users().into(),
-            model.item_panels().into(),
+            (&panels).into(),
             &mut heaps,
             ColumnIds::Offset(0),
             &mut scratch,
@@ -162,17 +163,18 @@ fn select_f64(model: &MfModel, k: usize) -> f64 {
 /// A screen tier's row: its multiply + screen select + exact rescore.
 fn select_screen<T: MirrorElem>(model: &MfModel, k: usize) -> f64 {
     let mirror = model.mirror::<T>();
-    let items = TierView::packed(mirror.item_panels().into(), mirror.items().terms());
+    let rows = mirror.items();
+    let panels = PackedPanels::pack(rows.row_block(0, rows.rows()));
+    let items = TierView::packed((&panels).into(), rows.terms());
     let mut scratch = ScreenScratch::new();
     let seconds = best_of_5(|| {
         let mut heaps = vec![TopKHeap::new(k); model.num_users()];
-        screen_topk_into_heaps(
+        screen_parts_topk_into_heaps(
             model.users().into(),
             model.items().into(),
             mirror.users().view(),
-            items,
+            &[(items, ColumnIds::Offset(0))],
             &mut heaps,
-            ColumnIds::Offset(0),
             &mut scratch,
         );
         black_box(heaps);

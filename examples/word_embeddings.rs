@@ -66,22 +66,14 @@ fn main() {
     }
 
     // Embeddings arrive incrementally in practice; serve one unseen vector
-    // through MAXIMUS's dynamic-user path and cross-check against brute
-    // force.
+    // through MAXIMUS's dynamic-user path and cross-check against the
+    // oracle scan.
     let maximus = MaximusIndex::build(Arc::clone(&model), &MaximusConfig::default());
     let novel: Vec<f64> = (0..model.num_factors())
         .map(|j| ((j as f64) * 0.37).sin())
         .collect();
     let fast = maximus.query_new_vector(&novel, 5);
-    let probe = Arc::new(
-        MfModel::new(
-            "probe",
-            mips_linalg::Matrix::from_vec(1, model.num_factors(), novel).unwrap(),
-            model.items().clone(),
-        )
-        .unwrap(),
-    );
-    let slow = BmmSolver::build(probe).query_all(5);
-    assert_eq!(fast.items, slow[0].items);
+    let slow = optimus_maximus::topk::exact_topk(&novel, model.items(), 5);
+    assert_eq!(fast, slow);
     println!("\nunseen query served exactly via the dynamic-user path (§III-E)");
 }

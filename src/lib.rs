@@ -7,7 +7,7 @@
 //! | Piece | What it is | Crate |
 //! |---|---|---|
 //! | Engine | request/response serving facade with pluggable backends | [`core::engine`] |
-//! | BMM | hardware-efficient brute force (blocked GEMM + heap top-k) | [`core::bmm`] |
+//! | BMM | hardware-efficient brute force (blocked GEMM + fused top-k): the one-cluster MAXIMUS walk | [`MaximusIndex::brute_force`](core::maximus::MaximusIndex::brute_force) |
 //! | MAXIMUS | the paper's clustered, bound-sorted exact index | [`core::maximus`] |
 //! | OPTIMUS | the online sample-based optimizer, now the engine's planner | [`core::optimus`] |
 //! | LEMP | baseline index of Teflioudi et al. (SIGMOD'15) | [`lemp`] |
@@ -96,7 +96,7 @@ pub mod prelude {
     };
     pub use mips_core::solver::MipsSolver;
     pub use mips_core::verify::check_all_topk;
-    pub use mips_core::{BmmSolver, FexiproSolver, LempSolver, SparseSolver};
+    pub use mips_core::{FexiproSolver, LempSolver, SparseSolver};
     pub use mips_data::catalog::{reference_models, ModelSpec};
     pub use mips_data::sparse::{SparseVec, SparsityStats};
     pub use mips_data::synth::{synth_model, SynthConfig};
