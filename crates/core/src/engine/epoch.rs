@@ -12,6 +12,7 @@
 
 use super::lock_recovering;
 use super::plan::PreparedPlan;
+use crate::optimus::TrafficClass;
 use crate::solver::MipsSolver;
 use crate::sync::{Arc, Mutex, PoisonError, RwLock};
 use mips_data::MfModel;
@@ -54,6 +55,11 @@ pub fn get_or_build<T: Clone, E>(
 /// never share its cell.
 pub(crate) type SolverKey = (String, Option<ScreenTier>);
 
+/// A plan's identity inside one epoch: the `k` it serves and the class of
+/// the calls it serves ([`TrafficClass`]: one user or a few per call, or
+/// many).
+pub(crate) type PlanKey = (usize, TrafficClass);
+
 /// A keyed map of lazily-filled cache cells (one tier of an epoch's
 /// derived state).
 pub(crate) type CacheTier<K, T> = Mutex<HashMap<K, CacheCell<T>>>;
@@ -64,9 +70,10 @@ pub(crate) type CacheTier<K, T> = Mutex<HashMap<K, CacheCell<T>>>;
 /// `id` therefore identifies a model generation across the whole serving
 /// stack (responses, metrics, the micro-batcher's coalescing key).
 ///
-/// Derived state comes in two cache tiers — built `solvers` and per-`k`
-/// `plans`, shared by every shard — both epoch-scoped and reclaimed together
-/// by refcount when the last in-flight request drops the epoch.
+/// Derived state comes in two cache tiers — built `solvers` and
+/// per-[`PlanKey`] `plans`, shared by every shard — both epoch-scoped and
+/// reclaimed together by refcount when the last in-flight request drops
+/// the epoch.
 pub(crate) struct ModelEpoch {
     /// The strictly increasing generation number (the builder starts at 0).
     pub(crate) id: u64,
@@ -77,9 +84,11 @@ pub(crate) struct ModelEpoch {
     /// is the plain f64 build. A cached `None` value records that the
     /// backend has no variant in that tier.
     pub(crate) solvers: CacheTier<SolverKey, Option<Arc<dyn MipsSolver>>>,
-    /// Cached planning decisions per `k` — likewise epoch-scoped, because a
-    /// plan pins the model and solver it was sampled on.
-    pub(crate) plans: CacheTier<usize, Arc<PreparedPlan>>,
+    /// Cached planning decisions per `k` and traffic class — likewise
+    /// epoch-scoped, because a plan pins the model and solver it was
+    /// sampled on. The point and bulk plans at one `k` share every solver
+    /// both races built.
+    pub(crate) plans: CacheTier<PlanKey, Arc<PreparedPlan>>,
 }
 
 impl ModelEpoch {

@@ -18,7 +18,10 @@
 //!   staged race that builds an index only while it can still win) once and
 //!   caches the winning backend — with the decision record — in a
 //!   [`PreparedPlan`]; [`Engine::execute`] does this transparently, so
-//!   repeated requests at the same `k` never re-sample.
+//!   repeated requests at the same `k` and traffic class never re-sample.
+//!   A request over a few users and one over many are priced apart
+//!   ([`TrafficClass`]): the point plan is timed one user per call, the
+//!   bulk plan on a whole sample per call.
 //! * [`Engine::swap_model`] installs a retrained model atomically while the
 //!   engine keeps serving: each request snapshots one model *epoch* on
 //!   entry and runs against it end to end, so in-flight requests finish
@@ -66,7 +69,7 @@ pub use request::{
     ExclusionSet, QueryRequest, QueryResponse, QueryVector, UserSelection, VectorQueryRequest,
 };
 
-use crate::optimus::OptimusConfig;
+use crate::optimus::{Optimus, OptimusConfig, TrafficClass};
 use crate::parallel::{par_query_range, par_query_subset};
 use crate::precision::Precision;
 use crate::solver::MipsSolver;
@@ -472,22 +475,34 @@ impl Engine {
         })
     }
 
-    /// Runs the OPTIMUS planner for requests at `k` and caches the
-    /// decision in the current epoch. Calling again with the same `k` (on
-    /// the same epoch) returns the cached plan without re-sampling.
-    /// Planning happens under a per-`k` lock, so a long sampling run for
-    /// one `k` never stalls requests at another.
+    /// Runs the OPTIMUS planner for whole-model requests at `k` — the
+    /// [`TrafficClass::Bulk`] plan — and caches the decision in the current
+    /// epoch. Calling again with the same `k` (on the same epoch) returns
+    /// the cached plan without re-sampling. Planning happens under a
+    /// per-`k`-and-class lock, so a long sampling run for one `k` never
+    /// stalls requests at another. Requests over a few users are served by
+    /// the [`TrafficClass::Point`] plan at their `k`, which
+    /// [`Engine::execute`] and the serving runtime prepare on first use.
     pub fn prepare(&self, k: usize) -> Result<Arc<PreparedPlan>, MipsError> {
-        self.prepare_on(&self.snapshot(), k)
+        self.prepare_on(&self.snapshot(), k, TrafficClass::Bulk)
     }
 
-    /// [`Engine::prepare`] pinned to one epoch snapshot — the concurrent
-    /// runtime uses this so a sub-request plans (and serves) on the epoch
-    /// its request was admitted under, even if a swap lands in between.
+    /// The traffic class of a call over `users` users of `state`'s model
+    /// ([`Optimus::class_of`]).
+    pub(crate) fn class_of(&self, state: &ModelEpoch, users: usize) -> TrafficClass {
+        let model = &state.model;
+        Optimus::new(self.config.optimus).class_of(model.num_users(), model.num_factors(), users)
+    }
+
+    /// The plan for calls of `class` at `k`, pinned to one epoch snapshot —
+    /// the concurrent runtime uses this so a sub-request plans (and serves)
+    /// on the epoch its request was admitted under, even if a swap lands in
+    /// between.
     pub(crate) fn prepare_on(
         &self,
         state: &ModelEpoch,
         k: usize,
+        class: TrafficClass,
     ) -> Result<Arc<PreparedPlan>, MipsError> {
         if k == 0 || k > state.model.num_items() {
             return Err(MipsError::InvalidK {
@@ -497,17 +512,20 @@ impl Engine {
         }
         let cell = {
             let mut map = lock_recovering(&state.plans);
-            Arc::clone(map.entry(k).or_default())
+            Arc::clone(map.entry((k, class)).or_default())
         };
-        get_or_build(&cell, || Ok(Arc::new(self.plan_over(state, k)?)))
+        get_or_build(&cell, || Ok(Arc::new(self.plan_over(state, k, class)?)))
     }
 
-    /// Serves a request through the plan cache: plans once per `k` per
-    /// epoch, then dispatches to the cached winner.
+    /// Serves a request through the plan cache: plans once per `k`, traffic
+    /// class and epoch, then dispatches to the cached winner. The request's
+    /// class is read off its user count ([`Optimus::class_of`]): a few users
+    /// take the point plan, a whole model or a large range the bulk plan.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, MipsError> {
         let state = self.snapshot();
         request.validate(&state.model)?;
-        let plan = self.prepare_on(&state, request.k)?;
+        let class = self.class_of(&state, request.result_len(&state.model));
+        let plan = self.prepare_on(&state, request.k, class)?;
         plan.execute_prevalidated(request)
     }
 }

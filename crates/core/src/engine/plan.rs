@@ -2,8 +2,9 @@
 //!
 //! Planning (racing lazily built candidate backends on a user sample — see
 //! the `planner` module) is expensive relative to one request, so the
-//! engine runs it once per `k` and caches the decision, with its record, in
-//! a [`PreparedPlan`]. Subsequent requests
+//! engine runs it once per `k` and traffic class
+//! ([`TrafficClass`](crate::optimus::TrafficClass)) and caches the
+//! decision, with its record, in a [`PreparedPlan`]. Subsequent requests
 //! through the plan — or through [`super::Engine::execute`], which caches
 //! plans internally — reuse the winning backend without re-sampling.
 

@@ -1,5 +1,5 @@
 //! The engine's query planner: which backend — in which numeric tier —
-//! serves requests at one `k`.
+//! serves requests at one `k` and traffic class.
 //!
 //! [`Engine::plan_over`] is the planning phase behind [`Engine::prepare`].
 //! It hands OPTIMUS ([`Optimus::choose`]) a **lazy** candidate source over
@@ -18,7 +18,7 @@
 use super::epoch::ModelEpoch;
 use super::{Engine, MipsError, PreparedPlan};
 use crate::optimus::cost::{sparse_updates_per_second, tier_flops_per_second};
-use crate::optimus::{CandidateSource, Optimus};
+use crate::optimus::{CandidateSource, Optimus, TrafficClass};
 use crate::precision::Precision;
 use crate::solver::{screened_name, MipsSolver};
 use crate::sync::atomic::Ordering;
@@ -80,11 +80,12 @@ impl Engine {
     /// The planning phase behind [`Engine::prepare`]: the candidates are
     /// the registered backends, each built — or fetched from the epoch's
     /// cache — only when the race asks, and OPTIMUS samples the model's
-    /// users.
+    /// users, timing them as calls of `class` run.
     pub(super) fn plan_over(
         &self,
         state: &ModelEpoch,
         k: usize,
+        class: TrafficClass,
     ) -> Result<PreparedPlan, MipsError> {
         let model = &state.model;
         let mut source = Candidates {
@@ -103,7 +104,7 @@ impl Engine {
         };
         let choice = match lone {
             Some(_) => None,
-            None => Some(Optimus::new(self.config.optimus).choose(model, k, &mut source)?),
+            None => Some(Optimus::new(self.config.optimus).choose(model, k, class, &mut source)?),
         };
         let (base, tier, solver) = match (&choice, lone) {
             (Some(choice), _) => {

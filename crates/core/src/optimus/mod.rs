@@ -10,19 +10,29 @@
 //!    is never built, and a screen variant is built (over its f64 base's
 //!    shared construction) only when its tier-rate bound says it can still
 //!    beat the leader;
-//! 2. **samples users** — a fraction of `U` (default 0.5 %) floored so the
-//!    sampled user block at least occupies the L2 cache, without which BMM's
-//!    timing degenerates toward matrix–vector multiply (§IV-A);
+//! 2. **samples users** for the traffic class it plans ([`TrafficClass`]).
+//!    A [`TrafficClass::Bulk`] plan samples a fraction of `U` (default
+//!    0.5 %) floored so the sampled user block at least occupies the L2
+//!    cache, without which BMM's timing degenerates toward matrix–vector
+//!    multiply (§IV-A). A [`TrafficClass::Point`] plan prices the calls a
+//!    server mostly sees — one user, or a few coalesced — on a prefix of
+//!    that sample. A call over `m` users is `Point` when `m² < S`, `S` the
+//!    bulk sample size: the geometric midpoint of the two call sizes the
+//!    races time, 1 and `S`;
 //! 3. **times the candidates on the sample** and linearly extrapolates total
-//!    serving time. For point-query indexes (LEMP, FEXIPRO) an incremental
-//!    one-sample t-test against the current leader's mean per-user time
-//!    stops sampling as soon as the candidate is significantly slower
-//!    (the exact integer-df Student-t at α = 5 %);
+//!    serving time. A bulk race times batch-capable candidates on the whole
+//!    sample in one call; a point race times every candidate one user per
+//!    call. Candidates timed per user — point-query indexes (LEMP,
+//!    FEXIPRO), and every candidate of a point race — run under an
+//!    incremental one-sample t-test against the current leader's mean
+//!    per-user time that stops sampling as soon as the candidate is
+//!    significantly slower (the exact integer-df Student-t at α = 5 %);
 //! 4. **keeps the exact-direct incumbent** unless a screen variant is
 //!    clearly faster than its own f64 base (the adoption rule);
 //! 5. **hands the estimated winner to the engine**, which caches it in a
 //!    [`crate::engine::PreparedPlan`] — with every candidate's estimate and
-//!    [`CandidateOutcome`] — and serves all requests at that `k` with it.
+//!    [`CandidateOutcome`] — and serves all requests of that class at
+//!    that `k` with it.
 //!
 //! [`Optimus::choose`] is the only optimizer in the tree: the engine's
 //! planner calls it, and `examples/paper.rs` reproduces the paper's Table II
@@ -70,6 +80,29 @@ const SCREEN_ADOPTION_MARGIN: f64 = 0.85;
 /// requests (where the screen genuinely pays) clear this floor by orders
 /// of magnitude.
 const SCREEN_ADOPTION_FLOOR_SECONDS: f64 = 500e-6;
+
+/// Users a [`TrafficClass::Point`] race times, one per call: a prefix of
+/// the bulk sample, six t-test minimums long. On the dense benchmark shape
+/// (serve-burst's fresh engines, ten per run, a 2-vCPU guest) 48 users
+/// decided in 0.022–0.048 s per k, against 0.096–0.22 s for the 656-user
+/// bulk race, and planned a screened brute force at k = 10 and 50 on every
+/// engine of two seeds, as single-user timings of every candidate rank
+/// them. 24 users decided in 0.016–0.039 s but planned `maximus+i8` at
+/// k = 10 once in ten; 96 took 0.042–0.067 s for the same plans as 48.
+const POINT_SAMPLE_USERS: usize = 6 * TTEST_MIN_SAMPLES as usize;
+
+/// The shape of the calls a plan serves, and so how its race times them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TrafficClass {
+    /// One user or a few per call — a single-user request, or a server
+    /// batch coalesced from a few: every candidate is timed one user per
+    /// call, over a 48-user prefix of the bulk sample.
+    Point,
+    /// Many users per call — a whole-model or large-range request: the
+    /// paper's setting, in which batch-capable candidates are timed on the
+    /// whole sample in one call.
+    Bulk,
+}
 
 /// OPTIMUS configuration.
 #[derive(Debug, Clone, Copy)]
@@ -253,11 +286,10 @@ pub struct PlannedChoice {
     pub decision_seconds: f64,
 }
 
-/// When the per-user t-test may cut a point-query candidate's sampling
-/// short.
+/// When the per-user t-test may cut a candidate's sampling short.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EarlyStop {
-    /// Never: time the whole sample in one call.
+    /// Never: time the whole sample (in one call, in a bulk race).
     Never,
     /// Only when the candidate is significantly *slower* than the
     /// reference: a candidate at or ahead of the leader keeps the whole
@@ -290,6 +322,18 @@ impl Optimus {
         by_fraction.max(l2_floor).max(2).min(num_users)
     }
 
+    /// The class of a call over `users` of a model's `num_users` users of
+    /// `f` factors: [`TrafficClass::Point`] when `users² < S`, `S` the
+    /// bulk [`sample_size`](Optimus::sample_size) — the geometric midpoint
+    /// of the one-user and whole-sample calls the two races time.
+    pub fn class_of(&self, num_users: usize, f: usize, users: usize) -> TrafficClass {
+        if users.saturating_mul(users) < self.sample_size(num_users, f) {
+            TrafficClass::Point
+        } else {
+            TrafficClass::Bulk
+        }
+    }
+
     /// Draws `sample_size` distinct users, deterministic per seed.
     fn sample_users(&self, n: usize, f: usize) -> Vec<usize> {
         let sample_size = self.sample_size(n, f);
@@ -307,7 +351,13 @@ impl Optimus {
     }
 
     /// Chooses among lazily built candidates with a **staged race** — the
-    /// planning primitive behind [`crate::engine::PreparedPlan`].
+    /// planning primitive behind [`crate::engine::PreparedPlan`] — for calls
+    /// of `class`. A [`TrafficClass::Bulk`] race runs as described below. A
+    /// [`TrafficClass::Point`] race runs the same stages over a 48-user
+    /// prefix of the bulk sample, timing every
+    /// candidate — warm-up, stage 2 and the second pass included — one user
+    /// per call, and puts every base of stage 1, batch-capable or not,
+    /// under the t-test.
     ///
     /// * **Reference.** The first batch-capable base (BMM when registered)
     ///   is built and timed on the whole sample; it is the first *leader*.
@@ -357,17 +407,21 @@ impl Optimus {
         &self,
         model: &MfModel,
         k: usize,
+        class: TrafficClass,
         source: &mut S,
     ) -> Result<PlannedChoice, S::Error> {
         let overall = Instant::now();
         let labels = source.labels();
         assert!(!labels.is_empty(), "Optimus::choose: no candidates");
         let n = model.num_users();
-        let sample = self.sample_users(n, model.num_factors());
+        let mut sample = self.sample_users(n, model.num_factors());
+        if class == TrafficClass::Point {
+            sample.truncate(POINT_SAMPLE_USERS);
+        }
         let mut race = Race {
-            optimus: self,
             k,
             n,
+            class,
             // Untimed warm-up prefix per candidate before its timed pass:
             // a candidate's first queries pay one-off costs (page faults,
             // cold caches over its index, lazily initialised scratch) that
@@ -511,7 +565,7 @@ impl Optimus {
                     .solver
                     .as_deref()
                     .expect("sampled entries are built");
-                let second = self.estimate_index(solver, k, &sample, 0.0, n, EarlyStop::Never);
+                let second = race.estimate(solver, EarlyStop::Never);
                 if second.sample_seconds < entries[idx].estimate.sample_seconds {
                     entries[idx].estimate = second;
                 }
@@ -529,53 +583,6 @@ impl Optimus {
             sample_size: sample.len(),
             decision_seconds: overall.elapsed().as_secs_f64() - race.building,
         })
-    }
-
-    /// Times one index on the sample. Batch indexes are timed on the whole
-    /// sample at once (their per-user cost is only meaningful with work
-    /// sharing); point-query indexes are timed user-by-user under the
-    /// incremental t-test against `reference_per_user`, as far as
-    /// `early_stop` lets the test cut them short.
-    fn estimate_index(
-        &self,
-        solver: &dyn MipsSolver,
-        k: usize,
-        sample: &[usize],
-        reference_per_user: f64,
-        n: usize,
-        early_stop: EarlyStop,
-    ) -> StrategyEstimate {
-        if solver.batches_users() || early_stop == EarlyStop::Never {
-            let sample_seconds = serving_seconds(solver, k, sample);
-            return StrategyEstimate::timed(
-                solver,
-                sample.len(),
-                sample_seconds,
-                n,
-                CandidateOutcome::Sampled,
-            );
-        }
-
-        // Point queries: incremental one-sample t-test against the
-        // reference's mean.
-        let mut times = Welford::default();
-        let mut sample_seconds = 0.0;
-        let mut used = 0;
-        for &u in sample {
-            let dt = serving_seconds(solver, k, &[u]);
-            sample_seconds += dt;
-            used += 1;
-            times.push(dt);
-            if times.significantly_above(reference_per_user) {
-                break;
-            }
-        }
-        let outcome = if used == sample.len() {
-            CandidateOutcome::Sampled
-        } else {
-            CandidateOutcome::StoppedEarly { after: used }
-        };
-        StrategyEstimate::timed(solver, used, sample_seconds, n, outcome)
     }
 }
 
@@ -703,13 +710,16 @@ fn built<S: CandidateSource>(
     Ok(Arc::clone(slot.as_ref().expect("filled above")))
 }
 
-/// The moving parts of one [`Optimus::choose`] invocation: the sample, and
-/// the leader every later candidate is tested and bounded against.
+/// The moving parts of one [`Optimus::choose`] invocation: the sample, the
+/// class it is timed for, and the leader every later candidate is tested
+/// and bounded against.
 struct Race<'a> {
-    optimus: &'a Optimus,
     k: usize,
     /// Users the estimates extrapolate to.
     n: usize,
+    /// How calls are timed: the whole sample at once for a batch-capable
+    /// candidate of a bulk race, else one user per call.
+    class: TrafficClass,
     sample: &'a [usize],
     /// Length of the untimed warm-up prefix of `sample`.
     warm: usize,
@@ -729,20 +739,62 @@ impl Race<'_> {
     /// `building`, not as serving time or deciding time.
     fn time(&mut self, solver: &dyn MipsSolver, early_stop: EarlyStop) -> StrategyEstimate {
         let built = solver.build_seconds();
-        let _ = solver.query_subset(self.k, &self.sample[..self.warm]);
-        let estimate = self.optimus.estimate_index(
-            solver,
-            self.k,
-            self.sample,
-            self.leader_seconds / self.n as f64,
-            self.n,
-            early_stop,
-        );
+        let warm = &self.sample[..self.warm];
+        match self.class {
+            TrafficClass::Bulk => {
+                let _ = solver.query_subset(self.k, warm);
+            }
+            TrafficClass::Point => {
+                for &u in warm {
+                    let _ = solver.query_subset(self.k, &[u]);
+                }
+            }
+        }
+        let estimate = self.estimate(solver, early_stop);
         if estimate.is_sampled() {
             self.leader_seconds = self.leader_seconds.min(estimate.estimated_total_seconds);
         }
         self.building += solver.build_seconds() - built;
         estimate
+    }
+
+    /// Times `solver` on the sample. A bulk race times a batch-capable
+    /// candidate, and any candidate `early_stop` never cuts short, on the
+    /// whole sample at once (a batch index's per-user cost is only
+    /// meaningful with work sharing); every other call is timed user by
+    /// user, under the incremental t-test against the leader's mean
+    /// per-user time as far as `early_stop` lets the test cut it short.
+    fn estimate(&self, solver: &dyn MipsSolver, early_stop: EarlyStop) -> StrategyEstimate {
+        let (k, sample, n) = (self.k, self.sample, self.n);
+        let whole = solver.batches_users() || early_stop == EarlyStop::Never;
+        if self.class == TrafficClass::Bulk && whole {
+            let sample_seconds = serving_seconds(solver, k, sample);
+            let outcome = CandidateOutcome::Sampled;
+            return StrategyEstimate::timed(solver, sample.len(), sample_seconds, n, outcome);
+        }
+
+        // One user per call: incremental one-sample t-test against the
+        // leader's mean.
+        let reference_per_user = self.leader_seconds / n as f64;
+        let mut times = Welford::default();
+        let mut sample_seconds = 0.0;
+        let mut used = 0;
+        for &u in sample {
+            let dt = serving_seconds(solver, k, &[u]);
+            sample_seconds += dt;
+            used += 1;
+            times.push(dt);
+            if early_stop == EarlyStop::WhenSlower && times.significantly_above(reference_per_user)
+            {
+                break;
+            }
+        }
+        let outcome = if used == sample.len() {
+            CandidateOutcome::Sampled
+        } else {
+            CandidateOutcome::StoppedEarly { after: used }
+        };
+        StrategyEstimate::timed(solver, used, sample_seconds, n, outcome)
     }
 }
 
@@ -798,7 +850,7 @@ mod tests {
             ],
             f32_variants: Vec::new(),
         };
-        let Ok(choice) = Optimus::new(tiny_config()).choose(&m, 3, &mut source);
+        let Ok(choice) = Optimus::new(tiny_config()).choose(&m, 3, TrafficClass::Bulk, &mut source);
         assert_eq!(choice.entries.len(), 3);
         for entry in &choice.entries {
             let e = &entry.estimate;
@@ -847,7 +899,7 @@ mod tests {
             ],
             f32_variants: Vec::new(),
         };
-        let Ok(choice) = Optimus::new(config).choose(&m, 1, &mut source);
+        let Ok(choice) = Optimus::new(config).choose(&m, 1, TrafficClass::Bulk, &mut source);
         let fex = &choice.entries[1].estimate;
         match fex.outcome {
             CandidateOutcome::Sampled => assert_eq!(fex.sampled_users, choice.sample_size),
@@ -988,7 +1040,7 @@ mod tests {
             ],
             f32_variants: vec![Arc::new(point("Point+f32"))],
         };
-        let Ok(choice) = optimus.choose(&m, 3, &mut source);
+        let Ok(choice) = optimus.choose(&m, 3, TrafficClass::Bulk, &mut source);
         let names: Vec<&str> = choice
             .entries
             .iter()

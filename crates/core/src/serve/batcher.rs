@@ -24,6 +24,12 @@
 //! sub-request was validated on, so sub-requests admitted before and after
 //! a [`swap_model`](crate::engine::Engine::swap_model) can never share a
 //! solver call.
+//!
+//! A batch is served by the plan for its shape: its total user count picks
+//! the traffic class ([`Optimus::class_of`](crate::optimus::Optimus::class_of)),
+//! so single-user requests and batches coalesced from a few take the
+//! point plan at their `k` — priced one user per call — and a large range
+//! takes the bulk plan.
 
 use super::metrics::ShardCounters;
 use super::queue::{BoundedQueue, QueueItem};
@@ -74,7 +80,9 @@ pub(crate) fn execute_batch(
         progress.fetch_add(1, Ordering::Relaxed);
     };
 
-    let plan = match engine.prepare_on(&batch[0].epoch, k) {
+    let total_users: usize = batch.iter().map(|s| s.users.len()).sum();
+    let class = engine.class_of(&batch[0].epoch, total_users);
+    let plan = match engine.prepare_on(&batch[0].epoch, k, class) {
         Ok(plan) => plan,
         Err(error) => {
             for sub in &batch {
@@ -114,7 +122,6 @@ pub(crate) fn execute_batch(
 
     // Roll up shard counters before scattering so metrics never lag the
     // caller's wakeup.
-    let total_users: usize = batch.iter().map(|s| s.users.len()).sum();
     shard.add(&shard.batches, 1);
     // Fold the batch and the solver's screen work into the lane of the
     // tier the plan screens in. Under concurrency another worker's

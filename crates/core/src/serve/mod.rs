@@ -8,8 +8,8 @@
 //! * **Sharding.** The model's users are split into contiguous ranges (the
 //!   paper's Fig. 6 partitioning), each with its own counters. Every solver
 //!   is built once over the whole model, and every
-//!   [`PreparedPlan`](crate::engine::PreparedPlan) once per `k` and epoch;
-//!   all shards share both.
+//!   [`PreparedPlan`](crate::engine::PreparedPlan) once per `k`, traffic
+//!   class and epoch; all shards share both.
 //!   A request that straddles shards is split and its response reassembled
 //!   in request order — including id-lists and exclusion sets that cross
 //!   boundaries.

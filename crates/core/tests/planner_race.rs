@@ -17,6 +17,11 @@
 //! * **Race only what is registered.** A built-in key the engine did not
 //!   register still serves by name, with the oracle's answer, and never
 //!   enters a plan's decision record.
+//! * **Price the calls that are served.** A call over `m` users takes the
+//!   point plan when `m² < S` (`S` the bulk sample size), else the bulk
+//!   plan. The point race times every candidate one user per call; the
+//!   bulk race times the reference on the whole sample in one call; each
+//!   plan is raced once and then reused by every call of its class.
 //!
 //! The stubs answer through brute force (so every plan stays exact) and
 //! spend a fixed sleep per served user, which makes "10× slower" a property
@@ -26,7 +31,8 @@ use mips_core::engine::{
     BmmFactory, EngineBuilder, FnFactory, MipsError, QueryRequest, SolverFactory,
 };
 use mips_core::optimus::{
-    CandidateOutcome, CandidateSource, Optimus, OptimusConfig, StrategyEstimate, TTEST_MIN_SAMPLES,
+    CandidateOutcome, CandidateSource, Optimus, OptimusConfig, StrategyEstimate, TrafficClass,
+    TTEST_MIN_SAMPLES,
 };
 use mips_core::serve::ServerBuilder;
 use mips_core::solver::MipsSolver;
@@ -37,7 +43,7 @@ use mips_data::MfModel;
 use mips_linalg::CacheConfig;
 use mips_topk::{exact_topk, ScreenTier, TopKList};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 fn model(users: usize, seed: u64) -> Arc<MfModel> {
@@ -243,7 +249,7 @@ fn a_far_off_candidate_stops_at_min_t_samples_and_a_gated_one_is_never_built() {
         // An hour of analytical cost against a leader of milliseconds.
         (Arc::clone(&gated), Some(3600.0)),
     ]);
-    let Ok(choice) = Optimus::new(config).choose(&m, 3, &mut source);
+    let Ok(choice) = Optimus::new(config).choose(&m, 3, TrafficClass::Bulk, &mut source);
     let estimates: Vec<StrategyEstimate> =
         choice.entries.iter().map(|e| e.estimate.clone()).collect();
 
@@ -295,7 +301,7 @@ fn a_variant_exactly_at_the_tier_rate_bound_is_still_built_and_can_win() {
         (0, ScreenTier::F32, 1.0, variant_of(&base, "base+f32")),
         (0, ScreenTier::I8, 1.0 + 1e-9, variant_of(&base, "base+i8")),
     ];
-    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, &mut source);
+    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, TrafficClass::Bulk, &mut source);
     let estimates: Vec<StrategyEstimate> =
         choice.entries.iter().map(|e| e.estimate.clone()).collect();
 
@@ -332,7 +338,7 @@ fn a_variant_within_the_adoption_margin_hands_the_plan_to_its_base() {
     variant.core = Arc::clone(&base.core);
     let mut source = Stubs::new(vec![(Arc::clone(&base), None)]);
     source.variants = vec![(0, ScreenTier::I8, 0.0, Arc::new(variant))];
-    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, &mut source);
+    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, TrafficClass::Bulk, &mut source);
     let estimates: Vec<StrategyEstimate> =
         choice.entries.iter().map(|e| e.estimate.clone()).collect();
 
@@ -358,7 +364,7 @@ fn construction_a_timed_pass_sets_off_is_charged_to_the_build() {
     lazy.batches = true;
     lazy.first_touch = Duration::from_millis(3);
     let mut source = Stubs::new(vec![(Arc::new(rival), None), (Arc::new(lazy), None)]);
-    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, &mut source);
+    let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, TrafficClass::Bulk, &mut source);
     let estimates: Vec<StrategyEstimate> =
         choice.entries.iter().map(|e| e.estimate.clone()).collect();
 
@@ -564,4 +570,198 @@ fn unregistered_builtins_serve_by_name_and_never_enter_a_plan() {
     let err = engine.execute_with("nope", &QueryRequest::top_k(k));
     assert_eq!(err.unwrap_err(), unknown);
     assert_eq!(engine.solver("nope").err(), Some(unknown));
+}
+
+/// Brute force that records the user count of every `query_subset` call —
+/// each call a race timed and each call a request was served by — and
+/// parks each call while the test holds `gate`.
+struct Recorder {
+    answers: MaximusIndex,
+    name: &'static str,
+    batches: bool,
+    calls: Arc<Mutex<Vec<usize>>>,
+    gate: Arc<RwLock<()>>,
+}
+
+impl MipsSolver for Recorder {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn build_seconds(&self) -> f64 {
+        0.0
+    }
+    fn batches_users(&self) -> bool {
+        self.batches
+    }
+    fn num_users(&self) -> usize {
+        self.answers.num_users()
+    }
+    fn query_subset(&self, k: usize, users: &[usize]) -> Vec<TopKList> {
+        let _open = self.gate.read().expect("no panic while held");
+        self.calls
+            .lock()
+            .expect("no panic while held")
+            .push(users.len());
+        self.answers.query_subset(k, users)
+    }
+}
+
+/// An engine racing a batch-capable recorder (`reference`, the race's
+/// reference) against a point-query one (`point`), with each one's call
+/// log and the gate both park on.
+struct Recorded {
+    engine: Arc<mips_core::Engine>,
+    reference: Arc<Mutex<Vec<usize>>>,
+    point: Arc<Mutex<Vec<usize>>>,
+    gate: Arc<RwLock<()>>,
+}
+
+/// A 36-user bulk sample on 120-user models: a perfect square, so the
+/// class boundary `m² < S` falls between 5 and 6 users with 6² = S.
+fn square_optimus() -> OptimusConfig {
+    OptimusConfig {
+        sample_fraction: 0.3,
+        ..tiny_optimus()
+    }
+}
+
+fn recorded_engine(m: &Arc<MfModel>) -> Recorded {
+    let gate = Arc::new(RwLock::new(()));
+    let log = || Arc::new(Mutex::new(Vec::new()));
+    let (reference, point) = (log(), log());
+    let factory = |key: &'static str, batches: bool, calls: &Arc<Mutex<Vec<usize>>>| {
+        let (calls, gate) = (Arc::clone(calls), Arc::clone(&gate));
+        FnFactory::new(key, move |m: &Arc<MfModel>| {
+            Ok(Box::new(Recorder {
+                answers: MaximusIndex::brute_force(Arc::clone(m)),
+                name: key,
+                batches,
+                calls: Arc::clone(&calls),
+                gate: Arc::clone(&gate),
+            }) as Box<dyn MipsSolver>)
+        })
+    };
+    let engine = EngineBuilder::new()
+        .model(Arc::clone(m))
+        .register(factory("point", false, &point))
+        .register(factory("reference", true, &reference))
+        .optimus(square_optimus())
+        .build()
+        .expect("engine assembles");
+    Recorded {
+        engine: Arc::new(engine),
+        reference,
+        point,
+        gate,
+    }
+}
+
+/// The calls logged since the last drain.
+fn drain(log: &Mutex<Vec<usize>>) -> Vec<usize> {
+    std::mem::take(&mut *log.lock().expect("no panic while held"))
+}
+
+#[test]
+fn few_user_calls_take_a_point_plan_timed_one_user_per_call() {
+    let m = model(120, 17);
+    let k = 4;
+    // S = 36: 5² < 36 is a point call, 6² = 36 is not.
+    let optimus = Optimus::new(square_optimus());
+    let sample = optimus.sample_size(m.num_users(), m.num_factors());
+    assert_eq!(sample, 36);
+    let class = |users| optimus.class_of(m.num_users(), m.num_factors(), users);
+    assert_eq!(class(1), TrafficClass::Point);
+    assert_eq!(class(5), TrafficClass::Point);
+    assert_eq!(class(6), TrafficClass::Bulk);
+    assert_eq!(class(m.num_users()), TrafficClass::Bulk);
+    let want = |users: &[usize]| -> Vec<TopKList> {
+        users
+            .iter()
+            .map(|&u| exact_topk(m.users().row(u), m.items(), k))
+            .collect()
+    };
+
+    let r = recorded_engine(&m);
+    let engine = &r.engine;
+    // A one-user request plans the point plan: every call either race
+    // candidate saw carries one user, the batch-capable reference's too.
+    let one = engine.execute(&QueryRequest::top_k(k).users(vec![7]));
+    assert_eq!(one.expect("served").results, want(&[7]));
+    assert_eq!(engine.planner_runs(), 1);
+    let (reference, point) = (drain(&r.reference), drain(&r.point));
+    assert!(!reference.is_empty() && !point.is_empty());
+    assert!(
+        reference.iter().chain(&point).all(|&len| len == 1),
+        "{reference:?} {point:?}"
+    );
+
+    // Another user, three users and five — the last point size — reuse it.
+    for users in [vec![11], vec![3, 0, 3], vec![1, 2, 4, 8, 16]] {
+        let response = engine.execute(&QueryRequest::top_k(k).users(users.clone()));
+        assert_eq!(response.expect("served").results, want(&users));
+    }
+    // So does a server batch coalesced from four single-user requests:
+    // the one worker parks inside the first call until all four are
+    // queued, so the rest (or all four) share one solver call.
+    let server = ServerBuilder::new()
+        .engine(Arc::clone(engine))
+        .shards(1)
+        .workers(1)
+        .max_batch(16)
+        .build()
+        .expect("server assembles");
+    let closed = r.gate.write().expect("no panic while held");
+    let handles: Vec<_> = [20, 21, 22, 23]
+        .map(|u| {
+            let request = QueryRequest::top_k(k).users(vec![u]);
+            (u, server.submit(&request).expect("admitted"))
+        })
+        .into_iter()
+        .collect();
+    drop(closed);
+    for (u, handle) in handles {
+        assert_eq!(handle.wait().expect("served").results, want(&[u]));
+    }
+    assert!(server.metrics().coalesced() > 0, "the requests coalesced");
+    assert_eq!(engine.planner_runs(), 1, "every few-user call reused it");
+    let served: Vec<usize> = [drain(&r.reference), drain(&r.point)].concat();
+    assert!(
+        served.iter().all(|&len| len <= 5),
+        "served calls only: {served:?}"
+    );
+
+    // A whole-model request plans the bulk plan: the reference is warmed
+    // on a prefix, then timed on the whole sample in one call.
+    let all = engine.execute(&QueryRequest::top_k(k)).expect("served");
+    assert_eq!(all.results, want(&(0..m.num_users()).collect::<Vec<_>>()));
+    assert_eq!(engine.planner_runs(), 2);
+    let reference = drain(&r.reference);
+    assert_eq!(reference[..2], [4, sample], "{reference:?}");
+    let plan = engine.prepare(k).expect("the bulk plan");
+    assert_eq!(plan.sample_size(), sample);
+    assert_eq!(engine.planner_runs(), 2, "prepare(k) is the bulk plan");
+    // ... and a one-user request still takes the point plan.
+    engine
+        .execute(&QueryRequest::top_k(k).users(vec![9]))
+        .expect("served");
+    assert_eq!(engine.planner_runs(), 2);
+
+    // The boundary through the engine, on fresh engines: a five-user
+    // request plans a point plan, so the bulk plan is raced afterwards;
+    // a six-user request plans the bulk plan itself.
+    for (users, runs_after_bulk) in [(5usize, 2), (6, 1)] {
+        let fresh = recorded_engine(&m);
+        let ids: Vec<usize> = (0..users).collect();
+        fresh
+            .engine
+            .execute(&QueryRequest::top_k(k).users(ids))
+            .expect("served");
+        assert_eq!(fresh.engine.planner_runs(), 1);
+        fresh.engine.prepare(k).expect("the bulk plan");
+        assert_eq!(
+            fresh.engine.planner_runs(),
+            runs_after_bulk,
+            "{users} users"
+        );
+    }
 }
