@@ -481,10 +481,23 @@ impl Engine {
     /// the cached plan without re-sampling. Planning happens under a
     /// per-`k`-and-class lock, so a long sampling run for one `k` never
     /// stalls requests at another. Requests over a few users are served by
-    /// the [`TrafficClass::Point`] plan at their `k`, which
-    /// [`Engine::execute`] and the serving runtime prepare on first use.
+    /// the [`TrafficClass::Point`] plan at their `k`; [`Engine::plan_for`]
+    /// returns the plan any given request takes.
     pub fn prepare(&self, k: usize) -> Result<Arc<PreparedPlan>, MipsError> {
         self.prepare_on(&self.snapshot(), k, TrafficClass::Bulk)
+    }
+
+    /// The plan that serves `request` on the current epoch, planned on
+    /// first use and cached like [`Engine::prepare`]'s. The request is
+    /// validated, then classed by its user count ([`Optimus::class_of`]): a
+    /// few users take the [`TrafficClass::Point`] plan at its `k`, a whole
+    /// model or a large range the [`TrafficClass::Bulk`] plan, which is
+    /// `prepare(k)`'s.
+    pub fn plan_for(&self, request: &QueryRequest) -> Result<Arc<PreparedPlan>, MipsError> {
+        let state = self.snapshot();
+        request.validate(&state.model)?;
+        let class = self.class_of(&state, request.result_len(&state.model));
+        self.prepare_on(&state, request.k, class)
     }
 
     /// The traffic class of a call over `users` users of `state`'s model
@@ -518,15 +531,10 @@ impl Engine {
     }
 
     /// Serves a request through the plan cache: plans once per `k`, traffic
-    /// class and epoch, then dispatches to the cached winner. The request's
-    /// class is read off its user count ([`Optimus::class_of`]): a few users
-    /// take the point plan, a whole model or a large range the bulk plan.
+    /// class and epoch, then dispatches to the cached winner — the plan
+    /// [`Engine::plan_for`] returns, pinned to the epoch it validated on.
     pub fn execute(&self, request: &QueryRequest) -> Result<QueryResponse, MipsError> {
-        let state = self.snapshot();
-        request.validate(&state.model)?;
-        let class = self.class_of(&state, request.result_len(&state.model));
-        let plan = self.prepare_on(&state, request.k, class)?;
-        plan.execute_prevalidated(request)
+        self.plan_for(request)?.execute_prevalidated(request)
     }
 }
 
@@ -1180,6 +1188,33 @@ mod tests {
         // The decision record lists every registered backend, raced or not.
         assert_eq!(plan.estimates().len(), engine.backend_keys().len());
         assert!(plan.sample_size() >= 2);
+    }
+
+    #[test]
+    fn plan_for_returns_the_plan_a_request_takes() {
+        let engine = engine(120, 60);
+        let one_user = QueryRequest::top_k(4).users(vec![7]);
+        let point = engine.plan_for(&one_user).unwrap();
+        assert_eq!(engine.planner_runs(), 1);
+        assert_eq!(point.planned_k(), 4);
+        assert!(Arc::ptr_eq(&point, &engine.plan_for(&one_user).unwrap()));
+        assert_eq!(engine.planner_runs(), 1, "the point plan is cached");
+        // A whole-model request takes the bulk plan, which is `prepare`'s.
+        let bulk = engine.plan_for(&QueryRequest::top_k(4)).unwrap();
+        assert_eq!(engine.planner_runs(), 2);
+        assert!(!Arc::ptr_eq(&point, &bulk));
+        assert!(Arc::ptr_eq(&bulk, &engine.prepare(4).unwrap()));
+        // An invalid request fails as `execute` fails it, and plans nothing.
+        for bad in [
+            QueryRequest::top_k(0),
+            QueryRequest::top_k(61),
+            QueryRequest::top_k(4).users(vec![120]),
+            QueryRequest::top_k(4).users(Vec::<usize>::new()),
+        ] {
+            let err = engine.plan_for(&bad).unwrap_err();
+            assert_eq!(Some(err), engine.execute(&bad).err());
+        }
+        assert_eq!(engine.planner_runs(), 2);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! [`FexiproFactory`], [`SparseFactory`]), and downstream crates can
 //! register their own with [`FnFactory`] or a custom type — the planner
 //! treats all of them alike. It races what is registered; a built-in key
-//! left unregistered still serves by name ([`builtin`]).
+//! left unregistered, such as the FEXIPRO presets a plan census cut from
+//! [`BackendRegistry::with_defaults`], still serves by name ([`builtin`]).
 //!
 //! A factory has one job, [`SolverFactory::build`]: the plain f64 solver
 //! over a model. A backend's mixed-precision variants are derived from that
@@ -203,21 +204,21 @@ where
     }
 }
 
-/// Every built-in backend key: the raced defaults in race order, then
-/// `fexipro-sir`, which won no cell of the plan census (README,
-/// "When each candidate wins") and so serves by name only.
+/// Every built-in backend key: the raced defaults in race order, then the
+/// two FEXIPRO presets, which won no cell of the plan census by more than
+/// 1.1× (README, "Named, not raced") and so serve by name only.
 pub const BUILTIN_KEYS: [&str; 6] = [
     "bmm",
     "maximus",
     "lemp",
-    "fexipro-si",
     "sparse",
+    "fexipro-si",
     "fexipro-sir",
 ];
 
 /// How many leading [`BUILTIN_KEYS`] [`BackendRegistry::with_defaults`]
 /// registers.
-const RACED_BUILTINS: usize = 5;
+const RACED_BUILTINS: usize = 4;
 
 /// The built-in backend under `key`, with default parameters; `None` for
 /// a key outside [`BUILTIN_KEYS`]. An engine resolves a key it has not
@@ -252,8 +253,8 @@ impl BackendRegistry {
     }
 
     /// The raced built-in backends with default parameters: `bmm`,
-    /// `maximus`, `lemp`, `fexipro-si`, `sparse`. The one other built-in,
-    /// `fexipro-sir`, serves by name on any engine but never enters a plan.
+    /// `maximus`, `lemp`, `sparse`. The other built-ins, `fexipro-si` and
+    /// `fexipro-sir`, serve by name on any engine but never enter a plan.
     pub fn with_defaults() -> BackendRegistry {
         let raced = &BUILTIN_KEYS[..RACED_BUILTINS];
         let factories = raced.iter().filter_map(|key| builtin(key)).collect();
@@ -326,10 +327,7 @@ mod tests {
     #[test]
     fn defaults_are_the_raced_builtins_in_order() {
         let registry = BackendRegistry::with_defaults();
-        assert_eq!(
-            registry.keys(),
-            ["bmm", "maximus", "lemp", "fexipro-si", "sparse"]
-        );
+        assert_eq!(registry.keys(), ["bmm", "maximus", "lemp", "sparse"]);
         for key in registry.keys() {
             assert!(BUILTIN_KEYS.contains(&key), "{key} is not built in");
         }

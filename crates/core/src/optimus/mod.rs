@@ -22,8 +22,8 @@
 //! 3. **times the candidates on the sample** and linearly extrapolates total
 //!    serving time. A bulk race times batch-capable candidates on the whole
 //!    sample in one call; a point race times every candidate one user per
-//!    call. Candidates timed per user — point-query indexes (LEMP,
-//!    FEXIPRO), and every candidate of a point race — run under an
+//!    call. Candidates timed per user — point-query indexes (LEMP on a
+//!    default engine), and every candidate of a point race — run under an
 //!    incremental one-sample t-test against the current leader's mean
 //!    per-user time that stops sampling as soon as the candidate is
 //!    significantly slower (the exact integer-df Student-t at α = 5 %);

@@ -123,10 +123,10 @@ pub(crate) fn execute_batch(
     // Roll up shard counters before scattering so metrics never lag the
     // caller's wakeup.
     shard.add(&shard.batches, 1);
-    // Fold the batch and the solver's screen work into the lane of the
-    // tier the plan screens in. Under concurrency another worker's
-    // in-flight scan may drain here — attribution is per-shard, and a
-    // shard's plan has one screen mode, so the per-tier totals stay exact.
+    // Fold the screen work into the lane of the plan's tier (a point and a
+    // bulk plan at one k may differ). Each tier variant drains only its own
+    // counters (`MipsSolver::screen_variant`), so per-tier totals are exact;
+    // per-shard counts are not: a drain may take another shard's scan.
     if let Some(tier) = plan.precision().forced_tier() {
         let lane = &shard.lanes[tier.index()];
         shard.add(&lane.batches, 1);

@@ -16,7 +16,8 @@
 //!   adoption margin hands the plan to its f64 base.
 //! * **Race only what is registered.** A built-in key the engine did not
 //!   register still serves by name, with the oracle's answer, and never
-//!   enters a plan's decision record.
+//!   enters a plan's decision record — on a default engine, every key the
+//!   plan census took out of the race, in both traffic classes.
 //! * **Price the calls that are served.** A call over `m` users takes the
 //!   point plan when `m² < S` (`S` the bulk sample size), else the bulk
 //!   plan. The point race times every candidate one user per call; the
@@ -28,7 +29,8 @@
 //! of the stub rather than of the host.
 
 use mips_core::engine::{
-    BmmFactory, EngineBuilder, FnFactory, MipsError, QueryRequest, SolverFactory,
+    builtin, BackendRegistry, BmmFactory, Engine, EngineBuilder, FnFactory, MipsError,
+    QueryRequest, SolverFactory, BUILTIN_KEYS,
 };
 use mips_core::optimus::{
     CandidateOutcome, CandidateSource, Optimus, OptimusConfig, StrategyEstimate, TrafficClass,
@@ -547,16 +549,7 @@ fn unregistered_builtins_serve_by_name_and_never_enter_a_plan() {
         .map(|u| exact_topk(m.users().row(u), m.items(), k))
         .collect();
     for key in ["lemp", "fexipro-si", "fexipro-sir"] {
-        let response = engine
-            .execute_with(key, &QueryRequest::top_k(k))
-            .unwrap_or_else(|e| panic!("{key} by name: {e}"));
-        assert!(!response.planned, "{key}");
-        for (u, (got, want)) in response.results.iter().zip(&want).enumerate() {
-            assert_eq!(got.items, want.items, "{key} user {u}");
-            let bits =
-                |list: &TopKList| list.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(got), bits(want), "{key} user {u}");
-        }
+        assert_serves_by_name(&engine, key, &want);
     }
     // The plan races BMM and its tiers alone, though three other built-ins
     // are now built in this epoch.
@@ -570,6 +563,71 @@ fn unregistered_builtins_serve_by_name_and_never_enter_a_plan() {
     let err = engine.execute_with("nope", &QueryRequest::top_k(k));
     assert_eq!(err.unwrap_err(), unknown);
     assert_eq!(engine.solver("nope").err(), Some(unknown));
+}
+
+/// Serves every user at `want`'s k through the unplanned named route and
+/// holds each answer to the oracle's ids and score bits.
+fn assert_serves_by_name(engine: &Engine, key: &str, want: &[TopKList]) {
+    let response = engine
+        .execute_with(key, &QueryRequest::top_k(want[0].len()))
+        .unwrap_or_else(|e| panic!("{key} by name: {e}"));
+    assert!(!response.planned, "{key}");
+    assert_eq!(response.results.len(), want.len(), "{key}");
+    for (u, (got, want)) in response.results.iter().zip(want).enumerate() {
+        assert_eq!(got.items, want.items, "{key} user {u}");
+        let bits = |list: &TopKList| list.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{key} user {u}");
+    }
+}
+
+/// The built-ins the plan census left out of the default race (README,
+/// "Named, not raced"): each serves by name only.
+const NAMED_ONLY: [&str; 2] = ["fexipro-si", "fexipro-sir"];
+
+#[test]
+fn a_default_engine_plans_no_named_only_builtin_and_serves_each_by_name() {
+    let defaults = BackendRegistry::with_defaults();
+    let named: Vec<&str> = BUILTIN_KEYS
+        .into_iter()
+        .filter(|key| defaults.get(key).is_none())
+        .collect();
+    assert_eq!(named, NAMED_ONLY);
+    let m = model(120, 17);
+    let engine = EngineBuilder::new()
+        .model(Arc::clone(&m))
+        .with_default_backends()
+        .precision(Precision::Auto)
+        .optimus(tiny_optimus())
+        .build()
+        .expect("engine assembles");
+    let k = 5;
+    let point = engine
+        .plan_for(&QueryRequest::top_k(k).users(vec![3]))
+        .expect("point plan");
+    let bulk = engine.plan_for(&QueryRequest::top_k(k)).expect("bulk plan");
+    assert!(
+        !Arc::ptr_eq(&point, &bulk),
+        "one user and all users plan apart"
+    );
+    assert_eq!(engine.planner_runs(), 2);
+    let want: Vec<TopKList> = (0..m.num_users())
+        .map(|u| exact_topk(m.users().row(u), m.items(), k))
+        .collect();
+    for key in NAMED_ONLY {
+        let solver = builtin(key).expect("built in").build(&m).expect("builds");
+        let name = solver.name();
+        for plan in [&point, &bulk] {
+            // A plain build is recorded under its name, a tier under
+            // name + suffix; `FEXIPRO-SI` is a prefix of `FEXIPRO-SIR`.
+            let listed = plan
+                .estimates()
+                .iter()
+                .find(|e| e.name == name || e.name.starts_with(&format!("{name}+")));
+            assert!(listed.is_none(), "{key} entered a plan: {listed:?}");
+        }
+        assert_serves_by_name(&engine, key, &want);
+    }
+    assert_eq!(engine.planner_runs(), 2, "serving by name plans nothing");
 }
 
 /// Brute force that records the user count of every `query_subset` call —

@@ -23,9 +23,9 @@
 //! and [`FexiproConfig::sir`] (all three), and those are the only two
 //! configurations: S and I always run, at a fixed 90 % energy checkpoint
 //! and 12-bit quantization, and R is the one switch. The serving engine
-//! races SI and serves SIR by name only: SIR won no cell of the plan
-//! census. An SVD that fails (an item Gram matrix past the f64 range)
-//! leaves the identity basis, so S still bounds, just less tightly.
+//! serves both by name only: neither won a plan-census cell by over 1.1×.
+//! An SVD that fails (an item Gram matrix past the f64 range) leaves the
+//! identity basis, so S still bounds, just less tightly.
 //!
 //! The index holds item-side state only. A query derives the user's
 //! transform (one mat-vec against the stored basis), codes and envelope
