@@ -1559,7 +1559,7 @@ mod tests {
                     assert_eq!(row.sampled_users, 0, "{screened}");
                     assert!(bound_seconds > 0.0, "{screened}");
                 }
-                CandidateOutcome::Sampled | CandidateOutcome::DemotedWithinMargin => {
+                CandidateOutcome::Sampled => {
                     assert_eq!(row.sampled_users, plan.sample_size(), "{screened}");
                 }
                 other => panic!("{screened}: a screen variant cannot be {other:?}"),

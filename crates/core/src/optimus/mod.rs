@@ -23,13 +23,12 @@
 //!    serving time. A bulk race times batch-capable candidates on the whole
 //!    sample in one call; a point race times every candidate one user per
 //!    call. Candidates timed per user — point-query indexes (LEMP on a
-//!    default engine), and every candidate of a point race — run under an
+//!    default engine), and every candidate of a point race but its
+//!    reference — run under an
 //!    incremental one-sample t-test against the current leader's mean
 //!    per-user time that stops sampling as soon as the candidate is
 //!    significantly slower (the exact integer-df Student-t at α = 5 %);
-//! 4. **keeps the exact-direct incumbent** unless a screen variant is
-//!    clearly faster than its own f64 base (the adoption rule);
-//! 5. **hands the estimated winner to the engine**, which caches it in a
+//! 4. **hands the lowest estimate to the engine**, which caches it in a
 //!    [`crate::engine::PreparedPlan`] — with every candidate's estimate and
 //!    [`CandidateOutcome`] — and serves all requests of that class at
 //!    that `k` with it.
@@ -64,22 +63,6 @@ pub const TTEST_MIN_SAMPLES: u64 = 8;
 /// `|t| ≤ Z_975` gives a two-sided p of at least 5 % at every df: the
 /// t-test skips its `O(df)` series there, and no decision changes.
 const Z_975: f64 = 1.959963984540054;
-
-/// Under `Auto`, a screen variant displaces its own f64 build only when its
-/// sampled estimate is at most this fraction of the base's — i.e.
-/// clearly faster, not within sampling noise of a tie. See
-/// [`demote_marginal_screen_winner`] for the asymmetry argument that
-/// justifies favouring the exact-direct incumbent.
-const SCREEN_ADOPTION_MARGIN: f64 = 0.85;
-
-/// The screen must also be estimated to save at least this much absolute
-/// wall-clock before it displaces its f64 base. Sub-millisecond requests
-/// finish inside the sampling noise floor: a relative margin alone still
-/// adopts on a "30 µs vs 40 µs" sample, where the decision is pure noise
-/// and the upside — even when real — is microseconds. Seconds-scale
-/// requests (where the screen genuinely pays) clear this floor by orders
-/// of magnitude.
-const SCREEN_ADOPTION_FLOOR_SECONDS: f64 = 500e-6;
 
 /// Users a [`TrafficClass::Point`] race times, one per call: a prefix of
 /// the bulk sample, six t-test minimums long. On the dense benchmark shape
@@ -150,9 +133,6 @@ pub enum CandidateOutcome {
         /// The bound, in seconds for all the plan's users.
         bound_seconds: f64,
     },
-    /// A screen variant that had the lowest estimate but not by the
-    /// adoption margin: the plan went to its f64 base instead.
-    DemotedWithinMargin,
 }
 
 /// One candidate's measured estimate.
@@ -356,8 +336,8 @@ impl Optimus {
     /// [`TrafficClass::Point`] race runs the same stages over a 48-user
     /// prefix of the bulk sample, timing every
     /// candidate — warm-up, stage 2 and the second pass included — one user
-    /// per call, and puts every base of stage 1, batch-capable or not,
-    /// under the t-test.
+    /// per call, and puts every candidate but the reference, batch-capable
+    /// or not, under the t-test.
     ///
     /// * **Reference.** The first batch-capable base (BMM when registered)
     ///   is built and timed on the whole sample; it is the first *leader*.
@@ -375,23 +355,22 @@ impl Optimus {
     ///   competes, bounds the variant from below by the base's estimate
     ///   times [`CandidateSource::tier_time_ratio`]. Over the leader's
     ///   estimate it is never built ([`CandidateOutcome::NotBuilt`]); at or
-    ///   under it, the variant is built and timed on the whole sample — as
-    ///   is its base, if the t-test had cut it short — so a pair is always
-    ///   compared over the identical user mix (on backends whose per-user
-    ///   cost tracks the user's norm, different mixes mis-rank a pair whose
-    ///   true costs are within ~20 %).
-    /// * **Second pass.** The adoption rule compares a winning variant
-    ///   head-to-head with its own base, so the provisional
-    ///   winner's base/variant group — and only it — gets a second timing
-    ///   pass with the per-candidate minimum kept: one scheduler burst
-    ///   inside a candidate's only pass can mis-rank a pair within the
-    ///   adoption margin, but to survive a min-of-two it would have to hit
-    ///   the same side twice and the other side never.
-    /// * **Adoption.** A winning variant within the margin of its own f64
-    ///   base hands the plan to the base
-    ///   ([`CandidateOutcome::DemotedWithinMargin`]): a screen displaces
-    ///   the exact-direct incumbent only when it is clearly, not
-    ///   marginally, faster.
+    ///   under it, the variant is built and raced as stage 1 races a base,
+    ///   under the same t-test: in a bulk race a batch-capable variant is
+    ///   timed on the whole sample in one call, in a point race one
+    ///   significantly slower than the leader stops.
+    /// * **Second pass.** The provisional winner's base/variant group — and
+    ///   only it — is timed a second time with the per-candidate minimum
+    ///   kept, because one whole-sample pass reads high. On the dense
+    ///   benchmark shape a single pass read brute force's int8 variant at
+    ///   k = 1 at 0.093 s against a steady 0.075–0.077 s (≈ 1.2×), and a
+    ///   k = 10 plan went to MAXIMUS's int8 variant. The four-user warm-up
+    ///   leaves most of the sample cold, and a scheduler burst inside a
+    ///   candidate's only pass stays in its estimate; the minimum of two
+    ///   passes brings the contenders for the plan near their steady
+    ///   times.
+    ///
+    /// The plan is the lowest whole-sample estimate.
     ///
     /// Every bound errs toward racing (the strict comparisons build a
     /// candidate sitting exactly at its bound), and every path that can win
@@ -474,7 +453,7 @@ impl Optimus {
             let solver = built(source, &mut solvers[base], base, &mut race.building)?;
             bases[base] = Some(race.time(solver.as_ref(), EarlyStop::WhenSlower));
         }
-        let mut bases: Vec<StrategyEstimate> = bases
+        let bases: Vec<StrategyEstimate> = bases
             .into_iter()
             .map(|e| e.expect("every base was raced or excluded"))
             .collect();
@@ -516,13 +495,10 @@ impl Optimus {
                 let Some(variant) = variant else {
                     continue;
                 };
-                if !bases[base].is_sampled() {
-                    bases[base] = race.time(solver.as_ref(), EarlyStop::Never);
-                }
                 variants[base].push(RaceEntry {
                     base,
                     tier: Some(tier),
-                    estimate: race.time(variant.as_ref(), EarlyStop::Never),
+                    estimate: race.time(variant.as_ref(), EarlyStop::WhenSlower),
                     solver: Some(variant),
                 });
             }
@@ -572,13 +548,8 @@ impl Optimus {
             }
         }
 
-        let mut chosen = fastest(&entries);
-        if let Some(base) = demote_marginal_screen_winner(&entries, chosen) {
-            entries[chosen].estimate.outcome = CandidateOutcome::DemotedWithinMargin;
-            chosen = base;
-        }
         Ok(PlannedChoice {
-            chosen,
+            chosen: fastest(&entries),
             entries,
             sample_size: sample.len(),
             decision_seconds: overall.elapsed().as_secs_f64() - race.building,
@@ -598,37 +569,6 @@ fn serving_seconds(solver: &dyn MipsSolver, k: usize, users: &[usize]) -> f64 {
     let elapsed = t0.elapsed().as_secs_f64();
     debug_assert_eq!(results.len(), users.len());
     (elapsed - (solver.build_seconds() - built)).max(0.0)
-}
-
-/// Screen-adoption margin: under `Auto` a screen variant competes against
-/// its own f64 build, and the two run the identical access pattern — their
-/// sampled estimates differ by the screen's true advantage plus sampling
-/// noise. Adopting the screen on a hair's-breadth estimate trades bounded
-/// upside for an unbounded noise regression, so the exact-direct incumbent
-/// keeps the plan unless the screen is estimated clearly faster — below
-/// [`SCREEN_ADOPTION_MARGIN`] of the base's time *and* saving at least
-/// [`SCREEN_ADOPTION_FLOOR_SECONDS`] of absolute wall-clock. A wrongly
-/// kept incumbent forgoes at most the margin; a wrongly adopted screen
-/// can serve arbitrarily slower than the committed f64 baseline.
-///
-/// A variant is paired with its base by [`RaceEntry::base`] and
-/// [`RaceEntry::tier`], never by name: under a forced mode the screens run
-/// under plain keys, and a third-party solver that merely *names* itself
-/// like a screen has no base twin. Returns the base's index in `entries`
-/// when the winner `chosen` should be demoted to it. Every screen tier
-/// faces the same incumbent and the same noise asymmetry, so they share
-/// one margin.
-fn demote_marginal_screen_winner(entries: &[RaceEntry], chosen: usize) -> Option<usize> {
-    let winner = &entries[chosen];
-    winner.tier?;
-    let base = entries
-        .iter()
-        .position(|e| e.base == winner.base && e.tier.is_none())?;
-    let screen_seconds = winner.estimate.estimated_total_seconds;
-    let base_seconds = entries[base].estimate.estimated_total_seconds;
-    (screen_seconds > SCREEN_ADOPTION_MARGIN * base_seconds
-        || base_seconds - screen_seconds < SCREEN_ADOPTION_FLOOR_SECONDS)
-        .then_some(base)
 }
 
 /// Welford's running mean and sum of squared deviations of a point-query
@@ -912,8 +852,8 @@ mod tests {
         }
     }
 
-    /// Already-built bases, the first `paired` of which also carry an f32
-    /// variant that always races (time ratio 0).
+    /// Already-built bases, the first `f32_variants.len()` of which also
+    /// carry an f32 variant that always races (time ratio 0).
     struct Prebuilt {
         bases: Vec<Arc<dyn MipsSolver>>,
         f32_variants: Vec<Arc<dyn MipsSolver>>,
@@ -948,24 +888,18 @@ mod tests {
     }
 
     #[test]
-    fn screen_paired_candidates_are_timed_on_the_full_sample() {
-        // A screen variant and its f64 base are compared head-to-head by
-        // the adoption rule, so `choose` must not let the t-test stop
-        // the two at different user counts (different user mixes bias
-        // the pair's comparison on norm-heterogeneous backends). Both
-        // sides of a raced pair must report the full sample; the unpaired
-        // point-query candidates keep early-stopped sampling.
-        //
+    fn variants_pair_with_their_base_by_structure_never_by_name() {
         // No default point-query backend screens, but a third-party one
-        // may: `Point` lists the f32 tier and carries a variant, so stage 2
-        // re-times it on the whole sample if the t-test stopped it.
+        // may: `Point` lists the f32 tier and carries a variant, which the
+        // record lists right after it, paired by base index and tier.
         //
         // Pairing is the source's structural knowledge: a third-party
         // solver whose display name merely *ends* in a tier suffix (and
         // even matches another candidate's name before it) is unpaired.
-        // The stub records the largest subset it was ever asked for: a
-        // paired candidate is timed on the whole sample at once, an
-        // unpaired point-query one user by user after the warm-up.
+        // The stub records the largest subset it was ever asked for: the
+        // winner's group is re-timed on the whole sample at once, an
+        // unpaired point-query candidate only ever one user by user after
+        // the warm-up.
         struct Point {
             inner: crate::adapters::LempSolver,
             name: &'static str,
@@ -1062,19 +996,9 @@ mod tests {
         assert_eq!(pairing(4), (3, None), "a name is not a pairing");
         for entry in &choice.entries {
             let e = &entry.estimate;
-            if e.name == "Point" || e.name == "Point+f32" || e.name == "Blocked MM" {
-                // The variant runs the base's own scan: when it edges ahead,
-                // the adoption rule demotes it, after the whole sample.
-                let demoted =
-                    e.name == "Point+f32" && e.outcome == CandidateOutcome::DemotedWithinMargin;
-                if !demoted {
-                    assert_eq!(e.outcome, CandidateOutcome::Sampled, "{}", e.name);
-                }
-                assert_eq!(
-                    e.sampled_users, choice.sample_size,
-                    "{} must be timed on the whole sample",
-                    e.name
-                );
+            if e.name == "Blocked MM" {
+                assert_eq!(e.outcome, CandidateOutcome::Sampled);
+                assert_eq!(e.sampled_users, choice.sample_size);
             } else {
                 assert!(e.sampled_users <= choice.sample_size);
             }
@@ -1087,67 +1011,6 @@ mod tests {
             largest <= 4,
             "a name ending in a tier suffix was paired: queried {largest} users at once"
         );
-    }
-
-    #[test]
-    fn screen_winner_within_margin_is_demoted_to_its_f64_base() {
-        let entry = |base: usize, tier: Option<ScreenTier>, secs: f64| RaceEntry {
-            base,
-            tier,
-            solver: None,
-            estimate: StrategyEstimate {
-                name: screened_name("Blocked MM", tier),
-                build_seconds: 0.0,
-                sampled_users: 8,
-                sample_seconds: secs / 10.0,
-                estimated_total_seconds: secs,
-                outcome: CandidateOutcome::Sampled,
-            },
-        };
-        let f32 = Some(ScreenTier::F32);
-        let i8 = Some(ScreenTier::I8);
-        // Entry 1 is a screen variant of entry 0.
-        let pair = |secs: f64| [entry(0, None, 1.00), entry(0, f32, secs)];
-        // Screen barely ahead of its base (within the noise margin): the
-        // exact-direct incumbent keeps the plan.
-        assert_eq!(demote_marginal_screen_winner(&pair(0.95), 1), Some(0));
-        // Screen clearly faster than the margin: adoption stands.
-        assert_eq!(demote_marginal_screen_winner(&pair(0.60), 1), None);
-        // Exactly at the margin boundary counts as clearly faster (the
-        // demotion predicate is strict).
-        let edge = pair(SCREEN_ADOPTION_MARGIN);
-        assert_eq!(demote_marginal_screen_winner(&edge, 1), None);
-        // Sub-millisecond requests: even a clear relative win saves less
-        // absolute time than the noise floor — the incumbent keeps it.
-        let tiny = [entry(0, None, 900e-6), entry(0, f32, 500e-6)];
-        assert_eq!(demote_marginal_screen_winner(&tiny, 1), Some(0));
-        // Forced modes: screens run under plain keys and no base twin
-        // competes — nothing to demote to. Pairing is structural, never
-        // read off display names: a third-party solver that merely *names*
-        // itself like a screen of another candidate is not one either.
-        let mut forced = pair(0.99);
-        forced[1].tier = None;
-        forced[1].base = 1;
-        assert_eq!(demote_marginal_screen_winner(&forced, 1), None);
-        // Every tier rides the same adoption discipline: marginal winners
-        // demote to their f64 base, clear wins stand, and a screen winner
-        // never demotes to a sibling tier (the base is the f64 build, not
-        // the other screen).
-        let three_way = [
-            entry(0, None, 1.00),
-            entry(0, f32, 0.70),
-            entry(0, i8, 0.95),
-        ];
-        assert_eq!(demote_marginal_screen_winner(&three_way, 2), Some(0));
-        assert_eq!(demote_marginal_screen_winner(&three_way, 1), None);
-        // A variant pairs with the base of its own `base` index, wherever
-        // that sits in the entries.
-        let two_bases = [
-            entry(0, None, 0.50),
-            entry(1, None, 1.00),
-            entry(1, i8, 0.95),
-        ];
-        assert_eq!(demote_marginal_screen_winner(&two_bases, 2), Some(1));
     }
 
     /// Welford's state after `xs`.

@@ -35,8 +35,8 @@ pub enum Precision {
     /// serve f64-direct.
     I8Rescore,
     /// Let OPTIMUS cost the f32 and int8 screens against f64-direct per
-    /// backend and pick the sampled winner. Never slower than the best of
-    /// the modes on the sample.
+    /// backend and plan the lowest sampled estimate, so the plan is never
+    /// slower than the best of the modes on the sample.
     Auto,
 }
 

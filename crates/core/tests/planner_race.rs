@@ -10,10 +10,10 @@
 //!   a slow one never holds up another first-touch builder.
 //! * **Race lazily, never wrongly.** [`Optimus::choose`] builds a candidate
 //!   only while it can still win: a candidate over its analytical bound is
-//!   never built, a far-off one stops at `TTEST_MIN_SAMPLES`, a variant over its
-//!   tier-rate bound is never built — and one sitting exactly *at* the
-//!   bound still is. A variant that wins the race by less than the
-//!   adoption margin hands the plan to its f64 base.
+//!   never built, a far-off one stops at `TTEST_MIN_SAMPLES` — a screen
+//!   variant too — a variant over its tier-rate bound is never built, and
+//!   one sitting exactly *at* the bound still is. The plan is the lowest
+//!   estimate, so a variant a little faster than its f64 base takes it.
 //! * **Race only what is registered.** A built-in key the engine did not
 //!   register still serves by name, with the oracle's answer, and never
 //!   enters a plan's decision record — on a default engine, every key the
@@ -318,19 +318,18 @@ fn a_variant_exactly_at_the_tier_rate_bound_is_still_built_and_can_win() {
         row(&estimates, "base+i8").outcome,
         CandidateOutcome::NotBuilt { bound_seconds } if bound_seconds > 0.0
     ));
-    // The winner's group was timed twice (the margin decision's second
-    // pass): warm-up + two whole samples each.
+    // The winner's group was timed twice (the second pass): warm-up + two
+    // whole samples each.
     let twice = 4 + 2 * choice.sample_size;
     assert_eq!(base.served.load(Ordering::Relaxed), twice);
 }
 
 #[test]
-fn a_variant_within_the_adoption_margin_hands_the_plan_to_its_base() {
-    // The adoption rule runs inside the race: a variant 7.5 % faster than
-    // its base leads the race but not by the margin (it must be under 85 %
-    // of the base), so the plan goes to the base and the record says why.
-    // The stubs sleep ≈ 60 ms per timed pass, so a scheduler stall would
-    // have to hit the same side in both passes to move either verdict.
+fn a_variant_a_little_faster_than_its_base_takes_the_plan() {
+    // The plan is the lowest estimate, however close: a variant 7.5 %
+    // faster than its base wins on the record and is the plan. The stubs
+    // sleep ≈ 60 ms per timed pass, so a scheduler stall would have to hit
+    // the same side in both passes to move the verdict.
     let m = model(200, 9);
     let mut base = Stub::new(&m, "base", Duration::from_micros(2000));
     base.batches = true;
@@ -338,15 +337,57 @@ fn a_variant_within_the_adoption_margin_hands_the_plan_to_its_base() {
     let base = Arc::new(base);
     let mut variant = Stub::new(&m, "base+i8", Duration::from_micros(1850));
     variant.core = Arc::clone(&base.core);
+    variant.batches = true;
     let mut source = Stubs::new(vec![(Arc::clone(&base), None)]);
     source.variants = vec![(0, ScreenTier::I8, 0.0, Arc::new(variant))];
     let Ok(choice) = Optimus::new(tiny_optimus()).choose(&m, 3, TrafficClass::Bulk, &mut source);
     let estimates: Vec<StrategyEstimate> =
         choice.entries.iter().map(|e| e.estimate.clone()).collect();
 
-    let demoted = row(&estimates, "base+i8");
-    assert_eq!(demoted.outcome, CandidateOutcome::DemotedWithinMargin);
-    assert!(demoted.estimated_total_seconds < row(&estimates, "base").estimated_total_seconds);
+    let faster = row(&estimates, "base+i8");
+    assert_eq!(faster.outcome, CandidateOutcome::Sampled);
+    assert!(faster.estimated_total_seconds < row(&estimates, "base").estimated_total_seconds);
+    let winner = &choice.entries[choice.chosen];
+    assert_eq!((winner.base, winner.tier), (0, Some(ScreenTier::I8)));
+}
+
+#[test]
+fn a_far_off_variant_in_a_point_race_stops_at_min_t_samples() {
+    // A point race times every candidate one user per call, a screen
+    // variant under the same t-test as any other: 10× slower than its
+    // base, the leader, it stops after exactly `TTEST_MIN_SAMPLES` of the
+    // 48 users instead of being timed on all of them.
+    let m = model(200, 19);
+    let mut base = Stub::new(&m, "base", Duration::from_micros(300));
+    base.batches = true;
+    base.tiers = &[ScreenTier::I8];
+    let base = Arc::new(base);
+    let mut variant = Stub::new(&m, "base+i8", Duration::from_micros(3000));
+    variant.core = Arc::clone(&base.core);
+    variant.batches = true;
+    let variant = Arc::new(variant);
+    let mut source = Stubs::new(vec![(Arc::clone(&base), None)]);
+    source.variants = vec![(0, ScreenTier::I8, 0.0, Arc::clone(&variant))];
+    // A 60-user bulk sample, so the point race times its 48-user prefix.
+    let optimus = Optimus::new(OptimusConfig {
+        sample_fraction: 0.3,
+        ..tiny_optimus()
+    });
+    let Ok(choice) = optimus.choose(&m, 3, TrafficClass::Point, &mut source);
+    let estimates: Vec<StrategyEstimate> =
+        choice.entries.iter().map(|e| e.estimate.clone()).collect();
+
+    assert_eq!(choice.sample_size, 48);
+    let min_t = TTEST_MIN_SAMPLES as usize;
+    let slow = row(&estimates, "base+i8");
+    assert_eq!(
+        slow.outcome,
+        CandidateOutcome::StoppedEarly { after: min_t }
+    );
+    assert_eq!(slow.sampled_users, min_t);
+    // The warm-up prefix plus exactly the users the t-test needed.
+    assert_eq!(variant.served.load(Ordering::Relaxed), 4 + min_t);
+    assert_eq!(row(&estimates, "base").sampled_users, 48);
     let winner = &choice.entries[choice.chosen];
     assert_eq!((winner.base, winner.tier), (0, None));
 }
