@@ -5,11 +5,13 @@
 //!    `|C| = 8`, `i = 3`),
 //! 2. compute each cluster's worst user–centroid angle `θ_b`,
 //! 3. for every cluster, sort all items descending by the Koenigstein bound
-//!    `CBound(c, i, θ_b)` ([`bound`]). Nothing is packed: each part of the
-//!    list (its first 4096 positions, then 1024 each, a tail under 512
-//!    joining the part before it) is packed for the
-//!    GEMM driver the first time a pass reaches it, so the tail no user
-//!    reaches costs neither bytes nor packing time.
+//!    `CBound(c, i, θ_b)` ([`bound`]). Nothing is packed. The f64 walk
+//!    keeps no packed copy of the list at all: each pass reads the model's
+//!    rows by list id, as the paper's BMM packs each block of B for one
+//!    multiply and keeps nothing. A screen tier packs each part of the list
+//!    (its first 4096 positions, then 1024 each, a tail under 512 joining
+//!    the part before it) the first time one of its passes reaches it, so
+//!    the tail no user reaches costs neither bytes nor packing time.
 //!
 //! Querying (Algorithm 1, `QueryIndex`, with the §III-D blocking done as
 //! block passes): the users of a cluster walk its list together. Before
@@ -18,10 +20,15 @@
 //! descend, so nothing further down the list can reach its answer. The
 //! same check gives each user still walking its current *stop position*,
 //! the first position its bound misses, and the pass ends, at the latest,
-//! at the furthest of them. Each pass is one fused multiply
-//! ([`mips_topk::stream_topk_into_heaps`]) per list part it spans, over a
-//! panel-aligned slice of that part, for the users still walking, into
-//! their heaps.
+//! at the furthest of them. An f64 pass scores its list positions against
+//! the users still walking, into their heaps: one fused multiply over the
+//! item rows the positions name, packed into the multiply's scratch one
+//! column panel at a time ([`mips_linalg::GemmB::Gathered`],
+//! [`mips_topk::fused::stream_topk_into_heaps_with`]), or, for fewer than
+//! `CHAIN_WALKERS` users, one chain per (user, position) straight from the
+//! rows ([`mips_topk::chain_topk_into_heaps`]) — the tile's own order, so
+//! the same bits. A screened pass runs one block screen per list part it
+//! spans, over a panel-aligned slice of that part.
 //!
 //! Where passes end is chosen at query time, from counts the walk already
 //! has — no clock:
@@ -32,8 +39,8 @@
 //! * every later pass runs to the median of the walking users' current
 //!   stop positions, and is at least 128 positions long.
 //!
-//! A pass may span several parts: it multiplies them part by part with the
-//! same gathered user rows. Over flat norms no user stops, every recorded
+//! A screened pass may span several parts: it screens them part by part
+//! with the same gathered user rows. Over flat norms no user stops, every recorded
 //! stop is the list's end, and after one walk at `k` the first pass is the
 //! whole list: brute force over the bound-sorted catalog.
 //!
@@ -71,11 +78,11 @@ use mips_data::{is_tiny_row, MfModel, MirrorElem};
 use mips_linalg::kernels::{angle, dot, norm2};
 use mips_linalg::tier::MAX_TERMS;
 use mips_linalg::{
-    per_tier, reassoc_envelope_parts, simd, CacheConfig, GemmElem, GemmScratch, Matrix,
-    PackedPanels, RowBlock, TierRows, TierView,
+    per_tier, reassoc_envelope_parts, simd, BlockSizes, CacheConfig, GemmB, GemmElem, GemmScratch,
+    Matrix, PackedPanels, RowBlock, TierRows, TierView,
 };
 use mips_topk::{
-    exact_topk, screen_parts_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch,
+    chain_topk_into_heaps, exact_topk, screen_parts_topk_into_heaps, ColumnIds, ScreenScratch,
     ScreenTier, Shortlist, TopKHeap, TopKList,
 };
 use std::cmp::Ordering::Less;
@@ -141,6 +148,30 @@ const STOP_QUANTILE: f64 = 0.5;
 /// `max(MIN_PASS, UNRECORDED_PASS_PER_K · k)` positions long.
 const UNRECORDED_PASS_PER_K: usize = 32;
 
+/// An f64 pass with fewer walking users than this scores each (user,
+/// position) as one chain straight from the model's rows
+/// ([`chain_topk_into_heaps`]) instead of packing its span for a multiply.
+/// Up to `MR` = 4 users cost the multiply about what one costs it (the
+/// tile computes four rows either way and the packing is per item), and
+/// cost the chains one user's time per user. `kernel_rates` read the
+/// one-row multiply over gathered rows at 2.92–2.96 GFLOP/s and the
+/// one-row 16-chain dot at 9.96–10.06 (5 200 shuffled rows of f = 50, a
+/// 2-vCPU AVX2 guest): the chains win while the users number fewer than
+/// 10.0 / 2.93 ≈ 3.4.
+const CHAIN_WALKERS: usize = 4;
+
+/// The column panel of an f64 pass after a walk's first. The multiply packs
+/// each panel of the pass's span into its scratch and every block of users
+/// rereads it, so a narrow panel stays cached: over 2 048 gathered rows of
+/// the clustered benchmark shape (22 400 × f 100) the multiply for 8, 20,
+/// 50 and 350 users took 3.0×, 1.8×, 1.3× and 1.05× the time over the same
+/// rows packed once at the default 2 048 columns, and 2.3×, 1.5×, 1.2× and
+/// 1.01× at 512 (256 read as 512, 128 slower). A first pass keeps the
+/// default: its fresh heaps draw their admission floor from the first block
+/// they are offered, and a 512-column first pass made the dense shape's
+/// warm `query_all` at k = 50 1.16× slower.
+const LATER_PASS_NC: usize = 512;
+
 /// Stop positions a cluster keeps per `k`: the latest ones.
 const RECORDED_STOPS: usize = 256;
 
@@ -202,8 +233,9 @@ impl MaximusConfig {
 pub struct MaximusBuildStats {
     /// k-means time.
     pub clustering_seconds: f64,
-    /// Bound computation + sorting time, plus the list parts the handle's
-    /// passes have packed on first touch so far.
+    /// Bound computation + sorting time, plus the list parts a screened
+    /// handle's passes have packed on first touch so far (an f64 handle
+    /// packs none).
     pub construction_seconds: f64,
 }
 
@@ -244,10 +276,6 @@ struct ClusterIndex {
     /// Where the list is cut into parts ([`list_cuts`]): part `p` is list
     /// positions `cuts[p]..cuts[p + 1]`.
     cuts: Vec<usize>,
-    /// The list packed for the GEMM driver, part by part, row `r` of a
-    /// part being its `r`-th list position (the `O(|C||I|f)` storage of
-    /// §III-D, held only as far down the list as some pass reached).
-    panels: ListParts<PackedPanels<f64>>,
     /// The list in each screen tier's parts, packed as that tier's passes
     /// reach them: one copy per tier, shared by every handle.
     f32_parts: ListParts<ScreenPart<f32>>,
@@ -540,7 +568,8 @@ pub struct MaximusIndex {
     build_seconds: f64,
     /// Nanoseconds this handle's passes spent packing list parts on first
     /// touch: construction, reported in [`MipsSolver::build_seconds`] and
-    /// [`MaximusIndex::build_stats`].
+    /// [`MaximusIndex::build_stats`]. Only a screened handle packs parts;
+    /// an f64 pass packs into its multiply's scratch, which is serving.
     packing: AtomicU64,
     query_stats: MaximusQueryStats,
     /// Cumulative screen candidate/survivor counts, drained by the serving
@@ -700,7 +729,8 @@ impl MaximusIndex {
     }
 
     /// Build-stage breakdown (Fig. 8) of the shared construction, plus the
-    /// list parts this handle's passes have packed on first touch so far.
+    /// list parts this handle's passes have packed on first touch so far
+    /// (none on an f64 handle).
     pub fn build_stats(&self) -> MaximusBuildStats {
         let mut stats = self.core.build_stats;
         stats.construction_seconds += self.packing_seconds();
@@ -713,21 +743,20 @@ impl MaximusIndex {
     }
 
     /// The bytes the index holds for its own tier: the summed capacities
-    /// of every cluster's list vectors and stop records, and of the parts
-    /// packed so far in the handle's tier (f64 panels, or the screen
-    /// tier's panels and terms). A fresh index holds no parts, and the
-    /// lists' untouched tails never join them.
+    /// of every cluster's list vectors and stop records, and, on a screened
+    /// handle, of the tier's parts packed so far (panels and terms). An f64
+    /// handle holds its lists alone, whatever it has served: its passes
+    /// read the model's rows and pack into scratch that does not outlive
+    /// them. A fresh index holds no parts, and the lists' untouched tails
+    /// never join them.
     pub fn resident_bytes(&self) -> usize {
         let clusters = self.core.clusters.iter();
         let lists: usize = clusters.clone().map(ClusterIndex::list_bytes).sum();
-        let parts: usize = match self.screen {
-            None => clusters
-                .map(|c| c.panels.resident_bytes(PackedPanels::resident_bytes))
-                .sum(),
-            Some(tier) => per_tier!(tier, T => clusters
+        let parts = self.screen.map_or(0, |tier| {
+            per_tier!(tier, T => clusters
                 .map(|c| T::parts(c).resident_bytes(ScreenPart::resident_bytes))
-                .sum()),
-        };
+                .sum())
+        });
         lists + parts
     }
 
@@ -884,10 +913,15 @@ impl MaximusIndex {
         }
     }
 
-    /// One f64 pass: list positions `span` of `cluster`, part by part
-    /// (each packed on first touch), multiplied against `rows` with the
-    /// scores streamed straight into `heaps`, translated from list
-    /// positions to item ids by [`ColumnIds::Mapped`].
+    /// One f64 pass: the model's item rows at list positions `span` of
+    /// `cluster`, read by id, scored against `rows` and streamed straight
+    /// into `heaps`, with column `j` translated to item `list_ids[j]`
+    /// ([`ColumnIds::Mapped`]). A pass of [`CHAIN_WALKERS`] users or more
+    /// is one multiply that packs each column panel into `scratch` as it
+    /// goes ([`GemmB::Gathered`]); a pass of fewer scores each (user,
+    /// position) as one chain straight from the rows
+    /// ([`chain_topk_into_heaps`]), the tile's own order, so both give the
+    /// same bits. Nothing outlives the pass.
     fn pass_f64(
         &self,
         cluster: &ClusterIndex,
@@ -896,13 +930,20 @@ impl MaximusIndex {
         heaps: &mut [TopKHeap],
         scratch: &mut GemmScratch<f64>,
     ) {
-        let items = self.core.model.items();
-        for (p, within, ids) in cluster.spanned(span) {
-            let part = cluster.part(&cluster.panels, p, &self.packing, |ids| {
-                PackedPanels::gather(items.into(), ids)
-            });
-            let ids = ColumnIds::Mapped(ids);
-            stream_topk_into_heaps(rows, part.slice(within).into(), heaps, ids, scratch);
+        let items = self.core.model.items().into();
+        let (first, ids) = (span.start == 0, &cluster.list_ids[span]);
+        if rows.rows() < CHAIN_WALKERS {
+            chain_topk_into_heaps(rows, items, ids, heaps, scratch);
+        } else {
+            let blocks = BlockSizes {
+                nc: if first { f64::BLOCKS.nc } else { LATER_PASS_NC },
+                ..f64::BLOCKS
+            };
+            let (b, ids) = (GemmB::Gathered(items, ids), ColumnIds::Mapped(ids));
+            let kern = simd::active();
+            mips_topk::fused::stream_topk_into_heaps_with(
+                kern, &blocks, rows, b, heaps, ids, scratch,
+            );
         }
     }
 
@@ -1049,7 +1090,6 @@ fn build_cluster_list(
         list_ids,
         bounds,
         cuts,
-        panels: ListParts::new(parts),
         f32_parts: ListParts::new(parts),
         i8_parts: ListParts::new(parts),
         members,
@@ -1294,6 +1334,11 @@ mod tests {
         parts.parts.iter().map(|p| p.get().is_some()).collect()
     }
 
+    /// The bytes of `index`'s list vectors and stop records, all clusters.
+    fn list_bytes(index: &MaximusIndex) -> usize {
+        index.core.clusters.iter().map(|c| c.list_bytes()).sum()
+    }
+
     /// Every user's oracle answer at `k`.
     fn oracle(m: &MfModel, k: usize) -> Vec<TopKList> {
         let users = 0..m.num_users();
@@ -1405,34 +1450,52 @@ mod tests {
 
     #[test]
     fn a_fresh_index_holds_no_parts() {
-        // Build packs nothing, in either tier: the index holds its lists'
-        // vectors alone. Each part, once packed, holds its list positions
-        // in list order: one user's passes over every part, with the
-        // part's ids, score every item exactly as the oracle does.
+        // Build packs nothing, in any tier: every handle holds its lists'
+        // vectors alone. Each int8 part, once packed, holds its list
+        // positions in list order: one user's screen over every part, with
+        // the part's ids, scores every item exactly as the oracle does.
         let m = model(40, 400, 8, 0.4);
         for config in [small_config(), small_config_sized()] {
             let plain = MaximusIndex::build(Arc::clone(&m), &config);
-            let screened = plain.with_screen(ScreenTier::I8);
-            let lists: usize = plain.core.clusters.iter().map(|c| c.list_bytes()).sum();
+            let lists = list_bytes(&plain);
+            for tier in ScreenTier::ALL {
+                let index = plain.with_screen(tier);
+                assert_eq!(index.resident_bytes(), lists, "{tier:?} {config:?}");
+            }
             assert_eq!(plain.resident_bytes(), lists, "{config:?}");
-            assert_eq!(screened.resident_bytes(), lists, "{config:?}");
+            let mirror = m.mirror::<i8>();
+            let user = mirror.users().gather(3..4);
             for cluster in &plain.core.clusters {
                 let none = vec![false; cluster.cuts.len() - 1];
-                assert_eq!(packed(&cluster.panels), none);
+                assert_eq!(packed(&cluster.f32_parts), none);
                 assert_eq!(packed(&cluster.i8_parts), none);
-                let user = m.users().row_block(3, 4);
-                let mut heaps = vec![TopKHeap::new(400)];
-                let mut scratch = GemmScratch::new();
                 let packing = AtomicU64::new(0);
-                for (p, range) in cluster.cuts.windows(2).enumerate() {
-                    let panels = cluster.part(&cluster.panels, p, &packing, |ids| {
-                        PackedPanels::gather(m.items().into(), ids)
-                    });
-                    assert_eq!((panels.rows(), panels.cols()), (range[1] - range[0], 8));
-                    let ids = ColumnIds::Mapped(&cluster.list_ids[range[0]..range[1]]);
-                    stream_topk_into_heaps(user, panels.into(), &mut heaps, ids, &mut scratch);
-                }
-                assert!(packed(&cluster.panels).iter().all(|&p| p));
+                let parts: Vec<&ScreenPart<i8>> = (0..cluster.cuts.len() - 1)
+                    .map(|p| {
+                        cluster.part(&cluster.i8_parts, p, &packing, |ids| {
+                            ScreenPart::gather(mirror.items(), ids)
+                        })
+                    })
+                    .collect();
+                let views: Vec<(TierView<'_, i8>, ColumnIds<'_>)> = (parts.iter())
+                    .zip(cluster.cuts.windows(2))
+                    .map(|(part, range)| {
+                        assert_eq!(part.panels.rows(), range[1] - range[0]);
+                        let ids = &cluster.list_ids[range[0]..range[1]];
+                        (part.view(), ColumnIds::Mapped(ids))
+                    })
+                    .collect();
+                let mut heaps = vec![TopKHeap::new(400)];
+                screen_parts_topk_into_heaps(
+                    m.users().row_block(3, 4),
+                    m.items().into(),
+                    user.view(),
+                    &views,
+                    &mut heaps,
+                    &mut ScreenScratch::new(),
+                );
+                assert!(packed(&cluster.i8_parts).iter().all(|&p| p));
+                assert_eq!(packed(&cluster.f32_parts), none);
                 assert!(packing.load(Ordering::Relaxed) > 0);
                 let want = exact_topk(m.users().row(3), m.items(), 400);
                 assert_eq!(heaps.pop().unwrap().into_sorted(), want, "{config:?}");
@@ -1499,32 +1562,34 @@ mod tests {
     }
 
     #[test]
-    fn the_screen_variant_shares_the_f64_parts_and_packs_only_its_own() {
-        // The int8 variant shares the core and its f64 parts, and its
-        // passes pack only its own int8 parts (they rescore from the
-        // model's rows). A point lookup, a full pass, the variant and a
-        // forced first pass all answer alike.
+    fn the_screen_variant_shares_the_core_and_packs_only_its_own_parts() {
+        // The int8 variant shares the core, and its passes pack only its own
+        // int8 parts (they rescore from the model's rows); the f64 handle
+        // packs no part at all. A point lookup, a full pass, the variant and
+        // a forced first pass all answer alike.
         let m = model(40, 400, 8, 0.4);
         let plain = MaximusIndex::build(Arc::clone(&m), &small_config_sized());
-        let panels = |index: &MaximusIndex| -> Vec<*const ListParts<PackedPanels<f64>>> {
+        let parts = |index: &MaximusIndex| -> Vec<(Vec<bool>, Vec<bool>)> {
             let clusters = index.core.clusters.iter();
-            clusters.map(|c| &c.panels as *const _).collect()
-        };
-        let f64_parts = |index: &MaximusIndex| -> Vec<Vec<bool>> {
-            let clusters = index.core.clusters.iter();
-            clusters.map(|c| packed(&c.panels)).collect()
+            clusters
+                .map(|c| (packed(&c.f32_parts), packed(&c.i8_parts)))
+                .collect()
         };
         let screened = plain.with_screen(ScreenTier::I8);
-        assert_eq!(panels(&screened), panels(&plain));
-        let every = screened.query_all(400);
+        assert!(Arc::ptr_eq(&screened.core, &plain.core));
+        let every = plain.query_all(400);
         assert!(
-            f64_parts(&plain).iter().flatten().all(|&p| !p),
-            "the variant packs no f64 part"
+            parts(&plain)
+                .iter()
+                .all(|(f32, i8)| !f32.contains(&true) && !i8.contains(&true)),
+            "the f64 handle packs no part"
         );
-        let clusters = plain.core.clusters.iter();
-        assert!(clusters.flat_map(|c| packed(&c.i8_parts)).all(|p| p));
-        assert_eq!(plain.query_all(400), every);
-        assert!(f64_parts(&plain).iter().flatten().all(|&p| p));
+        assert_eq!(plain.resident_bytes(), list_bytes(&plain));
+        assert_eq!(screened.query_all(400), every);
+        for (f32, i8) in parts(&plain) {
+            assert!(!f32.contains(&true) && !i8.contains(&false));
+        }
+        assert_eq!(plain.resident_bytes(), list_bytes(&plain));
 
         let first = plain.query_range(5, 3..4);
         let all = plain.query_all(5);
@@ -1539,10 +1604,11 @@ mod tests {
 
     #[test]
     fn resident_bytes_count_the_parts_passes_reached() {
-        // Tight clusters: at k = 1 users stop early and the lists' tails
-        // stay unpacked; at k = |I| every user walks its whole list and the
-        // index holds every part of it, in its own tier. Every answer on
-        // the way is the oracle's.
+        // Tight clusters: at k = 1 users stop early and the int8 lists'
+        // tails stay unpacked; at k = |I| every user walks its whole list
+        // and the int8 handle holds every part of it, while the f64 handle
+        // holds its lists alone throughout. Every answer on the way is the
+        // oracle's.
         let m = model(60, 6000, 16, 0.1);
         let (first, every) = (oracle(&m, 1), oracle(&m, 6000));
         for config in [small_config(), small_config_sized()] {
@@ -1553,26 +1619,61 @@ mod tests {
                 let per_cluster = index.core.clusters.iter().map(|cluster| {
                     let parts = cluster.cuts.windows(2);
                     let ids = parts.map(|r| &cluster.list_ids[r[0]..r[1]]);
-                    let parts: usize = match index.screen {
-                        Some(_) => ids
-                            .map(|ids| ScreenPart::gather(items, ids).resident_bytes())
-                            .sum(),
-                        None => ids
-                            .map(|ids| PackedPanels::gather(m.items().into(), ids).resident_bytes())
-                            .sum(),
-                    };
+                    let parts: usize = ids
+                        .map(|ids| ScreenPart::gather(items, ids).resident_bytes())
+                        .sum();
                     cluster.list_bytes() + parts
                 });
                 per_cluster.sum()
             };
+            assert_eq!(plain.query_all(1), first, "{config:?}");
+            assert_eq!(screened.query_all(1), first, "{config:?}");
+            let after_k1 = screened.resident_bytes();
+            let total = whole(&screened);
+            assert!(after_k1 < total, "{after_k1} of {total}");
             for index in [&plain, &screened] {
-                let name = index.name();
-                assert_eq!(index.query_all(1), first, "{name} {config:?}");
-                let after_k1 = index.resident_bytes();
-                let total = whole(index);
-                assert!(after_k1 < total, "{name}: {after_k1} of {total}");
-                assert_eq!(index.query_all(6000), every, "{name}");
-                assert_eq!(index.resident_bytes(), whole(index), "{name} {config:?}");
+                assert_eq!(index.query_all(6000), every, "{} {config:?}", index.name());
+            }
+            assert_eq!(screened.resident_bytes(), whole(&screened), "{config:?}");
+            assert_eq!(plain.resident_bytes(), list_bytes(&plain), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn an_f64_handle_holds_its_lists_alone_and_packs_nothing() {
+        // Clustered and one-cluster f64 handles, each over users that walk
+        // in batches of many (a packed multiply per pass) and few (chains
+        // from the rows): after query_all at k = 1, 10 and 50 and after 48
+        // one-user calls, the handle holds its lists' bytes and nothing
+        // else, its build seconds never grow, and every answer is the
+        // oracle's.
+        let m = model(60, 3000, 16, 0.2);
+        for index in [
+            MaximusIndex::build(Arc::clone(&m), &small_config_sized()),
+            MaximusIndex::brute_force(Arc::clone(&m)),
+        ] {
+            let (name, built) = (index.name().to_string(), index.build_seconds());
+            for k in [1usize, 10, 50] {
+                assert_eq!(
+                    bits(&index.query_all(k)),
+                    bits(&oracle(&m, k)),
+                    "{name} k={k}"
+                );
+                assert_eq!(index.resident_bytes(), list_bytes(&index), "{name} k={k}");
+            }
+            let want = oracle(&m, 10);
+            for u in (0..48).map(|i| i * 37 % m.num_users()) {
+                assert_eq!(index.query_subset(10, &[u])[0], want[u], "{name} user {u}");
+            }
+            assert_eq!(index.resident_bytes(), list_bytes(&index), "{name}");
+            assert_eq!(index.build_seconds(), built, "{name}");
+            assert_eq!(
+                index.build_stats().construction_seconds,
+                index.core.build_stats.construction_seconds
+            );
+            for cluster in &index.core.clusters {
+                assert!(!packed(&cluster.f32_parts).contains(&true), "{name}");
+                assert!(!packed(&cluster.i8_parts).contains(&true), "{name}");
             }
         }
     }

@@ -141,10 +141,12 @@ pub struct StrategyEstimate {
     /// Strategy display name — the built solver's; for a candidate that was
     /// never built, its registry key (plus the tier suffix for a variant).
     pub name: String,
-    /// Index construction seconds (0 for BMM and for anything never built;
-    /// the mirroring alone for a screen variant, which shares its base's
-    /// construction), including any the timed passes set off (MAXIMUS
-    /// packs list parts on first touch).
+    /// Index construction seconds (0 for anything never built; the
+    /// mirroring alone for a screen variant, which shares its base's
+    /// construction), including any the timed passes set off (a screened
+    /// MAXIMUS handle, brute force's included, packs its tier's list parts
+    /// on first touch; an f64 handle adds nothing, its passes pack only
+    /// per-call scratch).
     pub build_seconds: f64,
     /// Users actually timed (may be below the sample size when the t-test
     /// stopped early; 0 for a candidate that was never built).
@@ -358,7 +360,16 @@ impl Optimus {
     ///   under it, the variant is built and raced as stage 1 races a base,
     ///   under the same t-test: in a bulk race a batch-capable variant is
     ///   timed on the whole sample in one call, in a point race one
-    ///   significantly slower than the leader stops.
+    ///   significantly slower than the leader stops. The bound holds only
+    ///   while a base's time scales with its multiply, which the tier
+    ///   shrinks by that ratio: a base that spends its time elsewhere —
+    ///   packing its catalog side per call, say — inflates its variants'
+    ///   bounds with work they do not do, and can leave them unbuilt
+    ///   behind a leader they would beat. So the f64 MAXIMUS walk, which
+    ///   keeps no packed catalog, scores a one-user pass straight from the
+    ///   rows: packing its span per call instead ran 3.4× the time
+    ///   (`kernel_rates`' one-row rows on 5 200 × f 50: 2.93 against 10.0
+    ///   GFLOP/s), while its int8 variant packs its parts once.
     /// * **Second pass.** The provisional winner's base/variant group — and
     ///   only it — is timed a second time with the per-candidate minimum
     ///   kept, because one whole-sample pass reads high. On the dense

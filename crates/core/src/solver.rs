@@ -26,7 +26,9 @@ pub trait MipsSolver: Send + Sync {
     /// ~0 for brute force). Fig. 4 compares this against serving time. A
     /// solver that builds part of itself on first touch adds those seconds
     /// as its queries set them off, so the figure may grow; the planner
-    /// keeps the growth out of a candidate's serving time.
+    /// keeps the growth out of a candidate's serving time. A MAXIMUS
+    /// handle's grows only in a screen tier: the f64 walk packs no part,
+    /// only per-call scratch, whose time is serving.
     fn build_seconds(&self) -> f64;
 
     /// `true` if the solver shares work across users in a batch (BMM,

@@ -152,6 +152,9 @@ fn padded_depth<T: GemmElem>(depth: usize) -> usize {
 /// `q·width..`, and within it depth group `d` of row `r` sits at
 /// `(d·width + r)·KGROUP`. Missing rows of the last panel and the missing
 /// half of an odd last pair are zero. Returns the packed length.
+///
+/// # Panics
+/// Panics unless `width` is 4, 8 or 16 (every `MR` and `NR`).
 fn pack_block<'a, T: GemmElem>(
     row: impl Fn(usize) -> &'a [T],
     nrows: usize,
@@ -160,18 +163,63 @@ fn pack_block<'a, T: GemmElem>(
     width: usize,
     out: &mut [T::Panel],
 ) -> usize {
+    match width {
+        4 => pack_panels::<T, 4>(row, nrows, pc, kcb, out),
+        8 => pack_panels::<T, 8>(row, nrows, pc, kcb, out),
+        16 => pack_panels::<T, 16>(row, nrows, pc, kcb, out),
+        _ => panic!("pack_block: no panel {width} rows wide"),
+    }
+}
+
+/// [`pack_block`] at width `W`. A whole panel is written in order, one
+/// depth group of its `W` rows after another, so the stores run
+/// sequentially while the rows are read as `W` streams. Kept out of line:
+/// inlined into the driver, it cost serve-burst's one-user screened calls
+/// about 2 % of their throughput (72.0–72.2 k against 73.4–73.7 k
+/// answers/s, medians of 4 seeds each, a 2-vCPU x86-64 guest).
+#[inline(never)]
+fn pack_panels<'a, T: GemmElem, const W: usize>(
+    row: impl Fn(usize) -> &'a [T],
+    nrows: usize,
+    pc: usize,
+    kcb: usize,
+    out: &mut [T::Panel],
+) -> usize {
     let g = T::KGROUP;
-    let panel_len = padded_depth::<T>(kcb) * width;
-    let len = nrows.div_ceil(width) * panel_len;
+    let whole = kcb / g;
+    let panel_len = padded_depth::<T>(kcb) * W;
+    let len = nrows.div_ceil(W) * panel_len;
     let out = &mut out[..len];
-    out.fill(T::Panel::default());
     for (q, panel) in out.chunks_exact_mut(panel_len).enumerate() {
-        for r in 0..width.min(nrows - q * width) {
-            let row = &row(q * width + r)[pc..pc + kcb];
-            for (d, group) in row.chunks(g).enumerate() {
-                let at = (d * width + r) * g;
-                for (slot, &v) in panel[at..at + g].iter_mut().zip(group) {
-                    *slot = v.to_panel();
+        let live = W.min(nrows - q * W);
+        if live < W || whole * g < kcb {
+            panel.fill(T::Panel::default());
+        }
+        // A whole panel's whole groups: `W` fixed-length streams.
+        let from = if live == W {
+            let src: [&[T]; W] = std::array::from_fn(|r| &row(q * W + r)[pc..pc + whole * g]);
+            for d in 0..whole {
+                let step = &mut panel[d * W * g..(d + 1) * W * g];
+                for r in 0..W {
+                    for e in 0..g {
+                        step[r * g + e] = src[r][d * g + e].to_panel();
+                    }
+                }
+            }
+            whole
+        } else {
+            0
+        };
+        // The rest, row by row: every row of the ragged last panel, or the
+        // half pair an odd depth leaves.
+        if from * g < kcb {
+            for r in 0..live {
+                let src = &row(q * W + r)[pc + from * g..pc + kcb];
+                for (d, group) in src.chunks(g).enumerate() {
+                    let at = ((from + d) * W + r) * g;
+                    for (slot, &v) in panel[at..at + g].iter_mut().zip(group) {
+                        *slot = v.to_panel();
+                    }
                 }
             }
         }
@@ -327,13 +375,20 @@ impl<'a, T: GemmElem> From<&'a PackedPanels<T>> for PanelView<'a, T> {
     }
 }
 
-/// The B side of a multiply: borrowed rows, packed per call, or panels
-/// packed once ([`PackedPanels`], or a run of their rows).
+/// The B side of a multiply: borrowed rows or rows picked by id, packed
+/// per call, or panels packed once ([`PackedPanels`], or a run of their
+/// rows).
 #[derive(Debug, Clone, Copy)]
 pub enum GemmB<'a, T: GemmElem> {
     /// Row-major rows (the explicit-blocking test entries, one-off
     /// multiplies).
     Rows(RowBlock<'a, T>),
+    /// Rows `ids` of a row block, in that order: row `j` of B is
+    /// `rows.row(ids[j])`. Each `NC` column panel is packed straight from
+    /// the picked rows into the multiply's scratch, so no gathered copy and
+    /// no panel outlives the call; the scores are those of multiplying
+    /// [`PackedPanels::gather`] of the same ids.
+    Gathered(RowBlock<'a, T>, &'a [u32]),
     /// Prepacked panels. Their depth block overrides the caller's `kc`.
     Packed(PanelView<'a, T>),
 }
@@ -343,6 +398,7 @@ impl<T: GemmElem> GemmB<'_, T> {
     pub fn rows(&self) -> usize {
         match self {
             GemmB::Rows(b) => b.rows(),
+            GemmB::Gathered(_, ids) => ids.len(),
             GemmB::Packed(p) => p.rows,
         }
     }
@@ -350,7 +406,7 @@ impl<T: GemmElem> GemmB<'_, T> {
     /// Width of B (the shared dimension).
     pub fn cols(&self) -> usize {
         match self {
-            GemmB::Rows(b) => b.cols(),
+            GemmB::Rows(b) | GemmB::Gathered(b, _) => b.cols(),
             GemmB::Packed(p) => p.cols(),
         }
     }
@@ -542,6 +598,65 @@ pub fn gemm_nt_stream_blocks_with<T: GemmElem>(
     });
 }
 
+/// Block-streaming `C = A·Bᵀ` for B = rows `ids` of `b`, every element
+/// scored as its own chain straight from the rows ([`Kernel::dot_seq16`],
+/// sixteen columns at a time): nothing is packed. The consumer sees the
+/// blocks [`gemm_nt_stream_blocks_with`] hands out over
+/// [`GemmB::Gathered`]`(b, ids)`, with the same bits — the tile's
+/// per-element order is this one sequential chain.
+///
+/// Each row of A costs a chain per column instead of a share of a register
+/// tile, so this pays only for a few rows of A, where packing B would cost
+/// more than multiplying it. The sixteen rows of B a group reads stay in L1
+/// while every row of the block scores against them.
+///
+/// # Panics
+/// Panics if the operand widths differ or an id is out of range.
+pub fn chain_nt_stream_blocks_with(
+    kern: &Kernel,
+    a: RowBlock<'_, f64>,
+    b: RowBlock<'_, f64>,
+    ids: &[u32],
+    blocks: &BlockSizes,
+    scratch: &mut GemmScratch<f64>,
+    mut consumer: impl FnMut(&[f64], Range<usize>, Range<usize>),
+) {
+    const LANES: usize = 16;
+    const AHEAD: usize = 2;
+    let (m, n) = (a.rows(), ids.len());
+    assert_eq!(a.cols(), b.cols(), "gemm_nt: inner dimension mismatch");
+    assert!(
+        ids.iter().all(|&id| (id as usize) < b.rows()),
+        "gemm_nt: gathered id out of range"
+    );
+    let mc = blocks.mc.max(f64::MR);
+    let nc = (blocks.nc / f64::NR).max(1) * f64::NR;
+    let block = &mut scratch.block;
+    for jc in (0..n).step_by(nc) {
+        let cols = &ids[jc..n.min(jc + nc)];
+        for ic in (0..m).step_by(mc) {
+            let rows = ic..m.min(ic + mc);
+            block.resize(rows.len() * cols.len(), 0.0);
+            for (q, group) in cols.chunks(LANES).enumerate() {
+                // Rows read by id defeat the hardware's stream prefetch at
+                // each row start: ask for those of the group `AHEAD` on.
+                let ahead = cols.iter().skip((q + AHEAD) * LANES).take(LANES);
+                ahead.for_each(|&id| simd::prefetch(b.row(id as usize)));
+                // A short last group repeats its last row; those lanes are
+                // dropped.
+                let last = group.len() - 1;
+                let ys = std::array::from_fn(|l| b.row(group[l.min(last)] as usize));
+                let at = q * LANES..q * LANES + group.len();
+                for (r, out) in rows.clone().zip(block.chunks_exact_mut(cols.len())) {
+                    let scores = kern.dot_seq16(a.row(r), ys);
+                    out[at.clone()].copy_from_slice(&scores[..group.len()]);
+                }
+            }
+            consumer(block, rows, jc..jc + cols.len());
+        }
+    }
+}
+
 /// The blocked driver. Walks C in `NC`-wide column panels and `MC`-tall
 /// blocks within them; for each block calls `visit(rows, cols, fill)`, and
 /// `fill(out, ldc, whole_rows)` computes the block — **all** depth passes —
@@ -550,8 +665,9 @@ pub fn gemm_nt_stream_blocks_with<T: GemmElem>(
 /// whole `MR` tiles). Shared by the in-place and streaming entries, which
 /// differ only in where `out` lives.
 ///
-/// B is packed once per column panel over the whole depth (or not at all,
-/// when prepacked); A once per block and depth pass.
+/// B is packed once per column panel over the whole depth — from its rows,
+/// or from the rows its ids pick — or not at all, when prepacked; A once
+/// per block and depth pass.
 fn for_each_block<T: GemmElem>(
     kern: &Kernel,
     blocks: &BlockSizes,
@@ -572,9 +688,15 @@ fn for_each_block<T: GemmElem>(
     // addressable by panel; depth blocks hold whole packed groups.
     let nc = (blocks.nc / T::NR).max(1) * T::NR;
     let kc = match b {
-        GemmB::Rows(_) => padded_depth::<T>(blocks.kc.max(1)),
+        GemmB::Rows(_) | GemmB::Gathered(..) => padded_depth::<T>(blocks.kc.max(1)),
         GemmB::Packed(p) => p.panels.kc,
     };
+    if let GemmB::Gathered(rows, ids) = b {
+        assert!(
+            ids.iter().all(|&id| (id as usize) < rows.rows()),
+            "gemm_nt: gathered id out of range"
+        );
+    }
     // Sized to this multiply, not to the blocking: a one-user lookup packs
     // one tile row of A, not `MC` of them.
     let a_rows = mc.min(m).div_ceil(T::MR) * T::MR;
@@ -587,6 +709,11 @@ fn for_each_block<T: GemmElem>(
         let (panels, first_panel, row_panels): (&[T::Panel], usize, usize) = match b {
             GemmB::Rows(rows) => {
                 pack_full_depth(|r| rows.row(jc + r), ncb, k, kc, pack_b);
+                (pack_b, 0, ncb.div_ceil(T::NR))
+            }
+            GemmB::Gathered(rows, ids) => {
+                let ids = &ids[jc..jc + ncb];
+                pack_full_depth(|r| rows.row(ids[r] as usize), ncb, k, kc, pack_b);
                 (pack_b, 0, ncb.div_ceil(T::NR))
             }
             GemmB::Packed(p) => (
@@ -1078,6 +1205,133 @@ mod tests {
                 slices_agree::<i8>(RowBlock::new(&a8, m, f), RowBlock::new(&b8, n, f), blocks);
             }
         }
+    }
+
+    /// Streams `a·bᵀ` through `drive` into a fresh `m × n` matrix,
+    /// checking that every element is handed out once.
+    fn streamed<T: GemmElem>(
+        m: usize,
+        n: usize,
+        drive: impl FnOnce(&mut dyn FnMut(&[T::Acc], Range<usize>, Range<usize>)),
+    ) -> Vec<T::Acc> {
+        let mut out = vec![T::Acc::default(); m * n];
+        let mut seen = 0;
+        drive(&mut |block, rows, cols| {
+            assert_eq!(block.len(), rows.len() * cols.len());
+            for (r, scores) in rows.zip(block.chunks_exact(cols.len())) {
+                out[r * n + cols.start..r * n + cols.end].copy_from_slice(scores);
+            }
+            seen += block.len();
+        });
+        assert_eq!(seen, m * n, "every element streamed exactly once");
+        out
+    }
+
+    /// Rows `ids` of `b` as B, gathered per call and packed into panels
+    /// once by [`PackedPanels::gather`], stream the same elements under
+    /// `kern`; returns them.
+    fn gathered_like_packed<T: GemmElem>(
+        kern: &Kernel,
+        a: RowBlock<'_, T>,
+        b: RowBlock<'_, T>,
+        ids: &[u32],
+        blocks: &BlockSizes,
+    ) -> Vec<T::Acc>
+    where
+        T::Acc: PartialEq,
+    {
+        let (m, n) = (a.rows(), ids.len());
+        let panels = PackedPanels::gather(b, ids);
+        let mut scratch = GemmScratch::new();
+        let mut stream = |side: GemmB<'_, T>| {
+            streamed::<T>(m, n, |consumer| {
+                gemm_nt_stream_blocks_with(kern, a, side, blocks, &mut scratch, consumer)
+            })
+        };
+        let want = stream((&panels).into());
+        let got = stream(GemmB::Gathered(b, ids));
+        assert!(got == want, "{} {ids:?}, {blocks:?}", kern.name());
+        want
+    }
+
+    #[test]
+    fn gathered_rows_multiply_like_their_packed_panels_and_chains() {
+        // Ragged id counts (none, fewer than a tile or a chain group, past
+        // a column panel), ids out of order and repeated, depths past the
+        // default `KC`, user rows past a tiny `MC`, under the scalar and
+        // the dispatched kernels; f64 also through the chains, bit for bit.
+        let tiny = BlockSizes {
+            mc: 6,
+            kc: 4,
+            nc: 16,
+        };
+        let n = 70;
+        let shuffled: Vec<u32> = (0..n as u32).map(|i| (i * 29 + 11) % n as u32).collect();
+        let id_sets: [Vec<u32>; 5] = [
+            Vec::new(),
+            vec![5],
+            vec![69, 3, 3, 40, 12, 0, 7],
+            shuffled[..33].to_vec(),
+            shuffled.iter().chain(&shuffled[..9]).copied().collect(),
+        ];
+        let depths: &[usize] = if cfg!(miri) {
+            &[3]
+        } else {
+            &[0, 1, 3, 50, 51, 300, 513]
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &f in depths {
+            for &m in &[1usize, 3, 9] {
+                let a64 = random_matrix(m, f, 31 + m as u64);
+                let b64 = random_matrix(n, f, 37);
+                let (a32, b32) = (rounded(&a64), rounded(&b64));
+                let (a8, b8) = (codes(m, f, 2), codes(n, f, 7));
+                let (a8, b8) = (RowBlock::new(&a8, m, f), RowBlock::new(&b8, n, f));
+                let (a, b) = ((&a64).into(), (&b64).into());
+                for kern in [Kernel::scalar(), *simd::active()] {
+                    for blocks in [&f64::BLOCKS, &tiny] {
+                        for ids in &id_sets {
+                            let want = gathered_like_packed::<f64>(&kern, a, b, ids, blocks);
+                            let mut scratch = GemmScratch::new();
+                            let chained = streamed::<f64>(m, ids.len(), |consumer| {
+                                chain_nt_stream_blocks_with(
+                                    &kern,
+                                    a,
+                                    b,
+                                    ids,
+                                    blocks,
+                                    &mut scratch,
+                                    consumer,
+                                )
+                            });
+                            assert_eq!(bits(&chained), bits(&want), "{} {ids:?}", kern.name());
+                            gathered_like_packed::<f32>(
+                                &kern,
+                                (&a32).into(),
+                                (&b32).into(),
+                                ids,
+                                blocks,
+                            );
+                            gathered_like_packed::<i8>(&kern, a8, b8, ids, blocks);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gathered id out of range")]
+    fn gathered_ids_stay_in_range() {
+        let (a, b) = (random_matrix(2, 3, 1), random_matrix(4, 3, 2));
+        let mut scratch = GemmScratch::new();
+        let ids = [1, 4];
+        gemm_nt_stream_blocks(
+            (&a).into(),
+            GemmB::Gathered((&b).into(), &ids),
+            &mut scratch,
+            |_, _, _| {},
+        );
     }
 
     #[test]

@@ -123,6 +123,18 @@ pub(crate) fn dot_seq4_scalar_f64(x: &[f64], ys: [&[f64]; 4]) -> [f64; 4] {
     acc
 }
 
+/// Scalar body of [`crate::simd::Kernel::dot_seq16`]: sixteen chains, one
+/// per row, each the sequential order of [`dot_seq4_scalar_f64`]'s.
+pub(crate) fn dot_seq16_scalar_f64(x: &[f64], ys: [&[f64]; 16]) -> [f64; 16] {
+    let mut acc = [0.0f64; 16];
+    for (j, &u) in x.iter().enumerate() {
+        for (a, y) in acc.iter_mut().zip(ys) {
+            *a = u.mul_add(y[j], *a);
+        }
+    }
+    acc
+}
+
 /// Scalar body of [`crate::simd::Kernel::dist2_sq`]: four FMA chains in
 /// flight, matching [`dot`]'s accumulator layout (a single-accumulator loop
 /// serializes on FMA latency).

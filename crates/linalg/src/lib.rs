@@ -50,9 +50,9 @@ pub mod tier;
 pub use blocking::{BlockSizes, CacheConfig};
 pub use error::LinalgError;
 pub use gemm::{
-    gemm_flops, gemm_nt, gemm_nt_blocked, gemm_nt_blocked_with, gemm_nt_into,
-    gemm_nt_stream_blocks, gemm_nt_stream_blocks_with, matmul_nn, naive_gemm_nt, GemmB, GemmElem,
-    GemmScratch, PackedPanels, PanelView,
+    chain_nt_stream_blocks_with, gemm_flops, gemm_nt, gemm_nt_blocked, gemm_nt_blocked_with,
+    gemm_nt_into, gemm_nt_stream_blocks, gemm_nt_stream_blocks_with, matmul_nn, naive_gemm_nt,
+    GemmB, GemmElem, GemmScratch, PackedPanels, PanelView,
 };
 pub use kernels::{
     dot, f32_screen_envelope, f32_screen_envelope_parts, norm2, norm2_sq, normalize,

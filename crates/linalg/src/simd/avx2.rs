@@ -81,6 +81,62 @@ unsafe fn dot_seq4_inner(x: &[f64], ys: [&[f64]; 4]) -> [f64; 4] {
 }
 
 /// Safe wrapper; see module docs for the soundness argument.
+pub(super) fn dot_seq16(x: &[f64], ys: [&[f64]; 16]) -> [f64; 16] {
+    // SAFETY: as for `dot`.
+    unsafe { dot_seq16_inner(x, ys) }
+}
+
+/// Sixteen sequential-chain (GEMM-ordered) dots, four rows to a vector:
+/// lane `l` of `acc[h]` is row `4h + l`'s chain. Two depth steps of four
+/// rows are loaded as two 128-bit pairs per row and transposed with one
+/// insert and one unpack pair, so each step costs one FMA per four rows,
+/// and each lane still adds its row's products in depth order with one
+/// rounding apiece — the scalar body's bits. Four accumulators keep four
+/// FMAs in flight while each waits on the one before it in its chain.
+// SAFETY contract: the caller must guarantee AVX2+FMA are available
+// (upheld by constructing the `Kernel` only after feature detection)
+// and pass rows at least as long as `x` (the safe wrapper asserts equal
+// lengths) — every pointer read below is in bounds exactly when they are.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn dot_seq16_inner(x: &[f64], ys: [&[f64]; 16]) -> [f64; 16] {
+    let n = x.len();
+    let (xp, rows) = (x.as_ptr(), ys.map(<[f64]>::as_ptr));
+    let mut acc = [_mm256_setzero_pd(); 4];
+    // `[r_a[j], r_a[j + 1], r_b[j], r_b[j + 1]]`.
+    let pair = |a: *const f64, b: *const f64, j: usize| {
+        _mm256_insertf128_pd::<1>(
+            _mm256_castpd128_pd256(_mm_loadu_pd(a.add(j))),
+            _mm_loadu_pd(b.add(j)),
+        )
+    };
+    let mut j = 0;
+    while j + 2 <= n {
+        let (u0, u1) = (
+            _mm256_broadcast_sd(&*xp.add(j)),
+            _mm256_broadcast_sd(&*xp.add(j + 1)),
+        );
+        for (acc, r) in acc.iter_mut().zip(rows.chunks_exact(4)) {
+            let (t0, t1) = (pair(r[0], r[2], j), pair(r[1], r[3], j));
+            *acc = _mm256_fmadd_pd(u0, _mm256_unpacklo_pd(t0, t1), *acc);
+            *acc = _mm256_fmadd_pd(u1, _mm256_unpackhi_pd(t0, t1), *acc);
+        }
+        j += 2;
+    }
+    if j < n {
+        let u = _mm256_broadcast_sd(&*xp.add(j));
+        for (acc, r) in acc.iter_mut().zip(rows.chunks_exact(4)) {
+            let y = _mm256_set_pd(*r[3].add(j), *r[2].add(j), *r[1].add(j), *r[0].add(j));
+            *acc = _mm256_fmadd_pd(u, y, *acc);
+        }
+    }
+    let mut out = [0.0f64; 16];
+    for (lanes, acc) in out.chunks_exact_mut(4).zip(acc) {
+        _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
+    }
+    out
+}
+
+/// Safe wrapper; see module docs for the soundness argument.
 pub(super) fn dist2_sq(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     // SAFETY: as for `dot`.

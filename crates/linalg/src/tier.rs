@@ -417,6 +417,7 @@ impl<'a, T: ScreenElem> TierView<'a, T> {
                 let data = &rows.as_slice()[range.start * f..range.end * f];
                 GemmB::Rows(RowBlock::new(data, range.len(), f))
             }
+            GemmB::Gathered(rows, ids) => GemmB::Gathered(rows, &ids[range]),
             GemmB::Packed(panels) => GemmB::Packed(panels.slice(range)),
         };
         TierView { rows, terms }
@@ -430,7 +431,9 @@ impl<'a, T: ScreenElem> TierView<'a, T> {
     pub fn row_block(&self) -> RowBlock<'a, T> {
         match self.rows {
             GemmB::Rows(rows) => rows,
-            GemmB::Packed(_) => panic!("a packed tier view has no row storage"),
+            GemmB::Gathered(..) | GemmB::Packed(_) => {
+                panic!("a packed tier view has no row storage")
+            }
         }
     }
 

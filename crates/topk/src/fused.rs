@@ -31,6 +31,7 @@ use crate::heap::TopKHeap;
 use crate::list::TopKList;
 use mips_linalg::simd::{self, Kernel};
 use mips_linalg::{BlockSizes, GemmB, GemmElem, GemmScratch, RowBlock};
+use std::ops::Range;
 
 /// How panel columns map to item ids.
 ///
@@ -137,8 +138,61 @@ pub fn stream_topk_into_heaps_with(
             "stream_topk: id map shorter than item count"
         );
     }
+    offer_blocks(kern, heaps, ids, scratch, |scratch, consumer| {
+        mips_linalg::gemm_nt_stream_blocks_with(kern, a, b, blocks, scratch, consumer)
+    });
+}
+
+/// [`stream_topk_into_heaps`] over items `ids` of `items` (column `j` is
+/// item `ids[j]`), every score one chain read from the item's row
+/// ([`mips_linalg::chain_nt_stream_blocks_with`]): nothing is packed. The
+/// heaps are offered the bits a multiply over
+/// [`GemmB::Gathered`]`(items, ids)` gives, by the same admission rule —
+/// the path for a few query rows, whose multiply costs less than packing
+/// its B side.
+///
+/// # Panics
+/// Panics if `heaps.len() != a.rows()`, if an id is out of range, or if
+/// the operand widths differ.
+pub fn chain_topk_into_heaps(
+    a: RowBlock<'_, f64>,
+    items: RowBlock<'_, f64>,
+    ids: &[u32],
+    heaps: &mut [TopKHeap],
+    scratch: &mut GemmScratch<f64>,
+) {
+    chain_topk_into_heaps_with(simd::active(), &f64::BLOCKS, a, items, ids, heaps, scratch)
+}
+
+/// [`chain_topk_into_heaps`] with explicit kernel set and blocking
+/// parameters.
+pub fn chain_topk_into_heaps_with(
+    kern: &Kernel,
+    blocks: &BlockSizes,
+    a: RowBlock<'_, f64>,
+    items: RowBlock<'_, f64>,
+    ids: &[u32],
+    heaps: &mut [TopKHeap],
+    scratch: &mut GemmScratch<f64>,
+) {
+    assert_eq!(heaps.len(), a.rows(), "stream_topk: one heap per query row");
+    let mapped = ColumnIds::Mapped(ids);
+    offer_blocks(kern, heaps, mapped, scratch, |scratch, consumer| {
+        mips_linalg::chain_nt_stream_blocks_with(kern, a, items, ids, blocks, scratch, consumer)
+    });
+}
+
+/// Runs `drive`, a block-streaming multiply over `scratch`, offering each
+/// row of every block it hands out to that row's heap.
+fn offer_blocks(
+    kern: &Kernel,
+    heaps: &mut [TopKHeap],
+    ids: ColumnIds<'_>,
+    scratch: &mut GemmScratch<f64>,
+    drive: impl FnOnce(&mut GemmScratch<f64>, &mut dyn FnMut(&[f64], Range<usize>, Range<usize>)),
+) {
     scratch.with_maxima(|scratch, maxima| {
-        mips_linalg::gemm_nt_stream_blocks_with(kern, a, b, blocks, scratch, |block, rows, cols| {
+        drive(scratch, &mut |block, rows, cols| {
             for (scores, heap) in block.chunks_exact(cols.len()).zip(&mut heaps[rows]) {
                 admit::offer_scores(kern, scores, heap, ids, cols.start, maxima);
             }
@@ -285,6 +339,66 @@ mod tests {
         );
         let got = heaps.pop().unwrap().into_sorted();
         assert_eq!(got.items, vec![1, 4]);
+    }
+
+    #[test]
+    fn chains_fill_heaps_like_a_gathered_multiply() {
+        // Rows picked by ids out of order, with ties among repeated ids,
+        // past a column panel and a chain group, into heaps some of which
+        // already hold entries: the chains leave every heap as a multiply
+        // over the gathered rows does, ids and score bits, under the
+        // scalar and the dispatched kernels.
+        let tiny = BlockSizes {
+            mc: 2,
+            kc: 3,
+            nc: 24,
+        };
+        let (m, n, f) = (5, 90, 13);
+        let a = random_matrix(m, f, 21);
+        let b = random_matrix(n, f, 22);
+        let ids: Vec<u32> = (0..n as u32)
+            .map(|i| (i * 53 + 7) % n as u32)
+            .chain([4, 4, 17])
+            .collect();
+        let bits = |heaps: Vec<TopKHeap>| -> Vec<(Vec<u32>, Vec<u64>)> {
+            let lists = heaps.into_iter().map(TopKHeap::into_sorted);
+            lists
+                .map(|l| (l.items, l.scores.iter().map(|s| s.to_bits()).collect()))
+                .collect()
+        };
+        for kern in [Kernel::scalar(), *simd::active()] {
+            for blocks in [&f64::BLOCKS, &tiny] {
+                for k in [1usize, 7, 100] {
+                    let fresh = || {
+                        let mut heaps = vec![TopKHeap::new(k); m];
+                        heaps[2].push(0.25, 3);
+                        heaps
+                    };
+                    let (mut chained, mut multiplied) = (fresh(), fresh());
+                    let mut scratch = GemmScratch::new();
+                    let (a, b) = ((&a).into(), (&b).into());
+                    chain_topk_into_heaps_with(
+                        &kern,
+                        blocks,
+                        a,
+                        b,
+                        &ids,
+                        &mut chained,
+                        &mut scratch,
+                    );
+                    stream_topk_into_heaps_with(
+                        &kern,
+                        blocks,
+                        a,
+                        GemmB::Gathered(b, &ids),
+                        &mut multiplied,
+                        ColumnIds::Mapped(&ids),
+                        &mut scratch,
+                    );
+                    assert_eq!(bits(chained), bits(multiplied), "{} k={k}", kern.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub mod screen;
 pub mod select;
 
 pub use canonical::{exact_topk, Shortlist};
-pub use fused::{gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnIds};
+pub use fused::{
+    chain_topk_into_heaps, gemm_nt_topk, gemm_nt_topk_with, stream_topk_into_heaps, ColumnIds,
+};
 pub use heap::TopKHeap;
 pub use list::TopKList;
 pub use screen::{

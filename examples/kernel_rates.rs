@@ -3,7 +3,10 @@
 //! multiply-add loop timed in the same process — ROADMAP aim 1's "kernels
 //! against the machine". The shape is the benchmark's dense model
 //! (512 users × 5200 items × f 50), so the driver rows are the per-score
-//! costs the BMM scan pays.
+//! costs the BMM scan pays. Three more f64 rows time a MAXIMUS pass, which
+//! reads the catalog by id: B gathered and packed per call, for the block
+//! and for one user, and one user's 16-chain dot straight from the rows —
+//! the two one-row rates the walk's chain cutoff is read from.
 //!
 //! A last table adds the selection: multiply + top-k per score at
 //! k = 1, 10, 50 for the f64 fused select and the f32 / i8 screens (with
@@ -19,8 +22,8 @@ use optimus_maximus::data::synth::{synth_model, SynthConfig};
 use optimus_maximus::data::{MfModel, MirrorElem};
 use optimus_maximus::linalg::simd::{self, PeakOp};
 use optimus_maximus::linalg::{
-    gemm_flops, gemm_nt_into, gemm_nt_stream_blocks, GemmElem, GemmScratch, PackedPanels, RowBlock,
-    TierView,
+    chain_nt_stream_blocks_with, gemm_flops, gemm_nt_into, gemm_nt_stream_blocks, GemmB, GemmElem,
+    GemmScratch, PackedPanels, RowBlock, TierView,
 };
 use optimus_maximus::topk::{
     screen_parts_topk_into_heaps, stream_topk_into_heaps, ColumnIds, ScreenScratch, TopKHeap,
@@ -130,6 +133,67 @@ fn report<T: GemmElem>(name: &str, unit: &str, peak: f64, map: impl Fn(f64) -> T
     row("stream blocks, 1 row", giga(one_ops, seconds));
 }
 
+/// The f64 rows of a MAXIMUS pass, which keeps no packed copy of its list:
+/// the items in list order (a fixed shuffle of the catalog) are rows read
+/// by id, packed into the scratch per call — for the whole user block and
+/// for one user — or scored for one user by sixteen chains straight from
+/// the rows. The last two rows give the walk's chain cutoff
+/// (`CHAIN_WALKERS` in `crates/core/src/maximus/mod.rs`): a pass of up to
+/// `MR` users costs the gathered multiply about its one-row time, and the
+/// chains that many one-row times.
+fn report_gathered(peak: f64) {
+    let kern = simd::active();
+    let row = |what: &str, ops: f64, seconds: f64| {
+        let rate = ops / seconds * 1e-9;
+        println!(
+            "f64  {what:<34} {rate:8.2} GFLOP/s  {:5.1} % of peak",
+            100.0 * rate / peak
+        );
+    };
+    let users = operand(USERS, 7, |v| v);
+    let items = operand(ITEMS, 11, |v| v);
+    let users = RowBlock::new(&users, USERS, FACTORS);
+    let items = RowBlock::new(&items, ITEMS, FACTORS);
+    let ids: Vec<u32> = (0..ITEMS as u64)
+        .map(|i| (i * 2_654_435_761 % ITEMS as u64) as u32)
+        .collect();
+    let gathered = GemmB::Gathered(items, &ids);
+    let mut scratch = GemmScratch::new();
+
+    let seconds = best_of_5(|| {
+        gemm_nt_stream_blocks(users, gathered, &mut scratch, |block, _, _| {
+            black_box(block);
+        });
+    });
+    row(
+        "stream blocks, B gathered per call",
+        gemm_flops(USERS, ITEMS, FACTORS),
+        seconds,
+    );
+
+    let one = RowBlock::new(&users.as_slice()[..FACTORS], 1, FACTORS);
+    let reps = 50;
+    let one_ops = gemm_flops(1, ITEMS, FACTORS) * reps as f64;
+    let seconds = best_of_5(|| {
+        for _ in 0..reps {
+            gemm_nt_stream_blocks(one, gathered, &mut scratch, |block, _, _| {
+                black_box(block);
+            });
+        }
+    });
+    row("stream blocks, B gathered, 1 row", one_ops, seconds);
+
+    let seconds = best_of_5(|| {
+        for _ in 0..reps {
+            let blocks = &f64::BLOCKS;
+            chain_nt_stream_blocks_with(kern, one, items, &ids, blocks, &mut scratch, |b, _, _| {
+                black_box(b);
+            });
+        }
+    });
+    row("16-chain gathered dot, 1 row", one_ops, seconds);
+}
+
 /// The k values of the select table: the benchmark's batch ks.
 const SELECT_KS: [usize; 3] = [1, 10, 50];
 
@@ -229,6 +293,7 @@ fn main() {
     println!("peak f32 FMA            {p32:8.2} GFLOP/s");
     println!("peak i16 multiply-add   {p16:8.2} GOP/s");
     report::<f64>("f64", "GFLOP/s", p64, |v| v);
+    report_gathered(p64);
     report::<f32>("f32", "GFLOP/s", p32, |v| v as f32);
     report::<i8>("i8", "GOP/s  ", p16, |v| {
         i8::try_from((v * 127.0).round() as i32).expect("|v| <= 1 maps into the code range")
