@@ -71,7 +71,7 @@ pub(crate) type CacheTier<K, T> = Mutex<HashMap<K, CacheCell<T>>>;
 /// stack (responses, metrics, the micro-batcher's coalescing key).
 ///
 /// Derived state comes in two cache tiers — built `solvers` and
-/// per-[`PlanKey`] `plans`, shared by every shard — both epoch-scoped and
+/// per-[`PlanKey`] `plans`, shared by every worker — both epoch-scoped and
 /// reclaimed together by refcount when the last in-flight request drops
 /// the epoch.
 pub(crate) struct ModelEpoch {

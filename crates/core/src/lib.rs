@@ -32,11 +32,11 @@
 //! * [`parallel`] — user-partitioned multi-core serving (Fig. 6). New code
 //!   reaches it by setting [`engine::EngineOptions::threads`]; the free
 //!   functions remain for direct solver access.
-//! * [`serve`] — the sharded concurrent serving runtime: a
-//!   [`MipsServer`] fronts an engine with contiguous
-//!   user shards, a persistent worker pool behind a bounded submission
-//!   queue, dynamic micro-batching of small same-`(shard, k)` requests,
-//!   and per-shard latency/throughput metrics.
+//! * [`serve`] — the concurrent serving runtime: a [`MipsServer`] fronts
+//!   an engine with a persistent worker pool behind a bounded submission
+//!   queue, dynamic micro-batching of small same-`(epoch, k)` requests,
+//!   large requests cut into one piece per worker, and latency/throughput
+//!   metrics.
 //! * [`verify`] — a semantic exactness checker used throughout the test
 //!   suite.
 //!

@@ -14,7 +14,7 @@ pub use crate::engine::epoch::{get_or_build, ArcCell, CacheCell};
 pub use crate::serve::batcher::collect_batch;
 pub use crate::serve::metrics::ServerCounters;
 pub use crate::serve::queue::{BoundedQueue, QueueItem};
-pub use crate::serve::shard::{Pending, SubUsers};
+pub use crate::serve::split::Pending;
 pub use mips_topk::TopKList;
 
 use crate::sync::atomic::Ordering;

@@ -13,7 +13,7 @@
 //! Each rate is a property of the host and of the SIMD kernel set
 //! [`mips_linalg::simd::active`] selected, which is fixed for the process
 //! lifetime. So each is measured at most once per process, on first use,
-//! and then read as a constant by every engine, epoch and shard.
+//! and then read as a constant by every engine, epoch and worker.
 //!
 //! * [`tier_flops_per_second`] — every numeric tier's dense scan kernel
 //!   (f64, f32, int8), timed the way the scan is served: the packed GEMM

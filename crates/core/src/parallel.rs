@@ -18,24 +18,24 @@ use crate::solver::MipsSolver;
 use mips_topk::TopKList;
 use std::ops::Range;
 
-/// Splits `0..n` positions into at most `parts` contiguous chunks, each of
-/// (near-)equal size; the final chunk is shorter when the division is
-/// ragged, and `n == 0` yields no chunks.
+/// Splits `0..n` positions into `min(parts, n)` contiguous chunks whose
+/// sizes differ by at most one (the longer ones first); `n == 0` yields no
+/// chunks.
 ///
 /// This is the partitioning rule for both the thread-per-chunk multi-core
-/// path below and the [`crate::serve`] runtime's user shards, so the two
-/// layers agree on where boundaries fall.
+/// path below and the [`crate::serve`] runtime's cut of a request too large
+/// for one micro-batch, so the two layers agree on where boundaries fall.
 pub fn chunk_bounds(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.min(n).max(1);
-    let chunk = n.div_ceil(parts);
-    let mut bounds = Vec::with_capacity(parts);
+    let parts = parts.max(1).min(n);
     let mut start = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        bounds.push(start..end);
-        start = end;
-    }
-    bounds
+    (0..parts)
+        .map(|i| {
+            let end = start + n / parts + usize::from(i < n % parts);
+            let chunk = start..end;
+            start = end;
+            chunk
+        })
+        .collect()
 }
 
 /// Serves a contiguous user range with `threads` worker threads,
@@ -111,6 +111,15 @@ mod tests {
     use crate::maximus::{MaximusConfig, MaximusIndex};
     use crate::sync::Arc;
     use mips_data::synth::{synth_model, SynthConfig};
+
+    #[test]
+    fn chunk_bounds_cut_min_parts_n_balanced_chunks() {
+        assert_eq!(chunk_bounds(10, 3), [0..4, 4..7, 7..10]);
+        assert_eq!(chunk_bounds(9, 4), [0..3, 3..5, 5..7, 7..9]);
+        assert_eq!(chunk_bounds(3, 8), [0..1, 1..2, 2..3]);
+        assert_eq!(chunk_bounds(5, 0), vec![0..5]);
+        assert!(chunk_bounds(0, 4).is_empty());
+    }
 
     fn model(users: usize) -> Arc<mips_data::MfModel> {
         Arc::new(synth_model(&SynthConfig {

@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn every_screen_tier_is_wired_end_to_end() {
         use crate::engine::BackendRegistry;
-        use crate::serve::{LatencySnapshot, ServerMetrics};
+        use crate::serve::ServerMetrics;
         use mips_data::synth::{synth_model, SynthConfig};
 
         let model = crate::sync::Arc::new(synth_model(&SynthConfig {
@@ -124,18 +124,7 @@ mod tests {
             ..SynthConfig::default()
         }));
         let registry = BackendRegistry::with_defaults();
-        let metrics = ServerMetrics {
-            submitted: 0,
-            completed: 0,
-            rejected: 0,
-            failed: 0,
-            epoch: 0,
-            precision: Precision::Auto,
-            swaps: 0,
-            latency: LatencySnapshot::default(),
-            shards: Vec::new(),
-        }
-        .to_json();
+        let metrics = ServerMetrics::default().to_json();
         assert_eq!(Precision::of_tier(None), Precision::F64);
         for tier in ScreenTier::ALL {
             // The two enums are mutual inverses and the mode has a wire name.

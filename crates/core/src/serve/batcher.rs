@@ -5,8 +5,9 @@
 //! work — a `32 × f · f × n` multiply is far cheaper than 32 separate
 //! `1 × f` passes over the item matrix (§II-B; LEMP makes the same
 //! observation with bucket-batched probing). Single-user traffic squanders
-//! that, so the batcher coalesces queued sub-requests of the same epoch and
-//! shard at the same `k` into one `query_subset` call.
+//! that, so the batcher coalesces queued sub-requests of the same epoch at
+//! the same `k`, whichever users they ask for, into one `query_subset`
+//! call.
 //!
 //! The flush is adaptive and never waits: a worker pops one sub-request,
 //! extracts every queued match up to `max_batch` users, and runs the batch.
@@ -31,11 +32,11 @@
 //! point plan at their `k` — priced one user per call — and a large range
 //! takes the bulk plan.
 
-use super::metrics::ShardCounters;
+use super::metrics::ServerCounters;
 use super::queue::{BoundedQueue, QueueItem};
-use super::shard::{SubRequest, SubUsers};
+use super::split::{SubRequest, SubUsers};
 use crate::engine::{serve, Engine};
-use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Gathers the micro-batch led by `first`: every queued match that fits
@@ -56,37 +57,20 @@ pub fn collect_batch<I: QueueItem>(queue: &BoundedQueue<I>, first: I, max_batch:
 
 /// Executes one batch (one or many coalesced sub-requests) on the epoch
 /// every sub-request in it is pinned to, scattering results back into each
-/// pending response and counting it in `shard`, the batch's shard slot.
+/// pending response and counting the solver call in `counters`.
 /// Request-level completion metrics roll up inside the pending itself,
-/// before any waiter wakes. `progress` counts subs whose shard `completed`
-/// counter has been bumped — the worker's panic handler uses it to settle
-/// the remainder so `submitted == completed` holds even across backend
-/// panics.
-pub(crate) fn execute_batch(
-    engine: &Engine,
-    shard: &ShardCounters,
-    batch: Vec<SubRequest>,
-    progress: &AtomicUsize,
-) {
+/// before any waiter wakes.
+pub(crate) fn execute_batch(engine: &Engine, counters: &ServerCounters, batch: Vec<SubRequest>) {
     debug_assert!(!batch.is_empty());
-    // The batch key guarantees one epoch and one shard per batch.
+    // The batch key guarantees one epoch and one k per batch.
     debug_assert!(batch.iter().all(|s| s.key() == batch[0].key()));
     let k = batch[0].k;
-    let settle_one = |sub: &SubRequest| {
-        shard.add(&shard.completed, 1);
-        shard
-            .latency
-            .record_ns(sub.submitted_at.elapsed().as_nanos() as u64);
-        progress.fetch_add(1, Ordering::Relaxed);
-    };
-
     let total_users: usize = batch.iter().map(|s| s.users.len()).sum();
     let class = engine.class_of(&batch[0].epoch, total_users);
     let plan = match engine.prepare_on(&batch[0].epoch, k, class) {
         Ok(plan) => plan,
         Err(error) => {
             for sub in &batch {
-                settle_one(sub);
                 sub.pending.fail(error.clone());
             }
             return;
@@ -96,49 +80,50 @@ pub(crate) fn execute_batch(
     let solver = plan.solver();
 
     let started = Instant::now();
-    let outcome = if batch.len() == 1 {
+    let request = if batch.len() == 1 {
         // Solo path: ranges stay ranges, exclusions allowed.
-        let request = batch[0].to_request();
-        serve(model, solver, 1, &request, true, plan.epoch()).map(|r| r.results)
+        batch[0].to_request()
     } else {
         // Coalesced path: concatenate ids into one gathered batch. Repeats
         // across sub-requests are fine — the solver's dedup fans results
         // back out per occurrence.
-        let mut users: Vec<usize> = Vec::with_capacity(batch.iter().map(|s| s.users.len()).sum());
+        let mut users: Vec<usize> = Vec::with_capacity(total_users);
         for sub in &batch {
             match &sub.users {
-                SubUsers::Range { users: r, .. } => users.extend(r.clone()),
-                SubUsers::Ids { users: ids, .. } => users.extend_from_slice(ids),
+                SubUsers::Range(range) => users.extend(range.clone()),
+                SubUsers::Ids(ids) => users.extend_from_slice(ids),
             }
         }
-        let request = crate::engine::QueryRequest {
+        crate::engine::QueryRequest {
             k,
             users: crate::engine::UserSelection::Ids(users),
             exclude: None,
-        };
-        serve(model, solver, 1, &request, true, plan.epoch()).map(|r| r.results)
+        }
     };
+    let outcome = serve(model, solver, 1, &request, true, plan.epoch()).map(|r| r.results);
     let busy_ns = started.elapsed().as_nanos() as u64;
 
-    // Roll up shard counters before scattering so metrics never lag the
+    // Roll up the counters before scattering so metrics never lag the
     // caller's wakeup.
-    shard.add(&shard.batches, 1);
+    let add = |counter: &AtomicU64, n: u64| {
+        counter.fetch_add(n, Ordering::Relaxed);
+    };
+    add(&counters.batches, 1);
     // Fold the screen work into the lane of the plan's tier (a point and a
     // bulk plan at one k may differ). Each tier variant drains only its own
-    // counters (`MipsSolver::screen_variant`), so per-tier totals are exact;
-    // per-shard counts are not: a drain may take another shard's scan.
+    // counters (`MipsSolver::screen_variant`), so per-tier totals are exact.
     if let Some(tier) = plan.precision().forced_tier() {
-        let lane = &shard.lanes[tier.index()];
-        shard.add(&lane.batches, 1);
+        let lane = &counters.lanes[tier.index()];
+        add(&lane.batches, 1);
         if let Some(tally) = solver.take_screen_stats() {
-            shard.add(&lane.candidates, tally.screened);
-            shard.add(&lane.survivors, tally.rescored);
+            add(&lane.candidates, tally.screened);
+            add(&lane.survivors, tally.rescored);
         }
     }
-    shard.add(&shard.busy_ns, busy_ns);
-    shard.add(&shard.users_served, total_users as u64);
+    add(&counters.busy_ns, busy_ns);
+    add(&counters.users_served, total_users as u64);
     if batch.len() > 1 {
-        shard.add(&shard.coalesced, batch.len() as u64);
+        add(&counters.coalesced, batch.len() as u64);
     }
 
     match outcome {
@@ -147,17 +132,12 @@ pub(crate) fn execute_batch(
             // Scatter back to front so each split_off is O(its own slice).
             for sub in batch.iter().rev() {
                 let lists = results.split_off(results.len() - sub.users.len());
-                // Count and time *before* completing: the last completion
-                // wakes the waiter, and metrics must already be consistent
-                // when it reads them.
-                settle_one(sub);
                 sub.pending
-                    .complete(&sub.users, lists, plan.backend_name(), plan.precision());
+                    .complete(sub.out_start, lists, plan.backend_name(), plan.precision());
             }
         }
         Err(error) => {
             for sub in &batch {
-                settle_one(sub);
                 sub.pending.fail(error.clone());
             }
         }

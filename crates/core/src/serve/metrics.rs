@@ -1,6 +1,6 @@
-//! Lock-free serving counters: per-shard throughput and latency.
+//! Lock-free serving counters: throughput, solver work and latency.
 //!
-//! Workers record into atomics on every completed sub-request, so metrics
+//! Workers record into atomics on every solver call, so metrics
 //! collection never contends with serving. Latencies go into a logarithmic
 //! histogram (one power-of-two bucket per nanosecond magnitude), which is
 //! enough resolution for the p50/p99 figures the bench reports while
@@ -9,7 +9,6 @@
 use crate::sync::atomic::{AtomicU64, Ordering};
 use mips_topk::ScreenTier;
 use std::fmt::Write as _;
-use std::ops::Range;
 
 /// A minimal hand-rolled JSON writer: compact output, comma bookkeeping,
 /// string escaping — nothing else. Shared by everything in this workspace
@@ -297,19 +296,19 @@ impl LatencySnapshot {
     }
 }
 
-/// One screen tier's lane of a shard's counters.
+/// One screen tier's lane of the server's counters.
 #[derive(Default)]
 pub struct TierLane {
     /// Solver invocations served through a plan screening in this tier —
     /// `batches` minus every lane's share ran f64-direct.
     pub(crate) batches: AtomicU64,
-    /// Scores the tier's screen evaluated across this shard's batches.
+    /// Scores the tier's screen evaluated across those batches.
     pub(crate) candidates: AtomicU64,
     /// Of those, candidates surviving to the exact f64 rescore.
     pub(crate) survivors: AtomicU64,
 }
 
-/// Point-in-time view of one screen tier's lane of a shard's counters.
+/// Point-in-time view of one screen tier's lane of the server's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierLaneMetrics {
     /// Batches served through a plan screening in this tier.
@@ -323,28 +322,15 @@ pub struct TierLaneMetrics {
 /// One [`TierLaneMetrics`] per tier, in [`ScreenTier::ALL`] order.
 pub type TierLanes = [TierLaneMetrics; ScreenTier::ALL.len()];
 
-/// Writes the per-tier lanes as `<tier>_batches` fields followed by
-/// `screen_candidates_<tier>` / `screen_survivors_<tier>` pairs.
-fn write_lanes_json(lanes: &TierLanes, w: &mut JsonWriter) {
-    for (tier, lane) in ScreenTier::ALL.iter().zip(lanes) {
-        w.field_u64(&format!("{}_batches", tier.name()), lane.batches);
-    }
-    for (tier, lane) in ScreenTier::ALL.iter().zip(lanes) {
-        w.field_u64(
-            &format!("screen_candidates_{}", tier.name()),
-            lane.candidates,
-        );
-        w.field_u64(&format!("screen_survivors_{}", tier.name()), lane.survivors);
-    }
-}
-
-/// One shard's serving counters, updated lock-free by the worker pool.
+/// Server-wide counters, updated lock-free: request-level admission,
+/// completion and latency, plus the work of every solver call.
 #[derive(Default)]
-pub struct ShardCounters {
-    /// Sub-requests routed to this shard.
+pub struct ServerCounters {
     pub(crate) submitted: AtomicU64,
-    /// Sub-requests completed (success or failure).
     pub(crate) completed: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    pub(crate) failed: AtomicU64,
+    pub(crate) latency: LatencyHistogram,
     /// Solver invocations (a micro-batch counts once).
     pub(crate) batches: AtomicU64,
     /// The mixed-precision share of `batches`, one lane per screen tier
@@ -355,52 +341,48 @@ pub struct ShardCounters {
     pub(crate) coalesced: AtomicU64,
     /// Individual user top-k lists produced.
     pub(crate) users_served: AtomicU64,
-    /// Nanoseconds spent inside solver calls for this shard.
+    /// Nanoseconds spent inside solver calls.
     pub(crate) busy_ns: AtomicU64,
-    /// Sub-request latency, submission to completion.
-    pub(crate) latency: LatencyHistogram,
 }
 
-impl ShardCounters {
-    pub fn add(&self, counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Snapshots the counters for shard `shard` covering `users`.
-    pub(crate) fn snapshot(&self, shard: usize, users: Range<usize>) -> ShardMetrics {
-        ShardMetrics {
-            shard,
-            users,
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            lanes: std::array::from_fn(|tier| {
-                let lane = &self.lanes[tier];
-                TierLaneMetrics {
-                    batches: lane.batches.load(Ordering::Relaxed),
-                    candidates: lane.candidates.load(Ordering::Relaxed),
-                    survivors: lane.survivors.load(Ordering::Relaxed),
-                }
-            }),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            users_served: self.users_served.load(Ordering::Relaxed),
-            busy_seconds: self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            latency: self.latency.snapshot(),
-        }
-    }
-}
-
-/// Point-in-time view of one shard's counters.
+/// The entry type of the deprecated [`ServerMetrics::shards`]: a copy of
+/// the server's totals.
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
-    /// Shard index.
-    pub shard: usize,
-    /// The contiguous user range this shard owns in the current epoch.
-    pub users: Range<usize>,
-    /// Sub-requests routed to this shard so far.
+    /// [`ServerMetrics::submitted`].
     pub submitted: u64,
-    /// Sub-requests completed so far.
+    /// [`ServerMetrics::completed`].
     pub completed: u64,
+    /// [`ServerMetrics::batches`].
+    pub batches: u64,
+    /// [`ServerMetrics::coalesced`].
+    pub coalesced: u64,
+    /// [`ServerMetrics::busy_seconds`].
+    pub busy_seconds: f64,
+}
+
+/// Point-in-time view of a whole [`super::MipsServer`], cumulative since
+/// the server was built.
+#[derive(Debug, Clone, Default)]
+pub struct ServerMetrics {
+    /// Requests accepted by `submit`/`try_submit`.
+    pub submitted: u64,
+    /// Requests fully served (every piece reassembled).
+    pub completed: u64,
+    /// Requests bounced by backpressure (`try_submit` on a full queue).
+    pub rejected: u64,
+    /// Requests that completed with an error (worker panic, plan failure).
+    pub failed: u64,
+    /// The engine's current model epoch: the one new requests are admitted
+    /// onto. In-flight requests may still be finishing on older epochs.
+    pub epoch: u64,
+    /// The engine's configured numeric mode
+    /// ([`crate::precision::Precision`]). Per-plan decisions under `Auto`
+    /// surface as the per-tier [`ServerMetrics::lanes`] shares.
+    pub precision: crate::precision::Precision,
+    /// Model swaps since the server was built (`epoch` minus the engine's
+    /// epoch at build).
+    pub swaps: u64,
     /// Solver invocations (one per micro-batch).
     pub batches: u64,
     /// The mixed-precision share of `batches`, one lane per screen tier in
@@ -419,101 +401,19 @@ pub struct ShardMetrics {
     pub coalesced: u64,
     /// User top-k lists produced.
     pub users_served: u64,
-    /// Wall-clock seconds spent inside solver calls.
+    /// Wall-clock seconds spent inside solver calls, summed over workers.
     pub busy_seconds: f64,
-    /// Sub-request latency distribution (submission → completion).
-    pub latency: LatencySnapshot,
-}
-
-impl ShardMetrics {
-    /// Writes this shard's counters as one JSON object element into `w`
-    /// (call between `begin_arr_field`/`end_arr`).
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_obj();
-        w.field_u64("shard", self.shard as u64);
-        w.field_raw(
-            "users",
-            &format!("[{},{}]", self.users.start, self.users.end),
-        );
-        w.field_u64("submitted", self.submitted);
-        w.field_u64("completed", self.completed);
-        w.field_u64("batches", self.batches);
-        write_lanes_json(&self.lanes, w);
-        w.field_u64("coalesced", self.coalesced);
-        w.field_u64("users_served", self.users_served);
-        w.field_f64("busy_seconds", self.busy_seconds, 6);
-        self.latency.write_json(w, "latency");
-        w.end_obj();
-    }
-}
-
-/// Server-wide counters (request granularity, across all shards).
-#[derive(Default)]
-pub struct ServerCounters {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) latency: LatencyHistogram,
-}
-
-/// Point-in-time view of a whole [`super::MipsServer`].
-#[derive(Debug, Clone)]
-pub struct ServerMetrics {
-    /// Requests accepted by `submit`/`try_submit`.
-    pub submitted: u64,
-    /// Requests fully served (all shards reassembled).
-    pub completed: u64,
-    /// Requests bounced by backpressure (`try_submit` on a full queue).
-    pub rejected: u64,
-    /// Requests that completed with an error (worker panic, plan failure).
-    pub failed: u64,
-    /// The engine's current model epoch: the one new requests are admitted
-    /// onto. In-flight requests may still be finishing on older epochs.
-    pub epoch: u64,
-    /// The engine's configured numeric mode
-    /// ([`crate::precision::Precision`]). Per-plan decisions under `Auto`
-    /// surface as each shard's per-tier [`ShardMetrics::lanes`] shares.
-    pub precision: crate::precision::Precision,
-    /// Model swaps since the server was built (`epoch` minus the engine's
-    /// epoch at build).
-    pub swaps: u64,
     /// End-to-end request latency (submission → reassembled response).
     pub latency: LatencySnapshot,
-    /// Per-shard counters, in shard order, cumulative since the server was
-    /// built: shard `i` counts the `i`-th user range of every epoch served,
-    /// and its `users` is that range in the current epoch.
+    /// One entry holding the server's totals.
+    #[deprecated(note = "read the `ServerMetrics` totals")]
     pub shards: Vec<ShardMetrics>,
 }
 
 impl ServerMetrics {
-    /// Total micro-batches executed across shards.
-    pub fn batches(&self) -> u64 {
-        self.shards.iter().map(|s| s.batches).sum()
-    }
-
-    /// Per-tier totals across shards, in [`ScreenTier::ALL`] order.
-    pub fn lanes(&self) -> TierLanes {
-        let mut total = TierLanes::default();
-        for shard in &self.shards {
-            for (sum, lane) in total.iter_mut().zip(&shard.lanes) {
-                sum.batches += lane.batches;
-                sum.candidates += lane.candidates;
-                sum.survivors += lane.survivors;
-            }
-        }
-        total
-    }
-
-    /// Total sub-requests that shared a batch, across shards.
-    pub fn coalesced(&self) -> u64 {
-        self.shards.iter().map(|s| s.coalesced).sum()
-    }
-
-    /// Renders the whole snapshot — server counters, latency, per-shard
-    /// breakdown — as one compact JSON document. This is the body of the
-    /// `mips-net` `GET /metrics` endpoint, produced by the shared
-    /// [`JsonWriter`].
+    /// Renders the whole snapshot — request counters, solver work, latency
+    /// — as one compact JSON document. This is the body of the `mips-net`
+    /// `GET /metrics` endpoint, produced by the shared [`JsonWriter`].
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         self.write_json(&mut w);
@@ -530,29 +430,32 @@ impl ServerMetrics {
         w.field_u64("epoch", self.epoch);
         w.field_str("precision", self.precision.as_str());
         w.field_u64("swaps", self.swaps);
-        w.field_u64("batches", self.batches());
-        write_lanes_json(&self.lanes(), w);
-        w.field_u64("coalesced", self.coalesced());
+        w.field_u64("batches", self.batches);
+        for (tier, lane) in ScreenTier::ALL.iter().zip(&self.lanes) {
+            w.field_u64(&format!("{}_batches", tier.name()), lane.batches);
+        }
+        for (tier, lane) in ScreenTier::ALL.iter().zip(&self.lanes) {
+            w.field_u64(
+                &format!("screen_candidates_{}", tier.name()),
+                lane.candidates,
+            );
+            w.field_u64(&format!("screen_survivors_{}", tier.name()), lane.survivors);
+        }
+        w.field_u64("coalesced", self.coalesced);
+        w.field_u64("users_served", self.users_served);
+        w.field_f64("busy_seconds", self.busy_seconds, 6);
         w.field_f64("mean_batch", self.mean_batch_size(), 2);
         self.latency.write_json(w, "latency");
-        w.begin_arr_field("shards");
-        for shard in &self.shards {
-            shard.write_json(w);
-        }
-        w.end_arr();
         w.end_obj();
     }
 
-    /// Mean sub-requests per solver invocation (1.0 = no coalescing).
+    /// Mean users per solver invocation: 1.0 for single-user traffic that
+    /// never coalesced.
     pub fn mean_batch_size(&self) -> f64 {
-        let (sub, batches) = self
-            .shards
-            .iter()
-            .fold((0u64, 0u64), |(s, b), m| (s + m.completed, b + m.batches));
-        if batches == 0 {
+        if self.batches == 0 {
             0.0
         } else {
-            sub as f64 / batches as f64
+            self.users_served as f64 / self.batches as f64
         }
     }
 }
@@ -677,25 +580,23 @@ mod tests {
 
     #[test]
     fn server_metrics_render_as_json() {
-        let shard_counters = ShardCounters::default();
-        shard_counters.add(&shard_counters.submitted, 3);
-        shard_counters.add(&shard_counters.completed, 3);
-        let i8_lane = &shard_counters.lanes[ScreenTier::I8.index()];
-        shard_counters.add(&i8_lane.batches, 2);
-        shard_counters.add(&i8_lane.candidates, 120);
-        shard_counters.add(&i8_lane.survivors, 7);
-        shard_counters.latency.record_ns(1_000);
-        let shard = shard_counters.snapshot(0, 0..25);
+        let mut lanes = TierLanes::default();
+        lanes[ScreenTier::I8.index()] = TierLaneMetrics {
+            batches: 2,
+            candidates: 120,
+            survivors: 7,
+        };
         let metrics = ServerMetrics {
             submitted: 3,
             completed: 3,
             rejected: 1,
-            failed: 0,
             epoch: 2,
             precision: crate::precision::Precision::Auto,
             swaps: 2,
-            latency: LatencySnapshot::default(),
-            shards: vec![shard],
+            batches: 2,
+            lanes,
+            users_served: 5,
+            ..ServerMetrics::default()
         };
         let json = metrics.to_json();
         for needle in [
@@ -703,13 +604,15 @@ mod tests {
             "\"rejected\":1",
             "\"epoch\":2",
             "\"precision\":\"auto\"",
+            "\"batches\":2",
             "\"f32_batches\":0",
             "\"i8_batches\":2",
             "\"screen_candidates_f32\":0",
             "\"screen_survivors_f32\":0",
             "\"screen_candidates_i8\":120",
             "\"screen_survivors_i8\":7",
-            "\"shards\":[{\"shard\":0,\"users\":[0,25]",
+            "\"users_served\":5",
+            "\"mean_batch\":2.50",
             "\"latency\":{\"count\":",
         ] {
             assert!(json.contains(needle), "{json} missing {needle}");

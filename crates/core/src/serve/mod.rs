@@ -1,36 +1,35 @@
-//! The sharded concurrent serving runtime: many requests, many cores, one
-//! model.
+//! The concurrent serving runtime: many requests, many cores, one model.
 //!
 //! [`crate::engine`] serves one request at a time inside a blocking call.
 //! This module turns that library into a traffic-serving system, the
 //! ROADMAP's "millions of users" north star:
 //!
-//! * **Sharding.** The model's users are split into contiguous ranges (the
-//!   paper's Fig. 6 partitioning), each with its own counters. Every solver
-//!   is built once over the whole model, and every
-//!   [`PreparedPlan`](crate::engine::PreparedPlan) once per `k`, traffic
-//!   class and epoch; all shards share both.
-//!   A request that straddles shards is split and its response reassembled
-//!   in request order — including id-lists and exclusion sets that cross
-//!   boundaries.
 //! * **A persistent worker pool** fed by a bounded multi-producer
 //!   submission queue. [`MipsServer::submit`] applies backpressure by
 //!   blocking; [`MipsServer::try_submit`] bounces with
-//!   [`MipsError::ServerOverloaded`] instead.
-//! * **Dynamic micro-batching.** Queued single-user/small sub-requests
-//!   under the same `(epoch, shard, k)` coalesce into one batched solver call
-//!   — the paper's batched-GEMM amortization applied to concurrent traffic.
+//!   [`MipsError::ServerOverloaded`] instead. Every solver is built once
+//!   over the whole model, and every
+//!   [`PreparedPlan`](crate::engine::PreparedPlan) once per `k`, traffic
+//!   class and epoch; all workers share both.
+//! * **Dynamic micro-batching.** Queued single-user/small requests under
+//!   the same `(epoch, k)` coalesce into one batched solver call — the
+//!   paper's batched-GEMM amortization applied to concurrent traffic.
 //!   A worker takes whatever matching work is already queued, up to
 //!   [`ServerBuilder::max_batch`] users, and never waits for more.
-//! * **Observability.** Per-shard throughput/latency counters and
-//!   request-level p50/p99, via [`MipsServer::metrics`].
+//! * **Parallel large requests.** A request over more than `max_batch`
+//!   users is cut into at most one contiguous piece per worker (the
+//!   paper's Fig. 6 partitioning), served in parallel and reassembled in
+//!   request order — id lists with repeats and exclusion sets included.
+//!   A cut request is admitted all or nothing.
+//! * **Observability.** Throughput, solver-work and latency counters,
+//!   including request-level p50/p99, via [`MipsServer::metrics`].
 //! * **Hot model swap.** [`Engine::swap_model`] on the fronted engine is
 //!   picked up without restarting the server: each request pins the epoch
-//!   current at submission, is split into that epoch's shard ranges, and
-//!   is served on it end to end; the epoch is freed when its last
-//!   in-flight sub-request settles. The micro-batcher never coalesces
-//!   across epochs, and [`ServerMetrics`] reports the current epoch and the
-//!   swaps since the server was built.
+//!   current at submission, is split on that epoch's users, and is served
+//!   on it end to end; the epoch is freed when its last in-flight
+//!   sub-request settles. The micro-batcher never coalesces across epochs,
+//!   and [`ServerMetrics`] reports the current epoch and the swaps since
+//!   the server was built.
 //!
 //! Results are bit-identical to sequential [`Engine::execute`] calls; the
 //! concurrency is invisible except in the clock.
@@ -50,7 +49,6 @@
 //! );
 //! let server = ServerBuilder::new()
 //!     .engine(engine)
-//!     .shards(4)
 //!     .workers(2)
 //!     .build()
 //!     .unwrap();
@@ -68,7 +66,7 @@ pub(crate) mod batcher;
 mod gate;
 pub(crate) mod metrics;
 pub(crate) mod queue;
-pub(crate) mod shard;
+pub(crate) mod split;
 mod worker;
 
 pub use gate::WakeGate;
@@ -78,14 +76,12 @@ pub use metrics::{
 };
 
 use crate::engine::{Engine, MipsError, QueryRequest, QueryResponse};
-use crate::parallel::chunk_bounds;
 use crate::sync::atomic::Ordering;
 use crate::sync::thread::JoinHandle;
 use crate::sync::Arc;
-use metrics::{ServerCounters, ShardCounters};
+use metrics::ServerCounters;
 use queue::SubmitQueue;
-use shard::{Notifier, Pending};
-use std::ops::Range;
+use split::{Notifier, Pending};
 use std::time::Instant;
 
 /// Tunables of the serving runtime — every [`ServerBuilder`] knob as one
@@ -95,26 +91,26 @@ use std::time::Instant;
 /// builder-assembled one are rejected identically.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// User shards (contiguous ranges). `0` = one per available core.
-    /// Capped by the user count at build; every epoch's users are cut into
-    /// at most that many ranges, so a swap never adds shards.
-    pub shards: usize,
-    /// Worker threads in the pool. `0` = match the shard count.
+    /// Worker threads in the pool. `0` = one per available core. A request
+    /// over more than `max_batch` users is cut into at most this many
+    /// pieces.
     pub workers: usize,
     /// Submission-queue bound, in sub-requests; the backpressure threshold.
+    /// At least `workers`, so any request's pieces can be admitted.
     pub queue_capacity: usize,
     /// Largest micro-batch, in **users**: the budget for one coalesced
     /// solver call, whether it is 32 single-user requests or four 8-user
     /// ones. Sub-requests at or above this size are served solo, so `1`
-    /// makes every sub-request its own solver call. A batch is whatever is
-    /// already queued: no worker waits for more arrivals.
+    /// makes every sub-request its own solver call; a request over this
+    /// size is cut into `min(workers, ⌈users / max_batch⌉)` pieces. A
+    /// batch is whatever is already queued: no worker waits for more
+    /// arrivals.
     pub max_batch: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
-            shards: 0,
             workers: 0,
             queue_capacity: 1024,
             max_batch: 32,
@@ -123,9 +119,9 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// Checks the invariants that do not depend on the engine being served
-    /// (`0 = pick for me` resolution and the queue-vs-shard admission bound
-    /// happen in [`ServerBuilder::build`], which calls this first).
+    /// Checks the invariants that do not depend on the machine (`0 = pick
+    /// for me` resolution and the queue-vs-workers admission bound happen
+    /// in [`ServerBuilder::build`], which calls this first).
     pub fn validate(&self) -> Result<(), MipsError> {
         if self.queue_capacity == 0 {
             return Err(MipsError::InvalidConfig(
@@ -146,11 +142,9 @@ impl ServeOptions {
 pub struct ServerBuilder {
     engine: Option<Arc<Engine>>,
     config: ServeOptions,
-    /// Whether [`ServerBuilder::shards`]/[`ServerBuilder::workers`] were
-    /// called explicitly: an explicit `0` is a configuration error, while
-    /// an untouched builder keeps the documented `0 = pick for me`
-    /// resolution.
-    shards_set: bool,
+    /// Whether [`ServerBuilder::workers`] was called explicitly: an
+    /// explicit `0` is a configuration error, while an untouched builder
+    /// keeps the documented `0 = pick for me` resolution.
     workers_set: bool,
 }
 
@@ -167,18 +161,15 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the shard count (contiguous user ranges). Passing `0` here is
-    /// rejected at [`ServerBuilder::build`]: omit the call for automatic
-    /// sizing.
-    pub fn shards(mut self, shards: usize) -> ServerBuilder {
-        self.config.shards = shards;
-        self.shards_set = true;
+    /// Does nothing: requests are no longer routed by user range.
+    #[deprecated(note = "requests are no longer routed by user range; drop the call")]
+    pub fn shards(self, _shards: usize) -> ServerBuilder {
         self
     }
 
     /// Sets the worker-pool size. Passing `0` here is rejected at
     /// [`ServerBuilder::build`]: omit the call for automatic sizing (one
-    /// worker per shard).
+    /// worker per available core).
     pub fn workers(mut self, workers: usize) -> ServerBuilder {
         self.config.workers = workers;
         self.workers_set = true;
@@ -205,46 +196,33 @@ impl ServerBuilder {
             .engine
             .ok_or_else(|| MipsError::InvalidConfig("a server needs an engine".into()))?;
         let mut config = self.config;
-        if self.shards_set && config.shards == 0 {
-            return Err(MipsError::InvalidConfig(
-                "shards must be at least 1 (omit the call for automatic sizing)".into(),
-            ));
-        }
         if self.workers_set && config.workers == 0 {
             return Err(MipsError::InvalidConfig(
                 "workers must be at least 1 (omit the call for automatic sizing)".into(),
             ));
         }
         config.validate()?;
-        if config.shards == 0 {
-            config.shards = crate::sync::thread::available_parallelism()
+        if config.workers == 0 {
+            config.workers = crate::sync::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1);
         }
-        if config.workers == 0 {
-            config.workers = config.shards;
-        }
-        let epoch = engine.snapshot();
-        let num_shards = chunk_bounds(epoch.model.num_users(), config.shards).len();
-        if config.queue_capacity < num_shards {
-            // A request can split into one sub-request per shard; a queue
+        if config.queue_capacity < config.workers {
+            // A request can be cut into one piece per worker; a queue
             // smaller than that could only admit such a request into an
             // empty queue, which sustained small traffic can starve forever.
-            // No later epoch is cut into more shards, so the bound holds
-            // across swaps.
             return Err(MipsError::InvalidConfig(format!(
-                "queue_capacity ({}) must be at least the shard count ({num_shards}) \
+                "queue_capacity ({}) must be at least the worker count ({}) \
                  so any request can be admitted",
-                config.queue_capacity
+                config.queue_capacity, config.workers
             )));
         }
 
         let shared = Arc::new(ServerShared {
-            engine,
             queue: SubmitQueue::new(config.queue_capacity),
             counters: Arc::new(ServerCounters::default()),
-            shards: (0..num_shards).map(|_| ShardCounters::default()).collect(),
-            first_epoch: epoch.id,
+            first_epoch: engine.epoch(),
+            engine,
             config: config.clone(),
         });
         let workers = (0..config.workers)
@@ -265,9 +243,6 @@ pub(crate) struct ServerShared {
     pub(crate) engine: Arc<Engine>,
     pub(crate) queue: SubmitQueue,
     pub(crate) counters: Arc<ServerCounters>,
-    /// One counter slot per shard, sized at build: slot `i` counts the
-    /// `i`-th range of whichever epoch a sub-request was split on.
-    pub(crate) shards: Arc<[ShardCounters]>,
     /// The engine's epoch when the server was built; `swaps` counts from
     /// it.
     first_epoch: u64,
@@ -282,7 +257,7 @@ pub struct ResponseHandle {
 
 impl ResponseHandle {
     /// Blocks until the request completes, returning the reassembled
-    /// response (or the first error any shard hit).
+    /// response (or the first error any piece hit).
     pub fn wait(self) -> Result<QueryResponse, MipsError> {
         self.pending.wait()
     }
@@ -293,7 +268,7 @@ impl ResponseHandle {
     }
 }
 
-/// The sharded concurrent serving runtime. See the [module docs](self).
+/// The concurrent serving runtime. See the [module docs](self).
 pub struct MipsServer {
     shared: Arc<ServerShared>,
     workers: Vec<JoinHandle<()>>,
@@ -313,13 +288,6 @@ impl MipsServer {
     /// The effective serving options (after `0 = auto` resolution).
     pub fn options(&self) -> &ServeOptions {
         &self.shared.config
-    }
-
-    /// The contiguous user range of each shard of the current epoch (a
-    /// snapshot: a model swap that changes the user count re-cuts them).
-    pub fn shard_bounds(&self) -> Vec<Range<usize>> {
-        let num_users = self.shared.engine.snapshot().model.num_users();
-        chunk_bounds(num_users, self.shared.shards.len())
     }
 
     /// Worker threads in the pool.
@@ -386,14 +354,11 @@ impl MipsServer {
             epoch.id,
             notifier,
         ));
-        let subs = shard::split(request, &epoch, &self.shared.shards, &pending, now);
+        let subs = split::split(request, &epoch, &self.shared.config, &pending);
         debug_assert!(!subs.is_empty(), "validated requests select users");
         // Safe to set after splitting: no worker sees the subs until
         // push_all succeeds below.
         pending.set_parts(subs.len());
-        // Shard submissions are counted by the queue at admission
-        // (`QueueItem::admitted`), so bounced requests never show up as
-        // phantom in-flight work in ShardMetrics.
         match self.shared.queue.push_all(subs, block) {
             Ok(()) => {
                 self.shared
@@ -414,32 +379,46 @@ impl MipsServer {
         }
     }
 
-    /// Snapshots every counter: request-level throughput/latency plus the
-    /// per-shard breakdown, cumulative since build. The epoch, swap count
-    /// and shard ranges come from one engine snapshot; a slot the current
-    /// epoch has no range for (it has fewer users than shards) reports an
-    /// empty one.
+    /// Snapshots every counter, cumulative since build. The epoch and swap
+    /// count come from the engine's current epoch.
     pub fn metrics(&self) -> ServerMetrics {
-        let epoch = self.shared.engine.snapshot();
-        let num_users = epoch.model.num_users();
-        let bounds = chunk_bounds(num_users, self.shared.shards.len());
+        let load = |counter: &crate::sync::atomic::AtomicU64| counter.load(Ordering::Relaxed);
         let counters = &self.shared.counters;
-        ServerMetrics {
-            submitted: counters.submitted.load(Ordering::Relaxed),
-            completed: counters.completed.load(Ordering::Relaxed),
-            rejected: counters.rejected.load(Ordering::Relaxed),
-            failed: counters.failed.load(Ordering::Relaxed),
-            epoch: epoch.id,
+        let epoch = self.shared.engine.epoch();
+        let mut metrics = ServerMetrics {
+            submitted: load(&counters.submitted),
+            completed: load(&counters.completed),
+            rejected: load(&counters.rejected),
+            failed: load(&counters.failed),
+            epoch,
             precision: self.shared.engine.precision(),
-            swaps: epoch.id - self.shared.first_epoch,
+            swaps: epoch - self.shared.first_epoch,
+            batches: load(&counters.batches),
+            lanes: std::array::from_fn(|tier| {
+                let lane = &counters.lanes[tier];
+                TierLaneMetrics {
+                    batches: load(&lane.batches),
+                    candidates: load(&lane.candidates),
+                    survivors: load(&lane.survivors),
+                }
+            }),
+            coalesced: load(&counters.coalesced),
+            users_served: load(&counters.users_served),
+            busy_seconds: load(&counters.busy_ns) as f64 / 1e9,
             latency: counters.latency.snapshot(),
-            shards: (self.shared.shards.iter().enumerate())
-                .map(|(i, shard)| {
-                    let users = bounds.get(i).cloned().unwrap_or(num_users..num_users);
-                    shard.snapshot(i, users)
-                })
-                .collect(),
+            ..ServerMetrics::default()
+        };
+        #[allow(deprecated)]
+        {
+            metrics.shards = vec![ShardMetrics {
+                submitted: metrics.submitted,
+                completed: metrics.completed,
+                batches: metrics.batches,
+                coalesced: metrics.coalesced,
+                busy_seconds: metrics.busy_seconds,
+            }];
         }
+        metrics
     }
 
     /// Drains in-flight work and stops the pool. Also happens on `Drop`;
@@ -472,7 +451,6 @@ impl std::fmt::Debug for MipsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MipsServer")
             .field("epoch", &self.shared.engine.epoch())
-            .field("shards", &self.shared.shards.len())
             .field("workers", &self.workers.len())
             .field("queue_capacity", &self.shared.config.queue_capacity)
             .field("max_batch", &self.shared.config.max_batch)

@@ -3,30 +3,31 @@
 //! Many submitter threads push, the worker pool pops — with two properties
 //! the runtime needs beyond a plain channel:
 //!
-//! * **All-or-nothing admission.** A request that straddles shards becomes
-//!   several sub-requests; admitting half of them and bouncing the rest
-//!   would leave a request permanently incomplete. `push_all` admits a
-//!   request's whole sub-request set atomically or not at all.
+//! * **All-or-nothing admission.** A request larger than one micro-batch is
+//!   cut into several sub-requests; admitting some of them and bouncing
+//!   the rest would leave a request permanently incomplete. `push_all`
+//!   admits a request's whole sub-request set atomically or not at all.
 //! * **Keyed extraction.** The micro-batcher coalesces queued sub-requests
-//!   under the same `(epoch, shard, k)`. Workers pull their first item FIFO,
-//!   then extract every queued match, leaving other work in order for the
-//!   rest of the pool.
+//!   under the same `(epoch, k)`. Workers pull their first item FIFO, then
+//!   extract every queued match, leaving other work in order for the rest
+//!   of the pool.
 //!
 //! Capacity is the backpressure bound: `push_all` with `block = false`
 //! refuses over-capacity submissions ([`MipsError::ServerOverloaded`]),
-//! with `block = true` it waits for the pool to drain. The server builder
-//! guarantees `capacity >= shard count`, so every request's sub-request
-//! set fits; the empty-queue admission of an oversized set below is
-//! defense in depth, not a supported mode (it would be starvable under
-//! sustained small traffic).
+//! with `block = true` it waits for the pool to drain. A request is cut
+//! into at most one piece per worker and the server builder guarantees
+//! `capacity >= workers`, so every request's sub-request set fits; the
+//! empty-queue admission of an oversized set below is defense in depth,
+//! not a supported mode (it would be starvable under sustained small
+//! traffic).
 
-use super::shard::SubRequest;
+use super::split::SubRequest;
 use crate::engine::MipsError;
 use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 
-/// The key micro-batchable work is coalesced under: one shard range of one
-/// model epoch at one `k`.
+/// The key micro-batchable work is coalesced under: one model epoch at one
+/// `k`.
 ///
 /// The epoch id makes coalescing epoch-safe by construction: sub-requests
 /// admitted before and after a model swap can never share a batch — they
@@ -35,7 +36,6 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct BatchKey {
     epoch: u64,
-    shard: usize,
     k: usize,
 }
 
@@ -53,10 +53,6 @@ pub trait QueueItem {
     fn weight(&self) -> usize;
     /// Whether this item may join a coalesced batch at all.
     fn batchable(&self, max_batch: usize) -> bool;
-    /// Called once per item at the moment its set is admitted — under the
-    /// queue lock, before any consumer can see it — and never for a set
-    /// that is bounced. Where per-item admission counters belong.
-    fn admitted(&self) {}
 }
 
 impl QueueItem for SubRequest {
@@ -64,7 +60,6 @@ impl QueueItem for SubRequest {
     fn key(&self) -> BatchKey {
         BatchKey {
             epoch: self.epoch.id,
-            shard: self.shard,
             k: self.k,
         }
     }
@@ -74,13 +69,6 @@ impl QueueItem for SubRequest {
     fn batchable(&self, max_batch: usize) -> bool {
         // The inherent method: no exclusions, and small enough to share.
         SubRequest::batchable(self, max_batch)
-    }
-    fn admitted(&self) {
-        // Counted here rather than by the submitter so a bounced request
-        // never shows as phantom in-flight work in `ShardMetrics`, and a
-        // shard's `completed` can never run ahead of its `submitted`.
-        let counters = &self.shards[self.shard];
-        counters.add(&counters.submitted, 1);
     }
 }
 
@@ -103,7 +91,7 @@ pub struct BoundedQueue<I: QueueItem> {
     capacity: usize,
 }
 
-/// The production queue: sub-requests keyed by `(epoch, shard, k)`.
+/// The production queue: sub-requests keyed by `(epoch, k)`.
 pub(crate) type SubmitQueue = BoundedQueue<SubRequest>;
 
 impl<I: QueueItem> BoundedQueue<I> {
@@ -148,7 +136,6 @@ impl<I: QueueItem> BoundedQueue<I> {
                 // One item occupies one worker: wake one. A set wakes the
                 // pool.
                 let wake_all = subs.len() > 1;
-                subs.iter().for_each(I::admitted);
                 state.items.extend(subs);
                 drop(state);
                 if wake_all {
@@ -217,8 +204,8 @@ impl<I: QueueItem> BoundedQueue<I> {
             return;
         }
         let mut state = self.lock();
-        // Allocation-free pre-scan: under mixed load most of the backlog is
-        // other shards' work, and every pop of a batchable item scans once,
+        // Allocation-free pre-scan: under mixed load much of the backlog is
+        // other keys' work, and every pop of a batchable item scans once,
         // so the no-match case must not pay a queue rebuild.
         let fits = |sub: &I, budget: usize| {
             sub.key() == key && sub.batchable(max_batch) && sub.weight() <= budget
@@ -254,40 +241,32 @@ mod tests {
     use super::*;
     use crate::engine::epoch::ModelEpoch;
     use crate::engine::QueryRequest;
-    use crate::serve::metrics::ShardCounters;
-    use crate::serve::shard::{split, test_epoch, test_shards, Pending, SubUsers};
+    use crate::serve::split::{split, test_epoch, Pending, SubUsers};
+    use crate::serve::ServeOptions;
     use crate::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// One epoch and one counter set shared by every sub-request of a
-    /// test, so sub-requests with equal shard indexes get equal batch
-    /// keys.
+    /// Two epochs shared by every sub-request of a test, so sub-requests
+    /// with equal epoch indexes and `k` get equal batch keys.
     struct Fixture {
-        epoch: Arc<ModelEpoch>,
-        shards: Arc<[ShardCounters]>,
+        epochs: [Arc<ModelEpoch>; 2],
     }
 
     fn fixture() -> Fixture {
         Fixture {
-            epoch: test_epoch(0, 12),
-            shards: test_shards(3),
+            epochs: [test_epoch(0, 12), test_epoch(1, 12)],
         }
     }
 
-    fn sub(f: &Fixture, shard: usize, k: usize, user: usize) -> SubRequest {
+    fn sub(f: &Fixture, epoch: usize, k: usize, user: usize) -> SubRequest {
         let now = Instant::now();
         SubRequest {
-            shard,
             k,
-            users: SubUsers::Ids {
-                users: vec![user],
-                positions: vec![0],
-            },
+            out_start: 0,
+            users: SubUsers::Ids(vec![user]),
             exclude: None,
             pending: Arc::new(Pending::new(1, now)),
-            epoch: Arc::clone(&f.epoch),
-            shards: Arc::clone(&f.shards),
-            submitted_at: now,
+            epoch: Arc::clone(&f.epochs[epoch]),
         }
     }
 
@@ -315,7 +294,7 @@ mod tests {
     fn oversized_requests_admit_only_into_an_empty_queue() {
         let e = fixture();
         let q = SubmitQueue::new(2);
-        let big = vec![sub(&e, 0, 1, 0), sub(&e, 1, 1, 1), sub(&e, 2, 1, 2)];
+        let big = vec![sub(&e, 0, 1, 0), sub(&e, 0, 1, 1), sub(&e, 0, 1, 2)];
         q.push_all(big, false).unwrap();
         assert_eq!(q.len(), 3);
         assert!(q.push_all(vec![sub(&e, 0, 1, 3)], false).is_err());
@@ -329,35 +308,42 @@ mod tests {
             vec![
                 sub(&e, 0, 5, 0),
                 sub(&e, 1, 5, 1),
-                sub(&e, 0, 5, 2),
+                sub(&e, 0, 5, 11),
                 sub(&e, 0, 3, 3),
             ],
             false,
         )
         .unwrap();
         let first = q.pop().unwrap();
-        assert_eq!((first.shard, first.k), (0, 5));
+        assert_eq!((first.epoch.id, first.k), (0, 5));
         let key = first.key();
         let mut batch = vec![first];
         q.extract_matching(key, 8, 32, &mut batch);
-        assert_eq!(batch.len(), 2, "only shard-0 k=5 items coalesce");
+        // Users 0 and 11 coalesce whatever their ids: the key is the epoch
+        // and k alone.
+        assert_eq!(batch.len(), 2, "only epoch-0 k=5 items coalesce");
+        assert_eq!(batch[1].users, SubUsers::Ids(vec![11]));
         // The others remain FIFO.
-        assert_eq!(q.pop().unwrap().shard, 1);
+        assert_eq!(q.pop().unwrap().epoch.id, 1);
         assert_eq!(q.pop().unwrap().k, 3);
     }
 
     #[test]
     fn one_request_split_on_two_epochs_never_shares_a_key() {
         // The same request split on the epochs before and after a swap
-        // yields the same shards and k but distinct batch keys, so the
+        // yields the same pieces and k but distinct batch keys, so the
         // micro-batcher cannot coalesce across epochs; the same
-        // `(epoch, shard, k)` always shares one.
-        let shards = test_shards(3);
+        // `(epoch, k)` always shares one.
+        let config = ServeOptions {
+            workers: 3,
+            max_batch: 1,
+            ..ServeOptions::default()
+        };
         let request = QueryRequest::top_k(5).users(vec![0, 5, 11]);
         let now = Instant::now();
         let keys = |epoch: &Arc<ModelEpoch>| -> Vec<BatchKey> {
             let pending = Arc::new(Pending::new(3, now));
-            let subs = split(&request, epoch, &shards, &pending, now);
+            let subs = split(&request, epoch, &config, &pending);
             subs.iter().map(QueueItem::key).collect()
         };
         let (old, new) = (test_epoch(0, 12), test_epoch(1, 12));
@@ -367,6 +353,7 @@ mod tests {
         for key in &old_keys {
             assert!(!new_keys.contains(key), "{key:?} shared across epochs");
         }
+        assert!(old_keys.iter().all(|key| *key == old_keys[0]));
         assert_eq!(old_keys, keys(&old));
         // Keyed by value: a second `Arc` of an epoch with the same id
         // coalesces with the first, so the key holds no identity.

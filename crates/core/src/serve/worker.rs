@@ -1,11 +1,10 @@
 //! The persistent worker pool.
 //!
 //! Workers loop on the shared submission queue: pop one sub-request,
-//! optionally grow it into a micro-batch, execute on the owning shard, and
-//! scatter results. Any worker serves any shard — with contiguous
-//! user-sharding the *work* is partitioned, while the *pool* stays fully
-//! utilized under skewed traffic (a hot shard's backlog is drained by every
-//! idle worker, not just a pinned one).
+//! optionally grow it into a micro-batch, execute it, and scatter results.
+//! Any worker serves any user: the pool stays fully utilized under skewed
+//! traffic, and the pieces of a request too large for one batch are
+//! drained by every idle worker at once.
 //!
 //! Workers hold no per-epoch state: each sub-request carries the model
 //! epoch it was admitted on, so after a
@@ -22,7 +21,6 @@
 use super::batcher::{collect_batch, execute_batch};
 use super::ServerShared;
 use crate::engine::MipsError;
-use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Arc;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -35,25 +33,15 @@ pub(crate) fn run_worker(shared: Arc<ServerShared>) {
         } else {
             vec![first]
         };
-        // The batch's shard slot (all subs share it — the batch key holds
-        // the shard), looked up here so the panic handler can settle
-        // counters after `execute_batch` consumed the batch.
-        let shard = &shared.shards[batch[0].shard];
-
         // Keep handles to every affected pending so a panic mid-execution
         // can still complete them with an error. `fail` on an
         // already-finished pending is a no-op, so blanket-failing after a
         // panic only touches the requests the panic actually cut short.
         let pendings: Vec<_> = batch.iter().map(|s| Arc::clone(&s.pending)).collect();
-        let progress = AtomicUsize::new(0);
         let executed = catch_unwind(AssertUnwindSafe(|| {
-            execute_batch(&shared.engine, shard, batch, &progress)
+            execute_batch(&shared.engine, &shared.counters, batch)
         }));
         if let Err(payload) = executed {
-            // Settle the shard counter for the subs execute_batch never
-            // reached, so `submitted == completed` survives backend panics.
-            let unsettled = pendings.len() - progress.load(Ordering::Relaxed);
-            shard.add(&shard.completed, unsettled as u64);
             let message = panic_message(payload.as_ref());
             for pending in pendings {
                 pending.fail(MipsError::WorkerPanicked {

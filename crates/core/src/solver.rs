@@ -114,11 +114,10 @@ pub trait MipsSolver: Send + Sync {
     /// threads. `None` (the default) for solvers without a screen path; a
     /// screening solver returns `Some` even when the drained counts are
     /// zero. The serving layer calls this after every batch and folds the
-    /// tallies into the shard's per-mode candidate/survivor counters, so
+    /// tallies into the server's per-tier candidate/survivor counters, so
     /// under concurrency a drain may attribute another in-flight batch's
     /// work to this one — per-batch attribution is approximate, but no
-    /// count is ever lost or double-counted and the shard totals stay
-    /// exact.
+    /// count is ever lost or double-counted and the totals stay exact.
     fn take_screen_stats(&self) -> Option<ScreenTally> {
         None
     }

@@ -8,8 +8,8 @@
 //! ([`BUILTIN_KEYS`], raced or named) plus small-structure MAXIMUS and LEMP
 //! configurations, on each [`Route`] it is given: the solver itself (in f64
 //! and every tier its `screen_tiers()` lists), named and planned dispatch
-//! through an [`Engine`] under every [`Precision`], a sharded
-//! `MipsServer`, and `POST /query` on a loopback `HttpServer`. A
+//! through an [`Engine`] under every [`Precision`], a `MipsServer` that
+//! cuts large requests, and `POST /query` on a loopback `HttpServer`. A
 //! backend added to `BUILTIN_KEYS`, or a tier added to a solver's
 //! `screen_tiers()` or to [`ScreenTier::ALL`], is covered with no edit
 //! here. A suite includes the kit with `mod common;` and uses the part it
@@ -279,8 +279,8 @@ pub enum Route {
     /// [`Engine::execute`] under [`Precision::Auto`], at 1 and 2 engine
     /// threads: whichever of the backend's builds the planner picks.
     Planned,
-    /// A `MipsServer` over 2 shards and 2 workers under each
-    /// [`Precision`].
+    /// A `MipsServer` with 2 workers and 4-user batches under each
+    /// [`Precision`], so a selection over 4 users is cut in two.
     Served,
     /// `POST /query` to a loopback `HttpServer` over the `Served` server,
     /// the JSON scores parsed back to bits.
@@ -379,8 +379,8 @@ fn precisions() -> Vec<Precision> {
 }
 
 /// The user selections the engine routes serve out of `n` users: every
-/// user, a range across the 2-shard split, and an out-of-order id list
-/// with a repeat.
+/// user, a range that the server cuts off-center, and an out-of-order id
+/// list with a repeat.
 fn selections(n: usize) -> [UserSelection; 3] {
     [
         UserSelection::All,
@@ -456,8 +456,8 @@ fn drive_server(
     let server = Arc::new(
         ServerBuilder::new()
             .engine(engine)
-            .shards(2)
             .workers(2)
+            .max_batch(4)
             .build()
             .map_err(|e| format!("{at}: server: {e}"))?,
     );

@@ -1,7 +1,7 @@
 //! The exactness contract, refereed by the core test kit's driver: on every
 //! corpus of the family, every backend in every numeric path returns the
 //! oracle's ids and score bits on every route — the solver, named and
-//! planned engine dispatch, the sharded server and the wire
+//! planned engine dispatch, the serving runtime and the wire
 //! ([`common::drive`]) — under whichever kernel set the process runs (CI
 //! runs this suite under the dispatched and the forced-scalar kernels).
 //! The property tests draw many shapes through the solver route; the
@@ -136,7 +136,7 @@ proptest! {
 }
 
 /// Every route, on one seeded model of each corpus shape: the engine, the
-/// sharded server and the wire add dispatch, threads, shards and framing,
+/// server and the wire add dispatch, threads, cut requests and framing,
 /// never a different answer.
 #[test]
 fn every_route_gets_the_oracle_answer_on_every_corpus() {

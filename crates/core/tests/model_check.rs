@@ -25,12 +25,12 @@ use mips_core::sync::{thread, Arc, Condvar, Mutex};
 use mips_core::{MipsError, Precision};
 use std::time::Instant;
 
-/// A toy queue item: its key models a sub-request's `(epoch, shard, k)`
-/// batch key, with every toy on shard 0 at `k = 1`.
+/// A toy queue item: its key models a sub-request's `(epoch, k)` batch
+/// key, with every toy at `k = 1`.
 #[derive(Debug, Clone)]
 struct Toy {
     epoch: u64,
-    /// Seeded bug switch: key on `(shard, k)` alone, dropping the epoch.
+    /// Seeded bug switch: key on `k` alone, dropping the epoch.
     epoch_blind: bool,
 }
 
@@ -44,10 +44,10 @@ impl Toy {
 }
 
 impl ms::QueueItem for Toy {
-    type Key = (u64, usize, usize);
-    fn key(&self) -> (u64, usize, usize) {
+    type Key = (u64, usize);
+    fn key(&self) -> (u64, usize) {
         let epoch = if self.epoch_blind { 0 } else { self.epoch };
-        (epoch, 0, 1)
+        (epoch, 1)
     }
     fn weight(&self) -> usize {
         1
@@ -309,15 +309,7 @@ fn metrics_are_rolled_up_before_the_waiter_wakes() {
             .map(|part| {
                 let pending = Arc::clone(&pending);
                 thread::spawn(move || {
-                    pending.complete(
-                        &ms::SubUsers::Range {
-                            users: part..part + 1,
-                            out_start: part,
-                        },
-                        vec![ms::TopKList::empty()],
-                        "toy",
-                        Precision::F64,
-                    );
+                    pending.complete(part, vec![ms::TopKList::empty()], "toy", Precision::F64);
                 })
             })
             .collect();
@@ -361,15 +353,7 @@ fn failed_requests_roll_up_before_the_waiter_wakes() {
         let completer = {
             let pending = Arc::clone(&pending);
             thread::spawn(move || {
-                pending.complete(
-                    &ms::SubUsers::Range {
-                        users: 0..1,
-                        out_start: 0,
-                    },
-                    vec![ms::TopKList::empty()],
-                    "toy",
-                    Precision::F64,
-                );
+                pending.complete(0, vec![ms::TopKList::empty()], "toy", Precision::F64);
             })
         };
         let failer = {
@@ -444,15 +428,7 @@ fn notifier_runs_once_after_the_rollup(fail_one: bool) {
                     if fail_one && part == 1 {
                         pending.fail(MipsError::ServerShutdown);
                     } else {
-                        pending.complete(
-                            &ms::SubUsers::Range {
-                                users: part..part + 1,
-                                out_start: part,
-                            },
-                            vec![ms::TopKList::empty()],
-                            "toy",
-                            Precision::F64,
-                        );
+                        pending.complete(part, vec![ms::TopKList::empty()], "toy", Precision::F64);
                     }
                 })
             })
@@ -627,7 +603,7 @@ fn seeded_dropped_notify_is_caught_as_deadlock() {
 /// call. The checker must find it (here every schedule shows it).
 #[test]
 fn seeded_epoch_blind_key_is_caught() {
-    // BUG (seeded): the key is `(shard, k)` without the epoch.
+    // BUG (seeded): the key is `k` without the epoch.
     let report = explore(small(), || leader_batch_stays_in_its_epoch(true));
     let failure = report.failure.expect("the epoch-blind key must be caught");
     assert!(

@@ -489,7 +489,7 @@ fn variants_never_rerun_their_base_construction() {
     assert!(screens.load(Ordering::SeqCst) <= 2 * ScreenTier::ALL.len());
 
     // Forced tiers, in-process and served: one plain build per `key`, one
-    // derived variant, however many shards serve.
+    // derived variant, however many pieces a request is cut into.
     for tier in ScreenTier::ALL {
         let (engine, builds, screens) = counting_engine(Precision::of_tier(Some(tier)));
         let response = engine
@@ -506,21 +506,22 @@ fn variants_never_rerun_their_base_construction() {
 
         let server = ServerBuilder::new()
             .engine(Arc::new(engine))
-            .shards(2)
-            .workers(1)
+            .workers(2)
+            .max_batch(60)
             .build()
             .expect("server assembles");
         for _ in 0..2 {
             let response = server.execute(&QueryRequest::top_k(3)).expect("served");
             assert_eq!(response.results.len(), 120);
         }
+        assert_eq!(server.metrics().batches, 4, "two pieces per request");
         assert_eq!(
             (
                 builds.load(Ordering::SeqCst),
                 screens.load(Ordering::SeqCst)
             ),
             (1, 1),
-            "two shards share the one plain build and its derived variant"
+            "two pieces share the one plain build and its derived variant"
         );
     }
 }
@@ -804,7 +805,6 @@ fn few_user_calls_take_a_point_plan_timed_one_user_per_call() {
     // queued, so the rest (or all four) share one solver call.
     let server = ServerBuilder::new()
         .engine(Arc::clone(engine))
-        .shards(1)
         .workers(1)
         .max_batch(16)
         .build()
@@ -821,7 +821,7 @@ fn few_user_calls_take_a_point_plan_timed_one_user_per_call() {
     for (u, handle) in handles {
         assert_eq!(handle.wait().expect("served").results, want(&[u]));
     }
-    assert!(server.metrics().coalesced() > 0, "the requests coalesced");
+    assert!(server.metrics().coalesced > 0, "the requests coalesced");
     assert_eq!(engine.planner_runs(), 1, "every few-user call reused it");
     let served: Vec<usize> = [drain(&r.reference), drain(&r.point)].concat();
     assert!(

@@ -1,7 +1,7 @@
 //! Property: a forced screen tier ([`Precision::of_tier`] of every
 //! [`ScreenTier`]) is an execution-strategy change, never a results change.
-//! Every backend's answers — solver, named and planned dispatch, sharded
-//! serving and the wire, under every precision — are refereed against the
+//! Every backend's answers — solver, named and planned dispatch, the
+//! serving runtime and the wire, under every precision — are refereed against the
 //! oracle by the core test kit's driver (`exactness.rs`), on every corpus
 //! including the degenerate-quantization one. This suite holds what the
 //! driver does not check: which variant named dispatch reports, model
@@ -99,7 +99,7 @@ fn forced_rescore_survives_model_swaps_bit_identically() {
     }
 }
 
-/// Serving under a forced tier surfaces the screen's work in the shard
+/// Serving under a forced tier surfaces the screen's work in the server's
 /// counters: batches, candidates and survivors accumulate in that tier's
 /// lane and every other lane stays untouched. This is the
 /// per-precision-mode screen observability `/metrics` exposes.
@@ -124,7 +124,6 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
         );
         let server = ServerBuilder::new()
             .engine(engine)
-            .shards(2)
             .workers(1)
             .build()
             .unwrap();
@@ -134,7 +133,7 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
         let metrics = server.metrics();
         server.shutdown().unwrap();
         assert!(metrics.completed > 0);
-        let active = metrics.lanes()[active_tier.index()];
+        let active = metrics.lanes[active_tier.index()];
         assert!(active.batches > 0, "{precision:?}: no screened batches");
         // BMM screens every (user, item) score of every batch.
         assert!(
@@ -148,19 +147,18 @@ fn serve_metrics_report_screen_candidates_and_survivors_per_mode() {
         for idle_tier in ScreenTier::ALL {
             if idle_tier != active_tier {
                 assert_eq!(
-                    metrics.lanes()[idle_tier.index()],
+                    metrics.lanes[idle_tier.index()],
                     TierLaneMetrics::default(),
                     "{precision:?}: wrong-mode batches or screen counts"
                 );
             }
         }
-        // Per-shard counters carry the same lanes as the rollup.
-        let per_shard = metrics.shards.iter();
-        assert_eq!(
-            per_shard
-                .map(|s| s.lanes[active_tier.index()].candidates)
-                .sum::<u64>(),
+        // `/metrics` carries the same lanes as the snapshot.
+        let lane = format!(
+            "\"screen_candidates_{}\":{}",
+            active_tier.name(),
             active.candidates
         );
+        assert!(metrics.to_json().contains(&lane), "{lane}");
     }
 }

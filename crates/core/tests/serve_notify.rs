@@ -74,7 +74,6 @@ fn stack(queue_capacity: usize) -> (Arc<Engine>, Arc<MipsServer>) {
     let server = Arc::new(
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
-            .shards(1)
             .workers(1)
             .queue_capacity(queue_capacity)
             .max_batch(1)
@@ -141,9 +140,7 @@ fn the_notifier_gets_the_outcome_once_on_a_worker_after_the_rollup() {
     // Exactly once each: nothing else ever arrives.
     assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     let metrics = server.metrics();
-    let submitted: u64 = metrics.shards.iter().map(|s| s.submitted).sum();
-    let completed: u64 = metrics.shards.iter().map(|s| s.completed).sum();
-    assert_eq!((submitted, completed), (2, 2));
+    assert_eq!((metrics.submitted, metrics.completed), (2, 2));
 }
 
 #[test]
@@ -181,9 +178,8 @@ fn a_request_that_is_not_admitted_returns_the_error_and_never_notifies() {
         rx.recv_timeout(Duration::from_millis(100)).is_err(),
         "a rejected request notified"
     );
-    // Bounced submissions leave no phantom in-flight work on the shard.
+    // Bounced submissions leave no phantom in-flight work.
     let metrics = server.metrics();
-    let submitted: u64 = metrics.shards.iter().map(|s| s.submitted).sum();
-    assert_eq!(submitted, admitted);
+    assert_eq!(metrics.submitted, admitted);
     assert_eq!(metrics.rejected, 1);
 }

@@ -1,10 +1,10 @@
-//! Stress suite for the sharded serving runtime.
+//! Stress suite for the concurrent serving runtime.
 //!
 //! The core test kit's driver (`exactness.rs`) holds every backend's
 //! served answers to the oracle's on every corpus. This suite holds what
-//! needs concurrency: whatever the shard count, worker count, batching
-//! policy, or submission concurrency, every response is **bit-identical**
-//! to a sequential [`Engine::execute`] on the same engine — sharding,
+//! needs concurrency: whatever the worker count, batching policy, or
+//! submission concurrency, every response is **bit-identical** to a
+//! sequential [`Engine::execute`] on the same engine — cutting,
 //! coalescing, and reassembly must be invisible except in the clock — plus
 //! backpressure, worker panics, shutdown and plan sharing.
 
@@ -51,14 +51,14 @@ fn engine(users: usize, items: usize) -> Arc<Engine> {
     )
 }
 
-/// A corpus of mixed requests: every selection shape, boundary-straddling
-/// ranges and id-lists, repeated ids, exclusion sets that cross shards,
-/// and k from 1 to the whole catalog.
+/// A corpus of mixed requests: every selection shape, ranges and id-lists
+/// that straddle the pieces a large request is cut into, repeated ids,
+/// exclusion sets that cross those cuts, and k from 1 to the whole catalog.
 fn mixed_corpus(engine: &Engine) -> Vec<QueryRequest> {
     let num_users = engine.model().num_users();
     let num_items = engine.model().num_items();
-    // Exclusions for users on both sides of every shard boundary of a
-    // 3-shard split, including a power user with a huge list.
+    // Exclusions for users on both sides of the first boundary of a
+    // 3-piece cut, including a power user with a huge list.
     let mut exclusions = ExclusionSet::new();
     for u in [0, num_users / 3, num_users / 3 + 1, num_users - 1] {
         for item in 0..5u32 {
@@ -91,23 +91,23 @@ fn mixed_corpus(engine: &Engine) -> Vec<QueryRequest> {
 
 #[test]
 fn concurrent_mixed_requests_are_bit_identical_to_sequential() {
-    let engine = engine(97, 120); // 97 users: ragged over any shard count
+    let engine = engine(97, 120); // 97 users: ragged over any piece count
     let corpus = mixed_corpus(&engine);
     let expected: Vec<Vec<TopKList>> = corpus
         .iter()
         .map(|request| engine.execute(request).unwrap().results)
         .collect();
+    let corpus_users: usize = corpus.iter().map(|r| r.result_len(&engine.model())).sum();
 
-    for (shards, workers, max_batch) in [(3, 4, 8), (4, 2, 1), (97, 8, 8)] {
+    for (workers, max_batch) in [(4, 8), (2, 1), (8, 8), (3, 32)] {
         let server = ServerBuilder::new()
             .engine(Arc::clone(&engine))
-            .shards(shards)
             .workers(workers)
             .max_batch(max_batch)
             .build()
             .unwrap();
         // 6 submitter threads × 4 passes, each walking the corpus from a
-        // different offset so shard queues interleave differently.
+        // different offset so queued requests interleave differently.
         std::thread::scope(|scope| {
             for t in 0..6 {
                 let server = &server;
@@ -124,7 +124,7 @@ fn concurrent_mixed_requests_are_bit_identical_to_sequential() {
                             let response = handle.wait().unwrap();
                             assert_eq!(
                                 response.results, expected[idx],
-                                "request {idx} diverged (shards={shards} workers={workers} max_batch={max_batch})"
+                                "request {idx} diverged (workers={workers} max_batch={max_batch})"
                             );
                             assert!(response.planned);
                             assert!(!response.backend.is_empty());
@@ -138,10 +138,9 @@ fn concurrent_mixed_requests_are_bit_identical_to_sequential() {
         assert_eq!(metrics.completed, metrics.submitted);
         assert_eq!(metrics.failed, 0);
         assert_eq!(metrics.latency.count, metrics.completed);
-        let shard_submitted: u64 = metrics.shards.iter().map(|s| s.submitted).sum();
-        let shard_completed: u64 = metrics.shards.iter().map(|s| s.completed).sum();
-        assert_eq!(shard_submitted, shard_completed);
-        assert!(shard_completed >= metrics.completed);
+        // Every selected user was served exactly once, however the
+        // requests were cut and coalesced.
+        assert_eq!(metrics.users_served, 6 * 4 * corpus_users as u64);
         server.shutdown().unwrap();
     }
 }
@@ -149,22 +148,40 @@ fn concurrent_mixed_requests_are_bit_identical_to_sequential() {
 #[test]
 fn ragged_boundaries_cover_every_user_exactly_once() {
     let engine = engine(41, 30);
-    for shards in [1, 2, 3, 5, 7, 40, 41, 64] {
-        let server = ServerBuilder::new()
-            .engine(Arc::clone(&engine))
-            .shards(shards)
-            .workers(2)
-            .build()
-            .unwrap();
-        let bounds: Vec<Range<usize>> = server.shard_bounds().to_vec();
-        assert!(bounds.len() <= shards.min(41));
-        assert_eq!(bounds[0].start, 0);
-        assert_eq!(bounds.last().unwrap().end, 41);
-        for pair in bounds.windows(2) {
-            assert_eq!(pair[0].end, pair[1].start, "contiguous, no gaps");
+    let requests = [
+        QueryRequest::top_k(3),
+        QueryRequest::top_k(3).users_range(3..40),
+        QueryRequest::top_k(3).users((0..41).rev().chain([7, 7, 40]).collect::<Vec<_>>()),
+    ];
+    let expected: Vec<_> = requests
+        .iter()
+        .map(|request| engine.execute(request).unwrap().results)
+        .collect();
+    for workers in [1, 2, 3, 5, 7] {
+        for max_batch in [1, 5, 40, 41, 64] {
+            let server = ServerBuilder::new()
+                .engine(Arc::clone(&engine))
+                .workers(workers)
+                .max_batch(max_batch)
+                .build()
+                .unwrap();
+            for (request, expected) in requests.iter().zip(&expected) {
+                let before = server.metrics();
+                let response = server.execute(request).unwrap();
+                assert_eq!(&response.results, expected, "{workers}/{max_batch}");
+                // One solver call per piece, and every selected position
+                // served exactly once.
+                let n = request.result_len(&engine.model());
+                let pieces = n.div_ceil(max_batch).min(workers) as u64;
+                let after = server.metrics();
+                assert_eq!(
+                    after.batches - before.batches,
+                    pieces,
+                    "{workers}/{max_batch}"
+                );
+                assert_eq!(after.users_served - before.users_served, n as u64);
+            }
         }
-        let response = server.execute(&QueryRequest::top_k(3)).unwrap();
-        assert_eq!(response.results.len(), 41);
     }
 }
 
@@ -172,7 +189,6 @@ fn ragged_boundaries_cover_every_user_exactly_once() {
 fn invalid_k_and_user_selections_are_typed_errors() {
     let server = ServerBuilder::new()
         .engine(engine(23, 16))
-        .shards(4)
         .workers(3)
         .build()
         .unwrap();
@@ -251,7 +267,6 @@ fn micro_batching_coalesces_single_user_traffic_without_changing_results() {
     let engine = gated_engine(model(64, 80), &gate);
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(2)
         .workers(1) // one worker: the backlog forms, batches must fill
         .max_batch(16)
         .build()
@@ -278,12 +293,50 @@ fn micro_batching_coalesces_single_user_traffic_without_changing_results() {
     let metrics = server.metrics();
     assert_eq!(metrics.completed, 64);
     assert!(
-        metrics.batches() < 64,
+        metrics.batches < 64,
         "single-user flood must coalesce: {} batches for 64 requests",
-        metrics.batches()
+        metrics.batches
     );
-    assert!(metrics.coalesced() > 0);
+    assert!(metrics.coalesced > 0);
     assert!(metrics.mean_batch_size() > 1.0);
+}
+
+#[test]
+fn requests_from_different_user_ranges_coalesce() {
+    let gate = Arc::new(RwLock::new(()));
+    let engine = gated_engine(model(64, 80), &gate);
+    let server = ServerBuilder::new()
+        .engine(Arc::clone(&engine))
+        .workers(1)
+        .max_batch(64)
+        .build()
+        .unwrap();
+    // The one worker takes the k = 3 request alone (nothing else is queued
+    // at that k) and blocks inside it at the gate.
+    let closed = gate.write().unwrap();
+    let blocker = server
+        .submit(&QueryRequest::top_k(3).users(vec![0]))
+        .unwrap();
+    // One-user requests at k = 5 for every user, low ids and high alike,
+    // queue up behind it.
+    let handles: Vec<_> = (0..64)
+        .map(|u| {
+            server
+                .submit(&QueryRequest::top_k(5).users(vec![u]))
+                .unwrap()
+        })
+        .collect();
+    drop(closed);
+    blocker.wait().unwrap();
+    let expected = engine.execute(&QueryRequest::top_k(5)).unwrap().results;
+    for (u, handle) in handles.into_iter().enumerate() {
+        assert_eq!(handle.wait().unwrap().results[0], expected[u], "user {u}");
+    }
+    // The gated call, then one call that holds all 64 users.
+    let metrics = server.metrics();
+    assert_eq!(metrics.batches, 2);
+    assert_eq!(metrics.coalesced, 64);
+    assert_eq!(metrics.users_served, 65);
 }
 
 #[test]
@@ -291,7 +344,6 @@ fn try_submit_applies_backpressure_and_blocking_submit_recovers() {
     let gate = Arc::new(RwLock::new(()));
     let server = ServerBuilder::new()
         .engine(gated_engine(model(16, 20), &gate))
-        .shards(1)
         .workers(1)
         .queue_capacity(2)
         .max_batch(1)
@@ -376,7 +428,6 @@ fn worker_panic_fails_the_request_but_not_the_server() {
     );
     let server = ServerBuilder::new()
         .engine(engine)
-        .shards(2)
         .workers(2)
         .build()
         .unwrap();
@@ -395,11 +446,9 @@ fn worker_panic_fails_the_request_but_not_the_server() {
     let metrics = server.metrics();
     assert_eq!(metrics.failed, 1);
     assert_eq!(metrics.completed, 2);
-    // The panicked batch still settles its shard counters: no phantom
-    // in-flight work is left behind.
-    let submitted: u64 = metrics.shards.iter().map(|s| s.submitted).sum();
-    let completed: u64 = metrics.shards.iter().map(|s| s.completed).sum();
-    assert_eq!(submitted, completed);
+    // The panicked request still settles: no phantom in-flight work is
+    // left behind.
+    assert_eq!(metrics.submitted, metrics.completed);
     server.shutdown().unwrap();
 }
 
@@ -408,7 +457,6 @@ fn shutdown_rejects_new_work_and_drop_joins_workers() {
     let engine = engine(12, 10);
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(2)
         .workers(2)
         .build()
         .unwrap();
@@ -418,7 +466,6 @@ fn shutdown_rejects_new_work_and_drop_joins_workers() {
     // A dropped server also joins cleanly (no hang, no panic).
     let server = ServerBuilder::new()
         .engine(engine)
-        .shards(1)
         .workers(1)
         .build()
         .unwrap();
@@ -447,25 +494,19 @@ fn builder_rejects_bad_assemblies() {
             .build(),
         Err(MipsError::InvalidConfig(_))
     ));
-    // A queue smaller than the shard count could never admit an all-shard
-    // request except into an empty queue (starvable): rejected at build.
+    // A queue smaller than the worker count could never admit a request
+    // cut into one piece per worker except into an empty queue
+    // (starvable): rejected at build.
     assert!(matches!(
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
-            .shards(8)
+            .workers(8)
             .queue_capacity(4)
             .build(),
         Err(MipsError::InvalidConfig(_))
     ));
-    // An explicit zero shard/worker count is a configuration error, not a
+    // An explicit zero worker count is a configuration error, not a
     // silent fall-through to automatic sizing.
-    assert!(matches!(
-        ServerBuilder::new()
-            .engine(Arc::clone(&engine))
-            .shards(0)
-            .build(),
-        Err(MipsError::InvalidConfig(_))
-    ));
     assert!(matches!(
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
@@ -473,26 +514,29 @@ fn builder_rejects_bad_assemblies() {
             .build(),
         Err(MipsError::InvalidConfig(_))
     ));
-    // Auto knobs resolve to sane values.
+    // Auto knobs resolve to sane values: one worker per available core,
+    // and a queue that admits any cut request.
     let server = ServerBuilder::new().engine(engine).build().unwrap();
-    assert!(server.worker_count() >= 1);
-    assert!(!server.shard_bounds().is_empty());
-    assert!(server.options().shards >= 1);
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    assert_eq!(server.worker_count(), cores);
+    assert_eq!(server.options().workers, cores);
+    assert!(server.options().queue_capacity >= server.worker_count());
 }
 
 #[test]
-fn plans_are_shared_across_shards_not_resampled() {
+fn plans_are_shared_across_pieces_not_resampled() {
     let engine = engine(90, 40);
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(6)
         .workers(3)
+        .max_batch(15)
         .build()
         .unwrap();
     server.execute(&QueryRequest::top_k(4)).unwrap();
-    // The first request fans out to 6 shards over 3 workers; first-touch
+    assert_eq!(server.metrics().batches, 3, "cut into one piece per worker");
+    // The first request is cut into 3 pieces over 3 workers; first-touch
     // planning installs compare-and-swap style, so up to one planner run
-    // per concurrently racing worker — never one per shard, and no convoy.
+    // per concurrently racing worker — never one per piece, and no convoy.
     let first_wave = engine.planner_runs();
     assert!(
         (1..=3).contains(&first_wave),
@@ -501,7 +545,7 @@ fn plans_are_shared_across_shards_not_resampled() {
     for _ in 0..3 {
         server.execute(&QueryRequest::top_k(4)).unwrap();
     }
-    // Steady state: the installed plan is shared by all shards; nothing
+    // Steady state: the installed plan is shared by every piece; nothing
     // re-samples.
     assert_eq!(engine.planner_runs(), first_wave);
 }

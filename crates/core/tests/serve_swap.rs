@@ -7,8 +7,8 @@
 //!   `Engine::execute` on a fresh engine holding that epoch's model — no
 //!   matter how many swaps landed while the request was in flight.
 //! * **Zero lost or failed requests.** Swaps (including ones that change
-//!   `num_users` and re-cut the shards) never drop, fail, or wedge a
-//!   request, and never set a cumulative counter back.
+//!   `num_users`, so all-user requests are cut differently) never drop,
+//!   fail, or wedge a request, and never set a cumulative counter back.
 //! * **Old epochs are reclaimed.** Once the last in-flight request of an
 //!   epoch completes after a swap, nothing keeps the old model (or its
 //!   derived indexes and plans) alive — no further admission needed.
@@ -74,8 +74,8 @@ fn swap_corpus(min_users: usize, min_items: usize) -> Vec<QueryRequest> {
 
 #[test]
 fn swap_under_load_is_bit_identical_per_epoch_with_zero_lost_requests() {
-    // Three models, rotated under load: B shrinks the user count (forcing
-    // a re-shard), C changes the catalog size.
+    // Three models, rotated under load: B shrinks the user count (cutting
+    // all-user requests differently), C changes the catalog size.
     let models = [model(97, 120, 42), model(61, 120, 7), model(97, 90, 13)];
     let min_users = 61;
     let min_items = 90;
@@ -96,7 +96,6 @@ fn swap_under_load_is_bit_identical_per_epoch_with_zero_lost_requests() {
     let engine = bmm_engine(&models[0]);
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(4)
         .workers(3)
         .max_batch(8)
         .build()
@@ -193,37 +192,32 @@ fn swap_under_load_is_bit_identical_per_epoch_with_zero_lost_requests() {
 }
 
 #[test]
-fn swaps_that_change_num_users_recut_the_shards() {
+fn swaps_that_change_num_users_recut_the_requests() {
     let big = model(90, 40, 1);
     let small = model(33, 40, 2);
     let engine = bmm_engine(&big);
+    // Two workers, 16-user batches: 90 users are cut into 2 pieces, 33
+    // users into 2, 4 users not at all.
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(6)
         .workers(2)
+        .max_batch(16)
         .build()
         .unwrap();
 
     // Two requests before the swap, one after: a counter reset by the
-    // re-cut would read lower after the swap than before it.
+    // swap would read lower after it than before it.
     let before = server.execute(&QueryRequest::top_k(3)).unwrap();
     assert_eq!(before.results.len(), 90);
     server.execute(&QueryRequest::top_k(3)).unwrap();
-    let bounds_before = server.shard_bounds();
-    assert_eq!(bounds_before.last().unwrap().end, 90);
     let before_swap = server.metrics();
     assert_eq!(before_swap.epoch, 0);
+    assert_eq!(before_swap.batches, 4, "two pieces per 90-user request");
 
     engine.swap_model(Arc::clone(&small)).unwrap();
     let after = server.execute(&QueryRequest::top_k(3)).unwrap();
     assert_eq!(after.results.len(), 33, "the new epoch has 33 users");
     assert_eq!(after.epoch, 1);
-    let bounds = server.shard_bounds();
-    assert_eq!(
-        bounds.last().unwrap().end,
-        33,
-        "shards re-chunked: {bounds:?}"
-    );
     let metrics = server.metrics();
     assert_eq!(metrics.epoch, 1);
     assert_eq!(metrics.swaps, 1);
@@ -236,28 +230,22 @@ fn swaps_that_change_num_users_recut_the_shards() {
             .results
     );
 
-    // The re-cut keeps every shard's count: each all-user request split
-    // into one sub-request per shard, and each one is still counted after
-    // the swap, so the cumulative totals only grow.
-    let settled = (2 * bounds_before.len() + bounds.len()) as u64;
-    let submitted: u64 = metrics.shards.iter().map(|s| s.submitted).sum();
-    let completed: u64 = metrics.shards.iter().map(|s| s.completed).sum();
-    assert_eq!(completed, settled, "every sub-request since build");
-    assert_eq!(submitted, completed, "no phantom in-flight work");
-    assert!(metrics.batches() >= before_swap.batches());
-    assert!(metrics.coalesced() >= before_swap.coalesced());
-    assert_eq!(metrics.batches(), settled, "one solver call per shard");
+    // The totals keep counting across the swap: every request since build
+    // and every user each one selected, one solver call per piece.
+    assert_eq!((metrics.submitted, metrics.completed), (3, 3));
+    assert_eq!(metrics.users_served, 90 + 90 + 33);
+    assert!(metrics.batches >= before_swap.batches);
+    assert!(metrics.coalesced >= before_swap.coalesced);
+    assert_eq!(metrics.batches, 2 + 2 + 2, "one solver call per piece");
 
-    // A model with fewer users than shards fills only as many ranges as it
-    // has users; the other slots keep their counts under an empty range.
+    // A model with fewer users than one batch holds is served whole.
     engine.swap_model(model(4, 40, 3)).unwrap();
-    server.execute(&QueryRequest::top_k(3)).unwrap();
-    assert_eq!(server.shard_bounds(), [0..1, 1..2, 2..3, 3..4]);
+    let tiny = server.execute(&QueryRequest::top_k(3)).unwrap();
+    assert_eq!(tiny.results.len(), 4);
     let metrics = server.metrics();
-    assert_eq!(metrics.shards.len(), 6, "one slot per shard since build");
-    assert_eq!(metrics.shards[5].users, 4..4);
-    let completed: u64 = metrics.shards.iter().map(|s| s.completed).sum();
-    assert_eq!(completed, settled + 4);
+    assert_eq!(metrics.batches, 7);
+    assert_eq!(metrics.users_served, 90 + 90 + 33 + 4);
+    assert_eq!((metrics.submitted, metrics.completed), (4, 4));
     server.shutdown().unwrap();
 }
 
@@ -270,7 +258,6 @@ fn old_epochs_become_unreachable_after_the_last_in_flight_request() {
 
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(3)
         .workers(2)
         .build()
         .unwrap();
@@ -315,7 +302,6 @@ fn direct_engine_traffic_and_server_traffic_agree_across_swaps() {
     let engine = bmm_engine(&a);
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(4)
         .workers(2)
         .build()
         .unwrap();

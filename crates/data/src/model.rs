@@ -71,7 +71,7 @@ pub struct MfModel {
     /// The lazily built mirrors, one slot per screen tier (see [`Mirror`]),
     /// cached for the model's lifetime like solvers and plans are cached
     /// per epoch: a swapped-in model builds each mirror at most once, and
-    /// every shard serving the model shares it through the model's `Arc`.
+    /// every worker serving the model shares it through the model's `Arc`.
     /// Cloning a model shares the mirrors already built (a mirror is a pure
     /// function of the factor matrices, which clones share).
     mirrors: MirrorSlots,

@@ -40,13 +40,12 @@ fn engine(model: &Arc<MfModel>) -> Arc<Engine> {
     )
 }
 
-/// A small default stack: 80 users, 100 items, 2 shards, 2 workers.
+/// A small default stack: 80 users, 100 items, 2 workers.
 fn stack() -> (Arc<Engine>, Arc<MipsServer>, HttpServer) {
     let engine = engine(&model(80, 100, 11));
     let server = Arc::new(
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
-            .shards(2)
             .workers(2)
             .build()
             .unwrap(),
@@ -199,7 +198,6 @@ fn a_forced_tier_is_announced_on_the_wire_and_counted_in_its_lanes() {
         let server = Arc::new(
             ServerBuilder::new()
                 .engine(engine)
-                .shards(2)
                 .workers(2)
                 .build()
                 .unwrap(),
@@ -225,11 +223,9 @@ fn a_forced_tier_is_announced_on_the_wire_and_counted_in_its_lanes() {
             server_side.get("precision").and_then(Json::as_str),
             Some(precision.as_str())
         );
-        let shards = server_side.get("shards").and_then(Json::as_arr).unwrap();
         let batches = format!("{}_batches", tier.name());
-        let shard_batches: u64 = shards.iter().map(|s| counter(s, &batches)).sum();
         assert!(
-            counter(server_side, &batches) >= 1 && shard_batches >= 1,
+            counter(server_side, &batches) >= 1,
             "served batches must be attributed to the {tier:?} screen path"
         );
         let candidates = counter(server_side, &format!("screen_candidates_{}", tier.name()));
@@ -269,7 +265,7 @@ fn metrics_and_healthz_expose_the_rollup() {
     let server_side = doc.get("server").expect("server section");
     assert_eq!(server_side.get("completed").and_then(Json::as_u64), Some(3));
     // The wire schema, pinned whole: a key added to or dropped from the
-    // `server` object or a `shards[i]` object has to change these lists.
+    // `server` object has to change this list.
     let keys = |obj: &Json| -> Vec<String> {
         let fields = obj.as_obj().expect("a JSON object");
         fields.iter().map(|(key, _)| key.clone()).collect()
@@ -290,30 +286,12 @@ fn metrics_and_healthz_expose_the_rollup() {
         "screen_candidates_i8",
         "screen_survivors_i8",
         "coalesced",
-        "mean_batch",
-        "latency",
-        "shards",
-    ];
-    assert_eq!(keys(server_side), server_keys);
-    let shards = server_side.get("shards").and_then(Json::as_arr).unwrap();
-    let shard_keys = [
-        "shard",
-        "users",
-        "submitted",
-        "completed",
-        "batches",
-        "f32_batches",
-        "i8_batches",
-        "screen_candidates_f32",
-        "screen_survivors_f32",
-        "screen_candidates_i8",
-        "screen_survivors_i8",
-        "coalesced",
         "users_served",
         "busy_seconds",
+        "mean_batch",
         "latency",
     ];
-    assert_eq!(keys(&shards[0]), shard_keys);
+    assert_eq!(keys(server_side), server_keys);
     let net_side = doc.get("net").expect("net section");
     // The /metrics request itself is parsed before its response counts.
     assert!(
@@ -497,7 +475,6 @@ fn overload_answers_429_with_retry_after() {
     let server = Arc::new(
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
-            .shards(1)
             .workers(1)
             .queue_capacity(2)
             .max_batch(1)
@@ -577,7 +554,6 @@ fn shutdown_drains_in_flight_requests() {
     let server = Arc::new(
         ServerBuilder::new()
             .engine(Arc::clone(&engine))
-            .shards(1)
             .workers(1)
             .build()
             .unwrap(),
@@ -613,7 +589,7 @@ fn shutdown_drains_in_flight_requests() {
 // ---------------------------------------------------------------------------
 
 /// A stack whose only backend serves through BMM but holds any batch that
-/// contains user 0 for `hold` first: 2 workers, one shard, `max_batch(1)`, so
+/// contains user 0 for `hold` first: 2 workers and `max_batch(1)`, so
 /// a held request and a fast one run side by side.
 fn slow_stub_stack(hold: Duration, net: HttpServerBuilder) -> (Arc<MipsServer>, HttpServer) {
     use mips_core::engine::FnFactory;
@@ -666,7 +642,6 @@ fn slow_stub_stack(hold: Duration, net: HttpServerBuilder) -> (Arc<MipsServer>, 
     let server = Arc::new(
         ServerBuilder::new()
             .engine(engine)
-            .shards(1)
             .workers(2)
             .max_batch(1)
             .build()
@@ -751,7 +726,6 @@ fn a_sleeping_loop_condemns_a_peer_that_never_reads() {
     let server = Arc::new(
         ServerBuilder::new()
             .engine(engine)
-            .shards(1)
             .workers(1)
             .build()
             .unwrap(),

@@ -130,7 +130,6 @@ fn wire_queries_survive_hot_swaps_bit_identically() {
     let server = Arc::new(
         ServerBuilder::new()
             .engine(engine)
-            .shards(2)
             .workers(2)
             .build()
             .unwrap(),

@@ -1,4 +1,4 @@
-//! The network front door, end to end: boot an HTTP server over a sharded
+//! The network front door, end to end: boot an HTTP server over the
 //! serving runtime, query it over a real loopback socket, read the metrics
 //! rollup, hot-swap the model through the admin endpoint (in-flight
 //! requests drain on their pinned epoch), and shut down cleanly.
@@ -35,7 +35,6 @@ fn main() {
     let server = Arc::new(
         ServerBuilder::new()
             .engine(engine)
-            .shards(2)
             .workers(2)
             .build()
             .expect("server assembles"),

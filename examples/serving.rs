@@ -1,14 +1,14 @@
-//! Serving concurrent traffic: the sharded runtime with micro-batching.
+//! Serving concurrent traffic: the worker pool with micro-batching.
 //!
 //! ```sh
 //! cargo run --release --example serving
 //! ```
 //!
 //! Where the other examples call `Engine::execute` one request at a time,
-//! this one stands up a `MipsServer` — user shards, a worker pool, a
-//! bounded submission queue — and pushes a flood of single-user requests
-//! through it, then reads the runtime's own metrics back: throughput,
-//! p50/p99 latency, and how much the micro-batcher coalesced.
+//! this one stands up a `MipsServer` — a worker pool behind a bounded
+//! submission queue — and pushes a flood of single-user requests through
+//! it, then reads the runtime's own metrics back: throughput, p50/p99
+//! latency, and how much the micro-batcher coalesced.
 
 use optimus_maximus::prelude::*;
 use std::sync::Arc;
@@ -34,13 +34,11 @@ fn main() -> Result<(), MipsError> {
 
     let server = ServerBuilder::new()
         .engine(Arc::clone(&engine))
-        .shards(4) // contiguous user ranges, each with its own counters
-        .workers(4) // persistent pool; any worker serves any shard
+        .workers(4) // persistent pool; any worker serves any user
         .queue_capacity(1024) // backpressure bound, in sub-requests
         .max_batch(32) // most users one coalesced solver call may carry
         .build()?;
-    println!("server: {server:?}");
-    println!("shard bounds: {:?}\n", server.shard_bounds());
+    println!("server: {server:?}\n");
 
     // A flood of single-user requests from four front-end threads — the
     // traffic shape that makes per-request dispatch slowest, and that the
@@ -75,24 +73,33 @@ fn main() -> Result<(), MipsError> {
         metrics.latency.p50_us, metrics.latency.p99_us, metrics.latency.max_us
     );
     println!(
-        "micro-batching: {} solver calls for {} sub-requests ({:.1} per batch)",
-        metrics.batches(),
-        metrics.completed,
-        metrics.mean_batch_size()
+        "micro-batching: {} solver calls for {} users ({:.1} per batch, {} requests coalesced), busy {:.2}s",
+        metrics.batches,
+        metrics.users_served,
+        metrics.mean_batch_size(),
+        metrics.coalesced,
+        metrics.busy_seconds
     );
-    for shard in &metrics.shards {
+
+    // A request over more than `max_batch` users is cut into one piece per
+    // worker, served in parallel and reassembled invisibly — the response
+    // is bit-identical to a sequential engine call, for a range and for an
+    // id list with repeats alike.
+    let large = [
+        QueryRequest::top_k(5),
+        QueryRequest::top_k(5).users((0..3000).step_by(7).chain([6, 6, 0]).collect::<Vec<_>>()),
+    ];
+    for request in &large {
+        let before = server.metrics().batches;
+        let served = server.execute(request)?;
+        let sequential = engine.execute(request)?;
+        assert_eq!(served.results, sequential.results);
         println!(
-            "  shard {} (users {:?}): {} sub-requests, {} batches, busy {:.2}s",
-            shard.shard, shard.users, shard.completed, shard.batches, shard.busy_seconds
+            "\n{}-user request in {} pieces matches Engine::execute exactly",
+            served.results.len(),
+            server.metrics().batches - before
         );
     }
-
-    // Requests that straddle shards are split and reassembled invisibly —
-    // the response is bit-identical to a sequential engine call.
-    let everyone = server.execute(&QueryRequest::top_k(5))?;
-    let sequential = engine.execute(&QueryRequest::top_k(5))?;
-    assert_eq!(everyone.results, sequential.results);
-    println!("\nall-users request across shards matches Engine::execute exactly");
 
     // Backpressure is a typed error, not a hang: `try_submit` bounces when
     // the bounded queue is full.
@@ -108,7 +115,7 @@ fn main() -> Result<(), MipsError> {
     }
 
     // Hot model swap: a "retrained" model (here: a different seed, and
-    // more users — the server re-chunks its shards) rolls in atomically
+    // more users) rolls in atomically
     // while the server keeps serving. Requests in flight at the swap
     // finish on the epoch they started under; new requests see the new
     // model and report its epoch.
@@ -128,10 +135,8 @@ fn main() -> Result<(), MipsError> {
     );
     let metrics = server.metrics();
     println!(
-        "server followed the swap: epoch {}, {} swap(s), shard bounds now {:?}",
-        metrics.epoch,
-        metrics.swaps,
-        server.shard_bounds()
+        "server followed the swap: epoch {}, {} swap(s)",
+        metrics.epoch, metrics.swaps
     );
     Ok(())
 }
